@@ -30,7 +30,7 @@ use mcr_core::runtime::{
     UpdateOptions, UpdateOutcome, UpdatePipeline,
 };
 use mcr_core::{QuiescenceProfiler, TraceOptions, TracingStats};
-use mcr_procsim::Kernel;
+use mcr_procsim::{Kernel, MemoryRegion, PAGE_SIZE};
 use mcr_servers::{
     apply_scenario_writes, install_standard_files, paper_catalog, program_by_name, stamp_request_scratch,
     PrecopyScenario,
@@ -129,10 +129,36 @@ pub fn update_with_options(
     outcome
 }
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a fold of one kernel-visible fact (helper of
 /// [`kernel_fingerprint`]).
 fn fold(hash: &mut u64, value: u64) {
-    *hash = (*hash ^ value).wrapping_mul(0x100_0000_01b3);
+    *hash = (*hash ^ value).wrapping_mul(FNV_PRIME);
+}
+
+/// Folds a region's contents, one little-endian word at a time (a trailing
+/// partial word is not folded). Folding a zero word is one multiply by the
+/// prime, so a never-written page is a single multiply by `FNV_PRIME^words`:
+/// the digest equals the word-by-word fold over the dense bytes, at the cost
+/// of the resident pages only.
+fn fold_region(hash: &mut u64, region: &MemoryRegion) {
+    const PAGE_WORDS: u64 = PAGE_SIZE / 8;
+    const ZERO_PAGE: u64 = FNV_PRIME.wrapping_pow(PAGE_WORDS as u32);
+    let mut words = region.size() / 8;
+    for page in region.pages() {
+        let n = words.min(PAGE_WORDS);
+        words -= n;
+        match page {
+            None if n == PAGE_WORDS => *hash = hash.wrapping_mul(ZERO_PAGE),
+            None => *hash = hash.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32)),
+            Some(bytes) => {
+                for word in bytes[..n as usize * 8].chunks_exact(8) {
+                    fold(hash, u64::from_le_bytes(word.try_into().unwrap()));
+                }
+            }
+        }
+    }
 }
 
 /// Deterministic digest of everything live-update-visible in the kernel:
@@ -155,10 +181,7 @@ pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
         for region in proc.space().regions() {
             fold(&mut hash, region.base().0);
             fold(&mut hash, region.size());
-            let bytes = proc.space().read_bytes(region.base(), region.size() as usize).unwrap();
-            for word in bytes.chunks_exact(8) {
-                fold(&mut hash, u64::from_le_bytes(word.try_into().unwrap()));
-            }
+            fold_region(&mut hash, region);
         }
     }
     hash
@@ -1220,6 +1243,39 @@ mod tests {
         let doc = update_time_json(&rows).render();
         assert!(doc.contains("\"phases\""));
         assert!(doc.contains("trace-and-transfer"));
+    }
+
+    #[test]
+    fn sparse_region_fold_equals_the_dense_word_fold() {
+        use mcr_procsim::{Addr, AddressSpace, RegionKind};
+        // Neither size is a page multiple; the second is not a word multiple
+        // either, so its trailing 4 bytes are not folded.
+        let (a, b) = (Addr(0x10000), Addr(0x40000));
+        let mut space = AddressSpace::new();
+        space.map_region(a, 5 * PAGE_SIZE + 96, RegionKind::Heap, "a").unwrap();
+        space.map_region(b, 2 * PAGE_SIZE + 100, RegionKind::Mmap, "b").unwrap();
+        // Region a: page 0 absent, 1 non-zero, 2 zero but resident, 3 and 4
+        // absent, partial page 5 non-zero up to its last byte.
+        space.write_bytes(a.offset(PAGE_SIZE + 8), &[0xAB; 24]).unwrap();
+        space.fill(a.offset(2 * PAGE_SIZE), 64, 0).unwrap();
+        space.write_bytes(a.offset(5 * PAGE_SIZE + 80), &[7; 16]).unwrap();
+        // Region b: page 0 non-zero, page 1 and the partial page 2 absent.
+        space.write_u64(b.offset(PAGE_SIZE - 8), u64::MAX).unwrap();
+        let resident: Vec<Vec<bool>> =
+            space.regions().map(|r| r.pages().map(|p| p.is_some()).collect()).collect();
+        assert_eq!(resident[0], [false, true, true, false, false, true]);
+        assert_eq!(resident[1], [true, false, false]);
+
+        for region in space.regions() {
+            let mut dense = 0xcbf2_9ce4_8422_2325u64;
+            let bytes = space.read_bytes(region.base(), region.size() as usize).unwrap();
+            for word in bytes.chunks_exact(8) {
+                fold(&mut dense, u64::from_le_bytes(word.try_into().unwrap()));
+            }
+            let mut sparse = 0xcbf2_9ce4_8422_2325u64;
+            fold_region(&mut sparse, region);
+            assert_eq!(sparse, dense, "region {}", region.name());
+        }
     }
 
     #[test]

@@ -854,17 +854,16 @@ fn collect_state(
             // delta; startup-written pages reproduce via deterministic
             // re-boot and carry stamp 0 after `clear_soft_dirty`.
             let mut addr = region.base();
-            let end = region.end();
-            while addr.0 < end.0 {
+            for page in region.pages() {
                 let epoch = region.page_dirty_epoch(addr);
                 if epoch != 0 {
-                    let len = (end.0 - addr.0).min(PAGE_SIZE) as usize;
-                    let bytes = space
-                        .read_bytes(addr, len)
-                        .map_err(|e| CheckpointError::Unsupported(format!("unreadable page: {e}")))?;
+                    let len = (region.end().0 - addr.0).min(PAGE_SIZE) as usize;
+                    // A page stamped by its mapping but never stored to is
+                    // absent and reads as zeros.
+                    let bytes = page.map_or_else(|| vec![0; len], |bytes| bytes[..len].to_vec());
                     deltas.push(DeltaRecord { pid: pid.0, addr: addr.0, epoch, bytes });
                 }
-                addr = Addr(addr.0 + PAGE_SIZE);
+                addr = addr.offset(PAGE_SIZE);
             }
         }
         let chunks: Vec<ChunkImage> = match proc.heap() {
@@ -1690,28 +1689,37 @@ mod tests {
 
     fn fingerprint(kernel: &Kernel) -> u64 {
         // Same FNV fold as the bench harness's kernel_fingerprint.
+        fn fold(h: &mut u64, v: u64) {
+            *h = (*h ^ v).wrapping_mul(FNV_PRIME);
+        }
         let mut h = FNV_OFFSET;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
         for pid in kernel.pids() {
             let proc = kernel.process(pid).unwrap();
-            fold(u64::from(pid.0));
-            fold(proc.fds().len() as u64);
+            fold(&mut h, u64::from(pid.0));
+            fold(&mut h, proc.fds().len() as u64);
             for (fd, entry) in proc.fds().iter() {
-                fold(fd.0 as u64);
-                fold(entry.object.0);
+                fold(&mut h, fd.0 as u64);
+                fold(&mut h, entry.object.0);
             }
-            fold(proc.thread_count() as u64);
+            fold(&mut h, proc.thread_count() as u64);
             for region in proc.space().regions() {
-                fold(region.base().0);
-                fold(region.size());
-                let bytes = proc.space().read_bytes(region.base(), region.size() as usize).unwrap();
-                for chunk in bytes.chunks(8) {
-                    let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
-                    fold(u64::from_le_bytes(word));
+                fold(&mut h, region.base().0);
+                fold(&mut h, region.size());
+                // A trailing partial word is folded zero-padded, which is
+                // what a resident last page holds beyond `size`.
+                let mut words = region.size().div_ceil(8);
+                for page in region.pages() {
+                    let n = words.min(PAGE_SIZE / 8);
+                    words -= n;
+                    match page {
+                        // Folding a zero word is one multiply by the prime.
+                        None => h = h.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32)),
+                        Some(bytes) => {
+                            for word in bytes[..n as usize * 8].chunks_exact(8) {
+                                fold(&mut h, u64::from_le_bytes(word.try_into().unwrap()));
+                            }
+                        }
+                    }
                 }
             }
         }

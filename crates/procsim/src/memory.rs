@@ -38,14 +38,49 @@
 //! the working set dirtied while the old version kept serving. The classic
 //! "dirty since startup" queries are the `since == 0` special case, so the
 //! stop-the-world paths are unchanged.
+//!
+//! # Demand-zero pages and copy-on-write fork
+//!
+//! A region does not own a dense byte array. It owns a page table with one
+//! slot per page, and a slot is either *absent* or holds a reference-counted
+//! 4 KiB page. This is the simulator's version of the two Linux properties
+//! the paper's multiprocess servers rely on:
+//!
+//! * **Demand-zero mapping.** [`AddressSpace::map_region`] allocates the
+//!   page table and the per-page stamps only. An absent page reads as zeros;
+//!   the first store into it materialises it (zero-filled, then written).
+//!   A [`AddressSpace::copy_range`] whose source page is absent writes zeros
+//!   onto a resident destination page and leaves an absent one absent.
+//! * **Copy-on-write fork.** Cloning an [`AddressSpace`] (which is all
+//!   `fork` does to memory) clones the page tables, so parent and child
+//!   share every resident page. A store goes through [`Arc::make_mut`]: the
+//!   writer gets a private copy of exactly the page it touches, the other
+//!   side keeps the original, and an unshared page is written in place.
+//!   Pages are `Arc`, not `Rc`, because the sharded tracer and the transfer
+//!   prepare workers read address spaces from scoped threads.
+//!
+//! Only the host-side cost changes. Bytes read, bounds checks (against the
+//! region's `size`, not its page-rounded size), the per-page dirty and
+//! protection stamps, `write_count`, parked traps and simulated time are
+//! kept per region and per page table slot exactly as before, independent of
+//! whether the slot's page is resident — a freshly mapped region is still
+//! all-dirty, and [`AddressSpace::mapped_bytes`] still counts mapped, not
+//! materialised, bytes ([`AddressSpace::resident_pages`] is the host-side
+//! number). The bytes of a partial last page that lie beyond `size` are
+//! never addressable and stay zero.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{SimError, SimResult};
 
 /// Size of a simulated memory page in bytes (matches Linux x86).
 pub const PAGE_SIZE: u64 = 4096;
+
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+type Page = [u8; PAGE_BYTES];
 
 /// A simulated virtual address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,7 +169,10 @@ pub struct MemoryRegion {
     kind: RegionKind,
     name: String,
     writable: bool,
-    data: Vec<u8>,
+    /// One slot per page: `None` is a never-written page that reads as
+    /// zeros; a resident page is shared with every clone of the region until
+    /// one side stores into it.
+    pages: Vec<Option<Arc<Page>>>,
     /// Per-page dirty stamp: the address space's write epoch at the page's
     /// last store, `0` when the page is clean since the last
     /// `clear_soft_dirty`.
@@ -163,7 +201,7 @@ impl MemoryRegion {
             kind,
             name: name.into(),
             writable,
-            data: vec![0; size as usize],
+            pages: vec![None; pages],
             // Freshly mapped pages are dirty: they were just created.
             dirty_epoch: vec![epoch; pages],
             protected: vec![false; pages],
@@ -270,12 +308,14 @@ impl MemoryRegion {
         self.page_span(addr, len).any(|page| self.protected[page])
     }
 
-    fn mark_dirty(&mut self, addr: Addr, len: usize, epoch: u64) {
-        let start = ((addr.0 - self.base.0) / PAGE_SIZE) as usize;
-        let end = ((addr.0 - self.base.0 + len.max(1) as u64 - 1) / PAGE_SIZE) as usize;
-        for page in start..=end.min(self.dirty_epoch.len().saturating_sub(1)) {
+    /// Books one store of `len` bytes at `off`: stamps every touched page
+    /// (a zero-length store still stamps its page) and counts the store.
+    fn stamp_store(&mut self, off: usize, len: usize, epoch: u64) {
+        let end = (off + len.max(1) - 1) / PAGE_BYTES;
+        for page in off / PAGE_BYTES..=end.min(self.dirty_epoch.len().saturating_sub(1)) {
             self.dirty_epoch[page] = epoch;
         }
+        self.write_count += 1;
     }
 
     fn clear_soft_dirty(&mut self) {
@@ -283,6 +323,114 @@ impl MemoryRegion {
             *stamp = 0;
         }
     }
+
+    /// Visits the region's pages in address order: `None` for a page that
+    /// was never written (it reads as zeros), the page's bytes otherwise.
+    /// Whole-region consumers (fingerprints, checkpoint capture) use this to
+    /// cost what is resident instead of what is mapped. The bytes of a
+    /// partial last page beyond [`MemoryRegion::size`] are zero.
+    pub fn pages(&self) -> impl Iterator<Item = Option<&[u8; PAGE_SIZE as usize]>> + '_ {
+        self.pages.iter().map(|page| page.as_deref())
+    }
+
+    /// Number of pages that have been materialised by a store — the
+    /// host-side memory the region actually occupies (shared pages count
+    /// once per region that references them).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+
+    /// Byte offset of `addr` inside the region, once `[addr, addr + len)` is
+    /// known to end within `size` (not the page-rounded size).
+    fn offset_of(&self, addr: Addr, len: usize) -> SimResult<usize> {
+        let off = (addr.0 - self.base.0) as usize;
+        if off + len > self.size as usize {
+            return Err(SimError::OutOfBounds { addr, len });
+        }
+        Ok(off)
+    }
+
+    /// The page at `idx`, private to this region and writable: materialised
+    /// if absent, copied if a clone of the region still shares it.
+    fn page_mut(&mut self, idx: usize) -> &mut Page {
+        Arc::make_mut(self.pages[idx].get_or_insert_with(|| Arc::new([0; PAGE_BYTES])))
+    }
+
+    fn load(&self, off: usize, buf: &mut [u8]) {
+        for chunk in page_chunks(off, buf.len()) {
+            let out = &mut buf[chunk.done..chunk.done + chunk.len];
+            match &self.pages[chunk.page] {
+                Some(page) => out.copy_from_slice(&page[chunk.at..chunk.at + chunk.len]),
+                None => out.fill(0),
+            }
+        }
+    }
+
+    /// Lands `bytes` at `off`, stamps the touched pages and counts the store
+    /// (a zero-length store stamps its page without materialising it).
+    fn store(&mut self, off: usize, bytes: &[u8], epoch: u64) {
+        for chunk in page_chunks(off, bytes.len()) {
+            self.page_mut(chunk.page)[chunk.at..chunk.at + chunk.len]
+                .copy_from_slice(&bytes[chunk.done..chunk.done + chunk.len]);
+        }
+        self.stamp_store(off, bytes.len(), epoch);
+    }
+
+    fn fill(&mut self, off: usize, len: usize, value: u8, epoch: u64) {
+        for chunk in page_chunks(off, len) {
+            self.page_mut(chunk.page)[chunk.at..chunk.at + chunk.len].fill(value);
+        }
+        self.stamp_store(off, len, epoch);
+    }
+
+    /// Copies `len` bytes from `src` at `src_off` to `off`. A chunk ends at
+    /// the next page boundary of either side. An absent source page is
+    /// zeros: it clears a resident destination page and leaves an absent one
+    /// absent.
+    fn copy_from(&mut self, off: usize, src: &MemoryRegion, src_off: usize, len: usize, epoch: u64) {
+        let mut done = 0;
+        while done < len {
+            let (from, to) = ((src_off + done) % PAGE_BYTES, (off + done) % PAGE_BYTES);
+            let n = (len - done).min(PAGE_BYTES - from).min(PAGE_BYTES - to);
+            let dst_page = (off + done) / PAGE_BYTES;
+            match &src.pages[(src_off + done) / PAGE_BYTES] {
+                Some(page) => self.page_mut(dst_page)[to..to + n].copy_from_slice(&page[from..from + n]),
+                None if self.pages[dst_page].is_some() => self.page_mut(dst_page)[to..to + n].fill(0),
+                None => {}
+            }
+            done += n;
+        }
+        self.stamp_store(off, len, epoch);
+    }
+}
+
+/// One page's share of a byte range that was split at page boundaries.
+struct PageChunk {
+    /// Index of the page in the region's page table.
+    page: usize,
+    /// Offset of the chunk inside that page.
+    at: usize,
+    /// Bytes of the range that precede this chunk.
+    done: usize,
+    len: usize,
+}
+
+/// Splits the region-relative byte range `[off, off + len)` at page
+/// boundaries. A range inside one page — every word access and most objects
+/// — is a single chunk, so the first iteration is the accessors' fast path;
+/// `len == 0` yields nothing.
+fn page_chunks(off: usize, len: usize) -> impl Iterator<Item = PageChunk> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let at = (off + done) % PAGE_BYTES;
+        let chunk =
+            PageChunk { page: (off + done) / PAGE_BYTES, at, done, len: (len - done).min(PAGE_BYTES - at) };
+        done += chunk.len;
+        Some(chunk)
+    })
 }
 
 /// A report of the dirty pages of one region, as collected at update time.
@@ -413,6 +561,14 @@ impl AddressSpace {
         self.regions.values().map(|r| r.size()).sum()
     }
 
+    /// Pages materialised by a store, across all regions — what the space
+    /// costs the host, as opposed to the simulated
+    /// [`AddressSpace::mapped_bytes`]. A page shared with a forked copy is
+    /// counted in both spaces.
+    pub fn resident_pages(&self) -> usize {
+        self.regions.values().map(|r| r.resident_pages()).sum()
+    }
+
     /// True if an address is mapped.
     pub fn is_mapped(&self, addr: Addr) -> bool {
         self.region_containing(addr).is_some()
@@ -438,12 +594,9 @@ impl AddressSpace {
     ///
     /// Fails if the range is unmapped or crosses the end of its region.
     pub fn read_bytes(&self, addr: Addr, len: usize) -> SimResult<Vec<u8>> {
-        let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        let off = (addr.0 - region.base().0) as usize;
-        if off + len > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len });
-        }
-        Ok(region.data[off..off + len].to_vec())
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
     }
 
     /// Reads `buf.len()` bytes starting at `addr` into a caller-provided
@@ -457,16 +610,24 @@ impl AddressSpace {
     /// Fails if the range is unmapped or crosses the end of its region.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> SimResult<()> {
         let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        let off = (addr.0 - region.base().0) as usize;
-        if off + buf.len() > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len: buf.len() });
-        }
-        buf.copy_from_slice(&region.data[off..off + buf.len()]);
+        let off = region.offset_of(addr, buf.len())?;
+        region.load(off, buf);
         Ok(())
     }
 
+    /// The writable region containing `[addr, addr + len)` and the range's
+    /// offset in it — the checks every store path makes, in this order.
+    fn store_target(&mut self, addr: Addr, len: usize) -> SimResult<(&mut MemoryRegion, usize)> {
+        let region = self.region_containing_mut(addr).ok_or(SimError::UnmappedAddress(addr))?;
+        if !region.is_writable() {
+            return Err(SimError::ReadOnlyRegion(addr));
+        }
+        let off = region.offset_of(addr, len)?;
+        Ok((region, off))
+    }
+
     /// Copies `len` bytes from `src` (at `src_addr`) directly into this
-    /// address space at `dst`: one region-to-region `memcpy` that stamps
+    /// address space at `dst`: one region-to-region copy that stamps
     /// write-epochs once per touched page instead of routing every object
     /// through an intermediate `Vec`. This is the range-copy fast path the
     /// transfer engine uses for verbatim (untyped / non-updatable) objects.
@@ -480,23 +641,30 @@ impl AddressSpace {
     /// destination range is unmapped, read-only, or out of bounds.
     pub fn copy_range(&mut self, dst: Addr, src: &AddressSpace, src_addr: Addr, len: usize) -> SimResult<()> {
         let src_region = src.region_containing(src_addr).ok_or(SimError::UnmappedAddress(src_addr))?;
-        let src_off = (src_addr.0 - src_region.base().0) as usize;
-        if src_off + len > src_region.data.len() {
-            return Err(SimError::OutOfBounds { addr: src_addr, len });
-        }
+        let src_off = src_region.offset_of(src_addr, len)?;
         let epoch = self.write_epoch;
-        let region = self.region_containing_mut(dst).ok_or(SimError::UnmappedAddress(dst))?;
-        if !region.is_writable() {
-            return Err(SimError::ReadOnlyRegion(dst));
-        }
-        let off = (dst.0 - region.base().0) as usize;
-        if off + len > region.data.len() {
-            return Err(SimError::OutOfBounds { addr: dst, len });
-        }
-        region.data[off..off + len].copy_from_slice(&src_region.data[src_off..src_off + len]);
-        region.mark_dirty(dst, len, epoch);
-        region.write_count += 1;
+        let (region, off) = self.store_target(dst, len)?;
+        region.copy_from(off, src_region, src_off, len, epoch);
         Ok(())
+    }
+
+    /// Whether a program store of `len` bytes at `addr` hits a post-copy
+    /// protected page and must be parked instead of landing.
+    fn store_traps(&self, addr: Addr, len: usize) -> SimResult<bool> {
+        if self.protected_pages == 0 {
+            return Ok(false);
+        }
+        let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
+        if !region.is_writable() {
+            return Err(SimError::ReadOnlyRegion(addr));
+        }
+        region.offset_of(addr, len)?;
+        Ok(region.span_is_protected(addr, len.max(1) as u64))
+    }
+
+    fn park_store(&mut self, addr: Addr, bytes: Vec<u8>) {
+        self.pending_traps.push(PendingTrap { addr, bytes });
+        self.traps_taken += 1;
     }
 
     /// Writes `bytes` starting at `addr`, marking touched pages soft-dirty.
@@ -511,20 +679,9 @@ impl AddressSpace {
     ///
     /// Fails if the range is unmapped, read-only, or out of bounds.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> SimResult<()> {
-        if self.protected_pages > 0 {
-            let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-            if !region.is_writable() {
-                return Err(SimError::ReadOnlyRegion(addr));
-            }
-            let off = (addr.0 - region.base().0) as usize;
-            if off + bytes.len() > region.data.len() {
-                return Err(SimError::OutOfBounds { addr, len: bytes.len() });
-            }
-            if region.span_is_protected(addr, bytes.len().max(1) as u64) {
-                self.pending_traps.push(PendingTrap { addr, bytes: bytes.to_vec() });
-                self.traps_taken += 1;
-                return Ok(());
-            }
+        if self.store_traps(addr, bytes.len())? {
+            self.park_store(addr, bytes.to_vec());
+            return Ok(());
         }
         self.write_bytes_through(addr, bytes)
     }
@@ -539,33 +696,37 @@ impl AddressSpace {
     /// Fails if the range is unmapped, read-only, or out of bounds.
     pub fn write_bytes_through(&mut self, addr: Addr, bytes: &[u8]) -> SimResult<()> {
         let epoch = self.write_epoch;
-        let region = self.region_containing_mut(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        if !region.is_writable() {
-            return Err(SimError::ReadOnlyRegion(addr));
-        }
-        let off = (addr.0 - region.base().0) as usize;
-        if off + bytes.len() > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len: bytes.len() });
-        }
-        region.data[off..off + bytes.len()].copy_from_slice(bytes);
-        region.mark_dirty(addr, bytes.len(), epoch);
-        region.write_count += 1;
+        let (region, off) = self.store_target(addr, bytes.len())?;
+        region.store(off, bytes, epoch);
         Ok(())
     }
 
-    /// Fills `len` bytes at `addr` with `value`.
+    /// Fills `len` bytes at `addr` with `value` (a program store: it parks
+    /// on a protected page like [`AddressSpace::write_bytes`]).
     pub fn fill(&mut self, addr: Addr, len: usize, value: u8) -> SimResult<()> {
-        self.write_bytes(addr, &vec![value; len])
+        if self.store_traps(addr, len)? {
+            self.park_store(addr, vec![value; len]);
+            return Ok(());
+        }
+        let epoch = self.write_epoch;
+        let (region, off) = self.store_target(addr, len)?;
+        region.fill(off, len, value, epoch);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Word accessors (little-endian, as on x86)
     // ------------------------------------------------------------------
 
+    fn read_array<const N: usize>(&self, addr: Addr) -> SimResult<[u8; N]> {
+        let mut word = [0; N];
+        self.read_into(addr, &mut word)?;
+        Ok(word)
+    }
+
     /// Reads a 64-bit little-endian word (also used for pointers).
     pub fn read_u64(&self, addr: Addr) -> SimResult<u64> {
-        let b = self.read_bytes(addr, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.read_array(addr).map(u64::from_le_bytes)
     }
 
     /// Writes a 64-bit little-endian word.
@@ -585,8 +746,7 @@ impl AddressSpace {
 
     /// Reads a 32-bit little-endian word.
     pub fn read_u32(&self, addr: Addr) -> SimResult<u32> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.read_array(addr).map(u32::from_le_bytes)
     }
 
     /// Writes a 32-bit little-endian word.
@@ -596,7 +756,7 @@ impl AddressSpace {
 
     /// Reads a single byte.
     pub fn read_u8(&self, addr: Addr) -> SimResult<u8> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        self.read_array(addr).map(u8::from_le_bytes)
     }
 
     /// Writes a single byte.
@@ -607,12 +767,23 @@ impl AddressSpace {
     /// Reads a NUL-terminated C string of at most `max` bytes.
     pub fn read_cstring(&self, addr: Addr, max: usize) -> SimResult<String> {
         let mut out = Vec::new();
-        for i in 0..max {
-            let b = self.read_u8(addr.offset(i as u64))?;
-            if b == 0 {
-                break;
+        let mut cur = addr;
+        // One pass per region the string runs through (a string may continue
+        // into an adjacent mapping), one step per page inside it.
+        'scan: while out.len() < max {
+            let region = self.region_containing(cur).ok_or(SimError::UnmappedAddress(cur))?;
+            let off = (cur.0 - region.base().0) as usize;
+            let len = (max - out.len()).min(region.size() as usize - off);
+            for chunk in page_chunks(off, len) {
+                let Some(page) = &region.pages[chunk.page] else { break 'scan };
+                let bytes = &page[chunk.at..chunk.at + chunk.len];
+                let text = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
+                out.extend_from_slice(&bytes[..text]);
+                if text < bytes.len() {
+                    break 'scan;
+                }
             }
-            out.push(b);
+            cur = cur.offset(len as u64);
         }
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
@@ -1068,6 +1239,179 @@ mod tests {
         let mut ro = AddressSpace::new();
         ro.map_region_with_perms(Addr(0x5000), PAGE_SIZE, RegionKind::Lib, "ro", false).unwrap();
         assert!(ro.copy_range(Addr(0x5000), &src, Addr(0x10000), 8).is_err());
+    }
+
+    /// The three source/destination residency cases the dense `Vec` hid:
+    /// each books the store (stamps, `write_count`) and yields dense bytes.
+    #[test]
+    fn copy_range_from_an_absent_page_clears_resident_and_keeps_absent_destinations() {
+        let src = space_with_region();
+        let mut dst = AddressSpace::new();
+        dst.map_region(Addr(0x40000), 4 * PAGE_SIZE, RegionKind::Heap, "dst").unwrap();
+        dst.write_bytes(Addr(0x40000), &[0xEE; 64]).unwrap();
+        dst.clear_soft_dirty();
+        let writes = dst.region_containing(Addr(0x40000)).unwrap().write_count();
+
+        // Absent source onto a resident destination page: zeros land.
+        dst.copy_range(Addr(0x40008), &src, Addr(0x10000), 16).unwrap();
+        let mut expect = vec![0xEE; 64];
+        expect[8..24].fill(0);
+        assert_eq!(dst.read_bytes(Addr(0x40000), 64).unwrap(), expect);
+        assert_eq!(dst.resident_pages(), 1);
+        assert!(dst.is_dirty(Addr(0x40008)));
+
+        // Absent source onto an absent destination page: still absent, but
+        // stamped and counted like any other store.
+        let page2 = Addr(0x40000 + 2 * PAGE_SIZE);
+        dst.copy_range(page2, &src, Addr(0x10000), 2 * PAGE_SIZE as usize).unwrap();
+        assert_eq!(dst.resident_pages(), 1, "copying zeros onto untouched pages materialises nothing");
+        assert!(dst.is_dirty(page2) && dst.is_dirty(page2.offset(PAGE_SIZE)));
+        assert_eq!(dst.dirty_page_count(), 3);
+        assert_eq!(dst.read_bytes(page2, 2 * PAGE_SIZE as usize).unwrap(), vec![0; 2 * PAGE_SIZE as usize]);
+        assert_eq!(dst.region_containing(Addr(0x40000)).unwrap().write_count(), writes + 2);
+        assert_eq!(src.resident_pages(), 0, "reading never materialises the source");
+    }
+
+    #[test]
+    fn copy_range_splits_at_the_page_boundaries_of_both_sides() {
+        let mut src = space_with_region();
+        let pattern: Vec<u8> = (0..3 * PAGE_SIZE as usize).map(|i| (i % 251) as u8 + 1).collect();
+        src.write_bytes(Addr(0x10000 + 100), &pattern).unwrap();
+        let mut dst = AddressSpace::new();
+        dst.map_region(Addr(0x40000), 8 * PAGE_SIZE, RegionKind::Heap, "dst").unwrap();
+        dst.clear_soft_dirty();
+        // Source and destination are misaligned against each other, so
+        // every chunk ends at a boundary of one side or the other.
+        dst.copy_range(Addr(0x40000 + PAGE_SIZE - 7), &src, Addr(0x10000 + 100), pattern.len()).unwrap();
+        assert_eq!(dst.read_bytes(Addr(0x40000 + PAGE_SIZE - 7), pattern.len()).unwrap(), pattern);
+        assert_eq!(
+            dst.read_bytes(Addr(0x40000), PAGE_SIZE as usize - 7).unwrap(),
+            vec![0; PAGE_SIZE as usize - 7]
+        );
+        assert_eq!(dst.dirty_page_count(), 4);
+        assert_eq!(dst.resident_pages(), 4);
+    }
+
+    #[test]
+    fn zero_length_store_stamps_one_page_and_materialises_nothing() {
+        let mut space = space_with_region();
+        space.clear_soft_dirty();
+        let at = Addr(0x10000 + 3 * PAGE_SIZE);
+        space.write_bytes(at, &[]).unwrap();
+        space.fill(at.offset(PAGE_SIZE), 0, 9).unwrap();
+        let other = space_with_region();
+        space.copy_range(at.offset(2 * PAGE_SIZE), &other, Addr(0x10000), 0).unwrap();
+        assert_eq!(space.dirty_page_count(), 3);
+        assert_eq!(space.region_containing(at).unwrap().write_count(), 3);
+        assert_eq!(space.resident_pages(), 0);
+    }
+
+    #[test]
+    fn bounds_are_checked_against_size_not_the_page_rounded_size() {
+        let mut space = AddressSpace::new();
+        space.map_region(Addr(0x10000), PAGE_SIZE + 100, RegionKind::Mmap, "odd").unwrap();
+        let region = space.region_containing(Addr(0x10000)).unwrap();
+        assert_eq!((region.page_count(), region.pages().count()), (2, 2));
+        let last = Addr(0x10000 + PAGE_SIZE + 99);
+        space.write_u8(last, 7).unwrap();
+        assert_eq!(space.read_u8(last).unwrap(), 7);
+        assert!(matches!(space.read_u8(last.offset(1)).unwrap_err(), SimError::UnmappedAddress(_)));
+        assert!(matches!(space.write_bytes(last, &[1, 2]).unwrap_err(), SimError::OutOfBounds { .. }));
+        assert!(matches!(space.read_bytes(last, 2).unwrap_err(), SimError::OutOfBounds { .. }));
+        assert!(matches!(space.fill(last, 2, 0).unwrap_err(), SimError::OutOfBounds { .. }));
+        // The visitor's last page is whole; its tail beyond `size` is zero.
+        let pages: Vec<_> = space.region_containing(last).unwrap().pages().collect();
+        assert!(pages[0].is_none());
+        let tail = &pages[1].unwrap()[99..];
+        assert!(tail[0] == 7 && tail[1..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn cstring_reads_run_across_pages_regions_and_absent_pages() {
+        let mut space = space_with_region();
+        space.map_region(Addr(0x10000 + 8 * PAGE_SIZE), PAGE_SIZE, RegionKind::Mmap, "next").unwrap();
+        // Unterminated text up to the region end continues into the
+        // adjacent mapping, whose untouched page terminates it.
+        let tail = Addr(0x10000 + 8 * PAGE_SIZE - 3);
+        space.write_bytes(tail, b"abc").unwrap();
+        assert_eq!(space.read_cstring(tail, 64).unwrap(), "abc");
+        assert_eq!(space.read_cstring(tail, 2).unwrap(), "ab");
+        // A string spanning a page boundary inside one region.
+        let mid = Addr(0x10000 + PAGE_SIZE - 2);
+        space.write_cstring(mid, "wxyz").unwrap();
+        assert_eq!(space.read_cstring(mid, 64).unwrap(), "wxyz");
+        // Running off the last mapping is the per-byte read's error.
+        let end = Addr(0x10000 + 9 * PAGE_SIZE - 2);
+        space.write_bytes(end, b"zz").unwrap();
+        assert!(
+            matches!(space.read_cstring(end, 8).unwrap_err(), SimError::UnmappedAddress(a) if a == end.offset(2))
+        );
+        assert_eq!(space.read_cstring(Addr(0x1), 0).unwrap(), "");
+    }
+
+    #[test]
+    fn mapping_and_cloning_materialise_nothing() {
+        let mut space = AddressSpace::new();
+        space.map_region(Addr(0x100_0000), 16 << 20, RegionKind::Heap, "heap").unwrap();
+        let copy = space.clone();
+        assert_eq!((space.resident_pages(), copy.resident_pages()), (0, 0));
+        assert_eq!(copy.total_page_count(), 4096);
+        assert_eq!(copy.dirty_page_count(), 4096, "a fresh mapping is all-dirty, resident or not");
+        assert_eq!(copy.read_u64(Addr(0x100_0000 + (16 << 20) - 8)).unwrap(), 0);
+    }
+
+    fn page_refs(space: &AddressSpace) -> Vec<usize> {
+        space.regions().flat_map(|r| r.pages.iter().flatten().map(Arc::strong_count)).collect()
+    }
+
+    #[test]
+    fn kernel_fork_shares_every_page_until_one_side_stores() {
+        use crate::kernel::Kernel;
+        use crate::process::MemoryLayout;
+        use crate::syscall::{Syscall, SyscallPort};
+
+        let mut kernel = Kernel::new();
+        let parent = kernel.create_process("srv").unwrap();
+        kernel.process_mut(parent).unwrap().setup_memory(MemoryLayout::default(), true).unwrap();
+        let heap = kernel.process(parent).unwrap().layout().heap_base;
+        let space = kernel.process_mut(parent).unwrap().space_mut();
+        space.clear_soft_dirty();
+        space.advance_write_epoch();
+        for page in 0..3 {
+            space.write_u64(heap.offset(page * PAGE_SIZE), 0x1000 + page).unwrap();
+        }
+        space.protect_range(heap.offset(PAGE_SIZE), PAGE_SIZE).unwrap();
+        space.write_u64(heap.offset(PAGE_SIZE + 8), 0xBAD).unwrap();
+        let resident = space.resident_pages();
+        assert!(resident >= 3);
+
+        let tid = kernel.process(parent).unwrap().main_tid();
+        let child = kernel.syscall(parent, tid, Syscall::Fork).unwrap().as_pid().unwrap();
+        let (p, c) = (kernel.process(parent).unwrap().space(), kernel.process(child).unwrap().space());
+        // The child reads the parent's bytes from the parent's own pages.
+        assert_eq!(c.read_u64(heap.offset(2 * PAGE_SIZE)).unwrap(), 0x1002);
+        assert_eq!(c.resident_pages(), resident);
+        assert!(page_refs(p).iter().all(|&n| n == 2) && page_refs(c).iter().all(|&n| n == 2));
+        // Stamps, protection and the parked store are inherited as they were.
+        assert_eq!(c.drain_dirty_since(0), p.drain_dirty_since(0));
+        assert_eq!(c.range_dirty_epoch(heap, 8), 2);
+        assert_eq!(c.write_epoch(), p.write_epoch());
+        assert_eq!((c.protected_page_count(), c.pending_trap_count(), c.traps_taken()), (1, 1, 1));
+        assert!(c.is_protected(heap.offset(PAGE_SIZE)));
+
+        // One store on the child un-shares exactly that page …
+        kernel.process_mut(child).unwrap().space_mut().write_u64(heap, 0xC0C0).unwrap();
+        let (p, c) = (kernel.process(parent).unwrap().space(), kernel.process(child).unwrap().space());
+        assert_eq!((p.read_u64(heap).unwrap(), c.read_u64(heap).unwrap()), (0x1000, 0xC0C0));
+        assert_eq!(page_refs(c).iter().filter(|&&n| n == 1).count(), 1);
+        assert_eq!(page_refs(p).iter().filter(|&&n| n == 1).count(), 1);
+        // … and one on the parent exactly one more.
+        let third = heap.offset(2 * PAGE_SIZE);
+        kernel.process_mut(parent).unwrap().space_mut().write_u64(third, 7).unwrap();
+        let (p, c) = (kernel.process(parent).unwrap().space(), kernel.process(child).unwrap().space());
+        assert_eq!((p.read_u64(third).unwrap(), c.read_u64(third).unwrap()), (7, 0x1002));
+        assert_eq!(page_refs(p).iter().filter(|&&n| n == 1).count(), 2);
+        assert_eq!(page_refs(c).iter().filter(|&&n| n == 2).count(), resident - 2);
     }
 
     #[test]

@@ -423,7 +423,12 @@ impl Process {
         self.creation_stack = stack;
     }
 
-    /// Resident set size: total mapped bytes plus allocator metadata.
+    /// *Mapped* size, not host-resident memory: total mapped bytes plus
+    /// allocator metadata. This is the paper's Table 3 proxy for the resident
+    /// set and deliberately ignores which pages were ever touched, so the
+    /// `table3_overhead`/`memory_usage` reports do not depend on the page
+    /// representation; [`AddressSpace::resident_pages`] is the number of
+    /// pages actually materialised.
     pub fn resident_bytes(&self) -> u64 {
         let meta = self.heap.as_ref().map(|h| h.stats().metadata_bytes).unwrap_or(0)
             + self.regions.stats().metadata_bytes;

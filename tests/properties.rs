@@ -16,8 +16,8 @@ use mcr_core::runtime::{
 };
 use mcr_core::transfer::{apply_field_map, compute_field_map};
 use mcr_procsim::{
-    Addr, AddressSpace, AllocSite, ConnId, Fd, FdEntry, FdTable, Kernel, KernelObject, ObjId, ObjectTable,
-    PtMalloc, RegionKind, TypeTag, PAGE_SIZE, RESERVED_FD_BASE,
+    Addr, AddressSpace, AllocSite, ConnId, DirtyRange, Fd, FdEntry, FdTable, Kernel, KernelObject, ObjId,
+    ObjectTable, PendingTrap, PtMalloc, RegionKind, SimError, TypeTag, PAGE_SIZE, RESERVED_FD_BASE,
 };
 use mcr_servers::{
     dirty_cache_records, dirty_connection_nodes, install_standard_files, program_by_name,
@@ -987,6 +987,275 @@ fn fd_table_slab_matches_the_ordered_map_model() {
             let got: Vec<(i32, FdEntry)> = table.iter().map(|(fd, e)| (fd.0, e)).collect();
             let expected: Vec<(i32, FdEntry)> = model.iter().map(|(&fd, &e)| (fd, e)).collect();
             assert_eq!(got, expected, "seed {seed}: iteration diverged from the ordered model");
+        }
+    }
+}
+
+const DENSE_BASE: u64 = 0x2000_0000;
+/// Twelve pages, the last one partial.
+const DENSE_SIZE: usize = 11 * PAGE_SIZE as usize + 1234;
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// The representation the paged `AddressSpace` replaced, kept as its
+/// reference: one region as a dense byte vector plus per-page stamps.
+#[derive(Clone)]
+struct DenseSpace {
+    data: Vec<u8>,
+    stamps: Vec<u64>,
+    protected: Vec<bool>,
+    epoch: u64,
+    write_count: u64,
+    parked: Vec<PendingTrap>,
+}
+
+/// The two ways an access can fail, as the model names them.
+#[derive(Debug, PartialEq)]
+enum Fault {
+    Unmapped,
+    OutOfBounds,
+}
+
+fn fault_of<T>(result: Result<T, SimError>) -> Result<T, Fault> {
+    result.map_err(|err| match err {
+        SimError::UnmappedAddress(_) => Fault::Unmapped,
+        SimError::OutOfBounds { .. } => Fault::OutOfBounds,
+        other => panic!("unexpected error {other}"),
+    })
+}
+
+impl DenseSpace {
+    fn new() -> Self {
+        let pages = DENSE_SIZE.div_ceil(PAGE);
+        DenseSpace {
+            data: vec![0; DENSE_SIZE],
+            stamps: vec![1; pages],
+            protected: vec![false; pages],
+            epoch: 1,
+            write_count: 0,
+            parked: Vec::new(),
+        }
+    }
+
+    fn offset(&self, addr: u64, len: usize) -> Result<usize, Fault> {
+        if addr < DENSE_BASE || addr >= DENSE_BASE + DENSE_SIZE as u64 {
+            return Err(Fault::Unmapped);
+        }
+        let off = (addr - DENSE_BASE) as usize;
+        if off + len > DENSE_SIZE {
+            return Err(Fault::OutOfBounds);
+        }
+        Ok(off)
+    }
+
+    /// Pages touched by `len` bytes at `off` (a zero-length access touches one).
+    fn span(&self, off: usize, len: usize) -> std::ops::RangeInclusive<usize> {
+        off / PAGE..=((off + len.max(1) - 1) / PAGE).min(self.stamps.len() - 1)
+    }
+
+    fn read(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
+        let off = self.offset(addr, len)?;
+        Ok(self.data[off..off + len].to_vec())
+    }
+
+    fn write_through(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Fault> {
+        let off = self.offset(addr, bytes.len())?;
+        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        for page in self.span(off, bytes.len()) {
+            self.stamps[page] = self.epoch;
+        }
+        self.write_count += 1;
+        Ok(())
+    }
+
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Fault> {
+        let off = self.offset(addr, bytes.len())?;
+        if self.span(off, bytes.len()).any(|page| self.protected[page]) {
+            self.parked.push(PendingTrap { addr: Addr(addr), bytes: bytes.to_vec() });
+            return Ok(());
+        }
+        self.write_through(addr, bytes)
+    }
+
+    fn set_protection(&mut self, addr: u64, len: u64, value: bool) -> Result<(), Fault> {
+        let off = self.offset(addr, len as usize)?;
+        for page in self.span(off, len as usize) {
+            self.protected[page] = value;
+        }
+        Ok(())
+    }
+
+    fn cstring(&self, addr: u64, max: usize) -> Result<String, Fault> {
+        let mut out = Vec::new();
+        for i in 0..max as u64 {
+            match self.read(addr + i, 1)?[0] {
+                0 => break,
+                b => out.push(b),
+            }
+        }
+        Ok(String::from_utf8_lossy(&out).into_owned())
+    }
+
+    fn dirty_since(&self, since: u64) -> Vec<DirtyRange> {
+        let mut out: Vec<DirtyRange> = Vec::new();
+        for (page, _) in self.stamps.iter().enumerate().filter(|(_, &stamp)| stamp > since) {
+            let base = Addr(DENSE_BASE + (page * PAGE) as u64);
+            match out.last_mut() {
+                Some(run) if run.base.0 + run.len == base.0 => run.len += PAGE_SIZE,
+                _ => out.push(DirtyRange { base, len: PAGE_SIZE, kind: RegionKind::Heap }),
+            }
+        }
+        out
+    }
+}
+
+/// An access for the model test: somewhere in (or just past) the region,
+/// biased towards page boundaries and the region end, zero to ~2.5 pages long.
+fn dense_access(rng: &mut Rng) -> (u64, usize) {
+    let len = match rng.range(0, 6) {
+        0 => 0,
+        1..=3 => rng.range(1, 17),
+        4 => rng.range(17, PAGE_SIZE),
+        _ => rng.range(PAGE_SIZE, 5 * PAGE_SIZE / 2),
+    } as usize;
+    let off = match rng.range(0, 8) {
+        0..=2 => rng.range(1, 12) * PAGE_SIZE - rng.range(0, 12),
+        3 => (DENSE_SIZE as u64 + 8).saturating_sub(len as u64 + rng.range(0, 16)),
+        _ => rng.range(0, DENSE_SIZE as u64 + 64),
+    };
+    (DENSE_BASE + off, len)
+}
+
+/// The demand-zero, copy-on-write `AddressSpace` is observably the dense
+/// region it replaced: the same seeded operation stream drives both, every
+/// result and fault is compared, and after every step the full contents,
+/// per-page stamps, protection, `write_count` and parked stores of every copy
+/// agree with its model. `clone()` mid-sequence forks both sides, after which
+/// writes land on either copy, so a leak through a shared page in either
+/// direction shows up as a content mismatch on the other copy.
+#[test]
+fn paged_address_space_matches_the_dense_model() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x9a6ed);
+        let mut space = AddressSpace::new();
+        space.map_region(Addr(DENSE_BASE), DENSE_SIZE as u64, RegionKind::Heap, "heap").unwrap();
+        let mut copies = vec![(space, DenseSpace::new())];
+        let steps = rng.range(60, 240);
+        let fork_at = rng.range(10, 60);
+        for step in 0..steps {
+            if step == fork_at {
+                copies.push(copies[0].clone());
+            }
+            let target = rng.range(0, copies.len() as u64) as usize;
+            // `copy_range` reads from the other copy, or a snapshot of this one.
+            let source = copies[(target + 1) % copies.len()].clone();
+            let (paged, dense) = &mut copies[target];
+            let (addr, len) = dense_access(&mut rng);
+            let at = Addr(addr);
+            let ctx = format!("seed {seed} step {step}: {addr:#x}+{len}");
+            match rng.range(0, 16) {
+                0..=2 => {
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+                    assert_eq!(fault_of(paged.write_bytes(at, &bytes)), dense.write(addr, &bytes), "{ctx}");
+                }
+                3 => {
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+                    let got = fault_of(paged.write_bytes_through(at, &bytes));
+                    assert_eq!(got, dense.write_through(addr, &bytes), "{ctx}");
+                }
+                4 | 5 => {
+                    let (from, _) = dense_access(&mut rng);
+                    let got = fault_of(paged.copy_range(at, &source.0, Addr(from), len));
+                    // Source faults are reported before destination faults.
+                    let want = source.1.read(from, len).and_then(|bytes| dense.write_through(addr, &bytes));
+                    assert_eq!(got, want, "{ctx} from {from:#x}");
+                }
+                6 => {
+                    let value = if rng.chance() { 0 } else { rng.next() as u8 };
+                    assert_eq!(
+                        fault_of(paged.fill(at, len, value)),
+                        dense.write(addr, &vec![value; len]),
+                        "{ctx}"
+                    );
+                }
+                7 => {
+                    let mut buf = vec![0xAA; len];
+                    let got = fault_of(paged.read_into(at, &mut buf)).map(|()| buf);
+                    assert_eq!(got, dense.read(addr, len), "{ctx}");
+                    assert_eq!(fault_of(paged.read_bytes(at, len)), dense.read(addr, len), "{ctx}");
+                }
+                8 => {
+                    let value = rng.next();
+                    assert_eq!(
+                        fault_of(paged.write_u64(at, value)),
+                        dense.write(addr, &value.to_le_bytes()),
+                        "{ctx}"
+                    );
+                    let got = fault_of(paged.write_u32(at.offset(3), value as u32));
+                    assert_eq!(got, dense.write(addr + 3, &(value as u32).to_le_bytes()), "{ctx}");
+                    assert_eq!(fault_of(paged.write_u8(at, 1)), dense.write(addr, &[1]), "{ctx}");
+                }
+                9 => {
+                    let word = |n: usize| {
+                        dense.read(addr, n).map(|b| b.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b)))
+                    };
+                    assert_eq!(fault_of(paged.read_u64(at)), word(8), "{ctx}");
+                    assert_eq!(fault_of(paged.read_u32(at)).map(u64::from), word(4), "{ctx}");
+                    assert_eq!(fault_of(paged.read_u8(at)).map(u64::from), word(1), "{ctx}");
+                    assert_eq!(fault_of(paged.read_cstring(at, len)), dense.cstring(addr, len), "{ctx}");
+                }
+                10 => {
+                    let got = fault_of(paged.protect_range(at, len as u64));
+                    assert_eq!(got, dense.set_protection(addr, len as u64, true), "{ctx}");
+                }
+                11 => {
+                    let got = fault_of(paged.unprotect_range(at, len as u64));
+                    assert_eq!(got, dense.set_protection(addr, len as u64, false), "{ctx}");
+                }
+                12 => {
+                    // The fault handler: lift protection, replay parked stores.
+                    let traps = paged.take_pending_traps();
+                    assert_eq!(traps, std::mem::take(&mut dense.parked), "{ctx}");
+                    paged.clear_protection();
+                    dense.protected.fill(false);
+                    for trap in traps {
+                        paged.write_bytes(trap.addr, &trap.bytes).unwrap();
+                        dense.write(trap.addr.0, &trap.bytes).unwrap();
+                    }
+                }
+                13 => {
+                    assert_eq!(paged.advance_write_epoch(), dense.epoch, "{ctx}");
+                    dense.epoch += 1;
+                }
+                14 if rng.range(0, 4) == 0 => {
+                    paged.clear_soft_dirty();
+                    dense.stamps.fill(0);
+                }
+                _ => {
+                    let since = rng.range(0, dense.epoch + 1);
+                    assert_eq!(paged.drain_dirty_since(since), dense.dirty_since(since), "{ctx}");
+                }
+            }
+            for (which, (paged, dense)) in copies.iter().enumerate() {
+                let ctx = format!("{ctx}, copy {which}");
+                let contents = paged.read_bytes(Addr(DENSE_BASE), DENSE_SIZE).unwrap();
+                if contents != dense.data {
+                    let at = contents.iter().zip(&dense.data).position(|(a, b)| a != b);
+                    panic!("{ctx}: contents differ at offset {at:?}");
+                }
+                let region = paged.region_containing(Addr(DENSE_BASE)).unwrap();
+                let page_addrs = (0..region.page_count() as u64).map(|p| Addr(DENSE_BASE + p * PAGE_SIZE));
+                let stamps: Vec<u64> = page_addrs.clone().map(|a| region.page_dirty_epoch(a)).collect();
+                let protected: Vec<bool> = page_addrs.map(|a| region.page_is_protected(a)).collect();
+                assert_eq!(stamps, dense.stamps, "{ctx}: dirty stamps");
+                assert_eq!(protected, dense.protected, "{ctx}: protection");
+                assert_eq!(
+                    paged.protected_page_count(),
+                    dense.protected.iter().filter(|&&p| p).count(),
+                    "{ctx}"
+                );
+                assert_eq!(region.write_count(), dense.write_count, "{ctx}: write_count");
+                assert_eq!(paged.pending_trap_count(), dense.parked.len(), "{ctx}: parked stores");
+            }
         }
     }
 }
