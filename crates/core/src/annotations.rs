@@ -36,6 +36,14 @@ pub enum ObjTreatment {
     SkipTransfer,
 }
 
+/// The low-bit mask of an [`ObjTreatment::EncodedPointers`] annotation: the
+/// bits that carry metadata and are not part of the address. `mask_bits` is
+/// below 64 for every registered annotation
+/// ([`AnnotationRegistry::add_obj_handler`] rejects wider ones).
+pub(crate) fn pointer_mask(mask_bits: u32) -> u64 {
+    (1u64 << mask_bits) - 1
+}
+
 /// A state annotation attached to a global symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateAnnotation {
@@ -104,7 +112,15 @@ impl AnnotationRegistry {
 
     /// Registers a state annotation (`MCR_ADD_OBJ_HANDLER`), accounting
     /// `loc` lines of annotation code.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`ObjTreatment::EncodedPointers`] with `mask_bits >= 64`: a
+    /// 64-bit pointer has no address bits left under such a mask.
     pub fn add_obj_handler(&mut self, symbol: impl Into<String>, treatment: ObjTreatment, loc: u64) {
+        if let ObjTreatment::EncodedPointers { mask_bits } = treatment {
+            assert!(mask_bits < 64, "EncodedPointers: mask_bits must be below 64, got {mask_bits}");
+        }
         self.state.push(StateAnnotation { symbol: symbol.into(), treatment });
         self.annotation_loc += loc;
     }
@@ -191,6 +207,28 @@ mod tests {
         assert_eq!(reg.obj_treatment("other"), None);
         assert_eq!(reg.annotation_loc(), 3);
         assert_eq!(reg.counts().0, 2);
+    }
+
+    #[test]
+    fn pointer_mask_covers_the_low_bits() {
+        assert_eq!(pointer_mask(0), 0);
+        assert_eq!(pointer_mask(2), 0b11);
+        assert_eq!(pointer_mask(63), u64::MAX >> 1);
+        let mut reg = AnnotationRegistry::new();
+        for mask_bits in [0, 2, 63] {
+            reg.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits }, 1);
+        }
+        assert_eq!(reg.obj_treatment("tagged"), Some(&ObjTreatment::EncodedPointers { mask_bits: 63 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "mask_bits must be below 64")]
+    fn encoded_pointer_mask_of_64_bits_is_rejected() {
+        AnnotationRegistry::new().add_obj_handler(
+            "tagged",
+            ObjTreatment::EncodedPointers { mask_bits: 64 },
+            1,
+        );
     }
 
     #[test]

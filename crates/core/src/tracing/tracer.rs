@@ -38,15 +38,30 @@
 //! to the serial walk for every shard count ([`finalize`](Tracer::trace)
 //! stays a single pass over the merged graph). Delta retraces shard the
 //! stale-object re-scan the same way.
+//!
+//! # Hot paths: what is computed once
+//!
+//! Per object the tracer consults, and never re-derives, what does not
+//! depend on the object: its type's flattened layout and stride are borrowed
+//! from the registry's per-type memo, and its annotation is borrowed from the
+//! annotation registry. Per conservatively scanned range the bytes are read
+//! once — one region lookup, one copy into a scratch buffer owned by the
+//! scanning worker — and the words are walked from that buffer; a range that
+//! runs past its region's end is split there, so exactly the words a
+//! word-by-word read could reach are scanned. Per pointer there is one region
+//! lookup, from which the target's class and its resolution both follow.
+//! Nothing is cached across objects or across traces, so there is nothing to
+//! invalidate, and the edges, their order and every statistic are the ones
+//! the word-by-word walk produced.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use mcr_procsim::{Addr, Kernel, Pid, Process, RegionKind};
+use mcr_procsim::{Addr, Kernel, MemoryRegion, Pid, Process, RegionKind};
 use mcr_typemeta::{LayoutElement, TypeId};
 
-use crate::annotations::ObjTreatment;
+use crate::annotations::{pointer_mask, ObjTreatment};
 use crate::error::{McrError, McrResult};
 use crate::program::InstanceState;
 use crate::tracing::graph::{ObjectGraph, ObjectOrigin, PointerEdge, TracedObject};
@@ -95,14 +110,27 @@ struct ScannedObject {
     discovered: Vec<(Addr, Option<TypeId>)>,
 }
 
+/// Most bytes one conservative-scan read copies out of the process; bounds
+/// the scratch buffer a scanning worker keeps.
+const SCAN_CHUNK: u64 = 64 * 1024;
+
+/// The read buffer of one scanning worker, reused across the objects it
+/// scans so a trace allocates per worker, not per object.
+type ScanScratch = Vec<u8>;
+
 /// Runs `f` over `items`, returning results in item order. With `workers <=
 /// 1` (or a trivially small batch) the items are mapped inline; otherwise
 /// `workers` scoped threads pull index chunks from a shared cursor. Results
 /// are slotted by index, so the output is independent of which worker scanned
-/// what.
-fn run_sharded<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// what. Every worker hands `f` its own scratch buffer.
+fn run_sharded<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T, &mut ScanScratch) -> R + Sync,
+) -> Vec<R> {
     if workers <= 1 || items.len() < workers.saturating_mul(2) {
-        return items.iter().map(f).collect();
+        let mut scratch = ScanScratch::new();
+        return items.iter().map(|item| f(item, &mut scratch)).collect();
     }
     let chunk = (items.len() / (workers * 4)).max(1);
     let cursor = AtomicUsize::new(0);
@@ -115,6 +143,7 @@ fn run_sharded<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> 
             .map(|_| {
                 scope.spawn(move || {
                     let mut done = Vec::new();
+                    let mut scratch = ScanScratch::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= items.len() {
@@ -123,7 +152,7 @@ fn run_sharded<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> 
                         for (i, item) in
                             items.iter().enumerate().take((start + chunk).min(items.len())).skip(start)
                         {
-                            done.push((i, f(item)));
+                            done.push((i, f(item, &mut scratch)));
                         }
                     }
                 })
@@ -182,7 +211,8 @@ impl WavePool {
 
     /// The shard-worker loop: pull a chunk, scan it unlocked, slot the
     /// results, park on the condvar when the wave is drained.
-    fn worker(&self, scan: impl Fn(Addr, Option<TypeId>) -> Option<ScannedObject>) {
+    fn worker(&self, scan: impl Fn(Addr, Option<TypeId>, &mut ScanScratch) -> Option<ScannedObject>) {
+        let mut scratch = ScanScratch::new();
         let mut state = self.state.lock().expect("wave pool poisoned");
         loop {
             if state.shutdown {
@@ -200,7 +230,10 @@ impl WavePool {
                 // every parked worker) and re-raise so `thread::scope`
                 // propagates it.
                 let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    items.into_iter().map(|(addr, declared)| scan(addr, declared)).collect::<Vec<_>>()
+                    items
+                        .into_iter()
+                        .map(|(addr, declared)| scan(addr, declared, &mut scratch))
+                        .collect::<Vec<_>>()
                 }));
                 state = self.state.lock().expect("wave pool poisoned");
                 match scanned {
@@ -344,7 +377,9 @@ impl<'a> Tracer<'a> {
         // Re-scan the stale set on the shard workers (each re-scan is a pure
         // read of the frozen process memory), then merge in address order —
         // the same order the serial loop used.
-        let rescanned = run_sharded(&stale, self.shards, |&(addr, prev_ty)| self.rescan_stale(addr, prev_ty));
+        let rescanned = run_sharded(&stale, self.shards, |&(addr, prev_ty), scratch| {
+            self.rescan_stale(addr, prev_ty, scratch)
+        });
         let mut frontier: Vec<(Addr, Option<TypeId>)> = Vec::new();
         for (&(addr, _), outcome) in stale.iter().zip(rescanned) {
             match outcome {
@@ -388,8 +423,11 @@ impl<'a> Tracer<'a> {
         mut wave: Vec<(Addr, Option<TypeId>)>,
         enqueued: &mut BTreeSet<u64>,
     ) {
-        let scan_inline = |wave: &[(Addr, Option<TypeId>)]| {
-            wave.iter().map(|&(addr, declared)| self.scan_entry(addr, declared)).collect::<Vec<_>>()
+        let mut scratch = ScanScratch::new();
+        let mut scan_inline = |wave: &[(Addr, Option<TypeId>)]| {
+            wave.iter()
+                .map(|&(addr, declared)| self.scan_entry(addr, declared, &mut scratch))
+                .collect::<Vec<_>>()
         };
         if self.shards <= 1 {
             while !wave.is_empty() {
@@ -402,7 +440,9 @@ impl<'a> Tracer<'a> {
         std::thread::scope(|scope| {
             let pool = &pool;
             for _ in 0..self.shards {
-                scope.spawn(move || pool.worker(|addr, declared| self.scan_entry(addr, declared)));
+                scope.spawn(move || {
+                    pool.worker(|addr, declared, scratch| self.scan_entry(addr, declared, scratch));
+                });
             }
             while !wave.is_empty() {
                 let scanned = if wave.len() < self.shards * 2 {
@@ -447,26 +487,41 @@ impl<'a> Tracer<'a> {
     /// object (the declared pointee type applies only when the address is the
     /// object base, as in the serial walk) and collects its outgoing targets.
     /// Pure with respect to shared state, so entries scan concurrently.
-    fn scan_entry(&self, addr: Addr, declared: Option<TypeId>) -> Option<ScannedObject> {
+    fn scan_entry(
+        &self,
+        addr: Addr,
+        declared: Option<TypeId>,
+        scratch: &mut ScanScratch,
+    ) -> Option<ScannedObject> {
         let resolved = self.resolve_object(addr)?;
         let type_id = resolved.type_id.or(if addr == resolved.base { declared } else { None });
-        Some(self.scan_resolved(resolved, type_id))
+        Some(self.scan_resolved(resolved, type_id, scratch))
     }
 
     /// Re-scans one stale object of a delta retrace. Returns `None` when the
     /// object no longer resolves to the same base (freed or replaced).
     /// Declared root/pointee types are sticky: a fresh trace would re-derive
     /// them from the (unchanged) pointer declarations.
-    fn rescan_stale(&self, addr: Addr, prev_ty: Option<TypeId>) -> Option<ScannedObject> {
+    fn rescan_stale(
+        &self,
+        addr: Addr,
+        prev_ty: Option<TypeId>,
+        scratch: &mut ScanScratch,
+    ) -> Option<ScannedObject> {
         let resolved = match self.resolve_object(addr) {
             Some(r) if r.base == addr => r,
             _ => return None,
         };
         let type_id = resolved.type_id.or(prev_ty);
-        Some(self.scan_resolved(resolved, type_id))
+        Some(self.scan_resolved(resolved, type_id, scratch))
     }
 
-    fn scan_resolved(&self, resolved: ResolvedObject, type_id: Option<TypeId>) -> ScannedObject {
+    fn scan_resolved(
+        &self,
+        resolved: ResolvedObject,
+        type_id: Option<TypeId>,
+        scratch: &mut ScanScratch,
+    ) -> ScannedObject {
         let mut traced = TracedObject {
             addr: resolved.base,
             size: resolved.size,
@@ -480,7 +535,7 @@ impl<'a> Tracer<'a> {
             likely_pointers: Vec::new(),
         };
         let mut discovered = Vec::new();
-        self.scan_object(&mut traced, &mut discovered);
+        self.scan_object(&mut traced, &mut discovered, scratch);
         ScannedObject { traced, discovered }
     }
 
@@ -561,35 +616,35 @@ impl<'a> Tracer<'a> {
     /// appended to `discovered` in scan order (deduplication against the
     /// global enqueued set happens at merge time, so this stays a pure read
     /// of process memory and can run on any shard worker).
-    fn scan_object(&self, traced: &mut TracedObject, discovered: &mut Vec<(Addr, Option<TypeId>)>) {
+    fn scan_object(
+        &self,
+        traced: &mut TracedObject,
+        discovered: &mut Vec<(Addr, Option<TypeId>)>,
+        scratch: &mut ScanScratch,
+    ) {
         let treatment = match &traced.origin {
-            ObjectOrigin::Static { symbol } => self.state.annotations.obj_treatment(symbol).cloned(),
+            ObjectOrigin::Static { symbol } => self.state.annotations.obj_treatment(symbol),
             _ => None,
         };
 
         // Decide the layout to scan.
-        enum Plan {
-            Typed(Vec<LayoutElement>, u64),
-            PointerSlots(Vec<u64>),
+        enum Plan<'p> {
+            Typed(&'p [LayoutElement], u64),
+            PointerSlots(&'p [u64]),
             Conservative,
         }
-        let mask_bits = match treatment {
-            Some(ObjTreatment::EncodedPointers { mask_bits }) => mask_bits,
+        let mask = match treatment {
+            Some(ObjTreatment::EncodedPointers { mask_bits }) => pointer_mask(*mask_bits),
             _ => 0,
         };
-        let plan = match (&treatment, traced.type_id) {
+        let plan = match (treatment, traced.type_id) {
             (Some(ObjTreatment::SkipTransfer), _) => return,
             (Some(ObjTreatment::ForceConservative), _) => Plan::Conservative,
-            (Some(ObjTreatment::PointerSlots(offsets)), _) => Plan::PointerSlots(offsets.clone()),
-            (_, Some(ty)) => {
-                let elems = self.state.types.layout_elements(ty);
-                if elems.is_empty() {
-                    Plan::Conservative
-                } else {
-                    let stride = self.state.types.size_of(ty).max(1);
-                    Plan::Typed(elems, stride)
-                }
-            }
+            (Some(ObjTreatment::PointerSlots(offsets)), _) => Plan::PointerSlots(offsets),
+            (_, Some(ty)) => match self.state.types.layout_elements(ty) {
+                [] => Plan::Conservative,
+                elems => Plan::Typed(elems, self.state.types.size_of(ty).max(1)),
+            },
             (_, None) => Plan::Conservative,
         };
 
@@ -598,19 +653,13 @@ impl<'a> Tracer<'a> {
                 let copies = (traced.size / stride).max(1);
                 for k in 0..copies {
                     let base_off = k * stride;
-                    for elem in &elems {
+                    for elem in elems {
                         match elem {
                             LayoutElement::Pointer { offset, to } => {
-                                self.follow_precise(
-                                    traced,
-                                    base_off + offset,
-                                    Some(*to),
-                                    mask_bits,
-                                    discovered,
-                                );
+                                self.follow_precise(traced, base_off + offset, Some(*to), mask, discovered);
                             }
                             LayoutElement::Opaque { offset, len } => {
-                                self.scan_conservative(traced, base_off + offset, *len, discovered);
+                                self.scan_conservative(traced, base_off + offset, *len, discovered, scratch);
                             }
                             LayoutElement::Scalar { .. } => {}
                         }
@@ -618,22 +667,24 @@ impl<'a> Tracer<'a> {
                 }
             }
             Plan::PointerSlots(offsets) => {
-                for off in offsets {
-                    self.follow_precise(traced, off, None, mask_bits, discovered);
+                for &off in offsets {
+                    self.follow_precise(traced, off, None, mask, discovered);
                 }
             }
             Plan::Conservative => {
-                self.scan_conservative(traced, 0, traced.size, discovered);
+                self.scan_conservative(traced, 0, traced.size, discovered, scratch);
             }
         }
     }
 
+    /// Follows the pointer slot at `offset`; `mask` covers the low bits an
+    /// encoded pointer keeps metadata in.
     fn follow_precise(
         &self,
         traced: &mut TracedObject,
         offset: u64,
         pointee: Option<TypeId>,
-        mask_bits: u32,
+        mask: u64,
         discovered: &mut Vec<(Addr, Option<TypeId>)>,
     ) {
         if offset + 8 > traced.size {
@@ -641,43 +692,58 @@ impl<'a> Tracer<'a> {
         }
         let slot = traced.addr.offset(offset);
         let Ok(raw) = self.process.space().read_u64(slot) else { return };
-        let mask = (1u64 << mask_bits) - 1;
         let masked_bits = raw & mask;
         let value = raw & !mask;
         if value == 0 {
             return;
         }
         let target = Addr(value);
-        if !self.process.space().is_mapped(target) {
-            return;
-        }
-        let targ_class = self.region_class_of(target);
-        let target_base = self.resolve_object(target).map(|r| r.base).unwrap_or(target);
+        // One region lookup answers "mapped?", the target's class and, below
+        // the static registry, its resolution.
+        let Some(region) = self.process.space().region_containing(target) else { return };
+        let target_base = self.resolve_in(region, target).map(|r| r.base).unwrap_or(target);
         traced.precise_pointers.push(PointerEdge { offset, target, target_base, masked_bits });
-        let follow_lib = targ_class != RegionClass::Lib || self.options.trace_libraries;
-        if follow_lib {
+        if RegionClass::from_kind(region.kind()) != RegionClass::Lib || self.options.trace_libraries {
             discovered.push((target_base, pointee));
         }
     }
 
+    /// Scans the aligned words of `[offset, offset + len)` (clamped to the
+    /// object) for likely pointers. The bytes are read in runs — one region
+    /// lookup and one copy into `scratch` per run — that end where the
+    /// region holding them ends, so a range that leaves its region (an object
+    /// whose recorded size overruns it, a word straddling the end) yields
+    /// exactly the words a word-by-word read reaches and skips the rest.
     fn scan_conservative(
         &self,
         traced: &mut TracedObject,
         offset: u64,
         len: u64,
         discovered: &mut Vec<(Addr, Option<TypeId>)>,
+        scratch: &mut ScanScratch,
     ) {
-        let start = offset.div_ceil(8) * 8;
+        let space = self.process.space();
         let end = (offset + len).min(traced.size);
-        let mut word = start;
+        let mut word = offset.div_ceil(8) * 8;
         while word + 8 <= end {
             let slot = traced.addr.offset(word);
-            if let Ok(raw) = self.process.space().read_u64(slot) {
-                if let Some(target_base) = self.validate_likely_pointer(Addr(raw)) {
-                    let targ_class = self.region_class_of(Addr(raw));
+            let readable = space.region_containing(slot).and_then(|region| {
+                let run = (end - word).min(region.end().0 - slot.0).min(SCAN_CHUNK) / 8 * 8;
+                (run > 0).then_some((region, run))
+            });
+            let Some((region, run)) = readable else {
+                // Unmapped, or the word straddles the end of its region.
+                word += 8;
+                continue;
+            };
+            scratch.resize(run as usize, 0);
+            region.read_into(slot, scratch).expect("the run ends inside the region");
+            for bytes in scratch.chunks_exact(8) {
+                let raw = Addr(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
+                if let Some((target_base, targ_class)) = self.validate_likely_pointer(raw) {
                     traced.likely_pointers.push(PointerEdge {
                         offset: word,
-                        target: Addr(raw),
+                        target: raw,
                         target_base,
                         masked_bits: 0,
                     });
@@ -688,21 +754,21 @@ impl<'a> Tracer<'a> {
                         discovered.push((target_base, None));
                     }
                 }
+                word += 8;
             }
-            word += 8;
         }
     }
 
     /// A word is a likely pointer when it is aligned and points inside a
-    /// live, known object of the process.
-    fn validate_likely_pointer(&self, candidate: Addr) -> Option<Addr> {
+    /// live, known object of the process; returns that object's base and the
+    /// class of the region the word points into.
+    fn validate_likely_pointer(&self, candidate: Addr) -> Option<(Addr, RegionClass)> {
         if candidate.is_null() || !candidate.is_aligned(8) {
             return None;
         }
-        if !self.process.space().is_mapped(candidate) {
-            return None;
-        }
-        self.resolve_object(candidate).map(|r| r.base)
+        let region = self.process.space().region_containing(candidate)?;
+        let resolved = self.resolve_in(region, candidate)?;
+        Some((resolved.base, RegionClass::from_kind(region.kind())))
     }
 
     fn region_class_of(&self, addr: Addr) -> RegionClass {
@@ -725,17 +791,29 @@ impl<'a> Tracer<'a> {
     }
 
     fn resolve_object(&self, addr: Addr) -> Option<ResolvedObject> {
-        // 1. Registered static objects.
-        if let Some(o) = self.state.statics.object_containing(addr) {
-            return Some(ResolvedObject {
-                base: o.addr,
-                size: o.size,
-                origin: ObjectOrigin::Static { symbol: o.symbol.clone() },
-                type_id: Some(o.ty),
-                startup: true,
-            });
-        }
-        let region = self.process.space().region_containing(addr)?;
+        self.resolve_static(addr)
+            .or_else(|| self.resolve_dynamic(self.process.space().region_containing(addr)?, addr))
+    }
+
+    /// [`resolve_object`](Self::resolve_object) for a caller that already
+    /// looked up the region containing `addr`.
+    fn resolve_in(&self, region: &MemoryRegion, addr: Addr) -> Option<ResolvedObject> {
+        self.resolve_static(addr).or_else(|| self.resolve_dynamic(region, addr))
+    }
+
+    /// Registered static objects come first, whatever region holds them.
+    fn resolve_static(&self, addr: Addr) -> Option<ResolvedObject> {
+        let o = self.state.statics.object_containing(addr)?;
+        Some(ResolvedObject {
+            base: o.addr,
+            size: o.size,
+            origin: ObjectOrigin::Static { symbol: o.symbol.clone() },
+            type_id: Some(o.ty),
+            startup: true,
+        })
+    }
+
+    fn resolve_dynamic(&self, region: &MemoryRegion, addr: Addr) -> Option<ResolvedObject> {
         match region.kind() {
             RegionKind::Static => {
                 // Unregistered static data (string constants and the like):
@@ -1223,6 +1301,124 @@ mod tests {
             result.stats, fresh.stats,
             "the divergence is the documented caveat — if this starts failing, the limit was fixed"
         );
+    }
+
+    /// What `scan_conservative` found: the likely-pointer edges and the
+    /// targets queued for traversal.
+    type Scan = (Vec<PointerEdge>, Vec<(Addr, Option<TypeId>)>);
+
+    /// A bare object over `[addr, addr + size)` to scan.
+    fn untyped_object(addr: Addr, size: u64) -> TracedObject {
+        TracedObject {
+            addr,
+            size,
+            origin: ObjectOrigin::Mmap,
+            type_id: None,
+            dirty_epoch: 0,
+            startup: true,
+            immutable: false,
+            non_updatable: false,
+            precise_pointers: Vec::new(),
+            likely_pointers: Vec::new(),
+        }
+    }
+
+    /// The reference the run-based scan is held to: one `read_u64` per
+    /// aligned word of the range, a failed read skipping that word only.
+    fn scan_word_by_word(tracer: &Tracer<'_>, obj: &TracedObject, offset: u64, len: u64) -> Scan {
+        let (mut edges, mut discovered) = (Vec::new(), Vec::new());
+        let end = (offset + len).min(obj.size);
+        let mut word = offset.div_ceil(8) * 8;
+        while word + 8 <= end {
+            if let Ok(raw) = tracer.process.space().read_u64(obj.addr.offset(word)) {
+                if let Some((target_base, class)) = tracer.validate_likely_pointer(Addr(raw)) {
+                    edges.push(PointerEdge { offset: word, target: Addr(raw), target_base, masked_bits: 0 });
+                    if class != RegionClass::Lib {
+                        discovered.push((target_base, None));
+                    }
+                }
+            }
+            word += 8;
+        }
+        (edges, discovered)
+    }
+
+    /// Scans `[offset, offset + len)` of `obj` both ways, holds the run-based
+    /// scan to the reference edge for edge, and returns the edge offsets.
+    fn scanned_offsets(tracer: &Tracer<'_>, obj: &TracedObject, offset: u64, len: u64) -> Vec<u64> {
+        let mut traced = obj.clone();
+        let mut discovered = Vec::new();
+        // A dirty, oversized scratch buffer: nothing of it may leak into a scan.
+        let mut scratch = vec![0xa5; 3 * SCAN_CHUNK as usize];
+        tracer.scan_conservative(&mut traced, offset, len, &mut discovered, &mut scratch);
+        let reference = scan_word_by_word(tracer, obj, offset, len);
+        assert_eq!((traced.likely_pointers.clone(), discovered), reference, "object at {}", obj.addr);
+        traced.likely_pointers.iter().map(|e| e.offset).collect()
+    }
+
+    /// The conservative scan reads runs of bytes, not words; every way a run
+    /// can end early must leave the edges exactly those of the word-by-word
+    /// walk: the object's region ending (with nothing, or another region,
+    /// mapped behind it), a word straddling that end, an absent page in the
+    /// middle, a range longer than one scratch chunk, an unaligned opaque run.
+    #[test]
+    fn conservative_scan_matches_the_word_by_word_reference() {
+        use mcr_procsim::PAGE_SIZE;
+        let (mut kernel, mut state, pid) = listing1();
+        build_types(&mut state);
+        let tid = kernel.process(pid).unwrap().main_tid();
+        let target = {
+            let mut env = ProgramEnv::new(&mut kernel, &mut state, pid, tid, "main");
+            env.alloc_bytes(64, "scan:target").unwrap()
+        };
+        let pages = 2 * SCAN_CHUNK / PAGE_SIZE + 3;
+        let (lone, front, back, sparse) =
+            (Addr(0x6000_0000), Addr(0x6100_0000), Addr(0x6100_0000 + PAGE_SIZE), Addr(0x6200_0000));
+        let space = kernel.process_mut(pid).unwrap().space_mut();
+        for (base, size) in
+            [(lone, PAGE_SIZE), (front, PAGE_SIZE), (back, PAGE_SIZE), (sparse, pages * PAGE_SIZE)]
+        {
+            space.map_region(base, size, RegionKind::Mmap, format!("scan@{base}")).unwrap();
+        }
+        let interior = target.offset(16);
+        // Pointers in the last two words of `lone` and `front`, in a word the
+        // two regions share, and in the first full word of `back`.
+        for region in [lone, front] {
+            space.write_u64(region.offset(PAGE_SIZE - 16), target.0).unwrap();
+            space.write_u64(region.offset(PAGE_SIZE - 8), interior.0).unwrap();
+        }
+        space.write_u64(back.offset(4), target.0).unwrap();
+        space.write_u64(back.offset(12), target.0).unwrap();
+        // `sparse`: pointers on its first and last page and on both sides of
+        // each scratch-chunk boundary; every page in between stays absent.
+        let sparse_slots =
+            [0, SCAN_CHUNK - 8, SCAN_CHUNK, 2 * SCAN_CHUNK - 8, 2 * SCAN_CHUNK, pages * PAGE_SIZE - 8];
+        for off in sparse_slots {
+            space.write_u64(sparse.offset(off), interior.0).unwrap();
+        }
+        assert!(space.resident_pages() < 40, "the middle of `sparse` is demand-zero");
+
+        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+
+        // Recorded size runs past the end of the region, nothing mapped behind.
+        let overrun = untyped_object(lone.offset(PAGE_SIZE - 32), 96);
+        assert_eq!(scanned_offsets(&tracer, &overrun, 0, 96), [16, 24]);
+        // Unaligned base: the words are at -20, -12, -4 (straddling the end,
+        // unreadable) and, in the adjacent region, +4, +12.
+        let straddling = untyped_object(front.offset(PAGE_SIZE - 20), 40);
+        assert_eq!(scanned_offsets(&tracer, &straddling, 0, 40), [24, 32]);
+        // Aligned base across two adjacent regions: both sides are scanned.
+        let across = untyped_object(front.offset(PAGE_SIZE - 16), 16 + PAGE_SIZE);
+        assert_eq!(scanned_offsets(&tracer, &across, 0, across.size), [0, 8]);
+        // Absent pages and more than one chunk.
+        let whole = untyped_object(sparse, pages * PAGE_SIZE);
+        assert_eq!(scanned_offsets(&tracer, &whole, 0, whole.size), sparse_slots);
+        // An opaque run at an unaligned offset covers only its whole words:
+        // [5, 5 + 2·CHUNK) holds the words 8 .. 2·CHUNK - 8.
+        assert_eq!(scanned_offsets(&tracer, &whole, 5, 2 * SCAN_CHUNK), sparse_slots[1..4]);
+        assert_eq!(scanned_offsets(&tracer, &whole, 1, 14), [0u64; 0], "no whole word inside");
+        // A start past the object's recorded size scans nothing.
+        assert_eq!(scanned_offsets(&tracer, &overrun, 96, 8), [0u64; 0]);
     }
 
     #[test]

@@ -20,6 +20,21 @@
 //! the two processes of one matched pair, which is what makes the phase
 //! safely parallel.
 //!
+//! # Hot paths: what is computed once
+//!
+//! Within one transfer pass (`run_transfer`) nothing that depends only on types is derived
+//! per object. The structural [`FieldMap`] of a typed object depends on its
+//! (old type, new type) pair alone, so one map is computed for each distinct
+//! pair of the write set before the shard workers start and the table is
+//! shared read-only; each element is transformed directly into its slice of
+//! the object's output buffer. The old→new address map is a `Vec` appended
+//! by pass 3 in the graph's (strictly increasing) address order and
+//! binary-searched by pass 4 — it lives for one call, so there is nothing to
+//! invalidate. New-version object sizes come from the type registry's
+//! per-type memo. The bytes written, their order, the fault counter, the
+//! conflicts and every charged duration are those of the per-object
+//! derivation.
+//!
 //! # Pre-copy delta transfer
 //!
 //! The engine is *resumable*: a [`DeltaPlan`] records, per matched pair, the
@@ -63,13 +78,13 @@ use std::sync::Arc;
 use mcr_procsim::{Addr, AllocSite, Kernel, Pid, Process, SimDuration, TypeTag};
 use mcr_typemeta::TypeId;
 
-use crate::annotations::ObjTreatment;
+use crate::annotations::{pointer_mask, ObjTreatment};
 use crate::error::{Conflict, McrError, McrResult};
 use crate::intern::{Sym, SymbolTable};
 use crate::program::InstanceState;
 use crate::tracing::graph::ObjectOrigin;
 use crate::tracing::tracer::TraceResult;
-use crate::transfer::transform::{apply_field_map, compute_field_map};
+use crate::transfer::transform::{apply_field_map, compute_field_map, FieldMap};
 
 /// How one old-version type relates to the new version, resolved once per
 /// update instead of once per traced object.
@@ -1010,7 +1025,7 @@ fn run_transfer(
     // Pass 3 (mutating the new process): map inherited regions for pinned
     // objects and perform fresh allocations; build the address map.
     // ------------------------------------------------------------------
-    let mut addr_map: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut addr_map: Vec<(u64, u64)> = Vec::with_capacity(planned.len());
     {
         let mut mapped: BTreeSet<u64> = BTreeSet::new();
         for (base, size, name) in needed_regions {
@@ -1072,7 +1087,11 @@ fn run_transfer(
                 }
             }
         };
-        addr_map.insert(p.old_base.0, new_base.0);
+        debug_assert!(
+            addr_map.last().is_none_or(|&(last, _)| last < p.old_base.0),
+            "the graph iterates in address order, so the map is appended sorted"
+        );
+        addr_map.push((p.old_base.0, new_base.0));
     }
 
     // ------------------------------------------------------------------
@@ -1090,8 +1109,22 @@ fn run_transfer(
         .iter()
         .enumerate()
         .filter(|(_, p)| p.write_contents && (final_mode || p.stale))
-        .filter_map(|(i, p)| addr_map.get(&p.old_base.0).map(|&nb| (i, Addr(nb))))
+        .filter_map(|(i, p)| new_base_of(&addr_map, p.old_base.0).map(|nb| (i, Addr(nb))))
         .collect();
+    // The type pair of an object that takes the structural field-map path.
+    let typed_pair = |p: &Planned| match (&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
+        (None, false, Some(old_ty), Some(new_ty)) => Some((old_ty, new_ty)),
+        _ => None,
+    };
+    // A field map depends only on its type pair: derive one per distinct
+    // pair of the write set, before the shard workers start, and share the
+    // table read-only.
+    let mut field_maps: BTreeMap<(TypeId, TypeId), FieldMap> = BTreeMap::new();
+    for (old_ty, new_ty) in writes.iter().filter_map(|&(i, _)| typed_pair(&planned[i])) {
+        field_maps
+            .entry((old_ty, new_ty))
+            .or_insert_with(|| compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty));
+    }
     let shards = plan.intra_pair_shards();
     let est_costs: Vec<u64> = writes.iter().map(|&(i, _)| 2_000 + 2 * planned[i].size.max(1)).collect();
     let shard_of = partition_contiguous(&est_costs, shards);
@@ -1116,19 +1149,17 @@ fn run_transfer(
             let handler = new_state.annotations.transform(key).expect("transform key resolved earlier");
             return Prepared::Bytes(handler(old_bytes));
         }
-        let (old_ty, new_ty) = (p.old_ty.expect("typed path"), p.new_ty.expect("typed path"));
-        let map = compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty);
+        let map = &field_maps[&typed_pair(p).expect("neither verbatim nor handled by a transform")];
         // Objects larger than one element (arrays of the element type) are
-        // transformed element-wise.
-        let old_stride = map.old_size.max(1);
-        let count = (old_bytes.len() as u64 / old_stride).max(1);
-        let mut out = Vec::with_capacity((map.new_size.max(1) * count) as usize);
-        for k in 0..count {
-            let start = (k * old_stride) as usize;
-            let end = ((k + 1) * old_stride).min(old_bytes.len() as u64) as usize;
-            let mut elem = apply_field_map(&map, &old_bytes[start..end]);
-            rewrite_pointers(&mut elem, &map.pointers, &old_bytes[start..end], trace, &addr_map, p.mask_bits);
-            out.extend_from_slice(&elem);
+        // transformed element-wise, each into its slice of the output.
+        let old_stride = map.old_size.max(1) as usize;
+        let new_stride = map.new_size.max(1) as usize;
+        let count = (old_bytes.len() / old_stride).max(1);
+        let mut out = vec![0u8; new_stride * count];
+        for (k, elem) in out.chunks_exact_mut(new_stride).enumerate() {
+            let old_elem = &old_bytes[k * old_stride..((k + 1) * old_stride).min(old_bytes.len())];
+            apply_field_map(map, old_elem, elem);
+            rewrite_pointers(elem, &map.pointers, old_elem, trace, &addr_map, p.mask_bits);
         }
         Prepared::Bytes(out)
     };
@@ -1282,6 +1313,12 @@ fn run_transfer(
     Ok(TransferOutcome { report, residual, round, pending: PostcopyResidual::build(pending) })
 }
 
+/// The new base an old base address was placed at. `addr_map` is pass 3's
+/// old→new table, appended in strictly increasing old-base order.
+fn new_base_of(addr_map: &[(u64, u64)], old_base: u64) -> Option<u64> {
+    addr_map.binary_search_by_key(&old_base, |&(old, _)| old).ok().map(|i| addr_map[i].1)
+}
+
 /// Rewrites the pointer slots of a transformed element: each old pointer
 /// value is translated through the address map (preserving interior offsets
 /// and encoded low bits).
@@ -1290,10 +1327,10 @@ fn rewrite_pointers(
     pointer_pairs: &[(u64, u64)],
     old_elem: &[u8],
     trace: &TraceResult,
-    addr_map: &BTreeMap<u64, u64>,
+    addr_map: &[(u64, u64)],
     mask_bits: u32,
 ) {
-    let mask = if mask_bits == 0 { 0 } else { (1u64 << mask_bits) - 1 };
+    let mask = pointer_mask(mask_bits);
     for &(old_off, new_off) in pointer_pairs {
         let old_off = old_off as usize;
         let new_off = new_off as usize;
@@ -1307,8 +1344,8 @@ fn rewrite_pointers(
         let bits = raw & mask;
         let target = raw & !mask;
         let new_raw = match trace.graph.object_containing(Addr(target)) {
-            Some(obj) => match addr_map.get(&obj.addr.0) {
-                Some(&new_base) => {
+            Some(obj) => match new_base_of(addr_map, obj.addr.0) {
+                Some(new_base) => {
                     let delta = target - obj.addr.0;
                     (new_base + delta) | bits
                 }
@@ -1332,8 +1369,12 @@ mod tests {
     use mcr_typemeta::{Field, InstrumentationConfig};
 
     fn make_instance(kernel: &mut Kernel, name: &str, slide: u64) -> (InstanceState, Pid) {
+        make_instance_in(kernel, name, MemoryLayout::with_slide(slide))
+    }
+
+    fn make_instance_in(kernel: &mut Kernel, name: &str, layout: MemoryLayout) -> (InstanceState, Pid) {
         let pid = kernel.create_process(name).unwrap();
-        kernel.process_mut(pid).unwrap().setup_memory(MemoryLayout::with_slide(slide), true).unwrap();
+        kernel.process_mut(pid).unwrap().setup_memory(layout, true).unwrap();
         let mut state =
             InstanceState::new(name, "1.0", InstrumentationConfig::full(), Interposer::recorder());
         let tid = kernel.process(pid).unwrap().main_tid();
@@ -1684,6 +1725,306 @@ mod tests {
             other => panic!("unexpected error {other}"),
         };
         assert!(conflicts.iter().any(|c| matches!(c, Conflict::FaultInjected { .. })));
+    }
+
+    fn placed_at(placement: Placement) -> Addr {
+        match placement {
+            Placement::Existing(addr) | Placement::Fresh(addr) | Placement::Pinned(addr) => addr,
+        }
+    }
+
+    /// v2 of the Listing 1 types with *two* changed structs: `conf_s` is
+    /// reordered and grows, `l_t` gains a field in the middle and one at the
+    /// end.
+    fn register_v2_types_two_changed(state: &mut InstanceState) {
+        let int = state.types.int("int", 4);
+        let long = state.types.int("long", 8);
+        let conf = state.types.struct_type(
+            "conf_s",
+            vec![Field::new("port", int), Field::new("workers", int), Field::new("limit", long)],
+        );
+        let _ = state.types.pointer("conf_s*", conf);
+        let fwd = state.types.opaque("l_t_fwd", 24);
+        let node_ptr = state.types.pointer("l_t*", fwd);
+        let _ = state.types.struct_type(
+            "l_t",
+            vec![
+                Field::new("value", int),
+                Field::new("new", int),
+                Field::new("next", node_ptr),
+                Field::new("gen", long),
+            ],
+        );
+    }
+
+    /// Allocates `count` contiguous `l_t` elements in one startup chunk
+    /// tagged with the element type — the shape pass 4 transforms
+    /// element-wise.
+    fn alloc_node_array(kernel: &mut Kernel, state: &mut InstanceState, pid: Pid, count: u64) -> Addr {
+        let ty = state.types.lookup("l_t").unwrap();
+        let site = state.sites.register("init:nodes", Some(ty));
+        let size = count * state.types.size_of(ty);
+        let (space, heap) = kernel.process_mut(pid).unwrap().space_and_heap_mut().unwrap();
+        heap.malloc(space, size, site, TypeTag(ty.0)).unwrap()
+    }
+
+    /// The transfer of one object the way pass 4 computed it before field
+    /// maps were hoisted: a `map` computed for this object alone, one buffer
+    /// per element, pointers translated through the plan's placement map.
+    fn reference_bytes(
+        map: &FieldMap,
+        old_bytes: &[u8],
+        trace: &TraceResult,
+        delta: &DeltaPlan,
+        mask: u64,
+    ) -> Vec<u8> {
+        let stride = map.old_size.max(1) as usize;
+        let mut out = Vec::new();
+        for k in 0..(old_bytes.len() / stride).max(1) {
+            let old_elem = &old_bytes[k * stride..((k + 1) * stride).min(old_bytes.len())];
+            let mut elem = vec![0u8; map.new_size.max(1) as usize];
+            apply_field_map(map, old_elem, &mut elem);
+            for &(old_off, new_off) in &map.pointers {
+                let (old_off, new_off) = (old_off as usize, new_off as usize);
+                let raw = u64::from_le_bytes(old_elem[old_off..old_off + 8].try_into().unwrap());
+                let target = raw & !mask;
+                let moved =
+                    trace.graph.object_containing(Addr(target)).filter(|_| raw != 0).and_then(|t| {
+                        delta.placed.get(&t.addr.0).map(|p| placed_at(*p).0 + (target - t.addr.0))
+                    });
+                if let Some(new_target) = moved {
+                    elem[new_off..new_off + 8].copy_from_slice(&(new_target | (raw & mask)).to_le_bytes());
+                }
+            }
+            out.extend_from_slice(&elem);
+        }
+        out
+    }
+
+    /// Two changed type pairs (`conf_s`, `l_t`), a chunk holding an array of
+    /// `l_t` (the element-wise path), interior pointers and an
+    /// `EncodedPointers` root: every typed object lands byte-identical to the
+    /// per-object `compute_field_map` reference, and serial and four-shard
+    /// prepare passes write the same bytes and report.
+    #[test]
+    fn hoisted_field_maps_write_what_per_object_maps_wrote() {
+        let run = |shards: usize| {
+            let mut kernel = Kernel::new();
+            let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+            register_v1_types(&mut old_state);
+            let old_tid = kernel.process(old_pid).unwrap().main_tid();
+            let arr = alloc_node_array(&mut kernel, &mut old_state, old_pid, 3);
+            let mut nodes = Vec::new();
+            let conf = {
+                let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+                let conf_global = env.define_global("conf", "conf_s*").unwrap();
+                let conf_obj = env.alloc("conf_s", "init:conf").unwrap();
+                env.write_u32(conf_obj, 4).unwrap();
+                env.write_u32(conf_obj.offset(4), 8080).unwrap();
+                env.write_ptr(conf_global, conf_obj).unwrap();
+                conf_obj
+            };
+            kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+            {
+                let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+                let list = env.define_global("list", "l_t").unwrap();
+                let tagged = env.define_global("tagged", "l_t*").unwrap();
+                let table = env.define_global("table", "l_t*").unwrap();
+                env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 }, 1);
+                let mut prev_slot = list.offset(8);
+                for i in 0..8u32 {
+                    let node = env.alloc("l_t", "handle_event:node").unwrap();
+                    env.write_u32(node, 100 + i).unwrap();
+                    env.write_ptr(prev_slot, node).unwrap();
+                    prev_slot = node.offset(8);
+                    nodes.push(node);
+                }
+                // The last node points into the middle of the array; the
+                // array's elements point back at nodes and at themselves.
+                env.write_ptr(prev_slot, arr.offset(16)).unwrap();
+                for (k, next) in [nodes[3], arr.offset(32), Addr::NULL].into_iter().enumerate() {
+                    env.write_u32(arr.offset(16 * k as u64), 900 + k as u32).unwrap();
+                    env.write_ptr(arr.offset(16 * k as u64 + 8), next).unwrap();
+                }
+                env.write_ptr(table, arr).unwrap();
+                env.write_u64(tagged, nodes[5].0 | 0b10).unwrap();
+            }
+
+            let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
+            register_v2_types_two_changed(&mut new_state);
+            let new_tid = kernel.process(new_pid).unwrap().main_tid();
+            alloc_node_array(&mut kernel, &mut new_state, new_pid, 3);
+            {
+                let mut env = ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main");
+                let conf_global = env.define_global("conf", "conf_s*").unwrap();
+                let conf_obj = env.alloc("conf_s", "init:conf").unwrap();
+                env.write_ptr(conf_global, conf_obj).unwrap();
+                for (symbol, ty) in [("list", "l_t"), ("tagged", "l_t*"), ("table", "l_t*")] {
+                    env.define_global(symbol, ty).unwrap();
+                }
+            }
+            kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
+
+            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+            let plan = TransferContext::new(&old_state, &new_state).with_intra_pair_shards(shards);
+            let mut delta = DeltaPlan::new();
+            let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+            let (old_proc, new_proc) = split.pop().unwrap();
+            let (report, _) =
+                transfer_residual(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace)
+                    .unwrap();
+            assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+
+            let mut landed = Vec::new();
+            let mut pairs = BTreeSet::new();
+            for obj in trace.graph.iter() {
+                let Some(new_ty) = obj.type_id.and_then(|t| plan.bridge(t)).and_then(|b| b.new_ty) else {
+                    continue;
+                };
+                assert!(!obj.non_updatable, "every typed object of the scenario takes the field-map path");
+                let new_base = placed_at(delta.placed[&obj.addr.0]);
+                let old_bytes = old_proc.space().read_bytes(obj.addr, obj.size as usize).unwrap();
+                let tagged = matches!(&obj.origin, ObjectOrigin::Static { symbol } if &**symbol == "tagged");
+                let mask = if tagged { 0b11 } else { 0 };
+                let map = compute_field_map(&old_state.types, obj.type_id.unwrap(), &new_state.types, new_ty);
+                let expected = reference_bytes(&map, &old_bytes, &trace, &delta, mask);
+                let got = new_proc.space().read_bytes(new_base, expected.len()).unwrap();
+                assert_eq!(got, expected, "{} at {} ({shards} shards)", obj.origin.describe(), obj.addr);
+                pairs.insert((obj.type_id, new_ty));
+                landed.push((obj.addr, new_base, got));
+            }
+            assert!(pairs.len() >= 4, "conf_s, l_t and both pointer types transfer: {pairs:?}");
+            assert!(landed.len() >= 2 * shards, "enough writes for the sharded prepare pass to engage");
+
+            // Spot checks through the new version's memory, so the reference
+            // itself is anchored: the chain survived, the array was
+            // transformed element by element (24-byte stride, interior
+            // pointer kept at its old-layout delta), the tag bits survived.
+            let space = new_proc.space();
+            let global = |symbol: &str| new_state.statics.lookup(symbol).unwrap().addr;
+            let mut node = Addr(space.read_u64(global("list").offset(8)).unwrap());
+            for i in 0..8u32 {
+                assert_eq!(space.read_u32(node).unwrap(), 100 + i);
+                assert_eq!(space.read_u64(node.offset(16)).unwrap(), 0, "`gen` is new and zero");
+                node = Addr(space.read_u64(node.offset(8)).unwrap());
+            }
+            let new_arr = Addr(space.read_u64(global("table")).unwrap());
+            assert_eq!(node, new_arr.offset(16), "interior pointer: new base plus the old delta");
+            for k in 0..3u64 {
+                assert_eq!(space.read_u32(new_arr.offset(24 * k)).unwrap(), 900 + k as u32);
+            }
+            assert_eq!(space.read_u64(new_arr.offset(8)).unwrap(), placed_at(delta.placed[&nodes[3].0]).0);
+            assert_eq!(space.read_u64(new_arr.offset(24 + 8)).unwrap(), new_arr.0 + 32);
+            assert_eq!(
+                space.read_u64(global("tagged")).unwrap(),
+                placed_at(delta.placed[&nodes[5].0]).0 | 0b10
+            );
+            let new_conf = Addr(space.read_u64(global("conf")).unwrap());
+            assert_eq!(new_conf, placed_at(delta.placed[&conf.0]), "startup conf matched by site");
+            assert_eq!(
+                (space.read_u32(new_conf).unwrap(), space.read_u32(new_conf.offset(4)).unwrap()),
+                (8080, 4)
+            );
+            (report, landed)
+        };
+        assert_eq!(run(1), run(4), "shard count changed the written bytes or the report");
+    }
+
+    /// The binary-searched address map is valid only if pass 3 sees the
+    /// plan in strictly increasing old-base order — which the `debug_assert`
+    /// there checks on every push. This drives it in all three copy modes
+    /// over a heap too small for one object in the middle of the address
+    /// order: its failed `malloc` is skipped, the objects behind it are still
+    /// appended in order, pointers to them are translated, and the pointer
+    /// to the skipped object keeps its old value.
+    #[test]
+    fn address_map_stays_sorted_in_every_mode_and_past_a_failed_malloc() {
+        for mode in [CopyMode::Round, CopyMode::Final, CopyMode::Deferred] {
+            let mut kernel = Kernel::new();
+            let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+            register_v1_types(&mut old_state);
+            let legacy = old_state.types.opaque("legacy_s", 3960);
+            let _ = old_state.types.pointer("legacy_s*", legacy);
+            let old_tid = kernel.process(old_pid).unwrap().main_tid();
+            kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+            let mut nodes = Vec::new();
+            let big = {
+                let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+                let list = env.define_global("list", "l_t").unwrap();
+                let legacy_ref = env.define_global("legacy_ref", "legacy_s*").unwrap();
+                let mut prev_slot = list.offset(8);
+                let mut blob = Addr::NULL;
+                for i in 0..6u32 {
+                    if i == 3 {
+                        // Between the third and fourth node in address order.
+                        blob = env.alloc("legacy_s", "handle_event:legacy").unwrap();
+                        env.write_ptr(legacy_ref, blob).unwrap();
+                    }
+                    let node = env.alloc("l_t", "handle_event:node").unwrap();
+                    env.write_u32(node, 10 + i).unwrap();
+                    env.write_ptr(prev_slot, node).unwrap();
+                    prev_slot = node.offset(8);
+                    nodes.push(node);
+                }
+                blob
+            };
+            assert!(nodes[2] < big && big < nodes[3]);
+
+            // The new heap is one page: six 48-byte node chunks fit, the
+            // 3960-byte blob (whose type the new version dropped) does not.
+            let small =
+                MemoryLayout { heap_size: mcr_procsim::PAGE_SIZE, ..MemoryLayout::with_slide(0x1_0000_0000) };
+            let (mut new_state, new_pid) = make_instance_in(&mut kernel, "v2", small);
+            register_v2_types(&mut new_state);
+            let fwd = new_state.types.opaque("legacy_fwd", 8);
+            let _ = new_state.types.pointer("legacy_s*", fwd);
+            let new_tid = kernel.process(new_pid).unwrap().main_tid();
+            {
+                let mut env = ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main");
+                env.define_global("list", "l_t").unwrap();
+                env.define_global("legacy_ref", "legacy_s*").unwrap();
+            }
+            kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
+
+            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+            let plan = TransferContext::new(&old_state, &new_state);
+            let mut delta = DeltaPlan::new();
+            let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+            let (old_proc, new_proc) = split.pop().unwrap();
+            let mut outcome =
+                run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
+                    .unwrap();
+            let refused = outcome
+                .report
+                .conflicts
+                .iter()
+                .filter(|c| matches!(c, Conflict::ImmutablePlacementFailed { .. }))
+                .count();
+            assert_eq!(
+                refused,
+                usize::from(mode != CopyMode::Round),
+                "{mode:?}: {:?}",
+                outcome.report.conflicts
+            );
+            assert!(!delta.placed.contains_key(&big.0), "{mode:?}: the blob was never placed");
+            if mode == CopyMode::Deferred {
+                // Land the parked writes the way the drainer would.
+                while !outcome.pending.is_drained() {
+                    drain_step(&plan, &mut outcome.pending, old_proc, new_proc, 4, None).unwrap();
+                }
+            }
+
+            let space = new_proc.space();
+            let global = |symbol: &str| new_state.statics.lookup(symbol).unwrap().addr;
+            let mut node = Addr(space.read_u64(global("list").offset(8)).unwrap());
+            for (i, old_node) in nodes.iter().enumerate() {
+                assert_eq!(node, placed_at(delta.placed[&old_node.0]), "{mode:?}: node {i} translated");
+                assert_eq!(space.read_u32(node).unwrap(), 10 + i as u32, "{mode:?}");
+                node = Addr(space.read_u64(node.offset(8)).unwrap());
+            }
+            assert!(node.is_null());
+            assert_eq!(space.read_u64(global("legacy_ref")).unwrap(), big.0, "{mode:?}: untranslated");
+        }
     }
 
     #[test]

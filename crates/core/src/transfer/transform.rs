@@ -99,11 +99,9 @@ fn map_into(
         (TypeKind::Pointer { .. }, TypeKind::Pointer { .. }) => {
             map.pointers.push((old_off, new_off));
         }
-        (TypeKind::Struct { fields: old_fields }, TypeKind::Struct { fields: new_fields }) => {
+        (TypeKind::Struct { .. }, TypeKind::Struct { .. }) => {
             let old_layout = old_reg.struct_layout(old_ty);
-            let new_layout = new_reg.struct_layout(new_ty);
-            let _ = (old_fields, new_fields);
-            for new_field in &new_layout {
+            for new_field in new_reg.struct_layout(new_ty) {
                 if let Some(old_field) = old_layout.iter().find(|f| f.name == new_field.name) {
                     map_into(
                         old_reg,
@@ -161,33 +159,32 @@ fn stride(reg: &TypeRegistry, ty: TypeId) -> u64 {
     size.div_ceil(align) * align
 }
 
-/// Applies a field map to an old object's bytes, producing the new object's
-/// bytes with pointer slots still holding their *old* values (the caller
-/// rewrites them afterwards using its address map).
-pub fn apply_field_map(map: &FieldMap, old_bytes: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; map.new_size.max(1) as usize];
-    for &(old_off, new_off, len) in &map.copies {
-        let old_off = old_off as usize;
-        let new_off = new_off as usize;
-        let len = len as usize;
+/// Applies a field map to an old object's bytes, writing the new object's
+/// bytes into `out` (`map.new_size.max(1)` bytes) with pointer slots still
+/// holding their *old* values (the caller rewrites them afterwards using its
+/// address map). Bytes no copy covers are left alone: fields the new version
+/// added read as whatever `out` held, zeros for a fresh buffer.
+pub fn apply_field_map(map: &FieldMap, old_bytes: &[u8], out: &mut [u8]) {
+    let pointers = map.pointers.iter().map(|&(old_off, new_off)| (old_off, new_off, 8));
+    for (old_off, new_off, len) in map.copies.iter().copied().chain(pointers) {
+        let (old_off, new_off, len) = (old_off as usize, new_off as usize, len as usize);
         if old_off + len <= old_bytes.len() && new_off + len <= out.len() {
             out[new_off..new_off + len].copy_from_slice(&old_bytes[old_off..old_off + len]);
         }
     }
-    for &(old_off, new_off) in &map.pointers {
-        let old_off = old_off as usize;
-        let new_off = new_off as usize;
-        if old_off + 8 <= old_bytes.len() && new_off + 8 <= out.len() {
-            out[new_off..new_off + 8].copy_from_slice(&old_bytes[old_off..old_off + 8]);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcr_typemeta::Field;
+
+    /// The new object's bytes, from a zeroed buffer.
+    fn applied(map: &FieldMap, old_bytes: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; map.new_size.max(1) as usize];
+        apply_field_map(map, old_bytes, &mut out);
+        out
+    }
 
     fn listing1_old() -> (TypeRegistry, TypeId) {
         let mut reg = TypeRegistry::new();
@@ -227,7 +224,7 @@ mod tests {
         let mut old_bytes = vec![0u8; 16];
         old_bytes[0..4].copy_from_slice(&5i32.to_le_bytes());
         old_bytes[8..16].copy_from_slice(&0xabc0u64.to_le_bytes());
-        let new_bytes = apply_field_map(&map, &old_bytes);
+        let new_bytes = applied(&map, &old_bytes);
         assert_eq!(&new_bytes[0..4], &5i32.to_le_bytes());
         assert_eq!(&new_bytes[4..8], &[0, 0, 0, 0], "new field zero-initialized");
         assert_eq!(&new_bytes[8..16], &0xabc0u64.to_le_bytes());
@@ -251,7 +248,7 @@ mod tests {
         let mut old_bytes = vec![0u8; 12];
         old_bytes[0..4].copy_from_slice(&3i32.to_le_bytes());
         old_bytes[4..12].copy_from_slice(b"apache\0\0");
-        let out = apply_field_map(&map, &old_bytes);
+        let out = applied(&map, &old_bytes);
         assert_eq!(&out[0..8], b"apache\0\0");
         assert_eq!(&out[8..12], &3i32.to_le_bytes());
     }
@@ -274,7 +271,7 @@ mod tests {
         let map = FieldMap::identity(24, &[8]);
         assert_eq!(map.copied_bytes(), 16);
         let old: Vec<u8> = (0..24).collect();
-        let out = apply_field_map(&map, &old);
+        let out = applied(&map, &old);
         assert_eq!(out, old);
     }
 
@@ -303,7 +300,7 @@ mod tests {
         let map = compute_field_map(&old_reg, old, &new_reg, new);
         assert!(map.copies.is_empty());
         assert!(map.pointers.is_empty());
-        let out = apply_field_map(&map, &[7, 0, 0, 0]);
+        let out = applied(&map, &[7, 0, 0, 0]);
         assert_eq!(out, vec![0u8; 8]);
     }
 

@@ -362,22 +362,27 @@ impl PtMalloc {
 
     /// Looks up the live chunk containing `addr` (interior pointers allowed).
     pub fn chunk_containing(&self, space: &AddressSpace, addr: Addr) -> Option<ChunkInfo> {
-        let (&payload, _) = self.live.range(..=addr.0).next_back()?;
-        let info = self.chunk_info(space, Addr(payload)).ok()?;
-        if addr.0 < payload + info.size {
-            Some(info)
-        } else {
-            None
+        let (&payload, &total) = self.live.range(..=addr.0).next_back()?;
+        // Most misses (the gap behind the nearest chunk below) are decided by
+        // the recorded chunk size, without reading the header.
+        if addr.0 >= payload + (total - self.header_size()) {
+            return None;
         }
+        let info = self.chunk_info(space, Addr(payload)).ok()?;
+        (addr.0 < payload + info.size).then_some(info)
     }
 
     /// Reads back the in-band metadata of the chunk whose payload is `payload`.
     pub fn chunk_info(&self, space: &AddressSpace, payload: Addr) -> SimResult<ChunkInfo> {
-        let header = Addr(payload.0 - self.header_size());
-        let size = space.read_u64(header)?;
-        let fl = space.read_u64(header.offset(8))?;
-        let (site, type_tag) = if fl & flags::INSTRUMENTED != 0 {
-            (AllocSite(space.read_u64(header.offset(16))?), TypeTag(space.read_u64(header.offset(24))?))
+        // One read of the whole header; an uninstrumented allocator's header
+        // has no site and tag words.
+        let mut header = [0u8; HEADER_INSTR as usize];
+        let header = &mut header[..self.header_size() as usize];
+        space.read_into(Addr(payload.0 - self.header_size()), header)?;
+        let word = |i: usize| u64::from_le_bytes(header[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let (size, fl) = (word(0), word(1));
+        let (site, type_tag) = if self.instrumented && fl & flags::INSTRUMENTED != 0 {
+            (AllocSite(word(2)), TypeTag(word(3)))
         } else {
             (AllocSite(0), TypeTag(0))
         };
@@ -421,8 +426,9 @@ struct Pool {
     size: u64,
     used: u64,
     parent: Option<PoolId>,
-    /// Objects carved from this pool (payload address, size, site, tag);
-    /// populated only when the region allocator is instrumented.
+    /// Objects carved from this pool (payload address, size, site, tag), in
+    /// address order because `palloc` bumps upward; populated only when the
+    /// region allocator is instrumented.
     objects: Vec<(Addr, u64, AllocSite, TypeTag)>,
 }
 
@@ -437,6 +443,9 @@ struct Pool {
 #[derive(Debug, Clone)]
 pub struct RegionAllocator {
     pools: BTreeMap<u64, Pool>,
+    /// Storage base → pool id. Pools own disjoint heap chunks, so the pool
+    /// holding an address is the one with the nearest storage base below it.
+    by_storage: BTreeMap<u64, u64>,
     next_pool: u64,
     instrumented: bool,
     stats: AllocStats,
@@ -445,7 +454,13 @@ pub struct RegionAllocator {
 impl RegionAllocator {
     /// Creates an empty region allocator.
     pub fn new(instrumented: bool) -> Self {
-        RegionAllocator { pools: BTreeMap::new(), next_pool: 1, instrumented, stats: AllocStats::default() }
+        RegionAllocator {
+            pools: BTreeMap::new(),
+            by_storage: BTreeMap::new(),
+            next_pool: 1,
+            instrumented,
+            stats: AllocStats::default(),
+        }
     }
 
     /// Whether per-object instrumentation is enabled.
@@ -471,6 +486,7 @@ impl RegionAllocator {
         let id = PoolId(self.next_pool);
         self.next_pool += 1;
         self.pools.insert(id.0, Pool { storage, size, used: 0, parent, objects: Vec::new() });
+        self.by_storage.insert(storage.0, id.0);
         Ok(id)
     }
 
@@ -532,6 +548,7 @@ impl RegionAllocator {
         }
         let p =
             self.pools.remove(&pool.0).ok_or(SimError::InvalidArgument(format!("unknown pool {pool:?}")))?;
+        self.by_storage.remove(&p.storage.0);
         let carved: u64 = p.objects.iter().map(|(_, sz, _, _)| *sz).sum();
         self.stats.live_bytes =
             self.stats.live_bytes.saturating_sub(if self.instrumented { carved } else { p.used });
@@ -540,27 +557,23 @@ impl RegionAllocator {
         Ok(())
     }
 
+    fn pool_holding(&self, addr: Addr) -> Option<(PoolId, &Pool)> {
+        let (_, &id) = self.by_storage.range(..=addr.0).next_back()?;
+        let pool = &self.pools[&id];
+        (addr.0 < pool.storage.0 + pool.size).then_some((PoolId(id), pool))
+    }
+
     /// Returns the pool whose storage contains `addr`, if any.
     pub fn pool_containing(&self, addr: Addr) -> Option<PoolId> {
-        self.pools
-            .iter()
-            .find(|(_, p)| addr.0 >= p.storage.0 && addr.0 < p.storage.0 + p.size)
-            .map(|(&id, _)| PoolId(id))
+        self.pool_holding(addr).map(|(id, _)| id)
     }
 
     /// Looks up the instrumented object record containing `addr`.
     pub fn object_containing(&self, addr: Addr) -> Option<(Addr, u64, AllocSite, TypeTag)> {
-        if !self.instrumented {
-            return None;
-        }
-        for p in self.pools.values() {
-            for &(obj, size, site, tag) in &p.objects {
-                if addr.0 >= obj.0 && addr.0 < obj.0 + size {
-                    return Some((obj, size, site, tag));
-                }
-            }
-        }
-        None
+        let (_, pool) = self.pool_holding(addr)?;
+        let below = pool.objects.partition_point(|&(obj, ..)| obj.0 <= addr.0);
+        let &(obj, size, site, tag) = pool.objects.get(below.checked_sub(1)?)?;
+        (addr.0 < obj.0 + size).then_some((obj, size, site, tag))
     }
 
     /// Iterates over instrumented objects across all pools.
@@ -815,6 +828,94 @@ mod tests {
         assert_eq!(site, AllocSite(11));
         assert_eq!(tag, TypeTag(4));
         assert!(regions.stats().instr_writes >= 2);
+    }
+
+    /// The lookups the index replaced, kept as the reference: every pool,
+    /// every object, first hit.
+    fn pool_containing_linear(regions: &RegionAllocator, addr: Addr) -> Option<PoolId> {
+        regions
+            .pools
+            .iter()
+            .find(|(_, p)| addr.0 >= p.storage.0 && addr.0 < p.storage.0 + p.size)
+            .map(|(&id, _)| PoolId(id))
+    }
+
+    fn object_containing_linear(
+        regions: &RegionAllocator,
+        addr: Addr,
+    ) -> Option<(Addr, u64, AllocSite, TypeTag)> {
+        regions
+            .pools
+            .values()
+            .flat_map(|p| p.objects.iter().copied())
+            .find(|&(obj, size, ..)| addr.0 >= obj.0 && addr.0 < obj.0 + size)
+    }
+
+    /// Seeded create / palloc / destroy traffic over nested pools (destroyed
+    /// storage is reused by later pools): after every step the indexed
+    /// lookups agree with the linear reference on object bases, interiors,
+    /// ends, in-band records, pool slack and addresses outside every pool.
+    #[test]
+    fn indexed_pool_lookups_match_the_linear_scan() {
+        for instrumented in [true, false] {
+            let (mut space, mut heap) = setup(instrumented);
+            heap.end_startup();
+            let mut regions = RegionAllocator::new(instrumented);
+            let mut seed = 0x5eed_u64 + u64::from(instrumented);
+            let mut next = |bound: u64| {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (seed >> 33) % bound
+            };
+            let mut live: Vec<PoolId> = Vec::new();
+            let mut hits = 0;
+            for step in 0..400u64 {
+                match next(10) {
+                    0 | 1 if live.len() < 12 => {
+                        let parent = (!live.is_empty() && next(2) == 0)
+                            .then(|| live[next(live.len() as u64) as usize]);
+                        let size = 256 + 64 * next(24);
+                        live.push(regions.create_pool(&mut space, &mut heap, size, parent).unwrap());
+                    }
+                    2 if !live.is_empty() => {
+                        let victim = live[next(live.len() as u64) as usize];
+                        regions.destroy_pool(&mut space, &mut heap, victim).unwrap();
+                        live.retain(|p| regions.pool_extent(*p).is_some());
+                    }
+                    _ if !live.is_empty() => {
+                        let pool = live[next(live.len() as u64) as usize];
+                        let _ =
+                            regions.palloc(&mut space, pool, 1 + next(90), AllocSite(step), TypeTag(step));
+                    }
+                    _ => {}
+                }
+                let mut probes = vec![Addr(HEAP_BASE - 8), Addr(HEAP_BASE), Addr(HEAP_BASE + HEAP_SIZE)];
+                for &pool in &live {
+                    let (storage, size) = regions.pool_extent(pool).unwrap();
+                    probes.extend([
+                        storage,
+                        Addr(storage.0 - 1),
+                        storage.offset(size - 1),
+                        storage.offset(size),
+                    ]);
+                    probes.push(storage.offset(next(size + 64)));
+                }
+                for (obj, size, ..) in regions.objects().collect::<Vec<_>>() {
+                    probes.extend([obj, Addr(obj.0 - 1), obj.offset(size - 1), obj.offset(size)]);
+                }
+                for addr in probes {
+                    assert_eq!(
+                        regions.pool_containing(addr),
+                        pool_containing_linear(&regions, addr),
+                        "{addr}"
+                    );
+                    let found = regions.object_containing(addr);
+                    assert_eq!(found, object_containing_linear(&regions, addr), "{addr}");
+                    hits += usize::from(found.is_some());
+                }
+            }
+            assert_eq!(regions.by_storage.len(), regions.pool_count());
+            assert_eq!(hits > 0, instrumented, "only instrumented pools record objects");
+        }
     }
 
     #[test]

@@ -356,6 +356,19 @@ impl MemoryRegion {
         Arc::make_mut(self.pages[idx].get_or_insert_with(|| Arc::new([0; PAGE_BYTES])))
     }
 
+    /// Reads `buf.len()` bytes starting at `addr`, which must lie in this
+    /// region — [`AddressSpace::read_into`] for a caller that already holds
+    /// the region.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the range crosses the end of the region.
+    pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> SimResult<()> {
+        let off = self.offset_of(addr, buf.len())?;
+        self.load(off, buf);
+        Ok(())
+    }
+
     fn load(&self, off: usize, buf: &mut [u8]) {
         for chunk in page_chunks(off, buf.len()) {
             let out = &mut buf[chunk.done..chunk.done + chunk.len];
@@ -609,10 +622,7 @@ impl AddressSpace {
     ///
     /// Fails if the range is unmapped or crosses the end of its region.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> SimResult<()> {
-        let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        let off = region.offset_of(addr, buf.len())?;
-        region.load(off, buf);
-        Ok(())
+        self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?.read_into(addr, buf)
     }
 
     /// The writable region containing `[addr, addr + len)` and the range's

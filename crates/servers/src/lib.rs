@@ -93,6 +93,40 @@ mod tests {
         }
     }
 
+    /// The type registry of every program and generation, after boot has
+    /// queried and extended it in whatever order startup did, answers every
+    /// layout question exactly like a registry rebuilt from its descriptors
+    /// and asked for the first time — no memoised entry outlived a
+    /// registration that changed it.
+    #[test]
+    fn booted_type_registries_answer_like_freshly_rebuilt_ones() {
+        use mcr_core::runtime::{boot, BootOptions};
+        use mcr_typemeta::TypeRegistry;
+
+        for name in ["httpd", "nginx", "vsftpd", "sshd", "cache"] {
+            for generation in 1..=2 {
+                let mut kernel = mcr_procsim::Kernel::new();
+                install_standard_files(&mut kernel);
+                let program = boxed_program_by_name(name, generation);
+                let instance = boot(&mut kernel, program, &BootOptions::default()).unwrap();
+                let booted = &instance.state.types;
+                assert!(booted.len() > 4, "{name} gen {generation} registers its types");
+                let mut rebuilt = TypeRegistry::new();
+                for desc in booted.iter() {
+                    let id = rebuilt.register(std::sync::Arc::clone(&desc.name), desc.kind.clone());
+                    assert_eq!(id, desc.id);
+                }
+                for desc in booted.iter() {
+                    let (id, what) = (desc.id, format!("{name} gen {generation}: {}", desc.name));
+                    assert_eq!(booted.size_of(id), rebuilt.size_of(id), "{what}");
+                    assert_eq!(booted.align_of(id), rebuilt.align_of(id), "{what}");
+                    assert_eq!(booted.struct_layout(id), rebuilt.struct_layout(id), "{what}");
+                    assert_eq!(booted.layout_elements(id), rebuilt.layout_elements(id), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "unknown program")]
     fn unknown_program_panics() {

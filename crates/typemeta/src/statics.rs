@@ -35,9 +35,16 @@ pub struct StaticObject {
 }
 
 /// Registry of the static objects of one program version.
+///
+/// Static objects are disjoint, as a linker lays them out;
+/// [`StaticRegistry::object_containing`] relies on it.
 #[derive(Debug, Clone, Default)]
 pub struct StaticRegistry {
     by_symbol: BTreeMap<Arc<str>, StaticObject>,
+    /// Address → symbol, maintained by [`StaticRegistry::register`]: mutable
+    /// tracing asks "which static holds this address" for every pointer it
+    /// resolves, heap ones included.
+    by_addr: BTreeMap<u64, Arc<str>>,
 }
 
 impl StaticRegistry {
@@ -48,7 +55,14 @@ impl StaticRegistry {
 
     /// Registers (or replaces) a static object.
     pub fn register(&mut self, object: StaticObject) {
-        self.by_symbol.insert(Arc::clone(&object.symbol), object);
+        let (symbol, addr) = (Arc::clone(&object.symbol), object.addr.0);
+        if let Some(old) = self.by_symbol.insert(Arc::clone(&symbol), object) {
+            // The symbol may have moved: its old address no longer names it.
+            if self.by_addr.get(&old.addr.0) == Some(&old.symbol) {
+                self.by_addr.remove(&old.addr.0);
+            }
+        }
+        self.by_addr.insert(addr, symbol);
     }
 
     /// Convenience: registers a root object.
@@ -61,9 +75,11 @@ impl StaticRegistry {
         self.by_symbol.get(symbol)
     }
 
-    /// Finds the object containing `addr`, if any.
+    /// Finds the object containing `addr`, if any. A zero-sized object
+    /// contains its own address.
     pub fn object_containing(&self, addr: Addr) -> Option<&StaticObject> {
-        self.by_symbol.values().find(|o| addr.0 >= o.addr.0 && addr.0 < o.addr.0 + o.size.max(1))
+        let (_, symbol) = self.by_addr.range(..=addr.0).next_back()?;
+        self.by_symbol.get(symbol).filter(|o| addr.0 < o.addr.0 + o.size.max(1))
     }
 
     /// Iterates over all registered objects in symbol order.
@@ -190,6 +206,35 @@ mod tests {
         reg.register_root("conf", Addr(0x2000), TypeId(1), 8);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.lookup("conf").unwrap().addr, Addr(0x2000));
+    }
+
+    #[test]
+    fn containment_follows_reregistration_and_object_bounds() {
+        let mut reg = StaticRegistry::new();
+        reg.register_root("conf", Addr(0x1000), TypeId(1), 16);
+        reg.register_root("empty", Addr(0x1800), TypeId(2), 0);
+        let holder =
+            |reg: &StaticRegistry, addr| reg.object_containing(Addr(addr)).map(|o| o.symbol.to_string());
+        assert_eq!(holder(&reg, 0x1000).as_deref(), Some("conf"));
+        assert_eq!(holder(&reg, 0x100f).as_deref(), Some("conf"), "interior address");
+        assert_eq!(holder(&reg, 0x1010), None, "one past the end");
+        assert_eq!(holder(&reg, 0xfff), None, "below the lowest object");
+        assert_eq!(holder(&reg, 0x1800).as_deref(), Some("empty"), "a zero-sized object holds its address");
+        assert_eq!(holder(&reg, 0x1801), None);
+
+        // The symbol moves: the old address must stop resolving to it.
+        reg.register_root("conf", Addr(0x2000), TypeId(1), 16);
+        assert_eq!(holder(&reg, 0x1008), None, "stale entry survived re-registration");
+        assert_eq!(holder(&reg, 0x2008).as_deref(), Some("conf"));
+        // Re-registering in place (a new size) keeps the entry.
+        reg.register_root("conf", Addr(0x2000), TypeId(1), 32);
+        assert_eq!(holder(&reg, 0x201f).as_deref(), Some("conf"));
+        // Another symbol takes over the vacated address.
+        reg.register_root("late", Addr(0x1000), TypeId(3), 8);
+        reg.register_root("conf", Addr(0x3000), TypeId(1), 8);
+        assert_eq!(holder(&reg, 0x1000).as_deref(), Some("late"));
+        assert_eq!(holder(&reg, 0x2000), None);
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]

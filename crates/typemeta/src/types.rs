@@ -12,9 +12,24 @@
 //! pointer-sized integers, and allocations from uninstrumented allocators —
 //! are modelled as *opaque* layout elements, which is precisely what forces
 //! the conservative half of mutable tracing.
+//!
+//! # Hot paths: what is computed once
+//!
+//! The paper's data-type tags are emitted once at link time and only
+//! *consulted* per object. The registry keeps that property: a type's size,
+//! alignment and struct field layout are derived on the first query and
+//! memoised per [`TypeId`], and so is its flattened [`LayoutElement`] list;
+//! [`TypeRegistry::struct_layout`] and [`TypeRegistry::layout_elements`] hand
+//! out borrowed slices of the memo. The memo sits in [`OnceLock`]s, so the
+//! tracer's shard workers may race on a first query and all see one answer.
+//! [`TypeRegistry::register`] is the only mutation, and a newly registered
+//! type can change the layout of an older one that named its id before it
+//! existed, so registering a *new* type drops every memoised entry. Answers
+//! are the same values the per-call derivation produced; only when they are
+//! computed changed.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a type within a [`TypeRegistry`].
 ///
@@ -152,10 +167,43 @@ pub struct FieldLayout {
     pub size: u64,
 }
 
+/// What the registry derives from a descriptor on first use and keeps.
+#[derive(Debug, Clone)]
+struct Shape {
+    size: u64,
+    align: u64,
+    /// Field layout of a struct; empty for every other kind.
+    fields: Vec<FieldLayout>,
+}
+
+/// A registered type and its memoised layout.
+#[derive(Debug, Clone)]
+struct Entry {
+    desc: TypeDesc,
+    shape: OnceLock<Shape>,
+    /// Kept apart from `shape` so asking for the size of a large array does
+    /// not materialise its flattened layout.
+    elements: OnceLock<Vec<LayoutElement>>,
+}
+
+/// The memoised value of `cell`, derived first if it is empty. `derive` runs
+/// outside the cell's initialisation (it recurses into other types' cells),
+/// so two racing first queries may both derive; they derive the same value
+/// and the first to finish publishes it.
+fn publish<T>(cell: &OnceLock<T>, derive: impl FnOnce() -> T) -> &T {
+    match cell.get() {
+        Some(value) => value,
+        None => {
+            let derived = derive();
+            cell.get_or_init(|| derived)
+        }
+    }
+}
+
 /// Registry of every type known to one program version.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
-    types: BTreeMap<u64, TypeDesc>,
+    types: BTreeMap<u64, Entry>,
     by_name: BTreeMap<Arc<str>, u64>,
     next_id: u64,
 }
@@ -169,6 +217,9 @@ impl TypeRegistry {
     /// Registers a type under `name`, returning its id. Registering the same
     /// name twice returns the existing id (types are identified by name
     /// within one version).
+    ///
+    /// A new type drops every memoised layout: an older struct, array or
+    /// union may have named this id before it existed.
     pub fn register(&mut self, name: impl Into<Arc<str>>, kind: TypeKind) -> TypeId {
         let name: Arc<str> = name.into();
         if let Some(&id) = self.by_name.get(&name) {
@@ -177,7 +228,12 @@ impl TypeRegistry {
         let id = TypeId(self.next_id);
         self.next_id += 1;
         self.by_name.insert(Arc::clone(&name), id.0);
-        self.types.insert(id.0, TypeDesc { id, name, kind });
+        for entry in self.types.values_mut() {
+            entry.shape.take();
+            entry.elements.take();
+        }
+        let desc = TypeDesc { id, name, kind };
+        self.types.insert(id.0, Entry { desc, shape: OnceLock::new(), elements: OnceLock::new() });
         id
     }
 
@@ -223,7 +279,7 @@ impl TypeRegistry {
 
     /// Looks up a type descriptor by id.
     pub fn get(&self, id: TypeId) -> Option<&TypeDesc> {
-        self.types.get(&id.0)
+        self.types.get(&id.0).map(|e| &e.desc)
     }
 
     /// Looks up a type id by name.
@@ -233,7 +289,7 @@ impl TypeRegistry {
 
     /// Iterates over all registered types.
     pub fn iter(&self) -> impl Iterator<Item = &TypeDesc> {
-        self.types.values()
+        self.types.values().map(|e| &e.desc)
     }
 
     /// Number of registered types.
@@ -246,43 +302,52 @@ impl TypeRegistry {
         self.types.is_empty()
     }
 
+    /// The memoised shape of a registered type, derived on first use.
+    fn shape(&self, id: TypeId) -> Option<&Shape> {
+        let entry = self.types.get(&id.0)?;
+        Some(publish(&entry.shape, || self.derive_shape(&entry.desc.kind)))
+    }
+
+    fn derive_shape(&self, kind: &TypeKind) -> Shape {
+        let plain = |size, align| Shape { size, align, fields: Vec::new() };
+        match kind {
+            TypeKind::Int { size } => plain(*size, (*size).max(1)),
+            TypeKind::PtrSizedInt | TypeKind::Pointer { .. } => plain(8, 8),
+            TypeKind::CharArray { len } => plain(*len, 1),
+            TypeKind::Array { elem, len } => plain(self.stride_of(*elem) * len, self.align_of(*elem)),
+            TypeKind::Struct { fields } => {
+                let mut out = Vec::with_capacity(fields.len());
+                let mut offset = 0u64;
+                let mut max_align = 1u64;
+                for f in fields {
+                    let align = self.align_of(f.ty);
+                    let size = self.size_of(f.ty);
+                    max_align = max_align.max(align);
+                    offset = offset.div_ceil(align) * align;
+                    out.push(FieldLayout { name: f.name.clone(), ty: f.ty, offset, size });
+                    offset += size;
+                }
+                let total = offset.div_ceil(max_align) * max_align;
+                Shape { size: total.max(1), align: max_align, fields: out }
+            }
+            TypeKind::Union { variants } => plain(
+                variants.iter().map(|f| self.size_of(f.ty)).max().unwrap_or(0),
+                variants.iter().map(|f| self.align_of(f.ty)).max().unwrap_or(1),
+            ),
+            TypeKind::Opaque { size } => plain(*size, 8),
+        }
+    }
+
     /// Size of an object of type `id`, in bytes.
     ///
     /// Unknown ids have size 0 (they behave like opaque, untraceable blobs).
     pub fn size_of(&self, id: TypeId) -> u64 {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Int { size }) => *size,
-            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
-            Some(TypeKind::CharArray { len }) => *len,
-            Some(TypeKind::Array { elem, len }) => self.stride_of(*elem) * len,
-            Some(TypeKind::Struct { fields }) => {
-                let layout = self.struct_layout_inner(fields);
-                layout.1
-            }
-            Some(TypeKind::Union { variants }) => {
-                variants.iter().map(|f| self.size_of(f.ty)).max().unwrap_or(0)
-            }
-            Some(TypeKind::Opaque { size }) => *size,
-            None => 0,
-        }
+        self.shape(id).map_or(0, |s| s.size)
     }
 
     /// Alignment of a type, in bytes.
     pub fn align_of(&self, id: TypeId) -> u64 {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Int { size }) => (*size).max(1),
-            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
-            Some(TypeKind::CharArray { .. }) => 1,
-            Some(TypeKind::Array { elem, .. }) => self.align_of(*elem),
-            Some(TypeKind::Struct { fields }) => {
-                fields.iter().map(|f| self.align_of(f.ty)).max().unwrap_or(1)
-            }
-            Some(TypeKind::Union { variants }) => {
-                variants.iter().map(|f| self.align_of(f.ty)).max().unwrap_or(1)
-            }
-            Some(TypeKind::Opaque { .. }) => 8,
-            None => 1,
-        }
+        self.shape(id).map_or(1, |s| s.align)
     }
 
     fn stride_of(&self, id: TypeId) -> u64 {
@@ -291,70 +356,53 @@ impl TypeRegistry {
         size.div_ceil(align) * align
     }
 
-    fn struct_layout_inner(&self, fields: &[Field]) -> (Vec<FieldLayout>, u64) {
-        let mut out = Vec::with_capacity(fields.len());
-        let mut offset = 0u64;
-        let mut max_align = 1u64;
-        for f in fields {
-            let align = self.align_of(f.ty);
-            let size = self.size_of(f.ty);
-            max_align = max_align.max(align);
-            offset = offset.div_ceil(align) * align;
-            out.push(FieldLayout { name: f.name.clone(), ty: f.ty, offset, size });
-            offset += size;
-        }
-        let total = offset.div_ceil(max_align) * max_align;
-        (out, total.max(1))
-    }
-
-    /// The field layout of a struct type.
+    /// The field layout of a struct type, borrowed from the registry's memo.
     ///
-    /// Returns an empty vector for non-struct types.
-    pub fn struct_layout(&self, id: TypeId) -> Vec<FieldLayout> {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Struct { fields }) => self.struct_layout_inner(fields).0,
-            _ => Vec::new(),
-        }
+    /// Empty for non-struct types.
+    pub fn struct_layout(&self, id: TypeId) -> &[FieldLayout] {
+        self.shape(id).map_or(&[], |s| &s.fields)
     }
 
     /// Byte offset of a named field within a struct type.
     pub fn field_offset(&self, id: TypeId, field: &str) -> Option<u64> {
-        self.struct_layout(id).into_iter().find(|f| f.name == field).map(|f| f.offset)
+        self.struct_layout(id).iter().find(|f| f.name == field).map(|f| f.offset)
     }
 
-    /// Flattens a type into its traced layout: pointer slots, scalar runs and
-    /// opaque runs, in offset order. This is the unit of work of precise
-    /// tracing: pointer slots are followed, scalars copied, opaque runs handed
-    /// to the conservative scanner.
-    pub fn layout_elements(&self, id: TypeId) -> Vec<LayoutElement> {
-        let mut out = Vec::new();
-        self.flatten(id, 0, &mut out);
-        out
+    /// A type's traced layout, flattened: pointer slots, scalar runs and
+    /// opaque runs, in offset order, borrowed from the registry's memo. This
+    /// is the unit of work of precise tracing: pointer slots are followed,
+    /// scalars copied, opaque runs handed to the conservative scanner.
+    pub fn layout_elements(&self, id: TypeId) -> &[LayoutElement] {
+        let Some(entry) = self.types.get(&id.0) else { return &[] };
+        publish(&entry.elements, || {
+            let mut out = Vec::new();
+            self.flatten(id, 0, &mut out);
+            out
+        })
+        .as_slice()
     }
 
     fn flatten(&self, id: TypeId, base: u64, out: &mut Vec<LayoutElement>) {
-        match self.get(id).map(|d| d.kind.clone()) {
-            Some(TypeKind::Int { size }) => out.push(LayoutElement::Scalar { offset: base, len: size }),
-            Some(TypeKind::PtrSizedInt) => out.push(LayoutElement::Opaque { offset: base, len: 8 }),
-            Some(TypeKind::Pointer { to }) => out.push(LayoutElement::Pointer { offset: base, to }),
-            Some(TypeKind::CharArray { len }) => out.push(LayoutElement::Opaque { offset: base, len }),
-            Some(TypeKind::Array { elem, len }) => {
-                let stride = self.stride_of(elem);
-                for i in 0..len {
-                    self.flatten(elem, base + i * stride, out);
+        let Some(desc) = self.get(id) else { return };
+        match &desc.kind {
+            TypeKind::Int { size } => out.push(LayoutElement::Scalar { offset: base, len: *size }),
+            TypeKind::PtrSizedInt => out.push(LayoutElement::Opaque { offset: base, len: 8 }),
+            TypeKind::Pointer { to } => out.push(LayoutElement::Pointer { offset: base, to: *to }),
+            TypeKind::CharArray { len } => out.push(LayoutElement::Opaque { offset: base, len: *len }),
+            TypeKind::Array { elem, len } => {
+                let stride = self.stride_of(*elem);
+                for i in 0..*len {
+                    self.flatten(*elem, base + i * stride, out);
                 }
             }
-            Some(TypeKind::Struct { fields }) => {
-                for f in self.struct_layout_inner(&fields).0 {
+            TypeKind::Struct { .. } => {
+                for f in self.struct_layout(id) {
                     self.flatten(f.ty, base + f.offset, out);
                 }
             }
-            Some(TypeKind::Union { variants }) => {
-                let size = variants.iter().map(|f| self.size_of(f.ty)).max().unwrap_or(0);
-                out.push(LayoutElement::Opaque { offset: base, len: size });
+            TypeKind::Union { .. } | TypeKind::Opaque { .. } => {
+                out.push(LayoutElement::Opaque { offset: base, len: self.size_of(id) });
             }
-            Some(TypeKind::Opaque { size }) => out.push(LayoutElement::Opaque { offset: base, len: size }),
-            None => {}
         }
     }
 
@@ -421,8 +469,8 @@ mod tests {
         );
         // Patch the self-referential pointer after the struct id exists.
         let list_ptr = reg.pointer("l_t*", list);
-        if let Some(desc) = reg.types.get_mut(&list.0) {
-            if let TypeKind::Struct { fields } = &mut desc.kind {
+        if let Some(entry) = reg.types.get_mut(&list.0) {
+            if let TypeKind::Struct { fields } = &mut entry.desc.kind {
                 fields[1].ty = list_ptr;
             }
         }
@@ -490,7 +538,7 @@ mod tests {
         let ptr = reg.pointer("int*", int);
         let u = reg.union_type("u", vec![Field::new("i", int), Field::new("p", ptr)]);
         let elems = reg.layout_elements(u);
-        assert_eq!(elems, vec![LayoutElement::Opaque { offset: 0, len: 8 }]);
+        assert_eq!(elems, [LayoutElement::Opaque { offset: 0, len: 8 }]);
         let psi = reg.ptr_sized_int("uintptr_t");
         assert!(reg.has_opaque_parts(psi));
     }
@@ -523,12 +571,135 @@ mod tests {
             },
         );
         let lp = reg_v2b.pointer("l_t*", list2);
-        if let Some(d) = reg_v2b.types.get_mut(&list2.0) {
-            if let TypeKind::Struct { fields } = &mut d.kind {
+        if let Some(entry) = reg_v2b.types.get_mut(&list2.0) {
+            if let TypeKind::Struct { fields } = &mut entry.desc.kind {
                 fields[2].ty = lp;
             }
         }
         assert!(!reg_v1.is_layout_compatible(list_v1, &reg_v2b, list2));
+    }
+
+    /// Everything the memo answers for one type.
+    fn answers(reg: &TypeRegistry, id: TypeId) -> (u64, u64, Vec<FieldLayout>, Vec<LayoutElement>) {
+        (reg.size_of(id), reg.align_of(id), reg.struct_layout(id).to_vec(), reg.layout_elements(id).to_vec())
+    }
+
+    /// Replays a registry's registrations into a new one that has answered
+    /// nothing yet.
+    fn rebuilt(reg: &TypeRegistry) -> TypeRegistry {
+        let mut fresh = TypeRegistry::new();
+        for desc in reg.iter() {
+            assert_eq!(fresh.register(Arc::clone(&desc.name), desc.kind.clone()), desc.id);
+        }
+        fresh
+    }
+
+    #[test]
+    fn no_memoised_answer_survives_a_registration() {
+        let mut reg = TypeRegistry::new();
+        let int = reg.int("int", 4);
+        // `holder` names the next three ids before they exist: as an array
+        // element, as a by-value field and as a union variant.
+        let (elem, inner, variant) = (TypeId(int.0 + 2), TypeId(int.0 + 3), TypeId(int.0 + 4));
+        let holder = reg.struct_type(
+            "holder",
+            vec![Field::new("tag", int), Field::new("inner", inner), Field::new("tail", int)],
+        );
+        assert_eq!(answers(&reg, holder).0, 8, "an unknown field has size 0 and alignment 1");
+        assert_eq!(reg.field_offset(holder, "tail"), Some(4));
+        assert_eq!(answers(&reg, elem), (0, 1, vec![], vec![]), "queried before it exists");
+
+        // An array and a pointer whose element id was queried before.
+        assert_eq!(reg.struct_type("pair", vec![Field::new("a", int), Field::new("b", int)]), elem);
+        assert_eq!(reg.size_of(elem), 8);
+        let arr = reg.array("pair[3]", elem, 3);
+        assert_eq!(arr, inner, "the array is the id `holder.inner` named");
+        assert_eq!(reg.size_of(arr), 24);
+        assert_eq!(reg.layout_elements(arr).len(), 6);
+        // `holder` now holds a 24-byte array: every memoised answer moved.
+        assert_eq!(reg.size_of(holder), 32);
+        assert_eq!(reg.field_offset(holder, "tail"), Some(28));
+        assert_eq!(reg.layout_elements(holder).len(), 8);
+        let ptr = reg.pointer("pair*", elem);
+        assert_eq!(ptr, variant);
+        assert_eq!(reg.layout_elements(ptr), [LayoutElement::Pointer { offset: 0, to: elem }]);
+
+        // A union that names a later id, queried, then completed.
+        let late = TypeId(ptr.0 + 2);
+        let u = reg.union_type("u", vec![Field::new("i", int), Field::new("late", late)]);
+        assert_eq!(answers(&reg, u), (4, 4, vec![], vec![LayoutElement::Opaque { offset: 0, len: 4 }]));
+        assert_eq!(reg.char_array("char[13]", 13), late);
+        assert_eq!(answers(&reg, u), (13, 4, vec![], vec![LayoutElement::Opaque { offset: 0, len: 13 }]));
+
+        // Whatever order the queries and registrations interleaved in, the
+        // answers are those of a registry that was only asked at the end; a
+        // repeated registration changes nothing.
+        assert_eq!(reg.int("int", 4), int);
+        let fresh = rebuilt(&reg);
+        for desc in reg.iter() {
+            assert_eq!(answers(&reg, desc.id), answers(&fresh, desc.id), "{}", desc.name);
+        }
+    }
+
+    #[test]
+    fn a_cloned_registry_answers_identically_and_independently() {
+        let (mut reg, list, _) = listing1_types();
+        let before = answers(&reg, list);
+        let mut warm = reg.clone();
+        assert_eq!(answers(&warm, list), before, "a clone of a warm memo");
+        // Each side registers a different type under the id the other uses:
+        // neither sees the other's registration, nor a stale memo of its own.
+        let next = TypeId(list.0 + 4);
+        let wide = reg.struct_type("wide", vec![Field::new("node", list), Field::new("extra", next)]);
+        assert_eq!(reg.size_of(wide), 16);
+        assert_eq!(reg.opaque("blob", 40), next);
+        assert_eq!(warm.char_array("char[3]", 3), wide);
+        assert_eq!(warm.size_of(wide), 3);
+        assert_eq!(reg.size_of(wide), 56);
+        assert_eq!(warm.size_of(next), 0);
+        assert_eq!(answers(&warm, list), before);
+        assert_eq!(answers(&reg, list), before);
+        let cold = reg.clone();
+        for desc in reg.iter() {
+            assert_eq!(answers(&cold, desc.id), answers(&reg, desc.id), "{}", desc.name);
+        }
+    }
+
+    #[test]
+    fn concurrent_first_queries_agree() {
+        let mut reg = TypeRegistry::new();
+        let int = reg.int("int", 4);
+        let c5 = reg.char_array("char[5]", 5);
+        let ptr = reg.pointer("int*", int);
+        let leaf = reg.struct_type("leaf", vec![Field::new("c", c5), Field::new("p", ptr)]);
+        let leaves = reg.array("leaf[7]", leaf, 7);
+        let top = reg.struct_type("top", vec![Field::new("n", int), Field::new("leaves", leaves)]);
+        let expected = answers(&rebuilt(&reg), top);
+        assert_eq!(expected.0, 8 + 7 * 16);
+        assert_eq!(expected.3.len(), 1 + 7 * 2);
+
+        // Nothing is memoised yet; every worker's first query races the
+        // others through the nested types, from the top and from the leaves.
+        let workers = 4;
+        let start = std::sync::Barrier::new(workers);
+        let seen: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (reg, start) = (&reg, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        if w % 2 == 1 {
+                            assert_eq!(reg.layout_elements(leaf).len(), 2);
+                        }
+                        answers(reg, top)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
+        });
+        for got in seen {
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]

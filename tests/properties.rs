@@ -209,7 +209,8 @@ fn field_map_preserves_common_fields() {
             old_bytes.extend_from_slice(&v.to_le_bytes());
         }
         let map = compute_field_map(&old_reg, old_ty, &new_reg, new_ty);
-        let new_bytes = apply_field_map(&map, &old_bytes);
+        let mut new_bytes = vec![0u8; map.new_size as usize];
+        apply_field_map(&map, &old_bytes, &mut new_bytes);
         let new_layout = new_reg.struct_layout(new_ty);
         for (i, name) in names.iter().enumerate() {
             let field = new_layout.iter().find(|f| &f.name == name).unwrap();
@@ -1524,7 +1525,8 @@ fn identity_field_map_roundtrips() {
 
         let size = (bytes.len() as u64 / 8) * 8;
         let map = mcr_core::transfer::FieldMap::identity(size, &[]);
-        let out = apply_field_map(&map, &bytes[..size as usize]);
+        let mut out = vec![0u8; size as usize];
+        apply_field_map(&map, &bytes[..size as usize], &mut out);
         assert_eq!(&out[..], &bytes[..size as usize]);
     }
 }
