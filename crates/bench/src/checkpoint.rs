@@ -44,7 +44,7 @@ use mcr_core::transfer::checkpoint::{
     RestoreError, RESTORE_STEPS,
 };
 use mcr_core::{PhaseName, Program};
-use mcr_procsim::{Kernel, MemStore, Store, WriteFault};
+use mcr_procsim::{checksum64, Kernel, MemStore, Store, WriteFault};
 use mcr_servers::program_by_name;
 use mcr_typemeta::InstrumentationConfig;
 use mcr_workload::{open_idle_connections, run_workload, workload_for};
@@ -190,17 +190,6 @@ fn serves(kernel: &mut Kernel, instance: &mut McrInstance, program: &str) -> boo
 /// Program factory for restore (same generation that was checkpointed).
 fn gen1(spec: &CheckpointSpec) -> impl FnMut() -> Box<dyn Program> + '_ {
     move || Box::new(program_by_name(spec.program, 1))
-}
-
-/// FNV-1a over a byte slice (manifest checksum algorithm; used by the
-/// format-skew drill to re-seal a deliberately skewed manifest).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One crash-point drill: checkpoint v1, mutate, then attempt v2 with a
@@ -387,7 +376,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let mut skewed = pristine_m2;
     skewed[8] ^= 0xFF;
     let body_len = skewed.len() - 8;
-    let sum = fnv1a(&skewed[..body_len]);
+    let sum = checksum64(&skewed[..body_len], 0);
     skewed[body_len..].copy_from_slice(&sum.to_le_bytes());
     store.write_blob(&m2, &skewed).expect("write skewed manifest");
     out.corruption_drills += 1;
@@ -602,6 +591,7 @@ pub fn checkpoint_json(spec: &CheckpointSpec, out: &CheckpointOutcome) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcr_core::transfer::checkpoint::{RestoreReport, RestoredInstance};
 
     #[test]
     fn quick_campaign_is_clean() {
@@ -619,5 +609,58 @@ mod tests {
         let doc = checkpoint_json(&spec, &out).render();
         assert!(doc.starts_with("{\"experiment\":\"checkpoint_crash\""));
         assert!(doc.contains("\"divergences\":0"));
+    }
+
+    /// Checkpoints `program` (generation 1, after its standard workload) and
+    /// restores it; returns the checkpointed kernel's fingerprint too.
+    fn roundtrip(program: &'static str) -> (u64, Result<RestoredInstance, RestoreError>) {
+        let spec = CheckpointSpec { program, ..CheckpointSpec::quick() };
+        let (mut kernel, mut instance) = setup(&spec);
+        let mut store = MemStore::new();
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("checkpoint");
+        let restored = restore_latest(&store, &mut gen1(&spec), None);
+        (kernel_fingerprint(&kernel), restored)
+    }
+
+    #[test]
+    fn multi_process_restore_report_is_pinned() {
+        // nginx is master + two workers with dirty pages in several of them:
+        // the per-process delta runs must add up to what one scan per
+        // process over the whole stream used to apply.
+        let (fingerprint, restored) = roundtrip("nginx");
+        let restored = restored.expect("nginx restores");
+        assert_eq!(restored.instance.state.processes.len(), 3);
+        assert_eq!(
+            restored.report,
+            RestoreReport {
+                version: 1,
+                steps_completed: RESTORE_STEPS.len() as u64,
+                deltas_applied: 4,
+                freed_chunks: 0,
+                reallocated_chunks: 0,
+                fds_pruned: 0,
+                fds_installed: 8,
+                objects_inserted: 8,
+                versions_rejected: 0,
+            }
+        );
+        assert_eq!(kernel_fingerprint(&restored.kernel), fingerprint);
+    }
+
+    #[test]
+    fn every_server_program_checkpoints_and_restores_or_is_rejected_typed() {
+        for program in ["httpd", "nginx"] {
+            let (fingerprint, restored) = roundtrip(program);
+            let mut restored = restored.unwrap_or_else(|e| panic!("{program}: {e}"));
+            assert_eq!(kernel_fingerprint(&restored.kernel), fingerprint, "{program}");
+            resume(&mut restored.kernel, &mut restored.instance);
+            assert!(serves(&mut restored.kernel, &mut restored.instance, program), "{program}");
+        }
+        // Session-per-process servers with live sessions cannot be re-booted
+        // into their topology; the writer still serializes them.
+        for program in ["vsftpd", "sshd"] {
+            let (_, restored) = roundtrip(program);
+            assert!(matches!(restored, Err(RestoreError::TopologyMismatch(_))), "{program}: {restored:?}");
+        }
     }
 }

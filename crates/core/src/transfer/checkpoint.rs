@@ -7,24 +7,40 @@
 //! * **shards** — the page *deltas* (every page whose soft-dirty stamp is
 //!   nonzero, i.e. written after startup), partitioned into contiguous,
 //!   cost-balanced ranges by the same partitioner the intra-pair transfer
-//!   engine uses, and assembled by parallel writer threads;
+//!   engine uses, and assembled by parallel writer threads (one writer
+//!   assembles its shard on the calling thread);
 //! * **a manifest** — program identity, instrumentation config, memory
 //!   layout, file system, client endpoints, per-process topology (threads,
 //!   regions, live heap chunks, descriptor tables), the kernel object table,
 //!   the shard table (per-shard length + checksum), a whole-state digest and
 //!   a trailing self-checksum.
 //!
+//! Format v2: every checksum — manifest trailer, shard sums, state digest —
+//! is [`checksum64`], which always detects a change confined to one aligned
+//! 8-byte word and folds the length in (v1 hashed byte-wise FNV-1a; a v1
+//! blob fails the trailer check first and is skipped like any corrupt
+//! version). The digest chains `checksum64` over the state section and then
+//! over each delta record's header and payload, so it does not depend on the
+//! shard split.
+//!
 //! The commit protocol is shards → fsync → manifest → fsync: a manifest is
 //! only durable once everything it names is, so any crash mid-checkpoint
 //! leaves either a fully valid new version or a truncated/torn one that
 //! validation rejects, falling back to the previous retained version.
 //!
+//! The writer never materialises the state: [`encode_live_state`] streams
+//! the wire form straight from the quiesced kernel into the manifest buffer
+//! and page deltas are borrowed views of the kernel's page table.
+//! [`StateImage`] and [`DeltaRecord`] are the *decoded* form only.
+//!
 //! Restore does **not** deserialize a kernel wholesale. It re-boots the same
 //! program deterministically in a *scratch* kernel (reproducing pids, tids,
 //! object ids and all startup-time memory exactly), then overlays the
 //! recorded post-startup state: page deltas, heap-chunk reconcile, descriptor
-//! and kernel-object reconcile, client endpoints and the virtual clock — and
-//! finally proves fidelity by re-collecting the state and comparing digests.
+//! and kernel-object reconcile, client endpoints and the virtual clock —
+//! moving files, kernel objects and client endpoints out of the decoded image
+//! rather than copying them — and finally proves fidelity by re-encoding the
+//! scratch kernel's state and comparing digests.
 //! The serving kernel is never touched: a restore either returns a complete
 //! new kernel or a typed [`RestoreError`], so no partial restore can ever be
 //! observed (the "no partial restore" guarantee is structural).
@@ -40,8 +56,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mcr_procsim::{
-    Addr, AllocSite, ChunkInfo, ClientSnapshot, Fd, Kernel, KernelObject, ObjId, Pid, RegionKind,
-    SimDuration, Store, StoreError, TypeTag, UnixMessage, PAGE_SIZE,
+    checksum64, Addr, AllocSite, ChunkInfo, ClientSnapshot, Fd, Kernel, KernelObject, ObjId, Pid, Process,
+    RegionKind, SimDuration, Store, StoreError, ThreadState, TypeTag, UnixMessage, PAGE_SIZE,
 };
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 
@@ -56,7 +72,8 @@ use crate::transfer::engine::partition_contiguous;
 const MAGIC: &[u8; 8] = b"MCRCKPT1";
 
 /// On-disk format version; bumping it makes old manifests version-skewed.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 replaced the byte-wise FNV-1a sums with [`checksum64`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Simulated cost charged per page-delta record written to a shard, plus one
 /// nanosecond per payload byte (models serialization + device bandwidth).
@@ -315,17 +332,6 @@ impl fmt::Debug for RestoredInstance {
 // Binary encoding primitives
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 #[derive(Default)]
 struct Enc {
     buf: Vec<u8>,
@@ -350,6 +356,23 @@ impl Enc {
     }
     fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+    /// Writes a `u32` count followed by each item's encoding. The count slot
+    /// is patched once the iterator is exhausted, so unsized iterators
+    /// stream without being collected first.
+    fn seq<T>(&mut self, items: impl IntoIterator<Item = T>, mut each: impl FnMut(&mut Enc, T)) {
+        let slot = self.buf.len();
+        self.u32(0);
+        let mut n = 0u32;
+        for item in items {
+            each(self, item);
+            n += 1;
+        }
+        self.buf[slot..slot + 4].copy_from_slice(&n.to_le_bytes());
+    }
+    /// Overwrites the `u64` slot at byte offset `at`.
+    fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -481,9 +504,9 @@ fn encode_object(e: &mut Enc, obj: &KernelObject) {
         KernelObject::Pipe { buffer } => {
             e.u8(4);
             e.u32(buffer.len() as u32);
-            for &b in buffer {
-                e.u8(b);
-            }
+            let (front, back) = buffer.as_slices();
+            e.buf.extend_from_slice(front);
+            e.buf.extend_from_slice(back);
         }
     }
 }
@@ -533,11 +556,7 @@ fn decode_object(d: &mut Dec<'_>) -> Result<KernelObject, ()> {
         }
         4 => {
             let n = d.u32()? as usize;
-            let mut buffer = std::collections::VecDeque::with_capacity(n.min(65536));
-            for _ in 0..n {
-                buffer.push_back(d.u8()?);
-            }
-            KernelObject::Pipe { buffer }
+            KernelObject::Pipe { buffer: d.take(n)?.iter().copied().collect() }
         }
         _ => return Err(()),
     })
@@ -547,8 +566,42 @@ fn decode_object(d: &mut Dec<'_>) -> Result<KernelObject, ()> {
 // State image
 // ---------------------------------------------------------------------------
 
-/// One page whose contents live in a shard: `(pid, page address, dirty
-/// epoch, payload bytes)`.
+/// One page whose contents live in a shard, as the writer sees it: `(pid,
+/// page address, dirty epoch, payload)` with the payload borrowed from the
+/// live kernel's page table.
+struct PageDelta<'k> {
+    pid: u32,
+    addr: u64,
+    epoch: u64,
+    bytes: &'k [u8],
+}
+
+/// Bytes of a delta record's fixed-size wire header.
+const DELTA_HEADER_LEN: usize = 24;
+
+impl PageDelta<'_> {
+    /// The fixed-size part of the record's wire form: pid, address, epoch
+    /// and payload length; the payload bytes follow it.
+    fn header(&self) -> [u8; DELTA_HEADER_LEN] {
+        let mut h = [0u8; DELTA_HEADER_LEN];
+        h[..4].copy_from_slice(&self.pid.to_le_bytes());
+        h[4..12].copy_from_slice(&self.addr.to_le_bytes());
+        h[12..20].copy_from_slice(&self.epoch.to_le_bytes());
+        h[20..].copy_from_slice(&(self.bytes.len() as u32).to_le_bytes());
+        h
+    }
+
+    fn encode(&self, e: &mut Enc) {
+        e.buf.extend_from_slice(&self.header());
+        e.buf.extend_from_slice(self.bytes);
+    }
+
+    fn cost(&self) -> u64 {
+        RECORD_COST_NS + self.bytes.len() as u64
+    }
+}
+
+/// A page delta decoded from a shard blob.
 struct DeltaRecord {
     pid: u32,
     addr: u64,
@@ -557,19 +610,8 @@ struct DeltaRecord {
 }
 
 impl DeltaRecord {
-    fn encode(&self, e: &mut Enc) {
-        e.u32(self.pid);
-        e.u64(self.addr);
-        e.u64(self.epoch);
-        e.bytes(&self.bytes);
-    }
-
     fn decode(d: &mut Dec<'_>) -> Result<DeltaRecord, ()> {
         Ok(DeltaRecord { pid: d.u32()?, addr: d.u64()?, epoch: d.u64()?, bytes: d.bytes()? })
-    }
-
-    fn cost(&self) -> u64 {
-        RECORD_COST_NS + self.bytes.len() as u64
     }
 }
 
@@ -613,7 +655,9 @@ struct ObjImage {
     obj: KernelObject,
 }
 
-/// Everything the manifest's state section captures, in memory.
+/// Everything the manifest's state section captures, decoded. Restore owns
+/// it and moves the bulky parts (files, clients, objects) into the scratch
+/// kernel; the writer never builds one (see [`encode_live_state`]).
 struct StateImage {
     program_name: String,
     program_version: String,
@@ -629,83 +673,6 @@ struct StateImage {
 }
 
 impl StateImage {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.str(&self.program_name);
-        e.str(&self.program_version);
-        e.u8(level_to_u8(self.config.level));
-        e.u8(u8::from(self.config.instrument_region_allocator));
-        e.u64(self.layout_slide);
-        e.u8(match self.scheduler {
-            SchedulerMode::EventDriven => 0,
-            SchedulerMode::FullScan => 1,
-        });
-        e.u64(self.clock_ns);
-        e.u64(self.next_conn);
-        e.u32(self.files.len() as u32);
-        for (path, contents) in &self.files {
-            e.str(path);
-            e.bytes(contents);
-        }
-        e.u32(self.clients.len() as u32);
-        for c in &self.clients {
-            e.u64(c.conn);
-            e.u16(c.port);
-            e.u8(u8::from(c.accepted));
-            e.u8(u8::from(c.closed));
-            e.u32(c.from_server.len() as u32);
-            for m in &c.from_server {
-                e.bytes(m);
-            }
-            e.u32(c.pending_to_server.len() as u32);
-            for m in &c.pending_to_server {
-                e.bytes(m);
-            }
-        }
-        e.u32(self.processes.len() as u32);
-        for p in &self.processes {
-            e.u32(p.pid);
-            e.str(&p.name);
-            e.u32(p.threads.len() as u32);
-            for (tid, name, exited) in &p.threads {
-                e.u32(*tid);
-                e.str(name);
-                e.u8(u8::from(*exited));
-            }
-            e.u64(p.write_epoch);
-            e.u32(p.regions.len() as u32);
-            for r in &p.regions {
-                e.u64(r.base);
-                e.u64(r.size);
-                e.u8(kind_to_u8(r.kind));
-                e.str(&r.name);
-                e.u8(u8::from(r.writable));
-            }
-            e.u32(p.chunks.len() as u32);
-            for c in &p.chunks {
-                e.u64(c.payload);
-                e.u64(c.size);
-                e.u64(c.site);
-                e.u64(c.tag);
-                e.u8(u8::from(c.startup));
-            }
-            e.u32(p.fds.len() as u32);
-            for f in &p.fds {
-                e.u32(f.fd as u32);
-                e.u64(f.obj);
-                e.u8(u8::from(f.cloexec));
-                e.u8(u8::from(f.inherited));
-            }
-        }
-        e.u32(self.objects.len() as u32);
-        for o in &self.objects {
-            e.u64(o.id);
-            e.u32(o.rc);
-            encode_object(&mut e, &o.obj);
-        }
-        e.buf
-    }
-
     fn decode(buf: &[u8]) -> Result<StateImage, ()> {
         let mut d = Dec::new(buf);
         let program_name = d.str()?;
@@ -813,46 +780,36 @@ impl StateImage {
     }
 }
 
-/// Collects the manifest state + page-delta records from a live (quiesced)
-/// kernel/instance pair. Fully deterministic: every collection is sorted.
-fn collect_state(
-    kernel: &Kernel,
+/// What a stamped-but-never-stored page reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// The instance's processes in ascending pid order.
+fn live_processes<'k>(
+    kernel: &'k Kernel,
     instance: &McrInstance,
-) -> Result<(StateImage, Vec<DeltaRecord>), CheckpointError> {
+) -> Result<Vec<(Pid, &'k Process)>, CheckpointError> {
     let mut pids: Vec<Pid> = instance.state.processes.clone();
     pids.sort();
     pids.dedup();
     if pids.is_empty() {
         return Err(CheckpointError::Unsupported("instance has no processes".into()));
     }
-    let first =
-        kernel.process(pids[0]).map_err(|e| CheckpointError::Unsupported(format!("missing process: {e}")))?;
-    let layout_slide = first.layout().static_base.0.wrapping_sub(0x0040_0000);
+    pids.into_iter()
+        .map(|pid| match kernel.process(pid) {
+            Ok(proc) => Ok((pid, proc)),
+            Err(e) => Err(CheckpointError::Unsupported(format!("missing process {pid}: {e}"))),
+        })
+        .collect()
+}
 
-    let mut processes = Vec::with_capacity(pids.len());
+/// The page deltas of a live (quiesced) instance in `(pid, address)` order,
+/// borrowed from the page table. Every post-startup-written page (nonzero
+/// soft-dirty stamp) is a delta; startup-written pages reproduce via
+/// deterministic re-boot and carry stamp 0 after `clear_soft_dirty`.
+fn live_deltas<'k>(procs: &[(Pid, &'k Process)]) -> Vec<PageDelta<'k>> {
     let mut deltas = Vec::new();
-    for &pid in &pids {
-        let proc = kernel
-            .process(pid)
-            .map_err(|e| CheckpointError::Unsupported(format!("missing process {pid}: {e}")))?;
-        let mut threads: Vec<(u32, String, bool)> = proc
-            .threads()
-            .map(|t| (t.tid().0, t.name().to_string(), matches!(t.state(), mcr_procsim::ThreadState::Exited)))
-            .collect();
-        threads.sort();
-        let space = proc.space();
-        let mut regions = Vec::new();
-        for region in space.regions() {
-            regions.push(RegionImage {
-                base: region.base().0,
-                size: region.size(),
-                kind: region.kind(),
-                name: region.name().to_string(),
-                writable: region.is_writable(),
-            });
-            // Every post-startup-written page (nonzero soft-dirty stamp) is a
-            // delta; startup-written pages reproduce via deterministic
-            // re-boot and carry stamp 0 after `clear_soft_dirty`.
+    for &(pid, proc) in procs {
+        for region in proc.space().regions() {
             let mut addr = region.base();
             for page in region.pages() {
                 let epoch = region.page_dirty_epoch(addr);
@@ -860,90 +817,107 @@ fn collect_state(
                     let len = (region.end().0 - addr.0).min(PAGE_SIZE) as usize;
                     // A page stamped by its mapping but never stored to is
                     // absent and reads as zeros.
-                    let bytes = page.map_or_else(|| vec![0; len], |bytes| bytes[..len].to_vec());
-                    deltas.push(DeltaRecord { pid: pid.0, addr: addr.0, epoch, bytes });
+                    let bytes = page.map_or(&ZERO_PAGE[..len], |bytes| &bytes[..len]);
+                    deltas.push(PageDelta { pid: pid.0, addr: addr.0, epoch, bytes });
                 }
                 addr = addr.offset(PAGE_SIZE);
             }
         }
-        let chunks: Vec<ChunkImage> = match proc.heap() {
-            Some(heap) => {
-                let mut v: Vec<ChunkInfo> = heap.live_chunks(space).collect();
-                v.sort_by_key(|c| c.payload.0);
-                v.into_iter()
-                    .map(|c| ChunkImage {
-                        payload: c.payload.0,
-                        size: c.size,
-                        site: c.site.0,
-                        tag: c.type_tag.0,
-                        startup: c.startup,
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        let mut fds: Vec<FdImage> = proc
-            .fds()
-            .iter()
-            .map(|(fd, entry)| FdImage {
-                fd: fd.0,
-                obj: entry.object.0,
-                cloexec: entry.cloexec,
-                inherited: entry.inherited,
-            })
-            .collect();
-        fds.sort_by_key(|f| f.fd);
-        processes.push(ProcImage {
-            pid: pid.0,
-            name: proc.name().to_string(),
-            threads,
-            write_epoch: space.write_epoch(),
-            regions,
-            chunks,
-            fds,
-        });
     }
-
-    let mut objects: Vec<ObjImage> = kernel
-        .objects()
-        .iter()
-        .map(|(id, obj)| ObjImage { id: id.0, rc: kernel.objects().refcount(id), obj: obj.clone() })
-        .collect();
-    objects.sort_by_key(|o| o.id);
-
-    let image = StateImage {
-        program_name: instance.state.program_name.clone(),
-        program_version: instance.state.version.clone(),
-        config: instance.state.config,
-        layout_slide,
-        scheduler: instance.sched.mode,
-        clock_ns: kernel.now().0,
-        next_conn: kernel.next_conn_id(),
-        files: kernel
-            .file_names()
-            .into_iter()
-            .map(|name| {
-                let contents = kernel.file_contents(&name).unwrap_or_default().to_vec();
-                (name, contents)
-            })
-            .collect(),
-        clients: kernel.export_clients(),
-        processes,
-        objects,
-    };
-    Ok((image, deltas))
+    deltas
 }
 
-/// Digest over the state image plus the delta stream, independent of the
-/// shard split.
-fn state_digest(state_bytes: &[u8], deltas: &[DeltaRecord]) -> u64 {
-    let mut h = fnv1a(state_bytes, FNV_OFFSET);
-    for rec in deltas {
-        let mut e = Enc::default();
-        rec.encode(&mut e);
-        h = fnv1a(&e.buf, h);
-    }
-    h
+/// Streams the manifest's state section — the wire form
+/// [`StateImage::decode`] reads — from a live (quiesced) kernel/instance
+/// pair into `e`, reading everything by reference. Fully deterministic:
+/// every collection is written in sorted order.
+fn encode_live_state(kernel: &Kernel, instance: &McrInstance, procs: &[(Pid, &Process)], e: &mut Enc) {
+    e.str(&instance.state.program_name);
+    e.str(&instance.state.version);
+    e.u8(level_to_u8(instance.state.config.level));
+    e.u8(u8::from(instance.state.config.instrument_region_allocator));
+    e.u64(procs[0].1.layout().static_base.0.wrapping_sub(0x0040_0000));
+    e.u8(match instance.sched.mode {
+        SchedulerMode::EventDriven => 0,
+        SchedulerMode::FullScan => 1,
+    });
+    e.u64(kernel.now().0);
+    e.u64(kernel.next_conn_id());
+    e.seq(kernel.files(), |e, (path, contents)| {
+        e.str(path);
+        e.bytes(contents);
+    });
+    e.seq(kernel.clients(), |e, c| {
+        e.u64(c.conn);
+        e.u16(c.port);
+        e.u8(u8::from(c.accepted));
+        e.u8(u8::from(c.closed));
+        e.seq(c.from_server, |e, m| e.bytes(m));
+        e.seq(c.pending_to_server, |e, m| e.bytes(m));
+    });
+    e.seq(procs, |e, &(pid, proc)| {
+        e.u32(pid.0);
+        e.str(proc.name());
+        let mut threads: Vec<(u32, &str, bool)> =
+            proc.threads().map(|t| (t.tid().0, t.name(), matches!(t.state(), ThreadState::Exited))).collect();
+        threads.sort();
+        e.seq(threads, |e, (tid, name, exited)| {
+            e.u32(tid);
+            e.str(name);
+            e.u8(u8::from(exited));
+        });
+        let space = proc.space();
+        e.u64(space.write_epoch());
+        e.seq(space.regions(), |e, r| {
+            e.u64(r.base().0);
+            e.u64(r.size());
+            e.u8(kind_to_u8(r.kind()));
+            e.str(r.name());
+            e.u8(u8::from(r.is_writable()));
+        });
+        let mut chunks: Vec<ChunkInfo> =
+            proc.heap().map_or_else(Vec::new, |heap| heap.live_chunks(space).collect());
+        chunks.sort_by_key(|c| c.payload.0);
+        e.seq(chunks, |e, c| {
+            e.u64(c.payload.0);
+            e.u64(c.size);
+            e.u64(c.site.0);
+            e.u64(c.type_tag.0);
+            e.u8(u8::from(c.startup));
+        });
+        let mut fds: Vec<_> = proc.fds().iter().collect();
+        fds.sort_by_key(|(fd, _)| fd.0);
+        e.seq(fds, |e, (fd, entry)| {
+            e.u32(fd.0 as u32);
+            e.u64(entry.object.0);
+            e.u8(u8::from(entry.cloexec));
+            e.u8(u8::from(entry.inherited));
+        });
+    });
+    let mut objects: Vec<(ObjId, &KernelObject)> = kernel.objects().iter().collect();
+    objects.sort_by_key(|(id, _)| id.0);
+    e.seq(objects, |e, (id, obj)| {
+        e.u64(id.0);
+        e.u32(kernel.objects().refcount(id));
+        encode_object(e, obj);
+    });
+}
+
+/// Digest over the state section plus the delta stream, chained record by
+/// record so it is independent of the shard split.
+fn state_digest(state_bytes: &[u8], deltas: &[PageDelta<'_>]) -> u64 {
+    deltas
+        .iter()
+        .fold(checksum64(state_bytes, 0), |h, rec| checksum64(rec.bytes, checksum64(&rec.header(), h)))
+}
+
+/// The digest [`write_checkpoint`] would record for a live (quiesced)
+/// instance right now.
+fn live_digest(kernel: &Kernel, instance: &McrInstance) -> Result<u64, CheckpointError> {
+    let procs = live_processes(kernel, instance)?;
+    let mut e = Enc::default();
+    encode_live_state(kernel, instance, &procs, &mut e);
+    Ok(state_digest(&e.buf, &live_deltas(&procs)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1003,15 +977,14 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     if !all_quiesced(kernel, instance) {
         return Err(CheckpointError::Quiescence("instance not quiesced".into()));
     }
-    let (image, deltas) = collect_state(kernel, instance)?;
-    let state_bytes = image.encode();
-    let digest = state_digest(&state_bytes, &deltas);
+    let procs = live_processes(kernel, instance)?;
+    let deltas = live_deltas(&procs);
 
     // Contiguous, cost-balanced shard split — the same partitioner the
     // intra-pair transfer path uses, so the parallel writeback cost model
     // matches the rest of the pipeline.
     let shard_count = opts.shard_writers.clamp(1, deltas.len().max(1));
-    let costs: Vec<u64> = deltas.iter().map(DeltaRecord::cost).collect();
+    let costs: Vec<u64> = deltas.iter().map(PageDelta::cost).collect();
     let assignment = partition_contiguous(&costs, shard_count);
     let mut shard_ranges: Vec<(usize, usize)> = vec![(usize::MAX, 0); shard_count];
     for (i, &shard) in assignment.iter().enumerate() {
@@ -1020,33 +993,26 @@ pub fn write_checkpoint<S: Store + ?Sized>(
         range.1 = i + 1;
     }
 
-    // Parallel shard assembly: each writer serializes and checksums its
-    // contiguous record range independently.
-    let mut shard_bufs: Vec<(Vec<u8>, u64, u64)> = Vec::with_capacity(shard_count);
-    std::thread::scope(|scope| {
-        let deltas = &deltas;
-        let handles: Vec<_> = shard_ranges
-            .iter()
-            .map(|&(start, end)| {
-                scope.spawn(move || {
-                    if start == usize::MAX {
-                        return (Vec::new(), FNV_OFFSET, 0u64);
-                    }
-                    let mut e = Enc::default();
-                    let mut cost = 0u64;
-                    for rec in &deltas[start..end] {
-                        rec.encode(&mut e);
-                        cost += rec.cost();
-                    }
-                    let checksum = fnv1a(&e.buf, FNV_OFFSET);
-                    (e.buf, checksum, cost)
-                })
-            })
-            .collect();
-        for h in handles {
-            shard_bufs.push(h.join().expect("shard writer panicked"));
+    // Shard assembly: each writer serializes and checksums its contiguous
+    // record range independently — `(blob, checksum, simulated cost)`.
+    let assemble = |&(start, end): &(usize, usize)| {
+        let records = if start == usize::MAX { &[] } else { &deltas[start..end] };
+        let mut e = Enc::default();
+        e.buf.reserve(records.iter().map(|rec| DELTA_HEADER_LEN + rec.bytes.len()).sum());
+        for rec in records {
+            rec.encode(&mut e);
         }
-    });
+        let checksum = checksum64(&e.buf, 0);
+        (e.buf, checksum, records.iter().map(PageDelta::cost).sum::<u64>())
+    };
+    let shard_bufs: Vec<(Vec<u8>, u64, u64)> = match shard_ranges.as_slice() {
+        // A single writer has nobody to run beside: no thread.
+        [only] => vec![assemble(only)],
+        ranges => std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges.iter().map(|range| scope.spawn(|| assemble(range))).collect();
+            handles.into_iter().map(|h| h.join().expect("shard writer panicked")).collect()
+        }),
+    };
 
     let serial_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| c).sum());
     let parallel_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| *c).max().unwrap_or(0));
@@ -1059,19 +1025,27 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     // Barrier: every shard is durable before the manifest names it.
     store.sync()?;
 
+    // Header first, with the digest and state-length slots patched once the
+    // state section has been streamed in behind it.
     let mut m = Enc::default();
     m.buf.extend_from_slice(MAGIC);
     m.u32(FORMAT_VERSION);
     m.u64(version);
-    m.u64(digest);
+    let digest_slot = m.buf.len();
+    m.u64(0);
     m.u32(shard_bufs.len() as u32);
     for (buf, checksum, _) in &shard_bufs {
         m.u64(buf.len() as u64);
         m.u64(*checksum);
     }
-    m.u64(state_bytes.len() as u64);
-    m.buf.extend_from_slice(&state_bytes);
-    let trailer = fnv1a(&m.buf, FNV_OFFSET);
+    let state_len_slot = m.buf.len();
+    m.u64(0);
+    let state_start = m.buf.len();
+    encode_live_state(kernel, instance, &procs, &mut m);
+    let digest = state_digest(&m.buf[state_start..], &deltas);
+    m.patch_u64(digest_slot, digest);
+    m.patch_u64(state_len_slot, (m.buf.len() - state_start) as u64);
+    let trailer = checksum64(&m.buf, 0);
     m.u64(trailer);
 
     let manifest_bytes = m.buf.len() as u64;
@@ -1092,14 +1066,17 @@ pub fn write_checkpoint<S: Store + ?Sized>(
         }
     }
 
+    let page_deltas = deltas.len();
+    let delta_bytes = deltas.iter().map(|d| d.bytes.len() as u64).sum();
+
     // The writeback is charged at the parallel makespan, matching the
     // paper's argument for parallel checkpoint writers.
     kernel.advance_clock(parallel_cost);
 
     Ok(CheckpointSummary {
         version,
-        page_deltas: deltas.len(),
-        delta_bytes: deltas.iter().map(|d| d.bytes.len() as u64).sum(),
+        page_deltas,
+        delta_bytes,
         shards: shard_bufs.len(),
         manifest_bytes,
         blocks,
@@ -1162,7 +1139,7 @@ fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestC
     }
     let (body, trailer) = blob.split_at(blob.len() - 8);
     let recorded = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a(body, FNV_OFFSET) != recorded {
+    if checksum64(body, 0) != recorded {
         return Err(RestoreError::ChecksumMismatch { blob: name });
     }
     let mut d = Dec::new(body);
@@ -1210,6 +1187,37 @@ fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestC
             _ => Err(RestoreError::Truncated { blob: name }),
         },
     }
+}
+
+/// Reads, validates (length, then checksum) and decodes the shard blobs the
+/// manifest names, concatenating their records in shard order.
+fn read_shards<S: Store + ?Sized>(
+    store: &S,
+    version: u64,
+    shard_meta: &[(u64, u64)],
+) -> Result<Vec<DeltaRecord>, RestoreError> {
+    let mut deltas = Vec::new();
+    for (i, &(len, checksum)) in shard_meta.iter().enumerate() {
+        let name = shard_blob(version, i);
+        let blob = match store.read_blob(&name) {
+            Ok(b) => b,
+            Err(StoreError::NotFound(_)) => return Err(RestoreError::Truncated { blob: name }),
+            Err(e) => return Err(RestoreError::Store(e)),
+        };
+        if blob.len() as u64 != len {
+            return Err(RestoreError::Truncated { blob: name });
+        }
+        if checksum64(&blob, 0) != checksum {
+            return Err(RestoreError::ChecksumMismatch { blob: name });
+        }
+        let mut d = Dec::new(&blob);
+        while !d.done() {
+            deltas.push(
+                DeltaRecord::decode(&mut d).map_err(|()| RestoreError::Truncated { blob: name.clone() })?,
+            );
+        }
+    }
+    Ok(deltas)
 }
 
 /// Restores the newest fully valid checkpoint from `store` into a fresh
@@ -1263,30 +1271,10 @@ fn restore_version<S: Store + ?Sized>(
     let mut report = RestoreReport { version, ..Default::default() };
 
     ctx.step("read-manifest")?;
-    let (image, digest, shard_meta) = read_manifest(store, version)?;
+    let (mut image, digest, shard_meta) = read_manifest(store, version)?;
 
     ctx.step("read-shards")?;
-    let mut deltas: Vec<DeltaRecord> = Vec::new();
-    for (i, &(len, checksum)) in shard_meta.iter().enumerate() {
-        let name = shard_blob(version, i);
-        let blob = match store.read_blob(&name) {
-            Ok(b) => b,
-            Err(StoreError::NotFound(_)) => return Err(RestoreError::Truncated { blob: name }),
-            Err(e) => return Err(RestoreError::Store(e)),
-        };
-        if blob.len() as u64 != len {
-            return Err(RestoreError::Truncated { blob: name });
-        }
-        if fnv1a(&blob, FNV_OFFSET) != checksum {
-            return Err(RestoreError::ChecksumMismatch { blob: name });
-        }
-        let mut d = Dec::new(&blob);
-        while !d.done() {
-            deltas.push(
-                DeltaRecord::decode(&mut d).map_err(|()| RestoreError::Truncated { blob: name.clone() })?,
-            );
-        }
-    }
+    let deltas = read_shards(store, version, &shard_meta)?;
 
     // ---- From here on everything happens in a scratch kernel; the serving
     // kernel is not involved at all.
@@ -1334,32 +1322,32 @@ fn restore_version<S: Store + ?Sized>(
 
     ctx.step("files-reconcile")?;
     let wanted: BTreeSet<&str> = image.files.iter().map(|(p, _)| p.as_str()).collect();
-    for path in kernel.file_names() {
-        if !wanted.contains(path.as_str()) {
-            kernel.remove_file(&path);
-        }
+    let stale: Vec<String> =
+        kernel.files().map(|(p, _)| p).filter(|p| !wanted.contains(p)).map(str::to_string).collect();
+    for path in stale {
+        kernel.remove_file(&path);
     }
-    for (path, contents) in &image.files {
-        kernel.add_file(path.clone(), contents.clone());
+    for (path, contents) in std::mem::take(&mut image.files) {
+        kernel.add_file(path, contents);
     }
 
     ctx.step("heap-reconcile")?;
     reconcile_heaps(&mut kernel, &image, &mut report)?;
 
     ctx.step("memory-overlay")?;
-    overlay_memory(&mut kernel, &image, &deltas, &mut report)?;
+    overlay_memory(&mut kernel, &image, &deltas)?;
 
     ctx.step("fd-prune")?;
     prune_fds(&mut kernel, &image, &mut report)?;
 
     ctx.step("objects-restore")?;
-    restore_objects(&mut kernel, &image, &mut report)?;
+    restore_objects(&mut kernel, std::mem::take(&mut image.objects), &mut report)?;
 
     ctx.step("fd-install")?;
     install_fds(&mut kernel, &image, &mut report)?;
 
     ctx.step("clients-restore")?;
-    kernel.restore_clients(image.clients.clone());
+    kernel.restore_clients(std::mem::take(&mut image.clients));
     kernel.set_next_conn_id(image.next_conn);
 
     ctx.step("clock-advance")?;
@@ -1370,9 +1358,8 @@ fn restore_version<S: Store + ?Sized>(
     kernel.advance_clock(SimDuration(image.clock_ns - boot_ns));
 
     ctx.step("digest-check")?;
-    let (reimage, redeltas) = collect_state(&kernel, &instance)
+    let found = live_digest(&kernel, &instance)
         .map_err(|e| RestoreError::Reconcile(format!("state re-collection: {e}")))?;
-    let found = state_digest(&reimage.encode(), &redeltas);
     if found != digest {
         return Err(RestoreError::DigestMismatch { expected: digest, found });
     }
@@ -1489,9 +1476,14 @@ fn overlay_memory(
     kernel: &mut Kernel,
     image: &StateImage,
     deltas: &[DeltaRecord],
-    report: &mut RestoreReport,
 ) -> Result<(), RestoreError> {
+    // The writer emits deltas in the manifest's (ascending) pid order and
+    // shards are contiguous ranges of that stream, so each process owns one
+    // run of it.
+    let mut rest = deltas;
     for img in &image.processes {
+        let mine;
+        (mine, rest) = rest.split_at(rest.iter().take_while(|rec| rec.pid == img.pid).count());
         let pid = Pid(img.pid);
         let want: BTreeMap<u64, &RegionImage> = img.regions.iter().map(|r| (r.base, r)).collect();
         let have: Vec<(u64, u64, RegionKind, String, bool)> = kernel
@@ -1530,7 +1522,7 @@ fn overlay_memory(
         // pages the checkpointed instance never did, so stamps are rebuilt
         // from the recorded (page, epoch) pairs alone.
         let mut stamps: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
-        for rec in deltas.iter().filter(|r| r.pid == img.pid) {
+        for rec in mine {
             space.write_bytes_through(Addr(rec.addr), &rec.bytes).map_err(|e| {
                 RestoreError::Reconcile(format!("pid {} delta {:#x}: {e}", img.pid, rec.addr))
             })?;
@@ -1547,7 +1539,6 @@ fn overlay_memory(
                 )));
             }
             stamps.entry(base).or_default().push((((rec.addr - base) / PAGE_SIZE) as u32, rec.epoch));
-            report.deltas_applied += 1;
         }
         for base in want.keys() {
             let empty = Vec::new();
@@ -1557,6 +1548,12 @@ fn overlay_memory(
                 .map_err(|e| RestoreError::Reconcile(format!("pid {} epochs {base:#x}: {e}", img.pid)))?;
         }
         space.set_write_epoch(img.write_epoch);
+    }
+    if let Some(rec) = rest.first() {
+        return Err(RestoreError::Reconcile(format!(
+            "delta {:#x} of pid {} is out of the manifest's pid order",
+            rec.addr, rec.pid
+        )));
     }
     Ok(())
 }
@@ -1599,23 +1596,23 @@ fn prune_fds(
 
 fn restore_objects(
     kernel: &mut Kernel,
-    image: &StateImage,
+    images: Vec<ObjImage>,
     report: &mut RestoreReport,
 ) -> Result<(), RestoreError> {
     let objects = kernel.objects_mut();
-    for img in &image.objects {
+    let wanted: BTreeSet<u64> = images.iter().map(|o| o.id).collect();
+    for img in images {
         let id = ObjId(img.id);
         if objects.get(id).is_some() {
-            objects.restore_payload(id, img.obj.clone()).map_err(RestoreError::Reconcile)?;
+            objects.restore_payload(id, img.obj).map_err(RestoreError::Reconcile)?;
             objects.set_refcount(id, img.rc).map_err(RestoreError::Reconcile)?;
         } else {
-            objects.restore_insert(id, img.obj.clone(), img.rc).map_err(RestoreError::Reconcile)?;
+            objects.restore_insert(id, img.obj, img.rc).map_err(RestoreError::Reconcile)?;
             report.objects_inserted += 1;
         }
     }
     // After pruning every descriptor the manifest disowns, any survivor
     // outside the manifest means the reconcile did not converge.
-    let wanted: BTreeSet<u64> = image.objects.iter().map(|o| o.id).collect();
     let extra: Vec<u64> = objects.iter().map(|(id, _)| id.0).filter(|id| !wanted.contains(id)).collect();
     if !extra.is_empty() {
         return Err(RestoreError::Reconcile(format!("unreconciled kernel objects {extra:?}")));
@@ -1665,231 +1662,4 @@ pub fn restore_latest_mcr<S: Store + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::runtime::scheduler::run_rounds;
-    use crate::runtime::testprog::TinyServer;
-    use mcr_procsim::MemStore;
-
-    fn booted() -> (Kernel, McrInstance) {
-        let mut kernel = Kernel::new();
-        kernel.add_file("/etc/tiny.conf", b"workers=2\n".to_vec());
-        let instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &BootOptions::default()).unwrap();
-        (kernel, instance)
-    }
-
-    fn drive_traffic(kernel: &mut Kernel, instance: &mut McrInstance, requests: usize) {
-        for _ in 0..requests {
-            let conn = kernel.client_connect(8080).unwrap();
-            kernel.client_send(conn, b"GET /\n".to_vec()).unwrap();
-            run_rounds(kernel, instance, 6).unwrap();
-            let _ = kernel.client_recv(conn);
-        }
-    }
-
-    fn fingerprint(kernel: &Kernel) -> u64 {
-        // Same FNV fold as the bench harness's kernel_fingerprint.
-        fn fold(h: &mut u64, v: u64) {
-            *h = (*h ^ v).wrapping_mul(FNV_PRIME);
-        }
-        let mut h = FNV_OFFSET;
-        for pid in kernel.pids() {
-            let proc = kernel.process(pid).unwrap();
-            fold(&mut h, u64::from(pid.0));
-            fold(&mut h, proc.fds().len() as u64);
-            for (fd, entry) in proc.fds().iter() {
-                fold(&mut h, fd.0 as u64);
-                fold(&mut h, entry.object.0);
-            }
-            fold(&mut h, proc.thread_count() as u64);
-            for region in proc.space().regions() {
-                fold(&mut h, region.base().0);
-                fold(&mut h, region.size());
-                // A trailing partial word is folded zero-padded, which is
-                // what a resident last page holds beyond `size`.
-                let mut words = region.size().div_ceil(8);
-                for page in region.pages() {
-                    let n = words.min(PAGE_SIZE / 8);
-                    words -= n;
-                    match page {
-                        // Folding a zero word is one multiply by the prime.
-                        None => h = h.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32)),
-                        Some(bytes) => {
-                            for word in bytes[..n as usize * 8].chunks_exact(8) {
-                                fold(&mut h, u64::from_le_bytes(word.try_into().unwrap()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        h
-    }
-
-    fn factory() -> impl FnMut() -> Box<dyn Program> {
-        || Box::new(TinyServer::new(1)) as Box<dyn Program>
-    }
-
-    #[test]
-    fn roundtrip_restores_fingerprint_identical_kernel() {
-        let (mut kernel, mut instance) = booted();
-        drive_traffic(&mut kernel, &mut instance, 5);
-        let mut store = MemStore::new();
-        wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).unwrap();
-        let fp = fingerprint(&kernel);
-        let summary =
-            write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
-        assert_eq!(summary.version, 1);
-        assert!(summary.page_deltas > 0);
-        resume(&mut kernel, &mut instance);
-
-        let mut make = factory();
-        let restored = restore_latest(&store, &mut make, None).unwrap();
-        assert_eq!(restored.report.version, 1);
-        assert_eq!(restored.report.steps_completed, RESTORE_STEPS.len() as u64);
-        assert_eq!(fingerprint(&restored.kernel), fp, "restore must be byte-identical");
-        assert_eq!(restored.kernel.now().0 + summary.parallel_cost.0, kernel.now().0);
-
-        // The revived instance still serves.
-        let mut k = restored.kernel;
-        let mut inst = restored.instance;
-        resume(&mut k, &mut inst);
-        let conn = k.client_connect(8080).unwrap();
-        k.client_send(conn, b"GET /\n".to_vec()).unwrap();
-        run_rounds(&mut k, &mut inst, 6).unwrap();
-        assert_eq!(k.client_recv(conn).unwrap(), b"hello from v1".to_vec());
-    }
-
-    #[test]
-    fn checkpoint_requires_quiescence() {
-        let (mut kernel, instance) = booted();
-        let mut store = MemStore::new();
-        // Freshly booted threads are running, not quiesced.
-        let err =
-            write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Quiescence(_)));
-    }
-
-    #[test]
-    fn retention_keeps_last_n_versions() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        let opts = CheckpointOptions { retain: 2, ..Default::default() };
-        for i in 0..4 {
-            drive_traffic(&mut kernel, &mut instance, 1);
-            let s = checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-            assert_eq!(s.version, i + 1);
-        }
-        assert_eq!(list_versions(&store), vec![3, 4]);
-    }
-
-    #[test]
-    fn truncated_manifest_falls_back_to_older_version() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        let opts = CheckpointOptions::default();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-        store.truncate_blob(&manifest_blob(2), 40).unwrap();
-        let restored = restore_latest(&store, &mut factory(), None).unwrap();
-        assert_eq!(restored.report.version, 1);
-        assert_eq!(restored.report.versions_rejected, 1);
-    }
-
-    #[test]
-    fn flipped_manifest_byte_is_rejected_with_checksum_mismatch() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-        let blob = store.read_blob(&manifest_blob(1)).unwrap();
-        store.corrupt_byte(&manifest_blob(1), blob.len() / 2).unwrap();
-        let err = restore_latest(&store, &mut factory(), None).unwrap_err();
-        assert!(matches!(err, RestoreError::ChecksumMismatch { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn flipped_shard_byte_is_rejected_with_checksum_mismatch() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-        store.corrupt_byte(&shard_blob(1, 0), 12).unwrap();
-        let err = restore_latest(&store, &mut factory(), None).unwrap_err();
-        assert!(matches!(err, RestoreError::ChecksumMismatch { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn format_version_skew_is_typed() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        drive_traffic(&mut kernel, &mut instance, 1);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-        // Patch the format field and re-seal the trailing checksum, so only
-        // the version number is wrong.
-        let mut blob = store.read_blob(&manifest_blob(1)).unwrap();
-        let body_len = blob.len() - 8;
-        blob[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let trailer = fnv1a(&blob[..body_len], FNV_OFFSET);
-        blob[body_len..].copy_from_slice(&trailer.to_le_bytes());
-        store.write_blob(&manifest_blob(1), &blob).unwrap();
-        store.sync().unwrap();
-        let err = restore_latest(&store, &mut factory(), None).unwrap_err();
-        assert!(matches!(err, RestoreError::VersionSkew { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn program_version_skew_is_typed() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        drive_traffic(&mut kernel, &mut instance, 1);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-        let mut make = || Box::new(TinyServer::new(2)) as Box<dyn Program>;
-        let err = restore_latest(&store, &mut make, None).unwrap_err();
-        assert!(matches!(err, RestoreError::VersionSkew { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn every_restore_step_fault_is_typed_and_total() {
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        drive_traffic(&mut kernel, &mut instance, 3);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-        for step in 1..=RESTORE_STEPS.len() as u64 {
-            let err = restore_latest(&store, &mut factory(), Some(step)).unwrap_err();
-            match err {
-                RestoreError::FaultInjected { step: s, label } => {
-                    assert_eq!(s, step);
-                    assert_eq!(label, RESTORE_STEPS[(step - 1) as usize]);
-                }
-                other => panic!("step {step}: expected FaultInjected, got {other:?}"),
-            }
-        }
-        // One past the last step: no fault fires, restore succeeds.
-        let restored = restore_latest(&store, &mut factory(), Some(RESTORE_STEPS.len() as u64 + 1)).unwrap();
-        assert_eq!(restored.report.version, 1);
-    }
-
-    #[test]
-    fn crash_during_checkpoint_falls_back_cleanly() {
-        use mcr_procsim::WriteFault;
-        let (mut kernel, mut instance) = booted();
-        let mut store = MemStore::new();
-        let opts = CheckpointOptions::default();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-        let baseline_blocks = store.blocks_written();
-        drive_traffic(&mut kernel, &mut instance, 2);
-        store.arm_write_fault(WriteFault::TornAt(baseline_blocks + 2));
-        let err = checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap_err();
-        assert!(matches!(err, CheckpointError::Store(StoreError::Crashed { .. })), "got {err:?}");
-        store.recover();
-        // The torn v2 is rejected; v1 still restores.
-        let restored = restore_latest(&store, &mut factory(), None).unwrap();
-        assert_eq!(restored.report.version, 1);
-        // And the serving instance kept running the whole time.
-        drive_traffic(&mut kernel, &mut instance, 1);
-    }
-}
+mod tests;

@@ -69,9 +69,27 @@ struct ClientConn {
     closed: bool,
 }
 
-/// Serializable snapshot of one client-side connection endpoint, exported
-/// for checkpointing and re-installed on restore (see
-/// [`Kernel::export_clients`] / [`Kernel::restore_clients`]).
+/// Borrowed view of one live client-side connection endpoint, as the
+/// checkpoint writer serializes it (see [`Kernel::clients`]); the decoded,
+/// owning counterpart is [`ClientSnapshot`].
+#[derive(Debug, Clone, Copy)]
+pub struct ClientView<'a> {
+    /// Workload connection id.
+    pub conn: u64,
+    /// Server port the connection was opened against.
+    pub port: u16,
+    /// Whether a server process has accepted the connection.
+    pub accepted: bool,
+    /// Whether the client closed its side.
+    pub closed: bool,
+    /// Server responses not yet consumed by the client.
+    pub from_server: &'a VecDeque<Vec<u8>>,
+    /// Request bytes sent before the connection was accepted.
+    pub pending_to_server: &'a VecDeque<Vec<u8>>,
+}
+
+/// Owning snapshot of one client-side connection endpoint, decoded from a
+/// checkpoint manifest and re-installed by [`Kernel::restore_clients`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientSnapshot {
     /// Workload connection id.
@@ -1023,24 +1041,18 @@ impl Kernel {
     // Checkpoint-restore support
     // ------------------------------------------------------------------
 
-    /// Exports the client-side connection endpoints (ascending connection
-    /// id) for checkpoint serialization.
-    pub fn export_clients(&self) -> Vec<ClientSnapshot> {
-        self.clients
-            .iter()
-            .map(|(&conn, c)| ClientSnapshot {
-                conn,
-                port: c.port,
-                accepted: c.accepted,
-                closed: c.closed,
-                from_server: c.from_server.iter().cloned().collect(),
-                pending_to_server: self
-                    .pending_client_data
-                    .get(&conn)
-                    .map(|q| q.iter().cloned().collect())
-                    .unwrap_or_default(),
-            })
-            .collect()
+    /// The client-side connection endpoints in ascending connection-id
+    /// order, by reference (checkpoint serialization).
+    pub fn clients(&self) -> impl ExactSizeIterator<Item = ClientView<'_>> {
+        static NO_PENDING: VecDeque<Vec<u8>> = VecDeque::new();
+        self.clients.iter().map(|(&conn, c)| ClientView {
+            conn,
+            port: c.port,
+            accepted: c.accepted,
+            closed: c.closed,
+            from_server: &c.from_server,
+            pending_to_server: self.pending_client_data.get(&conn).unwrap_or(&NO_PENDING),
+        })
     }
 
     /// Replaces the client-side connection tables wholesale from a
@@ -1075,9 +1087,10 @@ impl Kernel {
         self.next_conn = self.next_conn.max(next);
     }
 
-    /// Paths of every file in the simulated file system, sorted.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
+    /// Every file of the simulated file system as `(path, contents)`, sorted
+    /// by path.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
+        self.files.iter().map(|(path, contents)| (path.as_str(), contents.as_slice()))
     }
 
     /// Removes a simulated file; returns whether it existed (restore path:

@@ -86,9 +86,9 @@ pub use clock::{SimDuration, SimInstant, VirtualClock};
 pub use error::{SimError, SimResult};
 pub use fd::{FdEntry, FdTable};
 pub use ids::{ConnId, Fd, ObjId, Pid, Tid, RESERVED_FD_BASE};
-pub use kernel::{ClientSnapshot, FdPlacement, Kernel};
+pub use kernel::{ClientSnapshot, ClientView, FdPlacement, Kernel};
 pub use memory::{Addr, AddressSpace, DirtyRange, MemoryRegion, PendingTrap, RegionKind, PAGE_SIZE};
 pub use objects::{KernelObject, ObjectTable, UnixMessage};
 pub use process::{MemoryLayout, Process, Thread, ThreadState};
-pub use store::{FsStore, MemStore, Store, StoreError, WriteFault, BLOCK_SIZE};
+pub use store::{checksum64, FsStore, MemStore, Store, StoreError, WriteFault, BLOCK_SIZE};
 pub use syscall::{Syscall, SyscallPort, SyscallRet};

@@ -17,6 +17,10 @@
 //! so a reader can never rely on "crash means the blob vanished" — it must
 //! validate lengths and checksums. This is exactly the failure surface the
 //! crash-consistency chaos campaign enumerates.
+//!
+//! [`checksum64`] is the one checksum every stored checkpoint byte is covered
+//! by (manifest trailer, shard sums, state digest); it lives here so the
+//! writer, the reader and the campaign that forges blobs cannot drift apart.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -74,6 +78,39 @@ pub enum WriteFault {
 
 /// Filler byte for the garbage half of a torn block.
 const TORN_FILL: u8 = 0xA5;
+
+/// Odd multiplier of [`checksum64`] (2^64 / golden ratio).
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// 64-bit checksum of `bytes`, eight bytes per step. Pass seed 0 for a
+/// standalone sum, or a previous sum to chain over a sequence of records.
+///
+/// Each step xors one little-endian word into the running state, multiplies
+/// by an odd constant and folds the high half down — all bijections of the
+/// state — so two inputs of equal length that differ only inside one aligned
+/// word *always* sum differently (in particular any single flipped byte is
+/// detected, never just probably). A tail shorter than a word is zero-padded
+/// and the length is folded in last, so appending or dropping zero bytes
+/// changes the sum too. Not cryptographic: it detects torn writes and bit
+/// rot, not forgery.
+pub fn checksum64(bytes: &[u8], seed: u64) -> u64 {
+    fn step(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(CHECKSUM_MUL);
+        h ^ (h >> 32)
+    }
+    let mut h = seed;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(padded));
+    }
+    step(h, bytes.len() as u64)
+}
 
 /// A durable blob store: named byte blobs, whole-blob writes, an explicit
 /// fsync barrier, and (for fault-injectable backends) a write-fault hook.
@@ -168,10 +205,13 @@ impl Store for MemStore {
         }
         // Overwrite semantics: the blob is rebuilt block by block, so a crash
         // mid-write leaves a short (truncated) blob behind.
-        self.blobs.insert(name.to_string(), Vec::new());
         self.unsynced.insert(name.to_string());
-        let chunks: Vec<&[u8]> = if data.is_empty() { vec![&[]] } else { data.chunks(BLOCK_SIZE).collect() };
-        for chunk in chunks {
+        let blob = self.blobs.entry(name.to_string()).or_default();
+        blob.clear();
+        blob.reserve(data.len());
+        // An empty blob still costs (and can crash at) exactly one block.
+        let empty_block = data.is_empty().then_some(&[][..]);
+        for chunk in empty_block.into_iter().chain(data.chunks(BLOCK_SIZE)) {
             let next = self.blocks_written + 1;
             match self.armed {
                 Some(WriteFault::CrashAt(n)) if next == n => {
@@ -180,7 +220,6 @@ impl Store for MemStore {
                     return Err(StoreError::Crashed { blob: name.into(), block: n });
                 }
                 Some(WriteFault::TornAt(n)) if next == n => {
-                    let blob = self.blobs.get_mut(name).expect("blob inserted above");
                     let half = chunk.len() / 2;
                     blob.extend_from_slice(&chunk[..half]);
                     blob.extend(std::iter::repeat_n(TORN_FILL, chunk.len() - half));
@@ -190,7 +229,7 @@ impl Store for MemStore {
                     return Err(StoreError::Crashed { blob: name.into(), block: n });
                 }
                 _ => {
-                    self.blobs.get_mut(name).expect("blob inserted above").extend_from_slice(chunk);
+                    blob.extend_from_slice(chunk);
                     self.blocks_written = next;
                 }
             }
@@ -384,6 +423,105 @@ mod tests {
         assert_eq!(stored.len(), BLOCK_SIZE);
         assert_eq!(&stored[..BLOCK_SIZE / 2], &data[..BLOCK_SIZE / 2]);
         assert!(stored[BLOCK_SIZE / 2..].iter().all(|&b| b == TORN_FILL));
+    }
+
+    #[test]
+    fn crash_and_torn_points_of_a_five_block_blob() {
+        let data: Vec<u8> = (0..BLOCK_SIZE * 4 + 100).map(|i| (i % 251) as u8).collect();
+        for k in 1..=5u64 {
+            let mut s = MemStore::new();
+            s.arm_write_fault(WriteFault::CrashAt(k));
+            let err = s.write_blob("b", &data).unwrap_err();
+            assert_eq!(err, StoreError::Crashed { blob: "b".into(), block: k });
+            // The k-th block never went down: k-1 whole blocks survive.
+            let kept = (k as usize - 1) * BLOCK_SIZE;
+            assert_eq!(s.read_blob("b").unwrap(), &data[..kept]);
+            assert_eq!(s.blocks_written(), k - 1);
+
+            let mut s = MemStore::new();
+            s.arm_write_fault(WriteFault::TornAt(k));
+            let err = s.write_blob("b", &data).unwrap_err();
+            assert_eq!(err, StoreError::Crashed { blob: "b".into(), block: k });
+            // k blocks went down, the last one half data, half filler.
+            let stored = s.read_blob("b").unwrap();
+            let block_len = (data.len() - kept).min(BLOCK_SIZE);
+            assert_eq!(stored.len(), kept + block_len);
+            assert_eq!(&stored[..kept + block_len / 2], &data[..kept + block_len / 2]);
+            assert!(stored[kept + block_len / 2..].iter().all(|&b| b == TORN_FILL));
+            assert_eq!(s.blocks_written(), k);
+        }
+        // A fault past the blob's last block does not fire; an empty blob is
+        // one block, and overwriting replaces the old contents.
+        let mut s = MemStore::new();
+        s.arm_write_fault(WriteFault::CrashAt(7));
+        s.write_blob("b", &data).unwrap();
+        assert_eq!((s.read_blob("b").unwrap(), s.blocks_written()), (data, 5));
+        s.write_blob("b", &[]).unwrap();
+        assert_eq!((s.read_blob("b").unwrap(), s.blocks_written()), (Vec::new(), 6));
+        assert!(matches!(s.write_blob("b", &[1]), Err(StoreError::Crashed { block: 7, .. })));
+    }
+
+    /// Deterministic filler for the checksum properties.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_detects_every_change_confined_to_one_word() {
+        for len in [1, 7, 8, 9, 64, 100] {
+            let data = noise(len, 0x9E37 + len as u64);
+            let sum = checksum64(&data, 0);
+            for offset in 0..len {
+                // Every other value of the byte, not just one flipped bit.
+                for delta in 1..=255u8 {
+                    let mut changed = data.clone();
+                    changed[offset] = changed[offset].wrapping_add(delta);
+                    assert_ne!(checksum64(&changed, 0), sum, "len {len} offset {offset} delta {delta}");
+                }
+            }
+            // A whole aligned word replaced at once.
+            for word in 0..len / 8 {
+                let mut changed = data.clone();
+                changed[word * 8..word * 8 + 8].copy_from_slice(&noise(8, word as u64 + 1));
+                assert_ne!(checksum64(&changed, 0), sum, "len {len} word {word}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_the_length_in() {
+        // Zero padding of the tail must not hide appended or dropped zeros.
+        for len in 0..40 {
+            let mut data = noise(len, 77);
+            data.push(0);
+            let sum = checksum64(&data, 0);
+            assert_ne!(checksum64(&data[..len], 0), sum, "dropping the trailing zero of {} bytes", len + 1);
+            data.push(0);
+            assert_ne!(checksum64(&data, 0), sum, "appending a zero to {} bytes", len + 1);
+        }
+        let sums: BTreeSet<u64> = (0..64).map(|len| checksum64(&vec![0u8; len], 0)).collect();
+        assert_eq!(sums.len(), 64, "all-zero inputs of different lengths sum differently");
+    }
+
+    #[test]
+    fn checksum_chains_through_its_seed() {
+        let (a, b) = (noise(100, 1), noise(50, 2));
+        let chained = checksum64(&b, checksum64(&a, 0));
+        // Chaining is its own function of the record sequence (it need not
+        // equal the sum of `a ‖ b`): order- and seed-sensitive.
+        assert_ne!(chained, checksum64(&a, checksum64(&b, 0)));
+        assert_ne!(checksum64(&a, 0), checksum64(&a, 1));
+        // A change in an earlier record reaches the end of the chain.
+        let mut a2 = a.clone();
+        a2[3] ^= 1;
+        assert_ne!(chained, checksum64(&b, checksum64(&a2, 0)));
     }
 
     #[test]
