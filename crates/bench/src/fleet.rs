@@ -371,4 +371,32 @@ mod tests {
         assert!(String::from_utf8_lossy(&reply).contains("fleet ack"));
         assert_eq!(v2.state.counters.events_handled, 1);
     }
+
+    #[test]
+    fn chained_fleet_updates_replay_every_startup_call() {
+        use mcr_core::runtime::{live_update, UpdateOptions};
+        use mcr_typemeta::InstrumentationConfig;
+
+        // Startup is socket + bind + listen + one spawn per session, all
+        // replayed from the log. The second update replays against the log
+        // the first update's replay re-recorded.
+        let sessions = 2_000;
+        let (mut kernel, mut instance) = fleet(sessions, SchedulerMode::EventDriven);
+        for version in 2..=3 {
+            let next = Box::new(FleetServer::with_version(sessions, version));
+            let (survivor, outcome) = live_update(
+                &mut kernel,
+                instance,
+                next,
+                InstrumentationConfig::full(),
+                &UpdateOptions::default(),
+            );
+            assert!(outcome.is_committed(), "update to v{version} commits: {:?}", outcome.conflicts());
+            let replay = outcome.report().replay;
+            assert_eq!(replay.replayed, sessions as u64 + 3, "v{version}");
+            assert_eq!(replay.executed_live, 0, "v{version}");
+            instance = survivor;
+        }
+        assert_eq!(instance.state.interpose.recorded_log().len(), sessions + 3);
+    }
 }

@@ -14,6 +14,27 @@
 //! new version observes the *old* pids (so pid values stored in transferred
 //! data structures remain meaningful) while the kernel keeps assigning fresh
 //! real pids.
+//!
+//! # The matching rule
+//!
+//! A replayed startup call is matched to *the first unconsumed entry, in log
+//! order, with the same virtual pid, the same call stack and a deeply equal
+//! call*; failing that, to the first unconsumed entry, in log order, with the
+//! same virtual pid, the same call stack and the same syscall name (a
+//! conflict unless a reinitialization handler resolves it). An entry is
+//! consumed when it is replayed, or when a handler answers its name match
+//! with `ExecuteLive` or `Skip`; entries still unconsumed when startup ends
+//! are omission conflicts ([`Interposer::finish_replay`]).
+//!
+//! The replayer does not copy the old version's log: it keeps a shared
+//! handle to it ([`StartupLog`] clones share their entries) and builds, once,
+//! for every `(virtual pid, call stack)` the list of that site's log
+//! positions, in log order, with a cursor past the site's consumed prefix. A
+//! lookup searches only its own site's list from the cursor, which preserves
+//! log order and therefore picks exactly the entry a scan of the whole log
+//! would. Replay in recording order — the same startup code, the common
+//! case — costs O(1) amortised per call; calls that arrive out of order
+//! within one site scan that site's unconsumed entries.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +43,7 @@ use mcr_procsim::{FdPlacement, Kernel, Pid, SimError, Syscall, SyscallPort, Sysc
 use crate::annotations::{AnnotationRegistry, ReinitDecision};
 use crate::callstack::CallStackId;
 use crate::error::{Conflict, McrError, McrResult};
-use crate::log::{is_replay_eligible, LogEntry, StartupLog};
+use crate::log::{is_replay_eligible, StartupLog};
 
 /// Operating mode of the interposer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,15 +67,33 @@ pub struct InterposeStats {
     pub handler_resolved: u64,
 }
 
+/// The inherited log's positions recorded at one `(virtual pid, call stack)`.
+#[derive(Debug, Default)]
+struct Site {
+    /// Log positions, in log order.
+    positions: Vec<usize>,
+    /// Every position before `positions[cursor]` is consumed.
+    cursor: usize,
+}
+
 /// The record/replay engine.
 #[derive(Debug)]
 pub struct Interposer {
     mode: InterposeMode,
-    /// Log being recorded (Record mode).
+    /// Log being recorded (Record mode; Replay mode re-records into it).
     log: StartupLog,
-    /// Log inherited from the old version (Replay mode).
-    replay_entries: Vec<LogEntry>,
+    /// Log inherited from the old version (Replay mode), shared with it.
+    replay_log: StartupLog,
     consumed: Vec<bool>,
+    /// Index of `replay_log` by call site (see the module docs).
+    sites: BTreeMap<(Pid, CallStackId), Site>,
+    /// Entries the matcher has looked at (the work-bound test's count).
+    #[cfg(test)]
+    inspected: std::sync::atomic::AtomicU64,
+    /// Match by scanning the whole log, as this module did before it was
+    /// indexed: the reference the equivalence tests compare against.
+    #[cfg(test)]
+    whole_log_scan: bool,
     pid_virt_to_actual: BTreeMap<u32, u32>,
     pid_actual_to_virt: BTreeMap<u32, u32>,
     stats: InterposeStats,
@@ -63,26 +102,30 @@ pub struct Interposer {
 impl Interposer {
     /// Creates an interposer that records a fresh startup log.
     pub fn recorder() -> Self {
-        Interposer {
-            mode: InterposeMode::Record,
-            log: StartupLog::new(),
-            replay_entries: Vec::new(),
-            consumed: Vec::new(),
-            pid_virt_to_actual: BTreeMap::new(),
-            pid_actual_to_virt: BTreeMap::new(),
-            stats: InterposeStats::default(),
-        }
+        Self::new(InterposeMode::Record, StartupLog::new())
     }
 
-    /// Creates an interposer that replays against `old_log`.
+    /// Creates an interposer that replays against `old_log`, sharing its
+    /// entries rather than copying them.
     pub fn replayer(old_log: &StartupLog) -> Self {
-        let replay_entries = old_log.entries().to_vec();
-        let consumed = vec![false; replay_entries.len()];
+        Self::new(InterposeMode::Replay, old_log.clone())
+    }
+
+    fn new(mode: InterposeMode, replay_log: StartupLog) -> Self {
+        let mut sites: BTreeMap<_, Site> = BTreeMap::new();
+        for (idx, entry) in replay_log.entries().iter().enumerate() {
+            sites.entry((entry.pid, entry.callstack)).or_default().positions.push(idx);
+        }
         Interposer {
-            mode: InterposeMode::Replay,
+            mode,
             log: StartupLog::new(),
-            replay_entries,
-            consumed,
+            consumed: vec![false; replay_log.len()],
+            replay_log,
+            sites,
+            #[cfg(test)]
+            inspected: std::sync::atomic::AtomicU64::new(0),
+            #[cfg(test)]
+            whole_log_scan: false,
             pid_virt_to_actual: BTreeMap::new(),
             pid_actual_to_virt: BTreeMap::new(),
             stats: InterposeStats::default(),
@@ -121,18 +164,54 @@ impl Interposer {
         Pid(self.pid_virt_to_actual.get(&virt.0).copied().unwrap_or(virt.0))
     }
 
+    /// The first unconsumed entry, in log order, recorded by `virt_pid` at
+    /// `callstack` whose call satisfies `matches`.
+    fn first_unconsumed(
+        &self,
+        virt_pid: Pid,
+        callstack: CallStackId,
+        matches: impl Fn(&Syscall) -> bool,
+    ) -> Option<usize> {
+        let entries = self.replay_log.entries();
+        #[cfg(test)]
+        if self.whole_log_scan {
+            return entries.iter().enumerate().position(|(i, e)| {
+                !self.consumed[i] && e.pid == virt_pid && e.callstack == callstack && matches(&e.call)
+            });
+        }
+        let site = self.sites.get(&(virt_pid, callstack))?;
+        let candidates = &site.positions[site.cursor..];
+        let found = candidates.iter().position(|&idx| !self.consumed[idx] && matches(&entries[idx].call));
+        #[cfg(test)]
+        self.inspected.fetch_add(
+            found.map_or(candidates.len(), |at| at + 1) as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        found.map(|at| candidates[at])
+    }
+
+    /// Exact match: same process, same call stack, same call with
+    /// deeply-equal arguments.
     fn find_entry(&self, virt_pid: Pid, callstack: CallStackId, call: &Syscall) -> Option<usize> {
-        // Exact match first: same process, same call stack, same call with
-        // deeply-equal arguments.
-        self.replay_entries.iter().enumerate().position(|(i, e)| {
-            !self.consumed[i] && e.pid == virt_pid && e.callstack == callstack && e.call == *call
-        })
+        self.first_unconsumed(virt_pid, callstack, |logged| logged == call)
     }
 
     fn find_name_match(&self, virt_pid: Pid, callstack: CallStackId, call: &Syscall) -> Option<usize> {
-        self.replay_entries.iter().enumerate().position(|(i, e)| {
-            !self.consumed[i] && e.pid == virt_pid && e.callstack == callstack && e.call.name() == call.name()
-        })
+        self.first_unconsumed(virt_pid, callstack, |logged| logged.name() == call.name())
+    }
+
+    /// Marks a log entry consumed and moves its site's cursor past the
+    /// consumed prefix.
+    fn consume(&mut self, idx: usize) {
+        self.consumed[idx] = true;
+        let entry = &self.replay_log.entries()[idx];
+        let site = self
+            .sites
+            .get_mut(&(entry.pid, entry.callstack))
+            .expect("every position of the inherited log is indexed under its site");
+        while site.positions.get(site.cursor).is_some_and(|&i| self.consumed[i]) {
+            site.cursor += 1;
+        }
     }
 
     fn creates_fd(call: &Syscall) -> bool {
@@ -178,9 +257,9 @@ impl Interposer {
         idx: usize,
         call: Syscall,
     ) -> McrResult<SyscallRet> {
-        self.consumed[idx] = true;
+        self.consume(idx);
         self.stats.replayed += 1;
-        let logged_ret = self.replay_entries[idx].ret.clone();
+        let logged_ret = self.replay_log.entries()[idx].ret.clone();
         match call {
             Syscall::Fork => {
                 let ret = self
@@ -263,7 +342,7 @@ impl Interposer {
                 // 2. Same call site, same syscall, different arguments:
                 //    a conflict unless a handler resolves it.
                 if let Some(idx) = self.find_name_match(virt_pid, callstack, &call) {
-                    let entry = self.replay_entries[idx].clone();
+                    let entry = self.replay_log.entries()[idx].clone();
                     match annotations.resolve_reinit(&call, Some(&entry)) {
                         ReinitDecision::ReplayRecorded => {
                             self.stats.handler_resolved += 1;
@@ -273,14 +352,14 @@ impl Interposer {
                         }
                         ReinitDecision::ExecuteLive => {
                             self.stats.handler_resolved += 1;
-                            self.consumed[idx] = true;
+                            self.consume(idx);
                             let ret = self.execute_and_separate(kernel, pid, tid, call.clone())?;
                             self.log.record(callstack, virt_pid, thread_name, call, ret.clone());
                             return Ok(ret);
                         }
                         ReinitDecision::Skip => {
                             self.stats.handler_resolved += 1;
-                            self.consumed[idx] = true;
+                            self.consume(idx);
                             return Ok(SyscallRet::Unit);
                         }
                         ReinitDecision::Abort(message) => {
@@ -348,7 +427,7 @@ impl Interposer {
             return Vec::new();
         }
         let mut conflicts = Vec::new();
-        for (i, entry) in self.replay_entries.iter().enumerate() {
+        for (i, entry) in self.replay_log.entries().iter().enumerate() {
             if self.consumed[i] || !is_replay_eligible(&entry.call) {
                 continue;
             }
@@ -372,18 +451,17 @@ impl Interposer {
 
     /// Fraction of replay-eligible entries consumed so far (diagnostics).
     pub fn replay_progress(&self) -> f64 {
-        let eligible: Vec<usize> = self
-            .replay_entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| is_replay_eligible(&e.call))
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
+        let (mut eligible, mut consumed) = (0u64, 0u64);
+        for (entry, &done) in self.replay_log.entries().iter().zip(&self.consumed) {
+            if is_replay_eligible(&entry.call) {
+                eligible += 1;
+                consumed += u64::from(done);
+            }
+        }
+        if eligible == 0 {
             return 1.0;
         }
-        let consumed = eligible.iter().filter(|&&i| self.consumed[i]).count();
-        consumed as f64 / eligible.len() as f64
+        consumed as f64 / eligible as f64
     }
 }
 
@@ -397,6 +475,7 @@ fn startup_failure(syscall: &str, error: SimError) -> McrError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::chaos::ChaosRng;
     use mcr_procsim::{Fd, MemoryLayout};
 
     fn booted_kernel(name: &str) -> (Kernel, Pid, Tid) {
@@ -620,5 +699,267 @@ mod tests {
             .unwrap();
         assert!(!fd.is_reserved());
         assert_eq!(rep.stats().replayed, 0);
+    }
+
+    // ---- equivalence of the indexed matcher with the whole-log scan ----
+
+    const VIRT_PIDS: [Pid; 3] = [Pid(100), Pid(101), Pid(102)];
+
+    fn sites() -> [CallStackId; 3] {
+        [cs(&["main", "server_init"]), cs(&["main", "load_config"]), cs(&["main", "spawn_workers"])]
+    }
+
+    /// A replay-eligible call from a pool small enough that one site sees
+    /// repeated identical calls and calls differing only in their arguments.
+    fn pool_call(rng: &mut ChaosRng) -> Syscall {
+        match rng.range(0, 8) {
+            0 => Syscall::Socket,
+            1 => Syscall::Bind { fd: Fd(rng.range(0, 2) as i32), port: 80 + rng.range(0, 2) as u16 },
+            2 => Syscall::Listen { fd: Fd(rng.range(0, 2) as i32) },
+            3 => Syscall::Getpid,
+            4 => Syscall::Open {
+                path: format!("/etc/{}", ["a", "b"][rng.range(0, 2) as usize]),
+                create: false,
+            },
+            5 => Syscall::SetSid,
+            6 => Syscall::SpawnThread { name: format!("w{}", rng.range(0, 2)) },
+            _ => Syscall::Read { fd: Fd(3), len: 8 * rng.range(1, 3) as usize },
+        }
+    }
+
+    /// A result of the shape the kernel would have returned for `call`.
+    fn pool_ret(call: &Syscall, pid: Pid, seq: u64) -> SyscallRet {
+        match call {
+            Syscall::Socket | Syscall::Open { .. } => SyscallRet::Fd(Fd((seq % 7) as i32)),
+            Syscall::Getpid => SyscallRet::Pid(pid),
+            Syscall::SpawnThread { .. } => SyscallRet::Tid(Tid(seq as u32)),
+            Syscall::Read { .. } => SyscallRet::Data(vec![seq as u8; 4]),
+            _ => SyscallRet::Unit,
+        }
+    }
+
+    struct Issued {
+        pid: Pid,
+        callstack: CallStackId,
+        call: Syscall,
+    }
+
+    /// A log over `pids` virtual pids and three call sites, with a few
+    /// entries that are not replay-eligible mixed in.
+    fn random_log(rng: &mut ChaosRng, pids: usize, len: usize) -> StartupLog {
+        let mut log = StartupLog::new();
+        for seq in 0..len as u64 {
+            let pid = VIRT_PIDS[rng.range(0, pids as u64) as usize];
+            let callstack = sites()[rng.range(0, 3) as usize];
+            let call = if rng.chance(10) { Syscall::Nanosleep { ns: seq } } else { pool_call(rng) };
+            let ret = pool_ret(&call, pid, seq);
+            log.record(callstack, pid, "main", call, ret);
+        }
+        log
+    }
+
+    fn shuffle<T>(rng: &mut ChaosRng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.range(0, i as u64 + 1) as usize);
+        }
+    }
+
+    /// The calls a new version might issue against `log`: the logged calls
+    /// in `order`, some omitted, plus calls the log never saw (changed
+    /// arguments at a known site, and calls from a site the log lacks).
+    fn replay_script(rng: &mut ChaosRng, log: &StartupLog, order: u64) -> Vec<Issued> {
+        let mut script: Vec<Issued> = log
+            .entries()
+            .iter()
+            .filter(|_| !rng.chance(20))
+            .map(|e| Issued { pid: e.pid, callstack: e.callstack, call: e.call.clone() })
+            .collect();
+        match order {
+            0 => {}
+            1 => script.reverse(),
+            _ => shuffle(rng, &mut script),
+        }
+        let unseen = cs(&["main", "new_feature"]);
+        for _ in 0..log.len() / 4 {
+            let pid = VIRT_PIDS[rng.range(0, 3) as usize];
+            let (callstack, call) = match rng.range(0, 4) {
+                0 => (sites()[rng.range(0, 3) as usize], Syscall::Bind { fd: Fd(0), port: 9999 }),
+                1 => (
+                    sites()[rng.range(0, 3) as usize],
+                    Syscall::Open { path: "/etc/new".into(), create: false },
+                ),
+                2 => (sites()[rng.range(0, 3) as usize], Syscall::Listen { fd: Fd(9) }),
+                _ => (unseen, pool_call(rng)),
+            };
+            let at = rng.range(0, script.len() as u64 + 1) as usize;
+            script.insert(at, Issued { pid, callstack, call });
+        }
+        script
+    }
+
+    /// Handlers that answer the name-match path with every decision:
+    /// `ReplayRecorded` for bind, `ExecuteLive` for open, `Skip` for listen,
+    /// `NotHandled` (a conflict) for everything else.
+    fn deciding_annotations() -> AnnotationRegistry {
+        let mut ann = AnnotationRegistry::new();
+        ann.add_reinit_handler(
+            "by-syscall",
+            Box::new(|call, _| match call {
+                Syscall::Bind { .. } => ReinitDecision::ReplayRecorded,
+                Syscall::Open { .. } => ReinitDecision::ExecuteLive,
+                Syscall::Listen { .. } => ReinitDecision::Skip,
+                _ => ReinitDecision::NotHandled,
+            }),
+            1,
+        );
+        ann
+    }
+
+    /// A kernel with one process per virtual pid, and a replayer of `log`
+    /// mapped onto them.
+    fn replay_world(log: &StartupLog, whole_log_scan: bool) -> (Kernel, Interposer, Vec<(Pid, Tid)>) {
+        let mut k = Kernel::new();
+        for path in ["/etc/a", "/etc/b", "/etc/new"] {
+            k.add_file(path, b"x".to_vec());
+        }
+        let mut rep = Interposer::replayer(log);
+        rep.whole_log_scan = whole_log_scan;
+        let mut procs = Vec::new();
+        for (i, virt) in VIRT_PIDS.iter().enumerate() {
+            let pid = k.create_process(format!("p{i}")).unwrap();
+            let slide = 0x100000 * (i as u64 + 1);
+            k.process_mut(pid).unwrap().setup_memory(MemoryLayout::with_slide(slide), false).unwrap();
+            rep.map_pid(*virt, pid);
+            procs.push((pid, k.process(pid).unwrap().main_tid()));
+        }
+        (k, rep, procs)
+    }
+
+    /// The exact and the name match of one call on the interposer's current
+    /// consumed state, checked to be what the whole-log scan picks.
+    fn picks(
+        rep: &mut Interposer,
+        pid: Pid,
+        callstack: CallStackId,
+        call: &Syscall,
+    ) -> (Option<usize>, Option<usize>) {
+        let indexed = (rep.find_entry(pid, callstack, call), rep.find_name_match(pid, callstack, call));
+        rep.whole_log_scan = true;
+        let scanned = (rep.find_entry(pid, callstack, call), rep.find_name_match(pid, callstack, call));
+        rep.whole_log_scan = false;
+        assert_eq!(indexed, scanned, "(exact, name) match of {call:?} by {pid:?}");
+        indexed
+    }
+
+    #[test]
+    fn indexed_matcher_is_equivalent_to_the_whole_log_scan() {
+        let mut totals = InterposeStats::default();
+        let (mut conflicts_seen, mut omissions_seen) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = ChaosRng::new(seed);
+            let len = 20 + rng.range(0, 40) as usize;
+            let log = random_log(&mut rng, 2 + (seed % 2) as usize, len);
+            let script = replay_script(&mut rng, &log, seed % 3);
+            let ann = if seed % 4 == 3 { AnnotationRegistry::new() } else { deciding_annotations() };
+            let (mut ka, mut a, procs) = replay_world(&log, false);
+            let (mut kb, mut b, _) = replay_world(&log, true);
+
+            for (step, issued) in script.iter().enumerate() {
+                let Issued { pid: virt, callstack, call } = issued;
+                picks(&mut a, *virt, *callstack, call);
+                let (pid, tid) = procs[VIRT_PIDS.iter().position(|p| p == virt).unwrap()];
+                let ra = a.handle(&mut ka, pid, tid, "main", *callstack, call.clone(), true, &ann);
+                let rb = b.handle(&mut kb, pid, tid, "main", *callstack, call.clone(), true, &ann);
+                assert_eq!(ra, rb, "seed {seed} step {step}: result of {call:?}");
+                assert_eq!(a.consumed, b.consumed, "seed {seed} step {step}: consumed after {call:?}");
+                conflicts_seen += usize::from(matches!(ra, Err(McrError::Conflicts(_))));
+            }
+
+            assert_eq!(a.stats(), b.stats(), "seed {seed}");
+            assert_eq!(a.recorded_log().entries(), b.recorded_log().entries(), "seed {seed}");
+            assert_eq!(a.replay_progress(), b.replay_progress(), "seed {seed}");
+            let (fa, fb) = (a.finish_replay(&ann), b.finish_replay(&ann));
+            assert_eq!(fa, fb, "seed {seed}");
+            assert_eq!(a.stats(), b.stats(), "seed {seed}: after finish_replay");
+            omissions_seen += fa.len();
+            totals.replayed += a.stats().replayed;
+            totals.executed_live += a.stats().executed_live;
+            totals.handler_resolved += a.stats().handler_resolved;
+        }
+        // The scripts reached every branch the matcher feeds.
+        assert!(totals.replayed > 500 && totals.executed_live > 100 && totals.handler_resolved > 100);
+        assert!(conflicts_seen > 20 && omissions_seen > 20, "{conflicts_seen} {omissions_seen}");
+    }
+
+    #[test]
+    fn entries_of_a_forked_child_match_only_that_child() {
+        // v1: the parent forks a worker, and the worker opens its socket at a
+        // call site the parent also passes through.
+        let (mut k, pid, tid) = booted_kernel("v1");
+        let ann = AnnotationRegistry::new();
+        let mut rec = Interposer::recorder();
+        let (fork_site, shared_site) = (cs(&["main", "spawn_workers"]), cs(&["main", "open_listener"]));
+        let child_v1 = rec
+            .handle(&mut k, pid, tid, "main", fork_site, Syscall::Fork, true, &ann)
+            .unwrap()
+            .as_pid()
+            .unwrap();
+        let child_tid = k.process(child_v1).unwrap().main_tid();
+        rec.handle(&mut k, child_v1, child_tid, "worker-main", shared_site, Syscall::Socket, true, &ann)
+            .unwrap();
+        let log = rec.recorded_log().clone();
+        assert_eq!(log.entries()[1].pid, child_v1);
+
+        let new_pid = k.create_process("v2").unwrap();
+        let new_tid = k.process(new_pid).unwrap().main_tid();
+        k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x200000), false).unwrap();
+        let mut rep = Interposer::replayer(&log);
+        rep.map_pid(pid, new_pid);
+
+        // The parent, at the same call site, is not offered the child's entry.
+        assert_eq!(picks(&mut rep, pid, shared_site, &Syscall::Socket), (None, None));
+        rep.handle(&mut k, new_pid, new_tid, "main", shared_site, Syscall::Socket, true, &ann).unwrap();
+        assert_eq!((rep.stats().replayed, rep.stats().executed_live), (0, 1));
+        assert_eq!(rep.consumed, [false, false]);
+
+        // Replaying the fork maps the old child's pid onto the new child,
+        // which then consumes the entry.
+        rep.handle(&mut k, new_pid, new_tid, "main", fork_site, Syscall::Fork, true, &ann).unwrap();
+        let new_child = rep.actual_pid(child_v1);
+        assert_ne!(new_child, child_v1);
+        assert_eq!(rep.virtual_pid(new_child), child_v1);
+        assert_eq!(picks(&mut rep, child_v1, shared_site, &Syscall::Socket), (Some(1), Some(1)));
+        let new_child_tid = k.process(new_child).unwrap().main_tid();
+        let fd = rep
+            .handle(&mut k, new_child, new_child_tid, "worker-main", shared_site, Syscall::Socket, true, &ann)
+            .unwrap();
+        assert_eq!(fd, log.entries()[1].ret);
+        assert_eq!(rep.stats().replayed, 2);
+        assert!(rep.finish_replay(&ann).is_empty());
+    }
+
+    #[test]
+    fn in_order_replay_inspects_a_bounded_number_of_entries_per_call() {
+        // One call site, 5 000 thread spawns: the shape of a fleet's startup.
+        // Scanning the whole log from its start would inspect ~2 500 entries
+        // per call; the site cursor makes it one.
+        const THREADS: u64 = 5_000;
+        let site = cs(&["main", "spawn_sessions"]);
+        let mut log = StartupLog::new();
+        for i in 0..THREADS {
+            let call = Syscall::SpawnThread { name: format!("session-{i}") };
+            log.record(site, Pid(100), "main", call, SyscallRet::Tid(Tid(i as u32)));
+        }
+        let (mut k, pid, tid) = booted_kernel("v2");
+        let ann = AnnotationRegistry::new();
+        let mut rep = Interposer::replayer(&log);
+        rep.map_pid(Pid(100), pid);
+        for entry in log.entries() {
+            rep.handle(&mut k, pid, tid, "main", site, entry.call.clone(), true, &ann).unwrap();
+        }
+        assert_eq!(rep.stats().replayed, THREADS);
+        let inspected = rep.inspected.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(inspected <= 2 * THREADS, "inspected {inspected} entries for {THREADS} calls");
+        assert!(rep.finish_replay(&ann).is_empty());
     }
 }

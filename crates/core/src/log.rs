@@ -6,6 +6,15 @@
 //! replay the operations that refer to immutable state objects, giving the
 //! new startup code the illusion of a fresh start while actually inheriting
 //! in-kernel state (paper §5).
+//!
+//! The entries sit behind an [`Arc`]: cloning a log, and handing it to
+//! [`Interposer::replayer`](crate::interpose::Interposer::replayer), shares
+//! the one entry vector instead of copying every recorded `String`. Only
+//! [`StartupLog::record`] writes, through [`Arc::make_mut`], which copies
+//! nothing while the recording interposer is the log's sole owner (the
+//! normal case: a log is shared only once its startup has finished).
+
+use std::sync::Arc;
 
 use mcr_procsim::{Pid, Syscall, SyscallRet};
 
@@ -31,7 +40,7 @@ pub struct LogEntry {
 /// The startup log of one program version.
 #[derive(Debug, Clone, Default)]
 pub struct StartupLog {
-    entries: Vec<LogEntry>,
+    entries: Arc<Vec<LogEntry>>,
 }
 
 impl StartupLog {
@@ -50,7 +59,14 @@ impl StartupLog {
         ret: SyscallRet,
     ) -> u64 {
         let seq = self.entries.len() as u64;
-        self.entries.push(LogEntry { seq, callstack, pid, thread: thread.into(), call, ret });
+        Arc::make_mut(&mut self.entries).push(LogEntry {
+            seq,
+            callstack,
+            pid,
+            thread: thread.into(),
+            call,
+            ret,
+        });
         seq
     }
 
@@ -139,6 +155,16 @@ mod tests {
         assert_eq!(log.len(), 4);
         let seqs: Vec<u64> = log.entries().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn clones_share_entries_until_one_records() {
+        let mut log = sample_log();
+        let shared = log.clone();
+        assert!(std::ptr::eq(log.entries(), shared.entries()), "a clone copies no entry");
+        log.record(CallStackId::empty(), Pid(100), "main", Syscall::Getpid, SyscallRet::Pid(Pid(100)));
+        assert_eq!((log.len(), shared.len()), (5, 4), "recording never shows through a shared handle");
+        assert_eq!(log.entries()[..4], *shared.entries());
     }
 
     #[test]

@@ -408,19 +408,21 @@ pub fn run_startup(kernel: &mut Kernel, instance: &mut McrInstance) -> McrResult
         let mut env = ProgramEnv::new(kernel, state, init_pid, init_tid, "main");
         env.scoped("main", |env| program.startup(env))?;
     }
-    // Children forked during startup perform their own initialization next
-    // (possibly forking further children or spawning threads).
-    while !instance.state.pending_children.is_empty() {
-        let pending = instance.state.pending_children.remove(0);
-        let child_tid = kernel.process(pending.actual_pid).map_err(McrError::Sim)?.main_tid();
+    // Children forked during startup perform their own initialization next,
+    // in creation order; a child that forks further children (or spawns
+    // threads) appends them behind the ones already queued.
+    let mut next = 0;
+    while let Some(pending) = instance.state.pending_children.get(next) {
+        let (child_pid, kind) = (pending.actual_pid, pending.kind.clone());
+        next += 1;
+        let child_tid = kernel.process(child_pid).map_err(McrError::Sim)?.main_tid();
         let McrInstance { program, state, .. } = instance;
-        let mut env =
-            ProgramEnv::new(kernel, state, pending.actual_pid, child_tid, format!("{}-main", pending.kind));
-        let kind = pending.kind.clone();
+        let mut env = ProgramEnv::new(kernel, state, child_pid, child_tid, format!("{kind}-main"));
         env.scoped("main", |env| {
             env.scoped(&format!("{kind}_init"), |env| program.process_init(env, &kind))
         })?;
     }
+    instance.state.pending_children.clear();
     finish_startup(kernel, instance, start)
 }
 
@@ -498,8 +500,6 @@ pub fn step_thread(
     tid: Tid,
 ) -> McrResult<StepOutcome> {
     let config = instance.state.config;
-    let thread_name =
-        instance.state.roster_entry(pid, tid).map(|t| t.name.clone()).unwrap_or_else(|| "thread".to_string());
 
     // The quiescence hook runs before re-entering the blocking call: when an
     // update has been requested, the thread parks right here, at the top of
@@ -521,6 +521,8 @@ pub fn step_thread(
 
     let outcome = {
         let McrInstance { program, state, .. } = instance;
+        let thread_name =
+            state.roster_entry(pid, tid).map(|t| t.name.clone()).unwrap_or_else(|| "thread".to_string());
         let mut env = ProgramEnv::new(kernel, state, pid, tid, thread_name);
         program.thread_step(&mut env)?
     };
@@ -839,6 +841,63 @@ mod tests {
         assert_eq!(base.state.counters.unblock_wraps, 0);
         assert_eq!(base.state.counters.quiescence_checks, 0);
         assert_eq!(base.state.counters.dyn_tracked_allocs, 0);
+    }
+
+    /// Forks a worker at startup; the worker forks a helper from inside its
+    /// own `process_init`. Records the order in which children initialise.
+    struct NestedForker {
+        initialised: std::rc::Rc<std::cell::RefCell<Vec<(String, Pid)>>>,
+    }
+
+    impl Program for NestedForker {
+        fn name(&self) -> &str {
+            "nested"
+        }
+        fn version(&self) -> &str {
+            "1"
+        }
+        fn register_types(&mut self, _types: &mut mcr_typemeta::TypeRegistry) {}
+        fn startup(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<()> {
+            env.fork("worker")?;
+            env.fork("logger")?;
+            Ok(())
+        }
+        fn process_init(&mut self, env: &mut ProgramEnv<'_>, kind: &str) -> McrResult<()> {
+            self.initialised.borrow_mut().push((kind.to_string(), env.pid()));
+            if kind == "worker" {
+                env.fork("helper")?;
+            }
+            Ok(())
+        }
+        fn thread_step(&mut self, _env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
+            Ok(StepOutcome::Exit)
+        }
+    }
+
+    #[test]
+    fn grandchildren_forked_during_process_init_initialise_in_creation_order() {
+        let mut kernel = Kernel::new();
+        let order = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let program = NestedForker { initialised: order.clone() };
+        let old = boot(&mut kernel, Box::new(program), &BootOptions::default()).unwrap();
+        let kinds = |order: &[(String, Pid)]| order.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        let recorded = order.take();
+        assert_eq!(kinds(&recorded), ["worker", "logger", "helper"]);
+        assert!(old.state.pending_children.is_empty());
+        assert_eq!(old.state.processes.len(), 4);
+
+        // Replay: the new version observes the old pids, in the same order.
+        let program = NestedForker { initialised: order.clone() };
+        let interposer = Interposer::replayer(old.state.interpose.recorded_log());
+        let opts = BootOptions { layout_slide: 0x100000, ..Default::default() };
+        let mut new = create_instance(&mut kernel, Box::new(program), interposer, &opts).unwrap();
+        new.state.interpose.map_pid(old.init_pid().unwrap(), new.init_pid().unwrap());
+        run_startup(&mut kernel, &mut new).unwrap();
+        assert_eq!(order.take(), recorded, "same kinds, same virtual pids, same order");
+        assert!(new.state.pending_children.is_empty());
+        assert_eq!(new.state.interpose.stats().replayed, 3);
+        assert_eq!(new.state.interpose.stats().executed_live, 0);
+        assert!(new.state.interpose.finish_replay(&new.state.annotations).is_empty());
     }
 
     #[test]
