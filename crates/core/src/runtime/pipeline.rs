@@ -101,9 +101,11 @@
 //!    most `precopy.convergence_bytes` freshly dirtied bytes.
 //! 4. [`PhaseName::Quiesce`] — only now does the world stop.
 //! 5. [`PhaseName::TraceAndTransfer`] — a final delta retrace plus
-//!    [`transfer_residual`]: every write is re-emitted (memory, reports and
-//!    conflicts stay byte-identical to a stop-the-world run) but the clock
-//!    is charged only for the residual set still stale at quiesce time.
+//!    [`transfer_residual`]: every transferable object is planned and
+//!    counted (reports and conflicts are those of a pass that re-emits
+//!    everything, and so is the memory), but only objects whose new-heap
+//!    bytes would change are written, and the clock is charged only for the
+//!    residual set still stale at quiesce time.
 //! 6. [`PhaseName::Commit`] — as before.
 //!
 //! Downtime therefore shrinks from O(total live heap) to O(working set

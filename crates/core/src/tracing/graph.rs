@@ -6,6 +6,8 @@ use std::sync::Arc;
 use mcr_procsim::Addr;
 use mcr_typemeta::TypeId;
 
+use crate::tracing::stats::RegionClass;
+
 /// Where a traced object lives and how it can be identified across versions.
 ///
 /// Names are shared `Arc<str>`s handed out by the per-version registries, so
@@ -66,6 +68,10 @@ pub struct PointerEdge {
     pub target: Addr,
     /// Base address of the object the pointer lands in.
     pub target_base: Addr,
+    /// Class of the region `target` points into, recorded by the scan (which
+    /// already holds the region) so that nothing derived from the edges has
+    /// to look the region up again.
+    pub target_class: RegionClass,
     /// Bits masked off the raw value before following (encoded pointers).
     pub masked_bits: u64,
 }
@@ -79,6 +85,9 @@ pub struct TracedObject {
     pub size: u64,
     /// Origin (static / heap / pool / lib / mmap).
     pub origin: ObjectOrigin,
+    /// Class of the region holding the object (the *source* class of its
+    /// outgoing pointers in the Table 2 breakdown), recorded by the scan.
+    pub class: RegionClass,
     /// Type, when precise information is available.
     pub type_id: Option<TypeId>,
     /// The highest write-epoch stamp of the pages covering the object: `0`
@@ -125,9 +134,24 @@ impl TracedObject {
 }
 
 /// The object graph produced by tracing one process of the old version.
+///
+/// Besides the objects the graph remembers *where it changed shape*: every
+/// delta retrace records the address range of each object that entered the
+/// graph, left it, changed size or changed pin status since the graph was
+/// first traced ([`ObjectGraph::range_changed`]). A pointer whose value lies
+/// outside every such range resolves to the same object, at the same
+/// interior offset, as it did in any earlier state of this graph — which is
+/// what lets the final pass of a pre-copied transfer skip objects whose
+/// bytes and pointer translation both cannot have changed.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectGraph {
     objects: BTreeMap<u64, TracedObject>,
+    /// Upper bound on the size of any object ever inserted: how far below an
+    /// address an object covering it can start.
+    max_size: u64,
+    /// `[start, end)` ranges whose containment changed since the first trace;
+    /// sorted and disjoint once [`ObjectGraph::seal_changed`] ran.
+    changed: Vec<(u64, u64)>,
 }
 
 impl ObjectGraph {
@@ -136,9 +160,11 @@ impl ObjectGraph {
         Self::default()
     }
 
-    /// Inserts an object (keyed by base address); replaces an existing entry.
-    pub fn insert(&mut self, obj: TracedObject) {
-        self.objects.insert(obj.addr.0, obj);
+    /// Inserts an object (keyed by base address), returning the entry it
+    /// replaced.
+    pub fn insert(&mut self, obj: TracedObject) -> Option<TracedObject> {
+        self.max_size = self.max_size.max(obj.size);
+        self.objects.insert(obj.addr.0, obj)
     }
 
     /// Whether an object with this base address is present.
@@ -171,6 +197,52 @@ impl ObjectGraph {
     /// The object whose extent contains `addr`, if any.
     pub fn object_containing(&self, addr: Addr) -> Option<&TracedObject> {
         self.objects.range(..=addr.0).next_back().map(|(_, o)| o).filter(|o| o.contains(addr))
+    }
+
+    /// The objects with at least one byte in `[base, base + len)`, in
+    /// address order. Costs the objects starting within the largest object
+    /// size below `base`, not the graph.
+    pub fn overlapping(&self, base: Addr, len: u64) -> impl Iterator<Item = &TracedObject> {
+        let first = base.0.saturating_sub(self.max_size.saturating_sub(1));
+        self.objects
+            .range(first..base.0 + len)
+            .map(|(_, o)| o)
+            .filter(move |o| o.addr.0 + o.size.max(1) > base.0)
+    }
+
+    /// Records that the object over `[addr, addr + size)` entered or left the
+    /// graph, or changed size or pin status.
+    pub(crate) fn note_changed(&mut self, addr: Addr, size: u64) {
+        self.changed.push((addr.0, addr.0 + size.max(1)));
+    }
+
+    /// Sorts and merges the recorded ranges; a retrace ends with this so
+    /// [`ObjectGraph::range_changed`] can binary-search them.
+    pub(crate) fn seal_changed(&mut self) {
+        self.changed.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.changed.len());
+        for &(start, end) in &self.changed {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
+        }
+        self.changed = merged;
+    }
+
+    /// Whether any object entered, left or changed size or pin status since
+    /// the graph was first traced.
+    pub fn any_changed(&self) -> bool {
+        !self.changed.is_empty()
+    }
+
+    /// Whether `addr` lies in the range of an object that entered or left
+    /// the graph, or changed size or pin status, since the graph was first
+    /// traced. `false` means a pointer to `addr` resolves exactly as it did
+    /// in every earlier state of this graph.
+    pub fn range_changed(&self, addr: Addr) -> bool {
+        let after = self.changed.partition_point(|&(start, _)| start <= addr.0);
+        after > 0 && addr.0 < self.changed[after - 1].1
     }
 
     /// Iterates over all objects in address order.
@@ -255,6 +327,7 @@ mod tests {
             addr: Addr(addr),
             size,
             origin: ObjectOrigin::Heap { site: Some("s".into()) },
+            class: RegionClass::Dynamic,
             type_id: Some(TypeId(1)),
             dirty_epoch: u64::from(dirty),
             startup: true,
@@ -327,12 +400,14 @@ mod tests {
             offset: 0,
             target: Addr(0x2000),
             target_base: Addr(0x2000),
+            target_class: RegionClass::Dynamic,
             masked_bits: 0,
         });
         o.likely_pointers.push(PointerEdge {
             offset: 8,
             target: Addr(0x3000),
             target_base: Addr(0x3000),
+            target_class: RegionClass::Dynamic,
             masked_bits: 0,
         });
         assert_eq!(o.edges().count(), 2);

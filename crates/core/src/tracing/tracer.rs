@@ -19,7 +19,14 @@
 //! re-runs the same finalize pass, so an iterative pre-copy converges to a
 //! graph (and statistics) byte-identical to a fresh full trace of the same
 //! memory — while each round's cost is proportional to the working set
-//! written since the previous round, not to the whole heap.
+//! written since the previous round, not to the whole heap: the stale set is
+//! read off the dirty pages, the sweep walks down from the targets the
+//! re-scans disconnected instead of up from the roots, and what is left of
+//! the whole graph is one pass that looks nothing up (the finalize pass, and
+//! one over the other objects' edges when something is in doubt). The forms
+//! these replaced — a dirty-stamp query per object, a mark of the whole graph
+//! — stay under `#[cfg(test)]`, asserted equal inside every retrace the
+//! crate's tests run.
 //!
 //! # Sharded (parallel) marking
 //!
@@ -97,8 +104,47 @@ struct ResolvedObject {
     base: Addr,
     size: u64,
     origin: ObjectOrigin,
+    /// Class of the region holding the object.
+    class: RegionClass,
     type_id: Option<TypeId>,
     startup: bool,
+}
+
+/// Dedup state of one worklist traversal. A fresh trace remembers every
+/// address it ever enqueued. A delta retrace resumes over a populated graph:
+/// "already traced" is graph membership, and the set holds only the few
+/// addresses discovered since — it costs the delta, not one insert per
+/// object of the heap.
+struct Worklist {
+    enqueued: BTreeSet<u64>,
+    resumed: bool,
+    /// Bases a resumed traversal added to the graph.
+    inserted: Vec<Addr>,
+}
+
+impl Worklist {
+    fn fresh() -> Self {
+        Worklist { enqueued: BTreeSet::new(), resumed: false, inserted: Vec::new() }
+    }
+
+    fn resumed() -> Self {
+        Worklist { resumed: true, ..Worklist::fresh() }
+    }
+
+    /// Whether `target` has to be enqueued: true the first time it is seen.
+    fn first_visit(&mut self, graph: &ObjectGraph, target: Addr) -> bool {
+        !(self.resumed && graph.contains(target)) && self.enqueued.insert(target.0)
+    }
+}
+
+/// What one delta retrace's sweep had to look at (work bounds are asserted
+/// on these counts, not on timings).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SweepWork {
+    /// Objects whose reachability the lost edges put in doubt.
+    doubt: usize,
+    /// Objects whose edges the sweep read.
+    visited: usize,
 }
 
 /// What scanning one worklist entry produced: the traced object plus the
@@ -341,14 +387,14 @@ impl<'a> Tracer<'a> {
     /// Runs the traversal from the root set.
     pub fn trace(&self) -> TraceResult {
         let mut graph = ObjectGraph::new();
-        let mut enqueued: BTreeSet<u64> = BTreeSet::new();
+        let mut work = Worklist::fresh();
         let mut wave: Vec<(Addr, Option<TypeId>)> = Vec::new();
         for root in self.state.statics.roots() {
             wave.push((root.addr, Some(root.ty)));
-            enqueued.insert(root.addr.0);
+            work.enqueued.insert(root.addr.0);
         }
-        self.traverse(&mut graph, wave, &mut enqueued);
-        let stats = self.finalize(&mut graph);
+        self.traverse(&mut graph, wave, &mut work);
+        let stats = self.finalize(&mut graph, false);
         TraceResult { graph, stats }
     }
 
@@ -358,6 +404,14 @@ impl<'a> Tracer<'a> {
     /// unreachable, and recomputes pins and statistics with the same
     /// finalize pass a fresh trace uses.
     ///
+    /// Every step but the (lookup-free) finalize pass costs what was written,
+    /// not what is live: the stale set is the dirty pages' objects, dedup is
+    /// graph membership, and the sweep starts from what the re-scans
+    /// disconnected (see [`sweep_lost`](Self::sweep_lost)). The address range
+    /// of every object that entered or left the graph, or changed size or
+    /// pin status, is recorded in the graph
+    /// ([`ObjectGraph::range_changed`]).
+    ///
     /// Staleness is detected through page write-epochs, so a free is only
     /// noticed if it (or the unlinking store) touched the object's pages:
     /// `PtMalloc::free` writes free-list metadata into the payload (as real
@@ -365,45 +419,124 @@ impl<'a> Tracer<'a> {
     /// without any store and still referenced by a dangling pointer can
     /// survive a retrace that a fresh trace would re-resolve differently.
     pub fn retrace_dirty(&self, graph: &mut ObjectGraph, since: u64) -> TracingStats {
-        let stale: Vec<(Addr, Option<TypeId>)> = graph
-            .iter()
-            .filter(|o| {
-                let epoch = self.object_dirty_epoch(o.addr, o.size);
-                epoch == u64::MAX || epoch > since
-            })
-            .map(|o| (o.addr, o.type_id))
-            .collect();
-        let mut enqueued: BTreeSet<u64> = graph.iter().map(|o| o.addr.0).collect();
+        self.retrace(graph, since).0
+    }
+
+    fn retrace(&self, graph: &mut ObjectGraph, since: u64) -> (TracingStats, SweepWork) {
+        let stale = self.stale_objects(graph, since);
+        #[cfg(test)]
+        assert_eq!(stale, self.stale_by_object_stamp(graph, since), "the page-driven stale set diverged");
         // Re-scan the stale set on the shard workers (each re-scan is a pure
         // read of the frozen process memory), then merge in address order —
         // the same order the serial loop used.
         let rescanned = run_sharded(&stale, self.shards, |&(addr, prev_ty), scratch| {
             self.rescan_stale(addr, prev_ty, scratch)
         });
+        let mut work = Worklist::resumed();
         let mut frontier: Vec<(Addr, Option<TypeId>)> = Vec::new();
+        // Targets an object of the graph pointed at before the retrace and no
+        // longer does, and the objects whose edges are new (re-scanned here,
+        // traversed below): the sweep's whole input.
+        let mut lost: Vec<Addr> = Vec::new();
+        let mut delta: Vec<Addr> = Vec::new();
+        let mut kept: Vec<Addr> = Vec::new();
         for (&(addr, _), outcome) in stale.iter().zip(rescanned) {
             match outcome {
                 // An object whose backing chunk was freed (or replaced by an
                 // allocation with a different base) no longer resolves to the
-                // same base; drop it — the sweep below catches dangling
-                // edges.
+                // same base; drop it — clean objects may keep dangling edges
+                // to it, which every consumer ignores.
                 None => {
-                    graph.remove(addr);
-                    enqueued.remove(&addr.0);
+                    let gone = graph.remove(addr).expect("the stale set comes from the graph");
+                    graph.note_changed(gone.addr, gone.size);
+                    lost.extend(self.followed(&gone));
                 }
                 Some(ScannedObject { traced, discovered }) => {
                     for &(target, ty) in &discovered {
-                        if enqueued.insert(target.0) {
+                        if work.first_visit(graph, target) {
                             frontier.push((target, ty));
                         }
                     }
-                    graph.insert(traced);
+                    kept.clear();
+                    kept.extend(self.followed(&traced));
+                    kept.sort_unstable();
+                    let (size, opaque) = (traced.size, traced.likely_pointers.is_empty());
+                    let prev = graph.insert(traced).expect("the stale set comes from the graph");
+                    lost.extend(self.followed(&prev).filter(|t| kept.binary_search(t).is_err()));
+                    // Its own likely pointers make an object non-updatable:
+                    // gaining or losing them is a pin-status change.
+                    if prev.size != size || prev.likely_pointers.is_empty() != opaque {
+                        graph.note_changed(addr, prev.size.max(size));
+                    }
+                    delta.push(addr);
                 }
             }
         }
-        self.traverse(graph, frontier, &mut enqueued);
-        self.sweep(graph);
-        self.finalize(graph)
+        self.traverse(graph, frontier, &mut work);
+        for &addr in &work.inserted {
+            let size = graph.get(addr).expect("inserted by the traversal").size;
+            graph.note_changed(addr, size);
+        }
+        delta.extend_from_slice(&work.inserted);
+        #[cfg(test)]
+        let reference = {
+            let mut marked = graph.clone();
+            self.sweep_full_mark(&mut marked);
+            marked
+        };
+        let swept = self.sweep_lost(graph, lost, delta);
+        #[cfg(test)]
+        assert!(
+            graph.iter().eq(reference.iter()),
+            "the delta sweep kept or dropped an object the whole-graph mark decides differently"
+        );
+        let stats = self.finalize(graph, true);
+        graph.seal_changed();
+        (stats, swept)
+    }
+
+    /// The objects a delta retrace has to re-scan: those with a byte on a
+    /// page written after epoch `since`, in address order — found from the
+    /// dirty pages, so the cost follows what was written. With dirty tracking
+    /// disabled every object is stale in every round.
+    fn stale_objects(&self, graph: &ObjectGraph, since: u64) -> Vec<(Addr, Option<TypeId>)> {
+        if !self.options.use_dirty_tracking {
+            return graph.iter().map(|o| (o.addr, o.type_id)).collect();
+        }
+        let mut stale: Vec<(Addr, Option<TypeId>)> = Vec::new();
+        for run in self.process.space().drain_dirty_since(since) {
+            stale.extend(graph.overlapping(run.base, run.len).map(|o| (o.addr, o.type_id)));
+        }
+        // An object spanning two dirty runs is reported by both.
+        stale.sort_unstable_by_key(|&(addr, _)| addr);
+        stale.dedup_by_key(|&mut (addr, _)| addr);
+        stale
+    }
+
+    /// The per-object filter the page-driven stale set replaced, kept as its
+    /// reference: every object of the graph, asked for its pages' stamp.
+    #[cfg(test)]
+    fn stale_by_object_stamp(&self, graph: &ObjectGraph, since: u64) -> Vec<(Addr, Option<TypeId>)> {
+        graph
+            .iter()
+            .filter(|o| {
+                let epoch = self.object_dirty_epoch(o.addr, o.size);
+                epoch == u64::MAX || epoch > since
+            })
+            .map(|o| (o.addr, o.type_id))
+            .collect()
+    }
+
+    /// The targets of `obj` the traversal follows: every likely pointer and
+    /// every precise pointer, except those into library state it does not
+    /// trace.
+    fn followed<'o>(&self, obj: &'o TracedObject) -> impl Iterator<Item = Addr> + 'o {
+        let libraries = self.options.trace_libraries;
+        obj.precise_pointers
+            .iter()
+            .filter(move |e| libraries || e.target_class != RegionClass::Lib)
+            .chain(obj.likely_pointers.iter().filter(|e| e.target_class != RegionClass::Lib))
+            .map(|e| e.target_base)
     }
 
     /// Level-synchronous worklist traversal: each wave (the addresses the
@@ -417,12 +550,7 @@ impl<'a> Tracer<'a> {
     /// spawn/join per BFS level, which dominates on deep graphs); waves too
     /// small to amortize even the pool handshake are scanned inline. Either
     /// path slots results by wave index, so the merge is order-identical.
-    fn traverse(
-        &self,
-        graph: &mut ObjectGraph,
-        mut wave: Vec<(Addr, Option<TypeId>)>,
-        enqueued: &mut BTreeSet<u64>,
-    ) {
+    fn traverse(&self, graph: &mut ObjectGraph, mut wave: Vec<(Addr, Option<TypeId>)>, work: &mut Worklist) {
         let mut scratch = ScanScratch::new();
         let mut scan_inline = |wave: &[(Addr, Option<TypeId>)]| {
             wave.iter()
@@ -432,7 +560,7 @@ impl<'a> Tracer<'a> {
         if self.shards <= 1 {
             while !wave.is_empty() {
                 let scanned = scan_inline(&wave);
-                wave = self.merge_wave(graph, scanned, enqueued);
+                wave = self.merge_wave(graph, scanned, work);
             }
             return;
         }
@@ -450,7 +578,7 @@ impl<'a> Tracer<'a> {
                 } else {
                     pool.run_wave(std::mem::take(&mut wave), self.shards)
                 };
-                wave = self.merge_wave(graph, scanned, enqueued);
+                wave = self.merge_wave(graph, scanned, work);
             }
             pool.shutdown();
         });
@@ -465,7 +593,7 @@ impl<'a> Tracer<'a> {
         &self,
         graph: &mut ObjectGraph,
         scanned: Vec<Option<ScannedObject>>,
-        enqueued: &mut BTreeSet<u64>,
+        work: &mut Worklist,
     ) -> Vec<(Addr, Option<TypeId>)> {
         let mut next: Vec<(Addr, Option<TypeId>)> = Vec::new();
         for outcome in scanned {
@@ -474,9 +602,12 @@ impl<'a> Tracer<'a> {
                 continue;
             }
             for &(target, ty) in &discovered {
-                if enqueued.insert(target.0) {
+                if work.first_visit(graph, target) {
                     next.push((target, ty));
                 }
+            }
+            if work.resumed {
+                work.inserted.push(traced.addr);
             }
             graph.insert(traced);
         }
@@ -526,6 +657,7 @@ impl<'a> Tracer<'a> {
             addr: resolved.base,
             size: resolved.size,
             origin: resolved.origin,
+            class: resolved.class,
             type_id,
             dirty_epoch: self.object_dirty_epoch(resolved.base, resolved.size),
             startup: resolved.startup,
@@ -539,9 +671,116 @@ impl<'a> Tracer<'a> {
         ScannedObject { traced, discovered }
     }
 
-    /// Reachability sweep for delta retraces: keeps only the objects a fresh
-    /// traversal from the roots would reach over the current edges.
-    fn sweep(&self, graph: &mut ObjectGraph) {
+    /// The reachability sweep of a delta retrace, starting from what the
+    /// retrace disconnected instead of from the roots.
+    ///
+    /// Before the retrace every object of the graph was reachable from a
+    /// root. An object that no longer is had every path to it cut, and the
+    /// edge cut last on such a path ends in a *lost* target — one a re-scanned
+    /// object stopped naming, or any target of a removed object — from which
+    /// the rest of the path, all of it still in the graph and all of it
+    /// unreachable too, leads to the object. (An object the traversal just
+    /// added hangs, through added objects, off a re-scanned one, so it is
+    /// unreachable only below an unreachable old object.) So only descendants
+    /// of lost targets can be garbage; with nothing lost the sweep does
+    /// nothing.
+    ///
+    /// The walk down from the lost targets is pruned at objects that are
+    /// certainly live: the roots, and whatever a root reaches through `delta`
+    /// objects only (the re-scanned and the added ones). That is what keeps
+    /// the common rewrites local — a head insert loses `table → old head`,
+    /// but `table → new → old head` marks the old head live before the walk
+    /// starts; an evict loses `table → head` and finds `head.next` live the
+    /// same way, leaving the head and its value as the whole doubt set.
+    ///
+    /// The doubt set is then decided exactly: an object of it is live iff an
+    /// object outside it (all of which are live) points at it, or a live
+    /// object inside it does — one pass over the other objects' edges, then a
+    /// closure inside the set, so cyclic garbage goes too.
+    fn sweep_lost(&self, graph: &mut ObjectGraph, mut lost: Vec<Addr>, mut delta: Vec<Addr>) -> SweepWork {
+        let mut work = SweepWork::default();
+        lost.retain(|&t| graph.contains(t));
+        if lost.is_empty() {
+            return work;
+        }
+        delta.sort_unstable();
+
+        let mut live: BTreeSet<u64> = BTreeSet::new();
+        let mut stack: Vec<Addr> = Vec::new();
+        for root in self.state.statics.roots() {
+            let Some(base) = self.resolve_object(root.addr).map(|r| r.base) else { continue };
+            if graph.contains(base) && live.insert(base.0) && delta.binary_search(&base).is_ok() {
+                stack.push(base);
+            }
+        }
+        while let Some(base) = stack.pop() {
+            work.visited += 1;
+            for target in self.followed(graph.get(base).expect("only graph objects are pushed")) {
+                if graph.contains(target) && live.insert(target.0) && delta.binary_search(&target).is_ok() {
+                    stack.push(target);
+                }
+            }
+        }
+
+        let mut doubt: BTreeSet<u64> = BTreeSet::new();
+        for target in lost {
+            if !live.contains(&target.0) && doubt.insert(target.0) {
+                stack.push(target);
+            }
+        }
+        while let Some(base) = stack.pop() {
+            work.visited += 1;
+            for target in self.followed(graph.get(base).expect("only graph objects are pushed")) {
+                if graph.contains(target) && !live.contains(&target.0) && doubt.insert(target.0) {
+                    stack.push(target);
+                }
+            }
+        }
+        work.doubt = doubt.len();
+        let Some((&lowest, &highest)) = doubt.first().zip(doubt.last()) else { return work };
+
+        // Referrers outside the doubt set, then the closure inside it.
+        let doubt: Vec<u64> = doubt.into_iter().collect();
+        let mut reached = vec![false; doubt.len()];
+        let mut marked: Vec<usize> = Vec::new();
+        fn mark(doubt: &[u64], reached: &mut [bool], marked: &mut Vec<usize>, target: Addr) {
+            if let Ok(slot) = doubt.binary_search(&target.0) {
+                if !std::mem::replace(&mut reached[slot], true) {
+                    marked.push(slot);
+                }
+            }
+        }
+        let mut cursor = 0;
+        for obj in graph.iter() {
+            while cursor < doubt.len() && doubt[cursor] < obj.addr.0 {
+                cursor += 1;
+            }
+            if doubt.get(cursor) == Some(&obj.addr.0) {
+                continue;
+            }
+            work.visited += 1;
+            for target in self.followed(obj).filter(|t| (lowest..=highest).contains(&t.0)) {
+                mark(&doubt, &mut reached, &mut marked, target);
+            }
+        }
+        while let Some(slot) = marked.pop() {
+            let obj = graph.get(Addr(doubt[slot])).expect("the doubt set is part of the graph");
+            for target in self.followed(obj) {
+                mark(&doubt, &mut reached, &mut marked, target);
+            }
+        }
+        for (&base, _) in doubt.iter().zip(&reached).filter(|(_, &live)| !live) {
+            let gone = graph.remove(Addr(base)).expect("the doubt set is part of the graph");
+            graph.note_changed(gone.addr, gone.size);
+        }
+        work
+    }
+
+    /// The whole-graph mark the delta sweep replaced, kept as its reference:
+    /// keeps only the objects a traversal from the roots reaches over the
+    /// current edges.
+    #[cfg(test)]
+    fn sweep_full_mark(&self, graph: &mut ObjectGraph) {
         let mut reached: BTreeSet<u64> = BTreeSet::new();
         let mut stack: Vec<u64> = Vec::new();
         for root in self.state.statics.roots() {
@@ -573,42 +812,61 @@ impl<'a> Tracer<'a> {
     }
 
     /// Recomputes everything derived from the graph's edges — conservative
-    /// pins, non-updatability, and the Table 2 statistics. Both the full
-    /// trace and delta retraces end here, which is what guarantees that an
-    /// incrementally maintained graph reports exactly like a fresh one.
-    fn finalize(&self, graph: &mut ObjectGraph) -> TracingStats {
+    /// pins, non-updatability, and the Table 2 statistics — in one pass over
+    /// the objects; region classes were recorded by the scans, so nothing is
+    /// looked up. Both the full trace and delta retraces end here, which is
+    /// what guarantees that an incrementally maintained graph reports exactly
+    /// like a fresh one. A retrace (`resumed`) also records which objects'
+    /// pin status this changed.
+    fn finalize(&self, graph: &mut ObjectGraph, resumed: bool) -> TracingStats {
+        let mut stats = TracingStats::default();
+        let mut pins: Vec<Addr> = Vec::new();
+        let mut was_pinned: Vec<Addr> = Vec::new();
         for obj in graph.iter_mut() {
+            if obj.immutable {
+                was_pinned.push(obj.addr);
+            }
             obj.immutable = false;
             // An object containing likely pointers cannot be safely
             // type-transformed (its layout interpretation is ambiguous).
             obj.non_updatable = !obj.likely_pointers.is_empty();
-        }
-        let mut pins: Vec<Addr> = Vec::new();
-        let mut stats = TracingStats::default();
-        for obj in graph.iter() {
-            let src_class = self.region_class_of(obj.addr);
             for edge in obj.precise_pointers.iter() {
-                stats.precise.record(src_class, self.region_class_of(edge.target));
+                stats.precise.record(obj.class, edge.target_class);
             }
             for edge in obj.likely_pointers.iter() {
-                let targ_class = self.region_class_of(edge.target);
-                stats.likely.record(src_class, targ_class);
-                if targ_class != RegionClass::Lib {
+                stats.likely.record(obj.class, edge.target_class);
+                if edge.target_class != RegionClass::Lib {
                     // The conservatively-referenced target can no longer be
                     // relocated or type-transformed.
                     pins.push(edge.target_base);
                 }
             }
+            stats.objects_traced += 1;
+            stats.non_updatable_objects += u64::from(obj.non_updatable);
+            stats.traced_bytes += obj.size;
+            if obj.is_dirty() {
+                stats.dirty_objects += 1;
+                stats.dirty_bytes += obj.size;
+            }
         }
-        for addr in pins {
-            graph.mark_immutable(addr);
+        pins.sort_unstable();
+        pins.dedup();
+        pins.retain(|&addr| {
+            let Some(obj) = graph.get_mut(addr) else { return false };
+            obj.immutable = true;
+            stats.non_updatable_objects += u64::from(!std::mem::replace(&mut obj.non_updatable, true));
+            true
+        });
+        stats.immutable_objects = pins.len() as u64;
+        if resumed {
+            let flipped = |a: &[Addr], b: &[Addr]| -> Vec<Addr> {
+                a.iter().filter(|addr| b.binary_search(addr).is_err()).copied().collect()
+            };
+            for addr in flipped(&was_pinned, &pins).into_iter().chain(flipped(&pins, &was_pinned)) {
+                let size = graph.get(addr).expect("pinned objects are in the graph").size;
+                graph.note_changed(addr, size);
+            }
         }
-        stats.objects_traced = graph.len() as u64;
-        stats.immutable_objects = graph.immutable_objects().count() as u64;
-        stats.non_updatable_objects = graph.iter().filter(|o| o.non_updatable).count() as u64;
-        stats.dirty_objects = graph.dirty_objects().count() as u64;
-        stats.traced_bytes = graph.total_bytes();
-        stats.dirty_bytes = graph.dirty_bytes();
         stats
     }
 
@@ -702,8 +960,9 @@ impl<'a> Tracer<'a> {
         // the static registry, its resolution.
         let Some(region) = self.process.space().region_containing(target) else { return };
         let target_base = self.resolve_in(region, target).map(|r| r.base).unwrap_or(target);
-        traced.precise_pointers.push(PointerEdge { offset, target, target_base, masked_bits });
-        if RegionClass::from_kind(region.kind()) != RegionClass::Lib || self.options.trace_libraries {
+        let target_class = RegionClass::from_kind(region.kind());
+        traced.precise_pointers.push(PointerEdge { offset, target, target_base, target_class, masked_bits });
+        if target_class != RegionClass::Lib || self.options.trace_libraries {
             discovered.push((target_base, pointee));
         }
     }
@@ -745,6 +1004,7 @@ impl<'a> Tracer<'a> {
                         offset: word,
                         target: raw,
                         target_base,
+                        target_class: targ_class,
                         masked_bits: 0,
                     });
                     // Pinning (and the non-updatable flag) is derived from
@@ -808,12 +1068,15 @@ impl<'a> Tracer<'a> {
             base: o.addr,
             size: o.size,
             origin: ObjectOrigin::Static { symbol: o.symbol.clone() },
+            class: self.region_class_of(o.addr),
             type_id: Some(o.ty),
             startup: true,
         })
     }
 
     fn resolve_dynamic(&self, region: &MemoryRegion, addr: Addr) -> Option<ResolvedObject> {
+        // Every object resolved below lies in `region`, or in one of its kind.
+        let class = RegionClass::from_kind(region.kind());
         match region.kind() {
             RegionKind::Static => {
                 // Unregistered static data (string constants and the like):
@@ -824,6 +1087,7 @@ impl<'a> Tracer<'a> {
                     base,
                     size: 8,
                     origin: ObjectOrigin::Static { symbol: format!("static@{:#x}", base.0).into() },
+                    class,
                     type_id: None,
                     startup: true,
                 })
@@ -838,6 +1102,7 @@ impl<'a> Tracer<'a> {
                         base,
                         size,
                         origin: ObjectOrigin::Pool { site: site_name },
+                        class,
                         type_id,
                         startup: false,
                     });
@@ -854,6 +1119,7 @@ impl<'a> Tracer<'a> {
                     base: chunk.payload,
                     size: chunk.size,
                     origin: ObjectOrigin::Heap { site: site_info.map(|s| s.name.clone()) },
+                    class,
                     type_id,
                     startup: chunk.startup,
                 })
@@ -869,6 +1135,7 @@ impl<'a> Tracer<'a> {
                         base: *base,
                         size: *size,
                         origin: ObjectOrigin::Lib { name: Some(name.clone()) },
+                        class,
                         type_id: None,
                         startup: true,
                     }),
@@ -876,6 +1143,7 @@ impl<'a> Tracer<'a> {
                         base: Addr(addr.0 & !7),
                         size: 8,
                         origin: ObjectOrigin::Lib { name: None },
+                        class,
                         type_id: None,
                         startup: true,
                     }),
@@ -885,6 +1153,7 @@ impl<'a> Tracer<'a> {
                 base: region.base(),
                 size: region.size(),
                 origin: ObjectOrigin::Mmap,
+                class,
                 type_id: None,
                 startup: true,
             }),
@@ -1303,6 +1572,374 @@ mod tests {
         );
     }
 
+    /// A bucketed table of doubly linked `d_t` chains the mutation tests
+    /// rewrite through raw stores, the way a running server would.
+    struct Chains {
+        kernel: Kernel,
+        state: InstanceState,
+        pid: Pid,
+        table: Addr,
+        buckets: u64,
+        /// Every live `d_t`-shaped node ever linked (mutations pick from it).
+        nodes: Vec<Addr>,
+        allocated: u64,
+    }
+
+    /// `d_t` field offsets: `value` is at 0.
+    const NEXT: u64 = 8;
+    const PREV: u64 = 16;
+    const AUX: u64 = 24;
+
+    impl Chains {
+        /// `buckets x depth` nodes; every node's `aux` owns an untyped blob
+        /// when `blobs` is set (the cache's entry → value shape).
+        fn new(buckets: u64, depth: u64, blobs: bool) -> Self {
+            let (kernel, mut state, pid) = listing1();
+            build_types(&mut state);
+            let int = state.types.lookup("int").unwrap();
+            let fwd = state.types.opaque("d_t_fwd", 32);
+            let ptr = state.types.pointer("d_t*", fwd);
+            state.types.register(
+                "d_t",
+                TypeKind::Struct {
+                    fields: vec![
+                        Field::new("value", int),
+                        Field::new("next", ptr),
+                        Field::new("prev", ptr),
+                        Field::new("aux", ptr),
+                    ],
+                },
+            );
+            state.types.array("d_t*[]", ptr, buckets);
+            let mut chains =
+                Chains { kernel, state, pid, table: Addr::NULL, buckets, nodes: Vec::new(), allocated: 0 };
+            chains.table = chains.env().define_global("table", "d_t*[]").unwrap();
+            for i in 0..buckets * depth {
+                let node = chains.insert_head(i % buckets);
+                if blobs {
+                    let blob = chains.env().alloc_bytes(64, "set:value").unwrap();
+                    chains.store(blob.offset(8), 0x6c6f_6221);
+                    chains.store(node.offset(AUX), blob.0);
+                }
+            }
+            chains.kernel.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
+            chains
+        }
+
+        fn env(&mut self) -> ProgramEnv<'_> {
+            let tid = self.kernel.process(self.pid).unwrap().main_tid();
+            ProgramEnv::new(&mut self.kernel, &mut self.state, self.pid, tid, "main")
+        }
+
+        fn store(&mut self, slot: Addr, value: u64) {
+            self.kernel.process_mut(self.pid).unwrap().space_mut().write_u64(slot, value).unwrap();
+        }
+
+        fn load(&self, slot: Addr) -> Addr {
+            Addr(self.kernel.process(self.pid).unwrap().space().read_u64(slot).unwrap())
+        }
+
+        fn slot(&self, bucket: u64) -> Addr {
+            self.table.offset(bucket * 8)
+        }
+
+        fn chain(&self, bucket: u64) -> Vec<Addr> {
+            let mut out = Vec::new();
+            let mut node = self.load(self.slot(bucket));
+            while !node.is_null() && out.len() < 10_000 {
+                out.push(node);
+                node = self.load(node.offset(NEXT));
+            }
+            out
+        }
+
+        /// A new node, followed by a freed filler (first fit hands it to a
+        /// later allocation, or to a node growing in place) and, for every
+        /// third one, a page of padding — so some nodes share a page and some
+        /// do not.
+        fn alloc_node(&mut self) -> Addr {
+            let mut env = self.env();
+            let node = env.alloc("d_t", "set:node").unwrap();
+            let filler = env.alloc_bytes(48, "set:filler").unwrap();
+            env.free(filler).unwrap();
+            self.allocated += 1;
+            if self.allocated.is_multiple_of(3) {
+                self.env().alloc_bytes(mcr_procsim::PAGE_SIZE, "pad").unwrap();
+            }
+            self.store(node, 1000 + self.allocated);
+            self.nodes.push(node);
+            node
+        }
+
+        fn insert_head(&mut self, bucket: u64) -> Addr {
+            let node = self.alloc_node();
+            self.link_head(bucket, node);
+            node
+        }
+
+        fn link_head(&mut self, bucket: u64, node: Addr) {
+            let head = self.load(self.slot(bucket));
+            self.store(node.offset(NEXT), head.0);
+            if self.nodes.contains(&head) {
+                self.store(head.offset(PREV), node.0);
+            }
+            self.store(self.slot(bucket), node.0);
+        }
+
+        /// Unlinks `count` adjacent nodes starting at position `at`, leaving
+        /// the unlinked nodes' own pointers alone: one node is acyclic
+        /// garbage, two are a cycle (`a.next = b`, `b.prev = a`).
+        fn unlink(&mut self, bucket: u64, at: usize, count: usize) {
+            let chain = self.chain(bucket);
+            if at + count > chain.len() {
+                return;
+            }
+            let before = if at == 0 { self.slot(bucket) } else { chain[at - 1].offset(NEXT) };
+            let after = chain.get(at + count).copied().unwrap_or(Addr::NULL);
+            self.store(before, after.0);
+            if self.nodes.contains(&after) {
+                self.store(after.offset(PREV), if at == 0 { 0 } else { chain[at - 1].0 });
+            }
+        }
+
+        /// Frees the head of `bucket` outright, after clearing every pointer
+        /// to it (the freed chunk is reused by later allocations, and a
+        /// dangling pointer coming back to life in a clean object is beyond
+        /// what a retrace can see). Whatever only the freed node kept alive
+        /// is garbage.
+        fn free_head(&mut self, bucket: u64, slots: &[Addr]) -> Option<Addr> {
+            let victim = *self.chain(bucket).first()?;
+            if !self.nodes.contains(&victim) {
+                return None;
+            }
+            self.unlink(bucket, 0, 1);
+            self.nodes.retain(|&n| n != victim);
+            let fields = self.nodes.iter().flat_map(|n| [NEXT, PREV, AUX].map(|off| n.offset(off)));
+            let holders: Vec<Addr> = (0..self.buckets).map(|b| self.slot(b)).chain(fields).collect();
+            for slot in holders.into_iter().chain(slots.iter().copied()) {
+                if self.load(slot) == victim {
+                    self.store(slot, 0);
+                }
+            }
+            self.env().free(victim).unwrap();
+            Some(victim)
+        }
+
+        /// Frees `node` and allocates a `type_name` array of `count`
+        /// elements at the very same address, linked as the head of
+        /// `bucket`. False when the room behind the node is taken.
+        fn reallocate_at(&mut self, node: Addr, type_name: &str, count: u64, bucket: u64) -> bool {
+            let ty = self.state.types.lookup(type_name).unwrap();
+            let size = count * self.state.types.size_of(ty);
+            let site = self.state.sites.register("set:reused", Some(ty));
+            let (space, heap) = self.kernel.process_mut(self.pid).unwrap().space_and_heap_mut().unwrap();
+            heap.free(space, node).unwrap();
+            let tag = mcr_procsim::TypeTag(ty.0);
+            if heap.malloc_at(space, node, size, site, tag).is_err() {
+                heap.malloc_at(
+                    space,
+                    node,
+                    32,
+                    site,
+                    mcr_procsim::TypeTag(self.state.types.lookup("d_t").unwrap().0),
+                )
+                .expect("the node's own chunk is free again");
+                return false;
+            }
+            space.fill(node, size as usize, 0).unwrap();
+            if size < 32 {
+                // An `l_t` has no `prev`/`aux`: nothing may store there.
+                self.nodes.retain(|&n| n != node);
+            }
+            self.store(node, 7000 + size);
+            self.link_head(bucket, node);
+            true
+        }
+
+        fn tracer(&self, options: TraceOptions) -> Tracer<'_> {
+            Tracer::new(&self.kernel, &self.state, self.pid, options).unwrap()
+        }
+
+        /// Retraces `result` and holds it to a fresh trace of the same
+        /// memory: graph (pins included) and statistics. The whole-graph
+        /// mark is asserted equal inside every retrace.
+        fn retrace_and_check(
+            &self,
+            result: &mut TraceResult,
+            since: u64,
+            options: TraceOptions,
+            step: &str,
+        ) -> SweepWork {
+            let (stats, work) = self.tracer(options).retrace(&mut result.graph, since);
+            result.stats = stats;
+            let fresh = self.tracer(options).trace();
+            let retraced: Vec<_> = result.graph.iter().collect();
+            let scratch: Vec<_> = fresh.graph.iter().collect();
+            assert_eq!(retraced, scratch, "{step}: retraced graph diverged from a fresh trace");
+            assert_eq!(result.stats, fresh.stats, "{step}: retraced statistics diverged from a fresh trace");
+            work
+        }
+
+        fn advance_epoch(&mut self) -> u64 {
+            self.kernel.process_mut(self.pid).unwrap().space_mut().advance_write_epoch()
+        }
+    }
+
+    /// Seeded mutation sequences over the chains — head inserts; unlinking a
+    /// head, a middle node, a tail and an adjacent pair (cyclic garbage);
+    /// re-linking a previously lost node from some node's `aux`; overwriting
+    /// a root slot; freeing a node and reallocating its address with a
+    /// smaller and a larger object; freeing a node outright; a hidden pointer
+    /// that pins a node and
+    /// keeps it alive; a library object holding a pointer, traced or not —
+    /// and after every retrace the graph, the pins and the statistics equal
+    /// both the whole-graph mark and a fresh trace.
+    #[test]
+    fn retrace_matches_full_mark_and_fresh_trace_under_seeded_mutations() {
+        use crate::runtime::chaos::ChaosRng;
+        for (seed, trace_libraries) in [(1u64, false), (2, true), (3, false), (4, true), (5, false)] {
+            let options = TraceOptions { trace_libraries, ..Default::default() };
+            let mut chains = Chains::new(8, 4, false);
+            let (hidden, lib_root, lib_obj, big);
+            {
+                let mut env = chains.env();
+                hidden = env.define_global_opaque("hidden", 16).unwrap();
+                lib_root = env.define_global("lib_root", "d_t*").unwrap();
+                lib_obj = env.lib_alloc(64, "libx:ctx").unwrap();
+                env.write_ptr(lib_root, lib_obj).unwrap();
+                // A blob spanning three pages: a store to its last page must
+                // still find the object, which starts two pages earlier.
+                let big_ref = env.define_global("big_ref", "d_t*").unwrap();
+                big = env.alloc_bytes(3 * mcr_procsim::PAGE_SIZE, "set:big").unwrap();
+                env.write_ptr(big_ref, big).unwrap();
+            }
+            let page = mcr_procsim::PAGE_SIZE;
+            let hidden_slots = [hidden.offset(8), lib_obj, big.offset(2 * page + 64), big.offset(page - 64)];
+            chains.kernel.process_mut(chains.pid).unwrap().space_mut().clear_soft_dirty();
+            let mut rng = ChaosRng::new(seed);
+            let mut result = chains.tracer(options).trace();
+            // Nodes some retrace saw leave the graph, still allocated.
+            let mut lost: Vec<Addr> = Vec::new();
+            let mut swept_something = false;
+            for step in 0..60 {
+                let since = chains.advance_epoch();
+                let mut applied = Vec::new();
+                for _ in 0..rng.range(1, 4) {
+                    let bucket = rng.range(0, chains.buckets);
+                    let chain = chains.chain(bucket);
+                    let op = rng.range(0, 11);
+                    applied.push(op);
+                    match op {
+                        0 | 1 => {
+                            chains.insert_head(bucket);
+                        }
+                        2 => chains.unlink(bucket, 0, 1),
+                        3 => chains.unlink(bucket, chain.len() / 2, 1),
+                        4 => chains.unlink(bucket, chain.len().saturating_sub(1), 1),
+                        5 => chains.unlink(bucket, rng.range(0, 2) as usize, 2),
+                        6 => {
+                            // `aux` of a random node names a random node,
+                            // preferably one an earlier retrace dropped.
+                            let pool = if lost.is_empty() || rng.chance(30) { &chains.nodes } else { &lost };
+                            let target = pool[rng.range(0, pool.len() as u64) as usize];
+                            let holder = chains.nodes[rng.range(0, chains.nodes.len() as u64) as usize];
+                            chains.store(holder.offset(AUX), if rng.chance(20) { 0 } else { target.0 });
+                        }
+                        7 => {
+                            // Overwrite a root slot: with nothing, or with
+                            // the inside of another bucket's chain.
+                            let other = chains.chain(rng.range(0, chains.buckets));
+                            let value = other.get(1).filter(|_| rng.chance(50)).map_or(0, |n| n.0);
+                            chains.store(chains.slot(bucket), value);
+                        }
+                        8 => {
+                            if let Some(&victim) = chain.first() {
+                                chains.unlink(bucket, 0, 1);
+                                let (ty, count) = if rng.chance(50) { ("l_t", 1) } else { ("d_t", 2) };
+                                chains.reallocate_at(victim, ty, count, rng.range(0, chains.buckets));
+                                lost.retain(|&n| n != victim);
+                            }
+                        }
+                        9 => {
+                            if let Some(victim) = chains.free_head(bucket, &hidden_slots) {
+                                lost.retain(|&n| n != victim);
+                            }
+                        }
+                        _ => {
+                            let node = chains.nodes[rng.range(0, chains.nodes.len() as u64) as usize];
+                            let value = if rng.chance(30) { 0 } else { node.0 };
+                            match rng.range(0, 6) {
+                                // A hidden pointer: in a static buffer, in
+                                // the library object, deep inside the blob.
+                                slot @ 0..=3 => chains.store(hidden_slots[slot as usize], value),
+                                // The library object: dropped by its root,
+                                // named by a heap node.
+                                4 => chains.store(lib_root, if rng.chance(50) { 0 } else { lib_obj.0 }),
+                                _ => chains.store(node.offset(AUX), lib_obj.0),
+                            }
+                        }
+                    }
+                }
+                let before: Vec<Addr> = result.graph.iter().map(|o| o.addr).collect();
+                let label = format!("seed {seed}, step {step}, ops {applied:?}");
+                chains.retrace_and_check(&mut result, since, options, &label);
+                for addr in before.into_iter().filter(|&a| !result.graph.contains(a)) {
+                    swept_something = true;
+                    if chains.nodes.contains(&addr) && !lost.contains(&addr) {
+                        lost.push(addr);
+                    }
+                }
+                lost.retain(|&n| !result.graph.contains(n));
+            }
+            assert!(swept_something, "seed {seed}: the sequence never made garbage");
+            assert!(result.graph.any_changed());
+        }
+    }
+
+    /// The sweep's work follows what was disconnected, as counts: nothing
+    /// lost, nothing visited; an evicted head costs the head and its value;
+    /// a head insert is decided by the certainly-live walk alone.
+    #[test]
+    fn sweep_work_is_bounded_by_what_the_retrace_disconnected() {
+        let options = TraceOptions::default();
+        // The cache's shape: 64 buckets x 32 entries, one value blob each.
+        let mut chains = Chains::new(64, 32, true);
+        let mut result = chains.tracer(options).trace();
+        let objects = result.graph.len();
+        assert!(objects >= 2 * 64 * 32, "{objects} objects traced");
+
+        // Stores that change no edge (an LRU touch on every 50th node).
+        let since = chains.advance_epoch();
+        for node in chains.nodes.clone().into_iter().step_by(50) {
+            chains.store(node, 0xd1d1);
+        }
+        let work = chains.retrace_and_check(&mut result, since, options, "touch");
+        assert_eq!(work, SweepWork::default(), "no edge lost, nothing to sweep");
+
+        // A head insert: `table → new → old head` keeps the old head live.
+        let since = chains.advance_epoch();
+        let inserted = chains.insert_head(63);
+        let work = chains.retrace_and_check(&mut result, since, options, "insert");
+        assert_eq!(work.doubt, 0, "{work:?}");
+        assert!(work.visited < 16, "the table and the new node: {work:?}");
+        assert!(result.graph.contains(inserted));
+
+        // k evictions from distinct buckets: each leaves its head and the
+        // head's value in doubt, and both go.
+        for k in [1usize, 5] {
+            let since = chains.advance_epoch();
+            for bucket in 0..k as u64 {
+                chains.unlink(bucket, 0, 1);
+            }
+            let before = result.graph.len();
+            let work = chains.retrace_and_check(&mut result, since, options, "evict");
+            assert!(work.doubt <= 2 * k, "{k} evictions: {work:?}");
+            assert_eq!(before - result.graph.len(), 2 * k, "{k} heads and their values swept");
+            // One pass over the other objects' edges decides the doubt set.
+            assert!(work.visited <= result.graph.len() + 4 * k + 16, "{work:?}");
+        }
+    }
+
     /// What `scan_conservative` found: the likely-pointer edges and the
     /// targets queued for traversal.
     type Scan = (Vec<PointerEdge>, Vec<(Addr, Option<TypeId>)>);
@@ -1313,6 +1950,7 @@ mod tests {
             addr,
             size,
             origin: ObjectOrigin::Mmap,
+            class: RegionClass::Dynamic,
             type_id: None,
             dirty_epoch: 0,
             startup: true,
@@ -1332,7 +1970,13 @@ mod tests {
         while word + 8 <= end {
             if let Ok(raw) = tracer.process.space().read_u64(obj.addr.offset(word)) {
                 if let Some((target_base, class)) = tracer.validate_likely_pointer(Addr(raw)) {
-                    edges.push(PointerEdge { offset: word, target: Addr(raw), target_base, masked_bits: 0 });
+                    edges.push(PointerEdge {
+                        offset: word,
+                        target: Addr(raw),
+                        target_base,
+                        target_class: class,
+                        masked_bits: 0,
+                    });
                     if class != RegionClass::Lib {
                         discovered.push((target_base, None));
                     }

@@ -40,16 +40,20 @@
 //! The engine is *resumable*: a [`DeltaPlan`] records, per matched pair, the
 //! placement of every old object in the new version (which startup chunk it
 //! matched, which fresh allocation it received, whether it is pinned) plus
-//! the dirty-epoch stamp of the contents last copied. The iterative pre-copy
-//! phase calls [`precopy_transfer_round`] once per round while the old
-//! version keeps serving: only objects whose dirty epoch exceeds their
-//! copied-at stamp are (re-)copied, and placements are made at most once.
-//! After quiescence [`transfer_residual`] runs the same passes a plain
-//! stop-the-world [`transfer_between`] would run — it re-emits every write
-//! and the full logical report, so reports, conflicts and resulting memory
-//! are byte-identical to the no-pre-copy baseline — but it *charges* only
-//! the residual set that was still stale when the world stopped, which is
-//! what shrinks downtime from O(heap) to O(working set).
+//! the dirty-epoch stamp and length of the contents last copied — one record
+//! per object, in one address-ordered table walked in step with the graph.
+//! The iterative pre-copy phase calls [`precopy_transfer_round`] once per
+//! round while the old version keeps serving: only objects whose dirty epoch
+//! exceeds their copied-at stamp are (re-)copied, and placements are made at
+//! most once. After quiescence [`transfer_residual`] runs the same passes a
+//! plain stop-the-world [`transfer_between`] would run and produces the full
+//! logical report — but it *writes* an object only if its new-heap bytes
+//! would change (it is stale, or its pointer translation can differ from its
+//! last copy's; `CopyMode` states the rule and why it is exact), and it
+//! *charges* only the residual set that was still stale when the world
+//! stopped. Reports, conflicts and resulting memory are those of re-emitting
+//! every write; the window, in simulated and in host time, costs the working
+//! set instead of the heap.
 //!
 //! # Post-copy fault-in transfer
 //!
@@ -82,7 +86,7 @@ use crate::annotations::{pointer_mask, ObjTreatment};
 use crate::error::{Conflict, McrError, McrResult};
 use crate::intern::{Sym, SymbolTable};
 use crate::program::InstanceState;
-use crate::tracing::graph::ObjectOrigin;
+use crate::tracing::graph::{ObjectOrigin, TracedObject};
 use crate::tracing::tracer::TraceResult;
 use crate::transfer::transform::{apply_field_map, compute_field_map, FieldMap};
 
@@ -270,24 +274,61 @@ pub struct ResidualStats {
     pub cost: SimDuration,
 }
 
+/// What a [`DeltaPlan`] remembers about one old object.
+#[derive(Debug, Clone, Copy)]
+struct PlanEntry {
+    /// The object's base address in the old version (the table's key).
+    old_base: u64,
+    /// Where the object lands; `Fresh(NULL)` while its allocation has not
+    /// succeeded, which the next pass treats as "not placed yet".
+    placement: Placement,
+    /// Bytes requested for a `Fresh` placement's chunk (`0` otherwise).
+    alloc: u64,
+    /// Dirty stamp of the contents last copied; `None` until the first copy.
+    copied_at: Option<u64>,
+    /// Bytes the last copy wrote — what the logical report counts for the
+    /// object when the final pass finds nothing to write.
+    len: u64,
+}
+
+impl PlanEntry {
+    /// The entry as a recorded placement for an object that now needs `need`
+    /// bytes if freshly allocated: none while unallocated, and none once the
+    /// object (its address reused by a larger one) outgrew its chunk — it is
+    /// then placed and copied anew rather than written over its neighbours.
+    fn recorded(self, need: u64) -> Option<PlanEntry> {
+        match self.placement {
+            Placement::Fresh(addr) if addr.is_null() || self.alloc < need => None,
+            _ => Some(self),
+        }
+    }
+}
+
 /// The resumable per-pair state of an iterative pre-copy transfer.
 ///
-/// The plan makes the engine idempotent across rounds: placements (matched
-/// startup chunks, fresh allocations, pinned addresses) are decided at most
-/// once per object and reused verbatim afterwards, and `copied_at` remembers
-/// the dirty-epoch stamp of the contents last written, so a round copies
-/// exactly the objects dirtied since their previous copy. A fresh plan run
-/// straight through [`transfer_residual`] reproduces the classic
-/// stop-the-world transfer bit for bit.
+/// The plan makes the engine idempotent across rounds: one address-ordered
+/// table holds, per old object, its placement (matched startup chunk, fresh
+/// allocation, pinned address) — decided at most once and reused verbatim
+/// afterwards — plus the dirty-epoch stamp and length of the contents last
+/// written, so a round copies exactly the objects dirtied since their
+/// previous copy and the final pass knows what every earlier copy wrote. The
+/// table is walked in step with the (address-ordered) object graph, so
+/// finding an object's record costs no lookup. A fresh plan run straight
+/// through [`transfer_residual`] reproduces the classic stop-the-world
+/// transfer bit for bit.
+///
+/// A plan must be driven with *one* graph: the first trace of the pair, kept
+/// current by [`ObjectGraph::retrace_dirty`](crate::tracing::graph::ObjectGraph::retrace_dirty)
+/// — the final pass relies on the ranges that graph recorded as changed.
 #[derive(Debug, Default)]
 pub struct DeltaPlan {
     /// Epoch through which the pair's object graph has been retraced (the
     /// `since` argument of the next delta retrace).
     pub traced_upto: u64,
-    /// Old base address → recorded placement.
-    placed: BTreeMap<u64, Placement>,
-    /// Old base address → dirty stamp of the contents last copied.
-    copied_at: BTreeMap<u64, u64>,
+    /// One record per old object ever placed, sorted by old base address.
+    /// Records of objects that left the graph stay: an address that comes
+    /// back gets its placement back.
+    table: Vec<PlanEntry>,
     /// Unconsumed startup-time chunks of the new version, by interned
     /// allocation site (consumed exactly once across all rounds).
     site_index: Option<BTreeMap<Sym, VecDeque<Addr>>>,
@@ -297,6 +338,13 @@ impl DeltaPlan {
     /// A fresh plan (nothing placed, nothing copied).
     pub fn new() -> Self {
         DeltaPlan::default()
+    }
+
+    /// The recorded placement of the old object at `old_base`.
+    #[cfg(test)]
+    fn placement_of(&self, old_base: Addr) -> Option<Placement> {
+        let at = self.table.binary_search_by_key(&old_base.0, |e| e.old_base).ok()?;
+        Some(self.table[at].placement).filter(|p| *p != Placement::Fresh(Addr::NULL))
     }
 }
 
@@ -504,16 +552,42 @@ pub fn drain_step(
     Ok(stats)
 }
 
-/// Whether a core run copies only the stale delta (a concurrent pre-copy
-/// round) or re-emits everything for the stop-the-world window.
+/// Whether a core run is a concurrent pre-copy round or the pass that
+/// completes the transfer inside the stop-the-world window.
+///
+/// # What the completing passes write
+///
+/// `Final` and `Deferred` leave the new version's memory, the logical report
+/// and the conflicts exactly as writing every transferable object again
+/// would — by writing an object **iff its new-heap bytes would change**. What a write
+/// emits is a function of the object's old bytes, its types and handler
+/// (fixed for the update), whether it is copied verbatim, and — on the
+/// field-map path — the translation of its pointer slots. An object is
+/// therefore written when it is *stale* (never copied, or dirtied since its
+/// last copy), and a clean one only when its translation or its verbatim-ness
+/// can differ from its last copy's: when its own range or the target of one
+/// of its precise edges lies in a range the graph recorded as changed
+/// ([`ObjectGraph::range_changed`](crate::tracing::graph::ObjectGraph::range_changed)
+/// — an object entered, left, changed size or changed pin status there). A
+/// pointer outside every such range resolves to the same object, placed where
+/// it was, as when the holder was last copied; the holder's bytes are
+/// unchanged because it is clean; and no other write overlaps its chunk,
+/// which is sized for everything written into it — so the bytes already in
+/// the new heap are the bytes a re-emission would write. Statics, whose
+/// annotations can make the traced edges differ from the typed pointer
+/// slots, are re-emitted whenever any range changed; there are few. Every
+/// transferable object is still *counted* (at the length its last copy
+/// recorded), so the report does not depend on how much was pre-copied; only
+/// the write counter ([`TransferContext::writes_performed`]) sees the
+/// difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CopyMode {
     /// Concurrent round: copy stale objects only; conflicts are *not*
     /// recorded (the final pass re-detects and reports them), failed
     /// placements are simply left for the window.
     Round,
-    /// Stop-the-world: write every transferable object (byte-identical
-    /// memory and reports to a no-pre-copy run) but charge only the residual.
+    /// Stop-the-world: leave memory and reports byte-identical to a
+    /// no-pre-copy run, write what can have changed, charge the residual.
     Final,
     /// Post-copy commit: identical placements, conflicts and logical report
     /// to `Final`, but the stale writes are prepared and *parked* in a
@@ -626,25 +700,33 @@ pub fn list_schedule_makespan(costs: &[SimDuration], workers: usize) -> SimDurat
     SimDuration(load.into_iter().max().unwrap_or(0))
 }
 
-/// Splits `costs` (one estimated cost per object, in address order) into up
-/// to `shards` contiguous ranges of roughly equal cumulative cost. Returns
-/// the shard id per object; deterministic, so the shard assignment — and
-/// with it the charged makespan — never depends on host scheduling.
-pub(crate) fn partition_contiguous(costs: &[u64], shards: usize) -> Vec<usize> {
+/// The shard, of `shards` contiguous ranges of roughly equal cumulative cost,
+/// that an item belongs to when the midpoint of its cost lies `mid` into a
+/// list costing `total`. Monotone in `mid`, so the ranges are contiguous; a
+/// pure function of the costs, so the shard assignment — and with it the
+/// charged makespan — never depends on host scheduling.
+fn shard_at(mid: u64, total: u64, shards: usize) -> usize {
     let shards = shards.max(1);
-    let total: u64 = costs.iter().sum();
-    let mut out = Vec::with_capacity(costs.len());
-    let mut cum = 0u64;
-    for &cost in costs {
-        // The shard whose cumulative-cost window the item's midpoint lands
-        // in; monotone in `cum`, so the ranges are contiguous.
-        let mid = cum + cost / 2;
-        let shard =
-            if total == 0 { 0 } else { (((mid as u128) * shards as u128) / total.max(1) as u128) as usize };
-        out.push(shard.min(shards - 1));
-        cum += cost;
+    if total == 0 {
+        return 0;
     }
-    out
+    ((((mid as u128) * shards as u128) / total as u128) as usize).min(shards - 1)
+}
+
+/// Splits `costs` (one estimated cost per object, in address order) into up
+/// to `shards` contiguous ranges of roughly equal cumulative cost
+/// ([`shard_at`]). Returns the shard id per object.
+pub(crate) fn partition_contiguous(costs: &[u64], shards: usize) -> Vec<usize> {
+    let total: u64 = costs.iter().sum();
+    let mut cum = 0u64;
+    costs
+        .iter()
+        .map(|&cost| {
+            let shard = shard_at(cum + cost / 2, total, shards);
+            cum += cost;
+            shard
+        })
+        .collect()
 }
 
 /// How one object's contents reach the new version, decided by the parallel
@@ -757,13 +839,17 @@ pub fn precopy_transfer_round(
     Ok(outcome.round)
 }
 
-/// The stop-the-world pass of a pre-copied transfer: runs the full transfer
+/// The stop-the-world pass of a pre-copied transfer: plans the full transfer
 /// over the final (quiescent) object graph, reusing every placement `delta`
-/// recorded, and re-emits every write — so the resulting memory, the
-/// [`ProcessTransferReport`] and its conflicts are byte-identical to a plain
-/// [`transfer_between`] of the same graph. The returned [`ResidualStats`]
-/// cover only the objects that were still stale when the world stopped;
-/// their cost is what the caller charges as downtime.
+/// recorded, and writes each object whose new-heap bytes would change — the
+/// stale ones, and clean ones whose pointer translation can differ from
+/// their last copy's — so the resulting memory, the
+/// [`ProcessTransferReport`] (which counts every transferable object) and
+/// its conflicts are those of re-emitting every write. With a fresh `delta`
+/// everything is stale and this is the plain [`transfer_between`]. The
+/// returned [`ResidualStats`] cover only the objects that were still stale
+/// when the world stopped; their cost is what the caller charges as
+/// downtime.
 ///
 /// # Errors
 ///
@@ -810,6 +896,14 @@ pub fn postcopy_commit(
     Ok((outcome.report, outcome.residual, outcome.pending))
 }
 
+// Makes the completing passes of this thread re-emit every transferable
+// object — the form "write iff the new-heap bytes would change" replaced,
+// kept as the reference its equivalence tests compare against.
+#[cfg(test)]
+thread_local! {
+    static EMIT_EVERYTHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run_transfer(
     plan: &TransferContext,
@@ -831,6 +925,19 @@ fn run_transfer(
     let final_mode = mode != CopyMode::Round;
     let deferred = mode == CopyMode::Deferred;
     let graph = &trace.graph;
+    #[cfg(test)]
+    let emit_everything = EMIT_EVERYTHING.get();
+    #[cfg(not(test))]
+    let emit_everything = false;
+    // Whether a clean, already copied object has to be written again by a
+    // completing pass (see [`CopyMode`]).
+    let statics_may_differ = graph.any_changed();
+    let may_differ = |obj: &TracedObject| {
+        emit_everything
+            || obj.origin.is_static() && statics_may_differ
+            || graph.range_changed(obj.addr)
+            || obj.precise_pointers.iter().any(|e| graph.range_changed(e.target))
+    };
 
     // ------------------------------------------------------------------
     // Pass 1 (read-only, once per plan): index the new version's
@@ -854,15 +961,22 @@ fn run_transfer(
     }
 
     // ------------------------------------------------------------------
-    // Pass 2: placement decisions and conflict detection. Placements are
-    // looked up in the delta plan first — an object placed by an earlier
+    // Pass 2: placement decisions, conflict detection and the logical
+    // report, one step per object of the graph with the plan's table walked
+    // alongside (both are in address order). An object placed by an earlier
     // round keeps its slot, so pre-copied contents stay valid and pointer
-    // rewriting is stable across rounds.
+    // rewriting is stable across rounds. Only the objects this run writes
+    // are carried into the later passes; a clean object a completing pass
+    // leaves alone is counted here, at the length its last copy recorded.
     // ------------------------------------------------------------------
     struct Planned {
         old_base: Addr,
-        placement: Placement,
-        write_contents: bool,
+        /// Where the object lands; null until pass 3 allocated its chunk.
+        new_base: Addr,
+        /// The object's record in the plan's table.
+        entry: usize,
+        /// Its slot in the address map.
+        mapped: usize,
         stale: bool,
         old_ty: Option<TypeId>,
         new_ty: Option<TypeId>,
@@ -871,24 +985,38 @@ fn run_transfer(
         raw_copy: bool,
         size: u64,
         dirty_epoch: u64,
+        /// Estimated cost of the logical writes before this one: its
+        /// position in the cost-balanced shard partition.
+        cost_before: u64,
     }
+    let est_cost = |size: u64| 2_000 + 2 * size.max(1);
     let mut planned: Vec<Planned> = Vec::new();
+    // Old base → new base of every object placed in this run, appended in
+    // the graph's (strictly increasing) address order.
+    let mut addr_map: Vec<(u64, u64)> = Vec::with_capacity(graph.len());
+    // Estimated cost of the run's whole logical write set.
+    let mut logical_cost = 0u64;
     // Regions that must exist in the new process to host pinned objects.
     let mut needed_regions: Vec<(Addr, u64, String)> = Vec::new();
     {
-        let DeltaPlan { placed, copied_at, site_index, .. } = &mut *delta;
-        let site_index = site_index.as_mut().expect("built above");
+        let site_index = delta.site_index.as_mut().expect("built above");
+        let mut table: Vec<PlanEntry> = Vec::with_capacity(delta.table.len().max(graph.len()));
+        let mut records = std::mem::take(&mut delta.table).into_iter().peekable();
         for obj in graph.iter() {
+            // Records of objects no longer in the graph are kept.
+            while let Some(record) = records.next_if(|r| r.old_base < obj.addr.0) {
+                table.push(record);
+            }
             // Library state is not transferred by default.
             if matches!(obj.origin, ObjectOrigin::Lib { .. }) {
                 continue;
             }
             // Symbol-level annotations can exclude objects entirely.
             let symbol = match &obj.origin {
-                ObjectOrigin::Static { symbol } => Some(Arc::clone(symbol)),
+                ObjectOrigin::Static { symbol } => Some(symbol),
                 _ => None,
             };
-            if let Some(sym) = &symbol {
+            if let Some(sym) = symbol {
                 if matches!(old_state.annotations.obj_treatment(sym), Some(ObjTreatment::SkipTransfer)) {
                     continue;
                 }
@@ -920,28 +1048,21 @@ fn run_transfer(
                 continue;
             }
 
-            let site_name = match &obj.origin {
-                ObjectOrigin::Heap { site } | ObjectOrigin::Pool { site } => site.clone(),
-                _ => None,
-            };
-            let mask_bits = symbol
-                .as_ref()
-                .and_then(|s| old_state.annotations.obj_treatment(s))
-                .and_then(|t| match t {
-                    ObjTreatment::EncodedPointers { mask_bits } => Some(*mask_bits),
-                    _ => None,
+            // A fresh chunk holds exactly what pass 4's element-wise
+            // transform emits: one new-version element per old one.
+            let fresh_size = new_ty
+                .map(|t| new_state.types.size_of(t))
+                .filter(|s| *s > 0)
+                .map(|new_stride| {
+                    let old_stride = old_ty.map_or(0, |t| old_state.types.size_of(t)).max(1);
+                    new_stride * (obj.size / old_stride).max(1)
                 })
-                .unwrap_or(0);
-            let transform_key = symbol
-                .as_ref()
-                .filter(|s| new_state.annotations.transform(s).is_some())
-                .map(Arc::clone)
-                .or_else(|| bridge.filter(|b| b.has_type_transform).map(|b| Arc::clone(&b.old_name)));
-
-            let placement = match placed.get(&obj.addr.0) {
-                Some(recorded) => *recorded,
+                .unwrap_or(obj.size);
+            let recorded = records.next_if(|r| r.old_base == obj.addr.0).and_then(|r| r.recorded(fresh_size));
+            let mut entry = match recorded {
+                Some(entry) => entry,
                 None => {
-                    let decided = match &obj.origin {
+                    let placement = match &obj.origin {
                         ObjectOrigin::Static { symbol } => match new_state.statics.lookup(symbol) {
                             Some(new_obj) => Placement::Existing(new_obj.addr),
                             None => {
@@ -954,12 +1075,12 @@ fn run_transfer(
                             }
                         },
                         ObjectOrigin::Mmap => Placement::Pinned(obj.addr),
-                        ObjectOrigin::Heap { .. } | ObjectOrigin::Pool { .. } => {
+                        ObjectOrigin::Heap { site } | ObjectOrigin::Pool { site } => {
                             if obj.immutable {
                                 Placement::Pinned(obj.addr)
                             } else if obj.startup {
-                                match site_name
-                                    .as_ref()
+                                match site
+                                    .as_deref()
                                     .and_then(|n| plan.site_sym(n))
                                     .and_then(|sym| site_index.get_mut(&sym))
                                     .and_then(|q| q.pop_front())
@@ -973,59 +1094,102 @@ fn run_transfer(
                         }
                         ObjectOrigin::Lib { .. } => continue,
                     };
-                    // Fresh placements are recorded after allocation below;
-                    // resolved slots are recorded right away.
-                    if !matches!(decided, Placement::Fresh(_)) {
-                        placed.insert(obj.addr.0, decided);
-                    }
-                    decided
+                    PlanEntry { old_base: obj.addr.0, placement, alloc: 0, copied_at: None, len: 0 }
                 }
             };
 
-            if let Placement::Pinned(addr) = placement {
-                if !new_proc.space().is_valid_range(addr, obj.size.max(1) as usize) {
-                    if let Some(region) = old_proc.space().region_containing(addr) {
-                        needed_regions.push((
-                            region.base(),
-                            region.size(),
-                            format!("inherited:{}", region.name()),
-                        ));
+            let new_base = match entry.placement {
+                Placement::Existing(addr) => addr,
+                Placement::Pinned(addr) => {
+                    if !new_proc.space().is_valid_range(addr, obj.size.max(1) as usize) {
+                        if let Some(region) = old_proc.space().region_containing(addr) {
+                            needed_regions.push((
+                                region.base(),
+                                region.size(),
+                                format!("inherited:{}", region.name()),
+                            ));
+                        }
                     }
+                    if final_mode {
+                        report.objects_pinned += 1;
+                    }
+                    addr
                 }
-            }
+                Placement::Fresh(addr) => {
+                    if addr.is_null() {
+                        // Allocated by pass 3, which also counts it.
+                        entry.alloc = fresh_size.max(1);
+                    } else if final_mode {
+                        // Allocated by an earlier pre-copy round.
+                        report.objects_allocated += 1;
+                    }
+                    addr
+                }
+            };
 
-            let write_contents = obj.is_dirty() || obj.immutable || matches!(placement, Placement::Fresh(_));
+            let write_contents =
+                obj.is_dirty() || obj.immutable || matches!(entry.placement, Placement::Fresh(_));
             if final_mode && !write_contents {
                 report.objects_skipped_clean += 1;
             }
-            let raw_copy = obj.non_updatable || old_ty.is_none();
-            let stale = match copied_at.get(&obj.addr.0) {
+            let stale = match entry.copied_at {
                 None => true,
                 // Dirty tracking disabled: everything is always stale.
                 Some(_) if obj.dirty_epoch == u64::MAX => true,
-                Some(&copied) => obj.dirty_epoch > copied,
+                Some(copied) => obj.dirty_epoch > copied,
             };
-            planned.push(Planned {
-                old_base: obj.addr,
-                placement,
-                write_contents,
-                stale,
-                old_ty,
-                new_ty,
-                transform_key,
-                mask_bits,
-                raw_copy,
-                size: obj.size,
-                dirty_epoch: obj.dirty_epoch,
-            });
+            // The run's logical write set — everything transferable for a
+            // completing pass, the stale delta for a round — and the part of
+            // it whose bytes this run has to produce.
+            let logical = write_contents && (final_mode || stale);
+            let written = logical && (stale || may_differ(obj));
+            debug_assert!(written || !new_base.is_null(), "an unallocated object was never copied");
+            if written {
+                let mask_bits = symbol
+                    .and_then(|s| old_state.annotations.obj_treatment(s))
+                    .and_then(|t| match t {
+                        ObjTreatment::EncodedPointers { mask_bits } => Some(*mask_bits),
+                        _ => None,
+                    })
+                    .unwrap_or(0);
+                let transform_key = symbol
+                    .filter(|s| new_state.annotations.transform(s).is_some())
+                    .map(Arc::clone)
+                    .or_else(|| bridge.filter(|b| b.has_type_transform).map(|b| Arc::clone(&b.old_name)));
+                planned.push(Planned {
+                    old_base: obj.addr,
+                    new_base,
+                    entry: table.len(),
+                    mapped: addr_map.len(),
+                    stale,
+                    old_ty,
+                    new_ty,
+                    transform_key,
+                    mask_bits,
+                    raw_copy: obj.non_updatable || old_ty.is_none(),
+                    size: obj.size,
+                    dirty_epoch: obj.dirty_epoch,
+                    cost_before: logical_cost,
+                });
+            } else if logical {
+                report.objects_transferred += 1;
+                report.bytes_transferred += entry.len;
+            }
+            if logical {
+                logical_cost += est_cost(obj.size);
+            }
+            table.push(entry);
+            addr_map.push((obj.addr.0, new_base.0));
         }
+        table.extend(records);
+        delta.table = table;
     }
 
     // ------------------------------------------------------------------
     // Pass 3 (mutating the new process): map inherited regions for pinned
-    // objects and perform fresh allocations; build the address map.
+    // objects and perform fresh allocations, in address order; complete the
+    // address map.
     // ------------------------------------------------------------------
-    let mut addr_map: Vec<(u64, u64)> = Vec::with_capacity(planned.len());
     {
         let mut mapped: BTreeSet<u64> = BTreeSet::new();
         for (base, size, name) in needed_regions {
@@ -1044,73 +1208,61 @@ fn run_transfer(
             mapped.insert(base.0);
         }
     }
-    for p in &mut planned {
-        let new_base = match p.placement {
-            Placement::Existing(addr) => addr,
-            Placement::Pinned(addr) => {
-                if final_mode {
-                    report.objects_pinned += 1;
-                }
-                addr
-            }
-            Placement::Fresh(addr) if !addr.is_null() => {
-                // Allocated by an earlier pre-copy round.
+    let mut unplaced: Vec<usize> = Vec::new();
+    for (k, p) in planned.iter_mut().enumerate().filter(|(_, p)| p.new_base.is_null()) {
+        // Allocate in the new version's heap with the new type tag.
+        let tag = p.new_ty.map(|t| TypeTag(t.0)).unwrap_or(TypeTag(0));
+        let site = AllocSite(0);
+        let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
+        match heap.malloc(space, delta.table[p.entry].alloc, site, tag) {
+            Ok(addr) => {
                 if final_mode {
                     report.objects_allocated += 1;
                 }
-                addr
+                p.new_base = addr;
+                delta.table[p.entry].placement = Placement::Fresh(addr);
+                addr_map[p.mapped].1 = addr.0;
             }
-            Placement::Fresh(_) => {
-                // Allocate in the new version's heap with the new type tag.
-                let size = p.new_ty.map(|t| new_state.types.size_of(t)).filter(|s| *s > 0).unwrap_or(p.size);
-                let tag = p.new_ty.map(|t| TypeTag(t.0)).unwrap_or(TypeTag(0));
-                let site = AllocSite(0);
-                let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
-                match heap.malloc(space, size.max(1), site, tag) {
-                    Ok(addr) => {
-                        if final_mode {
-                            report.objects_allocated += 1;
-                        }
-                        p.placement = Placement::Fresh(addr);
-                        delta.placed.insert(p.old_base.0, Placement::Fresh(addr));
-                        addr
-                    }
-                    Err(e) => {
-                        if final_mode {
-                            report.conflicts.push(Conflict::ImmutablePlacementFailed {
-                                object: format!("heap object at {}", p.old_base),
-                                detail: e.to_string(),
-                            });
-                        }
-                        continue;
-                    }
+            Err(e) => {
+                if final_mode {
+                    report.conflicts.push(Conflict::ImmutablePlacementFailed {
+                        object: format!("heap object at {}", p.old_base),
+                        detail: e.to_string(),
+                    });
                 }
+                unplaced.push(k);
             }
-        };
-        debug_assert!(
-            addr_map.last().is_none_or(|&(last, _)| last < p.old_base.0),
-            "the graph iterates in address order, so the map is appended sorted"
-        );
-        addr_map.push((p.old_base.0, new_base.0));
+        }
     }
+    // An object whose allocation failed is neither written nor a target of
+    // pointer translation, and it leaves the logical write set.
+    for &k in unplaced.iter().rev() {
+        let gone = planned.remove(k);
+        let cost = est_cost(gone.size);
+        logical_cost -= cost;
+        for later in &mut planned[k..] {
+            later.cost_before -= cost;
+        }
+    }
+    if !unplaced.is_empty() {
+        addr_map.retain(|&(_, new_base)| new_base != 0);
+    }
+    debug_assert!(
+        addr_map.windows(2).all(|w| w[0].0 < w[1].0),
+        "the graph iterates in address order, so the map is appended sorted"
+    );
 
     // ------------------------------------------------------------------
     // Pass 4 (read-only, shard-parallel): snapshot and transform the bytes
-    // of every object whose contents must be written in this mode —
-    // everything transferable for the stop-the-world pass, only the stale
-    // delta for a concurrent pre-copy round. The object list (already in
-    // address order) is split into contiguous address-range shards of
-    // roughly equal cost; each shard worker reuses one scratch buffer
+    // of every object this run writes. The list (already in address order)
+    // is split into contiguous address-range shards by where each write
+    // falls in the cost-balanced partition of the run's *logical* write
+    // set, so a write is charged to the same shard however much of that
+    // set was pre-copied; each shard worker reuses one scratch buffer
     // (`AddressSpace::read_into`) instead of allocating a `Vec` per object,
     // and verbatim objects skip the snapshot entirely (the apply pass
     // copies them space-to-space).
     // ------------------------------------------------------------------
-    let writes: Vec<(usize, Addr)> = planned
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.write_contents && (final_mode || p.stale))
-        .filter_map(|(i, p)| new_base_of(&addr_map, p.old_base.0).map(|nb| (i, Addr(nb))))
-        .collect();
     // The type pair of an object that takes the structural field-map path.
     let typed_pair = |p: &Planned| match (&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
         (None, false, Some(old_ty), Some(new_ty)) => Some((old_ty, new_ty)),
@@ -1120,14 +1272,16 @@ fn run_transfer(
     // pair of the write set, before the shard workers start, and share the
     // table read-only.
     let mut field_maps: BTreeMap<(TypeId, TypeId), FieldMap> = BTreeMap::new();
-    for (old_ty, new_ty) in writes.iter().filter_map(|&(i, _)| typed_pair(&planned[i])) {
+    for (old_ty, new_ty) in planned.iter().filter_map(typed_pair) {
         field_maps
             .entry((old_ty, new_ty))
             .or_insert_with(|| compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty));
     }
     let shards = plan.intra_pair_shards();
-    let est_costs: Vec<u64> = writes.iter().map(|&(i, _)| 2_000 + 2 * planned[i].size.max(1)).collect();
-    let shard_of = partition_contiguous(&est_costs, shards);
+    let shard_of: Vec<usize> = planned
+        .iter()
+        .map(|p| shard_at(p.cost_before + est_cost(p.size) / 2, logical_cost, shards))
+        .collect();
     let prepare = |p: &Planned, scratch: &mut Vec<u8>| -> Prepared {
         if Prepared::is_verbatim(&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
             // Reproduce the historical skip: unreadable old bytes drop the
@@ -1163,12 +1317,12 @@ fn run_transfer(
         }
         Prepared::Bytes(out)
     };
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(writes.len());
-    if shards <= 1 || writes.len() < 2 * shards {
+    let mut prepared: Vec<Prepared> = Vec::with_capacity(planned.len());
+    if shards <= 1 || planned.len() < 2 * shards {
         let mut scratch = Vec::new();
-        prepared.extend(writes.iter().map(|&(i, _)| prepare(&planned[i], &mut scratch)));
+        prepared.extend(planned.iter().map(|p| prepare(p, &mut scratch)));
     } else {
-        prepared.resize_with(writes.len(), || Prepared::Skip);
+        prepared.resize_with(planned.len(), || Prepared::Skip);
         // Hand each shard its contiguous slice of the result vector; the
         // shard ranges are contiguous by construction.
         let mut slices: Vec<(&mut [Prepared], usize)> = Vec::new();
@@ -1183,14 +1337,12 @@ fn run_transfer(
         }
         std::thread::scope(|scope| {
             let prepare = &prepare;
-            let writes = &writes;
             let planned = &planned;
             for (slice, offset) in slices {
                 scope.spawn(move || {
                     let mut scratch = Vec::new();
                     for (k, slot) in slice.iter_mut().enumerate() {
-                        let (pidx, _) = writes[offset + k];
-                        *slot = prepare(&planned[pidx], &mut scratch);
+                        *slot = prepare(&planned[offset + k], &mut scratch);
                     }
                 });
             }
@@ -1199,15 +1351,15 @@ fn run_transfer(
 
     // ------------------------------------------------------------------
     // Pass 5 (serial, deterministic): apply the prepared contents in
-    // address order — fault counting, conflict detection, `copied_at`
-    // stamping and the report are byte-identical to the serial engine for
-    // every shard count. The per-shard charge of each applied write feeds
-    // the list-schedule makespan below.
+    // address order — fault counting, conflict detection, stamping the
+    // plan's records and the report are byte-identical to the serial engine
+    // for every shard count. The per-shard charge of each applied write
+    // feeds the list-schedule makespan below.
     // ------------------------------------------------------------------
     let mut shard_residual = vec![SimDuration(0); shards];
     let mut shard_round = vec![SimDuration(0); shards];
-    for (k, (&(pidx, new_base), outcome)) in writes.iter().zip(prepared.iter()).enumerate() {
-        let p = &planned[pidx];
+    for (k, (p, outcome)) in planned.iter().zip(prepared.iter()).enumerate() {
+        let new_base = p.new_base;
         if matches!(outcome, Prepared::Skip) {
             continue;
         }
@@ -1281,7 +1433,9 @@ fn run_transfer(
                 len
             }
         };
-        delta.copied_at.insert(p.old_base.0, p.dirty_epoch);
+        let record = &mut delta.table[p.entry];
+        record.copied_at = Some(p.dirty_epoch);
+        record.len = len as u64;
         let cost = SimDuration(2_000 + 2 * len as u64);
         if final_mode {
             report.objects_transferred += 1;
@@ -1790,7 +1944,7 @@ mod tests {
                 let target = raw & !mask;
                 let moved =
                     trace.graph.object_containing(Addr(target)).filter(|_| raw != 0).and_then(|t| {
-                        delta.placed.get(&t.addr.0).map(|p| placed_at(*p).0 + (target - t.addr.0))
+                        delta.placement_of(t.addr).map(|p| placed_at(p).0 + (target - t.addr.0))
                     });
                 if let Some(new_target) = moved {
                     elem[new_off..new_off + 8].copy_from_slice(&(new_target | (raw & mask)).to_le_bytes());
@@ -1882,7 +2036,7 @@ mod tests {
                     continue;
                 };
                 assert!(!obj.non_updatable, "every typed object of the scenario takes the field-map path");
-                let new_base = placed_at(delta.placed[&obj.addr.0]);
+                let new_base = placed_at(delta.placement_of(obj.addr).unwrap());
                 let old_bytes = old_proc.space().read_bytes(obj.addr, obj.size as usize).unwrap();
                 let tagged = matches!(&obj.origin, ObjectOrigin::Static { symbol } if &**symbol == "tagged");
                 let mask = if tagged { 0b11 } else { 0 };
@@ -1913,14 +2067,21 @@ mod tests {
             for k in 0..3u64 {
                 assert_eq!(space.read_u32(new_arr.offset(24 * k)).unwrap(), 900 + k as u32);
             }
-            assert_eq!(space.read_u64(new_arr.offset(8)).unwrap(), placed_at(delta.placed[&nodes[3].0]).0);
+            assert_eq!(
+                space.read_u64(new_arr.offset(8)).unwrap(),
+                placed_at(delta.placement_of(nodes[3]).unwrap()).0
+            );
             assert_eq!(space.read_u64(new_arr.offset(24 + 8)).unwrap(), new_arr.0 + 32);
             assert_eq!(
                 space.read_u64(global("tagged")).unwrap(),
-                placed_at(delta.placed[&nodes[5].0]).0 | 0b10
+                placed_at(delta.placement_of(nodes[5]).unwrap()).0 | 0b10
             );
             let new_conf = Addr(space.read_u64(global("conf")).unwrap());
-            assert_eq!(new_conf, placed_at(delta.placed[&conf.0]), "startup conf matched by site");
+            assert_eq!(
+                new_conf,
+                placed_at(delta.placement_of(conf).unwrap()),
+                "startup conf matched by site"
+            );
             assert_eq!(
                 (space.read_u32(new_conf).unwrap(), space.read_u32(new_conf.offset(4)).unwrap()),
                 (8080, 4)
@@ -1928,6 +2089,61 @@ mod tests {
             (report, landed)
         };
         assert_eq!(run(1), run(4), "shard count changed the written bytes or the report");
+    }
+
+    /// A fresh chunk is sized for everything pass 4 emits into it: an array
+    /// of three 16-byte `l_t` becomes three 24-byte elements in a chunk that
+    /// holds 72 bytes, and the chunk allocated right behind it keeps its
+    /// header and its payload.
+    #[test]
+    fn fresh_chunks_hold_every_element_of_an_array() {
+        let mut kernel = Kernel::new();
+        let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+        register_v1_types(&mut old_state);
+        let old_tid = kernel.process(old_pid).unwrap().main_tid();
+        kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+        let arr = alloc_node_array(&mut kernel, &mut old_state, old_pid, 3);
+        {
+            let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+            let list = env.define_global("list", "l_t").unwrap();
+            let behind = env.alloc("l_t", "handle_event:node").unwrap();
+            env.write_u32(behind, 77).unwrap();
+            env.write_ptr(list.offset(8), arr).unwrap();
+            for (k, next) in [arr.offset(16), arr.offset(32), behind].into_iter().enumerate() {
+                env.write_u32(arr.offset(16 * k as u64), 900 + k as u32).unwrap();
+                env.write_ptr(arr.offset(16 * k as u64 + 8), next).unwrap();
+            }
+        }
+        let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
+        register_v2_types_two_changed(&mut new_state);
+        let new_tid = kernel.process(new_pid).unwrap().main_tid();
+        ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main")
+            .define_global("list", "l_t")
+            .unwrap();
+        kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
+
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+        assert_eq!(report.objects_allocated, 2, "the array and the node behind it");
+
+        let new_proc = kernel.process(new_pid).unwrap();
+        let (space, heap) = (new_proc.space(), new_proc.heap().unwrap());
+        let new_list = new_state.statics.lookup("list").unwrap().addr;
+        let new_arr = Addr(space.read_u64(new_list.offset(8)).unwrap());
+        let chunk = heap.chunk_containing(space, new_arr).expect("the array's chunk");
+        assert_eq!(chunk.payload, new_arr);
+        assert!(chunk.size >= 3 * 24, "new stride x count: {chunk:?}");
+        for k in 0..3u64 {
+            assert_eq!(space.read_u32(new_arr.offset(24 * k)).unwrap(), 900 + k as u32);
+        }
+        assert_eq!(space.read_u64(new_arr.offset(8)).unwrap(), new_arr.0 + 16, "old-layout interior delta");
+        let new_behind = Addr(space.read_u64(new_arr.offset(48 + 8)).unwrap());
+        let neighbour = heap.chunk_containing(space, new_behind).expect("the neighbour's header is intact");
+        assert_eq!((neighbour.payload, neighbour.type_tag), (new_behind, chunk.type_tag));
+        assert!(neighbour.size >= 24 && new_behind.0 >= new_arr.0 + chunk.size);
+        assert_eq!(space.read_u32(new_behind).unwrap(), 77, "the neighbour's payload is intact");
+        assert_eq!(space.read_u64(new_behind.offset(8)).unwrap(), 0);
     }
 
     /// The binary-searched address map is valid only if pass 3 sees the
@@ -2006,7 +2222,7 @@ mod tests {
                 "{mode:?}: {:?}",
                 outcome.report.conflicts
             );
-            assert!(!delta.placed.contains_key(&big.0), "{mode:?}: the blob was never placed");
+            assert!(delta.placement_of(big).is_none(), "{mode:?}: the blob was never placed");
             if mode == CopyMode::Deferred {
                 // Land the parked writes the way the drainer would.
                 while !outcome.pending.is_drained() {
@@ -2018,12 +2234,324 @@ mod tests {
             let global = |symbol: &str| new_state.statics.lookup(symbol).unwrap().addr;
             let mut node = Addr(space.read_u64(global("list").offset(8)).unwrap());
             for (i, old_node) in nodes.iter().enumerate() {
-                assert_eq!(node, placed_at(delta.placed[&old_node.0]), "{mode:?}: node {i} translated");
+                assert_eq!(
+                    node,
+                    placed_at(delta.placement_of(*old_node).unwrap()),
+                    "{mode:?}: node {i} translated"
+                );
                 assert_eq!(space.read_u32(node).unwrap(), 10 + i as u32, "{mode:?}");
                 node = Addr(space.read_u64(node.offset(8)).unwrap());
             }
             assert!(node.is_null());
             assert_eq!(space.read_u64(global("legacy_ref")).unwrap(), big.0, "{mode:?}: untranslated");
+        }
+    }
+
+    /// Runs `body` with this thread's completing passes re-emitting every
+    /// transferable object — the reference "write iff changed" is held to.
+    fn emitting_everything<R>(body: impl FnOnce() -> R) -> R {
+        EMIT_EVERYTHING.set(true);
+        let out = body();
+        EMIT_EVERYTHING.set(false);
+        out
+    }
+
+    /// Everything a pre-copied transfer leaves behind that a later observer
+    /// could tell apart.
+    #[derive(Debug, PartialEq)]
+    struct Transferred {
+        rounds: Vec<PrecopyRoundReport>,
+        report: ProcessTransferReport,
+        residual: ResidualStats,
+        /// The parked set of a deferred commit: old base, new base, length
+        /// and prepared bytes, in drain order.
+        parked: Vec<(Addr, Addr, usize, Option<Vec<u8>>)>,
+        /// Checksum of every non-zero page of the new process.
+        memory: Vec<(Addr, u64)>,
+        /// Writes the completing pass performed, and the objects it found
+        /// stale, re-translatable, and transferable at all.
+        final_writes: u64,
+        retranslatable: u64,
+    }
+
+    fn memory_of(process: &Process) -> Vec<(Addr, u64)> {
+        let mut pages = Vec::new();
+        for region in process.space().regions() {
+            for (i, page) in region.pages().enumerate() {
+                if let Some(bytes) = page.filter(|bytes| bytes.iter().any(|&b| b != 0)) {
+                    let addr = region.base().offset(i as u64 * mcr_procsim::PAGE_SIZE);
+                    pages.push((addr, mcr_procsim::checksum64(bytes, 0)));
+                }
+            }
+        }
+        pages
+    }
+
+    /// Three rounds of pre-copy over a list of page-separated nodes, the old
+    /// version running in between: stores that change no edge; a free that
+    /// leaves a dangling pointer in a clean heap object; a node's address
+    /// reused by a larger object (it outgrows its chunk) and by a smaller
+    /// one (an interior pointer into it, held by a clean object, now lands
+    /// nowhere); a new node; a hidden pointer that pins a clean, already
+    /// copied object, turning its copy verbatim. Then the completing pass in
+    /// `mode`.
+    fn precopied_transfer(mode: CopyMode, shards: usize) -> Transferred {
+        let mut kernel = Kernel::new();
+        let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+        register_v1_types(&mut old_state);
+        let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
+        register_v2_types_two_changed(&mut new_state);
+        for state in [&mut old_state, &mut new_state] {
+            // `pair_s` is the same in both versions: pinning it is no conflict.
+            let long = state.types.int("long", 8);
+            let node_ptr = state.types.lookup("l_t*").unwrap();
+            let pair =
+                state.types.struct_type("pair_s", vec![Field::new("a", long), Field::new("p", node_ptr)]);
+            state.types.pointer("pair_s*", pair);
+        }
+        // `blob_s` changes, and its buffer can hide a pointer: while it does,
+        // the blob cannot be transferred at all.
+        let buf = old_state.types.char_array("char[8]", 8);
+        let long = old_state.types.lookup("long").unwrap();
+        old_state.types.struct_type("blob_s", vec![Field::new("tag", long), Field::new("buf", buf)]);
+        let buf = new_state.types.char_array("char[8]", 8);
+        let long = new_state.types.lookup("long").unwrap();
+        new_state.types.struct_type(
+            "blob_s",
+            vec![Field::new("tag", long), Field::new("gen", long), Field::new("buf", buf)],
+        );
+        // `unfollowed` sits on a static page nothing else dirties.
+        let globals = [
+            ("unfollowed", "l_t*"),
+            ("list", "l_t"),
+            ("side", "l_t*"),
+            ("interior", "l_t*"),
+            ("ahead", "l_t*"),
+            ("blob", "l_t*"),
+            ("pair", "pair_s*"),
+            ("pair2", "pair_s*"),
+        ];
+        let l_t = old_state.types.lookup("l_t").unwrap();
+        let site = old_state.sites.register("handle_event:reused", Some(l_t));
+        let old_tid = kernel.process(old_pid).unwrap().main_tid();
+        kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+        // Every object sits alone on its page, so dirtying one leaves the
+        // others clean, with room behind it (an unreachable chunk, freed
+        // when the room is needed) to grow into.
+        let pair_s = old_state.types.lookup("pair_s").unwrap();
+        let pair_site = old_state.sites.register("handle_event:pair", Some(pair_s));
+        let mut alone = |size: u64, site: AllocSite, ty: TypeId| {
+            let (space, heap) = kernel.process_mut(old_pid).unwrap().space_and_heap_mut().unwrap();
+            let object = heap.malloc(space, size, site, TypeTag(ty.0)).unwrap();
+            heap.malloc(space, 96, AllocSite(0), TypeTag(0)).unwrap();
+            heap.malloc(space, mcr_procsim::PAGE_SIZE, AllocSite(0), TypeTag(0)).unwrap();
+            object
+        };
+        // Twelve list nodes (node 8 is an array of two); side → holder →
+        // freed ← unfollowed (a static whose annotation hides its pointer
+        // from the tracer, not from the transfer); interior → a node pointing
+        // into the second element of node 8; ahead → a node pointing at a
+        // free chunk, where an object will appear; pair → a `pair_s` naming
+        // node 10; blob → a node pointing at a `blob_s` whose buffer hides a
+        // pointer to a second `pair_s`.
+        let nodes: Vec<Addr> = (0..12).map(|i| alone(if i == 8 { 32 } else { 16 }, site, l_t)).collect();
+        let [holder, freed, into, ahead] = [0; 4].map(|_| alone(16, site, l_t));
+        let appears = alone(48, site, l_t);
+        let [pinned, pinned_by_blob] = [0; 2].map(|_| alone(16, pair_site, pair_s));
+        let blob_s = old_state.types.lookup("blob_s").unwrap();
+        let blob_site = old_state.sites.register("handle_event:blob", Some(blob_s));
+        let (blob, blob_holder) = (alone(16, blob_site, blob_s), alone(16, site, l_t));
+        let (list, hidden);
+        {
+            let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+            let unfollowed = env.define_global("unfollowed", "l_t*").unwrap();
+            env.add_obj_handler("unfollowed", ObjTreatment::PointerSlots(Vec::new()), 1);
+            env.write_ptr(unfollowed, freed).unwrap();
+            env.define_global_opaque("static_pad", 2 * mcr_procsim::PAGE_SIZE).unwrap();
+            list = env.define_global("list", "l_t").unwrap();
+            let mut prev_slot = list.offset(8);
+            for (i, &node) in nodes.iter().enumerate() {
+                env.write_u32(node, 100 + i as u32).unwrap();
+                env.write_ptr(prev_slot, node).unwrap();
+                prev_slot = node.offset(8);
+            }
+            env.write_ptr(holder.offset(8), freed).unwrap();
+            env.write_ptr(into.offset(8), nodes[8].offset(16)).unwrap();
+            env.write_ptr(ahead.offset(8), appears).unwrap();
+            env.free(appears).unwrap();
+            env.write_ptr(pinned.offset(8), nodes[10]).unwrap();
+            env.write_ptr(pinned_by_blob.offset(8), nodes[11]).unwrap();
+            env.write_ptr(blob.offset(8), pinned_by_blob).unwrap();
+            env.write_ptr(blob_holder.offset(8), blob).unwrap();
+            let targets = [
+                ("side", holder),
+                ("interior", into),
+                ("ahead", ahead),
+                ("blob", blob_holder),
+                ("pair", pinned),
+                ("pair2", pinned_by_blob),
+            ];
+            for (symbol, target) in targets {
+                let ty = globals.iter().find(|g| g.0 == symbol).unwrap().1;
+                let global = env.define_global(symbol, ty).unwrap();
+                env.write_ptr(global, target).unwrap();
+            }
+            hidden = env.define_global_opaque("hidden", 16).unwrap();
+        }
+        let new_tid = kernel.process(new_pid).unwrap().main_tid();
+        {
+            let mut env = ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main");
+            for (symbol, ty) in globals {
+                env.define_global(symbol, ty).unwrap();
+            }
+            env.define_global_opaque("static_pad", 2 * mcr_procsim::PAGE_SIZE).unwrap();
+            env.define_global_opaque("hidden", 16).unwrap();
+        }
+        kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
+
+        let plan = TransferContext::new(&old_state, &new_state).with_intra_pair_shards(shards);
+        let mut delta = DeltaPlan::new();
+        let mut trace: Option<TraceResult> = None;
+        let mut rounds = Vec::new();
+        for round in 0..3 {
+            let since = kernel.advance_write_epoch(old_pid).unwrap();
+            {
+                let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+                let (old_proc, new_proc) = split.pop().unwrap();
+                let tracer = Tracer::for_process(old_proc, &old_state, TraceOptions::default());
+                match trace.as_mut() {
+                    None => trace = Some(tracer.trace()),
+                    Some(trace) => trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto),
+                }
+                let trace = trace.as_ref().unwrap();
+                rounds.push(
+                    precopy_transfer_round(
+                        &plan, &mut delta, old_proc, &old_state, new_proc, &new_state, trace,
+                    )
+                    .unwrap(),
+                );
+            }
+            delta.traced_upto = since;
+            // The old version keeps running.
+            let (space, heap) = kernel.process_mut(old_pid).unwrap().space_and_heap_mut().unwrap();
+            match round {
+                0 => {
+                    space.write_u32(nodes[0], 500).unwrap();
+                    // `holder`, on its own clean page, keeps naming it.
+                    heap.free(space, freed).unwrap();
+                    // The blob stops hiding a pointer: it can be transferred
+                    // now, and `pinned_by_blob` is no longer pinned.
+                    space.write_u64(blob.offset(8), 0x2a).unwrap();
+                }
+                1 => {
+                    // Node 2 grows from one element to three, node 8 shrinks
+                    // from two to one; both stay linked where they were.
+                    // A new head of the list, where `ahead` already points.
+                    let fresh = heap.malloc(space, 48, site, TypeTag(l_t.0)).unwrap();
+                    assert_eq!(fresh, appears, "first fit reuses the one free chunk that is large enough");
+                    space.write_u32(fresh, 900).unwrap();
+                    space.write_u64(fresh.offset(8), nodes[0].0).unwrap();
+                    space.write_u64(list.offset(8), fresh.0).unwrap();
+                    heap.free(space, nodes[2].offset(16 + 32)).unwrap();
+                    for (k, count) in [(2usize, 3u64), (8, 1)] {
+                        let next = space.read_u64(nodes[k].offset(8)).unwrap();
+                        heap.free(space, nodes[k]).unwrap();
+                        heap.malloc_at(space, nodes[k], 16 * count, site, TypeTag(l_t.0)).unwrap();
+                        space.fill(nodes[k], (16 * count) as usize, 0).unwrap();
+                        space.write_u32(nodes[k], 800 + k as u32).unwrap();
+                        space.write_u64(nodes[k].offset(8), next).unwrap();
+                    }
+                }
+                _ => {
+                    space.write_u64(hidden.offset(8), pinned.0).unwrap();
+                    space.write_u32(nodes[1], 501).unwrap();
+                }
+            }
+        }
+
+        let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+        let (old_proc, new_proc) = split.pop().unwrap();
+        let mut trace = trace.unwrap();
+        let tracer = Tracer::for_process(old_proc, &old_state, TraceOptions::default());
+        trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
+        let graph = &trace.graph;
+        assert!(graph.get(pinned).unwrap().immutable && graph.get(freed).is_none());
+        assert!(!graph.get(pinned_by_blob).unwrap().immutable && !graph.get(blob).unwrap().non_updatable);
+        assert_eq!((graph.get(nodes[2]).unwrap().size, graph.get(nodes[8]).unwrap().size), (48, 16));
+        let retranslatable = graph
+            .iter()
+            .filter(|o| {
+                o.origin.is_static()
+                    || graph.range_changed(o.addr)
+                    || o.precise_pointers.iter().any(|e| graph.range_changed(e.target))
+            })
+            .count() as u64;
+        let writes_before = plan.writes_performed();
+        let mut outcome =
+            run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
+                .unwrap();
+        let final_writes = plan.writes_performed() - writes_before;
+        let parked: Vec<_> = outcome
+            .pending
+            .pending
+            .iter()
+            .map(|p| (p.old_base, p.new_base, p.len, p.bytes.clone()))
+            .collect();
+        while !outcome.pending.is_drained() {
+            drain_step(&plan, &mut outcome.pending, old_proc, new_proc, 3, None).unwrap();
+        }
+        Transferred {
+            rounds,
+            report: outcome.report,
+            residual: outcome.residual,
+            parked,
+            memory: memory_of(new_proc),
+            final_writes,
+            retranslatable,
+        }
+    }
+
+    /// The completing pass after pre-copy rounds writes an object iff its
+    /// new-heap bytes would change, and nobody can tell: memory, report,
+    /// residual, conflicts and the parked set equal those of the pass that
+    /// re-emits everything, in both completing modes, serial and sharded.
+    #[test]
+    fn completing_pass_writes_only_what_changed_and_leaves_the_same_state() {
+        for mode in [CopyMode::Final, CopyMode::Deferred] {
+            let reference = emitting_everything(|| precopied_transfer(mode, 1));
+            assert!(reference.report.conflicts.is_empty(), "{:?}", reference.report.conflicts);
+            assert!(reference.residual.objects >= 3, "{mode:?}: {:?}", reference.residual);
+            assert_eq!(reference.parked.is_empty(), mode == CopyMode::Final);
+            for shards in [1usize, 4] {
+                let ours = precopied_transfer(mode, shards);
+                let parked_writes = if mode == CopyMode::Deferred { ours.residual.objects } else { 0 };
+                // Work bound, as counts: the stale objects plus the clean
+                // ones whose translation can differ.
+                assert!(
+                    ours.final_writes + parked_writes <= ours.residual.objects + ours.retranslatable,
+                    "{mode:?}/{shards}: {} writes, {:?}, {} retranslatable",
+                    ours.final_writes,
+                    ours.residual,
+                    ours.retranslatable
+                );
+                assert!(
+                    ours.final_writes < reference.final_writes,
+                    "{mode:?}/{shards}: {} writes against {} re-emitting everything",
+                    ours.final_writes,
+                    reference.final_writes
+                );
+                let same_but_writes = Transferred { final_writes: reference.final_writes, ..ours };
+                if shards == 1 {
+                    assert_eq!(same_but_writes, reference, "{mode:?}");
+                } else {
+                    // Sharding changes no byte and no count, only the
+                    // charged makespans.
+                    let sharded_reference = emitting_everything(|| precopied_transfer(mode, shards));
+                    assert_eq!(same_but_writes, sharded_reference, "{mode:?}/{shards} shards");
+                    assert_eq!(sharded_reference.memory, reference.memory);
+                    assert_eq!(sharded_reference.report, reference.report);
+                }
+            }
         }
     }
 

@@ -383,12 +383,21 @@ mod tests {
         let hits_off = v2.state.types.field_offset(entry_ty, "hits").unwrap();
         let value_off = v2.state.types.field_offset(entry_ty, "value").unwrap();
         let pid = v2.state.processes[0];
-        let space = kernel.process(pid).unwrap().space();
-        let entry = nodes[0];
-        let key = space.read_u64(entry).unwrap();
-        assert_eq!(space.read_u64(entry.offset(hits_off)).unwrap(), 0);
-        let value = Addr(space.read_u64(entry.offset(value_off)).unwrap());
-        assert_eq!(space.read_u8(value).unwrap(), b'a' + (key % 23) as u8);
+        let process = kernel.process(pid).unwrap();
+        let space = process.space();
+        for &entry in &nodes {
+            let key = space.read_u64(entry).unwrap();
+            assert_eq!(space.read_u64(entry.offset(hits_off)).unwrap(), 0);
+            let len = u64::from(space.read_u32(entry.offset(12)).unwrap());
+            assert_eq!(len, 128);
+            // Every byte of every value: a chunk sized for less than the
+            // value would have been overrun by its neighbour's copy.
+            let value = Addr(space.read_u64(entry.offset(value_off)).unwrap());
+            let chunk = process.heap().unwrap().chunk_containing(space, value).expect("value chunk");
+            assert!(chunk.payload == value && chunk.size >= len, "key {key}: {chunk:?}");
+            let bytes = space.read_bytes(value, len as usize).unwrap();
+            assert!(bytes.iter().all(|&b| b == b'a' + (key % 23) as u8), "key {key}: value corrupted");
+        }
         // Still serving under the new generation.
         assert!(send(&mut kernel, &mut v2, "get").contains("gen2"));
         assert!(send(&mut kernel, &mut v2, "set 16").contains("gen2"));

@@ -732,6 +732,109 @@ fn intra_pair_sharded_rollbacks_are_byte_identical() {
     }
 }
 
+/// One cache request through a client connection, answered by the old
+/// version while it still serves.
+fn cache_request(kernel: &mut Kernel, instance: &mut mcr_core::runtime::McrInstance, request: &str) {
+    let conn = kernel.client_connect(CACHE_PORT).unwrap();
+    kernel.client_send(conn, request.as_bytes().to_vec()).unwrap();
+    mcr_core::runtime::run_rounds(kernel, instance, 2).unwrap();
+    assert!(kernel.client_recv(conn).is_some(), "the cache answered `{request}`");
+    kernel.client_close(conn).unwrap();
+}
+
+/// A gen-1 → gen-2 cache update under three pre-copy rounds with seeded
+/// get/set/evict requests served between the rounds: gets stamp entries, sets
+/// put new entries and values at bucket heads, evicts unlink heads — so every
+/// retrace re-scans, discovers and sweeps, and the completing pass meets
+/// clean holders of pointers into ranges that changed.
+fn cache_update_under_traffic(
+    mode: TransferMode,
+    sched: SchedulerMode,
+    shards: usize,
+    workers: usize,
+    seed: u64,
+) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+    let mut kernel = Kernel::new();
+    let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
+    cache_request(&mut kernel, &mut v1, "fill 1600 96");
+    v1.sched.mode = sched;
+    let mut rng = Rng::new(seed ^ 0x7eaf_f1c0);
+    let batches: Vec<Vec<&str>> = (0..3)
+        .map(|_| {
+            // The same work for every seed; the seed orders it.
+            let mut requests = [["get"; 6].as_slice(), &["set 96"; 4], &["evict"; 2]].concat();
+            for i in (1..requests.len()).rev() {
+                requests.swap(i, rng.range(0, i as u64 + 1) as usize);
+            }
+            requests
+        })
+        .collect();
+    let opts = UpdateOptions {
+        scheduler: sched,
+        mode,
+        intra_pair_shards: shards,
+        transfer_workers: workers,
+        precopy: PrecopyOptions { rounds: 3, convergence_bytes: 0, serve_rounds: 1 },
+        ..Default::default()
+    };
+    let pipeline =
+        UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(move |kernel, old, round| {
+            for request in &batches[round - 1] {
+                cache_request(kernel, old, request);
+            }
+        }));
+    let (_survivor, outcome) =
+        pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
+    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+}
+
+/// A pre-copied update whose completing pass writes only what changed is
+/// still one deterministic update: with get/set/evict traffic between the
+/// rounds, `Precopy` and `Adaptive` each commit with the same kernel
+/// fingerprint, reports and (no) conflicts on both scheduler cores, with 1
+/// and 4 intra-pair shards and 1 and 2 transfer workers — and perform one
+/// write per object plus a few per object the traffic touched, not two per
+/// object.
+#[test]
+fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_once() {
+    for mode in [TransferMode::Precopy, TransferMode::Adaptive] {
+        for seed in [11u64, 12] {
+            let (base_fp, base_conflicts, base) =
+                cache_update_under_traffic(mode, SchedulerMode::EventDriven, 1, 1, seed);
+            assert!(base_conflicts.is_empty(), "{mode:?}/{seed}: {base_conflicts:?}");
+            let label = |sched, shards, workers| format!("{mode:?}/seed {seed}/{sched:?}/{shards}/{workers}");
+            for sched in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
+                for (shards, workers) in [(1usize, 2usize), (4, 1), (4, 2)] {
+                    let (fp, conflicts, report) =
+                        cache_update_under_traffic(mode, sched, shards, workers, seed);
+                    let label = label(sched, shards, workers);
+                    assert!(conflicts.is_empty(), "{label}: {conflicts:?}");
+                    assert_eq!(base_fp, fp, "{label}: kernel state diverged");
+                    assert_eq!(base.tracing, report.tracing, "{label}: tracing stats diverged");
+                    assert_eq!(base.transfer.per_process, report.transfer.per_process, "{label}");
+                    assert_eq!(base.precopy.residual.objects, report.precopy.residual.objects, "{label}");
+                    assert_eq!(base.precopy.residual.bytes, report.precopy.residual.bytes, "{label}");
+                    assert_eq!(base.object_writes, report.object_writes, "{label}: writes diverged");
+                }
+            }
+            // Work bound, as counts: N objects copied once, then the d the
+            // traffic dirtied (re-copied by a later round or the window) and
+            // the s statics, a few times each.
+            let rounds = &base.precopy.rounds;
+            let n = rounds[0].objects_copied;
+            let d: u64 =
+                rounds[1..].iter().map(|r| r.objects_copied).sum::<u64>() + base.precopy.residual.objects;
+            let s = 3;
+            assert!(n >= 3200 && d >= 3 && d < n / 4, "{mode:?}/{seed}: n {n}, d {d}");
+            assert!(
+                base.object_writes <= n + 4 * (d + s),
+                "{mode:?}/{seed}: {} writes for n {n}, d {d}",
+                base.object_writes
+            );
+        }
+    }
+}
+
 /// The slab-indexed kernel substrate preserves the ordered-map determinism
 /// contract end to end: for every seed the committed update is
 /// byte-identical — kernel fingerprint, tracing statistics, per-process
