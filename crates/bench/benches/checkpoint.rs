@@ -12,7 +12,7 @@
 //! * every crash point recovered to a byte-identical durable version or
 //!   was rejected with a typed checksum error while the old version kept
 //!   serving (zero divergences);
-//! * the parallel shard writeback beats the serial one;
+//! * the modelled shard-writer makespan beats the serial sum;
 //! * retention keeps exactly the newest versions.
 //!
 //! Emits the `BENCH_checkpoint.json` document on stdout; the CI smoke step

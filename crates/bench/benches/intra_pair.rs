@@ -1,9 +1,9 @@
 //! Intra-pair sharding sweep: heap size × shard count over the
 //! single-process big-heap cache server.
 //!
-//! Pair-level parallelism cannot speed up a single matched pair, so this is
-//! the scenario where `UpdateOptions::intra_pair_shards` must carry the
-//! whole speedup. For every heap size the bench runs the gen-1 → gen-2 cache
+//! Pair-level workers cannot shorten a single matched pair, so this is the
+//! scenario where `UpdateOptions::intra_pair_shards` — modelled workers
+//! inside the pair — must carry the whole simulated speedup. For every heap size the bench runs the gen-1 → gen-2 cache
 //! update at each shard count, `ITERS` iterations per point, and emits one
 //! JSON row per point with **median-of-iterations** figures (the simulated
 //! makespan is deterministic — re-measured only to prove it — while the host

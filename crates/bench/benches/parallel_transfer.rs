@@ -1,18 +1,18 @@
-//! Worker-count sweep of the pair-parallel trace/transfer phase.
+//! Modelled-worker sweep of the trace/transfer phase.
 //!
 //! For each multiprocess server spec this bench performs one live update per
-//! worker count (1 = the serial ablation, 2, 4, and 0 = one worker per pair)
-//! and emits a JSON row per run. `state_transfer_ns` is the reported
-//! makespan of the executed schedule and `state_transfer_serial_ns` the
-//! phase-level sequential ablation (which also includes process matching, so
+//! `transfer_workers` value (1 = the serial sum, 2, 4, and 0 = one worker per
+//! pair) and emits a JSON row per run. The pairs always run one after the
+//! other; `state_transfer_ns` is the simulated list-schedule makespan of
+//! their costs on that many workers and `state_transfer_serial_ns` the
+//! phase-level sequential figure (which also includes process matching, so
 //! it exceeds the pair-cost sum even with one worker).
 //!
-//! The re-serialization guard is `speedup`: the sum of per-pair transfer
-//! costs (`pair_sum_ns`, exactly what one worker needs) divided by the
+//! The guard on the model's wiring is `speedup`: the sum of per-pair transfer
+//! costs (`pair_sum_ns`, exactly what one worker is charged) divided by the
 //! reported makespan. One worker must report exactly 1.0; any multi-worker
-//! run over >= 4 pairs must report strictly more — if the phase ever falls
-//! back to sequential execution, the strict assertion (mirrored by the CI
-//! smoke step) fires.
+//! run over >= 4 pairs must report strictly more — if the phase stops
+//! charging the schedule, this (and the CI smoke step's mirror) fires.
 
 use mcr_bench::{update_with_options, Json};
 use mcr_core::runtime::UpdateOptions;

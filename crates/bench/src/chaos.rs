@@ -235,8 +235,8 @@ impl ConfigOutcome {
 fn options_for(config: ChaosConfig) -> UpdateOptions {
     let base = UpdateOptions {
         scheduler: config.scheduler,
-        // One worker gives a deterministic object-write order, which is what
-        // makes n-th-object sites stable across runs of the same schedule.
+        // The campaign's simulated timings (`BENCH_chaos.json`) are charged
+        // at the serial sum.
         transfer_workers: 1,
         ..Default::default()
     };

@@ -72,7 +72,7 @@ pub struct CheckpointSpec {
     pub extra_requests: u64,
     /// Idle connections open at checkpoint time.
     pub open_connections: usize,
-    /// Parallel shard writers per checkpoint.
+    /// Shards (and modelled shard writers) per checkpoint.
     pub shard_writers: usize,
     /// Cap on crash/torn points swept per fault kind (0 = every block).
     pub max_crash_points: usize,
@@ -155,8 +155,8 @@ pub struct CheckpointOutcome {
     pub supervisor_committed: usize,
     /// Retention kept exactly the configured number of newest versions.
     pub retention_ok: bool,
-    /// Serial-over-parallel speedup of the reference checkpoint's shard
-    /// writeback.
+    /// Serial-over-parallel ratio of the reference checkpoint's modelled
+    /// shard writeback.
     pub writer_speedup: f64,
     /// Capped sweep dimensions (empty when every block was swept).
     pub capped: Vec<String>,
@@ -450,7 +450,7 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
     let mut out = CheckpointOutcome { program: spec.program.to_string(), ..CheckpointOutcome::default() };
 
     // Reference run: baseline roundtrip (v1), then a second checkpoint that
-    // sizes the crash-point space and measures the parallel writeback.
+    // sizes the crash-point space and reads the modelled writeback ratio.
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");

@@ -380,8 +380,8 @@ pub fn adaptive_update(
 /// shard count. Returns the post-update kernel fingerprint and the outcome.
 ///
 /// This is the single-process big-heap scenario of `benches/intra_pair.rs`:
-/// one matched pair, so the pair-parallel phase alone cannot speed it up —
-/// any makespan improvement comes from the within-pair sharding.
+/// one matched pair, so pair-level workers cannot shorten it — any makespan
+/// improvement comes from the modelled within-pair shards.
 ///
 /// # Panics
 ///

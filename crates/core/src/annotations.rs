@@ -71,16 +71,12 @@ pub enum ReinitDecision {
 
 /// A reinitialization handler: invoked when replay matching finds a
 /// mismatch, or when the startup log has entries the new version omitted.
-/// `Sync` because the registry is shared read-only across the worker threads
-/// of the pair-parallel trace/transfer phase.
-pub type ReinitHandler = Box<dyn Fn(&Syscall, Option<&LogEntry>) -> ReinitDecision + Send + Sync>;
+pub type ReinitHandler = Box<dyn Fn(&Syscall, Option<&LogEntry>) -> ReinitDecision>;
 
 /// A semantic transform handler: given the old object's raw bytes, produces
 /// the bytes of the new representation. Registered per type name or per
 /// symbol for updates whose state changes cannot be derived structurally.
-/// `Sync` because transfer workers invoke handlers concurrently (each on its
-/// own process pair).
-pub type TransformHandler = Box<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+pub type TransformHandler = Box<dyn Fn(&[u8]) -> Vec<u8>>;
 
 /// Registry of every annotation of one MCR-enabled program version.
 #[derive(Default)]

@@ -89,7 +89,7 @@ pub struct Interposer {
     sites: BTreeMap<(Pid, CallStackId), Site>,
     /// Entries the matcher has looked at (the work-bound test's count).
     #[cfg(test)]
-    inspected: std::sync::atomic::AtomicU64,
+    inspected: std::cell::Cell<u64>,
     /// Match by scanning the whole log, as this module did before it was
     /// indexed: the reference the equivalence tests compare against.
     #[cfg(test)]
@@ -123,7 +123,7 @@ impl Interposer {
             replay_log,
             sites,
             #[cfg(test)]
-            inspected: std::sync::atomic::AtomicU64::new(0),
+            inspected: std::cell::Cell::new(0),
             #[cfg(test)]
             whole_log_scan: false,
             pid_virt_to_actual: BTreeMap::new(),
@@ -183,10 +183,7 @@ impl Interposer {
         let candidates = &site.positions[site.cursor..];
         let found = candidates.iter().position(|&idx| !self.consumed[idx] && matches(&entries[idx].call));
         #[cfg(test)]
-        self.inspected.fetch_add(
-            found.map_or(candidates.len(), |at| at + 1) as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        self.inspected.set(self.inspected.get() + found.map_or(candidates.len(), |at| at + 1) as u64);
         found.map(|at| candidates[at])
     }
 
@@ -958,7 +955,7 @@ mod tests {
             rep.handle(&mut k, pid, tid, "main", site, entry.call.clone(), true, &ann).unwrap();
         }
         assert_eq!(rep.stats().replayed, THREADS);
-        let inspected = rep.inspected.load(std::sync::atomic::Ordering::Relaxed);
+        let inspected = rep.inspected.get();
         assert!(inspected <= 2 * THREADS, "inspected {inspected} entries for {THREADS} calls");
         assert!(rep.finish_replay(&ann).is_empty());
     }

@@ -28,7 +28,7 @@ pub enum FaultSite {
     /// The boundary right before a pipeline phase.
     Boundary(PhaseName),
     /// The n-th (1-based) object write the transfer engine performs,
-    /// counted across every pair, shard and pre-copy round.
+    /// counted across every pair and pre-copy round, in pair order.
     TransferObject(u64),
     /// The n-th (1-based) kernel syscall issued while the pipeline is in
     /// flight (serving rounds, startup replay, pre-copy traffic).

@@ -182,30 +182,30 @@ pub struct UpdateOptions {
     /// quiescent points). Requires the corresponding annotations in real
     /// deployments; disable to model an annotation-free deployment.
     pub recreate_unmatched_processes: bool,
-    /// Worker threads used by the pair-parallel trace/transfer phase.
-    ///
-    /// `0` (the default) means one worker per matched pair — the paper's
-    /// parallel multi-process transfer. `1` selects the serial ablation: the
-    /// pairs run in order on the calling thread, reproducing the sequential
-    /// timings while leaving every report byte-identical to a parallel run.
+    /// Modelled workers of the trace/transfer phase — an input of the cost
+    /// model only. The pairs always run one after the other on the calling
+    /// thread; the phase's simulated time is the list-schedule makespan of
+    /// their costs on this many workers. `0` (the default) means one worker
+    /// per matched pair — the paper's parallel multi-process transfer,
+    /// charged at the slowest pair; `1` charges the serial sum. Reports,
+    /// conflicts, fault sites and post-commit state are the same for every
+    /// value.
     ///
     /// When [`UpdateOptions::intra_pair_shards`] is above one, an explicit
-    /// `transfer_workers` value is a *global* thread budget shared by pairs
-    /// × shards: the pair-level pool shrinks to `transfer_workers / shards`
-    /// so the total number of concurrent threads stays at the requested
-    /// budget.
+    /// `transfer_workers` value is a *global* budget shared by pairs ×
+    /// shards: the pairs are scheduled on `transfer_workers / shards`
+    /// workers (floor, at least one) so that workers × shards stays within
+    /// the requested budget.
     pub transfer_workers: usize,
-    /// Worker threads used *inside* each matched pair: the tracer's heap
-    /// traversal and the transfer engine's snapshot/transform pass run over
-    /// contiguous address-range shards of the per-pair object list. This is
-    /// what parallelizes a *single-process* server with a huge heap, which
-    /// pair-level parallelism cannot touch. `0`/`1` (the default) keeps the
-    /// within-pair passes serial.
-    ///
-    /// Determinism contract: the traced graph, pins, Table 2 statistics,
-    /// transfer reports, conflicts and post-commit memory are byte-identical
-    /// across every shard count; only the charged makespan (the
-    /// deterministic list-schedule over the per-shard costs) shrinks.
+    /// Modelled workers *inside* each matched pair — an input of the cost
+    /// model only. The transfer engine charges every object write to one of
+    /// this many contiguous, cost-balanced address-range shards of the
+    /// pair's object list, and the pair costs the list-schedule makespan
+    /// over its shards. This is what shortens the modelled window of a
+    /// *single-process* server with a huge heap, which pair-level workers
+    /// cannot touch. `0`/`1` (the default) charges the serial sum. The
+    /// traced graph, pins, Table 2 statistics, transfer reports, conflicts
+    /// and post-commit memory are the same for every shard count.
     pub intra_pair_shards: usize,
     /// Scheduling core for the new version's instance (the old instance
     /// keeps whatever mode it was booted with). The event-driven default and
@@ -229,10 +229,10 @@ pub struct UpdateOptions {
 }
 
 impl UpdateOptions {
-    /// The pair-level worker count the trace/transfer phase will actually
-    /// use for `pairs` matched pairs. Resolves the `0 = one per pair`
+    /// The pair-level modelled worker count the trace/transfer phase
+    /// schedules `pairs` matched pairs on. Resolves the `0 = one per pair`
     /// default, never exceeds the number of pairs, and divides an explicit
-    /// thread budget by the intra-pair shard count (floor division, so a
+    /// budget by the intra-pair shard count (floor division, so a
     /// non-divisible combination rounds *down*) — pairs × shards share one
     /// global budget that is never exceeded.
     pub fn effective_transfer_workers(&self, pairs: usize) -> usize {
@@ -242,11 +242,11 @@ impl UpdateOptions {
         requested.clamp(1, pairs.max(1))
     }
 
-    /// The intra-pair shard count actually used: `0` resolves to serial,
+    /// The intra-pair shard count actually charged: `0` resolves to one,
     /// and an explicit `transfer_workers` budget caps the shard count too —
-    /// `min(S, W)` shard threads per pair, so a requested budget below the
-    /// shard count (including the `transfer_workers = 1` serial ablation)
-    /// is never exceeded.
+    /// `min(S, W)` shards per pair, so a requested budget below the shard
+    /// count (including `transfer_workers = 1`, the serial sum) is never
+    /// exceeded.
     pub fn effective_intra_pair_shards(&self) -> usize {
         let shards = self.intra_pair_shards.max(1);
         if self.transfer_workers == 0 {
@@ -356,9 +356,9 @@ mod tests {
         conns
     }
 
-    /// Pairs × shards share one global thread budget: an explicit
+    /// Pairs × shards share one global worker budget: an explicit
     /// `transfer_workers` value is never exceeded, whichever way the two
-    /// knobs are combined.
+    /// counts are combined.
     #[test]
     fn worker_budget_is_shared_by_pairs_and_shards() {
         // Budget below the shard count: the shards are clamped to the
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(opts.effective_intra_pair_shards(), 2);
         assert_eq!(opts.effective_transfer_workers(8), 1);
         assert!(opts.effective_transfer_workers(8) * opts.effective_intra_pair_shards() <= 2);
-        // Auto budget (`0`): one thread per pair × shard.
+        // Auto budget (`0`): one worker per pair × shard.
         let auto = UpdateOptions { intra_pair_shards: 4, ..Default::default() };
         assert_eq!(auto.effective_intra_pair_shards(), 4);
         assert_eq!(auto.effective_transfer_workers(3), 3);

@@ -26,60 +26,50 @@
 //! A [`FaultPlan`] can force a failure at any phase boundary, which is how
 //! the integration tests prove the rollback invariant phase by phase.
 //!
-//! # Pair-parallel trace and transfer
+//! # Pair-level trace and transfer on modelled workers
 //!
-//! `TraceAndTransfer` models the paper's parallel multi-process state
-//! transfer with real threads: the matched pairs are split into disjoint
-//! per-pair process borrows ([`Kernel::split_pairs`]), wrapped in `PairJob`
-//! work units, and dealt round-robin onto a `std::thread::scope` worker pool
-//! of [`UpdateOptions::transfer_workers`] threads (default: one per pair;
-//! `1` selects the serial ablation). Cross-version metadata — interned
+//! `TraceAndTransfer` reproduces the paper's parallel multi-process state
+//! transfer as a *modelled schedule*. The matched pairs are traced and
+//! transferred one after the other, in pair order, on the calling thread:
+//! each pair is borrowed out of the process table on its own
+//! ([`Kernel::split_pairs`] — the old process shared, the new one
+//! exclusive), run, and merged into the report before the next one starts,
+//! and the first error stops the loop. Cross-version metadata — interned
 //! symbol/site/type names and the old→new type bridge — is resolved once
-//! per update into a shared read-only
-//! [`TransferContext`](crate::transfer::TransferContext) before the fan-out.
+//! per update into a
+//! [`TransferContext`](crate::transfer::TransferContext) every pair uses.
 //!
-//! **Determinism guarantee:** job results are merged strictly in pair order
-//! — tracing statistics, per-process transfer reports, drained conflict
-//! sets, descriptor inheritance and simulated clock charges are all
-//! independent of the worker count and of job completion order, so an
-//! update's reports and post-commit kernel state are byte-identical whether
-//! it ran serially or on any number of workers (`tests/properties.rs`
-//! proves this). Only the *timing model* differs:
+//! [`UpdateOptions::transfer_workers`] is an input of the cost model and of
+//! nothing else:
 //! [`UpdateTimings::state_transfer`](crate::runtime::report::UpdateTimings)
-//! is the makespan of the executed schedule (with one worker, the serial
-//! sum; with one worker per pair, the slowest pair), while
-//! `state_transfer_serial` always reports the sequential wall time of the
-//! same work. Jobs are pulled from a shared work queue (work stealing), so
-//! skewed pair sizes cannot stall the makespan behind an unlucky static
-//! assignment; the reported makespan is the matching deterministic
-//! list-schedule (each job, in pair order, to the least-loaded worker).
+//! is the [`list_schedule_makespan`] of the pairs' simulated costs on that
+//! many workers (each pair, in pair order, to the least-loaded worker — one
+//! worker yields the serial sum, one worker per pair the slowest pair),
+//! while `state_transfer_serial` always reports the serial sum of the same
+//! work. Tracing statistics, per-process transfer reports, conflict sets,
+//! descriptor inheritance, the n-th-object fault site and the post-commit
+//! kernel state do not depend on it (`tests/properties.rs` sweeps the
+//! counts and holds all of them equal).
 //!
-//! ## Intra-pair sharding and the shared worker budget
+//! ## Intra-pair shards and the shared worker budget
 //!
-//! Pair-level parallelism cannot help a *single-process* server with a huge
-//! heap — its one pair used to trace and transfer on one thread. With
-//! [`UpdateOptions::intra_pair_shards`] above one, the *within-pair* passes
-//! are parallel too: the tracer walks the heap with a sharded
-//! level-synchronous traversal
-//! ([`Tracer::with_shards`](crate::tracing::tracer::Tracer::with_shards)),
-//! and the transfer engine snapshots/transforms contiguous address-range
-//! shards of the object list on a shard-worker pool, applying the prepared
-//! writes serially in address order (see
-//! [`TransferContext::with_intra_pair_shards`]).
+//! Pair-level workers cannot shorten the one pair of a *single-process*
+//! server with a huge heap. [`UpdateOptions::intra_pair_shards`] models
+//! workers *inside* a pair: the transfer engine charges every object write
+//! to one of `S` contiguous, cost-balanced address-range shards of the
+//! pair's object list, and the pair costs the list-schedule makespan over
+//! its shards (see [`TransferContext::with_intra_pair_shards`]). Tracing
+//! charges no simulated time, so the count never reaches the tracer.
 //!
-//! The two knobs compose over **one global worker budget**: with an explicit
-//! `transfer_workers = W` and `intra_pair_shards = S`, the pair-level pool
-//! shrinks to `ceil(W / S)` workers, each of which fans out into `S` shard
-//! threads — so pairs × shards never exceed the requested budget (the
-//! `transfer_workers = 0` default sizes the budget at `pairs × S`). The
-//! determinism contract is unchanged and extends to sharding: graph, pins,
-//! Table 2 statistics, transfer reports, conflicts, the n-th-object fault
-//! site and post-commit memory are byte-identical across every
-//! (worker count × shard count) combination; only the charged makespan —
-//! the deterministic list-schedule over per-shard costs, nested inside the
-//! per-pair list-schedule — shrinks as shards are added
-//! (`benches/intra_pair.rs` measures it, `tests/properties.rs` proves the
-//! equivalence).
+//! The two counts compose over **one worker budget**: with an explicit
+//! `transfer_workers = W` and `intra_pair_shards = S`, a pair is charged
+//! `min(S, W)` shards and the pairs are scheduled on `floor(W / S)` workers
+//! (at least one) — `W = 3, S = 2` is one worker of two shards — so workers
+//! × shards never exceed the requested budget; the `transfer_workers = 0`
+//! default sizes the budget at `pairs × S`. Only the charged makespan — the
+//! list-schedule over per-shard costs, nested inside the list-schedule over
+//! pairs — shrinks as workers or shards are added
+//! (`benches/parallel_transfer.rs` and `benches/intra_pair.rs` report it).
 //!
 //! # Pre-copy: moving trace & transfer out of the quiescence window
 //!
@@ -166,7 +156,7 @@
 //! [`with_checkpoint`](UpdatePipeline::with_checkpoint) inserts a
 //! [`PhaseName::Checkpoint`] phase right after the quiescence barrier: with
 //! every old-version thread parked, the instance's full recoverable state
-//! is serialized through parallel shard writers to a
+//! is serialized, shard by shard, to a
 //! [`Store`](mcr_procsim::Store) as a versioned, checksummed manifest
 //! (shards synced strictly before the `MANIFEST` blob that names them, so
 //! an interrupted write is never visible as a durable version). The
@@ -193,8 +183,7 @@
 //!   several; the earliest in pipeline order fires);
 //! * **n-th transfer-object write** — [`ChaosPlan::failing_at_transfer_object`]
 //!   fails the n-th object write the transfer engine performs, counted
-//!   across pairs, shards and pre-copy rounds (use
-//!   `transfer_workers = 1` for a deterministic write order);
+//!   across pairs and pre-copy rounds;
 //! * **n-th syscall** — [`ChaosPlan::failing_at_syscall`] arms
 //!   [`Kernel::arm_syscall_fault`]: the n-th kernel syscall issued after
 //!   the pipeline starts is suppressed and fails with
@@ -252,8 +241,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mcr_procsim::{
     Fd, FdPlacement, Kernel, PendingTrap, Pid, Process, SimDuration, SimError, Store, Syscall, SyscallPort,
@@ -265,13 +253,13 @@ use crate::callstack::CallStackId;
 use crate::error::{Conflict, McrError, McrResult};
 use crate::interpose::Interposer;
 use crate::program::{InstanceState, Program, ThreadRosterEntry};
-use crate::runtime::controller::{TransferMode, TransferPolicy, UpdateOptions, UpdateOutcome};
+use crate::runtime::controller::{TransferMode, UpdateOptions, UpdateOutcome};
 use crate::runtime::report::UpdateReport;
 use crate::runtime::scheduler::{
     create_instance, resume, run_round, run_startup, wait_quiescence, BootOptions, McrInstance,
 };
 use crate::tracing::stats::TracingStats;
-use crate::tracing::tracer::{TraceOptions, TraceResult, Tracer};
+use crate::tracing::tracer::{TraceResult, Tracer};
 use crate::transfer::checkpoint::{write_checkpoint, CheckpointOptions};
 use crate::transfer::engine::{
     drain_step, fault_in_at, list_schedule_makespan, postcopy_commit, precopy_transfer_round,
@@ -593,13 +581,9 @@ impl ChaosPlan {
     /// A plan that fails the update right before its `nth` (1-based) object
     /// write — a *mid-phase* fault. With pre-copy enabled a small `nth`
     /// lands inside a concurrent copy round, proving the rollback path
-    /// while the old instance is still live and serving.
-    ///
-    /// The counter is shared across transfer workers, so with
-    /// `transfer_workers > 1` *which pair* hits the trigger depends on host
-    /// scheduling (the abort-and-rollback outcome itself is guaranteed
-    /// either way); use `transfer_workers: 1` when the fault site must be
-    /// reproducible.
+    /// while the old instance is still live and serving. Writes are counted
+    /// in pair order, so the site is the same object at every
+    /// `transfer_workers` × `intra_pair_shards` setting.
     pub fn failing_at_transfer_object(nth: u64) -> Self {
         ChaosPlan { at_transfer_object: Some(nth), ..ChaosPlan::default() }
     }
@@ -1373,251 +1357,111 @@ impl Phase for MatchProcessesPhase {
 /// process pair, then per-process descriptor inheritance for connection
 /// descriptors created after startup.
 ///
-/// The per-pair work is expressed as [`PairJob`]s and executed on a scoped
-/// worker pool ([`UpdateOptions::transfer_workers`] threads; the default is
-/// one per pair, `1` is the serial ablation) pulling from a shared work
-/// queue. Each job owns disjoint borrows of its pair's processes via
-/// [`Kernel::split_pairs`], so the jobs run concurrently without sharing
-/// mutable state; results are merged back in pair order, which keeps
-/// reports, conflict sets and clock accounting byte-identical regardless of
-/// the worker count. After a pre-copy phase, each job resumes its pair's
-/// [`DeltaPlan`]: it delta-retraces the quiesced old process and transfers
-/// the residual, charging only the still-stale work to the window.
+/// The pairs run one after the other, in pair order ([`transfer_pairs`]);
+/// [`UpdateOptions::transfer_workers`] only decides how many modelled
+/// workers the pairs' costs are list-scheduled on. After a pre-copy phase
+/// each pair resumes its [`DeltaPlan`]: it delta-retraces the quiesced old
+/// process and transfers the residual, charging only the still-stale work to
+/// the window.
 pub struct TraceAndTransferPhase;
 
-/// The work unit of the pair-parallel restore phase: trace (or delta
-/// retrace) one old process and transfer its state into the matched new
-/// process. Jobs only touch their own pair plus shared read-only state,
-/// which is what `std::thread::scope` requires to run them concurrently.
-struct PairJob<'a> {
-    old_proc: &'a Process,
-    new_proc: &'a mut Process,
-    old_state: &'a InstanceState,
-    new_state: &'a InstanceState,
-    plan: &'a TransferContext,
-    trace: TraceOptions,
-    /// Worker threads for the *within-pair* passes: the tracer's sharded
-    /// heap traversal (the transfer engine reads its own shard count from
-    /// `plan`). Byte-identical results for every value.
-    shards: usize,
-    /// Resumable pre-copy state, when a pre-copy phase ran for this pair.
-    precopy: Option<&'a mut PairPrecopyState>,
-}
-
-/// What one [`PairJob`] produced.
-struct PairOutcome {
-    stats: TracingStats,
-    report: ProcessTransferReport,
-    /// The stop-the-world share of the pair's transfer (equals the full
-    /// transfer without pre-copy).
-    residual: ResidualStats,
-}
-
-impl PairJob<'_> {
-    fn run(self) -> McrResult<PairOutcome> {
-        let tracer = Tracer::for_process(self.old_proc, self.old_state, self.trace).with_shards(self.shards);
-        match self.precopy {
-            None => {
-                let trace = tracer.trace();
-                let mut delta = DeltaPlan::new();
-                let (report, residual) = transfer_residual(
-                    self.plan,
-                    &mut delta,
-                    self.old_proc,
-                    self.old_state,
-                    self.new_proc,
-                    self.new_state,
-                    &trace,
-                )?;
-                Ok(PairOutcome { stats: trace.stats, report, residual })
-            }
-            Some(state) => {
-                let trace = state.trace.as_mut().expect("pre-copy rounds traced this pair");
-                trace.stats = trace.graph.retrace_dirty(&tracer, state.delta.traced_upto);
-                let (report, residual) = transfer_residual(
-                    self.plan,
-                    &mut state.delta,
-                    self.old_proc,
-                    self.old_state,
-                    self.new_proc,
-                    self.new_state,
-                    trace,
-                )?;
-                Ok(PairOutcome { stats: trace.stats, report, residual })
-            }
+/// Runs `transfer` — an engine entry point, or a closure around one — on the
+/// matched pair at `index`, with the pair's trace brought up to date first:
+/// a fresh trace the first time the pair is traced, a delta retrace from
+/// [`DeltaPlan::traced_upto`] after. The pair is borrowed out of the process
+/// table on its own ([`Kernel::split_pairs`]: the old process shared, the
+/// new one exclusive); its plan and trace are its pre-copy state's, or live
+/// for this call when no pre-copy round ran.
+fn trace_and_transfer_pair<R>(
+    ctx: &mut UpdateCtx<'_>,
+    index: usize,
+    transfer: impl FnOnce(
+        &TransferContext,
+        &mut DeltaPlan,
+        &Process,
+        &InstanceState,
+        &mut Process,
+        &InstanceState,
+        &TraceResult,
+    ) -> McrResult<R>,
+) -> McrResult<(TracingStats, R)> {
+    let UpdateCtx { kernel, old, new_instance, opts, pairs, plan, pair_precopy, .. } = ctx;
+    let new_state = &new_instance.as_ref().expect("matched pairs imply an instance").state;
+    let plan = plan.as_ref().expect("the calling phase ensured the plan");
+    let mut split = kernel.split_pairs(&pairs[index..=index]).map_err(McrError::Sim)?;
+    let (old_proc, new_proc) = split.pop().expect("one pair requested");
+    let mut standalone = PairPrecopyState { delta: DeltaPlan::new(), trace: None };
+    let PairPrecopyState { delta, trace } = pair_precopy.get_mut(index).unwrap_or(&mut standalone);
+    let tracer = Tracer::for_process(old_proc, &old.state, opts.trace);
+    let trace = match trace {
+        None => trace.insert(tracer.trace()),
+        Some(trace) => {
+            trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
+            trace
         }
-    }
+    };
+    let out = transfer(plan, delta, old_proc, &old.state, new_proc, new_state, trace)?;
+    Ok((trace.stats, out))
 }
 
-/// The work unit of one concurrent pre-copy round: trace (first round) or
-/// delta-retrace the old process and copy the stale delta into the new one.
-struct PrecopyJob<'a> {
-    old_proc: &'a Process,
-    new_proc: &'a mut Process,
-    old_state: &'a InstanceState,
-    new_state: &'a InstanceState,
-    plan: &'a TransferContext,
-    trace: TraceOptions,
-    /// Worker threads for the within-pair passes (see [`PairJob::shards`]).
-    shards: usize,
-    state: &'a mut PairPrecopyState,
-    /// The epoch this round's retrace starts from, and the value
-    /// `traced_upto` is advanced to afterwards.
-    upto: u64,
-}
-
-impl PrecopyJob<'_> {
-    fn run(self) -> McrResult<crate::transfer::engine::PrecopyRoundReport> {
-        let tracer = Tracer::for_process(self.old_proc, self.old_state, self.trace).with_shards(self.shards);
-        match self.state.trace.as_mut() {
-            None => self.state.trace = Some(tracer.trace()),
-            Some(trace) => {
-                trace.stats = trace.graph.retrace_dirty(&tracer, self.state.delta.traced_upto);
-            }
-        }
-        let trace = self.state.trace.as_ref().expect("set above");
-        let round = precopy_transfer_round(
-            self.plan,
-            &mut self.state.delta,
-            self.old_proc,
-            self.old_state,
-            self.new_proc,
-            self.new_state,
-            trace,
-        )?;
-        self.state.delta.traced_upto = self.upto;
-        Ok(round)
-    }
-}
-
-/// The work unit of the post-copy commit phase: final delta retrace plus
-/// [`postcopy_commit`] (every stale write parks instead of landing), then
-/// the per-pair adaptive decision — sync the parked residual inside the
-/// window, or leave it parked for the drain phase.
-struct PostcopyPairJob<'a> {
-    old_proc: &'a Process,
-    new_proc: &'a mut Process,
-    old_state: &'a InstanceState,
-    new_state: &'a InstanceState,
-    plan: &'a TransferContext,
-    trace: TraceOptions,
-    /// Worker threads for the within-pair passes (see [`PairJob::shards`]).
-    shards: usize,
-    /// Resumable pre-copy state, when pre-copy rounds ran for this pair.
-    precopy: Option<&'a mut PairPrecopyState>,
-    /// `Postcopy` mode defers unconditionally; `Adaptive` asks the policy.
-    force_defer: bool,
-    policy: TransferPolicy,
-    /// The update's pre-copy round history (the policy's convergence
-    /// signal; empty without pre-copy).
-    rounds: &'a [PrecopyRoundReport],
-}
-
-/// What one [`PostcopyPairJob`] produced.
-struct PostcopyPairOutcome {
-    stats: TracingStats,
-    report: ProcessTransferReport,
-    /// Stale-at-quiesce bookkeeping; `cost` is only the share applied
-    /// *inside* the window (zero for a fully deferred pair).
-    residual: ResidualStats,
-    state: PairPostcopyState,
-    deferred: bool,
-}
-
-impl PostcopyPairJob<'_> {
-    fn run(self) -> McrResult<PostcopyPairOutcome> {
-        let tracer = Tracer::for_process(self.old_proc, self.old_state, self.trace).with_shards(self.shards);
-        let (mut delta, trace) = match self.precopy {
-            None => (DeltaPlan::new(), tracer.trace()),
-            Some(state) => {
-                let mut trace = state.trace.take().expect("pre-copy rounds traced this pair");
-                trace.stats = trace.graph.retrace_dirty(&tracer, state.delta.traced_upto);
-                (std::mem::take(&mut state.delta), trace)
-            }
-        };
-        let (report, mut residual, mut parked) = postcopy_commit(
-            self.plan,
-            &mut delta,
-            self.old_proc,
-            self.old_state,
-            self.new_proc,
-            self.new_state,
-            &trace,
-        )?;
-        let defer = self.force_defer || self.policy.should_defer(self.rounds, residual.bytes);
-        if !defer && !parked.is_drained() {
-            // Converged pair: apply the residual synchronously, inside the
-            // commit window — exactly what a pre-copy update would do, and
-            // cheaper than exposing the resumed instance to trap latency.
-            let sync = drain_step(self.plan, &mut parked, self.old_proc, self.new_proc, usize::MAX, None)?;
-            residual.cost = sync.cost;
-        }
-        let deferred = !parked.is_drained();
-        Ok(PostcopyPairOutcome {
-            stats: trace.stats,
-            report,
-            residual,
-            state: PairPostcopyState { delta, residual: parked },
-            deferred,
-        })
-    }
-}
-
-/// Executes `jobs` with the given worker count, returning outcomes indexed
-/// by submission (pair) order.
-///
-/// `workers <= 1` runs the jobs in order on the calling thread and stops at
-/// the first error, exactly like the historical sequential loop. Otherwise
-/// the jobs are pulled from a *shared work queue* by `workers` scoped
-/// threads — work stealing, so a worker that drew a cheap pair immediately
-/// grabs the next one and skewed pair sizes cannot stall the makespan the
-/// way a static assignment could. Results are still merged in submission
-/// order, so determinism is unaffected by who ran what.
-fn run_jobs<J, R>(jobs: Vec<J>, workers: usize, run: impl Fn(J) -> McrResult<R> + Sync) -> Vec<McrResult<R>>
-where
-    J: Send,
-    R: Send,
-{
-    let n = jobs.len();
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for job in jobs {
-            let result = run(job);
-            let failed = result.is_err();
-            out.push(result);
-            if failed {
+/// The stop-the-world pair loop of [`TraceAndTransferPhase`] and
+/// [`PostcopyCommitPhase`]: for each pair, in pair order, trace it, run
+/// `transfer` on it and merge what it produced — tracing statistics, the
+/// clock charge, the per-process report (which keeps its conflicts, so
+/// per-process attribution survives into a rolled-back report) and
+/// descriptor inheritance — stopping at the first error. The clock is
+/// charged the *residual* cost: without pre-copy that is the pair's full transfer, with
+/// pre-copy the stop-the-world share left after the concurrent rounds, for a
+/// deferred post-copy pair nothing. The phase's
+/// [`state_transfer`](crate::runtime::report::UpdateTimings) time is the
+/// list-schedule makespan of those costs on the modelled workers.
+fn transfer_pairs(
+    ctx: &mut UpdateCtx<'_>,
+    mut transfer: impl FnMut(
+        &TransferContext,
+        &mut DeltaPlan,
+        &Process,
+        &InstanceState,
+        &mut Process,
+        &InstanceState,
+        &TraceResult,
+    ) -> McrResult<(ProcessTransferReport, ResidualStats)>,
+) -> McrResult<()> {
+    let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
+    ctx.ensure_plan()?;
+    let mut host_wall = Duration::ZERO;
+    let mut failure: Option<McrError> = None;
+    let mut pair_costs: Vec<SimDuration> = Vec::with_capacity(ctx.pairs.len());
+    for index in 0..ctx.pairs.len() {
+        let wall = Instant::now();
+        let outcome = trace_and_transfer_pair(ctx, index, &mut transfer);
+        host_wall += wall.elapsed();
+        match outcome {
+            Err(e) => {
+                failure = Some(e);
                 break;
             }
-        }
-        return out;
-    }
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let run = &run;
-    let queue = &queue;
-    let mut slots: Vec<Option<McrResult<R>>> = Vec::new();
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let next = queue.lock().expect("work queue poisoned").next();
-                        match next {
-                            Some((index, job)) => done.push((index, run(job))),
-                            None => break done,
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, outcome) in handle.join().expect("transfer worker panicked") {
-                slots[index] = Some(outcome);
+            Ok((stats, (report, residual))) => {
+                let (old_pid, new_pid) = ctx.pairs[index];
+                ctx.report.tracing.merge(&stats);
+                ctx.kernel.advance_clock(residual.cost);
+                pair_costs.push(residual.cost);
+                ctx.report.precopy.absorb_residual(&residual);
+                ctx.report.transfer.push(report);
+                inherit_connection_fds(ctx.kernel, old_pid, new_pid);
             }
         }
-    });
-    slots.into_iter().map(|slot| slot.expect("every job ran")).collect()
+    }
+    ctx.report.transfer.workers = workers;
+    ctx.report.transfer.host_wall_ns = u64::try_from(host_wall.as_nanos()).unwrap_or(u64::MAX);
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    if ctx.report.transfer.conflicts().next().is_some() {
+        return Err(McrError::Conflicts(ctx.report.transfer.conflicts().cloned().collect()));
+    }
+    ctx.report.timings.state_transfer = list_schedule_makespan(&pair_costs, workers);
+    Ok(())
 }
 
 /// Per-process descriptor inheritance: connection descriptors created after
@@ -1661,91 +1505,7 @@ impl Phase for TraceAndTransferPhase {
             ctx.report.timings.state_transfer = SimDuration(0);
             return Ok(());
         }
-        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
-        ctx.ensure_plan()?;
-
-        // Fan out: split the kernel's process table into disjoint per-pair
-        // borrows and run every trace+transfer job on the worker pool. The
-        // interned cross-version metadata is built once and shared read-only.
-        let wall = Instant::now();
-        let outcomes = {
-            let UpdateCtx { kernel, old, new_instance, opts, pairs, plan, pair_precopy, .. } = ctx;
-            let new_instance = new_instance.as_mut().expect("matched pairs imply an instance");
-            let old_state = &old.state;
-            let new_state = &new_instance.state;
-            let plan = plan.as_ref().expect("ensured above");
-            let split = kernel.split_pairs(pairs).map_err(McrError::Sim)?;
-            // When pre-copy rounds ran, every pair resumes its delta plan;
-            // otherwise each job runs the classic full trace+transfer.
-            let mut precopy_states: Vec<Option<&mut PairPrecopyState>> = if pair_precopy.is_empty() {
-                (0..pairs.len()).map(|_| None).collect()
-            } else {
-                pair_precopy.iter_mut().map(Some).collect()
-            };
-            let shards = opts.effective_intra_pair_shards();
-            let jobs: Vec<PairJob<'_>> = split
-                .into_iter()
-                .zip(precopy_states.iter_mut())
-                .map(|((old_proc, new_proc), precopy)| PairJob {
-                    old_proc,
-                    new_proc,
-                    old_state,
-                    new_state,
-                    plan,
-                    trace: opts.trace,
-                    shards,
-                    precopy: precopy.take(),
-                })
-                .collect();
-            run_jobs(jobs, workers, PairJob::run)
-        };
-        let host_wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-        // Merge deterministically, in pair order: tracing statistics,
-        // simulated clock charges, per-process reports, conflict sets and
-        // descriptor inheritance are all independent of the worker count and
-        // of job completion order. Reports keep their conflicts (per-process
-        // attribution survives into the rolled-back report); the error list
-        // is materialized only on the cold rollback path below. The clock is
-        // charged the *residual* cost — without pre-copy that equals the
-        // full per-pair duration, with pre-copy it is the stop-the-world
-        // share left after the concurrent rounds.
-        let mut any_conflicts = false;
-        let mut failure: Option<McrError> = None;
-        let mut pair_costs: Vec<SimDuration> = Vec::with_capacity(ctx.pairs.len());
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-                Ok(PairOutcome { stats, report, residual }) => {
-                    let (old_pid, new_pid) = ctx.pairs[index];
-                    ctx.report.tracing.merge(&stats);
-                    ctx.kernel.advance_clock(residual.cost);
-                    pair_costs.push(residual.cost);
-                    ctx.report.precopy.absorb_residual(&residual);
-                    any_conflicts |= !report.conflicts.is_empty();
-                    ctx.report.transfer.push(report);
-                    inherit_connection_fds(ctx.kernel, old_pid, new_pid);
-                }
-            }
-        }
-        ctx.report.transfer.workers = workers;
-        ctx.report.transfer.host_wall_ns = host_wall_ns;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        if any_conflicts {
-            return Err(McrError::Conflicts(ctx.report.transfer.conflicts().cloned().collect()));
-        }
-
-        // The measured stop-the-world state-transfer time: the deterministic
-        // list-schedule makespan of the executed work-stealing run. One
-        // worker yields the serial sum; one worker per pair the per-pair
-        // maximum (the paper's parallel multi-process transfer).
-        ctx.report.timings.state_transfer = list_schedule_makespan(&pair_costs, workers);
-        Ok(())
+        transfer_pairs(ctx, transfer_residual)
     }
 }
 
@@ -1754,8 +1514,9 @@ impl Phase for TraceAndTransferPhase {
 /// between rounds.
 ///
 /// Each round (1) bumps every old process's write epoch, (2) delta-retraces
-/// and copies each pair's stale objects on the shared worker pool, (3)
-/// charges the round's makespan to the clock (concurrent time, recorded in
+/// and copies each pair's stale objects, pair by pair, (3) charges the
+/// round's makespan on the modelled workers to the clock (concurrent time,
+/// recorded in
 /// [`UpdateTimings::precopy`](crate::runtime::report::UpdateTimings), not
 /// downtime), and (4) lets the old instance run
 /// [`PrecopyOptions::serve_rounds`](crate::runtime::controller::PrecopyOptions)
@@ -1790,39 +1551,13 @@ impl Phase for PrecopyPhase {
                 uptos.push(ctx.kernel.advance_write_epoch(old_pid).map_err(McrError::Sim)?);
             }
 
-            // Copy this round's stale delta, pair-parallel.
-            let outcomes = {
-                let UpdateCtx { kernel, old, new_instance, opts, pairs, plan, pair_precopy, .. } = ctx;
-                let new_instance = new_instance.as_mut().expect("pre-copy runs after reinit");
-                let old_state = &old.state;
-                let new_state = &new_instance.state;
-                let plan = plan.as_ref().expect("ensured above");
-                let split = kernel.split_pairs(pairs).map_err(McrError::Sim)?;
-                let shards = opts.effective_intra_pair_shards();
-                let jobs: Vec<PrecopyJob<'_>> = split
-                    .into_iter()
-                    .zip(pair_precopy.iter_mut())
-                    .zip(uptos.iter())
-                    .map(|(((old_proc, new_proc), state), &upto)| PrecopyJob {
-                        old_proc,
-                        new_proc,
-                        old_state,
-                        new_state,
-                        plan,
-                        trace: opts.trace,
-                        shards,
-                        state,
-                        upto,
-                    })
-                    .collect();
-                run_jobs(jobs, workers, PrecopyJob::run)
-            };
-
-            // Merge in pair order; a failing round aborts the update while
-            // the old version is still live (rollback costs nothing).
+            // Copy this round's stale delta; a failing round aborts the
+            // update while the old version is still live (rollback costs
+            // nothing).
             let mut round_costs = Vec::with_capacity(ctx.pairs.len());
-            for outcome in outcomes {
-                let round_report = outcome?;
+            for (index, &upto) in uptos.iter().enumerate() {
+                let (_, round_report) = trace_and_transfer_pair(ctx, index, precopy_transfer_round)?;
+                ctx.pair_precopy[index].delta.traced_upto = upto;
                 ctx.report.precopy.absorb_round(round, &round_report);
                 round_costs.push(round_report.cost);
             }
@@ -1884,9 +1619,9 @@ impl Phase for CommitPhase {
 }
 
 /// Post-copy phase 5 — commit: final delta retrace and transfer for every
-/// pair with the stale residual *parked* instead of copied, the per-pair
-/// sync-vs-defer decision, descriptor inheritance, access traps armed over
-/// every parked range, and the new version resumed.
+/// pair ([`transfer_pairs`]) with the stale residual *parked* instead of
+/// copied, the per-pair sync-vs-defer decision, descriptor inheritance,
+/// access traps armed over every parked range, and the new version resumed.
 ///
 /// The old version's processes are deliberately **not** removed here: the
 /// parked residual still reads the frozen old address spaces, and a drain
@@ -1909,91 +1644,45 @@ impl Phase for PostcopyCommitPhase {
             resume(kernel, new_instance);
             return Ok(());
         }
-        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
-        ctx.ensure_plan()?;
+        // `Postcopy` mode defers unconditionally; `Adaptive` asks the policy,
+        // whose convergence signal is the update's pre-copy round history
+        // (empty without pre-copy).
+        let force_defer = ctx.opts.mode == TransferMode::Postcopy;
+        let policy = ctx.opts.policy;
         let rounds: Vec<PrecopyRoundReport> = ctx.report.precopy.rounds.clone();
-
-        let wall = Instant::now();
-        let outcomes = {
-            let UpdateCtx { kernel, old, new_instance, opts, pairs, plan, pair_precopy, .. } = ctx;
-            let new_instance = new_instance.as_mut().expect("matched pairs imply an instance");
-            let old_state = &old.state;
-            let new_state = &new_instance.state;
-            let plan = plan.as_ref().expect("ensured above");
-            let split = kernel.split_pairs(pairs).map_err(McrError::Sim)?;
-            let mut precopy_states: Vec<Option<&mut PairPrecopyState>> = if pair_precopy.is_empty() {
-                (0..pairs.len()).map(|_| None).collect()
+        // A deferred pair contributes nothing to the window: its applies are
+        // charged when they happen, after resume.
+        let mut states: Vec<PairPostcopyState> = Vec::with_capacity(ctx.pairs.len());
+        let transferred =
+            transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
+                let (report, mut residual, mut parked) =
+                    postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
+                let defer = force_defer || policy.should_defer(&rounds, residual.bytes);
+                if !defer && !parked.is_drained() {
+                    // Converged pair: apply the residual synchronously,
+                    // inside the commit window — exactly what a pre-copy
+                    // update would do, and cheaper than exposing the resumed
+                    // instance to trap latency. `cost` is then the share
+                    // applied inside the window.
+                    let sync = drain_step(plan, &mut parked, old_proc, new_proc, usize::MAX, None)?;
+                    residual.cost = sync.cost;
+                }
+                states.push(PairPostcopyState { delta: std::mem::take(delta), residual: parked });
+                Ok((report, residual))
+            });
+        // Counted before the result is looked at: a rolled-back report still
+        // says what the pairs ahead of the failing one did.
+        for state in &states {
+            if state.residual.is_drained() {
+                ctx.report.postcopy.synced_pairs += 1;
             } else {
-                pair_precopy.iter_mut().map(Some).collect()
-            };
-            let shards = opts.effective_intra_pair_shards();
-            let force_defer = opts.mode == TransferMode::Postcopy;
-            let policy = opts.policy;
-            let rounds = rounds.as_slice();
-            let jobs: Vec<PostcopyPairJob<'_>> = split
-                .into_iter()
-                .zip(precopy_states.iter_mut())
-                .map(|((old_proc, new_proc), precopy)| PostcopyPairJob {
-                    old_proc,
-                    new_proc,
-                    old_state,
-                    new_state,
-                    plan,
-                    trace: opts.trace,
-                    shards,
-                    precopy: precopy.take(),
-                    force_defer,
-                    policy,
-                    rounds,
-                })
-                .collect();
-            run_jobs(jobs, workers, PostcopyPairJob::run)
-        };
-        let host_wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-        // Merge deterministically, in pair order — identical bookkeeping to
-        // the stop-the-world phase, so reports and conflicts stay
-        // byte-identical across modes. Only the *charged* cost differs: a
-        // deferred pair contributes nothing to the window (its applies are
-        // charged when they happen, after resume).
-        let mut any_conflicts = false;
-        let mut failure: Option<McrError> = None;
-        let mut pair_costs: Vec<SimDuration> = Vec::with_capacity(ctx.pairs.len());
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-                Ok(PostcopyPairOutcome { stats, report, residual, state, deferred }) => {
-                    let (old_pid, new_pid) = ctx.pairs[index];
-                    ctx.report.tracing.merge(&stats);
-                    ctx.kernel.advance_clock(residual.cost);
-                    pair_costs.push(residual.cost);
-                    ctx.report.precopy.absorb_residual(&residual);
-                    if deferred {
-                        ctx.report.postcopy.deferred_pairs += 1;
-                        ctx.report.postcopy.deferred_objects += state.residual.remaining();
-                        ctx.report.postcopy.deferred_bytes += state.residual.remaining_bytes();
-                    } else {
-                        ctx.report.postcopy.synced_pairs += 1;
-                    }
-                    any_conflicts |= !report.conflicts.is_empty();
-                    ctx.report.transfer.push(report);
-                    ctx.pair_postcopy.push(state);
-                    inherit_connection_fds(ctx.kernel, old_pid, new_pid);
-                }
+                ctx.report.postcopy.deferred_pairs += 1;
+                ctx.report.postcopy.deferred_objects += state.residual.remaining();
+                ctx.report.postcopy.deferred_bytes += state.residual.remaining_bytes();
             }
         }
-        ctx.report.transfer.workers = workers;
-        ctx.report.transfer.host_wall_ns = host_wall_ns;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        if any_conflicts {
-            return Err(McrError::Conflicts(ctx.report.transfer.conflicts().cloned().collect()));
-        }
-        ctx.report.timings.state_transfer = list_schedule_makespan(&pair_costs, workers);
+        ctx.pair_postcopy = states;
+        transferred?;
 
         // Arm the access traps over every parked range, then resume the new
         // version immediately — from here on the residual retires in the

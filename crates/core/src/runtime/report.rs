@@ -81,8 +81,8 @@ pub struct UpdateTimings {
     /// (record/replay of startup operations).
     pub control_migration: SimDuration,
     /// State-transfer time with MCR's parallel per-process transfer (the
-    /// time reported in Figure 3): the makespan of the round-robin schedule
-    /// the pair-parallel phase executed with
+    /// time reported in Figure 3), as a modelled schedule: the list-schedule
+    /// makespan of the pairs' simulated costs on
     /// [`UpdateOptions::transfer_workers`](crate::runtime::controller::UpdateOptions)
     /// workers. One worker reproduces the sequential sum; one worker per
     /// pair (the default) is bounded by the slowest pair.
@@ -100,7 +100,7 @@ pub struct UpdateTimings {
     /// post-copy downtime is the commit window plus this.
     pub trap_service: SimDuration,
     /// Time the optional [`PhaseName::Checkpoint`] phase spent writing the
-    /// durable checkpoint (parallel shard-writer makespan plus manifest
+    /// durable checkpoint (modelled shard-writer makespan plus manifest
     /// commit). Runs inside the quiescence window, so it is downtime; zero
     /// when no checkpoint phase is configured.
     pub checkpoint_write: SimDuration,

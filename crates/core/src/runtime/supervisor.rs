@@ -6,8 +6,8 @@
 //! back. The supervisor turns that into a *liveness* property: a rolled-back
 //! update is retried with exponential backoff on the virtual clock (the old
 //! instance keeps serving between attempts), the configuration degrades on
-//! repeated failure (pre-copy → stop-the-world, parallel transfer →
-//! serial), every phase can carry a sim-time watchdog budget
+//! repeated failure (pre-copy → stop-the-world → serial-sum cost model),
+//! every phase can carry a sim-time watchdog budget
 //! ([`UpdatePipeline::with_uniform_phase_deadline`]), and after
 //! [`SupervisorPolicy::max_attempts`] the supervisor gives up cleanly with
 //! the full attempt history embedded in the final
@@ -33,17 +33,17 @@ use crate::transfer::checkpoint::{checkpoint_now, restore_latest, CheckpointOpti
 
 /// How far the supervisor has degraded the update configuration.
 ///
-/// The ladder trades update speed for simplicity: each rung disables the
-/// most concurrency-hungry mechanism left, on the theory that a fault that
-/// bit a complex schedule may spare a simpler one.
+/// The second rung drops what runs beside a serving instance (pre-copy,
+/// post-copy drain): a fault that bit a complex schedule may spare a simpler
+/// one. The third differs from it only in modelled time — the serial sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationTier {
     /// The configuration as requested (attempt 1).
     Full,
     /// Pre-copy disabled — classic stop-the-world pipeline (attempt 2).
     NoPrecopy,
-    /// Stop-the-world *and* fully serial: one transfer worker, one
-    /// intra-pair shard (attempt 3 and later).
+    /// Stop-the-world charged at the serial sum: one modelled worker, one
+    /// shard (attempt 3 and later).
     Serial,
 }
 

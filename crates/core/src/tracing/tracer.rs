@@ -28,23 +28,18 @@
 //! — stay under `#[cfg(test)]`, asserted equal inside every retrace the
 //! crate's tests run.
 //!
-//! # Sharded (parallel) marking
+//! # Traversal order
 //!
-//! A single-process server with a huge heap used to trace on one thread, so
-//! its traversal cost was bound by single-core memory-walk speed. With
-//! [`Tracer::with_shards`] the traversal becomes *level-synchronous*: the
-//! FIFO worklist is processed wave by wave (a wave is exactly the set of
-//! addresses the serial walk would pop before reaching the first address
-//! discovered by the wave), each wave's entries are scanned concurrently by
-//! shard workers pulling chunks from a shared cursor into per-worker result
-//! fragments, and the fragments are merged *serially, in wave order* — the
-//! same order the serial FIFO walk uses. Because object scanning is a pure
-//! function of the (frozen) process memory, and dedup/type-assignment
-//! decisions are replayed at merge time in the serial order, the finished
-//! graph, the conservative pins and the Table 2 statistics are byte-identical
-//! to the serial walk for every shard count ([`finalize`](Tracer::trace)
-//! stays a single pass over the merged graph). Delta retraces shard the
-//! stale-object re-scan the same way.
+//! The traversal is one FIFO worklist loop on the calling thread: pop an
+//! address, resolve it, skip it if its base is already in the graph, scan the
+//! object, enqueue every target seen for the first time, insert. Dedup and
+//! type-assignment decisions are made in pop order, which is what the graph,
+//! the conservative pins and the Table 2 statistics are defined by; a delta
+//! retrace re-scans its stale set in address order and resumes the same loop
+//! from what the re-scans discovered.
+//! [`UpdateOptions::intra_pair_shards`](crate::runtime::controller::UpdateOptions)
+//! is an input of the transfer engine's cost model only: tracing charges no
+//! simulated time, so no worker count reaches this module.
 //!
 //! # Hot paths: what is computed once
 //!
@@ -53,7 +48,7 @@
 //! from the registry's per-type memo, and its annotation is borrowed from the
 //! annotation registry. Per conservatively scanned range the bytes are read
 //! once — one region lookup, one copy into a scratch buffer owned by the
-//! scanning worker — and the words are walked from that buffer; a range that
+//! traversal — and the words are walked from that buffer; a range that
 //! runs past its region's end is split there, so exactly the words a
 //! word-by-word read could reach are scanned. Per pointer there is one region
 //! lookup, from which the target's class and its resolution both follow.
@@ -61,9 +56,7 @@
 //! invalidate, and the edges, their order and every statistic are the ones
 //! the word-by-word walk produced.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::collections::{BTreeSet, VecDeque};
 
 use mcr_procsim::{Addr, Kernel, MemoryRegion, Pid, Process, RegionKind};
 use mcr_typemeta::{LayoutElement, TypeId};
@@ -147,204 +140,24 @@ struct SweepWork {
     visited: usize,
 }
 
-/// What scanning one worklist entry produced: the traced object plus the
-/// outgoing targets the scan would have enqueued, in scan order. Workers
-/// produce these independently; the merge pass replays the enqueue/dedup
-/// decisions serially so the traversal is byte-identical to the serial walk.
-struct ScannedObject {
-    traced: TracedObject,
-    discovered: Vec<(Addr, Option<TypeId>)>,
-}
+/// The outgoing targets of the object scanned last, in scan order, each with
+/// the pointee type its slot declares. One list serves a whole traversal;
+/// deduplication against the graph is the caller's.
+type Discovered = Vec<(Addr, Option<TypeId>)>;
 
 /// Most bytes one conservative-scan read copies out of the process; bounds
-/// the scratch buffer a scanning worker keeps.
+/// the scratch buffer a traversal keeps.
 const SCAN_CHUNK: u64 = 64 * 1024;
 
-/// The read buffer of one scanning worker, reused across the objects it
-/// scans so a trace allocates per worker, not per object.
+/// The read buffer of one traversal, reused across the objects it scans so a
+/// trace allocates once, not per object.
 type ScanScratch = Vec<u8>;
-
-/// Runs `f` over `items`, returning results in item order. With `workers <=
-/// 1` (or a trivially small batch) the items are mapped inline; otherwise
-/// `workers` scoped threads pull index chunks from a shared cursor. Results
-/// are slotted by index, so the output is independent of which worker scanned
-/// what. Every worker hands `f` its own scratch buffer.
-fn run_sharded<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T, &mut ScanScratch) -> R + Sync,
-) -> Vec<R> {
-    if workers <= 1 || items.len() < workers.saturating_mul(2) {
-        let mut scratch = ScanScratch::new();
-        return items.iter().map(|item| f(item, &mut scratch)).collect();
-    }
-    let chunk = (items.len() / (workers * 4)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    let mut scratch = ScanScratch::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break done;
-                        }
-                        for (i, item) in
-                            items.iter().enumerate().take((start + chunk).min(items.len())).skip(start)
-                        {
-                            done.push((i, f(item, &mut scratch)));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, result) in handle.join().expect("trace shard worker panicked") {
-                slots[index] = Some(result);
-            }
-        }
-    });
-    slots.into_iter().map(|s| s.expect("every item scanned")).collect()
-}
-
-/// A persistent shard-worker pool for one level-synchronous traversal:
-/// workers are spawned once per traversal (not once per wave) and fed waves
-/// through a mutex/condvar handshake, so deep graphs — whose BFS has many
-/// waves — do not pay a thread spawn/join per wave. Wave entries are `Copy`,
-/// so a worker copies its chunk out under the lock and scans without holding
-/// it; results are slotted by wave index, which keeps the merge order (and
-/// with it the determinism contract) identical to the serial walk.
-struct WavePool {
-    state: Mutex<WaveState>,
-    ready: Condvar,
-}
-
-struct WaveState {
-    wave: Vec<(Addr, Option<TypeId>)>,
-    cursor: usize,
-    chunk: usize,
-    /// Entries of the current wave not yet scanned into `results`.
-    pending: usize,
-    results: Vec<Option<Option<ScannedObject>>>,
-    shutdown: bool,
-    /// A worker panicked while scanning: the coordinator re-raises instead
-    /// of waiting forever on `pending` (the panic happened with the mutex
-    /// released, so lock poisoning alone would not unblock it).
-    failed: bool,
-}
-
-impl WavePool {
-    fn new() -> Self {
-        WavePool {
-            state: Mutex::new(WaveState {
-                wave: Vec::new(),
-                cursor: 0,
-                chunk: 1,
-                pending: 0,
-                results: Vec::new(),
-                shutdown: false,
-                failed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// The shard-worker loop: pull a chunk, scan it unlocked, slot the
-    /// results, park on the condvar when the wave is drained.
-    fn worker(&self, scan: impl Fn(Addr, Option<TypeId>, &mut ScanScratch) -> Option<ScannedObject>) {
-        let mut scratch = ScanScratch::new();
-        let mut state = self.state.lock().expect("wave pool poisoned");
-        loop {
-            if state.shutdown {
-                return;
-            }
-            if state.cursor < state.wave.len() {
-                let start = state.cursor;
-                let end = (start + state.chunk).min(state.wave.len());
-                state.cursor = end;
-                let items: Vec<(Addr, Option<TypeId>)> = state.wave[start..end].to_vec();
-                drop(state);
-                // The scan runs with the mutex released, so a panic here
-                // would neither poison the lock nor decrement `pending` —
-                // catch it, flag the pool failed (waking the coordinator and
-                // every parked worker) and re-raise so `thread::scope`
-                // propagates it.
-                let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    items
-                        .into_iter()
-                        .map(|(addr, declared)| scan(addr, declared, &mut scratch))
-                        .collect::<Vec<_>>()
-                }));
-                state = self.state.lock().expect("wave pool poisoned");
-                match scanned {
-                    Ok(scanned) => {
-                        for (i, outcome) in scanned.into_iter().enumerate() {
-                            state.results[start + i] = Some(outcome);
-                        }
-                        state.pending = state.pending.saturating_sub(end - start);
-                        if state.pending == 0 {
-                            self.ready.notify_all();
-                        }
-                    }
-                    Err(payload) => {
-                        state.failed = true;
-                        state.shutdown = true;
-                        self.ready.notify_all();
-                        drop(state);
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            } else {
-                state = self.ready.wait(state).expect("wave pool poisoned");
-            }
-        }
-    }
-
-    /// Publishes one wave to the workers and blocks until every entry is
-    /// scanned, returning the results in wave order.
-    fn run_wave(&self, wave: Vec<(Addr, Option<TypeId>)>, workers: usize) -> Vec<Option<ScannedObject>> {
-        let len = wave.len();
-        let mut state = self.state.lock().expect("wave pool poisoned");
-        state.chunk = (len / (workers.max(1) * 4)).max(1);
-        state.wave = wave;
-        state.cursor = 0;
-        state.pending = len;
-        state.results = (0..len).map(|_| None).collect();
-        self.ready.notify_all();
-        while state.pending > 0 && !state.failed {
-            state = self.ready.wait(state).expect("wave pool poisoned");
-        }
-        if state.failed {
-            // The failing worker already re-raised on its own thread;
-            // unwinding out of the scope closure lets `thread::scope` join
-            // the workers (shutdown is set) and propagate the panic.
-            drop(state);
-            panic!("trace shard worker panicked");
-        }
-        state.wave.clear();
-        state.results.drain(..).map(|slot| slot.expect("every wave entry scanned")).collect()
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock().expect("wave pool poisoned");
-        state.shutdown = true;
-        self.ready.notify_all();
-    }
-}
 
 /// The mutable-tracing engine for one process of the old version.
 pub struct Tracer<'a> {
     process: &'a Process,
     state: &'a InstanceState,
     options: TraceOptions,
-    /// Worker threads used by the sharded traversal (`<= 1` = serial).
-    shards: usize,
 }
 
 impl<'a> Tracer<'a> {
@@ -363,37 +176,24 @@ impl<'a> Tracer<'a> {
         Ok(Tracer::for_process(process, state, options))
     }
 
-    /// Creates a tracer over an already-borrowed process.
-    ///
-    /// This is the entry point used by the pair-parallel trace/transfer
-    /// phase: workers hold per-process borrows obtained from
-    /// [`Kernel::split_pairs`](mcr_procsim::Kernel::split_pairs) instead of
-    /// going through `&Kernel`, which would alias the exclusive borrows of
-    /// the new version's processes.
+    /// Creates a tracer over an already-borrowed process: the trace/transfer
+    /// phases hold their pair's processes through
+    /// [`Kernel::split_pairs`](mcr_procsim::Kernel::split_pairs), and going
+    /// through `&Kernel` would alias the exclusive borrow of the new one.
     pub fn for_process(process: &'a Process, state: &'a InstanceState, options: TraceOptions) -> Self {
-        Tracer { process, state, options, shards: 1 }
-    }
-
-    /// Shards the traversal across `shards` worker threads (`0`/`1` keeps it
-    /// serial). The traversal is level-synchronous and merge order replays
-    /// the serial walk, so the resulting graph, pins and statistics are
-    /// byte-identical for every shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
+        Tracer { process, state, options }
     }
 
     /// Runs the traversal from the root set.
     pub fn trace(&self) -> TraceResult {
         let mut graph = ObjectGraph::new();
         let mut work = Worklist::fresh();
-        let mut wave: Vec<(Addr, Option<TypeId>)> = Vec::new();
+        let mut queue: VecDeque<(Addr, Option<TypeId>)> = VecDeque::new();
         for root in self.state.statics.roots() {
-            wave.push((root.addr, Some(root.ty)));
+            queue.push_back((root.addr, Some(root.ty)));
             work.enqueued.insert(root.addr.0);
         }
-        self.traverse(&mut graph, wave, &mut work);
+        self.traverse(&mut graph, queue, &mut work);
         let stats = self.finalize(&mut graph, false);
         TraceResult { graph, stats }
     }
@@ -426,22 +226,17 @@ impl<'a> Tracer<'a> {
         let stale = self.stale_objects(graph, since);
         #[cfg(test)]
         assert_eq!(stale, self.stale_by_object_stamp(graph, since), "the page-driven stale set diverged");
-        // Re-scan the stale set on the shard workers (each re-scan is a pure
-        // read of the frozen process memory), then merge in address order —
-        // the same order the serial loop used.
-        let rescanned = run_sharded(&stale, self.shards, |&(addr, prev_ty), scratch| {
-            self.rescan_stale(addr, prev_ty, scratch)
-        });
         let mut work = Worklist::resumed();
-        let mut frontier: Vec<(Addr, Option<TypeId>)> = Vec::new();
+        let mut frontier: VecDeque<(Addr, Option<TypeId>)> = VecDeque::new();
+        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::new());
         // Targets an object of the graph pointed at before the retrace and no
         // longer does, and the objects whose edges are new (re-scanned here,
         // traversed below): the sweep's whole input.
         let mut lost: Vec<Addr> = Vec::new();
         let mut delta: Vec<Addr> = Vec::new();
         let mut kept: Vec<Addr> = Vec::new();
-        for (&(addr, _), outcome) in stale.iter().zip(rescanned) {
-            match outcome {
+        for &(addr, prev_ty) in &stale {
+            match self.rescan_stale(addr, prev_ty, &mut discovered, &mut scratch) {
                 // An object whose backing chunk was freed (or replaced by an
                 // allocation with a different base) no longer resolves to the
                 // same base; drop it — clean objects may keep dangling edges
@@ -451,10 +246,10 @@ impl<'a> Tracer<'a> {
                     graph.note_changed(gone.addr, gone.size);
                     lost.extend(self.followed(&gone));
                 }
-                Some(ScannedObject { traced, discovered }) => {
+                Some(traced) => {
                     for &(target, ty) in &discovered {
                         if work.first_visit(graph, target) {
-                            frontier.push((target, ty));
+                            frontier.push_back((target, ty));
                         }
                     }
                     kept.clear();
@@ -539,71 +334,29 @@ impl<'a> Tracer<'a> {
             .map(|e| e.target_base)
     }
 
-    /// Level-synchronous worklist traversal: each wave (the addresses the
-    /// serial FIFO walk would pop before reaching this wave's discoveries) is
-    /// scanned on the shard workers, then merged serially *in wave order* —
-    /// replaying exactly the dedup and insertion decisions of the serial
-    /// walk, so the result is independent of the shard count.
-    ///
-    /// With shards enabled, the workers are spawned once and fed every wave
-    /// through a [`WavePool`] (a per-wave `thread::scope` would pay a
-    /// spawn/join per BFS level, which dominates on deep graphs); waves too
-    /// small to amortize even the pool handshake are scanned inline. Either
-    /// path slots results by wave index, so the merge is order-identical.
-    fn traverse(&self, graph: &mut ObjectGraph, mut wave: Vec<(Addr, Option<TypeId>)>, work: &mut Worklist) {
-        let mut scratch = ScanScratch::new();
-        let mut scan_inline = |wave: &[(Addr, Option<TypeId>)]| {
-            wave.iter()
-                .map(|&(addr, declared)| self.scan_entry(addr, declared, &mut scratch))
-                .collect::<Vec<_>>()
-        };
-        if self.shards <= 1 {
-            while !wave.is_empty() {
-                let scanned = scan_inline(&wave);
-                wave = self.merge_wave(graph, scanned, work);
-            }
-            return;
-        }
-        let pool = WavePool::new();
-        std::thread::scope(|scope| {
-            let pool = &pool;
-            for _ in 0..self.shards {
-                scope.spawn(move || {
-                    pool.worker(|addr, declared, scratch| self.scan_entry(addr, declared, scratch));
-                });
-            }
-            while !wave.is_empty() {
-                let scanned = if wave.len() < self.shards * 2 {
-                    scan_inline(&wave)
-                } else {
-                    pool.run_wave(std::mem::take(&mut wave), self.shards)
-                };
-                wave = self.merge_wave(graph, scanned, work);
-            }
-            pool.shutdown();
-        });
-    }
-
-    /// Merges one scanned wave into the graph in wave order, returning the
-    /// next wave. Two wave entries can resolve to the same base (interior
-    /// pointers); the first in wave order wins, exactly like the serial
-    /// pop-time check — the duplicate's scan (and its discoveries) are
-    /// discarded.
-    fn merge_wave(
+    /// The worklist traversal, in FIFO order: pop an address, resolve it,
+    /// skip it if its base is already in the graph (two entries can resolve
+    /// to the same base — interior pointers — and the first popped wins),
+    /// scan it, enqueue every target seen for the first time, insert. The
+    /// declared pointee type applies only when the address is the object
+    /// base.
+    fn traverse(
         &self,
         graph: &mut ObjectGraph,
-        scanned: Vec<Option<ScannedObject>>,
+        mut queue: VecDeque<(Addr, Option<TypeId>)>,
         work: &mut Worklist,
-    ) -> Vec<(Addr, Option<TypeId>)> {
-        let mut next: Vec<(Addr, Option<TypeId>)> = Vec::new();
-        for outcome in scanned {
-            let Some(ScannedObject { traced, discovered }) = outcome else { continue };
-            if graph.contains(traced.addr) {
+    ) {
+        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::new());
+        while let Some((addr, declared)) = queue.pop_front() {
+            let Some(resolved) = self.resolve_object(addr) else { continue };
+            if graph.contains(resolved.base) {
                 continue;
             }
+            let type_id = resolved.type_id.or(if addr == resolved.base { declared } else { None });
+            let traced = self.scan_resolved(resolved, type_id, &mut discovered, &mut scratch);
             for &(target, ty) in &discovered {
                 if work.first_visit(graph, target) {
-                    next.push((target, ty));
+                    queue.push_back((target, ty));
                 }
             }
             if work.resumed {
@@ -611,22 +364,6 @@ impl<'a> Tracer<'a> {
             }
             graph.insert(traced);
         }
-        next
-    }
-
-    /// Scans one frontier entry: resolves the address, builds the traced
-    /// object (the declared pointee type applies only when the address is the
-    /// object base, as in the serial walk) and collects its outgoing targets.
-    /// Pure with respect to shared state, so entries scan concurrently.
-    fn scan_entry(
-        &self,
-        addr: Addr,
-        declared: Option<TypeId>,
-        scratch: &mut ScanScratch,
-    ) -> Option<ScannedObject> {
-        let resolved = self.resolve_object(addr)?;
-        let type_id = resolved.type_id.or(if addr == resolved.base { declared } else { None });
-        Some(self.scan_resolved(resolved, type_id, scratch))
     }
 
     /// Re-scans one stale object of a delta retrace. Returns `None` when the
@@ -637,22 +374,26 @@ impl<'a> Tracer<'a> {
         &self,
         addr: Addr,
         prev_ty: Option<TypeId>,
+        discovered: &mut Discovered,
         scratch: &mut ScanScratch,
-    ) -> Option<ScannedObject> {
+    ) -> Option<TracedObject> {
         let resolved = match self.resolve_object(addr) {
             Some(r) if r.base == addr => r,
             _ => return None,
         };
         let type_id = resolved.type_id.or(prev_ty);
-        Some(self.scan_resolved(resolved, type_id, scratch))
+        Some(self.scan_resolved(resolved, type_id, discovered, scratch))
     }
 
+    /// Scans a resolved object: a pure read of process memory that returns
+    /// the traced object and leaves its outgoing targets in `discovered`.
     fn scan_resolved(
         &self,
         resolved: ResolvedObject,
         type_id: Option<TypeId>,
+        discovered: &mut Discovered,
         scratch: &mut ScanScratch,
-    ) -> ScannedObject {
+    ) -> TracedObject {
         let mut traced = TracedObject {
             addr: resolved.base,
             size: resolved.size,
@@ -666,9 +407,9 @@ impl<'a> Tracer<'a> {
             precise_pointers: Vec::new(),
             likely_pointers: Vec::new(),
         };
-        let mut discovered = Vec::new();
-        self.scan_object(&mut traced, &mut discovered, scratch);
-        ScannedObject { traced, discovered }
+        discovered.clear();
+        self.scan_object(&mut traced, discovered, scratch);
+        traced
     }
 
     /// The reachability sweep of a delta retrace, starting from what the
@@ -871,15 +612,10 @@ impl<'a> Tracer<'a> {
     }
 
     /// Scans one object for outgoing edges. Candidate traversal targets are
-    /// appended to `discovered` in scan order (deduplication against the
-    /// global enqueued set happens at merge time, so this stays a pure read
-    /// of process memory and can run on any shard worker).
-    fn scan_object(
-        &self,
-        traced: &mut TracedObject,
-        discovered: &mut Vec<(Addr, Option<TypeId>)>,
-        scratch: &mut ScanScratch,
-    ) {
+    /// appended to `discovered` in scan order; deduplication against the
+    /// enqueued set is the traversal's, so this stays a pure read of process
+    /// memory.
+    fn scan_object(&self, traced: &mut TracedObject, discovered: &mut Discovered, scratch: &mut ScanScratch) {
         let treatment = match &traced.origin {
             ObjectOrigin::Static { symbol } => self.state.annotations.obj_treatment(symbol),
             _ => None,
@@ -943,7 +679,7 @@ impl<'a> Tracer<'a> {
         offset: u64,
         pointee: Option<TypeId>,
         mask: u64,
-        discovered: &mut Vec<(Addr, Option<TypeId>)>,
+        discovered: &mut Discovered,
     ) {
         if offset + 8 > traced.size {
             return;
@@ -978,7 +714,7 @@ impl<'a> Tracer<'a> {
         traced: &mut TracedObject,
         offset: u64,
         len: u64,
-        discovered: &mut Vec<(Addr, Option<TypeId>)>,
+        discovered: &mut Discovered,
         scratch: &mut ScanScratch,
     ) {
         let space = self.process.space();
@@ -1432,81 +1168,6 @@ mod tests {
             trace_process(&kernel, &state, pid, TraceOptions { trace_libraries: true, ..Default::default() })
                 .unwrap();
         assert!(traced_libs.graph.get(lib_obj).is_some());
-    }
-
-    /// Builds a wide, multi-level object graph (a bucketed hash table of
-    /// linked chains with conservative value blobs) and checks that the
-    /// sharded traversal produces a graph and statistics byte-identical to
-    /// the serial walk, for several shard counts, for fresh traces and for
-    /// delta retraces.
-    #[test]
-    fn sharded_trace_is_byte_identical_to_serial() {
-        let (mut kernel, mut state, pid) = listing1();
-        build_types(&mut state);
-        let tid = kernel.process(pid).unwrap().main_tid();
-        let mut nodes = Vec::new();
-        {
-            let mut env = ProgramEnv::new(&mut kernel, &mut state, pid, tid, "main");
-            // 8 bucket heads, each an interleaved chain of 12 typed nodes
-            // and 12 untyped blobs (node.next → blob, blob word 0 → next
-            // node), so the traversal alternates precise and conservative
-            // scanning across many waves.
-            for b in 0..8u64 {
-                let head = env.define_global(&format!("bucket{b}"), "l_t").unwrap();
-                let mut prev_slot = head.offset(8);
-                for i in 0..12u64 {
-                    let node = env.alloc("l_t", "handle_event:node").unwrap();
-                    env.write_u32(node, (b * 100 + i) as u32).unwrap();
-                    let blob = env.alloc_bytes(48, "handle_event:blob").unwrap();
-                    env.write_u64(blob.offset(8), 0x6c6f_6221).unwrap();
-                    env.write_ptr(prev_slot, node).unwrap();
-                    env.write_ptr(node.offset(8), blob).unwrap();
-                    prev_slot = blob;
-                    nodes.push(node);
-                }
-                // A hidden pointer from an opaque buffer pins one chain node.
-                let buf = env.define_global_opaque(&format!("buf{b}"), 8).unwrap();
-                env.write_ptr(buf, nodes[(b * 12) as usize]).unwrap();
-            }
-        }
-        kernel.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
-
-        let serial = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
-        assert!(serial.stats.objects_traced >= 8 * 24, "the synthetic heap is traced");
-        for shards in [2usize, 3, 7] {
-            let tracer =
-                Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap().with_shards(shards);
-            let sharded = tracer.trace();
-            assert_eq!(sharded.stats, serial.stats, "{shards} shards: stats diverged");
-            let a: Vec<_> = serial.graph.iter().collect();
-            let b: Vec<_> = sharded.graph.iter().collect();
-            assert_eq!(a, b, "{shards} shards: graph diverged");
-        }
-
-        // Delta retrace: dirty a few chain nodes, compare the sharded
-        // retrace against the serial retrace and a fresh trace.
-        let since = kernel.process_mut(pid).unwrap().space_mut().advance_write_epoch();
-        {
-            let space = kernel.process_mut(pid).unwrap().space_mut();
-            for node in nodes.iter().step_by(9) {
-                space.write_u32(*node, 0xd1d1).unwrap();
-            }
-        }
-        let mut serial_graph = serial.graph.clone();
-        let serial_tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
-        let serial_stats = serial_graph.retrace_dirty(&serial_tracer, since);
-        for shards in [2usize, 5] {
-            let mut graph = serial.graph.clone();
-            let tracer =
-                Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap().with_shards(shards);
-            let stats = graph.retrace_dirty(&tracer, since);
-            assert_eq!(stats, serial_stats, "{shards} shards: retrace stats diverged");
-            let a: Vec<_> = serial_graph.iter().collect();
-            let b: Vec<_> = graph.iter().collect();
-            assert_eq!(a, b, "{shards} shards: retraced graph diverged");
-        }
-        let fresh = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
-        assert_eq!(serial_stats, fresh.stats, "retrace converged to the fresh trace");
     }
 
     /// Pins the documented `retrace_dirty` caveat as an asserted known

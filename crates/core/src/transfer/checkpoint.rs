@@ -7,8 +7,8 @@
 //! * **shards** — the page *deltas* (every page whose soft-dirty stamp is
 //!   nonzero, i.e. written after startup), partitioned into contiguous,
 //!   cost-balanced ranges by the same partitioner the intra-pair transfer
-//!   engine uses, and assembled by parallel writer threads (one writer
-//!   assembles its shard on the calling thread);
+//!   engine uses, one blob per modelled writer, assembled one after the
+//!   other and charged at the slowest writer's cost;
 //! * **a manifest** — program identity, instrumentation config, memory
 //!   layout, file system, client endpoints, per-process topology (threads,
 //!   regions, live heap chunks, descriptor tables), the kernel object table,
@@ -240,7 +240,9 @@ impl RestoreError {
 /// Tuning knobs for checkpoint writing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointOptions {
-    /// Parallel shard writers (and shard count) for the page-delta blobs.
+    /// Shard count of the page-delta blobs, and the modelled writers the
+    /// writeback is charged on (one per shard; the blobs themselves are
+    /// assembled one after the other).
     pub shard_writers: usize,
     /// How many checkpoint versions to retain; older ones are deleted after
     /// a successful write.
@@ -272,12 +274,12 @@ pub struct CheckpointSummary {
     pub blocks: u64,
     /// Simulated cost of writing the shards serially.
     pub serial_cost: SimDuration,
-    /// Simulated cost actually charged: the slowest parallel shard writer.
+    /// Simulated cost actually charged: the slowest modelled shard writer.
     pub parallel_cost: SimDuration,
 }
 
 impl CheckpointSummary {
-    /// Serial-over-parallel speedup of the shard writeback.
+    /// Serial-over-parallel ratio of the modelled shard writeback.
     pub fn speedup(&self) -> f64 {
         if self.parallel_cost.0 == 0 {
             1.0
@@ -981,8 +983,8 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     let deltas = live_deltas(&procs);
 
     // Contiguous, cost-balanced shard split — the same partitioner the
-    // intra-pair transfer path uses, so the parallel writeback cost model
-    // matches the rest of the pipeline.
+    // intra-pair transfer path uses, so the writeback cost model matches the
+    // rest of the pipeline.
     let shard_count = opts.shard_writers.clamp(1, deltas.len().max(1));
     let costs: Vec<u64> = deltas.iter().map(PageDelta::cost).collect();
     let assignment = partition_contiguous(&costs, shard_count);
@@ -993,8 +995,8 @@ pub fn write_checkpoint<S: Store + ?Sized>(
         range.1 = i + 1;
     }
 
-    // Shard assembly: each writer serializes and checksums its contiguous
-    // record range independently — `(blob, checksum, simulated cost)`.
+    // Shard assembly: each shard's contiguous record range is serialized
+    // and checksummed on its own — `(blob, checksum, simulated cost)`.
     let assemble = |&(start, end): &(usize, usize)| {
         let records = if start == usize::MAX { &[] } else { &deltas[start..end] };
         let mut e = Enc::default();
@@ -1005,14 +1007,7 @@ pub fn write_checkpoint<S: Store + ?Sized>(
         let checksum = checksum64(&e.buf, 0);
         (e.buf, checksum, records.iter().map(PageDelta::cost).sum::<u64>())
     };
-    let shard_bufs: Vec<(Vec<u8>, u64, u64)> = match shard_ranges.as_slice() {
-        // A single writer has nobody to run beside: no thread.
-        [only] => vec![assemble(only)],
-        ranges => std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges.iter().map(|range| scope.spawn(|| assemble(range))).collect();
-            handles.into_iter().map(|h| h.join().expect("shard writer panicked")).collect()
-        }),
-    };
+    let shard_bufs: Vec<(Vec<u8>, u64, u64)> = shard_ranges.iter().map(assemble).collect();
 
     let serial_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| c).sum());
     let parallel_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| *c).max().unwrap_or(0));
@@ -1069,8 +1064,8 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     let page_deltas = deltas.len();
     let delta_bytes = deltas.iter().map(|d| d.bytes.len() as u64).sum();
 
-    // The writeback is charged at the parallel makespan, matching the
-    // paper's argument for parallel checkpoint writers.
+    // The writeback is charged at the makespan of one modelled writer per
+    // shard, matching the paper's argument for parallel checkpoint writers.
     kernel.advance_clock(parallel_cost);
 
     Ok(CheckpointSummary {

@@ -15,25 +15,25 @@
 //! are interned into a [`SymbolTable`] and every old type id is bridged to
 //! its new-version counterpart ahead of time, so the hot paths below work on
 //! `u32` ids and `Arc<str>` refcount bumps instead of `String` clones. The
-//! context is shared read-only across the worker threads of the
-//! pair-parallel transfer phase; [`transfer_between`] itself only touches
-//! the two processes of one matched pair, which is what makes the phase
-//! safely parallel.
+//! context is shared by every pair of the update; [`transfer_between`]
+//! itself only touches the two processes of one matched pair, so a pair's
+//! cost is independent of the others — which is what lets the pipeline
+//! charge the pairs as a schedule over
+//! [modelled workers](list_schedule_makespan).
 //!
 //! # Hot paths: what is computed once
 //!
 //! Within one transfer pass (`run_transfer`) nothing that depends only on types is derived
 //! per object. The structural [`FieldMap`] of a typed object depends on its
 //! (old type, new type) pair alone, so one map is computed for each distinct
-//! pair of the write set before the shard workers start and the table is
-//! shared read-only; each element is transformed directly into its slice of
-//! the object's output buffer. The old→new address map is a `Vec` appended
-//! by pass 3 in the graph's (strictly increasing) address order and
-//! binary-searched by pass 4 — it lives for one call, so there is nothing to
-//! invalidate. New-version object sizes come from the type registry's
-//! per-type memo. The bytes written, their order, the fault counter, the
-//! conflicts and every charged duration are those of the per-object
-//! derivation.
+//! pair of the write set before the first object is written; each element is
+//! transformed directly into its slice of the object's output buffer. The
+//! old→new address map is a `Vec` appended by pass 3 in the graph's
+//! (strictly increasing) address order and binary-searched by pass 4 — it
+//! lives for one call, so there is nothing to invalidate. New-version object
+//! sizes come from the type registry's per-type memo. The bytes written,
+//! their order, the fault counter, the conflicts and every charged duration
+//! are those of the per-object derivation.
 //!
 //! # Pre-copy delta transfer
 //!
@@ -63,10 +63,10 @@
 //! [`postcopy_commit`] runs the same passes as [`transfer_residual`] —
 //! identical placements, conflicts and logical report — but instead of
 //! applying the stale writes inside the stop-the-world window it snapshots
-//! and transforms them (the sharded prepare pass runs as usual, against the
-//! now-frozen old space) and parks them in a [`PostcopyResidual`]. The new
-//! version resumes immediately with access traps armed over the parked
-//! ranges ([`PostcopyResidual::arm`]); a store into a not-yet-transferred
+//! and transforms them (against the now-frozen old space) and parks them in
+//! a [`PostcopyResidual`]. The new version resumes immediately with access
+//! traps armed over the parked ranges ([`PostcopyResidual::arm`]); a store
+//! into a not-yet-transferred
 //! page parks in the kernel's trap queue, [`fault_in_at`] services it by
 //! applying every parked object on the touched pages (and only then do the
 //! parked program stores replay), and [`drain_step`] retires the remainder
@@ -75,8 +75,8 @@
 //! after fault-in, the final memory is byte-identical to a stop-the-world
 //! transfer of the same graph.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mcr_procsim::{Addr, AllocSite, Kernel, Pid, Process, SimDuration, TypeTag};
@@ -119,12 +119,12 @@ pub struct TransferContext {
     /// object write (1-based, counted across every pair and every pre-copy
     /// round of the update).
     object_fault: Option<u64>,
-    /// Object writes performed so far (shared across transfer workers).
-    writes: AtomicU64,
-    /// Worker threads used *inside* one pair's transfer: the snapshot +
-    /// transform pass runs over contiguous address-range shards of the
-    /// object list, and the charged cost becomes the deterministic
-    /// list-schedule makespan over the per-shard costs. `0`/`1` = serial.
+    /// Object writes performed so far.
+    writes: Cell<u64>,
+    /// Modelled workers *inside* one pair's transfer: each write is charged
+    /// to one of this many contiguous address-range shards of the object
+    /// list, and the charged cost is the deterministic list-schedule
+    /// makespan over the per-shard costs. `0`/`1` = the serial sum.
     intra_pair_shards: usize,
 }
 
@@ -163,7 +163,7 @@ impl TransferContext {
             new_sites,
             types,
             object_fault: None,
-            writes: AtomicU64::new(0),
+            writes: Cell::new(0),
             intra_pair_shards: 1,
         }
     }
@@ -178,13 +178,13 @@ impl TransferContext {
         self
     }
 
-    /// Sets the intra-pair shard count: the snapshot/transform pass of every
-    /// transfer through this context runs on up to `shards` worker threads
-    /// over contiguous address-range shards of the object list, and the
-    /// charged (simulated) cost becomes the deterministic list-schedule
-    /// makespan over the per-shard costs. Writes, conflicts, reports and the
-    /// object-fault counter stay byte-identical to the serial run for every
-    /// shard count. `0`/`1` selects the serial path.
+    /// Sets the intra-pair shard count, an input of the cost model only:
+    /// every transfer through this context charges each write to one of
+    /// `shards` contiguous, cost-balanced address-range shards of the object
+    /// list, and the charged (simulated) cost is the deterministic
+    /// list-schedule makespan over the per-shard costs. Writes, conflicts,
+    /// reports and the object-fault counter do not depend on it. `0`/`1`
+    /// charges the serial sum.
     #[must_use]
     pub fn with_intra_pair_shards(mut self, shards: usize) -> Self {
         self.intra_pair_shards = shards.max(1);
@@ -201,17 +201,17 @@ impl TransferContext {
     /// total doubles as the chaos engine's n-th-object-write site count
     /// (see [`writes_performed`](Self::writes_performed)).
     fn object_write_fires_fault(&self) -> bool {
-        let nth = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        self.object_fault == Some(nth)
+        self.writes.set(self.writes.get() + 1);
+        self.object_fault == Some(self.writes.get())
     }
 
     /// Total object writes counted through this context so far — across
-    /// every pair, shard and pre-copy round. After a clean (fault-free)
+    /// every pair and pre-copy round. After a clean (fault-free)
     /// update this is the number of injectable n-th-object-write fault
     /// sites; the pipeline copies it into
     /// [`UpdateReport::object_writes`](crate::runtime::report::UpdateReport).
     pub fn writes_performed(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.writes.get()
     }
 
     /// The bridge for an old-version type id, if the type is registered.
@@ -618,24 +618,23 @@ pub struct ProcessTransferReport {
 
 /// Aggregate over all processes of one live update.
 ///
-/// Equality compares only the deterministic transfer work (`per_process`,
-/// `serial_duration`, `parallel_duration`) — the `workers` and
-/// `host_wall_ns` observability fields vary run to run by design, so a
-/// serial and a parallel execution of the same update compare equal.
+/// Equality compares only the transfer work (`per_process`,
+/// `serial_duration`, `parallel_duration`): `workers` is an input of the
+/// cost model and `host_wall_ns` a host-time reading, so the same update
+/// charged at different worker counts compares equal.
 #[derive(Debug, Clone, Default)]
 pub struct TransferSummary {
-    /// Per-process reports in pair order (deterministic regardless of how
-    /// many transfer workers ran).
+    /// Per-process reports in pair order.
     pub per_process: Vec<ProcessTransferReport>,
     /// Sum of per-process durations (sequential execution).
     pub serial_duration: SimDuration,
     /// Maximum per-process duration (the lower bound with one worker per
     /// pair — MCR's parallel multi-process transfer).
     pub parallel_duration: SimDuration,
-    /// Worker threads the trace/transfer phase actually used (0 before the
-    /// phase runs).
+    /// Modelled workers the trace/transfer phase scheduled the pairs on (0
+    /// before the phase runs).
     pub workers: usize,
-    /// Host wall-clock nanoseconds of the scoped-thread trace/transfer run.
+    /// Host wall-clock nanoseconds of the trace/transfer pair loop.
     /// Observability only — nondeterministic, excluded from determinism
     /// comparisons.
     pub host_wall_ns: u64,
@@ -685,12 +684,13 @@ struct TransferOutcome {
     pending: PostcopyResidual,
 }
 
-/// The deterministic makespan of the shared-work-queue execution model: each
+/// The makespan of `costs` list-scheduled on `workers` modelled workers: each
 /// job cost, in submission order, goes to the least-loaded worker (lowest
 /// index on ties). One worker yields the serial sum; one worker per job
-/// yields the per-job maximum. Both the cross-pair trace/transfer phase and
-/// the intra-pair shard accounting charge this schedule, so the simulated
-/// clock is independent of host scheduling.
+/// yields the per-job maximum. The jobs themselves run one after the other
+/// on the calling thread; this schedule is what the cross-pair
+/// trace/transfer phase and the intra-pair shard accounting charge to the
+/// simulated clock.
 pub fn list_schedule_makespan(costs: &[SimDuration], workers: usize) -> SimDuration {
     let mut load = vec![0u64; workers.max(1)];
     for cost in costs {
@@ -703,8 +703,7 @@ pub fn list_schedule_makespan(costs: &[SimDuration], workers: usize) -> SimDurat
 /// The shard, of `shards` contiguous ranges of roughly equal cumulative cost,
 /// that an item belongs to when the midpoint of its cost lies `mid` into a
 /// list costing `total`. Monotone in `mid`, so the ranges are contiguous; a
-/// pure function of the costs, so the shard assignment — and with it the
-/// charged makespan — never depends on host scheduling.
+/// pure function of the costs, and so is the charged makespan.
 fn shard_at(mid: u64, total: u64, shards: usize) -> usize {
     let shards = shards.max(1);
     if total == 0 {
@@ -729,18 +728,15 @@ pub(crate) fn partition_contiguous(costs: &[u64], shards: usize) -> Vec<usize> {
         .collect()
 }
 
-/// How one object's contents reach the new version, decided by the parallel
-/// prepare pass and consumed by the serial apply pass.
+/// How one object's contents reach the new version: what pass 4 prepares
+/// for an object right before it applies it.
 enum Prepared {
-    /// The old bytes could not be read — the object is skipped, exactly like
-    /// the historical snapshot pass skipped it.
-    Skip,
-    /// Verbatim copy (untyped or non-updatable object, no transform): the
-    /// apply pass uses the [`AddressSpace::copy_range`] fast path straight
-    /// from the old space, with no intermediate buffer at all.
+    /// Verbatim copy (untyped or non-updatable object, no transform): applied
+    /// with the [`AddressSpace::copy_range`] fast path straight from the old
+    /// space, with no intermediate buffer at all.
     Direct,
     /// Transformed contents (semantic handler or structural field map with
-    /// pointer rewriting), computed on the shard worker.
+    /// pointer rewriting).
     Bytes(Vec<u8>),
 }
 
@@ -790,12 +786,11 @@ pub fn transfer_process(
 /// Transfers the traced state of one matched pair, given direct borrows of
 /// the two processes.
 ///
-/// This is the per-pair work unit of the parallel trace/transfer phase: it
-/// reads the old process, writes the new one, and consults only shared
-/// read-only state (`plan`, the two instance states), so disjoint pairs can
-/// run concurrently. It does **not** advance the kernel clock; the caller
-/// charges the returned [`ProcessTransferReport::duration`] deterministically
-/// after every pair has finished.
+/// This is the per-pair work unit of the trace/transfer phase: it reads the
+/// old process, writes the new one, and consults only read-only state
+/// (`plan`, the two instance states). It does **not** advance the kernel
+/// clock; the caller charges the returned
+/// [`ProcessTransferReport::duration`].
 ///
 /// # Errors
 ///
@@ -920,8 +915,8 @@ fn run_transfer(
     let mut round = PrecopyRoundReport::default();
     let mut pending: Vec<PendingObject> = Vec::new();
     // The deferred (post-copy commit) pass behaves like the stop-the-world
-    // pass everywhere except pass 5, where stale writes park instead of
-    // landing.
+    // pass everywhere except pass 4's apply step, where stale writes park
+    // instead of landing.
     let final_mode = mode != CopyMode::Round;
     let deferred = mode == CopyMode::Deferred;
     let graph = &trace.graph;
@@ -1253,15 +1248,15 @@ fn run_transfer(
     );
 
     // ------------------------------------------------------------------
-    // Pass 4 (read-only, shard-parallel): snapshot and transform the bytes
-    // of every object this run writes. The list (already in address order)
-    // is split into contiguous address-range shards by where each write
-    // falls in the cost-balanced partition of the run's *logical* write
-    // set, so a write is charged to the same shard however much of that
-    // set was pre-copied; each shard worker reuses one scratch buffer
-    // (`AddressSpace::read_into`) instead of allocating a `Vec` per object,
-    // and verbatim objects skip the snapshot entirely (the apply pass
-    // copies them space-to-space).
+    // Pass 4: for every object this run writes, in address order, snapshot
+    // and transform its bytes, then apply them — fault counting, conflict
+    // detection, stamping the plan's records and the report. Each applied
+    // write is charged to the shard its position in the cost-balanced
+    // partition of the run's *logical* write set falls in, so it is charged
+    // to the same shard however much of that set was pre-copied; the
+    // per-shard charges feed the list-schedule makespan below. One scratch
+    // buffer (`AddressSpace::read_into`) serves every snapshot, and verbatim
+    // objects skip the snapshot entirely (they are copied space-to-space).
     // ------------------------------------------------------------------
     // The type pair of an object that takes the structural field-map path.
     let typed_pair = |p: &Planned| match (&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
@@ -1269,8 +1264,7 @@ fn run_transfer(
         _ => None,
     };
     // A field map depends only on its type pair: derive one per distinct
-    // pair of the write set, before the shard workers start, and share the
-    // table read-only.
+    // pair of the write set.
     let mut field_maps: BTreeMap<(TypeId, TypeId), FieldMap> = BTreeMap::new();
     for (old_ty, new_ty) in planned.iter().filter_map(typed_pair) {
         field_maps
@@ -1278,30 +1272,26 @@ fn run_transfer(
             .or_insert_with(|| compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty));
     }
     let shards = plan.intra_pair_shards();
-    let shard_of: Vec<usize> = planned
-        .iter()
-        .map(|p| shard_at(p.cost_before + est_cost(p.size) / 2, logical_cost, shards))
-        .collect();
-    let prepare = |p: &Planned, scratch: &mut Vec<u8>| -> Prepared {
+    let shard_of = |p: &Planned| shard_at(p.cost_before + est_cost(p.size) / 2, logical_cost, shards);
+    let mut scratch: Vec<u8> = Vec::new();
+    // `None`: the old bytes cannot be read, and the object drops out of the
+    // write set without touching any counter.
+    let mut prepare = |p: &Planned| -> Option<Prepared> {
         if Prepared::is_verbatim(&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
-            // Reproduce the historical skip: unreadable old bytes drop the
-            // object from the write set without touching any counter.
-            if old_proc.space().is_valid_range(p.old_base, p.size.max(1) as usize) {
-                return Prepared::Direct;
-            }
-            return Prepared::Skip;
+            return old_proc
+                .space()
+                .is_valid_range(p.old_base, p.size.max(1) as usize)
+                .then_some(Prepared::Direct);
         }
         let len = p.size.max(1) as usize;
         if scratch.len() < len {
             scratch.resize(len, 0);
         }
-        if old_proc.space().read_into(p.old_base, &mut scratch[..len]).is_err() {
-            return Prepared::Skip;
-        }
+        old_proc.space().read_into(p.old_base, &mut scratch[..len]).ok()?;
         let old_bytes = &scratch[..len];
         if let Some(key) = &p.transform_key {
             let handler = new_state.annotations.transform(key).expect("transform key resolved earlier");
-            return Prepared::Bytes(handler(old_bytes));
+            return Some(Prepared::Bytes(handler(old_bytes)));
         }
         let map = &field_maps[&typed_pair(p).expect("neither verbatim nor handled by a transform")];
         // Objects larger than one element (arrays of the element type) are
@@ -1315,54 +1305,13 @@ fn run_transfer(
             apply_field_map(map, old_elem, elem);
             rewrite_pointers(elem, &map.pointers, old_elem, trace, &addr_map, p.mask_bits);
         }
-        Prepared::Bytes(out)
+        Some(Prepared::Bytes(out))
     };
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(planned.len());
-    if shards <= 1 || planned.len() < 2 * shards {
-        let mut scratch = Vec::new();
-        prepared.extend(planned.iter().map(|p| prepare(p, &mut scratch)));
-    } else {
-        prepared.resize_with(planned.len(), || Prepared::Skip);
-        // Hand each shard its contiguous slice of the result vector; the
-        // shard ranges are contiguous by construction.
-        let mut slices: Vec<(&mut [Prepared], usize)> = Vec::new();
-        let mut rest: &mut [Prepared] = &mut prepared;
-        let mut start = 0usize;
-        for shard in 0..shards {
-            let len = shard_of.iter().filter(|&&s| s == shard).count();
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            slices.push((head, start));
-            rest = tail;
-            start += len;
-        }
-        std::thread::scope(|scope| {
-            let prepare = &prepare;
-            let planned = &planned;
-            for (slice, offset) in slices {
-                scope.spawn(move || {
-                    let mut scratch = Vec::new();
-                    for (k, slot) in slice.iter_mut().enumerate() {
-                        *slot = prepare(&planned[offset + k], &mut scratch);
-                    }
-                });
-            }
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Pass 5 (serial, deterministic): apply the prepared contents in
-    // address order — fault counting, conflict detection, stamping the
-    // plan's records and the report are byte-identical to the serial engine
-    // for every shard count. The per-shard charge of each applied write
-    // feeds the list-schedule makespan below.
-    // ------------------------------------------------------------------
     let mut shard_residual = vec![SimDuration(0); shards];
     let mut shard_round = vec![SimDuration(0); shards];
-    for (k, (p, outcome)) in planned.iter().zip(prepared.iter()).enumerate() {
+    for p in &planned {
         let new_base = p.new_base;
-        if matches!(outcome, Prepared::Skip) {
-            continue;
-        }
+        let Some(outcome) = prepare(p) else { continue };
         if deferred && p.stale {
             // Post-copy commit: park the stale write — count it exactly as
             // the stop-the-world pass would (the logical report stays
@@ -1382,11 +1331,10 @@ fn run_transfer(
                 continue;
             }
             let (len, bytes) = match outcome {
-                Prepared::Skip => unreachable!("skipped above"),
                 Prepared::Direct => ((p.size.max(1) as usize).min(writable), None),
-                Prepared::Bytes(out) => {
-                    let len = out.len().min(writable);
-                    (len, Some(out[..len].to_vec()))
+                Prepared::Bytes(mut out) => {
+                    out.truncate(writable);
+                    (out.len(), Some(out))
                 }
             };
             report.objects_transferred += 1;
@@ -1418,7 +1366,6 @@ fn run_transfer(
             continue;
         }
         let len = match outcome {
-            Prepared::Skip => unreachable!("skipped above"),
             Prepared::Direct => {
                 let len = (p.size.max(1) as usize).min(writable);
                 new_proc
@@ -1443,12 +1390,14 @@ fn run_transfer(
             if p.stale {
                 residual.objects += 1;
                 residual.bytes += len as u64;
-                shard_residual[shard_of[k]] = shard_residual[shard_of[k]].saturating_add(cost);
+                let shard = shard_of(p);
+                shard_residual[shard] = shard_residual[shard].saturating_add(cost);
             }
         } else {
             round.objects_copied += 1;
             round.bytes_copied += len as u64;
-            shard_round[shard_of[k]] = shard_round[shard_of[k]].saturating_add(cost);
+            let shard = shard_of(p);
+            shard_round[shard] = shard_round[shard].saturating_add(cost);
         }
     }
 
@@ -1457,10 +1406,9 @@ fn run_transfer(
     // kernel clock inside the stop-the-world window and the round cost while
     // the old version is still serving; `report.duration` stays the logical
     // full-transfer cost so reports are identical with and without pre-copy
-    // and across shard counts. The *charged* cost is the deterministic
-    // list-schedule makespan over the per-shard costs — with one shard the
-    // serial sum (exactly the historical formula), with `n` shards the
-    // parallel schedule the shard workers executed.
+    // and across shard counts. The *charged* cost is the list-schedule
+    // makespan over the per-shard costs — with one shard the serial sum,
+    // with `n` shards what `n` modelled workers, one per shard, would take.
     report.duration = SimDuration(report.objects_transferred * 2_000 + report.bytes_transferred * 2);
     residual.cost = list_schedule_makespan(&shard_residual, shards);
     round.cost = list_schedule_makespan(&shard_round, shards);

@@ -846,18 +846,16 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Borrow splitting (parallel per-process state transfer)
+    // Borrow splitting (per-process state transfer)
     // ------------------------------------------------------------------
 
     /// Hands out disjoint exclusive references to the given processes, in the
     /// order requested.
     ///
-    /// This is the borrow-splitting primitive behind MCR's parallel
-    /// per-process state transfer: each matched pair of a live update can be
-    /// traced and transferred on its own thread because every worker owns
-    /// `&mut` access to *its* processes only, while global kernel state
-    /// (clock, object table, files) stays with the caller and is advanced
-    /// deterministically after the workers join.
+    /// This is how safe Rust gets more than one process out of the one
+    /// process table at a time: state transfer reads a matched pair's old
+    /// process while it writes the new one, and global kernel state (clock,
+    /// object table, files) stays with the caller.
     ///
     /// # Errors
     ///

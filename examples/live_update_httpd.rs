@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  control migration               : {:.3} ms",
         report.timings.control_migration.as_millis_f64()
     );
-    println!("  state transfer (parallel)       : {:.3} ms", report.timings.state_transfer.as_millis_f64());
+    println!("  state transfer (modelled)       : {:.3} ms", report.timings.state_transfer.as_millis_f64());
     println!(
         "  state transfer (serial)         : {:.3} ms",
         report.timings.state_transfer_serial.as_millis_f64()

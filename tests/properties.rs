@@ -14,6 +14,7 @@ use mcr_core::runtime::{
     boot, live_update, BootOptions, FaultPlan, PhaseName, PrecopyOptions, SchedulerMode, TransferMode,
     UpdateOptions, UpdatePipeline, UpdateReport,
 };
+use mcr_core::transfer::engine::list_schedule_makespan;
 use mcr_core::transfer::{apply_field_map, compute_field_map};
 use mcr_procsim::{
     Addr, AddressSpace, AllocSite, ConnId, DirtyRange, Fd, FdEntry, FdTable, Kernel, KernelObject, ObjId,
@@ -243,11 +244,12 @@ fn committed_update(program: &str, requests: u64, open: usize, workers: usize) -
     (kernel_fingerprint(&kernel), report)
 }
 
-/// The pair-parallel trace/transfer phase is deterministic: for fault-free
-/// updates, the serial ablation (`transfer_workers = 1`) and a parallel run
-/// with a random worker count produce identical post-commit kernel state,
-/// identical phase traces, tracing statistics, per-process transfer reports
-/// and conflict lists. Only the parallel timing model may differ.
+/// `transfer_workers` moves simulated time and nothing else: for fault-free
+/// updates, one modelled worker and a random worker count produce identical
+/// post-commit kernel state, identical phase traces, tracing statistics,
+/// per-process transfer reports and conflict lists, and the charged
+/// state-transfer time is exactly the list-schedule makespan of the pairs'
+/// durations on that many workers.
 #[test]
 fn parallel_and_serial_transfer_produce_identical_updates() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
@@ -288,8 +290,8 @@ fn parallel_and_serial_transfer_produce_identical_updates() {
                 .all(|(a, b)| a.conflicts == b.conflicts),
             "seed {seed} ({program}): conflict lists diverged"
         );
-        // Shared-work timings agree; the parallel makespan can only improve
-        // on the serial sum.
+        // Shared-work timings agree; the makespan on more workers can only
+        // improve on the serial sum.
         assert_eq!(serial.timings.quiescence, parallel.timings.quiescence);
         assert_eq!(serial.timings.control_migration, parallel.timings.control_migration);
         assert_eq!(serial.timings.state_transfer_serial, parallel.timings.state_transfer_serial);
@@ -299,49 +301,90 @@ fn parallel_and_serial_transfer_produce_identical_updates() {
             "one worker reproduces the sequential sum"
         );
         assert!(parallel.timings.state_transfer <= serial.timings.state_transfer);
+        let durations: Vec<_> = parallel.transfer.per_process.iter().map(|r| r.duration).collect();
+        assert_eq!(
+            parallel.timings.state_transfer,
+            list_schedule_makespan(&durations, parallel.transfer.workers),
+            "seed {seed} ({program}): the charged time is the modelled schedule of the pairs"
+        );
         assert_eq!(serial.transfer.workers, 1);
         assert_eq!(parallel.transfer.workers, workers.min(serial.transfer.per_process.len()));
     }
 }
 
-/// Conflicting updates roll back identically too: the aborting conflict
-/// list, the per-process conflict attribution in the transfer report, and
-/// the post-rollback kernel state do not depend on the worker count.
+/// Aborted updates roll back identically too: the aborting conflict list,
+/// the per-process attribution in the transfer report, the object-write
+/// count and the post-rollback kernel state do not depend on the modelled
+/// worker or shard count — whether the abort is a conflict set found during
+/// state transfer or a fault injected at a mid-phase object write.
 #[test]
 fn parallel_and_serial_rollbacks_report_identical_conflicts() {
-    // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
-    // references, which aborts the update during state transfer.
-    let run = |workers: usize| {
+    let attempt = |generation: u32, open: usize, fault: FaultPlan, workers: usize, shards: usize| {
         let mut kernel = Kernel::new();
         install_standard_files(&mut kernel);
         let mut v1 =
             boot(&mut kernel, Box::new(program_by_name("vsftpd", 1)), &BootOptions::default()).unwrap();
         run_workload(&mut kernel, &mut v1, &workload_for("vsftpd", 6)).unwrap();
-        let opts = UpdateOptions { transfer_workers: workers, ..Default::default() };
-        let (_v1, outcome) = live_update(
+        open_idle_connections(&mut kernel, &mut v1, workload_for("vsftpd", 1).port, open).unwrap();
+        let opts =
+            UpdateOptions { transfer_workers: workers, intra_pair_shards: shards, ..Default::default() };
+        let (_running, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(fault).run(
             &mut kernel,
             v1,
-            Box::new(program_by_name("vsftpd", 3)),
+            Box::new(program_by_name("vsftpd", generation)),
             InstrumentationConfig::full(),
             &opts,
         );
-        assert!(!outcome.is_committed(), "workers={workers}: expected a conflict rollback");
-        (outcome.conflicts().to_vec(), outcome.report().clone(), kernel_fingerprint(&kernel))
+        (
+            outcome.is_committed(),
+            outcome.conflicts().to_vec(),
+            outcome.report().clone(),
+            kernel_fingerprint(&kernel),
+        )
     };
-    let (serial_conflicts, serial_report, serial_fp) = run(1);
-    for workers in [2usize, 5] {
-        let (parallel_conflicts, parallel_report, parallel_fp) = run(workers);
-        assert!(!serial_conflicts.is_empty(), "the scenario must produce conflicts");
-        assert_eq!(serial_conflicts, parallel_conflicts, "workers={workers}: conflict lists diverged");
-        assert_eq!(
-            serial_report.transfer.per_process, parallel_report.transfer.per_process,
-            "workers={workers}: per-process reports diverged"
-        );
-        assert!(
-            serial_report.transfer.per_process.iter().any(|r| !r.conflicts.is_empty()),
-            "per-process conflict attribution survives into the rolled-back report"
-        );
-        assert_eq!(serial_fp, parallel_fp, "workers={workers}: post-rollback kernel state diverged");
+
+    // A clean generation 1 -> 2 update of five sessions sizes the second
+    // scenario: its fault lands halfway through the phase's object writes.
+    let (committed, _, clean, _) = attempt(2, 5, FaultPlan::none(), 1, 1);
+    assert!(committed, "the fault-free update commits");
+    let pairs = clean.transfer.per_process.len();
+    assert!(pairs >= 4, "{pairs} pairs");
+    let mid_phase = FaultPlan::failing_at_transfer_object(clean.object_writes / 2);
+
+    // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
+    // references, which aborts the update during state transfer.
+    let conflicting = (3, 0, FaultPlan::none(), &[1usize, 2, 5][..], &[1usize][..]);
+    let faulted = (2, 5, mid_phase, &[1usize, 2, 5, 0][..], &[1usize, 4][..]);
+    for (generation, open, fault, worker_counts, shard_counts) in [conflicting, faulted] {
+        let (_, serial_conflicts, serial_report, serial_fp) = attempt(generation, open, fault.clone(), 1, 1);
+        assert!(!serial_conflicts.is_empty(), "the scenario must abort");
+        if fault.is_empty() {
+            assert!(
+                serial_report.transfer.per_process.iter().any(|r| !r.conflicts.is_empty()),
+                "per-process conflict attribution survives into the rolled-back report"
+            );
+        } else {
+            let reached = serial_report.transfer.per_process.len();
+            assert!(
+                0 < reached && reached < pairs,
+                "the fault fires mid-phase: after {reached} of {pairs} pairs"
+            );
+        }
+        for &workers in worker_counts {
+            for &shards in shard_counts {
+                let ctx = format!("generation {generation}, workers={workers}, shards={shards}");
+                let (committed, conflicts, report, fp) =
+                    attempt(generation, open, fault.clone(), workers, shards);
+                assert!(!committed, "{ctx}: expected a rollback");
+                assert_eq!(serial_conflicts, conflicts, "{ctx}: conflict lists diverged");
+                assert_eq!(
+                    serial_report.transfer.per_process, report.transfer.per_process,
+                    "{ctx}: per-process reports diverged"
+                );
+                assert_eq!(serial_report.object_writes, report.object_writes, "{ctx}: write counts diverged");
+                assert_eq!(serial_fp, fp, "{ctx}: post-rollback kernel state diverged");
+            }
+        }
     }
 }
 
