@@ -160,6 +160,23 @@ impl ObjectGraph {
         Self::default()
     }
 
+    /// Files the objects of a fresh trace in one address-sorted bulk build:
+    /// the `(base, index)` keys are sorted, not the objects. Their bases are
+    /// distinct (a traversal scans each object once).
+    pub(crate) fn from_objects(objects: Vec<TracedObject>) -> Self {
+        let mut keys: Vec<(u64, usize)> = objects.iter().enumerate().map(|(at, o)| (o.addr.0, at)).collect();
+        keys.sort_unstable();
+        debug_assert!(keys.windows(2).all(|w| w[0].0 < w[1].0), "two traced objects share a base");
+        let max_size = objects.iter().map(|o| o.size).max().unwrap_or(0);
+        let mut slots: Vec<Option<TracedObject>> = objects.into_iter().map(Some).collect();
+        let sorted: Vec<(u64, TracedObject)> =
+            keys.into_iter().map(|(addr, at)| (addr, slots[at].take().expect("keys are distinct"))).collect();
+        // At most two copies of the objects are alive at once: the slots go
+        // before the tree is built from (and in the buffer of) `sorted`.
+        drop(slots);
+        ObjectGraph { objects: BTreeMap::from_iter(sorted), max_size, changed: Vec::new() }
+    }
+
     /// Inserts an object (keyed by base address), returning the entry it
     /// replaced.
     pub fn insert(&mut self, obj: TracedObject) -> Option<TracedObject> {

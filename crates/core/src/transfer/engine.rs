@@ -29,8 +29,10 @@
 //! pair of the write set before the first object is written; each element is
 //! transformed directly into its slice of the object's output buffer. The
 //! old→new address map is a `Vec` appended by pass 3 in the graph's
-//! (strictly increasing) address order and binary-searched by pass 4 — it
-//! lives for one call, so there is nothing to invalidate. New-version object
+//! (strictly increasing) address order and binary-searched by pass 4 — a
+//! pointer to an object's base is translated by that one search, only an
+//! interior pointer asks the graph which object holds it — and it lives
+//! for one call, so there is nothing to invalidate. New-version object
 //! sizes come from the type registry's per-type memo. The bytes written,
 //! their order, the fault counter, the conflicts and every charged duration
 //! are those of the per-object derivation.
@@ -89,6 +91,19 @@ use crate::program::InstanceState;
 use crate::tracing::graph::{ObjectOrigin, TracedObject};
 use crate::tracing::tracer::TraceResult;
 use crate::transfer::transform::{apply_field_map, compute_field_map, FieldMap};
+
+/// Simulated bookkeeping cost of one object write, in nanoseconds.
+const OBJECT_WRITE_NS: u64 = 2_000;
+/// Simulated copy cost of one written byte, in nanoseconds.
+const BYTE_WRITE_NS: u64 = 2;
+
+/// The simulated cost of writing `objects` objects of `bytes` bytes in all:
+/// every transfer charge — an applied write, a parked one when it is applied,
+/// the estimate that places a write in its shard, a report's logical total —
+/// is this.
+fn write_cost(objects: u64, bytes: u64) -> SimDuration {
+    SimDuration(objects * OBJECT_WRITE_NS + bytes * BYTE_WRITE_NS)
+}
 
 /// How one old-version type relates to the new version, resolved once per
 /// update instead of once per traced object.
@@ -476,7 +491,7 @@ fn apply_pending(
     residual.faulted_in += 1;
     stats.objects += 1;
     stats.bytes += len as u64;
-    stats.cost = stats.cost.saturating_add(SimDuration(2_000 + 2 * len as u64));
+    stats.cost = stats.cost.saturating_add(write_cost(1, len as u64));
     for page in pages_of(new_base, len) {
         if let Some(refs) = residual.page_refs.get_mut(&page) {
             *refs -= 1;
@@ -984,7 +999,7 @@ fn run_transfer(
         /// position in the cost-balanced shard partition.
         cost_before: u64,
     }
-    let est_cost = |size: u64| 2_000 + 2 * size.max(1);
+    let est_cost = |size: u64| write_cost(1, size.max(1)).0;
     let mut planned: Vec<Planned> = Vec::new();
     // Old base → new base of every object placed in this run, appended in
     // the graph's (strictly increasing) address order.
@@ -1383,7 +1398,7 @@ fn run_transfer(
         let record = &mut delta.table[p.entry];
         record.copied_at = Some(p.dirty_epoch);
         record.len = len as u64;
-        let cost = SimDuration(2_000 + 2 * len as u64);
+        let cost = write_cost(1, len as u64);
         if final_mode {
             report.objects_transferred += 1;
             report.bytes_transferred += len as u64;
@@ -1409,7 +1424,7 @@ fn run_transfer(
     // and across shard counts. The *charged* cost is the list-schedule
     // makespan over the per-shard costs — with one shard the serial sum,
     // with `n` shards what `n` modelled workers, one per shard, would take.
-    report.duration = SimDuration(report.objects_transferred * 2_000 + report.bytes_transferred * 2);
+    report.duration = write_cost(report.objects_transferred, report.bytes_transferred);
     residual.cost = list_schedule_makespan(&shard_residual, shards);
     round.cost = list_schedule_makespan(&shard_round, shards);
     Ok(TransferOutcome { report, residual, round, pending: PostcopyResidual::build(pending) })
@@ -1423,7 +1438,10 @@ fn new_base_of(addr_map: &[(u64, u64)], old_base: u64) -> Option<u64> {
 
 /// Rewrites the pointer slots of a transformed element: each old pointer
 /// value is translated through the address map (preserving interior offsets
-/// and encoded low bits).
+/// and encoded low bits). A pointer to an object's base — the common case —
+/// is one address-map search: the map's keys are graph bases, so the graph
+/// would name that very object at offset 0. Only the rest ask the graph
+/// which object contains them.
 fn rewrite_pointers(
     out: &mut [u8],
     pointer_pairs: &[(u64, u64)],
@@ -1445,17 +1463,16 @@ fn rewrite_pointers(
         }
         let bits = raw & mask;
         let target = raw & !mask;
-        let new_raw = match trace.graph.object_containing(Addr(target)) {
-            Some(obj) => match new_base_of(addr_map, obj.addr.0) {
-                Some(new_base) => {
-                    let delta = target - obj.addr.0;
-                    (new_base + delta) | bits
-                }
-                // Target not transferred (e.g. library state pinned at the
-                // same address): keep the old value.
-                None => raw,
-            },
-            None => raw,
+        let new_raw = match new_base_of(addr_map, target) {
+            Some(new_base) => new_base | bits,
+            // An interior pointer moves with its object. A target outside the
+            // graph, or not transferred (e.g. library state pinned at the
+            // same address), keeps the old value.
+            None => trace
+                .graph
+                .object_containing(Addr(target))
+                .and_then(|obj| Some(new_base_of(addr_map, obj.addr.0)? + (target - obj.addr.0)))
+                .map_or(raw, |moved| moved | bits),
         };
         out[new_off..new_off + 8].copy_from_slice(&new_raw.to_le_bytes());
     }
@@ -2521,5 +2538,85 @@ mod tests {
         assert_eq!(summary.objects_transferred(), 2);
         assert_eq!(summary.bytes_transferred(), 64);
         assert_eq!(summary.conflicts().count(), 0);
+    }
+
+    /// The translation the base-pointer search in `rewrite_pointers`
+    /// shortcuts, kept as its reference: every pointer asks the graph which
+    /// object contains it.
+    fn rewrite_by_lookup(
+        out: &mut [u8],
+        pointer_pairs: &[(u64, u64)],
+        old_elem: &[u8],
+        trace: &TraceResult,
+        addr_map: &[(u64, u64)],
+        mask_bits: u32,
+    ) {
+        let mask = pointer_mask(mask_bits);
+        for &(old_off, new_off) in pointer_pairs {
+            let (old_off, new_off) = (old_off as usize, new_off as usize);
+            let raw = u64::from_le_bytes(old_elem[old_off..old_off + 8].try_into().unwrap());
+            if raw == 0 {
+                continue;
+            }
+            let (bits, target) = (raw & mask, raw & !mask);
+            let new_raw = match trace.graph.object_containing(Addr(target)) {
+                Some(obj) => new_base_of(addr_map, obj.addr.0)
+                    .map_or(raw, |new_base| (new_base + (target - obj.addr.0)) | bits),
+                None => raw,
+            };
+            out[new_off..new_off + 8].copy_from_slice(&new_raw.to_le_bytes());
+        }
+    }
+
+    /// Pass 4's pointer translation against the graph lookup, one pointer
+    /// per shape: base, interior, one past the end (onto an adjacent object
+    /// and onto nothing), an object the plan did not place, an address
+    /// outside the graph, `EncodedPointers` values and null.
+    #[test]
+    fn base_pointer_translation_matches_the_graph_lookup() {
+        use crate::tracing::graph::ObjectGraph;
+        use crate::tracing::stats::{RegionClass, TracingStats};
+        // `a` and `b` are adjacent; `unplaced` has no new base.
+        let (a, b, unplaced, lone) = (0x1000, 0x1040, 0x2000, 0x3000);
+        let mut graph = ObjectGraph::new();
+        for (addr, size) in [(a, 64), (b, 32), (unplaced, 16), (lone, 8)] {
+            graph.insert(TracedObject {
+                addr: Addr(addr),
+                size,
+                origin: ObjectOrigin::Heap { site: None },
+                class: RegionClass::Dynamic,
+                type_id: None,
+                dirty_epoch: 1,
+                startup: false,
+                immutable: false,
+                non_updatable: false,
+                precise_pointers: Vec::new(),
+                likely_pointers: Vec::new(),
+            });
+        }
+        let trace = TraceResult { graph, stats: TracingStats::default() };
+        let addr_map = [(a, 0x9000), (b, 0x9100), (lone, 0xa000)];
+        let untouched = u64::from_le_bytes([0xee; 8]);
+        // (old value, mask bits, translated value)
+        let cases = [
+            (a, 0, 0x9000),
+            (a + 0x18, 0, 0x9018),
+            (a + 64, 0, 0x9100),
+            (lone + 8, 0, lone + 8),
+            (unplaced, 0, unplaced),
+            (unplaced + 4, 0, unplaced + 4),
+            (0x5000, 0, 0x5000),
+            (a | 0b11, 2, 0x9003),
+            ((b + 8) | 0b01, 2, 0x9109),
+            (unplaced | 0b10, 2, unplaced | 0b10),
+            (0, 0, untouched),
+        ];
+        for (raw, mask_bits, translated) in cases {
+            let (mut out, mut reference) = ([0xee; 16], [0xee; 16]);
+            rewrite_pointers(&mut out, &[(0, 8)], &raw.to_le_bytes(), &trace, &addr_map, mask_bits);
+            rewrite_by_lookup(&mut reference, &[(0, 8)], &raw.to_le_bytes(), &trace, &addr_map, mask_bits);
+            assert_eq!(out, reference, "{raw:#x} with {mask_bits} mask bits");
+            assert_eq!(u64::from_le_bytes(out[8..].try_into().unwrap()), translated, "{raw:#x}");
+        }
     }
 }
