@@ -759,13 +759,44 @@ fn delta_stream_out_of_pid_order_is_a_typed_reconcile_error() {
     let deltas = read_shards(&store, 1, &shard_meta).unwrap();
     let last = shard.len() - (DELTA_HEADER_LEN + deltas.last().unwrap().bytes.len());
     shard[last..last + 4].copy_from_slice(&1u32.to_le_bytes());
-    store.write_blob(&shard_blob(1, 0), &shard).unwrap();
-    let mut manifest = store.read_blob(&manifest_blob(1)).unwrap();
-    let sum_slot = MAGIC.len() + 4 + 8 + 8 + 4 + 8;
-    manifest[sum_slot..sum_slot + 8].copy_from_slice(&checksum64(&shard, 0).to_le_bytes());
-    reseal(&mut manifest);
-    store.write_blob(&manifest_blob(1), &manifest).unwrap();
+    replace_sole_shard(&mut store, &shard);
 
     let err = restore_latest(&store, &mut factory(), None).unwrap_err();
     assert!(matches!(&err, RestoreError::Reconcile(why) if why.contains("pid order")), "got {err:?}");
+}
+
+/// Overwrites version 1's only shard with `shard`, then re-seals its sum in
+/// the manifest's shard table and the manifest trailer, so every checksum
+/// passes.
+fn replace_sole_shard(store: &mut MemStore, shard: &[u8]) {
+    store.write_blob(&shard_blob(1, 0), shard).unwrap();
+    let mut manifest = store.read_blob(&manifest_blob(1)).unwrap();
+    let sum_slot = MAGIC.len() + 4 + 8 + 8 + 4 + 8;
+    manifest[sum_slot..sum_slot + 8].copy_from_slice(&checksum64(shard, 0).to_le_bytes());
+    reseal(&mut manifest);
+    store.write_blob(&manifest_blob(1), &manifest).unwrap();
+}
+
+#[test]
+fn resealed_payload_change_is_caught_by_the_digest_check() {
+    let (mut kernel, instance) = quiesced(2);
+    scribble(&mut kernel, &instance);
+    let mut store = MemStore::new();
+    let opts = CheckpointOptions { shard_writers: 1, ..Default::default() };
+    write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
+    // Change one byte [`scribble`] stored, in a delta payload, and re-seal:
+    // only the state digest, recomputed from the revived kernel, can tell.
+    let (_, recorded, shard_meta) = read_manifest(&store, 1).unwrap();
+    let deltas = read_shards(&store, 1, &shard_meta).unwrap();
+    let at = deltas.iter().position(|d| d.addr == SCRATCH_BASE.0).unwrap();
+    let record: usize = deltas[..at].iter().map(|d| DELTA_HEADER_LEN + d.bytes.len()).sum();
+    let mut shard = store.read_blob(&shard_blob(1, 0)).unwrap();
+    shard[record + DELTA_HEADER_LEN + 8] ^= 0x80;
+    replace_sole_shard(&mut store, &shard);
+
+    let err = restore_latest(&store, &mut factory(), None).unwrap_err();
+    assert!(
+        matches!(err, RestoreError::DigestMismatch { expected, found } if expected == recorded && found != recorded),
+        "got {err:?}"
+    );
 }

@@ -1054,24 +1054,27 @@ impl Kernel {
     }
 
     /// Replaces the client-side connection tables wholesale from a
-    /// checkpoint manifest (restore path).
+    /// checkpoint manifest (restore path). The manifest lists endpoints in
+    /// ascending connection-id order, so both maps are bulk-built from
+    /// sorted runs instead of inserted into one entry at a time.
     pub fn restore_clients(&mut self, snapshots: Vec<ClientSnapshot>) {
-        self.clients.clear();
-        self.pending_client_data.clear();
-        for snap in snapshots {
-            if !snap.pending_to_server.is_empty() {
-                self.pending_client_data.insert(snap.conn, snap.pending_to_server.into_iter().collect());
-            }
-            self.clients.insert(
-                snap.conn,
-                ClientConn {
+        let mut pending = Vec::new();
+        self.clients = snapshots
+            .into_iter()
+            .map(|snap| {
+                if !snap.pending_to_server.is_empty() {
+                    pending.push((snap.conn, VecDeque::from(snap.pending_to_server)));
+                }
+                let conn = ClientConn {
                     port: snap.port,
-                    from_server: snap.from_server.into_iter().collect(),
+                    from_server: VecDeque::from(snap.from_server),
                     accepted: snap.accepted,
                     closed: snap.closed,
-                },
-            );
-        }
+                };
+                (snap.conn, conn)
+            })
+            .collect();
+        self.pending_client_data = pending.into_iter().collect();
     }
 
     /// The next workload connection id the kernel will hand out.

@@ -361,28 +361,30 @@ impl ObjectTable {
         }
     }
 
-    /// Removes `id` from the payload-kind lookup indexes for `obj`.
-    fn unindex_payload(&mut self, id: ObjId, obj: &KernelObject) {
-        match obj {
+    /// Removes `id` from the payload-kind lookup indexes for the payload
+    /// slot `s` still holds (borrowed in place, next to the index fields).
+    fn unindex_slot(&mut self, id: ObjId, s: u32) {
+        let ObjectTable { slots, conn_to_id, ports, unix_names, .. } = self;
+        match &slots[s as usize].obj {
             KernelObject::Connection { conn, .. } => {
                 let idx = conn.0 as usize;
-                if idx < self.conn_to_id.len() && self.conn_to_id[idx] == id.0 {
-                    self.conn_to_id[idx] = 0;
+                if idx < conn_to_id.len() && conn_to_id[idx] == id.0 {
+                    conn_to_id[idx] = 0;
                 }
             }
             KernelObject::Listener { port, .. } if *port != 0 => {
-                if let Some(bucket) = self.ports.get_mut(port) {
+                if let Some(bucket) = ports.get_mut(port) {
                     bucket.retain(|&i| i != id.0);
                     if bucket.is_empty() {
-                        self.ports.remove(port);
+                        ports.remove(port);
                     }
                 }
             }
             KernelObject::UnixChannel { name, .. } => {
-                if let Some(bucket) = self.unix_names.get_mut(name) {
+                if let Some(bucket) = unix_names.get_mut(name) {
                     bucket.retain(|&i| i != id.0);
                     if bucket.is_empty() {
-                        self.unix_names.remove(name);
+                        unix_names.remove(name);
                     }
                 }
             }
@@ -442,8 +444,7 @@ impl ObjectTable {
         let Some(s) = self.slot_of(id) else {
             return Err(format!("object id {} not live", id.0));
         };
-        let old = std::mem::replace(&mut self.slots[s as usize].obj, obj.clone());
-        self.unindex_payload(id, &old);
+        self.unindex_slot(id, s);
         self.index_payload(id, &obj);
         self.slots[s as usize].obj = obj;
         Ok(())

@@ -85,23 +85,40 @@ const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// 64-bit checksum of `bytes`, eight bytes per step. Pass seed 0 for a
 /// standalone sum, or a previous sum to chain over a sequence of records.
 ///
-/// Each step xors one little-endian word into the running state, multiplies
-/// by an odd constant and folds the high half down — all bijections of the
-/// state — so two inputs of equal length that differ only inside one aligned
-/// word *always* sum differently (in particular any single flipped byte is
-/// detected, never just probably). A tail shorter than a word is zero-padded
-/// and the length is folded in last, so appending or dropping zero bytes
-/// changes the sum too. Not cryptographic: it detects torn writes and bit
-/// rot, not forgery.
+/// Each step xors one little-endian word into a state, multiplies by an odd
+/// constant and folds the high half down — a bijection of the state for a
+/// fixed word and of the word for a fixed state. Whole 32-byte blocks run as
+/// four independent lanes (word *i* of every block steps lane *i*), so the
+/// multiplies overlap instead of forming one serial chain; the lanes are
+/// then stepped into the running state in order, followed by the remaining
+/// words, a zero-padded tail shorter than a word, and the length. A change
+/// confined to one aligned word changes one step of one lane or of the
+/// running state, and every step after it — later steps of that lane, the
+/// fold, the rest of the running state — is a bijection of what it receives,
+/// so the sum changes too: two inputs of equal length that differ only
+/// inside one aligned word *always* sum differently (in particular any
+/// single flipped byte is detected, never just probably). The length is
+/// folded in last, so appending or dropping zero bytes changes the sum too.
+/// Not cryptographic: it detects torn writes and bit rot, not forgery.
 pub fn checksum64(bytes: &[u8], seed: u64) -> u64 {
     fn step(h: u64, word: u64) -> u64 {
         let h = (h ^ word).wrapping_mul(CHECKSUM_MUL);
         h ^ (h >> 32)
     }
-    let mut h = seed;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = step(h, u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
+    fn word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+    }
+    let mut lanes = [seed; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, word(&block[i * 8..i * 8 + 8]));
+        }
+    }
+    let mut h = lanes.into_iter().fold(seed, step);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = step(h, word(w));
     }
     let tail = words.remainder();
     if !tail.is_empty() {
@@ -475,7 +492,9 @@ mod tests {
 
     #[test]
     fn checksum_detects_every_change_confined_to_one_word() {
-        for len in [1, 7, 8, 9, 64, 100] {
+        // Below, at and past one 32-byte block of lanes; whole blocks plus
+        // remaining words, plus a tail, or both.
+        for len in [1, 7, 8, 9, 31, 32, 33, 40, 56, 63, 64, 96, 100, 127] {
             let data = noise(len, 0x9E37 + len as u64);
             let sum = checksum64(&data, 0);
             for offset in 0..len {
@@ -493,12 +512,19 @@ mod tests {
                 assert_ne!(checksum64(&changed, 0), sum, "len {len} word {word}");
             }
         }
+        // Words 1 and 6 step lanes 1 and 2 of different blocks; exchanging
+        // them must not cancel out.
+        let data = noise(64, 5);
+        let mut swapped = data.clone();
+        swapped[8..16].copy_from_slice(&data[48..56]);
+        swapped[48..56].copy_from_slice(&data[8..16]);
+        assert_ne!(checksum64(&swapped, 0), checksum64(&data, 0));
     }
 
     #[test]
     fn checksum_folds_the_length_in() {
         // Zero padding of the tail must not hide appended or dropped zeros.
-        for len in 0..40 {
+        for len in 0..100 {
             let mut data = noise(len, 77);
             data.push(0);
             let sum = checksum64(&data, 0);
