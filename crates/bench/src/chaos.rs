@@ -376,7 +376,9 @@ fn give_up_drill(spec: &ChaosSpec, config: ChaosConfig) -> bool {
         InstrumentationConfig::full(),
         &opts,
         &policy,
-        |_| ChaosPlan::at_boundaries([PhaseName::Commit, PhaseName::PostcopyCommit]),
+        |_| {
+            FaultSite::Boundary(PhaseName::Commit).plan().with(FaultSite::Boundary(PhaseName::PostcopyCommit))
+        },
     );
     if outcome.is_committed() || outcome.report().attempts.len() != 2 {
         return false;
@@ -425,32 +427,6 @@ pub(crate) fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
     let mut picks: Vec<u64> = (0..max).map(|i| 1 + i * (total - 1) / (max - 1)).collect();
     picks.dedup();
     (picks, true)
-}
-
-fn plan_sites(plan: &ChaosPlan) -> Vec<FaultSite> {
-    let mut sites: Vec<FaultSite> = plan.boundaries().iter().map(|&p| FaultSite::Boundary(p)).collect();
-    if let Some(n) = plan.at_transfer_object() {
-        sites.push(FaultSite::TransferObject(n));
-    }
-    if let Some(n) = plan.at_syscall() {
-        sites.push(FaultSite::Syscall(n));
-    }
-    if let Some(n) = plan.at_fault_in() {
-        sites.push(FaultSite::FaultIn(n));
-    }
-    if let Some(n) = plan.at_drain_step() {
-        sites.push(FaultSite::DrainStep(n));
-    }
-    if let Some(n) = plan.at_manifest_write() {
-        sites.push(FaultSite::ManifestWrite(n));
-    }
-    if let Some(n) = plan.at_torn_write() {
-        sites.push(FaultSite::TornWrite(n));
-    }
-    if let Some(n) = plan.at_restore_step() {
-        sites.push(FaultSite::RestoreStep(n));
-    }
-    sites
 }
 
 /// Runs the full sweep for one configuration.
@@ -518,7 +494,7 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
             continue;
         }
         fired += 1;
-        for site in plan_sites(plan) {
+        for site in plan.sites() {
             injected.insert(site.to_string());
         }
         if result.diverged {

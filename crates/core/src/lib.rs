@@ -45,7 +45,7 @@
 //! [`UpdateReport::phases`](runtime::report::UpdateReport) and routes *every*
 //! failure through a single rollback guard, so a failure at any phase
 //! boundary leaves the old version running exactly where it was parked. A
-//! [`FaultPlan`] injects failures at chosen boundaries to prove exactly that
+//! [`ChaosPlan`] injects failures at chosen boundaries to prove exactly that
 //! (see `tests/live_update_integration.rs`).
 //!
 //! ## Example
@@ -89,7 +89,7 @@ pub use program::{InstanceState, Program, ProgramEnv, StepOutcome, WaitInterest}
 pub use quiescence::{QuiescenceProfiler, QuiescenceReport, QuiescentPoint};
 pub use runtime::{
     boot, live_update, supervised_update, AttemptSummary, BootOptions, ChaosPlan, ChaosRng, DegradationTier,
-    FaultCatalog, FaultPlan, FaultSite, McrInstance, MemoryReport, Phase, PhaseName, PhaseRecord, PhaseTrace,
+    FaultCatalog, FaultSite, McrInstance, MemoryReport, Phase, PhaseName, PhaseRecord, PhaseTrace,
     RoundStats, Scheduler, SchedulerMode, SupervisorPolicy, UpdateCtx, UpdateOptions, UpdateOutcome,
     UpdatePipeline, UpdateReport,
 };

@@ -10,20 +10,25 @@
 //!    pre-copy round copies), and every kernel syscall issued while the
 //!    pipeline was in flight is an injectable site.
 //! 2. **Schedule** — build [`ChaosPlan`]s over the catalog, either directly
-//!    ([`FaultSite::plan`]) or as a seeded randomized campaign
-//!    ([`random_plan`] with [`ChaosRng`], the same deterministic xorshift64*
-//!    generator the property-test suite uses — a seed fully reproduces a
-//!    campaign).
+//!    ([`FaultSite::plan`], [`ChaosPlan::with`]) or as a seeded randomized
+//!    campaign ([`random_plan`] with [`ChaosRng`], the same deterministic
+//!    xorshift64* generator the property-test suite uses — a seed fully
+//!    reproduces a campaign).
 //! 3. **Verify** — every injected schedule must roll back to a byte-identical
 //!    old instance; when one does not, [`shrink_schedule`] reduces the
 //!    failing schedule to a minimal reproducer (re-running the predicate on
 //!    structurally smaller plans), which is what a bug report should carry.
 
-use crate::runtime::pipeline::{ChaosPlan, PhaseName};
+use std::mem::discriminant;
+
+use crate::runtime::pipeline::PhaseName;
 use crate::runtime::report::UpdateReport;
 
 /// One injectable fault site of a specific update scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Sites order by kind, in declaration order, then by phase or n; a
+/// [`ChaosPlan`] keeps its counted sites in that kind order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultSite {
     /// The boundary right before a pipeline phase.
     Boundary(PhaseName),
@@ -42,10 +47,10 @@ pub enum FaultSite {
     /// starts (a commit-boundary class site: the batch fails before it
     /// applies anything).
     DrainStep(u64),
-    /// A crash of the checkpoint store after the n-th (1-based) block this
-    /// attempt writes: the block lands, everything after is lost, and every
-    /// later store call fails until the store is remounted. Exercises the
-    /// shards-before-manifest commit protocol.
+    /// A crash of the checkpoint store instead of the n-th (1-based) block
+    /// this attempt writes: the blocks before it persist, it and everything
+    /// after are lost, and every later store call fails until the store is
+    /// remounted. Exercises the shards-before-manifest commit protocol.
     ManifestWrite(u64),
     /// A torn write at the n-th (1-based) block this attempt writes: the
     /// block is half-persisted (first half only), then the store crashes.
@@ -62,15 +67,24 @@ pub enum FaultSite {
 impl FaultSite {
     /// The single-site chaos plan that injects exactly this fault.
     pub fn plan(&self) -> ChaosPlan {
-        match *self {
-            FaultSite::Boundary(phase) => ChaosPlan::at_boundaries([phase]),
-            FaultSite::TransferObject(nth) => ChaosPlan::failing_at_transfer_object(nth),
-            FaultSite::Syscall(nth) => ChaosPlan::failing_at_syscall(nth),
-            FaultSite::FaultIn(nth) => ChaosPlan::failing_at_fault_in(nth),
-            FaultSite::DrainStep(nth) => ChaosPlan::failing_at_drain_step(nth),
-            FaultSite::ManifestWrite(nth) => ChaosPlan::failing_at_manifest_write(nth),
-            FaultSite::TornWrite(nth) => ChaosPlan::failing_at_torn_write(nth),
-            FaultSite::RestoreStep(nth) => ChaosPlan::failing_at_restore_step(nth),
+        ChaosPlan::none().with(*self)
+    }
+
+    /// The site's n-value; `None` for a boundary.
+    fn n(mut self) -> Option<u64> {
+        self.n_mut().copied()
+    }
+
+    fn n_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            FaultSite::Boundary(_) => None,
+            FaultSite::TransferObject(n)
+            | FaultSite::Syscall(n)
+            | FaultSite::FaultIn(n)
+            | FaultSite::DrainStep(n)
+            | FaultSite::ManifestWrite(n)
+            | FaultSite::TornWrite(n)
+            | FaultSite::RestoreStep(n) => Some(n),
         }
     }
 
@@ -101,6 +115,84 @@ impl std::fmt::Display for FaultSite {
             FaultSite::TornWrite(n) => write!(f, "torn-write:{n}"),
             FaultSite::RestoreStep(n) => write!(f, "restore-step:{n}"),
         }
+    }
+}
+
+/// A chaos schedule: the [`FaultSite`]s one update attempt arms, plus an
+/// optional crash of the serving version. A fault "after phase P" is a
+/// fault before the next phase; there is deliberately no way to inject one
+/// after `Commit`, because commit is the pipeline's atomic point — nothing
+/// is reversible beyond it.
+///
+/// Plans compose: one schedule may arm several boundaries and one site of
+/// each counted kind; the *first* site reached fires (each trigger is
+/// one-shot, so a supervisor retry that re-runs the pipeline with the same
+/// plan re-arms it). The sites are kept in one canonical order — boundaries
+/// in insertion order, then the counted sites in [`FaultSite`] declaration
+/// order — so plans arming the same faults compare equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChaosPlan {
+    sites: Vec<FaultSite>,
+    /// The old instance's processes are killed right before this phase —
+    /// a crash of the *serving* version mid-update. Rollback cannot resume
+    /// it; recovery needs a durable checkpoint.
+    crash_old_before: Option<PhaseName>,
+}
+
+impl ChaosPlan {
+    /// A plan that injects no faults.
+    pub fn none() -> Self {
+        ChaosPlan::default()
+    }
+
+    /// A plan that kills the old instance's processes right before `phase`
+    /// executes — the crash a restore-aware supervisor must recover from.
+    pub fn crashing_old_before(phase: PhaseName) -> Self {
+        ChaosPlan { crash_old_before: Some(phase), ..ChaosPlan::default() }
+    }
+
+    /// The plan with `site` armed too: a boundary is added once, a counted
+    /// site replaces the plan's site of the same kind.
+    #[must_use]
+    pub fn with(mut self, site: FaultSite) -> Self {
+        let at = if let FaultSite::Boundary(_) = site {
+            if self.sites.contains(&site) {
+                return self;
+            }
+            self.sites.partition_point(|s| matches!(s, FaultSite::Boundary(_)))
+        } else {
+            self.sites.retain(|s| discriminant(s) != discriminant(&site));
+            self.sites.partition_point(|s| *s < site)
+        };
+        self.sites.insert(at, site);
+        self
+    }
+
+    /// The armed sites, in canonical order.
+    pub fn sites(&self) -> &[FaultSite] {
+        &self.sites
+    }
+
+    /// Whether a fault fires at the boundary before `phase`.
+    pub fn fires_before(&self, phase: PhaseName) -> bool {
+        self.sites.contains(&FaultSite::Boundary(phase))
+    }
+
+    /// Whether the old instance crashes right before `phase`.
+    pub fn crashes_old_before(&self, phase: PhaseName) -> bool {
+        self.crash_old_before == Some(phase)
+    }
+
+    /// The n of the armed site of one counted kind, named by its
+    /// constructor: `plan.nth(FaultSite::Syscall)`.
+    pub fn nth(&self, kind: fn(u64) -> FaultSite) -> Option<u64> {
+        let kind = discriminant(&kind(0));
+        self.sites.iter().find(|s| discriminant(*s) == kind)?.n()
+    }
+
+    /// Whether the plan injects any fault at all.
+    pub fn is_empty(&self) -> bool {
+        self.sites.is_empty() && self.crash_old_before.is_none()
     }
 }
 
@@ -214,9 +306,9 @@ impl FaultCatalog {
     }
 }
 
-/// The deterministic xorshift64* generator chaos campaigns run on — the
-/// same recurrence as the property-test suite's `Rng`, so a campaign is
-/// fully reproduced by its seed.
+/// The deterministic xorshift64* generator chaos campaigns (and the
+/// property-test suite) run on, so a campaign is fully reproduced by its
+/// seed.
 #[derive(Debug, Clone)]
 pub struct ChaosRng(u64);
 
@@ -257,17 +349,7 @@ pub fn random_plan(rng: &mut ChaosRng, catalog: &FaultCatalog) -> ChaosPlan {
     let picks = if rng.chance(25) { 2 } else { 1 };
     for _ in 0..picks {
         let Some(site) = catalog.sample(rng) else { break };
-        plan = match site {
-            FaultSite::Boundary(p) if !plan.fires_before(p) => plan.and_before(p),
-            FaultSite::Boundary(_) => plan,
-            FaultSite::TransferObject(n) => plan.and_at_transfer_object(n),
-            FaultSite::Syscall(n) => plan.and_at_syscall(n),
-            FaultSite::FaultIn(n) => plan.and_at_fault_in(n),
-            FaultSite::DrainStep(n) => plan.and_at_drain_step(n),
-            FaultSite::ManifestWrite(n) => plan.and_at_manifest_write(n),
-            FaultSite::TornWrite(n) => plan.and_at_torn_write(n),
-            FaultSite::RestoreStep(n) => plan.and_at_restore_step(n),
-        };
+        plan = plan.with(site);
     }
     plan
 }
@@ -287,115 +369,36 @@ pub fn shrink_schedule(plan: &ChaosPlan, mut fails: impl FnMut(&ChaosPlan) -> bo
     let mut current = plan.clone();
     loop {
         let mut shrunk = false;
-        // Drop whole triggers first — fewer arms beats smaller numbers.
-        let mut b = 0;
-        while b < current.boundaries().len() {
-            let candidate = current.without_boundary(b);
+        // Drop whole sites first — fewer arms beats smaller numbers. Each
+        // candidate is derived from the *current* plan at the time it is
+        // tried: a snapshot taken before the loop would re-add a site the
+        // previous iteration just dropped, and the shrinker would oscillate
+        // forever.
+        let mut i = 0;
+        while i < current.sites.len() {
+            let mut candidate = current.clone();
+            candidate.sites.remove(i);
             if fails(&candidate) {
                 current = candidate;
                 shrunk = true;
             } else {
-                b += 1;
+                i += 1;
             }
         }
-        // Each candidate must be derived from the *current* plan at the time
-        // it is tried: a snapshot taken before the loop would re-add a
-        // trigger the previous iteration just dropped, and the shrinker
-        // would oscillate forever.
-        let drops: [fn(&ChaosPlan) -> ChaosPlan; 8] = [
-            ChaosPlan::without_transfer_object,
-            ChaosPlan::without_syscall,
-            ChaosPlan::without_fault_in,
-            ChaosPlan::without_drain_step,
-            ChaosPlan::without_manifest_write,
-            ChaosPlan::without_torn_write,
-            ChaosPlan::without_restore_step,
-            ChaosPlan::without_crash_old,
-        ];
-        for drop_trigger in drops {
-            let candidate = drop_trigger(&current);
-            if candidate != current && fails(&candidate) {
+        if current.crash_old_before.is_some() {
+            let candidate = ChaosPlan { crash_old_before: None, ..current.clone() };
+            if fails(&candidate) {
                 current = candidate;
                 shrunk = true;
             }
         }
         // Then pull the surviving n-values down.
-        if let Some(n) = current.at_transfer_object() {
+        for i in 0..current.sites.len() {
+            let Some(n) = current.sites[i].n() else { continue };
             for smaller in [1, n / 2, n - 1] {
                 if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_transfer_object(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_syscall() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_syscall(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_fault_in() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_fault_in(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_drain_step() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_drain_step(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_manifest_write() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_manifest_write(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_torn_write() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_torn_write(smaller);
-                    if fails(&candidate) {
-                        current = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(n) = current.at_restore_step() {
-            for smaller in [1, n / 2, n - 1] {
-                if smaller > 0 && smaller < n {
-                    let candidate = current.clone().and_at_restore_step(smaller);
+                    let mut candidate = current.clone();
+                    *candidate.sites[i].n_mut().expect("a counted site") = smaller;
                     if fails(&candidate) {
                         current = candidate;
                         shrunk = true;
@@ -468,82 +471,119 @@ mod tests {
 
     #[test]
     fn site_plans_arm_the_matching_trigger() {
-        assert!(FaultSite::Boundary(PhaseName::Commit).plan().fires_before(PhaseName::Commit));
-        assert_eq!(FaultSite::TransferObject(7).plan().at_transfer_object(), Some(7));
-        assert_eq!(FaultSite::Syscall(9).plan().at_syscall(), Some(9));
+        let commit = FaultSite::Boundary(PhaseName::Commit);
+        for site in [
+            commit,
+            FaultSite::TransferObject(7),
+            FaultSite::Syscall(9),
+            FaultSite::FaultIn(4),
+            FaultSite::DrainStep(2),
+            FaultSite::ManifestWrite(3),
+            FaultSite::TornWrite(1),
+            FaultSite::RestoreStep(8),
+        ] {
+            assert_eq!(site.plan().sites(), [site], "{site}");
+        }
+        assert!(commit.plan().fires_before(PhaseName::Commit));
+        assert_eq!(FaultSite::TransferObject(7).plan().nth(FaultSite::TransferObject), Some(7));
+        assert_eq!(FaultSite::Syscall(9).plan().nth(FaultSite::Syscall), Some(9));
+        assert_eq!(FaultSite::Syscall(9).plan().nth(FaultSite::TransferObject), None);
         assert_eq!(FaultSite::Syscall(9).kind(), "syscall");
         assert_eq!(FaultSite::Syscall(9).to_string(), "syscall:9");
-        assert_eq!(FaultSite::FaultIn(4).plan().at_fault_in(), Some(4));
+        assert_eq!(FaultSite::FaultIn(4).plan().nth(FaultSite::FaultIn), Some(4));
         assert_eq!(FaultSite::FaultIn(4).kind(), "fault-in");
         assert_eq!(FaultSite::FaultIn(4).to_string(), "fault-in:4");
-        assert_eq!(FaultSite::DrainStep(2).plan().at_drain_step(), Some(2));
+        assert_eq!(FaultSite::DrainStep(2).plan().nth(FaultSite::DrainStep), Some(2));
         assert_eq!(FaultSite::DrainStep(2).kind(), "drain-step");
         assert_eq!(FaultSite::DrainStep(2).to_string(), "drain-step:2");
-        assert_eq!(FaultSite::ManifestWrite(3).plan().at_manifest_write(), Some(3));
+        assert_eq!(FaultSite::ManifestWrite(3).plan().nth(FaultSite::ManifestWrite), Some(3));
         assert_eq!(FaultSite::ManifestWrite(3).kind(), "manifest-write");
         assert_eq!(FaultSite::ManifestWrite(3).to_string(), "manifest-write:3");
-        assert_eq!(FaultSite::TornWrite(1).plan().at_torn_write(), Some(1));
+        assert_eq!(FaultSite::TornWrite(1).plan().nth(FaultSite::TornWrite), Some(1));
         assert_eq!(FaultSite::TornWrite(1).kind(), "torn-write");
         assert_eq!(FaultSite::TornWrite(1).to_string(), "torn-write:1");
-        assert_eq!(FaultSite::RestoreStep(8).plan().at_restore_step(), Some(8));
+        assert_eq!(FaultSite::RestoreStep(8).plan().nth(FaultSite::RestoreStep), Some(8));
         assert_eq!(FaultSite::RestoreStep(8).kind(), "restore-step");
         assert_eq!(FaultSite::RestoreStep(8).to_string(), "restore-step:8");
+
+        // `with` keeps one canonical order, whatever the order of the calls.
+        assert_eq!(
+            commit.plan().with(FaultSite::TransferObject(1)),
+            FaultSite::TransferObject(1).plan().with(commit)
+        );
+        assert_eq!(
+            FaultSite::Syscall(2).plan().with(FaultSite::TransferObject(1)).sites(),
+            [FaultSite::TransferObject(1), FaultSite::Syscall(2)]
+        );
+        // A second counted site of a kind replaces the first ...
+        assert_eq!(FaultSite::Syscall(9).plan().with(FaultSite::Syscall(2)), FaultSite::Syscall(2).plan());
+        // ... and a boundary already armed is not added again.
+        assert_eq!(commit.plan().with(commit).sites(), [commit]);
     }
 
     #[test]
     fn shrinker_reduces_postcopy_triggers() {
         // Synthetic failure: reproduces iff a fault-in trigger >= 3 is armed.
-        let fails = |p: &ChaosPlan| p.at_fault_in().is_some_and(|n| n >= 3);
-        let noisy =
-            ChaosPlan::at_boundaries([PhaseName::PostcopyCommit]).and_at_fault_in(40).and_at_drain_step(7);
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::FaultIn).is_some_and(|n| n >= 3);
+        let noisy = FaultSite::Boundary(PhaseName::PostcopyCommit)
+            .plan()
+            .with(FaultSite::FaultIn(40))
+            .with(FaultSite::DrainStep(7));
         let minimal = shrink_schedule(&noisy, fails);
-        assert_eq!(minimal, ChaosPlan::failing_at_fault_in(3), "1-minimal reproducer");
+        assert_eq!(minimal, FaultSite::FaultIn(3).plan(), "1-minimal reproducer");
 
         // And a drain-step-only failure sheds the fault-in arm.
-        let fails = |p: &ChaosPlan| p.at_drain_step().is_some();
-        let noisy = ChaosPlan::failing_at_fault_in(2).and_at_drain_step(9);
-        assert_eq!(shrink_schedule(&noisy, fails), ChaosPlan::failing_at_drain_step(1));
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::DrainStep).is_some();
+        let noisy = FaultSite::FaultIn(2).plan().with(FaultSite::DrainStep(9));
+        assert_eq!(shrink_schedule(&noisy, fails), FaultSite::DrainStep(1).plan());
     }
 
     #[test]
     fn shrinker_reduces_checkpoint_and_restore_triggers() {
         // Synthetic failure: reproduces iff a torn-write trigger >= 2 is armed.
-        let fails = |p: &ChaosPlan| p.at_torn_write().is_some_and(|n| n >= 2);
-        let noisy = ChaosPlan::failing_at_manifest_write(9).and_at_torn_write(30).and_at_restore_step(6);
-        assert_eq!(shrink_schedule(&noisy, fails), ChaosPlan::failing_at_torn_write(2));
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::TornWrite).is_some_and(|n| n >= 2);
+        let noisy =
+            FaultSite::ManifestWrite(9).plan().with(FaultSite::TornWrite(30)).with(FaultSite::RestoreStep(6));
+        assert_eq!(shrink_schedule(&noisy, fails), FaultSite::TornWrite(2).plan());
 
         // A restore-step-only failure sheds both write triggers.
-        let fails = |p: &ChaosPlan| p.at_restore_step().is_some();
-        let noisy = ChaosPlan::failing_at_manifest_write(2).and_at_restore_step(11);
-        assert_eq!(shrink_schedule(&noisy, fails), ChaosPlan::failing_at_restore_step(1));
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::RestoreStep).is_some();
+        let noisy = FaultSite::ManifestWrite(2).plan().with(FaultSite::RestoreStep(11));
+        assert_eq!(shrink_schedule(&noisy, fails), FaultSite::RestoreStep(1).plan());
 
         // A crash-old arm that does not matter is dropped.
-        let fails = |p: &ChaosPlan| p.at_manifest_write().is_some();
-        let noisy = ChaosPlan::crashing_old_before(PhaseName::Commit).and_at_manifest_write(5);
-        assert_eq!(shrink_schedule(&noisy, fails), ChaosPlan::failing_at_manifest_write(1));
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::ManifestWrite).is_some();
+        let noisy = ChaosPlan::crashing_old_before(PhaseName::Commit).with(FaultSite::ManifestWrite(5));
+        assert_eq!(shrink_schedule(&noisy, fails), FaultSite::ManifestWrite(1).plan());
     }
 
     #[test]
     fn shrinker_drops_irrelevant_triggers_and_lowers_counts() {
         // Synthetic failure: reproduces iff a syscall trigger >= 5 is armed.
-        let fails = |p: &ChaosPlan| p.at_syscall().is_some_and(|n| n >= 5);
-        let noisy = ChaosPlan::at_boundaries([PhaseName::Quiesce, PhaseName::Commit])
-            .and_at_transfer_object(123)
-            .and_at_syscall(64);
+        let fails = |p: &ChaosPlan| p.nth(FaultSite::Syscall).is_some_and(|n| n >= 5);
+        let noisy = FaultSite::Boundary(PhaseName::Quiesce)
+            .plan()
+            .with(FaultSite::Boundary(PhaseName::Commit))
+            .with(FaultSite::TransferObject(123))
+            .with(FaultSite::Syscall(64));
         let minimal = shrink_schedule(&noisy, fails);
-        assert_eq!(minimal, ChaosPlan::failing_at_syscall(5), "1-minimal reproducer");
+        assert_eq!(minimal, FaultSite::Syscall(5).plan(), "1-minimal reproducer");
     }
 
     #[test]
     fn shrinker_keeps_a_required_boundary_and_nonfailing_plans_unchanged() {
-        let fails = |p: &ChaosPlan| p.fires_before(PhaseName::Commit) && p.at_transfer_object().is_some();
-        let noisy = ChaosPlan::at_boundaries([PhaseName::Quiesce, PhaseName::Commit])
-            .and_at_transfer_object(8)
-            .and_at_syscall(3);
+        let commit = FaultSite::Boundary(PhaseName::Commit);
+        let fails =
+            |p: &ChaosPlan| p.fires_before(PhaseName::Commit) && p.nth(FaultSite::TransferObject).is_some();
+        let noisy = FaultSite::Boundary(PhaseName::Quiesce)
+            .plan()
+            .with(commit)
+            .with(FaultSite::TransferObject(8))
+            .with(FaultSite::Syscall(3));
         let minimal = shrink_schedule(&noisy, fails);
-        assert_eq!(minimal, ChaosPlan::at_boundaries([PhaseName::Commit]).and_at_transfer_object(1));
+        assert_eq!(minimal, commit.plan().with(FaultSite::TransferObject(1)));
 
-        let passing = ChaosPlan::failing_at_syscall(2);
+        let passing = FaultSite::Syscall(2).plan();
         assert_eq!(shrink_schedule(&passing, |_| false), passing, "non-failing plan untouched");
     }
 
@@ -553,13 +593,13 @@ mod tests {
         // object and the syscall trigger are redundant. A shrinker that
         // derives drop candidates from a stale snapshot re-adds one of them
         // every pass and never terminates.
+        let quiesce = FaultSite::Boundary(PhaseName::Quiesce);
         let fails = |p: &ChaosPlan| p.fires_before(PhaseName::Quiesce);
-        let noisy = ChaosPlan::at_boundaries([PhaseName::Quiesce]).and_at_transfer_object(9);
-        assert_eq!(shrink_schedule(&noisy, fails), ChaosPlan::at_boundaries([PhaseName::Quiesce]));
+        let noisy = quiesce.plan().with(FaultSite::TransferObject(9));
+        assert_eq!(shrink_schedule(&noisy, fails), quiesce.plan());
 
-        let noisier =
-            ChaosPlan::at_boundaries([PhaseName::Quiesce]).and_at_transfer_object(9).and_at_syscall(4);
-        assert_eq!(shrink_schedule(&noisier, fails), ChaosPlan::at_boundaries([PhaseName::Quiesce]));
+        let noisier = quiesce.plan().with(FaultSite::TransferObject(9)).with(FaultSite::Syscall(4));
+        assert_eq!(shrink_schedule(&noisier, fails), quiesce.plan());
     }
 
     #[test]
@@ -570,7 +610,7 @@ mod tests {
         for _ in 0..100 {
             let plan = random_plan(&mut rng, &c);
             assert!(!plan.is_empty());
-            saw_multi |= plan.arm_count() >= 2;
+            saw_multi |= plan.sites().len() >= 2;
         }
         assert!(saw_multi, "multi-trigger schedules appear in a campaign");
         assert!(random_plan(&mut ChaosRng::new(1), &FaultCatalog::default()).is_empty());

@@ -334,7 +334,8 @@ pub fn live_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::pipeline::{FaultPlan, PhaseName, UpdatePipeline};
+    use crate::runtime::chaos::FaultSite;
+    use crate::runtime::pipeline::{PhaseName, UpdatePipeline};
     use crate::runtime::scheduler::{boot, run_round, run_rounds, BootOptions};
     use crate::runtime::testprog::{FaultyServer, TinyServer};
     use mcr_procsim::{Addr, SimDuration};
@@ -546,7 +547,7 @@ mod tests {
         serve_clients(&mut kernel, &mut v1, 2);
 
         let pipeline =
-            UpdatePipeline::standard().with_fault_plan(FaultPlan::at_boundaries([PhaseName::Commit]));
+            UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(PhaseName::Commit).plan());
         let (mut still_v1, outcome) = pipeline.run(
             &mut kernel,
             v1,
@@ -668,8 +669,7 @@ mod tests {
         };
 
         let opts = UpdateOptions { mode: TransferMode::Postcopy, ..Default::default() };
-        let pipeline = UpdatePipeline::for_options(&opts)
-            .with_fault_plan(crate::runtime::pipeline::ChaosPlan::failing_at_drain_step(1));
+        let pipeline = UpdatePipeline::for_options(&opts).with_fault_plan(FaultSite::DrainStep(1).plan());
         let (mut still_v1, outcome) =
             pipeline.run(&mut kernel, v1, Box::new(TinyServer::new(2)), InstrumentationConfig::full(), &opts);
         assert!(!outcome.is_committed(), "drain fault must abort the update");
@@ -692,8 +692,7 @@ mod tests {
         let mut v1 = booted_v1(&mut kernel);
         serve_clients(&mut kernel, &mut v1, 3);
         let opts = UpdateOptions { mode: TransferMode::Postcopy, ..Default::default() };
-        let pipeline = UpdatePipeline::for_options(&opts)
-            .with_fault_plan(crate::runtime::pipeline::ChaosPlan::failing_at_fault_in(1));
+        let pipeline = UpdatePipeline::for_options(&opts).with_fault_plan(FaultSite::FaultIn(1).plan());
         let (still_v1, outcome) =
             pipeline.run(&mut kernel, v1, Box::new(TinyServer::new(2)), InstrumentationConfig::full(), &opts);
         assert!(!outcome.is_committed());

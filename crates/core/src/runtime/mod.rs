@@ -13,13 +13,13 @@ pub mod report;
 pub mod scheduler;
 pub mod supervisor;
 
-pub use chaos::{random_plan, shrink_schedule, ChaosRng, FaultCatalog, FaultSite};
+pub use chaos::{random_plan, shrink_schedule, ChaosPlan, ChaosRng, FaultCatalog, FaultSite};
 pub use controller::{
     live_update, PostcopyOptions, PrecopyOptions, TransferMode, TransferPolicy, UpdateOptions, UpdateOutcome,
 };
 pub use pipeline::{
-    ChaosPlan, CheckpointPhase, FaultPlan, PairPostcopyState, PairPrecopyState, Phase, PhaseName,
-    PostcopyHook, PrecopyHook, PrecopyPhase, UpdateCtx, UpdatePipeline, TRAP_SERVICE_LATENCY,
+    CheckpointPhase, PairPostcopyState, PairPrecopyState, Phase, PhaseName, PostcopyHook, PrecopyHook,
+    PrecopyPhase, UpdateCtx, UpdatePipeline, TRAP_SERVICE_LATENCY,
 };
 pub use report::{
     MemoryReport, PhaseRecord, PhaseTrace, PostcopySummary, PrecopySummary, UpdateReport, UpdateTimings,

@@ -23,7 +23,7 @@
 //! funnels *every* failure — wherever it happens — through the single
 //! [`roll_back`](UpdatePipeline::run) code path, which tears down whatever
 //! exists of the new version and resumes the old one from its checkpoint.
-//! A [`FaultPlan`] can force a failure at any phase boundary, which is how
+//! A [`ChaosPlan`] can force a failure at any phase boundary, which is how
 //! the integration tests prove the rollback invariant phase by phase.
 //!
 //! # Pair-level trace and transfer on modelled workers
@@ -175,40 +175,38 @@
 //!
 //! # Fault injection and chaos testing
 //!
-//! A [`ChaosPlan`] (the type [`FaultPlan`] now aliases) arms triggers of
-//! the following kinds on one run, and the first trigger reached fires:
+//! A [`ChaosPlan`] arms [`FaultSite`]s on one run — built with
+//! [`FaultSite::plan`] and [`ChaosPlan::with`] — and the first site reached
+//! fires. Every counted n is 1-based:
 //!
-//! * **phase boundaries** — [`ChaosPlan::at_boundaries`] fails the run
-//!   right before each listed phase executes (multi-boundary plans arm
-//!   several; the earliest in pipeline order fires);
-//! * **n-th transfer-object write** — [`ChaosPlan::failing_at_transfer_object`]
-//!   fails the n-th object write the transfer engine performs, counted
-//!   across pairs and pre-copy rounds;
-//! * **n-th syscall** — [`ChaosPlan::failing_at_syscall`] arms
-//!   [`Kernel::arm_syscall_fault`]: the n-th kernel syscall issued after
-//!   the pipeline starts is suppressed and fails with
-//!   `SimError::FaultInjected`, wherever it lands (replay, serving rounds,
-//!   pre-copy traffic);
-//! * **n-th post-copy fault-in** — [`ChaosPlan::failing_at_fault_in`] fails
-//!   the n-th object faulted in after the post-copy resume, whether a trap
-//!   handler or a background drain batch pulled it (counted across pairs
-//!   and drain rounds);
-//! * **n-th drain batch** — [`ChaosPlan::failing_at_drain_step`] fails the
-//!   n-th background drain batch of the [`PhaseName::PostcopyDrain`] phase,
-//!   which is the only fault site *after* the new version has resumed but
-//!   *before* the point of no return;
-//! * **n-th checkpoint block** — [`ChaosPlan::failing_at_manifest_write`]
-//!   crashes the checkpoint store before the n-th block the
-//!   [`PhaseName::Checkpoint`] phase writes;
-//!   [`ChaosPlan::failing_at_torn_write`] additionally leaves that block torn
+//! * [`FaultSite::Boundary`] — the run fails right before the phase
+//!   executes (a plan may arm several; the earliest in pipeline order
+//!   fires);
+//! * [`FaultSite::TransferObject`] — the n-th object write the transfer
+//!   engine performs fails, counted across pairs and pre-copy rounds in
+//!   pair order, so it is the same object at every worker and shard count;
+//! * [`FaultSite::Syscall`] — armed as [`Kernel::arm_syscall_fault`]: the
+//!   n-th kernel syscall issued after the pipeline starts is suppressed and
+//!   fails with `SimError::FaultInjected`, wherever it lands (replay,
+//!   serving rounds, pre-copy traffic);
+//! * [`FaultSite::FaultIn`] — the n-th object faulted in after the
+//!   post-copy resume fails, whether a trap handler or a background drain
+//!   batch pulled it (counted across pairs and drain rounds);
+//! * [`FaultSite::DrainStep`] — the n-th background drain batch of the
+//!   [`PhaseName::PostcopyDrain`] phase fails, after the new version has
+//!   resumed but *before* the point of no return;
+//! * [`FaultSite::ManifestWrite`] — the checkpoint store crashes instead of
+//!   writing the n-th block of the [`PhaseName::Checkpoint`] phase;
+//! * [`FaultSite::TornWrite`] — the same crash, with that block left torn
 //!   (half old bytes, half garbage), so only checksum validation can
 //!   reject it;
-//! * **n-th restore step** — [`ChaosPlan::failing_at_restore_step`] fails
-//!   the n-th step of a checkpoint restore attempt (consumed by the
-//!   restore-aware supervisor, not the pipeline itself);
-//! * **old-instance crash** — [`ChaosPlan::crashing_old_before`] kills the
-//!   serving version's processes right before the given phase: rollback
-//!   cannot resume it, recovery needs a durable checkpoint.
+//! * [`FaultSite::RestoreStep`] — the n-th step of a checkpoint restore
+//!   fails (consumed by the restore-aware supervisor, not the pipeline
+//!   itself).
+//!
+//! Apart from the sites, [`ChaosPlan::crashing_old_before`] kills the
+//! serving version's processes right before the given phase: rollback
+//! cannot resume it, recovery needs a durable checkpoint.
 //!
 //! Independent of fault plans, [`UpdatePipeline::with_phase_deadline`] and
 //! [`with_uniform_phase_deadline`](UpdatePipeline::with_uniform_phase_deadline)
@@ -253,6 +251,7 @@ use crate::callstack::CallStackId;
 use crate::error::{Conflict, McrError, McrResult};
 use crate::interpose::Interposer;
 use crate::program::{InstanceState, Program, ThreadRosterEntry};
+use crate::runtime::chaos::{ChaosPlan, FaultSite};
 use crate::runtime::controller::{TransferMode, UpdateOptions, UpdateOutcome};
 use crate::runtime::report::UpdateReport;
 use crate::runtime::scheduler::{
@@ -426,9 +425,9 @@ pub struct UpdateCtx<'k> {
     /// Per-pair post-copy state, aligned with `pairs`; filled by
     /// `PostcopyCommit`, drained (and emptied of work) by `PostcopyDrain`.
     pub pair_postcopy: Vec<PairPostcopyState>,
-    /// The fault plan of the pipeline (mid-phase triggers are armed on the
-    /// transfer context when it is built).
-    pub fault: FaultPlan,
+    /// The fault plan of the pipeline (the n-th-object-write site is armed
+    /// on the transfer context when it is built).
+    pub fault: ChaosPlan,
     /// Between-rounds callback of the pre-copy phase.
     pub precopy_hook: Option<PrecopyHook>,
     /// Between-rounds callback of the post-copy drain phase.
@@ -459,7 +458,7 @@ impl<'k> UpdateCtx<'k> {
             plan: None,
             pair_precopy: Vec::new(),
             pair_postcopy: Vec::new(),
-            fault: FaultPlan::none(),
+            fault: ChaosPlan::none(),
             precopy_hook: None,
             postcopy_hook: None,
             new_program: Some(new_program),
@@ -478,7 +477,7 @@ impl<'k> UpdateCtx<'k> {
                 .state;
             self.plan = Some(
                 TransferContext::new(&self.old.state, new_state)
-                    .with_object_fault(self.fault.at_transfer_object())
+                    .with_object_fault(self.fault.nth(FaultSite::TransferObject))
                     .with_intra_pair_shards(self.opts.effective_intra_pair_shards()),
             );
         }
@@ -498,345 +497,6 @@ pub trait Phase {
 
     /// Executes the phase.
     fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()>;
-}
-
-/// A chaos schedule: forces failures at phase boundaries, in the middle of
-/// state transfer (n-th object write), or at the n-th kernel syscall issued
-/// while the update is in flight. A fault "after phase P" is expressed as a
-/// fault before the next phase; there is deliberately no way to inject one
-/// after `Commit`, because commit is the pipeline's atomic point — nothing
-/// is reversible beyond it.
-///
-/// Plans compose: one schedule may arm several boundary faults plus both
-/// mid-phase triggers; the *first* site reached fires (each trigger is
-/// one-shot, so a supervisor retry that re-runs the pipeline with the same
-/// plan re-arms it). Schedules over an enumerated site catalog — including
-/// randomized campaigns and shrinking — live in
-/// [`chaos`](crate::runtime::chaos).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChaosPlan {
-    before: Vec<PhaseName>,
-    /// Mid-phase trigger: abort right before the n-th (1-based) object
-    /// write the transfer engine would perform, counted across every pair
-    /// and every pre-copy round.
-    at_transfer_object: Option<u64>,
-    /// Mid-phase trigger: the n-th (1-based) kernel syscall issued after
-    /// the pipeline starts fails with `SimError::FaultInjected` instead of
-    /// executing (armed via `Kernel::arm_syscall_fault`).
-    at_syscall: Option<u64>,
-    /// Post-copy trigger: abort right before the n-th (1-based) parked
-    /// object is applied after the new version resumed, whether by trap
-    /// service or by the background drainer, counted across pairs and drain
-    /// rounds.
-    at_fault_in: Option<u64>,
-    /// Post-copy trigger: abort right before the n-th (1-based) background
-    /// drain batch executes, counted across pairs and drain rounds.
-    at_drain_step: Option<u64>,
-    /// Checkpoint trigger: the checkpoint store crashes after the n-th
-    /// (1-based) block written by this attempt's [`PhaseName::Checkpoint`]
-    /// phase — everything past the crash point is lost, everything before
-    /// it persists (possibly a truncated blob).
-    at_manifest_write: Option<u64>,
-    /// Checkpoint trigger: like `at_manifest_write`, but the crashing block
-    /// itself is *torn* — half old bytes, half garbage — so only checksum
-    /// validation can reject it.
-    at_torn_write: Option<u64>,
-    /// Restore trigger: the n-th (1-based) step of a checkpoint restore
-    /// attempt fails (see
-    /// [`RESTORE_STEPS`](crate::transfer::checkpoint::RESTORE_STEPS)).
-    /// Consumed by the restore-aware supervisor's recovery path, not by the
-    /// pipeline itself.
-    at_restore_step: Option<u64>,
-    /// Crash trigger: the old instance's processes are killed right before
-    /// the given phase executes — modelling a crash of the *serving*
-    /// version mid-update. Rollback cannot resume it; recovery needs a
-    /// durable checkpoint.
-    crash_old_before: Option<PhaseName>,
-}
-
-/// Former name of [`ChaosPlan`], kept as an alias for older call sites.
-pub type FaultPlan = ChaosPlan;
-
-impl ChaosPlan {
-    /// A plan that injects no faults.
-    pub fn none() -> Self {
-        ChaosPlan::default()
-    }
-
-    /// A plan that fails the update at the boundary right before `phase`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "chaos schedules are multi-boundary; use `ChaosPlan::at_boundaries([phase])`"
-    )]
-    pub fn failing_before(phase: PhaseName) -> Self {
-        Self::at_boundaries([phase])
-    }
-
-    /// A plan that fails the update at the boundary right before each of
-    /// the given phases — the first one the pipeline reaches fires.
-    pub fn at_boundaries(phases: impl IntoIterator<Item = PhaseName>) -> Self {
-        ChaosPlan { before: phases.into_iter().collect(), ..ChaosPlan::default() }
-    }
-
-    /// A plan that fails the update right before its `nth` (1-based) object
-    /// write — a *mid-phase* fault. With pre-copy enabled a small `nth`
-    /// lands inside a concurrent copy round, proving the rollback path
-    /// while the old instance is still live and serving. Writes are counted
-    /// in pair order, so the site is the same object at every
-    /// `transfer_workers` × `intra_pair_shards` setting.
-    pub fn failing_at_transfer_object(nth: u64) -> Self {
-        ChaosPlan { at_transfer_object: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that fails the `nth` (1-based) kernel syscall issued after
-    /// the pipeline starts — wherever it lands: a serving round inside
-    /// quiesce, a pre-copy round's traffic, or the new version's startup
-    /// replay. The syscall is suppressed (no state change) and the error
-    /// funnels through the pipeline's single rollback guard.
-    pub fn failing_at_syscall(nth: u64) -> Self {
-        ChaosPlan { at_syscall: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that fails the update right before the `nth` (1-based) parked
-    /// object is applied after a post-copy commit — a fault *inside the
-    /// fault handler*, with the new version already resumed and serving.
-    /// Fires for trap-service and background-drain applies alike. The old
-    /// version is still intact at that point (nothing was removed), so the
-    /// rollback guard restores it byte-identically.
-    pub fn failing_at_fault_in(nth: u64) -> Self {
-        ChaosPlan { at_fault_in: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that fails the update right before the `nth` (1-based)
-    /// background drain batch of the post-copy drain loop.
-    pub fn failing_at_drain_step(nth: u64) -> Self {
-        ChaosPlan { at_drain_step: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that crashes the checkpoint store after the `nth` (1-based)
-    /// block the [`PhaseName::Checkpoint`] phase writes.
-    pub fn failing_at_manifest_write(nth: u64) -> Self {
-        ChaosPlan { at_manifest_write: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that tears the `nth` (1-based) block the checkpoint phase
-    /// writes (half-written block persists) and crashes the store there.
-    pub fn failing_at_torn_write(nth: u64) -> Self {
-        ChaosPlan { at_torn_write: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that fails the `nth` (1-based) step of a checkpoint restore
-    /// attempt (supervisor recovery drills).
-    pub fn failing_at_restore_step(nth: u64) -> Self {
-        ChaosPlan { at_restore_step: Some(nth), ..ChaosPlan::default() }
-    }
-
-    /// A plan that kills the old instance's processes right before `phase`
-    /// executes — the crash a restore-aware supervisor must recover from.
-    pub fn crashing_old_before(phase: PhaseName) -> Self {
-        ChaosPlan { crash_old_before: Some(phase), ..ChaosPlan::default() }
-    }
-
-    /// Adds another boundary fault to the plan.
-    #[must_use]
-    pub fn and_before(mut self, phase: PhaseName) -> Self {
-        self.before.push(phase);
-        self
-    }
-
-    /// Adds (or replaces) the mid-phase n-th-object-write trigger.
-    #[must_use]
-    pub fn and_at_transfer_object(mut self, nth: u64) -> Self {
-        self.at_transfer_object = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the mid-update n-th-syscall trigger.
-    #[must_use]
-    pub fn and_at_syscall(mut self, nth: u64) -> Self {
-        self.at_syscall = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the post-copy n-th-fault-in trigger.
-    #[must_use]
-    pub fn and_at_fault_in(mut self, nth: u64) -> Self {
-        self.at_fault_in = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the post-copy n-th-drain-step trigger.
-    #[must_use]
-    pub fn and_at_drain_step(mut self, nth: u64) -> Self {
-        self.at_drain_step = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the checkpoint n-th-block crash trigger.
-    #[must_use]
-    pub fn and_at_manifest_write(mut self, nth: u64) -> Self {
-        self.at_manifest_write = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the checkpoint n-th-block torn-write trigger.
-    #[must_use]
-    pub fn and_at_torn_write(mut self, nth: u64) -> Self {
-        self.at_torn_write = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the restore n-th-step trigger.
-    #[must_use]
-    pub fn and_at_restore_step(mut self, nth: u64) -> Self {
-        self.at_restore_step = Some(nth);
-        self
-    }
-
-    /// Adds (or replaces) the old-instance crash trigger.
-    #[must_use]
-    pub fn and_crashing_old_before(mut self, phase: PhaseName) -> Self {
-        self.crash_old_before = Some(phase);
-        self
-    }
-
-    /// Whether a fault fires at the boundary before `phase`.
-    pub fn fires_before(&self, phase: PhaseName) -> bool {
-        self.before.contains(&phase)
-    }
-
-    /// Whether the old instance crashes right before `phase`.
-    pub fn crashes_old_before(&self, phase: PhaseName) -> bool {
-        self.crash_old_before == Some(phase)
-    }
-
-    /// The armed boundary faults, in insertion order.
-    pub fn boundaries(&self) -> &[PhaseName] {
-        &self.before
-    }
-
-    /// The armed n-th-object-write trigger, if any.
-    pub fn at_transfer_object(&self) -> Option<u64> {
-        self.at_transfer_object
-    }
-
-    /// The armed n-th-syscall trigger, if any.
-    pub fn at_syscall(&self) -> Option<u64> {
-        self.at_syscall
-    }
-
-    /// The armed post-copy n-th-fault-in trigger, if any.
-    pub fn at_fault_in(&self) -> Option<u64> {
-        self.at_fault_in
-    }
-
-    /// The armed post-copy n-th-drain-step trigger, if any.
-    pub fn at_drain_step(&self) -> Option<u64> {
-        self.at_drain_step
-    }
-
-    /// The armed checkpoint n-th-block crash trigger, if any.
-    pub fn at_manifest_write(&self) -> Option<u64> {
-        self.at_manifest_write
-    }
-
-    /// The armed checkpoint n-th-block torn-write trigger, if any.
-    pub fn at_torn_write(&self) -> Option<u64> {
-        self.at_torn_write
-    }
-
-    /// The armed restore n-th-step trigger, if any.
-    pub fn at_restore_step(&self) -> Option<u64> {
-        self.at_restore_step
-    }
-
-    /// The armed old-instance crash phase, if any.
-    pub fn crash_old_phase(&self) -> Option<PhaseName> {
-        self.crash_old_before
-    }
-
-    /// Whether the plan injects any fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.before.is_empty()
-            && self.at_transfer_object.is_none()
-            && self.at_syscall.is_none()
-            && self.at_fault_in.is_none()
-            && self.at_drain_step.is_none()
-            && self.at_manifest_write.is_none()
-            && self.at_torn_write.is_none()
-            && self.at_restore_step.is_none()
-            && self.crash_old_before.is_none()
-    }
-
-    /// Number of armed triggers (boundaries + mid-phase), used by the
-    /// shrinker to order candidates.
-    pub fn arm_count(&self) -> usize {
-        self.before.len()
-            + usize::from(self.at_transfer_object.is_some())
-            + usize::from(self.at_syscall.is_some())
-            + usize::from(self.at_fault_in.is_some())
-            + usize::from(self.at_drain_step.is_some())
-            + usize::from(self.at_manifest_write.is_some())
-            + usize::from(self.at_torn_write.is_some())
-            + usize::from(self.at_restore_step.is_some())
-            + usize::from(self.crash_old_before.is_some())
-    }
-
-    /// Removes the boundary fault at `idx` (shrinker support).
-    #[must_use]
-    pub(crate) fn without_boundary(&self, idx: usize) -> Self {
-        let mut plan = self.clone();
-        plan.before.remove(idx);
-        plan
-    }
-
-    /// Clears the n-th-object trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_transfer_object(&self) -> Self {
-        ChaosPlan { at_transfer_object: None, ..self.clone() }
-    }
-
-    /// Clears the n-th-syscall trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_syscall(&self) -> Self {
-        ChaosPlan { at_syscall: None, ..self.clone() }
-    }
-
-    /// Clears the post-copy n-th-fault-in trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_fault_in(&self) -> Self {
-        ChaosPlan { at_fault_in: None, ..self.clone() }
-    }
-
-    /// Clears the post-copy n-th-drain-step trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_drain_step(&self) -> Self {
-        ChaosPlan { at_drain_step: None, ..self.clone() }
-    }
-
-    /// Clears the checkpoint n-th-block crash trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_manifest_write(&self) -> Self {
-        ChaosPlan { at_manifest_write: None, ..self.clone() }
-    }
-
-    /// Clears the checkpoint torn-write trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_torn_write(&self) -> Self {
-        ChaosPlan { at_torn_write: None, ..self.clone() }
-    }
-
-    /// Clears the restore n-th-step trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_restore_step(&self) -> Self {
-        ChaosPlan { at_restore_step: None, ..self.clone() }
-    }
-
-    /// Clears the old-instance crash trigger (shrinker support).
-    #[must_use]
-    pub(crate) fn without_crash_old(&self) -> Self {
-        ChaosPlan { crash_old_before: None, ..self.clone() }
-    }
 }
 
 /// An ordered sequence of [`Phase`]s plus an optional [`ChaosPlan`].
@@ -1056,7 +716,7 @@ impl UpdatePipeline {
         // the duration of this attempt; both exit paths disarm it below, so
         // a fault armed for one attempt can never leak into steady-state
         // serving or a later supervisor retry.
-        if let Some(nth) = self.fault_plan.at_syscall() {
+        if let Some(nth) = self.fault_plan.nth(FaultSite::Syscall) {
             ctx.kernel.arm_syscall_fault(nth);
         }
         // Everything from the start of the quiescence barrier onwards is
@@ -1229,8 +889,8 @@ impl Phase for QuiescePhase {
 /// update never proceeds without a recovery point.
 ///
 /// The pipeline's [`ChaosPlan`] can arm torn-write/crash faults against the
-/// store (`at_manifest_write` / `at_torn_write`), counted relative to the
-/// blocks already written. The phase "remounts" the store on entry
+/// store ([`FaultSite::ManifestWrite`] / [`FaultSite::TornWrite`]), counted
+/// relative to the blocks already written. The phase "remounts" the store on entry
 /// ([`Store::recover`]) so a crash injected in one attempt never wedges the
 /// store for a supervisor retry.
 pub struct CheckpointPhase {
@@ -1246,10 +906,10 @@ impl Phase for CheckpointPhase {
     fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         let mut store = self.store.borrow_mut();
         store.recover();
-        if let Some(n) = ctx.fault.at_manifest_write() {
+        if let Some(n) = ctx.fault.nth(FaultSite::ManifestWrite) {
             let at = store.blocks_written() + n;
             store.arm_write_fault(WriteFault::CrashAt(at));
-        } else if let Some(n) = ctx.fault.at_torn_write() {
+        } else if let Some(n) = ctx.fault.nth(FaultSite::TornWrite) {
             let at = store.blocks_written() + n;
             store.arm_write_fault(WriteFault::TornAt(at));
         }
@@ -1736,8 +1396,8 @@ impl Phase for PostcopyDrainPhase {
         let serve_rounds = ctx.opts.postcopy.serve_rounds;
         let batch = ctx.opts.postcopy.drain_batch.max(1);
         let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
-        let fault_in = ctx.fault.at_fault_in();
-        let drain_fault = ctx.fault.at_drain_step();
+        let fault_in = ctx.fault.nth(FaultSite::FaultIn);
+        let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
         let mut fault_in_done = 0u64;
         let mut round = 0usize;
         while ctx.pair_postcopy.iter().any(|s| !s.residual.is_drained()) {

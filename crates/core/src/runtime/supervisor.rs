@@ -25,8 +25,9 @@ use mcr_typemeta::InstrumentationConfig;
 
 use crate::error::Conflict;
 use crate::program::Program;
+use crate::runtime::chaos::{ChaosPlan, FaultSite};
 use crate::runtime::controller::{PrecopyOptions, TransferMode, UpdateOptions, UpdateOutcome};
-use crate::runtime::pipeline::{ChaosPlan, UpdatePipeline};
+use crate::runtime::pipeline::UpdatePipeline;
 use crate::runtime::report::UpdateReport;
 use crate::runtime::scheduler::{resume, run_rounds, McrInstance};
 use crate::transfer::checkpoint::{checkpoint_now, restore_latest, CheckpointOptions, RestoreError};
@@ -270,7 +271,7 @@ pub fn supervised_update(
 /// re-boots it deterministically from the manifest's boot recipe —
 /// while `new_program` is the per-attempt factory for the update target, as
 /// in [`supervised_update`]. A restore killed by an injected
-/// [`ChaosPlan::at_restore_step`] fault is retried once without the fault
+/// [`FaultSite::RestoreStep`] fault is retried once without the fault
 /// (the transient-fault model of the chaos campaigns); any other restore
 /// failure ends the ladder, and the returned instance then has no live
 /// processes — the caller is facing a real outage, not a rolled-back update.
@@ -308,7 +309,7 @@ pub fn supervised_update_durable(
         let tier = DegradationTier::for_attempt(attempt);
         let tier_opts = tier.apply(opts);
         let plan = fault_for_attempt(attempt);
-        let restore_fault = plan.at_restore_step();
+        let restore_fault = plan.nth(FaultSite::RestoreStep);
         let mut pipeline = UpdatePipeline::for_options(&tier_opts)
             .with_fault_plan(plan)
             .with_checkpoint(Rc::clone(&store), ckpt_opts);
@@ -394,7 +395,7 @@ pub fn supervised_update_durable(
 /// Revives the old version from the latest durable checkpoint: remounts the
 /// store, restores into a scratch kernel, fast-forwards its clock so virtual
 /// time stays monotone, swaps it in, and resumes the revived instance. A
-/// restore killed by an injected `at_restore_step` fault is retried once
+/// restore killed by an injected `RestoreStep` fault is retried once
 /// without the fault.
 fn revive_from_checkpoint(
     kernel: &mut Kernel,
@@ -503,8 +504,8 @@ mod tests {
             &UpdateOptions::default(),
             &SupervisorPolicy::default(),
             |attempt| match attempt {
-                1 => ChaosPlan::at_boundaries([PhaseName::Commit]),
-                2 => ChaosPlan::failing_at_transfer_object(1),
+                1 => FaultSite::Boundary(PhaseName::Commit).plan(),
+                2 => FaultSite::TransferObject(1).plan(),
                 _ => ChaosPlan::none(),
             },
         );
@@ -539,7 +540,7 @@ mod tests {
             &UpdateOptions::default(),
             &policy,
             // Every attempt dies at the commit boundary: unrecoverable.
-            |_| ChaosPlan::at_boundaries([PhaseName::Commit]),
+            |_| FaultSite::Boundary(PhaseName::Commit).plan(),
         );
         assert!(!outcome.is_committed());
         let report = outcome.report();
@@ -572,7 +573,7 @@ mod tests {
             &opts,
             &SupervisorPolicy::default(),
             |attempt| match attempt {
-                1 => ChaosPlan::failing_at_fault_in(1),
+                1 => FaultSite::FaultIn(1).plan(),
                 _ => ChaosPlan::none(),
             },
         );
@@ -670,7 +671,8 @@ mod tests {
             store as Rc<RefCell<dyn Store>>,
             CheckpointOptions::default(),
             |attempt| match attempt {
-                1 => ChaosPlan::crashing_old_before(PhaseName::TraceAndTransfer).and_at_restore_step(5),
+                1 => ChaosPlan::crashing_old_before(PhaseName::TraceAndTransfer)
+                    .with(FaultSite::RestoreStep(5)),
                 _ => ChaosPlan::none(),
             },
         );
@@ -703,7 +705,7 @@ mod tests {
             store.clone() as Rc<RefCell<dyn Store>>,
             CheckpointOptions::default(),
             |attempt| match attempt {
-                1 => ChaosPlan::failing_at_torn_write(2),
+                1 => FaultSite::TornWrite(2).plan(),
                 _ => ChaosPlan::none(),
             },
         );

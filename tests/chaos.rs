@@ -8,8 +8,7 @@
 //! plumbing end to end against a real server scenario.
 
 use mcr_bench::{enumerate_sites, run_config, verify_rollback, ChaosConfig, ChaosMode, ChaosSpec, CONFIGS};
-use mcr_core::runtime::{shrink_schedule, ChaosPlan, FaultPlan, SchedulerMode};
-use mcr_core::PhaseName;
+use mcr_core::runtime::{shrink_schedule, ChaosPlan, FaultSite, SchedulerMode};
 
 #[test]
 fn bounded_campaign_rolls_back_byte_identical_and_supervisor_converges() {
@@ -70,19 +69,8 @@ fn shrinker_reduces_a_noisy_schedule_against_the_real_pipeline() {
         let r = verify_rollback(&spec, config, plan);
         r.fired && r.conflicts.iter().any(|c| c.contains("syscall#"))
     };
-    let noisy = ChaosPlan::failing_at_syscall(7).and_at_transfer_object(50);
+    let noisy = FaultSite::Syscall(7).plan().with(FaultSite::TransferObject(50));
     assert!(syscall_blamed(&noisy), "the noisy schedule reproduces the failure");
     let minimal = shrink_schedule(&noisy, syscall_blamed);
-    assert_eq!(minimal, ChaosPlan::failing_at_syscall(1), "1-minimal reproducer");
-}
-
-#[test]
-fn deprecated_single_boundary_constructor_still_rolls_back() {
-    #[allow(deprecated)]
-    let plan = FaultPlan::failing_before(PhaseName::Commit);
-    assert_eq!(plan, ChaosPlan::at_boundaries([PhaseName::Commit]));
-    let spec = ChaosSpec::quick();
-    let config = ChaosConfig { scheduler: SchedulerMode::EventDriven, mode: ChaosMode::StopTheWorld };
-    let result = verify_rollback(&spec, config, &plan);
-    assert!(result.fired && !result.diverged, "legacy plans keep the rollback guarantee");
+    assert_eq!(minimal, FaultSite::Syscall(1).plan(), "1-minimal reproducer");
 }

@@ -3,7 +3,7 @@
 
 use mcr_bench::{kernel_fingerprint, precopy_update};
 use mcr_core::runtime::{
-    boot, live_update, run_rounds, BootOptions, FaultPlan, PhaseName, PrecopyOptions, SchedulerMode,
+    boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, SchedulerMode,
     UpdateOptions, UpdatePipeline,
 };
 use mcr_core::{Conflict, QuiescenceProfiler};
@@ -256,8 +256,7 @@ fn fault_at_nth_object_during_precopy_round_rolls_back_with_old_instance_live() 
         precopy: PrecopyOptions { rounds: 2, convergence_bytes: 0, serve_rounds: 1 },
         ..Default::default()
     };
-    let pipeline =
-        UpdatePipeline::for_options(&opts).with_fault_plan(FaultPlan::failing_at_transfer_object(3));
+    let pipeline = UpdatePipeline::for_options(&opts).with_fault_plan(FaultSite::TransferObject(3).plan());
     let (mut survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(programs::nginx(2)), InstrumentationConfig::full(), &opts);
 
@@ -296,7 +295,7 @@ fn fault_at_nth_object_in_stop_the_world_window_rolls_back() {
     let (mut kernel, mut v1) = booted("nginx");
     run_workload(&mut kernel, &mut v1, &workload_for("nginx", 4)).unwrap();
     let opts = UpdateOptions { transfer_workers: 1, ..Default::default() };
-    let pipeline = UpdatePipeline::standard().with_fault_plan(FaultPlan::failing_at_transfer_object(1));
+    let pipeline = UpdatePipeline::standard().with_fault_plan(FaultSite::TransferObject(1).plan());
     let (mut survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(programs::nginx(2)), InstrumentationConfig::full(), &opts);
     assert!(!outcome.is_committed());
@@ -354,7 +353,7 @@ fn injected_fault_at_every_phase_boundary_rolls_back_cleanly() {
         let old_pids = v1.state.processes.clone();
         let connections_before = kernel.open_connection_count();
 
-        let pipeline = UpdatePipeline::standard().with_fault_plan(FaultPlan::at_boundaries([boundary]));
+        let pipeline = UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(boundary).plan());
         let (mut survivor, outcome) = pipeline.run(
             &mut kernel,
             v1,
@@ -418,7 +417,7 @@ fn injected_fault_at_every_phase_boundary_rolls_back_cleanly() {
 fn rolled_back_report_traces_executed_prefix() {
     let (mut kernel, v1) = booted("vsftpd");
     let pipeline =
-        UpdatePipeline::standard().with_fault_plan(FaultPlan::at_boundaries([PhaseName::TraceAndTransfer]));
+        UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(PhaseName::TraceAndTransfer).plan());
     let (_survivor, outcome) = pipeline.run(
         &mut kernel,
         v1,

@@ -2,8 +2,8 @@
 //! MCR design depends on.
 //!
 //! The container has no network access, so instead of `proptest` these tests
-//! drive the same invariants with a small deterministic xorshift generator:
-//! every case is reproducible from its printed seed.
+//! drive the same invariants with the chaos engine's deterministic xorshift64*
+//! generator ([`ChaosRng`]): every case is reproducible from its printed seed.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -11,8 +11,8 @@ use std::rc::Rc;
 use mcr_bench::kernel_fingerprint;
 use mcr_core::callstack::CallStackId;
 use mcr_core::runtime::{
-    boot, live_update, BootOptions, FaultPlan, PhaseName, PrecopyOptions, SchedulerMode, TransferMode,
-    UpdateOptions, UpdatePipeline, UpdateReport,
+    boot, live_update, BootOptions, ChaosPlan, ChaosRng, FaultSite, PhaseName, PrecopyOptions, SchedulerMode,
+    TransferMode, UpdateOptions, UpdatePipeline, UpdateReport,
 };
 use mcr_core::transfer::engine::list_schedule_makespan;
 use mcr_core::transfer::{apply_field_map, compute_field_map};
@@ -31,36 +31,15 @@ const HEAP_BASE: u64 = 0x0800_0000;
 const HEAP_SIZE: u64 = 512 * PAGE_SIZE;
 const CASES: u64 = 64;
 
-/// Deterministic xorshift64* generator.
-struct Rng(u64);
+/// A fair coin flip on the low bit of the next draw.
+fn chance(rng: &mut ChaosRng) -> bool {
+    rng.next() & 1 == 1
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn chance(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-
-    fn ident(&mut self, max_len: u64) -> String {
-        let len = self.range(1, max_len + 1) as usize;
-        (0..len).map(|_| (b'a' + (self.next() % 26) as u8) as char).collect()
-    }
+/// A lowercase identifier of 1..=`max_len` letters.
+fn ident(rng: &mut ChaosRng, max_len: u64) -> String {
+    let len = rng.range(1, max_len + 1) as usize;
+    (0..len).map(|_| (b'a' + (rng.next() % 26) as u8) as char).collect()
 }
 
 fn fresh_heap(instrumented: bool) -> (AddressSpace, PtMalloc) {
@@ -74,11 +53,11 @@ fn fresh_heap(instrumented: bool) -> (AddressSpace, PtMalloc) {
 #[test]
 fn allocator_chunks_are_disjoint_and_aligned() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let n = rng.range(1, 60) as usize;
         let sizes: Vec<u64> = (0..n).map(|_| rng.range(1, 2048)).collect();
-        let free_mask: Vec<bool> = (0..n).map(|_| rng.chance()).collect();
-        let instrumented = rng.chance();
+        let free_mask: Vec<bool> = (0..n).map(|_| chance(&mut rng)).collect();
+        let instrumented = chance(&mut rng);
 
         let (mut space, mut heap) = fresh_heap(instrumented);
         heap.end_startup();
@@ -108,7 +87,7 @@ fn allocator_chunks_are_disjoint_and_aligned() {
 #[test]
 fn soft_dirty_never_misses_a_write() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let n = rng.range(1, 40) as usize;
         let offsets: Vec<u64> = (0..n).map(|_| rng.range(0, 64 * PAGE_SIZE - 8)).collect();
 
@@ -130,7 +109,7 @@ fn soft_dirty_never_misses_a_write() {
 #[test]
 fn fd_table_numbers_are_unique() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let n = rng.range(1, 80) as usize;
         let ops: Vec<u8> = (0..n).map(|_| rng.range(0, 3) as u8).collect();
 
@@ -160,9 +139,9 @@ fn fd_table_numbers_are_unique() {
 #[test]
 fn callstack_ids_distinguish_different_stacks() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let n = rng.range(1, 8) as usize;
-        let frames: Vec<String> = (0..n).map(|_| rng.ident(12)).collect();
+        let frames: Vec<String> = (0..n).map(|_| ident(&mut rng, 12)).collect();
 
         let id = CallStackId::from_frames(&frames);
         assert_eq!(id, CallStackId::from_frames(&frames), "seed {seed}: not deterministic");
@@ -182,10 +161,10 @@ fn callstack_ids_distinguish_different_stacks() {
 #[test]
 fn field_map_preserves_common_fields() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let values: Vec<u32> = (0..4).map(|_| rng.next() as u32).collect();
-        let add_front = rng.chance();
-        let add_back = rng.chance();
+        let add_front = chance(&mut rng);
+        let add_back = chance(&mut rng);
 
         let names = ["a", "b", "c", "d"];
         let mut old_reg = TypeRegistry::new();
@@ -254,7 +233,7 @@ fn committed_update(program: &str, requests: u64, open: usize, workers: usize) -
 fn parallel_and_serial_transfer_produce_identical_updates() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
     for seed in 0..4u64 {
-        let mut rng = Rng::new(seed + 0xbeef);
+        let mut rng = ChaosRng::new(seed + 0xbeef);
         let program = programs[seed as usize % programs.len()];
         let requests = rng.range(1, 4);
         let open = rng.range(0, 5) as usize;
@@ -319,7 +298,7 @@ fn parallel_and_serial_transfer_produce_identical_updates() {
 /// state transfer or a fault injected at a mid-phase object write.
 #[test]
 fn parallel_and_serial_rollbacks_report_identical_conflicts() {
-    let attempt = |generation: u32, open: usize, fault: FaultPlan, workers: usize, shards: usize| {
+    let attempt = |generation: u32, open: usize, fault: ChaosPlan, workers: usize, shards: usize| {
         let mut kernel = Kernel::new();
         install_standard_files(&mut kernel);
         let mut v1 =
@@ -345,15 +324,15 @@ fn parallel_and_serial_rollbacks_report_identical_conflicts() {
 
     // A clean generation 1 -> 2 update of five sessions sizes the second
     // scenario: its fault lands halfway through the phase's object writes.
-    let (committed, _, clean, _) = attempt(2, 5, FaultPlan::none(), 1, 1);
+    let (committed, _, clean, _) = attempt(2, 5, ChaosPlan::none(), 1, 1);
     assert!(committed, "the fault-free update commits");
     let pairs = clean.transfer.per_process.len();
     assert!(pairs >= 4, "{pairs} pairs");
-    let mid_phase = FaultPlan::failing_at_transfer_object(clean.object_writes / 2);
+    let mid_phase = FaultSite::TransferObject(clean.object_writes / 2).plan();
 
     // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
     // references, which aborts the update during state transfer.
-    let conflicting = (3, 0, FaultPlan::none(), &[1usize, 2, 5][..], &[1usize][..]);
+    let conflicting = (3, 0, ChaosPlan::none(), &[1usize, 2, 5][..], &[1usize][..]);
     let faulted = (2, 5, mid_phase, &[1usize, 2, 5, 0][..], &[1usize, 4][..]);
     for (generation, open, fault, worker_counts, shard_counts) in [conflicting, faulted] {
         let (_, serial_conflicts, serial_report, serial_fp) = attempt(generation, open, fault.clone(), 1, 1);
@@ -428,7 +407,7 @@ fn update_with_sched_mode(
 fn event_driven_and_full_scan_updates_are_identical() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
     for seed in 0..4u64 {
-        let mut rng = Rng::new(seed + 0xfeed);
+        let mut rng = ChaosRng::new(seed + 0xfeed);
         let program = programs[seed as usize % programs.len()];
         let requests = rng.range(1, 4);
         let open = rng.range(0, 5) as usize;
@@ -498,7 +477,7 @@ fn precopied_or_stw_update(
     writes_per_round: usize,
     precopy: bool,
     mode: SchedulerMode,
-    fault: Option<FaultPlan>,
+    fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
     let mut kernel = Kernel::new();
@@ -510,7 +489,7 @@ fn precopied_or_stw_update(
     // Flip the scheduling core only now: every configuration enters the
     // pipeline with byte-identical kernel and instance state.
     v1.sched.mode = mode;
-    let mut rng = Rng::new(seed ^ 0x9d0f_11e5);
+    let mut rng = ChaosRng::new(seed ^ 0x9d0f_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
         scheduler: mode,
@@ -555,7 +534,7 @@ fn precopied_or_stw_update(
 fn precopy_and_stop_the_world_updates_are_identical() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
     for seed in 0..4u64 {
-        let mut rng = Rng::new(seed + 0xacce55);
+        let mut rng = ChaosRng::new(seed + 0xacce55);
         let program = programs[seed as usize % programs.len()];
         let requests = rng.range(2, 5);
         let open = rng.range(0, 4) as usize;
@@ -608,7 +587,7 @@ fn precopy_and_stop_the_world_updates_are_identical() {
 #[test]
 fn precopy_and_stop_the_world_rollbacks_are_identical() {
     for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-        let fault = || Some(FaultPlan::at_boundaries([PhaseName::Commit]));
+        let fault = || Some(FaultSite::Boundary(PhaseName::Commit).plan());
         let (stw_fp, stw_conflicts, stw) =
             precopied_or_stw_update("nginx", 3, 2, 3, 2, false, mode, fault(), 0x0ff);
         let (pre_fp, pre_conflicts, pre) =
@@ -643,7 +622,7 @@ fn sharded_cache_update(
     rounds: usize,
     precopy: bool,
     mode: SchedulerMode,
-    fault: Option<FaultPlan>,
+    fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
     let mut kernel = Kernel::new();
@@ -656,7 +635,7 @@ fn sharded_cache_update(
     // Flip the scheduling core only now: every configuration enters the
     // pipeline with byte-identical kernel and instance state.
     v1.sched.mode = mode;
-    let mut rng = Rng::new(seed ^ 0x517a_11e5);
+    let mut rng = ChaosRng::new(seed ^ 0x517a_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
         scheduler: mode,
@@ -749,7 +728,7 @@ fn intra_pair_sharded_rollbacks_are_byte_identical() {
         // A single matched pair with its serial apply pass makes the shared
         // n-th-object counter deterministic, so the fault lands on the same
         // object for every shard count.
-        let fault = || Some(FaultPlan::failing_at_transfer_object(25));
+        let fault = || Some(FaultSite::TransferObject(25).plan());
         let (base_fp, base_conflicts, base) =
             sharded_cache_update(200, 1, 2, precopy, SchedulerMode::EventDriven, fault(), 0xB0B0);
         assert!(
@@ -801,7 +780,7 @@ fn cache_update_under_traffic(
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     cache_request(&mut kernel, &mut v1, "fill 1600 96");
     v1.sched.mode = sched;
-    let mut rng = Rng::new(seed ^ 0x7eaf_f1c0);
+    let mut rng = ChaosRng::new(seed ^ 0x7eaf_f1c0);
     let batches: Vec<Vec<&str>> = (0..3)
         .map(|_| {
             // The same work for every seed; the seed orders it.
@@ -890,7 +869,7 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
 fn slab_substrate_updates_are_identical_across_every_configuration() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
     for seed in 0..6u64 {
-        let mut rng = Rng::new(seed + 0x51ab);
+        let mut rng = ChaosRng::new(seed + 0x51ab);
         let program = programs[seed as usize % programs.len()];
         let requests = rng.range(1, 4);
         let open = rng.range(0, 4) as usize;
@@ -963,7 +942,7 @@ fn slab_substrate_updates_are_identical_across_every_configuration() {
 fn object_table_slab_matches_the_ordered_map_model() {
     use std::collections::{BTreeMap, VecDeque};
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0x0b1ec7);
+        let mut rng = ChaosRng::new(seed ^ 0x0b1ec7);
         let mut table = ObjectTable::new();
         let mut model: BTreeMap<u64, (KernelObject, u32)> = BTreeMap::new();
         let mut dead: Vec<ObjId> = Vec::new();
@@ -977,7 +956,7 @@ fn object_table_slab_matches_the_ordered_map_model() {
                     let obj = match rng.range(0, 4) {
                         0 => KernelObject::Listener {
                             port: (rng.range(1, 6) * 1000) as u16,
-                            listening: rng.chance(),
+                            listening: chance(&mut rng),
                             backlog: VecDeque::new(),
                         },
                         1 => {
@@ -991,7 +970,7 @@ fn object_table_slab_matches_the_ordered_map_model() {
                             }
                         }
                         2 => KernelObject::Pipe { buffer: VecDeque::new() },
-                        _ => KernelObject::File { path: rng.ident(8), offset: rng.range(0, 64) },
+                        _ => KernelObject::File { path: ident(&mut rng, 8), offset: rng.range(0, 64) },
                     };
                     let id = table.insert(obj.clone());
                     assert!(model.insert(id.0, (obj, 1)).is_none(), "seed {seed}: id {id:?} reused");
@@ -1017,7 +996,7 @@ fn object_table_slab_matches_the_ordered_map_model() {
                 // Mutate a live connection's inbox through `get_mut`.
                 7 if !live.is_empty() => {
                     let id = live[rng.range(0, live.len() as u64) as usize];
-                    let payload = rng.ident(6).into_bytes();
+                    let payload = ident(&mut rng, 6).into_bytes();
                     if let Some(KernelObject::Connection { inbox, .. }) = table.get_mut(ObjId(id)) {
                         inbox.push_back(payload.clone());
                         match &mut model.get_mut(&id).expect("live").0 {
@@ -1077,7 +1056,7 @@ fn object_table_slab_matches_the_ordered_map_model() {
 fn fd_table_slab_matches_the_ordered_map_model() {
     use std::collections::BTreeMap;
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0xfd7ab1e);
+        let mut rng = ChaosRng::new(seed ^ 0xfd7ab1e);
         let mut table = FdTable::new();
         let mut model: BTreeMap<i32, FdEntry> = BTreeMap::new();
         let mut reserved_high = RESERVED_FD_BASE - 1;
@@ -1122,7 +1101,7 @@ fn fd_table_slab_matches_the_ordered_map_model() {
                 _ if !model.is_empty() => {
                     let open: Vec<i32> = model.keys().copied().collect();
                     let fd = Fd(open[rng.range(0, open.len() as u64) as usize]);
-                    let flag = rng.chance();
+                    let flag = chance(&mut rng);
                     table.set_cloexec(fd, flag).expect("open descriptor");
                     model.get_mut(&fd.0).expect("open").cloexec = flag;
                 }
@@ -1257,7 +1236,7 @@ impl DenseSpace {
 
 /// An access for the model test: somewhere in (or just past) the region,
 /// biased towards page boundaries and the region end, zero to ~2.5 pages long.
-fn dense_access(rng: &mut Rng) -> (u64, usize) {
+fn dense_access(rng: &mut ChaosRng) -> (u64, usize) {
     let len = match rng.range(0, 6) {
         0 => 0,
         1..=3 => rng.range(1, 17),
@@ -1282,7 +1261,7 @@ fn dense_access(rng: &mut Rng) -> (u64, usize) {
 #[test]
 fn paged_address_space_matches_the_dense_model() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0x9a6ed);
+        let mut rng = ChaosRng::new(seed ^ 0x9a6ed);
         let mut space = AddressSpace::new();
         space.map_region(Addr(DENSE_BASE), DENSE_SIZE as u64, RegionKind::Heap, "heap").unwrap();
         let mut copies = vec![(space, DenseSpace::new())];
@@ -1317,7 +1296,7 @@ fn paged_address_space_matches_the_dense_model() {
                     assert_eq!(got, want, "{ctx} from {from:#x}");
                 }
                 6 => {
-                    let value = if rng.chance() { 0 } else { rng.next() as u8 };
+                    let value = if chance(&mut rng) { 0 } else { rng.next() as u8 };
                     assert_eq!(
                         fault_of(paged.fill(at, len, value)),
                         dense.write(addr, &vec![value; len]),
@@ -1431,7 +1410,7 @@ fn postcopy_or_stw_update(
     mode: TransferMode,
     sched: SchedulerMode,
     shards: usize,
-    fault: Option<FaultPlan>,
+    fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
     let mut kernel = Kernel::new();
@@ -1443,7 +1422,7 @@ fn postcopy_or_stw_update(
     // Flip the scheduling core only now: every configuration enters the
     // pipeline with byte-identical kernel and instance state.
     v1.sched.mode = sched;
-    let mut rng = Rng::new(seed ^ 0x9057_c09e);
+    let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
     for _ in 0..3 {
         dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
     }
@@ -1497,7 +1476,7 @@ fn postcopy_or_stw_update(
 fn postcopy_commits_are_byte_identical_to_stop_the_world() {
     let programs = ["vsftpd", "nginx", "httpd"];
     for seed in 0..3u64 {
-        let mut rng = Rng::new(seed + 0xdefe7);
+        let mut rng = ChaosRng::new(seed + 0xdefe7);
         let program = programs[seed as usize % programs.len()];
         let requests = rng.range(2, 5);
         let open = rng.range(1, 4) as usize;
@@ -1572,7 +1551,7 @@ fn mid_drain_faults_roll_back_byte_identically() {
         run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
         let port = workload_for(program, 1).port;
         open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-        let mut rng = Rng::new(seed ^ 0x9057_c09e);
+        let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
         for _ in 0..3 {
             dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
         }
@@ -1580,7 +1559,7 @@ fn mid_drain_faults_roll_back_byte_identically() {
     };
 
     for (fault, kind) in
-        [(FaultPlan::failing_at_drain_step(1), "drain-step"), (FaultPlan::failing_at_fault_in(1), "fault-in")]
+        [(FaultSite::DrainStep(1).plan(), "drain-step"), (FaultSite::FaultIn(1).plan(), "fault-in")]
     {
         let mut runs = Vec::new();
         for sched in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
@@ -1665,7 +1644,7 @@ fn drain_traps_service_each_deferred_object_exactly_once() {
 #[test]
 fn identity_field_map_roundtrips() {
     for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
+        let mut rng = ChaosRng::new(seed);
         let n = rng.range(8, 256) as usize;
         let bytes: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
 
