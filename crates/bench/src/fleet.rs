@@ -141,8 +141,8 @@ impl FleetServer {
             Ok(StepOutcome::Progress)
         } else {
             Ok(StepOutcome::WouldBlock {
-                call: "accept".to_string(),
-                loop_name: "accept_loop".to_string(),
+                call: "accept",
+                loop_name: "accept_loop",
                 wait: WaitInterest::Fd(fd),
             })
         }
@@ -153,15 +153,15 @@ impl FleetServer {
             // Connection not accepted yet: retry on a short timer instead of
             // being re-polled every round.
             return Ok(StepOutcome::WouldBlock {
-                call: "read".to_string(),
-                loop_name: "session_loop".to_string(),
+                call: "read",
+                loop_name: "session_loop",
                 wait: WaitInterest::Timer(SimDuration(50_000)),
             });
         };
         match env.syscall(Syscall::Read { fd, len: 4096 }) {
             Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: "read".to_string(),
-                loop_name: "session_loop".to_string(),
+                call: "read",
+                loop_name: "session_loop",
                 wait: WaitInterest::Fd(fd),
             }),
             Err(e) => Err(e),
@@ -230,18 +230,17 @@ impl Program for FleetServer {
     }
 
     fn thread_step(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
-        let name = env.thread_name().to_string();
-        if name == "main" {
-            return self.accept_all(env);
+        match env.thread_name() {
+            "main" => self.accept_all(env),
+            name => match name.strip_prefix("conn-").and_then(|s| s.parse::<usize>().ok()) {
+                Some(slot) => self.session_step(env, slot),
+                None => Ok(StepOutcome::WouldBlock {
+                    call: "poll",
+                    loop_name: "idle_loop",
+                    wait: WaitInterest::External,
+                }),
+            },
         }
-        if let Some(slot) = name.strip_prefix("conn-").and_then(|s| s.parse::<usize>().ok()) {
-            return self.session_step(env, slot);
-        }
-        Ok(StepOutcome::WouldBlock {
-            call: "poll".to_string(),
-            loop_name: "idle_loop".to_string(),
-            wait: WaitInterest::External,
-        })
     }
 }
 

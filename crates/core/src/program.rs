@@ -9,6 +9,8 @@
 //! as tracing roots, and the quiescence machinery observes where threads
 //! block.
 
+use std::rc::Rc;
+
 use mcr_procsim::{
     Addr, AllocSite, Fd, Kernel, Pid, PoolId, SimDuration, SimError, Syscall, SyscallRet, Tid, TypeTag,
 };
@@ -47,9 +49,9 @@ pub enum StepOutcome {
     /// quiescent point.
     WouldBlock {
         /// The blocking library call (e.g. `"accept"`, `"epoll_wait"`).
-        call: String,
+        call: &'static str,
         /// The enclosing long-lived loop (e.g. `"main_loop"`).
-        loop_name: String,
+        loop_name: &'static str,
         /// The readiness interest the blocked thread declares.
         wait: WaitInterest,
     },
@@ -106,8 +108,9 @@ pub struct ThreadRosterEntry {
     pub pid: Pid,
     /// Thread id.
     pub tid: Tid,
-    /// Thread name (e.g. `"main"`, `"worker-3"`).
-    pub name: String,
+    /// Thread name (e.g. `"main"`, `"worker-3"`), shared with every
+    /// [`ProgramEnv`] that steps the thread.
+    pub name: Rc<str>,
     /// Whether the thread existed before startup completed (such threads
     /// yield *persistent* quiescent points in Table 1).
     pub created_during_startup: bool,
@@ -284,7 +287,7 @@ pub struct ProgramEnv<'a> {
     state: &'a mut InstanceState,
     pid: Pid,
     tid: Tid,
-    thread_name: String,
+    thread_name: Rc<str>,
 }
 
 impl<'a> ProgramEnv<'a> {
@@ -294,7 +297,7 @@ impl<'a> ProgramEnv<'a> {
         state: &'a mut InstanceState,
         pid: Pid,
         tid: Tid,
-        thread_name: impl Into<String>,
+        thread_name: impl Into<Rc<str>>,
     ) -> Self {
         ProgramEnv { kernel, state, pid, tid, thread_name: thread_name.into() }
     }
@@ -433,7 +436,7 @@ impl<'a> ProgramEnv<'a> {
         self.state.add_roster_entry(ThreadRosterEntry {
             pid: actual_child,
             tid: child_main,
-            name: format!("{kind}-main"),
+            name: format!("{kind}-main").into(),
             created_during_startup,
             exited: false,
         });
@@ -460,7 +463,7 @@ impl<'a> ProgramEnv<'a> {
         self.state.add_roster_entry(ThreadRosterEntry {
             pid: self.pid,
             tid,
-            name: name.to_string(),
+            name: name.into(),
             created_during_startup,
             exited: false,
         });

@@ -127,10 +127,10 @@ impl QuiescenceProfiler {
             if let Ok(proc) = kernel.process(entry.pid) {
                 if let Ok(thread) = proc.thread(entry.tid) {
                     for (call, ns) in thread.blocking_profile() {
-                        *acc.blocking.entry(call.clone()).or_insert(0) += ns;
+                        *acc.blocking.entry(call.to_string()).or_insert(0) += ns;
                     }
                     for (l, n) in thread.loop_profile() {
-                        *acc.loops.entry(l.clone()).or_insert(0) += n;
+                        *acc.loops.entry(l.to_string()).or_insert(0) += n;
                     }
                 }
             }
@@ -199,7 +199,7 @@ mod tests {
             state.threads.push(ThreadRosterEntry {
                 pid,
                 tid,
-                name: format!("worker-{i}"),
+                name: format!("worker-{i}").into(),
                 created_during_startup: true,
                 exited: false,
             });

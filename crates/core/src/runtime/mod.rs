@@ -123,8 +123,8 @@ pub(crate) mod testprog {
                 self.list_global.ok_or_else(|| McrError::InvalidState("server not started".into()))?;
             match env.syscall(Syscall::Accept { fd }) {
                 Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                    call: "accept".into(),
-                    loop_name: "main_loop".into(),
+                    call: "accept",
+                    loop_name: "main_loop",
                     wait: WaitInterest::Fd(fd),
                 }),
                 Err(e) => Err(e),
@@ -212,8 +212,8 @@ pub(crate) mod testprog {
 
         fn thread_step(&mut self, _env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
             Ok(StepOutcome::WouldBlock {
-                call: "accept".into(),
-                loop_name: "main_loop".into(),
+                call: "accept",
+                loop_name: "main_loop",
                 wait: WaitInterest::External,
             })
         }

@@ -1541,7 +1541,7 @@ fn match_processes(
                     .iter()
                     .find(|t| t.pid == old_pid)
                     .map(|t| t.name.clone())
-                    .unwrap_or_else(|| "recreated".to_string());
+                    .unwrap_or_else(|| "recreated".into());
                 new_instance.state.processes.push(child);
                 new_instance.state.add_roster_entry(ThreadRosterEntry {
                     pid: child,

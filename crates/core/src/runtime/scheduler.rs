@@ -38,6 +38,7 @@
 //! baseline its scaling assertion compares against.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use mcr_procsim::{Kernel, Pid, SimDuration, SimInstant, ThreadState, Tid};
 use mcr_typemeta::InstrumentationConfig;
@@ -513,8 +514,8 @@ pub fn step_thread(
             }
         }
         return Ok(StepOutcome::WouldBlock {
-            call: "quiesce".into(),
-            loop_name: "main_loop".into(),
+            call: "quiesce",
+            loop_name: "main_loop",
             wait: WaitInterest::External,
         });
     }
@@ -522,13 +523,13 @@ pub fn step_thread(
     let outcome = {
         let McrInstance { program, state, .. } = instance;
         let thread_name =
-            state.roster_entry(pid, tid).map(|t| t.name.clone()).unwrap_or_else(|| "thread".to_string());
+            state.roster_entry(pid, tid).map_or_else(|| "thread".into(), |t| Rc::clone(&t.name));
         let mut env = ProgramEnv::new(kernel, state, pid, tid, thread_name);
         program.thread_step(&mut env)?
     };
 
     match &outcome {
-        StepOutcome::WouldBlock { call, loop_name, .. } => {
+        &StepOutcome::WouldBlock { call, loop_name, .. } => {
             if config.level.unblockified() {
                 instance.state.counters.unblock_wraps += 1;
                 kernel.advance_clock(SimDuration(200));
@@ -541,7 +542,7 @@ pub fn step_thread(
                 if let Ok(t) = p.thread_mut(tid) {
                     t.record_blocking(call, 1_000);
                     t.record_loop_iteration(loop_name);
-                    t.set_state(ThreadState::Blocked { call: call.clone() });
+                    t.set_state(ThreadState::Blocked { call });
                 }
             }
             // Idle blocking also advances time (the thread sits in the
@@ -658,18 +659,18 @@ pub fn wake_all_threads(kernel: &mut Kernel, instance: &mut McrInstance) {
 
 /// Number of live threads that are *not* parked at a quiescent point.
 pub fn running_thread_count(kernel: &Kernel, instance: &McrInstance) -> usize {
-    instance
-        .state
-        .live_threads()
-        .filter(|t| {
-            kernel.process(t.pid).and_then(|p| p.thread(t.tid).map(|th| !th.is_quiesced())).unwrap_or(false)
-        })
-        .count()
+    instance.state.live_threads().filter(|t| is_running(kernel, t)).count()
+}
+
+/// Whether a roster thread exists in the kernel and is not parked at a
+/// quiescent point.
+fn is_running(kernel: &Kernel, t: &ThreadRosterEntry) -> bool {
+    kernel.process(t.pid).and_then(|p| p.thread(t.tid).map(|th| !th.is_quiesced())).unwrap_or(false)
 }
 
 /// Whether every live thread of the instance is parked at a quiescent point.
 pub fn all_quiesced(kernel: &Kernel, instance: &McrInstance) -> bool {
-    running_thread_count(kernel, instance) == 0
+    !instance.state.live_threads().any(|t| is_running(kernel, t))
 }
 
 /// Drives the barrier protocol until every live thread of the instance is
@@ -690,8 +691,8 @@ pub fn wait_quiescence(
 ) -> McrResult<SimDuration> {
     let start = kernel.now();
     request_quiescence(instance);
-    // One convergence check per pass plus a final one after the last pass,
-    // all through the single `running_thread_count` helper.
+    // One convergence check per pass plus a final one after the last pass;
+    // each stops at the first thread still running.
     for round in 0..=max_rounds {
         if all_quiesced(kernel, instance) {
             return Ok(kernel.now().duration_since(start));

@@ -39,6 +39,7 @@
 //! ordered-map substrate.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use crate::clock::{SimDuration, SimInstant, VirtualClock};
 use crate::error::{SimError, SimResult};
@@ -735,7 +736,7 @@ impl Kernel {
     pub fn spawn_thread(&mut self, pid: Pid, name: &str, creation_stack: Vec<String>) -> SimResult<Tid> {
         let tid = self.alloc_tid();
         let proc = self.process_mut(pid)?;
-        proc.add_thread(tid, name, creation_stack);
+        proc.add_thread(tid, name, creation_stack.into());
         Ok(tid)
     }
 
@@ -1279,8 +1280,10 @@ impl Kernel {
                 Ok(SyscallRet::Pid(child_pid))
             }
             Syscall::SpawnThread { name } => {
-                let creation_stack =
-                    self.process(pid)?.thread(tid).map(|t| t.call_stack().to_vec()).unwrap_or_default();
+                let creation_stack = self
+                    .process_mut(pid)?
+                    .thread_mut(tid)
+                    .map_or_else(|_| Rc::from([]), Thread::shared_call_stack);
                 let new_tid = self.alloc_tid();
                 self.process_mut(pid)?.add_thread(new_tid, name, creation_stack);
                 Ok(SyscallRet::Tid(new_tid))

@@ -7,6 +7,7 @@
 //! exactly this information.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::alloc::{PtMalloc, RegionAllocator};
 use crate::error::{SimError, SimResult};
@@ -22,7 +23,7 @@ pub enum ThreadState {
     /// Blocked inside a (possibly unblockified) library call.
     Blocked {
         /// Name of the blocking library call (e.g. `"accept"`, `"epoll_wait"`).
-        call: String,
+        call: &'static str,
     },
     /// Parked at a quiescent point by MCR's barrier protocol.
     Quiesced,
@@ -37,22 +38,26 @@ pub struct Thread {
     name: String,
     state: ThreadState,
     call_stack: Vec<String>,
+    /// `call_stack` as one shared slice, built by the first spawn after the
+    /// stack last changed and reused by every spawn until it changes again.
+    shared_call_stack: Option<Rc<[String]>>,
     /// Call stack captured at thread creation time (used to match threads
-    /// across program versions).
-    creation_stack: Vec<String>,
+    /// across program versions), shared with the spawning thread.
+    creation_stack: Rc<[String]>,
     /// Simulated nanoseconds spent per blocking call (quiescence profiling).
-    blocking_ns: BTreeMap<String, u64>,
+    blocking_ns: BTreeMap<&'static str, u64>,
     /// Iterations executed per named loop (long-lived loop detection).
-    loop_iterations: BTreeMap<String, u64>,
+    loop_iterations: BTreeMap<&'static str, u64>,
 }
 
 impl Thread {
-    fn new(tid: Tid, name: impl Into<String>, creation_stack: Vec<String>) -> Self {
+    fn new(tid: Tid, name: impl Into<String>, creation_stack: Rc<[String]>) -> Self {
         Thread {
             tid,
             name: name.into(),
             state: ThreadState::Running,
             call_stack: Vec::new(),
+            shared_call_stack: None,
             creation_stack,
             blocking_ns: BTreeMap::new(),
             loop_iterations: BTreeMap::new(),
@@ -82,11 +87,13 @@ impl Thread {
     /// Pushes a function frame onto the simulated call stack.
     pub fn push_frame(&mut self, function: impl Into<String>) {
         self.call_stack.push(function.into());
+        self.shared_call_stack = None;
     }
 
     /// Pops the innermost frame.
     pub fn pop_frame(&mut self) {
         self.call_stack.pop();
+        self.shared_call_stack = None;
     }
 
     /// The active function names, outermost first.
@@ -97,6 +104,14 @@ impl Thread {
     /// Replaces the whole call stack (used when restoring a checkpoint).
     pub fn set_call_stack(&mut self, frames: Vec<String>) {
         self.call_stack = frames;
+        self.shared_call_stack = None;
+    }
+
+    /// The current call stack as a shared slice: the creation stack of a
+    /// thread spawned here, copied once per distinct stack, not per spawn.
+    pub(crate) fn shared_call_stack(&mut self) -> Rc<[String]> {
+        let frames = &self.call_stack;
+        Rc::clone(self.shared_call_stack.get_or_insert_with(|| frames.as_slice().into()))
     }
 
     /// Call stack at thread creation time.
@@ -105,22 +120,22 @@ impl Thread {
     }
 
     /// Records `ns` nanoseconds spent blocked in `call` (profiler input).
-    pub fn record_blocking(&mut self, call: &str, ns: u64) {
-        *self.blocking_ns.entry(call.to_string()).or_insert(0) += ns;
+    pub fn record_blocking(&mut self, call: &'static str, ns: u64) {
+        *self.blocking_ns.entry(call).or_insert(0) += ns;
     }
 
     /// Records one iteration of the named loop (profiler input).
-    pub fn record_loop_iteration(&mut self, loop_name: &str) {
-        *self.loop_iterations.entry(loop_name.to_string()).or_insert(0) += 1;
+    pub fn record_loop_iteration(&mut self, loop_name: &'static str) {
+        *self.loop_iterations.entry(loop_name).or_insert(0) += 1;
     }
 
     /// Blocking-time histogram collected so far.
-    pub fn blocking_profile(&self) -> &BTreeMap<String, u64> {
+    pub fn blocking_profile(&self) -> &BTreeMap<&'static str, u64> {
         &self.blocking_ns
     }
 
     /// Loop-iteration histogram collected so far.
-    pub fn loop_profile(&self) -> &BTreeMap<String, u64> {
+    pub fn loop_profile(&self) -> &BTreeMap<&'static str, u64> {
         &self.loop_iterations
     }
 
@@ -205,7 +220,7 @@ pub struct Process {
 
 impl Process {
     pub(crate) fn new(pid: Pid, ppid: Option<Pid>, name: impl Into<String>, main_tid: Tid) -> Self {
-        let threads = vec![Thread::new(main_tid, "main", Vec::new())];
+        let threads = vec![Thread::new(main_tid, "main", Rc::from([]))];
         Process {
             pid,
             ppid,
@@ -381,7 +396,7 @@ impl Process {
         self.threads.len()
     }
 
-    pub(crate) fn add_thread(&mut self, tid: Tid, name: impl Into<String>, creation_stack: Vec<String>) {
+    pub(crate) fn add_thread(&mut self, tid: Tid, name: impl Into<String>, creation_stack: Rc<[String]>) {
         let thread = Thread::new(tid, name, creation_stack);
         match self.threads.binary_search_by_key(&tid.0, |t| t.tid.0) {
             Ok(i) => self.threads[i] = thread,
@@ -443,7 +458,7 @@ impl Process {
     pub(crate) fn fork_into(&self, child_pid: Pid, child_main_tid: Tid, forking_tid: Tid) -> Process {
         let forking_stack =
             self.thread_pos(forking_tid).map(|i| self.threads[i].call_stack().to_vec()).unwrap_or_default();
-        let mut main = Thread::new(child_main_tid, "main", forking_stack.clone());
+        let mut main = Thread::new(child_main_tid, "main", forking_stack.as_slice().into());
         main.set_call_stack(forking_stack.clone());
         let threads = vec![main];
         Process {
@@ -511,12 +526,29 @@ mod tests {
     #[test]
     fn quiescence_requires_all_threads() {
         let mut p = proc_with_memory();
-        p.add_thread(Tid(2), "worker", vec!["main".into(), "spawn_workers".into()]);
+        p.add_thread(Tid(2), "worker", Rc::from(["main".to_string(), "spawn_workers".to_string()]));
         assert!(!p.is_quiescent());
         for t in p.threads_mut() {
             t.set_state(ThreadState::Quiesced);
         }
         assert!(p.is_quiescent());
+    }
+
+    #[test]
+    fn spawns_share_the_call_stack_until_it_changes() {
+        let mut p = proc_with_memory();
+        let t = p.thread_mut(Tid(1)).unwrap();
+        t.push_frame("main");
+        let first = t.shared_call_stack();
+        assert!(Rc::ptr_eq(&first, &t.shared_call_stack()), "an unchanged stack is copied once");
+        t.push_frame("spawn_workers");
+        let second = t.shared_call_stack();
+        assert_eq!(&*first, ["main".to_string()]);
+        assert_eq!(&*second, ["main".to_string(), "spawn_workers".to_string()]);
+        t.pop_frame();
+        assert_eq!(&*t.shared_call_stack(), ["main".to_string()]);
+        p.add_thread(Tid(2), "worker", second);
+        assert_eq!(p.thread(Tid(2)).unwrap().creation_stack(), ["main", "spawn_workers"]);
     }
 
     #[test]

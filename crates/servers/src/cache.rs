@@ -260,8 +260,8 @@ impl Program for CacheServer {
         let fd = self.listen_fd.ok_or_else(|| McrError::InvalidState("cache not started".into()))?;
         match env.syscall(Syscall::Accept { fd }) {
             Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: "epoll_wait".to_string(),
-                loop_name: "cache_loop".to_string(),
+                call: "epoll_wait",
+                loop_name: "cache_loop",
                 wait: WaitInterest::Fd(fd),
             }),
             Err(e) => Err(e),

@@ -131,12 +131,16 @@ impl GenericServer {
         Ok(len)
     }
 
-    fn accept_and_handle(&mut self, env: &mut ProgramEnv<'_>, loop_name: &str) -> McrResult<StepOutcome> {
+    fn accept_and_handle(
+        &mut self,
+        env: &mut ProgramEnv<'_>,
+        loop_name: &'static str,
+    ) -> McrResult<StepOutcome> {
         let fd = self.listen_fd.ok_or_else(|| McrError::InvalidState("server not started".into()))?;
         match env.syscall(Syscall::Accept { fd }) {
             Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: self.blocking_call().to_string(),
-                loop_name: loop_name.to_string(),
+                call: self.blocking_call(),
+                loop_name,
                 wait: WaitInterest::Fd(fd),
             }),
             Err(e) => Err(e),
@@ -154,8 +158,8 @@ impl GenericServer {
         let fd = self.listen_fd.ok_or_else(|| McrError::InvalidState("server not started".into()))?;
         match env.syscall(Syscall::Accept { fd }) {
             Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: "accept".to_string(),
-                loop_name: "accept_loop".to_string(),
+                call: "accept",
+                loop_name: "accept_loop",
                 wait: WaitInterest::Fd(fd),
             }),
             Err(e) => Err(e),
@@ -183,15 +187,15 @@ impl GenericServer {
             // kernel object to wait on, so retry on a short timer instead of
             // polling every round.
             return Ok(StepOutcome::WouldBlock {
-                call: "read".to_string(),
-                loop_name: "session_loop".to_string(),
+                call: "read",
+                loop_name: "session_loop",
                 wait: WaitInterest::Timer(SimDuration(10_000)),
             });
         }
         match env.syscall(Syscall::Read { fd, len: 4096 }) {
             Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: "read".to_string(),
-                loop_name: "session_loop".to_string(),
+                call: "read",
+                loop_name: "session_loop",
                 wait: WaitInterest::Fd(fd),
             }),
             Err(McrError::Sim(SimError::BadFd(_))) => Ok(StepOutcome::Exit),
@@ -394,44 +398,35 @@ impl Program for GenericServer {
     }
 
     fn thread_step(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
-        let name = env.thread_name().to_string();
-        if name.starts_with("daemonize") {
-            return Ok(StepOutcome::Exit);
-        }
-        if name.starts_with("session") {
-            return self.session_step(env);
-        }
-        if name == "main" {
-            return match self.spec.process_model {
+        match env.thread_name() {
+            name if name.starts_with("daemonize") => Ok(StepOutcome::Exit),
+            name if name.starts_with("session") => self.session_step(env),
+            "main" => match self.spec.process_model {
                 ProcessModel::SingleProcess => self.accept_and_handle(env, "main_loop"),
                 ProcessModel::MasterWorker { .. } => Ok(StepOutcome::WouldBlock {
-                    call: "sigsuspend".to_string(),
-                    loop_name: "master_loop".to_string(),
+                    call: "sigsuspend",
+                    loop_name: "master_loop",
                     wait: WaitInterest::External,
                 }),
                 ProcessModel::ProcessPerConnection => self.master_accept_and_fork_session(env),
-            };
-        }
-        if name == "worker-main" {
-            return match self.spec.process_model {
+            },
+            "worker-main" => match self.spec.process_model {
                 ProcessModel::MasterWorker { threads_per_worker: 0, .. } => {
                     self.accept_and_handle(env, "worker_loop")
                 }
                 _ => Ok(StepOutcome::WouldBlock {
-                    call: "poll".to_string(),
-                    loop_name: "listener_loop".to_string(),
+                    call: "poll",
+                    loop_name: "listener_loop",
                     wait: WaitInterest::External,
                 }),
-            };
+            },
+            name if name.starts_with("worker-") => self.accept_and_handle(env, "worker_loop"),
+            _ => Ok(StepOutcome::WouldBlock {
+                call: "poll",
+                loop_name: "idle_loop",
+                wait: WaitInterest::External,
+            }),
         }
-        if name.starts_with("worker-") {
-            return self.accept_and_handle(env, "worker_loop");
-        }
-        Ok(StepOutcome::WouldBlock {
-            call: "poll".to_string(),
-            loop_name: "idle_loop".to_string(),
-            wait: WaitInterest::External,
-        })
     }
 }
 

@@ -85,6 +85,45 @@ fn quiescence_profile_matches_process_models() {
 }
 
 #[test]
+fn quiescence_profile_recorded_by_the_scheduler_is_pinned() {
+    // The histograms here are recorded by `step_thread` on every blocking
+    // step of a real workload (not seeded by hand), so this pins both the
+    // scheduler's recording and the profiler's aggregation: one line per
+    // class, `class instances long_lived point blocking_profile loop_profile`.
+    let profile = |program: &str, requests: u64| -> Vec<String> {
+        let (mut kernel, mut instance) = booted(program);
+        run_workload(&mut kernel, &mut instance, &workload_for(program, requests)).unwrap();
+        let report = QuiescenceProfiler::analyze(&kernel, &instance.state);
+        report
+            .classes
+            .iter()
+            .map(|c| {
+                let point = c.quiescent_point.as_ref().map(|p| (&p.call, &p.loop_name, p.persistent));
+                format!(
+                    "{} {} {} {:?} {:?} {:?}",
+                    c.class, c.instances, c.long_lived, point, c.blocking_profile, c.loop_profile
+                )
+            })
+            .collect()
+    };
+    assert_eq!(
+        profile("nginx", 10),
+        [
+            r#"daemonize-helper 1 false None {} {}"#,
+            r#"main 1 true Some(("sigsuspend", "master_loop", true)) {"sigsuspend": 1000} {"master_loop": 1}"#,
+            r#"worker-main 2 true Some(("epoll_wait", "worker_loop", true)) {"epoll_wait": 22000} {"worker_loop": 22}"#,
+        ]
+    );
+    assert_eq!(
+        profile("vsftpd", 5),
+        [
+            r#"main 1 true Some(("accept", "accept_loop", true)) {"accept": 6000} {"accept_loop": 6}"#,
+            r#"session-main 9 true Some(("read", "session_loop", false)) {"read": 9000} {"session_loop": 9}"#,
+        ]
+    );
+}
+
+#[test]
 fn chained_updates_across_three_generations_keep_state() {
     let (mut kernel, mut instance) = booted("nginx");
     let mut served = 0u64;
