@@ -283,7 +283,7 @@ fn adaptive_mutate_batch(
 /// must converge to byte-identical kernel state and only the downtime split
 /// may differ:
 ///
-/// * three pre-quiesce batches ([`adaptive_mutate_batch`]) — between the
+/// * three pre-quiesce batches (`adaptive_mutate_batch`) — between the
 ///   concurrent rounds for the pre-copy-enabled modes (`Precopy`,
 ///   `Adaptive`), all up front for the windowed ones (`StopTheWorld`,
 ///   `Postcopy`), exactly like [`precopy_update`];

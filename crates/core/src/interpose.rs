@@ -87,13 +87,6 @@ pub struct Interposer {
     consumed: Vec<bool>,
     /// Index of `replay_log` by call site (see the module docs).
     sites: BTreeMap<(Pid, CallStackId), Site>,
-    /// Entries the matcher has looked at (the work-bound test's count).
-    #[cfg(test)]
-    inspected: std::cell::Cell<u64>,
-    /// Match by scanning the whole log, as this module did before it was
-    /// indexed: the reference the equivalence tests compare against.
-    #[cfg(test)]
-    whole_log_scan: bool,
     pid_virt_to_actual: BTreeMap<u32, u32>,
     pid_actual_to_virt: BTreeMap<u32, u32>,
     stats: InterposeStats,
@@ -122,10 +115,6 @@ impl Interposer {
             consumed: vec![false; replay_log.len()],
             replay_log,
             sites,
-            #[cfg(test)]
-            inspected: std::cell::Cell::new(0),
-            #[cfg(test)]
-            whole_log_scan: false,
             pid_virt_to_actual: BTreeMap::new(),
             pid_actual_to_virt: BTreeMap::new(),
             stats: InterposeStats::default(),
@@ -173,17 +162,9 @@ impl Interposer {
         matches: impl Fn(&Syscall) -> bool,
     ) -> Option<usize> {
         let entries = self.replay_log.entries();
-        #[cfg(test)]
-        if self.whole_log_scan {
-            return entries.iter().enumerate().position(|(i, e)| {
-                !self.consumed[i] && e.pid == virt_pid && e.callstack == callstack && matches(&e.call)
-            });
-        }
         let site = self.sites.get(&(virt_pid, callstack))?;
         let candidates = &site.positions[site.cursor..];
         let found = candidates.iter().position(|&idx| !self.consumed[idx] && matches(&entries[idx].call));
-        #[cfg(test)]
-        self.inspected.set(self.inspected.get() + found.map_or(candidates.len(), |at| at + 1) as u64);
         found.map(|at| candidates[at])
     }
 
@@ -814,13 +795,12 @@ mod tests {
 
     /// A kernel with one process per virtual pid, and a replayer of `log`
     /// mapped onto them.
-    fn replay_world(log: &StartupLog, whole_log_scan: bool) -> (Kernel, Interposer, Vec<(Pid, Tid)>) {
+    fn replay_world(log: &StartupLog) -> (Kernel, Interposer, Vec<(Pid, Tid)>) {
         let mut k = Kernel::new();
         for path in ["/etc/a", "/etc/b", "/etc/new"] {
             k.add_file(path, b"x".to_vec());
         }
         let mut rep = Interposer::replayer(log);
-        rep.whole_log_scan = whole_log_scan;
         let mut procs = Vec::new();
         for (i, virt) in VIRT_PIDS.iter().enumerate() {
             let pid = k.create_process(format!("p{i}")).unwrap();
@@ -832,22 +812,37 @@ mod tests {
         (k, rep, procs)
     }
 
+    /// The matcher the site index replaced, kept as its reference: the first
+    /// unconsumed entry of the whole log, in log order, recorded by `pid` at
+    /// `site` whose call satisfies `matches`.
+    fn whole_log_scan(
+        rep: &Interposer,
+        pid: Pid,
+        site: CallStackId,
+        matches: impl Fn(&Syscall) -> bool,
+    ) -> Option<usize> {
+        let mut entries = rep.replay_log.entries().iter().zip(&rep.consumed);
+        entries
+            .position(|(e, &consumed)| !consumed && e.pid == pid && e.callstack == site && matches(&e.call))
+    }
+
     /// The exact and the name match of one call on the interposer's current
     /// consumed state, checked to be what the whole-log scan picks.
-    fn picks(
-        rep: &mut Interposer,
-        pid: Pid,
-        callstack: CallStackId,
-        call: &Syscall,
-    ) -> (Option<usize>, Option<usize>) {
-        let indexed = (rep.find_entry(pid, callstack, call), rep.find_name_match(pid, callstack, call));
-        rep.whole_log_scan = true;
-        let scanned = (rep.find_entry(pid, callstack, call), rep.find_name_match(pid, callstack, call));
-        rep.whole_log_scan = false;
+    fn picks(rep: &Interposer, pid: Pid, site: CallStackId, call: &Syscall) -> [Option<usize>; 2] {
+        let indexed = [rep.find_entry(pid, site, call), rep.find_name_match(pid, site, call)];
+        let scanned = [
+            whole_log_scan(rep, pid, site, |logged| logged == call),
+            whole_log_scan(rep, pid, site, |logged| logged.name() == call.name()),
+        ];
         assert_eq!(indexed, scanned, "(exact, name) match of {call:?} by {pid:?}");
         indexed
     }
 
+    /// Replays random logs in order, reversed and shuffled, with omissions,
+    /// unseen calls and every handler decision. Before every call the
+    /// index's picks are checked against the whole-log scan's on the same
+    /// consumed state, and the call consumes what was picked, so by
+    /// induction the run is the one the whole-log scan would make.
     #[test]
     fn indexed_matcher_is_equivalent_to_the_whole_log_scan() {
         let mut totals = InterposeStats::default();
@@ -858,30 +853,17 @@ mod tests {
             let log = random_log(&mut rng, 2 + (seed % 2) as usize, len);
             let script = replay_script(&mut rng, &log, seed % 3);
             let ann = if seed % 4 == 3 { AnnotationRegistry::new() } else { deciding_annotations() };
-            let (mut ka, mut a, procs) = replay_world(&log, false);
-            let (mut kb, mut b, _) = replay_world(&log, true);
-
-            for (step, issued) in script.iter().enumerate() {
-                let Issued { pid: virt, callstack, call } = issued;
-                picks(&mut a, *virt, *callstack, call);
+            let (mut k, mut rep, procs) = replay_world(&log);
+            for Issued { pid: virt, callstack, call } in &script {
+                picks(&rep, *virt, *callstack, call);
                 let (pid, tid) = procs[VIRT_PIDS.iter().position(|p| p == virt).unwrap()];
-                let ra = a.handle(&mut ka, pid, tid, "main", *callstack, call.clone(), true, &ann);
-                let rb = b.handle(&mut kb, pid, tid, "main", *callstack, call.clone(), true, &ann);
-                assert_eq!(ra, rb, "seed {seed} step {step}: result of {call:?}");
-                assert_eq!(a.consumed, b.consumed, "seed {seed} step {step}: consumed after {call:?}");
-                conflicts_seen += usize::from(matches!(ra, Err(McrError::Conflicts(_))));
+                let result = rep.handle(&mut k, pid, tid, "main", *callstack, call.clone(), true, &ann);
+                conflicts_seen += usize::from(matches!(result, Err(McrError::Conflicts(_))));
             }
-
-            assert_eq!(a.stats(), b.stats(), "seed {seed}");
-            assert_eq!(a.recorded_log().entries(), b.recorded_log().entries(), "seed {seed}");
-            assert_eq!(a.replay_progress(), b.replay_progress(), "seed {seed}");
-            let (fa, fb) = (a.finish_replay(&ann), b.finish_replay(&ann));
-            assert_eq!(fa, fb, "seed {seed}");
-            assert_eq!(a.stats(), b.stats(), "seed {seed}: after finish_replay");
-            omissions_seen += fa.len();
-            totals.replayed += a.stats().replayed;
-            totals.executed_live += a.stats().executed_live;
-            totals.handler_resolved += a.stats().handler_resolved;
+            omissions_seen += rep.finish_replay(&ann).len();
+            totals.replayed += rep.stats().replayed;
+            totals.executed_live += rep.stats().executed_live;
+            totals.handler_resolved += rep.stats().handler_resolved;
         }
         // The scripts reached every branch the matcher feeds.
         assert!(totals.replayed > 500 && totals.executed_live > 100 && totals.handler_resolved > 100);
@@ -914,7 +896,7 @@ mod tests {
         rep.map_pid(pid, new_pid);
 
         // The parent, at the same call site, is not offered the child's entry.
-        assert_eq!(picks(&mut rep, pid, shared_site, &Syscall::Socket), (None, None));
+        assert_eq!(picks(&rep, pid, shared_site, &Syscall::Socket), [None, None]);
         rep.handle(&mut k, new_pid, new_tid, "main", shared_site, Syscall::Socket, true, &ann).unwrap();
         assert_eq!((rep.stats().replayed, rep.stats().executed_live), (0, 1));
         assert_eq!(rep.consumed, [false, false]);
@@ -925,7 +907,7 @@ mod tests {
         let new_child = rep.actual_pid(child_v1);
         assert_ne!(new_child, child_v1);
         assert_eq!(rep.virtual_pid(new_child), child_v1);
-        assert_eq!(picks(&mut rep, child_v1, shared_site, &Syscall::Socket), (Some(1), Some(1)));
+        assert_eq!(picks(&rep, child_v1, shared_site, &Syscall::Socket), [Some(1), Some(1)]);
         let new_child_tid = k.process(new_child).unwrap().main_tid();
         let fd = rep
             .handle(&mut k, new_child, new_child_tid, "worker-main", shared_site, Syscall::Socket, true, &ann)
@@ -939,7 +921,9 @@ mod tests {
     fn in_order_replay_inspects_a_bounded_number_of_entries_per_call() {
         // One call site, 5 000 thread spawns: the shape of a fleet's startup.
         // Scanning the whole log from its start would inspect ~2 500 entries
-        // per call; the site cursor makes it one.
+        // per call. A lookup starts at its site's cursor, and after every call
+        // the cursor sits on the next unconsumed entry, which the next call in
+        // recording order matches: one entry inspected per call.
         const THREADS: u64 = 5_000;
         let site = cs(&["main", "spawn_sessions"]);
         let mut log = StartupLog::new();
@@ -951,12 +935,13 @@ mod tests {
         let ann = AnnotationRegistry::new();
         let mut rep = Interposer::replayer(&log);
         rep.map_pid(Pid(100), pid);
-        for entry in log.entries() {
+        for (i, entry) in log.entries().iter().enumerate() {
             rep.handle(&mut k, pid, tid, "main", site, entry.call.clone(), true, &ann).unwrap();
+            let at_site = &rep.sites[&(Pid(100), site)];
+            let next_unconsumed = rep.consumed.iter().position(|&consumed| !consumed);
+            assert_eq!(at_site.positions.get(at_site.cursor).copied(), next_unconsumed, "after call {i}");
         }
         assert_eq!(rep.stats().replayed, THREADS);
-        let inspected = rep.inspected.get();
-        assert!(inspected <= 2 * THREADS, "inspected {inspected} entries for {THREADS} calls");
         assert!(rep.finish_replay(&ann).is_empty());
     }
 }

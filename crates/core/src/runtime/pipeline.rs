@@ -37,7 +37,7 @@
 //! and the first error stops the loop. Cross-version metadata — interned
 //! symbol/site/type names and the old→new type bridge — is resolved once
 //! per update into a
-//! [`TransferContext`](crate::transfer::TransferContext) every pair uses.
+//! [`TransferContext`] every pair uses.
 //!
 //! [`UpdateOptions::transfer_workers`] is an input of the cost model and of
 //! nothing else:
@@ -127,11 +127,11 @@
 //! 6. [`PhaseName::PostcopyDrain`] — concurrent with the resumed new
 //!    version: each round lets the new instance serve, services any **access
 //!    traps** (a store to a still-parked page parks as a
-//!    [`PendingTrap`](mcr_procsim::PendingTrap); the handler faults in the
-//!    touched objects via [`fault_in_at`](crate::transfer::fault_in_at),
+//!    [`PendingTrap`]; the handler faults in the
+//!    touched objects via [`fault_in_at`],
 //!    then replays the trapped store), and pushes one
 //!    [`PostcopyOptions::drain_batch`](crate::runtime::controller::PostcopyOptions)-sized
-//!    background [`drain_step`](crate::transfer::drain_step) per pair —
+//!    background [`drain_step`] per pair —
 //!    skipping anything a trap already serviced, so every deferred object is
 //!    applied exactly once. When the last pair drains, the old processes are
 //!    removed and the update is committed (the point of no return moves from
@@ -157,7 +157,7 @@
 //! [`PhaseName::Checkpoint`] phase right after the quiescence barrier: with
 //! every old-version thread parked, the instance's full recoverable state
 //! is serialized, shard by shard, to a
-//! [`Store`](mcr_procsim::Store) as a versioned, checksummed manifest
+//! [`Store`] as a versioned, checksummed manifest
 //! (shards synced strictly before the `MANIFEST` blob that names them, so
 //! an interrupted write is never visible as a durable version). The
 //! crash-recovery flow is owned by
@@ -1017,7 +1017,7 @@ impl Phase for MatchProcessesPhase {
 /// process pair, then per-process descriptor inheritance for connection
 /// descriptors created after startup.
 ///
-/// The pairs run one after the other, in pair order ([`transfer_pairs`]);
+/// The pairs run one after the other, in pair order (`transfer_pairs`);
 /// [`UpdateOptions::transfer_workers`] only decides how many modelled
 /// workers the pairs' costs are list-scheduled on. After a pre-copy phase
 /// each pair resumes its [`DeltaPlan`]: it delta-retraces the quiesced old
@@ -1279,7 +1279,7 @@ impl Phase for CommitPhase {
 }
 
 /// Post-copy phase 5 — commit: final delta retrace and transfer for every
-/// pair ([`transfer_pairs`]) with the stale residual *parked* instead of
+/// pair (`transfer_pairs`) with the stale residual *parked* instead of
 /// copied, the per-pair sync-vs-defer decision, descriptor inheritance,
 /// access traps armed over every parked range, and the new version resumed.
 ///

@@ -205,12 +205,6 @@ impl ObjectGraph {
         self.objects.remove(&addr.0)
     }
 
-    /// Keeps only the objects satisfying `pred` (the reachability sweep of a
-    /// delta retrace).
-    pub fn retain(&mut self, mut pred: impl FnMut(&TracedObject) -> bool) {
-        self.objects.retain(|_, o| pred(o));
-    }
-
     /// The object whose extent contains `addr`, if any.
     pub fn object_containing(&self, addr: Addr) -> Option<&TracedObject> {
         self.objects.range(..=addr.0).next_back().map(|(_, o)| o).filter(|o| o.contains(addr))
@@ -397,7 +391,7 @@ mod tests {
         assert_eq!(g.dirty_bytes(), 64);
         g.remove(Addr(0x1000));
         assert_eq!(g.dirty_objects().count(), 0);
-        g.retain(|o| o.addr != Addr(0x2000));
+        g.remove(Addr(0x2000));
         assert!(g.is_empty());
     }
 

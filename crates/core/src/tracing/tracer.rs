@@ -23,10 +23,7 @@
 //! read off the dirty pages, the sweep walks down from the targets the
 //! re-scans disconnected instead of up from the roots, and what is left of
 //! the whole graph is one pass that looks nothing up (the finalize pass, and
-//! one over the other objects' edges when something is in doubt). The forms
-//! these replaced — a dirty-stamp query per object, a mark of the whole graph
-//! — stay under `#[cfg(test)]`, asserted equal inside every retrace the
-//! crate's tests run.
+//! one over the other objects' edges when something is in doubt).
 //!
 //! # Traversal order
 //!
@@ -41,10 +38,10 @@
 //! trace builds its graph from them in one address-sorted bulk build, and a
 //! delta retrace — which re-scans its stale set in address order and resumes
 //! the same loop from what the re-scans discovered — inserts its few new
-//! objects one by one. The form this replaced (resolve at pop, skip a base
-//! already in the graph, insert per object, one conservative read per opaque
-//! element) stays under `#[cfg(test)]`, asserted equal inside every fresh
-//! trace the crate's tests run.
+//! objects one by one. What these shortcuts replaced — resolving at pop, one
+//! read per opaque element, a dirty-stamp query per object, a whole-graph
+//! mark — is the test-only `reference` module (`tracer/reference.rs`): in
+//! tests, one hook in `trace` and three in a retrace check against it.
 //! [`UpdateOptions::intra_pair_shards`](crate::runtime::controller::UpdateOptions)
 //! is an input of the transfer engine's cost model only: tracing charges no
 //! simulated time, so no worker count reaches this module.
@@ -80,6 +77,9 @@ use crate::error::{McrError, McrResult};
 use crate::program::InstanceState;
 use crate::tracing::graph::{ObjectGraph, ObjectOrigin, PointerEdge, TracedObject};
 use crate::tracing::stats::{RegionClass, TracingStats};
+
+#[cfg(test)]
+mod reference;
 
 /// Options controlling a tracing run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,16 +141,6 @@ impl Worklist {
 /// it pops it — and the pointee type the pointer to it declares.
 type Visit = (Addr, Option<ResolvedObject>, Option<TypeId>);
 
-/// Work one tracer did, as counts the work-bound tests assert on.
-#[cfg(test)]
-#[derive(Default)]
-struct WorkCounts {
-    /// Resolutions made by the traversal loop itself (not by a scan).
-    resolved_at_pop: std::cell::Cell<usize>,
-    /// Reads the conservative scanner copied out of the process.
-    conservative_reads: std::cell::Cell<usize>,
-}
-
 /// What one delta retrace's sweep had to look at (work bounds are asserted
 /// on these counts, not on timings).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,6 +149,14 @@ struct SweepWork {
     doubt: usize,
     /// Objects whose edges the sweep read.
     visited: usize,
+}
+
+/// What one traversal did: the resolutions its loop made itself (not a scan)
+/// and the reads the conservative scanner copied out of the process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraversalWork {
+    resolved_at_pop: usize,
+    conservative_reads: usize,
 }
 
 /// The outgoing targets of the object scanned last, in scan order, each
@@ -172,20 +170,18 @@ type Discovered = Vec<(ResolvedObject, Option<TypeId>)>;
 const SCAN_CHUNK: u64 = 64 * 1024;
 
 /// The read buffer of one traversal, reused across the objects it scans so a
-/// trace allocates once, not per object.
-type ScanScratch = Vec<u8>;
+/// trace allocates once, not per object, and the number of reads made into it.
+#[derive(Default)]
+struct ScanScratch {
+    buf: Vec<u8>,
+    reads: usize,
+}
 
 /// The mutable-tracing engine for one process of the old version.
 pub struct Tracer<'a> {
     process: &'a Process,
     state: &'a InstanceState,
     options: TraceOptions,
-    #[cfg(test)]
-    counts: WorkCounts,
-    /// Scan typed objects one opaque element at a time: the equivalence
-    /// reference's scan.
-    #[cfg(test)]
-    per_element: bool,
 }
 
 impl<'a> Tracer<'a> {
@@ -209,15 +205,7 @@ impl<'a> Tracer<'a> {
     /// [`Kernel::split_pairs`](mcr_procsim::Kernel::split_pairs), and going
     /// through `&Kernel` would alias the exclusive borrow of the new one.
     pub fn for_process(process: &'a Process, state: &'a InstanceState, options: TraceOptions) -> Self {
-        Tracer {
-            process,
-            state,
-            options,
-            #[cfg(test)]
-            counts: WorkCounts::default(),
-            #[cfg(test)]
-            per_element: false,
-        }
+        Tracer { process, state, options }
     }
 
     /// Runs the traversal from the root set.
@@ -229,50 +217,10 @@ impl<'a> Tracer<'a> {
                 queue.push_back((root.addr, None, Some(root.ty)));
             }
         }
-        let mut graph = ObjectGraph::from_objects(self.traverse(&ObjectGraph::new(), queue, &mut work));
+        let mut graph = ObjectGraph::from_objects(self.traverse(&ObjectGraph::new(), queue, &mut work).0);
         let stats = self.finalize(&mut graph, false);
         #[cfg(test)]
-        {
-            let reference = self.trace_resolving_at_pop();
-            assert!(
-                graph.iter().eq(reference.graph.iter()) && stats == reference.stats,
-                "the traversal diverged from resolving at pop and filing per object"
-            );
-        }
-        TraceResult { graph, stats }
-    }
-
-    /// The traversal the carried resolutions, the bulk filing and the
-    /// coalesced opaque runs replaced, kept as their reference: pop an
-    /// address, resolve it, skip it if its base is already in the graph,
-    /// scan it one opaque element at a time, enqueue, insert.
-    #[cfg(test)]
-    fn trace_resolving_at_pop(&self) -> TraceResult {
-        let tracer =
-            Tracer { per_element: true, ..Tracer::for_process(self.process, self.state, self.options) };
-        let mut graph = ObjectGraph::new();
-        let mut enqueued: BTreeSet<u64> = BTreeSet::new();
-        let mut queue: VecDeque<(Addr, Option<TypeId>)> = VecDeque::new();
-        for root in self.state.statics.roots() {
-            queue.push_back((root.addr, Some(root.ty)));
-            enqueued.insert(root.addr.0);
-        }
-        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::new());
-        while let Some((addr, declared)) = queue.pop_front() {
-            let Some(resolved) = tracer.resolve_object(addr) else { continue };
-            if graph.contains(resolved.base) {
-                continue;
-            }
-            let type_id = resolved.type_id.or(if addr == resolved.base { declared } else { None });
-            let traced = tracer.scan_resolved(resolved, type_id, &mut discovered, &mut scratch);
-            for (target, ty) in discovered.drain(..) {
-                if enqueued.insert(target.base.0) {
-                    queue.push_back((target.base, ty));
-                }
-            }
-            graph.insert(traced);
-        }
-        let stats = tracer.finalize(&mut graph, false);
+        reference::check_trace(self, &graph, &stats);
         TraceResult { graph, stats }
     }
 
@@ -285,7 +233,7 @@ impl<'a> Tracer<'a> {
     /// Every step but the (lookup-free) finalize pass costs what was written,
     /// not what is live: the stale set is the dirty pages' objects, dedup is
     /// graph membership, and the sweep starts from what the re-scans
-    /// disconnected (see [`sweep_lost`](Self::sweep_lost)). The address range
+    /// disconnected (see `sweep_lost`). The address range
     /// of every object that entered or left the graph, or changed size or
     /// pin status, is recorded in the graph
     /// ([`ObjectGraph::range_changed`]).
@@ -303,10 +251,10 @@ impl<'a> Tracer<'a> {
     fn retrace(&self, graph: &mut ObjectGraph, since: u64) -> (TracingStats, SweepWork) {
         let stale = self.stale_objects(graph, since);
         #[cfg(test)]
-        assert_eq!(stale, self.stale_by_object_stamp(graph, since), "the page-driven stale set diverged");
+        reference::check_stale_set(self, graph, since, &stale);
         let mut work = Worklist::default();
         let mut frontier: VecDeque<Visit> = VecDeque::new();
-        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::new());
+        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::default());
         // Targets an object of the graph pointed at before the retrace and no
         // longer does, and the objects whose edges are new (re-scanned here,
         // traversed below): the sweep's whole input.
@@ -345,24 +293,17 @@ impl<'a> Tracer<'a> {
                 }
             }
         }
-        for added in self.traverse(graph, frontier, &mut work) {
+        for added in self.traverse(graph, frontier, &mut work).0 {
             graph.note_changed(added.addr, added.size);
             delta.push(added.addr);
             let replaced = graph.insert(added);
             debug_assert!(replaced.is_none(), "a traversal scans only objects outside the graph");
         }
         #[cfg(test)]
-        let reference = {
-            let mut marked = graph.clone();
-            self.sweep_full_mark(&mut marked);
-            marked
-        };
+        let reached = reference::full_mark(self, graph);
         let swept = self.sweep_lost(graph, lost, delta);
         #[cfg(test)]
-        assert!(
-            graph.iter().eq(reference.iter()),
-            "the delta sweep kept or dropped an object the whole-graph mark decides differently"
-        );
+        reference::check_sweep(graph, &reached);
         let stats = self.finalize(graph, true);
         graph.seal_changed();
         (stats, swept)
@@ -386,20 +327,6 @@ impl<'a> Tracer<'a> {
         stale
     }
 
-    /// The per-object filter the page-driven stale set replaced, kept as its
-    /// reference: every object of the graph, asked for its pages' stamp.
-    #[cfg(test)]
-    fn stale_by_object_stamp(&self, graph: &ObjectGraph, since: u64) -> Vec<(Addr, Option<TypeId>)> {
-        graph
-            .iter()
-            .filter(|o| {
-                let epoch = self.object_dirty_epoch(o.addr, o.size);
-                epoch == u64::MAX || epoch > since
-            })
-            .map(|o| (o.addr, o.type_id))
-            .collect()
-    }
-
     /// The targets of `obj` the traversal follows: every likely pointer and
     /// every precise pointer, except those into library state it does not
     /// trace.
@@ -418,19 +345,18 @@ impl<'a> Tracer<'a> {
     /// Only a root is resolved here; every other entry carries the
     /// resolution its discoverer made. `graph` is what the traversal resumes
     /// over; the scanned objects are returned in pop order, for the caller
-    /// to file.
+    /// to file, with the work it took.
     fn traverse(
         &self,
         graph: &ObjectGraph,
         mut queue: VecDeque<Visit>,
         work: &mut Worklist,
-    ) -> Vec<TracedObject> {
-        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::new());
-        let mut scanned = Vec::new();
+    ) -> (Vec<TracedObject>, TraversalWork) {
+        let (mut discovered, mut scratch) = (Discovered::new(), ScanScratch::default());
+        let (mut scanned, mut resolved_at_pop) = (Vec::new(), 0);
         while let Some((base, resolved, declared)) = queue.pop_front() {
             let Some(resolved) = resolved.or_else(|| {
-                #[cfg(test)]
-                self.counts.resolved_at_pop.set(self.counts.resolved_at_pop.get() + 1);
+                resolved_at_pop += 1;
                 self.resolve_object(base)
             }) else {
                 continue;
@@ -444,7 +370,7 @@ impl<'a> Tracer<'a> {
                 }
             }
         }
-        scanned
+        (scanned, TraversalWork { resolved_at_pop, conservative_reads: scratch.reads })
     }
 
     /// Re-scans one stale object of a delta retrace. Returns `None` when the
@@ -598,41 +524,6 @@ impl<'a> Tracer<'a> {
         work
     }
 
-    /// The whole-graph mark the delta sweep replaced, kept as its reference:
-    /// keeps only the objects a traversal from the roots reaches over the
-    /// current edges.
-    #[cfg(test)]
-    fn sweep_full_mark(&self, graph: &mut ObjectGraph) {
-        let mut reached: BTreeSet<u64> = BTreeSet::new();
-        let mut stack: Vec<u64> = Vec::new();
-        for root in self.state.statics.roots() {
-            if let Some(r) = self.resolve_object(root.addr) {
-                if graph.contains(r.base) && reached.insert(r.base.0) {
-                    stack.push(r.base.0);
-                }
-            }
-        }
-        while let Some(base) = stack.pop() {
-            let Some(obj) = graph.get(Addr(base)) else { continue };
-            for edge in obj.precise_pointers.iter() {
-                let follow =
-                    self.region_class_of(edge.target) != RegionClass::Lib || self.options.trace_libraries;
-                if follow && graph.contains(edge.target_base) && reached.insert(edge.target_base.0) {
-                    stack.push(edge.target_base.0);
-                }
-            }
-            for edge in obj.likely_pointers.iter() {
-                if self.region_class_of(edge.target) != RegionClass::Lib
-                    && graph.contains(edge.target_base)
-                    && reached.insert(edge.target_base.0)
-                {
-                    stack.push(edge.target_base.0);
-                }
-            }
-        }
-        graph.retain(|o| reached.contains(&o.addr.0));
-    }
-
     /// Recomputes everything derived from the graph's edges — conservative
     /// pins, non-updatability, and the Table 2 statistics — in one pass over
     /// the objects; region classes were recorded by the scans, so nothing is
@@ -724,23 +615,6 @@ impl<'a> Tracer<'a> {
         };
 
         match plan {
-            #[cfg(test)]
-            Plan::Typed(elems, stride) if self.per_element => {
-                for k in 0..(traced.size / stride).max(1) {
-                    for elem in elems {
-                        match *elem {
-                            LayoutElement::Pointer { offset, to } => {
-                                self.follow_precise(traced, k * stride + offset, Some(to), mask, discovered);
-                            }
-                            LayoutElement::Opaque { offset, len } => {
-                                let start = k * stride + offset;
-                                self.scan_conservative(traced, start..start + len, discovered, scratch);
-                            }
-                            LayoutElement::Scalar { .. } => {}
-                        }
-                    }
-                }
-            }
             Plan::Typed(elems, stride) => {
                 // The pending opaque run: the next opaque element extends it
                 // when it starts where the run ends, at an 8-aligned offset
@@ -842,11 +716,10 @@ impl<'a> Tracer<'a> {
                 word += 8;
                 continue;
             };
-            scratch.resize(run as usize, 0);
-            region.read_into(slot, scratch).expect("the run ends inside the region");
-            #[cfg(test)]
-            self.counts.conservative_reads.set(self.counts.conservative_reads.get() + 1);
-            for bytes in scratch.chunks_exact(8) {
+            scratch.buf.resize(run as usize, 0);
+            region.read_into(slot, &mut scratch.buf).expect("the run ends inside the region");
+            scratch.reads += 1;
+            for bytes in scratch.buf.chunks_exact(8) {
                 let raw = Addr(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
                 if let Some((resolved, targ_class)) = self.validate_likely_pointer(raw) {
                     traced.likely_pointers.push(PointerEdge {
@@ -1535,8 +1408,12 @@ mod tests {
         }
 
         /// Retraces `result` and holds it to a fresh trace of the same
-        /// memory: graph (pins included) and statistics. The whole-graph
-        /// mark is asserted equal inside every retrace.
+        /// memory: graph (pins included) and statistics; inside, the retrace
+        /// checks itself against `reference.rs`. And every object that
+        /// entered or left the graph, or changed size or pin status, must lie
+        /// in a range the graph recorded as changed: the completing transfer
+        /// pass rewrites a clean object only when such a range covers it or
+        /// one of its targets.
         fn retrace_and_check(
             &self,
             result: &mut TraceResult,
@@ -1544,6 +1421,7 @@ mod tests {
             options: TraceOptions,
             step: &str,
         ) -> SweepWork {
+            let before = result.graph.clone();
             let (stats, work) = self.tracer(options).retrace(&mut result.graph, since);
             result.stats = stats;
             let fresh = self.tracer(options).trace();
@@ -1551,6 +1429,14 @@ mod tests {
             let scratch: Vec<_> = fresh.graph.iter().collect();
             assert_eq!(retraced, scratch, "{step}: retraced graph diverged from a fresh trace");
             assert_eq!(result.stats, fresh.stats, "{step}: retraced statistics diverged from a fresh trace");
+            let shape = |o: &TracedObject| (o.size, o.immutable, o.non_updatable);
+            for addr in before.iter().chain(result.graph.iter()).map(|o| o.addr) {
+                let (was, now) = (before.get(addr).map(shape), result.graph.get(addr).map(shape));
+                assert!(
+                    was == now || result.graph.range_changed(addr),
+                    "{step}: {addr} went from {was:?} to {now:?} outside every recorded range"
+                );
+            }
             work
         }
 
@@ -1767,7 +1653,7 @@ mod tests {
         let mut traced = obj.clone();
         let mut discovered = Vec::new();
         // A dirty, oversized scratch buffer: nothing of it may leak into a scan.
-        let mut scratch = vec![0xa5; 3 * SCAN_CHUNK as usize];
+        let mut scratch = ScanScratch { buf: vec![0xa5; 3 * SCAN_CHUNK as usize], reads: 0 };
         tracer.scan_conservative(&mut traced, offset..offset + len, &mut discovered, &mut scratch);
         let discovered: Vec<_> = discovered.iter().map(|(target, ty)| (target.base, *ty)).collect();
         let reference = scan_word_by_word(tracer, obj, offset, len);
@@ -2011,10 +1897,15 @@ mod tests {
                 }
             }
             let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
-            let result = tracer.trace();
-            assert_eq!(result.graph.len() as u64, 2 + 2 * n, "two roots, n entries, n values");
-            assert_eq!(tracer.counts.resolved_at_pop.get(), 2, "{n} entries: only the roots");
-            assert_eq!(tracer.counts.conservative_reads.get() as u64, n, "{n} entries: one read per value");
+            assert_eq!(tracer.trace().graph.len() as u64, 2 + 2 * n, "two roots, n entries, n values");
+            // The fresh trace's traversal, driven directly for its counts.
+            let mut work = Worklist::default();
+            let roots: VecDeque<Visit> = state.statics.roots().map(|r| (r.addr, None, Some(r.ty))).collect();
+            work.enqueued.extend(roots.iter().map(|&(addr, ..)| addr.0));
+            let (scanned, counts) = tracer.traverse(&ObjectGraph::new(), roots, &mut work);
+            assert_eq!(scanned.len() as u64, 2 + 2 * n);
+            assert_eq!(counts.resolved_at_pop, 2, "{n} entries: only the roots");
+            assert_eq!(counts.conservative_reads as u64, n, "{n} entries: one read per value");
         }
     }
 }

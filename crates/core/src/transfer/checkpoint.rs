@@ -29,10 +29,10 @@
 //! leaves either a fully valid new version or a truncated/torn one that
 //! validation rejects, falling back to the previous retained version.
 //!
-//! The writer never materialises the state: [`encode_live_state`] streams
+//! The writer never materialises the state: `encode_live_state` streams
 //! the wire form straight from the quiesced kernel into the manifest buffer
 //! and page deltas are borrowed views of the kernel's page table.
-//! [`StateImage`] and [`DeltaRecord`] are the *decoded* form only.
+//! `StateImage` and `DeltaRecord` are the *decoded* form only.
 //!
 //! Restore does **not** deserialize a kernel wholesale. It re-boots the same
 //! program deterministically in a *scratch* kernel (reproducing pids, tids,

@@ -354,13 +354,6 @@ impl DeltaPlan {
     pub fn new() -> Self {
         DeltaPlan::default()
     }
-
-    /// The recorded placement of the old object at `old_base`.
-    #[cfg(test)]
-    fn placement_of(&self, old_base: Addr) -> Option<Placement> {
-        let at = self.table.binary_search_by_key(&old_base.0, |e| e.old_base).ok()?;
-        Some(self.table[at].placement).filter(|p| *p != Placement::Fresh(Addr::NULL))
-    }
 }
 
 /// One stale object whose contents were prepared at post-copy commit time
@@ -594,7 +587,9 @@ pub fn drain_step(
 /// transferable object is still *counted* (at the length its last copy
 /// recorded), so the report does not depend on how much was pre-copied; only
 /// the write counter ([`TransferContext::writes_performed`]) sees the
-/// difference.
+/// difference. The pass that re-emits everything, which the tests hold this
+/// one to, is the same pass over a graph recorded as changed over the whole
+/// address space: every object then may differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CopyMode {
     /// Concurrent round: copy stale objects only; conflicts are *not*
@@ -906,14 +901,6 @@ pub fn postcopy_commit(
     Ok((outcome.report, outcome.residual, outcome.pending))
 }
 
-// Makes the completing passes of this thread re-emit every transferable
-// object — the form "write iff the new-heap bytes would change" replaced,
-// kept as the reference its equivalence tests compare against.
-#[cfg(test)]
-thread_local! {
-    static EMIT_EVERYTHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run_transfer(
     plan: &TransferContext,
@@ -935,16 +922,11 @@ fn run_transfer(
     let final_mode = mode != CopyMode::Round;
     let deferred = mode == CopyMode::Deferred;
     let graph = &trace.graph;
-    #[cfg(test)]
-    let emit_everything = EMIT_EVERYTHING.get();
-    #[cfg(not(test))]
-    let emit_everything = false;
     // Whether a clean, already copied object has to be written again by a
     // completing pass (see [`CopyMode`]).
     let statics_may_differ = graph.any_changed();
     let may_differ = |obj: &TracedObject| {
-        emit_everything
-            || obj.origin.is_static() && statics_may_differ
+        obj.origin.is_static() && statics_may_differ
             || graph.range_changed(obj.addr)
             || obj.precise_pointers.iter().any(|e| graph.range_changed(e.target))
     };
@@ -1846,6 +1828,12 @@ mod tests {
         assert!(conflicts.iter().any(|c| matches!(c, Conflict::FaultInjected { .. })));
     }
 
+    /// The recorded placement of the old object at `old_base`.
+    fn placement_of(delta: &DeltaPlan, old_base: Addr) -> Option<Placement> {
+        let at = delta.table.binary_search_by_key(&old_base.0, |e| e.old_base).ok()?;
+        Some(delta.table[at].placement).filter(|p| *p != Placement::Fresh(Addr::NULL))
+    }
+
     fn placed_at(placement: Placement) -> Addr {
         match placement {
             Placement::Existing(addr) | Placement::Fresh(addr) | Placement::Pinned(addr) => addr,
@@ -1909,7 +1897,7 @@ mod tests {
                 let target = raw & !mask;
                 let moved =
                     trace.graph.object_containing(Addr(target)).filter(|_| raw != 0).and_then(|t| {
-                        delta.placement_of(t.addr).map(|p| placed_at(p).0 + (target - t.addr.0))
+                        placement_of(delta, t.addr).map(|p| placed_at(p).0 + (target - t.addr.0))
                     });
                 if let Some(new_target) = moved {
                     elem[new_off..new_off + 8].copy_from_slice(&(new_target | (raw & mask)).to_le_bytes());
@@ -2001,7 +1989,7 @@ mod tests {
                     continue;
                 };
                 assert!(!obj.non_updatable, "every typed object of the scenario takes the field-map path");
-                let new_base = placed_at(delta.placement_of(obj.addr).unwrap());
+                let new_base = placed_at(placement_of(&delta, obj.addr).unwrap());
                 let old_bytes = old_proc.space().read_bytes(obj.addr, obj.size as usize).unwrap();
                 let tagged = matches!(&obj.origin, ObjectOrigin::Static { symbol } if &**symbol == "tagged");
                 let mask = if tagged { 0b11 } else { 0 };
@@ -2034,17 +2022,17 @@ mod tests {
             }
             assert_eq!(
                 space.read_u64(new_arr.offset(8)).unwrap(),
-                placed_at(delta.placement_of(nodes[3]).unwrap()).0
+                placed_at(placement_of(&delta, nodes[3]).unwrap()).0
             );
             assert_eq!(space.read_u64(new_arr.offset(24 + 8)).unwrap(), new_arr.0 + 32);
             assert_eq!(
                 space.read_u64(global("tagged")).unwrap(),
-                placed_at(delta.placement_of(nodes[5]).unwrap()).0 | 0b10
+                placed_at(placement_of(&delta, nodes[5]).unwrap()).0 | 0b10
             );
             let new_conf = Addr(space.read_u64(global("conf")).unwrap());
             assert_eq!(
                 new_conf,
-                placed_at(delta.placement_of(conf).unwrap()),
+                placed_at(placement_of(&delta, conf).unwrap()),
                 "startup conf matched by site"
             );
             assert_eq!(
@@ -2187,7 +2175,7 @@ mod tests {
                 "{mode:?}: {:?}",
                 outcome.report.conflicts
             );
-            assert!(delta.placement_of(big).is_none(), "{mode:?}: the blob was never placed");
+            assert!(placement_of(&delta, big).is_none(), "{mode:?}: the blob was never placed");
             if mode == CopyMode::Deferred {
                 // Land the parked writes the way the drainer would.
                 while !outcome.pending.is_drained() {
@@ -2201,7 +2189,7 @@ mod tests {
             for (i, old_node) in nodes.iter().enumerate() {
                 assert_eq!(
                     node,
-                    placed_at(delta.placement_of(*old_node).unwrap()),
+                    placed_at(placement_of(&delta, *old_node).unwrap()),
                     "{mode:?}: node {i} translated"
                 );
                 assert_eq!(space.read_u32(node).unwrap(), 10 + i as u32, "{mode:?}");
@@ -2210,15 +2198,6 @@ mod tests {
             assert!(node.is_null());
             assert_eq!(space.read_u64(global("legacy_ref")).unwrap(), big.0, "{mode:?}: untranslated");
         }
-    }
-
-    /// Runs `body` with this thread's completing passes re-emitting every
-    /// transferable object — the reference "write iff changed" is held to.
-    fn emitting_everything<R>(body: impl FnOnce() -> R) -> R {
-        EMIT_EVERYTHING.set(true);
-        let out = body();
-        EMIT_EVERYTHING.set(false);
-        out
     }
 
     /// Everything a pre-copied transfer leaves behind that a later observer
@@ -2259,8 +2238,10 @@ mod tests {
     /// one (an interior pointer into it, held by a clean object, now lands
     /// nowhere); a new node; a hidden pointer that pins a clean, already
     /// copied object, turning its copy verbatim. Then the completing pass in
-    /// `mode`.
-    fn precopied_transfer(mode: CopyMode, shards: usize) -> Transferred {
+    /// `mode`; with `everywhere`, over the graph recorded as changed over the
+    /// whole address space, which re-emits every transferable object: the
+    /// reference "write iff changed" is held to.
+    fn precopied_transfer(mode: CopyMode, shards: usize, everywhere: bool) -> Transferred {
         let mut kernel = Kernel::new();
         let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
         register_v1_types(&mut old_state);
@@ -2451,6 +2432,10 @@ mod tests {
                     || o.precise_pointers.iter().any(|e| graph.range_changed(e.target))
             })
             .count() as u64;
+        if everywhere {
+            trace.graph.note_changed(Addr(0), u64::MAX);
+            trace.graph.seal_changed();
+        }
         let writes_before = plan.writes_performed();
         let mut outcome =
             run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
@@ -2483,12 +2468,12 @@ mod tests {
     #[test]
     fn completing_pass_writes_only_what_changed_and_leaves_the_same_state() {
         for mode in [CopyMode::Final, CopyMode::Deferred] {
-            let reference = emitting_everything(|| precopied_transfer(mode, 1));
+            let reference = precopied_transfer(mode, 1, true);
             assert!(reference.report.conflicts.is_empty(), "{:?}", reference.report.conflicts);
             assert!(reference.residual.objects >= 3, "{mode:?}: {:?}", reference.residual);
             assert_eq!(reference.parked.is_empty(), mode == CopyMode::Final);
             for shards in [1usize, 4] {
-                let ours = precopied_transfer(mode, shards);
+                let ours = precopied_transfer(mode, shards, false);
                 let parked_writes = if mode == CopyMode::Deferred { ours.residual.objects } else { 0 };
                 // Work bound, as counts: the stale objects plus the clean
                 // ones whose translation can differ.
@@ -2511,7 +2496,7 @@ mod tests {
                 } else {
                     // Sharding changes no byte and no count, only the
                     // charged makespans.
-                    let sharded_reference = emitting_everything(|| precopied_transfer(mode, shards));
+                    let sharded_reference = precopied_transfer(mode, shards, true);
                     assert_eq!(same_but_writes, sharded_reference, "{mode:?}/{shards} shards");
                     assert_eq!(sharded_reference.memory, reference.memory);
                     assert_eq!(sharded_reference.report, reference.report);

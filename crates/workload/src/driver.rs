@@ -8,7 +8,7 @@
 //! The drivers are *event-driven*: each client action (`client_connect`,
 //! `client_send`, `client_close`) pushes wakeups onto the kernel's wake
 //! queue, and the driver then lets the server's scheduler run until it is
-//! idle again ([`settle`]). Only the threads those events made ready
+//! idle again (`settle`). Only the threads those events made ready
 //! actually execute, so a driver round costs O(active connections) even
 //! against a fleet of mostly-idle sessions. Arrivals are *open-loop*: with
 //! [`WorkloadSpec::interarrival_ns`] set, the driver advances the virtual
