@@ -41,8 +41,8 @@ use std::time::Instant;
 
 use mcr_bench::{percentile_of, FleetServer, Json, FLEET_PORT};
 use mcr_core::runtime::{
-    boot, run_round, run_rounds, BootOptions, McrInstance, PrecopyOptions, SchedulerMode, TransferMode,
-    UpdateOptions, UpdatePipeline,
+    boot, run_round, run_rounds, BootOptions, McrInstance, PrecopyOptions, TransferMode, UpdateOptions,
+    UpdatePipeline,
 };
 use mcr_procsim::{ConnId, Kernel, SimDuration};
 use mcr_typemeta::InstrumentationConfig;
@@ -113,8 +113,8 @@ fn phase_json(name: &str, samples: &[f64]) -> (&'static str, Json) {
 
 fn run_size(threads: usize) -> Json {
     let mut kernel = Kernel::new();
-    let opts = BootOptions { scheduler: SchedulerMode::EventDriven, ..Default::default() };
-    let mut v1 = boot(&mut kernel, Box::new(FleetServer::new(threads)), &opts).expect("fleet boots");
+    let mut v1 =
+        boot(&mut kernel, Box::new(FleetServer::new(threads)), &BootOptions::default()).expect("fleet boots");
     let conns: Vec<ConnId> = (0..threads).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
     run_rounds(&mut kernel, &mut v1, 2).expect("fleet setup");
     assert!(conns.iter().all(|&c| kernel.client_is_accepted(c)), "all sessions accepted");
@@ -155,7 +155,6 @@ fn run_size(threads: usize) -> Json {
         }
     });
     let update_opts = UpdateOptions {
-        scheduler: SchedulerMode::EventDriven,
         precopy: PrecopyOptions { rounds: 2, convergence_bytes: 0, serve_rounds: 1 },
         ..Default::default()
     };
@@ -228,7 +227,6 @@ fn run_size(threads: usize) -> Json {
         }
     });
     let postcopy_opts = UpdateOptions {
-        scheduler: SchedulerMode::EventDriven,
         mode: TransferMode::Postcopy,
         precopy: PrecopyOptions::disabled(),
         ..Default::default()

@@ -1,10 +1,10 @@
 //! Fleet-scale scheduler sweep: per-round cost vs. thread count at 1% active.
 //!
 //! For each fleet size this bench boots a [`FleetServer`] (one reader thread
-//! per connection) twice — once on the event-driven scheduler and once on
-//! the legacy full-scan ablation — runs the same deterministic workload
-//! (every round sends data on the same 1% of connections), and emits one
-//! JSON row per size. The cost metric is thread *steps per round* (exact
+//! per connection) twice — once driven by [`run_round`] and once, setup
+//! included, by the reference [`run_round_full_scan`] (the legacy full-scan
+//! ablation) — runs the same deterministic workload (every round sends data
+//! on the same 1% of connections), and emits one JSON row per size. The cost metric is thread *steps per round* (exact
 //! and host-independent); wall-clock time is reported alongside.
 //!
 //! The scaling guards:
@@ -27,9 +27,9 @@ use std::time::Instant;
 
 use mcr_bench::{FleetServer, Json, FLEET_PORT};
 use mcr_core::runtime::{
-    all_quiesced, boot, run_round, run_rounds, wait_quiescence, BootOptions, McrInstance, RoundStats,
-    SchedulerMode,
+    all_quiesced, boot, run_round, run_round_full_scan, wait_quiescence, BootOptions, McrInstance, RoundStats,
 };
+use mcr_core::McrResult;
 use mcr_procsim::{ConnId, Kernel};
 
 /// Fleet sizes swept by default (threads = connections); 1% of each fleet
@@ -54,11 +54,13 @@ fn fleet_sizes() -> Vec<usize> {
     }
 }
 
+/// One scheduling round: [`run_round`] or [`run_round_full_scan`].
+type Round = fn(&mut Kernel, &mut McrInstance) -> McrResult<RoundStats>;
+
 struct RunOutcome {
     stats: RoundStats,
     wall_ns: u64,
     events_handled: u64,
-    quiesce_ns: u64,
 }
 
 fn active_slots(threads: usize) -> Vec<usize> {
@@ -67,14 +69,17 @@ fn active_slots(threads: usize) -> Vec<usize> {
     (0..active).map(|i| i * stride).collect()
 }
 
-fn run_fleet(threads: usize, mode: SchedulerMode) -> RunOutcome {
+/// Boots a fleet of `threads` sessions and serves the 1% workload, every
+/// round (setup included) through `round`.
+fn run_fleet(threads: usize, round: Round) -> (RunOutcome, Kernel, McrInstance) {
     let mut kernel = Kernel::new();
-    let opts = BootOptions { scheduler: mode, ..Default::default() };
-    let mut instance: McrInstance =
-        boot(&mut kernel, Box::new(FleetServer::new(threads)), &opts).expect("fleet boots");
+    let mut instance =
+        boot(&mut kernel, Box::new(FleetServer::new(threads)), &BootOptions::default()).expect("fleet boots");
     let conns: Vec<ConnId> = (0..threads).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
     // Setup rounds: the acceptor drains the backlog, every reader parks.
-    run_rounds(&mut kernel, &mut instance, 2).expect("fleet setup");
+    for _ in 0..2 {
+        round(&mut kernel, &mut instance).expect("fleet setup");
+    }
     assert!(conns.iter().all(|&c| kernel.client_is_accepted(c)), "all sessions accepted");
 
     let slots = active_slots(threads);
@@ -84,17 +89,11 @@ fn run_fleet(threads: usize, mode: SchedulerMode) -> RunOutcome {
         for &slot in &slots {
             kernel.client_send(conns[slot], b"ping".to_vec()).expect("send");
         }
-        stats.absorb(&run_round(&mut kernel, &mut instance).expect("round"));
+        stats.absorb(&round(&mut kernel, &mut instance).expect("round"));
     }
     let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    // The barrier must still converge over a mostly-parked fleet.
-    let q_start = kernel.now();
-    wait_quiescence(&mut kernel, &mut instance, 10).expect("quiescence converges");
-    assert!(all_quiesced(&kernel, &instance));
-    let quiesce_ns = kernel.now().duration_since(q_start).0;
-
-    RunOutcome { stats, wall_ns, events_handled: instance.state.counters.events_handled, quiesce_ns }
+    let events_handled = instance.state.counters.events_handled;
+    (RunOutcome { stats, wall_ns, events_handled }, kernel, instance)
 }
 
 fn main() {
@@ -102,8 +101,15 @@ fn main() {
     let mut per_event: Vec<(usize, f64)> = Vec::new();
     for threads in fleet_sizes() {
         let active = active_slots(threads).len();
-        let event = run_fleet(threads, SchedulerMode::EventDriven);
-        let scan = (threads <= SCAN_CEILING).then(|| run_fleet(threads, SchedulerMode::FullScan));
+        let (event, quiesce_ns) = {
+            let (event, mut kernel, mut instance) = run_fleet(threads, run_round);
+            // The barrier must still converge over a mostly-parked fleet.
+            let q_start = kernel.now();
+            wait_quiescence(&mut kernel, &mut instance, 10).expect("quiescence converges");
+            assert!(all_quiesced(&kernel, &instance));
+            (event, kernel.now().duration_since(q_start).0)
+        };
+        let scan = (threads <= SCAN_CEILING).then(|| run_fleet(threads, run_round_full_scan).0);
 
         assert_eq!(
             event.events_handled,
@@ -131,7 +137,7 @@ fn main() {
             ("wall_per_event_ns", Json::Num(wall_per_event_ns)),
             ("event_woken", event.stats.woken.into()),
             ("event_wall_ns", event.wall_ns.into()),
-            ("event_quiesce_ns", event.quiesce_ns.into()),
+            ("event_quiesce_ns", quiesce_ns.into()),
             ("events_handled", event.events_handled.into()),
         ];
         if let Some(scan) = scan {
@@ -154,14 +160,13 @@ fn main() {
                  (woken {}) vs scan {scan_steps_per_round:>9.1} -> {step_ratio:>7.1}x steps, \
                  {wall_ratio:>6.1}x wall; quiesce {} us",
                 event.stats.woken,
-                event.quiesce_ns / 1_000,
+                quiesce_ns / 1_000,
             );
             row.extend([
                 ("scan_steps_per_round", Json::Num(scan_steps_per_round)),
                 ("step_ratio", Json::Num(step_ratio)),
                 ("scan_wall_ns", scan.wall_ns.into()),
                 ("wall_ratio", Json::Num(wall_ratio)),
-                ("scan_quiesce_ns", scan.quiesce_ns.into()),
             ]);
         } else {
             eprintln!(
@@ -169,7 +174,7 @@ fn main() {
                  (woken {}), {steps_per_event:.2} steps/event, {wall_per_event_ns:>8.0} ns/event; \
                  quiesce {} us (scan skipped)",
                 event.stats.woken,
-                event.quiesce_ns / 1_000,
+                quiesce_ns / 1_000,
             );
         }
         rows.push(Json::obj_vec(row));

@@ -17,11 +17,10 @@
 //!   shard count >= 2, on every heap size.
 //! * **Determinism**: kernel fingerprint, tracing statistics, per-process
 //!   transfer reports and (empty) conflict sets are byte-identical across
-//!   all shard counts — and, on the smallest heap, across both scheduler
-//!   cores and pre-copy on/off.
+//!   all shard counts — and, on the smallest heap, across pre-copy on/off.
 
 use mcr_bench::{cache_update, BenchGroup, Json};
-use mcr_core::runtime::{SchedulerMode, UpdateOutcome};
+use mcr_core::runtime::UpdateOutcome;
 
 /// (entries, value bytes) per sweep point.
 const HEAPS: [(u64, u64); 2] = [(512, 128), (2048, 256)];
@@ -33,8 +32,8 @@ struct Run {
     outcome: UpdateOutcome,
 }
 
-fn run(entries: u64, vsize: u64, shards: usize, precopy: usize, mode: SchedulerMode) -> Run {
-    let (fingerprint, outcome) = cache_update(entries, vsize, shards, precopy, mode);
+fn run(entries: u64, vsize: u64, shards: usize, precopy: usize) -> Run {
+    let (fingerprint, outcome) = cache_update(entries, vsize, shards, precopy);
     assert!(outcome.is_committed(), "cache {entries}x{vsize} shards {shards}: {:?}", outcome.conflicts());
     Run { fingerprint, outcome }
 }
@@ -55,7 +54,7 @@ fn main() {
             let mut host_wall = Vec::with_capacity(ITERS);
             let mut last = None;
             for _ in 0..ITERS {
-                let run = run(entries, vsize, shards, 0, SchedulerMode::EventDriven);
+                let run = run(entries, vsize, shards, 0);
                 let report = run.outcome.report();
                 makespans.push(report.timings.state_transfer.0);
                 host_wall.push(report.transfer.host_wall_ns);
@@ -126,21 +125,17 @@ fn main() {
         }
     }
 
-    // Scheduler-core and pre-copy equivalence on the smallest point: the
-    // sharded update converges to the same kernel state no matter which
-    // core schedules it and whether the bulk copy ran concurrently.
+    // Pre-copy equivalence on the smallest point: the sharded update
+    // converges to the same kernel state whether or not the bulk copy ran
+    // concurrently.
     let (entries, vsize) = HEAPS[0];
-    let event_stw = run(entries, vsize, 2, 0, SchedulerMode::EventDriven);
-    let scan_stw = run(entries, vsize, 2, 0, SchedulerMode::FullScan);
-    let event_pre = run(entries, vsize, 2, 2, SchedulerMode::EventDriven);
-    let scan_pre = run(entries, vsize, 2, 2, SchedulerMode::FullScan);
-    assert_eq!(event_stw.fingerprint, scan_stw.fingerprint, "scheduler cores diverged");
-    assert_eq!(event_stw.fingerprint, event_pre.fingerprint, "pre-copy diverged from stop-the-world");
-    assert_eq!(event_pre.fingerprint, scan_pre.fingerprint, "cores diverged under pre-copy");
-    assert!(event_pre.outcome.report().precopy.enabled);
+    let stw = run(entries, vsize, 2, 0);
+    let pre = run(entries, vsize, 2, 2);
+    assert_eq!(stw.fingerprint, pre.fingerprint, "pre-copy diverged from stop-the-world");
+    assert!(pre.outcome.report().precopy.enabled);
     assert_eq!(
-        event_stw.outcome.report().transfer.per_process,
-        event_pre.outcome.report().transfer.per_process,
+        stw.outcome.report().transfer.per_process,
+        pre.outcome.report().transfer.per_process,
         "per-process reports diverged under pre-copy"
     );
 

@@ -12,13 +12,12 @@
 //!   `downtime` with pre-copy is at most 50% of the baseline's.
 //! * **Equivalence**: within a sweep point, baseline and pre-copy converge
 //!   to byte-identical kernel fingerprints, per-process transfer reports
-//!   and (empty) conflict sets — and so do both scheduler cores on the
-//!   smallest read-mostly point.
+//!   and (empty) conflict sets.
 //! * **Scale**: the scenario yields >= 4 matched pairs (the multiprocess
 //!   regime the pre-copy acceptance criterion targets).
 
 use mcr_bench::{precopy_update, Json};
-use mcr_core::runtime::{SchedulerMode, UpdateOutcome};
+use mcr_core::runtime::UpdateOutcome;
 use mcr_servers::precopy_scenarios;
 
 const PRECOPY_ROUNDS: usize = 3;
@@ -29,8 +28,8 @@ struct Run {
     outcome: UpdateOutcome,
 }
 
-fn run(scenario: &mcr_servers::PrecopyScenario, size: u64, rounds: usize, mode: SchedulerMode) -> Run {
-    let (fingerprint, outcome) = precopy_update(scenario, size, rounds, PRECOPY_ROUNDS, mode);
+fn run(scenario: &mcr_servers::PrecopyScenario, size: u64, rounds: usize) -> Run {
+    let (fingerprint, outcome) = precopy_update(scenario, size, rounds, PRECOPY_ROUNDS);
     assert!(
         outcome.is_committed(),
         "{} size {size} rounds {rounds}: {:?}",
@@ -66,8 +65,8 @@ fn main() {
     let mut rows = Vec::new();
     for scenario in precopy_scenarios() {
         for size in SIZE_FACTORS {
-            let baseline = run(&scenario, size, 0, SchedulerMode::EventDriven);
-            let precopied = run(&scenario, size, PRECOPY_ROUNDS, SchedulerMode::EventDriven);
+            let baseline = run(&scenario, size, 0);
+            let precopied = run(&scenario, size, PRECOPY_ROUNDS);
 
             let base_report = baseline.outcome.report();
             let pre_report = precopied.outcome.report();
@@ -119,19 +118,6 @@ fn main() {
             rows.push(row(scenario.name, size, "precopy", &precopied));
         }
     }
-
-    // Scheduler-core equivalence on the smallest read-mostly point.
-    let read_mostly = precopy_scenarios()[0];
-    let scan_base = run(&read_mostly, 1, 0, SchedulerMode::FullScan);
-    let scan_pre = run(&read_mostly, 1, PRECOPY_ROUNDS, SchedulerMode::FullScan);
-    let event_pre = run(&read_mostly, 1, PRECOPY_ROUNDS, SchedulerMode::EventDriven);
-    assert_eq!(scan_base.fingerprint, scan_pre.fingerprint, "full-scan: pre-copy diverged");
-    assert_eq!(scan_pre.fingerprint, event_pre.fingerprint, "scheduler cores diverged under pre-copy");
-    assert_eq!(
-        scan_pre.outcome.report().transfer.per_process,
-        event_pre.outcome.report().transfer.per_process,
-        "scheduler cores: per-process reports diverged under pre-copy"
-    );
 
     let doc = Json::obj([("experiment", Json::str("precopy_downtime")), ("rows", Json::Arr(rows))]);
     println!("{}", doc.render());

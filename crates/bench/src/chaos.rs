@@ -1,9 +1,8 @@
 //! Chaos-campaign harness: enumerate fault sites, inject seeded schedules,
 //! verify byte-identical rollback, and drive the self-healing supervisor.
 //!
-//! The campaign runs one update scenario under every combination of
-//! scheduler core × transfer mode (stop-the-world, pre-copy, post-copy).
-//! Per configuration it:
+//! The campaign runs one update scenario under every transfer mode
+//! (stop-the-world, pre-copy, post-copy). Per mode it:
 //!
 //! 1. performs a clean dry run and derives the [`FaultCatalog`] (every phase
 //!    boundary, transfer-object write and pipeline syscall is a site);
@@ -30,8 +29,8 @@ use std::fmt::Write as _;
 
 use mcr_core::runtime::{
     random_plan, shrink_schedule, supervised_update, time_to_recovery, ChaosPlan, ChaosRng, DegradationTier,
-    FaultCatalog, FaultSite, PrecopyOptions, SchedulerMode, SupervisorPolicy, TransferMode, UpdateOptions,
-    UpdateOutcome, UpdatePipeline,
+    FaultCatalog, FaultSite, PrecopyOptions, SupervisorPolicy, TransferMode, UpdateOptions, UpdateOutcome,
+    UpdatePipeline,
 };
 use mcr_core::{Conflict, McrInstance, PhaseName};
 use mcr_procsim::{Kernel, SimDuration};
@@ -64,44 +63,9 @@ impl ChaosMode {
     }
 }
 
-/// One campaign configuration: a scheduler core and a transfer mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Scheduling core both instances run on during the update.
-    pub scheduler: SchedulerMode,
-    /// Transfer mode of the pipeline under chaos.
-    pub mode: ChaosMode,
-}
-
-impl ChaosConfig {
-    /// Stable label for logs and JSON rows.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}",
-            match self.scheduler {
-                SchedulerMode::EventDriven => "event-driven",
-                SchedulerMode::FullScan => "full-scan",
-            },
-            self.mode.label()
-        )
-    }
-
-    /// Whether this cell runs concurrent pre-copy rounds.
-    pub fn precopy(&self) -> bool {
-        self.mode == ChaosMode::Precopy
-    }
-}
-
-/// Every configuration the campaign sweeps: both scheduler cores crossed
-/// with all three transfer modes (a 2 × 3 grid).
-pub const CONFIGS: [ChaosConfig; 6] = [
-    ChaosConfig { scheduler: SchedulerMode::EventDriven, mode: ChaosMode::StopTheWorld },
-    ChaosConfig { scheduler: SchedulerMode::EventDriven, mode: ChaosMode::Precopy },
-    ChaosConfig { scheduler: SchedulerMode::EventDriven, mode: ChaosMode::Postcopy },
-    ChaosConfig { scheduler: SchedulerMode::FullScan, mode: ChaosMode::StopTheWorld },
-    ChaosConfig { scheduler: SchedulerMode::FullScan, mode: ChaosMode::Precopy },
-    ChaosConfig { scheduler: SchedulerMode::FullScan, mode: ChaosMode::Postcopy },
-];
+/// Every transfer mode the campaign sweeps, in row order (a mode's index
+/// seeds its random schedules).
+pub const CONFIGS: [ChaosMode; 3] = [ChaosMode::StopTheWorld, ChaosMode::Precopy, ChaosMode::Postcopy];
 
 /// Campaign sizing: scenario, schedule counts and determinism-check cadence.
 #[derive(Debug, Clone, Copy)]
@@ -112,16 +76,16 @@ pub struct ChaosSpec {
     pub requests: u64,
     /// Idle connections open at update time.
     pub open_connections: usize,
-    /// Seeded random schedules per configuration, on top of the directed
+    /// Seeded random schedules per mode, on top of the directed
     /// boundary/object/syscall sweeps.
     pub random_schedules: usize,
     /// Cap on the directed n-th-object sweep (evenly spread when capped).
     pub max_object_sites: usize,
     /// Cap on the directed n-th-syscall sweep (evenly spread when capped).
     pub max_syscall_sites: usize,
-    /// Cap on the directed n-th-fault-in sweep (post-copy cells only).
+    /// Cap on the directed n-th-fault-in sweep (post-copy only).
     pub max_fault_in_sites: usize,
-    /// Cap on the directed n-th-drain-step sweep (post-copy cells only).
+    /// Cap on the directed n-th-drain-step sweep (post-copy only).
     pub max_drain_step_sites: usize,
     /// Campaign seed; the whole campaign is a pure function of it.
     pub seed: u64,
@@ -134,7 +98,7 @@ pub struct ChaosSpec {
 
 impl ChaosSpec {
     /// The release-profile campaign the bench binary and CI smoke run
-    /// (>= 200 schedules across the six grid cells).
+    /// (>= 50 schedules for each of the three modes).
     pub fn smoke() -> Self {
         ChaosSpec {
             program: "vsftpd",
@@ -169,11 +133,11 @@ impl ChaosSpec {
     }
 }
 
-/// Everything one configuration's sweep measured.
+/// Everything one mode's sweep measured.
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
-    /// The configuration swept.
-    pub config: ChaosConfig,
+    /// The transfer mode swept.
+    pub mode: ChaosMode,
     /// The enumerated site space of the clean dry run.
     pub catalog: FaultCatalog,
     /// Schedules injected.
@@ -220,8 +184,7 @@ impl ConfigOutcome {
         self.sites_injected as f64 / total as f64
     }
 
-    /// True when every safety and liveness assertion of this configuration
-    /// held.
+    /// True when every safety and liveness assertion of this mode held.
     pub fn clean(&self) -> bool {
         self.divergences == 0
             && self.unexpected_commits == 0
@@ -232,15 +195,11 @@ impl ConfigOutcome {
     }
 }
 
-fn options_for(config: ChaosConfig) -> UpdateOptions {
-    let base = UpdateOptions {
-        scheduler: config.scheduler,
-        // The campaign's simulated timings (`BENCH_chaos.json`) are charged
-        // at the serial sum.
-        transfer_workers: 1,
-        ..Default::default()
-    };
-    match config.mode {
+fn options_for(mode: ChaosMode) -> UpdateOptions {
+    // The campaign's simulated timings (`BENCH_chaos.json`) are charged at
+    // the serial sum.
+    let base = UpdateOptions { transfer_workers: 1, ..Default::default() };
+    match mode {
         ChaosMode::StopTheWorld => UpdateOptions { precopy: PrecopyOptions::disabled(), ..base },
         ChaosMode::Precopy => UpdateOptions {
             precopy: PrecopyOptions { rounds: 2, convergence_bytes: 0, serve_rounds: 1 },
@@ -254,19 +213,18 @@ fn options_for(config: ChaosConfig) -> UpdateOptions {
 
 /// Boots the scenario to the exact pre-update state every campaign run
 /// starts from (same seed state — the virtual kernel is deterministic).
-fn setup(spec: &ChaosSpec, config: ChaosConfig) -> (Kernel, McrInstance) {
+fn setup(spec: &ChaosSpec) -> (Kernel, McrInstance) {
     let (mut kernel, mut v1) = boot_program(spec.program, 1, InstrumentationConfig::full());
     run_standard_workload(&mut kernel, &mut v1, spec.program, spec.requests);
     let port = workload_for(spec.program, 1).port;
     open_idle_connections(&mut kernel, &mut v1, port, spec.open_connections).expect("idle connections");
-    v1.sched.mode = config.scheduler;
     (kernel, v1)
 }
 
-/// Clean dry run: commits and yields the configuration's [`FaultCatalog`].
-pub fn enumerate_sites(spec: &ChaosSpec, config: ChaosConfig) -> FaultCatalog {
-    let opts = options_for(config);
-    let (mut kernel, v1) = setup(spec, config);
+/// Clean dry run: commits and yields the mode's [`FaultCatalog`].
+pub fn enumerate_sites(spec: &ChaosSpec, mode: ChaosMode) -> FaultCatalog {
+    let opts = options_for(mode);
+    let (mut kernel, v1) = setup(spec);
     let (_v2, outcome) = UpdatePipeline::for_options(&opts).run(
         &mut kernel,
         v1,
@@ -274,12 +232,7 @@ pub fn enumerate_sites(spec: &ChaosSpec, config: ChaosConfig) -> FaultCatalog {
         InstrumentationConfig::full(),
         &opts,
     );
-    assert!(
-        outcome.is_committed(),
-        "{}: clean dry run must commit: {:?}",
-        config.label(),
-        outcome.conflicts()
-    );
+    assert!(outcome.is_committed(), "{}: clean dry run must commit: {:?}", mode.label(), outcome.conflicts());
     FaultCatalog::from_report(outcome.report())
 }
 
@@ -295,9 +248,9 @@ pub struct VerifyResult {
 }
 
 /// Runs one schedule and checks the byte-identical-rollback property.
-pub fn verify_rollback(spec: &ChaosSpec, config: ChaosConfig, plan: &ChaosPlan) -> VerifyResult {
-    let opts = options_for(config);
-    let (mut kernel, v1) = setup(spec, config);
+pub fn verify_rollback(spec: &ChaosSpec, mode: ChaosMode, plan: &ChaosPlan) -> VerifyResult {
+    let opts = options_for(mode);
+    let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
     let (_survivor, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(plan.clone()).run(
         &mut kernel,
@@ -333,13 +286,13 @@ pub struct SupervisedResult {
 /// attempts and later attempts clean.
 pub fn supervised_run(
     spec: &ChaosSpec,
-    config: ChaosConfig,
+    mode: ChaosMode,
     plan: &ChaosPlan,
     faulty_attempts: usize,
     policy: &SupervisorPolicy,
 ) -> SupervisedResult {
-    let opts = options_for(config);
-    let (mut kernel, v1) = setup(spec, config);
+    let opts = options_for(mode);
+    let (mut kernel, v1) = setup(spec);
     let program = spec.program;
     let plan = plan.clone();
     let (_survivor, outcome) = supervised_update(
@@ -364,9 +317,9 @@ pub fn supervised_run(
 /// bounded ladder; the supervisor must give up and leave the old version
 /// accepting connections. Post-copy pipelines commit at `PostcopyCommit`
 /// (there is no `Commit` phase to fault), so the drill targets both.
-fn give_up_drill(spec: &ChaosSpec, config: ChaosConfig) -> bool {
-    let opts = options_for(config);
-    let (mut kernel, v1) = setup(spec, config);
+fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
+    let opts = options_for(mode);
+    let (mut kernel, v1) = setup(spec);
     let program = spec.program;
     let policy = SupervisorPolicy { max_attempts: 2, ..SupervisorPolicy::default() };
     let (mut survivor, outcome) = supervised_update(
@@ -392,9 +345,9 @@ fn give_up_drill(spec: &ChaosSpec, config: ChaosConfig) -> bool {
 /// Watchdog drill: 1 ns phase budgets make the very first phase overrun;
 /// the pipeline must roll back with a watchdog conflict and an identical
 /// fingerprint.
-fn watchdog_drill(spec: &ChaosSpec, config: ChaosConfig) -> bool {
-    let opts = options_for(config);
-    let (mut kernel, v1) = setup(spec, config);
+fn watchdog_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
+    let opts = options_for(mode);
+    let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
     let (_survivor, outcome) =
         UpdatePipeline::for_options(&opts).with_uniform_phase_deadline(SimDuration(1)).run(
@@ -429,9 +382,10 @@ pub(crate) fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
     (picks, true)
 }
 
-/// Runs the full sweep for one configuration.
-pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> ConfigOutcome {
-    let catalog = enumerate_sites(spec, config);
+/// Runs the full sweep for one mode; `config_index` (its index in
+/// [`CONFIGS`]) seeds the random schedules.
+pub fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -> ConfigOutcome {
+    let catalog = enumerate_sites(spec, mode);
     let mut capped = Vec::new();
 
     // Directed schedules: every boundary, spread object and syscall sweeps.
@@ -451,7 +405,7 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
         capped.push(format!("syscall sweep capped: {} of {} sites", syscalls.len(), catalog.syscalls));
     }
     schedules.extend(syscalls.into_iter().map(|n| FaultSite::Syscall(n).plan()));
-    // Post-copy cells also sweep the commit-far-side sites: parked-object
+    // Post-copy also sweeps the commit-far-side sites: parked-object
     // fault-ins and background drain batches (both zero for synchronous
     // modes, so these sweeps are empty there).
     let (fault_ins, fault_ins_capped) = spread(catalog.fault_ins, spec.max_fault_in_sites);
@@ -487,7 +441,7 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
     let policy = SupervisorPolicy::default();
 
     for (i, plan) in schedules.iter().enumerate() {
-        let result = verify_rollback(spec, config, plan);
+        let result = verify_rollback(spec, mode, plan);
         if !result.fired {
             unexpected_commits += 1;
             repros.push(format!("never fired: {plan:?}"));
@@ -499,12 +453,11 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
         }
         if result.diverged {
             divergences += 1;
-            let minimal =
-                shrink_schedule(plan, |candidate| verify_rollback(spec, config, candidate).diverged);
+            let minimal = shrink_schedule(plan, |candidate| verify_rollback(spec, mode, candidate).diverged);
             repros.push(format!("divergence: {minimal:?} (seed {:#x})", spec.seed));
         }
         if spec.rerun_every > 0 && i % spec.rerun_every == 0 {
-            let again = verify_rollback(spec, config, plan);
+            let again = verify_rollback(spec, mode, plan);
             if again != result {
                 rerun_mismatches += 1;
                 repros.push(format!("nondeterministic rollback: {plan:?}"));
@@ -517,7 +470,7 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
         if spec.supervise_every > 0 && i % spec.supervise_every == 0 {
             supervisor_runs += 1;
             let faulty_attempts = if i % 3 == 2 { 2 } else { 1 };
-            let supervised = supervised_run(spec, config, plan, faulty_attempts, &policy);
+            let supervised = supervised_run(spec, mode, plan, faulty_attempts, &policy);
             if supervised.committed {
                 supervisor_committed += 1;
                 if let Some(tier) = supervised.tier {
@@ -535,7 +488,7 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
     }
 
     ConfigOutcome {
-        config,
+        mode,
         catalog,
         schedules: schedules.len(),
         fired,
@@ -553,14 +506,14 @@ pub fn run_config(spec: &ChaosSpec, config: ChaosConfig, config_index: u64) -> C
         } else {
             0.0
         },
-        give_up_clean: give_up_drill(spec, config),
-        watchdog_clean: watchdog_drill(spec, config),
+        give_up_clean: give_up_drill(spec, mode),
+        watchdog_clean: watchdog_drill(spec, mode),
     }
 }
 
-/// Runs the campaign over every configuration in [`CONFIGS`].
+/// Runs the campaign over every mode in [`CONFIGS`].
 pub fn run_campaign(spec: &ChaosSpec) -> Vec<ConfigOutcome> {
-    CONFIGS.iter().enumerate().map(|(i, &config)| run_config(spec, config, i as u64)).collect()
+    CONFIGS.iter().enumerate().map(|(i, &mode)| run_config(spec, mode, i as u64)).collect()
 }
 
 /// Renders the campaign as a human-readable table.
@@ -568,14 +521,14 @@ pub fn chaos_render(rows: &[ConfigOutcome]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<26} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>11} {:>12} | {:>5}",
-        "config", "sites", "sched", "fired", "div", "sup-ok", "sup-run", "tiers f/n/s", "mttr(ns)", "cover"
+        "{:<14} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>11} {:>12} | {:>5}",
+        "mode", "sites", "sched", "fired", "div", "sup-ok", "sup-run", "tiers f/n/s", "mttr(ns)", "cover"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<26} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>3}/{:>3}/{:>3} | {:>12.0} | {:>4.1}%",
-            r.config.label(),
+            "{:<14} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>3}/{:>3}/{:>3} | {:>12.0} | {:>4.1}%",
+            r.mode.label(),
             r.catalog.total_sites(),
             r.schedules,
             r.fired,
@@ -620,9 +573,8 @@ pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
                 rows.iter()
                     .map(|r| {
                         Json::obj([
-                            ("config", Json::str(r.config.label())),
-                            ("mode", Json::str(r.config.mode.label())),
-                            ("precopy", Json::Bool(r.config.precopy())),
+                            ("mode", Json::str(r.mode.label())),
+                            ("precopy", Json::Bool(r.mode == ChaosMode::Precopy)),
                             ("sites_enumerated", r.catalog.total_sites().into()),
                             ("boundary_sites", (r.catalog.boundaries.len() as u64).into()),
                             ("transfer_object_sites", r.catalog.transfer_objects.into()),

@@ -247,15 +247,13 @@ impl Program for FleetServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcr_core::runtime::{
-        all_quiesced, boot, run_round, run_rounds, wait_quiescence, BootOptions, SchedulerMode,
-    };
+    use mcr_core::runtime::{all_quiesced, boot, run_round, run_rounds, wait_quiescence, BootOptions};
     use mcr_procsim::Kernel;
 
-    fn fleet(sessions: usize, mode: SchedulerMode) -> (Kernel, mcr_core::McrInstance) {
+    fn fleet(sessions: usize) -> (Kernel, mcr_core::McrInstance) {
         let mut kernel = Kernel::new();
-        let opts = BootOptions { scheduler: mode, ..Default::default() };
-        let mut instance = boot(&mut kernel, Box::new(FleetServer::new(sessions)), &opts).unwrap();
+        let mut instance =
+            boot(&mut kernel, Box::new(FleetServer::new(sessions)), &BootOptions::default()).unwrap();
         let conns: Vec<_> = (0..sessions).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
         run_rounds(&mut kernel, &mut instance, 2).unwrap();
         assert!(conns.iter().all(|&c| kernel.client_is_accepted(c)));
@@ -264,14 +262,14 @@ mod tests {
 
     #[test]
     fn fleet_setup_parks_one_reader_per_connection() {
-        let (kernel, _instance) = fleet(32, SchedulerMode::EventDriven);
+        let (kernel, _instance) = fleet(32);
         // 32 readers on their connections plus the acceptor on the listener.
         assert_eq!(kernel.waiting_thread_count(), 33);
     }
 
     #[test]
     fn active_rounds_cost_scales_with_active_sessions() {
-        let (mut kernel, mut instance) = fleet(64, SchedulerMode::EventDriven);
+        let (mut kernel, mut instance) = fleet(64);
         let active = [3usize, 17, 40];
         for &slot in &active {
             let conn = mcr_procsim::ConnId(slot as u64 + 1);
@@ -309,12 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_quiesces_in_both_modes() {
-        for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-            let (mut kernel, mut instance) = fleet(16, mode);
-            wait_quiescence(&mut kernel, &mut instance, 10).unwrap();
-            assert!(all_quiesced(&kernel, &instance), "{mode:?}");
-        }
+    fn fleet_quiesces_at_the_barrier() {
+        let (mut kernel, mut instance) = fleet(16);
+        wait_quiescence(&mut kernel, &mut instance, 10).unwrap();
+        assert!(all_quiesced(&kernel, &instance));
     }
 
     #[test]
@@ -347,7 +343,7 @@ mod tests {
         use mcr_core::runtime::{live_update, UpdateOptions};
         use mcr_typemeta::InstrumentationConfig;
 
-        let (mut kernel, mut v1) = fleet(8, SchedulerMode::EventDriven);
+        let (mut kernel, mut v1) = fleet(8);
         let conn = mcr_procsim::ConnId(4);
         kernel.client_send(conn, b"before".to_vec()).unwrap();
         run_rounds(&mut kernel, &mut v1, 2).unwrap();
@@ -380,7 +376,7 @@ mod tests {
         // replayed from the log. The second update replays against the log
         // the first update's replay re-recorded.
         let sessions = 2_000;
-        let (mut kernel, mut instance) = fleet(sessions, SchedulerMode::EventDriven);
+        let (mut kernel, mut instance) = fleet(sessions);
         for version in 2..=3 {
             let next = Box::new(FleetServer::with_version(sessions, version));
             let (survivor, outcome) = live_update(

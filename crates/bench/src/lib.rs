@@ -26,8 +26,8 @@
 use std::fmt::Write as _;
 
 use mcr_core::runtime::{
-    boot, live_update, BootOptions, McrInstance, MemoryReport, PrecopyOptions, SchedulerMode, TransferMode,
-    UpdateOptions, UpdateOutcome, UpdatePipeline,
+    boot, live_update, BootOptions, McrInstance, MemoryReport, PrecopyOptions, TransferMode, UpdateOptions,
+    UpdateOutcome, UpdatePipeline,
 };
 use mcr_core::{QuiescenceProfiler, TraceOptions, TracingStats};
 use mcr_procsim::{Kernel, MemoryRegion, PAGE_SIZE};
@@ -46,7 +46,7 @@ pub mod microbench;
 
 pub use chaos::{
     chaos_json, chaos_render, enumerate_sites, run_campaign, run_config, supervised_run, verify_rollback,
-    ChaosConfig, ChaosMode, ChaosSpec, ConfigOutcome, SupervisedResult, VerifyResult, CONFIGS,
+    ChaosMode, ChaosSpec, ConfigOutcome, SupervisedResult, VerifyResult, CONFIGS,
 };
 pub use checkpoint::{
     checkpoint_json, checkpoint_render, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec,
@@ -207,7 +207,6 @@ pub fn precopy_update(
     size_factor: u64,
     precopy_rounds: usize,
     mutate_rounds: usize,
-    scheduler: SchedulerMode,
 ) -> (u64, UpdateOutcome) {
     let mut kernel = Kernel::new();
     install_standard_files(&mut kernel);
@@ -218,11 +217,7 @@ pub fn precopy_update(
     let port = workload_for(scenario.program, 1).port;
     open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
         .expect("idle connections");
-    // Flip the scheduling core only now, so every configuration enters the
-    // pipeline with byte-identical pre-update state.
-    v1.sched.mode = scheduler;
     let opts = UpdateOptions {
-        scheduler,
         precopy: if precopy_rounds > 0 {
             PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
         } else {
@@ -301,7 +296,6 @@ pub fn adaptive_update(
     scenario: &PrecopyScenario,
     size_factor: u64,
     mode: TransferMode,
-    scheduler: SchedulerMode,
 ) -> (u64, UpdateOutcome) {
     const MUTATE_ROUNDS: usize = 3;
     const POST_ROUNDS: usize = 3;
@@ -318,9 +312,7 @@ pub fn adaptive_update(
     let port = workload_for(scenario.program, 1).port;
     open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
         .expect("idle connections");
-    v1.sched.mode = scheduler;
     let opts = UpdateOptions {
-        scheduler,
         mode,
         precopy: if precopy_rounds > 0 {
             PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
@@ -391,7 +383,6 @@ pub fn cache_update(
     value_bytes: u64,
     shards: usize,
     precopy_rounds: usize,
-    scheduler: SchedulerMode,
 ) -> (u64, UpdateOutcome) {
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(mcr_servers::CacheServer::new(1)), &BootOptions::default())
@@ -408,9 +399,7 @@ pub fn cache_update(
         request(&mut kernel, &mut v1, "get".to_string());
     }
     request(&mut kernel, &mut v1, "evict".to_string());
-    v1.sched.mode = scheduler;
     let opts = UpdateOptions {
-        scheduler,
         intra_pair_shards: shards,
         precopy: if precopy_rounds > 0 {
             PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }

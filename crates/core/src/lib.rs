@@ -90,8 +90,7 @@ pub use quiescence::{QuiescenceProfiler, QuiescenceReport, QuiescentPoint};
 pub use runtime::{
     boot, live_update, supervised_update, AttemptSummary, BootOptions, ChaosPlan, ChaosRng, DegradationTier,
     FaultCatalog, FaultSite, McrInstance, MemoryReport, Phase, PhaseName, PhaseRecord, PhaseTrace,
-    RoundStats, Scheduler, SchedulerMode, SupervisorPolicy, UpdateCtx, UpdateOptions, UpdateOutcome,
-    UpdatePipeline, UpdateReport,
+    RoundStats, SupervisorPolicy, UpdateCtx, UpdateOptions, UpdateOutcome, UpdatePipeline, UpdateReport,
 };
 pub use tracing::{ObjectGraph, TraceOptions, TracingStats};
 pub use transfer::TransferSummary;

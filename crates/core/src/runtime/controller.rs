@@ -22,7 +22,7 @@ use crate::error::Conflict;
 use crate::program::Program;
 use crate::runtime::pipeline::UpdatePipeline;
 use crate::runtime::report::UpdateReport;
-use crate::runtime::scheduler::{McrInstance, SchedulerMode};
+use crate::runtime::scheduler::McrInstance;
 use crate::tracing::tracer::TraceOptions;
 
 /// Knobs of the iterative pre-copy phase (live-migration style): how many
@@ -207,11 +207,6 @@ pub struct UpdateOptions {
     /// traced graph, pins, Table 2 statistics, transfer reports, conflicts
     /// and post-commit memory are the same for every shard count.
     pub intra_pair_shards: usize,
-    /// Scheduling core for the new version's instance (the old instance
-    /// keeps whatever mode it was booted with). The event-driven default and
-    /// the legacy full scan produce byte-identical updates
-    /// (`tests/properties.rs`); the scan is kept as the ablation baseline.
-    pub scheduler: SchedulerMode,
     /// Iterative pre-copy configuration. When enabled, the pipeline boots
     /// and matches the new version first, copies the bulk of the object
     /// graph while the old version keeps serving, and quiesces only for the
@@ -266,7 +261,6 @@ impl Default for UpdateOptions {
             recreate_unmatched_processes: true,
             transfer_workers: 0,
             intra_pair_shards: 1,
-            scheduler: SchedulerMode::default(),
             precopy: PrecopyOptions::default(),
             mode: TransferMode::default(),
             postcopy: PostcopyOptions::default(),

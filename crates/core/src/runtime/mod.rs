@@ -27,7 +27,7 @@ pub use report::{
 pub use scheduler::{
     all_quiesced, boot, create_instance, request_quiescence, resume, run_round, run_round_full_scan,
     run_rounds, run_startup, running_thread_count, step_thread, wait_quiescence, wake_all_threads,
-    BootOptions, McrInstance, RoundStats, Scheduler, SchedulerMode,
+    BootOptions, McrInstance, RoundStats,
 };
 pub use supervisor::{
     supervised_update, supervised_update_durable, time_to_recovery, AttemptSummary, DegradationTier,

@@ -941,12 +941,8 @@ impl Phase for ReinitReplayPhase {
             .new_program
             .take()
             .ok_or_else(|| McrError::InvalidState("pipeline has no program to boot".into()))?;
-        let boot_opts = BootOptions {
-            config: ctx.config,
-            layout_slide: ctx.opts.layout_slide,
-            start_quiesced: true,
-            scheduler: ctx.opts.scheduler,
-        };
+        let boot_opts =
+            BootOptions { config: ctx.config, layout_slide: ctx.opts.layout_slide, start_quiesced: true };
         let interposer = Interposer::replayer(ctx.old.state.interpose.recorded_log());
         let new_instance = create_instance(ctx.kernel, new_program, interposer, &boot_opts)?;
         let new_init = new_instance.init_pid()?;

@@ -17,7 +17,7 @@
 //! blocks) — and is not looked at again until a state change (client
 //! connect/send/close, queued datagram, pipe write, expired timer) produces
 //! a wakeup. [`run_round`]/[`run_rounds`] are thin wrappers over
-//! [`Scheduler::run_until_idle`], so the cost of a round scales with the
+//! `Scheduler::run_until_idle`, so the cost of a round scales with the
 //! number of *active* threads, not with the total thread count — the regime
 //! fleet-scale experiments need (see `benches/fleet_scale.rs`).
 //!
@@ -31,11 +31,13 @@
 //! Wake order is FIFO over the kernel's deterministic wake queue, roster
 //! admission follows roster (creation) order, and all time comes from the
 //! virtual clock, so a run's schedule is a pure function of its event
-//! history. The legacy O(threads)-per-round scan is preserved as
-//! [`SchedulerMode::FullScan`]: `tests/properties.rs` proves that a full
-//! live update (commit *and* rollback) produces byte-identical kernel state
-//! and reports on both paths, and the fleet-scale bench uses it as the
-//! baseline its scaling assertion compares against.
+//! history. The legacy O(threads)-per-round scan survives only as the
+//! reference [`run_round_full_scan`], which no option selects:
+//! `tests/properties.rs` proves that a barrier driven by it parks the same
+//! state as [`wait_quiescence`] (the update that follows, commit *and*
+//! rollback, is byte-identical) and that serving through it alone answers
+//! the same requests as [`run_round`], and the fleet-scale bench uses it as
+//! the baseline its scaling assertion compares against.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -46,18 +48,6 @@ use mcr_typemeta::InstrumentationConfig;
 use crate::error::{Conflict, McrError, McrResult};
 use crate::interpose::Interposer;
 use crate::program::{InstanceState, Program, ProgramEnv, StepOutcome, ThreadRosterEntry, WaitInterest};
-
-/// Which scheduling core drives an instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Event-driven: a ready deque seeded from kernel wakeups; blocked
-    /// threads park on wait queues / the timer wheel. O(active) per round.
-    #[default]
-    EventDriven,
-    /// The legacy round-robin scan over every live thread. O(threads) per
-    /// round; kept as the ablation baseline and determinism oracle.
-    FullScan,
-}
 
 /// A grow-on-demand bitset over small dense integer keys (raw pids/tids).
 /// One cache-friendly word probe replaces an ordered-set lookup on the
@@ -97,9 +87,7 @@ impl BitSet {
 /// instance — so the driving functions can split-borrow it away from the
 /// program while stepping threads.
 #[derive(Debug, Default)]
-pub struct Scheduler {
-    /// Which core drives this instance.
-    pub mode: SchedulerMode,
+pub(crate) struct Scheduler {
     /// Runnable threads, in wake/admission order.
     ready: VecDeque<(Pid, Tid)>,
     /// Dedup bitset mirroring `ready`, keyed by raw tid (tids are globally
@@ -166,7 +154,7 @@ impl Scheduler {
     ///
     /// Propagates program-level errors (during a live update these trigger
     /// rollback).
-    pub fn run_until_idle(
+    pub(crate) fn run_until_idle(
         kernel: &mut Kernel,
         instance: &mut McrInstance,
         budget: usize,
@@ -283,7 +271,7 @@ pub struct McrInstance {
     /// MCR's per-instance state (registries, startup log, roster, counters).
     pub state: InstanceState,
     /// The instance's scheduler (ready deque + admission bookkeeping).
-    pub sched: Scheduler,
+    pub(crate) sched: Scheduler,
 }
 
 impl std::fmt::Debug for McrInstance {
@@ -292,7 +280,6 @@ impl std::fmt::Debug for McrInstance {
             .field("program", &self.state.program_name)
             .field("version", &self.state.version)
             .field("processes", &self.state.processes)
-            .field("scheduler", &self.sched.mode)
             .finish()
     }
 }
@@ -336,18 +323,11 @@ pub struct BootOptions {
     /// version during a live update: its threads park at their quiescent
     /// points instead of accepting new work).
     pub start_quiesced: bool,
-    /// Which scheduling core drives the instance.
-    pub scheduler: SchedulerMode,
 }
 
 impl Default for BootOptions {
     fn default() -> Self {
-        BootOptions {
-            config: InstrumentationConfig::full(),
-            layout_slide: 0,
-            start_quiesced: false,
-            scheduler: SchedulerMode::default(),
-        }
+        BootOptions { config: InstrumentationConfig::full(), layout_slide: 0, start_quiesced: false }
     }
 }
 
@@ -388,8 +368,7 @@ pub fn create_instance(
         exited: false,
     });
     program.register_types(&mut state.types);
-    let sched = Scheduler { mode: opts.scheduler, ..Scheduler::default() };
-    Ok(McrInstance { program, state, sched })
+    Ok(McrInstance { program, state, sched: Scheduler::default() })
 }
 
 /// Runs the instance's startup code (and any forked children's
@@ -482,7 +461,7 @@ impl RoundStats {
     }
 
     /// Total thread steps this round executed (the per-round cost the
-    /// fleet-scale bench compares across scheduler modes).
+    /// fleet-scale bench compares against the full scan).
     pub fn steps(&self) -> usize {
         self.progressed + self.blocked + self.exited
     }
@@ -570,24 +549,19 @@ pub fn step_thread(
 
 /// Runs one scheduling round.
 ///
-/// In [`SchedulerMode::EventDriven`] this is a thin wrapper over
-/// [`Scheduler::run_until_idle`]: newly created threads are admitted, queued
-/// wakeups are drained, and the instance runs until no thread is ready — the
-/// cost scales with *active* threads. In [`SchedulerMode::FullScan`] it is
-/// the legacy round-robin pass over every live, unparked thread.
+/// A thin wrapper over `Scheduler::run_until_idle`: newly created threads
+/// are admitted, queued wakeups are drained, and the instance runs until no
+/// thread is ready — the cost scales with *active* threads.
+/// [`run_round_full_scan`] is the O(threads) reference it is checked
+/// against.
 ///
 /// # Errors
 ///
 /// Propagates program-level errors.
 #[must_use = "the round may report scheduling errors and statistics"]
 pub fn run_round(kernel: &mut Kernel, instance: &mut McrInstance) -> McrResult<RoundStats> {
-    match instance.sched.mode {
-        SchedulerMode::EventDriven => {
-            let budget = round_budget(instance);
-            Scheduler::run_until_idle(kernel, instance, budget)
-        }
-        SchedulerMode::FullScan => run_round_full_scan(kernel, instance),
-    }
+    let budget = round_budget(instance);
+    Scheduler::run_until_idle(kernel, instance, budget)
 }
 
 /// The legacy O(threads) scheduling round: one round-robin pass over every
@@ -676,9 +650,10 @@ pub fn all_quiesced(kernel: &Kernel, instance: &McrInstance) -> bool {
 /// Drives the barrier protocol until every live thread of the instance is
 /// parked at its quiescent point, returning the time it took.
 ///
-/// Event-driven instances wake every parked thread once per barrier pass
-/// (the threads park at their hooks on that step); full-scan instances run
-/// the legacy scan. Both converge to the same state on the same clock.
+/// Each barrier pass wakes every parked thread once, and the threads park
+/// at their hooks on that step. Driving the barrier with
+/// [`request_quiescence`] and [`run_round_full_scan`] instead is the
+/// reference: it converges to the same state on the same clock.
 ///
 /// # Errors
 ///
@@ -700,16 +675,9 @@ pub fn wait_quiescence(
         if round == max_rounds {
             break;
         }
-        match instance.sched.mode {
-            SchedulerMode::EventDriven => {
-                wake_all_threads(kernel, instance);
-                let budget = round_budget(instance);
-                Scheduler::run_until_idle(kernel, instance, budget)?;
-            }
-            SchedulerMode::FullScan => {
-                run_round_full_scan(kernel, instance)?;
-            }
-        }
+        wake_all_threads(kernel, instance);
+        let budget = round_budget(instance);
+        Scheduler::run_until_idle(kernel, instance, budget)?;
     }
     Err(Conflict::QuiescenceTimeout { running_threads: running_thread_count(kernel, instance) }.into())
 }
@@ -811,15 +779,15 @@ mod tests {
     fn full_scan_mode_still_serves_and_quiesces() {
         let mut kernel = Kernel::new();
         kernel.add_file("/etc/tiny.conf", b"workers=1\n".to_vec());
-        let opts = BootOptions { scheduler: SchedulerMode::FullScan, ..Default::default() };
-        let mut instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &opts).unwrap();
+        let mut instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &BootOptions::default()).unwrap();
         let conn = kernel.client_connect(8080).unwrap();
         kernel.client_send(conn, b"GET /".to_vec()).unwrap();
-        let stats = run_round(&mut kernel, &mut instance).unwrap();
+        let stats = run_round_full_scan(&mut kernel, &mut instance).unwrap();
         assert_eq!(stats.progressed, 1);
         assert_eq!(stats.woken, 0, "the scan path never consumes wakeups");
         assert!(kernel.client_recv(conn).is_some());
-        wait_quiescence(&mut kernel, &mut instance, 10).unwrap();
+        request_quiescence(&mut instance);
+        run_round_full_scan(&mut kernel, &mut instance).unwrap();
         assert!(all_quiesced(&kernel, &instance));
         resume(&mut kernel, &mut instance);
         assert!(!all_quiesced(&kernel, &instance));

@@ -65,7 +65,7 @@ use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 use crate::error::{McrError, McrResult};
 use crate::program::Program;
 use crate::runtime::scheduler::{
-    all_quiesced, boot, resume, run_rounds, wait_quiescence, BootOptions, McrInstance, SchedulerMode,
+    all_quiesced, boot, resume, run_rounds, wait_quiescence, BootOptions, McrInstance,
 };
 use crate::transfer::engine::partition_contiguous;
 
@@ -667,7 +667,6 @@ struct StateImage {
     program_version: String,
     config: InstrumentationConfig,
     layout_slide: u64,
-    scheduler: SchedulerMode,
     clock_ns: u64,
     next_conn: u64,
     files: Vec<(String, Vec<u8>)>,
@@ -684,11 +683,10 @@ impl StateImage {
         let level = level_from_u8(d.u8()?)?;
         let instrument_region_allocator = d.u8()? != 0;
         let layout_slide = d.u64()?;
-        let scheduler = match d.u8()? {
-            0 => SchedulerMode::EventDriven,
-            1 => SchedulerMode::FullScan,
-            _ => return Err(()),
-        };
+        // Reserved: the scheduling-core byte of format v3, always `0`.
+        if d.u8()? != 0 {
+            return Err(());
+        }
         let clock_ns = d.u64()?;
         let next_conn = d.u64()?;
         let n = d.u32()? as usize;
@@ -773,7 +771,6 @@ impl StateImage {
             program_version,
             config: InstrumentationConfig { level, instrument_region_allocator },
             layout_slide,
-            scheduler,
             clock_ns,
             next_conn,
             files,
@@ -841,10 +838,7 @@ fn encode_live_state(kernel: &Kernel, instance: &McrInstance, procs: &[(Pid, &Pr
     e.u8(level_to_u8(instance.state.config.level));
     e.u8(u8::from(instance.state.config.instrument_region_allocator));
     e.u64(procs[0].1.layout().static_base.0.wrapping_sub(0x0040_0000));
-    e.u8(match instance.sched.mode {
-        SchedulerMode::EventDriven => 0,
-        SchedulerMode::FullScan => 1,
-    });
+    e.u8(0); // reserved (see `StateImage::decode`)
     e.u64(kernel.now().0);
     e.u64(kernel.next_conn_id());
     e.seq(kernel.files(), |e, (path, contents)| {
@@ -1288,12 +1282,8 @@ fn restore_version<S: Store + ?Sized>(
             found: format!("{} {}", program.name(), program.version()),
         });
     }
-    let boot_opts = BootOptions {
-        config: image.config,
-        layout_slide: image.layout_slide,
-        start_quiesced: false,
-        scheduler: image.scheduler,
-    };
+    let boot_opts =
+        BootOptions { config: image.config, layout_slide: image.layout_slide, start_quiesced: false };
     let mut instance =
         boot(&mut kernel, program, &boot_opts).map_err(|e| RestoreError::Boot(e.to_string()))?;
 

@@ -204,6 +204,37 @@ fn format_version_skew_is_typed() {
 }
 
 #[test]
+fn reserved_state_byte_is_rejected_as_corrupt_and_restore_falls_back() {
+    let (mut kernel, mut instance) = booted();
+    let mut store = MemStore::new();
+    let opts = CheckpointOptions::default();
+    drive_traffic(&mut kernel, &mut instance, 2);
+    checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+    drive_traffic(&mut kernel, &mut instance, 2);
+    let summary = checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+    // The state section follows the header and the shard table; the reserved
+    // byte (once the scheduling core) follows the program identity, the
+    // instrumentation config and the layout slide.
+    let mut prefix = Enc::default();
+    prefix.str(&instance.state.program_name);
+    prefix.str(&instance.state.version);
+    prefix.u8(0);
+    prefix.u8(0);
+    prefix.u64(0);
+    let at = MAGIC.len() + 4 + 8 + 8 + 4 + 16 * summary.shards + 8 + prefix.buf.len();
+    let mut blob = store.read_blob(&manifest_blob(2)).unwrap();
+    assert_eq!(blob[at], 0, "the writer stores the reserved byte as 0");
+    blob[at] = 1;
+    reseal(&mut blob);
+    store.write_blob(&manifest_blob(2), &blob).unwrap();
+    store.sync().unwrap();
+    assert_eq!(read_manifest(&store, 2).err(), Some(RestoreError::Truncated { blob: manifest_blob(2) }));
+    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    assert_eq!(restored.report.version, 1);
+    assert_eq!(restored.report.versions_rejected, 1);
+}
+
+#[test]
 fn program_version_skew_is_typed() {
     let (mut kernel, mut instance) = booted();
     let mut store = MemStore::new();
@@ -460,7 +491,6 @@ mod reference {
             program_version: instance.state.version.clone(),
             config: instance.state.config,
             layout_slide,
-            scheduler: instance.sched.mode,
             clock_ns: kernel.now().0,
             next_conn: kernel.next_conn_id(),
             files: kernel.files().map(|(path, contents)| (path.to_string(), contents.to_vec())).collect(),
@@ -488,10 +518,7 @@ mod reference {
         e.u8(level_to_u8(image.config.level));
         e.u8(u8::from(image.config.instrument_region_allocator));
         e.u64(image.layout_slide);
-        e.u8(match image.scheduler {
-            SchedulerMode::EventDriven => 0,
-            SchedulerMode::FullScan => 1,
-        });
+        e.u8(0);
         e.u64(image.clock_ns);
         e.u64(image.next_conn);
         e.u32(image.files.len() as u32);
@@ -650,7 +677,6 @@ fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
     assert_eq!(image.program_name, instance.state.program_name);
     assert_eq!(image.program_version, instance.state.version);
     assert_eq!(image.config, instance.state.config);
-    assert_eq!(image.scheduler, instance.sched.mode);
     assert_eq!(image.clock_ns, kernel.now().0);
     assert_eq!(image.next_conn, kernel.next_conn_id());
     assert_eq!(image.layout_slide, procs[0].1.layout().static_base.0.wrapping_sub(0x0040_0000));

@@ -3,8 +3,8 @@
 
 use mcr_bench::{kernel_fingerprint, precopy_update};
 use mcr_core::runtime::{
-    boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, SchedulerMode,
-    UpdateOptions, UpdatePipeline,
+    boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, UpdateOptions,
+    UpdatePipeline,
 };
 use mcr_core::{Conflict, QuiescenceProfiler};
 use mcr_procsim::Kernel;
@@ -201,8 +201,8 @@ fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
 fn precopy_halves_downtime_on_the_read_mostly_scenario() {
     let scenario = precopy_scenarios()[0];
     assert_eq!(scenario.name, "read-mostly");
-    let (base_fp, base_outcome) = precopy_update(&scenario, 1, 0, 3, SchedulerMode::EventDriven);
-    let (pre_fp, pre_outcome) = precopy_update(&scenario, 1, 3, 3, SchedulerMode::EventDriven);
+    let (base_fp, base_outcome) = precopy_update(&scenario, 1, 0, 3);
+    let (pre_fp, pre_outcome) = precopy_update(&scenario, 1, 3, 3);
     assert!(base_outcome.is_committed(), "{:?}", base_outcome.conflicts());
     assert!(pre_outcome.is_committed(), "{:?}", pre_outcome.conflicts());
     let base = base_outcome.report();

@@ -8,14 +8,16 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use mcr_bench::kernel_fingerprint;
+use mcr_bench::{kernel_fingerprint, FleetServer, FLEET_PORT};
 use mcr_core::callstack::CallStackId;
 use mcr_core::runtime::{
-    boot, live_update, BootOptions, ChaosPlan, ChaosRng, FaultSite, PhaseName, PrecopyOptions, SchedulerMode,
+    all_quiesced, boot, live_update, request_quiescence, run_round, run_round_full_scan, wait_quiescence,
+    BootOptions, ChaosPlan, ChaosRng, FaultSite, McrInstance, PhaseName, PrecopyOptions, RoundStats,
     TransferMode, UpdateOptions, UpdatePipeline, UpdateReport,
 };
 use mcr_core::transfer::engine::list_schedule_makespan;
 use mcr_core::transfer::{apply_field_map, compute_field_map};
+use mcr_core::McrResult;
 use mcr_procsim::{
     Addr, AddressSpace, AllocSite, ConnId, DirtyRange, Fd, FdEntry, FdTable, Kernel, KernelObject, ObjId,
     ObjectTable, PendingTrap, PtMalloc, RegionKind, SimError, TypeTag, PAGE_SIZE, RESERVED_FD_BASE,
@@ -367,98 +369,130 @@ fn parallel_and_serial_rollbacks_report_identical_conflicts() {
     }
 }
 
-/// Boots `program` (always under the event-driven scheduler, so the
-/// pre-update state is identical), serves a workload, opens idle
-/// connections, then runs the gen-1 → gen-2 update with the *update-time*
-/// scheduler mode under test.
-fn update_with_sched_mode(
-    program: &str,
-    requests: u64,
-    open: usize,
-    mode: SchedulerMode,
-    new_generation: u32,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+/// Boots `program` and serves a workload plus `open` idle connections on
+/// the event-driven core: the state both copies of the scheduler
+/// equivalence test start from.
+fn served(program: &str, requests: u64, open: usize) -> (Kernel, McrInstance) {
     let mut kernel = Kernel::new();
     install_standard_files(&mut kernel);
     let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
     run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
     let port = workload_for(program, 1).port;
     open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-    // Flip the old instance's scheduling core only now, at update time: both
-    // runs enter the pipeline with byte-identical kernel and instance state.
-    v1.sched.mode = mode;
-    let opts = UpdateOptions { scheduler: mode, ..Default::default() };
-    let (_survivor, outcome) = live_update(
-        &mut kernel,
-        v1,
-        Box::new(program_by_name(program, new_generation)),
-        InstrumentationConfig::full(),
-        &opts,
-    );
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+    (kernel, v1)
 }
 
-/// The event-driven scheduler is a drop-in replacement for the legacy
-/// full-scan core: a committed live update driven by wake-queue barriers
-/// produces a kernel fingerprint and an `UpdateReport` identical to the
-/// full-scan path on the same seed — same phase trace, same timings on the
-/// virtual clock, same tracing statistics and per-process transfer reports.
-#[test]
-fn event_driven_and_full_scan_updates_are_identical() {
-    let programs = ["httpd", "nginx", "vsftpd", "sshd"];
-    for seed in 0..4u64 {
-        let mut rng = ChaosRng::new(seed + 0xfeed);
-        let program = programs[seed as usize % programs.len()];
-        let requests = rng.range(1, 4);
-        let open = rng.range(0, 5) as usize;
+/// One scheduling round: [`run_round`] or the reference [`run_round_full_scan`].
+type Round = fn(&mut Kernel, &mut McrInstance) -> McrResult<RoundStats>;
 
-        let (event_fp, event_conflicts, event) =
-            update_with_sched_mode(program, requests, open, SchedulerMode::EventDriven, 2);
-        let (scan_fp, scan_conflicts, scan) =
-            update_with_sched_mode(program, requests, open, SchedulerMode::FullScan, 2);
-
-        assert!(event_conflicts.is_empty(), "seed {seed} ({program}): {event_conflicts:?}");
-        assert!(scan_conflicts.is_empty(), "seed {seed} ({program}): {scan_conflicts:?}");
-        assert_eq!(event_fp, scan_fp, "seed {seed} ({program}): post-commit kernel state diverged");
-        assert_eq!(
-            event.phases.records(),
-            scan.phases.records(),
-            "seed {seed} ({program}): phase traces diverged"
-        );
-        assert_eq!(event.timings.quiescence, scan.timings.quiescence);
-        assert_eq!(event.timings.control_migration, scan.timings.control_migration);
-        assert_eq!(event.timings.state_transfer, scan.timings.state_transfer);
-        assert_eq!(event.timings.total, scan.timings.total);
-        assert_eq!(event.tracing, scan.tracing, "seed {seed} ({program}): tracing stats diverged");
-        assert_eq!(
-            event.transfer.per_process, scan.transfer.per_process,
-            "seed {seed} ({program}): per-process transfer reports diverged"
-        );
-        assert_eq!(event.replay, scan.replay, "seed {seed} ({program}): replay stats diverged");
-        assert_eq!(event.open_connections, scan.open_connections);
-        assert_eq!(
-            event.processes_matched + event.processes_recreated,
-            scan.processes_matched + scan.processes_recreated
-        );
+/// Serves a 64-session [`FleetServer`] with seeded pings, every round (the
+/// setup's included) through `round`. Returns the replies in send order, the
+/// events handled and the kernel fingerprint.
+fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
+    let mut kernel = Kernel::new();
+    let mut fleet = boot(&mut kernel, Box::new(FleetServer::new(64)), &BootOptions::default()).unwrap();
+    let conns: Vec<ConnId> = (0..64).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
+    for _ in 0..2 {
+        round(&mut kernel, &mut fleet).unwrap();
     }
+    let mut rng = ChaosRng::new(0xf1ee7);
+    let mut replies = Vec::new();
+    for _ in 0..8 {
+        // Four distinct sessions: the scan steps each reader once per round,
+        // so a second ping on one session would wait for the next round.
+        let mut pinged: Vec<ConnId> = Vec::new();
+        while pinged.len() < 4 {
+            let conn = conns[rng.range(0, 64) as usize];
+            if !pinged.contains(&conn) {
+                pinged.push(conn);
+            }
+        }
+        for &conn in &pinged {
+            kernel.client_send(conn, b"ping".to_vec()).unwrap();
+        }
+        round(&mut kernel, &mut fleet).unwrap();
+        replies.extend(pinged.iter().map(|&conn| kernel.client_recv(conn)));
+    }
+    (replies, fleet.state.counters.events_handled, kernel_fingerprint(&kernel))
 }
 
-/// Rollbacks are identical across scheduler cores too: the same conflicting
-/// update aborts with the same conflict list, the same per-process conflict
-/// attribution, and byte-identical post-rollback kernel state.
+/// The event-driven scheduler agrees with the O(threads) reference scan,
+/// [`run_round_full_scan`]:
+///
+/// * **barrier** — a served instance quiesced by [`wait_quiescence`] and its
+///   copy quiesced by [`request_quiescence`] plus scan rounds reach the same
+///   kernel state on the same clock, and the default update that follows
+///   (four seeded commits, plus the vsftpd 1 → 3 rollback) is identical:
+///   fingerprint, phase trace, timings, tracing statistics, per-process
+///   transfer reports, replay statistics and conflicts;
+/// * **serve** — a fleet driven only by [`run_round`] and its copy driven only
+///   by the scan, setup included, answer the same pings with the same bytes,
+///   handle the same events and end in the same kernel state.
 #[test]
-fn event_driven_and_full_scan_rollbacks_are_identical() {
+fn event_driven_core_matches_the_full_scan_reference() {
+    let programs = ["httpd", "nginx", "vsftpd", "sshd"];
+    let cases = (0..4u64).map(|seed| {
+        let mut rng = ChaosRng::new(seed + 0xfeed);
+        (
+            format!("seed {seed}"),
+            programs[seed as usize % programs.len()],
+            rng.range(1, 4),
+            rng.range(0, 5),
+            2,
+        )
+    });
     // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
     // references, which aborts the update during state transfer.
-    let (event_fp, event_conflicts, event) =
-        update_with_sched_mode("vsftpd", 6, 0, SchedulerMode::EventDriven, 3);
-    let (scan_fp, scan_conflicts, scan) = update_with_sched_mode("vsftpd", 6, 0, SchedulerMode::FullScan, 3);
+    let rollback = ("rollback".to_string(), "vsftpd", 6, 0, 3);
+    for (label, program, requests, open, generation) in cases.chain([rollback]) {
+        let ctx = format!("{label} ({program} 1 -> {generation})");
+        let (mut event_kernel, mut event) = served(program, requests, open as usize);
+        let (mut scan_kernel, mut scan) = served(program, requests, open as usize);
+        wait_quiescence(&mut event_kernel, &mut event, 1_000).unwrap();
+        request_quiescence(&mut scan);
+        for _ in 0..1_000 {
+            if all_quiesced(&scan_kernel, &scan) {
+                break;
+            }
+            run_round_full_scan(&mut scan_kernel, &mut scan).unwrap();
+        }
+        assert!(all_quiesced(&scan_kernel, &scan), "{ctx}: the scan barrier did not converge");
+        assert_eq!(event_kernel.now(), scan_kernel.now(), "{ctx}: barrier clocks diverged");
+        assert_eq!(
+            kernel_fingerprint(&event_kernel),
+            kernel_fingerprint(&scan_kernel),
+            "{ctx}: quiesced kernel state diverged"
+        );
 
-    assert!(!event_conflicts.is_empty(), "the scenario must produce conflicts");
-    assert_eq!(event_conflicts, scan_conflicts, "conflict lists diverged");
-    assert_eq!(event.transfer.per_process, scan.transfer.per_process, "per-process reports diverged");
-    assert_eq!(event.phases.records(), scan.phases.records(), "phase traces diverged");
-    assert_eq!(event_fp, scan_fp, "post-rollback kernel state diverged");
+        let update = |kernel: &mut Kernel, old: McrInstance| {
+            let new = Box::new(program_by_name(program, generation));
+            let opts = UpdateOptions::default();
+            let (_survivor, outcome) = live_update(kernel, old, new, InstrumentationConfig::full(), &opts);
+            (outcome.conflicts().to_vec(), outcome.report().clone())
+        };
+        let (event_conflicts, event) = update(&mut event_kernel, event);
+        let (scan_conflicts, scan) = update(&mut scan_kernel, scan);
+        assert_eq!(event_conflicts.is_empty(), generation == 2, "{ctx}: {event_conflicts:?}");
+        assert_eq!(event_conflicts, scan_conflicts, "{ctx}: conflict lists diverged");
+        assert_eq!(
+            kernel_fingerprint(&event_kernel),
+            kernel_fingerprint(&scan_kernel),
+            "{ctx}: post-update kernel state diverged"
+        );
+        assert_eq!(event.phases.records(), scan.phases.records(), "{ctx}: phase traces diverged");
+        assert_eq!(event.timings, scan.timings, "{ctx}: timings diverged");
+        assert_eq!(event.tracing, scan.tracing, "{ctx}: tracing stats diverged");
+        assert_eq!(event.transfer.per_process, scan.transfer.per_process, "{ctx}: per-process reports");
+        assert_eq!(event.replay, scan.replay, "{ctx}: replay stats diverged");
+    }
+
+    let (event_replies, event_events, event_fp) = serve_fleet(run_round);
+    let (scan_replies, scan_events, scan_fp) = serve_fleet(run_round_full_scan);
+    assert!(event_replies.iter().all(Option::is_some), "every ping was answered");
+    assert_eq!(event_replies, scan_replies, "the cores answered differently");
+    assert_eq!(event_events, 32, "one event per ping");
+    assert_eq!(event_events, scan_events, "the cores handled different events");
+    assert_eq!(event_fp, scan_fp, "served fleet state diverged");
 }
 
 /// Boots `program`, serves traffic, then updates either stop-the-world
@@ -476,23 +510,13 @@ fn precopied_or_stw_update(
     rounds: usize,
     writes_per_round: usize,
     precopy: bool,
-    mode: SchedulerMode,
     fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
-    run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
-    let port = workload_for(program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-    // Flip the scheduling core only now: every configuration enters the
-    // pipeline with byte-identical kernel and instance state.
-    v1.sched.mode = mode;
+    let (mut kernel, v1) = served(program, requests, open);
     let mut rng = ChaosRng::new(seed ^ 0x9d0f_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
-        scheduler: mode,
         precopy: if precopy {
             PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 }
         } else {
@@ -528,84 +552,75 @@ fn precopied_or_stw_update(
 /// update: with a seeded mutator dirtying connection records between the
 /// concurrent rounds, the committed kernel fingerprint, tracing statistics,
 /// per-process transfer reports and conflict sets match the baseline that
-/// applied the same writes up front — on both scheduler cores. Only the
-/// downtime split may (and must) differ.
+/// applied the same writes up front. Only the downtime split may (and must)
+/// differ. The second group of cases is the matrix the slab-indexed kernel
+/// substrate was checked against: identical fingerprints there prove the
+/// slab rework changed no observable order.
 #[test]
 fn precopy_and_stop_the_world_updates_are_identical() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
-    for seed in 0..4u64 {
-        let mut rng = ChaosRng::new(seed + 0xacce55);
+    let cases = (0..4u64)
+        .map(|seed| {
+            let mut rng = ChaosRng::new(seed + 0xacce55);
+            (seed, rng.range(2, 5), rng.range(0, 4), rng.range(2, 5), rng.range(1, 3))
+        })
+        .chain((0..6u64).map(|seed| {
+            let mut rng = ChaosRng::new(seed + 0x51ab);
+            (seed, rng.range(1, 4), rng.range(0, 4), rng.range(2, 4), rng.range(1, 3))
+        }));
+    for (case, (seed, requests, open, rounds, writes)) in cases.enumerate() {
         let program = programs[seed as usize % programs.len()];
-        let requests = rng.range(2, 5);
-        let open = rng.range(0, 4) as usize;
-        let rounds = rng.range(2, 5) as usize;
-        let writes = rng.range(1, 3) as usize;
-        let mut fingerprints = Vec::new();
-        for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-            let (stw_fp, stw_conflicts, stw) =
-                precopied_or_stw_update(program, requests, open, rounds, writes, false, mode, None, seed);
-            let (pre_fp, pre_conflicts, pre) =
-                precopied_or_stw_update(program, requests, open, rounds, writes, true, mode, None, seed);
-            assert!(stw_conflicts.is_empty(), "seed {seed} ({program}): {stw_conflicts:?}");
-            assert!(pre_conflicts.is_empty(), "seed {seed} ({program}): {pre_conflicts:?}");
-            assert_eq!(stw_fp, pre_fp, "seed {seed} ({program}, {mode:?}): kernel state diverged");
-            assert_eq!(
-                stw.transfer.per_process, pre.transfer.per_process,
-                "seed {seed} ({program}, {mode:?}): per-process transfer reports diverged"
-            );
-            assert_eq!(stw.tracing, pre.tracing, "seed {seed} ({program}, {mode:?}): tracing diverged");
-            assert_eq!(stw.transfer.serial_duration, pre.transfer.serial_duration);
-            assert_eq!(stw.open_connections, pre.open_connections);
-            assert_eq!(
-                stw.processes_matched + stw.processes_recreated,
-                pre.processes_matched + pre.processes_recreated
-            );
-            // The pre-copy run really ran concurrent rounds and the window
-            // only paid for the residual.
-            assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty(), "seed {seed}: no rounds ran");
-            assert!(!stw.precopy.enabled);
-            assert!(
-                pre.precopy.residual.objects <= stw.precopy.residual.objects,
-                "seed {seed} ({program}): pre-copy did not shrink the residual"
-            );
-            assert!(
-                pre.timings.downtime <= stw.timings.downtime,
-                "seed {seed} ({program}): pre-copy increased downtime"
-            );
-            assert!(pre.timings.precopy.0 > 0 && stw.timings.precopy.0 == 0);
-            fingerprints.push(pre_fp);
-        }
-        // ... and the pre-copied update is deterministic across cores.
-        assert_eq!(fingerprints[0], fingerprints[1], "seed {seed} ({program}): cores diverged");
+        let ctx = format!("case {case}, seed {seed} ({program})");
+        let (open, rounds, writes) = (open as usize, rounds as usize, writes as usize);
+        let (stw_fp, stw_conflicts, stw) =
+            precopied_or_stw_update(program, requests, open, rounds, writes, false, None, seed);
+        let (pre_fp, pre_conflicts, pre) =
+            precopied_or_stw_update(program, requests, open, rounds, writes, true, None, seed);
+        assert!(stw_conflicts.is_empty(), "{ctx}: {stw_conflicts:?}");
+        assert!(pre_conflicts.is_empty(), "{ctx}: {pre_conflicts:?}");
+        assert_eq!(stw_fp, pre_fp, "{ctx}: kernel state diverged");
+        assert_eq!(
+            stw.transfer.per_process, pre.transfer.per_process,
+            "{ctx}: per-process transfer reports diverged"
+        );
+        assert_eq!(stw.tracing, pre.tracing, "{ctx}: tracing diverged");
+        assert_eq!(stw.transfer.serial_duration, pre.transfer.serial_duration, "{ctx}");
+        assert_eq!(stw.open_connections, pre.open_connections, "{ctx}");
+        assert_eq!(
+            stw.processes_matched + stw.processes_recreated,
+            pre.processes_matched + pre.processes_recreated,
+            "{ctx}: pair counts diverged"
+        );
+        // The pre-copy run really ran concurrent rounds and the window only
+        // paid for the residual.
+        assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty(), "{ctx}: no rounds ran");
+        assert!(!stw.precopy.enabled);
+        assert!(
+            pre.precopy.residual.objects <= stw.precopy.residual.objects,
+            "{ctx}: pre-copy did not shrink the residual"
+        );
+        assert!(pre.timings.downtime <= stw.timings.downtime, "{ctx}: pre-copy increased downtime");
+        assert!(pre.timings.precopy.0 > 0 && stw.timings.precopy.0 == 0, "{ctx}");
     }
 }
 
 /// Rollbacks too: a fault injected right before commit aborts a pre-copied
 /// update exactly like it aborts a stop-the-world one — same conflicts,
-/// same per-process reports, byte-identical post-rollback kernel state —
-/// on both scheduler cores.
+/// same per-process reports, byte-identical post-rollback kernel state.
 #[test]
 fn precopy_and_stop_the_world_rollbacks_are_identical() {
-    for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-        let fault = || Some(FaultSite::Boundary(PhaseName::Commit).plan());
-        let (stw_fp, stw_conflicts, stw) =
-            precopied_or_stw_update("nginx", 3, 2, 3, 2, false, mode, fault(), 0x0ff);
-        let (pre_fp, pre_conflicts, pre) =
-            precopied_or_stw_update("nginx", 3, 2, 3, 2, true, mode, fault(), 0x0ff);
-        assert!(
-            stw_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
-            "{mode:?}: baseline did not abort"
-        );
-        assert_eq!(stw_conflicts, pre_conflicts, "{mode:?}: conflict lists diverged");
-        assert_eq!(stw_fp, pre_fp, "{mode:?}: post-rollback kernel state diverged");
-        assert_eq!(
-            stw.transfer.per_process, pre.transfer.per_process,
-            "{mode:?}: per-process reports diverged"
-        );
-        // The pre-copied attempt aborted after its concurrent rounds ran.
-        assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty());
-        let _ = stw;
-    }
+    let fault = || Some(FaultSite::Boundary(PhaseName::Commit).plan());
+    let (stw_fp, stw_conflicts, stw) = precopied_or_stw_update("nginx", 3, 2, 3, 2, false, fault(), 0x0ff);
+    let (pre_fp, pre_conflicts, pre) = precopied_or_stw_update("nginx", 3, 2, 3, 2, true, fault(), 0x0ff);
+    assert!(
+        stw_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
+        "baseline did not abort"
+    );
+    assert_eq!(stw_conflicts, pre_conflicts, "conflict lists diverged");
+    assert_eq!(stw_fp, pre_fp, "post-rollback kernel state diverged");
+    assert_eq!(stw.transfer.per_process, pre.transfer.per_process, "per-process reports diverged");
+    // The pre-copied attempt aborted after its concurrent rounds ran.
+    assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty());
 }
 
 /// Boots the single-process cache archetype, bulk-fills its heap, then
@@ -621,7 +636,6 @@ fn sharded_cache_update(
     shards: usize,
     rounds: usize,
     precopy: bool,
-    mode: SchedulerMode,
     fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
@@ -632,13 +646,9 @@ fn sharded_cache_update(
     let _ = mcr_core::runtime::run_rounds(&mut kernel, &mut v1, 2).unwrap();
     assert!(kernel.client_recv(conn).is_some(), "cache answered the fill");
     kernel.client_close(conn).unwrap();
-    // Flip the scheduling core only now: every configuration enters the
-    // pipeline with byte-identical kernel and instance state.
-    v1.sched.mode = mode;
     let mut rng = ChaosRng::new(seed ^ 0x517a_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
-        scheduler: mode,
         intra_pair_shards: shards,
         precopy: if precopy {
             PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 }
@@ -669,52 +679,44 @@ fn sharded_cache_update(
 /// The intra-pair sharded engine is deterministic end to end: on the
 /// single-process big-heap archetype, committed updates are byte-identical —
 /// kernel fingerprint, per-process transfer reports, conflicts and Table 2
-/// tracing stats — across `intra_pair_shards ∈ {1, 2, 7}`, on both scheduler
-/// cores, with pre-copy off and on (the seeded xorshift mutator dirtying
-/// entries between rounds). Only the charged makespan may shrink.
+/// tracing stats — across `intra_pair_shards ∈ {1, 2, 7}`, with pre-copy off
+/// and on (the seeded xorshift mutator dirtying entries between rounds).
+/// Only the charged makespan may shrink.
 #[test]
 fn intra_pair_sharded_commits_are_byte_identical() {
     let mut fingerprints = Vec::new();
-    for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-        for precopy in [false, true] {
-            let (base_fp, base_conflicts, base) =
-                sharded_cache_update(300, 1, 3, precopy, mode, None, 0xCAC4E);
-            assert!(base_conflicts.is_empty(), "{mode:?}/{precopy}: {base_conflicts:?}");
-            assert!(base.transfer.objects_transferred() >= 600, "entries and values moved");
-            for shards in [2usize, 7] {
-                let (fp, conflicts, report) =
-                    sharded_cache_update(300, shards, 3, precopy, mode, None, 0xCAC4E);
-                assert!(conflicts.is_empty(), "{mode:?}/{precopy}/{shards}: {conflicts:?}");
-                assert_eq!(base_fp, fp, "{mode:?}/{precopy}/{shards} shards: kernel state diverged");
-                assert_eq!(
-                    base.tracing, report.tracing,
-                    "{mode:?}/{precopy}/{shards} shards: tracing stats diverged"
-                );
-                assert_eq!(
-                    base.transfer.per_process, report.transfer.per_process,
-                    "{mode:?}/{precopy}/{shards} shards: per-process transfer reports diverged"
-                );
-                assert_eq!(base.transfer.serial_duration, report.transfer.serial_duration);
-                assert_eq!(
-                    base.processes_matched + base.processes_recreated,
-                    report.processes_matched + report.processes_recreated
-                );
-                // The whole point: the charged trace+transfer makespan
-                // strictly improves on the single pair.
-                assert!(
-                    report.timings.state_transfer < base.timings.state_transfer,
-                    "{mode:?}/{precopy}/{shards} shards: no makespan speedup \
-                     ({:?} vs {:?})",
-                    report.timings.state_transfer,
-                    base.timings.state_transfer
-                );
-            }
-            fingerprints.push(base_fp);
+    for precopy in [false, true] {
+        let (base_fp, base_conflicts, base) = sharded_cache_update(300, 1, 3, precopy, None, 0xCAC4E);
+        assert!(base_conflicts.is_empty(), "{precopy}: {base_conflicts:?}");
+        assert!(base.transfer.objects_transferred() >= 600, "entries and values moved");
+        for shards in [2usize, 7] {
+            let (fp, conflicts, report) = sharded_cache_update(300, shards, 3, precopy, None, 0xCAC4E);
+            assert!(conflicts.is_empty(), "{precopy}/{shards}: {conflicts:?}");
+            assert_eq!(base_fp, fp, "{precopy}/{shards} shards: kernel state diverged");
+            assert_eq!(base.tracing, report.tracing, "{precopy}/{shards} shards: tracing stats diverged");
+            assert_eq!(
+                base.transfer.per_process, report.transfer.per_process,
+                "{precopy}/{shards} shards: per-process transfer reports diverged"
+            );
+            assert_eq!(base.transfer.serial_duration, report.transfer.serial_duration);
+            assert_eq!(
+                base.processes_matched + base.processes_recreated,
+                report.processes_matched + report.processes_recreated
+            );
+            // The whole point: the charged trace+transfer makespan strictly
+            // improves on the single pair.
+            assert!(
+                report.timings.state_transfer < base.timings.state_transfer,
+                "{precopy}/{shards} shards: no makespan speedup ({:?} vs {:?})",
+                report.timings.state_transfer,
+                base.timings.state_transfer
+            );
         }
+        fingerprints.push(base_fp);
     }
-    // ... and the committed state is also identical across scheduler cores
-    // and pre-copy on/off (same seed → same final memory image).
-    assert!(fingerprints.windows(2).all(|w| w[0] == w[1]), "cores / pre-copy diverged: {fingerprints:x?}");
+    // ... and the committed state is also identical with pre-copy on and off
+    // (same seed → same final memory image).
+    assert_eq!(fingerprints[0], fingerprints[1], "pre-copy diverged");
 }
 
 /// Rollbacks too: a mid-phase fault at the n-th transferred object aborts
@@ -729,15 +731,13 @@ fn intra_pair_sharded_rollbacks_are_byte_identical() {
         // n-th-object counter deterministic, so the fault lands on the same
         // object for every shard count.
         let fault = || Some(FaultSite::TransferObject(25).plan());
-        let (base_fp, base_conflicts, base) =
-            sharded_cache_update(200, 1, 2, precopy, SchedulerMode::EventDriven, fault(), 0xB0B0);
+        let (base_fp, base_conflicts, base) = sharded_cache_update(200, 1, 2, precopy, fault(), 0xB0B0);
         assert!(
             base_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
             "precopy={precopy}: the armed fault did not fire: {base_conflicts:?}"
         );
         for shards in [2usize, 7] {
-            let (fp, conflicts, report) =
-                sharded_cache_update(200, shards, 2, precopy, SchedulerMode::EventDriven, fault(), 0xB0B0);
+            let (fp, conflicts, report) = sharded_cache_update(200, shards, 2, precopy, fault(), 0xB0B0);
             assert_eq!(base_conflicts, conflicts, "precopy={precopy}/{shards}: conflict lists diverged");
             assert_eq!(base_fp, fp, "precopy={precopy}/{shards}: post-rollback kernel state diverged");
             assert_eq!(
@@ -771,7 +771,6 @@ fn cache_request(kernel: &mut Kernel, instance: &mut mcr_core::runtime::McrInsta
 /// clean holders of pointers into ranges that changed.
 fn cache_update_under_traffic(
     mode: TransferMode,
-    sched: SchedulerMode,
     shards: usize,
     workers: usize,
     seed: u64,
@@ -779,7 +778,6 @@ fn cache_update_under_traffic(
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     cache_request(&mut kernel, &mut v1, "fill 1600 96");
-    v1.sched.mode = sched;
     let mut rng = ChaosRng::new(seed ^ 0x7eaf_f1c0);
     let batches: Vec<Vec<&str>> = (0..3)
         .map(|_| {
@@ -792,7 +790,6 @@ fn cache_update_under_traffic(
         })
         .collect();
     let opts = UpdateOptions {
-        scheduler: sched,
         mode,
         intra_pair_shards: shards,
         transfer_workers: workers,
@@ -813,31 +810,26 @@ fn cache_update_under_traffic(
 /// A pre-copied update whose completing pass writes only what changed is
 /// still one deterministic update: with get/set/evict traffic between the
 /// rounds, `Precopy` and `Adaptive` each commit with the same kernel
-/// fingerprint, reports and (no) conflicts on both scheduler cores, with 1
-/// and 4 intra-pair shards and 1 and 2 transfer workers — and perform one
+/// fingerprint, reports and (no) conflicts with 1 and 4 intra-pair shards
+/// and 1 and 2 transfer workers — and perform one
 /// write per object plus a few per object the traffic touched, not two per
 /// object.
 #[test]
 fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_once() {
     for mode in [TransferMode::Precopy, TransferMode::Adaptive] {
         for seed in [11u64, 12] {
-            let (base_fp, base_conflicts, base) =
-                cache_update_under_traffic(mode, SchedulerMode::EventDriven, 1, 1, seed);
+            let (base_fp, base_conflicts, base) = cache_update_under_traffic(mode, 1, 1, seed);
             assert!(base_conflicts.is_empty(), "{mode:?}/{seed}: {base_conflicts:?}");
-            let label = |sched, shards, workers| format!("{mode:?}/seed {seed}/{sched:?}/{shards}/{workers}");
-            for sched in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-                for (shards, workers) in [(1usize, 2usize), (4, 1), (4, 2)] {
-                    let (fp, conflicts, report) =
-                        cache_update_under_traffic(mode, sched, shards, workers, seed);
-                    let label = label(sched, shards, workers);
-                    assert!(conflicts.is_empty(), "{label}: {conflicts:?}");
-                    assert_eq!(base_fp, fp, "{label}: kernel state diverged");
-                    assert_eq!(base.tracing, report.tracing, "{label}: tracing stats diverged");
-                    assert_eq!(base.transfer.per_process, report.transfer.per_process, "{label}");
-                    assert_eq!(base.precopy.residual.objects, report.precopy.residual.objects, "{label}");
-                    assert_eq!(base.precopy.residual.bytes, report.precopy.residual.bytes, "{label}");
-                    assert_eq!(base.object_writes, report.object_writes, "{label}: writes diverged");
-                }
+            for (shards, workers) in [(1usize, 2usize), (4, 1), (4, 2)] {
+                let (fp, conflicts, report) = cache_update_under_traffic(mode, shards, workers, seed);
+                let label = format!("{mode:?}/seed {seed}/{shards}/{workers}");
+                assert!(conflicts.is_empty(), "{label}: {conflicts:?}");
+                assert_eq!(base_fp, fp, "{label}: kernel state diverged");
+                assert_eq!(base.tracing, report.tracing, "{label}: tracing stats diverged");
+                assert_eq!(base.transfer.per_process, report.transfer.per_process, "{label}");
+                assert_eq!(base.precopy.residual.objects, report.precopy.residual.objects, "{label}");
+                assert_eq!(base.precopy.residual.bytes, report.precopy.residual.bytes, "{label}");
+                assert_eq!(base.object_writes, report.object_writes, "{label}: writes diverged");
             }
             // Work bound, as counts: N objects copied once, then the d the
             // traffic dirtied (re-copied by a later round or the window) and
@@ -854,82 +846,6 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
                 base.object_writes
             );
         }
-    }
-}
-
-/// The slab-indexed kernel substrate preserves the ordered-map determinism
-/// contract end to end: for every seed the committed update is
-/// byte-identical — kernel fingerprint, tracing statistics, per-process
-/// transfer reports, conflicts — across both scheduler cores and pre-copy
-/// on/off, with the seeded xorshift mutator dirtying connection records
-/// between the concurrent rounds. The pre-slab substrate satisfied exactly
-/// this matrix; identical fingerprints in every cell are the proof that the
-/// slab rework changed no observable order.
-#[test]
-fn slab_substrate_updates_are_identical_across_every_configuration() {
-    let programs = ["httpd", "nginx", "vsftpd", "sshd"];
-    for seed in 0..6u64 {
-        let mut rng = ChaosRng::new(seed + 0x51ab);
-        let program = programs[seed as usize % programs.len()];
-        let requests = rng.range(1, 4);
-        let open = rng.range(0, 4) as usize;
-        let rounds = rng.range(2, 4) as usize;
-        let writes = rng.range(1, 3) as usize;
-
-        let mut runs = Vec::new();
-        for mode in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-            for precopy in [false, true] {
-                let (fp, conflicts, report) = precopied_or_stw_update(
-                    program, requests, open, rounds, writes, precopy, mode, None, seed,
-                );
-                assert!(
-                    conflicts.is_empty(),
-                    "seed {seed} ({program}, {mode:?}, precopy={precopy}): {conflicts:?}"
-                );
-                runs.push((mode, precopy, fp, report));
-            }
-        }
-        let (_, _, base_fp, base) = &runs[0];
-        for (mode, precopy, fp, report) in &runs {
-            let ctx = format!("seed {seed} ({program}, {mode:?}, precopy={precopy})");
-            assert_eq!(fp, base_fp, "{ctx}: post-commit kernel state diverged");
-            assert_eq!(report.tracing, base.tracing, "{ctx}: tracing stats diverged");
-            assert_eq!(
-                report.transfer.per_process, base.transfer.per_process,
-                "{ctx}: per-process transfer reports diverged"
-            );
-            assert_eq!(report.transfer.serial_duration, base.transfer.serial_duration, "{ctx}");
-            assert_eq!(report.open_connections, base.open_connections, "{ctx}");
-            assert_eq!(
-                report.processes_matched + report.processes_recreated,
-                base.processes_matched + base.processes_recreated,
-                "{ctx}: pair counts diverged"
-            );
-        }
-        // Phase traces legitimately differ between pre-copy on and off (the
-        // concurrent rounds add phases) but never across scheduler cores
-        // within the same setting: runs are ordered (ED,stw), (ED,pre),
-        // (FS,stw), (FS,pre). The only per-core latitude is the Precopy
-        // phase's duration — its serve rounds step the old instance under
-        // the core being tested, and the full scan burns more virtual time
-        // per round by construction.
-        assert_eq!(
-            runs[0].3.phases.records(),
-            runs[2].3.phases.records(),
-            "seed {seed} ({program}): stop-the-world phase traces diverged across cores"
-        );
-        for (ed, fs) in runs[1].3.phases.records().iter().zip(runs[3].3.phases.records()) {
-            assert_eq!(ed.name, fs.name, "seed {seed} ({program}): pre-copy phase order diverged");
-            assert_eq!(ed.completed, fs.completed, "seed {seed} ({program}): {:?} completion", ed.name);
-            if ed.name != PhaseName::Precopy {
-                assert_eq!(
-                    ed.duration, fs.duration,
-                    "seed {seed} ({program}): {:?} duration diverged across cores",
-                    ed.name
-                );
-            }
-        }
-        assert_eq!(runs[1].3.phases.records().len(), runs[3].3.phases.records().len());
     }
 }
 
@@ -1393,8 +1309,7 @@ const POST_STAMP_ROUNDS: usize = 3;
 /// Boots `program`, serves traffic, applies three seeded write batches to
 /// the connection records *before* the update (so every transfer mode sees
 /// the same final old-version memory image), then updates gen-1 → gen-2
-/// under the given transfer `mode`, scheduler core and intra-pair shard
-/// count. A post-resume write workload — [`POST_STAMP_ROUNDS`] seeded
+/// under the given transfer `mode` and intra-pair shard count. A post-resume write workload — [`POST_STAMP_ROUNDS`] seeded
 /// write-only scratch stamps — is injected through the post-copy drain hook
 /// when the mode defers work, and applied to the survivor after the
 /// pipeline otherwise: the targets are precomputed from the statics table
@@ -1408,27 +1323,17 @@ fn postcopy_or_stw_update(
     open: usize,
     writes: usize,
     mode: TransferMode,
-    sched: SchedulerMode,
     shards: usize,
     fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
-    run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
-    let port = workload_for(program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-    // Flip the scheduling core only now: every configuration enters the
-    // pipeline with byte-identical kernel and instance state.
-    v1.sched.mode = sched;
+    let (mut kernel, v1) = served(program, requests, open);
     let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
     for _ in 0..3 {
         dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
     }
     let post_stamps: Vec<u32> = (0..POST_STAMP_ROUNDS).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
-        scheduler: sched,
         mode,
         intra_pair_shards: shards,
         precopy: PrecopyOptions::disabled(),
@@ -1469,9 +1374,9 @@ fn postcopy_or_stw_update(
 /// seeded pre-update writes and the same post-resume scratch stamps, the
 /// forced post-copy and adaptive modes converge to the stop-the-world
 /// kernel fingerprint, tracing statistics and per-process transfer reports
-/// across both scheduler cores and intra-pair shard counts ∈ {1, 2}. The
-/// forced post-copy run must actually defer work and retire every deferred
-/// object before declaring the update done.
+/// across intra-pair shard counts ∈ {1, 2}. The forced post-copy run must
+/// actually defer work and retire every deferred object before declaring the
+/// update done.
 #[test]
 fn postcopy_commits_are_byte_identical_to_stop_the_world() {
     let programs = ["vsftpd", "nginx", "httpd"];
@@ -1482,52 +1387,44 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
         let open = rng.range(1, 4) as usize;
         let writes = rng.range(1, 3) as usize;
         let mut fingerprints = Vec::new();
-        for sched in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-            for shards in [1usize, 2] {
-                let ctx =
-                    |label: &str| format!("seed {seed} ({program}, {sched:?}, {shards} shards, {label})");
-                let (stw_fp, stw_conflicts, stw) = postcopy_or_stw_update(
-                    program,
-                    requests,
-                    open,
-                    writes,
-                    TransferMode::StopTheWorld,
-                    sched,
-                    shards,
-                    None,
-                    seed,
+        for shards in [1usize, 2] {
+            let ctx = |label: &str| format!("seed {seed} ({program}, {shards} shards, {label})");
+            let (stw_fp, stw_conflicts, stw) = postcopy_or_stw_update(
+                program,
+                requests,
+                open,
+                writes,
+                TransferMode::StopTheWorld,
+                shards,
+                None,
+                seed,
+            );
+            assert!(stw_conflicts.is_empty(), "{}: {stw_conflicts:?}", ctx("stop-the-world"));
+            for mode in [TransferMode::Postcopy, TransferMode::Adaptive] {
+                let (fp, conflicts, report) =
+                    postcopy_or_stw_update(program, requests, open, writes, mode, shards, None, seed);
+                let ctx = ctx(&format!("{mode:?}"));
+                assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
+                assert_eq!(fp, stw_fp, "{ctx}: post-commit kernel state diverged");
+                assert_eq!(report.tracing, stw.tracing, "{ctx}: tracing stats diverged");
+                assert_eq!(
+                    report.transfer.per_process, stw.transfer.per_process,
+                    "{ctx}: per-process transfer reports diverged"
                 );
-                assert!(stw_conflicts.is_empty(), "{}: {stw_conflicts:?}", ctx("stop-the-world"));
-                for mode in [TransferMode::Postcopy, TransferMode::Adaptive] {
-                    let (fp, conflicts, report) = postcopy_or_stw_update(
-                        program, requests, open, writes, mode, sched, shards, None, seed,
-                    );
-                    let ctx = ctx(&format!("{mode:?}"));
-                    assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
-                    assert_eq!(fp, stw_fp, "{ctx}: post-commit kernel state diverged");
-                    assert_eq!(report.tracing, stw.tracing, "{ctx}: tracing stats diverged");
+                if mode == TransferMode::Postcopy {
+                    // The forced run really took the deferred path and fully
+                    // drained it.
+                    assert!(report.postcopy.deferred_pairs >= 1, "{ctx}: nothing deferred");
                     assert_eq!(
-                        report.transfer.per_process, stw.transfer.per_process,
-                        "{ctx}: per-process transfer reports diverged"
+                        report.postcopy.trap_objects + report.postcopy.drained_objects,
+                        report.postcopy.deferred_objects,
+                        "{ctx}: deferred-object accounting does not add up"
                     );
-                    if mode == TransferMode::Postcopy {
-                        // The forced run really took the deferred path and
-                        // fully drained it.
-                        assert!(report.postcopy.deferred_pairs >= 1, "{ctx}: nothing deferred");
-                        assert_eq!(
-                            report.postcopy.trap_objects + report.postcopy.drained_objects,
-                            report.postcopy.deferred_objects,
-                            "{ctx}: deferred-object accounting does not add up"
-                        );
-                    }
                 }
-                fingerprints.push(stw_fp);
             }
+            fingerprints.push(stw_fp);
         }
-        assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed} ({program}): cores / shard counts diverged: {fingerprints:x?}"
-        );
+        assert_eq!(fingerprints[0], fingerprints[1], "seed {seed} ({program}): shard counts diverged");
     }
 }
 
@@ -1535,7 +1432,7 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
 /// the update back to the old version byte-identically: the post-rollback
 /// kernel fingerprint equals the no-update baseline that applied the same
 /// pre-update writes and never entered the pipeline, and the conflict list
-/// and per-process reports agree across scheduler cores and shard counts.
+/// and per-process reports agree across shard counts.
 #[test]
 fn mid_drain_faults_roll_back_byte_identically() {
     let (program, requests, open, writes, seed) = ("vsftpd", 3u64, 2usize, 2usize, 0x0d1eu64);
@@ -1544,13 +1441,7 @@ fn mid_drain_faults_roll_back_byte_identically() {
     // writes, no pipeline. (The post-resume stamps never run on a rollback
     // path — the fault fires before the first one is delivered.)
     let baseline_fp = {
-        let mut kernel = Kernel::new();
-        install_standard_files(&mut kernel);
-        let mut v1 =
-            boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
-        run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
-        let port = workload_for(program, 1).port;
-        open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
+        let (mut kernel, v1) = served(program, requests, open);
         let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
         for _ in 0..3 {
             dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
@@ -1562,29 +1453,26 @@ fn mid_drain_faults_roll_back_byte_identically() {
         [(FaultSite::DrainStep(1).plan(), "drain-step"), (FaultSite::FaultIn(1).plan(), "fault-in")]
     {
         let mut runs = Vec::new();
-        for sched in [SchedulerMode::EventDriven, SchedulerMode::FullScan] {
-            for shards in [1usize, 2] {
-                let (fp, conflicts, report) = postcopy_or_stw_update(
-                    program,
-                    requests,
-                    open,
-                    writes,
-                    TransferMode::Postcopy,
-                    sched,
-                    shards,
-                    Some(fault.clone()),
-                    seed,
-                );
-                let ctx = format!("{kind} ({sched:?}, {shards} shards)");
-                assert!(
-                    conflicts.iter().any(
-                        |c| matches!(c, mcr_core::Conflict::FaultInjected { phase, .. } if phase == kind)
-                    ),
-                    "{ctx}: the armed fault did not fire: {conflicts:?}"
-                );
-                assert_eq!(fp, baseline_fp, "{ctx}: rollback did not restore the pre-update kernel state");
-                runs.push((conflicts, report));
-            }
+        for shards in [1usize, 2] {
+            let (fp, conflicts, report) = postcopy_or_stw_update(
+                program,
+                requests,
+                open,
+                writes,
+                TransferMode::Postcopy,
+                shards,
+                Some(fault.clone()),
+                seed,
+            );
+            let ctx = format!("{kind} ({shards} shards)");
+            assert!(
+                conflicts
+                    .iter()
+                    .any(|c| matches!(c, mcr_core::Conflict::FaultInjected { phase, .. } if phase == kind)),
+                "{ctx}: the armed fault did not fire: {conflicts:?}"
+            );
+            assert_eq!(fp, baseline_fp, "{ctx}: rollback did not restore the pre-update kernel state");
+            runs.push((conflicts, report));
         }
         let (base_conflicts, base_report) = &runs[0];
         for (conflicts, report) in &runs {
@@ -1605,29 +1493,11 @@ fn mid_drain_faults_roll_back_byte_identically() {
 #[test]
 fn drain_traps_service_each_deferred_object_exactly_once() {
     let (program, requests, open, writes, seed) = ("vsftpd", 4u64, 3usize, 2usize, 0x7a9u64);
-    let (stw_fp, stw_conflicts, _) = postcopy_or_stw_update(
-        program,
-        requests,
-        open,
-        writes,
-        TransferMode::StopTheWorld,
-        SchedulerMode::EventDriven,
-        1,
-        None,
-        seed,
-    );
+    let (stw_fp, stw_conflicts, _) =
+        postcopy_or_stw_update(program, requests, open, writes, TransferMode::StopTheWorld, 1, None, seed);
     assert!(stw_conflicts.is_empty(), "{stw_conflicts:?}");
-    let (fp, conflicts, report) = postcopy_or_stw_update(
-        program,
-        requests,
-        open,
-        writes,
-        TransferMode::Postcopy,
-        SchedulerMode::EventDriven,
-        1,
-        None,
-        seed,
-    );
+    let (fp, conflicts, report) =
+        postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, 1, None, seed);
     assert!(conflicts.is_empty(), "{conflicts:?}");
     assert!(report.postcopy.traps >= 1, "the post-resume stamps never trapped");
     assert!(report.postcopy.trap_objects >= 1);
