@@ -10,7 +10,7 @@
 //! # Event-driven core (wake queue + timer wheel)
 //!
 //! Scheduling is *readiness-driven*, not scan-driven: each instance owns a
-//! [`Scheduler`] whose ready deque is seeded from the kernel's wake queue.
+//! `Scheduler` whose ready deque is seeded from the kernel's wake queue.
 //! A thread that returns [`StepOutcome::WouldBlock`] parks on the wait queue
 //! its [`WaitInterest`] names — the kernel object behind a descriptor, a
 //! timer-wheel deadline, or nothing at all (`sigsuspend`-style external

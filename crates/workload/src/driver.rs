@@ -129,9 +129,10 @@ impl WorkloadResult {
 }
 
 /// Scheduling rounds the driver grants the server to answer one request
-/// before counting it unanswered. On the event-driven path a single round
-/// runs the instance to idle; the margin keeps the full-scan ablation (which
-/// may need one round per pipeline stage) working on the same driver.
+/// before counting it unanswered. A single round runs the instance to idle,
+/// so the first round normally answers. The count stays at four because an
+/// extra idle round can fire timers and move the simulated clock, which the
+/// tracked simulated figures depend on.
 const RESPONSE_ROUNDS: usize = 4;
 
 /// Lets the server's scheduler drain whatever the latest client events made
@@ -165,8 +166,9 @@ pub fn open_idle_connections(
         kernel.client_send(c, b"KEEPALIVE".to_vec()).map_err(mcr_core::McrError::Sim)?;
         conns.push(c);
     }
-    // Let the server accept them all (the margin covers the full-scan
-    // ablation, which accepts at most one connection per acceptor round).
+    // Let the server accept them all. One round runs the instance to idle;
+    // the `n + 2` rounds stay because extra idle rounds can fire timers and
+    // move the simulated clock the tracked figures depend on.
     let mut stats = RoundStats::default();
     for _ in 0..(n + 2) {
         settle(kernel, instance, &mut stats)?;

@@ -484,6 +484,12 @@ fn event_driven_core_matches_the_full_scan_reference() {
         assert_eq!(event.tracing, scan.tracing, "{ctx}: tracing stats diverged");
         assert_eq!(event.transfer.per_process, scan.transfer.per_process, "{ctx}: per-process reports");
         assert_eq!(event.replay, scan.replay, "{ctx}: replay stats diverged");
+        assert_eq!(event.open_connections, scan.open_connections, "{ctx}");
+        assert_eq!(
+            event.processes_matched + event.processes_recreated,
+            scan.processes_matched + scan.processes_recreated,
+            "{ctx}: pair counts diverged"
+        );
     }
 
     let (event_replies, event_events, event_fp) = serve_fleet(run_round);
