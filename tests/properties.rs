@@ -416,82 +416,89 @@ fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
     (replies, fleet.state.counters.events_handled, kernel_fingerprint(&kernel))
 }
 
-/// The event-driven scheduler agrees with the O(threads) reference scan,
-/// [`run_round_full_scan`]:
-///
-/// * **barrier** — a served instance quiesced by [`wait_quiescence`] and its
-///   copy quiesced by [`request_quiescence`] plus scan rounds reach the same
-///   kernel state on the same clock, and the default update that follows
-///   (four seeded commits, plus the vsftpd 1 → 3 rollback) is identical:
-///   fingerprint, phase trace, timings, tracing statistics, per-process
-///   transfer reports, replay statistics and conflicts;
-/// * **serve** — a fleet driven only by [`run_round`] and its copy driven only
-///   by the scan, setup included, answer the same pings with the same bytes,
-///   handle the same events and end in the same kernel state.
+/// The equivalence check behind the scheduler tests: a served instance
+/// quiesced by [`wait_quiescence`] and its copy quiesced by
+/// [`request_quiescence`] plus rounds of the reference scan,
+/// [`run_round_full_scan`], reach the same kernel state on the same clock, and
+/// the default gen-1 → `generation` update that follows is identical:
+/// fingerprint, phase trace, timings, tracing statistics, per-process transfer
+/// reports, replay statistics and conflicts. Generation 2 must commit; any
+/// other must roll back.
+fn assert_barrier_and_update_match(ctx: &str, program: &str, requests: u64, open: usize, generation: u32) {
+    let (mut event_kernel, mut event) = served(program, requests, open);
+    let (mut scan_kernel, mut scan) = served(program, requests, open);
+    wait_quiescence(&mut event_kernel, &mut event, 1_000).unwrap();
+    request_quiescence(&mut scan);
+    for _ in 0..1_000 {
+        if all_quiesced(&scan_kernel, &scan) {
+            break;
+        }
+        run_round_full_scan(&mut scan_kernel, &mut scan).unwrap();
+    }
+    assert!(all_quiesced(&scan_kernel, &scan), "{ctx}: the scan barrier did not converge");
+    assert_eq!(event_kernel.now(), scan_kernel.now(), "{ctx}: barrier clocks diverged");
+    assert_eq!(
+        kernel_fingerprint(&event_kernel),
+        kernel_fingerprint(&scan_kernel),
+        "{ctx}: quiesced kernel state diverged"
+    );
+
+    let update = |kernel: &mut Kernel, old: McrInstance| {
+        let new = Box::new(program_by_name(program, generation));
+        let opts = UpdateOptions::default();
+        let (_survivor, outcome) = live_update(kernel, old, new, InstrumentationConfig::full(), &opts);
+        (outcome.conflicts().to_vec(), outcome.report().clone())
+    };
+    let (event_conflicts, event) = update(&mut event_kernel, event);
+    let (scan_conflicts, scan) = update(&mut scan_kernel, scan);
+    assert_eq!(event_conflicts.is_empty(), generation == 2, "{ctx}: {event_conflicts:?}");
+    assert_eq!(event_conflicts, scan_conflicts, "{ctx}: conflict lists diverged");
+    assert_eq!(
+        kernel_fingerprint(&event_kernel),
+        kernel_fingerprint(&scan_kernel),
+        "{ctx}: post-update kernel state diverged"
+    );
+    assert_eq!(event.phases.records(), scan.phases.records(), "{ctx}: phase traces diverged");
+    assert_eq!(event.timings, scan.timings, "{ctx}: timings diverged");
+    assert_eq!(event.tracing, scan.tracing, "{ctx}: tracing stats diverged");
+    assert_eq!(event.transfer.per_process, scan.transfer.per_process, "{ctx}: per-process reports");
+    assert_eq!(event.replay, scan.replay, "{ctx}: replay stats diverged");
+    assert_eq!(event.open_connections, scan.open_connections, "{ctx}");
+    assert_eq!(
+        event.processes_matched + event.processes_recreated,
+        scan.processes_matched + scan.processes_recreated,
+        "{ctx}: pair counts diverged"
+    );
+}
+
+/// The event-driven scheduler agrees with the reference scan on four seeded
+/// committed updates (see [`assert_barrier_and_update_match`]).
 #[test]
-fn event_driven_core_matches_the_full_scan_reference() {
+fn event_driven_and_full_scan_updates_are_identical() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
-    let cases = (0..4u64).map(|seed| {
+    for seed in 0..4u64 {
         let mut rng = ChaosRng::new(seed + 0xfeed);
-        (
-            format!("seed {seed}"),
-            programs[seed as usize % programs.len()],
-            rng.range(1, 4),
-            rng.range(0, 5),
-            2,
-        )
-    });
+        let program = programs[seed as usize % programs.len()];
+        let requests = rng.range(1, 4);
+        let open = rng.range(0, 5) as usize;
+        assert_barrier_and_update_match(&format!("seed {seed} ({program})"), program, requests, open, 2);
+    }
+}
+
+/// Rollbacks are identical too: the same conflicting update aborts with the
+/// same conflict list, per-process attribution and post-rollback kernel state.
+#[test]
+fn event_driven_and_full_scan_rollbacks_are_identical() {
     // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
     // references, which aborts the update during state transfer.
-    let rollback = ("rollback".to_string(), "vsftpd", 6, 0, 3);
-    for (label, program, requests, open, generation) in cases.chain([rollback]) {
-        let ctx = format!("{label} ({program} 1 -> {generation})");
-        let (mut event_kernel, mut event) = served(program, requests, open as usize);
-        let (mut scan_kernel, mut scan) = served(program, requests, open as usize);
-        wait_quiescence(&mut event_kernel, &mut event, 1_000).unwrap();
-        request_quiescence(&mut scan);
-        for _ in 0..1_000 {
-            if all_quiesced(&scan_kernel, &scan) {
-                break;
-            }
-            run_round_full_scan(&mut scan_kernel, &mut scan).unwrap();
-        }
-        assert!(all_quiesced(&scan_kernel, &scan), "{ctx}: the scan barrier did not converge");
-        assert_eq!(event_kernel.now(), scan_kernel.now(), "{ctx}: barrier clocks diverged");
-        assert_eq!(
-            kernel_fingerprint(&event_kernel),
-            kernel_fingerprint(&scan_kernel),
-            "{ctx}: quiesced kernel state diverged"
-        );
+    assert_barrier_and_update_match("vsftpd 1 -> 3", "vsftpd", 6, 0, 3);
+}
 
-        let update = |kernel: &mut Kernel, old: McrInstance| {
-            let new = Box::new(program_by_name(program, generation));
-            let opts = UpdateOptions::default();
-            let (_survivor, outcome) = live_update(kernel, old, new, InstrumentationConfig::full(), &opts);
-            (outcome.conflicts().to_vec(), outcome.report().clone())
-        };
-        let (event_conflicts, event) = update(&mut event_kernel, event);
-        let (scan_conflicts, scan) = update(&mut scan_kernel, scan);
-        assert_eq!(event_conflicts.is_empty(), generation == 2, "{ctx}: {event_conflicts:?}");
-        assert_eq!(event_conflicts, scan_conflicts, "{ctx}: conflict lists diverged");
-        assert_eq!(
-            kernel_fingerprint(&event_kernel),
-            kernel_fingerprint(&scan_kernel),
-            "{ctx}: post-update kernel state diverged"
-        );
-        assert_eq!(event.phases.records(), scan.phases.records(), "{ctx}: phase traces diverged");
-        assert_eq!(event.timings, scan.timings, "{ctx}: timings diverged");
-        assert_eq!(event.tracing, scan.tracing, "{ctx}: tracing stats diverged");
-        assert_eq!(event.transfer.per_process, scan.transfer.per_process, "{ctx}: per-process reports");
-        assert_eq!(event.replay, scan.replay, "{ctx}: replay stats diverged");
-        assert_eq!(event.open_connections, scan.open_connections, "{ctx}");
-        assert_eq!(
-            event.processes_matched + event.processes_recreated,
-            scan.processes_matched + scan.processes_recreated,
-            "{ctx}: pair counts diverged"
-        );
-    }
-
+/// A fleet driven only by [`run_round`] and its copy driven only by the
+/// reference scan, setup included, answer the same pings with the same bytes,
+/// handle the same events and end in the same kernel state.
+#[test]
+fn event_driven_and_full_scan_serve_identically() {
     let (event_replies, event_events, event_fp) = serve_fleet(run_round);
     let (scan_replies, scan_events, scan_fp) = serve_fleet(run_round_full_scan);
     assert!(event_replies.iter().all(Option::is_some), "every ping was answered");
