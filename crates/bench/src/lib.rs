@@ -67,7 +67,7 @@ pub const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
 pub fn boot_program(program: &str, generation: u32, config: InstrumentationConfig) -> (Kernel, McrInstance) {
     let mut kernel = Kernel::new();
     install_standard_files(&mut kernel);
-    let opts = BootOptions { config, layout_slide: 0, start_quiesced: false, ..Default::default() };
+    let opts = BootOptions { config, layout_slide: 0, start_quiesced: false };
     let instance = boot(&mut kernel, Box::new(program_by_name(program, generation)), &opts)
         .unwrap_or_else(|e| panic!("{program} failed to boot: {e}"));
     (kernel, instance)
