@@ -228,7 +228,7 @@ impl Scheduler {
                             WaitInterest::External => {
                                 // Only a wake-everyone event (quiescence
                                 // request, resume) reschedules this thread.
-                                kernel.cancel_wait(pid, tid);
+                                kernel.cancel_wait(tid);
                             }
                         }
                     }
@@ -626,7 +626,7 @@ pub fn wake_all_threads(kernel: &mut Kernel, instance: &mut McrInstance) {
     let McrInstance { state, sched, .. } = instance;
     sched.admit_new(state);
     for entry in state.threads.iter().filter(|t| !t.exited) {
-        kernel.cancel_wait(entry.pid, entry.tid);
+        kernel.cancel_wait(entry.tid);
         sched.push_ready(entry.pid, entry.tid);
     }
 }

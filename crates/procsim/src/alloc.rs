@@ -37,17 +37,17 @@ pub struct TypeTag(pub u64);
 
 /// Header flag bits stored in-band in front of every chunk payload.
 mod flags {
-    pub const IN_USE: u64 = 1 << 0;
-    pub const STARTUP: u64 = 1 << 1;
-    pub const INSTRUMENTED: u64 = 1 << 2;
+    pub(crate) const IN_USE: u64 = 1 << 0;
+    pub(crate) const STARTUP: u64 = 1 << 1;
+    pub(crate) const INSTRUMENTED: u64 = 1 << 2;
 }
 
 /// Alignment guaranteed for every payload.
-pub const CHUNK_ALIGN: u64 = 16;
+pub(crate) const CHUNK_ALIGN: u64 = 16;
 /// Header size without instrumentation (size + flags).
-pub const HEADER_BASE: u64 = 16;
+pub(crate) const HEADER_BASE: u64 = 16;
 /// Header size with MCR instrumentation (adds site + type tag words).
-pub const HEADER_INSTR: u64 = 32;
+pub(crate) const HEADER_INSTR: u64 = 32;
 
 /// Description of a live or freed chunk as read back from in-band metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,24 +63,24 @@ pub struct ChunkInfo {
     /// Whether the chunk was allocated during program startup.
     pub startup: bool,
     /// Whether the chunk is currently allocated.
-    pub in_use: bool,
+    pub(crate) in_use: bool,
 }
 
 /// Running statistics maintained by an allocator instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
+pub(crate) struct AllocStats {
     /// Number of successful allocations.
-    pub allocs: u64,
+    pub(crate) allocs: u64,
     /// Number of frees (including deferred ones once flushed).
-    pub frees: u64,
+    pub(crate) frees: u64,
     /// Bytes currently allocated (payload only).
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
     /// Peak of `live_bytes`.
-    pub peak_bytes: u64,
+    pub(crate) peak_bytes: u64,
     /// Bytes of in-band metadata currently resident.
-    pub metadata_bytes: u64,
+    pub(crate) metadata_bytes: u64,
     /// Extra word writes performed purely for instrumentation.
-    pub instr_writes: u64,
+    pub(crate) instr_writes: u64,
 }
 
 /// A ptmalloc-style heap allocator bound to one heap region.
@@ -121,23 +121,8 @@ impl PtMalloc {
         }
     }
 
-    /// Base address of the managed heap.
-    pub fn heap_base(&self) -> Addr {
-        self.heap_base
-    }
-
-    /// Size in bytes of the managed heap.
-    pub fn heap_size(&self) -> u64 {
-        self.heap_size
-    }
-
-    /// Whether in-band MCR tags are maintained.
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
-    }
-
     /// Current allocation statistics.
-    pub fn stats(&self) -> AllocStats {
+    pub(crate) fn stats(&self) -> AllocStats {
         self.stats
     }
 
@@ -145,11 +130,6 @@ impl PtMalloc {
     /// as startup-time objects and deferred frees are no longer collected.
     pub fn end_startup(&mut self) {
         self.startup_phase = false;
-    }
-
-    /// Whether the allocator is still in the startup phase.
-    pub fn in_startup(&self) -> bool {
-        self.startup_phase
     }
 
     /// Enables or disables deferral of `free` operations.
@@ -463,13 +443,8 @@ impl RegionAllocator {
         }
     }
 
-    /// Whether per-object instrumentation is enabled.
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
-    }
-
     /// Current allocation statistics.
-    pub fn stats(&self) -> AllocStats {
+    pub(crate) fn stats(&self) -> AllocStats {
         self.stats
     }
 
@@ -563,126 +538,12 @@ impl RegionAllocator {
         (addr.0 < pool.storage.0 + pool.size).then_some((PoolId(id), pool))
     }
 
-    /// Returns the pool whose storage contains `addr`, if any.
-    pub fn pool_containing(&self, addr: Addr) -> Option<PoolId> {
-        self.pool_holding(addr).map(|(id, _)| id)
-    }
-
     /// Looks up the instrumented object record containing `addr`.
     pub fn object_containing(&self, addr: Addr) -> Option<(Addr, u64, AllocSite, TypeTag)> {
         let (_, pool) = self.pool_holding(addr)?;
         let below = pool.objects.partition_point(|&(obj, ..)| obj.0 <= addr.0);
         let &(obj, size, site, tag) = pool.objects.get(below.checked_sub(1)?)?;
         (addr.0 < obj.0 + size).then_some((obj, size, site, tag))
-    }
-
-    /// Iterates over instrumented objects across all pools.
-    pub fn objects(&self) -> impl Iterator<Item = (Addr, u64, AllocSite, TypeTag)> + '_ {
-        self.pools.values().flat_map(|p| p.objects.iter().copied())
-    }
-
-    /// Number of live pools.
-    pub fn pool_count(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// Base storage address and size of a pool.
-    pub fn pool_extent(&self, pool: PoolId) -> Option<(Addr, u64)> {
-        self.pools.get(&pool.0).map(|p| (p.storage, p.size))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slab allocator
-// ---------------------------------------------------------------------------
-
-/// A slab allocator handing out fixed-size slots from one backing chunk.
-#[derive(Debug, Clone)]
-pub struct SlabAllocator {
-    storage: Addr,
-    slot_size: u64,
-    slots: usize,
-    used: Vec<bool>,
-    stats: AllocStats,
-}
-
-impl SlabAllocator {
-    /// Creates a slab of `slots` slots of `slot_size` bytes each, backed by a
-    /// fresh heap chunk.
-    pub fn new(
-        space: &mut AddressSpace,
-        heap: &mut PtMalloc,
-        slot_size: u64,
-        slots: usize,
-    ) -> SimResult<Self> {
-        let slot_size = slot_size.max(8).div_ceil(8) * 8;
-        let storage = heap.malloc(space, slot_size * slots as u64, AllocSite(0), TypeTag(0))?;
-        Ok(SlabAllocator {
-            storage,
-            slot_size,
-            slots,
-            used: vec![false; slots],
-            stats: AllocStats::default(),
-        })
-    }
-
-    /// Allocates one slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfMemory`] when every slot is in use.
-    pub fn alloc(&mut self) -> SimResult<Addr> {
-        for (i, used) in self.used.iter_mut().enumerate() {
-            if !*used {
-                *used = true;
-                self.stats.allocs += 1;
-                self.stats.live_bytes += self.slot_size;
-                self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
-                return Ok(self.storage.offset(i as u64 * self.slot_size));
-            }
-        }
-        Err(SimError::OutOfMemory { requested: self.slot_size })
-    }
-
-    /// Frees a slot previously returned by [`SlabAllocator::alloc`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidFree`] for an address that is not a slot
-    /// base or whose slot is already free.
-    pub fn free(&mut self, addr: Addr) -> SimResult<()> {
-        let off = addr.0.checked_sub(self.storage.0).ok_or(SimError::InvalidFree(addr))?;
-        if off % self.slot_size != 0 {
-            return Err(SimError::InvalidFree(addr));
-        }
-        let idx = (off / self.slot_size) as usize;
-        if idx >= self.slots || !self.used[idx] {
-            return Err(SimError::InvalidFree(addr));
-        }
-        self.used[idx] = false;
-        self.stats.frees += 1;
-        self.stats.live_bytes = self.stats.live_bytes.saturating_sub(self.slot_size);
-        Ok(())
-    }
-
-    /// Base address of the slab storage.
-    pub fn storage(&self) -> Addr {
-        self.storage
-    }
-
-    /// Size of each slot in bytes.
-    pub fn slot_size(&self) -> u64 {
-        self.slot_size
-    }
-
-    /// Number of slots currently in use.
-    pub fn used_count(&self) -> usize {
-        self.used.iter().filter(|u| **u).count()
-    }
-
-    /// Current allocation statistics.
-    pub fn stats(&self) -> AllocStats {
-        self.stats
     }
 }
 
@@ -698,6 +559,69 @@ mod tests {
         let mut space = AddressSpace::new();
         space.map_region(Addr(HEAP_BASE), HEAP_SIZE, RegionKind::Heap, "heap").unwrap();
         (space, PtMalloc::new(Addr(HEAP_BASE), HEAP_SIZE, instrumented))
+    }
+
+    /// A slab allocator handing out fixed-size slots from one backing chunk.
+    #[derive(Debug, Clone)]
+    struct SlabAllocator {
+        storage: Addr,
+        slot_size: u64,
+        slots: usize,
+        used: Vec<bool>,
+    }
+
+    impl SlabAllocator {
+        /// Creates a slab of `slots` slots of `slot_size` bytes each, backed by a
+        /// fresh heap chunk.
+        fn new(
+            space: &mut AddressSpace,
+            heap: &mut PtMalloc,
+            slot_size: u64,
+            slots: usize,
+        ) -> SimResult<Self> {
+            let slot_size = slot_size.max(8).div_ceil(8) * 8;
+            let storage = heap.malloc(space, slot_size * slots as u64, AllocSite(0), TypeTag(0))?;
+            Ok(SlabAllocator { storage, slot_size, slots, used: vec![false; slots] })
+        }
+
+        /// Allocates one slot.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`SimError::OutOfMemory`] when every slot is in use.
+        fn alloc(&mut self) -> SimResult<Addr> {
+            for (i, used) in self.used.iter_mut().enumerate() {
+                if !*used {
+                    *used = true;
+                    return Ok(self.storage.offset(i as u64 * self.slot_size));
+                }
+            }
+            Err(SimError::OutOfMemory { requested: self.slot_size })
+        }
+
+        /// Frees a slot previously returned by [`SlabAllocator::alloc`].
+        ///
+        /// # Errors
+        ///
+        /// Returns [`SimError::InvalidFree`] for an address that is not a slot
+        /// base or whose slot is already free.
+        fn free(&mut self, addr: Addr) -> SimResult<()> {
+            let off = addr.0.checked_sub(self.storage.0).ok_or(SimError::InvalidFree(addr))?;
+            if off % self.slot_size != 0 {
+                return Err(SimError::InvalidFree(addr));
+            }
+            let idx = (off / self.slot_size) as usize;
+            if idx >= self.slots || !self.used[idx] {
+                return Err(SimError::InvalidFree(addr));
+            }
+            self.used[idx] = false;
+            Ok(())
+        }
+
+        /// Number of slots currently in use.
+        fn used_count(&self) -> usize {
+            self.used.iter().filter(|u| **u).count()
+        }
     }
 
     #[test]
@@ -810,10 +734,10 @@ mod tests {
         let a = regions.palloc(&mut space, pool, 100, AllocSite(1), TypeTag(1)).unwrap();
         let b = regions.palloc(&mut space, pool, 100, AllocSite(1), TypeTag(1)).unwrap();
         assert_ne!(a, b);
-        assert_eq!(regions.pool_containing(a), Some(pool));
+        assert_eq!(regions.pool_holding(a).map(|(id, _)| id), Some(pool));
         assert!(regions.object_containing(a).is_none(), "uninstrumented pools are opaque");
         regions.destroy_pool(&mut space, &mut heap, pool).unwrap();
-        assert_eq!(regions.pool_count(), 0);
+        assert_eq!(regions.pools.len(), 0);
     }
 
     #[test]
@@ -879,7 +803,7 @@ mod tests {
                     2 if !live.is_empty() => {
                         let victim = live[next(live.len() as u64) as usize];
                         regions.destroy_pool(&mut space, &mut heap, victim).unwrap();
-                        live.retain(|p| regions.pool_extent(*p).is_some());
+                        live.retain(|p| regions.pools.contains_key(&p.0));
                     }
                     _ if !live.is_empty() => {
                         let pool = live[next(live.len() as u64) as usize];
@@ -890,7 +814,7 @@ mod tests {
                 }
                 let mut probes = vec![Addr(HEAP_BASE - 8), Addr(HEAP_BASE), Addr(HEAP_BASE + HEAP_SIZE)];
                 for &pool in &live {
-                    let (storage, size) = regions.pool_extent(pool).unwrap();
+                    let Pool { storage, size, .. } = regions.pools[&pool.0];
                     probes.extend([
                         storage,
                         Addr(storage.0 - 1),
@@ -899,12 +823,14 @@ mod tests {
                     ]);
                     probes.push(storage.offset(next(size + 64)));
                 }
-                for (obj, size, ..) in regions.objects().collect::<Vec<_>>() {
+                for (obj, size, ..) in
+                    regions.pools.values().flat_map(|p| p.objects.clone()).collect::<Vec<_>>()
+                {
                     probes.extend([obj, Addr(obj.0 - 1), obj.offset(size - 1), obj.offset(size)]);
                 }
                 for addr in probes {
                     assert_eq!(
-                        regions.pool_containing(addr),
+                        regions.pool_holding(addr).map(|(id, _)| id),
                         pool_containing_linear(&regions, addr),
                         "{addr}"
                     );
@@ -913,7 +839,7 @@ mod tests {
                     hits += usize::from(found.is_some());
                 }
             }
-            assert_eq!(regions.by_storage.len(), regions.pool_count());
+            assert_eq!(regions.by_storage.len(), regions.pools.len());
             assert_eq!(hits > 0, instrumented, "only instrumented pools record objects");
         }
     }
@@ -924,9 +850,9 @@ mod tests {
         let mut regions = RegionAllocator::new(false);
         let parent = regions.create_pool(&mut space, &mut heap, 2048, None).unwrap();
         let _child = regions.create_pool(&mut space, &mut heap, 1024, Some(parent)).unwrap();
-        assert_eq!(regions.pool_count(), 2);
+        assert_eq!(regions.pools.len(), 2);
         regions.destroy_pool(&mut space, &mut heap, parent).unwrap();
-        assert_eq!(regions.pool_count(), 0);
+        assert_eq!(regions.pools.len(), 0);
     }
 
     #[test]

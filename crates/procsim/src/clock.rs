@@ -23,24 +23,9 @@ impl SimInstant {
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
-    /// Constructs a duration from microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
-    /// Constructs a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
-    }
-
     /// The duration expressed in (fractional) milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// The duration expressed in microseconds.
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Saturating addition.
@@ -52,29 +37,24 @@ impl SimDuration {
 
 /// The kernel's monotonically increasing virtual clock.
 #[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now: u64,
 }
 
 impl VirtualClock {
     /// Creates a clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> SimInstant {
+    pub(crate) fn now(&self) -> SimInstant {
         SimInstant(self.now)
     }
 
     /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
+    pub(crate) fn advance(&mut self, d: SimDuration) {
         self.now += d.0;
-    }
-
-    /// Advances the clock by `ns` nanoseconds.
-    pub fn advance_ns(&mut self, ns: u64) {
-        self.now += ns;
     }
 }
 
@@ -86,8 +66,8 @@ mod tests {
     fn clock_advances_monotonically() {
         let mut c = VirtualClock::new();
         let t0 = c.now();
-        c.advance(SimDuration::from_micros(5));
-        c.advance_ns(500);
+        c.advance(SimDuration(5_000));
+        c.advance(SimDuration(500));
         let t1 = c.now();
         assert_eq!(t1.duration_since(t0), SimDuration(5_500));
         assert_eq!(t0.duration_since(t1), SimDuration(0));
@@ -95,8 +75,7 @@ mod tests {
 
     #[test]
     fn duration_conversions() {
-        assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
-        assert!((SimDuration::from_millis(2).as_millis_f64() - 2.0).abs() < 1e-9);
+        assert!((SimDuration(2_000_000).as_millis_f64() - 2.0).abs() < 1e-9);
         assert_eq!(SimDuration(1).saturating_add(SimDuration(2)), SimDuration(3));
     }
 }

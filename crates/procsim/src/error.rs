@@ -94,7 +94,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Convenient result alias used throughout the simulator.
-pub type SimResult<T> = Result<T, SimError>;
+pub(crate) type SimResult<T> = Result<T, SimError>;
 
 #[cfg(test)]
 mod tests {

@@ -165,7 +165,7 @@ impl FdTable {
     }
 
     /// Replaces whatever is at `fd` with `object` (dup2 onto an open slot).
-    pub fn replace(&mut self, fd: Fd, object: ObjId, inherited: bool) -> Option<FdEntry> {
+    pub(crate) fn replace(&mut self, fd: Fd, object: ObjId, inherited: bool) -> Option<FdEntry> {
         self.ensure_slot(fd);
         let slot = self.slot_mut(fd).expect("ensured");
         let old = slot.replace(FdEntry { object, cloexec: false, inherited });
@@ -240,28 +240,25 @@ impl FdTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Removes all descriptors marked close-on-exec (called by `exec`).
-    pub fn drop_cloexec(&mut self) -> Vec<FdEntry> {
-        let doomed: Vec<Fd> = self.iter().filter(|(_, e)| e.cloexec).map(|(fd, _)| fd).collect();
-        doomed.into_iter().filter_map(|fd| self.remove(fd).ok()).collect()
-    }
-
-    /// Removes every inherited descriptor that is still unused at the end of
-    /// control migration; MCR garbage-collects these (paper §5).
-    pub fn drop_inherited<F>(&mut self, mut keep: F) -> Vec<FdEntry>
-    where
-        F: FnMut(Fd, &FdEntry) -> bool,
-    {
-        let doomed: Vec<Fd> =
-            self.iter().filter(|&(fd, ref e)| e.inherited && !keep(fd, e)).map(|(fd, _)| fd).collect();
-        doomed.into_iter().filter_map(|fd| self.remove(fd).ok()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Removes all descriptors marked close-on-exec (what `exec` would do).
+    fn drop_cloexec(t: &mut FdTable) -> Vec<FdEntry> {
+        let doomed: Vec<Fd> = t.iter().filter(|(_, e)| e.cloexec).map(|(fd, _)| fd).collect();
+        doomed.into_iter().filter_map(|fd| t.remove(fd).ok()).collect()
+    }
+
+    /// Removes every inherited descriptor `keep` rejects (MCR's end-of-control-
+    /// migration garbage collection, paper §5).
+    fn drop_inherited(t: &mut FdTable, mut keep: impl FnMut(Fd, &FdEntry) -> bool) -> Vec<FdEntry> {
+        let doomed: Vec<Fd> =
+            t.iter().filter(|&(fd, ref e)| e.inherited && !keep(fd, e)).map(|(fd, _)| fd).collect();
+        doomed.into_iter().filter_map(|fd| t.remove(fd).ok()).collect()
+    }
 
     #[test]
     fn lowest_free_allocation() {
@@ -337,7 +334,7 @@ mod tests {
         let a = t.alloc(ObjId(1));
         let b = t.alloc(ObjId(2));
         t.set_cloexec(b, true).unwrap();
-        let dropped = t.drop_cloexec();
+        let dropped = drop_cloexec(&mut t);
         assert_eq!(dropped.len(), 1);
         assert!(t.contains(a));
         assert!(!t.contains(b));
@@ -349,7 +346,7 @@ mod tests {
         let keep_fd = t.alloc_reserved(ObjId(1));
         let _drop_fd = t.alloc_reserved(ObjId(2));
         let normal = t.alloc(ObjId(3));
-        let dropped = t.drop_inherited(|fd, _| fd == keep_fd);
+        let dropped = drop_inherited(&mut t, |fd, _| fd == keep_fd);
         assert_eq!(dropped.len(), 1);
         assert!(t.contains(keep_fd));
         assert!(t.contains(normal));

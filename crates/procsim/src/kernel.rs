@@ -22,8 +22,8 @@
 //! * **A FIFO wake queue** — state changes (`client_connect`,
 //!   `client_send`, peer close, queued Unix datagrams, pipe writes, expired
 //!   timers) move the affected waiters onto a deduplicated FIFO queue that
-//!   schedulers drain with [`Kernel::drain_wakeups_where`] (or, batched into
-//!   a reusable buffer, [`Kernel::drain_wakeups_into`]).
+//!   schedulers drain, batched into a reusable buffer, with
+//!   [`Kernel::drain_wakeups_into`].
 //!
 //! **Ordering contract.** Wake order is a pure function of the event
 //! history, so simulated runs stay deterministic and reproducible regardless
@@ -46,7 +46,7 @@ use crate::error::{SimError, SimResult};
 use crate::ids::{ConnId, Fd, ObjId, Pid, Tid};
 use crate::memory::{Addr, RegionKind};
 use crate::objects::{KernelObject, ObjectTable, UnixMessage};
-use crate::process::{Process, Thread, ThreadState};
+use crate::process::{Process, Thread};
 use crate::syscall::{Syscall, SyscallPort, SyscallRet};
 
 /// Where to place a descriptor transferred into another process.
@@ -200,8 +200,6 @@ struct WaitState {
     registered: usize,
     /// Threads woken but not yet picked up by a scheduler, in wake order.
     wake_queue: VecDeque<(Pid, Tid)>,
-    /// Total wakeups ever enqueued (statistics).
-    wakeups_issued: u64,
 }
 
 impl WaitState {
@@ -306,7 +304,6 @@ impl WaitState {
             slot.queued = true;
             slot.pid = pid.0;
             self.wake_queue.push_back((pid, tid));
-            self.wakeups_issued += 1;
         }
     }
 
@@ -530,24 +527,13 @@ impl Kernel {
     /// Removes any wait-queue or timer registration of the thread (used when
     /// a scheduler decides to run it for another reason, e.g. the quiescence
     /// barrier's wake-everyone pass).
-    pub fn cancel_wait(&mut self, pid: Pid, tid: Tid) {
-        let _ = pid;
+    pub fn cancel_wait(&mut self, tid: Tid) {
         self.wait.cancel(tid);
-    }
-
-    /// Removes and returns the queued wakeups whose pid satisfies `pred`, in
-    /// wake order; non-matching wakeups stay queued for their own scheduler.
-    pub fn drain_wakeups_where(&mut self, pred: impl FnMut(Pid) -> bool) -> Vec<(Pid, Tid)> {
-        let mut out = Vec::new();
-        self.drain_wakeups_into(pred, &mut out);
-        out
     }
 
     /// Batched wake delivery: drains the matching wakeups into a
     /// caller-provided buffer (cleared first), so a scheduler's hot loop
     /// reuses one allocation per round instead of building a fresh vector.
-    /// Delivery order and dedup semantics are identical to
-    /// [`Kernel::drain_wakeups_where`].
     pub fn drain_wakeups_into(&mut self, mut pred: impl FnMut(Pid) -> bool, out: &mut Vec<(Pid, Tid)>) {
         out.clear();
         let n = self.wait.wake_queue.len();
@@ -560,12 +546,6 @@ impl Kernel {
                 self.wait.wake_queue.push_back((pid, tid));
             }
         }
-    }
-
-    /// The earliest pending timer-wheel deadline, if any (lets idle drivers
-    /// advance the clock straight to the next event).
-    pub fn next_timer_deadline(&self) -> Option<SimInstant> {
-        self.wait.next_deadline_where(|_| true)
     }
 
     /// The earliest timer-wheel deadline registered by a thread whose pid
@@ -582,25 +562,10 @@ impl Kernel {
         self.wait.registered
     }
 
-    /// Number of queued wakeups not yet drained by a scheduler.
-    pub fn pending_wakeup_count(&self) -> usize {
-        self.wait.wake_queue.len()
-    }
-
-    /// Total wakeups enqueued since boot (statistics).
-    pub fn wakeups_issued(&self) -> u64 {
-        self.wait.wakeups_issued
-    }
-
     /// Installs a file in the simulated file system (configuration files,
     /// documents served by the web servers, ...).
     pub fn add_file(&mut self, path: impl Into<String>, contents: Vec<u8>) {
         self.files.insert(path.into(), contents);
-    }
-
-    /// Returns the contents of a simulated file.
-    pub fn file_contents(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(|v| v.as_slice())
     }
 
     /// Number of syscalls executed so far.
@@ -627,11 +592,6 @@ impl Kernel {
         self.syscall_fault = None;
     }
 
-    /// Remaining syscalls before an armed fault fires, if one is armed.
-    pub fn syscall_fault_remaining(&self) -> Option<u64> {
-        self.syscall_fault.map(|(rem, _)| rem)
-    }
-
     // ------------------------------------------------------------------
     // Process management
     // ------------------------------------------------------------------
@@ -654,14 +614,6 @@ impl Kernel {
         Tid(t)
     }
 
-    /// Forces the next pid assigned by `fork`/process creation, mimicking the
-    /// Linux pid-namespace trick (`ns_last_pid`) used by user-space
-    /// checkpoint-restart systems and by MCR's global inheritance of
-    /// process ids.
-    pub fn set_next_pid(&mut self, pid: Pid) {
-        self.forced_next_pid = Some(pid.0);
-    }
-
     /// Creates a fresh process running program `name`, returning its pid.
     ///
     /// # Errors
@@ -670,7 +622,7 @@ impl Kernel {
     pub fn create_process(&mut self, name: impl Into<String>) -> SimResult<Pid> {
         let pid = self.alloc_pid()?;
         let tid = self.alloc_tid();
-        let proc = Process::new(pid, None, name, tid);
+        let proc = Process::new(pid, name, tid);
         self.insert_proc(pid, proc);
         Ok(pid)
     }
@@ -694,14 +646,6 @@ impl Kernel {
             Some(s) => self.procs[s].as_mut().ok_or(SimError::NoSuchProcess(pid)),
             None => Err(SimError::NoSuchProcess(pid)),
         }
-    }
-
-    /// Iterates over all processes, in ascending pid order.
-    pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.pid_to_slot
-            .iter()
-            .filter(|&&s| s != NIL)
-            .map(|&s| self.procs[s as usize].as_ref().expect("live slot"))
     }
 
     /// All pids, ascending.
@@ -740,22 +684,6 @@ impl Kernel {
         Ok(tid)
     }
 
-    /// Convenience: the set of `(pid, tid)` pairs of all live threads.
-    pub fn live_threads(&self) -> Vec<(Pid, Tid)> {
-        let mut out = Vec::new();
-        for proc in self.processes() {
-            if proc.has_exited() {
-                continue;
-            }
-            for t in proc.threads() {
-                if !matches!(t.state(), ThreadState::Exited) {
-                    out.push((proc.pid(), t.tid()));
-                }
-            }
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Pre-copy write barrier (per-process write epochs)
     // ------------------------------------------------------------------
@@ -772,67 +700,9 @@ impl Kernel {
         Ok(self.process_mut(pid)?.space_mut().advance_write_epoch())
     }
 
-    /// The dirty page runs of `pid` written after epoch `since` (see
-    /// [`crate::AddressSpace::drain_dirty_since`]). Despite the CRIU-flavored
-    /// name this is a *read-only* delta query — nothing is cleared, because
-    /// monotonically increasing epoch stamps make clearing unnecessary:
-    /// asking "since a later epoch" next round naturally excludes what this
-    /// round saw.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchProcess`] if the pid is unknown.
-    pub fn drain_dirty_since(&self, pid: Pid, since: u64) -> SimResult<Vec<crate::memory::DirtyRange>> {
-        Ok(self.process(pid)?.space().drain_dirty_since(since))
-    }
-
     // ------------------------------------------------------------------
     // Post-copy fault barrier (per-process page protection + trap queue)
     // ------------------------------------------------------------------
-
-    /// Arms post-copy access traps over `[base, base+len)` in `pid`'s
-    /// address space (see [`crate::AddressSpace::protect_range`]). The
-    /// post-copy commit phase calls this over every not-yet-transferred
-    /// object before resuming the new version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchProcess`] if the pid is unknown, or the
-    /// underlying mapping error for a bad range.
-    pub fn protect_range(&mut self, pid: Pid, base: Addr, len: u64) -> SimResult<()> {
-        self.process_mut(pid)?.space_mut().protect_range(base, len)
-    }
-
-    /// Removes post-copy protection from `[base, base+len)` in `pid`'s
-    /// address space once the content has been faulted in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchProcess`] if the pid is unknown, or the
-    /// underlying mapping error for a bad range.
-    pub fn unprotect_range(&mut self, pid: Pid, base: Addr, len: u64) -> SimResult<()> {
-        self.process_mut(pid)?.space_mut().unprotect_range(base, len)
-    }
-
-    /// Drops every protection stamp in `pid`'s address space (drain
-    /// complete, or rollback).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchProcess`] if the pid is unknown.
-    pub fn clear_protection(&mut self, pid: Pid) -> SimResult<()> {
-        self.process_mut(pid)?.space_mut().clear_protection();
-        Ok(())
-    }
-
-    /// Number of pages still protected in `pid`'s address space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchProcess`] if the pid is unknown.
-    pub fn protected_page_count(&self, pid: Pid) -> SimResult<usize> {
-        Ok(self.process(pid)?.space().protected_page_count())
-    }
 
     /// Takes the stores parked by `pid`'s trap barrier, in program order
     /// (see [`crate::AddressSpace::take_pending_traps`]). The drainer
@@ -861,7 +731,7 @@ impl Kernel {
     /// # Errors
     ///
     /// Fails if any pid is unknown or listed twice (aliased exclusive access).
-    pub fn split_processes(&mut self, pids: &[Pid]) -> SimResult<Vec<&mut Process>> {
+    pub(crate) fn split_processes(&mut self, pids: &[Pid]) -> SimResult<Vec<&mut Process>> {
         for (i, pid) in pids.iter().enumerate() {
             if self.proc_slot(*pid).is_none() {
                 return Err(SimError::NoSuchProcess(*pid));
@@ -959,11 +829,6 @@ impl Kernel {
         // Accept readiness: wake every thread parked on the listener.
         self.wait.wake_object(listener);
         Ok(conn)
-    }
-
-    /// The server port a client connection was opened against.
-    pub fn client_port(&self, conn: ConnId) -> Option<u16> {
-        self.clients.get(&conn.0).map(|c| c.port)
     }
 
     /// Sends request bytes from the client side of `conn`.
@@ -1396,16 +1261,17 @@ impl SyscallPort for Kernel {
     }
 }
 
-/// Helper re-exported for tests and higher layers: finds a thread anywhere in
-/// the kernel.
-pub fn find_thread(kernel: &Kernel, pid: Pid, tid: Tid) -> SimResult<&Thread> {
-    kernel.process(pid)?.thread(tid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::MemoryLayout;
+
+    /// Drains the queued wakeups matching `pred`, in wake order.
+    fn drain(k: &mut Kernel, pred: impl FnMut(Pid) -> bool) -> Vec<(Pid, Tid)> {
+        let mut out = Vec::new();
+        k.drain_wakeups_into(pred, &mut out);
+        out
+    }
 
     fn booted() -> (Kernel, Pid, Tid) {
         let mut k = Kernel::new();
@@ -1424,8 +1290,8 @@ mod tests {
         // Nothing pending yet.
         assert!(matches!(k.syscall(pid, tid, Syscall::Accept { fd }), Err(SimError::WouldBlock)));
         let conn = k.client_connect(80).unwrap();
-        assert_eq!(k.client_port(conn), Some(80));
-        assert_eq!(k.client_port(ConnId(9999)), None);
+        assert_eq!(k.clients.get(&conn.0).map(|c| c.port), Some(80));
+        assert_eq!(k.clients.get(&9999).map(|c| c.port), None);
         k.client_send(conn, b"GET /index.html".to_vec()).unwrap();
         let cfd = k.syscall(pid, tid, Syscall::Accept { fd }).unwrap().as_fd().unwrap();
         let data = match k.syscall(pid, tid, Syscall::Read { fd: cfd, len: 1024 }).unwrap() {
@@ -1487,11 +1353,11 @@ mod tests {
     #[test]
     fn forced_pid_assignment() {
         let (mut k, pid, tid) = booted();
-        k.set_next_pid(Pid(4242));
+        k.forced_next_pid = Some(4242);
         let child = k.syscall(pid, tid, Syscall::Fork).unwrap().as_pid().unwrap();
         assert_eq!(child, Pid(4242));
         // Forcing an already-used pid fails.
-        k.set_next_pid(pid);
+        k.forced_next_pid = Some(pid.0);
         assert!(matches!(k.syscall(pid, tid, Syscall::Fork), Err(SimError::PidUnavailable(_))));
     }
 
@@ -1638,13 +1504,13 @@ mod tests {
         k.syscall(pid, tid, Syscall::Listen { fd }).unwrap();
         assert!(matches!(k.syscall(pid, tid, Syscall::Accept { fd }), Err(SimError::WouldBlock)));
         assert_eq!(k.waiting_thread_count(), 1, "failed accept parked the caller");
-        assert_eq!(k.pending_wakeup_count(), 0);
+        assert_eq!(k.wait.wake_queue.len(), 0);
         let _conn = k.client_connect(80).unwrap();
         assert_eq!(k.waiting_thread_count(), 0);
-        assert_eq!(k.pending_wakeup_count(), 1, "connect produced a wakeup");
-        let woken = k.drain_wakeups_where(|p| p == pid);
+        assert_eq!(k.wait.wake_queue.len(), 1, "connect produced a wakeup");
+        let woken = drain(&mut k, |p| p == pid);
         assert_eq!(woken, vec![(pid, tid)]);
-        assert_eq!(k.pending_wakeup_count(), 0);
+        assert_eq!(k.wait.wake_queue.len(), 0);
     }
 
     #[test]
@@ -1658,12 +1524,12 @@ mod tests {
         assert!(matches!(k.syscall(pid, tid, Syscall::Read { fd: cfd, len: 64 }), Err(SimError::WouldBlock)));
         assert_eq!(k.waiting_thread_count(), 1);
         k.client_send(conn, b"ping".to_vec()).unwrap();
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, tid)]);
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, tid)]);
         // Read the data, block again, then the peer close wakes the reader.
         let _ = k.syscall(pid, tid, Syscall::Read { fd: cfd, len: 64 }).unwrap();
         assert!(matches!(k.syscall(pid, tid, Syscall::Read { fd: cfd, len: 64 }), Err(SimError::WouldBlock)));
         k.client_close(conn).unwrap();
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, tid)]);
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, tid)]);
     }
 
     #[test]
@@ -1672,16 +1538,16 @@ mod tests {
         let deadline = SimInstant(k.now().0 + 10_000);
         k.wait_until(pid, tid, deadline);
         assert_eq!(k.waiting_thread_count(), 1);
-        assert_eq!(k.next_timer_deadline(), Some(deadline));
+        assert_eq!(k.next_timer_deadline_where(|_| true), Some(deadline));
         k.advance_clock(SimDuration(5_000));
-        assert_eq!(k.pending_wakeup_count(), 0, "deadline not reached yet");
+        assert_eq!(k.wait.wake_queue.len(), 0, "deadline not reached yet");
         k.advance_clock(SimDuration(5_000));
-        assert_eq!(k.pending_wakeup_count(), 1);
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, tid)]);
-        assert_eq!(k.next_timer_deadline(), None);
+        assert_eq!(k.wait.wake_queue.len(), 1);
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, tid)]);
+        assert_eq!(k.next_timer_deadline_where(|_| true), None);
         // An already-expired deadline wakes immediately.
         k.wait_until(pid, tid, SimInstant(0));
-        assert_eq!(k.pending_wakeup_count(), 1);
+        assert_eq!(k.wait.wake_queue.len(), 1);
     }
 
     #[test]
@@ -1695,8 +1561,8 @@ mod tests {
         assert_eq!(k.waiting_thread_count(), 1, "one registration per thread");
         // The fd registration was superseded: a connect wakes nobody.
         let _ = k.client_connect(80).unwrap();
-        assert_eq!(k.pending_wakeup_count(), 0);
-        k.cancel_wait(pid, tid);
+        assert_eq!(k.wait.wake_queue.len(), 0);
+        k.cancel_wait(tid);
         assert_eq!(k.waiting_thread_count(), 0);
     }
 
@@ -1709,7 +1575,7 @@ mod tests {
         let far = SimInstant(k.now().0 + 9_000);
         k.wait_until(other, other_tid, near);
         k.wait_until(pid, tid, far);
-        assert_eq!(k.next_timer_deadline(), Some(near));
+        assert_eq!(k.next_timer_deadline_where(|_| true), Some(near));
         assert_eq!(k.next_timer_deadline_where(|p| p == pid), Some(far));
         assert_eq!(k.next_timer_deadline_where(|p| p == Pid(9999)), None);
     }
@@ -1729,13 +1595,16 @@ mod tests {
         k.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
         k.process_mut(pid).unwrap().space_mut().write_u64(base, 1).unwrap();
         let upto = k.advance_write_epoch(pid).unwrap();
-        assert!(k.drain_dirty_since(pid, upto).unwrap().is_empty(), "nothing written after the bump");
+        assert!(
+            k.process(pid).unwrap().space().drain_dirty_since(upto).is_empty(),
+            "nothing written after the bump"
+        );
         k.process_mut(pid).unwrap().space_mut().write_u64(base.offset(crate::memory::PAGE_SIZE), 2).unwrap();
-        let delta = k.drain_dirty_since(pid, upto).unwrap();
+        let delta = k.process(pid).unwrap().space().drain_dirty_since(upto);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].base, base.offset(crate::memory::PAGE_SIZE));
         // Read-only: asking again reports the same delta.
-        assert_eq!(k.drain_dirty_since(pid, upto).unwrap(), delta);
+        assert_eq!(k.process(pid).unwrap().space().drain_dirty_since(upto), delta);
         assert!(matches!(k.advance_write_epoch(Pid(9999)), Err(SimError::NoSuchProcess(_))));
     }
 
@@ -1780,7 +1649,7 @@ mod tests {
         // ...and re-waking an already queued thread is deduplicated.
         k.wait_until(pid, waiters[1], SimInstant(0));
         k.wait_until(pid, tid, SimInstant(0));
-        assert_eq!(k.pending_wakeup_count(), 6, "dedup kept one entry per thread");
+        assert_eq!(k.wait.wake_queue.len(), 6, "dedup kept one entry per thread");
 
         let mut batch = Vec::new();
         k.drain_wakeups_into(|p| p == pid, &mut batch);
@@ -1788,11 +1657,11 @@ mod tests {
         assert_eq!(tids, vec![waiters[0], waiters[1], waiters[2], tid], "FIFO wake order");
         assert!(batch.iter().all(|&(p, _)| p == pid));
         // The other scheduler's wakeups are still queued, in their own order.
-        assert_eq!(k.drain_wakeups_where(|p| p == other), vec![(other, other_tid), (other, o2)]);
-        assert_eq!(k.pending_wakeup_count(), 0);
+        assert_eq!(drain(&mut k, |p| p == other), vec![(other, other_tid), (other, o2)]);
+        assert_eq!(k.wait.wake_queue.len(), 0);
         // Delivery cleared the dedup bit: a delivered thread can be re-woken.
         k.wait_until(pid, waiters[1], SimInstant(0));
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, waiters[1])]);
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, waiters[1])]);
     }
 
     #[test]
@@ -1814,28 +1683,28 @@ mod tests {
         k.wait_on_fd(pid, survivors[1], fd).unwrap();
         k.wait_until(doomed, doomed_queued, SimInstant(0));
         k.wait_until(pid, tid, SimInstant(0));
-        assert_eq!(k.pending_wakeup_count(), 2);
+        assert_eq!(k.wait.wake_queue.len(), 2);
 
         // The process exits between enqueue and delivery.
         k.remove_process(doomed).unwrap();
-        assert_eq!(k.pending_wakeup_count(), 1, "the exiting process's queued wakeup was dropped");
+        assert_eq!(k.wait.wake_queue.len(), 1, "the exiting process's queued wakeup was dropped");
         // The listener object survives (the survivors' descriptors hold it)
         // and its next batch wakes only live waiters, still in FIFO order.
         let _conn = k.client_connect(81).unwrap();
-        let batch = k.drain_wakeups_where(|_| true);
+        let batch = drain(&mut k, |_| true);
         assert_eq!(batch, vec![(pid, tid), (pid, survivors[0]), (pid, survivors[1])]);
         assert_eq!(k.waiting_thread_count(), 0);
-        assert_eq!(k.pending_wakeup_count(), 0);
+        assert_eq!(k.wait.wake_queue.len(), 0);
     }
 
     #[test]
     fn armed_syscall_fault_fires_once_and_leaves_state_untouched() {
         let (mut k, pid, tid) = booted();
         k.arm_syscall_fault(3);
-        assert_eq!(k.syscall_fault_remaining(), Some(3));
+        assert_eq!(k.syscall_fault.map(|(rem, _)| rem), Some(3));
         k.syscall(pid, tid, Syscall::Getpid).unwrap();
         k.syscall(pid, tid, Syscall::Getpid).unwrap();
-        assert_eq!(k.syscall_fault_remaining(), Some(1));
+        assert_eq!(k.syscall_fault.map(|(rem, _)| rem), Some(1));
         let before_clock = k.now();
         // The doomed syscall would otherwise create a socket: it must not.
         let fd_count_before = k.process(pid).unwrap().fds().len();
@@ -1844,7 +1713,7 @@ mod tests {
         assert_eq!(k.process(pid).unwrap().fds().len(), fd_count_before);
         assert_eq!(k.waiting_thread_count(), 0, "no wait registration from the fault");
         // Fault disarmed itself: the next syscall executes normally.
-        assert_eq!(k.syscall_fault_remaining(), None);
+        assert_eq!(k.syscall_fault.map(|(rem, _)| rem), None);
         k.syscall(pid, tid, Syscall::Socket).unwrap();
         // Counting includes the suppressed call.
         assert_eq!(k.syscall_count(), 4);
@@ -1854,7 +1723,7 @@ mod tests {
     fn syscall_fault_arm_zero_and_disarm_are_inert() {
         let (mut k, pid, tid) = booted();
         k.arm_syscall_fault(0);
-        assert_eq!(k.syscall_fault_remaining(), None);
+        assert_eq!(k.syscall_fault.map(|(rem, _)| rem), None);
         k.arm_syscall_fault(2);
         k.disarm_syscall_fault();
         k.disarm_syscall_fault(); // idempotent
@@ -1871,16 +1740,16 @@ mod tests {
         // deadline: the stale entry's seq no longer matches the slot, so
         // only the live registration may fire.
         k.wait_until(pid, tid, deadline);
-        k.cancel_wait(pid, tid);
+        k.cancel_wait(tid);
         k.wait_until(pid, tid, deadline);
         assert_eq!(k.waiting_thread_count(), 1);
-        assert_eq!(k.next_timer_deadline(), Some(deadline), "stale entry invisible to lookup");
+        assert_eq!(k.next_timer_deadline_where(|_| true), Some(deadline), "stale entry invisible to lookup");
         k.advance_clock(SimDuration(4_000));
-        assert_eq!(k.pending_wakeup_count(), 1, "exactly one wake despite two wheel entries");
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, tid)]);
+        assert_eq!(k.wait.wake_queue.len(), 1, "exactly one wake despite two wheel entries");
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, tid)]);
         // No second wake materializes later from the stale entry.
         k.advance_clock(SimDuration(1_000_000));
-        assert_eq!(k.pending_wakeup_count(), 0);
+        assert_eq!(k.wait.wake_queue.len(), 0);
     }
 
     #[test]
@@ -1888,18 +1757,18 @@ mod tests {
         let (mut k, pid, tid) = booted();
         let deadline = SimInstant(k.now().0 + 2_000);
         k.wait_until(pid, tid, deadline);
-        k.cancel_wait(pid, tid);
+        k.cancel_wait(tid);
         assert_eq!(k.waiting_thread_count(), 0);
-        assert_eq!(k.next_timer_deadline(), None);
+        assert_eq!(k.next_timer_deadline_where(|_| true), None);
         // The advance that passes the cancelled deadline must not wake the
         // thread: `timer_entry_valid` filters the stale (seq, target) entry
         // in the same `fire_due_timers` pass.
         k.advance_clock(SimDuration(10_000));
-        assert_eq!(k.pending_wakeup_count(), 0, "cancelled timer never fires");
+        assert_eq!(k.wait.wake_queue.len(), 0, "cancelled timer never fires");
         // A fresh registration by the same thread still works afterwards.
         let later = SimInstant(k.now().0 + 500);
         k.wait_until(pid, tid, later);
         k.advance_clock(SimDuration(500));
-        assert_eq!(k.drain_wakeups_where(|_| true), vec![(pid, tid)]);
+        assert_eq!(drain(&mut k, |_| true), vec![(pid, tid)]);
     }
 }

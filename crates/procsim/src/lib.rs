@@ -67,28 +67,26 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alloc;
-pub mod clock;
-pub mod error;
-pub mod fd;
-pub mod ids;
-pub mod kernel;
-pub mod memory;
-pub mod objects;
-pub mod process;
-pub mod store;
-pub mod syscall;
+pub(crate) mod alloc;
+pub(crate) mod clock;
+pub(crate) mod error;
+pub(crate) mod fd;
+pub(crate) mod ids;
+pub(crate) mod kernel;
+pub(crate) mod memory;
+pub(crate) mod objects;
+pub(crate) mod process;
+pub(crate) mod store;
+pub(crate) mod syscall;
 
-pub use alloc::{
-    AllocSite, AllocStats, ChunkInfo, PoolId, PtMalloc, RegionAllocator, SlabAllocator, TypeTag,
-};
-pub use clock::{SimDuration, SimInstant, VirtualClock};
-pub use error::{SimError, SimResult};
+pub use alloc::{AllocSite, ChunkInfo, PoolId, PtMalloc, RegionAllocator, TypeTag};
+pub use clock::{SimDuration, SimInstant};
+pub use error::SimError;
 pub use fd::{FdEntry, FdTable};
 pub use ids::{ConnId, Fd, ObjId, Pid, Tid, RESERVED_FD_BASE};
 pub use kernel::{ClientSnapshot, ClientView, FdPlacement, Kernel};
 pub use memory::{Addr, AddressSpace, DirtyRange, MemoryRegion, PendingTrap, RegionKind, PAGE_SIZE};
 pub use objects::{KernelObject, ObjectTable, UnixMessage};
 pub use process::{MemoryLayout, Process, Thread, ThreadState};
-pub use store::{checksum64, FsStore, MemStore, Store, StoreError, WriteFault, BLOCK_SIZE};
+pub use store::{checksum64, FsStore, MemStore, Store, StoreError, WriteFault};
 pub use syscall::{Syscall, SyscallPort, SyscallRet};

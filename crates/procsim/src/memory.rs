@@ -22,9 +22,7 @@
 //! ([`AddressSpace::unprotect_range`]) and replays the parked store, so the
 //! final bytes are written in the same order as a stop-the-world transfer:
 //! quiesce-time content first, post-commit stores second. Loads are not
-//! intercepted (the simulator's workloads are store-driven); the
-//! [`AddressSpace::access_trap`] query lets callers check a range before a
-//! read if they need the read barrier too.
+//! intercepted (the simulator's workloads are store-driven).
 //!
 //! # Write epochs (the pre-copy write barrier)
 //!
@@ -144,7 +142,7 @@ pub enum RegionKind {
 
 impl RegionKind {
     /// Short label used in reports and tracing statistics.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RegionKind::Static => "static",
             RegionKind::Heap => "heap",
@@ -240,7 +238,7 @@ impl MemoryRegion {
     }
 
     /// Whether the address lies inside the region.
-    pub fn contains(&self, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Addr) -> bool {
         addr.0 >= self.base.0 && addr.0 < self.base.0 + self.size
     }
 
@@ -251,7 +249,7 @@ impl MemoryRegion {
 
     /// Whether the page containing `addr` is soft-dirty (written since the
     /// last `clear_soft_dirty`).
-    pub fn page_is_dirty(&self, addr: Addr) -> bool {
+    pub(crate) fn page_is_dirty(&self, addr: Addr) -> bool {
         self.page_dirty_epoch(addr) != 0
     }
 
@@ -262,12 +260,12 @@ impl MemoryRegion {
     }
 
     /// Number of dirty pages in the region.
-    pub fn dirty_page_count(&self) -> usize {
+    pub(crate) fn dirty_page_count(&self) -> usize {
         self.dirty_page_count_since(0)
     }
 
     /// Number of pages whose dirty stamp exceeds `since`.
-    pub fn dirty_page_count_since(&self, since: u64) -> usize {
+    pub(crate) fn dirty_page_count_since(&self, since: u64) -> usize {
         self.dirty_epoch.iter().filter(|&&e| e > since).count()
     }
 
@@ -280,11 +278,6 @@ impl MemoryRegion {
     pub fn page_is_protected(&self, addr: Addr) -> bool {
         let idx = ((addr.0 - self.base.0) / PAGE_SIZE) as usize;
         self.protected.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Number of protected pages in the region.
-    pub fn protected_page_count(&self) -> usize {
-        self.protected.iter().filter(|&&p| p).count()
     }
 
     fn page_span(&self, addr: Addr, len: u64) -> std::ops::RangeInclusive<usize> {
@@ -336,7 +329,7 @@ impl MemoryRegion {
     /// Number of pages that have been materialised by a store — the
     /// host-side memory the region actually occupies (shared pages count
     /// once per region that references them).
-    pub fn resident_pages(&self) -> usize {
+    pub(crate) fn resident_pages(&self) -> usize {
         self.pages.iter().flatten().count()
     }
 
@@ -479,8 +472,6 @@ pub struct AddressSpace {
     protected_pages: usize,
     /// Stores parked by the access-trap barrier, in program order.
     pending_traps: Vec<PendingTrap>,
-    /// Total stores ever parked (instrumentation).
-    traps_taken: u64,
 }
 
 impl Default for AddressSpace {
@@ -490,7 +481,6 @@ impl Default for AddressSpace {
             write_epoch: 1,
             protected_pages: 0,
             pending_traps: Vec::new(),
-            traps_taken: 0,
         }
     }
 }
@@ -562,11 +552,6 @@ impl AddressSpace {
     /// Iterates over all mapped regions in address order.
     pub fn regions(&self) -> impl Iterator<Item = &MemoryRegion> {
         self.regions.values()
-    }
-
-    /// Returns the region of the given kind with the given name, if any.
-    pub fn find_region(&self, kind: RegionKind, name: &str) -> Option<&MemoryRegion> {
-        self.regions.values().find(|r| r.kind() == kind && r.name() == name)
     }
 
     /// Total mapped bytes (a proxy for the resident set size of the process).
@@ -674,7 +659,6 @@ impl AddressSpace {
 
     fn park_store(&mut self, addr: Addr, bytes: Vec<u8>) {
         self.pending_traps.push(PendingTrap { addr, bytes });
-        self.traps_taken += 1;
     }
 
     /// Writes `bytes` starting at `addr`, marking touched pages soft-dirty.
@@ -747,11 +731,6 @@ impl AddressSpace {
     /// Reads a pointer-sized value as an address.
     pub fn read_ptr(&self, addr: Addr) -> SimResult<Addr> {
         Ok(Addr(self.read_u64(addr)?))
-    }
-
-    /// Writes an address as a pointer-sized value.
-    pub fn write_ptr(&mut self, addr: Addr, value: Addr) -> SimResult<()> {
-        self.write_u64(addr, value.0)
     }
 
     /// Reads a 32-bit little-endian word.
@@ -860,11 +839,6 @@ impl AddressSpace {
         prev
     }
 
-    /// Collects all dirty page runs, coalescing adjacent dirty pages.
-    pub fn dirty_ranges(&self) -> Vec<DirtyRange> {
-        self.drain_dirty_since(0)
-    }
-
     /// Collects the page runs whose dirty stamp exceeds `since`, coalescing
     /// adjacent matching pages. `since == 0` reports everything written
     /// since the last [`AddressSpace::clear_soft_dirty`]; a pre-copy round
@@ -932,11 +906,6 @@ impl AddressSpace {
         self.regions.values().map(|r| r.dirty_page_count_since(since)).sum()
     }
 
-    /// Total number of mapped pages across all regions.
-    pub fn total_page_count(&self) -> usize {
-        self.regions.values().map(|r| r.page_count()).sum()
-    }
-
     // ------------------------------------------------------------------
     // Post-copy access traps (the userfaultfd analogue)
     // ------------------------------------------------------------------
@@ -991,32 +960,6 @@ impl AddressSpace {
         self.protected_pages = 0;
     }
 
-    /// Whether the page containing `addr` is post-copy protected.
-    pub fn is_protected(&self, addr: Addr) -> bool {
-        self.protected_pages > 0
-            && self.region_containing(addr).map(|r| r.page_is_protected(addr)).unwrap_or(false)
-    }
-
-    /// The base address of the first protected page covering
-    /// `[addr, addr+len)`, if any — the read-barrier query for callers that
-    /// need to check a load against the trap state.
-    pub fn access_trap(&self, addr: Addr, len: u64) -> Option<Addr> {
-        if self.protected_pages == 0 {
-            return None;
-        }
-        let mut page = addr.page_base();
-        let end = addr.0 + len.max(1);
-        while page.0 < end {
-            if let Some(r) = self.region_containing(page) {
-                if r.page_is_protected(page) {
-                    return Some(page);
-                }
-            }
-            page = page.offset(PAGE_SIZE);
-        }
-        None
-    }
-
     /// Total number of protected pages across all regions.
     pub fn protected_page_count(&self) -> usize {
         self.protected_pages
@@ -1033,16 +976,30 @@ impl AddressSpace {
     pub fn take_pending_traps(&mut self) -> Vec<PendingTrap> {
         std::mem::take(&mut self.pending_traps)
     }
-
-    /// Total number of stores ever parked by the trap barrier.
-    pub fn traps_taken(&self) -> u64 {
-        self.traps_taken
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the page containing `addr` is post-copy protected.
+    fn is_protected(space: &AddressSpace, addr: Addr) -> bool {
+        space.region_containing(addr).is_some_and(|r| r.page_is_protected(addr))
+    }
+
+    /// The base address of the first protected page covering
+    /// `[addr, addr+len)`, if any — a read-barrier query.
+    fn access_trap(space: &AddressSpace, addr: Addr, len: u64) -> Option<Addr> {
+        let end = addr.0 + len.max(1);
+        let mut page = addr.page_base();
+        while page.0 < end {
+            if is_protected(space, page) {
+                return Some(page);
+            }
+            page = page.offset(PAGE_SIZE);
+        }
+        None
+    }
 
     fn space_with_region() -> AddressSpace {
         let mut space = AddressSpace::new();
@@ -1135,7 +1092,7 @@ mod tests {
         space.write_u8(Addr(0x10000), 1).unwrap();
         space.write_u8(Addr(0x10000 + PAGE_SIZE), 1).unwrap();
         space.write_u8(Addr(0x10000 + 4 * PAGE_SIZE), 1).unwrap();
-        let ranges = space.dirty_ranges();
+        let ranges = space.drain_dirty_since(0);
         assert_eq!(ranges.len(), 2);
         assert_eq!(ranges[0].base, Addr(0x10000));
         assert_eq!(ranges[0].len, 2 * PAGE_SIZE);
@@ -1182,10 +1139,10 @@ mod tests {
         // Arm protection over the second page.
         space.protect_range(Addr(0x10000 + PAGE_SIZE), PAGE_SIZE).unwrap();
         assert_eq!(space.protected_page_count(), 1);
-        assert!(space.is_protected(Addr(0x10000 + PAGE_SIZE + 8)));
-        assert!(!space.is_protected(Addr(0x10000)));
-        assert_eq!(space.access_trap(Addr(0x10000), 2 * PAGE_SIZE), Some(Addr(0x10000 + PAGE_SIZE)));
-        assert_eq!(space.access_trap(Addr(0x10000), 8), None);
+        assert!(is_protected(&space, Addr(0x10000 + PAGE_SIZE + 8)));
+        assert!(!is_protected(&space, Addr(0x10000)));
+        assert_eq!(access_trap(&space, Addr(0x10000), 2 * PAGE_SIZE), Some(Addr(0x10000 + PAGE_SIZE)));
+        assert_eq!(access_trap(&space, Addr(0x10000), 8), None);
         // A store to an unprotected page lands as usual.
         space.write_u64(Addr(0x10008), 0x2222).unwrap();
         assert_eq!(space.read_u64(Addr(0x10008)).unwrap(), 0x2222);
@@ -1193,7 +1150,6 @@ mod tests {
         space.write_u64(Addr(0x10000 + PAGE_SIZE), 0x3333).unwrap();
         assert_eq!(space.read_u64(Addr(0x10000 + PAGE_SIZE)).unwrap(), 0);
         assert_eq!(space.pending_trap_count(), 1);
-        assert_eq!(space.traps_taken(), 1);
         // The fault handler lands content through the barrier, unprotects,
         // and replays the parked store — final bytes as if transfer had
         // happened before the program store.
@@ -1365,7 +1321,7 @@ mod tests {
         space.map_region(Addr(0x100_0000), 16 << 20, RegionKind::Heap, "heap").unwrap();
         let copy = space.clone();
         assert_eq!((space.resident_pages(), copy.resident_pages()), (0, 0));
-        assert_eq!(copy.total_page_count(), 4096);
+        assert_eq!(copy.regions.values().map(|r| r.page_count()).sum::<usize>(), 4096);
         assert_eq!(copy.dirty_page_count(), 4096, "a fresh mapping is all-dirty, resident or not");
         assert_eq!(copy.read_u64(Addr(0x100_0000 + (16 << 20) - 8)).unwrap(), 0);
     }
@@ -1406,8 +1362,8 @@ mod tests {
         assert_eq!(c.drain_dirty_since(0), p.drain_dirty_since(0));
         assert_eq!(c.range_dirty_epoch(heap, 8), 2);
         assert_eq!(c.write_epoch(), p.write_epoch());
-        assert_eq!((c.protected_page_count(), c.pending_trap_count(), c.traps_taken()), (1, 1, 1));
-        assert!(c.is_protected(heap.offset(PAGE_SIZE)));
+        assert_eq!((c.protected_page_count(), c.pending_trap_count()), (1, 1));
+        assert!(is_protected(c, heap.offset(PAGE_SIZE)));
 
         // One store on the child un-shares exactly that page …
         kernel.process_mut(child).unwrap().space_mut().write_u64(heap, 0xC0C0).unwrap();

@@ -84,20 +84,6 @@ pub enum KernelObject {
     },
 }
 
-impl KernelObject {
-    /// Short label describing the object kind (used in diagnostics and in the
-    /// startup log).
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            KernelObject::Listener { .. } => "listener",
-            KernelObject::Connection { .. } => "connection",
-            KernelObject::File { .. } => "file",
-            KernelObject::UnixChannel { .. } => "unix",
-            KernelObject::Pipe { .. } => "pipe",
-        }
-    }
-}
-
 /// One occupied or free slab slot.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -277,15 +263,15 @@ impl ObjectTable {
     /// Exclusive access to an object.
     ///
     /// A [`KernelObject::Listener`]'s `port`/`listening` fields must not be
-    /// changed through this handle — use [`ObjectTable::bind_listener`] and
-    /// [`ObjectTable::set_listening`], which keep the port index coherent.
+    /// changed through this handle — use `ObjectTable::bind_listener` and
+    /// `ObjectTable::set_listening`, which keep the port index coherent.
     pub fn get_mut(&mut self, id: ObjId) -> Option<&mut KernelObject> {
         self.slot_of(id).map(|s| &mut self.slots[s as usize].obj)
     }
 
     /// Binds a listener to `port`, maintaining the port index. Returns false
     /// if `id` is not a live listener.
-    pub fn bind_listener(&mut self, id: ObjId, port: u16) -> bool {
+    pub(crate) fn bind_listener(&mut self, id: ObjId, port: u16) -> bool {
         let Some(s) = self.slot_of(id) else { return false };
         let KernelObject::Listener { port: p, .. } = &mut self.slots[s as usize].obj else {
             return false;
@@ -308,7 +294,7 @@ impl ObjectTable {
 
     /// Marks a listener as listening. Returns false if `id` is not a live
     /// listener.
-    pub fn set_listening(&mut self, id: ObjId) -> bool {
+    pub(crate) fn set_listening(&mut self, id: ObjId) -> bool {
         let Some(s) = self.slot_of(id) else { return false };
         match &mut self.slots[s as usize].obj {
             KernelObject::Listener { listening, .. } => {
@@ -479,7 +465,7 @@ impl ObjectTable {
     }
 
     /// Finds the Unix channel with the given name, if any (lowest live id).
-    pub fn unix_channel(&self, name: &str) -> Option<ObjId> {
+    pub(crate) fn unix_channel(&self, name: &str) -> Option<ObjId> {
         self.unix_names
             .get(name)?
             .iter()
@@ -520,6 +506,17 @@ impl<'a> Iterator for OrderIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Short label describing the object kind.
+    fn kind_label(o: &KernelObject) -> &'static str {
+        match o {
+            KernelObject::Listener { .. } => "listener",
+            KernelObject::Connection { .. } => "connection",
+            KernelObject::File { .. } => "file",
+            KernelObject::UnixChannel { .. } => "unix",
+            KernelObject::Pipe { .. } => "pipe",
+        }
+    }
 
     #[test]
     fn refcounting_lifecycle() {
@@ -569,7 +566,7 @@ mod tests {
             KernelObject::UnixChannel { name: "x".into(), inbox: VecDeque::new() },
             KernelObject::Pipe { buffer: VecDeque::new() },
         ];
-        let labels: Vec<&str> = objs.iter().map(|o| o.kind_label()).collect();
+        let labels: Vec<&str> = objs.iter().map(kind_label).collect();
         assert_eq!(labels, vec!["listener", "connection", "file", "unix", "pipe"]);
     }
 
@@ -586,7 +583,7 @@ mod tests {
         assert_eq!(t.refcount(a), 0);
         t.incref(a); // no-op on a dead id
         assert_eq!(t.refcount(a), 0);
-        assert_eq!(t.get(b).map(|o| o.kind_label()), Some("file"));
+        assert_eq!(t.get(b).map(kind_label), Some("file"));
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Thread {
     }
 
     /// Replaces the whole call stack (used when restoring a checkpoint).
-    pub fn set_call_stack(&mut self, frames: Vec<String>) {
+    pub(crate) fn set_call_stack(&mut self, frames: Vec<String>) {
         self.call_stack = frames;
         self.shared_call_stack = None;
     }
@@ -200,7 +200,6 @@ impl Default for MemoryLayout {
 #[derive(Debug, Clone)]
 pub struct Process {
     pid: Pid,
-    ppid: Option<Pid>,
     name: String,
     space: AddressSpace,
     heap: Option<PtMalloc>,
@@ -219,11 +218,10 @@ pub struct Process {
 }
 
 impl Process {
-    pub(crate) fn new(pid: Pid, ppid: Option<Pid>, name: impl Into<String>, main_tid: Tid) -> Self {
+    pub(crate) fn new(pid: Pid, name: impl Into<String>, main_tid: Tid) -> Self {
         let threads = vec![Thread::new(main_tid, "main", Rc::from([]))];
         Process {
             pid,
-            ppid,
             name: name.into(),
             space: AddressSpace::new(),
             heap: None,
@@ -238,23 +236,13 @@ impl Process {
     }
 
     /// Process identifier.
-    pub fn pid(&self) -> Pid {
+    pub(crate) fn pid(&self) -> Pid {
         self.pid
-    }
-
-    /// Parent process identifier, if any.
-    pub fn ppid(&self) -> Option<Pid> {
-        self.ppid
     }
 
     /// Program name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Renames the process (used by `exec`).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// The memory layout used by [`Process::setup_memory`].
@@ -330,11 +318,6 @@ impl Process {
         &self.regions
     }
 
-    /// Exclusive access to the region/pool allocator.
-    pub fn regions_mut(&mut self) -> &mut RegionAllocator {
-        &mut self.regions
-    }
-
     /// Replaces the region allocator (used to enable instrumentation).
     pub fn set_region_allocator(&mut self, regions: RegionAllocator) {
         self.regions = regions;
@@ -386,11 +369,6 @@ impl Process {
         self.threads.iter()
     }
 
-    /// Iterates mutably over the process's threads in ascending tid order.
-    pub fn threads_mut(&mut self) -> impl Iterator<Item = &mut Thread> {
-        self.threads.iter_mut()
-    }
-
     /// Number of threads (including exited ones still in the table).
     pub fn thread_count(&self) -> usize {
         self.threads.len()
@@ -404,20 +382,9 @@ impl Process {
         }
     }
 
-    /// Drops every thread except `tid` (exec-style single-thread reset).
-    pub fn retain_only_thread(&mut self, tid: Tid) {
-        self.threads.retain(|t| t.tid == tid);
-        self.main_tid = tid;
-    }
-
     /// Whether the process has exited.
     pub fn has_exited(&self) -> bool {
         self.exit_code.is_some()
-    }
-
-    /// Exit code if the process has exited.
-    pub fn exit_code(&self) -> Option<i32> {
-        self.exit_code
     }
 
     pub(crate) fn set_exit(&mut self, code: i32) {
@@ -450,11 +417,6 @@ impl Process {
         self.space.mapped_bytes() + meta
     }
 
-    /// True if every live (non-exited) thread is parked at a quiescent point.
-    pub fn is_quiescent(&self) -> bool {
-        self.threads.iter().filter(|t| !matches!(t.state(), ThreadState::Exited)).all(|t| t.is_quiesced())
-    }
-
     pub(crate) fn fork_into(&self, child_pid: Pid, child_main_tid: Tid, forking_tid: Tid) -> Process {
         let forking_stack =
             self.thread_pos(forking_tid).map(|i| self.threads[i].call_stack().to_vec()).unwrap_or_default();
@@ -463,7 +425,6 @@ impl Process {
         let threads = vec![main];
         Process {
             pid: child_pid,
-            ppid: Some(self.pid),
             name: self.name.clone(),
             space: self.space.clone(),
             heap: self.heap.clone(),
@@ -483,8 +444,13 @@ mod tests {
     use super::*;
     use crate::alloc::{AllocSite, TypeTag};
 
+    /// True if every live (non-exited) thread is parked at a quiescent point.
+    fn is_quiescent(p: &Process) -> bool {
+        p.threads.iter().filter(|t| !matches!(t.state(), ThreadState::Exited)).all(|t| t.is_quiesced())
+    }
+
     fn proc_with_memory() -> Process {
-        let mut p = Process::new(Pid(1), None, "testd", Tid(1));
+        let mut p = Process::new(Pid(1), "testd", Tid(1));
         p.setup_memory(MemoryLayout::default(), true).unwrap();
         p
     }
@@ -527,11 +493,11 @@ mod tests {
     fn quiescence_requires_all_threads() {
         let mut p = proc_with_memory();
         p.add_thread(Tid(2), "worker", Rc::from(["main".to_string(), "spawn_workers".to_string()]));
-        assert!(!p.is_quiescent());
-        for t in p.threads_mut() {
+        assert!(!is_quiescent(&p));
+        for t in &mut p.threads {
             t.set_state(ThreadState::Quiesced);
         }
-        assert!(p.is_quiescent());
+        assert!(is_quiescent(&p));
     }
 
     #[test]
@@ -568,7 +534,6 @@ mod tests {
         }
         let child = p.fork_into(Pid(2), Tid(10), Tid(1));
         assert_eq!(child.pid(), Pid(2));
-        assert_eq!(child.ppid(), Some(Pid(1)));
         assert_eq!(child.space().read_u64(addr).unwrap(), 0x1234);
         assert_eq!(child.fds().len(), 1);
         assert_eq!(child.thread_count(), 1);
@@ -584,7 +549,7 @@ mod tests {
         let mut p = proc_with_memory();
         p.set_exit(3);
         assert!(p.has_exited());
-        assert_eq!(p.exit_code(), Some(3));
+        assert_eq!(p.exit_code, Some(3));
         assert!(matches!(p.thread(Tid(1)).unwrap().state(), ThreadState::Exited));
     }
 

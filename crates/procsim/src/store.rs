@@ -27,7 +27,7 @@ use std::fmt;
 
 /// Size of one simulated disk block. Writes are charged, torn and crashed at
 /// this granularity.
-pub const BLOCK_SIZE: usize = 4096;
+pub(crate) const BLOCK_SIZE: usize = 4096;
 
 /// Errors surfaced by a [`Store`] backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,12 +188,6 @@ impl MemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether an injected crash has fired and [`Store::recover`] has not
-    /// yet been called.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Directly corrupts one byte of a stored blob (test hook for checksum

@@ -177,7 +177,7 @@ impl Syscall {
     /// that the next state change on that object (client connect, client
     /// send, peer close, queued datagram) produces a wakeup instead of
     /// requiring the scheduler to re-poll the thread.
-    pub fn blocking_fd(&self) -> Option<Fd> {
+    pub(crate) fn blocking_fd(&self) -> Option<Fd> {
         match self {
             Syscall::Accept { fd } | Syscall::Read { fd, .. } | Syscall::UnixRecv { fd } => Some(*fd),
             _ => None,
