@@ -25,15 +25,15 @@
 //!     Field::new("count", int),
 //! ]);
 //! assert_eq!(reg.size_of(node), 8);
-//! assert!(!reg.has_pointers(node));
+//! assert_eq!(reg.field_offset(node, "count"), Some(4));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod instrument;
-pub mod statics;
-pub mod types;
+pub(crate) mod instrument;
+pub(crate) mod statics;
+pub(crate) mod types;
 
 pub use instrument::{InstrumentationConfig, InstrumentationLevel};
 pub use statics::{CallSiteInfo, CallSiteRegistry, StaticObject, StaticRegistry};

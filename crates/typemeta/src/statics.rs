@@ -31,7 +31,7 @@ pub struct StaticObject {
     /// Whether the object is a *root* for mutable tracing (global pointers
     /// are roots; large read-only blobs may be registered without being
     /// roots).
-    pub is_root: bool,
+    pub(crate) is_root: bool,
 }
 
 /// Registry of the static objects of one program version.
@@ -54,7 +54,7 @@ impl StaticRegistry {
     }
 
     /// Registers (or replaces) a static object.
-    pub fn register(&mut self, object: StaticObject) {
+    pub(crate) fn register(&mut self, object: StaticObject) {
         let (symbol, addr) = (Arc::clone(&object.symbol), object.addr.0);
         if let Some(old) = self.by_symbol.insert(Arc::clone(&symbol), object) {
             // The symbol may have moved: its old address no longer names it.
@@ -82,11 +82,6 @@ impl StaticRegistry {
         self.by_symbol.get(symbol).filter(|o| addr.0 < o.addr.0 + o.size.max(1))
     }
 
-    /// Iterates over all registered objects in symbol order.
-    pub fn iter(&self) -> impl Iterator<Item = &StaticObject> {
-        self.by_symbol.values()
-    }
-
     /// Iterates over the root objects only.
     pub fn roots(&self) -> impl Iterator<Item = &StaticObject> {
         self.by_symbol.values().filter(|o| o.is_root)
@@ -100,11 +95,6 @@ impl StaticRegistry {
     /// True if the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.by_symbol.is_empty()
-    }
-
-    /// Total bytes of registered static objects (metadata accounting).
-    pub fn total_bytes(&self) -> u64 {
-        self.by_symbol.values().map(|o| o.size).sum()
     }
 }
 
@@ -154,11 +144,6 @@ impl CallSiteRegistry {
         self.sites.get(&site.0)
     }
 
-    /// Looks up a call site id by name.
-    pub fn lookup(&self, name: &str) -> Option<AllocSite> {
-        self.by_name.get(name).map(|&id| AllocSite(id))
-    }
-
     /// Iterates over all registered call sites in id order.
     pub fn iter(&self) -> impl Iterator<Item = (AllocSite, &CallSiteInfo)> {
         self.sites.iter().map(|(&id, info)| (AllocSite(id), info))
@@ -196,7 +181,7 @@ mod tests {
         assert_eq!(&*reg.object_containing(Addr(0x40_0120)).unwrap().symbol, "banner");
         assert!(reg.object_containing(Addr(0x50_0000)).is_none());
         assert_eq!(reg.roots().count(), 1);
-        assert_eq!(reg.total_bytes(), 72);
+        assert_eq!(reg.by_symbol.values().map(|o| o.size).sum::<u64>(), 72);
     }
 
     #[test]
@@ -249,7 +234,7 @@ mod tests {
         assert_eq!(&*reg.get(a).unwrap().name, "server_init:conf");
         assert_eq!(reg.iter().count(), 2);
         assert_eq!(reg.get(c).unwrap().ty, None);
-        assert_eq!(reg.lookup("handle_event:node"), Some(c));
-        assert_eq!(reg.lookup("nope"), None);
+        assert_eq!(reg.by_name.get("handle_event:node"), Some(&c.0));
+        assert_eq!(reg.by_name.get("nope"), None);
     }
 }

@@ -91,9 +91,9 @@ pub enum TypeKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Field name (used to match fields across versions).
-    pub name: String,
+    pub(crate) name: String,
     /// Field type.
-    pub ty: TypeId,
+    pub(crate) ty: TypeId,
 }
 
 impl Field {
@@ -143,17 +143,6 @@ pub enum LayoutElement {
     },
 }
 
-impl LayoutElement {
-    /// Byte offset of the element.
-    pub fn offset(&self) -> u64 {
-        match self {
-            LayoutElement::Pointer { offset, .. }
-            | LayoutElement::Scalar { offset, .. }
-            | LayoutElement::Opaque { offset, .. } => *offset,
-        }
-    }
-}
-
 /// Field location resolved within a struct layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldLayout {
@@ -164,7 +153,7 @@ pub struct FieldLayout {
     /// Byte offset from the start of the struct.
     pub offset: u64,
     /// Field size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 /// What the registry derives from a descriptor on first use and keeps.
@@ -265,11 +254,6 @@ impl TypeRegistry {
     /// Shorthand: a struct type.
     pub fn struct_type(&mut self, name: &str, fields: Vec<Field>) -> TypeId {
         self.register(name, TypeKind::Struct { fields })
-    }
-
-    /// Shorthand: a union type.
-    pub fn union_type(&mut self, name: &str, variants: Vec<Field>) -> TypeId {
-        self.register(name, TypeKind::Union { variants })
     }
 
     /// Shorthand: an opaque blob.
@@ -406,17 +390,6 @@ impl TypeRegistry {
         }
     }
 
-    /// True if the type contains any opaque layout element (and therefore
-    /// requires conservative scanning when traced).
-    pub fn has_opaque_parts(&self, id: TypeId) -> bool {
-        self.layout_elements(id).iter().any(|e| matches!(e, LayoutElement::Opaque { .. }))
-    }
-
-    /// True if the type contains any pointer slot.
-    pub fn has_pointers(&self, id: TypeId) -> bool {
-        self.layout_elements(id).iter().any(|e| matches!(e, LayoutElement::Pointer { .. }))
-    }
-
     /// Structural comparison of a type in this registry against a type in
     /// another registry (typically: old version vs. new version).
     ///
@@ -457,6 +430,11 @@ impl TypeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if any layout element of `id` satisfies `pred`.
+    fn has(reg: &TypeRegistry, id: TypeId, pred: impl Fn(&LayoutElement) -> bool) -> bool {
+        reg.layout_elements(id).iter().any(pred)
+    }
 
     fn listing1_types() -> (TypeRegistry, TypeId, TypeId) {
         // The types from Listing 1 of the paper: `char b[8]` and
@@ -510,13 +488,13 @@ mod tests {
         let elems = reg.layout_elements(list);
         assert!(matches!(elems[0], LayoutElement::Scalar { offset: 0, len: 4 }));
         assert!(matches!(elems[1], LayoutElement::Pointer { offset: 8, .. }));
-        assert!(reg.has_pointers(list));
-        assert!(!reg.has_opaque_parts(list));
+        assert!(has(&reg, list, |e| matches!(e, LayoutElement::Pointer { .. })));
+        assert!(!has(&reg, list, |e| matches!(e, LayoutElement::Opaque { .. })));
 
         let belems = reg.layout_elements(b);
         assert_eq!(belems.len(), 1);
         assert!(matches!(belems[0], LayoutElement::Opaque { offset: 0, len: 8 }));
-        assert!(reg.has_opaque_parts(b));
+        assert!(has(&reg, b, |e| matches!(e, LayoutElement::Opaque { .. })));
     }
 
     #[test]
@@ -528,7 +506,7 @@ mod tests {
         assert_eq!(reg.size_of(arr), 24);
         let elems = reg.layout_elements(arr);
         assert_eq!(elems.len(), 6);
-        assert_eq!(elems[5].offset(), 20);
+        assert!(matches!(elems[5], LayoutElement::Scalar { offset: 20, .. }));
     }
 
     #[test]
@@ -536,11 +514,12 @@ mod tests {
         let mut reg = TypeRegistry::new();
         let int = reg.int("int", 4);
         let ptr = reg.pointer("int*", int);
-        let u = reg.union_type("u", vec![Field::new("i", int), Field::new("p", ptr)]);
+        let u =
+            reg.register("u", TypeKind::Union { variants: vec![Field::new("i", int), Field::new("p", ptr)] });
         let elems = reg.layout_elements(u);
         assert_eq!(elems, [LayoutElement::Opaque { offset: 0, len: 8 }]);
         let psi = reg.ptr_sized_int("uintptr_t");
-        assert!(reg.has_opaque_parts(psi));
+        assert!(has(&reg, psi, |e| matches!(e, LayoutElement::Opaque { .. })));
     }
 
     #[test]
@@ -626,7 +605,10 @@ mod tests {
 
         // A union that names a later id, queried, then completed.
         let late = TypeId(ptr.0 + 2);
-        let u = reg.union_type("u", vec![Field::new("i", int), Field::new("late", late)]);
+        let u = reg.register(
+            "u",
+            TypeKind::Union { variants: vec![Field::new("i", int), Field::new("late", late)] },
+        );
         assert_eq!(answers(&reg, u), (4, 4, vec![], vec![LayoutElement::Opaque { offset: 0, len: 4 }]));
         assert_eq!(reg.char_array("char[13]", 13), late);
         assert_eq!(answers(&reg, u), (13, 4, vec![], vec![LayoutElement::Opaque { offset: 0, len: 13 }]));
