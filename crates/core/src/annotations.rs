@@ -46,11 +46,11 @@ pub(crate) fn pointer_mask(mask_bits: u32) -> u64 {
 
 /// A state annotation attached to a global symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateAnnotation {
+pub(crate) struct StateAnnotation {
     /// Symbol the annotation applies to.
-    pub symbol: String,
+    pub(crate) symbol: String,
     /// Treatment requested.
-    pub treatment: ObjTreatment,
+    pub(crate) treatment: ObjTreatment,
 }
 
 /// Decision returned by a reinitialization handler for a conflicting or
@@ -85,7 +85,6 @@ pub struct AnnotationRegistry {
     reinit: Vec<(String, ReinitHandler)>,
     transforms: BTreeMap<String, TransformHandler>,
     annotation_loc: u64,
-    state_transfer_loc: u64,
 }
 
 impl fmt::Debug for AnnotationRegistry {
@@ -95,14 +94,13 @@ impl fmt::Debug for AnnotationRegistry {
             .field("reinit_handlers", &self.reinit.iter().map(|(n, _)| n).collect::<Vec<_>>())
             .field("transforms", &self.transforms.keys().collect::<Vec<_>>())
             .field("annotation_loc", &self.annotation_loc)
-            .field("state_transfer_loc", &self.state_transfer_loc)
             .finish()
     }
 }
 
 impl AnnotationRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -113,7 +111,7 @@ impl AnnotationRegistry {
     ///
     /// Panics on [`ObjTreatment::EncodedPointers`] with `mask_bits >= 64`: a
     /// 64-bit pointer has no address bits left under such a mask.
-    pub fn add_obj_handler(&mut self, symbol: impl Into<String>, treatment: ObjTreatment, loc: u64) {
+    pub(crate) fn add_obj_handler(&mut self, symbol: impl Into<String>, treatment: ObjTreatment, loc: u64) {
         if let ObjTreatment::EncodedPointers { mask_bits } = treatment {
             assert!(mask_bits < 64, "EncodedPointers: mask_bits must be below 64, got {mask_bits}");
         }
@@ -122,43 +120,31 @@ impl AnnotationRegistry {
     }
 
     /// Registers a reinitialization handler (`MCR_ADD_REINIT_HANDLER`).
-    pub fn add_reinit_handler(&mut self, name: impl Into<String>, handler: ReinitHandler, loc: u64) {
+    pub(crate) fn add_reinit_handler(&mut self, name: impl Into<String>, handler: ReinitHandler, loc: u64) {
         self.reinit.push((name.into(), handler));
         self.annotation_loc += loc;
     }
 
     /// Registers a semantic state-transfer transform for a type or symbol
-    /// name, accounting `loc` lines of state-transfer code (Table 1's "ST
-    /// LOC" column).
-    pub fn add_transform(&mut self, name: impl Into<String>, handler: TransformHandler, loc: u64) {
+    /// name.
+    pub(crate) fn add_transform(&mut self, name: impl Into<String>, handler: TransformHandler) {
         self.transforms.insert(name.into(), handler);
-        self.state_transfer_loc += loc;
     }
 
     /// Accounts additional annotation lines that are not tied to a handler
     /// (e.g. source tweaks needed to keep startup deterministic).
-    pub fn add_annotation_loc(&mut self, loc: u64) {
+    pub(crate) fn add_annotation_loc(&mut self, loc: u64) {
         self.annotation_loc += loc;
     }
 
-    /// Accounts additional state-transfer lines.
-    pub fn add_state_transfer_loc(&mut self, loc: u64) {
-        self.state_transfer_loc += loc;
-    }
-
     /// The state annotation for `symbol`, if any.
-    pub fn obj_treatment(&self, symbol: &str) -> Option<&ObjTreatment> {
+    pub(crate) fn obj_treatment(&self, symbol: &str) -> Option<&ObjTreatment> {
         self.state.iter().rev().find(|a| a.symbol == symbol).map(|a| &a.treatment)
-    }
-
-    /// Iterates over all state annotations.
-    pub fn state_annotations(&self) -> impl Iterator<Item = &StateAnnotation> {
-        self.state.iter()
     }
 
     /// Runs the reinitialization handlers on a replay situation, returning
     /// the first decision that is not [`ReinitDecision::NotHandled`].
-    pub fn resolve_reinit(&self, call: &Syscall, recorded: Option<&LogEntry>) -> ReinitDecision {
+    pub(crate) fn resolve_reinit(&self, call: &Syscall, recorded: Option<&LogEntry>) -> ReinitDecision {
         for (_, handler) in &self.reinit {
             let decision = handler(call, recorded);
             if decision != ReinitDecision::NotHandled {
@@ -169,23 +155,13 @@ impl AnnotationRegistry {
     }
 
     /// The semantic transform registered for `name`, if any.
-    pub fn transform(&self, name: &str) -> Option<&TransformHandler> {
+    pub(crate) fn transform(&self, name: &str) -> Option<&TransformHandler> {
         self.transforms.get(name)
     }
 
     /// Total annotation LOC accounted so far (Table 1 "Ann LOC").
     pub fn annotation_loc(&self) -> u64 {
         self.annotation_loc
-    }
-
-    /// Total state-transfer LOC accounted so far (Table 1 "ST LOC").
-    pub fn state_transfer_loc(&self) -> u64 {
-        self.state_transfer_loc
-    }
-
-    /// Number of registered handlers of each kind (state, reinit, transform).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.state.len(), self.reinit.len(), self.transforms.len())
     }
 }
 
@@ -202,7 +178,7 @@ mod tests {
         assert_eq!(reg.obj_treatment("b"), Some(&ObjTreatment::PointerSlots(vec![0])));
         assert_eq!(reg.obj_treatment("other"), None);
         assert_eq!(reg.annotation_loc(), 3);
-        assert_eq!(reg.counts().0, 2);
+        assert_eq!(reg.state.len(), 2);
     }
 
     #[test]
@@ -265,12 +241,10 @@ mod tests {
                 new.extend_from_slice(&[0u8; 8]);
                 new
             }),
-            12,
         );
         let out = reg.transform("conf_s").unwrap()(&[1, 2, 3]);
         assert_eq!(out.len(), 11);
         assert!(reg.transform("missing").is_none());
-        assert_eq!(reg.state_transfer_loc(), 12);
     }
 
     #[test]
@@ -278,8 +252,6 @@ mod tests {
         let mut reg = AnnotationRegistry::new();
         reg.add_annotation_loc(8);
         reg.add_annotation_loc(10);
-        reg.add_state_transfer_loc(100);
         assert_eq!(reg.annotation_loc(), 18);
-        assert_eq!(reg.state_transfer_loc(), 100);
     }
 }

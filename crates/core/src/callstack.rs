@@ -35,7 +35,7 @@ impl CallStackId {
     }
 
     /// The identifier of an empty call stack.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::from_frames::<&str>(&[])
     }
 }

@@ -15,57 +15,36 @@ use std::sync::Arc;
 
 /// A compact interned-name identifier, valid within one [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(pub u32);
+pub(crate) struct Sym(pub u32);
 
-/// An append-only name interner: `u32` ids plus shared `Arc<str>` storage.
+/// An append-only name interner: `u32` ids keyed by shared `Arc<str>` names.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     by_name: HashMap<Arc<str>, u32>,
-    names: Vec<Arc<str>>,
 }
 
 impl SymbolTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Interns `name`, returning its id. Interning the same name twice
     /// returns the same id without copying the bytes again.
-    pub fn intern(&mut self, name: impl Into<Arc<str>>) -> Sym {
+    pub(crate) fn intern(&mut self, name: impl Into<Arc<str>>) -> Sym {
         let name: Arc<str> = name.into();
         if let Some(&id) = self.by_name.get(&name) {
             return Sym(id);
         }
-        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
-        self.by_name.insert(Arc::clone(&name), id);
-        self.names.push(name);
+        let id = u32::try_from(self.by_name.len()).expect("fewer than 2^32 interned names");
+        self.by_name.insert(name, id);
         Sym(id)
     }
 
     /// The id of an already-interned name, if any. Read-only, so worker
     /// threads can share the table without synchronization.
-    pub fn lookup(&self, name: &str) -> Option<Sym> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<Sym> {
         self.by_name.get(name).map(|&id| Sym(id))
-    }
-
-    /// The name behind an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` was not produced by this table.
-    pub fn resolve(&self, sym: Sym) -> &Arc<str> {
-        &self.names[sym.0 as usize]
-    }
-
-    /// Number of distinct interned names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 
@@ -80,8 +59,8 @@ mod tests {
         let b = t.intern("list");
         assert_eq!(t.intern("conf"), a);
         assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
-        assert_eq!(&**t.resolve(a), "conf");
+        assert_eq!(t.by_name.len(), 2);
+        assert_eq!(t.by_name.get("conf"), Some(&a.0));
         assert_eq!(t.lookup("list"), Some(b));
         assert_eq!(t.lookup("missing"), None);
     }
@@ -91,7 +70,8 @@ mod tests {
         let mut t = SymbolTable::new();
         let name: Arc<str> = Arc::from("handle_event:node");
         let sym = t.intern(Arc::clone(&name));
-        assert!(Arc::ptr_eq(t.resolve(sym), &name), "no byte copy on intern");
-        assert!(!t.is_empty());
+        let (stored, &id) = t.by_name.get_key_value("handle_event:node").unwrap();
+        assert!(Arc::ptr_eq(stored, &name), "no byte copy on intern");
+        assert_eq!(id, sym.0);
     }
 }

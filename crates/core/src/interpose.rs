@@ -47,7 +47,7 @@ use crate::log::{is_replay_eligible, StartupLog};
 
 /// Operating mode of the interposer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterposeMode {
+pub(crate) enum InterposeMode {
     /// Record startup operations (old version).
     Record,
     /// Replay against an inherited startup log (new version).
@@ -64,7 +64,7 @@ pub struct InterposeStats {
     /// Calls executed live while in replay mode.
     pub executed_live: u64,
     /// Calls resolved by a user reinitialization handler.
-    pub handler_resolved: u64,
+    pub(crate) handler_resolved: u64,
 }
 
 /// The inherited log's positions recorded at one `(virtual pid, call stack)`.
@@ -94,13 +94,13 @@ pub struct Interposer {
 
 impl Interposer {
     /// Creates an interposer that records a fresh startup log.
-    pub fn recorder() -> Self {
+    pub(crate) fn recorder() -> Self {
         Self::new(InterposeMode::Record, StartupLog::new())
     }
 
     /// Creates an interposer that replays against `old_log`, sharing its
     /// entries rather than copying them.
-    pub fn replayer(old_log: &StartupLog) -> Self {
+    pub(crate) fn replayer(old_log: &StartupLog) -> Self {
         Self::new(InterposeMode::Replay, old_log.clone())
     }
 
@@ -121,11 +121,6 @@ impl Interposer {
         }
     }
 
-    /// The operating mode.
-    pub fn mode(&self) -> InterposeMode {
-        self.mode
-    }
-
     /// The startup log recorded so far (Record mode).
     pub fn recorded_log(&self) -> &StartupLog {
         &self.log
@@ -138,18 +133,18 @@ impl Interposer {
 
     /// Registers an explicit virtual→actual pid mapping (used by the
     /// controller to seed the mapping for the new version's first process).
-    pub fn map_pid(&mut self, virtual_pid: Pid, actual_pid: Pid) {
+    pub(crate) fn map_pid(&mut self, virtual_pid: Pid, actual_pid: Pid) {
         self.pid_virt_to_actual.insert(virtual_pid.0, actual_pid.0);
         self.pid_actual_to_virt.insert(actual_pid.0, virtual_pid.0);
     }
 
     /// The virtual pid the program observes for an actual kernel pid.
-    pub fn virtual_pid(&self, actual: Pid) -> Pid {
+    pub(crate) fn virtual_pid(&self, actual: Pid) -> Pid {
         Pid(self.pid_actual_to_virt.get(&actual.0).copied().unwrap_or(actual.0))
     }
 
     /// The actual kernel pid behind a virtual pid.
-    pub fn actual_pid(&self, virt: Pid) -> Pid {
+    pub(crate) fn actual_pid(&self, virt: Pid) -> Pid {
         Pid(self.pid_virt_to_actual.get(&virt.0).copied().unwrap_or(virt.0))
     }
 
@@ -276,7 +271,7 @@ impl Interposer {
     /// [`McrError::Conflicts`] when the conservative matching rules detect a
     /// replay conflict that no reinitialization handler resolves.
     #[allow(clippy::too_many_arguments)]
-    pub fn handle(
+    pub(crate) fn handle(
         &mut self,
         kernel: &mut Kernel,
         pid: Pid,
@@ -400,7 +395,7 @@ impl Interposer {
     /// Finishes the replay phase: any recorded operation on immutable state
     /// that the new version never re-issued is reported as an omission
     /// conflict, unless a reinitialization handler accepts the omission.
-    pub fn finish_replay(&mut self, annotations: &AnnotationRegistry) -> Vec<Conflict> {
+    pub(crate) fn finish_replay(&mut self, annotations: &AnnotationRegistry) -> Vec<Conflict> {
         if self.mode != InterposeMode::Replay {
             return Vec::new();
         }
@@ -426,21 +421,6 @@ impl Interposer {
         }
         conflicts
     }
-
-    /// Fraction of replay-eligible entries consumed so far (diagnostics).
-    pub fn replay_progress(&self) -> f64 {
-        let (mut eligible, mut consumed) = (0u64, 0u64);
-        for (entry, &done) in self.replay_log.entries().iter().zip(&self.consumed) {
-            if is_replay_eligible(&entry.call) {
-                eligible += 1;
-                consumed += u64::from(done);
-            }
-        }
-        if eligible == 0 {
-            return 1.0;
-        }
-        consumed as f64 / eligible as f64
-    }
 }
 
 fn startup_failure(syscall: &str, error: SimError) -> McrError {
@@ -455,6 +435,21 @@ mod tests {
     use super::*;
     use crate::runtime::chaos::ChaosRng;
     use mcr_procsim::{Fd, MemoryLayout};
+
+    /// Fraction of replay-eligible entries consumed so far (diagnostics).
+    fn replay_progress(rep: &Interposer) -> f64 {
+        let (mut eligible, mut consumed) = (0u64, 0u64);
+        for (entry, &done) in rep.replay_log.entries().iter().zip(&rep.consumed) {
+            if is_replay_eligible(&entry.call) {
+                eligible += 1;
+                consumed += u64::from(done);
+            }
+        }
+        if eligible == 0 {
+            return 1.0;
+        }
+        consumed as f64 / eligible as f64
+    }
 
     fn booted_kernel(name: &str) -> (Kernel, Pid, Tid) {
         let mut k = Kernel::new();
@@ -529,7 +524,7 @@ mod tests {
         assert_eq!(pid_ret, old_pid);
         assert!(rep.finish_replay(&ann).is_empty());
         assert_eq!(rep.stats().replayed, 4);
-        assert!((rep.replay_progress() - 1.0).abs() < 1e-9);
+        assert!((replay_progress(&rep) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -597,7 +592,7 @@ mod tests {
         let conflicts = rep.finish_replay(&ann);
         assert_eq!(conflicts.len(), 3);
         assert!(conflicts.iter().all(|c| matches!(c, Conflict::OmittedReplayEntry { .. })));
-        assert!(rep.replay_progress() < 1.0);
+        assert!(replay_progress(&rep) < 1.0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! The crate implements the paper's three techniques:
 //!
-//! * **Quiescence detection** ([`quiescence`], [`runtime`]) — a
+//! * **Quiescence detection** (`quiescence`, [`runtime`]) — a
 //!   profiler that suggests per-thread quiescent points and a barrier
 //!   protocol that parks every thread at its quiescent point when an update
 //!   is requested.
-//! * **Mutable reinitialization** ([`log`], [`interpose`]) — startup-time
+//! * **Mutable reinitialization** (`log`, `interpose`) — startup-time
 //!   system calls are recorded in the old version and replayed in the new
 //!   version, matched by call-stack ID with deep argument comparison, so the
 //!   new version restores its threads, processes and startup-time state by
@@ -30,8 +30,8 @@
 //!
 //! ## The phase model
 //!
-//! A live update is executed by an [`UpdatePipeline`]: an ordered sequence of
-//! named [`Phase`] values sharing one [`UpdateCtx`]. The standard pipeline is
+//! A live update is executed by an `UpdatePipeline`: an ordered sequence of
+//! named `Phase` values sharing one `UpdateCtx`. The standard pipeline is
 //!
 //! | # | Phase ([`PhaseName`]) | Paper stage |
 //! |---|---|---|
@@ -45,7 +45,7 @@
 //! [`UpdateReport::phases`](runtime::report::UpdateReport) and routes *every*
 //! failure through a single rollback guard, so a failure at any phase
 //! boundary leaves the old version running exactly where it was parked. A
-//! [`ChaosPlan`] injects failures at chosen boundaries to prove exactly that
+//! `ChaosPlan` injects failures at chosen boundaries to prove exactly that
 //! (see `tests/live_update_integration.rs`).
 //!
 //! ## Example
@@ -67,30 +67,23 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod annotations;
+pub(crate) mod annotations;
 pub mod callstack;
 pub mod error;
-pub mod intern;
-pub mod interpose;
-pub mod log;
+pub(crate) mod intern;
+pub(crate) mod interpose;
+pub(crate) mod log;
 pub mod program;
-pub mod quiescence;
+pub(crate) mod quiescence;
 pub mod runtime;
 pub mod tracing;
 pub mod transfer;
 
-pub use annotations::{AnnotationRegistry, ObjTreatment, ReinitDecision};
-pub use callstack::CallStackId;
+pub use annotations::{AnnotationRegistry, ObjTreatment, ReinitDecision, ReinitHandler, TransformHandler};
 pub use error::{Conflict, McrError, McrResult};
-pub use intern::{Sym, SymbolTable};
-pub use interpose::{InterposeMode, InterposeStats, Interposer};
+pub use interpose::{InterposeStats, Interposer};
 pub use log::{LogEntry, StartupLog};
-pub use program::{InstanceState, Program, ProgramEnv, StepOutcome, WaitInterest};
-pub use quiescence::{QuiescenceProfiler, QuiescenceReport, QuiescentPoint};
-pub use runtime::{
-    boot, live_update, supervised_update, AttemptSummary, BootOptions, ChaosPlan, ChaosRng, DegradationTier,
-    FaultCatalog, FaultSite, McrInstance, MemoryReport, Phase, PhaseName, PhaseRecord, PhaseTrace,
-    RoundStats, SupervisorPolicy, UpdateCtx, UpdateOptions, UpdateOutcome, UpdatePipeline, UpdateReport,
-};
+pub use program::Program;
+pub use quiescence::{QuiescenceProfiler, QuiescenceReport, QuiescentPoint, ThreadClassReport};
+pub use runtime::{AttemptSummary, McrInstance, PhaseName, PhaseRecord, PhaseTrace};
 pub use tracing::{ObjectGraph, TraceOptions, TracingStats};
-pub use transfer::TransferSummary;

@@ -24,13 +24,13 @@ use crate::callstack::CallStackId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// Sequence number (recording order across all processes/threads).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Call-stack identifier of the issuing thread at call time.
-    pub callstack: CallStackId,
+    pub(crate) callstack: CallStackId,
     /// Pid of the issuing process (the *virtual* pid the program observes).
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Name of the issuing thread.
-    pub thread: String,
+    pub(crate) thread: String,
     /// The recorded call, including deeply-comparable arguments.
     pub call: Syscall,
     /// The recorded result.
@@ -45,12 +45,12 @@ pub struct StartupLog {
 
 impl StartupLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an entry, assigning the next sequence number.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         callstack: CallStackId,
         pid: Pid,
@@ -71,7 +71,7 @@ impl StartupLog {
     }
 
     /// All entries in recording order.
-    pub fn entries(&self) -> &[LogEntry] {
+    pub(crate) fn entries(&self) -> &[LogEntry] {
         &self.entries
     }
 
@@ -85,19 +85,9 @@ impl StartupLog {
         self.entries.is_empty()
     }
 
-    /// Entries recorded with the given call-stack identifier.
-    pub fn entries_for(&self, callstack: CallStackId) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter().filter(move |e| e.callstack == callstack)
-    }
-
-    /// Entries that refer to immutable state objects (the replay surface).
-    pub fn replayable_entries(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter().filter(|e| is_replay_eligible(&e.call))
-    }
-
     /// Approximate in-memory footprint of the log in bytes (contributes to
     /// the memory-usage evaluation, §8).
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.entries
             .iter()
             .map(|e| {
@@ -124,7 +114,7 @@ impl StartupLog {
 /// (descriptors, pids, pinned mappings) plus startup-time reads whose results
 /// must be reproduced so the new startup code sees the same configuration the
 /// old version saw.
-pub fn is_replay_eligible(call: &Syscall) -> bool {
+pub(crate) fn is_replay_eligible(call: &Syscall) -> bool {
     call.touches_immutable_state() || matches!(call, Syscall::Read { .. })
 }
 
@@ -171,13 +161,14 @@ mod tests {
     fn filtering_by_callstack() {
         let log = sample_log();
         let cs = CallStackId::from_frames(&["main", "server_init"]);
-        assert_eq!(log.entries_for(cs).count(), 3);
+        assert_eq!(log.entries().iter().filter(|e| e.callstack == cs).count(), 3);
     }
 
     #[test]
     fn replayable_excludes_pure_live_calls() {
         let log = sample_log();
-        let names: Vec<&str> = log.replayable_entries().map(|e| e.call.name()).collect();
+        let names: Vec<&str> =
+            log.entries().iter().filter(|e| is_replay_eligible(&e.call)).map(|e| e.call.name()).collect();
         assert_eq!(names, vec!["socket", "bind", "read"]);
     }
 

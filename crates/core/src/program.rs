@@ -113,37 +113,37 @@ pub struct ThreadRosterEntry {
     pub name: Rc<str>,
     /// Whether the thread existed before startup completed (such threads
     /// yield *persistent* quiescent points in Table 1).
-    pub created_during_startup: bool,
+    pub(crate) created_during_startup: bool,
     /// Whether the thread has exited.
-    pub exited: bool,
+    pub(crate) exited: bool,
 }
 
 /// A forked child process whose program-level initialization is still
 /// pending.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingChild {
+pub(crate) struct PendingChild {
     /// Actual kernel pid of the child.
-    pub actual_pid: Pid,
+    pub(crate) actual_pid: Pid,
     /// Virtual pid observed by the program.
-    pub virtual_pid: Pid,
+    pub(crate) virtual_pid: Pid,
     /// The `kind` passed to [`ProgramEnv::fork`].
-    pub kind: String,
+    pub(crate) kind: String,
 }
 
 /// Counters tracking the work done by MCR instrumentation at run time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
     /// Unblockification wrapper invocations.
-    pub unblock_wraps: u64,
+    pub(crate) unblock_wraps: u64,
     /// Quiescence-hook flag checks.
     pub quiescence_checks: u64,
     /// Allocations tracked by the dynamic instrumentation layer.
-    pub dyn_tracked_allocs: u64,
+    pub(crate) dyn_tracked_allocs: u64,
     /// Library-region allocations performed by the program.
-    pub lib_allocs: u64,
+    pub(crate) lib_allocs: u64,
     /// Simulated nanoseconds of application work charged via
     /// [`ProgramEnv::charge_work`].
-    pub charged_work_ns: u64,
+    pub(crate) charged_work_ns: u64,
     /// Events handled by the program (used by workload harnesses).
     pub events_handled: u64,
 }
@@ -152,41 +152,41 @@ pub struct RuntimeCounters {
 #[derive(Debug)]
 pub struct InstanceState {
     /// Program name.
-    pub program_name: String,
+    pub(crate) program_name: String,
     /// Program version string.
     pub version: String,
     /// Instrumentation configuration the instance was built with.
-    pub config: InstrumentationConfig,
+    pub(crate) config: InstrumentationConfig,
     /// Per-version type registry.
     pub types: TypeRegistry,
     /// Per-version static object registry.
     pub statics: StaticRegistry,
     /// Per-version allocation-site registry.
-    pub sites: CallSiteRegistry,
+    pub(crate) sites: CallSiteRegistry,
     /// User annotations.
     pub annotations: AnnotationRegistry,
     /// Record/replay engine.
     pub interpose: Interposer,
     /// Whether the program is still executing startup code.
-    pub startup_phase: bool,
+    pub(crate) startup_phase: bool,
     /// Whether a live update (and therefore quiescence) has been requested.
-    pub quiesce_requested: bool,
+    pub(crate) quiesce_requested: bool,
     /// Actual pids of every process of this instance, in creation order
     /// (index 0 is the initial process).
     pub processes: Vec<Pid>,
     /// Thread roster.
     pub threads: Vec<ThreadRosterEntry>,
     /// Forked children awaiting program-level initialization.
-    pub pending_children: Vec<PendingChild>,
+    pub(crate) pending_children: Vec<PendingChild>,
     /// Instrumentation activity counters.
     pub counters: RuntimeCounters,
     /// Shadow log of allocations kept by the dynamic instrumentation layer
     /// (contributes to the memory overhead measured in §8).
-    pub dyn_alloc_log: Vec<(u64, u64)>,
+    pub(crate) dyn_alloc_log: Vec<(u64, u64)>,
     /// Library-region objects allocated by the program (addr, size, name).
-    pub lib_objects: Vec<(Addr, u64, std::sync::Arc<str>)>,
+    pub(crate) lib_objects: Vec<(Addr, u64, std::sync::Arc<str>)>,
     /// Simulated time spent in the startup phase (record or replay).
-    pub startup_duration: mcr_procsim::SimDuration,
+    pub(crate) startup_duration: mcr_procsim::SimDuration,
     /// Raw tid → index into `threads` (tids are globally unique), so
     /// per-step roster lookups are one bounds-checked vector probe at fleet
     /// scale. `u32::MAX` marks an unindexed slot. Maintained by
@@ -199,7 +199,7 @@ pub struct InstanceState {
 
 impl InstanceState {
     /// Creates the state for a new instance.
-    pub fn new(
+    pub(crate) fn new(
         program_name: impl Into<String>,
         version: impl Into<String>,
         config: InstrumentationConfig,
@@ -230,7 +230,7 @@ impl InstanceState {
     }
 
     /// Appends a thread to the roster, keeping the index in sync.
-    pub fn add_roster_entry(&mut self, entry: ThreadRosterEntry) {
+    pub(crate) fn add_roster_entry(&mut self, entry: ThreadRosterEntry) {
         let slot = entry.tid.0 as usize;
         if slot >= self.roster_index.len() {
             self.roster_index.resize(slot + 1, u32::MAX);
@@ -249,12 +249,12 @@ impl InstanceState {
     }
 
     /// The roster entry for a thread, if known.
-    pub fn roster_entry(&self, pid: Pid, tid: Tid) -> Option<&ThreadRosterEntry> {
+    pub(crate) fn roster_entry(&self, pid: Pid, tid: Tid) -> Option<&ThreadRosterEntry> {
         self.roster_position(pid, tid).map(|i| &self.threads[i])
     }
 
     /// Marks a roster thread as exited.
-    pub fn mark_thread_exited(&mut self, pid: Pid, tid: Tid) {
+    pub(crate) fn mark_thread_exited(&mut self, pid: Pid, tid: Tid) {
         if let Some(i) = self.roster_position(pid, tid) {
             self.threads[i].exited = true;
         }
@@ -267,7 +267,7 @@ impl InstanceState {
 
     /// Approximate bytes of MCR metadata resident for this instance
     /// (startup log, tag registries, dynamic instrumentation shadow log).
-    pub fn metadata_bytes(&self) -> u64 {
+    pub(crate) fn metadata_bytes(&self) -> u64 {
         let log = self.interpose.recorded_log().memory_bytes();
         let types = self.types.len() as u64 * 64;
         let statics = self.statics.len() as u64 * 48;
@@ -292,7 +292,7 @@ pub struct ProgramEnv<'a> {
 
 impl<'a> ProgramEnv<'a> {
     /// Creates an environment bound to thread `tid` of process `pid`.
-    pub fn new(
+    pub(crate) fn new(
         kernel: &'a mut Kernel,
         state: &'a mut InstanceState,
         pid: Pid,
@@ -306,35 +306,9 @@ impl<'a> ProgramEnv<'a> {
     // Identity and phase
     // ------------------------------------------------------------------
 
-    /// The pid the *program* observes (old-version pid when replaying).
-    pub fn pid(&self) -> Pid {
-        self.state.interpose.virtual_pid(self.pid)
-    }
-
-    /// The actual kernel pid of the current process.
-    pub fn actual_pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// The current thread's id.
-    pub fn tid(&self) -> Tid {
-        self.tid
-    }
-
     /// The current thread's name.
     pub fn thread_name(&self) -> &str {
         &self.thread_name
-    }
-
-    /// Whether startup has not yet completed.
-    pub fn in_startup(&self) -> bool {
-        self.state.startup_phase
-    }
-
-    /// Whether MCR has requested quiescence (threads should park at their
-    /// quiescent points as soon as possible).
-    pub fn quiesce_requested(&self) -> bool {
-        self.state.quiesce_requested
     }
 
     /// Current simulated time in nanoseconds since boot.
@@ -358,7 +332,7 @@ impl<'a> ProgramEnv<'a> {
     // ------------------------------------------------------------------
 
     /// Pushes a function frame on the current thread's call stack.
-    pub fn enter_function(&mut self, name: &str) {
+    pub(crate) fn enter_function(&mut self, name: &str) {
         if let Ok(p) = self.kernel.process_mut(self.pid) {
             if let Ok(t) = p.thread_mut(self.tid) {
                 t.push_frame(name);
@@ -367,7 +341,7 @@ impl<'a> ProgramEnv<'a> {
     }
 
     /// Pops the innermost function frame.
-    pub fn exit_function(&mut self) {
+    pub(crate) fn exit_function(&mut self) {
         if let Ok(p) = self.kernel.process_mut(self.pid) {
             if let Ok(t) = p.thread_mut(self.tid) {
                 t.pop_frame();
@@ -385,7 +359,7 @@ impl<'a> ProgramEnv<'a> {
     }
 
     /// The current call-stack identifier of the executing thread.
-    pub fn callstack_id(&self) -> CallStackId {
+    pub(crate) fn callstack_id(&self) -> CallStackId {
         self.kernel
             .process(self.pid)
             .and_then(|p| p.thread(self.tid))
@@ -481,16 +455,6 @@ impl<'a> ProgramEnv<'a> {
     /// Returns [`McrError::UnknownMetadata`] for unregistered names.
     pub fn type_id(&self, name: &str) -> McrResult<TypeId> {
         self.state.types.lookup(name).ok_or_else(|| McrError::UnknownMetadata(format!("type {name}")))
-    }
-
-    /// Size in bytes of a registered type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McrError::UnknownMetadata`] for unregistered names.
-    pub fn size_of(&self, type_name: &str) -> McrResult<u64> {
-        let id = self.type_id(type_name)?;
-        Ok(self.state.types.size_of(id))
     }
 
     /// Shared access to the per-version type registry.
@@ -593,17 +557,6 @@ impl<'a> ProgramEnv<'a> {
         Ok(addr)
     }
 
-    /// Frees a heap object.
-    ///
-    /// # Errors
-    ///
-    /// Fails for addresses that are not live chunks.
-    pub fn free(&mut self, addr: Addr) -> McrResult<()> {
-        let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
-        let (space, heap) = proc.space_and_heap_mut().map_err(McrError::Sim)?;
-        heap.free(space, addr).map_err(McrError::Sim)
-    }
-
     /// Creates a region/pool of `size` bytes (nginx pools, APR pools).
     ///
     /// # Errors
@@ -630,31 +583,6 @@ impl<'a> ProgramEnv<'a> {
         let addr = regions.palloc(space, pool, size, site, tag).map_err(McrError::Sim)?;
         self.note_dyn_alloc(addr, size);
         Ok(addr)
-    }
-
-    /// Allocates raw bytes from a pool.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown or exhausted pools.
-    pub fn palloc_bytes(&mut self, pool: PoolId, size: u64, site_name: &str) -> McrResult<Addr> {
-        let site = self.register_site(site_name, None);
-        let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
-        let (space, _, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
-        let addr = regions.palloc(space, pool, size, site, TypeTag(0)).map_err(McrError::Sim)?;
-        self.note_dyn_alloc(addr, size);
-        Ok(addr)
-    }
-
-    /// Destroys a pool (and its children), releasing its storage.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown pools.
-    pub fn destroy_pool(&mut self, pool: PoolId) -> McrResult<()> {
-        let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
-        let (space, heap, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
-        regions.destroy_pool(space, heap, pool).map_err(McrError::Sim)
     }
 
     /// Allocates `size` bytes in the shared-library data region, modelling
@@ -745,20 +673,6 @@ impl<'a> ProgramEnv<'a> {
         self.write_u64(addr, value.0)
     }
 
-    /// Reads raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unmapped ranges.
-    pub fn read_bytes(&self, addr: Addr, len: usize) -> McrResult<Vec<u8>> {
-        self.kernel
-            .process(self.pid)
-            .map_err(McrError::Sim)?
-            .space()
-            .read_bytes(addr, len)
-            .map_err(McrError::Sim)
-    }
-
     /// Writes raw bytes.
     ///
     /// # Errors
@@ -770,34 +684,6 @@ impl<'a> ProgramEnv<'a> {
             .map_err(McrError::Sim)?
             .space_mut()
             .write_bytes(addr, bytes)
-            .map_err(McrError::Sim)
-    }
-
-    /// Writes a NUL-terminated string.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unmapped or read-only ranges.
-    pub fn write_cstring(&mut self, addr: Addr, s: &str) -> McrResult<()> {
-        self.kernel
-            .process_mut(self.pid)
-            .map_err(McrError::Sim)?
-            .space_mut()
-            .write_cstring(addr, s)
-            .map_err(McrError::Sim)
-    }
-
-    /// Reads a NUL-terminated string of at most `max` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unmapped ranges.
-    pub fn read_cstring(&self, addr: Addr, max: usize) -> McrResult<String> {
-        self.kernel
-            .process(self.pid)
-            .map_err(McrError::Sim)?
-            .space()
-            .read_cstring(addr, max)
             .map_err(McrError::Sim)
     }
 
@@ -816,8 +702,8 @@ impl<'a> ProgramEnv<'a> {
     }
 
     /// Registers a semantic state-transfer transform.
-    pub fn add_transform(&mut self, name: &str, handler: TransformHandler, loc: u64) {
-        self.state.annotations.add_transform(name, handler, loc);
+    pub fn add_transform(&mut self, name: &str, handler: TransformHandler) {
+        self.state.annotations.add_transform(name, handler);
     }
 
     /// Accounts annotation lines that are plain source tweaks.
@@ -826,9 +712,81 @@ impl<'a> ProgramEnv<'a> {
     }
 }
 
+/// [`ProgramEnv`] conveniences that only the unit tests use.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use mcr_procsim::{Addr, Pid, PoolId, TypeTag};
+
+    use super::ProgramEnv;
+    use crate::error::{McrError, McrResult};
+
+    /// Test-side extensions of [`ProgramEnv`].
+    pub(crate) trait EnvExt {
+        fn pid(&self) -> Pid;
+        fn size_of(&self, type_name: &str) -> McrResult<u64>;
+        fn free(&mut self, addr: Addr) -> McrResult<()>;
+        fn palloc_bytes(&mut self, pool: PoolId, size: u64, site_name: &str) -> McrResult<Addr>;
+        fn destroy_pool(&mut self, pool: PoolId) -> McrResult<()>;
+    }
+
+    impl EnvExt for ProgramEnv<'_> {
+        /// The pid the *program* observes (old-version pid when replaying).
+        fn pid(&self) -> Pid {
+            self.state.interpose.virtual_pid(self.pid)
+        }
+
+        /// Size in bytes of a registered type.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`McrError::UnknownMetadata`] for unregistered names.
+        fn size_of(&self, type_name: &str) -> McrResult<u64> {
+            let id = self.type_id(type_name)?;
+            Ok(self.state.types.size_of(id))
+        }
+
+        /// Frees a heap object.
+        ///
+        /// # Errors
+        ///
+        /// Fails for addresses that are not live chunks.
+        fn free(&mut self, addr: Addr) -> McrResult<()> {
+            let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
+            let (space, heap) = proc.space_and_heap_mut().map_err(McrError::Sim)?;
+            heap.free(space, addr).map_err(McrError::Sim)
+        }
+
+        /// Allocates raw bytes from a pool.
+        ///
+        /// # Errors
+        ///
+        /// Fails for unknown or exhausted pools.
+        fn palloc_bytes(&mut self, pool: PoolId, size: u64, site_name: &str) -> McrResult<Addr> {
+            let site = self.register_site(site_name, None);
+            let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
+            let (space, _, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
+            let addr = regions.palloc(space, pool, size, site, TypeTag(0)).map_err(McrError::Sim)?;
+            self.note_dyn_alloc(addr, size);
+            Ok(addr)
+        }
+
+        /// Destroys a pool (and its children), releasing its storage.
+        ///
+        /// # Errors
+        ///
+        /// Fails for unknown pools.
+        fn destroy_pool(&mut self, pool: PoolId) -> McrResult<()> {
+            let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
+            let (space, heap, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
+            regions.destroy_pool(space, heap, pool).map_err(McrError::Sim)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::test_support::EnvExt;
     use mcr_procsim::MemoryLayout;
     use mcr_typemeta::Field;
 

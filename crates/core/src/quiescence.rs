@@ -19,7 +19,7 @@ use crate::program::InstanceState;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuiescentPoint {
     /// Thread class the point belongs to (e.g. `"worker"`).
-    pub thread_class: String,
+    pub(crate) thread_class: String,
     /// The blocking library call where the class spends most of its time.
     pub call: String,
     /// The long-running loop enclosing the call.
@@ -88,7 +88,7 @@ impl QuiescenceReport {
 }
 
 /// Normalizes a thread name into its class (strips trailing `-<digits>`).
-pub fn thread_class(name: &str) -> String {
+pub(crate) fn thread_class(name: &str) -> String {
     let trimmed = name.trim_end_matches(|c: char| c.is_ascii_digit());
     trimmed.trim_end_matches('-').trim_end_matches('_').to_string()
 }

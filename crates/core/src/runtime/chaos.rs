@@ -89,7 +89,7 @@ impl FaultSite {
     }
 
     /// Short label for logs and bench output.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             FaultSite::Boundary(_) => "boundary",
             FaultSite::TransferObject(_) => "transfer-object",
@@ -105,15 +105,9 @@ impl FaultSite {
 
 impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSite::Boundary(p) => write!(f, "boundary:{p}"),
-            FaultSite::TransferObject(n) => write!(f, "transfer-object:{n}"),
-            FaultSite::Syscall(n) => write!(f, "syscall:{n}"),
-            FaultSite::FaultIn(n) => write!(f, "fault-in:{n}"),
-            FaultSite::DrainStep(n) => write!(f, "drain-step:{n}"),
-            FaultSite::ManifestWrite(n) => write!(f, "manifest-write:{n}"),
-            FaultSite::TornWrite(n) => write!(f, "torn-write:{n}"),
-            FaultSite::RestoreStep(n) => write!(f, "restore-step:{n}"),
+        match (self, self.n()) {
+            (FaultSite::Boundary(p), _) => write!(f, "{}:{p}", self.kind()),
+            (_, n) => write!(f, "{}:{}", self.kind(), n.expect("every other site is counted")),
         }
     }
 }
@@ -174,18 +168,18 @@ impl ChaosPlan {
     }
 
     /// Whether a fault fires at the boundary before `phase`.
-    pub fn fires_before(&self, phase: PhaseName) -> bool {
+    pub(crate) fn fires_before(&self, phase: PhaseName) -> bool {
         self.sites.contains(&FaultSite::Boundary(phase))
     }
 
     /// Whether the old instance crashes right before `phase`.
-    pub fn crashes_old_before(&self, phase: PhaseName) -> bool {
+    pub(crate) fn crashes_old_before(&self, phase: PhaseName) -> bool {
         self.crash_old_before == Some(phase)
     }
 
     /// The n of the armed site of one counted kind, named by its
     /// constructor: `plan.nth(FaultSite::Syscall)`.
-    pub fn nth(&self, kind: fn(u64) -> FaultSite) -> Option<u64> {
+    pub(crate) fn nth(&self, kind: fn(u64) -> FaultSite) -> Option<u64> {
         let kind = discriminant(&kind(0));
         self.sites.iter().find(|s| discriminant(*s) == kind)?.n()
     }
@@ -226,11 +220,11 @@ pub struct FaultCatalog {
     /// Number of store blocks the clean run's checkpoint phase wrote (zero
     /// when the pipeline ran without a checkpoint). Each block is both a
     /// crash site (`ManifestWrite`) and a torn-write site (`TornWrite`).
-    pub checkpoint_blocks: u64,
+    pub(crate) checkpoint_blocks: u64,
     /// Number of restore steps drillable against this scenario
     /// ([`RESTORE_STEPS`](crate::transfer::checkpoint::RESTORE_STEPS) when a
     /// checkpoint exists, zero otherwise).
-    pub restore_steps: u64,
+    pub(crate) restore_steps: u64,
 }
 
 impl FaultCatalog {
@@ -265,7 +259,7 @@ impl FaultCatalog {
 
     /// The site behind dense index `index` (see the type docs for the
     /// ordering), or `None` past the end of the space.
-    pub fn site(&self, index: u64) -> Option<FaultSite> {
+    pub(crate) fn site(&self, index: u64) -> Option<FaultSite> {
         let nb = self.boundaries.len() as u64;
         if index < nb {
             return Some(FaultSite::Boundary(self.boundaries[index as usize]));
@@ -300,7 +294,7 @@ impl FaultCatalog {
 
     /// Draws one site uniformly over the whole space (`None` if the space
     /// is empty).
-    pub fn sample(&self, rng: &mut ChaosRng) -> Option<FaultSite> {
+    pub(crate) fn sample(&self, rng: &mut ChaosRng) -> Option<FaultSite> {
         let total = self.total_sites();
         (total > 0).then(|| self.site(rng.range(0, total)).expect("index in range"))
     }
@@ -335,7 +329,7 @@ impl ChaosRng {
     }
 
     /// True with probability `percent / 100`.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.range(0, 100) < percent
     }
 }

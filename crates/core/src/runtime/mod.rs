@@ -2,32 +2,28 @@
 //! quiescence barrier, and the staged live-update pipeline.
 //!
 //! The update path is organized as a pipeline of named phases (see
-//! [`pipeline`]): [`live_update`] runs the standard phase sequence, while
+//! `pipeline`): [`live_update`] runs the standard phase sequence, while
 //! [`UpdatePipeline`] lets callers inject faults at phase boundaries or
 //! assemble custom phase lists.
 
-pub mod chaos;
-pub mod controller;
-pub mod pipeline;
-pub mod report;
-pub mod scheduler;
-pub mod supervisor;
+pub(crate) mod chaos;
+pub(crate) mod controller;
+pub(crate) mod pipeline;
+pub(crate) mod report;
+pub(crate) mod scheduler;
+pub(crate) mod supervisor;
 
 pub use chaos::{random_plan, shrink_schedule, ChaosPlan, ChaosRng, FaultCatalog, FaultSite};
 pub use controller::{
     live_update, PostcopyOptions, PrecopyOptions, TransferMode, TransferPolicy, UpdateOptions, UpdateOutcome,
 };
-pub use pipeline::{
-    CheckpointPhase, PairPostcopyState, PairPrecopyState, Phase, PhaseName, PostcopyHook, PrecopyHook,
-    PrecopyPhase, UpdateCtx, UpdatePipeline, TRAP_SERVICE_LATENCY,
-};
+pub use pipeline::{PhaseName, PrecopyHook, UpdatePipeline};
 pub use report::{
     MemoryReport, PhaseRecord, PhaseTrace, PostcopySummary, PrecopySummary, UpdateReport, UpdateTimings,
 };
 pub use scheduler::{
-    all_quiesced, boot, create_instance, request_quiescence, resume, run_round, run_round_full_scan,
-    run_rounds, run_startup, running_thread_count, step_thread, wait_quiescence, wake_all_threads,
-    BootOptions, McrInstance, RoundStats,
+    all_quiesced, boot, request_quiescence, resume, run_round, run_round_full_scan, run_rounds, step_thread,
+    wait_quiescence, BootOptions, McrInstance, RoundStats,
 };
 pub use supervisor::{
     supervised_update, supervised_update_durable, time_to_recovery, AttemptSummary, DegradationTier,
@@ -41,6 +37,7 @@ pub use supervisor::{
 /// tested without a dependency cycle.
 #[cfg(test)]
 pub(crate) mod testprog {
+    use crate::program::test_support::EnvExt;
     use mcr_procsim::{Addr, Fd, SimError, Syscall};
     use mcr_typemeta::{Field, TypeRegistry};
 
@@ -50,7 +47,7 @@ pub(crate) mod testprog {
     /// A single-threaded, event-driven server in the shape of Listing 1:
     /// it listens on port 8080, reads a configuration file at startup, and
     /// appends one `l_t` node per handled connection to a global list.
-    pub struct TinyServer {
+    pub(crate) struct TinyServer {
         generation: u32,
         version: String,
         listen_fd: Option<Fd>,
@@ -60,7 +57,7 @@ pub(crate) mod testprog {
     impl TinyServer {
         /// Creates generation `generation` of the server (generation 2 and
         /// later add a `new` field to `l_t`, as in Figure 2).
-        pub fn new(generation: u32) -> Self {
+        pub(crate) fn new(generation: u32) -> Self {
             TinyServer { generation, version: format!("{generation}.0"), listen_fd: None, list_global: None }
         }
     }
@@ -151,7 +148,7 @@ pub(crate) mod testprog {
     }
 
     /// A broken new version used to exercise rollback paths.
-    pub struct FaultyServer {
+    pub(crate) struct FaultyServer {
         omit_listen: bool,
         abort_startup: bool,
     }
@@ -159,12 +156,12 @@ pub(crate) mod testprog {
     impl FaultyServer {
         /// A version whose startup forgets to call `listen()` (an omitted
         /// replay entry).
-        pub fn omitting_listen() -> Self {
+        pub(crate) fn omitting_listen() -> Self {
             FaultyServer { omit_listen: true, abort_startup: false }
         }
 
         /// A version whose startup aborts outright.
-        pub fn aborting() -> Self {
+        pub(crate) fn aborting() -> Self {
             FaultyServer { omit_listen: false, abort_startup: true }
         }
     }

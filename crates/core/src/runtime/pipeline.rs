@@ -273,7 +273,7 @@ pub enum PhaseName {
     Quiesce,
     /// Write a durable checkpoint of the quiesced old instance to a
     /// [`Store`] (optional; inserted after `Quiesce` by
-    /// [`UpdatePipeline::with_checkpoint`]). A crash of the old instance
+    /// `UpdatePipeline::with_checkpoint`). A crash of the old instance
     /// later in the update recovers from this durable version via
     /// [`restore_latest`](crate::transfer::checkpoint::restore_latest).
     Checkpoint,
@@ -320,21 +320,6 @@ impl PhaseName {
         PhaseName::Commit,
     ];
 
-    /// Every phase of the post-copy pipeline, in execution order: like
-    /// pre-copy up to the quiescence barrier (the `Precopy` phase no-ops
-    /// when zero rounds are configured — pure post-copy), then the world
-    /// stops only long enough for [`PhaseName::PostcopyCommit`] to commit
-    /// control state and park the residual, and [`PhaseName::PostcopyDrain`]
-    /// retires the parked objects while the *new* version serves.
-    pub const POSTCOPY_ALL: [PhaseName; 6] = [
-        PhaseName::ReinitReplay,
-        PhaseName::MatchProcesses,
-        PhaseName::Precopy,
-        PhaseName::Quiesce,
-        PhaseName::PostcopyCommit,
-        PhaseName::PostcopyDrain,
-    ];
-
     /// Stable human-readable label (used in reports and conflict messages).
     pub fn label(self) -> &'static str {
         match self {
@@ -369,7 +354,7 @@ pub type PrecopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
 /// serving. Benchmarks and property tests use it to model post-commit
 /// traffic writing into not-yet-transferred pages (the access-trap path);
 /// the argument is the 1-based drain round that just served.
-pub type PostcopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
+pub(crate) type PostcopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
 
 /// Simulated cost of one access-trap round trip (the userfaultfd-style
 /// kernel bounce), charged to
@@ -377,61 +362,58 @@ pub type PostcopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
 /// *on top of* the faulted-in objects' apply cost: the faulting thread is
 /// blocked for the whole service, so this is downtime even though the
 /// instance as a whole keeps running.
-pub const TRAP_SERVICE_LATENCY: SimDuration = SimDuration(10_000);
+pub(crate) const TRAP_SERVICE_LATENCY: SimDuration = SimDuration(10_000);
 
 /// Per-pair resumable pre-copy state: the traced object graph maintained
 /// incrementally across rounds plus the engine's [`DeltaPlan`].
-pub struct PairPrecopyState {
+pub(crate) struct PairPrecopyState {
     /// The pair's delta plan (placements, copied-at epochs, round log).
-    pub delta: DeltaPlan,
+    pub(crate) delta: DeltaPlan,
     /// The incrementally maintained trace (None until the first round).
-    pub trace: Option<TraceResult>,
+    pub(crate) trace: Option<TraceResult>,
 }
 
 /// Per-pair post-copy state built by the commit phase and consumed by the
 /// drain phase, aligned with `UpdateCtx::pairs`.
-pub struct PairPostcopyState {
-    /// The pair's delta plan, kept alive so the placement and copied-at
-    /// bookkeeping outlives the commit window while the residual drains.
-    pub delta: DeltaPlan,
+pub(crate) struct PairPostcopyState {
     /// The parked residual (already drained for a pair the adaptive policy
     /// synced inside the window).
-    pub residual: PostcopyResidual,
+    pub(crate) residual: PostcopyResidual,
 }
 
 /// Shared state threaded through every phase of one update attempt.
-pub struct UpdateCtx<'k> {
+pub(crate) struct UpdateCtx<'k> {
     /// The simulated kernel both versions run on.
-    pub kernel: &'k mut Kernel,
+    pub(crate) kernel: &'k mut Kernel,
     /// The running old version (checkpointed by `Quiesce`, terminated by
     /// `Commit`, resumed by the rollback guard).
-    pub old: McrInstance,
+    pub(crate) old: McrInstance,
     /// The new version, once `ReinitReplay` has created it.
-    pub new_instance: Option<McrInstance>,
+    pub(crate) new_instance: Option<McrInstance>,
     /// Options of this attempt.
-    pub opts: UpdateOptions,
+    pub(crate) opts: UpdateOptions,
     /// Instrumentation configuration for the new version's build.
-    pub config: InstrumentationConfig,
+    pub(crate) config: InstrumentationConfig,
     /// Old-process → new-process pairs produced by `MatchProcesses`.
-    pub pairs: Vec<(Pid, Pid)>,
+    pub(crate) pairs: Vec<(Pid, Pid)>,
     /// Everything measured so far (each phase appends its own record).
-    pub report: UpdateReport,
+    pub(crate) report: UpdateReport,
     /// Cross-version transfer metadata, built once by the first phase that
     /// needs it (`Precopy`, or `TraceAndTransfer` without pre-copy).
-    pub plan: Option<TransferContext>,
+    pub(crate) plan: Option<TransferContext>,
     /// Per-pair pre-copy state, aligned with `pairs`; empty when no
     /// pre-copy rounds ran.
-    pub pair_precopy: Vec<PairPrecopyState>,
+    pub(crate) pair_precopy: Vec<PairPrecopyState>,
     /// Per-pair post-copy state, aligned with `pairs`; filled by
     /// `PostcopyCommit`, drained (and emptied of work) by `PostcopyDrain`.
-    pub pair_postcopy: Vec<PairPostcopyState>,
+    pub(crate) pair_postcopy: Vec<PairPostcopyState>,
     /// The fault plan of the pipeline (the n-th-object-write site is armed
     /// on the transfer context when it is built).
-    pub fault: ChaosPlan,
+    pub(crate) fault: ChaosPlan,
     /// Between-rounds callback of the pre-copy phase.
-    pub precopy_hook: Option<PrecopyHook>,
+    pub(crate) precopy_hook: Option<PrecopyHook>,
     /// Between-rounds callback of the post-copy drain phase.
-    pub postcopy_hook: Option<PostcopyHook>,
+    pub(crate) postcopy_hook: Option<PostcopyHook>,
     /// The program to boot, consumed by `ReinitReplay`.
     new_program: Option<Box<dyn Program>>,
     /// Set by `Commit`; decides between committed and rolled-back outcomes.
@@ -491,7 +473,7 @@ impl<'k> UpdateCtx<'k> {
 /// aborts the update and sends the whole attempt through the pipeline's
 /// single rollback path. Phases must keep the old version restorable until
 /// [`PhaseName::Commit`] runs.
-pub trait Phase {
+pub(crate) trait Phase {
     /// The phase's identity (drives reporting and fault injection).
     fn name(&self) -> PhaseName;
 
@@ -499,7 +481,7 @@ pub trait Phase {
     fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()>;
 }
 
-/// An ordered sequence of [`Phase`]s plus an optional [`ChaosPlan`].
+/// An ordered sequence of `Phase`s plus an optional [`ChaosPlan`].
 pub struct UpdatePipeline {
     phases: Vec<Box<dyn Phase>>,
     fault_plan: ChaosPlan,
@@ -556,7 +538,7 @@ impl UpdatePipeline {
     /// The pre-copy pipeline ([`PhaseName::PRECOPY_ALL`]): boot and match
     /// the new version while the old one serves, copy the bulk of the state
     /// concurrently, quiesce only for the residual dirty delta.
-    pub fn precopy() -> Self {
+    pub(crate) fn precopy() -> Self {
         UpdatePipeline {
             phases: vec![
                 Box::new(ReinitReplayPhase),
@@ -573,13 +555,14 @@ impl UpdatePipeline {
         }
     }
 
-    /// The post-copy pipeline ([`PhaseName::POSTCOPY_ALL`]): quiesce only
+    /// The post-copy pipeline (pre-copy's first four phases, then
+    /// [`PhaseName::PostcopyCommit`] and [`PhaseName::PostcopyDrain`]): quiesce only
     /// long enough to commit control state and park the stale residual
     /// behind access traps, resume the new version immediately, and retire
     /// the residual afterwards (traps + background drain) while it serves.
     /// Optional pre-copy rounds still run before the barrier — that is the
     /// adaptive controller's hybrid.
-    pub fn postcopy() -> Self {
+    pub(crate) fn postcopy() -> Self {
         UpdatePipeline {
             phases: vec![
                 Box::new(ReinitReplayPhase),
@@ -596,8 +579,8 @@ impl UpdatePipeline {
         }
     }
 
-    /// The pipeline the options call for: [`UpdatePipeline::postcopy`] in
-    /// `Postcopy`/`Adaptive` mode, otherwise [`UpdatePipeline::precopy`]
+    /// The pipeline the options call for: `UpdatePipeline::postcopy` in
+    /// `Postcopy`/`Adaptive` mode, otherwise `UpdatePipeline::precopy`
     /// when pre-copy rounds are enabled and [`UpdatePipeline::standard`] as
     /// the classic default.
     pub fn for_options(opts: &UpdateOptions) -> Self {
@@ -629,7 +612,7 @@ impl UpdatePipeline {
     /// recovered from a consistent image. Checkpoint time lands inside the
     /// stop-the-world window and therefore counts as downtime.
     #[must_use]
-    pub fn with_checkpoint(mut self, store: Rc<RefCell<dyn Store>>, opts: CheckpointOptions) -> Self {
+    pub(crate) fn with_checkpoint(mut self, store: Rc<RefCell<dyn Store>>, opts: CheckpointOptions) -> Self {
         let pos = self.phases.iter().position(|p| p.name() == PhaseName::Quiesce).map(|i| i + 1).unwrap_or(0);
         self.phases.insert(pos, Box::new(CheckpointPhase { store, opts }));
         self
@@ -641,7 +624,7 @@ impl UpdatePipeline {
     /// ignored — commit is the point of no return, a rollback past it would
     /// be a lie.
     #[must_use]
-    pub fn with_phase_deadline(mut self, phase: PhaseName, budget: SimDuration) -> Self {
+    pub(crate) fn with_phase_deadline(mut self, phase: PhaseName, budget: SimDuration) -> Self {
         self.phase_deadlines.retain(|&(p, _)| p != phase);
         self.phase_deadlines.push((phase, budget));
         self
@@ -686,12 +669,12 @@ impl UpdatePipeline {
     }
 
     /// The names of the phases, in execution order.
-    pub fn phase_names(&self) -> Vec<PhaseName> {
+    pub(crate) fn phase_names(&self) -> Vec<PhaseName> {
         self.phases.iter().map(|p| p.name()).collect()
     }
 
     /// Runs the pipeline: executes every phase in order over a fresh
-    /// [`UpdateCtx`], recording per-phase durations, and returns the instance
+    /// `UpdateCtx`, recording per-phase durations, and returns the instance
     /// that is running afterwards together with the outcome.
     ///
     /// This driver is the *only* place that decides between commit and
@@ -867,7 +850,7 @@ impl UpdatePipeline {
 
 /// Phase 1 — checkpoint: drive the barrier protocol until every old-version
 /// thread is parked at its quiescent point.
-pub struct QuiescePhase;
+pub(crate) struct QuiescePhase;
 
 impl Phase for QuiescePhase {
     fn name(&self) -> PhaseName {
@@ -893,7 +876,7 @@ impl Phase for QuiescePhase {
 /// relative to the blocks already written. The phase "remounts" the store on entry
 /// ([`Store::recover`]) so a crash injected in one attempt never wedges the
 /// store for a supervisor retry.
-pub struct CheckpointPhase {
+pub(crate) struct CheckpointPhase {
     store: Rc<RefCell<dyn Store>>,
     opts: CheckpointOptions,
 }
@@ -929,7 +912,7 @@ impl Phase for CheckpointPhase {
 /// (global descriptor inheritance, pid virtualization, startup replay), then
 /// park it at its quiescent points so it cannot observe external events
 /// before commit.
-pub struct ReinitReplayPhase;
+pub(crate) struct ReinitReplayPhase;
 
 impl Phase for ReinitReplayPhase {
     fn name(&self) -> PhaseName {
@@ -992,7 +975,7 @@ impl Phase for ReinitReplayPhase {
 /// Phase 3 — pair old-version processes with new-version processes by
 /// creation-time call-stack ID (and creation order), optionally recreating
 /// counterparts for unmatched old processes (volatile quiescent points).
-pub struct MatchProcessesPhase;
+pub(crate) struct MatchProcessesPhase;
 
 impl Phase for MatchProcessesPhase {
     fn name(&self) -> PhaseName {
@@ -1019,7 +1002,7 @@ impl Phase for MatchProcessesPhase {
 /// each pair resumes its [`DeltaPlan`]: it delta-retraces the quiesced old
 /// process and transfers the residual, charging only the still-stale work to
 /// the window.
-pub struct TraceAndTransferPhase;
+pub(crate) struct TraceAndTransferPhase;
 
 /// Runs `transfer` — an engine entry point, or a closure around one — on the
 /// matched pair at `index`, with the pair's trace brought up to date first:
@@ -1180,7 +1163,7 @@ impl Phase for TraceAndTransferPhase {
 /// the freshly dirtied bytes of a round drop to the convergence threshold
 /// or the round budget is exhausted; whatever is still dirty afterwards is
 /// the residual the stop-the-world window pays for.
-pub struct PrecopyPhase;
+pub(crate) struct PrecopyPhase;
 
 impl Phase for PrecopyPhase {
     fn name(&self) -> PhaseName {
@@ -1252,7 +1235,7 @@ impl Phase for PrecopyPhase {
 
 /// Phase 5 — commit: the new version resumes; the old version is terminated.
 /// This is the pipeline's single non-reversible step.
-pub struct CommitPhase;
+pub(crate) struct CommitPhase;
 
 impl Phase for CommitPhase {
     fn name(&self) -> PhaseName {
@@ -1283,7 +1266,7 @@ impl Phase for CommitPhase {
 /// parked residual still reads the frozen old address spaces, and a drain
 /// failure must roll back to an intact old instance. The phase is therefore
 /// still reversible — [`PostcopyDrainPhase`] holds the point of no return.
-pub struct PostcopyCommitPhase;
+pub(crate) struct PostcopyCommitPhase;
 
 impl Phase for PostcopyCommitPhase {
     fn name(&self) -> PhaseName {
@@ -1323,7 +1306,7 @@ impl Phase for PostcopyCommitPhase {
                     let sync = drain_step(plan, &mut parked, old_proc, new_proc, usize::MAX, None)?;
                     residual.cost = sync.cost;
                 }
-                states.push(PairPostcopyState { delta: std::mem::take(delta), residual: parked });
+                states.push(PairPostcopyState { residual: parked });
                 Ok((report, residual))
             });
         // Counted before the result is looked at: a rolled-back report still
@@ -1381,7 +1364,7 @@ fn shifted_fault_in(global: Option<u64>, global_done: u64, pair_done: u64) -> Op
 /// terminated — the phase's last act is the point of no return, so a
 /// failure anywhere in the loop still rolls back to the intact old
 /// instance.
-pub struct PostcopyDrainPhase;
+pub(crate) struct PostcopyDrainPhase;
 
 impl Phase for PostcopyDrainPhase {
     fn name(&self) -> PhaseName {

@@ -55,11 +55,6 @@ impl PhaseTrace {
     pub fn last(&self) -> Option<&PhaseRecord> {
         self.records.last()
     }
-
-    /// Sum of every recorded phase duration.
-    pub fn total(&self) -> SimDuration {
-        self.records.iter().fold(SimDuration::default(), |acc, r| acc.saturating_add(r.duration))
-    }
 }
 
 /// Breakdown of the client-perceived update time (§8 "Update time").
@@ -103,7 +98,7 @@ pub struct UpdateTimings {
     /// durable checkpoint (modelled shard-writer makespan plus manifest
     /// commit). Runs inside the quiescence window, so it is downtime; zero
     /// when no checkpoint phase is configured.
-    pub checkpoint_write: SimDuration,
+    pub(crate) checkpoint_write: SimDuration,
     /// Total time the program was unavailable.
     pub total: SimDuration,
 }
@@ -152,11 +147,6 @@ impl PrecopySummary {
     /// Total objects copied by the concurrent rounds.
     pub fn precopied_objects(&self) -> u64 {
         self.rounds.iter().map(|r| r.objects_copied).sum()
-    }
-
-    /// Total bytes copied by the concurrent rounds.
-    pub fn precopied_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.bytes_copied).sum()
     }
 
     /// Merges one pair's round report into the summary (round is 1-based).
@@ -209,7 +199,7 @@ pub struct PostcopySummary {
     /// Parked objects applied by the background drainer.
     pub drained_objects: u64,
     /// Background drain batches executed (the n-th-drain-step site count).
-    pub drain_steps: u64,
+    pub(crate) drain_steps: u64,
     /// Drain-loop rounds (serve + trap service + drain batch) executed.
     pub drain_rounds: u64,
     /// Per-trap service latency samples, nanoseconds: the fixed trap entry
@@ -251,9 +241,9 @@ pub struct UpdateReport {
     /// Connections open at update time.
     pub open_connections: usize,
     /// Startup time of the old version (recorded at its original boot).
-    pub old_startup: SimDuration,
+    pub(crate) old_startup: SimDuration,
     /// Startup time of the new version under mutable reinitialization.
-    pub new_startup: SimDuration,
+    pub(crate) new_startup: SimDuration,
     /// Kernel syscalls issued while the pipeline was in flight (serving
     /// rounds, startup replay, pre-copy traffic). After a clean run this is
     /// the chaos engine's n-th-syscall fault-site count.
@@ -306,11 +296,6 @@ impl MemoryReport {
         }
     }
 
-    /// Total bytes attributable to the instance.
-    pub fn total(&self) -> u64 {
-        self.resident_bytes
-    }
-
     /// Overhead ratio of this (instrumented) measurement over a baseline
     /// measurement, e.g. `2.8` means a 180% resident-set increase.
     pub fn overhead_over(&self, baseline: &MemoryReport) -> f64 {
@@ -343,7 +328,6 @@ mod tests {
         let baseline = MemoryReport { resident_bytes: 100, metadata_bytes: 0 };
         let instrumented = MemoryReport { resident_bytes: 390, metadata_bytes: 90 };
         assert!((instrumented.overhead_over(&baseline) - 3.9).abs() < 1e-9);
-        assert_eq!(instrumented.total(), 390);
         assert_eq!(instrumented.overhead_over(&MemoryReport::default()), 0.0);
     }
 }

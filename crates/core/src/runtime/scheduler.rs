@@ -267,7 +267,7 @@ fn thread_is_runnable(kernel: &Kernel, pid: Pid, tid: Tid) -> bool {
 /// runtime state MCR keeps about it.
 pub struct McrInstance {
     /// The program implementation.
-    pub program: Box<dyn Program>,
+    pub(crate) program: Box<dyn Program>,
     /// MCR's per-instance state (registries, startup log, roster, counters).
     pub state: InstanceState,
     /// The instance's scheduler (ready deque + admission bookkeeping).
@@ -290,7 +290,7 @@ impl McrInstance {
     /// # Errors
     ///
     /// Fails if the instance has no processes (not yet created).
-    pub fn init_pid(&self) -> McrResult<Pid> {
+    pub(crate) fn init_pid(&self) -> McrResult<Pid> {
         self.state
             .processes
             .first()
@@ -300,7 +300,7 @@ impl McrInstance {
 
     /// Resident memory of the instance: mapped bytes plus allocator and MCR
     /// metadata across all its processes.
-    pub fn resident_bytes(&self, kernel: &Kernel) -> u64 {
+    pub(crate) fn resident_bytes(&self, kernel: &Kernel) -> u64 {
         let proc_bytes: u64 = self
             .state
             .processes
@@ -338,7 +338,7 @@ impl Default for BootOptions {
 /// # Errors
 ///
 /// Fails if the process cannot be created or its memory cannot be mapped.
-pub fn create_instance(
+pub(crate) fn create_instance(
     kernel: &mut Kernel,
     mut program: Box<dyn Program>,
     interposer: Interposer,
@@ -379,7 +379,7 @@ pub fn create_instance(
 /// # Errors
 ///
 /// Propagates startup failures and replay conflicts.
-pub fn run_startup(kernel: &mut Kernel, instance: &mut McrInstance) -> McrResult<()> {
+pub(crate) fn run_startup(kernel: &mut Kernel, instance: &mut McrInstance) -> McrResult<()> {
     let start = kernel.now();
     let init_pid = instance.init_pid()?;
     let init_tid = kernel.process(init_pid).map_err(McrError::Sim)?.main_tid();
@@ -440,11 +440,11 @@ pub struct RoundStats {
     /// Threads that made progress.
     pub progressed: usize,
     /// Threads that found nothing to do (at their quiescent point).
-    pub blocked: usize,
+    pub(crate) blocked: usize,
     /// Threads that exited this round.
-    pub exited: usize,
+    pub(crate) exited: usize,
     /// Threads parked by the quiescence barrier this round.
-    pub parked: usize,
+    pub(crate) parked: usize,
     /// Threads moved from a wait queue / the timer wheel onto the ready
     /// deque by kernel wakeups (always 0 on the full-scan path).
     pub woken: usize,
@@ -622,7 +622,7 @@ pub fn request_quiescence(instance: &mut McrInstance) {
 /// the wake-everyone half of the quiescence barrier (and of
 /// [`resume`]) — parked threads run once more so they can park at their
 /// hooks (or re-declare their readiness interest).
-pub fn wake_all_threads(kernel: &mut Kernel, instance: &mut McrInstance) {
+pub(crate) fn wake_all_threads(kernel: &mut Kernel, instance: &mut McrInstance) {
     let McrInstance { state, sched, .. } = instance;
     sched.admit_new(state);
     for entry in state.threads.iter().filter(|t| !t.exited) {
@@ -632,7 +632,7 @@ pub fn wake_all_threads(kernel: &mut Kernel, instance: &mut McrInstance) {
 }
 
 /// Number of live threads that are *not* parked at a quiescent point.
-pub fn running_thread_count(kernel: &Kernel, instance: &McrInstance) -> usize {
+pub(crate) fn running_thread_count(kernel: &Kernel, instance: &McrInstance) -> usize {
     instance.state.live_threads().filter(|t| is_running(kernel, t)).count()
 }
 
@@ -705,6 +705,7 @@ pub fn resume(kernel: &mut Kernel, instance: &mut McrInstance) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::test_support::EnvExt;
     use crate::runtime::testprog::TinyServer;
 
     #[test]

@@ -50,7 +50,7 @@ pub enum DegradationTier {
 
 impl DegradationTier {
     /// The tier used for 1-based attempt number `attempt`.
-    pub fn for_attempt(attempt: usize) -> Self {
+    pub(crate) fn for_attempt(attempt: usize) -> Self {
         match attempt {
             0 | 1 => DegradationTier::Full,
             2 => DegradationTier::NoPrecopy,
@@ -59,7 +59,7 @@ impl DegradationTier {
     }
 
     /// Stable label for reports and bench output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DegradationTier::Full => "full",
             DegradationTier::NoPrecopy => "no-precopy",
@@ -69,7 +69,7 @@ impl DegradationTier {
 
     /// The options this tier actually runs with, derived from the
     /// requested configuration.
-    pub fn apply(&self, requested: &UpdateOptions) -> UpdateOptions {
+    pub(crate) fn apply(&self, requested: &UpdateOptions) -> UpdateOptions {
         let mut opts = *requested;
         match self {
             DegradationTier::Full => {}
@@ -102,8 +102,6 @@ impl std::fmt::Display for DegradationTier {
 /// [`UpdateReport::attempts`].
 #[derive(Debug, Clone)]
 pub struct AttemptSummary {
-    /// 1-based attempt number.
-    pub attempt: usize,
     /// The degradation tier the attempt ran at.
     pub tier: DegradationTier,
     /// Whether the attempt committed (true only for the last entry).
@@ -111,9 +109,9 @@ pub struct AttemptSummary {
     /// The conflicts that rolled the attempt back (empty on commit).
     pub conflicts: Vec<Conflict>,
     /// Virtual-clock instants bracketing the pipeline run.
-    pub started_at: SimInstant,
+    pub(crate) started_at: SimInstant,
     /// See `started_at`.
-    pub finished_at: SimInstant,
+    pub(crate) finished_at: SimInstant,
     /// The deterministic backoff slept *after* this attempt (zero for the
     /// committed or final attempt).
     pub backoff: SimDuration,
@@ -127,7 +125,7 @@ pub struct AttemptSummary {
 /// retry ladders plateau here instead of overflowing the `<<` doubling (a
 /// shift past 63 panics in debug, and value bits wrap long before that) or
 /// stalling the virtual clock for geological spans.
-pub const MAX_BACKOFF: SimDuration = SimDuration(60_000_000_000);
+pub(crate) const MAX_BACKOFF: SimDuration = SimDuration(60_000_000_000);
 
 /// Exponential backoff slept after the 1-based `attempt`:
 /// `base << (attempt - 1)`, saturating and clamped to [`MAX_BACKOFF`] so
@@ -144,7 +142,7 @@ pub struct SupervisorPolicy {
     pub max_attempts: usize,
     /// Backoff before retry `k+1` is `base_backoff << (k-1)` on the virtual
     /// clock — deterministic, no host time involved — capped at
-    /// [`MAX_BACKOFF`].
+    /// `MAX_BACKOFF`.
     pub base_backoff: SimDuration,
     /// Scheduler rounds the old instance serves between attempts, so
     /// clients keep getting answers while the supervisor waits.
@@ -208,7 +206,6 @@ pub fn supervised_update(
         match outcome {
             UpdateOutcome::Committed(mut report) => {
                 attempts.push(AttemptSummary {
-                    attempt,
                     tier,
                     committed: true,
                     conflicts: Vec::new(),
@@ -228,7 +225,6 @@ pub fn supervised_update(
                     backoff_for_attempt(policy.base_backoff, attempt)
                 };
                 attempts.push(AttemptSummary {
-                    attempt,
                     tier,
                     committed: false,
                     conflicts: conflicts.clone(),
@@ -257,7 +253,7 @@ pub fn supervised_update(
 /// instance itself*.
 ///
 /// Every attempt inserts a durable-checkpoint phase right after the
-/// quiescence barrier ([`UpdatePipeline::with_checkpoint`]), and one extra
+/// quiescence barrier (`UpdatePipeline::with_checkpoint`), and one extra
 /// checkpoint is taken up front so even a crash inside the very first
 /// attempt has a recovery point. When an attempt fails with
 /// [`Conflict::OldInstanceCrashed`] — rollback cannot resume processes that
@@ -323,7 +319,6 @@ pub fn supervised_update_durable(
         match outcome {
             UpdateOutcome::Committed(mut report) => {
                 attempts.push(AttemptSummary {
-                    attempt,
                     tier,
                     committed: true,
                     conflicts: Vec::new(),
@@ -348,7 +343,6 @@ pub fn supervised_update_durable(
                             // Nothing left to serve and nothing restorable:
                             // give up with the crash conflicts on record.
                             attempts.push(AttemptSummary {
-                                attempt,
                                 tier,
                                 committed: false,
                                 conflicts: conflicts.clone(),
@@ -370,7 +364,6 @@ pub fn supervised_update_durable(
                     backoff_for_attempt(policy.base_backoff, attempt)
                 };
                 attempts.push(AttemptSummary {
-                    attempt,
                     tier,
                     committed: false,
                     conflicts: conflicts.clone(),

@@ -13,7 +13,7 @@ use crate::tracing::stats::RegionClass;
 /// Names are shared `Arc<str>`s handed out by the per-version registries, so
 /// tracing a process never copies name bytes per object.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObjectOrigin {
+pub(crate) enum ObjectOrigin {
     /// A global/static variable, matched across versions by symbol name.
     Static {
         /// Symbol name.
@@ -40,7 +40,7 @@ pub enum ObjectOrigin {
 
 impl ObjectOrigin {
     /// A short description used in conflict messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ObjectOrigin::Static { symbol } => format!("static `{symbol}`"),
             ObjectOrigin::Heap { site: Some(s) } => format!("heap object from `{s}`"),
@@ -54,26 +54,26 @@ impl ObjectOrigin {
     }
 
     /// Whether the object is a static (symbol-matched) object.
-    pub fn is_static(&self) -> bool {
+    pub(crate) fn is_static(&self) -> bool {
         matches!(self, ObjectOrigin::Static { .. })
     }
 }
 
 /// A pointer discovered by mutable tracing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointerEdge {
+pub(crate) struct PointerEdge {
     /// Offset of the pointer slot within the source object.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// The raw pointer value (may be an interior pointer).
-    pub target: Addr,
+    pub(crate) target: Addr,
     /// Base address of the object the pointer lands in.
-    pub target_base: Addr,
+    pub(crate) target_base: Addr,
     /// Class of the region `target` points into, recorded by the scan (which
     /// already holds the region) so that nothing derived from the edges has
     /// to look the region up again.
-    pub target_class: RegionClass,
+    pub(crate) target_class: RegionClass,
     /// Bits masked off the raw value before following (encoded pointers).
-    pub masked_bits: u64,
+    pub(crate) masked_bits: u64,
 }
 
 /// One object reached by mutable tracing in the old version.
@@ -84,52 +84,42 @@ pub struct TracedObject {
     /// Size in bytes.
     pub size: u64,
     /// Origin (static / heap / pool / lib / mmap).
-    pub origin: ObjectOrigin,
+    pub(crate) origin: ObjectOrigin,
     /// Class of the region holding the object (the *source* class of its
     /// outgoing pointers in the Table 2 breakdown), recorded by the scan.
-    pub class: RegionClass,
+    pub(crate) class: RegionClass,
     /// Type, when precise information is available.
-    pub type_id: Option<TypeId>,
+    pub(crate) type_id: Option<TypeId>,
     /// The highest write-epoch stamp of the pages covering the object: `0`
     /// when the object is clean since startup (nothing to transfer),
     /// `u64::MAX` when dirty tracking is disabled (everything is treated as
     /// dirty). This is the single source of truth for dirtiness — the
     /// pre-copy engine compares it against the epoch at which the object's
     /// contents were last copied to decide whether a re-copy is needed.
-    pub dirty_epoch: u64,
+    pub(crate) dirty_epoch: u64,
     /// Whether the object was created during startup.
-    pub startup: bool,
+    pub(crate) startup: bool,
     /// Whether the object must keep its address in the new version
     /// (conservatively referenced).
-    pub immutable: bool,
+    pub(crate) immutable: bool,
     /// Whether the object may not be type-transformed (it is referenced by,
     /// or contains, likely pointers).
-    pub non_updatable: bool,
+    pub(crate) non_updatable: bool,
     /// Pointers located with precise type information.
-    pub precise_pointers: Vec<PointerEdge>,
+    pub(crate) precise_pointers: Vec<PointerEdge>,
     /// Likely pointers located by conservative scanning.
-    pub likely_pointers: Vec<PointerEdge>,
+    pub(crate) likely_pointers: Vec<PointerEdge>,
 }
 
 impl TracedObject {
     /// Whether the object was modified after startup (must be transferred).
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.dirty_epoch != 0
     }
 
-    /// End address (exclusive).
-    pub fn end(&self) -> Addr {
-        Addr(self.addr.0 + self.size)
-    }
-
     /// Whether `addr` falls inside the object.
-    pub fn contains(&self, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Addr) -> bool {
         addr.0 >= self.addr.0 && addr.0 < self.addr.0 + self.size.max(1)
-    }
-
-    /// All outgoing pointer edges (precise then likely).
-    pub fn edges(&self) -> impl Iterator<Item = &PointerEdge> {
-        self.precise_pointers.iter().chain(self.likely_pointers.iter())
     }
 }
 
@@ -138,7 +128,7 @@ impl TracedObject {
 /// Besides the objects the graph remembers *where it changed shape*: every
 /// delta retrace records the address range of each object that entered the
 /// graph, left it, changed size or changed pin status since the graph was
-/// first traced ([`ObjectGraph::range_changed`]). A pointer whose value lies
+/// first traced (`ObjectGraph::range_changed`). A pointer whose value lies
 /// outside every such range resolves to the same object, at the same
 /// interior offset, as it did in any earlier state of this graph — which is
 /// what lets the final pass of a pre-copied transfer skip objects whose
@@ -156,7 +146,7 @@ pub struct ObjectGraph {
 
 impl ObjectGraph {
     /// Creates an empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -179,41 +169,41 @@ impl ObjectGraph {
 
     /// Inserts an object (keyed by base address), returning the entry it
     /// replaced.
-    pub fn insert(&mut self, obj: TracedObject) -> Option<TracedObject> {
+    pub(crate) fn insert(&mut self, obj: TracedObject) -> Option<TracedObject> {
         self.max_size = self.max_size.max(obj.size);
         self.objects.insert(obj.addr.0, obj)
     }
 
     /// Whether an object with this base address is present.
-    pub fn contains(&self, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Addr) -> bool {
         self.objects.contains_key(&addr.0)
     }
 
     /// Shared access by base address.
-    pub fn get(&self, addr: Addr) -> Option<&TracedObject> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<&TracedObject> {
         self.objects.get(&addr.0)
     }
 
     /// Exclusive access by base address.
-    pub fn get_mut(&mut self, addr: Addr) -> Option<&mut TracedObject> {
+    pub(crate) fn get_mut(&mut self, addr: Addr) -> Option<&mut TracedObject> {
         self.objects.get_mut(&addr.0)
     }
 
     /// Removes the object with this base address (delta retraces drop
     /// objects that were freed or became unreachable).
-    pub fn remove(&mut self, addr: Addr) -> Option<TracedObject> {
+    pub(crate) fn remove(&mut self, addr: Addr) -> Option<TracedObject> {
         self.objects.remove(&addr.0)
     }
 
     /// The object whose extent contains `addr`, if any.
-    pub fn object_containing(&self, addr: Addr) -> Option<&TracedObject> {
+    pub(crate) fn object_containing(&self, addr: Addr) -> Option<&TracedObject> {
         self.objects.range(..=addr.0).next_back().map(|(_, o)| o).filter(|o| o.contains(addr))
     }
 
     /// The objects with at least one byte in `[base, base + len)`, in
     /// address order. Costs the objects starting within the largest object
     /// size below `base`, not the graph.
-    pub fn overlapping(&self, base: Addr, len: u64) -> impl Iterator<Item = &TracedObject> {
+    pub(crate) fn overlapping(&self, base: Addr, len: u64) -> impl Iterator<Item = &TracedObject> {
         let first = base.0.saturating_sub(self.max_size.saturating_sub(1));
         self.objects
             .range(first..base.0 + len)
@@ -243,7 +233,7 @@ impl ObjectGraph {
 
     /// Whether any object entered, left or changed size or pin status since
     /// the graph was first traced.
-    pub fn any_changed(&self) -> bool {
+    pub(crate) fn any_changed(&self) -> bool {
         !self.changed.is_empty()
     }
 
@@ -251,7 +241,7 @@ impl ObjectGraph {
     /// the graph, or changed size or pin status, since the graph was first
     /// traced. `false` means a pointer to `addr` resolves exactly as it did
     /// in every earlier state of this graph.
-    pub fn range_changed(&self, addr: Addr) -> bool {
+    pub(crate) fn range_changed(&self, addr: Addr) -> bool {
         let after = self.changed.partition_point(|&(start, _)| start <= addr.0);
         after > 0 && addr.0 < self.changed[after - 1].1
     }
@@ -262,56 +252,13 @@ impl ObjectGraph {
     }
 
     /// Iterates mutably over all objects in address order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TracedObject> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut TracedObject> {
         self.objects.values_mut()
     }
 
     /// Number of traced objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.objects.len()
-    }
-
-    /// True when no objects were traced.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// Marks the object at `addr` immutable (and non-updatable).
-    pub fn mark_immutable(&mut self, addr: Addr) {
-        if let Some(o) = self.objects.get_mut(&addr.0) {
-            o.immutable = true;
-            o.non_updatable = true;
-        }
-    }
-
-    /// Marks the object at `addr` non-updatable.
-    pub fn mark_non_updatable(&mut self, addr: Addr) {
-        if let Some(o) = self.objects.get_mut(&addr.0) {
-            o.non_updatable = true;
-        }
-    }
-
-    /// Objects that must be transferred (dirty) in address order. Dirtiness
-    /// is derived from each object's epoch stamp
-    /// ([`TracedObject::dirty_epoch`]), the same source of truth the
-    /// pre-copy delta engine uses.
-    pub fn dirty_objects(&self) -> impl Iterator<Item = &TracedObject> {
-        self.objects.values().filter(|o| o.is_dirty())
-    }
-
-    /// Objects pinned at their old address.
-    pub fn immutable_objects(&self) -> impl Iterator<Item = &TracedObject> {
-        self.objects.values().filter(|o| o.immutable)
-    }
-
-    /// Total bytes of all traced objects.
-    pub fn total_bytes(&self) -> u64 {
-        self.objects.values().map(|o| o.size).sum()
-    }
-
-    /// Total bytes of dirty objects only (the state-transfer payload).
-    pub fn dirty_bytes(&self) -> u64 {
-        self.objects.values().filter(|o| o.is_dirty()).map(|o| o.size).sum()
     }
 
     /// Delta retrace: re-scans only the objects whose pages were written
@@ -320,7 +267,7 @@ impl ObjectGraph {
     /// pin flags and statistics — converging to the same graph a fresh
     /// [`Tracer::trace`](crate::tracing::tracer::Tracer::trace) of the same
     /// memory would produce, while visiting only the dirtied part.
-    pub fn retrace_dirty(
+    pub(crate) fn retrace_dirty(
         &mut self,
         tracer: &crate::tracing::tracer::Tracer<'_>,
         since: u64,
@@ -332,6 +279,15 @@ impl ObjectGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dirty objects (the state-transfer payload), in address order.
+    fn dirty_objects(g: &ObjectGraph) -> impl Iterator<Item = &TracedObject> {
+        g.objects.values().filter(|o| o.is_dirty())
+    }
+
+    fn bytes<'a>(objects: impl Iterator<Item = &'a TracedObject>) -> u64 {
+        objects.map(|o| o.size).sum()
+    }
 
     fn obj(addr: u64, size: u64, dirty: bool) -> TracedObject {
         TracedObject {
@@ -367,12 +323,13 @@ mod tests {
         let mut g = ObjectGraph::new();
         g.insert(obj(0x1000, 64, true));
         g.insert(obj(0x2000, 32, false));
-        assert_eq!(g.dirty_objects().count(), 1);
-        assert_eq!(g.dirty_bytes(), 64);
-        assert_eq!(g.total_bytes(), 96);
-        g.mark_immutable(Addr(0x2000));
-        g.mark_non_updatable(Addr(0x1000));
-        assert_eq!(g.immutable_objects().count(), 1);
+        assert_eq!(dirty_objects(&g).count(), 1);
+        assert_eq!(bytes(dirty_objects(&g)), 64);
+        assert_eq!(bytes(g.objects.values()), 96);
+        let pinned = g.objects.get_mut(&0x2000).unwrap();
+        (pinned.immutable, pinned.non_updatable) = (true, true);
+        g.objects.get_mut(&0x1000).unwrap().non_updatable = true;
+        assert_eq!(g.objects.values().filter(|o| o.immutable).count(), 1);
         assert!(g.get(Addr(0x2000)).unwrap().non_updatable);
         assert!(g.get(Addr(0x1000)).unwrap().non_updatable);
         assert!(!g.get(Addr(0x1000)).unwrap().immutable);
@@ -387,12 +344,12 @@ mod tests {
         let mut g = ObjectGraph::new();
         g.insert(o);
         g.insert(obj(0x2000, 32, false));
-        assert_eq!(g.dirty_objects().count(), 1);
-        assert_eq!(g.dirty_bytes(), 64);
+        assert_eq!(dirty_objects(&g).count(), 1);
+        assert_eq!(bytes(dirty_objects(&g)), 64);
         g.remove(Addr(0x1000));
-        assert_eq!(g.dirty_objects().count(), 0);
+        assert_eq!(dirty_objects(&g).count(), 0);
         g.remove(Addr(0x2000));
-        assert!(g.is_empty());
+        assert_eq!(g.len(), 0);
     }
 
     #[test]
@@ -421,8 +378,8 @@ mod tests {
             target_class: RegionClass::Dynamic,
             masked_bits: 0,
         });
-        assert_eq!(o.edges().count(), 2);
+        assert_eq!((o.precise_pointers.len(), o.likely_pointers.len()), (1, 1));
         assert!(o.contains(Addr(0x1000)) && o.contains(Addr(0x103f)) && !o.contains(Addr(0x1040)));
-        assert_eq!(o.end(), Addr(0x1040));
+        assert_eq!(o.addr.offset(o.size), Addr(0x1040));
     }
 }

@@ -8,10 +8,10 @@
 //! Soft-dirty page information restricts the transferable set to objects
 //! modified after startup.
 
-pub mod graph;
-pub mod stats;
-pub mod tracer;
+pub(crate) mod graph;
+pub(crate) mod stats;
+pub(crate) mod tracer;
 
-pub use graph::{ObjectGraph, ObjectOrigin, PointerEdge, TracedObject};
-pub use stats::{PointerStats, RegionClass, TracingStats};
+pub use graph::{ObjectGraph, TracedObject};
+pub use stats::{PointerStats, TracingStats};
 pub use tracer::{trace_process, TraceOptions, TraceResult, Tracer};

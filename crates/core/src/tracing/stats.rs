@@ -4,7 +4,7 @@ use mcr_procsim::RegionKind;
 
 /// Memory-region class used by the Table 2 breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionClass {
+pub(crate) enum RegionClass {
     /// Global variables, strings and other static program data.
     Static,
     /// Heap, pools, stacks and anonymous mappings.
@@ -15,7 +15,7 @@ pub enum RegionClass {
 
 impl RegionClass {
     /// Classifies a simulator region kind.
-    pub fn from_kind(kind: RegionKind) -> Self {
+    pub(crate) fn from_kind(kind: RegionKind) -> Self {
         match kind {
             RegionKind::Static => RegionClass::Static,
             RegionKind::Lib => RegionClass::Lib,
@@ -34,18 +34,18 @@ pub struct PointerStats {
     /// Pointers whose source slot lives in dynamic memory.
     pub src_dynamic: u64,
     /// Pointers whose source slot lives in library memory.
-    pub src_lib: u64,
+    pub(crate) src_lib: u64,
     /// Pointers whose *target* lives in static memory.
-    pub targ_static: u64,
+    pub(crate) targ_static: u64,
     /// Pointers whose target lives in dynamic memory.
-    pub targ_dynamic: u64,
+    pub(crate) targ_dynamic: u64,
     /// Pointers whose target lives in library memory.
     pub targ_lib: u64,
 }
 
 impl PointerStats {
     /// Records one pointer with the given source and target classes.
-    pub fn record(&mut self, src: RegionClass, targ: RegionClass) {
+    pub(crate) fn record(&mut self, src: RegionClass, targ: RegionClass) {
         self.total += 1;
         match src {
             RegionClass::Static => self.src_static += 1,
@@ -60,7 +60,7 @@ impl PointerStats {
     }
 
     /// Merges another set of counts into this one.
-    pub fn merge(&mut self, other: &PointerStats) {
+    pub(crate) fn merge(&mut self, other: &PointerStats) {
         self.total += other.total;
         self.src_static += other.src_static;
         self.src_dynamic += other.src_dynamic;
@@ -84,13 +84,13 @@ pub struct TracingStats {
     /// Objects marked immutable (pinned at their old address).
     pub immutable_objects: u64,
     /// Objects marked non-updatable.
-    pub non_updatable_objects: u64,
+    pub(crate) non_updatable_objects: u64,
     /// Objects found dirty (modified after startup).
     pub dirty_objects: u64,
     /// Total traced bytes.
     pub traced_bytes: u64,
     /// Dirty traced bytes (the state-transfer payload).
-    pub dirty_bytes: u64,
+    pub(crate) dirty_bytes: u64,
 }
 
 impl TracingStats {
@@ -106,7 +106,7 @@ impl TracingStats {
 
     /// Reduction in transferred state achieved by dirty-object tracking
     /// (1.0 means everything was skipped, 0.0 means everything was dirty).
-    pub fn dirty_reduction(&self) -> f64 {
+    pub(crate) fn dirty_reduction(&self) -> f64 {
         if self.traced_bytes == 0 {
             0.0
         } else {

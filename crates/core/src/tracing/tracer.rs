@@ -204,12 +204,12 @@ impl<'a> Tracer<'a> {
     /// phases hold their pair's processes through
     /// [`Kernel::split_pairs`](mcr_procsim::Kernel::split_pairs), and going
     /// through `&Kernel` would alias the exclusive borrow of the new one.
-    pub fn for_process(process: &'a Process, state: &'a InstanceState, options: TraceOptions) -> Self {
+    pub(crate) fn for_process(process: &'a Process, state: &'a InstanceState, options: TraceOptions) -> Self {
         Tracer { process, state, options }
     }
 
     /// Runs the traversal from the root set.
-    pub fn trace(&self) -> TraceResult {
+    pub(crate) fn trace(&self) -> TraceResult {
         let mut work = Worklist::default();
         let mut queue: VecDeque<Visit> = VecDeque::new();
         for root in self.state.statics.roots() {
@@ -236,7 +236,7 @@ impl<'a> Tracer<'a> {
     /// disconnected (see `sweep_lost`). The address range
     /// of every object that entered or left the graph, or changed size or
     /// pin status, is recorded in the graph
-    /// ([`ObjectGraph::range_changed`]).
+    /// (`ObjectGraph::range_changed`).
     ///
     /// Staleness is detected through page write-epochs, so a free is only
     /// noticed if it (or the unlinking store) touched the object's pages:
@@ -902,6 +902,7 @@ pub fn trace_process(
 mod tests {
     use super::*;
     use crate::interpose::Interposer;
+    use crate::program::test_support::EnvExt;
     use crate::program::{InstanceState, ProgramEnv, ThreadRosterEntry};
     use mcr_procsim::MemoryLayout;
     use mcr_typemeta::{Field, InstrumentationConfig, TypeKind};

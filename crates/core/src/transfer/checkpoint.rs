@@ -62,7 +62,6 @@ use mcr_procsim::{
 };
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 
-use crate::error::{McrError, McrResult};
 use crate::program::Program;
 use crate::runtime::scheduler::{
     all_quiesced, boot, resume, run_rounds, wait_quiescence, BootOptions, McrInstance,
@@ -75,7 +74,7 @@ const MAGIC: &[u8; 8] = b"MCRCKPT1";
 /// On-disk format version; bumping it makes old manifests version-skewed.
 /// Version 2 replaced the byte-wise FNV-1a sums with [`checksum64`];
 /// version 3 runs its whole 32-byte blocks as four lanes.
-pub const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Simulated cost charged per page-delta record written to a shard, plus one
 /// nanosecond per payload byte (models serialization + device bandwidth).
@@ -261,7 +260,7 @@ impl Default for CheckpointOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckpointSummary {
     /// Version number of the new checkpoint.
-    pub version: u64,
+    pub(crate) version: u64,
     /// Page-delta records written across all shards.
     pub page_deltas: usize,
     /// Total delta payload bytes.
@@ -275,9 +274,9 @@ pub struct CheckpointSummary {
     /// into.
     pub blocks: u64,
     /// Simulated cost of writing the shards serially.
-    pub serial_cost: SimDuration,
+    pub(crate) serial_cost: SimDuration,
     /// Simulated cost actually charged: the slowest modelled shard writer.
-    pub parallel_cost: SimDuration,
+    pub(crate) parallel_cost: SimDuration,
 }
 
 impl CheckpointSummary {
@@ -1648,15 +1647,6 @@ fn install_fds(
         }
     }
     Ok(())
-}
-
-/// Convenience for callers that hold a `McrResult` context: wraps
-/// [`restore_latest`] into [`McrError::InvalidState`] on failure.
-pub fn restore_latest_mcr<S: Store + ?Sized>(
-    store: &S,
-    make_program: &mut dyn FnMut() -> Box<dyn Program>,
-) -> McrResult<RestoredInstance> {
-    restore_latest(store, make_program, None).map_err(|e| McrError::InvalidState(e.to_string()))
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //!
 //! Cross-version name resolution (type pairing, layout compatibility,
 //! allocation-site matching, transform-handler keys) is hoisted out of the
-//! per-object loops into a [`TransferContext`] built once per update: names
-//! are interned into a [`SymbolTable`] and every old type id is bridged to
+//! per-object loops into a `TransferContext` built once per update: names
+//! are interned into a `SymbolTable` and every old type id is bridged to
 //! its new-version counterpart ahead of time, so the hot paths below work on
 //! `u32` ids and `Arc<str>` refcount bumps instead of `String` clones. The
-//! context is shared by every pair of the update; [`transfer_between`]
+//! context is shared by every pair of the update; `transfer_between`
 //! itself only touches the two processes of one matched pair, so a pair's
 //! cost is independent of the others — which is what lets the pipeline
 //! charge the pairs as a schedule over
@@ -39,16 +39,16 @@
 //!
 //! # Pre-copy delta transfer
 //!
-//! The engine is *resumable*: a [`DeltaPlan`] records, per matched pair, the
+//! The engine is *resumable*: a `DeltaPlan` records, per matched pair, the
 //! placement of every old object in the new version (which startup chunk it
 //! matched, which fresh allocation it received, whether it is pinned) plus
 //! the dirty-epoch stamp and length of the contents last copied — one record
 //! per object, in one address-ordered table walked in step with the graph.
-//! The iterative pre-copy phase calls [`precopy_transfer_round`] once per
+//! The iterative pre-copy phase calls `precopy_transfer_round` once per
 //! round while the old version keeps serving: only objects whose dirty epoch
 //! exceeds their copied-at stamp are (re-)copied, and placements are made at
-//! most once. After quiescence [`transfer_residual`] runs the same passes a
-//! plain stop-the-world [`transfer_between`] would run and produces the full
+//! most once. After quiescence `transfer_residual` runs the same passes a
+//! plain stop-the-world `transfer_between` would run and produces the full
 //! logical report — but it *writes* an object only if its new-heap bytes
 //! would change (it is stale, or its pointer translation can differ from its
 //! last copy's; `CopyMode` states the rule and why it is exact), and it
@@ -62,16 +62,16 @@
 //! When the write rate outruns the copy rate the residual never converges
 //! and pre-copy degenerates to stop-the-world. The complementary mode
 //! commits *first* and moves the residual afterwards:
-//! [`postcopy_commit`] runs the same passes as [`transfer_residual`] —
+//! `postcopy_commit` runs the same passes as `transfer_residual` —
 //! identical placements, conflicts and logical report — but instead of
 //! applying the stale writes inside the stop-the-world window it snapshots
 //! and transforms them (against the now-frozen old space) and parks them in
-//! a [`PostcopyResidual`]. The new version resumes immediately with access
-//! traps armed over the parked ranges ([`PostcopyResidual::arm`]); a store
+//! a `PostcopyResidual`. The new version resumes immediately with access
+//! traps armed over the parked ranges (`PostcopyResidual::arm`); a store
 //! into a not-yet-transferred
-//! page parks in the kernel's trap queue, [`fault_in_at`] services it by
+//! page parks in the kernel's trap queue, `fault_in_at` services it by
 //! applying every parked object on the touched pages (and only then do the
-//! parked program stores replay), and [`drain_step`] retires the remainder
+//! parked program stores replay), and `drain_step` retires the remainder
 //! in deterministic address order between scheduler rounds. Because the
 //! prepared bytes were computed at quiesce time and program stores replay
 //! after fault-in, the final memory is byte-identical to a stop-the-world
@@ -81,7 +81,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use mcr_procsim::{Addr, AllocSite, Kernel, Pid, Process, SimDuration, TypeTag};
+use mcr_procsim::{Addr, AllocSite, Process, SimDuration, TypeTag};
 use mcr_typemeta::TypeId;
 
 use crate::annotations::{pointer_mask, ObjTreatment};
@@ -108,23 +108,23 @@ fn write_cost(objects: u64, bytes: u64) -> SimDuration {
 /// How one old-version type relates to the new version, resolved once per
 /// update instead of once per traced object.
 #[derive(Debug, Clone)]
-pub struct TypeBridge {
+pub(crate) struct TypeBridge {
     /// The (shared) old type name.
-    pub old_name: Arc<str>,
+    pub(crate) old_name: Arc<str>,
     /// The same-named type in the new version, if it exists.
-    pub new_ty: Option<TypeId>,
+    pub(crate) new_ty: Option<TypeId>,
     /// Whether old and new layouts are compatible (false when the type
     /// vanished from the new version).
-    pub layout_compatible: bool,
+    pub(crate) layout_compatible: bool,
     /// Whether the new version registered a semantic transform handler under
     /// the type name.
-    pub has_type_transform: bool,
+    pub(crate) has_type_transform: bool,
 }
 
 /// Read-only cross-version metadata shared by every process pair of one live
 /// update: interned names plus the old→new type bridge.
 #[derive(Debug, Default)]
-pub struct TransferContext {
+pub(crate) struct TransferContext {
     syms: SymbolTable,
     /// New-version allocation-site id → interned site name.
     new_sites: BTreeMap<u64, Sym>,
@@ -146,7 +146,7 @@ pub struct TransferContext {
 impl TransferContext {
     /// Builds the context for one update: interns every allocation-site and
     /// type name of both versions and pairs old types with new ones.
-    pub fn new(old_state: &InstanceState, new_state: &InstanceState) -> Self {
+    pub(crate) fn new(old_state: &InstanceState, new_state: &InstanceState) -> Self {
         let mut syms = SymbolTable::new();
         let mut new_sites = BTreeMap::new();
         for (_, info) in old_state.sites.iter() {
@@ -188,7 +188,7 @@ impl TransferContext {
     /// that write happens during a pre-copy round or in the stop-the-world
     /// window. `None` disarms the trigger.
     #[must_use]
-    pub fn with_object_fault(mut self, nth: Option<u64>) -> Self {
+    pub(crate) fn with_object_fault(mut self, nth: Option<u64>) -> Self {
         self.object_fault = nth;
         self
     }
@@ -201,13 +201,13 @@ impl TransferContext {
     /// reports and the object-fault counter do not depend on it. `0`/`1`
     /// charges the serial sum.
     #[must_use]
-    pub fn with_intra_pair_shards(mut self, shards: usize) -> Self {
+    pub(crate) fn with_intra_pair_shards(mut self, shards: usize) -> Self {
         self.intra_pair_shards = shards.max(1);
         self
     }
 
     /// The configured intra-pair shard count (always >= 1).
-    pub fn intra_pair_shards(&self) -> usize {
+    pub(crate) fn intra_pair_shards(&self) -> usize {
         self.intra_pair_shards.max(1)
     }
 
@@ -225,28 +225,23 @@ impl TransferContext {
     /// update this is the number of injectable n-th-object-write fault
     /// sites; the pipeline copies it into
     /// [`UpdateReport::object_writes`](crate::runtime::report::UpdateReport).
-    pub fn writes_performed(&self) -> u64 {
+    pub(crate) fn writes_performed(&self) -> u64 {
         self.writes.get()
     }
 
     /// The bridge for an old-version type id, if the type is registered.
-    pub fn bridge(&self, old_ty: TypeId) -> Option<&TypeBridge> {
+    pub(crate) fn bridge(&self, old_ty: TypeId) -> Option<&TypeBridge> {
         self.types.get(&old_ty.0)
     }
 
     /// The interned id of an allocation-site name (old or new version).
-    pub fn site_sym(&self, name: &str) -> Option<Sym> {
+    pub(crate) fn site_sym(&self, name: &str) -> Option<Sym> {
         self.syms.lookup(name)
     }
 
     /// The interned id behind a *new-version* allocation-site id.
-    pub fn new_site_sym(&self, site: AllocSite) -> Option<Sym> {
+    pub(crate) fn new_site_sym(&self, site: AllocSite) -> Option<Sym> {
         self.new_sites.get(&site.0).copied()
-    }
-
-    /// The interner itself (shared, read-only).
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.syms
     }
 }
 
@@ -268,10 +263,10 @@ pub struct PrecopyRoundReport {
     /// Objects copied (or re-copied) this round.
     pub objects_copied: u64,
     /// Bytes written into the new version this round.
-    pub bytes_copied: u64,
+    pub(crate) bytes_copied: u64,
     /// Simulated cost of this round's copies (charged concurrently, while
     /// the old version keeps serving).
-    pub cost: SimDuration,
+    pub(crate) cost: SimDuration,
 }
 
 /// Residual work left for the stop-the-world window after pre-copy: the
@@ -286,7 +281,7 @@ pub struct ResidualStats {
     /// Simulated cost of the residual copies — the part of state transfer
     /// that counts toward downtime. Without pre-copy this equals the full
     /// per-pair transfer duration.
-    pub cost: SimDuration,
+    pub(crate) cost: SimDuration,
 }
 
 /// What a [`DeltaPlan`] remembers about one old object.
@@ -336,10 +331,10 @@ impl PlanEntry {
 /// current by [`ObjectGraph::retrace_dirty`](crate::tracing::graph::ObjectGraph::retrace_dirty)
 /// — the final pass relies on the ranges that graph recorded as changed.
 #[derive(Debug, Default)]
-pub struct DeltaPlan {
+pub(crate) struct DeltaPlan {
     /// Epoch through which the pair's object graph has been retraced (the
     /// `since` argument of the next delta retrace).
-    pub traced_upto: u64,
+    pub(crate) traced_upto: u64,
     /// One record per old object ever placed, sorted by old base address.
     /// Records of objects that left the graph stay: an address that comes
     /// back gets its placement back.
@@ -351,7 +346,7 @@ pub struct DeltaPlan {
 
 impl DeltaPlan {
     /// A fresh plan (nothing placed, nothing copied).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeltaPlan::default()
     }
 }
@@ -376,7 +371,7 @@ struct PendingObject {
 /// in deterministic address order, plus the page bookkeeping that decides
 /// when a page's access trap can be disarmed.
 #[derive(Debug, Default)]
-pub struct PostcopyResidual {
+pub(crate) struct PostcopyResidual {
     pending: Vec<PendingObject>,
     /// Drain cursor into `pending`.
     next: usize,
@@ -419,7 +414,7 @@ impl PostcopyResidual {
     ///
     /// Propagates mapping errors (a parked range must be mapped — it was
     /// placed by the commit pass).
-    pub fn arm(&self, new_proc: &mut Process) -> McrResult<()> {
+    pub(crate) fn arm(&self, new_proc: &mut Process) -> McrResult<()> {
         for p in self.pending.iter().filter(|p| !p.applied) {
             new_proc.space_mut().protect_range(p.new_base, p.len.max(1) as u64).map_err(McrError::Sim)?;
         }
@@ -427,22 +422,22 @@ impl PostcopyResidual {
     }
 
     /// Unapplied objects still parked.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.live as u64
     }
 
     /// Bytes still parked.
-    pub fn remaining_bytes(&self) -> u64 {
+    pub(crate) fn remaining_bytes(&self) -> u64 {
         self.pending.iter().filter(|p| !p.applied).map(|p| p.len as u64).sum()
     }
 
     /// True once every parked object has been applied.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.live == 0
     }
 
     /// Objects faulted in / drained so far.
-    pub fn faulted_in(&self) -> u64 {
+    pub(crate) fn faulted_in(&self) -> u64 {
         self.faulted_in
     }
 }
@@ -510,7 +505,7 @@ fn apply_pending(
 /// Returns simulator errors for unexpected memory failures and the armed
 /// fault triggers ([`TransferContext::with_object_fault`] or `fault_at`, the
 /// 1-based n-th fault-in counter shared with [`drain_step`]).
-pub fn fault_in_at(
+pub(crate) fn fault_in_at(
     plan: &TransferContext,
     residual: &mut PostcopyResidual,
     old_proc: &Process,
@@ -537,7 +532,7 @@ pub fn fault_in_at(
 ///
 /// Returns simulator errors for unexpected memory failures and the armed
 /// fault triggers (see [`fault_in_at`]).
-pub fn drain_step(
+pub(crate) fn drain_step(
     plan: &TransferContext,
     residual: &mut PostcopyResidual,
     old_proc: &Process,
@@ -662,7 +657,7 @@ impl Eq for TransferSummary {}
 
 impl TransferSummary {
     /// Adds a process report to the aggregate.
-    pub fn push(&mut self, report: ProcessTransferReport) {
+    pub(crate) fn push(&mut self, report: ProcessTransferReport) {
         self.serial_duration = self.serial_duration.saturating_add(report.duration);
         if report.duration > self.parallel_duration {
             self.parallel_duration = report.duration;
@@ -763,63 +758,6 @@ impl Prepared {
     }
 }
 
-/// Transfers the traced state of `old_pid` into `new_pid`.
-///
-/// Convenience wrapper over [`transfer_between`] for callers that hold the
-/// whole kernel: it builds a one-off [`TransferContext`], split-borrows the
-/// pair out of the kernel, and charges the simulated transfer cost to the
-/// kernel clock.
-///
-/// # Errors
-///
-/// Returns simulator errors for unexpected memory failures; *conflicts* are
-/// reported in the returned [`ProcessTransferReport`] rather than as errors,
-/// so the controller can roll back cleanly.
-pub fn transfer_process(
-    kernel: &mut Kernel,
-    old_state: &InstanceState,
-    old_pid: Pid,
-    new_state: &InstanceState,
-    new_pid: Pid,
-    trace: &TraceResult,
-) -> McrResult<ProcessTransferReport> {
-    let plan = TransferContext::new(old_state, new_state);
-    let report = {
-        let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).map_err(McrError::Sim)?;
-        let (old_proc, new_proc) = split.pop().expect("one pair requested");
-        transfer_between(&plan, old_proc, old_state, new_proc, new_state, trace)?
-    };
-    kernel.advance_clock(report.duration);
-    Ok(report)
-}
-
-/// Transfers the traced state of one matched pair, given direct borrows of
-/// the two processes.
-///
-/// This is the per-pair work unit of the trace/transfer phase: it reads the
-/// old process, writes the new one, and consults only read-only state
-/// (`plan`, the two instance states). It does **not** advance the kernel
-/// clock; the caller charges the returned
-/// [`ProcessTransferReport::duration`].
-///
-/// # Errors
-///
-/// Returns simulator errors for unexpected memory failures; conflicts land
-/// in the report.
-pub fn transfer_between(
-    plan: &TransferContext,
-    old_proc: &Process,
-    old_state: &InstanceState,
-    new_proc: &mut Process,
-    new_state: &InstanceState,
-    trace: &TraceResult,
-) -> McrResult<ProcessTransferReport> {
-    let mut delta = DeltaPlan::new();
-    let (report, _residual) =
-        transfer_residual(plan, &mut delta, old_proc, old_state, new_proc, new_state, trace)?;
-    Ok(report)
-}
-
 /// One concurrent pre-copy round over a matched pair: places and copies only
 /// the objects that are stale with respect to `delta` (never copied, or
 /// dirtied since their last copy). Conflicts are not reported here — the
@@ -830,7 +768,7 @@ pub fn transfer_between(
 ///
 /// Returns simulator errors for unexpected memory failures and the armed
 /// [`TransferContext::with_object_fault`] fault.
-pub fn precopy_transfer_round(
+pub(crate) fn precopy_transfer_round(
     plan: &TransferContext,
     delta: &mut DeltaPlan,
     old_proc: &Process,
@@ -860,7 +798,7 @@ pub fn precopy_transfer_round(
 ///
 /// Returns simulator errors for unexpected memory failures; conflicts land
 /// in the report.
-pub fn transfer_residual(
+pub(crate) fn transfer_residual(
     plan: &TransferContext,
     delta: &mut DeltaPlan,
     old_proc: &Process,
@@ -887,7 +825,7 @@ pub fn transfer_residual(
 /// Returns simulator errors for unexpected memory failures; conflicts land
 /// in the report (and, non-empty, mean the caller must roll back *before*
 /// resuming the new version).
-pub fn postcopy_commit(
+pub(crate) fn postcopy_commit(
     plan: &TransferContext,
     delta: &mut DeltaPlan,
     old_proc: &Process,
@@ -1464,10 +1402,68 @@ fn rewrite_pointers(
 mod tests {
     use super::*;
     use crate::interpose::Interposer;
+    use crate::program::test_support::EnvExt;
     use crate::program::{InstanceState, ProgramEnv, ThreadRosterEntry};
     use crate::tracing::tracer::{trace_process, TraceOptions, Tracer};
-    use mcr_procsim::MemoryLayout;
+    use mcr_procsim::{Kernel, MemoryLayout, Pid};
     use mcr_typemeta::{Field, InstrumentationConfig};
+
+    /// Transfers the traced state of `old_pid` into `new_pid`.
+    ///
+    /// Convenience wrapper over [`transfer_between`] for callers that hold the
+    /// whole kernel: it builds a one-off [`TransferContext`], split-borrows the
+    /// pair out of the kernel, and charges the simulated transfer cost to the
+    /// kernel clock.
+    ///
+    /// # Errors
+    ///
+    /// Returns simulator errors for unexpected memory failures; *conflicts* are
+    /// reported in the returned [`ProcessTransferReport`] rather than as errors,
+    /// so the controller can roll back cleanly.
+    fn transfer_process(
+        kernel: &mut Kernel,
+        old_state: &InstanceState,
+        old_pid: Pid,
+        new_state: &InstanceState,
+        new_pid: Pid,
+        trace: &TraceResult,
+    ) -> McrResult<ProcessTransferReport> {
+        let plan = TransferContext::new(old_state, new_state);
+        let report = {
+            let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).map_err(McrError::Sim)?;
+            let (old_proc, new_proc) = split.pop().expect("one pair requested");
+            transfer_between(&plan, old_proc, old_state, new_proc, new_state, trace)?
+        };
+        kernel.advance_clock(report.duration);
+        Ok(report)
+    }
+
+    /// Transfers the traced state of one matched pair, given direct borrows of
+    /// the two processes.
+    ///
+    /// This is the per-pair work unit of the trace/transfer phase: it reads the
+    /// old process, writes the new one, and consults only read-only state
+    /// (`plan`, the two instance states). It does **not** advance the kernel
+    /// clock; the caller charges the returned
+    /// [`ProcessTransferReport::duration`].
+    ///
+    /// # Errors
+    ///
+    /// Returns simulator errors for unexpected memory failures; conflicts land
+    /// in the report.
+    fn transfer_between(
+        plan: &TransferContext,
+        old_proc: &Process,
+        old_state: &InstanceState,
+        new_proc: &mut Process,
+        new_state: &InstanceState,
+        trace: &TraceResult,
+    ) -> McrResult<ProcessTransferReport> {
+        let mut delta = DeltaPlan::new();
+        let (report, _residual) =
+            transfer_residual(plan, &mut delta, old_proc, old_state, new_proc, new_state, trace)?;
+        Ok(report)
+    }
 
     fn make_instance(kernel: &mut Kernel, name: &str, slide: u64) -> (InstanceState, Pid) {
         make_instance_in(kernel, name, MemoryLayout::with_slide(slide))
@@ -1699,7 +1695,6 @@ mod tests {
                     out[0..4].copy_from_slice(&(workers * 2).to_le_bytes());
                     out
                 }),
-                21,
             );
         }
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
@@ -1709,7 +1704,6 @@ mod tests {
         let space = kernel.process(new_pid).unwrap().space();
         assert_eq!(space.read_u32(new_addr).unwrap(), 8, "transform doubled the worker count");
         assert_eq!(space.read_u32(new_addr.offset(4)).unwrap(), 80);
-        assert_eq!(new_state.annotations.state_transfer_loc(), 21);
     }
 
     /// The resumable delta plan: a pre-copy round copies everything once,

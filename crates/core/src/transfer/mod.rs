@@ -4,15 +4,8 @@
 
 pub mod checkpoint;
 pub mod engine;
-pub mod transform;
+pub(crate) mod transform;
 
-pub use checkpoint::{
-    checkpoint_now, list_versions, restore_latest, write_checkpoint, CheckpointError, CheckpointOptions,
-    CheckpointSummary, RestoreError, RestoreReport, RestoredInstance, FORMAT_VERSION, RESTORE_STEPS,
-};
-pub use engine::{
-    drain_step, fault_in_at, postcopy_commit, precopy_transfer_round, transfer_between, transfer_process,
-    transfer_residual, DeltaPlan, PostcopyResidual, PrecopyRoundReport, ProcessTransferReport, ResidualStats,
-    TransferContext, TransferSummary, TypeBridge,
-};
+pub use checkpoint::{checkpoint_now, restore_latest, CheckpointOptions, CheckpointSummary};
+pub use engine::ProcessTransferReport;
 pub use transform::{apply_field_map, compute_field_map, FieldMap};

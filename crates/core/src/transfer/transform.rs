@@ -14,11 +14,11 @@ use mcr_typemeta::{TypeId, TypeKind, TypeRegistry};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FieldMap {
     /// Raw byte copies: `(old_offset, new_offset, len)`.
-    pub copies: Vec<(u64, u64, u64)>,
+    pub(crate) copies: Vec<(u64, u64, u64)>,
     /// Pointer slots to rewrite: `(old_offset, new_offset)`.
-    pub pointers: Vec<(u64, u64)>,
+    pub(crate) pointers: Vec<(u64, u64)>,
     /// Size of the old representation.
-    pub old_size: u64,
+    pub(crate) old_size: u64,
     /// Size of the new representation.
     pub new_size: u64,
 }
@@ -40,11 +40,6 @@ impl FieldMap {
             copies.push((last, last, size - last));
         }
         FieldMap { copies, pointers, old_size: size, new_size: size }
-    }
-
-    /// Total bytes copied by the plan (excluding rewritten pointers).
-    pub fn copied_bytes(&self) -> u64 {
-        self.copies.iter().map(|(_, _, len)| len).sum()
     }
 }
 
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn identity_map_roundtrips() {
         let map = FieldMap::identity(24, &[8]);
-        assert_eq!(map.copied_bytes(), 16);
+        assert_eq!(map.copies.iter().map(|c| c.2).sum::<u64>(), 16);
         let old: Vec<u8> = (0..24).collect();
         let out = applied(&map, &old);
         assert_eq!(out, old);
