@@ -34,7 +34,7 @@ use mcr_typemeta::{Field, TypeRegistry};
 pub const CACHE_PORT: u16 = 11211;
 
 /// Hash buckets of the cache table (the `cache_table` global).
-pub const CACHE_BUCKETS: u64 = 64;
+pub(crate) const CACHE_BUCKETS: u64 = 64;
 
 /// The memcached-style single-process slab cache.
 pub struct CacheServer {
@@ -49,11 +49,6 @@ impl CacheServer {
         let version =
             if generation <= 1 { "1.4.0".to_string() } else { format!("1.4.0+u{}", generation - 1) };
         CacheServer { generation, version, listen_fd: None }
-    }
-
-    /// The generation (release index) of this instance.
-    pub fn generation(&self) -> u32 {
-        self.generation
     }
 
     fn insert_entries(&self, env: &mut ProgramEnv<'_>, count: u64, vsize: u64) -> McrResult<()> {
@@ -278,7 +273,7 @@ impl Program for CacheServer {
 /// Collects the addresses of every live cache entry, in bucket-then-chain
 /// order, for the cache's (single) process. Used by the property tests'
 /// seeded mutator and the intra-pair bench.
-pub fn cache_entry_nodes(kernel: &Kernel, instance: &McrInstance) -> Vec<Addr> {
+pub(crate) fn cache_entry_nodes(kernel: &Kernel, instance: &McrInstance) -> Vec<Addr> {
     let Some(table) = instance.state.statics.lookup("cache_table") else {
         return Vec::new();
     };

@@ -43,16 +43,6 @@ impl GenericServer {
         }
     }
 
-    /// The specification this instance was built from.
-    pub fn spec(&self) -> &ServerSpec {
-        &self.spec
-    }
-
-    /// The generation (release index) of this instance.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
     fn blocking_call(&self) -> &'static str {
         match self.spec.allocator {
             AllocatorModel::Pools => "epoll_wait",
@@ -402,7 +392,6 @@ impl Program for GenericServer {
             name if name.starts_with("daemonize") => Ok(StepOutcome::Exit),
             name if name.starts_with("session") => self.session_step(env),
             "main" => match self.spec.process_model {
-                ProcessModel::SingleProcess => self.accept_and_handle(env, "main_loop"),
                 ProcessModel::MasterWorker { .. } => Ok(StepOutcome::WouldBlock {
                     call: "sigsuspend",
                     loop_name: "master_loop",

@@ -25,20 +25,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
-pub mod generic;
-pub mod scenarios;
-pub mod spec;
-pub mod updates;
+pub(crate) mod cache;
+pub(crate) mod generic;
+pub(crate) mod scenarios;
+pub(crate) mod spec;
+pub(crate) mod updates;
 
-pub use cache::{cache_entry_nodes, dirty_cache_records, CacheServer, CACHE_BUCKETS, CACHE_PORT};
+pub use cache::{dirty_cache_records, CacheServer, CACHE_PORT};
 pub use generic::{programs, GenericServer};
 pub use scenarios::{
-    apply_scenario_writes, connection_nodes, dirty_cache_entries, dirty_connection_nodes, precopy_scenarios,
-    stamp_request_scratch, PrecopyScenario,
+    apply_scenario_writes, dirty_connection_nodes, precopy_scenarios, stamp_request_scratch, PrecopyScenario,
 };
-pub use spec::{AllocatorModel, ProcessModel, ServerSpec};
-pub use updates::{generations_for, paper_catalog, totals, CatalogTotals, UpdateCatalogEntry};
+pub use spec::ServerSpec;
+pub use updates::{paper_catalog, totals, CatalogTotals, UpdateCatalogEntry};
 
 /// Installs the configuration files and served documents every simulated
 /// server expects into a kernel's file system.
@@ -66,30 +65,30 @@ pub fn program_by_name(name: &str, generation: u32) -> GenericServer {
     }
 }
 
-/// Constructs a boxed program model for `name`: one of the four paper
-/// programs, or `"cache"` for the single-process memcached-style
-/// [`CacheServer`] archetype.
-///
-/// # Panics
-///
-/// Panics on an unknown program name.
-pub fn boxed_program_by_name(name: &str, generation: u32) -> Box<dyn mcr_core::Program> {
-    match name {
-        "cache" => Box::new(CacheServer::new(generation)),
-        other => Box::new(program_by_name(other, generation)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Constructs a boxed program model for `name`: one of the four paper
+    /// programs, or `"cache"` for the single-process memcached-style
+    /// [`CacheServer`] archetype.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown program name.
+    fn boxed_program_by_name(name: &str, generation: u32) -> Box<dyn mcr_core::Program> {
+        match name {
+            "cache" => Box::new(CacheServer::new(generation)),
+            other => Box::new(program_by_name(other, generation)),
+        }
+    }
 
     #[test]
     fn program_by_name_covers_all_specs() {
         for spec in ServerSpec::all() {
             let p = program_by_name(&spec.name, 1);
-            assert_eq!(p.spec().name, spec.name);
-            assert_eq!(p.generation(), 1);
+            assert_eq!(mcr_core::Program::name(&p), spec.name);
+            assert_eq!(mcr_core::Program::version(&p), spec.version_string(1));
         }
     }
 

@@ -34,14 +34,14 @@ pub struct PrecopyScenario {
     pub open_connections: usize,
     /// Connection records dirtied per process after each pre-copy round —
     /// the write rate. `usize::MAX` rewrites every record (write-heavy).
-    pub writes_per_round: usize,
+    pub(crate) writes_per_round: usize,
     /// Page-sized `doc_cache` entries re-dirtied per process after each
     /// round. Connection records are small and share pages, so this is the
     /// knob that actually spreads the per-round working set across pages:
     /// `0` models the read-mostly deployment whose startup-initialized bulk
     /// stays clean, `16` (every entry) the write-heavy one that re-dirties
     /// it continuously.
-    pub cache_writes_per_round: usize,
+    pub(crate) cache_writes_per_round: usize,
 }
 
 /// The scenario pair: a read-mostly deployment (the common case the paper's
@@ -79,7 +79,7 @@ pub fn precopy_scenarios() -> [PrecopyScenario; 2] {
 /// tracking normally skips (the 68%–86% reduction); a deployment that keeps
 /// rewriting them forces pre-copy to re-copy a page-spread working set each
 /// round.
-pub fn dirty_cache_entries(
+pub(crate) fn dirty_cache_entries(
     kernel: &mut Kernel,
     instance: &McrInstance,
     per_process: usize,
@@ -160,7 +160,7 @@ pub fn stamp_request_scratch(kernel: &mut Kernel, instance: &McrInstance, words:
 /// nodes on the process's own copy of the global `conn_list` (every
 /// generation lays the list head pointer out at offset 8 of the
 /// `conn_list_s` global).
-pub fn connection_nodes(kernel: &Kernel, instance: &McrInstance) -> Vec<(Pid, Vec<Addr>)> {
+pub(crate) fn connection_nodes(kernel: &Kernel, instance: &McrInstance) -> Vec<(Pid, Vec<Addr>)> {
     let Some(list) = instance.state.statics.lookup("conn_list") else {
         return Vec::new();
     };
@@ -229,7 +229,7 @@ mod tests {
         use mcr_core::runtime::{run_rounds, McrInstance};
         use mcr_procsim::Kernel;
 
-        pub fn serve(kernel: &mut Kernel, instance: &mut McrInstance, port: u16, n: usize) {
+        pub(crate) fn serve(kernel: &mut Kernel, instance: &mut McrInstance, port: u16, n: usize) {
             for _ in 0..n {
                 let c = kernel.client_connect(port).unwrap();
                 kernel.client_send(c, b"GET /".to_vec()).unwrap();

@@ -11,10 +11,7 @@
 
 /// How a server structures its processes and threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessModel {
-    /// A single event-driven process (nginx worker model collapsed to one
-    /// process when `workers` is 0).
-    SingleProcess,
+pub(crate) enum ProcessModel {
     /// A master process plus `workers` forked worker processes, each running
     /// `threads_per_worker` worker threads (Apache httpd's `worker` MPM,
     /// nginx's master/worker model with `threads_per_worker == 0`).
@@ -31,7 +28,7 @@ pub enum ProcessModel {
 
 /// Which allocator family request handling uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocatorModel {
+pub(crate) enum AllocatorModel {
     /// Standard `malloc` (instrumented when static instrumentation is on).
     Malloc,
     /// Region/pool allocation (nginx pools); opaque to precise tracing unless
@@ -48,34 +45,34 @@ pub struct ServerSpec {
     /// Program name (e.g. `"httpd"`).
     pub name: String,
     /// Base version string of the v1 release (e.g. `"2.2.23"`).
-    pub base_version: String,
+    pub(crate) base_version: String,
     /// TCP port the server listens on.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Path of the configuration file read at startup.
-    pub config_path: String,
+    pub(crate) config_path: String,
     /// Process/threading model.
-    pub process_model: ProcessModel,
+    pub(crate) process_model: ProcessModel,
     /// Allocator family used by request handling.
-    pub allocator: AllocatorModel,
+    pub(crate) allocator: AllocatorModel,
     /// Whether the server keeps state inside (uninstrumented) shared
     /// libraries (OpenSSL contexts and the like).
-    pub uses_lib_state: bool,
+    pub(crate) uses_lib_state: bool,
     /// Whether the server stores metadata in the low bits of pointers
     /// (nginx's encoded pointers, paper §7/§8).
-    pub pointer_encoding: bool,
+    pub(crate) pointer_encoding: bool,
     /// Whether the server daemonizes at startup (creates a short-lived
     /// helper, visible as a short-lived thread class in Table 1).
-    pub daemonize: bool,
+    pub(crate) daemonize: bool,
     /// Whether request handling copies pointers into untyped buffers
     /// (type-unsafe idioms that produce likely pointers even with a fully
     /// instrumented allocator).
-    pub type_unsafe_idioms: bool,
+    pub(crate) type_unsafe_idioms: bool,
 }
 
 impl ServerSpec {
     /// Apache httpd with the `worker` MPM: 2 server processes, each with a
     /// (scaled-down) set of worker threads, nested APR pools, OpenSSL state.
-    pub fn httpd() -> Self {
+    pub(crate) fn httpd() -> Self {
         ServerSpec {
             name: "httpd".into(),
             base_version: "2.2.23".into(),
@@ -125,7 +122,7 @@ impl ServerSpec {
 
     /// The OpenSSH daemon: per-connection session processes, OpenSSL state,
     /// daemonization and helper exec()s.
-    pub fn sshd() -> Self {
+    pub(crate) fn sshd() -> Self {
         ServerSpec {
             name: "sshd".into(),
             base_version: "3.5p1".into(),

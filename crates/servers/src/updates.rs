@@ -16,7 +16,7 @@ pub struct UpdateCatalogEntry {
     /// Program name.
     pub program: String,
     /// Version range covered by the updates.
-    pub version_range: String,
+    pub(crate) version_range: String,
     /// Number of releases (updates) considered.
     pub updates: u32,
     /// Lines of code changed across the updates.
@@ -87,19 +87,19 @@ pub fn paper_catalog() -> Vec<UpdateCatalogEntry> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CatalogTotals {
     /// Total number of updates.
-    pub updates: u32,
+    pub(crate) updates: u32,
     /// Total changed LOC.
-    pub changed_loc: u32,
+    pub(crate) changed_loc: u32,
     /// Total changed functions.
-    pub changed_functions: u32,
+    pub(crate) changed_functions: u32,
     /// Total changed variables.
-    pub changed_variables: u32,
+    pub(crate) changed_variables: u32,
     /// Total changed types.
-    pub changed_types: u32,
+    pub(crate) changed_types: u32,
     /// Total annotation LOC.
     pub annotation_loc: u32,
     /// Total state-transfer LOC.
-    pub state_transfer_loc: u32,
+    pub(crate) state_transfer_loc: u32,
 }
 
 /// Computes the totals row for a catalogue.
@@ -117,19 +117,19 @@ pub fn totals(entries: &[UpdateCatalogEntry]) -> CatalogTotals {
     t
 }
 
-/// Number of generations (v1 plus updates) this reproduction models for a
-/// program: nginx gets a long chain like the paper's 25-release series, the
-/// others get 5 updates.
-pub fn generations_for(program: &str) -> u32 {
-    match program {
-        "nginx" => 26,
-        _ => 6,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of generations (v1 plus updates) this reproduction models for a
+    /// program: nginx gets a long chain like the paper's 25-release series, the
+    /// others get 5 updates.
+    fn generations_for(program: &str) -> u32 {
+        match program {
+            "nginx" => 26,
+            _ => 6,
+        }
+    }
 
     #[test]
     fn catalog_matches_paper_totals() {
