@@ -17,14 +17,14 @@ pub struct AllocBenchSpec {
     /// Benchmark name (mirrors a SPEC constituent).
     pub name: String,
     /// Number of allocate/compute/free iterations.
-    pub operations: u64,
+    pub(crate) operations: u64,
     /// Object size in bytes.
-    pub object_size: u64,
+    pub(crate) object_size: u64,
     /// Number of objects kept live simultaneously.
-    pub live_set: usize,
+    pub(crate) live_set: usize,
     /// Amount of non-allocator "compute" work (word writes) per operation —
     /// the higher this is, the smaller the relative allocator overhead.
-    pub compute_per_op: u64,
+    pub(crate) compute_per_op: u64,
 }
 
 impl AllocBenchSpec {
@@ -75,11 +75,11 @@ impl AllocBenchSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocBenchResult {
     /// Benchmark name.
-    pub name: String,
+    pub(crate) name: String,
     /// Whether the allocator maintained MCR tags.
-    pub instrumented: bool,
+    pub(crate) instrumented: bool,
     /// Wall-clock time of the run.
-    pub wall_time: Duration,
+    pub(crate) wall_time: Duration,
     /// Allocations performed.
     pub allocations: u64,
 }

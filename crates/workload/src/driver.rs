@@ -27,23 +27,23 @@ use mcr_procsim::{ConnId, Kernel, SimDuration};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// Workload name (for reports).
-    pub name: String,
+    pub(crate) name: String,
     /// Server port to connect to.
     pub port: u16,
     /// Number of requests to issue.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Request payload sent per connection.
     pub request: Vec<u8>,
     /// Whether the client closes the connection after the response
     /// (AB-style) or keeps it open (long-lived FTP/SSH sessions).
-    pub close_after_response: bool,
+    pub(crate) close_after_response: bool,
     /// Number of long-lived idle connections opened before the measured
     /// requests (the execution-stalling part of the profiling workload).
     pub idle_connections: usize,
     /// Simulated nanoseconds between request arrivals. `0` issues requests
     /// back-to-back; a positive value drives an open-loop arrival process
     /// through the kernel clock (and timer wheel).
-    pub interarrival_ns: u64,
+    pub(crate) interarrival_ns: u64,
 }
 
 impl WorkloadSpec {
@@ -62,7 +62,7 @@ impl WorkloadSpec {
     }
 
     /// The pyftpdlib-style FTP workload (100 users retrieving a 1 MB file).
-    pub fn ftp_bench(port: u16, requests: u64) -> Self {
+    pub(crate) fn ftp_bench(port: u16, requests: u64) -> Self {
         WorkloadSpec {
             name: "pyftpdlib".into(),
             port,
@@ -76,7 +76,7 @@ impl WorkloadSpec {
 
     /// The OpenSSH-test-suite-style workload (authenticated sessions
     /// exchanging channel data).
-    pub fn ssh_suite(port: u16, requests: u64) -> Self {
+    pub(crate) fn ssh_suite(port: u16, requests: u64) -> Self {
         WorkloadSpec {
             name: "ssh-suite".into(),
             port,
@@ -86,14 +86,6 @@ impl WorkloadSpec {
             idle_connections: 2,
             interarrival_ns: 0,
         }
-    }
-
-    /// Spaces request arrivals `ns` simulated nanoseconds apart (open-loop
-    /// constant-rate arrivals).
-    #[must_use]
-    pub fn with_interarrival(mut self, ns: u64) -> Self {
-        self.interarrival_ns = ns;
-        self
     }
 }
 
@@ -108,9 +100,9 @@ pub struct WorkloadResult {
     /// MCR instrumentation work, which is what Table 3 compares).
     pub wall_time: Duration,
     /// Simulated time elapsed.
-    pub sim_time: SimDuration,
+    pub(crate) sim_time: SimDuration,
     /// Connections left open at the end of the run.
-    pub open_connections: Vec<ConnId>,
+    pub(crate) open_connections: Vec<ConnId>,
     /// Accumulated scheduler statistics of the run (steps executed, threads
     /// woken by events).
     pub sched: RoundStats,
@@ -304,7 +296,7 @@ mod tests {
         install_standard_files(&mut kernel);
         let mut instance = boot(&mut kernel, Box::new(programs::nginx(1)), &BootOptions::default()).unwrap();
         let gap = 1_000_000u64; // 1 ms between arrivals
-        let spec = WorkloadSpec::apache_bench(8080, 10).with_interarrival(gap);
+        let spec = WorkloadSpec { interarrival_ns: gap, ..WorkloadSpec::apache_bench(8080, 10) };
         let result = run_workload(&mut kernel, &mut instance, &spec).unwrap();
         assert_eq!(result.completed, 10);
         assert!(

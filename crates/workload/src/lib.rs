@@ -8,8 +8,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod allocbench;
-pub mod driver;
+pub(crate) mod allocbench;
+pub(crate) mod driver;
 
 pub use allocbench::{overhead_ratio, run_alloc_bench, AllocBenchResult, AllocBenchSpec};
 pub use driver::{open_idle_connections, precopy_serving_hook, run_workload, WorkloadResult, WorkloadSpec};
