@@ -71,29 +71,29 @@ pub const CONFIGS: [ChaosMode; 3] = [ChaosMode::StopTheWorld, ChaosMode::Precopy
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosSpec {
     /// Program under chaos (one of the evaluated server models).
-    pub program: &'static str,
+    pub(crate) program: &'static str,
     /// Standard-workload requests run before the update.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Idle connections open at update time.
-    pub open_connections: usize,
+    pub(crate) open_connections: usize,
     /// Seeded random schedules per mode, on top of the directed
     /// boundary/object/syscall sweeps.
-    pub random_schedules: usize,
+    pub(crate) random_schedules: usize,
     /// Cap on the directed n-th-object sweep (evenly spread when capped).
-    pub max_object_sites: usize,
+    pub(crate) max_object_sites: usize,
     /// Cap on the directed n-th-syscall sweep (evenly spread when capped).
-    pub max_syscall_sites: usize,
+    pub(crate) max_syscall_sites: usize,
     /// Cap on the directed n-th-fault-in sweep (post-copy only).
-    pub max_fault_in_sites: usize,
+    pub(crate) max_fault_in_sites: usize,
     /// Cap on the directed n-th-drain-step sweep (post-copy only).
-    pub max_drain_step_sites: usize,
+    pub(crate) max_drain_step_sites: usize,
     /// Campaign seed; the whole campaign is a pure function of it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Every n-th schedule is run twice to check rollback determinism.
-    pub rerun_every: usize,
+    pub(crate) rerun_every: usize,
     /// Every n-th fired schedule also gets a supervised (self-healing) run;
     /// 1 supervises every schedule (the smoke setting).
-    pub supervise_every: usize,
+    pub(crate) supervise_every: usize,
 }
 
 impl ChaosSpec {
@@ -157,7 +157,7 @@ pub struct ConfigOutcome {
     /// Distinct sites armed by schedules that fired.
     pub sites_injected: usize,
     /// Directed sweeps that could not cover their whole dimension.
-    pub capped: Vec<String>,
+    pub(crate) capped: Vec<String>,
     /// Supervised runs performed / converged to a committed update.
     pub supervisor_runs: usize,
     /// See `supervisor_runs`; the liveness assertion is equality.
@@ -165,7 +165,7 @@ pub struct ConfigOutcome {
     /// Commits per degradation tier: `[full, no-precopy, serial]`.
     pub tier_commits: [usize; 3],
     /// Mean time-to-recovery (virtual ns) over committed supervised runs.
-    pub mttr_mean_ns: f64,
+    pub(crate) mttr_mean_ns: f64,
     /// The persistent-fault give-up drill ended with the old version still
     /// accepting connections.
     pub give_up_clean: bool,
@@ -185,7 +185,7 @@ impl ConfigOutcome {
     }
 
     /// True when every safety and liveness assertion of this mode held.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.divergences == 0
             && self.unexpected_commits == 0
             && self.rerun_mismatches == 0
@@ -242,7 +242,7 @@ pub struct VerifyResult {
     /// The armed fault fired and the update rolled back.
     pub fired: bool,
     /// Post-rollback kernel fingerprint differed from the pre-update one.
-    pub diverged: bool,
+    pub(crate) diverged: bool,
     /// Rollback conflicts (debug-rendered, stable across identical runs).
     pub conflicts: Vec<String>,
 }
@@ -271,20 +271,18 @@ pub fn verify_rollback(spec: &ChaosSpec, mode: ChaosMode, plan: &ChaosPlan) -> V
 
 /// One supervised (self-healing) run against a schedule.
 #[derive(Debug, Clone)]
-pub struct SupervisedResult {
+pub(crate) struct SupervisedResult {
     /// The ladder converged to a committed update.
-    pub committed: bool,
-    /// Attempts taken.
-    pub attempts: usize,
+    pub(crate) committed: bool,
     /// Tier the committing attempt ran at (`None` if it gave up).
-    pub tier: Option<DegradationTier>,
+    pub(crate) tier: Option<DegradationTier>,
     /// Virtual time from first attempt to commit.
-    pub mttr_ns: Option<u64>,
+    pub(crate) mttr_ns: Option<u64>,
 }
 
 /// Supervised update with `plan` injected into the first `faulty_attempts`
 /// attempts and later attempts clean.
-pub fn supervised_run(
+pub(crate) fn supervised_run(
     spec: &ChaosSpec,
     mode: ChaosMode,
     plan: &ChaosPlan,
@@ -307,7 +305,6 @@ pub fn supervised_run(
     let report = outcome.report();
     SupervisedResult {
         committed: outcome.is_committed(),
-        attempts: report.attempts.len(),
         tier: report.attempts.iter().find(|a| a.committed).map(|a| a.tier),
         mttr_ns: time_to_recovery(report).map(|d| d.0),
     }

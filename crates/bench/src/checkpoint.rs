@@ -65,17 +65,17 @@ const QUIESCE_ROUNDS: usize = 64;
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointSpec {
     /// Server model under test.
-    pub program: &'static str,
+    pub(crate) program: &'static str,
     /// Standard-workload requests before the first checkpoint.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Extra requests between checkpoint versions (makes v1 and v2 differ).
-    pub extra_requests: u64,
+    pub(crate) extra_requests: u64,
     /// Idle connections open at checkpoint time.
-    pub open_connections: usize,
+    pub(crate) open_connections: usize,
     /// Shards (and modelled shard writers) per checkpoint.
-    pub shard_writers: usize,
+    pub(crate) shard_writers: usize,
     /// Cap on crash/torn points swept per fault kind (0 = every block).
-    pub max_crash_points: usize,
+    pub(crate) max_crash_points: usize,
 }
 
 impl CheckpointSpec {
@@ -92,18 +92,6 @@ impl CheckpointSpec {
         }
     }
 
-    /// A bounded campaign sized for debug-build test runs.
-    pub fn quick() -> Self {
-        CheckpointSpec {
-            program: "nginx",
-            requests: 2,
-            extra_requests: 1,
-            open_connections: 2,
-            shard_writers: 2,
-            max_crash_points: 3,
-        }
-    }
-
     fn options(&self) -> CheckpointOptions {
         CheckpointOptions { shard_writers: self.shard_writers, ..CheckpointOptions::default() }
     }
@@ -113,11 +101,11 @@ impl CheckpointSpec {
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointOutcome {
     /// Program under test.
-    pub program: String,
+    pub(crate) program: String,
     /// Store blocks one checkpoint writes — the crash-point space.
     pub blocks: u64,
     /// Reference checkpoint summary (second version, post-traffic).
-    pub checkpoint: CheckpointSummary,
+    pub(crate) checkpoint: CheckpointSummary,
     /// The baseline roundtrip restored a byte-identical kernel.
     pub fingerprint_identical: bool,
     /// The restored instance answered the standard workload.
@@ -132,14 +120,14 @@ pub struct CheckpointOutcome {
     pub recovered_fallback: usize,
     /// Any drill that broke the safety property (wrong fingerprint, old
     /// instance stopped serving, fault failed to fire, restore failed).
-    pub divergences: usize,
+    pub(crate) divergences: usize,
     /// Restore-step fault drills run (== [`RESTORE_STEPS`] length).
     pub restore_step_drills: usize,
     /// Restore-step drills that surfaced the typed `FaultInjected` error.
     pub restore_step_typed: usize,
     /// Direct-corruption drills run (torn shard, flipped byte, truncation,
     /// format skew, every-version-corrupt).
-    pub corruption_drills: usize,
+    pub(crate) corruption_drills: usize,
     /// Corruption drills that fell back to a valid older version.
     pub corruption_fallbacks: usize,
     /// Corruption drills with no valid version left that were rejected with
@@ -593,9 +581,21 @@ mod tests {
     use super::*;
     use mcr_core::transfer::checkpoint::{RestoreReport, RestoredInstance};
 
+    /// A bounded campaign sized for debug-build test runs.
+    fn quick() -> CheckpointSpec {
+        CheckpointSpec {
+            program: "nginx",
+            requests: 2,
+            extra_requests: 1,
+            open_connections: 2,
+            shard_writers: 2,
+            max_crash_points: 3,
+        }
+    }
+
     #[test]
     fn quick_campaign_is_clean() {
-        let spec = CheckpointSpec::quick();
+        let spec = quick();
         let out = run_checkpoint_campaign(&spec);
         assert!(out.clean(), "campaign diverged:\n{}", checkpoint_render(&out));
         assert!(out.fingerprint_identical, "baseline roundtrip not byte-identical");
@@ -614,7 +614,7 @@ mod tests {
     /// Checkpoints `program` (generation 1, after its standard workload) and
     /// restores it; returns the checkpointed kernel's fingerprint too.
     fn roundtrip(program: &'static str) -> (u64, Result<RestoredInstance, RestoreError>) {
-        let spec = CheckpointSpec { program, ..CheckpointSpec::quick() };
+        let spec = CheckpointSpec { program, ..quick() };
         let (mut kernel, mut instance) = setup(&spec);
         let mut store = MemStore::new();
         checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("checkpoint");

@@ -38,15 +38,15 @@ use mcr_servers::{
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 use mcr_workload::{open_idle_connections, run_alloc_bench, run_workload, workload_for, AllocBenchSpec};
 
-pub mod chaos;
-pub mod checkpoint;
-pub mod fleet;
-pub mod json;
-pub mod microbench;
+pub(crate) mod chaos;
+pub(crate) mod checkpoint;
+pub(crate) mod fleet;
+pub(crate) mod json;
+pub(crate) mod microbench;
 
 pub use chaos::{
-    chaos_json, chaos_render, enumerate_sites, run_campaign, run_config, supervised_run, verify_rollback,
-    ChaosMode, ChaosSpec, ConfigOutcome, SupervisedResult, VerifyResult, CONFIGS,
+    chaos_json, chaos_render, enumerate_sites, run_campaign, run_config, verify_rollback, ChaosMode,
+    ChaosSpec, ConfigOutcome, VerifyResult, CONFIGS,
 };
 pub use checkpoint::{
     checkpoint_json, checkpoint_render, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec,
@@ -253,7 +253,7 @@ pub fn precopy_update(
 /// sweep's write workloads (pre-quiesce rounds make the scratch page part
 /// of the stale residual; post-resume rounds then trap on it under
 /// post-copy).
-pub const SCRATCH_WORDS: usize = 8;
+pub(crate) const SCRATCH_WORDS: usize = 8;
 
 /// One pre-quiesce write batch of the adaptive-transfer sweep: the
 /// scenario's connection/cache writes plus a scratch-page stamp, so every
@@ -440,31 +440,31 @@ pub fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Program (or `"Total"` for the footer row).
-    pub program: String,
+    pub(crate) program: String,
     /// Short-lived process classes.
-    pub short_lived: usize,
+    pub(crate) short_lived: usize,
     /// Long-lived process/thread classes.
-    pub long_lived: usize,
+    pub(crate) long_lived: usize,
     /// Quiescent points found by the profiler.
-    pub quiescent_points: usize,
+    pub(crate) quiescent_points: usize,
     /// Persistent quiescent points.
-    pub persistent_points: usize,
+    pub(crate) persistent_points: usize,
     /// Volatile quiescent points.
-    pub volatile_points: usize,
+    pub(crate) volatile_points: usize,
     /// Number of catalogued updates.
-    pub updates: u64,
+    pub(crate) updates: u64,
     /// Changed LOC across the updates.
-    pub changed_loc: u64,
+    pub(crate) changed_loc: u64,
     /// Changed functions.
-    pub changed_functions: u64,
+    pub(crate) changed_functions: u64,
     /// Changed variables.
-    pub changed_variables: u64,
+    pub(crate) changed_variables: u64,
     /// Changed types.
-    pub changed_types: u64,
+    pub(crate) changed_types: u64,
     /// Annotation LOC needed to MCR-enable the program.
-    pub annotation_loc: u64,
+    pub(crate) annotation_loc: u64,
     /// State-transfer callback LOC.
-    pub state_transfer_loc: u64,
+    pub(crate) state_transfer_loc: u64,
 }
 
 /// Runs the Table 1 experiment: quiescence-profiles every program under the
@@ -594,9 +594,9 @@ pub fn table1_json(rows: &[Table1Row]) -> Json {
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Row label (`nginxreg` is nginx with its region allocator instrumented).
-    pub label: String,
+    pub(crate) label: String,
     /// Aggregated tracing statistics after the standard workload.
-    pub stats: TracingStats,
+    pub(crate) stats: TracingStats,
 }
 
 /// Runs the Table 2 experiment for every program (plus `nginxreg`).
@@ -712,10 +712,10 @@ pub fn table2_json(rows: &[Table2Row]) -> Json {
 #[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Row label (`nginxreg` is nginx with region-allocator instrumentation).
-    pub label: String,
+    pub(crate) label: String,
     /// Run time at each level beyond baseline, normalized against baseline:
     /// `[Unblock, +SInstr, +DInstr, +QDet]`.
-    pub normalized: [f64; 4],
+    pub(crate) normalized: [f64; 4],
 }
 
 /// Runs the Table 3 experiment: the standard workload at every cumulative
@@ -773,11 +773,6 @@ pub fn table3_render(rows: &[Table3Row]) -> String {
     out
 }
 
-/// Regenerates Table 3 as a human-readable table.
-pub fn table3_report(requests: u64, repeats: u32) -> String {
-    table3_render(&table3_rows(requests, repeats))
-}
-
 /// Renders Table 3 rows as JSON.
 pub fn table3_json(rows: &[Table3Row]) -> Json {
     Json::obj([
@@ -809,11 +804,11 @@ pub fn table3_json(rows: &[Table3Row]) -> Json {
 #[derive(Debug, Clone)]
 pub struct SpecAllocRow {
     /// Benchmark name.
-    pub name: String,
+    pub(crate) name: String,
     /// Median instrumented-over-baseline overhead ratio.
-    pub overhead: f64,
+    pub(crate) overhead: f64,
     /// Allocations performed by the instrumented run.
-    pub allocations: u64,
+    pub(crate) allocations: u64,
 }
 
 /// Runs the SPEC CPU2006-style allocator-instrumentation experiment.
@@ -881,21 +876,21 @@ pub fn spec_alloc_json(rows: &[SpecAllocRow]) -> Json {
 #[derive(Debug, Clone)]
 pub struct UpdateTimeRow {
     /// Program name.
-    pub program: String,
+    pub(crate) program: String,
     /// Quiescence time, ms.
-    pub quiescence_ms: f64,
+    pub(crate) quiescence_ms: f64,
     /// Control-migration (reinit/replay) time, ms.
-    pub control_migration_ms: f64,
+    pub(crate) control_migration_ms: f64,
     /// Replay overhead relative to the original startup (fraction).
-    pub replay_overhead: f64,
+    pub(crate) replay_overhead: f64,
     /// State-transfer time (parallel per-process strategy), ms.
-    pub state_transfer_ms: f64,
+    pub(crate) state_transfer_ms: f64,
     /// Total unavailability, ms.
-    pub total_ms: f64,
+    pub(crate) total_ms: f64,
     /// Fraction of traced state skipped thanks to dirty-object tracking.
-    pub dirty_reduction: f64,
+    pub(crate) dirty_reduction: f64,
     /// `(phase label, duration ms)` for every executed pipeline phase.
-    pub phases: Vec<(String, f64)>,
+    pub(crate) phases: Vec<(String, f64)>,
 }
 
 /// Runs the update-time experiment for every program.
@@ -954,11 +949,6 @@ pub fn update_time_render(rows: &[UpdateTimeRow]) -> String {
     out
 }
 
-/// Regenerates the update-time breakdown as a human-readable table.
-pub fn update_time_report(requests: u64) -> String {
-    update_time_render(&update_time_rows(requests))
-}
-
 /// Renders the update-time rows as JSON (per-phase durations included).
 pub fn update_time_json(rows: &[UpdateTimeRow]) -> Json {
     Json::obj([
@@ -1002,7 +992,7 @@ pub fn update_time_json(rows: &[UpdateTimeRow]) -> Json {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Point {
     /// Open connections at update time.
-    pub connections: usize,
+    pub(crate) connections: usize,
     /// State-transfer time in milliseconds (parallel per-process strategy).
     pub state_transfer_ms: f64,
     /// Fraction of state skipped thanks to dirty-object tracking.
@@ -1057,11 +1047,6 @@ pub fn figure3_render(rows: &[(String, Vec<Fig3Point>)], connections: &[usize]) 
     out
 }
 
-/// Regenerates Figure 3 as a human-readable table.
-pub fn figure3_report(connections: &[usize], requests: u64) -> String {
-    figure3_render(&figure3_rows(connections, requests), connections)
-}
-
 /// Renders the Figure 3 series as JSON.
 pub fn figure3_json(rows: &[(String, Vec<Fig3Point>)]) -> Json {
     Json::obj([
@@ -1104,16 +1089,16 @@ pub fn figure3_json(rows: &[(String, Vec<Fig3Point>)]) -> Json {
 #[derive(Debug, Clone)]
 pub struct MemoryRow {
     /// Program name.
-    pub program: String,
+    pub(crate) program: String,
     /// Resident bytes of the uninstrumented baseline build.
-    pub baseline: MemoryReport,
+    pub(crate) baseline: MemoryReport,
     /// Resident bytes of the fully instrumented build.
-    pub instrumented: MemoryReport,
+    pub(crate) instrumented: MemoryReport,
 }
 
 impl MemoryRow {
     /// Instrumented-over-baseline resident-set ratio.
-    pub fn overhead(&self) -> f64 {
+    pub(crate) fn overhead(&self) -> f64 {
         self.instrumented.overhead_over(&self.baseline)
     }
 }
@@ -1213,7 +1198,7 @@ mod tests {
 
     #[test]
     fn update_time_report_commits_every_program() {
-        let report = update_time_report(2);
+        let report = update_time_render(&update_time_rows(2));
         assert!(report.contains("httpd") && report.contains("sshd"));
     }
 

@@ -14,21 +14,21 @@ use crate::json::Json;
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark id (`group/name`).
-    pub name: String,
+    pub(crate) name: String,
     /// Every measured sample, in seconds.
-    pub samples: Vec<f64>,
+    pub(crate) samples: Vec<f64>,
 }
 
 impl BenchResult {
     /// Median sample, in seconds.
-    pub fn median(&self) -> f64 {
+    pub(crate) fn median(&self) -> f64 {
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
         sorted[sorted.len() / 2]
     }
 
     /// Fastest sample, in seconds.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.samples.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
@@ -37,22 +37,22 @@ impl BenchResult {
     /// all samples are ≤ it. Exact for tail percentiles over large sample
     /// sets (a latency harness records one sample per request), and
     /// `percentile(50)` matches a conventional median for odd counts.
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.samples, p)
     }
 
     /// Median (p50) by nearest rank.
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.percentile(50.0)
     }
 
     /// 99th percentile by nearest rank.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.percentile(99.0)
     }
 
     /// 99.9th percentile by nearest rank.
-    pub fn p999(&self) -> f64 {
+    pub(crate) fn p999(&self) -> f64 {
         self.percentile(99.9)
     }
 
@@ -96,13 +96,6 @@ impl BenchGroup {
     /// Creates a group with the default 2 warmup and 10 measured iterations.
     pub fn new(group: impl Into<String>) -> Self {
         BenchGroup { group: group.into(), warmup: 2, samples: 10, results: Vec::new() }
-    }
-
-    /// Overrides the number of measured iterations.
-    #[must_use]
-    pub fn samples(mut self, samples: usize) -> Self {
-        self.samples = samples.max(1);
-        self
     }
 
     /// Records externally measured samples under `name` — for experiments
@@ -155,13 +148,6 @@ impl BenchGroup {
         self.results
     }
 
-    /// Returns the results without printing — for benches that embed the
-    /// group's median/min rows inside a larger JSON document (stdout must
-    /// stay a single parseable document for the CI smoke steps).
-    pub fn finish_quiet(self) -> Vec<BenchResult> {
-        self.results
-    }
-
     /// The group's JSON document (same shape [`BenchGroup::finish`] prints).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -177,7 +163,7 @@ mod tests {
 
     #[test]
     fn group_measures_and_summarizes() {
-        let mut g = BenchGroup::new("unit").samples(3);
+        let mut g = BenchGroup { samples: 3, ..BenchGroup::new("unit") };
         g.bench("noop", || 1 + 1);
         let results = g.finish();
         assert_eq!(results.len(), 1);
