@@ -21,47 +21,6 @@ fn drive_traffic(kernel: &mut Kernel, instance: &mut McrInstance, requests: usiz
     }
 }
 
-fn fingerprint(kernel: &Kernel) -> u64 {
-    // Same FNV fold as the bench harness's kernel_fingerprint.
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn fold(h: &mut u64, v: u64) {
-        *h = (*h ^ v).wrapping_mul(FNV_PRIME);
-    }
-    let mut h = FNV_OFFSET;
-    for pid in kernel.pids() {
-        let proc = kernel.process(pid).unwrap();
-        fold(&mut h, u64::from(pid.0));
-        fold(&mut h, proc.fds().len() as u64);
-        for (fd, entry) in proc.fds().iter() {
-            fold(&mut h, fd.0 as u64);
-            fold(&mut h, entry.object.0);
-        }
-        fold(&mut h, proc.thread_count() as u64);
-        for region in proc.space().regions() {
-            fold(&mut h, region.base().0);
-            fold(&mut h, region.size());
-            // A trailing partial word is folded zero-padded, which is
-            // what a resident last page holds beyond `size`.
-            let mut words = region.size().div_ceil(8);
-            for page in region.pages() {
-                let n = words.min(PAGE_SIZE / 8);
-                words -= n;
-                match page {
-                    // Folding a zero word is one multiply by the prime.
-                    None => h = h.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32)),
-                    Some(bytes) => {
-                        for word in bytes[..n as usize * 8].chunks_exact(8) {
-                            fold(&mut h, u64::from_le_bytes(word.try_into().unwrap()));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    h
-}
-
 fn factory() -> impl FnMut() -> Box<dyn Program> {
     || Box::new(TinyServer::new(1)) as Box<dyn Program>
 }
@@ -101,7 +60,7 @@ fn roundtrip_restores_fingerprint_identical_kernel() {
     drive_traffic(&mut kernel, &mut instance, 5);
     let mut store = MemStore::new();
     wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).unwrap();
-    let fp = fingerprint(&kernel);
+    let fp = kernel.fingerprint();
     let summary =
         write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
     assert_eq!(summary.version, 1);
@@ -112,7 +71,7 @@ fn roundtrip_restores_fingerprint_identical_kernel() {
     let restored = restore_latest(&store, &mut make, None).unwrap();
     assert_eq!(restored.report.version, 1);
     assert_eq!(restored.report.steps_completed, RESTORE_STEPS.len() as u64);
-    assert_eq!(fingerprint(&restored.kernel), fp, "restore must be byte-identical");
+    assert_eq!(restored.kernel.fingerprint(), fp, "restore must be byte-identical");
     assert_eq!(restored.kernel.now().0 + summary.parallel_cost.0, kernel.now().0);
 
     // The revived instance still serves.
@@ -752,7 +711,7 @@ fn wrapped_around_pipe_roundtrips_byte_identically() {
 fn restoring_twice_from_one_store_gives_identical_kernels() {
     let (mut kernel, instance) = quiesced(4);
     scribble(&mut kernel, &instance);
-    let fp = fingerprint(&kernel);
+    let fp = kernel.fingerprint();
     let mut store = MemStore::new();
     write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
     // Restore moves files, objects and clients out of its decoded image; the
@@ -760,8 +719,8 @@ fn restoring_twice_from_one_store_gives_identical_kernels() {
     let first = restore_latest(&store, &mut factory(), None).unwrap();
     let second = restore_latest(&store, &mut factory(), None).unwrap();
     assert_eq!(first.report, second.report);
-    assert_eq!(fingerprint(&first.kernel), fp);
-    assert_eq!(fingerprint(&second.kernel), fp);
+    assert_eq!(first.kernel.fingerprint(), fp);
+    assert_eq!(second.kernel.fingerprint(), fp);
     let recorded = read_manifest(&store, 1).unwrap().1;
     for restored in [&first, &second] {
         assert_eq!(live_digest(&restored.kernel, &restored.instance), Ok(recorded));

@@ -44,7 +44,7 @@ use std::rc::Rc;
 use crate::clock::{SimDuration, SimInstant, VirtualClock};
 use crate::error::{SimError, SimResult};
 use crate::ids::{ConnId, Fd, ObjId, Pid, Tid};
-use crate::memory::{Addr, RegionKind};
+use crate::memory::{Addr, MemoryRegion, RegionKind, PAGE_SIZE};
 use crate::objects::{KernelObject, ObjectTable, UnixMessage};
 use crate::process::{Process, Thread};
 use crate::syscall::{Syscall, SyscallPort, SyscallRet};
@@ -653,6 +653,33 @@ impl Kernel {
         self.pid_to_slot.iter().enumerate().filter(|&(_, &s)| s != NIL).map(|(p, _)| Pid(p as u32)).collect()
     }
 
+    /// Deterministic FNV-1a digest of everything live-update-visible in the
+    /// kernel: every process's identity, descriptor table, thread roster and
+    /// the full contents of every mapped region, one little-endian word at
+    /// a time (a trailing partial word folded zero-padded). Two update
+    /// configurations that converged to byte-identical kernel state have
+    /// equal fingerprints. Contents only — dirty-page epochs and write
+    /// counters are instrumentation, not program state.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for pid in self.pids() {
+            let proc = self.process(pid).expect("a listed pid is live");
+            fnv_fold(&mut hash, pid.0.into());
+            fnv_fold(&mut hash, proc.fds().len() as u64);
+            for (fd, entry) in proc.fds().iter() {
+                fnv_fold(&mut hash, fd.0 as u64);
+                fnv_fold(&mut hash, entry.object.0);
+            }
+            fnv_fold(&mut hash, proc.thread_count() as u64);
+            for region in proc.space().regions() {
+                fnv_fold(&mut hash, region.base().0);
+                fnv_fold(&mut hash, region.size());
+                fnv_fold_region(&mut hash, region);
+            }
+        }
+        hash
+    }
+
     /// Removes a process entirely (used when the old version is terminated
     /// after a successful live update, or when a failed new version is torn
     /// down on rollback). Its descriptors are released.
@@ -1258,6 +1285,39 @@ impl SyscallPort for Kernel {
             let _ = self.wait_on_fd(pid, tid, fd);
         }
         result
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// FNV-1a fold of one kernel-visible fact (helper of [`Kernel::fingerprint`]).
+fn fnv_fold(hash: &mut u64, value: u64) {
+    *hash = (*hash ^ value).wrapping_mul(FNV_PRIME);
+}
+
+/// Folds a region's contents one little-endian word at a time, a trailing
+/// partial word zero-padded (what a resident last page holds beyond the
+/// region's size). Folding a zero word is one multiply by the prime, so a
+/// never-written page is a single multiply by `FNV_PRIME^words`: the digest
+/// equals the word-by-word fold over the dense bytes, at the cost of the
+/// resident pages only.
+fn fnv_fold_region(hash: &mut u64, region: &MemoryRegion) {
+    const PAGE_WORDS: u64 = PAGE_SIZE / 8;
+    const ZERO_PAGE: u64 = FNV_PRIME.wrapping_pow(PAGE_WORDS as u32);
+    let mut words = region.size().div_ceil(8);
+    for page in region.pages() {
+        let n = words.min(PAGE_WORDS);
+        words -= n;
+        match page {
+            None if n == PAGE_WORDS => *hash = hash.wrapping_mul(ZERO_PAGE),
+            None => *hash = hash.wrapping_mul(FNV_PRIME.wrapping_pow(n as u32)),
+            Some(bytes) => {
+                for word in bytes[..n as usize * 8].chunks_exact(8) {
+                    fnv_fold(hash, u64::from_le_bytes(word.try_into().unwrap()));
+                }
+            }
+        }
     }
 }
 
