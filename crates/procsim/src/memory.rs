@@ -777,13 +777,6 @@ impl AddressSpace {
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
 
-    /// Writes a NUL-terminated C string.
-    pub fn write_cstring(&mut self, addr: Addr, s: &str) -> SimResult<()> {
-        let mut bytes = s.as_bytes().to_vec();
-        bytes.push(0);
-        self.write_bytes(addr, &bytes)
-    }
-
     // ------------------------------------------------------------------
     // Soft-dirty tracking (the /proc/pid/pagemap analogue) and the
     // epoch-based pre-copy write barrier built on top of it
@@ -1047,7 +1040,7 @@ mod tests {
     #[test]
     fn cstring_roundtrip() {
         let mut space = space_with_region();
-        space.write_cstring(Addr(0x10100), "hello mcr").unwrap();
+        space.write_bytes(Addr(0x10100), b"hello mcr\0").unwrap();
         assert_eq!(space.read_cstring(Addr(0x10100), 64).unwrap(), "hello mcr");
     }
 
@@ -1304,7 +1297,7 @@ mod tests {
         assert_eq!(space.read_cstring(tail, 2).unwrap(), "ab");
         // A string spanning a page boundary inside one region.
         let mid = Addr(0x10000 + PAGE_SIZE - 2);
-        space.write_cstring(mid, "wxyz").unwrap();
+        space.write_bytes(mid, b"wxyz\0").unwrap();
         assert_eq!(space.read_cstring(mid, 64).unwrap(), "wxyz");
         // Running off the last mapping is the per-byte read's error.
         let end = Addr(0x10000 + 9 * PAGE_SIZE - 2);
