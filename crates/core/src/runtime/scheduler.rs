@@ -776,6 +776,32 @@ mod tests {
         assert!(kernel.client_recv(conn).is_some());
     }
 
+    /// A drain takes this instance's wakeups in wake order and leaves another
+    /// instance's queued for that instance's own scheduler.
+    #[test]
+    fn drain_takes_own_wakeups_in_wake_order() {
+        let mut kernel = Kernel::new();
+        kernel.add_file("/etc/tiny.conf", b"workers=1\n".to_vec());
+        let instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &BootOptions::default()).unwrap();
+        let pid = instance.init_pid().unwrap();
+        let tids: Vec<Tid> =
+            (0..3).map(|i| kernel.spawn_thread(pid, &format!("w{i}"), Vec::new()).unwrap()).collect();
+        let stranger = kernel.create_process("stranger").unwrap();
+        let stranger_tid = kernel.process(stranger).unwrap().main_tid();
+        let now = kernel.now();
+        // A deadline that already passed wakes at once, in call order.
+        for (p, t) in [(pid, tids[2]), (stranger, stranger_tid), (pid, tids[0]), (pid, tids[1])] {
+            kernel.wait_until(p, t, now);
+        }
+        let mut sched = Scheduler::default();
+        sched.pids.insert(pid.0);
+        assert_eq!(sched.drain_wakeups(&mut kernel), 3);
+        assert_eq!(sched.ready, [(pid, tids[2]), (pid, tids[0]), (pid, tids[1])]);
+        let mut rest = Vec::new();
+        kernel.drain_wakeups_into(|_| true, &mut rest);
+        assert_eq!(rest, [(stranger, stranger_tid)], "the other instance's wakeup stays queued");
+    }
+
     #[test]
     fn full_scan_mode_still_serves_and_quiesces() {
         let mut kernel = Kernel::new();

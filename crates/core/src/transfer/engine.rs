@@ -15,8 +15,8 @@
 //! are interned into a `SymbolTable` and every old type id is bridged to
 //! its new-version counterpart ahead of time, so the hot paths below work on
 //! `u32` ids and `Arc<str>` refcount bumps instead of `String` clones. The
-//! context is shared by every pair of the update; `transfer_between`
-//! itself only touches the two processes of one matched pair, so a pair's
+//! context is shared by every pair of the update; a pair's transfer
+//! itself only touches the two processes of that pair, so a pair's
 //! cost is independent of the others — which is what lets the pipeline
 //! charge the pairs as a schedule over
 //! [modelled workers](list_schedule_makespan).
@@ -48,7 +48,7 @@
 //! round while the old version keeps serving: only objects whose dirty epoch
 //! exceeds their copied-at stamp are (re-)copied, and placements are made at
 //! most once. After quiescence `transfer_residual` runs the same passes a
-//! plain stop-the-world `transfer_between` would run and produces the full
+//! plain stop-the-world transfer would run and produces the full
 //! logical report — but it *writes* an object only if its new-heap bytes
 //! would change (it is stale, or its pointer translation can differ from its
 //! last copy's; `CopyMode` states the rule and why it is exact), and it
@@ -789,7 +789,7 @@ pub(crate) fn precopy_transfer_round(
 /// their last copy's — so the resulting memory, the
 /// [`ProcessTransferReport`] (which counts every transferable object) and
 /// its conflicts are those of re-emitting every write. With a fresh `delta`
-/// everything is stale and this is the plain [`transfer_between`]. The
+/// everything is stale and this is a plain stop-the-world transfer. The
 /// returned [`ResidualStats`] cover only the objects that were still stale
 /// when the world stopped; their cost is what the caller charges as
 /// downtime.
@@ -1408,18 +1408,9 @@ mod tests {
     use mcr_procsim::{Kernel, MemoryLayout, Pid};
     use mcr_typemeta::{Field, InstrumentationConfig};
 
-    /// Transfers the traced state of `old_pid` into `new_pid`.
-    ///
-    /// Convenience wrapper over [`transfer_between`] for callers that hold the
-    /// whole kernel: it builds a one-off [`TransferContext`], split-borrows the
-    /// pair out of the kernel, and charges the simulated transfer cost to the
-    /// kernel clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns simulator errors for unexpected memory failures; *conflicts* are
-    /// reported in the returned [`ProcessTransferReport`] rather than as errors,
-    /// so the controller can roll back cleanly.
+    /// Transfers the traced state of `old_pid` into `new_pid` stop-the-world
+    /// (a fresh [`DeltaPlan`], so everything is stale) and charges the
+    /// simulated cost to the kernel clock. Conflicts land in the report.
     fn transfer_process(
         kernel: &mut Kernel,
         old_state: &InstanceState,
@@ -1432,36 +1423,10 @@ mod tests {
         let report = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).map_err(McrError::Sim)?;
             let (old_proc, new_proc) = split.pop().expect("one pair requested");
-            transfer_between(&plan, old_proc, old_state, new_proc, new_state, trace)?
+            let mut delta = DeltaPlan::new();
+            transfer_residual(&plan, &mut delta, old_proc, old_state, new_proc, new_state, trace)?.0
         };
         kernel.advance_clock(report.duration);
-        Ok(report)
-    }
-
-    /// Transfers the traced state of one matched pair, given direct borrows of
-    /// the two processes.
-    ///
-    /// This is the per-pair work unit of the trace/transfer phase: it reads the
-    /// old process, writes the new one, and consults only read-only state
-    /// (`plan`, the two instance states). It does **not** advance the kernel
-    /// clock; the caller charges the returned
-    /// [`ProcessTransferReport::duration`].
-    ///
-    /// # Errors
-    ///
-    /// Returns simulator errors for unexpected memory failures; conflicts land
-    /// in the report.
-    fn transfer_between(
-        plan: &TransferContext,
-        old_proc: &Process,
-        old_state: &InstanceState,
-        new_proc: &mut Process,
-        new_state: &InstanceState,
-        trace: &TraceResult,
-    ) -> McrResult<ProcessTransferReport> {
-        let mut delta = DeltaPlan::new();
-        let (report, _residual) =
-            transfer_residual(plan, &mut delta, old_proc, old_state, new_proc, new_state, trace)?;
         Ok(report)
     }
 

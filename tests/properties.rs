@@ -386,14 +386,21 @@ fn served(program: &str, requests: u64, open: usize) -> (Kernel, McrInstance) {
 type Round = fn(&mut Kernel, &mut McrInstance) -> McrResult<RoundStats>;
 
 /// Serves a 64-session [`FleetServer`] with seeded pings, every round (the
-/// setup's included) through `round`. Returns the replies in send order, the
-/// events handled and the kernel fingerprint.
+/// setup's included) through `round`. An idle [`CacheServer`] shares the
+/// kernel and gets its round first, so a round that took the fleet's
+/// wakeups would leave pings unanswered. Returns the replies in send order,
+/// the events handled and the kernel fingerprint.
 fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
     let mut kernel = Kernel::new();
+    let mut cache = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     let mut fleet = boot(&mut kernel, Box::new(FleetServer::new(64)), &BootOptions::default()).unwrap();
+    let mut both = |kernel: &mut Kernel| {
+        round(kernel, &mut cache).unwrap();
+        round(kernel, &mut fleet).unwrap();
+    };
     let conns: Vec<ConnId> = (0..64).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
     for _ in 0..2 {
-        round(&mut kernel, &mut fleet).unwrap();
+        both(&mut kernel);
     }
     let mut rng = ChaosRng::new(0xf1ee7);
     let mut replies = Vec::new();
@@ -410,7 +417,7 @@ fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
         for &conn in &pinged {
             kernel.client_send(conn, b"ping".to_vec()).unwrap();
         }
-        round(&mut kernel, &mut fleet).unwrap();
+        both(&mut kernel);
         replies.extend(pinged.iter().map(|&conn| kernel.client_recv(conn)));
     }
     (replies, fleet.state.counters.events_handled, kernel_fingerprint(&kernel))
