@@ -388,8 +388,11 @@ type Round = fn(&mut Kernel, &mut McrInstance) -> McrResult<RoundStats>;
 /// Serves a 64-session [`FleetServer`] with seeded pings, every round (the
 /// setup's included) through `round`. An idle [`CacheServer`] shares the
 /// kernel and gets its round first, so a round that took the fleet's
-/// wakeups would leave pings unanswered. Returns the replies in send order,
-/// the events handled and the kernel fingerprint.
+/// wakeups would leave pings unanswered. Four clients connect only after
+/// the setup: until the acceptor assigns their slots, those readers retry
+/// on a timer, which the event-driven round fires by moving the idle clock
+/// to its deadline. Returns the replies in send order, the events handled
+/// and the kernel fingerprint.
 fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
     let mut kernel = Kernel::new();
     let mut cache = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
@@ -398,16 +401,19 @@ fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
         round(kernel, &mut cache).unwrap();
         round(kernel, &mut fleet).unwrap();
     };
-    let conns: Vec<ConnId> = (0..64).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
+    let mut conns: Vec<ConnId> = (0..60).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
     for _ in 0..2 {
         both(&mut kernel);
     }
+    let late: Vec<ConnId> = (0..4).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
+    conns.extend(&late);
     let mut rng = ChaosRng::new(0xf1ee7);
     let mut replies = Vec::new();
-    for _ in 0..8 {
-        // Four distinct sessions: the scan steps each reader once per round,
-        // so a second ping on one session would wait for the next round.
-        let mut pinged: Vec<ConnId> = Vec::new();
+    for round_index in 0..8 {
+        // Four distinct sessions, the late ones first: the scan steps each
+        // reader once per round, so a second ping on one session would wait
+        // for the next round.
+        let mut pinged: Vec<ConnId> = if round_index == 0 { late.clone() } else { Vec::new() };
         while pinged.len() < 4 {
             let conn = conns[rng.range(0, 64) as usize];
             if !pinged.contains(&conn) {
