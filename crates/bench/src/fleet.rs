@@ -1,14 +1,14 @@
 //! A fleet-scale server model: one thread per connection, almost all idle.
 //!
-//! [`FleetServer`] is the workload behind `benches/fleet_scale.rs` and
-//! `benches/fleet_latency.rs`: a single process whose main thread accepts
-//! every pending connection and hands connection *i* to dedicated reader
-//! thread `conn-i`. Each reader parks on its own connection object, so with
-//! an event-driven scheduler a round in which only k connections receive
-//! data costs O(k) thread steps — while the full-scan ablation pays one step
-//! per thread per round regardless. This is the mostly-idle-sessions regime
-//! the DBMS live-patching and CheckSync studies evaluate quiesce/checkpoint
-//! cost under.
+//! [`FleetServer`] is the workload behind `benches/fleet_latency.rs` and the
+//! scheduler's scaling test in `tests/properties.rs`: a single process whose
+//! main thread accepts every pending connection and hands connection *i* to
+//! dedicated reader thread `conn-i`. Each reader parks on its own connection
+//! object, so with an event-driven scheduler a round in which only k
+//! connections receive data costs O(k) thread steps — while the full scan
+//! pays one step per thread per round regardless. This is the
+//! mostly-idle-sessions regime the DBMS live-patching and CheckSync studies
+//! evaluate quiesce/checkpoint cost under.
 //!
 //! # Sessions survive live updates
 //!

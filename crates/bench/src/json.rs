@@ -30,12 +30,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Builds an object from a dynamically assembled pair list (for rows
-    /// whose fields depend on what a sweep measured).
-    pub fn obj_vec<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
     /// Builds a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())

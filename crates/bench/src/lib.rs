@@ -1,8 +1,7 @@
 //! # mcr-bench — harnesses regenerating every table and figure of the paper
 //!
 //! Each experiment of the evaluation section (§8) is split into three layers
-//! so the binaries under `src/bin/` and the `benches/` targets can share one
-//! implementation:
+//! so the binaries under `src/bin/` and the tests share one implementation:
 //!
 //! * a `*_rows` function that runs the experiment against the simulated
 //!   servers and returns structured rows;
@@ -53,7 +52,7 @@ pub use checkpoint::{
 };
 pub use fleet::{FleetServer, FLEET_PORT};
 pub use json::Json;
-pub use microbench::{percentile_of, BenchGroup, BenchResult};
+pub use microbench::percentile_of;
 
 /// The four evaluated program names, in the paper's order.
 pub const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
@@ -103,29 +102,17 @@ pub fn update_with_connections(
     open: usize,
     config: InstrumentationConfig,
 ) -> UpdateOutcome {
-    update_with_options(program, generation, requests, open, config, &UpdateOptions::default())
-}
-
-/// Like [`update_with_connections`] but with explicit [`UpdateOptions`]
-/// (used by the parallel-transfer bench to sweep `transfer_workers`).
-///
-/// # Panics
-///
-/// Panics if the server fails to boot or the workload cannot run.
-pub fn update_with_options(
-    program: &str,
-    generation: u32,
-    requests: u64,
-    open: usize,
-    config: InstrumentationConfig,
-    opts: &UpdateOptions,
-) -> UpdateOutcome {
     let (mut kernel, mut v1) = boot_program(program, generation, config);
     run_standard_workload(&mut kernel, &mut v1, program, requests);
     let port = workload_for(program, 1).port;
     open_idle_connections(&mut kernel, &mut v1, port, open).expect("idle connections");
-    let (_v2, outcome) =
-        live_update(&mut kernel, v1, Box::new(program_by_name(program, generation + 1)), config, opts);
+    let (_v2, outcome) = live_update(
+        &mut kernel,
+        v1,
+        Box::new(program_by_name(program, generation + 1)),
+        config,
+        &UpdateOptions::default(),
+    );
     outcome
 }
 
@@ -315,61 +302,8 @@ pub fn adaptive_update(
     (kernel_fingerprint(&kernel), outcome)
 }
 
-/// Boots the single-process [`CacheServer`](mcr_servers::CacheServer), bulk
-/// fills it with `entries` cache entries of `value_bytes`-byte values (plus
-/// a few gets and evictions so the LRU stamps and garbage sweep are
-/// exercised), then live-updates generation 1 → 2 with the given intra-pair
-/// shard count. Returns the post-update kernel fingerprint and the outcome.
-///
-/// This is the single-process big-heap scenario of `benches/intra_pair.rs`:
-/// one matched pair, so pair-level workers cannot shorten it — any makespan
-/// improvement comes from the modelled within-pair shards.
-///
-/// # Panics
-///
-/// Panics if the cache fails to boot or a request goes unanswered.
-pub fn cache_update(
-    entries: u64,
-    value_bytes: u64,
-    shards: usize,
-    precopy_rounds: usize,
-) -> (u64, UpdateOutcome) {
-    let mut kernel = Kernel::new();
-    let mut v1 = boot(&mut kernel, Box::new(mcr_servers::CacheServer::new(1)), &BootOptions::default())
-        .expect("cache boots");
-    let request = |kernel: &mut Kernel, v1: &mut McrInstance, req: String| {
-        let c = kernel.client_connect(mcr_servers::CACHE_PORT).expect("cache listening");
-        kernel.client_send(c, req.into_bytes()).expect("send");
-        let _ = mcr_core::runtime::run_rounds(kernel, v1, 2).expect("serve");
-        assert!(kernel.client_recv(c).is_some(), "cache answered {entries}/{value_bytes}");
-        kernel.client_close(c).expect("close");
-    };
-    request(&mut kernel, &mut v1, format!("fill {entries} {value_bytes}"));
-    for _ in 0..4 {
-        request(&mut kernel, &mut v1, "get".to_string());
-    }
-    request(&mut kernel, &mut v1, "evict".to_string());
-    let opts = UpdateOptions {
-        intra_pair_shards: shards,
-        precopy: if precopy_rounds > 0 {
-            PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
-        },
-        ..Default::default()
-    };
-    let (_v2, outcome) = live_update(
-        &mut kernel,
-        v1,
-        Box::new(mcr_servers::CacheServer::new(2)),
-        InstrumentationConfig::full(),
-        &opts,
-    );
-    (kernel_fingerprint(&kernel), outcome)
-}
-
 /// Traces every process of an instance and merges the per-process statistics.
-pub fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
+pub(crate) fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
     let mut stats = TracingStats::default();
     for &pid in &instance.state.processes {
         if let Ok(result) =

@@ -69,7 +69,8 @@
 //! default sizes the budget at `pairs × S`. Only the charged makespan — the
 //! list-schedule over per-shard costs, nested inside the list-schedule over
 //! pairs — shrinks as workers or shards are added
-//! (`benches/parallel_transfer.rs` and `benches/intra_pair.rs` report it).
+//! (`parallel_state_transfer_beats_serial_with_four_or_more_pairs` and
+//! `intra_pair_sharded_commits_are_byte_identical` assert it).
 //!
 //! # Pre-copy: moving trace & transfer out of the quiescence window
 //!

@@ -19,7 +19,8 @@
 //! a wakeup. [`run_round`]/[`run_rounds`] are thin wrappers over
 //! `Scheduler::run_until_idle`, so the cost of a round scales with the
 //! number of *active* threads, not with the total thread count — the regime
-//! fleet-scale experiments need (see `benches/fleet_scale.rs`).
+//! fleet-scale experiments need (`event_driven_rounds_scale_with_active_sessions`
+//! in `tests/properties.rs` holds it from 10 to 100 000 sessions).
 //!
 //! The quiescence barrier is event-driven too: [`wait_quiescence`] wakes
 //! every parked thread exactly once per barrier pass so each can park at its
@@ -36,8 +37,8 @@
 //! `tests/properties.rs` proves that a barrier driven by it parks the same
 //! state as [`wait_quiescence`] (the update that follows, commit *and*
 //! rollback, is byte-identical) and that serving through it alone answers
-//! the same requests as [`run_round`], and the fleet-scale bench uses it as
-//! the baseline its scaling assertion compares against.
+//! the same requests as [`run_round`], and the fleet-scaling test uses it as
+//! the baseline its step-count assertion compares against.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -461,7 +462,7 @@ impl RoundStats {
     }
 
     /// Total thread steps this round executed (the per-round cost the
-    /// fleet-scale bench compares against the full scan).
+    /// fleet-scaling test compares against the full scan).
     pub fn steps(&self) -> usize {
         self.progressed + self.blocked + self.exited
     }
@@ -565,9 +566,9 @@ pub fn run_round(kernel: &mut Kernel, instance: &mut McrInstance) -> McrResult<R
 }
 
 /// The legacy O(threads) scheduling round: one round-robin pass over every
-/// live, unparked thread, regardless of readiness. Kept as the ablation
-/// baseline (`benches/fleet_scale.rs`) and as the determinism oracle the
-/// event-driven path is verified against (`tests/properties.rs`).
+/// live, unparked thread, regardless of readiness. Kept as the cost
+/// baseline and the determinism oracle the event-driven path is verified
+/// against (`tests/properties.rs`).
 ///
 /// # Errors
 ///

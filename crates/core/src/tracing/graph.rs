@@ -91,11 +91,10 @@ pub struct TracedObject {
     /// Type, when precise information is available.
     pub(crate) type_id: Option<TypeId>,
     /// The highest write-epoch stamp of the pages covering the object: `0`
-    /// when the object is clean since startup (nothing to transfer),
-    /// `u64::MAX` when dirty tracking is disabled (everything is treated as
-    /// dirty). This is the single source of truth for dirtiness — the
-    /// pre-copy engine compares it against the epoch at which the object's
-    /// contents were last copied to decide whether a re-copy is needed.
+    /// when the object is clean since startup (nothing to transfer). This is
+    /// the single source of truth for dirtiness — the pre-copy engine
+    /// compares it against the epoch at which the object's contents were
+    /// last copied to decide whether a re-copy is needed.
     pub(crate) dirty_epoch: u64,
     /// Whether the object was created during startup.
     pub(crate) startup: bool,

@@ -82,20 +82,11 @@ use crate::tracing::stats::{RegionClass, TracingStats};
 mod reference;
 
 /// Options controlling a tracing run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceOptions {
     /// Follow (and transfer) shared-library state instead of only counting
     /// pointers into it. Off by default, as in the paper.
     pub trace_libraries: bool,
-    /// Honour soft-dirty bits: objects on clean pages are marked clean and
-    /// skipped by state transfer. Disabling this is the ablation baseline.
-    pub use_dirty_tracking: bool,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions { trace_libraries: false, use_dirty_tracking: true }
-    }
 }
 
 /// The result of tracing one process.
@@ -311,12 +302,8 @@ impl<'a> Tracer<'a> {
 
     /// The objects a delta retrace has to re-scan: those with a byte on a
     /// page written after epoch `since`, in address order — found from the
-    /// dirty pages, so the cost follows what was written. With dirty tracking
-    /// disabled every object is stale in every round.
+    /// dirty pages, so the cost follows what was written.
     fn stale_objects(&self, graph: &ObjectGraph, since: u64) -> Vec<(Addr, Option<TypeId>)> {
-        if !self.options.use_dirty_tracking {
-            return graph.iter().map(|o| (o.addr, o.type_id)).collect();
-        }
         let mut stale: Vec<(Addr, Option<TypeId>)> = Vec::new();
         for run in self.process.space().drain_dirty_since(since) {
             stale.extend(graph.overlapping(run.base, run.len).map(|o| (o.addr, o.type_id)));
@@ -762,13 +749,8 @@ impl<'a> Tracer<'a> {
     }
 
     /// The dirty stamp mutable tracing records on an object: the highest
-    /// write epoch of its covering pages, or `u64::MAX` when dirty tracking
-    /// is disabled (every object is then treated as dirty and as stale in
-    /// every pre-copy round).
+    /// write epoch of its covering pages.
     fn object_dirty_epoch(&self, base: Addr, size: u64) -> u64 {
-        if !self.options.use_dirty_tracking {
-            return u64::MAX;
-        }
         self.process.space().range_dirty_epoch(base, size)
     }
 
@@ -1069,31 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_dirty_tracking_marks_everything_dirty() {
-        let (mut kernel, mut state, pid) = listing1();
-        build_types(&mut state);
-        let tid = kernel.process(pid).unwrap().main_tid();
-        {
-            let mut env = ProgramEnv::new(&mut kernel, &mut state, pid, tid, "main");
-            let g = env.define_global("conf", "conf_s*").unwrap();
-            let c = env.alloc("conf_s", "init:conf").unwrap();
-            env.write_ptr(g, c).unwrap();
-        }
-        kernel.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
-        let with = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
-        let without = trace_process(
-            &kernel,
-            &state,
-            pid,
-            TraceOptions { use_dirty_tracking: false, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(with.stats.dirty_objects, 0);
-        assert_eq!(without.stats.dirty_objects, without.stats.objects_traced);
-        assert!(without.stats.dirty_bytes >= with.stats.dirty_bytes);
-    }
-
-    #[test]
     fn pointer_slot_annotation_upgrades_hidden_pointer_to_precise() {
         let (mut kernel, mut state, pid) = listing1();
         build_types(&mut state);
@@ -1152,8 +1109,7 @@ mod tests {
         assert_eq!(result.stats.precise.targ_lib, 1);
         assert!(result.graph.get(lib_obj).is_none(), "library state is not traced by default");
         let traced_libs =
-            trace_process(&kernel, &state, pid, TraceOptions { trace_libraries: true, ..Default::default() })
-                .unwrap();
+            trace_process(&kernel, &state, pid, TraceOptions { trace_libraries: true }).unwrap();
         assert!(traced_libs.graph.get(lib_obj).is_some());
     }
 
@@ -1459,7 +1415,7 @@ mod tests {
     fn retrace_matches_full_mark_and_fresh_trace_under_seeded_mutations() {
         use crate::runtime::chaos::ChaosRng;
         for (seed, trace_libraries) in [(1u64, false), (2, true), (3, false), (4, true), (5, false)] {
-            let options = TraceOptions { trace_libraries, ..Default::default() };
+            let options = TraceOptions { trace_libraries };
             let mut chains = Chains::new(8, 4, false);
             let (hidden, lib_root, lib_obj, big);
             {
@@ -1826,7 +1782,7 @@ mod tests {
             env.write_ptr(seam.offset(8), v).unwrap();
         }
         for trace_libraries in [false, true] {
-            let options = TraceOptions { trace_libraries, ..Default::default() };
+            let options = TraceOptions { trace_libraries };
             let result = trace_process(&kernel, &state, pid, options).unwrap();
             let graph = &result.graph;
             let edge_to = |from: Addr| graph.get(from).unwrap().precise_pointers[0].target_base;

@@ -1064,8 +1064,6 @@ fn run_transfer(
             }
             let stale = match entry.copied_at {
                 None => true,
-                // Dirty tracking disabled: everything is always stale.
-                Some(_) if obj.dirty_epoch == u64::MAX => true,
                 Some(copied) => obj.dirty_epoch > copied,
             };
             // The run's logical write set — everything transferable for a

@@ -6,8 +6,8 @@
 //! one huge heap of small typed records plus bulk value blobs, the shape of
 //! a memcached-style cache or an in-memory DBMS — which is exactly what
 //! [`UpdateOptions::intra_pair_shards`](mcr_core::runtime::UpdateOptions)
-//! parallelizes. `benches/intra_pair.rs` sweeps heap size × shard count over
-//! this server.
+//! parallelizes. `intra_pair_sharded_commits_are_byte_identical`
+//! (`tests/properties.rs`) updates this server over several shard counts.
 //!
 //! The cache is a 64-bucket hash table of `entry_s` records. Each entry owns
 //! an *untyped* value blob (allocated through `alloc_bytes`, so transfer
@@ -272,7 +272,7 @@ impl Program for CacheServer {
 
 /// Collects the addresses of every live cache entry, in bucket-then-chain
 /// order, for the cache's (single) process. Used by the property tests'
-/// seeded mutator and the intra-pair bench.
+/// seeded mutator.
 pub(crate) fn cache_entry_nodes(kernel: &Kernel, instance: &McrInstance) -> Vec<Addr> {
     let Some(table) = instance.state.statics.lookup("cache_table") else {
         return Vec::new();

@@ -102,11 +102,6 @@ impl InstrumentationConfig {
     pub fn baseline() -> Self {
         InstrumentationConfig { level: InstrumentationLevel::Baseline, instrument_region_allocator: false }
     }
-
-    /// Builds a configuration at a specific level.
-    pub fn at_level(level: InstrumentationLevel) -> Self {
-        InstrumentationConfig { level, instrument_region_allocator: false }
-    }
 }
 
 impl Default for InstrumentationConfig {
@@ -144,9 +139,5 @@ mod tests {
         assert_eq!(InstrumentationConfig::default(), InstrumentationConfig::full());
         assert!(InstrumentationConfig::full_with_region_instrumentation().instrument_region_allocator);
         assert_eq!(InstrumentationConfig::baseline().level, InstrumentationLevel::Baseline);
-        assert_eq!(
-            InstrumentationConfig::at_level(InstrumentationLevel::Unblock).level,
-            InstrumentationLevel::Unblock
-        );
     }
 }

@@ -4,7 +4,7 @@
 use mcr_bench::{kernel_fingerprint, precopy_update};
 use mcr_core::runtime::{
     boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, UpdateOptions,
-    UpdatePipeline,
+    UpdatePipeline, UpdateReport,
 };
 use mcr_core::{Conflict, QuiescenceProfiler};
 use mcr_procsim::Kernel;
@@ -158,11 +158,32 @@ fn chained_updates_across_three_generations_keep_state() {
     assert_eq!(requests, served, "request counter survived every update");
 }
 
+/// Serves `requests` of `program`'s workload, opens `open` idle connections
+/// and live-updates gen-1 → gen-2 with `transfer_workers = workers`.
+fn update_with_workers(program: &str, requests: u64, open: usize, workers: usize) -> UpdateReport {
+    let (mut kernel, mut v1) = booted(program);
+    run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
+    open_idle_connections(&mut kernel, &mut v1, workload_for(program, 1).port, open).unwrap();
+    let opts = UpdateOptions { transfer_workers: workers, ..Default::default() };
+    let (_v2, outcome) = live_update(
+        &mut kernel,
+        v1,
+        Box::new(program_by_name(program, 2)),
+        InstrumentationConfig::full(),
+        &opts,
+    );
+    assert!(outcome.is_committed(), "{program} workers={workers}: {:?}", outcome.conflicts());
+    outcome.report().clone()
+}
+
 /// The tentpole acceptance check for the pair-parallel restore phase: with
 /// at least four matched pairs, the measured parallel `state_transfer`
 /// (makespan of the scoped-thread schedule) beats the sequential ablation,
 /// and the default worker count (one per pair) is bounded by the slowest
-/// pair.
+/// pair. Over `transfer_workers ∈ {1, 2, 4, 0}`, one worker is charged
+/// exactly the pair-cost sum (`transfer.serial_duration`), and more workers
+/// over four or more pairs strictly less; nginx (three pairs) is only never
+/// slower.
 #[test]
 fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
     let (mut kernel, mut v1) = booted("vsftpd");
@@ -190,6 +211,25 @@ fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
         report.timings.state_transfer.0,
         report.timings.state_transfer_serial.0
     );
+
+    for (program, requests, open) in [("vsftpd", 2, 3), ("vsftpd", 4, 8), ("sshd", 4, 6), ("nginx", 4, 6)] {
+        for workers in [1usize, 2, 4, 0] {
+            let report = update_with_workers(program, requests, open, workers);
+            let ctx = format!("{program} {requests}/{open} workers={workers}");
+            let pairs = report.processes_matched + report.processes_recreated;
+            let (makespan, pair_sum) = (report.timings.state_transfer, report.transfer.serial_duration);
+            if program != "nginx" {
+                assert!(pairs >= 4, "{ctx}: expected a multiprocess spec, got {pairs} pairs");
+            }
+            if workers == 1 {
+                assert_eq!(makespan, pair_sum, "{ctx}: one worker is charged the pair-cost sum");
+            } else if pairs >= 4 {
+                assert!(makespan < pair_sum, "{ctx}: {pairs} pairs re-serialized");
+            } else {
+                assert!(makespan <= pair_sum, "{ctx}: parallel slower than serial");
+            }
+        }
+    }
 }
 
 /// The pre-copy acceptance criterion: on the read-mostly multiprocess

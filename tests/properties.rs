@@ -521,6 +521,75 @@ fn event_driven_and_full_scan_serve_identically() {
     assert_eq!(event_fp, scan_fp, "served fleet state diverged");
 }
 
+/// Boots a [`FleetServer`] of `threads` sessions and sends `rounds` rounds of
+/// pings to the same 1% of them (at least one), every round (setup
+/// included) through `round`. Returns the measured rounds' stats, the events
+/// handled, the active session count and the served kernel and fleet.
+fn serve_one_percent(
+    threads: usize,
+    rounds: usize,
+    round: Round,
+) -> (RoundStats, u64, usize, Kernel, McrInstance) {
+    let mut kernel = Kernel::new();
+    let mut fleet = boot(&mut kernel, Box::new(FleetServer::new(threads)), &BootOptions::default()).unwrap();
+    let conns: Vec<ConnId> = (0..threads).map(|_| kernel.client_connect(FLEET_PORT).unwrap()).collect();
+    // Setup: the acceptor drains the backlog, every reader parks.
+    for _ in 0..2 {
+        round(&mut kernel, &mut fleet).unwrap();
+    }
+    assert!(conns.iter().all(|&c| kernel.client_is_accepted(c)), "{threads}: all sessions accepted");
+    let active = (threads / 100).max(1);
+    let stride = threads / active;
+    let mut stats = RoundStats::default();
+    for _ in 0..rounds {
+        for i in 0..active {
+            kernel.client_send(conns[i * stride], b"ping".to_vec()).unwrap();
+        }
+        stats.absorb(&round(&mut kernel, &mut fleet).unwrap());
+    }
+    let events = fleet.state.counters.events_handled;
+    (stats, events, active, kernel, fleet)
+}
+
+/// The event-driven scheduler's scaling contract, in thread steps (exact and
+/// host-independent) at 1% active from 10 to 100 000 sessions: a round costs
+/// O(active) steps at every size, the full scan pays at least 10x more at
+/// 10 000 for the same events, steps per event stay flat within 2x from
+/// 10 000 to 100 000, and the barrier still converges over the parked fleet.
+#[test]
+fn event_driven_rounds_scale_with_active_sessions() {
+    const ROUNDS: usize = 10;
+    let mut per_event = Vec::new();
+    for threads in [10usize, 100, 1_000, 10_000, 100_000] {
+        let (stats, events, active, mut kernel, mut fleet) = serve_one_percent(threads, ROUNDS, run_round);
+        assert_eq!(events, (ROUNDS * active) as u64, "{threads}: every ping was handled");
+        assert!(
+            stats.steps() <= ROUNDS * (4 * active + 4),
+            "{threads}: {} steps over {ROUNDS} rounds is not O(active = {active})",
+            stats.steps()
+        );
+        wait_quiescence(&mut kernel, &mut fleet, 10).expect("quiescence converges");
+        assert!(all_quiesced(&kernel, &fleet), "{threads}: the fleet quiesced");
+        if threads == 10_000 {
+            let (scan, scan_events, ..) = serve_one_percent(threads, ROUNDS, run_round_full_scan);
+            assert_eq!(events, scan_events, "both cores handled the same events");
+            assert!(
+                scan.steps() >= 10 * stats.steps(),
+                "the full scan's {} steps are not 10x the event-driven {}",
+                scan.steps(),
+                stats.steps()
+            );
+        }
+        if threads >= 10_000 {
+            per_event.push((threads, stats.steps() as f64 / events as f64));
+        }
+    }
+    let floor = per_event.iter().map(|&(_, cost)| cost).fold(f64::INFINITY, f64::min);
+    for (threads, cost) in per_event {
+        assert!(cost <= 2.0 * floor, "{threads}: {cost:.2} steps per event, over 2x the floor {floor:.2}");
+    }
+}
+
 /// Boots `program`, serves traffic, then updates either stop-the-world
 /// (`precopy == false`: the seeded write batches are applied *before* the
 /// update) or with pre-copy (`precopy == true`: the same batches are applied
@@ -710,11 +779,12 @@ fn sharded_cache_update(
 /// Only the charged makespan may shrink.
 #[test]
 fn intra_pair_sharded_commits_are_byte_identical() {
-    let mut fingerprints = Vec::new();
+    let mut runs = Vec::new();
     for precopy in [false, true] {
         let (base_fp, base_conflicts, base) = sharded_cache_update(300, 1, 3, precopy, None, 0xCAC4E);
         assert!(base_conflicts.is_empty(), "{precopy}: {base_conflicts:?}");
         assert!(base.transfer.objects_transferred() >= 600, "entries and values moved");
+        assert_eq!(base.precopy.enabled, precopy);
         for shards in [2usize, 7] {
             let (fp, conflicts, report) = sharded_cache_update(300, shards, 3, precopy, None, 0xCAC4E);
             assert!(conflicts.is_empty(), "{precopy}/{shards}: {conflicts:?}");
@@ -738,11 +808,11 @@ fn intra_pair_sharded_commits_are_byte_identical() {
                 base.timings.state_transfer
             );
         }
-        fingerprints.push(base_fp);
+        runs.push((base_fp, base.transfer.per_process));
     }
-    // ... and the committed state is also identical with pre-copy on and off
-    // (same seed → same final memory image).
-    assert_eq!(fingerprints[0], fingerprints[1], "pre-copy diverged");
+    // ... and the committed state and per-process reports are also identical
+    // with pre-copy on and off (same seed → same final memory image).
+    assert_eq!(runs[0], runs[1], "pre-copy diverged");
 }
 
 /// Rollbacks too: a mid-phase fault at the n-th transferred object aborts
