@@ -25,7 +25,6 @@
 //! needed to replay the failure.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use mcr_core::runtime::{
     random_plan, shrink_schedule, supervised_update, time_to_recovery, ChaosPlan, ChaosRng, DegradationTier,
@@ -97,8 +96,9 @@ pub struct ChaosSpec {
 }
 
 impl ChaosSpec {
-    /// The release-profile campaign the bench binary and CI smoke run
-    /// (>= 50 schedules for each of the three modes).
+    /// The campaign behind the tracked `BENCH_chaos.json`, which the root
+    /// `tests/tracked_reports.rs` rebuilds (>= 50 schedules for each of the
+    /// three modes).
     pub fn smoke() -> Self {
         ChaosSpec {
             program: "vsftpd",
@@ -381,7 +381,7 @@ pub(crate) fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
 
 /// Runs the full sweep for one mode; `config_index` (its index in
 /// [`CONFIGS`]) seeds the random schedules.
-pub fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -> ConfigOutcome {
+pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -> ConfigOutcome {
     let catalog = enumerate_sites(spec, mode);
     let mut capped = Vec::new();
 
@@ -513,41 +513,6 @@ pub fn run_campaign(spec: &ChaosSpec) -> Vec<ConfigOutcome> {
     CONFIGS.iter().enumerate().map(|(i, &mode)| run_config(spec, mode, i as u64)).collect()
 }
 
-/// Renders the campaign as a human-readable table.
-pub fn chaos_render(rows: &[ConfigOutcome]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>11} {:>12} | {:>5}",
-        "mode", "sites", "sched", "fired", "div", "sup-ok", "sup-run", "tiers f/n/s", "mttr(ns)", "cover"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<14} | {:>6} {:>6} {:>5} {:>4} | {:>6} {:>7} | {:>3}/{:>3}/{:>3} | {:>12.0} | {:>4.1}%",
-            r.mode.label(),
-            r.catalog.total_sites(),
-            r.schedules,
-            r.fired,
-            r.divergences,
-            r.supervisor_committed,
-            r.supervisor_runs,
-            r.tier_commits[0],
-            r.tier_commits[1],
-            r.tier_commits[2],
-            r.mttr_mean_ns,
-            r.coverage_ratio() * 100.0,
-        );
-        for line in &r.capped {
-            let _ = writeln!(out, "    [capped] {line}");
-        }
-        for line in &r.repros {
-            let _ = writeln!(out, "    [repro] {line}");
-        }
-    }
-    out
-}
-
 /// Renders the campaign as the `BENCH_chaos.json` document.
 pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
     let totals = Json::obj([
@@ -612,7 +577,26 @@ pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
 
 #[cfg(test)]
 mod tests {
-    use super::spread;
+    use super::{run_config, spread, ChaosMode, ChaosSpec};
+
+    /// At quick scale the stop-the-world site space is small enough to
+    /// sweep whole: every boundary, transfer-object and syscall site is
+    /// armed once, and each one rolls back byte-identical.
+    #[test]
+    fn quick_stop_the_world_sweep_covers_every_site() {
+        let spec = ChaosSpec {
+            max_object_sites: usize::MAX,
+            max_syscall_sites: usize::MAX,
+            random_schedules: 0,
+            supervise_every: 0,
+            ..ChaosSpec::quick()
+        };
+        let outcome = run_config(&spec, ChaosMode::StopTheWorld, 0);
+        assert!(outcome.capped.is_empty(), "{:?}", outcome.capped);
+        assert!(outcome.clean(), "{:?}", outcome.repros);
+        let total = outcome.catalog.total_sites();
+        assert_eq!(outcome.coverage_ratio(), 1.0, "{} of {total} sites armed", outcome.sites_injected);
+    }
 
     #[test]
     fn spread_honors_a_cap_of_one_and_spans_larger_sweeps() {

@@ -32,7 +32,6 @@
 //! replays by rerunning the same drill.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use mcr_core::runtime::{
@@ -79,8 +78,9 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// The release-profile campaign the bench binary and CI smoke run:
-    /// every store block is a crash point and a torn point.
+    /// The campaign behind the tracked `BENCH_checkpoint.json`, which the
+    /// root `tests/tracked_reports.rs` rebuilds: every store block is a
+    /// crash point and a torn point.
     pub fn smoke() -> Self {
         CheckpointSpec {
             program: "nginx",
@@ -492,57 +492,6 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
     out
 }
 
-/// Renders the campaign outcome as the human-readable report.
-pub fn checkpoint_render(out: &CheckpointOutcome) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "checkpoint crash campaign — {}", out.program);
-    let _ = writeln!(
-        s,
-        "  checkpoint: {} blocks, {} shards, {} deltas ({} B), writer speedup {:.2}x",
-        out.blocks,
-        out.checkpoint.shards,
-        out.checkpoint.page_deltas,
-        out.checkpoint.delta_bytes,
-        out.writer_speedup
-    );
-    let _ = writeln!(
-        s,
-        "  roundtrip: fingerprint-identical={} restored-serves={}",
-        out.fingerprint_identical, out.restored_serves
-    );
-    let _ = writeln!(
-        s,
-        "  crash points: {} crash + {} torn drills → {} durable / {} fallback recoveries",
-        out.crash_drills, out.torn_drills, out.recovered_durable, out.recovered_fallback
-    );
-    let _ = writeln!(
-        s,
-        "  restore steps: {}/{} typed | corruption: {} drills, {} fallbacks, {} typed rejections",
-        out.restore_step_typed,
-        out.restore_step_drills,
-        out.corruption_drills,
-        out.corruption_fallbacks,
-        out.corruption_typed
-    );
-    let _ = writeln!(
-        s,
-        "  supervisor: {}/{} recovered, {}/{} committed | retention ok: {}",
-        out.supervisor_recovered,
-        out.supervisor_drills,
-        out.supervisor_committed,
-        out.supervisor_drills,
-        out.retention_ok
-    );
-    if !out.capped.is_empty() {
-        let _ = writeln!(s, "  capped sweeps: {}", out.capped.join(", "));
-    }
-    let _ = writeln!(s, "  divergences: {}", out.divergences);
-    for repro in &out.repros {
-        let _ = writeln!(s, "    repro: {repro}");
-    }
-    s
-}
-
 /// Renders the campaign outcome as the `BENCH_checkpoint.json` document.
 pub fn checkpoint_json(spec: &CheckpointSpec, out: &CheckpointOutcome) -> Json {
     Json::obj([
@@ -591,24 +540,6 @@ mod tests {
             shard_writers: 2,
             max_crash_points: 3,
         }
-    }
-
-    #[test]
-    fn quick_campaign_is_clean() {
-        let spec = quick();
-        let out = run_checkpoint_campaign(&spec);
-        assert!(out.clean(), "campaign diverged:\n{}", checkpoint_render(&out));
-        assert!(out.fingerprint_identical, "baseline roundtrip not byte-identical");
-        assert!(out.restored_serves, "restored instance does not serve");
-        assert_eq!(out.restore_step_typed, out.restore_step_drills);
-        assert_eq!(out.corruption_fallbacks, 3);
-        assert_eq!(out.corruption_typed, 2);
-        assert_eq!(out.supervisor_recovered, out.supervisor_drills);
-        assert!(out.retention_ok);
-        assert!(out.crash_drills > 0 && out.torn_drills > 0);
-        let doc = checkpoint_json(&spec, &out).render();
-        assert!(doc.starts_with("{\"experiment\":\"checkpoint_crash\""));
-        assert!(doc.contains("\"divergences\":0"));
     }
 
     /// Checkpoints `program` (generation 1, after its standard workload) and

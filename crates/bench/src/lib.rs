@@ -44,12 +44,10 @@ pub(crate) mod json;
 pub(crate) mod microbench;
 
 pub use chaos::{
-    chaos_json, chaos_render, enumerate_sites, run_campaign, run_config, verify_rollback, ChaosMode,
-    ChaosSpec, ConfigOutcome, VerifyResult, CONFIGS,
+    chaos_json, enumerate_sites, run_campaign, verify_rollback, ChaosMode, ChaosSpec, ConfigOutcome,
+    VerifyResult, CONFIGS,
 };
-pub use checkpoint::{
-    checkpoint_json, checkpoint_render, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec,
-};
+pub use checkpoint::{checkpoint_json, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec};
 pub use fleet::{FleetServer, FLEET_PORT};
 pub use json::Json;
 pub use microbench::percentile_of;
@@ -117,11 +115,60 @@ pub fn update_with_connections(
 }
 
 /// Deterministic digest of everything live-update-visible in the kernel
-/// (see [`Kernel::fingerprint`]). The property tests and the pre-copy
-/// downtime bench both use it to prove that two update configurations
+/// (see [`Kernel::fingerprint`]). The property tests and the tracked
+/// reports' sweeps use it to prove that two update configurations
 /// converged to byte-identical kernel state.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
     kernel.fingerprint()
+}
+
+/// The shared set-up of one point of the pre-copy and adaptive-transfer
+/// sweeps. It boots generation 1 of the scenario's program, runs its
+/// workload and opens its idle connections (both scaled by `size_factor`),
+/// and builds the options for `mode` with `precopy_rounds` concurrent rounds
+/// (0 disables pre-copy). `batch` is the pre-quiesce write batch of a round:
+/// with pre-copy it runs between the concurrent rounds through the pipeline
+/// hook; without, rounds `1..=mutate_rounds` all land up front.
+fn sweep_point(
+    scenario: &PrecopyScenario,
+    size_factor: u64,
+    mode: TransferMode,
+    precopy_rounds: usize,
+    mutate_rounds: usize,
+    batch: fn(&mut Kernel, &McrInstance, &PrecopyScenario, usize),
+) -> (Kernel, McrInstance, UpdateOptions, UpdatePipeline) {
+    let mut kernel = Kernel::new();
+    install_standard_files(&mut kernel);
+    let mut v1 = boot(&mut kernel, Box::new(program_by_name(scenario.program, 1)), &BootOptions::default())
+        .expect("scenario server boots");
+    run_workload(&mut kernel, &mut v1, &workload_for(scenario.program, scenario.requests * size_factor))
+        .expect("workload runs");
+    let port = workload_for(scenario.program, 1).port;
+    open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
+        .expect("idle connections");
+    let opts = UpdateOptions {
+        mode,
+        precopy: if precopy_rounds > 0 {
+            PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
+        } else {
+            PrecopyOptions::disabled()
+        },
+        ..Default::default()
+    };
+    let mut pipeline = UpdatePipeline::for_options(&opts);
+    if precopy_rounds > 0 {
+        let scenario = *scenario;
+        pipeline = pipeline.with_precopy_hook(Box::new(
+            move |kernel: &mut Kernel, old: &mut McrInstance, round: usize| {
+                batch(kernel, old, &scenario, round)
+            },
+        ));
+    } else {
+        for round in 1..=mutate_rounds {
+            batch(&mut kernel, &v1, scenario, round);
+        }
+    }
+    (kernel, v1, opts, pipeline)
 }
 
 /// Runs one configuration of a [`PrecopyScenario`] and returns the
@@ -145,37 +192,16 @@ pub fn precopy_update(
     precopy_rounds: usize,
     mutate_rounds: usize,
 ) -> (u64, UpdateOutcome) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(scenario.program, 1)), &BootOptions::default())
-        .expect("scenario server boots");
-    run_workload(&mut kernel, &mut v1, &workload_for(scenario.program, scenario.requests * size_factor))
-        .expect("workload runs");
-    let port = workload_for(scenario.program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
-        .expect("idle connections");
-    let opts = UpdateOptions {
-        precopy: if precopy_rounds > 0 {
-            PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
+    let (mut kernel, v1, opts, pipeline) = sweep_point(
+        scenario,
+        size_factor,
+        TransferMode::StopTheWorld,
+        precopy_rounds,
+        mutate_rounds,
+        |kernel, instance, scenario, round| {
+            apply_scenario_writes(kernel, instance, scenario, 0xC0DE_0000u32 + round as u32);
         },
-        ..Default::default()
-    };
-    let stamp = |round: usize| 0xC0DE_0000u32 + round as u32;
-    let pipeline = if precopy_rounds > 0 {
-        let scenario = *scenario;
-        UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(
-            move |kernel: &mut Kernel, old: &mut McrInstance, round: usize| {
-                apply_scenario_writes(kernel, old, &scenario, stamp(round));
-            },
-        ))
-    } else {
-        for round in 1..=mutate_rounds {
-            apply_scenario_writes(&mut kernel, &v1, scenario, stamp(round));
-        }
-        UpdatePipeline::for_options(&opts)
-    };
+    );
     let (_survivor, outcome) = pipeline.run(
         &mut kernel,
         v1,
@@ -190,7 +216,7 @@ pub fn precopy_update(
 /// sweep's write workloads (pre-quiesce rounds make the scratch page part
 /// of the stale residual; post-resume rounds then trap on it under
 /// post-copy).
-pub(crate) const SCRATCH_WORDS: usize = 8;
+const SCRATCH_WORDS: usize = 8;
 
 /// One pre-quiesce write batch of the adaptive-transfer sweep: the
 /// scenario's connection/cache writes plus a scratch-page stamp, so every
@@ -207,7 +233,7 @@ fn adaptive_mutate_batch(
     stamp_request_scratch(kernel, instance, SCRATCH_WORDS, stamp);
 }
 
-/// Runs one sweep point of the adaptive-transfer bench under the given
+/// Runs one point of the adaptive-transfer sweep under the given
 /// [`TransferMode`] and returns the post-update kernel fingerprint plus the
 /// outcome.
 ///
@@ -240,37 +266,8 @@ pub fn adaptive_update(
         TransferMode::Precopy | TransferMode::Adaptive => 3,
         TransferMode::StopTheWorld | TransferMode::Postcopy => 0,
     };
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(scenario.program, 1)), &BootOptions::default())
-        .expect("scenario server boots");
-    run_workload(&mut kernel, &mut v1, &workload_for(scenario.program, scenario.requests * size_factor))
-        .expect("workload runs");
-    let port = workload_for(scenario.program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
-        .expect("idle connections");
-    let opts = UpdateOptions {
-        mode,
-        precopy: if precopy_rounds > 0 {
-            PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
-        },
-        ..Default::default()
-    };
-    let mut pipeline = UpdatePipeline::for_options(&opts);
-    if precopy_rounds > 0 {
-        let scenario = *scenario;
-        pipeline = pipeline.with_precopy_hook(Box::new(
-            move |kernel: &mut Kernel, old: &mut McrInstance, round: usize| {
-                adaptive_mutate_batch(kernel, old, &scenario, round);
-            },
-        ));
-    } else {
-        for round in 1..=MUTATE_ROUNDS {
-            adaptive_mutate_batch(&mut kernel, &v1, scenario, round);
-        }
-    }
+    let (mut kernel, v1, opts, mut pipeline) =
+        sweep_point(scenario, size_factor, mode, precopy_rounds, MUTATE_ROUNDS, adaptive_mutate_batch);
     let post_stamp = |round: usize| 0xD0D0_0000u32 + round as u32;
     let delivered = std::rc::Rc::new(std::cell::Cell::new(0usize));
     if matches!(mode, TransferMode::Postcopy | TransferMode::Adaptive) {

@@ -103,7 +103,8 @@
 //! written during the last round), which
 //! [`UpdateTimings::downtime`](crate::runtime::report::UpdateTimings)
 //! vs. [`UpdateTimings::precopy`](crate::runtime::report::UpdateTimings)
-//! makes directly measurable (`benches/precopy_downtime.rs` sweeps it).
+//! makes directly measurable (`BENCH_precopy.json` sweeps it; the root
+//! `tests/tracked_reports.rs` rebuilds that report).
 //! With pre-copy disabled (`precopy.rounds == 0`, the default) the classic
 //! five-phase stop-the-world order is used unchanged.
 //!
@@ -145,10 +146,11 @@
 //! or whose pre-copy rounds are still converging (last-round dirty bytes ≤
 //! `converging_percent` of the previous round's), applies synchronously as
 //! in pre-copy; everything else defers. The result is measured by
-//! `benches/adaptive_transfer.rs`: adaptive downtime ≤ the best static mode
-//! on every sweep point, and all modes converge to byte-identical kernel
-//! fingerprints (`tests/properties.rs` proves the equivalence, including
-//! rollback from mid-drain faults).
+//! `BENCH_adaptive.json` (rebuilt by the root `tests/tracked_reports.rs`):
+//! adaptive downtime ≤ the best static mode on every sweep point, and all
+//! modes converge to byte-identical kernel fingerprints
+//! (`tests/properties.rs` proves the equivalence, including rollback from
+//! mid-drain faults).
 //!
 //! # Durable checkpoints: surviving crashes, not just aborts
 //!
@@ -170,8 +172,9 @@
 //! fresh kernel, a re-boot of the checkpointed generation, and a typed
 //! 15-step reconcile ending in a digest self-check — then retry the update
 //! on the revived instance. Corrupt or torn versions are rejected by
-//! checksum and fall back to the next older one; `benches/checkpoint.rs`
-//! sweeps every block-level crash point and asserts fingerprint-identical
+//! checksum and fall back to the next older one; `BENCH_checkpoint.json`
+//! (rebuilt by the root `tests/tracked_reports.rs`) sweeps every
+//! block-level crash point and asserts fingerprint-identical
 //! recovery or clean rejection for each.
 //!
 //! # Fault injection and chaos testing
@@ -230,8 +233,9 @@
 //!    every fired schedule rolls back to a byte-identical old instance and
 //!    that [`supervised_update`](crate::runtime::supervisor::supervised_update)
 //!    then converges to a commit once the fault clears
-//!    (`benches/chaos.rs` runs the full grid, `tests/chaos.rs` a bounded
-//!    one).
+//!    (the root `tests/tracked_reports.rs` runs the smoke grid behind
+//!    `BENCH_chaos.json`; `mcr-bench`'s unit tests sweep every
+//!    stop-the-world site at quick scale).
 //! 3. **Reproduce** — a failing schedule is reduced with
 //!    [`shrink_schedule`](crate::runtime::chaos::shrink_schedule) to a
 //!    1-minimal reproducer; that plan plus the campaign seed replays the

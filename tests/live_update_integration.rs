@@ -1,14 +1,14 @@
 //! End-to-end integration tests spanning the whole workspace: simulated
 //! kernel, type metadata, MCR runtime, server models and workloads.
 
-use mcr_bench::{kernel_fingerprint, precopy_update};
+use mcr_bench::kernel_fingerprint;
 use mcr_core::runtime::{
     boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, UpdateOptions,
     UpdatePipeline, UpdateReport,
 };
 use mcr_core::{Conflict, QuiescenceProfiler};
 use mcr_procsim::Kernel;
-use mcr_servers::{install_standard_files, precopy_scenarios, program_by_name, programs, ServerSpec};
+use mcr_servers::{install_standard_files, program_by_name, programs, ServerSpec};
 use mcr_typemeta::InstrumentationConfig;
 use mcr_workload::{open_idle_connections, precopy_serving_hook, run_workload, workload_for};
 
@@ -230,52 +230,6 @@ fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
             }
         }
     }
-}
-
-/// The pre-copy acceptance criterion: on the read-mostly multiprocess
-/// scenario (>= 4 matched pairs), the measured stop-the-world `downtime`
-/// with pre-copy enabled is at most 50% of the `precopy_rounds = 0`
-/// baseline, while the final kernel fingerprint, transfer reports and
-/// conflicts are byte-identical across both configurations.
-#[test]
-fn precopy_halves_downtime_on_the_read_mostly_scenario() {
-    let scenario = precopy_scenarios()[0];
-    assert_eq!(scenario.name, "read-mostly");
-    let (base_fp, base_outcome) = precopy_update(&scenario, 1, 0, 3);
-    let (pre_fp, pre_outcome) = precopy_update(&scenario, 1, 3, 3);
-    assert!(base_outcome.is_committed(), "{:?}", base_outcome.conflicts());
-    assert!(pre_outcome.is_committed(), "{:?}", pre_outcome.conflicts());
-    let base = base_outcome.report();
-    let pre = pre_outcome.report();
-
-    let pairs = base.processes_matched + base.processes_recreated;
-    assert!(pairs >= 4, "scenario must yield >= 4 matched pairs, got {pairs}");
-    assert_eq!(base_fp, pre_fp, "pre-copy diverged from the stop-the-world baseline");
-    assert_eq!(base.transfer.per_process, pre.transfer.per_process, "transfer reports diverged");
-    assert!(base_outcome.conflicts().is_empty() && pre_outcome.conflicts().is_empty());
-
-    // The headline number.
-    assert!(
-        pre.timings.downtime.0 * 2 <= base.timings.downtime.0,
-        "downtime {} ns is not <= 50% of the baseline {} ns",
-        pre.timings.downtime.0,
-        base.timings.downtime.0
-    );
-    // The split is accounted coherently: concurrent time is reported
-    // separately, and the phase trace shows the six-phase pre-copy order.
-    assert!(pre.timings.precopy.0 > 0);
-    assert!(pre.timings.downtime.0 <= pre.timings.total.0);
-    let executed: Vec<PhaseName> = pre.phases.records().iter().map(|r| r.name).collect();
-    assert_eq!(executed, PhaseName::PRECOPY_ALL, "pre-copy pipeline runs the six-phase order");
-    assert_eq!(
-        base.phases.records().iter().map(|r| r.name).collect::<Vec<_>>(),
-        PhaseName::ALL,
-        "the baseline keeps the standard five-phase order"
-    );
-    // The window only paid for the residual working set.
-    assert!(pre.precopy.precopied_objects() > 0);
-    assert!(pre.precopy.residual.objects < base.precopy.residual.objects);
-    assert!(pre.timings.state_transfer < base.timings.state_transfer);
 }
 
 /// The old instance keeps *serving* during the pre-copy rounds: a workload
