@@ -6,9 +6,11 @@
 //!
 //! 1. performs a clean dry run and derives the [`FaultCatalog`] (every phase
 //!    boundary, transfer-object write and pipeline syscall is a site);
-//! 2. builds a schedule list — every boundary, evenly spread n-th-object and
-//!    n-th-syscall sweeps (capped and logged), plus seeded random schedules
-//!    from [`random_plan`];
+//! 2. builds a schedule list — every boundary, the n-th-object,
+//!    n-th-syscall, n-th-fault-in and n-th-drain-step sweeps, plus seeded
+//!    random schedules from [`random_plan`]. Only the tracked smoke campaign
+//!    caps its sweeps (evenly spread picks, each cap logged); a unit test
+//!    sweeps the same scenario uncapped;
 //! 3. for each schedule asserts the *safety* property: the injected fault
 //!    rolls the update back to a kernel whose [`kernel_fingerprint`] is
 //!    byte-identical to the pre-update one (a subsample is re-run to check
@@ -112,23 +114,6 @@ impl ChaosSpec {
             seed: 0xC4A0_5EED,
             rerun_every: 8,
             supervise_every: 1,
-        }
-    }
-
-    /// A bounded campaign sized for debug-build test runs.
-    pub fn quick() -> Self {
-        ChaosSpec {
-            program: "vsftpd",
-            requests: 2,
-            open_connections: 3,
-            random_schedules: 3,
-            max_object_sites: 2,
-            max_syscall_sites: 2,
-            max_fault_in_sites: 1,
-            max_drain_step_sites: 1,
-            seed: 0xC4A0_5EED,
-            rerun_every: 5,
-            supervise_every: 2,
         }
     }
 }
@@ -361,7 +346,7 @@ fn watchdog_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
 
 /// Evenly spread 1-based indices over `[1, total]`, at most `max` of them.
 /// The bool is true when the dimension had to be capped.
-pub(crate) fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
+fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
     if total == 0 || max == 0 {
         return (Vec::new(), total > 0);
     }
@@ -385,36 +370,30 @@ pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -
     let catalog = enumerate_sites(spec, mode);
     let mut capped = Vec::new();
 
-    // Directed schedules: every boundary, spread object and syscall sweeps.
-    let mut schedules: Vec<ChaosPlan> =
-        catalog.boundaries.iter().map(|&b| FaultSite::Boundary(b).plan()).collect();
-    let (objects, objects_capped) = spread(catalog.transfer_objects, spec.max_object_sites);
-    if objects_capped {
-        capped.push(format!(
-            "transfer-object sweep capped: {} of {} sites",
-            objects.len(),
-            catalog.transfer_objects
-        ));
-    }
-    schedules.extend(objects.into_iter().map(|n| FaultSite::TransferObject(n).plan()));
-    let (syscalls, syscalls_capped) = spread(catalog.syscalls, spec.max_syscall_sites);
-    if syscalls_capped {
-        capped.push(format!("syscall sweep capped: {} of {} sites", syscalls.len(), catalog.syscalls));
-    }
-    schedules.extend(syscalls.into_iter().map(|n| FaultSite::Syscall(n).plan()));
+    // Directed schedules: every boundary, then the spread n-th-site sweeps.
     // Post-copy also sweeps the commit-far-side sites: parked-object
     // fault-ins and background drain batches (both zero for synchronous
     // modes, so these sweeps are empty there).
-    let (fault_ins, fault_ins_capped) = spread(catalog.fault_ins, spec.max_fault_in_sites);
-    if fault_ins_capped {
-        capped.push(format!("fault-in sweep capped: {} of {} sites", fault_ins.len(), catalog.fault_ins));
+    let mut schedules: Vec<ChaosPlan> =
+        catalog.boundaries.iter().map(|&b| FaultSite::Boundary(b).plan()).collect();
+    let directed = [
+        (
+            "transfer-object",
+            catalog.transfer_objects,
+            spec.max_object_sites,
+            FaultSite::TransferObject as fn(u64) -> FaultSite,
+        ),
+        ("syscall", catalog.syscalls, spec.max_syscall_sites, FaultSite::Syscall),
+        ("fault-in", catalog.fault_ins, spec.max_fault_in_sites, FaultSite::FaultIn),
+        ("drain-step", catalog.drain_steps, spec.max_drain_step_sites, FaultSite::DrainStep),
+    ];
+    for (dimension, total, max, site) in directed {
+        let (picks, was_capped) = spread(total, max);
+        if was_capped {
+            capped.push(format!("{dimension} sweep capped: {} of {total} sites", picks.len()));
+        }
+        schedules.extend(picks.into_iter().map(|n| site(n).plan()));
     }
-    schedules.extend(fault_ins.into_iter().map(|n| FaultSite::FaultIn(n).plan()));
-    let (drains, drains_capped) = spread(catalog.drain_steps, spec.max_drain_step_sites);
-    if drains_capped {
-        capped.push(format!("drain-step sweep capped: {} of {} sites", drains.len(), catalog.drain_steps));
-    }
-    schedules.extend(drains.into_iter().map(|n| FaultSite::DrainStep(n).plan()));
 
     // Seeded random schedules (possibly multi-trigger).
     let mut rng = ChaosRng::new(spec.seed ^ (config_index.wrapping_mul(0x9E37_79B9)));
@@ -577,25 +556,35 @@ pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
 
 #[cfg(test)]
 mod tests {
-    use super::{run_config, spread, ChaosMode, ChaosSpec};
+    use super::{run_config, spread, ChaosSpec, CONFIGS};
 
-    /// At quick scale the stop-the-world site space is small enough to
-    /// sweep whole: every boundary, transfer-object and syscall site is
-    /// armed once, and each one rolls back byte-identical.
+    /// The tracked smoke scenario, swept whole: in every mode each boundary,
+    /// transfer-object, syscall, fault-in and drain-step site is armed once,
+    /// and each one rolls back byte-identical.
     #[test]
-    fn quick_stop_the_world_sweep_covers_every_site() {
+    fn exhaustive_sweep_covers_every_site_in_every_mode() {
         let spec = ChaosSpec {
             max_object_sites: usize::MAX,
             max_syscall_sites: usize::MAX,
+            max_fault_in_sites: usize::MAX,
+            max_drain_step_sites: usize::MAX,
             random_schedules: 0,
             supervise_every: 0,
-            ..ChaosSpec::quick()
+            ..ChaosSpec::smoke()
         };
-        let outcome = run_config(&spec, ChaosMode::StopTheWorld, 0);
-        assert!(outcome.capped.is_empty(), "{:?}", outcome.capped);
-        assert!(outcome.clean(), "{:?}", outcome.repros);
-        let total = outcome.catalog.total_sites();
-        assert_eq!(outcome.coverage_ratio(), 1.0, "{} of {total} sites armed", outcome.sites_injected);
+        for (i, &mode) in CONFIGS.iter().enumerate() {
+            let outcome = run_config(&spec, mode, i as u64);
+            let label = mode.label();
+            assert!(outcome.capped.is_empty(), "{label}: {:?}", outcome.capped);
+            assert!(outcome.clean(), "{label}: {:?}", outcome.repros);
+            let total = outcome.catalog.total_sites();
+            assert_eq!(
+                outcome.coverage_ratio(),
+                1.0,
+                "{label}: {} of {total} sites armed",
+                outcome.sites_injected
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@ use mcr_servers::program_by_name;
 use mcr_typemeta::InstrumentationConfig;
 use mcr_workload::{open_idle_connections, run_workload, workload_for};
 
-use crate::chaos::spread;
 use crate::{boot_program, kernel_fingerprint, Json};
 
 /// Quiescence budget (barrier passes) for the campaign's own barriers.
@@ -73,8 +72,6 @@ pub struct CheckpointSpec {
     pub(crate) open_connections: usize,
     /// Shards (and modelled shard writers) per checkpoint.
     pub(crate) shard_writers: usize,
-    /// Cap on crash/torn points swept per fault kind (0 = every block).
-    pub(crate) max_crash_points: usize,
 }
 
 impl CheckpointSpec {
@@ -88,7 +85,6 @@ impl CheckpointSpec {
             extra_requests: 3,
             open_connections: 4,
             shard_writers: 4,
-            max_crash_points: 0,
         }
     }
 
@@ -146,8 +142,6 @@ pub struct CheckpointOutcome {
     /// Serial-over-parallel ratio of the reference checkpoint's modelled
     /// shard writeback.
     pub writer_speedup: f64,
-    /// Capped sweep dimensions (empty when every block was swept).
-    pub capped: Vec<String>,
     /// Human-readable reproducers for every deviation.
     pub repros: Vec<String>,
 }
@@ -461,13 +455,8 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
     out.writer_speedup = reference.speedup();
 
     // Crash-consistency sweep: every block of a checkpoint write is a crash
-    // point and a torn point (evenly spread when capped).
-    let (points, capped) =
-        spread(out.blocks, if spec.max_crash_points == 0 { usize::MAX } else { spec.max_crash_points });
-    if capped {
-        out.capped.push(format!("crash-points:{}/{}", points.len(), out.blocks));
-    }
-    for &n in &points {
+    // point and a torn point.
+    for n in 1..=out.blocks {
         crash_drill(spec, n, false, &mut out);
         crash_drill(spec, n, true, &mut out);
     }
@@ -520,7 +509,8 @@ pub fn checkpoint_json(spec: &CheckpointSpec, out: &CheckpointOutcome) -> Json {
         ("supervisor_committed", out.supervisor_committed.into()),
         ("retention_ok", Json::Bool(out.retention_ok)),
         ("writer_speedup", Json::Num(out.writer_speedup)),
-        ("capped", Json::Arr(out.capped.iter().map(Json::str).collect())),
+        // Every block is swept, so nothing is capped; the field keeps the report's schema.
+        ("capped", Json::Arr(Vec::new())),
         ("repros", Json::Arr(out.repros.iter().map(Json::str).collect())),
     ])
 }
@@ -538,7 +528,6 @@ mod tests {
             extra_requests: 1,
             open_connections: 2,
             shard_writers: 2,
-            max_crash_points: 3,
         }
     }
 

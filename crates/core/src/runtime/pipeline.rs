@@ -234,8 +234,8 @@
 //!    that [`supervised_update`](crate::runtime::supervisor::supervised_update)
 //!    then converges to a commit once the fault clears
 //!    (the root `tests/tracked_reports.rs` runs the smoke grid behind
-//!    `BENCH_chaos.json`; `mcr-bench`'s unit tests sweep every
-//!    stop-the-world site at quick scale).
+//!    `BENCH_chaos.json`; `mcr-bench`'s unit tests sweep every site of
+//!    every mode in the same scenario).
 //! 3. **Reproduce** — a failing schedule is reduced with
 //!    [`shrink_schedule`](crate::runtime::chaos::shrink_schedule) to a
 //!    1-minimal reproducer; that plan plus the campaign seed replays the

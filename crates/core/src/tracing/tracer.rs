@@ -1788,7 +1788,7 @@ mod tests {
             let edge_to = |from: Addr| graph.get(from).unwrap().precise_pointers[0].target_base;
             assert_eq!((edge_to(inner), edge_to(base)), (x, x));
             assert!(graph.get(x).is_some() && graph.get(x.offset(8)).is_none());
-            // Known limit (ROADMAP item 1(c)): the pointee an interior
+            // Known limit (interior-pointer typing): the pointee an interior
             // pointer declares types the whole untyped chunk, as at the
             // parent. If this fails because `x` is untyped, it was fixed.
             assert_eq!(graph.get(x).unwrap().type_id, state.types.lookup("conf_s"));

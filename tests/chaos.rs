@@ -1,5 +1,5 @@
-//! Chaos-engine integration tests at debug-build scale: the fault-site
-//! catalog and the shrinker, end to end against a real server scenario.
+//! Chaos-engine integration tests on the smoke campaign's scenario: the
+//! fault-site catalog and the shrinker, end to end against a real server.
 //!
 //! The smoke campaign (>= 50 schedules per transfer mode, all three modes)
 //! and its safety (byte-identical rollback) and liveness (supervisor
@@ -11,7 +11,7 @@ use mcr_core::runtime::{shrink_schedule, ChaosPlan, FaultSite};
 
 #[test]
 fn fault_site_enumeration_covers_all_three_dimensions() {
-    let spec = ChaosSpec::quick();
+    let spec = ChaosSpec::smoke();
     let catalog = enumerate_sites(&spec, ChaosMode::StopTheWorld);
     let labels: Vec<&str> = catalog.boundaries.iter().map(|b| b.label()).collect();
     assert_eq!(
@@ -37,7 +37,7 @@ fn fault_site_enumeration_covers_all_three_dimensions() {
 
 #[test]
 fn shrinker_reduces_a_noisy_schedule_against_the_real_pipeline() {
-    let spec = ChaosSpec::quick();
+    let spec = ChaosSpec::smoke();
     // The observed "failure": the run rolls back blaming the injected
     // syscall fault. The boundary and object arms are noise the shrinker
     // must discard, and the syscall index must come down to 1.
