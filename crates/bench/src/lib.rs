@@ -1,35 +1,31 @@
-//! # mcr-bench — harnesses regenerating every table and figure of the paper
+//! # mcr-bench — the paper's tables and the tracked reports' harnesses
 //!
-//! Each experiment of the evaluation section (§8) is split into three layers
-//! so the binaries under `src/bin/` and the tests share one implementation:
+//! Each experiment of the evaluation section (§8) is a `*_rows` function
+//! that runs it against the simulated servers and returns structured rows,
+//! and a `*_json` function that renders those rows. [`paper_json`] joins the
+//! seven into `BENCH_paper.json`, which `tests/tracked_reports.rs` rebuilds
+//! and compares byte for byte with the committed file, next to the chaos,
+//! checkpoint, pre-copy and adaptive-transfer reports whose harnesses also
+//! live here.
 //!
-//! * a `*_rows` function that runs the experiment against the simulated
-//!   servers and returns structured rows;
-//! * a `*_report` function that renders those rows as the human-readable
-//!   table (what the smoke tests assert on);
-//! * a `*_json` function that renders the same rows as a machine-readable
-//!   [`Json`] document (what the binaries emit to stdout).
-//!
-//! | Experiment | Rows | Binary |
+//! | Experiment | Rows | Measure |
 //! |---|---|---|
-//! | Table 1 (programs, updates, engineering effort) | [`table1_rows`] | `table1_effort` |
-//! | Table 2 (mutable tracing statistics) | [`table2_rows`] | `table2_tracing` |
-//! | Table 3 (run-time overhead) | [`table3_rows`] | `table3_overhead` |
-//! | SPEC-style allocator microbenchmark | [`spec_alloc_rows`] | `spec_alloc` |
-//! | Update time (per pipeline phase) | [`update_time_rows`] | `update_time` |
-//! | Figure 3 (state-transfer time vs. open connections) | [`figure3_series`] | `fig3_state_transfer` |
-//! | Memory usage | [`memory_rows`] | `memory_usage` |
+//! | Table 1 (programs, updates, engineering effort) | `table1_rows` | profiled; catalogue figures quoted |
+//! | Table 2 (mutable tracing statistics) | `table2_rows` | counted |
+//! | Table 3 (run-time overhead) | `table3_rows` | simulated time |
+//! | SPEC-style allocator microbenchmark | `spec_alloc_rows` | counted heap stores |
+//! | Update time (per pipeline phase) | `update_time_rows` | simulated time |
+//! | Figure 3 (state-transfer time vs. open connections) | `figure3_rows` | simulated time |
+//! | Memory usage | `memory_rows` | counted bytes |
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
-
 use mcr_core::runtime::{
     boot, live_update, BootOptions, McrInstance, MemoryReport, PrecopyOptions, TransferMode, UpdateOptions,
-    UpdateOutcome, UpdatePipeline,
+    UpdateOutcome, UpdatePipeline, UpdateReport,
 };
 use mcr_core::{QuiescenceProfiler, TraceOptions, TracingStats};
-use mcr_procsim::Kernel;
+use mcr_procsim::{Kernel, SimDuration};
 use mcr_servers::{
     apply_scenario_writes, install_standard_files, paper_catalog, program_by_name, stamp_request_scratch,
     PrecopyScenario,
@@ -53,7 +49,7 @@ pub use json::Json;
 pub use microbench::percentile_of;
 
 /// The four evaluated program names, in the paper's order.
-pub const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
+const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
 
 /// Boots generation `generation` of `program` on a fresh kernel with the
 /// given instrumentation configuration.
@@ -61,7 +57,11 @@ pub const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
 /// # Panics
 ///
 /// Panics if the simulated server fails to boot (a bug in the harness).
-pub fn boot_program(program: &str, generation: u32, config: InstrumentationConfig) -> (Kernel, McrInstance) {
+pub(crate) fn boot_program(
+    program: &str,
+    generation: u32,
+    config: InstrumentationConfig,
+) -> (Kernel, McrInstance) {
     let mut kernel = Kernel::new();
     install_standard_files(&mut kernel);
     let opts = BootOptions { config, layout_slide: 0, start_quiesced: false };
@@ -70,21 +70,19 @@ pub fn boot_program(program: &str, generation: u32, config: InstrumentationConfi
     (kernel, instance)
 }
 
-/// Runs the program's standard workload and returns the wall-clock seconds it
+/// Runs the program's standard workload and returns the simulated time it
 /// took (the quantity normalized in Table 3).
 ///
 /// # Panics
 ///
 /// Panics if the workload cannot run.
-pub fn run_standard_workload(
+pub(crate) fn run_standard_workload(
     kernel: &mut Kernel,
     instance: &mut McrInstance,
     program: &str,
     requests: u64,
-) -> f64 {
-    let spec = workload_for(program, requests);
-    let result = run_workload(kernel, instance, &spec).expect("workload runs");
-    result.wall_time.as_secs_f64().max(1e-9)
+) -> SimDuration {
+    run_workload(kernel, instance, &workload_for(program, requests)).expect("workload runs").sim_time
 }
 
 /// Performs a live update from `generation` to `generation + 1` with `open`
@@ -93,7 +91,7 @@ pub fn run_standard_workload(
 /// # Panics
 ///
 /// Panics if the server fails to boot or the workload cannot run.
-pub fn update_with_connections(
+fn update_with_connections(
     program: &str,
     generation: u32,
     requests: u64,
@@ -300,7 +298,7 @@ pub fn adaptive_update(
 }
 
 /// Traces every process of an instance and merges the per-process statistics.
-pub(crate) fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
+fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
     let mut stats = TracingStats::default();
     for &pid in &instance.state.processes {
         if let Ok(result) =
@@ -312,369 +310,196 @@ pub(crate) fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> Tracing
     stats
 }
 
+/// The paper's §8 evaluation as one document, `BENCH_paper.json`: the seven
+/// experiments at the sizes the tracked report records, one
+/// `{"experiment", "rows", ..}` section each.
+pub fn paper_json() -> Json {
+    let sections = vec![
+        table1_json(&table1_rows(20)),
+        table2_json(&table2_rows(30)),
+        table3_json(&table3_rows(200)),
+        spec_alloc_json(&spec_alloc_rows(20)),
+        update_time_json(&update_time_rows(20)),
+        figure3_json(&figure3_rows(&[0, 10, 25, 50, 75, 100], 10)),
+        memory_json(&memory_rows(50)),
+    ];
+    Json::obj([("experiment", Json::str("paper_tables")), ("sections", Json::Arr(sections))])
+}
+
+/// One section of [`paper_json`]: the experiment's name, its rows, then any
+/// trailing fields.
+fn section<const N: usize>(
+    experiment: &str,
+    rows: impl Iterator<Item = Json>,
+    trailer: [(&str, Json); N],
+) -> Json {
+    let mut fields = vec![
+        ("experiment".to_string(), Json::str(experiment)),
+        ("rows".to_string(), Json::Arr(rows.collect())),
+    ];
+    fields.extend(trailer.map(|(key, value)| (key.to_string(), value)));
+    Json::Obj(fields)
+}
+
 // ---------------------------------------------------------------------------
 // Table 1 — programs, updates and engineering effort
 // ---------------------------------------------------------------------------
 
-/// One row of Table 1: measured quiescence profile next to the catalogued
-/// update and engineering-effort figures.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
+/// Table 1's columns, in the order of [`Table1Row::counts`]: the measured
+/// quiescence profile, then the catalogued update and effort figures.
+const TABLE1_COLUMNS: [&str; 12] = [
+    "short_lived",
+    "long_lived",
+    "quiescent_points",
+    "persistent_points",
+    "volatile_points",
+    "updates",
+    "changed_loc",
+    "changed_functions",
+    "changed_variables",
+    "changed_types",
+    "annotation_loc",
+    "state_transfer_loc",
+];
+
+/// One row of Table 1.
+struct Table1Row {
     /// Program (or `"Total"` for the footer row).
-    pub(crate) program: String,
-    /// Short-lived process classes.
-    pub(crate) short_lived: usize,
-    /// Long-lived process/thread classes.
-    pub(crate) long_lived: usize,
-    /// Quiescent points found by the profiler.
-    pub(crate) quiescent_points: usize,
-    /// Persistent quiescent points.
-    pub(crate) persistent_points: usize,
-    /// Volatile quiescent points.
-    pub(crate) volatile_points: usize,
-    /// Number of catalogued updates.
-    pub(crate) updates: u64,
-    /// Changed LOC across the updates.
-    pub(crate) changed_loc: u64,
-    /// Changed functions.
-    pub(crate) changed_functions: u64,
-    /// Changed variables.
-    pub(crate) changed_variables: u64,
-    /// Changed types.
-    pub(crate) changed_types: u64,
-    /// Annotation LOC needed to MCR-enable the program.
-    pub(crate) annotation_loc: u64,
-    /// State-transfer callback LOC.
-    pub(crate) state_transfer_loc: u64,
+    program: &'static str,
+    /// One count per [`TABLE1_COLUMNS`] entry.
+    counts: [u64; 12],
 }
 
 /// Runs the Table 1 experiment: quiescence-profiles every program under the
 /// standard workload and joins the result with the paper's update catalogue.
-/// The last row is the `Total` footer.
-pub fn table1_rows(profile_requests: u64) -> Vec<Table1Row> {
+/// The last row is the `Total` footer, the column sums.
+fn table1_rows(profile_requests: u64) -> Vec<Table1Row> {
     let catalog = paper_catalog();
-    let mut rows = Vec::new();
-    for program in PROGRAMS {
-        let (mut kernel, mut instance) = boot_program(program, 1, InstrumentationConfig::full());
-        run_standard_workload(&mut kernel, &mut instance, program, profile_requests);
-        let report = QuiescenceProfiler::analyze(&kernel, &instance.state);
-        let entry = catalog.iter().find(|e| e.program == program).expect("catalogued program");
-        rows.push(Table1Row {
-            program: program.to_string(),
-            short_lived: report.short_lived_classes(),
-            long_lived: report.long_lived_classes(),
-            quiescent_points: report.quiescent_points(),
-            persistent_points: report.persistent_points(),
-            volatile_points: report.volatile_points(),
-            updates: u64::from(entry.updates),
-            changed_loc: u64::from(entry.changed_loc),
-            changed_functions: u64::from(entry.changed_functions),
-            changed_variables: u64::from(entry.changed_variables),
-            changed_types: u64::from(entry.changed_types),
-            annotation_loc: instance.state.annotations.annotation_loc().max(u64::from(entry.annotation_loc)),
-            state_transfer_loc: u64::from(entry.state_transfer_loc),
-        });
-    }
-    let total = Table1Row {
-        program: "Total".to_string(),
-        short_lived: rows.iter().map(|r| r.short_lived).sum(),
-        long_lived: rows.iter().map(|r| r.long_lived).sum(),
-        quiescent_points: rows.iter().map(|r| r.quiescent_points).sum(),
-        persistent_points: rows.iter().map(|r| r.persistent_points).sum(),
-        volatile_points: rows.iter().map(|r| r.volatile_points).sum(),
-        updates: rows.iter().map(|r| r.updates).sum(),
-        changed_loc: rows.iter().map(|r| r.changed_loc).sum(),
-        changed_functions: rows.iter().map(|r| r.changed_functions).sum(),
-        changed_variables: rows.iter().map(|r| r.changed_variables).sum(),
-        changed_types: rows.iter().map(|r| r.changed_types).sum(),
-        annotation_loc: {
-            let t = mcr_servers::totals(&catalog);
-            u64::from(t.annotation_loc)
-        },
-        state_transfer_loc: rows.iter().map(|r| r.state_transfer_loc).sum(),
-    };
-    rows.push(total);
+    let mut rows: Vec<Table1Row> = PROGRAMS
+        .iter()
+        .map(|&program| {
+            let (mut kernel, mut instance) = boot_program(program, 1, InstrumentationConfig::full());
+            run_standard_workload(&mut kernel, &mut instance, program, profile_requests);
+            let p = QuiescenceProfiler::analyze(&kernel, &instance.state);
+            let e = catalog.iter().find(|e| e.program == program).expect("catalogued program");
+            let annotation_loc = instance.state.annotations.annotation_loc().max(u64::from(e.annotation_loc));
+            let n = |count: usize| count as u64;
+            let counts = [
+                n(p.short_lived_classes()),
+                n(p.long_lived_classes()),
+                n(p.quiescent_points()),
+                n(p.persistent_points()),
+                n(p.volatile_points()),
+                e.updates.into(),
+                e.changed_loc.into(),
+                e.changed_functions.into(),
+                e.changed_variables.into(),
+                e.changed_types.into(),
+                annotation_loc,
+                e.state_transfer_loc.into(),
+            ];
+            Table1Row { program, counts }
+        })
+        .collect();
+    let counts = std::array::from_fn(|column| rows.iter().map(|r| r.counts[column]).sum());
+    rows.push(Table1Row { program: "Total", counts });
     rows
 }
 
-/// Renders Table 1 rows as the human-readable table.
-pub fn table1_render(rows: &[Table1Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} | {:>3} {:>3} {:>3} {:>4} {:>4} | {:>4} {:>7} | {:>5} {:>4} {:>5} | {:>8} {:>7}",
-        "program", "SL", "LL", "QP", "Per", "Vol", "Num", "LOC", "Fun", "Var", "Type", "Ann LOC", "ST LOC"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<10} | {:>3} {:>3} {:>3} {:>4} {:>4} | {:>4} {:>7} | {:>5} {:>4} {:>5} | {:>8} {:>7}",
-            r.program,
-            r.short_lived,
-            r.long_lived,
-            r.quiescent_points,
-            r.persistent_points,
-            r.volatile_points,
-            r.updates,
-            r.changed_loc,
-            r.changed_functions,
-            r.changed_variables,
-            r.changed_types,
-            r.annotation_loc,
-            r.state_transfer_loc,
-        );
+fn table1_json(rows: &[Table1Row]) -> Json {
+    let row = |r: &Table1Row| {
+        let counts = TABLE1_COLUMNS.iter().zip(r.counts).map(|(&column, n)| (column.to_string(), n.into()));
+        Json::Obj(std::iter::once(("program".to_string(), Json::str(r.program))).chain(counts).collect())
+    };
+    section("table1_effort", rows.iter().map(row), [])
+}
+
+// ---------------------------------------------------------------------------
+// Tables 2 and 3 — mutable tracing statistics and run-time overhead
+// ---------------------------------------------------------------------------
+
+/// The configurations Tables 2 and 3 measure: `(label, program, region
+/// allocator instrumented)`. `nginxreg` is nginx with its region allocator
+/// instrumented.
+const TABLE_CONFIGS: [(&str, &str, bool); 5] = [
+    ("httpd", "httpd", false),
+    ("nginx", "nginx", false),
+    ("nginxreg", "nginx", true),
+    ("vsftpd", "vsftpd", false),
+    ("sshd", "sshd", false),
+];
+
+/// The build of a [`TABLE_CONFIGS`] entry at `level`: the region allocator
+/// is instrumented from static instrumentation on.
+fn config_at(level: InstrumentationLevel, region_instr: bool) -> InstrumentationConfig {
+    InstrumentationConfig {
+        level,
+        instrument_region_allocator: region_instr && level >= InstrumentationLevel::StaticInstr,
     }
-    let _ = writeln!(
-        out,
-        "(paper totals: SL 6, LL 18, QP 18, Per 9, Vol 9, 40 updates, 40725 LOC, Ann 334, ST 793)"
-    );
-    out
 }
 
-/// Regenerates Table 1 as a human-readable table.
-pub fn table1_report(profile_requests: u64) -> String {
-    table1_render(&table1_rows(profile_requests))
-}
-
-/// Renders Table 1 rows as JSON.
-pub fn table1_json(rows: &[Table1Row]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("table1_effort")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("program", Json::str(&r.program)),
-                            ("short_lived", r.short_lived.into()),
-                            ("long_lived", r.long_lived.into()),
-                            ("quiescent_points", r.quiescent_points.into()),
-                            ("persistent_points", r.persistent_points.into()),
-                            ("volatile_points", r.volatile_points.into()),
-                            ("updates", r.updates.into()),
-                            ("changed_loc", r.changed_loc.into()),
-                            ("changed_functions", r.changed_functions.into()),
-                            ("changed_variables", r.changed_variables.into()),
-                            ("changed_types", r.changed_types.into()),
-                            ("annotation_loc", r.annotation_loc.into()),
-                            ("state_transfer_loc", r.state_transfer_loc.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — mutable tracing statistics
-// ---------------------------------------------------------------------------
-
-/// One row of Table 2: tracing statistics for one program configuration.
-#[derive(Debug, Clone)]
-pub struct Table2Row {
-    /// Row label (`nginxreg` is nginx with its region allocator instrumented).
-    pub(crate) label: String,
-    /// Aggregated tracing statistics after the standard workload.
-    pub(crate) stats: TracingStats,
-}
-
-/// Runs the Table 2 experiment for every program (plus `nginxreg`).
-pub fn table2_rows(requests: u64) -> Vec<Table2Row> {
-    let mut configs: Vec<(String, &str, InstrumentationConfig)> =
-        PROGRAMS.iter().map(|&p| (p.to_string(), p, InstrumentationConfig::full())).collect();
-    configs.insert(
-        2,
-        ("nginxreg".to_string(), "nginx", InstrumentationConfig::full_with_region_instrumentation()),
-    );
-    configs
-        .into_iter()
-        .map(|(label, program, config)| {
+/// Runs the Table 2 experiment: traces every configuration of
+/// [`TABLE_CONFIGS`] after its standard workload.
+fn table2_rows(requests: u64) -> Vec<(&'static str, TracingStats)> {
+    TABLE_CONFIGS
+        .iter()
+        .map(|&(label, program, region_instr)| {
+            let config = config_at(InstrumentationLevel::QuiescenceDetection, region_instr);
             let (mut kernel, mut instance) = boot_program(program, 1, config);
             run_standard_workload(&mut kernel, &mut instance, program, requests);
-            let stats = trace_instance(&kernel, &instance);
-            Table2Row { label, stats }
+            (label, trace_instance(&kernel, &instance))
         })
         .collect()
 }
 
-/// Renders Table 2 rows as the human-readable table.
-pub fn table2_render(rows: &[Table2Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>7}",
-        "program",
-        "prec",
-        "p.srcSt",
-        "p.srcDy",
-        "p.tgLib",
-        "likely",
-        "l.srcSt",
-        "l.srcDy",
-        "l.tgLib",
-        "immut",
-        "immut%"
-    );
-    for r in rows {
-        let s = &r.stats;
-        let _ = writeln!(
-            out,
-            "{:<10} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6.1}%",
-            r.label,
-            s.precise.total,
-            s.precise.src_static,
-            s.precise.src_dynamic,
-            s.precise.targ_lib,
-            s.likely.total,
-            s.likely.src_static,
-            s.likely.src_dynamic,
-            s.likely.targ_lib,
-            s.immutable_objects,
-            s.immutable_fraction() * 100.0,
-        );
-    }
-    let _ = writeln!(out, "(paper: httpd 2373 precise / 16252 likely; nginx 1242/4049; nginxreg 2049/3522; vsftpd 149/6; sshd 237/56)");
-    out
-}
-
-/// Regenerates Table 2 as a human-readable table.
-pub fn table2_report(requests: u64) -> String {
-    table2_render(&table2_rows(requests))
-}
-
-/// Renders Table 2 rows as JSON.
-pub fn table2_json(rows: &[Table2Row]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("table2_tracing")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        let s = &r.stats;
-                        Json::obj([
-                            ("program", Json::str(&r.label)),
-                            (
-                                "precise",
-                                Json::obj([
-                                    ("total", s.precise.total.into()),
-                                    ("src_static", s.precise.src_static.into()),
-                                    ("src_dynamic", s.precise.src_dynamic.into()),
-                                    ("targ_lib", s.precise.targ_lib.into()),
-                                ]),
-                            ),
-                            (
-                                "likely",
-                                Json::obj([
-                                    ("total", s.likely.total.into()),
-                                    ("src_static", s.likely.src_static.into()),
-                                    ("src_dynamic", s.likely.src_dynamic.into()),
-                                    ("targ_lib", s.likely.targ_lib.into()),
-                                ]),
-                            ),
-                            ("immutable_objects", s.immutable_objects.into()),
-                            ("immutable_fraction", Json::Num(s.immutable_fraction())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Table 3 — run-time overhead
-// ---------------------------------------------------------------------------
-
-/// One row of Table 3: normalized run time per cumulative instrumentation
-/// level.
-#[derive(Debug, Clone)]
-pub struct Table3Row {
-    /// Row label (`nginxreg` is nginx with region-allocator instrumentation).
-    pub(crate) label: String,
-    /// Run time at each level beyond baseline, normalized against baseline:
-    /// `[Unblock, +SInstr, +DInstr, +QDet]`.
-    pub(crate) normalized: [f64; 4],
+fn table2_json(rows: &[(&str, TracingStats)]) -> Json {
+    let counts = |c: &mcr_core::tracing::PointerStats| {
+        Json::obj([
+            ("total", c.total.into()),
+            ("src_static", c.src_static.into()),
+            ("src_dynamic", c.src_dynamic.into()),
+            ("targ_lib", c.targ_lib.into()),
+        ])
+    };
+    let row = |(label, s): &(&str, TracingStats)| {
+        Json::obj([
+            ("program", Json::str(*label)),
+            ("precise", counts(&s.precise)),
+            ("likely", counts(&s.likely)),
+            ("immutable_objects", s.immutable_objects.into()),
+            ("immutable_fraction", s.immutable_fraction().into()),
+        ])
+    };
+    section("table2_tracing", rows.iter().map(row), [])
 }
 
 /// Runs the Table 3 experiment: the standard workload at every cumulative
-/// instrumentation level, `repeats` times each, keeping the median.
-pub fn table3_rows(requests: u64, repeats: u32) -> Vec<Table3Row> {
-    let mut rows: Vec<(String, &str, bool)> = PROGRAMS.iter().map(|&p| (p.to_string(), p, false)).collect();
-    rows.insert(2, ("nginxreg".to_string(), "nginx", true));
-    rows.into_iter()
-        .map(|(label, program, region_instr)| {
-            let mut medians = Vec::new();
-            for level in InstrumentationLevel::ALL {
-                let mut samples = Vec::new();
-                for _ in 0..repeats.max(1) {
-                    let config = InstrumentationConfig {
-                        level,
-                        instrument_region_allocator: region_instr
-                            && level >= InstrumentationLevel::StaticInstr,
-                    };
-                    let (mut kernel, mut instance) = boot_program(program, 1, config);
-                    samples.push(run_standard_workload(&mut kernel, &mut instance, program, requests));
-                }
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                medians.push(samples[samples.len() / 2]);
-            }
-            let baseline = medians[0];
-            Table3Row {
-                label,
-                normalized: [
-                    medians[1] / baseline,
-                    medians[2] / baseline,
-                    medians[3] / baseline,
-                    medians[4] / baseline,
-                ],
-            }
+/// instrumentation level, its simulated time normalized against the
+/// baseline's as `[Unblock, +SInstr, +DInstr, +QDet]`.
+fn table3_rows(requests: u64) -> Vec<(&'static str, [f64; 4])> {
+    TABLE_CONFIGS
+        .iter()
+        .map(|&(label, program, region_instr)| {
+            let times = InstrumentationLevel::ALL.map(|level| {
+                let (mut kernel, mut instance) = boot_program(program, 1, config_at(level, region_instr));
+                run_standard_workload(&mut kernel, &mut instance, program, requests).0 as f64
+            });
+            (label, std::array::from_fn(|i| times[i + 1] / times[0]))
         })
         .collect()
 }
 
-/// Renders Table 3 rows as the human-readable table.
-pub fn table3_render(rows: &[Table3Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} | {:>8} {:>8} {:>8} {:>8}",
-        "program", "Unblock", "+SInstr", "+DInstr", "+QDet"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<10} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            r.label, r.normalized[0], r.normalized[1], r.normalized[2], r.normalized[3],
-        );
-    }
-    let _ = writeln!(out, "(paper: httpd 0.977/1.040/1.043/1.047, nginx 1.000 across, nginxreg 1.000/1.175/1.192/1.186, vsftpd ~1.03, sshd ~1.00)");
-    out
-}
-
-/// Renders Table 3 rows as JSON.
-pub fn table3_json(rows: &[Table3Row]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("table3_overhead")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("program", Json::str(&r.label)),
-                            ("unblockified", Json::Num(r.normalized[0])),
-                            ("static_instr", Json::Num(r.normalized[1])),
-                            ("dynamic_instr", Json::Num(r.normalized[2])),
-                            ("quiescence_detection", Json::Num(r.normalized[3])),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn table3_json(rows: &[(&str, [f64; 4])]) -> Json {
+    let row = |&(label, [unblock, sinstr, dinstr, qdet]): &(&str, [f64; 4])| {
+        Json::obj([
+            ("program", Json::str(label)),
+            ("unblockified", unblock.into()),
+            ("static_instr", sinstr.into()),
+            ("dynamic_instr", dinstr.into()),
+            ("quiescence_detection", qdet.into()),
+        ])
+    };
+    section("table3_overhead", rows.iter().map(row), [("measure", Json::str("simulated_time_ratio"))])
 }
 
 // ---------------------------------------------------------------------------
@@ -682,284 +507,118 @@ pub fn table3_json(rows: &[Table3Row]) -> Json {
 // ---------------------------------------------------------------------------
 
 /// One row of the SPEC-style allocator experiment.
-#[derive(Debug, Clone)]
-pub struct SpecAllocRow {
+struct SpecAllocRow {
     /// Benchmark name.
-    pub(crate) name: String,
-    /// Median instrumented-over-baseline overhead ratio.
-    pub(crate) overhead: f64,
+    name: String,
+    /// Instrumented-over-baseline ratio of the heap's store counts.
+    overhead: f64,
     /// Allocations performed by the instrumented run.
-    pub(crate) allocations: u64,
+    allocations: u64,
 }
 
 /// Runs the SPEC CPU2006-style allocator-instrumentation experiment.
-pub fn spec_alloc_rows(scale: u64, repeats: u32) -> Vec<SpecAllocRow> {
+fn spec_alloc_rows(scale: u64) -> Vec<SpecAllocRow> {
     AllocBenchSpec::spec_suite(scale)
         .into_iter()
         .map(|spec| {
-            let mut ratios = Vec::new();
-            let mut allocs = 0;
-            for _ in 0..repeats.max(1) {
-                let base = run_alloc_bench(&spec, false);
-                let instr = run_alloc_bench(&spec, true);
-                allocs = instr.allocations;
-                ratios.push(mcr_workload::overhead_ratio(&base, &instr));
+            let base = run_alloc_bench(&spec, false);
+            let instr = run_alloc_bench(&spec, true);
+            SpecAllocRow {
+                overhead: mcr_workload::overhead_ratio(&base, &instr),
+                allocations: instr.allocations,
+                name: spec.name,
             }
-            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            SpecAllocRow { name: spec.name.clone(), overhead: ratios[ratios.len() / 2], allocations: allocs }
         })
         .collect()
 }
 
-/// Renders the allocator-experiment rows as the human-readable table.
-pub fn spec_alloc_render(rows: &[SpecAllocRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<16} | {:>10} | {:>10}", "benchmark", "overhead", "allocs");
-    for r in rows {
-        let _ = writeln!(out, "{:<16} | {:>9.2}x | {:>10}", r.name, r.overhead, r.allocations);
-    }
-    let _ = writeln!(out, "(paper: 5% worst case across SPEC, except perlbench at 36%)");
-    out
-}
-
-/// Regenerates the allocator experiment as a human-readable table.
-pub fn spec_alloc_report(scale: u64, repeats: u32) -> String {
-    spec_alloc_render(&spec_alloc_rows(scale, repeats))
-}
-
-/// Renders the allocator-experiment rows as JSON.
-pub fn spec_alloc_json(rows: &[SpecAllocRow]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("spec_alloc")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("benchmark", Json::str(&r.name)),
-                            ("overhead", Json::Num(r.overhead)),
-                            ("allocations", r.allocations.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn spec_alloc_json(rows: &[SpecAllocRow]) -> Json {
+    let row = |r: &SpecAllocRow| {
+        Json::obj([
+            ("benchmark", Json::str(&r.name)),
+            ("overhead", r.overhead.into()),
+            ("allocations", r.allocations.into()),
+        ])
+    };
+    section("spec_alloc", rows.iter().map(row), [("measure", Json::str("heap_store_ratio"))])
 }
 
 // ---------------------------------------------------------------------------
 // Update time (§8) and Figure 3
 // ---------------------------------------------------------------------------
 
-/// One row of the update-time breakdown, including the per-phase trace the
-/// staged pipeline records.
-#[derive(Debug, Clone)]
-pub struct UpdateTimeRow {
-    /// Program name.
-    pub(crate) program: String,
-    /// Quiescence time, ms.
-    pub(crate) quiescence_ms: f64,
-    /// Control-migration (reinit/replay) time, ms.
-    pub(crate) control_migration_ms: f64,
-    /// Replay overhead relative to the original startup (fraction).
-    pub(crate) replay_overhead: f64,
-    /// State-transfer time (parallel per-process strategy), ms.
-    pub(crate) state_transfer_ms: f64,
-    /// Total unavailability, ms.
-    pub(crate) total_ms: f64,
-    /// Fraction of traced state skipped thanks to dirty-object tracking.
-    pub(crate) dirty_reduction: f64,
-    /// `(phase label, duration ms)` for every executed pipeline phase.
-    pub(crate) phases: Vec<(String, f64)>,
-}
-
-/// Runs the update-time experiment for every program.
+/// Runs the update-time experiment: one update of every program with 10
+/// idle connections open.
 ///
 /// # Panics
 ///
-/// Panics if an update unexpectedly rolls back (a harness bug).
-pub fn update_time_rows(requests: u64) -> Vec<UpdateTimeRow> {
+/// Panics if an update rolls back (a harness bug).
+fn update_time_rows(requests: u64) -> Vec<(&'static str, UpdateReport)> {
     PROGRAMS
         .iter()
         .map(|&program| {
-            let outcome = update_with_connections(program, 1, requests, 10, InstrumentationConfig::full());
-            assert!(outcome.is_committed(), "{program}: {:?}", outcome.conflicts());
-            let report = outcome.report();
-            UpdateTimeRow {
-                program: program.to_string(),
-                quiescence_ms: report.timings.quiescence.as_millis_f64(),
-                control_migration_ms: report.timings.control_migration.as_millis_f64(),
-                replay_overhead: report.replay_overhead_fraction(),
-                state_transfer_ms: report.timings.state_transfer.as_millis_f64(),
-                total_ms: report.timings.total.as_millis_f64(),
-                dirty_reduction: report.dirty_reduction(),
-                phases: report
-                    .phases
-                    .records()
-                    .iter()
-                    .map(|r| (r.name.label().to_string(), r.duration.as_millis_f64()))
-                    .collect(),
+            match update_with_connections(program, 1, requests, 10, InstrumentationConfig::full()) {
+                UpdateOutcome::Committed(report) => (program, report),
+                rolled_back => panic!("{program}: {:?}", rolled_back.conflicts()),
             }
         })
         .collect()
 }
 
-/// Renders the update-time rows as the human-readable table.
-pub fn update_time_render(rows: &[UpdateTimeRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} | {:>12} {:>16} {:>12} {:>12} | {:>10} {:>9}",
-        "program", "quiesce(ms)", "ctl-migrate(ms)", "replay-ovh", "st(ms)", "total(ms)", "dirty-red"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<10} | {:>12.3} {:>16.3} {:>11.1}% {:>12.3} | {:>10.3} {:>8.1}%",
-            r.program,
-            r.quiescence_ms,
-            r.control_migration_ms,
-            r.replay_overhead * 100.0,
-            r.state_transfer_ms,
-            r.total_ms,
-            r.dirty_reduction * 100.0,
-        );
-    }
-    let _ = writeln!(out, "(paper: quiescence < 100 ms, control migration < 50 ms with 1-45% replay overhead, state transfer 28-187 ms at 0 connections)");
-    out
+fn update_time_json(rows: &[(&str, UpdateReport)]) -> Json {
+    let row = |(program, r): &(&str, UpdateReport)| {
+        let phases = r.phases.records().iter().map(|p| {
+            Json::obj([
+                ("phase", Json::str(p.name.label())),
+                ("duration_ms", p.duration.as_millis_f64().into()),
+            ])
+        });
+        Json::obj([
+            ("program", Json::str(*program)),
+            ("quiescence_ms", r.timings.quiescence.as_millis_f64().into()),
+            ("control_migration_ms", r.timings.control_migration.as_millis_f64().into()),
+            ("replay_overhead", r.replay_overhead_fraction().into()),
+            ("state_transfer_ms", r.timings.state_transfer.as_millis_f64().into()),
+            ("total_ms", r.timings.total.as_millis_f64().into()),
+            ("dirty_reduction", r.dirty_reduction().into()),
+            ("phases", Json::Arr(phases.collect())),
+        ])
+    };
+    section("update_time", rows.iter().map(row), [])
 }
 
-/// Renders the update-time rows as JSON (per-phase durations included).
-pub fn update_time_json(rows: &[UpdateTimeRow]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("update_time")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("program", Json::str(&r.program)),
-                            ("quiescence_ms", Json::Num(r.quiescence_ms)),
-                            ("control_migration_ms", Json::Num(r.control_migration_ms)),
-                            ("replay_overhead", Json::Num(r.replay_overhead)),
-                            ("state_transfer_ms", Json::Num(r.state_transfer_ms)),
-                            ("total_ms", Json::Num(r.total_ms)),
-                            ("dirty_reduction", Json::Num(r.dirty_reduction)),
-                            (
-                                "phases",
-                                Json::Arr(
-                                    r.phases
-                                        .iter()
-                                        .map(|(name, ms)| {
-                                            Json::obj([
-                                                ("phase", Json::str(name)),
-                                                ("duration_ms", Json::Num(*ms)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// One point of the Figure 3 series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig3Point {
-    /// Open connections at update time.
-    pub(crate) connections: usize,
-    /// State-transfer time in milliseconds (parallel per-process strategy).
-    pub state_transfer_ms: f64,
-    /// Fraction of state skipped thanks to dirty-object tracking.
-    pub dirty_reduction: f64,
-}
-
-/// Computes the Figure 3 series for one program.
-pub fn figure3_series(program: &str, connections: &[usize], requests: u64) -> Vec<Fig3Point> {
+/// The Figure 3 series of one program: one update per connection count,
+/// paired with that count.
+fn figure3_series(program: &str, connections: &[usize], requests: u64) -> Vec<(usize, UpdateReport)> {
     connections
         .iter()
         .map(|&n| {
             let outcome = update_with_connections(program, 1, requests, n, InstrumentationConfig::full());
-            let report = outcome.report();
-            Fig3Point {
-                connections: n,
-                state_transfer_ms: report.timings.state_transfer.as_millis_f64(),
-                dirty_reduction: report.dirty_reduction(),
-            }
+            (n, outcome.report().clone())
         })
         .collect()
 }
 
 /// Computes the Figure 3 series for all four programs.
-pub fn figure3_rows(connections: &[usize], requests: u64) -> Vec<(String, Vec<Fig3Point>)> {
-    PROGRAMS
-        .iter()
-        .map(|&program| (program.to_string(), figure3_series(program, connections, requests)))
-        .collect()
+fn figure3_rows(connections: &[usize], requests: u64) -> Vec<(&'static str, Vec<(usize, UpdateReport)>)> {
+    PROGRAMS.iter().map(|&program| (program, figure3_series(program, connections, requests))).collect()
 }
 
-/// Renders the Figure 3 series as the human-readable table.
-pub fn figure3_render(rows: &[(String, Vec<Fig3Point>)], connections: &[usize]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{:<12}", "conns");
-    for &c in connections {
-        let _ = write!(out, " | {c:>10}");
-    }
-    let _ = writeln!(out);
-    for (program, series) in rows {
-        let _ = write!(out, "{program:<12}");
-        for point in series {
-            let _ = write!(out, " | {:>7.3} ms", point.state_transfer_ms);
-        }
-        let _ = writeln!(out);
-        let _ = write!(out, "{:<12}", "  dirty-red");
-        for point in series {
-            let _ = write!(out, " | {:>9.0}%", point.dirty_reduction * 100.0);
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "(paper: 28-187 ms at 0 connections, ~+371 ms on average at 100 connections; 68-86% dirty-tracking reduction)");
-    out
-}
-
-/// Renders the Figure 3 series as JSON.
-pub fn figure3_json(rows: &[(String, Vec<Fig3Point>)]) -> Json {
-    Json::obj([
-        ("experiment", Json::str("fig3_state_transfer")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|(program, series)| {
-                        Json::obj([
-                            ("program", Json::str(program)),
-                            (
-                                "points",
-                                Json::Arr(
-                                    series
-                                        .iter()
-                                        .map(|p| {
-                                            Json::obj([
-                                                ("connections", p.connections.into()),
-                                                ("state_transfer_ms", Json::Num(p.state_transfer_ms)),
-                                                ("dirty_reduction", Json::Num(p.dirty_reduction)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn figure3_json(rows: &[(&str, Vec<(usize, UpdateReport)>)]) -> Json {
+    let point = |(connections, r): &(usize, UpdateReport)| {
+        Json::obj([
+            ("connections", (*connections).into()),
+            ("state_transfer_ms", r.timings.state_transfer.as_millis_f64().into()),
+            ("dirty_reduction", r.dirty_reduction().into()),
+        ])
+    };
+    let row = |(program, series): &(&str, Vec<(usize, UpdateReport)>)| {
+        Json::obj([
+            ("program", Json::str(*program)),
+            ("points", Json::Arr(series.iter().map(point).collect())),
+        ])
+    };
+    section("fig3_state_transfer", rows.iter().map(row), [])
 }
 
 // ---------------------------------------------------------------------------
@@ -967,137 +626,128 @@ pub fn figure3_json(rows: &[(String, Vec<Fig3Point>)]) -> Json {
 // ---------------------------------------------------------------------------
 
 /// One row of the memory-usage evaluation.
-#[derive(Debug, Clone)]
-pub struct MemoryRow {
+struct MemoryRow {
     /// Program name.
-    pub(crate) program: String,
+    program: &'static str,
     /// Resident bytes of the uninstrumented baseline build.
-    pub(crate) baseline: MemoryReport,
+    baseline: MemoryReport,
     /// Resident bytes of the fully instrumented build.
-    pub(crate) instrumented: MemoryReport,
+    instrumented: MemoryReport,
 }
 
 impl MemoryRow {
     /// Instrumented-over-baseline resident-set ratio.
-    pub(crate) fn overhead(&self) -> f64 {
+    fn overhead(&self) -> f64 {
         self.instrumented.overhead_over(&self.baseline)
     }
 }
 
 /// Runs the memory-usage experiment for every program.
-pub fn memory_rows(requests: u64) -> Vec<MemoryRow> {
+fn memory_rows(requests: u64) -> Vec<MemoryRow> {
+    let measure = |program: &str, config| {
+        let (mut kernel, mut instance) = boot_program(program, 1, config);
+        run_standard_workload(&mut kernel, &mut instance, program, requests);
+        MemoryReport::measure(&kernel, &instance)
+    };
     PROGRAMS
         .iter()
-        .map(|&program| {
-            let (mut bk, mut bi) = boot_program(program, 1, InstrumentationConfig::baseline());
-            run_standard_workload(&mut bk, &mut bi, program, requests);
-            let baseline = MemoryReport::measure(&bk, &bi);
-            let (mut mk, mut mi) = boot_program(program, 1, InstrumentationConfig::full());
-            run_standard_workload(&mut mk, &mut mi, program, requests);
-            let instrumented = MemoryReport::measure(&mk, &mi);
-            MemoryRow { program: program.to_string(), baseline, instrumented }
+        .map(|&program| MemoryRow {
+            program,
+            baseline: measure(program, InstrumentationConfig::baseline()),
+            instrumented: measure(program, InstrumentationConfig::full()),
         })
         .collect()
 }
 
-/// Renders the memory rows as the human-readable table.
-pub fn memory_render(rows: &[MemoryRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} | {:>14} {:>14} {:>9} | {:>14}",
-        "program", "baseline(B)", "mcr(B)", "overhead", "metadata(B)"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<10} | {:>14} {:>14} {:>8.2}x | {:>14}",
-            r.program,
-            r.baseline.resident_bytes,
-            r.instrumented.resident_bytes,
-            r.overhead(),
-            r.instrumented.metadata_bytes
-        );
-    }
+fn memory_json(rows: &[MemoryRow]) -> Json {
     let avg = rows.iter().map(MemoryRow::overhead).sum::<f64>() / rows.len().max(1) as f64;
-    let _ = writeln!(out, "average overhead: {avg:.2}x (paper: 1.10x-4.84x RSS, 2.89x-3.9x average)");
-    out
-}
-
-/// Regenerates the memory-usage evaluation as a human-readable table.
-pub fn memory_report(requests: u64) -> String {
-    memory_render(&memory_rows(requests))
-}
-
-/// Renders the memory rows as JSON.
-pub fn memory_json(rows: &[MemoryRow]) -> Json {
-    let avg = rows.iter().map(MemoryRow::overhead).sum::<f64>() / rows.len().max(1) as f64;
-    Json::obj([
-        ("experiment", Json::str("memory_usage")),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("program", Json::str(&r.program)),
-                            ("baseline_bytes", r.baseline.resident_bytes.into()),
-                            ("instrumented_bytes", r.instrumented.resident_bytes.into()),
-                            ("metadata_bytes", r.instrumented.metadata_bytes.into()),
-                            ("overhead", Json::Num(r.overhead())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("average_overhead", Json::Num(avg)),
-    ])
+    let row = |r: &MemoryRow| {
+        Json::obj([
+            ("program", Json::str(r.program)),
+            ("baseline_bytes", r.baseline.resident_bytes.into()),
+            ("instrumented_bytes", r.instrumented.resident_bytes.into()),
+            ("metadata_bytes", r.instrumented.metadata_bytes.into()),
+            ("overhead", r.overhead().into()),
+        ])
+    };
+    section("memory_usage", rows.iter().map(row), [("average_overhead", avg.into())])
 }
 
 #[cfg(test)]
 mod tests {
+    use mcr_core::runtime::PhaseName;
+
     use super::*;
 
     #[test]
     fn table_reports_are_nonempty_and_cover_all_programs() {
-        let t1 = table1_report(3);
-        for p in PROGRAMS {
-            assert!(t1.contains(p), "table1 misses {p}");
+        let t1 = table1_rows(5);
+        let programs: Vec<&str> = t1.iter().map(|r| r.program).collect();
+        assert_eq!(programs, ["httpd", "nginx", "vsftpd", "sshd", "Total"]);
+        let ann = TABLE1_COLUMNS.iter().position(|&c| c == "annotation_loc").unwrap();
+        assert_eq!(t1[4].counts[ann], 334, "the paper's annotation total");
+
+        let mem = memory_rows(10);
+        assert_eq!(mem.iter().map(|r| r.program).collect::<Vec<_>>(), PROGRAMS);
+        for r in &mem {
+            assert!(
+                r.overhead() >= 1.0,
+                "{}: instrumentation never shrinks memory: {}",
+                r.program,
+                r.overhead()
+            );
         }
-        let t2 = table2_report(3);
-        assert!(t2.contains("nginxreg"));
-        let mem = memory_report(3);
-        assert!(mem.contains("average overhead"));
+    }
+
+    #[test]
+    fn table2_likely_pointer_shape_follows_allocator_instrumentation() {
+        let rows = table2_rows(10);
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), TABLE_CONFIGS.map(|c| c.0));
+        let stats = |label: &str| &rows.iter().find(|r| r.0 == label).unwrap().1;
+        // Uninstrumented custom allocators (httpd pools) make likely pointers a
+        // far larger share of all pointers than in a fully instrumented
+        // malloc-based program (vsftpd), and instrumenting nginx's region
+        // allocator (nginxreg) reduces its likely-pointer population.
+        let share = |label: &str| {
+            let s = stats(label);
+            s.likely.total as f64 / (s.likely.total + s.precise.total).max(1) as f64
+        };
+        assert!(share("httpd") > share("vsftpd"), "httpd {} vs vsftpd {}", share("httpd"), share("vsftpd"));
+        assert!(stats("nginxreg").likely.total <= stats("nginx").likely.total);
     }
 
     #[test]
     fn figure3_series_scales_with_connections() {
-        let series = figure3_series("vsftpd", &[0, 10], 2);
-        assert_eq!(series.len(), 2);
-        assert!(series[1].state_transfer_ms >= series[0].state_transfer_ms);
+        let series = figure3_series("sshd", &[0, 20], 3);
+        let (idle, busy) = (&series[0].1, &series[1].1);
+        assert!(busy.timings.state_transfer > idle.timings.state_transfer);
+        assert!(busy.dirty_reduction() > 0.0, "dirty tracking skips clean startup state");
     }
 
     #[test]
     fn update_time_report_commits_every_program() {
-        let report = update_time_render(&update_time_rows(2));
-        assert!(report.contains("httpd") && report.contains("sshd"));
+        for program in PROGRAMS {
+            let outcome = update_with_connections(program, 1, 3, 5, InstrumentationConfig::full());
+            assert!(outcome.is_committed(), "{program}: {:?}", outcome.conflicts());
+        }
     }
 
     #[test]
     fn update_time_rows_carry_the_phase_trace() {
         let rows = update_time_rows(2);
-        for row in &rows {
-            let labels: Vec<&str> = row.phases.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(
-                labels,
-                ["quiesce", "reinit-replay", "match-processes", "trace-and-transfer", "commit"],
-                "{} executed the standard pipeline",
-                row.program
-            );
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), PROGRAMS);
+        for (program, report) in &rows {
+            let phases: Vec<PhaseName> = report.phases.records().iter().map(|p| p.name).collect();
+            assert_eq!(phases, PhaseName::ALL, "{program} executed the standard pipeline");
         }
-        let doc = update_time_json(&rows).render();
-        assert!(doc.contains("\"phases\""));
-        assert!(doc.contains("trace-and-transfer"));
+    }
+
+    #[test]
+    fn spec_alloc_rows_flag_perlbench_as_worst_case() {
+        let rows = spec_alloc_rows(3);
+        let worst = rows.iter().max_by(|a, b| a.overhead.total_cmp(&b.overhead)).unwrap();
+        assert_eq!(worst.name, "perlbench-like");
+        assert!(rows.iter().all(|r| r.overhead > 1.0), "instrumentation adds heap stores to every benchmark");
     }
 
     #[test]
@@ -1147,8 +797,7 @@ mod tests {
 
     #[test]
     fn json_documents_parse_shaped_rows() {
-        let rows = spec_alloc_rows(5, 1);
-        let doc = spec_alloc_json(&rows).render();
+        let doc = spec_alloc_json(&spec_alloc_rows(5)).render();
         assert!(doc.starts_with("{\"experiment\":\"spec_alloc\""));
         assert!(doc.contains("\"rows\":["));
     }

@@ -97,10 +97,10 @@ pub struct WorkloadResult {
     /// Requests that received no response within the round budget.
     pub unanswered: u64,
     /// Wall-clock time spent driving the workload (includes all simulator and
-    /// MCR instrumentation work, which is what Table 3 compares).
+    /// MCR instrumentation work).
     pub wall_time: Duration,
     /// Simulated time elapsed.
-    pub(crate) sim_time: SimDuration,
+    pub sim_time: SimDuration,
     /// Connections left open at the end of the run.
     pub(crate) open_connections: Vec<ConnId>,
     /// Accumulated scheduler statistics of the run (steps executed, threads

@@ -1,22 +1,23 @@
-//! The four tracked reports (`BENCH_precopy.json`, `BENCH_adaptive.json`,
-//! `BENCH_chaos.json`, `BENCH_checkpoint.json`), rebuilt in-process on the
-//! simulated clock.
+//! The five tracked reports (`BENCH_precopy.json`, `BENCH_adaptive.json`,
+//! `BENCH_chaos.json`, `BENCH_checkpoint.json`, `BENCH_paper.json`), rebuilt
+//! in-process on the simulated clock.
 //!
 //! Each test builds its document, asserts the properties the report
-//! records, and compares `render() + "\n"` byte for byte with the committed
+//! records (the paper tables' properties are `mcr-bench` unit tests at
+//! smaller sizes), and compares `render() + "\n"` byte for byte with the committed
 //! file. On a mismatch it writes the fresh document to
 //! `target/tmp/BENCH_*.json` and panics naming that path: review the diff
 //! and copy the file over the committed one to accept a change.
 //!
-//! The four tests share one binary so the harness runs them in parallel.
+//! The five tests share one binary so the harness runs them in parallel.
 //! It starts them in name order; the checkpoint campaign takes longest, so
 //! its name sorts among the first two and it starts at once.
 
 use std::path::Path;
 
 use mcr_bench::{
-    adaptive_update, chaos_json, checkpoint_json, precopy_update, run_campaign, run_checkpoint_campaign,
-    ChaosMode, ChaosSpec, CheckpointSpec, Json, CONFIGS,
+    adaptive_update, chaos_json, checkpoint_json, paper_json, precopy_update, run_campaign,
+    run_checkpoint_campaign, ChaosMode, ChaosSpec, CheckpointSpec, Json, CONFIGS,
 };
 use mcr_core::runtime::{PhaseName, TransferMode, UpdateOutcome, UpdateReport};
 use mcr_servers::precopy_scenarios;
@@ -291,4 +292,13 @@ fn checkpoint_report_recovers_every_crash_point_and_matches_bench_checkpoint_jso
     assert!(out.retention_ok, "retention kept the wrong versions");
     assert!(out.writer_speedup > 1.0, "parallel shard writeback gained nothing: {}", out.writer_speedup);
     assert_matches_committed("BENCH_checkpoint.json", &checkpoint_json(&spec, &out));
+}
+
+/// The paper's §8 tables: Tables 1–3, the SPEC-style allocator experiment,
+/// the update-time breakdown, Figure 3 and memory usage. Table 3 is a ratio
+/// of simulated workload times and the allocator experiment a ratio of heap
+/// store counts, so the whole report is deterministic.
+#[test]
+fn paper_tables_match_bench_paper_json() {
+    assert_matches_committed("BENCH_paper.json", &paper_json());
 }
