@@ -1,75 +1,109 @@
-//! Smoke tests for the benchmark harnesses: every table/figure generator
-//! runs end-to-end and produces plausibly-shaped output.
+//! Checks on the paper's tables through the public surface: the
+//! `BENCH_paper.json` document that [`paper_json`] builds, and a live update
+//! driven through the runtime API with idle connections open.
+//!
+//! The same properties at small sizes are `mcr-bench` unit tests on the
+//! crate-private rows; `tests/tracked_reports.rs` pins the document's values.
 
-use mcr_bench::{figure3_series, memory_report, spec_alloc_report, table1_report, table2_report};
+use std::sync::OnceLock;
+
+use mcr_bench::{paper_json, Json};
+use mcr_core::runtime::{boot, live_update, BootOptions, UpdateOptions};
+use mcr_procsim::Kernel;
+use mcr_servers::{install_standard_files, program_by_name};
 use mcr_typemeta::InstrumentationConfig;
+use mcr_workload::{open_idle_connections, run_workload, workload_for};
 
-#[test]
-fn table1_contains_all_rows_and_totals() {
-    let t = table1_report(5);
-    for program in ["httpd", "nginx", "vsftpd", "sshd", "Total"] {
-        assert!(t.contains(program), "missing {program} in:\n{t}");
+/// `paper_json()`, built once for every test in this binary.
+fn paper() -> &'static Json {
+    static DOC: OnceLock<Json> = OnceLock::new();
+    DOC.get_or_init(paper_json)
+}
+
+fn field<'a>(value: &'a Json, key: &str) -> &'a Json {
+    match value {
+        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
     }
-    assert!(t.contains("334"), "paper annotation total referenced");
+    .unwrap_or_else(|| panic!("no {key:?} in {}", value.render()))
+}
+
+fn items(value: &Json) -> &[Json] {
+    match value {
+        Json::Arr(items) => items,
+        other => panic!("not an array: {}", other.render()),
+    }
+}
+
+fn num(value: &Json) -> f64 {
+    match value {
+        Json::Num(n) => *n,
+        other => panic!("not a number: {}", other.render()),
+    }
+}
+
+fn text(value: &Json) -> &str {
+    match value {
+        Json::Str(s) => s,
+        other => panic!("not a string: {}", other.render()),
+    }
+}
+
+/// The rows of the report's `experiment` section.
+fn rows(experiment: &str) -> &'static [Json] {
+    let section = items(field(paper(), "sections"))
+        .iter()
+        .find(|s| text(field(s, "experiment")) == experiment)
+        .unwrap_or_else(|| panic!("no {experiment} section"));
+    items(field(section, "rows"))
 }
 
 #[test]
-fn table2_likely_pointer_shape_follows_allocator_instrumentation() {
-    let t = table2_report(10);
-    assert!(t.contains("nginxreg"));
-    // Parse the likely-pointer column per row.
-    let likely = |label: &str| -> u64 {
-        let row = t.lines().find(|l| l.starts_with(label)).unwrap();
-        let cols: Vec<&str> = row.split('|').collect();
-        cols[2].split_whitespace().next().unwrap().parse().unwrap()
-    };
-    let precise = |label: &str| -> u64 {
-        let row = t.lines().find(|l| l.starts_with(label)).unwrap();
-        let cols: Vec<&str> = row.split('|').collect();
-        cols[1].split_whitespace().next().unwrap().parse().unwrap()
-    };
-    // Uninstrumented custom allocators (httpd pools) make likely pointers a
-    // far larger share of all pointers than in a fully instrumented
-    // malloc-based program (vsftpd), and instrumenting nginx's region
-    // allocator (nginxreg) reduces its likely-pointer population.
-    let share = |label: &str| likely(label) as f64 / (likely(label) + precise(label)).max(1) as f64;
-    assert!(share("httpd") > share("vsftpd"), "httpd {} vs vsftpd {}\n{t}", share("httpd"), share("vsftpd"));
-    assert!(likely("nginxreg") <= likely("nginx"), "{t}");
+fn table1_contains_all_rows_and_totals() {
+    let t = rows("table1_effort");
+    let programs: Vec<&str> = t.iter().map(|r| text(field(r, "program"))).collect();
+    assert_eq!(programs, ["httpd", "nginx", "vsftpd", "sshd", "Total"]);
+    assert_eq!(num(field(&t[4], "annotation_loc")), 334.0, "the paper's annotation total");
 }
 
 #[test]
 fn figure3_state_transfer_grows_with_connections() {
-    let series = figure3_series("sshd", &[0, 20], 3);
-    assert!(series[1].state_transfer_ms > series[0].state_transfer_ms);
-    assert!(series[1].dirty_reduction > 0.0, "dirty tracking skips clean startup state");
+    let sshd = rows("fig3_state_transfer").iter().find(|r| text(field(r, "program")) == "sshd").unwrap();
+    let points = items(field(sshd, "points"));
+    let transfer_ms = |p: &Json| num(field(p, "state_transfer_ms"));
+    let (idle, busy) = (&points[0], points.last().unwrap());
+    assert!(num(field(busy, "connections")) > num(field(idle, "connections")));
+    assert!(transfer_ms(busy) > transfer_ms(idle), "{}", sshd.render());
+    assert!(num(field(busy, "dirty_reduction")) > 0.0, "dirty tracking skips clean startup state");
 }
 
 #[test]
 fn memory_overhead_is_positive_for_every_program() {
-    let report = memory_report(10);
-    for line in report.lines().filter(|l| l.contains('x') && l.contains('|')) {
-        // overhead column like "    2.43x"
-        if let Some(col) = line.split('|').nth(1) {
-            if let Some(ratio) = col.split_whitespace().last() {
-                if let Some(stripped) = ratio.strip_suffix('x') {
-                    let value: f64 = stripped.parse().unwrap();
-                    assert!(value >= 1.0, "instrumentation never shrinks memory: {line}");
-                }
-            }
-        }
+    let memory = rows("memory_usage");
+    assert_eq!(memory.len(), 4);
+    for row in memory {
+        assert!(num(field(row, "overhead")) >= 1.0, "instrumentation never shrinks memory: {}", row.render());
     }
 }
 
 #[test]
-fn spec_alloc_report_flags_perlbench_as_worst_case() {
-    let report = spec_alloc_report(3, 1);
-    assert!(report.contains("perlbench-like"));
-}
-
-#[test]
 fn update_with_connections_commits_for_every_program() {
-    for program in mcr_bench::PROGRAMS {
-        let outcome = mcr_bench::update_with_connections(program, 1, 3, 5, InstrumentationConfig::full());
+    let config = InstrumentationConfig::full();
+    for program in ["httpd", "nginx", "vsftpd", "sshd"] {
+        let mut kernel = Kernel::new();
+        install_standard_files(&mut kernel);
+        let opts = BootOptions { config, ..BootOptions::default() };
+        let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &opts).unwrap();
+        let workload = workload_for(program, 3);
+        run_workload(&mut kernel, &mut v1, &workload).unwrap();
+        open_idle_connections(&mut kernel, &mut v1, workload.port, 5).unwrap();
+        let (_v2, outcome) = live_update(
+            &mut kernel,
+            v1,
+            Box::new(program_by_name(program, 2)),
+            config,
+            &UpdateOptions::default(),
+        );
         assert!(outcome.is_committed(), "{program}: {:?}", outcome.conflicts());
     }
 }
