@@ -72,7 +72,7 @@ impl FleetServer {
     /// pointer global. Re-read on every access: after a live update the
     /// global holds the *relocated* address of the transferred table, and a
     /// Rust-side cache of the startup-time allocation would be stale.
-    fn table_base(&self, env: &ProgramEnv<'_>) -> Option<Addr> {
+    fn table_base(&self, env: &mut ProgramEnv<'_>) -> Option<Addr> {
         let global = self.conn_fds?;
         let base = env.read_ptr(global).ok()?;
         (base.0 != 0).then_some(base)
@@ -82,7 +82,7 @@ impl FleetServer {
     /// heap table behind the `conn_fds` global (the path a freshly updated
     /// version takes — its cache is empty but the transferred memory still
     /// names every fd).
-    fn slot_fd(&mut self, env: &ProgramEnv<'_>, slot: usize) -> Option<Fd> {
+    fn slot_fd(&mut self, env: &mut ProgramEnv<'_>, slot: usize) -> Option<Fd> {
         if let Some(fd) = self.conns.get(slot).copied().flatten() {
             return Some(fd);
         }

@@ -20,6 +20,7 @@ use crate::annotations::{AnnotationRegistry, ObjTreatment, ReinitHandler, Transf
 use crate::callstack::CallStackId;
 use crate::error::{McrError, McrResult};
 use crate::interpose::Interposer;
+use crate::runtime::pipeline::PostcopyLoan;
 
 /// What a blocking thread is waiting for — the readiness interest it
 /// declares so the event-driven scheduler can park it on the right kernel
@@ -187,6 +188,10 @@ pub struct InstanceState {
     pub(crate) lib_objects: Vec<(Addr, u64, std::sync::Arc<str>)>,
     /// Simulated time spent in the startup phase (record or replay).
     pub(crate) startup_duration: mcr_procsim::SimDuration,
+    /// What a post-copy drain lends the resumed new version for the whole
+    /// drain, so the [`ProgramEnv`] accessors can fault parked objects in;
+    /// `None` outside a drain.
+    pub(crate) postcopy: Option<Box<PostcopyLoan>>,
     /// Raw tid → index into `threads` (tids are globally unique), so
     /// per-step roster lookups are one bounds-checked vector probe at fleet
     /// scale. `u32::MAX` marks an unindexed slot. Maintained by
@@ -223,6 +228,7 @@ impl InstanceState {
             dyn_alloc_log: Vec::new(),
             lib_objects: Vec::new(),
             startup_duration: mcr_procsim::SimDuration(0),
+            postcopy: None,
             roster_index: Vec::new(),
             static_bump: 0,
             lib_bump: 0,
@@ -400,6 +406,12 @@ impl<'a> ProgramEnv<'a> {
     ///
     /// Propagates fork failures and replay conflicts.
     pub fn fork(&mut self, kind: &str) -> McrResult<Pid> {
+        // The child would copy protected pages that no parked residual
+        // covers: during a post-copy drain, the parent's residual completes
+        // first.
+        if let Some(loan) = self.state.postcopy.as_deref_mut() {
+            loan.complete_residual(self.kernel, self.pid)?;
+        }
         let ret = self.syscall(Syscall::Fork)?;
         let virtual_child =
             ret.as_pid().ok_or_else(|| McrError::InvalidState("fork did not return a pid".into()))?;
@@ -538,6 +550,7 @@ impl<'a> ProgramEnv<'a> {
         let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
         let (space, heap) = proc.space_and_heap_mut().map_err(McrError::Sim)?;
         let addr = heap.malloc(space, size, site, type_tag).map_err(McrError::Sim)?;
+        self.settle_parked_stores()?;
         self.note_dyn_alloc(addr, size);
         Ok(addr)
     }
@@ -553,6 +566,7 @@ impl<'a> ProgramEnv<'a> {
         let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
         let (space, heap) = proc.space_and_heap_mut().map_err(McrError::Sim)?;
         let addr = heap.malloc(space, size, site, TypeTag(0)).map_err(McrError::Sim)?;
+        self.settle_parked_stores()?;
         self.note_dyn_alloc(addr, size);
         Ok(addr)
     }
@@ -565,7 +579,9 @@ impl<'a> ProgramEnv<'a> {
     pub fn create_pool(&mut self, size: u64, parent: Option<PoolId>) -> McrResult<PoolId> {
         let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
         let (space, heap, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
-        regions.create_pool(space, heap, size, parent).map_err(McrError::Sim)
+        let pool = regions.create_pool(space, heap, size, parent).map_err(McrError::Sim)?;
+        self.settle_parked_stores()?;
+        Ok(pool)
     }
 
     /// Allocates a typed object from a pool.
@@ -581,6 +597,7 @@ impl<'a> ProgramEnv<'a> {
         let proc = self.kernel.process_mut(self.pid).map_err(McrError::Sim)?;
         let (space, _, regions) = proc.space_heap_regions_mut().map_err(McrError::Sim)?;
         let addr = regions.palloc(space, pool, size, site, tag).map_err(McrError::Sim)?;
+        self.settle_parked_stores()?;
         self.note_dyn_alloc(addr, size);
         Ok(addr)
     }
@@ -609,12 +626,35 @@ impl<'a> ProgramEnv<'a> {
     // Typed memory access
     // ------------------------------------------------------------------
 
+    /// Services a post-copy access fault before the thread touches
+    /// `[addr, addr + len)`: during a drain, every parked object on the
+    /// touched pages is applied first, as a `userfaultfd` handler would
+    /// block the faulting thread. Outside a drain this is one branch.
+    #[inline]
+    fn fault_in(&mut self, addr: Addr, len: usize) -> McrResult<()> {
+        match self.state.postcopy.as_deref_mut() {
+            None => Ok(()),
+            Some(loan) => loan.service_access(self.kernel, self.pid, addr, len),
+        }
+    }
+
+    /// Services the stores an allocator call parked on protected pages
+    /// during a drain, so none of them outlives the call that made it.
+    #[inline]
+    fn settle_parked_stores(&mut self) -> McrResult<()> {
+        match self.state.postcopy.as_deref_mut() {
+            None => Ok(()),
+            Some(loan) => loan.service_parked(self.kernel, self.pid),
+        }
+    }
+
     /// Reads a 64-bit word from the current process's memory.
     ///
     /// # Errors
     ///
     /// Fails for unmapped addresses.
-    pub fn read_u64(&self, addr: Addr) -> McrResult<u64> {
+    pub fn read_u64(&mut self, addr: Addr) -> McrResult<u64> {
+        self.fault_in(addr, 8)?;
         self.kernel.process(self.pid).map_err(McrError::Sim)?.space().read_u64(addr).map_err(McrError::Sim)
     }
 
@@ -624,6 +664,7 @@ impl<'a> ProgramEnv<'a> {
     ///
     /// Fails for unmapped or read-only addresses.
     pub fn write_u64(&mut self, addr: Addr, value: u64) -> McrResult<()> {
+        self.fault_in(addr, 8)?;
         self.kernel
             .process_mut(self.pid)
             .map_err(McrError::Sim)?
@@ -637,7 +678,8 @@ impl<'a> ProgramEnv<'a> {
     /// # Errors
     ///
     /// Fails for unmapped addresses.
-    pub fn read_u32(&self, addr: Addr) -> McrResult<u32> {
+    pub fn read_u32(&mut self, addr: Addr) -> McrResult<u32> {
+        self.fault_in(addr, 4)?;
         self.kernel.process(self.pid).map_err(McrError::Sim)?.space().read_u32(addr).map_err(McrError::Sim)
     }
 
@@ -647,6 +689,7 @@ impl<'a> ProgramEnv<'a> {
     ///
     /// Fails for unmapped or read-only addresses.
     pub fn write_u32(&mut self, addr: Addr, value: u32) -> McrResult<()> {
+        self.fault_in(addr, 4)?;
         self.kernel
             .process_mut(self.pid)
             .map_err(McrError::Sim)?
@@ -660,7 +703,7 @@ impl<'a> ProgramEnv<'a> {
     /// # Errors
     ///
     /// Fails for unmapped addresses.
-    pub fn read_ptr(&self, addr: Addr) -> McrResult<Addr> {
+    pub fn read_ptr(&mut self, addr: Addr) -> McrResult<Addr> {
         Ok(Addr(self.read_u64(addr)?))
     }
 
@@ -679,6 +722,7 @@ impl<'a> ProgramEnv<'a> {
     ///
     /// Fails for unmapped or read-only ranges.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> McrResult<()> {
+        self.fault_in(addr, bytes.len())?;
         self.kernel
             .process_mut(self.pid)
             .map_err(McrError::Sim)?

@@ -77,10 +77,10 @@ pub enum TransferMode {
     /// the stale residual behind access traps, resume the new version
     /// immediately, and fault in / background-drain the residual afterwards.
     Postcopy,
-    /// Per-process-pair adaptive selection: each pair's residual is either
-    /// synced inside the commit window (converged pairs) or deferred to
-    /// post-copy (diverging pairs), decided by [`TransferPolicy`] from the
-    /// pre-copy round history and the pair's residual size.
+    /// Per-process-pair adaptive selection: each pair's residual is synced
+    /// inside the commit window when applying it costs no more than one
+    /// access trap that applies one parked page's share of it, and deferred
+    /// to post-copy otherwise.
     Adaptive,
 }
 
@@ -99,65 +99,6 @@ pub struct PostcopyOptions {
 impl Default for PostcopyOptions {
     fn default() -> Self {
         PostcopyOptions { drain_batch: 32, serve_rounds: 1 }
-    }
-}
-
-/// The adaptive transfer controller's per-pair decision rule
-/// ([`TransferMode::Adaptive`]).
-///
-/// At post-copy commit time every pair's residual (the objects still stale
-/// at quiesce) is known exactly, and the pre-copy round history says whether
-/// the workload was converging (each round re-dirtied less than the one
-/// before) or diverging (the writer outpaces the copier). The policy picks,
-/// per pair:
-///
-/// * **sync** — apply the residual inside the commit window, exactly like a
-///   pre-copy (or stop-the-world) update. Right when the residual is small
-///   or shrinking: the synchronous copy costs less than exposing the
-///   resumed instance to access-trap latency.
-/// * **defer** — park the residual behind access traps and resume
-///   immediately. Right when the dirty rate matches or exceeds the copy
-///   rate, where pre-copy provably cannot converge and a synchronous pass
-///   would pay O(working set) downtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferPolicy {
-    /// A residual at or below this many bytes is always synced inside the
-    /// window: the copy is cheaper than one access-trap round trip.
-    pub(crate) sync_residual_bytes: u64,
-    /// Convergence test on the last two pre-copy rounds: if the final
-    /// round's copied bytes are at most this percentage of the previous
-    /// round's, the dirty rate is dropping and the pair is synced.
-    pub(crate) converging_percent: u64,
-}
-
-impl Default for TransferPolicy {
-    fn default() -> Self {
-        TransferPolicy { sync_residual_bytes: 2 * mcr_procsim::PAGE_SIZE, converging_percent: 60 }
-    }
-}
-
-impl TransferPolicy {
-    /// The per-pair decision: `true` defers the pair's residual to
-    /// post-copy, `false` syncs it inside the commit window. `rounds` is the
-    /// pre-copy round history of this update (empty without pre-copy) and
-    /// `residual_bytes` the pair's stale bytes at quiesce.
-    pub(crate) fn should_defer(
-        &self,
-        rounds: &[crate::transfer::engine::PrecopyRoundReport],
-        residual_bytes: u64,
-    ) -> bool {
-        if residual_bytes <= self.sync_residual_bytes {
-            return false;
-        }
-        if let [.., prev, last] = rounds {
-            // Dirty rate dropping round over round: pre-copy was converging,
-            // so one more synchronous pass is small. A flat or growing rate
-            // means the residual never shrinks — defer it.
-            if last.bytes_copied * 100 <= prev.bytes_copied * self.converging_percent {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -213,8 +154,6 @@ pub struct UpdateOptions {
     pub mode: TransferMode,
     /// Post-copy drain knobs (used by `Postcopy` and `Adaptive` modes).
     pub postcopy: PostcopyOptions,
-    /// The adaptive per-pair sync-vs-defer decision rule (`Adaptive` mode).
-    pub policy: TransferPolicy,
 }
 
 impl UpdateOptions {
@@ -258,7 +197,6 @@ impl Default for UpdateOptions {
             precopy: PrecopyOptions::default(),
             mode: TransferMode::default(),
             postcopy: PostcopyOptions::default(),
-            policy: TransferPolicy::default(),
         }
     }
 }

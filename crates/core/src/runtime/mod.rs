@@ -15,7 +15,7 @@ pub(crate) mod supervisor;
 
 pub use chaos::{random_plan, shrink_schedule, ChaosPlan, ChaosRng, FaultCatalog, FaultSite};
 pub use controller::{
-    live_update, PostcopyOptions, PrecopyOptions, TransferMode, TransferPolicy, UpdateOptions, UpdateOutcome,
+    live_update, PostcopyOptions, PrecopyOptions, TransferMode, UpdateOptions, UpdateOutcome,
 };
 pub use pipeline::{PhaseName, PrecopyHook, UpdatePipeline};
 pub use report::{

@@ -127,11 +127,17 @@
 //!    new version resumes immediately. The window pays for trace + planning
 //!    only, not for the copy.
 //! 6. [`PhaseName::PostcopyDrain`] — concurrent with the resumed new
-//!    version: each round lets the new instance serve, services any **access
-//!    traps** (a store to a still-parked page parks as a
-//!    [`PendingTrap`]; the handler faults in the
-//!    touched objects via [`fault_in_at`],
-//!    then replays the trapped store), and pushes one
+//!    version, which holds a [`PostcopyLoan`] of the transfer context and
+//!    the parked residuals for the whole drain. A program thread's load or
+//!    store that touches a still-parked page is serviced *before* the
+//!    access, as a `userfaultfd` handler blocks the faulting thread: every
+//!    parked object on the touched pages is faulted in via [`fault_in_at`]
+//!    (a `fork` first completes its process's residual, and a store an
+//!    allocator parks inside a thread's call is serviced before the call
+//!    returns). A store issued outside a thread step — the post-copy hook, a
+//!    test mutator — parks as a [`PendingTrap`](mcr_procsim::PendingTrap)
+//!    and is serviced after the serving rounds, then replayed. Each round
+//!    then pushes one
 //!    [`PostcopyOptions::drain_batch`](crate::runtime::controller::PostcopyOptions)-sized
 //!    background [`drain_step`] per pair —
 //!    skipping anything a trap already serviced, so every deferred object is
@@ -140,12 +146,11 @@
 //!    phase 5 to the end of phase 6: a fault mid-drain still rolls back to
 //!    the old version).
 //!
-//! [`TransferMode::Adaptive`] chooses per pair at commit time: a pair whose
-//! residual is at most
-//! [`TransferPolicy::sync_residual_bytes`](crate::runtime::controller::TransferPolicy),
-//! or whose pre-copy rounds are still converging (last-round dirty bytes ≤
-//! `converging_percent` of the previous round's), applies synchronously as
-//! in pre-copy; everything else defers. The result is measured by
+//! [`TransferMode::Adaptive`] chooses per pair at commit time: a pair syncs
+//! its residual inside the window, as in pre-copy, iff applying it costs no
+//! more than the cheapest deferral — one [`TRAP_SERVICE_LATENCY`] trap that
+//! applies one parked page's share of the residual — and defers it
+//! otherwise. The result is measured by
 //! `BENCH_adaptive.json` (rebuilt by the root `tests/tracked_reports.rs`):
 //! adaptive downtime ≤ the best static mode on every sweep point, and all
 //! modes converge to byte-identical kernel fingerprints
@@ -194,8 +199,9 @@
 //!   fails with `SimError::FaultInjected`, wherever it lands (replay,
 //!   serving rounds, pre-copy traffic);
 //! * [`FaultSite::FaultIn`] — the n-th object faulted in after the
-//!   post-copy resume fails, whether a trap handler or a background drain
-//!   batch pulled it (counted across pairs and drain rounds);
+//!   post-copy resume fails, whether a thread's load or store, a parked
+//!   store's trap service or a background drain batch pulled it (counted
+//!   across pairs and drain rounds);
 //! * [`FaultSite::DrainStep`] — the n-th background drain batch of the
 //!   [`PhaseName::PostcopyDrain`] phase fails, after the new version has
 //!   resumed but *before* the point of no return;
@@ -247,7 +253,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use mcr_procsim::{
-    Fd, FdPlacement, Kernel, PendingTrap, Pid, Process, SimDuration, SimError, Store, Syscall, SyscallPort,
+    Addr, Fd, FdPlacement, Kernel, Pid, Process, SimDuration, SimError, Store, Syscall, SyscallPort,
     ThreadState, WriteFault, PAGE_SIZE,
 };
 use mcr_typemeta::InstrumentationConfig;
@@ -258,7 +264,7 @@ use crate::interpose::Interposer;
 use crate::program::{InstanceState, Program, ThreadRosterEntry};
 use crate::runtime::chaos::{ChaosPlan, FaultSite};
 use crate::runtime::controller::{TransferMode, UpdateOptions, UpdateOutcome};
-use crate::runtime::report::UpdateReport;
+use crate::runtime::report::{PostcopySummary, UpdateReport};
 use crate::runtime::scheduler::{
     create_instance, resume, run_round, run_startup, wait_quiescence, BootOptions, McrInstance,
 };
@@ -267,8 +273,7 @@ use crate::tracing::tracer::{TraceResult, Tracer};
 use crate::transfer::checkpoint::{write_checkpoint, CheckpointOptions};
 use crate::transfer::engine::{
     drain_step, fault_in_at, list_schedule_makespan, postcopy_commit, precopy_transfer_round,
-    transfer_residual, DeltaPlan, PostcopyResidual, PrecopyRoundReport, ProcessTransferReport, ResidualStats,
-    TransferContext,
+    transfer_residual, DeltaPlan, PostcopyResidual, ProcessTransferReport, ResidualStats, TransferContext,
 };
 
 /// Identifies one stage of the live-update pipeline.
@@ -378,14 +383,6 @@ pub(crate) struct PairPrecopyState {
     pub(crate) trace: Option<TraceResult>,
 }
 
-/// Per-pair post-copy state built by the commit phase and consumed by the
-/// drain phase, aligned with `UpdateCtx::pairs`.
-pub(crate) struct PairPostcopyState {
-    /// The parked residual (already drained for a pair the adaptive policy
-    /// synced inside the window).
-    pub(crate) residual: PostcopyResidual,
-}
-
 /// Shared state threaded through every phase of one update attempt.
 pub(crate) struct UpdateCtx<'k> {
     /// The simulated kernel both versions run on.
@@ -409,9 +406,10 @@ pub(crate) struct UpdateCtx<'k> {
     /// Per-pair pre-copy state, aligned with `pairs`; empty when no
     /// pre-copy rounds ran.
     pub(crate) pair_precopy: Vec<PairPrecopyState>,
-    /// Per-pair post-copy state, aligned with `pairs`; filled by
-    /// `PostcopyCommit`, drained (and emptied of work) by `PostcopyDrain`.
-    pub(crate) pair_postcopy: Vec<PairPostcopyState>,
+    /// Per-pair parked residuals, aligned with `pairs`: filled by
+    /// `PostcopyCommit` (already drained for a pair the adaptive rule synced
+    /// inside the window), lent to the new instance by `PostcopyDrain`.
+    pub(crate) pair_postcopy: Vec<PostcopyResidual>,
     /// The fault plan of the pipeline (the n-th-object-write site is armed
     /// on the transfer context when it is built).
     pub(crate) fault: ChaosPlan,
@@ -1288,41 +1286,35 @@ impl Phase for PostcopyCommitPhase {
             resume(kernel, new_instance);
             return Ok(());
         }
-        // `Postcopy` mode defers unconditionally; `Adaptive` asks the policy,
-        // whose convergence signal is the update's pre-copy round history
-        // (empty without pre-copy).
+        // `Postcopy` mode defers unconditionally; `Adaptive` defers a pair
+        // only when that is cheaper than syncing it (`adaptive_syncs`).
         let force_defer = ctx.opts.mode == TransferMode::Postcopy;
-        let policy = ctx.opts.policy;
-        let rounds: Vec<PrecopyRoundReport> = ctx.report.precopy.rounds.clone();
         // A deferred pair contributes nothing to the window: its applies are
         // charged when they happen, after resume.
-        let mut states: Vec<PairPostcopyState> = Vec::with_capacity(ctx.pairs.len());
+        let mut states: Vec<PostcopyResidual> = Vec::with_capacity(ctx.pairs.len());
         let transferred =
             transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
                 let (report, mut residual, mut parked) =
                     postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
-                let defer = force_defer || policy.should_defer(&rounds, residual.bytes);
-                if !defer && !parked.is_drained() {
-                    // Converged pair: apply the residual synchronously,
-                    // inside the commit window — exactly what a pre-copy
-                    // update would do, and cheaper than exposing the resumed
-                    // instance to trap latency. `cost` is then the share
-                    // applied inside the window.
+                if !force_defer && !parked.is_drained() && adaptive_syncs(&parked) {
+                    // Apply the residual synchronously, inside the commit
+                    // window — exactly what a pre-copy update would do.
+                    // `cost` is then the share applied inside the window.
                     let sync = drain_step(plan, &mut parked, old_proc, new_proc, usize::MAX, None)?;
                     residual.cost = sync.cost;
                 }
-                states.push(PairPostcopyState { residual: parked });
+                states.push(parked);
                 Ok((report, residual))
             });
         // Counted before the result is looked at: a rolled-back report still
         // says what the pairs ahead of the failing one did.
-        for state in &states {
-            if state.residual.is_drained() {
+        for residual in &states {
+            if residual.is_drained() {
                 ctx.report.postcopy.synced_pairs += 1;
             } else {
                 ctx.report.postcopy.deferred_pairs += 1;
-                ctx.report.postcopy.deferred_objects += state.residual.remaining();
-                ctx.report.postcopy.deferred_bytes += state.residual.remaining_bytes();
+                ctx.report.postcopy.deferred_objects += residual.remaining();
+                ctx.report.postcopy.deferred_bytes += residual.remaining_bytes();
             }
         }
         ctx.pair_postcopy = states;
@@ -1331,11 +1323,10 @@ impl Phase for PostcopyCommitPhase {
         // Arm the access traps over every parked range, then resume the new
         // version immediately — from here on the residual retires in the
         // background while the new instance serves.
-        for (index, &(_, new_pid)) in ctx.pairs.iter().enumerate() {
-            let state = &ctx.pair_postcopy[index];
-            if !state.residual.is_drained() {
+        for (residual, &(_, new_pid)) in ctx.pair_postcopy.iter().zip(&ctx.pairs) {
+            if !residual.is_drained() {
                 let proc = ctx.kernel.process_mut(new_pid).map_err(McrError::Sim)?;
-                state.residual.arm(proc)?;
+                residual.arm(proc)?;
             }
         }
         let UpdateCtx { kernel, new_instance, .. } = ctx;
@@ -1356,13 +1347,169 @@ fn shifted_fault_in(global: Option<u64>, global_done: u64, pair_done: u64) -> Op
     }
 }
 
+/// `Adaptive` mode's per-pair rule: sync the parked residual inside the
+/// commit window iff applying it costs no more than the cheapest deferral —
+/// one trap ([`TRAP_SERVICE_LATENCY`]) that applies one parked page's share
+/// of the residual.
+fn adaptive_syncs(parked: &PostcopyResidual) -> bool {
+    let apply = parked.remaining_cost().0;
+    let pages = parked.parked_pages().max(1);
+    apply <= TRAP_SERVICE_LATENCY.0 + apply / pages
+}
+
+/// What [`PostcopyDrainPhase`] lends the resumed new instance for the whole
+/// drain — serve rounds, post-copy hook, trap service and drain batches —
+/// and takes back on commit and rollback alike: the transfer context, every
+/// pair's parked residual, the n-th-fault-in trigger and the post-copy
+/// counters. While it is lent, [`ProgramEnv`](crate::program::ProgramEnv)
+/// services a thread's access to a parked page before the access.
+#[derive(Debug)]
+pub(crate) struct PostcopyLoan {
+    plan: TransferContext,
+    /// Old-process → new-process pairs, aligned with `residuals`.
+    pairs: Vec<(Pid, Pid)>,
+    residuals: Vec<PostcopyResidual>,
+    /// The chaos plan's global n-th-fault-in trigger.
+    fault_in: Option<u64>,
+    /// Objects faulted in or drained so far, across pairs.
+    fault_in_done: u64,
+    summary: PostcopySummary,
+}
+
+impl PostcopyLoan {
+    fn pair_of(&self, new_pid: Pid) -> Option<usize> {
+        self.pairs.iter().position(|&(_, new)| new == new_pid)
+    }
+
+    fn is_drained(&self) -> bool {
+        self.residuals.iter().all(PostcopyResidual::is_drained)
+    }
+
+    /// Runs `apply` on pair `index`'s residual with the pair borrowed out of
+    /// the process table and the fault-in trigger shifted to the pair's
+    /// counter, then books the objects it applied against the trigger.
+    fn apply_on_pair(
+        &mut self,
+        kernel: &mut Kernel,
+        index: usize,
+        apply: impl FnOnce(
+            &TransferContext,
+            &mut PostcopyResidual,
+            &Process,
+            &mut Process,
+            Option<u64>,
+        ) -> McrResult<ResidualStats>,
+    ) -> McrResult<ResidualStats> {
+        let mut split = kernel.split_pairs(&self.pairs[index..=index]).map_err(McrError::Sim)?;
+        let (old_proc, new_proc) = split.pop().expect("one pair requested");
+        let residual = &mut self.residuals[index];
+        let before = residual.faulted_in();
+        let trigger = shifted_fault_in(self.fault_in, self.fault_in_done, before);
+        let stats = apply(&self.plan, residual, old_proc, new_proc, trigger)?;
+        self.fault_in_done += residual.faulted_in() - before;
+        Ok(stats)
+    }
+
+    /// Books one trap whose service applied `stats`: the blocked thread
+    /// waits [`TRAP_SERVICE_LATENCY`] plus the apply cost.
+    fn charge_trap(&mut self, kernel: &mut Kernel, stats: &ResidualStats) {
+        let service = TRAP_SERVICE_LATENCY.saturating_add(stats.cost);
+        self.summary.traps += 1;
+        self.summary.trap_objects += stats.objects;
+        self.summary.trap_service_ns.push(service.0);
+        kernel.advance_clock(service);
+    }
+
+    /// One trap on pair `index`: every parked object on the pages of
+    /// `[addr, addr + len)` is applied.
+    fn trap(&mut self, kernel: &mut Kernel, index: usize, addr: Addr, len: usize) -> McrResult<()> {
+        let stats = self.apply_on_pair(kernel, index, |plan, residual, old_proc, new_proc, trigger| {
+            fault_in_at(plan, residual, old_proc, new_proc, addr, len, trigger)
+        })?;
+        self.charge_trap(kernel, &stats);
+        Ok(())
+    }
+
+    /// A thread of `pid` is about to access `[addr, addr + len)`: if that
+    /// touches a protected page, fault its parked objects in first.
+    #[cold]
+    pub(crate) fn service_access(
+        &mut self,
+        kernel: &mut Kernel,
+        pid: Pid,
+        addr: Addr,
+        len: usize,
+    ) -> McrResult<()> {
+        let protected = kernel.process(pid).is_ok_and(|p| p.space().touches_protected(addr, len));
+        match self.pair_of(pid) {
+            Some(index) if protected => self.trap(kernel, index, addr, len),
+            _ => Ok(()),
+        }
+    }
+
+    /// Services the stores `pid` parked on protected pages, in program
+    /// order: each one traps (its page's objects are applied), then lands.
+    #[cold]
+    pub(crate) fn service_parked(&mut self, kernel: &mut Kernel, pid: Pid) -> McrResult<()> {
+        let Some(index) = self.pair_of(pid) else { return Ok(()) };
+        for trap in kernel.take_pending_traps(pid).map_err(McrError::Sim)? {
+            self.trap(kernel, index, trap.addr, trap.bytes.len().max(1))?;
+            let proc = kernel.process_mut(pid).map_err(McrError::Sim)?;
+            proc.space_mut().write_bytes_through(trap.addr, &trap.bytes).map_err(McrError::Sim)?;
+        }
+        Ok(())
+    }
+
+    /// Applies all of `pid`'s parked residual as one trap (a `fork` is
+    /// about to copy its pages).
+    #[cold]
+    pub(crate) fn complete_residual(&mut self, kernel: &mut Kernel, pid: Pid) -> McrResult<()> {
+        let Some(index) = self.pair_of(pid) else { return Ok(()) };
+        if self.residuals[index].is_drained() {
+            return Ok(());
+        }
+        let stats = self.apply_on_pair(kernel, index, |plan, residual, old_proc, new_proc, trigger| {
+            drain_step(plan, residual, old_proc, new_proc, usize::MAX, trigger)
+        })?;
+        self.charge_trap(kernel, &stats);
+        Ok(())
+    }
+
+    /// One background drain batch of up to `batch` objects for pair
+    /// `index`, returning its (concurrent) cost.
+    fn drain_batch(
+        &mut self,
+        kernel: &mut Kernel,
+        index: usize,
+        batch: usize,
+        drain_fault: Option<u64>,
+    ) -> McrResult<SimDuration> {
+        if self.residuals[index].is_drained() {
+            return Ok(SimDuration(0));
+        }
+        self.summary.drain_steps += 1;
+        if drain_fault == Some(self.summary.drain_steps) {
+            return Err(Conflict::FaultInjected { phase: "drain-step".into() }.into());
+        }
+        let stats = self.apply_on_pair(kernel, index, |plan, residual, old_proc, new_proc, trigger| {
+            drain_step(plan, residual, old_proc, new_proc, batch, trigger)
+        })?;
+        self.summary.drained_objects += stats.objects;
+        Ok(stats.cost)
+    }
+}
+
 /// Post-copy phase 6 — drain: the resumed new version serves while the
-/// parked residual retires two ways. *Access traps*: a store into a
-/// not-yet-transferred page parked in the kernel; the handler faults in
-/// every parked object on the touched pages, replays the store on the
-/// transferred content (so final bytes match a stop-the-world run exactly),
-/// and charges [`TRAP_SERVICE_LATENCY`] plus the apply cost as downtime —
-/// the faulting thread was blocked. *Background drainer*: up to
+/// parked residual retires three ways, all through the [`PostcopyLoan`] the
+/// phase lends the new instance. *Thread faults*: a program thread's load or
+/// store that touches a parked page first faults in every parked object on
+/// it, synchronously; a `fork` first completes its process's residual.
+/// *Parked stores*: a store issued outside a thread's accessors (the
+/// post-copy hook, a test mutator) parks in the kernel; the handler faults
+/// in the touched objects and replays the store on the transferred content.
+/// Both charge [`TRAP_SERVICE_LATENCY`] plus the apply cost as downtime —
+/// the faulting thread was blocked — so final bytes match a stop-the-world
+/// run exactly. *Background drainer*: up to
 /// [`PostcopyOptions::drain_batch`](crate::runtime::controller::PostcopyOptions)
 /// objects per pair per round, in deterministic address order, charged as
 /// concurrent time. Once every pair is drained the old version is
@@ -1371,97 +1518,67 @@ fn shifted_fault_in(global: Option<u64>, global_done: u64, pair_done: u64) -> Op
 /// instance.
 pub(crate) struct PostcopyDrainPhase;
 
+impl PostcopyDrainPhase {
+    /// The drain loop over the lent state, returning the rounds it ran.
+    fn drain(ctx: &mut UpdateCtx<'_>) -> McrResult<usize> {
+        let serve_rounds = ctx.opts.postcopy.serve_rounds;
+        let batch = ctx.opts.postcopy.drain_batch.max(1);
+        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
+        let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
+        let UpdateCtx { kernel, new_instance, postcopy_hook, .. } = ctx;
+        let new_instance = new_instance.as_mut().expect("post-copy commit resumed the new version");
+        let mut round = 0;
+        while !new_instance.state.postcopy.as_ref().expect("the drain lent its state").is_drained() {
+            round += 1;
+            // The new version serves while the drainer works (pending
+            // traffic, timers, plus whatever the hook injects).
+            for _ in 0..serve_rounds {
+                let _ = run_round(kernel, new_instance)?;
+            }
+            if let Some(hook) = postcopy_hook.as_mut() {
+                hook(kernel, new_instance, round);
+            }
+            // Per pair: service the stores the hook parked, then one
+            // background drain batch.
+            let loan = new_instance.state.postcopy.as_deref_mut().expect("the drain lent its state");
+            let mut drain_costs = vec![SimDuration(0); loan.pairs.len()];
+            for (index, cost) in drain_costs.iter_mut().enumerate() {
+                loan.service_parked(kernel, loan.pairs[index].1)?;
+                *cost = loan.drain_batch(kernel, index, batch, drain_fault)?;
+            }
+            // The drain batches ran concurrently with serving.
+            kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));
+        }
+        Ok(round)
+    }
+}
+
 impl Phase for PostcopyDrainPhase {
     fn name(&self) -> PhaseName {
         PhaseName::PostcopyDrain
     }
 
     fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let serve_rounds = ctx.opts.postcopy.serve_rounds;
-        let batch = ctx.opts.postcopy.drain_batch.max(1);
-        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
-        let fault_in = ctx.fault.nth(FaultSite::FaultIn);
-        let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
-        let mut fault_in_done = 0u64;
-        let mut round = 0usize;
-        while ctx.pair_postcopy.iter().any(|s| !s.residual.is_drained()) {
-            round += 1;
-            // The new version serves while the drainer works (pending
-            // traffic, timers, plus whatever the hook injects).
-            {
-                let UpdateCtx { kernel, new_instance, postcopy_hook, .. } = ctx;
-                let new_instance = new_instance.as_mut().expect("post-copy commit resumed the new version");
-                for _ in 0..serve_rounds {
-                    let _ = run_round(kernel, new_instance)?;
-                }
-                if let Some(hook) = postcopy_hook.as_mut() {
-                    hook(kernel, new_instance, round);
-                }
-            }
-            // Collect the access traps the serving rounds parked.
-            let mut trap_sets: Vec<Vec<PendingTrap>> = Vec::with_capacity(ctx.pairs.len());
-            for &(_, new_pid) in ctx.pairs.iter() {
-                trap_sets.push(ctx.kernel.take_pending_traps(new_pid).map_err(McrError::Sim)?);
-            }
-            let mut trap_cost = SimDuration(0);
-            let mut drain_costs = vec![SimDuration(0); ctx.pairs.len()];
-            {
-                let UpdateCtx { kernel, pairs, plan, pair_postcopy, report, .. } = ctx;
-                let plan = plan.as_ref().expect("post-copy commit built the plan");
-                let split = kernel.split_pairs(pairs).map_err(McrError::Sim)?;
-                for (i, ((old_proc, new_proc), state)) in
-                    split.into_iter().zip(pair_postcopy.iter_mut()).enumerate()
-                {
-                    // Service this pair's traps first: each trapped store
-                    // blocked its thread until the parked objects on the
-                    // touched pages were faulted in, then replayed in
-                    // program order on the transferred content.
-                    for trap in &trap_sets[i] {
-                        let before = state.residual.faulted_in();
-                        let trigger = shifted_fault_in(fault_in, fault_in_done, before);
-                        let stats = fault_in_at(
-                            plan,
-                            &mut state.residual,
-                            old_proc,
-                            new_proc,
-                            trap.addr,
-                            trap.bytes.len().max(1),
-                            trigger,
-                        )?;
-                        fault_in_done += state.residual.faulted_in() - before;
-                        report.postcopy.traps += 1;
-                        report.postcopy.trap_objects += stats.objects;
-                        let service = TRAP_SERVICE_LATENCY.saturating_add(stats.cost);
-                        report.postcopy.trap_service_ns.push(service.0);
-                        trap_cost = trap_cost.saturating_add(service);
-                        new_proc
-                            .space_mut()
-                            .write_bytes_through(trap.addr, &trap.bytes)
-                            .map_err(McrError::Sim)?;
-                    }
-                    // One background drain batch for this pair.
-                    if !state.residual.is_drained() {
-                        report.postcopy.drain_steps += 1;
-                        if drain_fault == Some(report.postcopy.drain_steps) {
-                            return Err(Conflict::FaultInjected { phase: "drain-step".into() }.into());
-                        }
-                        let before = state.residual.faulted_in();
-                        let trigger = shifted_fault_in(fault_in, fault_in_done, before);
-                        let stats =
-                            drain_step(plan, &mut state.residual, old_proc, new_proc, batch, trigger)?;
-                        fault_in_done += state.residual.faulted_in() - before;
-                        report.postcopy.drained_objects += stats.objects;
-                        drain_costs[i] = stats.cost;
-                    }
-                }
-            }
-            // Trap service is downtime (the faulting threads were blocked);
-            // the drain batches ran concurrently with serving.
-            ctx.report.timings.trap_service = ctx.report.timings.trap_service.saturating_add(trap_cost);
-            ctx.kernel.advance_clock(trap_cost);
-            ctx.kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));
-        }
-        ctx.report.postcopy.drain_rounds = round as u64;
+        let loan = PostcopyLoan {
+            plan: ctx.plan.take().expect("post-copy commit built the plan"),
+            pairs: ctx.pairs.clone(),
+            residuals: std::mem::take(&mut ctx.pair_postcopy),
+            fault_in: ctx.fault.nth(FaultSite::FaultIn),
+            fault_in_done: 0,
+            summary: std::mem::take(&mut ctx.report.postcopy),
+        };
+        let new_state =
+            &mut ctx.new_instance.as_mut().expect("post-copy commit resumed the new version").state;
+        new_state.postcopy = Some(Box::new(loan));
+        let drained = Self::drain(ctx);
+        // Take the loan back whether the drain finished or failed.
+        let new_state = &mut ctx.new_instance.as_mut().expect("the drain keeps the new version").state;
+        let loan = new_state.postcopy.take().expect("the drain lent its state");
+        ctx.plan = Some(loan.plan);
+        ctx.report.postcopy = loan.summary;
+        // Trap service is downtime: every faulting thread was blocked.
+        ctx.report.timings.trap_service = SimDuration(ctx.report.postcopy.trap_service_ns.iter().sum());
+        ctx.report.postcopy.drain_rounds = drained? as u64;
         // Every parked object is applied — nothing can fault on the old
         // space any more. Terminate the old version: the point of no return.
         for &pid in &ctx.old.state.processes {

@@ -67,15 +67,16 @@
 //! applying the stale writes inside the stop-the-world window it snapshots
 //! and transforms them (against the now-frozen old space) and parks them in
 //! a `PostcopyResidual`. The new version resumes immediately with access
-//! traps armed over the parked ranges (`PostcopyResidual::arm`); a store
-//! into a not-yet-transferred
-//! page parks in the kernel's trap queue, `fault_in_at` services it by
-//! applying every parked object on the touched pages (and only then do the
-//! parked program stores replay), and `drain_step` retires the remainder
-//! in deterministic address order between scheduler rounds. Because the
-//! prepared bytes were computed at quiesce time and program stores replay
-//! after fault-in, the final memory is byte-identical to a stop-the-world
-//! transfer of the same graph.
+//! traps armed over the parked ranges (`PostcopyResidual::arm`); a load or
+//! store that touches a not-yet-transferred page is serviced by
+//! `fault_in_at`, which applies every parked object on the touched pages
+//! before the access lands (a store from outside a program thread parks in
+//! the kernel's trap queue and replays after the fault-in), and
+//! `drain_step` retires the remainder in deterministic address order
+//! between scheduler rounds. Because the prepared bytes were computed at
+//! quiesce time and program accesses happen after fault-in, the final
+//! memory is byte-identical to a stop-the-world transfer of the same
+//! graph.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -429,6 +430,16 @@ impl PostcopyResidual {
     /// Bytes still parked.
     pub(crate) fn remaining_bytes(&self) -> u64 {
         self.pending.iter().filter(|p| !p.applied).map(|p| p.len as u64).sum()
+    }
+
+    /// Simulated cost of applying every object still parked.
+    pub(crate) fn remaining_cost(&self) -> SimDuration {
+        write_cost(self.remaining(), self.remaining_bytes())
+    }
+
+    /// New-space pages that still hold a parked object.
+    pub(crate) fn parked_pages(&self) -> u64 {
+        self.page_refs.values().filter(|&&refs| refs > 0).count() as u64
     }
 
     /// True once every parked object has been applied.

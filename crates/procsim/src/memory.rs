@@ -14,15 +14,21 @@
 //! state has arrived and pulls stale objects in on demand. The mechanism
 //! here mirrors `userfaultfd`-style page protection: the update runtime arms
 //! per-page protection stamps over the not-yet-transferred ranges
-//! ([`AddressSpace::protect_range`]), and a store that hits a protected page
-//! does not land — it is parked in a pending-trap buffer
-//! ([`AddressSpace::take_pending_traps`]) exactly as a faulting thread would
-//! block on the missing page. The fault handler (the drainer in
-//! `mcr-core`) transfers the object, removes the protection
-//! ([`AddressSpace::unprotect_range`]) and replays the parked store, so the
-//! final bytes are written in the same order as a stop-the-world transfer:
-//! quiesce-time content first, post-commit stores second. Loads are not
-//! intercepted (the simulator's workloads are store-driven).
+//! ([`AddressSpace::protect_range`]) and removes them
+//! ([`AddressSpace::unprotect_range`]) once the content has arrived.
+//!
+//! Two paths service a protected page, and both land quiesce-time content
+//! first and the access second, so the final bytes match a stop-the-world
+//! transfer:
+//!
+//! * A program thread's load or store is checked *before* it happens
+//!   ([`AddressSpace::touches_protected`]): `mcr-core`'s `ProgramEnv`
+//!   faults the page's objects in and only then performs the access, as a
+//!   thread blocked in a `userfaultfd` handler would.
+//! * A store issued below that layer — by an allocator inside a thread's
+//!   call, by a post-copy hook or by a test mutator — does not land: it is
+//!   parked in a pending-trap buffer ([`AddressSpace::take_pending_traps`])
+//!   until the fault handler transfers the touched objects and replays it.
 //!
 //! # Write epochs (the pre-copy write barrier)
 //!
@@ -958,6 +964,13 @@ impl AddressSpace {
         self.protected_pages
     }
 
+    /// Whether `[addr, addr + len)` touches a post-copy protected page — the
+    /// check made before a program thread's load or store.
+    pub fn touches_protected(&self, addr: Addr, len: usize) -> bool {
+        self.protected_pages != 0
+            && self.region_containing(addr).is_some_and(|r| r.span_is_protected(addr, len.max(1) as u64))
+    }
+
     /// Number of parked stores awaiting fault-in service.
     pub fn pending_trap_count(&self) -> usize {
         self.pending_traps.len()
@@ -978,20 +991,6 @@ mod tests {
     /// Whether the page containing `addr` is post-copy protected.
     fn is_protected(space: &AddressSpace, addr: Addr) -> bool {
         space.region_containing(addr).is_some_and(|r| r.page_is_protected(addr))
-    }
-
-    /// The base address of the first protected page covering
-    /// `[addr, addr+len)`, if any — a read-barrier query.
-    fn access_trap(space: &AddressSpace, addr: Addr, len: u64) -> Option<Addr> {
-        let end = addr.0 + len.max(1);
-        let mut page = addr.page_base();
-        while page.0 < end {
-            if is_protected(space, page) {
-                return Some(page);
-            }
-            page = page.offset(PAGE_SIZE);
-        }
-        None
     }
 
     fn space_with_region() -> AddressSpace {
@@ -1134,8 +1133,9 @@ mod tests {
         assert_eq!(space.protected_page_count(), 1);
         assert!(is_protected(&space, Addr(0x10000 + PAGE_SIZE + 8)));
         assert!(!is_protected(&space, Addr(0x10000)));
-        assert_eq!(access_trap(&space, Addr(0x10000), 2 * PAGE_SIZE), Some(Addr(0x10000 + PAGE_SIZE)));
-        assert_eq!(access_trap(&space, Addr(0x10000), 8), None);
+        assert!(space.touches_protected(Addr(0x10000), 2 * PAGE_SIZE as usize));
+        assert!(space.touches_protected(Addr(0x10000 + PAGE_SIZE - 4), 8), "a straddling access");
+        assert!(!space.touches_protected(Addr(0x10000), 8));
         // A store to an unprotected page lands as usual.
         space.write_u64(Addr(0x10008), 0x2222).unwrap();
         assert_eq!(space.read_u64(Addr(0x10008)).unwrap(), 0x2222);

@@ -121,16 +121,9 @@ pub fn apply_scenario_writes(
 
 /// The post-resume write workload of the adaptive-transfer sweep: stamps
 /// `words` u32 slots of every process's `request_buf` scratch global with
-/// `stamp`, returning the number of stores issued.
-///
-/// The target addresses come from the statics table, never from reads of
-/// program memory — deliberately, because a post-copy instance may still
-/// have not-yet-transferred pages whose *reads* return unapplied bytes. A
-/// write-only workload with precomputed targets produces the same final
-/// bytes whether its stores land directly (synchronous modes) or trap on a
-/// parked page and are replayed by the fault handler (post-copy modes),
-/// which is what lets the sweep assert byte-identical fingerprints across
-/// every transfer mode.
+/// `stamp`, returning the number of stores issued. Its stores land directly
+/// (synchronous modes) or trap on a parked page and are replayed by the
+/// fault handler (post-copy modes), with the same final bytes either way.
 ///
 /// Stamping starts at offset 8: the first word of `request_buf` is where
 /// the server's type-unsafe idiom stashes a raw connection pointer, and

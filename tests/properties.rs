@@ -1411,7 +1411,8 @@ const POST_STAMP_ROUNDS: usize = 3;
 /// pipeline otherwise: the targets are precomputed from the statics table
 /// and the final value wins, so stores that land directly and stores that
 /// trap on a parked page and get replayed by the fault handler converge to
-/// the same bytes by design.
+/// the same bytes by design. Also returns how many stamps the drain hook
+/// delivered.
 #[allow(clippy::too_many_arguments)]
 fn postcopy_or_stw_update(
     program: &str,
@@ -1422,7 +1423,7 @@ fn postcopy_or_stw_update(
     shards: usize,
     fault: Option<ChaosPlan>,
     seed: u64,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+) -> (u64, Vec<mcr_core::Conflict>, UpdateReport, usize) {
     let (mut kernel, v1) = served(program, requests, open);
     let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
     for _ in 0..3 {
@@ -1463,7 +1464,7 @@ fn postcopy_or_stw_update(
             stamp_request_scratch(&mut kernel, &survivor, 8, stamp);
         }
     }
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone(), delivered.get())
 }
 
 /// Post-copy commit is byte-identical to stop-the-world: with the same
@@ -1485,7 +1486,7 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
         let mut fingerprints = Vec::new();
         for shards in [1usize, 2] {
             let ctx = |label: &str| format!("seed {seed} ({program}, {shards} shards, {label})");
-            let (stw_fp, stw_conflicts, stw) = postcopy_or_stw_update(
+            let (stw_fp, stw_conflicts, stw, _) = postcopy_or_stw_update(
                 program,
                 requests,
                 open,
@@ -1497,7 +1498,7 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
             );
             assert!(stw_conflicts.is_empty(), "{}: {stw_conflicts:?}", ctx("stop-the-world"));
             for mode in [TransferMode::Postcopy, TransferMode::Adaptive] {
-                let (fp, conflicts, report) =
+                let (fp, conflicts, report, _) =
                     postcopy_or_stw_update(program, requests, open, writes, mode, shards, None, seed);
                 let ctx = ctx(&format!("{mode:?}"));
                 assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
@@ -1524,18 +1525,21 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
     }
 }
 
-/// A fault injected mid-drain (or at the first post-resume fault-in) rolls
-/// the update back to the old version byte-identically: the post-rollback
-/// kernel fingerprint equals the no-update baseline that applied the same
-/// pre-update writes and never entered the pipeline, and the conflict list
-/// and per-process reports agree across shard counts.
+/// A fault injected mid-drain rolls the update back to the old version
+/// byte-identically: the post-rollback kernel fingerprint equals the
+/// no-update baseline that applied the same pre-update writes and never
+/// entered the pipeline, and the conflict list and per-process reports agree
+/// across shard counts. The faults: the first background drain batch; the
+/// first fault-in, which a resumed session's load of its parked
+/// `session_fd` global takes inside drain round 1's serving, before the
+/// drain hook delivers a stamp; and the last fault-in of a clean run.
 #[test]
 fn mid_drain_faults_roll_back_byte_identically() {
     let (program, requests, open, writes, seed) = ("vsftpd", 3u64, 2usize, 2usize, 0x0d1eu64);
 
     // The no-update baseline: identical boot, traffic and seeded pre-update
-    // writes, no pipeline. (The post-resume stamps never run on a rollback
-    // path — the fault fires before the first one is delivered.)
+    // writes, no pipeline. (The post-resume stamps only ever touch the new
+    // version, which the rollback tears down.)
     let baseline_fp = {
         let (mut kernel, v1) = served(program, requests, open);
         let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
@@ -1544,13 +1548,22 @@ fn mid_drain_faults_roll_back_byte_identically() {
         }
         kernel_fingerprint(&kernel)
     };
+    let (_, clean_conflicts, clean, _) =
+        postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, 1, None, seed);
+    assert!(clean_conflicts.is_empty(), "{clean_conflicts:?}");
+    let last_fault_in = clean.postcopy.deferred_objects;
+    assert_eq!(clean.postcopy.trap_objects + clean.postcopy.drained_objects, last_fault_in);
 
-    for (fault, kind) in
-        [(FaultSite::DrainStep(1).plan(), "drain-step"), (FaultSite::FaultIn(1).plan(), "fault-in")]
-    {
+    // (fault, conflict phase, whether it fires before the hook's first stamp)
+    let cases = [
+        (FaultSite::DrainStep(1).plan(), "drain-step", false),
+        (FaultSite::FaultIn(1).plan(), "fault-in", true),
+        (FaultSite::FaultIn(last_fault_in).plan(), "fault-in", false),
+    ];
+    for (fault, kind, from_thread_load) in cases {
         let mut runs = Vec::new();
         for shards in [1usize, 2] {
-            let (fp, conflicts, report) = postcopy_or_stw_update(
+            let (fp, conflicts, report, delivered) = postcopy_or_stw_update(
                 program,
                 requests,
                 open,
@@ -1560,7 +1573,7 @@ fn mid_drain_faults_roll_back_byte_identically() {
                 Some(fault.clone()),
                 seed,
             );
-            let ctx = format!("{kind} ({shards} shards)");
+            let ctx = format!("{fault:?} ({shards} shards)");
             assert!(
                 conflicts
                     .iter()
@@ -1568,6 +1581,11 @@ fn mid_drain_faults_roll_back_byte_identically() {
                 "{ctx}: the armed fault did not fire: {conflicts:?}"
             );
             assert_eq!(fp, baseline_fp, "{ctx}: rollback did not restore the pre-update kernel state");
+            assert_eq!(
+                delivered == 0,
+                from_thread_load,
+                "{ctx}: fired after {delivered} hook stamps; a thread's load must fault before the hook runs"
+            );
             runs.push((conflicts, report));
         }
         let (base_conflicts, base_report) = &runs[0];
@@ -1589,10 +1607,10 @@ fn mid_drain_faults_roll_back_byte_identically() {
 #[test]
 fn drain_traps_service_each_deferred_object_exactly_once() {
     let (program, requests, open, writes, seed) = ("vsftpd", 4u64, 3usize, 2usize, 0x7a9u64);
-    let (stw_fp, stw_conflicts, _) =
+    let (stw_fp, stw_conflicts, _, _) =
         postcopy_or_stw_update(program, requests, open, writes, TransferMode::StopTheWorld, 1, None, seed);
     assert!(stw_conflicts.is_empty(), "{stw_conflicts:?}");
-    let (fp, conflicts, report) =
+    let (fp, conflicts, report, _) =
         postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, 1, None, seed);
     assert!(conflicts.is_empty(), "{conflicts:?}");
     assert!(report.postcopy.traps >= 1, "the post-resume stamps never trapped");
@@ -1604,6 +1622,102 @@ fn drain_traps_service_each_deferred_object_exactly_once() {
     );
     assert!(report.timings.trap_service.0 > 0, "trap service time must be charged");
     assert_eq!(fp, stw_fp, "trap replay double-applied or dropped a store");
+}
+
+/// Updates `old` to `new_program` under `mode` while one client sends
+/// `request` to `port`: from the post-copy hook of drain round 1 under
+/// `Postcopy`, right after commit otherwise. Two more rounds are served
+/// either way. Returns the kernel fingerprint, the reply and the report.
+fn update_with_one_request(
+    mut kernel: Kernel,
+    old: McrInstance,
+    new_program: Box<dyn mcr_core::Program>,
+    mode: TransferMode,
+    port: u16,
+    request: &'static [u8],
+) -> (u64, String, UpdateReport) {
+    let opts = UpdateOptions { mode, ..Default::default() };
+    let sent: Rc<Cell<Option<ConnId>>> = Rc::default();
+    let mut pipeline = UpdatePipeline::for_options(&opts);
+    if mode == TransferMode::Postcopy {
+        let sent = Rc::clone(&sent);
+        pipeline = pipeline.with_postcopy_hook(Box::new(move |kernel, _, round| {
+            if round == 1 {
+                let conn = kernel.client_connect(port).unwrap();
+                kernel.client_send(conn, request.to_vec()).unwrap();
+                sent.set(Some(conn));
+            }
+        }));
+    }
+    let (mut survivor, outcome) =
+        pipeline.run(&mut kernel, old, new_program, InstrumentationConfig::full(), &opts);
+    assert!(outcome.is_committed(), "{mode:?}: {:?}", outcome.conflicts());
+    let conn = sent.get().unwrap_or_else(|| {
+        let conn = kernel.client_connect(port).unwrap();
+        kernel.client_send(conn, request.to_vec()).unwrap();
+        conn
+    });
+    mcr_core::runtime::run_rounds(&mut kernel, &mut survivor, 2).unwrap();
+    let reply = kernel.client_recv(conn).expect("the request was answered");
+    (kernel_fingerprint(&kernel), String::from_utf8_lossy(&reply).into_owned(), outcome.report().clone())
+}
+
+/// A cache update whose `get` is sent from the post-copy hook of drain
+/// round 1 and answered by the resumed new version in round 2, with objects
+/// still parked: the reply equals the one stop-the-world's post-commit `get`
+/// gets, and the update ends at stop-the-world's kernel fingerprint — the
+/// `cache_stats` read-modify-write and the bucket walk read transferred
+/// bytes, never unapplied ones.
+#[test]
+fn postcopy_get_served_mid_drain_matches_stop_the_world() {
+    let run = |mode| {
+        let mut kernel = Kernel::new();
+        let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
+        cache_request(&mut kernel, &mut v1, "fill 300 64");
+        for _ in 0..5 {
+            cache_request(&mut kernel, &mut v1, "get");
+        }
+        update_with_one_request(kernel, v1, Box::new(CacheServer::new(2)), mode, CACHE_PORT, b"get")
+    };
+    let (stw_fp, stw_reply, _) = run(TransferMode::StopTheWorld);
+    assert_eq!(stw_reply, "VALUE 5 gen2");
+    let (fp, reply, report) = run(TransferMode::Postcopy);
+    let post = &report.postcopy;
+    assert!(post.drain_rounds >= 2, "the drain ended before round 2 served the get: {post:?}");
+    assert_eq!(reply, stw_reply, "the mid-drain get read unapplied bytes");
+    assert_eq!(fp, stw_fp, "post-copy with a mid-drain get diverged from stop-the-world");
+    assert!(post.traps >= 1, "the get never faulted on a parked page");
+    assert_eq!(post.trap_objects + post.drained_objects, post.deferred_objects);
+}
+
+/// A vsftpd client that connects from the post-copy hook of drain round 1:
+/// the resumed master accepts it, allocates its `conn_s` record and forks a
+/// session process mid-drain, with its own residual still parked. The update
+/// ends byte-identical to stop-the-world with the same connection made after
+/// commit — so an allocator store that parked on a protected page never
+/// outlives the call that made it, and the fork completes the master's
+/// residual before the child copies its pages.
+#[test]
+fn postcopy_session_forked_mid_drain_matches_stop_the_world() {
+    let port = workload_for("vsftpd", 1).port;
+    let run = |mode| {
+        let (kernel, v1) = served("vsftpd", 40, 2);
+        update_with_one_request(
+            kernel,
+            v1,
+            Box::new(program_by_name("vsftpd", 2)),
+            mode,
+            port,
+            b"USER anonymous",
+        )
+    };
+    let (stw_fp, stw_reply, _) = run(TransferMode::StopTheWorld);
+    let (fp, reply, report) = run(TransferMode::Postcopy);
+    let post = &report.postcopy;
+    assert!(post.drain_rounds >= 2, "the drain ended before round 2 forked the session: {post:?}");
+    assert_eq!(post.trap_objects + post.drained_objects, post.deferred_objects);
+    assert_eq!(reply, stw_reply);
+    assert_eq!(fp, stw_fp, "a session forked mid-drain diverged from stop-the-world");
 }
 
 /// Identity transformations round-trip arbitrary byte patterns.
