@@ -192,11 +192,10 @@ pub struct InstanceState {
     /// drain, so the [`ProgramEnv`] accessors can fault parked objects in;
     /// `None` outside a drain.
     pub(crate) postcopy: Option<Box<PostcopyLoan>>,
-    /// Raw tid → index into `threads` (tids are globally unique), so
-    /// per-step roster lookups are one bounds-checked vector probe at fleet
-    /// scale. `u32::MAX` marks an unindexed slot. Maintained by
-    /// [`InstanceState::add_roster_entry`]; lookups verify the entry and fall
-    /// back to a linear scan for entries pushed directly.
+    /// Raw tid → index into `threads` (tids are globally unique), so a
+    /// roster lookup is one bounds-checked vector probe at fleet scale.
+    /// `u32::MAX` marks a tid with no entry. Maintained by
+    /// [`InstanceState::add_roster_entry`], the one way entries are added.
     roster_index: Vec<u32>,
     static_bump: u64,
     lib_bump: u64,
@@ -246,12 +245,8 @@ impl InstanceState {
     }
 
     fn roster_position(&self, pid: Pid, tid: Tid) -> Option<usize> {
-        if let Some(&i) = self.roster_index.get(tid.0 as usize) {
-            if self.threads.get(i as usize).is_some_and(|t| t.pid == pid && t.tid == tid) {
-                return Some(i as usize);
-            }
-        }
-        self.threads.iter().position(|t| t.pid == pid && t.tid == tid)
+        let i = *self.roster_index.get(tid.0 as usize)? as usize;
+        self.threads.get(i).is_some_and(|t| t.pid == pid && t.tid == tid).then_some(i)
     }
 
     /// The roster entry for a thread, if known.
@@ -842,7 +837,7 @@ mod tests {
         let mut state =
             InstanceState::new("tiny", "1.0", InstrumentationConfig::full(), Interposer::recorder());
         state.processes.push(pid);
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid,
             name: "main".into(),

@@ -186,7 +186,7 @@ mod tests {
         let mut state =
             InstanceState::new("httpd", "2.2.23", InstrumentationConfig::full(), Interposer::recorder());
         state.processes.push(pid);
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid: main_tid,
             name: "master".into(),
@@ -196,7 +196,7 @@ mod tests {
         // Two worker threads created during startup, one helper that exited.
         for i in 1..=2 {
             let tid = kernel.spawn_thread(pid, &format!("worker-{i}"), vec!["main".into()]).unwrap();
-            state.threads.push(ThreadRosterEntry {
+            state.add_roster_entry(ThreadRosterEntry {
                 pid,
                 tid,
                 name: format!("worker-{i}").into(),
@@ -210,7 +210,7 @@ mod tests {
             t.record_loop_iteration("worker_loop");
         }
         let helper_tid = kernel.spawn_thread(pid, "daemonize-helper", vec!["main".into()]).unwrap();
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid: helper_tid,
             name: "daemonize-helper".into(),
@@ -259,7 +259,7 @@ mod tests {
         let (mut kernel, mut state) = build_state_with_threads();
         let pid = state.processes[0];
         let tid = kernel.spawn_thread(pid, "session-1", vec!["main".into(), "accept_loop".into()]).unwrap();
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid,
             name: "session-1".into(),

@@ -900,7 +900,7 @@ mod tests {
         let mut state =
             InstanceState::new("listing1", "1.0", InstrumentationConfig::full(), Interposer::recorder());
         state.processes.push(pid);
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid,
             name: "main".into(),

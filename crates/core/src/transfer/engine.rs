@@ -1450,7 +1450,7 @@ mod tests {
             InstanceState::new(name, "1.0", InstrumentationConfig::full(), Interposer::recorder());
         let tid = kernel.process(pid).unwrap().main_tid();
         state.processes.push(pid);
-        state.threads.push(ThreadRosterEntry {
+        state.add_roster_entry(ThreadRosterEntry {
             pid,
             tid,
             name: "main".into(),

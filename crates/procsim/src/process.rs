@@ -15,6 +15,9 @@ use crate::fd::FdTable;
 use crate::ids::{Pid, Tid};
 use crate::memory::{Addr, AddressSpace, RegionKind};
 
+/// `thread_index` sentinel: no thread of this process has that tid.
+const NIL: u32 = u32::MAX;
+
 /// Scheduling/blocking state of a simulated thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadState {
@@ -205,10 +208,13 @@ pub struct Process {
     heap: Option<PtMalloc>,
     regions: RegionAllocator,
     fds: FdTable,
-    /// Threads sorted by ascending tid. Tids are handed out by the kernel in
-    /// globally increasing order, so insertion order and tid order coincide
-    /// and new threads are appended; a binary search resolves lookups.
+    /// Threads in ascending tid order. Tids are handed out by the kernel in
+    /// globally increasing order, so a new thread is always appended.
     threads: Vec<Thread>,
+    /// `tid - main_tid` → position in `threads` ([`NIL`] for the tids the
+    /// kernel handed to other processes in between): a tid resolves in one
+    /// bounds-checked probe. The main thread is the first one.
+    thread_index: Vec<u32>,
     main_tid: Tid,
     layout: MemoryLayout,
     exit_code: Option<i32>,
@@ -228,6 +234,7 @@ impl Process {
             regions: RegionAllocator::new(false),
             fds: FdTable::new(),
             threads,
+            thread_index: vec![0],
             main_tid,
             layout: MemoryLayout::default(),
             exit_code: None,
@@ -347,9 +354,10 @@ impl Process {
         self.thread_pos(tid).map(|i| &self.threads[i]).ok_or(SimError::NoSuchThread(self.pid, tid))
     }
 
-    /// Index of `tid` in the sorted thread vector, if present.
+    /// Position of `tid` in the thread vector, if it is one of this process's.
     fn thread_pos(&self, tid: Tid) -> Option<usize> {
-        self.threads.binary_search_by_key(&tid.0, |t| t.tid.0).ok()
+        let i = *self.thread_index.get(tid.0.checked_sub(self.main_tid.0)? as usize)?;
+        (i != NIL).then_some(i as usize)
     }
 
     /// Exclusive access to a thread.
@@ -375,11 +383,13 @@ impl Process {
     }
 
     pub(crate) fn add_thread(&mut self, tid: Tid, name: impl Into<String>, creation_stack: Rc<[String]>) {
-        let thread = Thread::new(tid, name, creation_stack);
-        match self.threads.binary_search_by_key(&tid.0, |t| t.tid.0) {
-            Ok(i) => self.threads[i] = thread,
-            Err(i) => self.threads.insert(i, thread),
-        }
+        debug_assert!(
+            self.threads.last().is_some_and(|t| t.tid < tid),
+            "tids are allocated in increasing order"
+        );
+        self.thread_index.resize((tid.0 - self.main_tid.0) as usize, NIL);
+        self.thread_index.push(self.threads.len() as u32);
+        self.threads.push(Thread::new(tid, name, creation_stack));
     }
 
     /// Whether the process has exited.
@@ -431,6 +441,7 @@ impl Process {
             regions: self.regions.clone(),
             fds: self.fds.clone(),
             threads,
+            thread_index: vec![0],
             main_tid: child_main_tid,
             layout: self.layout,
             exit_code: None,
@@ -515,6 +526,36 @@ mod tests {
         assert_eq!(&*t.shared_call_stack(), ["main".to_string()]);
         p.add_thread(Tid(2), "worker", second);
         assert_eq!(p.thread(Tid(2)).unwrap().creation_stack(), ["main", "spawn_workers"]);
+    }
+
+    #[test]
+    fn tid_holes_left_by_other_processes_resolve_to_no_thread() {
+        // Two processes spawning alternately: each one's tids skip the other's.
+        let mut a = proc_with_memory();
+        let mut b = Process::new(Pid(2), "other", Tid(2));
+        for t in 3..=12 {
+            let p = if t % 2 == 1 { &mut a } else { &mut b };
+            p.add_thread(Tid(t), format!("w{t}"), Rc::from([]));
+        }
+        a.thread_mut(Tid(5)).unwrap().push_frame("fork_here");
+        let mut child = a.fork_into(Pid(3), Tid(13), Tid(5));
+        assert_eq!(child.creation_stack(), ["fork_here"]);
+        for (p, own, past) in [(&mut a, 1..=11, 13), (&mut b, 2..=12, 14), (&mut child, 13..=13, 14)] {
+            let pid = p.pid();
+            for t in 0..=past {
+                let tid = Tid(t);
+                if own.contains(&t) && (t % 2 == own.start() % 2) {
+                    assert_eq!(p.thread(tid).unwrap().tid(), tid);
+                    assert_eq!(p.thread_mut(tid).unwrap().tid(), tid);
+                } else {
+                    assert_eq!(p.thread(tid).unwrap_err(), SimError::NoSuchThread(pid, tid), "{pid} {tid}");
+                    assert_eq!(p.thread_mut(tid).unwrap_err(), SimError::NoSuchThread(pid, tid));
+                }
+            }
+            let tids: Vec<u32> = p.threads().map(|t| t.tid().0).collect();
+            assert!(tids.windows(2).all(|w| w[0] < w[1]), "{pid}: {tids:?} not ascending");
+            assert_eq!(tids.len(), p.thread_count());
+        }
     }
 
     #[test]
