@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mcr_procsim::Addr;
+use mcr_procsim::{Addr, PAGE_SIZE};
 use mcr_typemeta::TypeId;
 
 use crate::tracing::stats::RegionClass;
@@ -122,6 +122,9 @@ impl TracedObject {
     }
 }
 
+/// Bits of the changed-page filter: page `p` maps to bit `p % CHANGED_FILTER_BITS`.
+const CHANGED_FILTER_BITS: u64 = 4096;
+
 /// The object graph produced by tracing one process of the old version.
 ///
 /// Besides the objects the graph remembers *where it changed shape*: every
@@ -141,6 +144,10 @@ pub struct ObjectGraph {
     /// `[start, end)` ranges whose containment changed since the first trace;
     /// sorted and disjoint once [`ObjectGraph::seal_changed`] ran.
     changed: Vec<(u64, u64)>,
+    /// One bit per page residue (see [`CHANGED_FILTER_BITS`]), set for every
+    /// page a `changed` range touches; empty until the first seal. A clear
+    /// bit proves an address lies outside every changed range.
+    changed_pages: Vec<u64>,
 }
 
 impl ObjectGraph {
@@ -163,7 +170,7 @@ impl ObjectGraph {
         // At most two copies of the objects are alive at once: the slots go
         // before the tree is built from (and in the buffer of) `sorted`.
         drop(slots);
-        ObjectGraph { objects: BTreeMap::from_iter(sorted), max_size, changed: Vec::new() }
+        ObjectGraph { objects: BTreeMap::from_iter(sorted), max_size, ..Self::default() }
     }
 
     /// Inserts an object (keyed by base address), returning the entry it
@@ -216,8 +223,11 @@ impl ObjectGraph {
         self.changed.push((addr.0, addr.0 + size.max(1)));
     }
 
-    /// Sorts and merges the recorded ranges; a retrace ends with this so
-    /// [`ObjectGraph::range_changed`] can binary-search them.
+    /// Sorts and merges the recorded ranges, so
+    /// [`ObjectGraph::range_changed`] can binary-search them, and sets the
+    /// filter bit of every page they touch, so it seldom has to; a retrace
+    /// ends with this. A range over as many pages as the filter has bits
+    /// sets them all.
     pub(crate) fn seal_changed(&mut self) {
         self.changed.sort_unstable();
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.changed.len());
@@ -228,6 +238,19 @@ impl ObjectGraph {
             }
         }
         self.changed = merged;
+        let mut pages = vec![0u64; (CHANGED_FILTER_BITS / 64) as usize];
+        for &(start, end) in &self.changed {
+            let (first, last) = (start / PAGE_SIZE, (end - 1) / PAGE_SIZE);
+            if last - first >= CHANGED_FILTER_BITS - 1 {
+                pages.fill(u64::MAX);
+                break;
+            }
+            for page in first..=last {
+                let bit = page % CHANGED_FILTER_BITS;
+                pages[(bit / 64) as usize] |= 1 << (bit % 64);
+            }
+        }
+        self.changed_pages = pages;
     }
 
     /// Whether any object entered, left or changed size or pin status since
@@ -239,8 +262,14 @@ impl ObjectGraph {
     /// Whether `addr` lies in the range of an object that entered or left
     /// the graph, or changed size or pin status, since the graph was first
     /// traced. `false` means a pointer to `addr` resolves exactly as it did
-    /// in every earlier state of this graph.
+    /// in every earlier state of this graph. An address whose page bit is
+    /// clear is answered without searching the ranges.
     pub(crate) fn range_changed(&self, addr: Addr) -> bool {
+        let bit = (addr.0 / PAGE_SIZE) % CHANGED_FILTER_BITS;
+        let word = self.changed_pages.get((bit / 64) as usize).copied().unwrap_or(0);
+        if word >> (bit % 64) & 1 == 0 {
+            return false;
+        }
         let after = self.changed.partition_point(|&(start, _)| start <= addr.0);
         after > 0 && addr.0 < self.changed[after - 1].1
     }
@@ -349,6 +378,106 @@ mod tests {
         assert_eq!(dirty_objects(&g).count(), 0);
         g.remove(Addr(0x2000));
         assert_eq!(g.len(), 0);
+    }
+
+    /// `range_changed` without the page filter: the plain binary search over
+    /// the sealed ranges, whose answer the filter must never change.
+    fn reference_range_changed(g: &ObjectGraph, addr: Addr) -> bool {
+        let after = g.changed.partition_point(|&(start, _)| start <= addr.0);
+        after > 0 && addr.0 < g.changed[after - 1].1
+    }
+
+    /// Asserts the filtered answer equals the reference at every probe;
+    /// returns how many probes were changed.
+    fn assert_agrees(g: &ObjectGraph, probes: impl IntoIterator<Item = u64>, what: &str) -> usize {
+        let mut hits = 0;
+        for addr in probes.into_iter().map(Addr) {
+            let want = reference_range_changed(g, addr);
+            assert_eq!(g.range_changed(addr), want, "{what}: {addr}");
+            hits += usize::from(want);
+        }
+        hits
+    }
+
+    fn filter_bits_set(g: &ObjectGraph) -> u32 {
+        g.changed_pages.iter().map(|w| w.count_ones()).sum()
+    }
+
+    const BASE: u64 = 0x5555_0000_0000;
+
+    #[test]
+    fn page_filter_answers_as_the_binary_search() {
+        use crate::runtime::chaos::ChaosRng;
+        // Twice as many pages as the filter has bits, so page residues alias.
+        let window = 2 * CHANGED_FILTER_BITS * PAGE_SIZE;
+        for seed in 1..=16 {
+            let mut rng = ChaosRng::new(seed);
+            let mut g = ObjectGraph::new();
+            let mut notes: Vec<(u64, u64)> = Vec::new();
+            let (mut hits, mut probes) = (0, 0);
+            // Several retraces' worth of notes, sealed after each, as
+            // `Tracer::retrace` does.
+            for round in 0..3 {
+                for _ in 0..rng.range(1, 40) {
+                    let start = BASE + rng.range(0, window);
+                    let size = match rng.range(0, 4) {
+                        // Straddles the next page boundary.
+                        0 => PAGE_SIZE - start % PAGE_SIZE + rng.range(1, 64),
+                        // Several pages.
+                        1 => rng.range(PAGE_SIZE, 5 * PAGE_SIZE),
+                        _ => rng.range(0, 512),
+                    };
+                    g.note_changed(Addr(start), size);
+                    notes.push((start, start + size.max(1)));
+                }
+                g.seal_changed();
+                let mut at: Vec<u64> = (0..2_000).map(|_| BASE + rng.range(0, window)).collect();
+                for &(start, end) in &notes {
+                    // The edges of every range, and the same offsets one
+                    // filter length away (their pages share its bits).
+                    for edge in [start - 1, start, end - 1, end] {
+                        at.extend([edge, edge + CHANGED_FILTER_BITS * PAGE_SIZE]);
+                    }
+                }
+                probes += at.len();
+                hits += assert_agrees(&g, at, &format!("seed {seed} round {round}"));
+                assert!(filter_bits_set(&g) < CHANGED_FILTER_BITS as u32, "seed {seed}: not saturated");
+            }
+            assert!(hits > 0 && hits < probes, "seed {seed}: {hits} of {probes} probes changed");
+        }
+    }
+
+    #[test]
+    fn a_range_as_wide_as_the_filter_saturates_it() {
+        let mut g = ObjectGraph::new();
+        g.note_changed(Addr(BASE), (CHANGED_FILTER_BITS - 1) * PAGE_SIZE);
+        g.seal_changed();
+        assert_eq!(filter_bits_set(&g), CHANGED_FILTER_BITS as u32 - 1, "one page short of every bit");
+        let mut g = ObjectGraph::new();
+        g.note_changed(Addr(BASE + 8), CHANGED_FILTER_BITS * PAGE_SIZE);
+        g.note_changed(Addr(0x1000), 16);
+        g.seal_changed();
+        assert_eq!(filter_bits_set(&g), CHANGED_FILTER_BITS as u32);
+        let end = BASE + 8 + CHANGED_FILTER_BITS * PAGE_SIZE;
+        let probes = [0xfff, 0x1000, 0x100f, 0x1010, BASE, BASE + 7, BASE + 8, end - 1, end, end + PAGE_SIZE];
+        assert_eq!(assert_agrees(&g, probes, "saturated"), 4);
+        let mut g = ObjectGraph::new();
+        g.note_changed(Addr(0), u64::MAX);
+        g.seal_changed();
+        assert_eq!(filter_bits_set(&g), CHANGED_FILTER_BITS as u32);
+        assert_eq!(assert_agrees(&g, [0, BASE, u64::MAX - 1, u64::MAX], "everything"), 3);
+    }
+
+    #[test]
+    fn empty_and_unsealed_graphs_changed_nowhere() {
+        let probes = [0, 1, 0x1000, BASE, BASE + PAGE_SIZE * CHANGED_FILTER_BITS, u64::MAX];
+        let mut sealed = ObjectGraph::from_objects(vec![obj(BASE, 64, true)]);
+        sealed.seal_changed();
+        assert!(!sealed.any_changed());
+        assert_eq!(filter_bits_set(&sealed), 0);
+        for g in [&sealed, &ObjectGraph::new(), &ObjectGraph::from_objects(vec![obj(BASE, 64, true)])] {
+            assert_eq!(assert_agrees(g, probes, "no changed range"), 0);
+        }
     }
 
     #[test]

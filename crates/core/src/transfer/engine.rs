@@ -120,6 +120,10 @@ pub(crate) struct TypeBridge {
     /// Whether the new version registered a semantic transform handler under
     /// the type name.
     pub(crate) has_type_transform: bool,
+    /// Size of the type in the old version (`TypeRegistry::size_of`).
+    pub(crate) old_size: u64,
+    /// Size of `new_ty` in the new version; 0 when the type vanished.
+    pub(crate) new_size: u64,
 }
 
 /// Read-only cross-version metadata shared by every process pair of one live
@@ -129,8 +133,9 @@ pub(crate) struct TransferContext {
     syms: SymbolTable,
     /// New-version allocation-site id → interned site name.
     new_sites: BTreeMap<u64, Sym>,
-    /// Old-version type id → bridge to the new version.
-    types: BTreeMap<u64, TypeBridge>,
+    /// Bridge to the new version, indexed by old-version type id (`None`
+    /// for an id the old version never registered).
+    types: Vec<Option<TypeBridge>>,
     /// Mid-phase fault injection: abort instead of performing the n-th
     /// object write (1-based, counted across every pair and every pre-copy
     /// round of the update).
@@ -156,7 +161,7 @@ impl TransferContext {
         for (site, info) in new_state.sites.iter() {
             new_sites.insert(site.0, syms.intern(Arc::clone(&info.name)));
         }
-        let mut types = BTreeMap::new();
+        let mut types: Vec<Option<TypeBridge>> = Vec::new();
         for desc in old_state.types.iter() {
             syms.intern(Arc::clone(&desc.name));
             let new_ty = new_state.types.lookup(&desc.name);
@@ -164,15 +169,18 @@ impl TransferContext {
                 .map(|n| old_state.types.is_layout_compatible(desc.id, &new_state.types, n))
                 .unwrap_or(false);
             let has_type_transform = new_state.annotations.transform(&desc.name).is_some();
-            types.insert(
-                desc.id.0,
-                TypeBridge {
-                    old_name: Arc::clone(&desc.name),
-                    new_ty,
-                    layout_compatible,
-                    has_type_transform,
-                },
-            );
+            let at = desc.id.0 as usize;
+            if at >= types.len() {
+                types.resize(at + 1, None);
+            }
+            types[at] = Some(TypeBridge {
+                old_name: Arc::clone(&desc.name),
+                new_ty,
+                layout_compatible,
+                has_type_transform,
+                old_size: old_state.types.size_of(desc.id),
+                new_size: new_ty.map_or(0, |t| new_state.types.size_of(t)),
+            });
         }
         TransferContext {
             syms,
@@ -232,7 +240,7 @@ impl TransferContext {
 
     /// The bridge for an old-version type id, if the type is registered.
     pub(crate) fn bridge(&self, old_ty: TypeId) -> Option<&TypeBridge> {
-        self.types.get(&old_ty.0)
+        self.types.get(usize::try_from(old_ty.0).ok()?)?.as_ref()
     }
 
     /// The interned id of an allocation-site name (old or new version).
@@ -991,13 +999,9 @@ fn run_transfer(
 
             // A fresh chunk holds exactly what pass 4's element-wise
             // transform emits: one new-version element per old one.
-            let fresh_size = new_ty
-                .map(|t| new_state.types.size_of(t))
-                .filter(|s| *s > 0)
-                .map(|new_stride| {
-                    let old_stride = old_ty.map_or(0, |t| old_state.types.size_of(t)).max(1);
-                    new_stride * (obj.size / old_stride).max(1)
-                })
+            let fresh_size = bridge
+                .filter(|b| b.new_size > 0)
+                .map(|b| b.new_size * (obj.size / b.old_size.max(1)).max(1))
                 .unwrap_or(obj.size);
             let recorded = records.next_if(|r| r.old_base == obj.addr.0).and_then(|r| r.recorded(fresh_size));
             let mut entry = match recorded {
@@ -1482,6 +1486,34 @@ mod tests {
             "l_t",
             vec![Field::new("value", int), Field::new("new", int), Field::new("next", node_ptr)],
         );
+    }
+
+    #[test]
+    fn bridges_carry_both_versions_sizes() {
+        let mut kernel = Kernel::new();
+        let (mut old_state, _) = make_instance(&mut kernel, "v1", 0);
+        register_v1_types(&mut old_state);
+        let legacy = old_state.types.opaque("legacy_s", 40);
+        let (mut new_state, _) = make_instance(&mut kernel, "v2", 0x1000_0000);
+        register_v2_types_two_changed(&mut new_state);
+        let plan = TransferContext::new(&old_state, &new_state);
+        let mut resized = 0;
+        for desc in old_state.types.iter() {
+            let bridge = plan.bridge(desc.id).expect("every old type is bridged");
+            assert_eq!(&*bridge.old_name, &*desc.name);
+            assert_eq!(bridge.new_ty, new_state.types.lookup(&desc.name), "{}", desc.name);
+            assert_eq!(bridge.old_size, old_state.types.size_of(desc.id), "{}", desc.name);
+            let new_size = bridge.new_ty.map_or(0, |t| new_state.types.size_of(t));
+            assert_eq!(bridge.new_size, new_size, "{}", desc.name);
+            resized += usize::from(bridge.new_ty.is_some() && bridge.old_size != bridge.new_size);
+        }
+        assert!(resized >= 2, "conf_s and l_t change size");
+        let gone = plan.bridge(legacy).expect("bridged though it vanished");
+        assert_eq!((gone.new_ty, gone.old_size, gone.new_size), (None, 40, 0));
+        let next = TypeId(legacy.0 + 1);
+        for missing in [TypeId(0), next, TypeId(u64::MAX)] {
+            assert!(plan.bridge(missing).is_none(), "{missing:?}");
+        }
     }
 
     /// Builds an old version with a 2-node dirty linked list plus a clean

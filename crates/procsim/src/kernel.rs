@@ -903,9 +903,7 @@ impl Kernel {
     /// Closes the client side of `conn`.
     pub fn client_close(&mut self, conn: ConnId) -> SimResult<()> {
         if let Some(obj) = self.objects.connection_for(conn) {
-            if let Some(KernelObject::Connection { peer_closed, .. }) = self.objects.get_mut(obj) {
-                *peer_closed = true;
-            }
+            self.objects.close_peer(obj);
             // EOF readiness: a parked reader wakes and observes the close.
             self.wait.wake_object(obj);
         }
@@ -922,10 +920,15 @@ impl Kernel {
 
     /// Number of currently open (accepted and not closed) connections.
     pub fn open_connection_count(&self) -> usize {
-        self.objects
-            .iter()
-            .filter(|(_, o)| matches!(o, KernelObject::Connection { peer_closed: false, .. }))
-            .count()
+        debug_assert_eq!(
+            self.objects.open_connections(),
+            self.objects
+                .iter()
+                .filter(|(_, o)| matches!(o, KernelObject::Connection { peer_closed: false, .. }))
+                .count(),
+            "the open-connection count drifted from the table"
+        );
+        self.objects.open_connections()
     }
 
     // ------------------------------------------------------------------

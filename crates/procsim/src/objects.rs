@@ -121,6 +121,9 @@ pub struct ObjectTable {
     unix_names: BTreeMap<String, Vec<u64>>,
     next_id: u64,
     live: usize,
+    /// Live connections whose client has not closed its side, kept by
+    /// `index_payload`, `unindex_slot` and `close_peer`.
+    open_connections: usize,
 }
 
 impl Default for ObjectTable {
@@ -143,6 +146,7 @@ impl ObjectTable {
             unix_names: BTreeMap::new(),
             next_id: 1,
             live: 0,
+            open_connections: 0,
         }
     }
 
@@ -206,35 +210,7 @@ impl ObjectTable {
             return false;
         }
         // Unindex before tearing the slot down.
-        match &slot.obj {
-            KernelObject::Connection { conn, .. } => {
-                let idx = conn.0 as usize;
-                if idx < self.conn_to_id.len() && self.conn_to_id[idx] == id.0 {
-                    self.conn_to_id[idx] = 0;
-                }
-            }
-            KernelObject::Listener { port, .. } => {
-                let port = *port;
-                if port != 0 {
-                    if let Some(bucket) = self.ports.get_mut(&port) {
-                        bucket.retain(|&i| i != id.0);
-                        if bucket.is_empty() {
-                            self.ports.remove(&port);
-                        }
-                    }
-                }
-            }
-            KernelObject::UnixChannel { name, .. } => {
-                let name = name.clone();
-                if let Some(bucket) = self.unix_names.get_mut(&name) {
-                    bucket.retain(|&i| i != id.0);
-                    if bucket.is_empty() {
-                        self.unix_names.remove(&name);
-                    }
-                }
-            }
-            _ => {}
-        }
+        self.unindex_slot(id, s);
         let (prev, next) = {
             let slot = &self.slots[s as usize];
             (slot.prev, slot.next)
@@ -264,7 +240,9 @@ impl ObjectTable {
     ///
     /// A [`KernelObject::Listener`]'s `port`/`listening` fields must not be
     /// changed through this handle — use `ObjectTable::bind_listener` and
-    /// `ObjectTable::set_listening`, which keep the port index coherent.
+    /// `ObjectTable::set_listening`, which keep the port index coherent —
+    /// and neither may a [`KernelObject::Connection`]'s `peer_closed`: use
+    /// `ObjectTable::close_peer`, which keeps the open-connection count.
     pub fn get_mut(&mut self, id: ObjId) -> Option<&mut KernelObject> {
         self.slot_of(id).map(|s| &mut self.slots[s as usize].obj)
     }
@@ -290,6 +268,22 @@ impl ObjectTable {
             self.ports.entry(port).or_default().push(id.0);
         }
         true
+    }
+
+    /// Marks a connection's client side closed. Closing it again, or an id
+    /// that is no live connection, changes nothing.
+    pub(crate) fn close_peer(&mut self, id: ObjId) {
+        let Some(s) = self.slot_of(id) else { return };
+        if let KernelObject::Connection { peer_closed, .. } = &mut self.slots[s as usize].obj {
+            if !std::mem::replace(peer_closed, true) {
+                self.open_connections -= 1;
+            }
+        }
+    }
+
+    /// Number of live connections whose client has not closed its side.
+    pub(crate) fn open_connections(&self) -> usize {
+        self.open_connections
     }
 
     /// Marks a listener as listening. Returns false if `id` is not a live
@@ -330,12 +324,13 @@ impl ObjectTable {
     /// channel-name). Shared by [`ObjectTable::insert`] and the restore path.
     fn index_payload(&mut self, id: ObjId, obj: &KernelObject) {
         match obj {
-            KernelObject::Connection { conn, .. } => {
+            KernelObject::Connection { conn, peer_closed, .. } => {
                 let idx = conn.0 as usize;
                 if idx >= self.conn_to_id.len() {
                     self.conn_to_id.resize(idx + 1, 0);
                 }
                 self.conn_to_id[idx] = id.0;
+                self.open_connections += usize::from(!peer_closed);
             }
             KernelObject::UnixChannel { name, .. } => {
                 self.unix_names.entry(name.clone()).or_default().push(id.0);
@@ -350,13 +345,14 @@ impl ObjectTable {
     /// Removes `id` from the payload-kind lookup indexes for the payload
     /// slot `s` still holds (borrowed in place, next to the index fields).
     fn unindex_slot(&mut self, id: ObjId, s: u32) {
-        let ObjectTable { slots, conn_to_id, ports, unix_names, .. } = self;
+        let ObjectTable { slots, conn_to_id, ports, unix_names, open_connections, .. } = self;
         match &slots[s as usize].obj {
-            KernelObject::Connection { conn, .. } => {
+            KernelObject::Connection { conn, peer_closed, .. } => {
                 let idx = conn.0 as usize;
                 if idx < conn_to_id.len() && conn_to_id[idx] == id.0 {
                     conn_to_id[idx] = 0;
                 }
+                *open_connections -= usize::from(!peer_closed);
             }
             KernelObject::Listener { port, .. } if *port != 0 => {
                 if let Some(bucket) = ports.get_mut(port) {
@@ -599,6 +595,61 @@ mod tests {
         let ids: Vec<ObjId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![a, c, d]);
         assert!(ids.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    fn connection(conn: u64, peer_closed: bool) -> KernelObject {
+        KernelObject::Connection {
+            conn: ConnId(conn),
+            inbox: VecDeque::new(),
+            outbox: VecDeque::new(),
+            peer_closed,
+        }
+    }
+
+    #[test]
+    fn open_connection_count_follows_every_mutation() {
+        let mut t = ObjectTable::new();
+        let check = |t: &ObjectTable, want: usize, step: &str| {
+            let counted = t
+                .iter()
+                .filter(|(_, o)| matches!(o, KernelObject::Connection { peer_closed: false, .. }))
+                .count();
+            assert_eq!((t.open_connections(), counted), (want, want), "after {step}");
+        };
+        check(&t, 0, "new");
+        let a = t.insert(connection(1, false));
+        let b = t.insert(connection(2, false));
+        let closed = t.insert(connection(3, true));
+        let pipe = t.insert(KernelObject::Pipe { buffer: VecDeque::new() });
+        check(&t, 2, "inserting two open connections and a closed one");
+        t.close_peer(a);
+        check(&t, 1, "closing one");
+        t.close_peer(a);
+        check(&t, 1, "closing it again");
+        t.close_peer(pipe);
+        t.close_peer(ObjId(99));
+        check(&t, 1, "closing a pipe and a dead id");
+        t.restore_payload(closed, connection(3, false)).unwrap();
+        check(&t, 2, "restoring a closed connection open");
+        t.restore_payload(b, connection(2, true)).unwrap();
+        check(&t, 1, "restoring an open connection closed");
+        t.restore_payload(pipe, connection(4, false)).unwrap();
+        check(&t, 2, "restoring a pipe as an open connection");
+        t.restore_payload(pipe, KernelObject::Pipe { buffer: VecDeque::new() }).unwrap();
+        check(&t, 1, "restoring it back to a pipe");
+        t.restore_insert(ObjId(10), connection(5, false), 2).unwrap();
+        t.restore_insert(ObjId(11), connection(6, true), 1).unwrap();
+        check(&t, 2, "inserting at an id");
+        assert!(!t.decref(ObjId(10)));
+        check(&t, 2, "a decref that leaves a reference");
+        assert!(t.decref(ObjId(10)));
+        check(&t, 1, "a decref to zero of an open connection");
+        for id in [a, b, ObjId(11)] {
+            assert!(t.decref(id));
+        }
+        check(&t, 1, "decrefs to zero of closed connections");
+        assert!(t.decref(closed));
+        check(&t, 0, "the last open connection dropped");
     }
 
     #[test]

@@ -192,7 +192,10 @@ fn publish<T>(cell: &OnceLock<T>, derive: impl FnOnce() -> T) -> &T {
 /// Registry of every type known to one program version.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
-    types: BTreeMap<u64, Entry>,
+    /// The registered types, in id order. Ids are handed out consecutively
+    /// from `next_id`, so the entry of id `i` sits at `i - (next_id -
+    /// types.len())`: a lookup is one index, not a tree descent.
+    types: Vec<Entry>,
     by_name: BTreeMap<Arc<str>, u64>,
     next_id: u64,
 }
@@ -200,7 +203,7 @@ pub struct TypeRegistry {
 impl TypeRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        TypeRegistry { types: BTreeMap::new(), by_name: BTreeMap::new(), next_id: 1 }
+        TypeRegistry { types: Vec::new(), by_name: BTreeMap::new(), next_id: 1 }
     }
 
     /// Registers a type under `name`, returning its id. Registering the same
@@ -217,12 +220,12 @@ impl TypeRegistry {
         let id = TypeId(self.next_id);
         self.next_id += 1;
         self.by_name.insert(Arc::clone(&name), id.0);
-        for entry in self.types.values_mut() {
+        for entry in &mut self.types {
             entry.shape.take();
             entry.elements.take();
         }
         let desc = TypeDesc { id, name, kind };
-        self.types.insert(id.0, Entry { desc, shape: OnceLock::new(), elements: OnceLock::new() });
+        self.types.push(Entry { desc, shape: OnceLock::new(), elements: OnceLock::new() });
         id
     }
 
@@ -261,9 +264,19 @@ impl TypeRegistry {
         self.register(name, TypeKind::Opaque { size })
     }
 
+    /// Where `id` sits in `types`; past its end for an unregistered id.
+    fn index(&self, id: TypeId) -> usize {
+        let first = self.next_id - self.types.len() as u64;
+        usize::try_from(id.0.wrapping_sub(first)).unwrap_or(usize::MAX)
+    }
+
+    fn entry(&self, id: TypeId) -> Option<&Entry> {
+        self.types.get(self.index(id))
+    }
+
     /// Looks up a type descriptor by id.
     pub fn get(&self, id: TypeId) -> Option<&TypeDesc> {
-        self.types.get(&id.0).map(|e| &e.desc)
+        self.entry(id).map(|e| &e.desc)
     }
 
     /// Looks up a type id by name.
@@ -273,7 +286,7 @@ impl TypeRegistry {
 
     /// Iterates over all registered types.
     pub fn iter(&self) -> impl Iterator<Item = &TypeDesc> {
-        self.types.values().map(|e| &e.desc)
+        self.types.iter().map(|e| &e.desc)
     }
 
     /// Number of registered types.
@@ -288,7 +301,7 @@ impl TypeRegistry {
 
     /// The memoised shape of a registered type, derived on first use.
     fn shape(&self, id: TypeId) -> Option<&Shape> {
-        let entry = self.types.get(&id.0)?;
+        let entry = self.entry(id)?;
         Some(publish(&entry.shape, || self.derive_shape(&entry.desc.kind)))
     }
 
@@ -357,7 +370,7 @@ impl TypeRegistry {
     /// is the unit of work of precise tracing: pointer slots are followed,
     /// scalars copied, opaque runs handed to the conservative scanner.
     pub fn layout_elements(&self, id: TypeId) -> &[LayoutElement] {
-        let Some(entry) = self.types.get(&id.0) else { return &[] };
+        let Some(entry) = self.entry(id) else { return &[] };
         publish(&entry.elements, || {
             let mut out = Vec::new();
             self.flatten(id, 0, &mut out);
@@ -447,7 +460,8 @@ mod tests {
         );
         // Patch the self-referential pointer after the struct id exists.
         let list_ptr = reg.pointer("l_t*", list);
-        if let Some(entry) = reg.types.get_mut(&list.0) {
+        let at = reg.index(list);
+        if let Some(entry) = reg.types.get_mut(at) {
             if let TypeKind::Struct { fields } = &mut entry.desc.kind {
                 fields[1].ty = list_ptr;
             }
@@ -550,7 +564,8 @@ mod tests {
             },
         );
         let lp = reg_v2b.pointer("l_t*", list2);
-        if let Some(entry) = reg_v2b.types.get_mut(&list2.0) {
+        let at = reg_v2b.index(list2);
+        if let Some(entry) = reg_v2b.types.get_mut(at) {
             if let TypeKind::Struct { fields } = &mut entry.desc.kind {
                 fields[2].ty = lp;
             }
@@ -682,6 +697,28 @@ mod tests {
         for got in seen {
             assert_eq!(got, expected);
         }
+    }
+
+    #[test]
+    fn dense_ids_resolve_from_either_first_id() {
+        for (mut reg, first) in [(TypeRegistry::new(), 1), (TypeRegistry::default(), 0)] {
+            let int = reg.int("int", 4);
+            let ptr = reg.pointer("int*", int);
+            let pair = reg.struct_type("pair", vec![Field::new("a", int), Field::new("p", ptr)]);
+            assert_eq!([int, ptr, pair], [TypeId(first), TypeId(first + 1), TypeId(first + 2)]);
+            assert_eq!(reg.iter().map(|d| d.id).collect::<Vec<_>>(), [int, ptr, pair]);
+            assert_eq!(reg.get(ptr).map(|d| &*d.name), Some("int*"));
+            assert_eq!(reg.size_of(pair), 16);
+            assert_eq!(reg.layout_elements(pair).len(), 2);
+            // Below the first id, at `next_id`, and the far end of the id space.
+            let below = first.checked_sub(1).map(TypeId);
+            for missing in [below, Some(TypeId(first + 3)), Some(TypeId(u64::MAX))].into_iter().flatten() {
+                assert!(reg.get(missing).is_none(), "{missing:?}");
+                assert_eq!(reg.size_of(missing), 0, "{missing:?}");
+                assert_eq!(reg.layout_elements(missing), &[], "{missing:?}");
+            }
+        }
+        assert!(TypeRegistry::default().get(TypeId(0)).is_none(), "an empty registry holds no id");
     }
 
     #[test]
