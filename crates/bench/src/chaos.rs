@@ -147,8 +147,8 @@ pub struct ConfigOutcome {
     pub supervisor_runs: usize,
     /// See `supervisor_runs`; the liveness assertion is equality.
     pub supervisor_committed: usize,
-    /// Commits per degradation tier: `[full, no-precopy, serial]`.
-    pub tier_commits: [usize; 3],
+    /// Commits per degradation tier: `[full, no-precopy]`.
+    pub tier_commits: [usize; 2],
     /// Mean time-to-recovery (virtual ns) over committed supervised runs.
     pub(crate) mttr_mean_ns: f64,
     /// The persistent-fault give-up drill ended with the old version still
@@ -412,7 +412,7 @@ pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -
     let mut repros = Vec::new();
     let mut injected: BTreeSet<String> = BTreeSet::new();
     let mut supervisor_committed = 0;
-    let mut tier_commits = [0usize; 3];
+    let mut tier_commits = [0usize; 2];
     let mut mttr_sum = 0u64;
     let policy = SupervisorPolicy::default();
 
@@ -441,8 +441,8 @@ pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -
         }
 
         // Liveness: the supervisor must converge once the fault clears.
-        // Every third schedule keeps faulting through attempt 2, pushing the
-        // ladder all the way down to the serial tier.
+        // Every third schedule keeps faulting through attempt 2, so attempt
+        // 3 commits on the stop-the-world tier again.
         if spec.supervise_every > 0 && i % spec.supervise_every == 0 {
             supervisor_runs += 1;
             let faulty_attempts = if i % 3 == 2 { 2 } else { 1 };
@@ -453,7 +453,6 @@ pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -
                     tier_commits[match tier {
                         DegradationTier::Full => 0,
                         DegradationTier::NoPrecopy => 1,
-                        DegradationTier::Serial => 2,
                     }] += 1;
                 }
                 mttr_sum += supervised.mttr_ns.unwrap_or(0);
@@ -538,7 +537,6 @@ pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
                                 Json::obj([
                                     ("full", r.tier_commits[0].into()),
                                     ("no_precopy", r.tier_commits[1].into()),
-                                    ("serial", r.tier_commits[2].into()),
                                 ]),
                             ),
                             ("mttr_mean_ns", Json::Num(r.mttr_mean_ns)),

@@ -235,18 +235,17 @@ fn adaptive_mutate_batch(
 /// [`TransferMode`] and returns the post-update kernel fingerprint plus the
 /// outcome.
 ///
-/// Every mode applies the *same* deterministic write schedule, so all four
+/// Every mode applies the *same* deterministic write schedule, so all three
 /// must converge to byte-identical kernel state and only the downtime split
 /// may differ:
 ///
 /// * three pre-quiesce batches (`adaptive_mutate_batch`) — between the
-///   concurrent rounds for the pre-copy-enabled modes (`Precopy`,
-///   `Adaptive`), all up front for the windowed ones (`StopTheWorld`,
-///   `Postcopy`), exactly like [`precopy_update`];
+///   concurrent rounds under `Precopy`, all up front under `StopTheWorld`
+///   and `Postcopy`, exactly like [`precopy_update`];
 /// * three post-resume scratch stamps ([`stamp_request_scratch`]) — during
-///   the drain (via the post-copy hook, where they trap on parked pages and
-///   are replayed by the fault handler) for the post-copy pipelines, after
-///   the pipeline returns for the synchronous ones. Each batch overwrites
+///   the drain under `Postcopy` (via the post-copy hook, where they trap on
+///   parked pages and are replayed by the fault handler), after the pipeline
+///   returns for the synchronous modes. Each batch overwrites
 ///   the same slots, so the final bytes depend only on the last stamp, not
 ///   on when a batch landed.
 ///
@@ -260,15 +259,12 @@ pub fn adaptive_update(
 ) -> (u64, UpdateOutcome) {
     const MUTATE_ROUNDS: usize = 3;
     const POST_ROUNDS: usize = 3;
-    let precopy_rounds = match mode {
-        TransferMode::Precopy | TransferMode::Adaptive => 3,
-        TransferMode::StopTheWorld | TransferMode::Postcopy => 0,
-    };
+    let precopy_rounds = if mode == TransferMode::Precopy { 3 } else { 0 };
     let (mut kernel, v1, opts, mut pipeline) =
         sweep_point(scenario, size_factor, mode, precopy_rounds, MUTATE_ROUNDS, adaptive_mutate_batch);
     let post_stamp = |round: usize| 0xD0D0_0000u32 + round as u32;
     let delivered = std::rc::Rc::new(std::cell::Cell::new(0usize));
-    if matches!(mode, TransferMode::Postcopy | TransferMode::Adaptive) {
+    if mode == TransferMode::Postcopy {
         let delivered = std::rc::Rc::clone(&delivered);
         pipeline = pipeline.with_postcopy_hook(Box::new(
             move |kernel: &mut Kernel, new_instance: &mut McrInstance, _round: usize| {

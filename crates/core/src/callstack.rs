@@ -7,6 +7,8 @@
 //! also used to pair threads and processes across versions (creation-time
 //! call stacks) and to match dynamic objects reallocated at startup.
 
+use mcr_procsim::fnv_hash;
+
 /// A call-stack identifier: a stable hash over the active function names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CallStackId(pub u64);
@@ -20,18 +22,8 @@ impl CallStackId {
     /// on the path are unchanged (function *renaming* between versions changes
     /// the identifier — the conservative behaviour the paper accepts).
     pub fn from_frames<S: AsRef<str>>(frames: &[S]) -> Self {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for frame in frames {
-            for b in frame.as_ref().as_bytes() {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            hash ^= 0x1f;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        CallStackId(hash)
+        let bytes = frames.iter().flat_map(|frame| frame.as_ref().bytes().chain([0x1f]));
+        CallStackId(fnv_hash(bytes.map(u64::from)))
     }
 
     /// The identifier of an empty call stack.

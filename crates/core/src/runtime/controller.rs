@@ -77,33 +77,18 @@ pub enum TransferMode {
     /// the stale residual behind access traps, resume the new version
     /// immediately, and fault in / background-drain the residual afterwards.
     Postcopy,
-    /// Per-process-pair adaptive selection: each pair's residual is synced
-    /// inside the commit window when applying it costs no more than one
-    /// access trap that applies one parked page's share of it, and deferred
-    /// to post-copy otherwise.
-    Adaptive,
 }
 
-/// Knobs of the post-copy drain loop that runs after the new version has
-/// resumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PostcopyOptions {
-    /// Parked objects the background drainer applies per pair per drain
-    /// round (clamped to at least 1 so the drain always terminates).
-    pub(crate) drain_batch: usize,
-    /// Scheduler rounds the already-resumed new instance serves between
-    /// drain batches.
-    pub(crate) serve_rounds: usize,
-}
-
-impl Default for PostcopyOptions {
-    fn default() -> Self {
-        PostcopyOptions { drain_batch: 32, serve_rounds: 1 }
-    }
+impl TransferMode {
+    /// Former name of a per-pair mode that equalled [`TransferMode::Postcopy`]
+    /// on every measured point; it survives only as that alias because the
+    /// `benchmark/` package still names it.
+    #[allow(non_upper_case_globals)]
+    pub const Adaptive: TransferMode = TransferMode::Postcopy;
 }
 
 /// Options for one live-update attempt.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateOptions {
     /// ASLR-style slide applied to the new version's private regions (must
     /// keep old and new heaps disjoint).
@@ -148,12 +133,10 @@ pub struct UpdateOptions {
     /// residual dirty delta — shrinking downtime from O(heap) to O(working
     /// set). Disabled by default (the paper's stop-the-world pipeline).
     pub precopy: PrecopyOptions,
-    /// Which transfer strategy to run (stop-the-world / pre-copy /
-    /// post-copy / per-pair adaptive). The default honors `precopy` the way
-    /// older callers expect.
+    /// Which transfer strategy to run: stop-the-world, pre-copy or
+    /// post-copy, which parks every pair's residual. The default honors
+    /// `precopy` the way older callers expect.
     pub mode: TransferMode,
-    /// Post-copy drain knobs (used by `Postcopy` and `Adaptive` modes).
-    pub postcopy: PostcopyOptions,
 }
 
 impl UpdateOptions {
@@ -196,7 +179,6 @@ impl Default for UpdateOptions {
             intra_pair_shards: 1,
             precopy: PrecopyOptions::default(),
             mode: TransferMode::default(),
-            postcopy: PostcopyOptions::default(),
         }
     }
 }
@@ -264,7 +246,7 @@ mod tests {
     use crate::runtime::pipeline::{PhaseName, UpdatePipeline};
     use crate::runtime::scheduler::{boot, run_round, run_rounds, BootOptions};
     use crate::runtime::testprog::{FaultyServer, TinyServer};
-    use mcr_procsim::{Addr, SimDuration};
+    use mcr_procsim::Addr;
 
     fn booted_v1(kernel: &mut Kernel) -> McrInstance {
         kernel.add_file("/etc/tiny.conf", b"workers=1\n".to_vec());
@@ -564,26 +546,6 @@ mod tests {
             run_rounds(&mut kernel, &mut v2, 2).unwrap();
             assert!(String::from_utf8_lossy(&kernel.client_recv(c).unwrap()).contains("v2"));
         }
-    }
-
-    #[test]
-    fn adaptive_mode_syncs_small_residuals() {
-        // TinyServer's residual is tiny, so the adaptive policy syncs it in
-        // the window: no deferred pairs, no traps, and downtime no worse
-        // than the forced post-copy run.
-        let mut kernel = Kernel::new();
-        let mut v1 = booted_v1(&mut kernel);
-        serve_clients(&mut kernel, &mut v1, 2);
-        let opts = UpdateOptions { mode: TransferMode::Adaptive, ..Default::default() };
-        let (_v2, outcome) =
-            live_update(&mut kernel, v1, Box::new(TinyServer::new(2)), InstrumentationConfig::full(), &opts);
-        assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
-        let report = outcome.report();
-        assert!(report.postcopy.enabled);
-        assert_eq!(report.postcopy.synced_pairs, 1);
-        assert_eq!(report.postcopy.deferred_pairs, 0);
-        assert_eq!(report.postcopy.traps, 0);
-        assert_eq!(report.timings.trap_service, SimDuration(0));
     }
 
     #[test]

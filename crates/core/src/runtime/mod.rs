@@ -14,9 +14,7 @@ pub(crate) mod scheduler;
 pub(crate) mod supervisor;
 
 pub use chaos::{random_plan, shrink_schedule, ChaosPlan, ChaosRng, FaultCatalog, FaultSite};
-pub use controller::{
-    live_update, PostcopyOptions, PrecopyOptions, TransferMode, UpdateOptions, UpdateOutcome,
-};
+pub use controller::{live_update, PrecopyOptions, TransferMode, UpdateOptions, UpdateOutcome};
 pub use pipeline::{PhaseName, PrecopyHook, UpdatePipeline};
 pub use report::{
     MemoryReport, PhaseRecord, PhaseTrace, PostcopySummary, PrecopySummary, UpdateReport, UpdateTimings,

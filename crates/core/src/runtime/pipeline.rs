@@ -137,23 +137,18 @@
 //!    returns). A store issued outside a thread step — the post-copy hook, a
 //!    test mutator — parks as a [`PendingTrap`](mcr_procsim::PendingTrap)
 //!    and is serviced after the serving rounds, then replayed. Each round
-//!    then pushes one
-//!    [`PostcopyOptions::drain_batch`](crate::runtime::controller::PostcopyOptions)-sized
-//!    background [`drain_step`] per pair —
+//!    then pushes one [`DRAIN_BATCH`]-sized background [`drain_step`] per
+//!    pair —
 //!    skipping anything a trap already serviced, so every deferred object is
 //!    applied exactly once. When the last pair drains, the old processes are
 //!    removed and the update is committed (the point of no return moves from
 //!    phase 5 to the end of phase 6: a fault mid-drain still rolls back to
 //!    the old version).
 //!
-//! [`TransferMode::Adaptive`] chooses per pair at commit time: a pair syncs
-//! its residual inside the window, as in pre-copy, iff applying it costs no
-//! more than the cheapest deferral — one [`TRAP_SERVICE_LATENCY`] trap that
-//! applies one parked page's share of the residual — and defers it
-//! otherwise. The result is measured by
-//! `BENCH_adaptive.json` (rebuilt by the root `tests/tracked_reports.rs`):
-//! adaptive downtime ≤ the best static mode on every sweep point, and all
-//! modes converge to byte-identical kernel fingerprints
+//! Every pair with a residual defers it; a pair with nothing to park counts
+//! as synced. `BENCH_adaptive.json` (rebuilt by the root
+//! `tests/tracked_reports.rs`) measures the three modes side by side, and
+//! all of them converge to byte-identical kernel fingerprints
 //! (`tests/properties.rs` proves the equivalence, including rollback from
 //! mid-drain faults).
 //!
@@ -407,8 +402,8 @@ pub(crate) struct UpdateCtx<'k> {
     /// pre-copy rounds ran.
     pub(crate) pair_precopy: Vec<PairPrecopyState>,
     /// Per-pair parked residuals, aligned with `pairs`: filled by
-    /// `PostcopyCommit` (already drained for a pair the adaptive rule synced
-    /// inside the window), lent to the new instance by `PostcopyDrain`.
+    /// `PostcopyCommit` (already drained for a pair with nothing to park),
+    /// lent to the new instance by `PostcopyDrain`.
     pub(crate) pair_postcopy: Vec<PostcopyResidual>,
     /// The fault plan of the pipeline (the n-th-object-write site is armed
     /// on the transfer context when it is built).
@@ -563,8 +558,7 @@ impl UpdatePipeline {
     /// long enough to commit control state and park the stale residual
     /// behind access traps, resume the new version immediately, and retire
     /// the residual afterwards (traps + background drain) while it serves.
-    /// Optional pre-copy rounds still run before the barrier — that is the
-    /// adaptive controller's hybrid.
+    /// Optional pre-copy rounds still run before the barrier.
     pub(crate) fn postcopy() -> Self {
         UpdatePipeline {
             phases: vec![
@@ -583,12 +577,12 @@ impl UpdatePipeline {
     }
 
     /// The pipeline the options call for: `UpdatePipeline::postcopy` in
-    /// `Postcopy`/`Adaptive` mode, otherwise `UpdatePipeline::precopy`
+    /// `Postcopy` mode, otherwise `UpdatePipeline::precopy`
     /// when pre-copy rounds are enabled and [`UpdatePipeline::standard`] as
     /// the classic default.
     pub fn for_options(opts: &UpdateOptions) -> Self {
         match opts.mode {
-            TransferMode::Postcopy | TransferMode::Adaptive => Self::postcopy(),
+            TransferMode::Postcopy => Self::postcopy(),
             TransferMode::Precopy => Self::precopy(),
             TransferMode::StopTheWorld => {
                 if opts.precopy.is_enabled() {
@@ -1262,7 +1256,7 @@ impl Phase for CommitPhase {
 
 /// Post-copy phase 5 — commit: final delta retrace and transfer for every
 /// pair (`transfer_pairs`) with the stale residual *parked* instead of
-/// copied, the per-pair sync-vs-defer decision, descriptor inheritance,
+/// copied, descriptor inheritance,
 /// access traps armed over every parked range, and the new version resumed.
 ///
 /// The old version's processes are deliberately **not** removed here: the
@@ -1286,23 +1280,13 @@ impl Phase for PostcopyCommitPhase {
             resume(kernel, new_instance);
             return Ok(());
         }
-        // `Postcopy` mode defers unconditionally; `Adaptive` defers a pair
-        // only when that is cheaper than syncing it (`adaptive_syncs`).
-        let force_defer = ctx.opts.mode == TransferMode::Postcopy;
         // A deferred pair contributes nothing to the window: its applies are
         // charged when they happen, after resume.
         let mut states: Vec<PostcopyResidual> = Vec::with_capacity(ctx.pairs.len());
         let transferred =
             transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
-                let (report, mut residual, mut parked) =
+                let (report, residual, parked) =
                     postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
-                if !force_defer && !parked.is_drained() && adaptive_syncs(&parked) {
-                    // Apply the residual synchronously, inside the commit
-                    // window — exactly what a pre-copy update would do.
-                    // `cost` is then the share applied inside the window.
-                    let sync = drain_step(plan, &mut parked, old_proc, new_proc, usize::MAX, None)?;
-                    residual.cost = sync.cost;
-                }
                 states.push(parked);
                 Ok((report, residual))
             });
@@ -1345,16 +1329,6 @@ fn shifted_fault_in(global: Option<u64>, global_done: u64, pair_done: u64) -> Op
         Some(n) if n > global_done => Some(pair_done + (n - global_done)),
         _ => None,
     }
-}
-
-/// `Adaptive` mode's per-pair rule: sync the parked residual inside the
-/// commit window iff applying it costs no more than the cheapest deferral —
-/// one trap ([`TRAP_SERVICE_LATENCY`]) that applies one parked page's share
-/// of the residual.
-fn adaptive_syncs(parked: &PostcopyResidual) -> bool {
-    let apply = parked.remaining_cost().0;
-    let pages = parked.parked_pages().max(1);
-    apply <= TRAP_SERVICE_LATENCY.0 + apply / pages
 }
 
 /// What [`PostcopyDrainPhase`] lends the resumed new instance for the whole
@@ -1509,20 +1483,23 @@ impl PostcopyLoan {
 /// in the touched objects and replays the store on the transferred content.
 /// Both charge [`TRAP_SERVICE_LATENCY`] plus the apply cost as downtime —
 /// the faulting thread was blocked — so final bytes match a stop-the-world
-/// run exactly. *Background drainer*: up to
-/// [`PostcopyOptions::drain_batch`](crate::runtime::controller::PostcopyOptions)
-/// objects per pair per round, in deterministic address order, charged as
-/// concurrent time. Once every pair is drained the old version is
+/// run exactly. *Background drainer*: up to [`DRAIN_BATCH`] objects per
+/// pair per round, in deterministic address order, charged as concurrent
+/// time. Once every pair is drained the old version is
 /// terminated — the phase's last act is the point of no return, so a
 /// failure anywhere in the loop still rolls back to the intact old
 /// instance.
 pub(crate) struct PostcopyDrainPhase;
 
+/// Parked objects the background drainer applies per pair per drain round.
+const DRAIN_BATCH: usize = 32;
+
+/// Scheduler rounds the resumed new instance serves between drain batches.
+const DRAIN_SERVE_ROUNDS: usize = 1;
+
 impl PostcopyDrainPhase {
     /// The drain loop over the lent state, returning the rounds it ran.
     fn drain(ctx: &mut UpdateCtx<'_>) -> McrResult<usize> {
-        let serve_rounds = ctx.opts.postcopy.serve_rounds;
-        let batch = ctx.opts.postcopy.drain_batch.max(1);
         let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
         let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
         let UpdateCtx { kernel, new_instance, postcopy_hook, .. } = ctx;
@@ -1532,7 +1509,7 @@ impl PostcopyDrainPhase {
             round += 1;
             // The new version serves while the drainer works (pending
             // traffic, timers, plus whatever the hook injects).
-            for _ in 0..serve_rounds {
+            for _ in 0..DRAIN_SERVE_ROUNDS {
                 let _ = run_round(kernel, new_instance)?;
             }
             if let Some(hook) = postcopy_hook.as_mut() {
@@ -1544,7 +1521,7 @@ impl PostcopyDrainPhase {
             let mut drain_costs = vec![SimDuration(0); loan.pairs.len()];
             for (index, cost) in drain_costs.iter_mut().enumerate() {
                 loan.service_parked(kernel, loan.pairs[index].1)?;
-                *cost = loan.drain_batch(kernel, index, batch, drain_fault)?;
+                *cost = loan.drain_batch(kernel, index, DRAIN_BATCH, drain_fault)?;
             }
             // The drain batches ran concurrently with serving.
             kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));

@@ -169,8 +169,7 @@ impl PrecopySummary {
 }
 
 /// Observability record of the post-copy phases of one update
-/// ([`TransferMode::Postcopy`](crate::runtime::controller::TransferMode) and
-/// `Adaptive`).
+/// ([`TransferMode::Postcopy`](crate::runtime::controller::TransferMode)).
 ///
 /// Like [`PrecopySummary`], the counters here are *excluded* from the
 /// determinism comparisons across configurations: post-copy moves work
@@ -183,8 +182,7 @@ impl PrecopySummary {
 pub struct PostcopySummary {
     /// Whether a post-copy commit ran at all.
     pub enabled: bool,
-    /// Pairs whose residual was synced inside the commit window (the
-    /// adaptive controller judged them converged).
+    /// Pairs with nothing to park: their residual was empty at commit.
     pub synced_pairs: usize,
     /// Pairs whose residual was parked behind access traps.
     pub deferred_pairs: usize,

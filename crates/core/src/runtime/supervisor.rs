@@ -6,7 +6,7 @@
 //! back. The supervisor turns that into a *liveness* property: a rolled-back
 //! update is retried with exponential backoff on the virtual clock (the old
 //! instance keeps serving between attempts), the configuration degrades on
-//! repeated failure (pre-copy → stop-the-world → serial-sum cost model),
+//! failure (pre-copy or post-copy → stop-the-world),
 //! every phase can carry a sim-time watchdog budget
 //! ([`UpdatePipeline::with_uniform_phase_deadline`]), and after
 //! [`SupervisorPolicy::max_attempts`] the supervisor gives up cleanly with
@@ -36,16 +36,14 @@ use crate::transfer::checkpoint::{checkpoint_now, restore_latest, CheckpointOpti
 ///
 /// The second rung drops what runs beside a serving instance (pre-copy,
 /// post-copy drain): a fault that bit a complex schedule may spare a simpler
-/// one. The third differs from it only in modelled time — the serial sum.
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationTier {
     /// The configuration as requested (attempt 1).
     Full,
-    /// Pre-copy disabled — classic stop-the-world pipeline (attempt 2).
+    /// Pre-copy disabled — classic stop-the-world pipeline (attempt 2 and
+    /// later).
     NoPrecopy,
-    /// Stop-the-world charged at the serial sum: one modelled worker, one
-    /// shard (attempt 3 and later).
-    Serial,
 }
 
 impl DegradationTier {
@@ -53,8 +51,7 @@ impl DegradationTier {
     pub(crate) fn for_attempt(attempt: usize) -> Self {
         match attempt {
             0 | 1 => DegradationTier::Full,
-            2 => DegradationTier::NoPrecopy,
-            _ => DegradationTier::Serial,
+            _ => DegradationTier::NoPrecopy,
         }
     }
 
@@ -63,7 +60,6 @@ impl DegradationTier {
         match self {
             DegradationTier::Full => "full",
             DegradationTier::NoPrecopy => "no-precopy",
-            DegradationTier::Serial => "serial",
         }
     }
 
@@ -75,17 +71,11 @@ impl DegradationTier {
             DegradationTier::Full => {}
             DegradationTier::NoPrecopy => {
                 opts.precopy = PrecopyOptions::disabled();
-                // Post-copy (forced or adaptive) is the other concurrent
-                // transfer mechanism: a fault that bit a drain schedule is
-                // retried with the residual applied synchronously inside
-                // the window, where rollback needs no trap machinery.
+                // Post-copy is the other concurrent transfer mechanism: a
+                // fault that bit a drain schedule is retried with the
+                // residual applied synchronously inside the window, where
+                // rollback needs no trap machinery.
                 opts.mode = TransferMode::StopTheWorld;
-            }
-            DegradationTier::Serial => {
-                opts.precopy = PrecopyOptions::disabled();
-                opts.mode = TransferMode::StopTheWorld;
-                opts.transfer_workers = 1;
-                opts.intra_pair_shards = 1;
             }
         }
         opts
@@ -507,7 +497,7 @@ mod tests {
         assert_eq!(report.attempts.len(), 3);
         assert_eq!(
             report.attempts.iter().map(|a| a.tier).collect::<Vec<_>>(),
-            vec![DegradationTier::Full, DegradationTier::NoPrecopy, DegradationTier::Serial]
+            vec![DegradationTier::Full, DegradationTier::NoPrecopy, DegradationTier::NoPrecopy]
         );
         assert_eq!(report.attempts.iter().map(|a| a.committed).collect::<Vec<_>>(), vec![false, false, true]);
         // Exponential, deterministic backoff on the virtual clock.
@@ -587,12 +577,11 @@ mod tests {
 
     #[test]
     fn degradation_ladder_strips_postcopy_modes() {
-        let requested = UpdateOptions { mode: TransferMode::Adaptive, ..UpdateOptions::default() };
-        assert_eq!(DegradationTier::Full.apply(&requested).mode, TransferMode::Adaptive);
-        assert_eq!(DegradationTier::NoPrecopy.apply(&requested).mode, TransferMode::StopTheWorld);
-        let serial = DegradationTier::Serial.apply(&requested);
-        assert_eq!(serial.mode, TransferMode::StopTheWorld);
-        assert_eq!(serial.transfer_workers, 1);
+        let requested = UpdateOptions { mode: TransferMode::Postcopy, ..UpdateOptions::default() };
+        assert_eq!(DegradationTier::Full.apply(&requested).mode, TransferMode::Postcopy);
+        let no_precopy = DegradationTier::NoPrecopy.apply(&requested);
+        assert_eq!(no_precopy.mode, TransferMode::StopTheWorld);
+        assert_eq!(DegradationTier::for_attempt(3).apply(&requested), no_precopy);
     }
 
     #[test]

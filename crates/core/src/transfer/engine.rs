@@ -440,16 +440,6 @@ impl PostcopyResidual {
         self.pending.iter().filter(|p| !p.applied).map(|p| p.len as u64).sum()
     }
 
-    /// Simulated cost of applying every object still parked.
-    pub(crate) fn remaining_cost(&self) -> SimDuration {
-        write_cost(self.remaining(), self.remaining_bytes())
-    }
-
-    /// New-space pages that still hold a parked object.
-    pub(crate) fn parked_pages(&self) -> u64 {
-        self.page_refs.values().filter(|&&refs| refs > 0).count() as u64
-    }
-
     /// True once every parked object has been applied.
     pub(crate) fn is_drained(&self) -> bool {
         self.live == 0

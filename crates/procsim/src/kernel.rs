@@ -1294,7 +1294,20 @@ impl SyscallPort for Kernel {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a fold of one kernel-visible fact (helper of [`Kernel::fingerprint`]).
+/// The FNV-1a hash of `values`: each one folded in turn, from the offset
+/// basis, as [`Kernel::fingerprint`] folds its facts. Call-stack identifiers
+/// hash their frame names' bytes with it.
+pub fn fnv_hash(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for value in values {
+        fnv_fold(&mut hash, value);
+    }
+    hash
+}
+
+/// FNV-1a fold of one value (one kernel-visible fact of
+/// [`Kernel::fingerprint`]).
+#[inline]
 fn fnv_fold(hash: &mut u64, value: u64) {
     *hash = (*hash ^ value).wrapping_mul(FNV_PRIME);
 }

@@ -84,7 +84,7 @@ pub use clock::{SimDuration, SimInstant};
 pub use error::SimError;
 pub use fd::{FdEntry, FdTable};
 pub use ids::{ConnId, Fd, ObjId, Pid, Tid, RESERVED_FD_BASE};
-pub use kernel::{ClientSnapshot, ClientView, FdPlacement, Kernel};
+pub use kernel::{fnv_hash, ClientSnapshot, ClientView, FdPlacement, Kernel};
 pub use memory::{Addr, AddressSpace, DirtyRange, MemoryRegion, PendingTrap, RegionKind, PAGE_SIZE};
 pub use objects::{KernelObject, ObjectTable, UnixMessage};
 pub use process::{MemoryLayout, Process, Thread, ThreadState};

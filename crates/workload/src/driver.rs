@@ -98,7 +98,7 @@ pub struct WorkloadResult {
     pub unanswered: u64,
     /// Wall-clock time spent driving the workload (includes all simulator and
     /// MCR instrumentation work).
-    pub wall_time: Duration,
+    pub(crate) wall_time: Duration,
     /// Simulated time elapsed.
     pub sim_time: SimDuration,
     /// Connections left open at the end of the run.

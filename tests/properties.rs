@@ -905,14 +905,14 @@ fn cache_update_under_traffic(
 
 /// A pre-copied update whose completing pass writes only what changed is
 /// still one deterministic update: with get/set/evict traffic between the
-/// rounds, `Precopy` and `Adaptive` each commit with the same kernel
+/// rounds, `Precopy` and `Postcopy` each commit with the same kernel
 /// fingerprint, reports and (no) conflicts with 1 and 4 intra-pair shards
 /// and 1 and 2 transfer workers — and perform one
 /// write per object plus a few per object the traffic touched, not two per
 /// object.
 #[test]
 fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_once() {
-    for mode in [TransferMode::Precopy, TransferMode::Adaptive] {
+    for mode in [TransferMode::Precopy, TransferMode::Postcopy] {
         for seed in [11u64, 12] {
             let (base_fp, base_conflicts, base) = cache_update_under_traffic(mode, 1, 1, seed);
             assert!(base_conflicts.is_empty(), "{mode:?}/{seed}: {base_conflicts:?}");
@@ -1468,12 +1468,11 @@ fn postcopy_or_stw_update(
 }
 
 /// Post-copy commit is byte-identical to stop-the-world: with the same
-/// seeded pre-update writes and the same post-resume scratch stamps, the
-/// forced post-copy and adaptive modes converge to the stop-the-world
-/// kernel fingerprint, tracing statistics and per-process transfer reports
-/// across intra-pair shard counts ∈ {1, 2}. The forced post-copy run must
-/// actually defer work and retire every deferred object before declaring the
-/// update done.
+/// seeded pre-update writes and the same post-resume scratch stamps,
+/// post-copy converges to the stop-the-world kernel fingerprint, tracing
+/// statistics and per-process transfer reports across intra-pair shard
+/// counts ∈ {1, 2}. The post-copy run must actually defer work and retire
+/// every deferred object before declaring the update done.
 #[test]
 fn postcopy_commits_are_byte_identical_to_stop_the_world() {
     let programs = ["vsftpd", "nginx", "httpd"];
@@ -1497,28 +1496,31 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
                 seed,
             );
             assert!(stw_conflicts.is_empty(), "{}: {stw_conflicts:?}", ctx("stop-the-world"));
-            for mode in [TransferMode::Postcopy, TransferMode::Adaptive] {
-                let (fp, conflicts, report, _) =
-                    postcopy_or_stw_update(program, requests, open, writes, mode, shards, None, seed);
-                let ctx = ctx(&format!("{mode:?}"));
-                assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
-                assert_eq!(fp, stw_fp, "{ctx}: post-commit kernel state diverged");
-                assert_eq!(report.tracing, stw.tracing, "{ctx}: tracing stats diverged");
-                assert_eq!(
-                    report.transfer.per_process, stw.transfer.per_process,
-                    "{ctx}: per-process transfer reports diverged"
-                );
-                if mode == TransferMode::Postcopy {
-                    // The forced run really took the deferred path and fully
-                    // drained it.
-                    assert!(report.postcopy.deferred_pairs >= 1, "{ctx}: nothing deferred");
-                    assert_eq!(
-                        report.postcopy.trap_objects + report.postcopy.drained_objects,
-                        report.postcopy.deferred_objects,
-                        "{ctx}: deferred-object accounting does not add up"
-                    );
-                }
-            }
+            let (fp, conflicts, report, _) = postcopy_or_stw_update(
+                program,
+                requests,
+                open,
+                writes,
+                TransferMode::Postcopy,
+                shards,
+                None,
+                seed,
+            );
+            let ctx = ctx("post-copy");
+            assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
+            assert_eq!(fp, stw_fp, "{ctx}: post-commit kernel state diverged");
+            assert_eq!(report.tracing, stw.tracing, "{ctx}: tracing stats diverged");
+            assert_eq!(
+                report.transfer.per_process, stw.transfer.per_process,
+                "{ctx}: per-process transfer reports diverged"
+            );
+            // The run really took the deferred path and fully drained it.
+            assert!(report.postcopy.deferred_pairs >= 1, "{ctx}: nothing deferred");
+            assert_eq!(
+                report.postcopy.trap_objects + report.postcopy.drained_objects,
+                report.postcopy.deferred_objects,
+                "{ctx}: deferred-object accounting does not add up"
+            );
             fingerprints.push(stw_fp);
         }
         assert_eq!(fingerprints[0], fingerprints[1], "seed {seed} ({program}): shard counts diverged");
