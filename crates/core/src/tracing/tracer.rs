@@ -671,6 +671,8 @@ impl<'a> Tracer<'a> {
         traced.precise_pointers.push(PointerEdge { offset, target, target_base, target_class, masked_bits });
         if let Some(resolved) = resolved {
             if target_class != RegionClass::Lib || self.options.trace_libraries {
+                // An interior pointer says nothing about the type at the base.
+                let pointee = pointee.filter(|_| target == resolved.base);
                 discovered.push((resolved, pointee));
             }
         }
@@ -1788,10 +1790,9 @@ mod tests {
             let edge_to = |from: Addr| graph.get(from).unwrap().precise_pointers[0].target_base;
             assert_eq!((edge_to(inner), edge_to(base)), (x, x));
             assert!(graph.get(x).is_some() && graph.get(x.offset(8)).is_none());
-            // Known limit (interior-pointer typing): the pointee an interior
-            // pointer declares types the whole untyped chunk, as at the
-            // parent. If this fails because `x` is untyped, it was fixed.
-            assert_eq!(graph.get(x).unwrap().type_id, state.types.lookup("conf_s"));
+            // The pointee an interior pointer declares does not type the
+            // untyped chunk it points into.
+            assert_eq!(graph.get(x).unwrap().type_id, None);
             let y_obj = graph.get(y).unwrap();
             assert_eq!(graph.get(both).unwrap().likely_pointers[0].target_base, y);
             assert!(y_obj.immutable && y_obj.type_id == state.types.lookup("conf_s"));
