@@ -245,9 +245,9 @@ fn adaptive_mutate_batch(
 /// * three post-resume scratch stamps ([`stamp_request_scratch`]) — during
 ///   the drain under `Postcopy` (via the post-copy hook, where they trap on
 ///   parked pages and are replayed by the fault handler), after the pipeline
-///   returns for the synchronous modes. Each batch overwrites
-///   the same slots, so the final bytes depend only on the last stamp, not
-///   on when a batch landed.
+///   returns for the synchronous modes. Each batch overwrites the same
+///   slots, so the final bytes depend only on the last stamp, not on when a
+///   batch landed.
 ///
 /// # Panics
 ///

@@ -138,12 +138,11 @@
 //!    test mutator — parks as a [`PendingTrap`](mcr_procsim::PendingTrap)
 //!    and is serviced after the serving rounds, then replayed. Each round
 //!    then pushes one [`DRAIN_BATCH`]-sized background [`drain_step`] per
-//!    pair —
-//!    skipping anything a trap already serviced, so every deferred object is
-//!    applied exactly once. When the last pair drains, the old processes are
-//!    removed and the update is committed (the point of no return moves from
-//!    phase 5 to the end of phase 6: a fault mid-drain still rolls back to
-//!    the old version).
+//!    pair — skipping anything a trap already serviced, so every deferred
+//!    object is applied exactly once. When the last pair drains, the old
+//!    processes are removed and the update is committed (the point of no
+//!    return moves from phase 5 to the end of phase 6: a fault mid-drain
+//!    still rolls back to the old version).
 //!
 //! Every pair with a residual defers it; a pair with nothing to park counts
 //! as synced. `BENCH_adaptive.json` (rebuilt by the root
@@ -1256,8 +1255,8 @@ impl Phase for CommitPhase {
 
 /// Post-copy phase 5 — commit: final delta retrace and transfer for every
 /// pair (`transfer_pairs`) with the stale residual *parked* instead of
-/// copied, descriptor inheritance,
-/// access traps armed over every parked range, and the new version resumed.
+/// copied, descriptor inheritance, access traps armed over every parked
+/// range, and the new version resumed.
 ///
 /// The old version's processes are deliberately **not** removed here: the
 /// parked residual still reads the frozen old address spaces, and a drain
@@ -1449,13 +1448,12 @@ impl PostcopyLoan {
         Ok(())
     }
 
-    /// One background drain batch of up to `batch` objects for pair
+    /// One background drain batch of up to [`DRAIN_BATCH`] objects for pair
     /// `index`, returning its (concurrent) cost.
     fn drain_batch(
         &mut self,
         kernel: &mut Kernel,
         index: usize,
-        batch: usize,
         drain_fault: Option<u64>,
     ) -> McrResult<SimDuration> {
         if self.residuals[index].is_drained() {
@@ -1466,7 +1464,7 @@ impl PostcopyLoan {
             return Err(Conflict::FaultInjected { phase: "drain-step".into() }.into());
         }
         let stats = self.apply_on_pair(kernel, index, |plan, residual, old_proc, new_proc, trigger| {
-            drain_step(plan, residual, old_proc, new_proc, batch, trigger)
+            drain_step(plan, residual, old_proc, new_proc, DRAIN_BATCH, trigger)
         })?;
         self.summary.drained_objects += stats.objects;
         Ok(stats.cost)
@@ -1485,10 +1483,9 @@ impl PostcopyLoan {
 /// the faulting thread was blocked — so final bytes match a stop-the-world
 /// run exactly. *Background drainer*: up to [`DRAIN_BATCH`] objects per
 /// pair per round, in deterministic address order, charged as concurrent
-/// time. Once every pair is drained the old version is
-/// terminated — the phase's last act is the point of no return, so a
-/// failure anywhere in the loop still rolls back to the intact old
-/// instance.
+/// time. Once every pair is drained the old version is terminated — the
+/// phase's last act is the point of no return, so a failure anywhere in the
+/// loop still rolls back to the intact old instance.
 pub(crate) struct PostcopyDrainPhase;
 
 /// Parked objects the background drainer applies per pair per drain round.
@@ -1521,7 +1518,7 @@ impl PostcopyDrainPhase {
             let mut drain_costs = vec![SimDuration(0); loan.pairs.len()];
             for (index, cost) in drain_costs.iter_mut().enumerate() {
                 loan.service_parked(kernel, loan.pairs[index].1)?;
-                *cost = loan.drain_batch(kernel, index, DRAIN_BATCH, drain_fault)?;
+                *cost = loan.drain_batch(kernel, index, drain_fault)?;
             }
             // The drain batches ran concurrently with serving.
             kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));
