@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn postcopy_drain_fault_degrades_to_synchronous_retry() {
-        // Attempt 1 runs forced post-copy and dies applying a parked object
+        // Attempt 1 runs post-copy and dies applying a parked object
         // after the new version already resumed; the supervisor must roll
         // back to the intact old instance and retry stop-the-world, which
         // commits. This is the fallback ladder for the trap machinery.
