@@ -13,7 +13,8 @@
 //!    sweeps the same scenario uncapped;
 //! 3. for each schedule asserts the *safety* property: the injected fault
 //!    rolls the update back to a kernel whose [`kernel_fingerprint`] is
-//!    byte-identical to the pre-update one (a subsample is re-run to check
+//!    byte-identical to the pre-update one, with the old version's audit
+//!    (`McrInstance::audit`) unchanged (a subsample is re-run to check
 //!    the rollback is also deterministic: same conflicts, same fingerprint);
 //! 4. for each schedule asserts the *liveness* property: a supervised update
 //!    with the fault injected into the early attempt(s) converges to a
@@ -226,7 +227,8 @@ pub fn enumerate_sites(spec: &ChaosSpec, mode: ChaosMode) -> FaultCatalog {
 pub struct VerifyResult {
     /// The armed fault fired and the update rolled back.
     pub fired: bool,
-    /// Post-rollback kernel fingerprint differed from the pre-update one.
+    /// Post-rollback kernel fingerprint or program audit differed from the
+    /// pre-update one.
     pub(crate) diverged: bool,
     /// Rollback conflicts (debug-rendered, stable across identical runs).
     pub conflicts: Vec<String>,
@@ -237,7 +239,9 @@ pub fn verify_rollback(spec: &ChaosSpec, mode: ChaosMode, plan: &ChaosPlan) -> V
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
-    let (_survivor, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(plan.clone()).run(
+    let audit = v1.audit(&kernel);
+    assert!(audit.is_some(), "{}: the chaos scenario's program audits its state", spec.program);
+    let (survivor, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(plan.clone()).run(
         &mut kernel,
         v1,
         Box::new(program_by_name(spec.program, 2)),
@@ -248,7 +252,7 @@ pub fn verify_rollback(spec: &ChaosSpec, mode: ChaosMode, plan: &ChaosPlan) -> V
         UpdateOutcome::Committed(_) => VerifyResult { fired: false, diverged: false, conflicts: Vec::new() },
         UpdateOutcome::RolledBack { conflicts, .. } => VerifyResult {
             fired: true,
-            diverged: kernel_fingerprint(&kernel) != before,
+            diverged: kernel_fingerprint(&kernel) != before || survivor.audit(&kernel) != audit,
             conflicts: conflicts.iter().map(|c| format!("{c:?}")).collect(),
         },
     }
@@ -296,12 +300,13 @@ pub(crate) fn supervised_run(
 }
 
 /// Persistent-fault drill: every attempt dies at the commit boundary with a
-/// bounded ladder; the supervisor must give up and leave the old version
-/// accepting connections. Post-copy pipelines commit at `PostcopyCommit`
+/// bounded ladder; the supervisor must give up and leave the old version,
+/// its audit unchanged, accepting connections. Post-copy pipelines commit at `PostcopyCommit`
 /// (there is no `Commit` phase to fault), so the drill targets both.
 fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
+    let audit = v1.audit(&kernel);
     let program = spec.program;
     let policy = SupervisorPolicy { max_attempts: 2, ..SupervisorPolicy::default() };
     let (mut survivor, outcome) = supervised_update(
@@ -315,7 +320,7 @@ fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
             FaultSite::Boundary(PhaseName::Commit).plan().with(FaultSite::Boundary(PhaseName::PostcopyCommit))
         },
     );
-    if outcome.is_committed() || outcome.report().attempts.len() != 2 {
+    if outcome.is_committed() || outcome.report().attempts.len() != 2 || survivor.audit(&kernel) != audit {
         return false;
     }
     let port = workload_for(spec.program, 1).port;
@@ -325,13 +330,14 @@ fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
 }
 
 /// Watchdog drill: 1 ns phase budgets make the very first phase overrun;
-/// the pipeline must roll back with a watchdog conflict and an identical
-/// fingerprint.
+/// the pipeline must roll back with a watchdog conflict, an identical
+/// fingerprint and an unchanged audit.
 fn watchdog_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
-    let (_survivor, outcome) =
+    let audit = v1.audit(&kernel);
+    let (survivor, outcome) =
         UpdatePipeline::for_options(&opts).with_uniform_phase_deadline(SimDuration(1)).run(
             &mut kernel,
             v1,
@@ -342,6 +348,7 @@ fn watchdog_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
     !outcome.is_committed()
         && outcome.conflicts().iter().any(|c| matches!(c, Conflict::WatchdogExpired { .. }))
         && kernel_fingerprint(&kernel) == before
+        && survivor.audit(&kernel) == audit
 }
 
 /// Evenly spread 1-based indices over `[1, total]`, at most `max` of them.

@@ -8,7 +8,9 @@
 //!
 //! 1. **Roundtrip fidelity** — a checkpoint of the live server restores
 //!    into a scratch kernel whose [`kernel_fingerprint`] is byte-identical
-//!    to the checkpointed one, and the restored instance still serves.
+//!    to the checkpointed one, with the same program audit, and the
+//!    restored instance still serves. Every restore below is held to the
+//!    same fingerprint-and-audit match.
 //! 2. **Crash consistency** — for *every* store block a checkpoint writes,
 //!    crashing at that block ([`WriteFault::CrashAt`]) or tearing it
 //!    ([`WriteFault::TornAt`]) leaves the store in a state from which
@@ -102,7 +104,8 @@ pub struct CheckpointOutcome {
     pub blocks: u64,
     /// Reference checkpoint summary (second version, post-traffic).
     pub(crate) checkpoint: CheckpointSummary,
-    /// The baseline roundtrip restored a byte-identical kernel.
+    /// The baseline roundtrip restored a byte-identical kernel with the
+    /// same program audit.
     pub fingerprint_identical: bool,
     /// The restored instance answered the standard workload.
     pub restored_serves: bool,
@@ -169,6 +172,14 @@ fn serves(kernel: &mut Kernel, instance: &mut McrInstance, program: &str) -> boo
     run_workload(kernel, instance, &workload_for(program, 1)).is_ok()
 }
 
+/// What a restore must reproduce of a checkpointed instance: the kernel's
+/// fingerprint and the program's audit (`McrInstance::audit`).
+fn snapshot(kernel: &Kernel, instance: &McrInstance) -> (u64, Option<Vec<(String, u64)>>) {
+    let audit = instance.audit(kernel);
+    assert!(audit.is_some(), "the checkpointed program audits its state");
+    (kernel_fingerprint(kernel), audit)
+}
+
 /// Program factory for restore (same generation that was checkpointed).
 fn gen1(spec: &CheckpointSpec) -> impl FnMut() -> Box<dyn Program> + '_ {
     move || Box::new(program_by_name(spec.program, 1))
@@ -184,13 +195,13 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let fp1 = kernel_fingerprint(&kernel);
+    let v1 = snapshot(&kernel, &instance);
     run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
         .expect("extra traffic");
     // Quiesce by hand so the fingerprint of the interrupted version is
     // captured at its exact snapshot point.
     wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).expect("quiesce for v2");
-    let fp2 = kernel_fingerprint(&kernel);
+    let v2 = snapshot(&kernel, &instance);
     let at = store.blocks_written() + n;
     store.arm_write_fault(if torn { WriteFault::TornAt(at) } else { WriteFault::CrashAt(at) });
     let result = write_checkpoint(&mut kernel, &instance, &mut store, &opts);
@@ -215,16 +226,16 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
     store.recover();
     match restore_latest(&store, &mut gen1(spec), None) {
         Ok(restored) => {
-            let fp = kernel_fingerprint(&restored.kernel);
-            if fp == fp2 {
+            let image = snapshot(&restored.kernel, &restored.instance);
+            if image == v2 {
                 out.recovered_durable += 1;
-            } else if fp == fp1 {
+            } else if image == v1 {
                 out.recovered_fallback += 1;
             } else {
                 out.divergences += 1;
                 out.repros.push(format!(
-                    "{what}:{n}: restored v{} fingerprint {fp:#x} matches neither snapshot",
-                    restored.report.version
+                    "{what}:{n}: restored v{} (fingerprint {:#x}) matches neither snapshot",
+                    restored.report.version, image.0
                 ));
             }
         }
@@ -242,7 +253,7 @@ fn restore_step_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let fp1 = kernel_fingerprint(&kernel);
+    let v1 = snapshot(&kernel, &instance);
     for step in 1..=RESTORE_STEPS.len() as u64 {
         out.restore_step_drills += 1;
         match restore_latest(&store, &mut gen1(spec), Some(step)) {
@@ -256,7 +267,7 @@ fn restore_step_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     // The drills were read-only: a clean restore still revives v1 exactly,
     // and the serving side never noticed.
     match restore_latest(&store, &mut gen1(spec), None) {
-        Ok(restored) if kernel_fingerprint(&restored.kernel) == fp1 => {}
+        Ok(restored) if snapshot(&restored.kernel, &restored.instance) == v1 => {}
         Ok(_) => {
             out.divergences += 1;
             out.repros.push("restore-step: post-drill restore diverged from v1".into());
@@ -278,7 +289,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let fp1 = kernel_fingerprint(&kernel);
+    let v1 = snapshot(&kernel, &instance);
     run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
         .expect("extra traffic");
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v2 checkpoint");
@@ -301,7 +312,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
             Ok(restored)
                 if restored.report.version == 1
                     && restored.report.versions_rejected >= 1
-                    && kernel_fingerprint(&restored.kernel) == fp1 =>
+                    && snapshot(&restored.kernel, &restored.instance) == v1 =>
             {
                 out.corruption_fallbacks += 1;
             }
@@ -436,10 +447,10 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let fp1 = kernel_fingerprint(&kernel);
+    let v1 = snapshot(&kernel, &instance);
     match restore_latest(&store, &mut gen1(spec), None) {
         Ok(restored) => {
-            out.fingerprint_identical = kernel_fingerprint(&restored.kernel) == fp1;
+            out.fingerprint_identical = snapshot(&restored.kernel, &restored.instance) == v1;
             let mut rk = restored.kernel;
             let mut ri = restored.instance;
             resume(&mut rk, &mut ri);

@@ -25,8 +25,8 @@
 //! the global on every access, because state transfer rewrites it.
 
 use mcr_core::error::{McrError, McrResult};
-use mcr_core::program::{Program, ProgramEnv, StepOutcome, WaitInterest};
-use mcr_procsim::{Addr, Fd, SimDuration, SimError, Syscall};
+use mcr_core::program::{InstanceState, Program, ProgramEnv, StepOutcome, WaitInterest};
+use mcr_procsim::{Addr, Fd, Kernel, SimDuration, SimError, Syscall};
 use mcr_typemeta::TypeRegistry;
 
 /// TCP port the fleet server listens on.
@@ -234,6 +234,24 @@ impl Program for FleetServer {
             },
         }
     }
+
+    /// The connection table: `slot<i>` = its `fd + 1` for every occupied
+    /// slot, read through the `conn_fds` global.
+    fn audit(&self, kernel: &Kernel, state: &InstanceState) -> Option<Vec<(String, u64)>> {
+        let space = kernel.process(*state.processes.first()?).ok()?.space();
+        let global = state.statics.lookup("conn_fds")?;
+        let table = Addr(space.read_u64(global.addr).ok()?);
+        let len = state.types.size_of(state.types.lookup("conn_fd_table")?);
+        let bytes = space.read_bytes(table, len as usize).ok()?;
+        let slots = bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+        Some(
+            slots
+                .enumerate()
+                .filter(|&(_, raw)| raw != 0)
+                .map(|(i, raw)| (format!("slot{i:08}"), u64::from(raw)))
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +358,8 @@ mod tests {
         kernel.client_send(conn, b"before".to_vec()).unwrap();
         run_rounds(&mut kernel, &mut v1, 2).unwrap();
         assert!(kernel.client_recv(conn).is_some(), "served before the update");
+        let before = v1.audit(&kernel).expect("the fleet audits its connection table");
+        assert_eq!(before.len(), 8, "one fact per accepted session");
 
         let (mut v2, outcome) = live_update(
             &mut kernel,
@@ -349,6 +369,7 @@ mod tests {
             &UpdateOptions::default(),
         );
         assert!(outcome.is_committed(), "update commits: {:?}", outcome.conflicts());
+        assert_eq!(v2.audit(&kernel), Some(before), "the connection table survived");
 
         // The new version's reader recovers the descriptor from transferred
         // memory and keeps serving the same connection.

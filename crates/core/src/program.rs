@@ -100,6 +100,18 @@ pub trait Program {
     /// Run-time errors are reported to the caller (the scheduler) and, during
     /// a live update, trigger rollback.
     fn thread_step(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome>;
+
+    /// The program's abstract state: named facts, sorted by name, each read
+    /// from the program's own structures in `kernel` with typed reads
+    /// through `state`'s registries. Two instances hold the same state when
+    /// their audits agree, whatever their heap layout; a live update must
+    /// carry the old version's audit at quiescence over to the new version
+    /// after commit, up to what the update's transform declares (fields it
+    /// adds read zero). `None` when the program keeps no audit.
+    fn audit(&self, kernel: &Kernel, state: &InstanceState) -> Option<Vec<(String, u64)>> {
+        let _ = (kernel, state);
+        None
+    }
 }
 
 /// One entry in the instance's thread roster.
@@ -876,9 +888,9 @@ mod tests {
         // Instrumented heap: the typed chunk carries the node type tag.
         let node_ty = state.types.lookup("node").unwrap();
         let proc = kernel.process(pid).unwrap();
-        let info = proc.heap().unwrap().chunk_info(proc.space(), typed).unwrap();
+        let info = proc.heap().unwrap().chunk_containing(proc.space(), typed).unwrap();
         assert_eq!(info.type_tag.0, node_ty.0);
-        let raw_info = proc.heap().unwrap().chunk_info(proc.space(), raw).unwrap();
+        let raw_info = proc.heap().unwrap().chunk_containing(proc.space(), raw).unwrap();
         assert_eq!(raw_info.type_tag.0, 0);
         // Dynamic tracking recorded both allocations.
         assert_eq!(state.counters.dyn_tracked_allocs, 2);

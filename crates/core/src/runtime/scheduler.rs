@@ -299,6 +299,11 @@ impl McrInstance {
             .ok_or_else(|| McrError::InvalidState("instance has no processes".into()))
     }
 
+    /// The program's abstract state in `kernel` ([`Program::audit`]).
+    pub fn audit(&self, kernel: &Kernel) -> Option<Vec<(String, u64)>> {
+        self.program.audit(kernel, &self.state)
+    }
+
     /// Resident memory of the instance: mapped bytes plus allocator and MCR
     /// metadata across all its processes.
     pub(crate) fn resident_bytes(&self, kernel: &Kernel) -> u64 {

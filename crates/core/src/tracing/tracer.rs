@@ -672,7 +672,12 @@ impl<'a> Tracer<'a> {
         if let Some(resolved) = resolved {
             if target_class != RegionClass::Lib || self.options.trace_libraries {
                 // An interior pointer says nothing about the type at the base.
-                let pointee = pointee.filter(|_| target == resolved.base);
+                // Nor does a pointee that does not tile the object: a typed
+                // object is scanned and transferred in whole elements, so its
+                // tail would be neither (a 96-byte value behind a pointer to
+                // a 64-byte type lost its last 32 bytes in every update).
+                let tiles = |ty| resolved.size % self.state.types.size_of(ty).max(1) == 0;
+                let pointee = pointee.filter(|&ty| target == resolved.base && tiles(ty));
                 discovered.push((resolved, pointee));
             }
         }
@@ -1737,7 +1742,7 @@ mod tests {
         }
         let layout = kernel.process(pid).unwrap().layout();
         let unregistered_static = Addr(layout.static_base.0 + layout.static_size - 64);
-        let (inner, base, x, both, y, lib_obj, w, pooled, blob, z, v);
+        let (inner, base, x, both, y, lib_obj, w, pooled, blob, ragged, z, v);
         {
             let mut env = ProgramEnv::new(&mut kernel, &mut state, pid, tid, "main");
             // An interior pointer popped before the pointer to its base
@@ -1771,6 +1776,11 @@ mod tests {
             let blob_ref = env.define_global("blob_ref", "blob*").unwrap();
             blob = env.alloc_bytes(256, "shape:blob").unwrap();
             env.write_ptr(blob_ref, blob).unwrap();
+            // A 96-byte chunk its pointer declares as 64-byte elements: the
+            // pointee does not tile it, so it stays untyped.
+            let ragged_ref = env.define_global("ragged_ref", "blob*").unwrap();
+            ragged = env.alloc_bytes(96, "shape:ragged").unwrap();
+            env.write_ptr(ragged_ref, ragged).unwrap();
             // Opaque runs split by a pointer: `a` hides a pointer to the very
             // chunk `p` names, so whichever is scanned first types it.
             let split = env.define_global("split", "split_t").unwrap();
@@ -1806,6 +1816,7 @@ mod tests {
             );
             assert!(matches!(graph.get(pooled).unwrap().origin, ObjectOrigin::Pool { .. }));
             assert_eq!(graph.get(blob).unwrap().type_id, state.types.lookup("blob_fwd"));
+            assert_eq!(graph.get(ragged).unwrap().type_id, None, "a pointee that does not tile the chunk");
             assert_eq!(graph.get(z).unwrap().type_id, None, "the likely pointer before `p` discovered it");
             assert!(graph.get(v).is_none(), "the word across the unaligned seam is not scanned");
         }

@@ -353,7 +353,7 @@ impl PtMalloc {
     }
 
     /// Reads back the in-band metadata of the chunk whose payload is `payload`.
-    pub fn chunk_info(&self, space: &AddressSpace, payload: Addr) -> SimResult<ChunkInfo> {
+    fn chunk_info(&self, space: &AddressSpace, payload: Addr) -> SimResult<ChunkInfo> {
         // One read of the whole header; an uninstrumented allocator's header
         // has no site and tag words.
         let mut header = [0u8; HEADER_INSTR as usize];

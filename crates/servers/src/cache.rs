@@ -25,10 +25,12 @@
 //!   become garbage that the next trace sweeps).
 
 use mcr_core::error::{McrError, McrResult};
-use mcr_core::program::{Program, ProgramEnv, StepOutcome, WaitInterest};
+use mcr_core::program::{InstanceState, Program, ProgramEnv, StepOutcome, WaitInterest};
 use mcr_core::runtime::McrInstance;
-use mcr_procsim::{Addr, Fd, Kernel, SimError, Syscall};
+use mcr_procsim::{checksum64, Addr, Fd, Kernel, SimError, Syscall};
 use mcr_typemeta::{Field, TypeRegistry};
+
+use crate::audit_fields;
 
 /// TCP port the cache listens on (memcached's default).
 pub const CACHE_PORT: u16 = 11211;
@@ -268,6 +270,35 @@ impl Program for CacheServer {
             }
         }
     }
+
+    /// Every entry as `entry.<key>.value` (`checksum64` of its value bytes)
+    /// and `entry.<key>.vsize`, plus the `cache_stats` counters.
+    fn audit(&self, kernel: &Kernel, state: &InstanceState) -> Option<Vec<(String, u64)>> {
+        let space = kernel.process(*state.processes.first()?).ok()?.space();
+        let types = &state.types;
+        let entry_ty = types.lookup("entry_s")?;
+        let field = |name| types.field_offset(entry_ty, name);
+        let (key_off, len_off, value_off, next_off) =
+            (field("key")?, field("len")?, field("value")?, field("next")?);
+        let table = state.statics.lookup("cache_table")?.addr;
+        let mut facts = Vec::new();
+        for bucket in 0..CACHE_BUCKETS {
+            let mut node = Addr(space.read_u64(table.offset(bucket * 8)).ok()?);
+            while !node.is_null() {
+                let key = space.read_u64(node.offset(key_off)).ok()?;
+                let vsize = u64::from(space.read_u32(node.offset(len_off)).ok()?);
+                let value = Addr(space.read_u64(node.offset(value_off)).ok()?);
+                let bytes = space.read_bytes(value, vsize as usize).ok()?;
+                facts.push((format!("entry.{key:08}.value"), checksum64(&bytes, 0)));
+                facts.push((format!("entry.{key:08}.vsize"), vsize));
+                node = Addr(space.read_u64(node.offset(next_off)).ok()?);
+            }
+        }
+        let stats = state.statics.lookup("cache_stats")?;
+        audit_fields(space, types, stats.ty, stats.addr, "stats", &mut facts)?;
+        facts.sort();
+        Some(facts)
+    }
 }
 
 /// Collects the addresses of every live cache entry, in bucket-then-chain
@@ -360,6 +391,8 @@ mod tests {
         let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
         assert!(send(&mut kernel, &mut v1, "fill 60 128").starts_with("STORED"));
         assert!(send(&mut kernel, &mut v1, "get").starts_with("VALUE 0"));
+        let before = v1.audit(&kernel).expect("the cache audits its state");
+        assert_eq!(before.len(), 2 * 60 + 4, "60 entries and the four counters");
         let (mut v2, outcome) = live_update(
             &mut kernel,
             v1,
@@ -368,6 +401,9 @@ mod tests {
             &UpdateOptions { intra_pair_shards: 4, ..Default::default() },
         );
         assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+        // The abstract state survived: every key with its value checksum
+        // and size, and the counters.
+        assert_eq!(v2.audit(&kernel), Some(before), "the cache audit changed across the update");
         // Entries and their value blobs moved into the new heap.
         assert!(outcome.report().transfer.objects_transferred() >= 120);
         let nodes = cache_entry_nodes(&kernel, &v2);

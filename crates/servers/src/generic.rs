@@ -9,11 +9,12 @@
 //! startup behaviour, which is exactly the class of change MCR must handle.
 
 use mcr_core::error::{McrError, McrResult};
-use mcr_core::program::{Program, ProgramEnv, StepOutcome, WaitInterest};
+use mcr_core::program::{InstanceState, Program, ProgramEnv, StepOutcome, WaitInterest};
 use mcr_core::ObjTreatment;
-use mcr_procsim::{Fd, PoolId, SimDuration, SimError, Syscall};
+use mcr_procsim::{Addr, Fd, Kernel, PoolId, SimDuration, SimError, Syscall};
 use mcr_typemeta::{Field, TypeRegistry};
 
+use crate::audit_fields;
 use crate::spec::{AllocatorModel, ProcessModel, ServerSpec};
 
 /// A simulated MCR-enabled server program built from a [`ServerSpec`].
@@ -417,6 +418,39 @@ impl Program for GenericServer {
             }),
         }
     }
+
+    /// Per process `p<i>` (its index in the instance): the configuration
+    /// record behind `conf`, the connection list's header and every live
+    /// connection record in list order (`conn<j>`), and the request
+    /// statistics. nginx's encoded `cycle` is left out: a worker's copy
+    /// keeps the old version's address across an update
+    /// (`nginx_worker_cycle_keeps_the_old_address_across_an_update`).
+    fn audit(&self, kernel: &Kernel, state: &InstanceState) -> Option<Vec<(String, u64)>> {
+        let types = &state.types;
+        let global = |symbol: &str| state.statics.lookup(symbol);
+        let conf_ty = types.lookup("conf_s")?;
+        let conn_ty = types.lookup("conn_s")?;
+        let next_off = types.field_offset(conn_ty, "next")?;
+        let (conf, list, stats) = (global("conf")?, global("conn_list")?, global("stats")?);
+        let head_off = types.field_offset(list.ty, "head")?;
+        let mut facts = Vec::new();
+        for (i, &pid) in state.processes.iter().enumerate() {
+            let space = kernel.process(pid).ok()?.space();
+            let conf_at = Addr(space.read_u64(conf.addr).ok()?);
+            audit_fields(space, types, conf_ty, conf_at, &format!("p{i}.conf"), &mut facts)?;
+            audit_fields(space, types, list.ty, list.addr, &format!("p{i}.conn_list"), &mut facts)?;
+            let mut node = Addr(space.read_u64(list.addr.offset(head_off)).ok()?);
+            let mut j = 0;
+            while !node.is_null() {
+                audit_fields(space, types, conn_ty, node, &format!("p{i}.conn{j:04}"), &mut facts)?;
+                node = Addr(space.read_u64(node.offset(next_off)).ok()?);
+                j += 1;
+            }
+            audit_fields(space, types, stats.ty, stats.addr, &format!("p{i}.stats"), &mut facts)?;
+        }
+        facts.sort();
+        Some(facts)
+    }
 }
 
 /// Convenience constructors for the four evaluation programs.
@@ -510,11 +544,24 @@ mod tests {
         assert_eq!(instance.state.processes.len(), 4, "one session process per connection");
     }
 
+    /// The old audit, carried over by the update's transform: every old fact
+    /// unchanged, and each fact only the new version has is a field the
+    /// transform added, zero-filled.
+    fn assert_audit_carried(old: &[(String, u64)], new: &[(String, u64)]) {
+        let new: std::collections::BTreeMap<_, _> = new.iter().cloned().collect();
+        for (name, value) in old {
+            assert_eq!(new.get(name), Some(value), "{name}");
+        }
+        let added: Vec<_> = new.iter().filter(|(name, _)| !old.iter().any(|(n, _)| n == *name)).collect();
+        assert!(added.iter().all(|(_, &v)| v == 0), "added facts are zero-filled: {added:?}");
+    }
+
     #[test]
     fn httpd_live_update_succeeds_with_open_connections() {
         let mut kernel = kernel_with_files();
         let mut v1 = boot(&mut kernel, Box::new(httpd(1)), &BootOptions::default()).unwrap();
         drive_requests(&mut kernel, &mut v1, 80, 4);
+        let before = v1.audit(&kernel).expect("httpd audits its state");
         let (v2, outcome) = live_update(
             &mut kernel,
             v1,
@@ -523,6 +570,12 @@ mod tests {
             &UpdateOptions::default(),
         );
         assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+        let after = v2.audit(&kernel).expect("httpd audits its state");
+        assert_audit_carried(&before, &after);
+        // Generation 2 adds `conf_s.timeout` and `stats_s.errors` in each of
+        // the three processes.
+        assert_eq!(after.len(), before.len() + 2 * 3);
+        assert!(before.iter().filter(|(n, _)| n.contains(".conn0")).count() >= 4 * 3, "{before:?}");
         let report = outcome.report();
         assert_eq!(report.open_connections, 4);
         assert!(report.transfer.objects_transferred() > 0);
@@ -564,6 +617,40 @@ mod tests {
         assert!(kernel.client_recv(c).is_some());
     }
 
+    /// Known wrong answer, pinned until it is fixed: after an update with a
+    /// layout slide, the `cycle` global (an encoded pointer to a
+    /// startup-time `conf_s`) of a worker that served a request still names
+    /// the old version's heap. The request dirtied the worker's static page,
+    /// so its statics are transferred; `cycle`'s target is reinitialized,
+    /// not transferred, and the transfer keeps an encoded value it cannot
+    /// translate. Idle processes keep their freshly started `cycle`.
+    #[test]
+    fn nginx_worker_cycle_keeps_the_old_address_across_an_update() {
+        let mut kernel = kernel_with_files();
+        let mut v1 = boot(&mut kernel, Box::new(nginx(1)), &BootOptions::default()).unwrap();
+        drive_requests(&mut kernel, &mut v1, 8080, 1);
+        let (v2, outcome) = live_update(
+            &mut kernel,
+            v1,
+            Box::new(nginx(2)),
+            InstrumentationConfig::full_with_region_instrumentation(),
+            &UpdateOptions::default(),
+        );
+        assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+        let cycle = v2.state.statics.lookup("cycle").unwrap().addr;
+        let readable: Vec<bool> = v2
+            .state
+            .processes
+            .iter()
+            .map(|&pid| {
+                let space = kernel.process(pid).unwrap().space();
+                let target = space.read_u64(cycle).unwrap() & !0b11;
+                space.read_u64(mcr_procsim::Addr(target)).is_ok()
+            })
+            .collect();
+        assert_eq!(readable, [true, false, true], "only the serving worker's `cycle` dangles");
+    }
+
     #[test]
     fn nginx_chain_of_updates() {
         let mut kernel = kernel_with_files();
@@ -574,6 +661,7 @@ mod tests {
             run_round(&mut kernel, &mut instance).unwrap();
             let opts =
                 UpdateOptions { layout_slide: 0x1_0000_0000 * u64::from(generation), ..Default::default() };
+            let before = instance.audit(&kernel).expect("nginx audit");
             let (next, outcome) = live_update(
                 &mut kernel,
                 instance,
@@ -582,6 +670,7 @@ mod tests {
                 &opts,
             );
             assert!(outcome.is_committed(), "gen {generation}: {:?}", outcome.conflicts());
+            assert_audit_carried(&before, &next.audit(&kernel).expect("nginx audit"));
             instance = next;
         }
         assert_eq!(instance.state.version, "0.8.54+u4");

@@ -39,6 +39,34 @@ pub use scenarios::{
 pub use spec::ServerSpec;
 pub use updates::{paper_catalog, totals, CatalogTotals, UpdateCatalogEntry};
 
+use mcr_procsim::{Addr, AddressSpace};
+use mcr_typemeta::{TypeId, TypeKind, TypeRegistry};
+
+/// Appends `<prefix>.<field>` for every integer field of the struct of type
+/// `ty` at `addr`, read at the field's own width — the typed reads an audit
+/// ([`mcr_core::Program::audit`]) is made of. Pointer fields are left out:
+/// they name addresses, which an update relocates. `None` if the type is
+/// unknown or a field is unreadable.
+pub(crate) fn audit_fields(
+    space: &AddressSpace,
+    types: &TypeRegistry,
+    ty: TypeId,
+    addr: Addr,
+    prefix: &str,
+    out: &mut Vec<(String, u64)>,
+) -> Option<()> {
+    for field in types.struct_layout(ty) {
+        let at = addr.offset(field.offset);
+        let value = match types.get(field.ty)?.kind {
+            TypeKind::Int { size: 4 } => u64::from(space.read_u32(at).ok()?),
+            TypeKind::Int { size: 8 } => space.read_u64(at).ok()?,
+            _ => continue,
+        };
+        out.push((format!("{prefix}.{}", field.name), value));
+    }
+    Some(())
+}
+
 /// Installs the configuration files and served documents every simulated
 /// server expects into a kernel's file system.
 pub fn install_standard_files(kernel: &mut mcr_procsim::Kernel) {

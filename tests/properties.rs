@@ -5,7 +5,7 @@
 //! drive the same invariants with the chaos engine's deterministic xorshift64*
 //! generator ([`ChaosRng`]): every case is reproducible from its printed seed.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use mcr_bench::{kernel_fingerprint, FleetServer, FLEET_PORT};
@@ -718,8 +718,11 @@ fn precopy_and_stop_the_world_rollbacks_are_identical() {
     assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty());
 }
 
-/// Boots the single-process cache archetype, bulk-fills its heap, then
-/// live-updates gen-1 → gen-2 with the given intra-pair shard count. The
+/// Boots the single-process cache archetype, bulk-fills its heap with
+/// 192-byte values (three elements of the 64-byte type their pointer
+/// declares; `cache_update_under_traffic` covers 96-byte values, which that
+/// type does not tile), then live-updates gen-1 → gen-2 with the given
+/// intra-pair shard count. The
 /// seeded xorshift mutator dirties every 3rd cache entry once per "round":
 /// with `precopy == true` through the pipeline's between-rounds hook, with
 /// `precopy == false` all batches up front — both paths mutate the same
@@ -737,7 +740,7 @@ fn sharded_cache_update(
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     let conn = kernel.client_connect(CACHE_PORT).unwrap();
-    kernel.client_send(conn, format!("fill {entries} 96").into_bytes()).unwrap();
+    kernel.client_send(conn, format!("fill {entries} 192").into_bytes()).unwrap();
     let _ = mcr_core::runtime::run_rounds(&mut kernel, &mut v1, 2).unwrap();
     assert!(kernel.client_recv(conn).is_some(), "cache answered the fill");
     kernel.client_close(conn).unwrap();
@@ -752,23 +755,48 @@ fn sharded_cache_update(
         },
         ..Default::default()
     };
+    let quiesced_audit = Rc::new(RefCell::new(v1.audit(&kernel)));
     let mut pipeline = if precopy {
         let stamps = stamps.clone();
+        let quiesced_audit = Rc::clone(&quiesced_audit);
         UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(move |kernel, old, round| {
             dirty_cache_records(kernel, old, 3, stamps[round - 1]);
+            *quiesced_audit.borrow_mut() = old.audit(kernel);
         }))
     } else {
         for &stamp in &stamps {
             dirty_cache_records(&mut kernel, &v1, 3, stamp);
         }
+        *quiesced_audit.borrow_mut() = v1.audit(&kernel);
         UpdatePipeline::for_options(&opts)
     };
     if let Some(fault) = fault {
         pipeline = pipeline.with_fault_plan(fault);
     }
-    let (_survivor, outcome) =
+    let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
+    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &format!("{shards} shards"));
     (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+}
+
+/// The cache's abstract state is the old version's at quiescence, whether
+/// `survivor` is the new version after commit or the old one after a
+/// rollback: every key with its value's checksum and size, and the counters.
+/// The gen-1 → gen-2 transform adds only `entry_s.hits`, which the audit
+/// does not read.
+fn assert_audit_survives(
+    kernel: &Kernel,
+    survivor: &McrInstance,
+    quiesced: &Option<Vec<(String, u64)>>,
+    ctx: &str,
+) {
+    let (Some(old), Some(new)) = (quiesced, survivor.audit(kernel)) else {
+        panic!("{ctx}: both versions audit");
+    };
+    assert!(old.len() > 4, "{ctx}: the old version holds entries");
+    let gone: Vec<_> = old.iter().filter(|f| !new.contains(f)).collect();
+    let came: Vec<_> = new.iter().filter(|f| !old.contains(f)).collect();
+    assert!(gone.is_empty() && came.is_empty(), "{ctx}: the cache audit lost {gone:?} and gained {came:?}");
 }
 
 /// The intra-pair sharded engine is deterministic end to end: on the
@@ -892,14 +920,19 @@ fn cache_update_under_traffic(
         precopy: PrecopyOptions { rounds: 3, convergence_bytes: 0, serve_rounds: 1 },
         ..Default::default()
     };
+    let quiesced_audit = Rc::new(RefCell::new(None));
+    let audit_slot = Rc::clone(&quiesced_audit);
     let pipeline =
         UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(move |kernel, old, round| {
             for request in &batches[round - 1] {
                 cache_request(kernel, old, request);
             }
+            *audit_slot.borrow_mut() = old.audit(kernel);
         }));
-    let (_survivor, outcome) =
+    let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
+    let ctx = format!("{mode:?}/{shards} shards/{workers} workers");
+    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &ctx);
     (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
 }
 
