@@ -50,38 +50,174 @@ fn fresh_heap(instrumented: bool) -> (AddressSpace, PtMalloc) {
     (space, PtMalloc::new(Addr(HEAP_BASE), HEAP_SIZE, instrumented))
 }
 
-/// The allocator never hands out overlapping or unaligned chunks, and frees
-/// make the memory reusable without corrupting live chunks.
-#[test]
-fn allocator_chunks_are_disjoint_and_aligned() {
-    for seed in 0..CASES {
-        let mut rng = ChaosRng::new(seed);
-        let n = rng.range(1, 60) as usize;
-        let sizes: Vec<u64> = (0..n).map(|_| rng.range(1, 2048)).collect();
-        let free_mask: Vec<bool> = (0..n).map(|_| chance(&mut rng)).collect();
-        let instrumented = chance(&mut rng);
+/// Drives `PtMalloc` through `seeds` seeded operation streams and checks it
+/// after every step against an ordered map of its live chunks (payload →
+/// payload size, site, tag, startup): `malloc` (never overlapping a live
+/// chunk), `free` (including frees of addresses that are no live payload:
+/// below the heap, unaligned, inside a chunk, freed twice), deferred frees
+/// and `flush_deferred`, `malloc_at` at fitting, overlapping and unaligned
+/// placements, and `clone`. Checked: `live_count`, `is_live`, `live_chunks`
+/// (order and every field), and `chunk_containing` at every payload, one
+/// byte below it, its last byte, one past its end and its header bytes, below
+/// the heap base, past the frontier and at random addresses.
+fn check_ptmalloc_against_the_model(seeds: std::ops::Range<u64>) {
+    use std::collections::BTreeMap;
+    type Model = BTreeMap<u64, (u64, AllocSite, TypeTag, bool)>;
 
-        let (mut space, mut heap) = fresh_heap(instrumented);
-        heap.end_startup();
-        let mut live: Vec<(Addr, u64)> = Vec::new();
-        for (i, &size) in sizes.iter().enumerate() {
-            let addr = heap.malloc(&mut space, size, AllocSite(i as u64), TypeTag(1)).unwrap();
-            assert!(addr.is_aligned(16), "seed {seed}: unaligned chunk {addr}");
-            for &(other, osize) in &live {
-                let disjoint = addr.0 + size <= other.0 || other.0 + osize <= addr.0;
-                assert!(disjoint, "seed {seed}: chunk {addr} overlaps {other}");
-            }
-            live.push((addr, size));
-            if free_mask[i] && live.len() > 1 {
-                let (victim, _) = live.remove(0);
-                heap.free(&mut space, victim).unwrap();
-            }
+    fn expect_containing(model: &Model, addr: u64) -> Option<u64> {
+        let (&payload, &(size, ..)) = model.range(..=addr).next_back()?;
+        (addr < payload + size).then_some(payload)
+    }
+
+    fn check(
+        ctx: &str,
+        heap: &PtMalloc,
+        space: &AddressSpace,
+        model: &Model,
+        header: u64,
+        rng: &mut ChaosRng,
+    ) {
+        assert_eq!(heap.live_count(), model.len(), "{ctx}: live_count");
+        let chunks = heap.live_chunks(space).map(|c| (c.payload.0, (c.size, c.site, c.type_tag, c.startup)));
+        assert!(chunks.eq(model.iter().map(|(&p, &fields)| (p, fields))), "{ctx}: live_chunks");
+        let mut probes = vec![0, HEAP_BASE - 1, HEAP_BASE, HEAP_BASE + HEAP_SIZE, u64::MAX];
+        let top = model.iter().next_back().map_or(HEAP_BASE, |(&p, &(size, ..))| p + size);
+        probes.extend([top, top + 16, top + 4096]);
+        for (&payload, &(size, ..)) in model {
+            assert!(heap.is_live(Addr(payload)), "{ctx}: {payload:#x} live");
+            assert!(!heap.is_live(Addr(payload + 8)) && !heap.is_live(Addr(payload + size)), "{ctx}");
+            probes.extend([payload, payload - 1, payload + size - 1, payload + size, payload - header]);
+            probes.extend([payload - header + 8, payload - 8]);
         }
-        // Every live chunk is still reported live by the allocator.
-        for &(addr, _) in &live {
-            assert!(heap.is_live(addr), "seed {seed}: live chunk {addr} lost");
+        probes.extend((0..32).map(|_| rng.range(HEAP_BASE - 64, top + 256)));
+        for addr in probes {
+            let got = heap.chunk_containing(space, Addr(addr));
+            let want = expect_containing(model, addr);
+            assert_eq!(got.map(|c| c.payload.0), want, "{ctx}: chunk_containing({addr:#x})");
+            if let (Some(chunk), Some(p)) = (got, want) {
+                let (size, site, tag, startup) = model[&p];
+                assert_eq!(
+                    (chunk.size, chunk.site, chunk.type_tag, chunk.startup),
+                    (size, site, tag, startup)
+                );
+            }
         }
     }
+
+    for seed in seeds {
+        let mut rng = ChaosRng::new(seed);
+        let instrumented = chance(&mut rng);
+        // Instrumented headers add the site and tag words.
+        let header = if instrumented { 32 } else { 16 };
+        let (mut space, mut heap) = fresh_heap(instrumented);
+        let deferring = chance(&mut rng);
+        heap.set_defer_free(deferring);
+        let mut startup = true;
+        let mut model = Model::new();
+        let (mut deferred, mut freed): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+        for step in 0..rng.range(40, 160) as usize {
+            let ctx = format!("seed {seed} step {step}");
+            let live: Vec<u64> = model.keys().copied().filter(|p| !deferred.contains(p)).collect();
+            let pick = |rng: &mut ChaosRng| live[rng.range(0, live.len() as u64) as usize];
+            match rng.range(0, 100) {
+                0..=39 => {
+                    let size = if rng.range(0, 8) == 0 { rng.range(2048, 9000) } else { rng.range(1, 600) };
+                    let (site, tag) = (AllocSite(rng.range(0, 9)), TypeTag(rng.range(0, 9)));
+                    let p = heap.malloc(&mut space, size, site, tag).unwrap().0;
+                    let payload_size = size.max(1).div_ceil(16) * 16;
+                    assert_eq!(p % 16, 0, "seed {seed}: unaligned payload {p:#x}");
+                    let overlapping = model.range(..p + payload_size + header).next_back();
+                    assert!(
+                        overlapping.is_none_or(|(&q, &(qs, ..))| q + qs + header <= p),
+                        "{ctx}: {p:#x} overlaps {overlapping:?}"
+                    );
+                    let (site, tag) = if instrumented { (site, tag) } else { (AllocSite(0), TypeTag(0)) };
+                    model.insert(p, (payload_size, site, tag, startup));
+                }
+                40..=64 if !live.is_empty() => {
+                    let p = pick(&mut rng);
+                    heap.free(&mut space, Addr(p)).unwrap();
+                    if deferring && startup {
+                        deferred.push(p);
+                    } else {
+                        model.remove(&p);
+                        freed.push(p);
+                    }
+                }
+                65..=69 => {
+                    // Not a live payload: freeing it is an error, never a
+                    // panic. A payload's `+ 16` is inside its chunk or header.
+                    let p = if live.is_empty() { HEAP_BASE + HEAP_SIZE - 4096 } else { pick(&mut rng) };
+                    let mut bad = vec![0, HEAP_BASE - 16, p + 8, p + 16, HEAP_BASE + HEAP_SIZE, u64::MAX];
+                    bad.extend(freed.iter().copied().filter(|q| !model.contains_key(q)));
+                    for addr in bad {
+                        assert!(
+                            matches!(heap.free(&mut space, Addr(addr)), Err(SimError::InvalidFree(_))),
+                            "{ctx}: free({addr:#x})"
+                        );
+                    }
+                }
+                70..=74 if !deferred.is_empty() || startup => {
+                    assert_eq!(heap.flush_deferred(&mut space).unwrap(), deferred.len());
+                    for p in deferred.drain(..) {
+                        model.remove(&p);
+                        freed.push(p);
+                    }
+                    if chance(&mut rng) {
+                        heap.end_startup();
+                        startup = false;
+                    }
+                }
+                75..=89 => {
+                    // A placement anywhere up to a little past the frontier:
+                    // it fits iff it overlaps no live chunk.
+                    let top = model.iter().next_back().map_or(HEAP_BASE, |(&p, &(s, ..))| p + s);
+                    let p = rng.range(HEAP_BASE + header, top + 2048) / 16 * 16;
+                    let size = rng.range(1, 700);
+                    let payload_size = size.div_ceil(16) * 16;
+                    let fits = model
+                        .iter()
+                        .all(|(&q, &(qs, ..))| q + qs <= p - header || p + payload_size <= q - header);
+                    let (site, tag) = (AllocSite(7), TypeTag(5));
+                    let got = heap.malloc_at(&mut space, Addr(p), size, site, tag);
+                    if fits {
+                        assert_eq!(got.unwrap(), Addr(p), "{ctx}: malloc_at({p:#x})");
+                        let (site, tag) = if instrumented { (site, tag) } else { (AllocSite(0), TypeTag(0)) };
+                        model.insert(p, (payload_size, site, tag, startup));
+                    } else {
+                        assert!(
+                            matches!(got, Err(SimError::MappingOverlap { .. })),
+                            "{ctx}: malloc_at({p:#x}) over a live chunk: {got:?}"
+                        );
+                    }
+                    let unaligned = heap.malloc_at(&mut space, Addr(top + 4096 + 8), 16, site, tag);
+                    assert!(matches!(unaligned, Err(SimError::InvalidArgument(_))), "{unaligned:?}");
+                }
+                90..=94 => {
+                    // A fork: the copy holds the same chunks and goes on alone.
+                    let copy = heap.clone();
+                    check(&ctx, &heap, &space, &model, header, &mut rng);
+                    heap = copy;
+                }
+                _ => continue,
+            }
+            check(&ctx, &heap, &space, &model, header, &mut rng);
+        }
+    }
+}
+
+/// `PtMalloc`'s granule index answers exactly like an ordered map of its
+/// live chunks; see [`check_ptmalloc_against_the_model`].
+#[test]
+fn ptmalloc_matches_the_ordered_map_model() {
+    check_ptmalloc_against_the_model(0..CASES);
+}
+
+/// The same model check over 10 000 seeds (CI runs it in release).
+#[test]
+#[ignore = "10 000 seeds; run with --release -- --ignored ptmalloc"]
+fn ptmalloc_matches_the_ordered_map_model_10k_seeds() {
+    check_ptmalloc_against_the_model(0..10_000);
 }
 
 /// Soft-dirty tracking is a sound over-approximation: every written page is
