@@ -301,8 +301,9 @@ pub(crate) fn supervised_run(
 
 /// Persistent-fault drill: every attempt dies at the commit boundary with a
 /// bounded ladder; the supervisor must give up and leave the old version,
-/// its audit unchanged, accepting connections. Post-copy pipelines commit at `PostcopyCommit`
-/// (there is no `Commit` phase to fault), so the drill targets both.
+/// its audit unchanged, accepting connections. Post-copy pipelines commit
+/// at `PostcopyCommit` (there is no `Commit` phase to fault), so the drill
+/// targets both.
 fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);

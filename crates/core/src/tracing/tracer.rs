@@ -675,7 +675,7 @@ impl<'a> Tracer<'a> {
                 // Nor does a pointee that does not tile the object: a typed
                 // object is scanned and transferred in whole elements, so its
                 // tail would be neither (a 96-byte value behind a pointer to
-                // a 64-byte type lost its last 32 bytes in every update).
+                // a 64-byte type would lose its last 32 bytes).
                 let tiles = |ty| resolved.size % self.state.types.size_of(ty).max(1) == 0;
                 let pointee = pointee.filter(|&ty| target == resolved.base && tiles(ty));
                 discovered.push((resolved, pointee));

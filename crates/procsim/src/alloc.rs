@@ -299,7 +299,7 @@ impl PtMalloc {
     /// # Errors
     ///
     /// Fails if the requested placement is outside the heap, is not
-    /// [`CHUNK_ALIGN`]-aligned relative to the heap base, overlaps a live
+    /// 16-byte aligned relative to the heap base, overlaps a live
     /// chunk, or lies behind the bump frontier in already-recycled space that
     /// cannot be carved.
     pub fn malloc_at(
