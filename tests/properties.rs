@@ -858,21 +858,20 @@ fn precopy_and_stop_the_world_rollbacks_are_identical() {
 /// 192-byte values (three elements of the 64-byte type their pointer
 /// declares; `cache_update_under_traffic` covers 96-byte values, which that
 /// type does not tile), then live-updates gen-1 → gen-2 with the given
-/// intra-pair shard count. The
-/// seeded xorshift mutator dirties every 3rd cache entry once per "round":
-/// with `precopy == true` through the pipeline's between-rounds hook, with
-/// `precopy == false` all batches up front — both paths mutate the same
-/// addresses with the same values in the same order, so every configuration
-/// updates the same final memory image.
-#[allow(clippy::too_many_arguments)]
+/// intra-pair shard count in `mode`. The seeded xorshift mutator dirties
+/// every 3rd cache entry once per "round": under `Precopy` through the
+/// pipeline's between-rounds hook, otherwise all batches up front — both
+/// paths mutate the same addresses with the same values in the same order,
+/// so every configuration updates the same final memory image.
 fn sharded_cache_update(
     entries: u64,
     shards: usize,
     rounds: usize,
-    precopy: bool,
+    mode: TransferMode,
     fault: Option<ChaosPlan>,
     seed: u64,
 ) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+    let precopy = mode == TransferMode::Precopy;
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     let conn = kernel.client_connect(CACHE_PORT).unwrap();
@@ -883,6 +882,7 @@ fn sharded_cache_update(
     let mut rng = ChaosRng::new(seed ^ 0x517a_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
     let opts = UpdateOptions {
+        mode,
         intra_pair_shards: shards,
         precopy: if precopy {
             PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 }
@@ -911,7 +911,7 @@ fn sharded_cache_update(
     }
     let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
-    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &format!("{shards} shards"));
+    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &format!("{mode:?}/{shards} shards"));
     (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
 }
 
@@ -940,25 +940,25 @@ fn assert_audit_survives(
 /// The intra-pair sharded engine is deterministic end to end: on the
 /// single-process big-heap archetype, committed updates are byte-identical —
 /// kernel fingerprint, per-process transfer reports, conflicts and Table 2
-/// tracing stats — across `intra_pair_shards ∈ {1, 2, 7}`, with pre-copy off
-/// and on (the seeded xorshift mutator dirtying entries between rounds).
-/// Only the charged makespan may shrink.
+/// tracing stats — across `intra_pair_shards ∈ {1, 2, 7}`, stop-the-world,
+/// pre-copied (the seeded xorshift mutator dirtying entries between rounds)
+/// and post-copied. Only the charged makespan may shrink.
 #[test]
 fn intra_pair_sharded_commits_are_byte_identical() {
     let mut runs = Vec::new();
-    for precopy in [false, true] {
-        let (base_fp, base_conflicts, base) = sharded_cache_update(300, 1, 3, precopy, None, 0xCAC4E);
-        assert!(base_conflicts.is_empty(), "{precopy}: {base_conflicts:?}");
+    for mode in [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy] {
+        let (base_fp, base_conflicts, base) = sharded_cache_update(300, 1, 3, mode, None, 0xCAC4E);
+        assert!(base_conflicts.is_empty(), "{mode:?}: {base_conflicts:?}");
         assert!(base.transfer.objects_transferred() >= 600, "entries and values moved");
-        assert_eq!(base.precopy.enabled, precopy);
+        assert_eq!(base.precopy.enabled, mode == TransferMode::Precopy);
         for shards in [2usize, 7] {
-            let (fp, conflicts, report) = sharded_cache_update(300, shards, 3, precopy, None, 0xCAC4E);
-            assert!(conflicts.is_empty(), "{precopy}/{shards}: {conflicts:?}");
-            assert_eq!(base_fp, fp, "{precopy}/{shards} shards: kernel state diverged");
-            assert_eq!(base.tracing, report.tracing, "{precopy}/{shards} shards: tracing stats diverged");
+            let (fp, conflicts, report) = sharded_cache_update(300, shards, 3, mode, None, 0xCAC4E);
+            assert!(conflicts.is_empty(), "{mode:?}/{shards}: {conflicts:?}");
+            assert_eq!(base_fp, fp, "{mode:?}/{shards} shards: kernel state diverged");
+            assert_eq!(base.tracing, report.tracing, "{mode:?}/{shards} shards: tracing stats diverged");
             assert_eq!(
                 base.transfer.per_process, report.transfer.per_process,
-                "{precopy}/{shards} shards: per-process transfer reports diverged"
+                "{mode:?}/{shards} shards: per-process transfer reports diverged"
             );
             assert_eq!(base.transfer.serial_duration, report.transfer.serial_duration);
             assert_eq!(
@@ -966,10 +966,11 @@ fn intra_pair_sharded_commits_are_byte_identical() {
                 report.processes_matched + report.processes_recreated
             );
             // The whole point: the charged trace+transfer makespan strictly
-            // improves on the single pair.
+            // improves on the single pair. (Post-copy charges its copying
+            // to the commit and drain phases instead.)
             assert!(
-                report.timings.state_transfer < base.timings.state_transfer,
-                "{precopy}/{shards} shards: no makespan speedup ({:?} vs {:?})",
+                mode == TransferMode::Postcopy || report.timings.state_transfer < base.timings.state_transfer,
+                "{mode:?}/{shards} shards: no makespan speedup ({:?} vs {:?})",
                 report.timings.state_transfer,
                 base.timings.state_transfer
             );
@@ -977,8 +978,9 @@ fn intra_pair_sharded_commits_are_byte_identical() {
         runs.push((base_fp, base.transfer.per_process));
     }
     // ... and the committed state and per-process reports are also identical
-    // with pre-copy on and off (same seed → same final memory image).
+    // across the modes (same seed → same final memory image).
     assert_eq!(runs[0], runs[1], "pre-copy diverged");
+    assert_eq!(runs[0], runs[2], "post-copy diverged");
 }
 
 /// Rollbacks too: a mid-phase fault at the n-th transferred object aborts
@@ -988,18 +990,19 @@ fn intra_pair_sharded_commits_are_byte_identical() {
 /// pre-copy round.
 #[test]
 fn intra_pair_sharded_rollbacks_are_byte_identical() {
-    for precopy in [false, true] {
+    for mode in [TransferMode::StopTheWorld, TransferMode::Precopy] {
+        let precopy = mode == TransferMode::Precopy;
         // A single matched pair with its serial apply pass makes the shared
         // n-th-object counter deterministic, so the fault lands on the same
         // object for every shard count.
         let fault = || Some(FaultSite::TransferObject(25).plan());
-        let (base_fp, base_conflicts, base) = sharded_cache_update(200, 1, 2, precopy, fault(), 0xB0B0);
+        let (base_fp, base_conflicts, base) = sharded_cache_update(200, 1, 2, mode, fault(), 0xB0B0);
         assert!(
             base_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
             "precopy={precopy}: the armed fault did not fire: {base_conflicts:?}"
         );
         for shards in [2usize, 7] {
-            let (fp, conflicts, report) = sharded_cache_update(200, shards, 2, precopy, fault(), 0xB0B0);
+            let (fp, conflicts, report) = sharded_cache_update(200, shards, 2, mode, fault(), 0xB0B0);
             assert_eq!(base_conflicts, conflicts, "precopy={precopy}/{shards}: conflict lists diverged");
             assert_eq!(base_fp, fp, "precopy={precopy}/{shards}: post-rollback kernel state diverged");
             assert_eq!(
