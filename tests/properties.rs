@@ -125,7 +125,7 @@ fn check_ptmalloc_against_the_model(seeds: std::ops::Range<u64>) {
                     let (site, tag) = (AllocSite(rng.range(0, 9)), TypeTag(rng.range(0, 9)));
                     let p = heap.malloc(&mut space, size, site, tag).unwrap().0;
                     let payload_size = size.max(1).div_ceil(16) * 16;
-                    assert_eq!(p % 16, 0, "seed {seed}: unaligned payload {p:#x}");
+                    assert_eq!(p % 16, 0, "{ctx}: unaligned payload {p:#x}");
                     let overlapping = model.range(..p + payload_size + header).next_back();
                     assert!(
                         overlapping.is_none_or(|(&q, &(qs, ..))| q + qs + header <= p),
