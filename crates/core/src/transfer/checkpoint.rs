@@ -13,7 +13,10 @@
 //!   layout, file system, client endpoints, per-process topology (threads,
 //!   regions, live heap chunks, descriptor tables), the kernel object table,
 //!   the shard table (per-shard length + checksum), a whole-state digest and
-//!   a trailing self-checksum.
+//!   a trailing self-checksum. It records live endpoints only: the kernel
+//!   forgets an accepted endpoint when its client closes it, and an
+//!   endpoint carries replies only once its server has released the
+//!   connection with them unread.
 //!
 //! Format v3: every checksum — manifest trailer, shard sums, state digest —
 //! is [`checksum64`], which hashes whole 32-byte blocks as four independent

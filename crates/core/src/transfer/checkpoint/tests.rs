@@ -3,7 +3,7 @@ use std::collections::VecDeque;
 use super::*;
 use crate::runtime::scheduler::run_rounds;
 use crate::runtime::testprog::TinyServer;
-use mcr_procsim::{MemStore, WriteFault};
+use mcr_procsim::{ConnId, MemStore, Syscall, SyscallPort, WriteFault};
 
 fn booted() -> (Kernel, McrInstance) {
     let mut kernel = Kernel::new();
@@ -590,10 +590,35 @@ fn wrapped_pipe(len: usize) -> VecDeque<u8> {
     buffer
 }
 
-/// Adds what the plain TinyServer run lacks: a connected-but-unaccepted
-/// client with queued request bytes, a non-empty pipe, a Unix channel with an
-/// in-flight descriptor, and the [`scribble`] region.
-fn enrich(kernel: &mut Kernel, instance: &McrInstance) {
+/// Adds what the plain TinyServer run lacks: an accepted connection whose
+/// client has closed (its endpoint gone), an endpoint whose server closed
+/// with one reply unread, a connected-but-unaccepted client with queued
+/// request bytes, a non-empty pipe, a Unix channel with an in-flight
+/// descriptor, and the [`scribble`] region. Returns the closed client's
+/// connection id.
+fn enrich(kernel: &mut Kernel, instance: &McrInstance) -> ConnId {
+    let pid = instance.state.processes[0];
+    let tid = kernel.process(pid).unwrap().main_tid();
+    let listener = kernel
+        .process(pid)
+        .unwrap()
+        .fds()
+        .iter()
+        .find(|(_, e)| matches!(kernel.objects().get(e.object), Some(KernelObject::Listener { .. })))
+        .map(|(fd, _)| fd)
+        .unwrap();
+    let accept = |kernel: &mut Kernel| {
+        let conn = kernel.client_connect(8080).unwrap();
+        (conn, kernel.syscall(pid, tid, Syscall::Accept { fd: listener }).unwrap().as_fd().unwrap())
+    };
+    let (closed, _) = accept(kernel);
+    kernel.client_close(closed).unwrap();
+    assert!(kernel.clients().all(|c| c.conn != closed.0));
+    let (_, fd) = accept(kernel);
+    kernel.syscall(pid, tid, Syscall::Write { fd, data: b"200 unread\n".to_vec() }).unwrap();
+    kernel.syscall(pid, tid, Syscall::Close { fd }).unwrap();
+    assert!(kernel.clients().any(|c| c.accepted && c.from_server.len() == 1));
+
     let conn = kernel.client_connect(8080).unwrap();
     kernel.client_send(conn, b"GET /early\n".to_vec()).unwrap();
     kernel.client_send(conn, b"GET /second\n".to_vec()).unwrap();
@@ -605,15 +630,16 @@ fn enrich(kernel: &mut Kernel, instance: &McrInstance) {
         inbox: VecDeque::from([UnixMessage { data: b"take this".to_vec(), objects: vec![file] }]),
     });
     scribble(kernel, instance);
+    closed
 }
 
 #[test]
 fn streaming_encoder_matches_the_collecting_reference() {
     let (mut kernel, instance) = quiesced(5);
     assert_streaming_matches_reference(&kernel, &instance);
-    // Plus a client the server has not accepted yet, a pipe and a channel
-    // with an in-flight descriptor, an absent stamped page and a region that
-    // ends mid-page.
+    // Plus a reply left unread at a server close, a client the server has
+    // not accepted yet, a pipe and a channel with an in-flight descriptor,
+    // an absent stamped page and a region that ends mid-page.
     enrich(&mut kernel, &instance);
     assert!(kernel.clients().any(|c| !c.accepted && c.pending_to_server.len() == 2));
     let procs = live_processes(&kernel, &instance).unwrap();
@@ -627,7 +653,7 @@ fn streaming_encoder_matches_the_collecting_reference() {
 #[test]
 fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
     let (mut kernel, instance) = quiesced(3);
-    enrich(&mut kernel, &instance);
+    let closed = enrich(&mut kernel, &instance);
     let procs = live_processes(&kernel, &instance).unwrap();
     let mut e = Enc::default();
     encode_live_state(&kernel, &instance, &procs, &mut e);
@@ -642,6 +668,8 @@ fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
     let files: Vec<(String, Vec<u8>)> = kernel.files().map(|(p, c)| (p.to_string(), c.to_vec())).collect();
     assert_eq!(image.files, files);
     assert_eq!(image.clients.len(), kernel.clients().len());
+    assert!(image.clients.iter().all(|c| c.conn != closed.0), "a closed endpoint is not recorded");
+    assert!(image.clients.iter().any(|c| c.from_server == [b"200 unread\n".to_vec()]));
     for (snap, live) in image.clients.iter().zip(kernel.clients()) {
         assert_eq!(
             (snap.conn, snap.port, snap.accepted, snap.closed),

@@ -38,6 +38,7 @@
 //! the property suite proves fingerprints are byte-identical to the old
 //! ordered-map substrate.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -60,11 +61,14 @@ pub enum FdPlacement {
     Reserved,
 }
 
-/// Client-side view of a workload connection.
+/// Client-side view of a workload connection the client can still use. A
+/// closed endpoint stays only while it waits in a listener's backlog.
 #[derive(Debug, Clone, Default)]
 struct ClientConn {
     port: u16,
-    /// Data sent by the server, not yet consumed by the client.
+    /// The replies the server left unread when it released the connection
+    /// (closed its last descriptor). While the connection object lives its
+    /// `outbox` holds them and this stays empty.
     from_server: VecDeque<Vec<u8>>,
     accepted: bool,
     closed: bool,
@@ -81,9 +85,10 @@ pub struct ClientView<'a> {
     pub port: u16,
     /// Whether a server process has accepted the connection.
     pub accepted: bool,
-    /// Whether the client closed its side.
+    /// Whether the client closed its side (only before an accept: closing
+    /// an accepted endpoint removes it).
     pub closed: bool,
-    /// Server responses not yet consumed by the client.
+    /// Replies the server left unread when it released the connection.
     pub from_server: &'a VecDeque<Vec<u8>>,
     /// Request bytes sent before the connection was accepted.
     pub pending_to_server: &'a VecDeque<Vec<u8>>,
@@ -99,9 +104,9 @@ pub struct ClientSnapshot {
     pub port: u16,
     /// Whether a server process has accepted the connection.
     pub accepted: bool,
-    /// Whether the client closed its side.
+    /// Whether the client closed its side (only before an accept).
     pub closed: bool,
-    /// Server responses not yet consumed by the client.
+    /// Replies the server left unread when it released the connection.
     pub from_server: Vec<Vec<u8>>,
     /// Request bytes sent before the connection was accepted.
     pub pending_to_server: Vec<Vec<u8>>,
@@ -689,11 +694,25 @@ impl Kernel {
         self.pid_to_slot[pid.0 as usize] = NIL;
         self.proc_free.push(slot as u32);
         for (_, entry) in proc.fds().iter() {
-            self.objects.decref(entry.object);
+            self.release_object(entry.object);
         }
         let tids: Vec<Tid> = proc.threads().map(|t| t.tid()).collect();
         self.wait.purge_threads(pid, tids);
         Ok(())
+    }
+
+    /// Drops one descriptor's reference to `obj`. When that destroys a
+    /// connection, the replies its client has not read move to the client's
+    /// endpoint, where [`Kernel::client_recv`] finds them once the object is
+    /// gone.
+    fn release_object(&mut self, obj: ObjId) {
+        if let Some(KernelObject::Connection { conn, outbox, .. }) = self.objects.release(obj) {
+            if !outbox.is_empty() {
+                if let Some(c) = self.clients.get_mut(&conn.0) {
+                    c.from_server.append(outbox);
+                }
+            }
+        }
     }
 
     /// Direct access to the kernel object table (used by state inspection and
@@ -890,7 +909,9 @@ impl Kernel {
         Ok(())
     }
 
-    /// Receives one server response chunk from the client side of `conn`.
+    /// Receives one server response chunk from the client side of `conn`:
+    /// from the connection's `outbox` while the server holds it open, then
+    /// from the replies it left unread when it released the connection.
     pub fn client_recv(&mut self, conn: ConnId) -> Option<Vec<u8>> {
         if let Some(obj) = self.objects.connection_for(conn) {
             if let Some(KernelObject::Connection { outbox, .. }) = self.objects.get_mut(obj) {
@@ -900,15 +921,22 @@ impl Kernel {
         self.clients.get_mut(&conn.0).and_then(|c| c.from_server.pop_front())
     }
 
-    /// Closes the client side of `conn`.
+    /// Closes the client side of `conn`. The server reads EOF after what
+    /// the client sent. An accepted endpoint is removed with every reply it
+    /// has not read; one still waiting in a listener's backlog stays, marked
+    /// closed, until the accept removes it.
     pub fn client_close(&mut self, conn: ConnId) -> SimResult<()> {
         if let Some(obj) = self.objects.connection_for(conn) {
             self.objects.close_peer(obj);
             // EOF readiness: a parked reader wakes and observes the close.
             self.wait.wake_object(obj);
         }
-        if let Some(c) = self.clients.get_mut(&conn.0) {
-            c.closed = true;
+        match self.clients.entry(conn.0) {
+            Entry::Occupied(client) if client.get().accepted => {
+                client.remove();
+            }
+            Entry::Occupied(mut client) => client.get_mut().closed = true,
+            Entry::Vacant(_) => {}
         }
         Ok(())
     }
@@ -935,8 +963,10 @@ impl Kernel {
     // Checkpoint-restore support
     // ------------------------------------------------------------------
 
-    /// The client-side connection endpoints in ascending connection-id
-    /// order, by reference (checkpoint serialization).
+    /// The client-side connection endpoints a client can still use — every
+    /// open one, plus closed ones still waiting in a listener's backlog — in
+    /// ascending connection-id order, by reference (checkpoint
+    /// serialization).
     pub fn clients(&self) -> impl ExactSizeIterator<Item = ClientView<'_>> {
         static NO_PENDING: VecDeque<Vec<u8>> = VecDeque::new();
         self.clients.iter().map(|(&conn, c)| ClientView {
@@ -1069,8 +1099,15 @@ impl Kernel {
                     outbox: VecDeque::new(),
                     peer_closed: false,
                 });
-                if let Some(c) = self.clients.get_mut(&conn.0) {
-                    c.accepted = true;
+                // A client that closed while queued in the backlog is gone:
+                // the server reads its request, then EOF.
+                if let Entry::Occupied(mut client) = self.clients.entry(conn.0) {
+                    if client.get().closed {
+                        client.remove();
+                        self.objects.close_peer(conn_obj);
+                    } else {
+                        client.get_mut().accepted = true;
+                    }
                 }
                 let new_fd = self.process_mut(pid)?.fds_mut().alloc(conn_obj);
                 Ok(SyscallRet::Fd(new_fd))
@@ -1128,12 +1165,8 @@ impl Kernel {
                         *offset += len as u64;
                         Ok(SyscallRet::Written(len))
                     }
-                    Some(KernelObject::Connection { outbox, conn, .. }) => {
-                        let conn = *conn;
-                        outbox.push_back(data.clone());
-                        if let Some(c) = self.clients.get_mut(&conn.0) {
-                            c.from_server.push_back(data);
-                        }
+                    Some(KernelObject::Connection { outbox, .. }) => {
+                        outbox.push_back(data);
                         Ok(SyscallRet::Written(len))
                     }
                     Some(KernelObject::Pipe { buffer }) => {
@@ -1146,15 +1179,15 @@ impl Kernel {
             }
             Syscall::Close { fd } => {
                 let entry = self.process_mut(pid)?.fds_mut().remove(fd)?;
-                self.objects.decref(entry.object);
+                self.release_object(entry.object);
                 Ok(SyscallRet::Unit)
             }
             Syscall::Dup2 { old, new } => {
                 let entry = self.process(pid)?.fds().get(old)?;
                 self.objects.incref(entry.object);
-                let proc = self.process_mut(pid)?;
-                if let Some(prev) = proc.fds_mut().replace(new, entry.object, entry.inherited) {
-                    self.objects.decref(prev.object);
+                let prev = self.process_mut(pid)?.fds_mut().replace(new, entry.object, entry.inherited);
+                if let Some(prev) = prev {
+                    self.release_object(prev.object);
                 }
                 Ok(SyscallRet::Fd(new))
             }
@@ -1381,6 +1414,47 @@ mod tests {
         assert_eq!(k.open_connection_count(), 1);
         k.client_close(conn).unwrap();
         assert_eq!(k.open_connection_count(), 0);
+        assert_eq!(k.clients().len(), 0, "closing an accepted endpoint forgets it");
+        assert!(k.client_send(conn, b"again".to_vec()).is_err());
+    }
+
+    /// A listening socket on port 80 in `pid`, returned as its descriptor.
+    fn listen_80(k: &mut Kernel, pid: Pid, tid: Tid) -> Fd {
+        let fd = k.syscall(pid, tid, Syscall::Socket).unwrap().as_fd().unwrap();
+        k.syscall(pid, tid, Syscall::Bind { fd, port: 80 }).unwrap();
+        k.syscall(pid, tid, Syscall::Listen { fd }).unwrap();
+        fd
+    }
+
+    #[test]
+    fn a_client_reads_only_unread_replies_after_the_server_closes() {
+        let (mut k, pid, tid) = booted();
+        let fd = listen_80(&mut k, pid, tid);
+        let conn = k.client_connect(80).unwrap();
+        let cfd = k.syscall(pid, tid, Syscall::Accept { fd }).unwrap().as_fd().unwrap();
+        k.syscall(pid, tid, Syscall::Write { fd: cfd, data: b"first".to_vec() }).unwrap();
+        assert_eq!(k.client_recv(conn).unwrap(), b"first".to_vec());
+        k.syscall(pid, tid, Syscall::Write { fd: cfd, data: b"second".to_vec() }).unwrap();
+        k.syscall(pid, tid, Syscall::Close { fd: cfd }).unwrap();
+        assert!(!k.client_is_accepted(conn), "the connection object is gone");
+        assert_eq!(k.client_recv(conn).unwrap(), b"second".to_vec());
+        assert_eq!(k.client_recv(conn), None);
+    }
+
+    #[test]
+    fn a_close_before_accept_reaches_the_server() {
+        let (mut k, pid, tid) = booted();
+        let fd = listen_80(&mut k, pid, tid);
+        let conn = k.client_connect(80).unwrap();
+        k.client_send(conn, b"GET".to_vec()).unwrap();
+        k.client_close(conn).unwrap();
+        assert_eq!(k.clients().len(), 1, "a closed endpoint waits in the backlog");
+        let cfd = k.syscall(pid, tid, Syscall::Accept { fd }).unwrap().as_fd().unwrap();
+        let read = |k: &mut Kernel| k.syscall(pid, tid, Syscall::Read { fd: cfd, len: 64 });
+        assert!(matches!(read(&mut k), Ok(SyscallRet::Data(d)) if d == b"GET"));
+        assert!(matches!(read(&mut k), Ok(SyscallRet::Data(d)) if d.is_empty()), "EOF after the request");
+        assert_eq!(k.open_connection_count(), 0);
+        assert_eq!(k.clients().len(), 0);
     }
 
     #[test]

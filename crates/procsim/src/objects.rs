@@ -203,11 +203,19 @@ impl ObjectTable {
     /// Decrements the reference count, dropping the object at zero.
     /// Returns true if the object was destroyed.
     pub fn decref(&mut self, id: ObjId) -> bool {
-        let Some(s) = self.slot_of(id) else { return false };
+        self.release(id).is_some()
+    }
+
+    /// [`ObjectTable::decref`] that hands back the payload of the object it
+    /// destroys (`None` while references remain), so the kernel can pass a
+    /// dying connection's unread output on without a second lookup. The
+    /// payload stays in the freed slot until the slot is reused.
+    pub(crate) fn release(&mut self, id: ObjId) -> Option<&mut KernelObject> {
+        let s = self.slot_of(id)?;
         let slot = &mut self.slots[s as usize];
         slot.rc -= 1;
         if slot.rc > 0 {
-            return false;
+            return None;
         }
         // Unindex before tearing the slot down.
         self.unindex_slot(id, s);
@@ -228,7 +236,7 @@ impl ObjectTable {
         self.id_to_slot[id.0 as usize] = NIL;
         self.free.push(s);
         self.live -= 1;
-        true
+        Some(&mut self.slots[s as usize].obj)
     }
 
     /// Shared access to an object.

@@ -264,6 +264,8 @@ mod tests {
         assert!(result.sched.woken > 0, "requests were served via event wakeups");
         // AB closes its measured connections; the idle ones stay open.
         assert_eq!(result.open_connections.len(), spec.idle_connections);
+        // A closed connection leaves no client endpoint behind.
+        assert_eq!(kernel.clients().len(), result.open_connections.len());
     }
 
     #[test]
