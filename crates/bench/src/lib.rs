@@ -21,8 +21,8 @@
 #![forbid(unsafe_code)]
 
 use mcr_core::runtime::{
-    boot, live_update, BootOptions, McrInstance, MemoryReport, PrecopyOptions, TransferMode, UpdateOptions,
-    UpdateOutcome, UpdatePipeline, UpdateReport,
+    boot, live_update, BootOptions, McrInstance, MemoryReport, PhaseName, PrecopyOptions, TransferMode,
+    UpdateOptions, UpdateOutcome, UpdatePipeline, UpdateReport,
 };
 use mcr_core::{QuiescenceProfiler, TraceOptions, TracingStats};
 use mcr_procsim::{Kernel, SimDuration};
@@ -563,6 +563,7 @@ fn update_time_rows(requests: u64) -> Vec<(&'static str, UpdateReport)> {
 
 fn update_time_json(rows: &[(&str, UpdateReport)]) -> Json {
     let row = |(program, r): &(&str, UpdateReport)| {
+        let phase_ms = |name| r.phases.duration_of(name).unwrap_or_default().as_millis_f64().into();
         let phases = r.phases.records().iter().map(|p| {
             Json::obj([
                 ("phase", Json::str(p.name.label())),
@@ -571,8 +572,8 @@ fn update_time_json(rows: &[(&str, UpdateReport)]) -> Json {
         });
         Json::obj([
             ("program", Json::str(*program)),
-            ("quiescence_ms", r.timings.quiescence.as_millis_f64().into()),
-            ("control_migration_ms", r.timings.control_migration.as_millis_f64().into()),
+            ("quiescence_ms", phase_ms(PhaseName::Quiesce)),
+            ("control_migration_ms", phase_ms(PhaseName::ReinitReplay)),
             ("replay_overhead", r.replay_overhead_fraction().into()),
             ("state_transfer_ms", r.timings.state_transfer.as_millis_f64().into()),
             ("total_ms", r.timings.total.as_millis_f64().into()),

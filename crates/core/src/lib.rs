@@ -30,12 +30,12 @@
 //!
 //! ## The phase model
 //!
-//! A live update is executed by an `UpdatePipeline`: an ordered sequence of
-//! named `Phase` values sharing one `UpdateCtx`. The standard pipeline is
+//! A live update is executed by an `UpdatePipeline`: an ordered list of
+//! [`PhaseName`]s run over one shared `UpdateCtx`. The standard pipeline is
 //!
 //! | # | Phase ([`PhaseName`]) | Paper stage |
 //! |---|---|---|
-//! | 1 | `Quiesce` | checkpoint: park old-version threads at quiescent points |
+//! | 1 | `Quiesce` | checkpoint (the barrier, not the durable `Checkpoint` phase): park old-version threads at quiescent points |
 //! | 2 | `ReinitReplay` | restart: mutable reinitialization (record/replay, descriptor and pid inheritance) |
 //! | 3 | `MatchProcesses` | restore: pair old and new processes by creation call stack |
 //! | 4 | `TraceAndTransfer` | restore: mutable tracing + state transfer per pair |

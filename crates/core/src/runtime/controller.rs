@@ -9,11 +9,11 @@
 //! any stage leaves the old version running exactly where it was parked.
 //!
 //! The actual staging lives in [`crate::runtime::pipeline`]: `live_update`
-//! is a thin wrapper that runs [`UpdatePipeline::standard`] — an ordered
-//! sequence of named phases over a shared `UpdateCtx`, with rollback
-//! centralized in the pipeline's single guard. Callers that need per-phase
-//! control (fault injection, custom phase lists) use [`UpdatePipeline`]
-//! directly.
+//! is a thin wrapper that runs [`UpdatePipeline::for_options`] — an ordered
+//! list of phase names over a shared `UpdateCtx`, with rollback
+//! centralized in the pipeline's single guard. Callers that need fault
+//! injection, a watchdog budget or between-rounds hooks use
+//! [`UpdatePipeline`] directly.
 
 use mcr_procsim::Kernel;
 use mcr_typemeta::InstrumentationConfig;
@@ -188,7 +188,7 @@ impl Default for UpdateOptions {
 pub enum UpdateOutcome {
     /// The new version took over; the old version was terminated.
     Committed(UpdateReport),
-    /// The update was aborted; the old version resumed from its checkpoint.
+    /// The update was aborted; the old version resumed where it was parked.
     RolledBack {
         /// The conflicts (or failures) that caused the rollback.
         conflicts: Vec<Conflict>,
@@ -315,8 +315,8 @@ mod tests {
         assert!(outcome.is_committed(), "conflicts: {:?}", outcome.conflicts());
         let report = outcome.report();
         assert_eq!(report.open_connections, 3);
-        assert!(report.timings.quiescence.0 > 0);
-        assert!(report.timings.control_migration.0 > 0);
+        assert!(report.phases.duration_of(PhaseName::Quiesce).unwrap().0 > 0);
+        assert!(report.phases.duration_of(PhaseName::ReinitReplay).unwrap().0 > 0);
         assert!(report.timings.total.0 > 0);
         assert!(report.transfer.objects_transferred() >= 3, "the three list nodes moved");
         assert_eq!(v2.state.version, "2.0");
@@ -366,12 +366,6 @@ mod tests {
         for phase in PhaseName::ALL {
             assert!(report.phases.completed(phase), "{phase} completed");
         }
-        // The legacy timing breakdown is populated from the phase trace.
-        assert_eq!(report.phases.duration_of(PhaseName::Quiesce).unwrap(), report.timings.quiescence);
-        assert_eq!(
-            report.phases.duration_of(PhaseName::ReinitReplay).unwrap(),
-            report.timings.control_migration
-        );
         assert!(report.phases.records().iter().map(|r| r.duration.0).sum::<u64>() <= report.timings.total.0);
     }
 

@@ -2,9 +2,9 @@
 //! quiescence barrier, and the staged live-update pipeline.
 //!
 //! The update path is organized as a pipeline of named phases (see
-//! `pipeline`): [`live_update`] runs the standard phase sequence, while
-//! [`UpdatePipeline`] lets callers inject faults at phase boundaries or
-//! assemble custom phase lists.
+//! `pipeline`): [`live_update`] runs the phase sequence its options call
+//! for, while [`UpdatePipeline`] lets callers inject faults at phase
+//! boundaries, set a watchdog budget or install between-rounds hooks.
 
 pub(crate) mod chaos;
 pub(crate) mod controller;

@@ -1,12 +1,12 @@
 //! The staged live-update pipeline.
 //!
 //! The paper's atomic, reversible update (checkpoint → restart → restore →
-//! commit-or-rollback, Figure 1) is expressed here as an ordered sequence of
-//! named [`Phase`] values driven by [`UpdatePipeline::run`] over a shared
-//! [`UpdateCtx`]:
+//! commit-or-rollback, Figure 1) is expressed here as an ordered list of
+//! [`PhaseName`]s that [`UpdatePipeline::run`] dispatches, one `match` arm
+//! per phase, over a shared [`UpdateCtx`]:
 //!
 //! 1. [`PhaseName::Quiesce`] — park every old-version thread at its
-//!    quiescent point (the checkpoint).
+//!    quiescent point (the barrier).
 //! 2. [`PhaseName::ReinitReplay`] — boot the new version under mutable
 //!    reinitialization: replay the recorded startup log, inherit descriptors
 //!    and virtualized pids, and park the new version's threads.
@@ -22,7 +22,7 @@
 //! into [`UpdateReport::phases`](crate::runtime::report::UpdateReport) and
 //! funnels *every* failure — wherever it happens — through the single
 //! [`roll_back`](UpdatePipeline::run) code path, which tears down whatever
-//! exists of the new version and resumes the old one from its checkpoint.
+//! exists of the new version and resumes the old one where it was parked.
 //! A [`ChaosPlan`] can force a failure at any phase boundary, which is how
 //! the integration tests prove the rollback invariant phase by phase.
 //!
@@ -45,9 +45,10 @@
 //! is the [`list_schedule_makespan`] of the pairs' simulated costs on that
 //! many workers (each pair, in pair order, to the least-loaded worker — one
 //! worker yields the serial sum, one worker per pair the slowest pair),
-//! while `state_transfer_serial` always reports the serial sum of the same
-//! work. Tracing statistics, per-process transfer reports, conflict sets,
-//! descriptor inheritance, the n-th-object fault site and the post-commit
+//! while the transfer summary's
+//! [`serial_duration`](crate::transfer::engine::TransferSummary::serial_duration)
+//! always reports the serial sum of the same work. Tracing statistics,
+//! per-process transfer reports, conflict sets, descriptor inheritance, the n-th-object fault site and the post-commit
 //! kernel state do not depend on it (`tests/properties.rs` sweeps the
 //! counts and holds all of them equal).
 //!
@@ -102,7 +103,7 @@
 //! Downtime therefore shrinks from O(total live heap) to O(working set
 //! written during the last round), which
 //! [`UpdateTimings::downtime`](crate::runtime::report::UpdateTimings)
-//! vs. [`UpdateTimings::precopy`](crate::runtime::report::UpdateTimings)
+//! vs. the phase trace's [`PhaseName::Precopy`] record
 //! makes directly measurable (`BENCH_precopy.json` sweeps it; the root
 //! `tests/tracked_reports.rs` rebuilds that report).
 //! With pre-copy disabled (`precopy.rounds == 0`, the default) the classic
@@ -212,11 +213,12 @@
 //! serving version's processes right before the given phase: rollback
 //! cannot resume it, recovery needs a durable checkpoint.
 //!
-//! Independent of fault plans, [`UpdatePipeline::with_phase_deadline`] and
+//! Independent of fault plans,
 //! [`with_uniform_phase_deadline`](UpdatePipeline::with_uniform_phase_deadline)
-//! attach sim-clock watchdog budgets: a phase (other than `Commit`, past
-//! which there is no rollback) that overruns its budget aborts the update
-//! with [`Conflict::WatchdogExpired`] and rolls back.
+//! attaches one sim-clock watchdog budget: a phase that overruns it aborts
+//! the update with [`Conflict::WatchdogExpired`] and rolls back. `Commit`
+//! and `PostcopyDrain` are exempt — both end past the point of no return,
+//! where there is no rollback left to promise.
 //!
 //! Every failure, injected or organic, funnels through the same rollback
 //! guard, which is what the chaos engine verifies at scale:
@@ -266,14 +268,14 @@ use crate::tracing::stats::TracingStats;
 use crate::tracing::tracer::{TraceResult, Tracer};
 use crate::transfer::checkpoint::{write_checkpoint, CheckpointOptions};
 use crate::transfer::engine::{
-    drain_step, fault_in_at, list_schedule_makespan, postcopy_commit, precopy_transfer_round,
-    transfer_residual, DeltaPlan, PostcopyResidual, ProcessTransferReport, ResidualStats, TransferContext,
+    self, drain_step, fault_in_at, list_schedule_makespan, precopy_transfer_round, transfer_residual,
+    DeltaPlan, PostcopyResidual, ProcessTransferReport, ResidualStats, TransferContext,
 };
 
 /// Identifies one stage of the live-update pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseName {
-    /// Park the old version at its quiescent points (checkpoint).
+    /// Park the old version at its quiescent points (the barrier).
     Quiesce,
     /// Write a durable checkpoint of the quiesced old instance to a
     /// [`Store`] (optional; inserted after `Quiesce` by
@@ -381,7 +383,7 @@ pub(crate) struct PairPrecopyState {
 pub(crate) struct UpdateCtx<'k> {
     /// The simulated kernel both versions run on.
     pub(crate) kernel: &'k mut Kernel,
-    /// The running old version (checkpointed by `Quiesce`, terminated by
+    /// The running old version (parked by `Quiesce`, terminated by
     /// `Commit`, resumed by the rollback guard).
     pub(crate) old: McrInstance,
     /// The new version, once `ReinitReplay` has created it.
@@ -407,6 +409,8 @@ pub(crate) struct UpdateCtx<'k> {
     /// The fault plan of the pipeline (the n-th-object-write site is armed
     /// on the transfer context when it is built).
     pub(crate) fault: ChaosPlan,
+    /// Where and how the `Checkpoint` phase writes.
+    checkpoint: Option<(Rc<RefCell<dyn Store>>, CheckpointOptions)>,
     /// Between-rounds callback of the pre-copy phase.
     pub(crate) precopy_hook: Option<PrecopyHook>,
     /// Between-rounds callback of the post-copy drain phase.
@@ -417,34 +421,7 @@ pub(crate) struct UpdateCtx<'k> {
     committed: bool,
 }
 
-impl<'k> UpdateCtx<'k> {
-    fn new(
-        kernel: &'k mut Kernel,
-        old: McrInstance,
-        new_program: Box<dyn Program>,
-        config: InstrumentationConfig,
-        opts: &UpdateOptions,
-    ) -> Self {
-        let report = UpdateReport { old_startup: old.state.startup_duration, ..Default::default() };
-        UpdateCtx {
-            kernel,
-            old,
-            new_instance: None,
-            opts: *opts,
-            config,
-            pairs: Vec::new(),
-            report,
-            plan: None,
-            pair_precopy: Vec::new(),
-            pair_postcopy: Vec::new(),
-            fault: ChaosPlan::none(),
-            precopy_hook: None,
-            postcopy_hook: None,
-            new_program: Some(new_program),
-            committed: false,
-        }
-    }
-
+impl UpdateCtx<'_> {
     /// Builds the shared [`TransferContext`] if it does not exist yet,
     /// arming any mid-phase object fault of the pipeline's fault plan.
     fn ensure_plan(&mut self) -> McrResult<()> {
@@ -464,132 +441,81 @@ impl<'k> UpdateCtx<'k> {
     }
 }
 
-/// One stage of the update pipeline.
-///
-/// A phase reads and mutates the shared [`UpdateCtx`]; returning an error
-/// aborts the update and sends the whole attempt through the pipeline's
-/// single rollback path. Phases must keep the old version restorable until
-/// [`PhaseName::Commit`] runs.
-pub(crate) trait Phase {
-    /// The phase's identity (drives reporting and fault injection).
-    fn name(&self) -> PhaseName;
+/// The post-copy order: pre-copy's first four phases, then
+/// [`PhaseName::PostcopyCommit`] and [`PhaseName::PostcopyDrain`].
+const POSTCOPY_ALL: [PhaseName; 6] = [
+    PhaseName::ReinitReplay,
+    PhaseName::MatchProcesses,
+    PhaseName::Precopy,
+    PhaseName::Quiesce,
+    PhaseName::PostcopyCommit,
+    PhaseName::PostcopyDrain,
+];
 
-    /// Executes the phase.
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()>;
-}
-
-/// An ordered sequence of `Phase`s plus an optional [`ChaosPlan`].
+/// An ordered list of phases plus what one run of them takes besides the
+/// instances: a [`ChaosPlan`], a watchdog budget, the durable checkpoint's
+/// store and the between-rounds hooks. [`UpdatePipeline::run`] consumes it.
 pub struct UpdatePipeline {
-    phases: Vec<Box<dyn Phase>>,
+    phases: Vec<PhaseName>,
     fault_plan: ChaosPlan,
-    /// Watchdog budgets: a phase (other than `Commit`) whose sim-time
-    /// duration exceeds its budget aborts the update with
-    /// [`Conflict::WatchdogExpired`] and rolls back. Budgets are evaluated
+    /// Watchdog budget: a phase (other than `Commit` and `PostcopyDrain`)
+    /// whose sim-time duration exceeds it aborts the update with
+    /// [`Conflict::WatchdogExpired`] and rolls back. The budget is evaluated
     /// on the virtual clock when the phase returns — simulated phases
     /// always terminate, so "at phase end" is the honest simulated
     /// equivalent of a wall-clock watchdog interrupt.
-    phase_deadlines: Vec<(PhaseName, SimDuration)>,
-    /// Between-rounds callback handed to the pre-copy phase (taken once per
-    /// `run`).
-    precopy_hook: RefCell<Option<PrecopyHook>>,
-    /// Between-rounds callback handed to the post-copy drain phase (taken
-    /// once per `run`).
-    postcopy_hook: RefCell<Option<PostcopyHook>>,
+    deadline: Option<SimDuration>,
+    /// Where and how the [`PhaseName::Checkpoint`] phase writes.
+    checkpoint: Option<(Rc<RefCell<dyn Store>>, CheckpointOptions)>,
+    /// Between-rounds callback handed to the pre-copy phase.
+    precopy_hook: Option<PrecopyHook>,
+    /// Between-rounds callback handed to the post-copy drain phase.
+    postcopy_hook: Option<PostcopyHook>,
 }
 
 impl std::fmt::Debug for UpdatePipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdatePipeline")
-            .field("phases", &self.phase_names())
+            .field("phases", &self.phases)
             .field("fault_plan", &self.fault_plan)
-            .field("phase_deadlines", &self.phase_deadlines)
-            .finish()
-    }
-}
-
-impl Default for UpdatePipeline {
-    fn default() -> Self {
-        Self::standard()
+            .field("deadline", &self.deadline)
+            .finish_non_exhaustive()
     }
 }
 
 impl UpdatePipeline {
-    /// The paper's standard pipeline: quiesce → reinit/replay → match →
-    /// trace/transfer → commit.
+    fn new(phases: &[PhaseName]) -> Self {
+        UpdatePipeline {
+            phases: phases.to_vec(),
+            fault_plan: ChaosPlan::none(),
+            deadline: None,
+            checkpoint: None,
+            precopy_hook: None,
+            postcopy_hook: None,
+        }
+    }
+
+    /// The paper's standard pipeline ([`PhaseName::ALL`]): quiesce →
+    /// reinit/replay → match → trace/transfer → commit.
     pub fn standard() -> Self {
-        UpdatePipeline {
-            phases: vec![
-                Box::new(QuiescePhase),
-                Box::new(ReinitReplayPhase),
-                Box::new(MatchProcessesPhase),
-                Box::new(TraceAndTransferPhase),
-                Box::new(CommitPhase),
-            ],
-            fault_plan: ChaosPlan::none(),
-            phase_deadlines: Vec::new(),
-            precopy_hook: RefCell::new(None),
-            postcopy_hook: RefCell::new(None),
-        }
+        Self::new(&PhaseName::ALL)
     }
 
-    /// The pre-copy pipeline ([`PhaseName::PRECOPY_ALL`]): boot and match
-    /// the new version while the old one serves, copy the bulk of the state
-    /// concurrently, quiesce only for the residual dirty delta.
-    pub(crate) fn precopy() -> Self {
-        UpdatePipeline {
-            phases: vec![
-                Box::new(ReinitReplayPhase),
-                Box::new(MatchProcessesPhase),
-                Box::new(PrecopyPhase),
-                Box::new(QuiescePhase),
-                Box::new(TraceAndTransferPhase),
-                Box::new(CommitPhase),
-            ],
-            fault_plan: ChaosPlan::none(),
-            phase_deadlines: Vec::new(),
-            precopy_hook: RefCell::new(None),
-            postcopy_hook: RefCell::new(None),
-        }
-    }
-
-    /// The post-copy pipeline (pre-copy's first four phases, then
-    /// [`PhaseName::PostcopyCommit`] and [`PhaseName::PostcopyDrain`]): quiesce only
-    /// long enough to commit control state and park the stale residual
-    /// behind access traps, resume the new version immediately, and retire
-    /// the residual afterwards (traps + background drain) while it serves.
-    /// Optional pre-copy rounds still run before the barrier.
-    pub(crate) fn postcopy() -> Self {
-        UpdatePipeline {
-            phases: vec![
-                Box::new(ReinitReplayPhase),
-                Box::new(MatchProcessesPhase),
-                Box::new(PrecopyPhase),
-                Box::new(QuiescePhase),
-                Box::new(PostcopyCommitPhase),
-                Box::new(PostcopyDrainPhase),
-            ],
-            fault_plan: ChaosPlan::none(),
-            phase_deadlines: Vec::new(),
-            precopy_hook: RefCell::new(None),
-            postcopy_hook: RefCell::new(None),
-        }
-    }
-
-    /// The pipeline the options call for: `UpdatePipeline::postcopy` in
-    /// `Postcopy` mode, otherwise `UpdatePipeline::precopy`
-    /// when pre-copy rounds are enabled and [`UpdatePipeline::standard`] as
-    /// the classic default.
+    /// The pipeline the options call for. In `Postcopy` mode: pre-copy's
+    /// first four phases, then [`PhaseName::PostcopyCommit`] and
+    /// [`PhaseName::PostcopyDrain`] — quiesce only long enough to commit
+    /// control state and park the stale residual behind access traps,
+    /// resume the new version immediately, and retire the residual
+    /// afterwards (traps + background drain) while it serves. Otherwise
+    /// [`PhaseName::PRECOPY_ALL`] when pre-copy rounds are enabled (boot and
+    /// match the new version while the old one serves, copy the bulk of the
+    /// state concurrently, quiesce only for the residual dirty delta), and
+    /// [`UpdatePipeline::standard`] as the classic default.
     pub fn for_options(opts: &UpdateOptions) -> Self {
         match opts.mode {
-            TransferMode::Postcopy => Self::postcopy(),
-            TransferMode::Precopy => Self::precopy(),
-            TransferMode::StopTheWorld => {
-                if opts.precopy.is_enabled() {
-                    Self::precopy()
-                } else {
-                    Self::standard()
-                }
-            }
+            TransferMode::Postcopy => Self::new(&POSTCOPY_ALL),
+            TransferMode::StopTheWorld if !opts.precopy.is_enabled() => Self::standard(),
+            TransferMode::StopTheWorld | TransferMode::Precopy => Self::new(&PhaseName::PRECOPY_ALL),
         }
     }
 
@@ -601,47 +527,28 @@ impl UpdatePipeline {
     }
 
     /// Inserts a durable-checkpoint phase right after the quiescence
-    /// barrier (or first, for custom pipelines without one): with every
-    /// old-version thread parked, the old instance's full recoverable state
-    /// is serialized to `store` as a versioned, checksummed manifest, so a
-    /// crash later in the update — or of the process itself — can be
-    /// recovered from a consistent image. Checkpoint time lands inside the
-    /// stop-the-world window and therefore counts as downtime.
+    /// barrier: with every old-version thread parked, the old instance's
+    /// full recoverable state is serialized to `store` as a versioned,
+    /// checksummed manifest, so a crash later in the update — or of the
+    /// process itself — can be recovered from a consistent image. Checkpoint
+    /// time lands inside the stop-the-world window and therefore counts as
+    /// downtime.
     #[must_use]
     pub(crate) fn with_checkpoint(mut self, store: Rc<RefCell<dyn Store>>, opts: CheckpointOptions) -> Self {
-        let pos = self.phases.iter().position(|p| p.name() == PhaseName::Quiesce).map(|i| i + 1).unwrap_or(0);
-        self.phases.insert(pos, Box::new(CheckpointPhase { store, opts }));
+        let quiesce =
+            self.phases.iter().position(|&p| p == PhaseName::Quiesce).expect("every pipeline quiesces");
+        self.phases.insert(quiesce + 1, PhaseName::Checkpoint);
+        self.checkpoint = Some((store, opts));
         self
     }
 
-    /// Sets a watchdog budget for one phase: if the phase's sim-time
-    /// duration exceeds `budget`, the update aborts with
-    /// [`Conflict::WatchdogExpired`] and rolls back. `Commit` budgets are
-    /// ignored — commit is the point of no return, a rollback past it would
-    /// be a lie.
-    #[must_use]
-    pub(crate) fn with_phase_deadline(mut self, phase: PhaseName, budget: SimDuration) -> Self {
-        self.phase_deadlines.retain(|&(p, _)| p != phase);
-        self.phase_deadlines.push((phase, budget));
-        self
-    }
-
-    /// Sets the same watchdog budget for every phase except `Commit` and
+    /// Sets the watchdog budget of every phase except `Commit` and
     /// `PostcopyDrain` — both end past the point of no return, so a
     /// watchdog "abort" there would promise a rollback that cannot happen.
     #[must_use]
     pub fn with_uniform_phase_deadline(mut self, budget: SimDuration) -> Self {
-        for phase in self.phase_names() {
-            if phase != PhaseName::Commit && phase != PhaseName::PostcopyDrain {
-                self = self.with_phase_deadline(phase, budget);
-            }
-        }
+        self.deadline = Some(budget);
         self
-    }
-
-    /// The watchdog budget configured for `phase`, if any.
-    fn deadline_for(&self, phase: PhaseName) -> Option<SimDuration> {
-        self.phase_deadlines.iter().find(|&&(p, _)| p == phase).map(|&(_, d)| d)
     }
 
     /// Installs a between-rounds callback for the pre-copy phase: it runs
@@ -649,8 +556,8 @@ impl UpdatePipeline {
     /// Benchmarks and property tests use it to model write workloads
     /// dirtying state while the copy is in flight.
     #[must_use]
-    pub fn with_precopy_hook(self, hook: PrecopyHook) -> Self {
-        *self.precopy_hook.borrow_mut() = Some(hook);
+    pub fn with_precopy_hook(mut self, hook: PrecopyHook) -> Self {
+        self.precopy_hook = Some(hook);
         self
     }
 
@@ -659,14 +566,9 @@ impl UpdatePipeline {
     /// version already resumed. Benchmarks and property tests use it to
     /// model post-commit traffic hitting not-yet-transferred pages.
     #[must_use]
-    pub fn with_postcopy_hook(self, hook: PostcopyHook) -> Self {
-        *self.postcopy_hook.borrow_mut() = Some(hook);
+    pub fn with_postcopy_hook(mut self, hook: PostcopyHook) -> Self {
+        self.postcopy_hook = Some(hook);
         self
-    }
-
-    /// The names of the phases, in execution order.
-    pub(crate) fn phase_names(&self) -> Vec<PhaseName> {
-        self.phases.iter().map(|p| p.name()).collect()
     }
 
     /// Runs the pipeline: executes every phase in order over a fresh
@@ -678,24 +580,41 @@ impl UpdatePipeline {
     /// the single `roll_back` guard below, so there is exactly one code path
     /// that restores the old version.
     pub fn run(
-        &self,
+        self,
         kernel: &mut Kernel,
         old: McrInstance,
         new_program: Box<dyn Program>,
         config: InstrumentationConfig,
         opts: &UpdateOptions,
     ) -> (McrInstance, UpdateOutcome) {
-        let mut ctx = UpdateCtx::new(kernel, old, new_program, config, opts);
-        ctx.fault = self.fault_plan.clone();
-        ctx.precopy_hook = self.precopy_hook.borrow_mut().take();
-        ctx.postcopy_hook = self.postcopy_hook.borrow_mut().take();
+        let UpdatePipeline { phases, fault_plan, deadline, checkpoint: store, precopy_hook, postcopy_hook } =
+            self;
+        let report = UpdateReport { old_startup: old.state.startup_duration, ..Default::default() };
+        let mut ctx = UpdateCtx {
+            kernel,
+            old,
+            new_instance: None,
+            opts: *opts,
+            config,
+            pairs: Vec::new(),
+            report,
+            plan: None,
+            pair_precopy: Vec::new(),
+            pair_postcopy: Vec::new(),
+            fault: fault_plan,
+            checkpoint: store,
+            precopy_hook,
+            postcopy_hook,
+            new_program: Some(new_program),
+            committed: false,
+        };
         let t_total = ctx.kernel.now();
         let syscalls_before = ctx.kernel.syscall_count();
         // Arm the n-th-syscall chaos trigger inside the simulated kernel for
         // the duration of this attempt; both exit paths disarm it below, so
         // a fault armed for one attempt can never leak into steady-state
         // serving or a later supervisor retry.
-        if let Some(nth) = self.fault_plan.nth(FaultSite::Syscall) {
+        if let Some(nth) = ctx.fault.nth(FaultSite::Syscall) {
             ctx.kernel.arm_syscall_fault(nth);
         }
         // Everything from the start of the quiescence barrier onwards is
@@ -710,9 +629,8 @@ impl UpdatePipeline {
         let mut quiesce_seen = false;
         let mut failure: Option<McrError> = None;
         let mut failing_phase: Option<PhaseName> = None;
-        for phase in &self.phases {
-            let name = phase.name();
-            if self.fault_plan.crashes_old_before(name) {
+        for name in phases {
+            if ctx.fault.crashes_old_before(name) {
                 // Crash injection: the old instance's processes die outright
                 // before this phase. The rollback guard still runs (it tears
                 // down whatever exists of the new version), but it cannot
@@ -725,15 +643,27 @@ impl UpdatePipeline {
                 failure = Some(Conflict::OldInstanceCrashed { phase: name.label().into() }.into());
                 break;
             }
-            if self.fault_plan.fires_before(name) {
+            if ctx.fault.fires_before(name) {
                 failure = Some(Conflict::FaultInjected { phase: name.label().into() }.into());
                 break;
             }
+            // A phase reads and mutates the shared context; an error sends
+            // the attempt to the rollback guard, so every phase before the
+            // point of no return keeps the old version restorable.
             let start = ctx.kernel.now();
-            let result = phase.run(&mut ctx);
+            let result = match name {
+                PhaseName::Quiesce => quiesce(&mut ctx),
+                PhaseName::Checkpoint => checkpoint(&mut ctx),
+                PhaseName::ReinitReplay => reinit_replay(&mut ctx),
+                PhaseName::MatchProcesses => match_processes(&mut ctx),
+                PhaseName::Precopy => precopy(&mut ctx),
+                PhaseName::TraceAndTransfer => trace_and_transfer(&mut ctx),
+                PhaseName::PostcopyCommit => postcopy_commit(&mut ctx),
+                PhaseName::PostcopyDrain => postcopy_drain(&mut ctx),
+                PhaseName::Commit => commit(&mut ctx),
+            };
             let duration = ctx.kernel.now().duration_since(start);
             ctx.report.phases.record(name, duration, result.is_ok());
-            ctx.report.timings.absorb_phase(name, &ctx.report.phases);
             if name == PhaseName::Quiesce {
                 quiesce_seen = true;
             } else if !quiesce_seen {
@@ -747,22 +677,20 @@ impl UpdatePipeline {
                 break;
             }
             // Watchdog: a completed phase that overran its sim-time budget
-            // aborts the attempt. Commit is exempt — it already happened,
-            // and nothing past commit is reversible.
-            if name != PhaseName::Commit {
-                if let Some(budget) = self.deadline_for(name) {
-                    if duration > budget {
-                        failure = Some(
-                            Conflict::WatchdogExpired {
-                                phase: name.label().into(),
-                                budget_ns: budget.0,
-                                spent_ns: duration.0,
-                            }
-                            .into(),
-                        );
-                        failing_phase = Some(name);
-                        break;
-                    }
+            // aborts the attempt. Commit and the drain are exempt — both
+            // already happened, and nothing past commit is reversible.
+            if let Some(budget) = deadline {
+                if duration > budget && !matches!(name, PhaseName::Commit | PhaseName::PostcopyDrain) {
+                    failure = Some(
+                        Conflict::WatchdogExpired {
+                            phase: name.label().into(),
+                            budget_ns: budget.0,
+                            spent_ns: duration.0,
+                        }
+                        .into(),
+                    );
+                    failing_phase = Some(name);
+                    break;
                 }
             }
         }
@@ -785,22 +713,16 @@ impl UpdatePipeline {
         } else {
             SimDuration(0)
         };
-        // Hand the hooks back so a reused pipeline serves its rounds again
-        // on the next run.
-        *self.precopy_hook.borrow_mut() = ctx.precopy_hook.take();
-        *self.postcopy_hook.borrow_mut() = ctx.postcopy_hook.take();
         if ctx.committed {
             // Commit is the point of no return: the old version's processes
-            // are gone, so even if a custom post-commit phase failed we must
-            // surface the new version as running. The failure stays visible
-            // in the phase trace (its record has `completed == false`).
+            // are gone, so the new version is the one running.
             let new_instance =
                 ctx.new_instance.take().expect("a committed pipeline leaves the new instance in the context");
             return (new_instance, UpdateOutcome::Committed(ctx.report));
         }
         match failure {
-            // A pipeline that finished without committing (e.g. a custom
-            // phase list with no Commit) is treated as an aborted attempt.
+            // Every pipeline ends in a committing phase, so finishing the
+            // list without committing cannot happen; roll back if it does.
             None => Self::roll_back(ctx, Vec::new()),
             Some(error) => {
                 let conflicts = match error {
@@ -825,7 +747,7 @@ impl UpdatePipeline {
     }
 
     /// The pipeline's single rollback guard: tears down whatever exists of
-    /// the new version and resumes the old version from its checkpoint.
+    /// the new version and resumes the old version where it was parked.
     /// Every aborted attempt — phase error, conflict set, injected fault —
     /// goes through here and nowhere else.
     fn roll_back(ctx: UpdateCtx<'_>, conflicts: Vec<Conflict>) -> (McrInstance, UpdateOutcome) {
@@ -844,20 +766,12 @@ impl UpdatePipeline {
 // The standard phases
 // ---------------------------------------------------------------------------
 
-/// Phase 1 — checkpoint: drive the barrier protocol until every old-version
-/// thread is parked at its quiescent point.
-pub(crate) struct QuiescePhase;
-
-impl Phase for QuiescePhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::Quiesce
-    }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        wait_quiescence(ctx.kernel, &mut ctx.old, ctx.opts.max_quiesce_rounds)?;
-        ctx.report.open_connections = ctx.kernel.open_connection_count();
-        Ok(())
-    }
+/// Phase 1 — the barrier: drive the barrier protocol until every
+/// old-version thread is parked at its quiescent point.
+fn quiesce(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    wait_quiescence(ctx.kernel, &mut ctx.old, ctx.opts.max_quiesce_rounds)?;
+    ctx.report.open_connections = ctx.kernel.open_connection_count();
+    Ok(())
 }
 
 /// Optional phase — durable checkpoint: with the old version quiesced,
@@ -872,35 +786,26 @@ impl Phase for QuiescePhase {
 /// relative to the blocks already written. The phase "remounts" the store on entry
 /// ([`Store::recover`]) so a crash injected in one attempt never wedges the
 /// store for a supervisor retry.
-pub(crate) struct CheckpointPhase {
-    store: Rc<RefCell<dyn Store>>,
-    opts: CheckpointOptions,
-}
-
-impl Phase for CheckpointPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::Checkpoint
+fn checkpoint(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    let (store, opts) =
+        ctx.checkpoint.as_ref().ok_or_else(|| McrError::InvalidState("no checkpoint store".into()))?;
+    let mut store = store.borrow_mut();
+    store.recover();
+    if let Some(n) = ctx.fault.nth(FaultSite::ManifestWrite) {
+        let at = store.blocks_written() + n;
+        store.arm_write_fault(WriteFault::CrashAt(at));
+    } else if let Some(n) = ctx.fault.nth(FaultSite::TornWrite) {
+        let at = store.blocks_written() + n;
+        store.arm_write_fault(WriteFault::TornAt(at));
     }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let mut store = self.store.borrow_mut();
-        store.recover();
-        if let Some(n) = ctx.fault.nth(FaultSite::ManifestWrite) {
-            let at = store.blocks_written() + n;
-            store.arm_write_fault(WriteFault::CrashAt(at));
-        } else if let Some(n) = ctx.fault.nth(FaultSite::TornWrite) {
-            let at = store.blocks_written() + n;
-            store.arm_write_fault(WriteFault::TornAt(at));
+    let result = write_checkpoint(ctx.kernel, &ctx.old, &mut *store, opts);
+    store.disarm_write_fault();
+    match result {
+        Ok(summary) => {
+            ctx.report.checkpoint = Some(summary);
+            Ok(())
         }
-        let result = write_checkpoint(ctx.kernel, &ctx.old, &mut *store, &self.opts);
-        store.disarm_write_fault();
-        match result {
-            Ok(summary) => {
-                ctx.report.checkpoint = Some(summary);
-                Ok(())
-            }
-            Err(e) => Err(Conflict::CheckpointFailed { error: e.to_string() }.into()),
-        }
+        Err(e) => Err(Conflict::CheckpointFailed { error: e.to_string() }.into()),
     }
 }
 
@@ -908,84 +813,56 @@ impl Phase for CheckpointPhase {
 /// (global descriptor inheritance, pid virtualization, startup replay), then
 /// park it at its quiescent points so it cannot observe external events
 /// before commit.
-pub(crate) struct ReinitReplayPhase;
+fn reinit_replay(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    let new_program = ctx
+        .new_program
+        .take()
+        .ok_or_else(|| McrError::InvalidState("pipeline has no program to boot".into()))?;
+    let boot_opts =
+        BootOptions { config: ctx.config, layout_slide: ctx.opts.layout_slide, start_quiesced: true };
+    let interposer = Interposer::replayer(ctx.old.state.interpose.recorded_log());
+    let new_instance = create_instance(ctx.kernel, new_program, interposer, &boot_opts)?;
+    let new_init = new_instance.init_pid()?;
+    ctx.new_instance = Some(new_instance);
 
-impl Phase for ReinitReplayPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::ReinitReplay
-    }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let new_program = ctx
-            .new_program
-            .take()
-            .ok_or_else(|| McrError::InvalidState("pipeline has no program to boot".into()))?;
-        let boot_opts =
-            BootOptions { config: ctx.config, layout_slide: ctx.opts.layout_slide, start_quiesced: true };
-        let interposer = Interposer::replayer(ctx.old.state.interpose.recorded_log());
-        let new_instance = create_instance(ctx.kernel, new_program, interposer, &boot_opts)?;
-        let new_init = new_instance.init_pid()?;
-        ctx.new_instance = Some(new_instance);
-
-        // Global inheritance: the new version's first process inherits every
-        // descriptor of every old-version process at the same number.
-        let old_pids = ctx.old.state.processes.clone();
-        for &old_pid in &old_pids {
-            let fds: Vec<Fd> = match ctx.kernel.process(old_pid) {
-                Ok(p) => p.fds().iter().map(|(fd, _)| fd).collect(),
-                Err(_) => continue,
-            };
-            for fd in fds {
-                let already = ctx.kernel.process(new_init).map(|p| p.fds().contains(fd)).unwrap_or(false);
-                if !already {
-                    let _ = ctx.kernel.transfer_fd(old_pid, fd, new_init, FdPlacement::Exact(fd));
-                }
+    // Global inheritance: the new version's first process inherits every
+    // descriptor of every old-version process at the same number.
+    let old_pids = ctx.old.state.processes.clone();
+    for &old_pid in &old_pids {
+        let fds: Vec<Fd> = match ctx.kernel.process(old_pid) {
+            Ok(p) => p.fds().iter().map(|(fd, _)| fd).collect(),
+            Err(_) => continue,
+        };
+        for fd in fds {
+            let already = ctx.kernel.process(new_init).map(|p| p.fds().contains(fd)).unwrap_or(false);
+            if !already {
+                let _ = ctx.kernel.transfer_fd(old_pid, fd, new_init, FdPlacement::Exact(fd));
             }
         }
-        // Pid virtualization: the new initial process observes the old
-        // initial process's pid.
-        let old_init = old_pids[0];
-        let old_virt = ctx.old.state.interpose.virtual_pid(old_init);
-        let UpdateCtx { kernel, new_instance, opts, report, .. } = ctx;
-        let new_instance = new_instance.as_mut().expect("created above");
-        new_instance.state.interpose.map_pid(old_virt, new_init);
-
-        run_startup(kernel, new_instance)?;
-        report.new_startup = new_instance.state.startup_duration;
-        // Conservative matching: recorded operations the new version omitted.
-        let omission_conflicts = {
-            let state = &mut new_instance.state;
-            let crate::program::InstanceState { interpose, annotations, .. } = state;
-            interpose.finish_replay(annotations)
-        };
-        if !omission_conflicts.is_empty() {
-            return Err(McrError::Conflicts(omission_conflicts));
-        }
-        // Park every new-version thread at its quiescent point.
-        wait_quiescence(kernel, new_instance, opts.max_quiesce_rounds)?;
-        report.replay = new_instance.state.interpose.stats();
-        Ok(())
     }
-}
+    // Pid virtualization: the new initial process observes the old
+    // initial process's pid.
+    let old_init = old_pids[0];
+    let old_virt = ctx.old.state.interpose.virtual_pid(old_init);
+    let UpdateCtx { kernel, new_instance, opts, report, .. } = ctx;
+    let new_instance = new_instance.as_mut().expect("created above");
+    new_instance.state.interpose.map_pid(old_virt, new_init);
 
-/// Phase 3 — pair old-version processes with new-version processes by
-/// creation-time call-stack ID (and creation order), optionally recreating
-/// counterparts for unmatched old processes (volatile quiescent points).
-pub(crate) struct MatchProcessesPhase;
-
-impl Phase for MatchProcessesPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::MatchProcesses
+    run_startup(kernel, new_instance)?;
+    report.new_startup = new_instance.state.startup_duration;
+    // Conservative matching: recorded operations the new version omitted.
+    let omission_conflicts = {
+        let state = &mut new_instance.state;
+        let crate::program::InstanceState { interpose, annotations, .. } = state;
+        interpose.finish_replay(annotations)
+    };
+    if !omission_conflicts.is_empty() {
+        return Err(McrError::Conflicts(omission_conflicts));
     }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let UpdateCtx { kernel, old, new_instance, opts, report, pairs, .. } = ctx;
-        let new_instance = new_instance
-            .as_mut()
-            .ok_or_else(|| McrError::InvalidState("new instance not created yet".into()))?;
-        *pairs = match_processes(kernel, old, new_instance, opts, report)?;
-        Ok(())
-    }
+    // Park every new-version thread at its quiescent point.
+    wait_quiescence(kernel, new_instance, opts.max_quiesce_rounds)?;
+    report.replay = new_instance.state.interpose.stats();
+    Ok(())
 }
 
 /// Phase 4 — restore: mutable tracing and state transfer for every matched
@@ -998,7 +875,13 @@ impl Phase for MatchProcessesPhase {
 /// each pair resumes its [`DeltaPlan`]: it delta-retraces the quiesced old
 /// process and transfers the residual, charging only the still-stale work to
 /// the window.
-pub(crate) struct TraceAndTransferPhase;
+fn trace_and_transfer(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    if ctx.pairs.is_empty() {
+        ctx.report.timings.state_transfer = SimDuration(0);
+        return Ok(());
+    }
+    transfer_pairs(ctx, transfer_residual)
+}
 
 /// Runs `transfer` — an engine entry point, or a closure around one — on the
 /// matched pair at `index`, with the pair's trace brought up to date first:
@@ -1039,8 +922,8 @@ fn trace_and_transfer_pair<R>(
     Ok((trace.stats, out))
 }
 
-/// The stop-the-world pair loop of [`TraceAndTransferPhase`] and
-/// [`PostcopyCommitPhase`]: for each pair, in pair order, trace it, run
+/// The stop-the-world pair loop of [`trace_and_transfer`] and
+/// [`postcopy_commit`]: for each pair, in pair order, trace it, run
 /// `transfer` on it and merge what it produced — tracing statistics, the
 /// clock charge, the per-process report (which keeps its conflicts, so
 /// per-process attribution survives into a rolled-back report) and
@@ -1082,7 +965,7 @@ fn transfer_pairs(
                 ctx.kernel.advance_clock(residual.cost);
                 pair_costs.push(residual.cost);
                 ctx.report.precopy.absorb_residual(&residual);
-                ctx.report.transfer.push(report);
+                ctx.report.transfer.per_process.push(report);
                 inherit_connection_fds(ctx.kernel, old_pid, new_pid);
             }
         }
@@ -1130,20 +1013,6 @@ fn inherit_connection_fds(kernel: &mut Kernel, old_pid: Pid, new_pid: Pid) {
     }
 }
 
-impl Phase for TraceAndTransferPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::TraceAndTransfer
-    }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        if ctx.pairs.is_empty() {
-            ctx.report.timings.state_transfer = SimDuration(0);
-            return Ok(());
-        }
-        transfer_pairs(ctx, transfer_residual)
-    }
-}
-
 /// The concurrent pre-copy phase: iterative trace-and-copy rounds executed
 /// *before* the quiescence barrier, with the old version still serving
 /// between rounds.
@@ -1151,106 +1020,88 @@ impl Phase for TraceAndTransferPhase {
 /// Each round (1) bumps every old process's write epoch, (2) delta-retraces
 /// and copies each pair's stale objects, pair by pair, (3) charges the
 /// round's makespan on the modelled workers to the clock (concurrent time,
-/// recorded in
-/// [`UpdateTimings::precopy`](crate::runtime::report::UpdateTimings), not
-/// downtime), and (4) lets the old instance run
+/// recorded in the phase's own trace record, not downtime), and (4) lets the old instance run
 /// [`PrecopyOptions::serve_rounds`](crate::runtime::controller::PrecopyOptions)
 /// scheduler rounds plus the optional [`PrecopyHook`]. Iteration stops when
 /// the freshly dirtied bytes of a round drop to the convergence threshold
 /// or the round budget is exhausted; whatever is still dirty afterwards is
 /// the residual the stop-the-world window pays for.
-pub(crate) struct PrecopyPhase;
-
-impl Phase for PrecopyPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::Precopy
+fn precopy(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    let precopy_opts = ctx.opts.precopy;
+    if !precopy_opts.is_enabled() || ctx.pairs.is_empty() {
+        return Ok(());
     }
+    ctx.ensure_plan()?;
+    ctx.report.precopy.enabled = true;
+    ctx.pair_precopy =
+        ctx.pairs.iter().map(|_| PairPrecopyState { delta: DeltaPlan::new(), trace: None }).collect();
+    let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
 
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let precopy_opts = ctx.opts.precopy;
-        if !precopy_opts.is_enabled() || ctx.pairs.is_empty() {
-            return Ok(());
+    for round in 1..=precopy_opts.rounds {
+        // Start a new write epoch in every old process: everything the
+        // old version writes from here on is the next round's (or the
+        // stop-the-world window's) delta.
+        let mut uptos = Vec::with_capacity(ctx.pairs.len());
+        for &(old_pid, _) in &ctx.pairs {
+            uptos.push(ctx.kernel.advance_write_epoch(old_pid).map_err(McrError::Sim)?);
         }
-        ctx.ensure_plan()?;
-        ctx.report.precopy.enabled = true;
-        ctx.pair_precopy =
-            ctx.pairs.iter().map(|_| PairPrecopyState { delta: DeltaPlan::new(), trace: None }).collect();
-        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
 
-        for round in 1..=precopy_opts.rounds {
-            // Start a new write epoch in every old process: everything the
-            // old version writes from here on is the next round's (or the
-            // stop-the-world window's) delta.
-            let mut uptos = Vec::with_capacity(ctx.pairs.len());
-            for &(old_pid, _) in &ctx.pairs {
-                uptos.push(ctx.kernel.advance_write_epoch(old_pid).map_err(McrError::Sim)?);
-            }
+        // Copy this round's stale delta; a failing round aborts the
+        // update while the old version is still live (rollback costs
+        // nothing).
+        let mut round_costs = Vec::with_capacity(ctx.pairs.len());
+        for (index, &upto) in uptos.iter().enumerate() {
+            let (_, round_report) = trace_and_transfer_pair(ctx, index, precopy_transfer_round)?;
+            ctx.pair_precopy[index].delta.traced_upto = upto;
+            ctx.report.precopy.absorb_round(round, &round_report);
+            round_costs.push(round_report.cost);
+        }
+        // The round ran concurrently with the old version; charge its
+        // makespan to the shared clock (this is pre-copy time, not
+        // downtime).
+        ctx.kernel.advance_clock(list_schedule_makespan(&round_costs, workers));
 
-            // Copy this round's stale delta; a failing round aborts the
-            // update while the old version is still live (rollback costs
-            // nothing).
-            let mut round_costs = Vec::with_capacity(ctx.pairs.len());
-            for (index, &upto) in uptos.iter().enumerate() {
-                let (_, round_report) = trace_and_transfer_pair(ctx, index, precopy_transfer_round)?;
-                ctx.pair_precopy[index].delta.traced_upto = upto;
-                ctx.report.precopy.absorb_round(round, &round_report);
-                round_costs.push(round_report.cost);
+        // The old version keeps serving: pending traffic, timers, plus
+        // whatever the between-rounds hook injects.
+        {
+            let UpdateCtx { kernel, old, precopy_hook, .. } = ctx;
+            for _ in 0..precopy_opts.serve_rounds {
+                let _ = run_round(kernel, old)?;
             }
-            // The round ran concurrently with the old version; charge its
-            // makespan to the shared clock (this is pre-copy time, not
-            // downtime).
-            ctx.kernel.advance_clock(list_schedule_makespan(&round_costs, workers));
-
-            // The old version keeps serving: pending traffic, timers, plus
-            // whatever the between-rounds hook injects.
-            {
-                let UpdateCtx { kernel, old, precopy_hook, .. } = ctx;
-                for _ in 0..precopy_opts.serve_rounds {
-                    let _ = run_round(kernel, old)?;
-                }
-                if let Some(hook) = precopy_hook.as_mut() {
-                    hook(kernel, old, round);
-                }
-            }
-
-            // Convergence: stop iterating once the old version dirtied at
-            // most `convergence_bytes` since this round's epoch (page
-            // granular, like the tracking itself).
-            let mut newly_dirty_bytes = 0u64;
-            for (&(old_pid, _), &upto) in ctx.pairs.iter().zip(uptos.iter()) {
-                let proc = ctx.kernel.process(old_pid).map_err(McrError::Sim)?;
-                newly_dirty_bytes += proc.space().dirty_page_count_since(upto) as u64 * PAGE_SIZE;
-            }
-            if round < precopy_opts.rounds && newly_dirty_bytes <= precopy_opts.convergence_bytes {
-                break;
+            if let Some(hook) = precopy_hook.as_mut() {
+                hook(kernel, old, round);
             }
         }
-        Ok(())
+
+        // Convergence: stop iterating once the old version dirtied at
+        // most `convergence_bytes` since this round's epoch (page
+        // granular, like the tracking itself).
+        let mut newly_dirty_bytes = 0u64;
+        for (&(old_pid, _), &upto) in ctx.pairs.iter().zip(uptos.iter()) {
+            let proc = ctx.kernel.process(old_pid).map_err(McrError::Sim)?;
+            newly_dirty_bytes += proc.space().dirty_page_count_since(upto) as u64 * PAGE_SIZE;
+        }
+        if round < precopy_opts.rounds && newly_dirty_bytes <= precopy_opts.convergence_bytes {
+            break;
+        }
     }
+    Ok(())
 }
 
 /// Phase 5 — commit: the new version resumes; the old version is terminated.
 /// This is the pipeline's single non-reversible step.
-pub(crate) struct CommitPhase;
-
-impl Phase for CommitPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::Commit
+fn commit(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    {
+        let UpdateCtx { kernel, new_instance, .. } = ctx;
+        let new_instance =
+            new_instance.as_mut().ok_or_else(|| McrError::InvalidState("nothing to commit".into()))?;
+        resume(kernel, new_instance);
     }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        {
-            let UpdateCtx { kernel, new_instance, .. } = ctx;
-            let new_instance =
-                new_instance.as_mut().ok_or_else(|| McrError::InvalidState("nothing to commit".into()))?;
-            resume(kernel, new_instance);
-        }
-        for &pid in &ctx.old.state.processes {
-            let _ = ctx.kernel.remove_process(pid);
-        }
-        ctx.committed = true;
-        Ok(())
+    for &pid in &ctx.old.state.processes {
+        let _ = ctx.kernel.remove_process(pid);
     }
+    ctx.committed = true;
+    Ok(())
 }
 
 /// Post-copy phase 5 — commit: final delta retrace and transfer for every
@@ -1261,62 +1112,53 @@ impl Phase for CommitPhase {
 /// The old version's processes are deliberately **not** removed here: the
 /// parked residual still reads the frozen old address spaces, and a drain
 /// failure must roll back to an intact old instance. The phase is therefore
-/// still reversible — [`PostcopyDrainPhase`] holds the point of no return.
-pub(crate) struct PostcopyCommitPhase;
-
-impl Phase for PostcopyCommitPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::PostcopyCommit
-    }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        ctx.report.postcopy.enabled = true;
-        if ctx.pairs.is_empty() {
-            ctx.report.timings.state_transfer = SimDuration(0);
-            let UpdateCtx { kernel, new_instance, .. } = ctx;
-            let new_instance =
-                new_instance.as_mut().ok_or_else(|| McrError::InvalidState("nothing to commit".into()))?;
-            resume(kernel, new_instance);
-            return Ok(());
-        }
-        // A deferred pair contributes nothing to the window: its applies are
-        // charged when they happen, after resume.
-        let mut states: Vec<PostcopyResidual> = Vec::with_capacity(ctx.pairs.len());
-        let transferred =
-            transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
-                let (report, residual, parked) =
-                    postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
-                states.push(parked);
-                Ok((report, residual))
-            });
-        // Counted before the result is looked at: a rolled-back report still
-        // says what the pairs ahead of the failing one did.
-        for residual in &states {
-            if residual.is_drained() {
-                ctx.report.postcopy.synced_pairs += 1;
-            } else {
-                ctx.report.postcopy.deferred_pairs += 1;
-                ctx.report.postcopy.deferred_objects += residual.remaining();
-                ctx.report.postcopy.deferred_bytes += residual.remaining_bytes();
-            }
-        }
-        ctx.pair_postcopy = states;
-        transferred?;
-
-        // Arm the access traps over every parked range, then resume the new
-        // version immediately — from here on the residual retires in the
-        // background while the new instance serves.
-        for (residual, &(_, new_pid)) in ctx.pair_postcopy.iter().zip(&ctx.pairs) {
-            if !residual.is_drained() {
-                let proc = ctx.kernel.process_mut(new_pid).map_err(McrError::Sim)?;
-                residual.arm(proc)?;
-            }
-        }
+/// still reversible — [`postcopy_drain`] holds the point of no return.
+fn postcopy_commit(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    ctx.report.postcopy.enabled = true;
+    if ctx.pairs.is_empty() {
+        ctx.report.timings.state_transfer = SimDuration(0);
         let UpdateCtx { kernel, new_instance, .. } = ctx;
-        let new_instance = new_instance.as_mut().expect("matched pairs imply an instance");
+        let new_instance =
+            new_instance.as_mut().ok_or_else(|| McrError::InvalidState("nothing to commit".into()))?;
         resume(kernel, new_instance);
-        Ok(())
+        return Ok(());
     }
+    // A deferred pair contributes nothing to the window: its applies are
+    // charged when they happen, after resume.
+    let mut states: Vec<PostcopyResidual> = Vec::with_capacity(ctx.pairs.len());
+    let transferred = transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
+        let (report, residual, parked) =
+            engine::postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
+        states.push(parked);
+        Ok((report, residual))
+    });
+    // Counted before the result is looked at: a rolled-back report still
+    // says what the pairs ahead of the failing one did.
+    for residual in &states {
+        if residual.is_drained() {
+            ctx.report.postcopy.synced_pairs += 1;
+        } else {
+            ctx.report.postcopy.deferred_pairs += 1;
+            ctx.report.postcopy.deferred_objects += residual.remaining();
+            ctx.report.postcopy.deferred_bytes += residual.remaining_bytes();
+        }
+    }
+    ctx.pair_postcopy = states;
+    transferred?;
+
+    // Arm the access traps over every parked range, then resume the new
+    // version immediately — from here on the residual retires in the
+    // background while the new instance serves.
+    for (residual, &(_, new_pid)) in ctx.pair_postcopy.iter().zip(&ctx.pairs) {
+        if !residual.is_drained() {
+            let proc = ctx.kernel.process_mut(new_pid).map_err(McrError::Sim)?;
+            residual.arm(proc)?;
+        }
+    }
+    let UpdateCtx { kernel, new_instance, .. } = ctx;
+    let new_instance = new_instance.as_mut().expect("matched pairs imply an instance");
+    resume(kernel, new_instance);
+    Ok(())
 }
 
 /// Translates the chaos plan's *global* 1-based n-th-fault-in trigger into
@@ -1330,7 +1172,7 @@ fn shifted_fault_in(global: Option<u64>, global_done: u64, pair_done: u64) -> Op
     }
 }
 
-/// What [`PostcopyDrainPhase`] lends the resumed new instance for the whole
+/// What [`postcopy_drain`] lends the resumed new instance for the whole
 /// drain — serve rounds, post-copy hook, trap service and drain batches —
 /// and takes back on commit and rollback alike: the transfer context, every
 /// pair's parked residual, the n-th-fault-in trigger and the post-copy
@@ -1471,6 +1313,44 @@ impl PostcopyLoan {
     }
 }
 
+/// Parked objects the background drainer applies per pair per drain round.
+const DRAIN_BATCH: usize = 32;
+
+/// Scheduler rounds the resumed new instance serves between drain batches.
+const DRAIN_SERVE_ROUNDS: usize = 1;
+
+/// The drain loop of [`postcopy_drain`] over the lent state, returning the
+/// rounds it ran.
+fn drain_rounds(ctx: &mut UpdateCtx<'_>) -> McrResult<usize> {
+    let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
+    let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
+    let UpdateCtx { kernel, new_instance, postcopy_hook, .. } = ctx;
+    let new_instance = new_instance.as_mut().expect("post-copy commit resumed the new version");
+    let mut round = 0;
+    while !new_instance.state.postcopy.as_ref().expect("the drain lent its state").is_drained() {
+        round += 1;
+        // The new version serves while the drainer works (pending
+        // traffic, timers, plus whatever the hook injects).
+        for _ in 0..DRAIN_SERVE_ROUNDS {
+            let _ = run_round(kernel, new_instance)?;
+        }
+        if let Some(hook) = postcopy_hook.as_mut() {
+            hook(kernel, new_instance, round);
+        }
+        // Per pair: service the stores the hook parked, then one
+        // background drain batch.
+        let loan = new_instance.state.postcopy.as_deref_mut().expect("the drain lent its state");
+        let mut drain_costs = vec![SimDuration(0); loan.pairs.len()];
+        for (index, cost) in drain_costs.iter_mut().enumerate() {
+            loan.service_parked(kernel, loan.pairs[index].1)?;
+            *cost = loan.drain_batch(kernel, index, drain_fault)?;
+        }
+        // The drain batches ran concurrently with serving.
+        kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));
+    }
+    Ok(round)
+}
+
 /// Post-copy phase 6 — drain: the resumed new version serves while the
 /// parked residual retires three ways, all through the [`PostcopyLoan`] the
 /// phase lends the new instance. *Thread faults*: a program thread's load or
@@ -1486,93 +1366,42 @@ impl PostcopyLoan {
 /// time. Once every pair is drained the old version is terminated — the
 /// phase's last act is the point of no return, so a failure anywhere in the
 /// loop still rolls back to the intact old instance.
-pub(crate) struct PostcopyDrainPhase;
-
-/// Parked objects the background drainer applies per pair per drain round.
-const DRAIN_BATCH: usize = 32;
-
-/// Scheduler rounds the resumed new instance serves between drain batches.
-const DRAIN_SERVE_ROUNDS: usize = 1;
-
-impl PostcopyDrainPhase {
-    /// The drain loop over the lent state, returning the rounds it ran.
-    fn drain(ctx: &mut UpdateCtx<'_>) -> McrResult<usize> {
-        let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
-        let drain_fault = ctx.fault.nth(FaultSite::DrainStep);
-        let UpdateCtx { kernel, new_instance, postcopy_hook, .. } = ctx;
-        let new_instance = new_instance.as_mut().expect("post-copy commit resumed the new version");
-        let mut round = 0;
-        while !new_instance.state.postcopy.as_ref().expect("the drain lent its state").is_drained() {
-            round += 1;
-            // The new version serves while the drainer works (pending
-            // traffic, timers, plus whatever the hook injects).
-            for _ in 0..DRAIN_SERVE_ROUNDS {
-                let _ = run_round(kernel, new_instance)?;
-            }
-            if let Some(hook) = postcopy_hook.as_mut() {
-                hook(kernel, new_instance, round);
-            }
-            // Per pair: service the stores the hook parked, then one
-            // background drain batch.
-            let loan = new_instance.state.postcopy.as_deref_mut().expect("the drain lent its state");
-            let mut drain_costs = vec![SimDuration(0); loan.pairs.len()];
-            for (index, cost) in drain_costs.iter_mut().enumerate() {
-                loan.service_parked(kernel, loan.pairs[index].1)?;
-                *cost = loan.drain_batch(kernel, index, drain_fault)?;
-            }
-            // The drain batches ran concurrently with serving.
-            kernel.advance_clock(list_schedule_makespan(&drain_costs, workers));
-        }
-        Ok(round)
+fn postcopy_drain(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    let loan = PostcopyLoan {
+        plan: ctx.plan.take().expect("post-copy commit built the plan"),
+        pairs: ctx.pairs.clone(),
+        residuals: std::mem::take(&mut ctx.pair_postcopy),
+        fault_in: ctx.fault.nth(FaultSite::FaultIn),
+        fault_in_done: 0,
+        summary: std::mem::take(&mut ctx.report.postcopy),
+    };
+    let new_state = &mut ctx.new_instance.as_mut().expect("post-copy commit resumed the new version").state;
+    new_state.postcopy = Some(Box::new(loan));
+    let drained = drain_rounds(ctx);
+    // Take the loan back whether the drain finished or failed.
+    let new_state = &mut ctx.new_instance.as_mut().expect("the drain keeps the new version").state;
+    let loan = new_state.postcopy.take().expect("the drain lent its state");
+    ctx.plan = Some(loan.plan);
+    ctx.report.postcopy = loan.summary;
+    // Trap service is downtime: every faulting thread was blocked.
+    ctx.report.timings.trap_service = SimDuration(ctx.report.postcopy.trap_service_ns.iter().sum());
+    ctx.report.postcopy.drain_rounds = drained? as u64;
+    // Every parked object is applied — nothing can fault on the old
+    // space any more. Terminate the old version: the point of no return.
+    for &pid in &ctx.old.state.processes {
+        let _ = ctx.kernel.remove_process(pid);
     }
+    ctx.committed = true;
+    Ok(())
 }
 
-impl Phase for PostcopyDrainPhase {
-    fn name(&self) -> PhaseName {
-        PhaseName::PostcopyDrain
-    }
-
-    fn run(&self, ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-        let loan = PostcopyLoan {
-            plan: ctx.plan.take().expect("post-copy commit built the plan"),
-            pairs: ctx.pairs.clone(),
-            residuals: std::mem::take(&mut ctx.pair_postcopy),
-            fault_in: ctx.fault.nth(FaultSite::FaultIn),
-            fault_in_done: 0,
-            summary: std::mem::take(&mut ctx.report.postcopy),
-        };
-        let new_state =
-            &mut ctx.new_instance.as_mut().expect("post-copy commit resumed the new version").state;
-        new_state.postcopy = Some(Box::new(loan));
-        let drained = Self::drain(ctx);
-        // Take the loan back whether the drain finished or failed.
-        let new_state = &mut ctx.new_instance.as_mut().expect("the drain keeps the new version").state;
-        let loan = new_state.postcopy.take().expect("the drain lent its state");
-        ctx.plan = Some(loan.plan);
-        ctx.report.postcopy = loan.summary;
-        // Trap service is downtime: every faulting thread was blocked.
-        ctx.report.timings.trap_service = SimDuration(ctx.report.postcopy.trap_service_ns.iter().sum());
-        ctx.report.postcopy.drain_rounds = drained? as u64;
-        // Every parked object is applied — nothing can fault on the old
-        // space any more. Terminate the old version: the point of no return.
-        for &pid in &ctx.old.state.processes {
-            let _ = ctx.kernel.remove_process(pid);
-        }
-        ctx.committed = true;
-        Ok(())
-    }
-}
-
-/// Pairs old-version processes with new-version processes by creation-time
-/// call-stack ID (and creation order), optionally recreating counterparts
-/// for unmatched old processes.
-fn match_processes(
-    kernel: &mut Kernel,
-    old: &McrInstance,
-    new_instance: &mut McrInstance,
-    opts: &UpdateOptions,
-    report: &mut UpdateReport,
-) -> McrResult<Vec<(Pid, Pid)>> {
+/// Phase 3 — pair old-version processes with new-version processes by
+/// creation-time call-stack ID (and creation order), optionally recreating
+/// counterparts for unmatched old processes (volatile quiescent points).
+fn match_processes(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
+    let UpdateCtx { kernel, old, new_instance, opts, report, .. } = ctx;
+    let new_instance =
+        new_instance.as_mut().ok_or_else(|| McrError::InvalidState("new instance not created yet".into()))?;
     let new_init = new_instance.init_pid()?;
     let mut pairs = Vec::new();
     let mut used: BTreeSet<u32> = BTreeSet::new();
@@ -1638,5 +1467,6 @@ fn match_processes(
             }
         }
     }
-    Ok(pairs)
+    ctx.pairs = pairs;
+    Ok(())
 }

@@ -57,24 +57,17 @@ impl PhaseTrace {
     }
 }
 
-/// Breakdown of the client-perceived update time (§8 "Update time").
+/// What the phase trace cannot say about the client-perceived update time
+/// (§8 "Update time"). Per-phase times — quiescence, control migration,
+/// pre-copy, the post-copy drain, the checkpoint write — are read from
+/// [`UpdateReport::phases`] with [`PhaseTrace::duration_of`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateTimings {
-    /// Time spent in the concurrent pre-copy phase — tracing and copying
-    /// rounds executed *while the old version kept serving traffic*. This is
-    /// not downtime; it trades total update latency for a smaller
-    /// stop-the-world window. Zero when pre-copy is disabled.
-    pub precopy: SimDuration,
     /// The stop-the-world span: everything from the start of the quiescence
     /// barrier to the end of the pipeline. Without pre-copy this equals
     /// `total`; with pre-copy it shrinks to quiescence + residual transfer +
     /// commit, the O(working set) cost the pre-copy design targets.
     pub downtime: SimDuration,
-    /// Time for the barrier protocol to park every old-version thread.
-    pub quiescence: SimDuration,
-    /// Time to restart the new version and complete control migration
-    /// (record/replay of startup operations).
-    pub control_migration: SimDuration,
     /// State-transfer time with MCR's parallel per-process transfer (the
     /// time reported in Figure 3), as a modelled schedule: the list-schedule
     /// makespan of the pairs' simulated costs on
@@ -82,48 +75,14 @@ pub struct UpdateTimings {
     /// workers. One worker reproduces the sequential sum; one worker per
     /// pair (the default) is bounded by the slowest pair.
     pub state_transfer: SimDuration,
-    /// State-transfer time if processes were transferred sequentially
-    /// (ablation of the parallel strategy).
-    pub state_transfer_serial: SimDuration,
-    /// Time the post-copy drain loop spent after the new version resumed
-    /// (background serving + fault-in + drain batches). This is *not*
-    /// downtime — only the `trap_service` share of it is.
-    pub postcopy_drain: SimDuration,
     /// Access-trap service latency charged back to downtime: every trap the
     /// resumed new version took on a not-yet-transferred page blocked the
     /// faulting thread for the fault-in (plus a fixed trap round-trip), so
     /// post-copy downtime is the commit window plus this.
     pub trap_service: SimDuration,
-    /// Time the optional [`PhaseName::Checkpoint`] phase spent writing the
-    /// durable checkpoint (modelled shard-writer makespan plus manifest
-    /// commit). Runs inside the quiescence window, so it is downtime; zero
-    /// when no checkpoint phase is configured.
-    pub(crate) checkpoint_write: SimDuration,
-    /// Total time the program was unavailable.
+    /// Time from the start of the first phase to the end of the last one,
+    /// concurrent phases included.
     pub total: SimDuration,
-}
-
-impl UpdateTimings {
-    /// Folds a just-recorded phase duration into the legacy timing fields
-    /// (called by the pipeline driver after every phase, so the breakdown is
-    /// populated automatically and stays meaningful on rollback).
-    pub(crate) fn absorb_phase(&mut self, name: PhaseName, phases: &PhaseTrace) {
-        let d = phases.duration_of(name).unwrap_or_default();
-        match name {
-            PhaseName::Precopy => self.precopy = d,
-            PhaseName::Quiesce => self.quiescence = d,
-            PhaseName::ReinitReplay => self.control_migration = d,
-            PhaseName::TraceAndTransfer | PhaseName::PostcopyCommit => {
-                // The serial wall time spans process matching plus the
-                // sequential per-process trace/transfer loop.
-                let matching = phases.duration_of(PhaseName::MatchProcesses).unwrap_or_default();
-                self.state_transfer_serial = matching.saturating_add(d);
-            }
-            PhaseName::PostcopyDrain => self.postcopy_drain = d,
-            PhaseName::Checkpoint => self.checkpoint_write = d,
-            PhaseName::MatchProcesses | PhaseName::Commit => {}
-        }
-    }
 }
 
 /// Observability record of the iterative pre-copy phase of one update.

@@ -6,8 +6,8 @@
 //! back. The supervisor turns that into a *liveness* property: a rolled-back
 //! update is retried with exponential backoff on the virtual clock (the old
 //! instance keeps serving between attempts), the configuration degrades on
-//! failure (pre-copy or post-copy → stop-the-world),
-//! every phase can carry a sim-time watchdog budget
+//! failure (pre-copy or post-copy → stop-the-world), every phase before the
+//! point of no return runs under one sim-time watchdog budget
 //! ([`UpdatePipeline::with_uniform_phase_deadline`]), and after
 //! [`SupervisorPolicy::max_attempts`] the supervisor gives up cleanly with
 //! the full attempt history embedded in the final
@@ -172,71 +172,13 @@ impl Default for SupervisorPolicy {
 pub fn supervised_update(
     kernel: &mut Kernel,
     old: McrInstance,
-    mut new_program: impl FnMut() -> Box<dyn Program>,
+    new_program: impl FnMut() -> Box<dyn Program>,
     config: InstrumentationConfig,
     opts: &UpdateOptions,
     policy: &SupervisorPolicy,
-    mut fault_for_attempt: impl FnMut(usize) -> ChaosPlan,
+    fault_for_attempt: impl FnMut(usize) -> ChaosPlan,
 ) -> (McrInstance, UpdateOutcome) {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempts: Vec<AttemptSummary> = Vec::new();
-    let mut instance = old;
-    for attempt in 1..=max_attempts {
-        let tier = DegradationTier::for_attempt(attempt);
-        let tier_opts = tier.apply(opts);
-        let mut pipeline =
-            UpdatePipeline::for_options(&tier_opts).with_fault_plan(fault_for_attempt(attempt));
-        if let Some(budget) = policy.phase_deadline {
-            pipeline = pipeline.with_uniform_phase_deadline(budget);
-        }
-        let started_at = kernel.now();
-        let (next_instance, outcome) = pipeline.run(kernel, instance, new_program(), config, &tier_opts);
-        instance = next_instance;
-        let finished_at = kernel.now();
-        match outcome {
-            UpdateOutcome::Committed(mut report) => {
-                attempts.push(AttemptSummary {
-                    tier,
-                    committed: true,
-                    conflicts: Vec::new(),
-                    started_at,
-                    finished_at,
-                    backoff: SimDuration(0),
-                    recovered: false,
-                });
-                report.attempts = attempts;
-                return (instance, UpdateOutcome::Committed(report));
-            }
-            UpdateOutcome::RolledBack { conflicts, report } => {
-                let giving_up = attempt == max_attempts;
-                let backoff = if giving_up {
-                    SimDuration(0)
-                } else {
-                    backoff_for_attempt(policy.base_backoff, attempt)
-                };
-                attempts.push(AttemptSummary {
-                    tier,
-                    committed: false,
-                    conflicts: conflicts.clone(),
-                    started_at,
-                    finished_at,
-                    backoff,
-                    recovered: false,
-                });
-                if giving_up {
-                    let mut report = report;
-                    report.attempts = attempts;
-                    return (instance, UpdateOutcome::RolledBack { conflicts, report });
-                }
-                // Deterministic backoff on the virtual clock, with the old
-                // instance serving: rollback restored it, so clients see
-                // answers (from the old version) across the whole ladder.
-                kernel.advance_clock(backoff);
-                let _ = run_rounds(kernel, &mut instance, policy.serve_rounds_between_attempts);
-            }
-        }
-    }
-    unreachable!("loop returns on the final attempt");
+    run_ladder(kernel, old, new_program, config, opts, policy, None, fault_for_attempt)
 }
 
 /// A [`supervised_update`] whose retry ladder survives a crash of the *old
@@ -270,12 +212,39 @@ pub fn supervised_update_durable(
     kernel: &mut Kernel,
     old: McrInstance,
     mut old_program: impl FnMut() -> Box<dyn Program>,
-    mut new_program: impl FnMut() -> Box<dyn Program>,
+    new_program: impl FnMut() -> Box<dyn Program>,
     config: InstrumentationConfig,
     opts: &UpdateOptions,
     policy: &SupervisorPolicy,
     store: Rc<RefCell<dyn Store>>,
     ckpt_opts: CheckpointOptions,
+    fault_for_attempt: impl FnMut(usize) -> ChaosPlan,
+) -> (McrInstance, UpdateOutcome) {
+    let durable = Durable { store, ckpt_opts, old_program: &mut old_program };
+    run_ladder(kernel, old, new_program, config, opts, policy, Some(durable), fault_for_attempt)
+}
+
+/// What a durable ladder adds to a plain one: the store checkpoints go to,
+/// how they are written, and the factory that re-boots the old version from
+/// one.
+struct Durable<'a> {
+    store: Rc<RefCell<dyn Store>>,
+    ckpt_opts: CheckpointOptions,
+    old_program: &'a mut dyn FnMut() -> Box<dyn Program>,
+}
+
+/// The retry ladder of [`supervised_update`] and, with `durable` set, of
+/// [`supervised_update_durable`]: checkpoint #0, a checkpoint phase in every
+/// attempt and a revival after a crash of the old instance run only then.
+#[allow(clippy::too_many_arguments)]
+fn run_ladder(
+    kernel: &mut Kernel,
+    old: McrInstance,
+    mut new_program: impl FnMut() -> Box<dyn Program>,
+    config: InstrumentationConfig,
+    opts: &UpdateOptions,
+    policy: &SupervisorPolicy,
+    mut durable: Option<Durable<'_>>,
     mut fault_for_attempt: impl FnMut(usize) -> ChaosPlan,
 ) -> (McrInstance, UpdateOutcome) {
     let max_attempts = policy.max_attempts.max(1);
@@ -285,9 +254,9 @@ pub fn supervised_update_durable(
     // store failure here is not retried — the per-attempt checkpoint phase
     // remounts the store and tries again — but the store is recovered so a
     // half-written version directory cannot wedge that phase.
-    {
+    if let Some(Durable { store, ckpt_opts, .. }) = &durable {
         let mut store = store.borrow_mut();
-        if checkpoint_now(kernel, &mut instance, &mut *store, &ckpt_opts).is_err() {
+        if checkpoint_now(kernel, &mut instance, &mut *store, ckpt_opts).is_err() {
             store.recover();
         }
     }
@@ -296,9 +265,10 @@ pub fn supervised_update_durable(
         let tier_opts = tier.apply(opts);
         let plan = fault_for_attempt(attempt);
         let restore_fault = plan.nth(FaultSite::RestoreStep);
-        let mut pipeline = UpdatePipeline::for_options(&tier_opts)
-            .with_fault_plan(plan)
-            .with_checkpoint(Rc::clone(&store), ckpt_opts);
+        let mut pipeline = UpdatePipeline::for_options(&tier_opts).with_fault_plan(plan);
+        if let Some(Durable { store, ckpt_opts, .. }) = &durable {
+            pipeline = pipeline.with_checkpoint(Rc::clone(store), *ckpt_opts);
+        }
         if let Some(budget) = policy.phase_deadline {
             pipeline = pipeline.with_uniform_phase_deadline(budget);
         }
@@ -306,7 +276,7 @@ pub fn supervised_update_durable(
         let (next_instance, outcome) = pipeline.run(kernel, instance, new_program(), config, &tier_opts);
         instance = next_instance;
         let finished_at = kernel.now();
-        match outcome {
+        let (conflicts, mut report) = match outcome {
             UpdateOutcome::Committed(mut report) => {
                 attempts.push(AttemptSummary {
                     tier,
@@ -320,57 +290,45 @@ pub fn supervised_update_durable(
                 report.attempts = attempts;
                 return (instance, UpdateOutcome::Committed(report));
             }
-            UpdateOutcome::RolledBack { conflicts, report } => {
-                let crashed = conflicts.iter().any(|c| matches!(c, Conflict::OldInstanceCrashed { .. }));
-                let mut recovered = false;
-                if crashed {
-                    match revive_from_checkpoint(kernel, &store, &mut old_program, restore_fault) {
-                        Ok(revived) => {
-                            instance = revived;
-                            recovered = true;
-                        }
-                        Err(_) => {
-                            // Nothing left to serve and nothing restorable:
-                            // give up with the crash conflicts on record.
-                            attempts.push(AttemptSummary {
-                                tier,
-                                committed: false,
-                                conflicts: conflicts.clone(),
-                                started_at,
-                                finished_at,
-                                backoff: SimDuration(0),
-                                recovered: false,
-                            });
-                            let mut report = report;
-                            report.attempts = attempts;
-                            return (instance, UpdateOutcome::RolledBack { conflicts, report });
-                        }
-                    }
+            UpdateOutcome::RolledBack { conflicts, report } => (conflicts, report),
+        };
+        // Rollback cannot resume processes that no longer exist: a durable
+        // ladder revives the old version from the latest checkpoint. With
+        // nothing left to serve and nothing restorable, it gives up with the
+        // crash conflicts on record.
+        let crashed = conflicts.iter().any(|c| matches!(c, Conflict::OldInstanceCrashed { .. }));
+        let mut recovered = false;
+        let mut unrecoverable = false;
+        if let Some(Durable { store, old_program, .. }) = durable.as_mut().filter(|_| crashed) {
+            match revive_from_checkpoint(kernel, store, *old_program, restore_fault) {
+                Ok(revived) => {
+                    instance = revived;
+                    recovered = true;
                 }
-                let giving_up = attempt == max_attempts;
-                let backoff = if giving_up {
-                    SimDuration(0)
-                } else {
-                    backoff_for_attempt(policy.base_backoff, attempt)
-                };
-                attempts.push(AttemptSummary {
-                    tier,
-                    committed: false,
-                    conflicts: conflicts.clone(),
-                    started_at,
-                    finished_at,
-                    backoff,
-                    recovered,
-                });
-                if giving_up {
-                    let mut report = report;
-                    report.attempts = attempts;
-                    return (instance, UpdateOutcome::RolledBack { conflicts, report });
-                }
-                kernel.advance_clock(backoff);
-                let _ = run_rounds(kernel, &mut instance, policy.serve_rounds_between_attempts);
+                Err(_) => unrecoverable = true,
             }
         }
+        let giving_up = attempt == max_attempts || unrecoverable;
+        let backoff =
+            if giving_up { SimDuration(0) } else { backoff_for_attempt(policy.base_backoff, attempt) };
+        attempts.push(AttemptSummary {
+            tier,
+            committed: false,
+            conflicts: conflicts.clone(),
+            started_at,
+            finished_at,
+            backoff,
+            recovered,
+        });
+        if giving_up {
+            report.attempts = attempts;
+            return (instance, UpdateOutcome::RolledBack { conflicts, report });
+        }
+        // Deterministic backoff on the virtual clock, with the old instance
+        // serving: rollback (or the revival) restored it, so clients see
+        // answers (from the old version) across the whole ladder.
+        kernel.advance_clock(backoff);
+        let _ = run_rounds(kernel, &mut instance, policy.serve_rounds_between_attempts);
     }
     unreachable!("loop returns on the final attempt");
 }
@@ -698,6 +656,66 @@ mod tests {
         assert!(!report.attempts[0].recovered, "rollback sufficed; no restore needed");
         assert!(report.attempts[1].committed);
         assert_eq!(instance.state.version, "2.0");
+    }
+
+    #[test]
+    fn durable_checkpoint_follows_quiesce_in_every_mode_and_fits_a_tight_watchdog() {
+        use mcr_procsim::MemStore;
+        use PhaseName::*;
+
+        let rounds = PrecopyOptions { rounds: 2, convergence_bytes: 0, serve_rounds: 1 };
+        let modes = [
+            (TransferMode::StopTheWorld, PrecopyOptions::disabled()),
+            (TransferMode::Precopy, rounds),
+            (TransferMode::Postcopy, PrecopyOptions::disabled()),
+        ];
+        let expected_orders = [
+            vec![Quiesce, Checkpoint, ReinitReplay, MatchProcesses, TraceAndTransfer, Commit],
+            vec![ReinitReplay, MatchProcesses, Precopy, Quiesce, Checkpoint, TraceAndTransfer, Commit],
+            vec![ReinitReplay, MatchProcesses, Precopy, Quiesce, Checkpoint, PostcopyCommit, PostcopyDrain],
+        ];
+        let run = |opts: &UpdateOptions, phase_deadline: Option<SimDuration>| {
+            let mut kernel = Kernel::new();
+            let mut instance = booted(&mut kernel);
+            drive_traffic(&mut kernel, &mut instance, 3);
+            let store: Rc<RefCell<MemStore>> = Rc::new(RefCell::new(MemStore::new()));
+            let (_instance, outcome) = supervised_update_durable(
+                &mut kernel,
+                instance,
+                || Box::new(TinyServer::new(1)),
+                || Box::new(TinyServer::new(2)),
+                InstrumentationConfig::full(),
+                opts,
+                &SupervisorPolicy { phase_deadline, ..SupervisorPolicy::default() },
+                store as Rc<RefCell<dyn Store>>,
+                CheckpointOptions::default(),
+                |_| ChaosPlan::none(),
+            );
+            outcome
+        };
+        for ((mode, precopy), expected) in modes.into_iter().zip(expected_orders) {
+            let opts = UpdateOptions { mode, precopy, ..UpdateOptions::default() };
+            let clean = run(&opts, None);
+            assert!(clean.is_committed(), "{mode:?}: {:?}", clean.conflicts());
+            let report = clean.report();
+            assert_eq!(report.attempts.len(), 1, "{mode:?}: the clean run commits first try");
+            let executed: Vec<PhaseName> = report.phases.records().iter().map(|r| r.name).collect();
+            assert_eq!(executed, expected, "{mode:?}: the checkpoint lands right after the barrier");
+
+            // A budget equal to the longest watched phase is met by every
+            // phase; the drain and the commit are never watched.
+            let longest = report
+                .phases
+                .records()
+                .iter()
+                .filter(|r| !matches!(r.name, Commit | PostcopyDrain))
+                .map(|r| r.duration)
+                .max()
+                .expect("watched phases ran");
+            let watched = run(&opts, Some(longest));
+            assert!(watched.is_committed(), "{mode:?} under a {longest:?} budget: {:?}", watched.conflicts());
+            assert_eq!(watched.report().attempts.len(), 1, "{mode:?}: no watchdog retry");
+        }
     }
 
     #[test]

@@ -632,19 +632,13 @@ pub struct ProcessTransferReport {
 
 /// Aggregate over all processes of one live update.
 ///
-/// Equality compares only the transfer work (`per_process`,
-/// `serial_duration`, `parallel_duration`): `workers` is an input of the
-/// cost model and `host_wall_ns` a host-time reading, so the same update
-/// charged at different worker counts compares equal.
+/// Equality compares only the transfer work (`per_process`): `workers` is
+/// an input of the cost model and `host_wall_ns` a host-time reading, so the
+/// same update charged at different worker counts compares equal.
 #[derive(Debug, Clone, Default)]
 pub struct TransferSummary {
     /// Per-process reports in pair order.
     pub per_process: Vec<ProcessTransferReport>,
-    /// Sum of per-process durations (sequential execution).
-    pub serial_duration: SimDuration,
-    /// Maximum per-process duration (the lower bound with one worker per
-    /// pair — MCR's parallel multi-process transfer).
-    pub parallel_duration: SimDuration,
     /// Modelled workers the trace/transfer phase scheduled the pairs on (0
     /// before the phase runs).
     pub workers: usize,
@@ -657,21 +651,21 @@ pub struct TransferSummary {
 impl PartialEq for TransferSummary {
     fn eq(&self, other: &Self) -> bool {
         self.per_process == other.per_process
-            && self.serial_duration == other.serial_duration
-            && self.parallel_duration == other.parallel_duration
     }
 }
 
 impl Eq for TransferSummary {}
 
 impl TransferSummary {
-    /// Adds a process report to the aggregate.
-    pub(crate) fn push(&mut self, report: ProcessTransferReport) {
-        self.serial_duration = self.serial_duration.saturating_add(report.duration);
-        if report.duration > self.parallel_duration {
-            self.parallel_duration = report.duration;
-        }
-        self.per_process.push(report);
+    /// Sum of per-process durations (sequential execution).
+    pub fn serial_duration(&self) -> SimDuration {
+        self.per_process.iter().fold(SimDuration(0), |sum, r| sum.saturating_add(r.duration))
+    }
+
+    /// Maximum per-process duration (the lower bound with one worker per
+    /// pair — MCR's parallel multi-process transfer).
+    pub fn parallel_duration(&self) -> SimDuration {
+        self.per_process.iter().map(|r| r.duration).max().unwrap_or_default()
     }
 
     /// Total objects transferred across processes.
@@ -2498,18 +2492,18 @@ mod tests {
     #[test]
     fn summary_aggregates_serial_and_parallel_durations() {
         let mut summary = TransferSummary::default();
-        summary.push(ProcessTransferReport {
+        summary.per_process.push(ProcessTransferReport {
             duration: SimDuration(300),
             objects_transferred: 2,
             ..Default::default()
         });
-        summary.push(ProcessTransferReport {
+        summary.per_process.push(ProcessTransferReport {
             duration: SimDuration(500),
             bytes_transferred: 64,
             ..Default::default()
         });
-        assert_eq!(summary.serial_duration, SimDuration(800));
-        assert_eq!(summary.parallel_duration, SimDuration(500));
+        assert_eq!(summary.serial_duration(), SimDuration(800));
+        assert_eq!(summary.parallel_duration(), SimDuration(500));
         assert_eq!(summary.objects_transferred(), 2);
         assert_eq!(summary.bytes_transferred(), 64);
         assert_eq!(summary.conflicts().count(), 0);

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example live_update_httpd`
 
-use mcr_core::runtime::{boot, live_update, BootOptions, UpdateOptions};
+use mcr_core::runtime::{boot, live_update, BootOptions, PhaseName, UpdateOptions};
 use mcr_procsim::Kernel;
 use mcr_servers::{install_standard_files, programs};
 use mcr_typemeta::InstrumentationConfig;
@@ -39,15 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  processes matched / recreated   : {} / {}",
         report.processes_matched, report.processes_recreated
     );
-    println!("  quiescence                      : {:.3} ms", report.timings.quiescence.as_millis_f64());
-    println!(
-        "  control migration               : {:.3} ms",
-        report.timings.control_migration.as_millis_f64()
-    );
+    let phase_ms = |name| report.phases.duration_of(name).unwrap_or_default().as_millis_f64();
+    println!("  quiescence                      : {:.3} ms", phase_ms(PhaseName::Quiesce));
+    println!("  control migration               : {:.3} ms", phase_ms(PhaseName::ReinitReplay));
     println!("  state transfer (modelled)       : {:.3} ms", report.timings.state_transfer.as_millis_f64());
     println!(
         "  state transfer (serial)         : {:.3} ms",
-        report.timings.state_transfer_serial.as_millis_f64()
+        report.transfer.serial_duration().as_millis_f64()
     );
     println!("  objects transferred             : {}", report.transfer.objects_transferred());
     println!("  bytes transferred               : {}", report.transfer.bytes_transferred());

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mcr_core::runtime::{boot, live_update, run_rounds, BootOptions, UpdateOptions};
+use mcr_core::runtime::{boot, live_update, run_rounds, BootOptions, PhaseName, UpdateOptions};
 use mcr_procsim::Kernel;
 use mcr_servers::{install_standard_files, programs};
 use mcr_typemeta::InstrumentationConfig;
@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "update committed={} quiescence={:.3}ms control-migration={:.3}ms state-transfer={:.3}ms",
         outcome.is_committed(),
-        report.timings.quiescence.as_millis_f64(),
-        report.timings.control_migration.as_millis_f64(),
+        report.phases.duration_of(PhaseName::Quiesce).unwrap_or_default().as_millis_f64(),
+        report.phases.duration_of(PhaseName::ReinitReplay).unwrap_or_default().as_millis_f64(),
         report.timings.state_transfer.as_millis_f64(),
     );
 

@@ -202,14 +202,15 @@ fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
     assert!(pairs >= 4, "per-connection sessions give at least four pairs (got {pairs})");
     assert_eq!(report.transfer.workers, pairs, "default is one worker per pair");
     assert_eq!(
-        report.timings.state_transfer, report.transfer.parallel_duration,
+        report.timings.state_transfer,
+        report.transfer.parallel_duration(),
         "one worker per pair: the slowest pair bounds the phase"
     );
     assert!(
-        report.timings.state_transfer < report.timings.state_transfer_serial,
+        report.timings.state_transfer < report.transfer.serial_duration(),
         "parallel {} ns must beat serial {} ns",
         report.timings.state_transfer.0,
-        report.timings.state_transfer_serial.0
+        report.transfer.serial_duration().0
     );
 
     for (program, requests, open) in [("vsftpd", 2, 3), ("vsftpd", 4, 8), ("sshd", 4, 6), ("nginx", 4, 6)] {
@@ -217,7 +218,7 @@ fn parallel_state_transfer_beats_serial_with_four_or_more_pairs() {
             let report = update_with_workers(program, requests, open, workers);
             let ctx = format!("{program} {requests}/{open} workers={workers}");
             let pairs = report.processes_matched + report.processes_recreated;
-            let (makespan, pair_sum) = (report.timings.state_transfer, report.transfer.serial_duration);
+            let (makespan, pair_sum) = (report.timings.state_transfer, report.transfer.serial_duration());
             if program != "nginx" {
                 assert!(pairs >= 4, "{ctx}: expected a multiprocess spec, got {pairs} pairs");
             }
@@ -460,8 +461,8 @@ fn rolled_back_report_traces_executed_prefix() {
     );
     let executed: Vec<PhaseName> = outcome.report().phases.records().iter().map(|r| r.name).collect();
     assert_eq!(executed, vec![PhaseName::Quiesce, PhaseName::ReinitReplay, PhaseName::MatchProcesses]);
-    assert!(outcome.report().timings.quiescence.0 > 0);
-    assert!(outcome.report().timings.control_migration.0 > 0);
+    assert!(outcome.report().phases.duration_of(PhaseName::Quiesce).unwrap().0 > 0);
+    assert!(outcome.report().phases.duration_of(PhaseName::ReinitReplay).unwrap().0 > 0);
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn precopy_row(scenario: &str, size: u64, mode: &str, (fingerprint, outcome): &(
         ("residual_objects", report.precopy.residual.objects.into()),
         ("residual_bytes", report.precopy.residual.bytes.into()),
         ("downtime_ns", report.timings.downtime.0.into()),
-        ("precopy_ns", report.timings.precopy.0.into()),
+        ("precopy_ns", report.phases.duration_of(PhaseName::Precopy).unwrap_or_default().0.into()),
         ("total_ns", report.timings.total.0.into()),
         ("state_transfer_ns", report.timings.state_transfer.0.into()),
         ("objects_transferred", report.transfer.objects_transferred().into()),
@@ -99,7 +99,8 @@ fn precopy_report_halves_read_mostly_downtime_and_matches_bench_precopy_json() {
                     "{label}: downtime {pre_down} ns not <= 50% of {base_down} ns"
                 );
             }
-            assert!(pre.timings.precopy.0 > 0 && pre_down <= pre.timings.total.0, "{label}: time split");
+            let pre_precopy = pre.phases.duration_of(PhaseName::Precopy).unwrap_or_default();
+            assert!(pre_precopy.0 > 0 && pre_down <= pre.timings.total.0, "{label}: time split");
             assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty(), "{label}");
             let phases = |r: &UpdateReport| r.phases.records().iter().map(|p| p.name).collect::<Vec<_>>();
             assert_eq!(phases(pre), PhaseName::PRECOPY_ALL, "{label}: six-phase pre-copy order");
@@ -132,7 +133,10 @@ fn adaptive_row(
         ("pairs", (pairs(report) as u64).into()),
         ("downtime_ns", report.timings.downtime.0.into()),
         ("trap_service_ns", report.timings.trap_service.0.into()),
-        ("postcopy_drain_ns", report.timings.postcopy_drain.0.into()),
+        (
+            "postcopy_drain_ns",
+            report.phases.duration_of(PhaseName::PostcopyDrain).unwrap_or_default().0.into(),
+        ),
         ("total_ns", report.timings.total.0.into()),
         ("state_transfer_ns", report.timings.state_transfer.0.into()),
         ("synced_pairs", (report.postcopy.synced_pairs as u64).into()),
