@@ -42,32 +42,11 @@ use mcr_workload::{open_idle_connections, workload_for};
 
 use crate::{boot_program, kernel_fingerprint, run_standard_workload, Json};
 
-/// The transfer mode a campaign cell runs the update pipeline in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosMode {
-    /// Classic synchronous pipeline: quiesce, transfer everything, commit.
-    StopTheWorld,
-    /// Concurrent pre-copy rounds before the barrier, residual inside it.
-    Precopy,
-    /// Post-copy: commit early, retire the residual behind traps while the
-    /// new version serves (exercises fault-in and drain-step sites).
-    Postcopy,
-}
-
-impl ChaosMode {
-    /// Stable label for logs and JSON rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosMode::StopTheWorld => "stop-the-world",
-            ChaosMode::Precopy => "precopy",
-            ChaosMode::Postcopy => "postcopy",
-        }
-    }
-}
-
 /// Every transfer mode the campaign sweeps, in row order (a mode's index
-/// seeds its random schedules).
-pub const CONFIGS: [ChaosMode; 3] = [ChaosMode::StopTheWorld, ChaosMode::Precopy, ChaosMode::Postcopy];
+/// seeds its random schedules). Post-copy exercises the fault-in and
+/// drain-step sites.
+pub const CONFIGS: [TransferMode; 3] =
+    [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy];
 
 /// Campaign sizing: scenario, schedule counts and determinism-check cadence.
 #[derive(Debug, Clone, Copy)]
@@ -123,7 +102,7 @@ impl ChaosSpec {
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
     /// The transfer mode swept.
-    pub mode: ChaosMode,
+    pub mode: TransferMode,
     /// The enumerated site space of the clean dry run.
     pub catalog: FaultCatalog,
     /// Schedules injected.
@@ -181,20 +160,12 @@ impl ConfigOutcome {
     }
 }
 
-fn options_for(mode: ChaosMode) -> UpdateOptions {
+fn options_for(mode: TransferMode) -> UpdateOptions {
     // The campaign's simulated timings (`BENCH_chaos.json`) are charged at
-    // the serial sum.
-    let base = UpdateOptions { transfer_workers: 1, ..Default::default() };
-    match mode {
-        ChaosMode::StopTheWorld => UpdateOptions { precopy: PrecopyOptions::disabled(), ..base },
-        ChaosMode::Precopy => UpdateOptions {
-            precopy: PrecopyOptions { rounds: 2, convergence_bytes: 0, serve_rounds: 1 },
-            ..base
-        },
-        ChaosMode::Postcopy => {
-            UpdateOptions { mode: TransferMode::Postcopy, precopy: PrecopyOptions::disabled(), ..base }
-        }
-    }
+    // the serial sum; only the pre-copy cell runs (two) rounds.
+    let rounds = if mode == TransferMode::Precopy { 2 } else { 0 };
+    let precopy = PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 };
+    UpdateOptions { transfer_workers: 1, precopy, mode, ..Default::default() }
 }
 
 /// Boots the scenario to the exact pre-update state every campaign run
@@ -208,7 +179,7 @@ fn setup(spec: &ChaosSpec) -> (Kernel, McrInstance) {
 }
 
 /// Clean dry run: commits and yields the mode's [`FaultCatalog`].
-pub fn enumerate_sites(spec: &ChaosSpec, mode: ChaosMode) -> FaultCatalog {
+pub fn enumerate_sites(spec: &ChaosSpec, mode: TransferMode) -> FaultCatalog {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let (_v2, outcome) = UpdatePipeline::for_options(&opts).run(
@@ -235,7 +206,7 @@ pub struct VerifyResult {
 }
 
 /// Runs one schedule and checks the byte-identical-rollback property.
-pub fn verify_rollback(spec: &ChaosSpec, mode: ChaosMode, plan: &ChaosPlan) -> VerifyResult {
+pub fn verify_rollback(spec: &ChaosSpec, mode: TransferMode, plan: &ChaosPlan) -> VerifyResult {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
@@ -273,7 +244,7 @@ pub(crate) struct SupervisedResult {
 /// attempts and later attempts clean.
 pub(crate) fn supervised_run(
     spec: &ChaosSpec,
-    mode: ChaosMode,
+    mode: TransferMode,
     plan: &ChaosPlan,
     faulty_attempts: usize,
     policy: &SupervisorPolicy,
@@ -304,12 +275,12 @@ pub(crate) fn supervised_run(
 /// its audit unchanged, accepting connections. Post-copy pipelines commit
 /// at `PostcopyCommit` (there is no `Commit` phase to fault), so the drill
 /// targets both.
-fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
+fn give_up_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let audit = v1.audit(&kernel);
     let program = spec.program;
-    let policy = SupervisorPolicy { max_attempts: 2, ..SupervisorPolicy::default() };
+    let policy = SupervisorPolicy { max_attempts: 2 };
     let (mut survivor, outcome) = supervised_update(
         &mut kernel,
         v1,
@@ -333,7 +304,7 @@ fn give_up_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
 /// Watchdog drill: 1 ns phase budgets make the very first phase overrun;
 /// the pipeline must roll back with a watchdog conflict, an identical
 /// fingerprint and an unchanged audit.
-fn watchdog_drill(spec: &ChaosSpec, mode: ChaosMode) -> bool {
+fn watchdog_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
     let before = kernel_fingerprint(&kernel);
@@ -374,7 +345,7 @@ fn spread(total: u64, max: usize) -> (Vec<u64>, bool) {
 
 /// Runs the full sweep for one mode; `config_index` (its index in
 /// [`CONFIGS`]) seeds the random schedules.
-pub(crate) fn run_config(spec: &ChaosSpec, mode: ChaosMode, config_index: u64) -> ConfigOutcome {
+pub(crate) fn run_config(spec: &ChaosSpec, mode: TransferMode, config_index: u64) -> ConfigOutcome {
     let catalog = enumerate_sites(spec, mode);
     let mut capped = Vec::new();
 
@@ -522,7 +493,7 @@ pub fn chaos_json(spec: &ChaosSpec, rows: &[ConfigOutcome]) -> Json {
                     .map(|r| {
                         Json::obj([
                             ("mode", Json::str(r.mode.label())),
-                            ("precopy", Json::Bool(r.mode == ChaosMode::Precopy)),
+                            ("precopy", Json::Bool(r.mode == TransferMode::Precopy)),
                             ("sites_enumerated", r.catalog.total_sites().into()),
                             ("boundary_sites", (r.catalog.boundaries.len() as u64).into()),
                             ("transfer_object_sites", r.catalog.transfer_objects.into()),

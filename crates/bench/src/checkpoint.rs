@@ -91,7 +91,7 @@ impl CheckpointSpec {
     }
 
     fn options(&self) -> CheckpointOptions {
-        CheckpointOptions { shard_writers: self.shard_writers, ..CheckpointOptions::default() }
+        CheckpointOptions { shard_writers: self.shard_writers }
     }
 }
 

@@ -40,8 +40,8 @@ pub(crate) mod json;
 pub(crate) mod microbench;
 
 pub use chaos::{
-    chaos_json, enumerate_sites, run_campaign, verify_rollback, ChaosMode, ChaosSpec, ConfigOutcome,
-    VerifyResult, CONFIGS,
+    chaos_json, enumerate_sites, run_campaign, verify_rollback, ChaosSpec, ConfigOutcome, VerifyResult,
+    CONFIGS,
 };
 pub use checkpoint::{checkpoint_json, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec};
 pub use fleet::{FleetServer, FLEET_PORT};
@@ -297,9 +297,7 @@ pub fn adaptive_update(
 fn trace_instance(kernel: &Kernel, instance: &McrInstance) -> TracingStats {
     let mut stats = TracingStats::default();
     for &pid in &instance.state.processes {
-        if let Ok(result) =
-            mcr_core::tracing::trace_process(kernel, &instance.state, pid, TraceOptions::default())
-        {
+        if let Ok(result) = mcr_core::tracing::trace_process(kernel, &instance.state, pid, TraceOptions) {
             stats.merge(&result.stats);
         }
     }

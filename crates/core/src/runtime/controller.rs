@@ -23,7 +23,6 @@ use crate::program::Program;
 use crate::runtime::pipeline::UpdatePipeline;
 use crate::runtime::report::UpdateReport;
 use crate::runtime::scheduler::McrInstance;
-use crate::tracing::tracer::TraceOptions;
 
 /// Knobs of the iterative pre-copy phase (live-migration style): how many
 /// concurrent trace-and-copy rounds run before the world stops, and when
@@ -80,6 +79,15 @@ pub enum TransferMode {
 }
 
 impl TransferMode {
+    /// Stable label for logs and report rows.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TransferMode::StopTheWorld => "stop-the-world",
+            TransferMode::Precopy => "precopy",
+            TransferMode::Postcopy => "postcopy",
+        }
+    }
+
     /// Former name of a per-pair mode that equalled [`TransferMode::Postcopy`]
     /// on every measured point; it survives only as that alias because the
     /// `benchmark/` package still names it.
@@ -88,19 +96,20 @@ impl TransferMode {
 }
 
 /// Options for one live-update attempt.
+///
+/// What the runtime can work out itself is not an option: the new
+/// version's layout slide is the old instance's plus 2^32 (see
+/// [`UpdatePipeline`]), the barrier protocol has a fixed round budget, and
+/// tracing runs with the paper's settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateOptions {
-    /// ASLR-style slide applied to the new version's private regions (must
-    /// keep old and new heaps disjoint).
-    pub layout_slide: u64,
-    /// Maximum scheduling rounds the barrier protocol may take.
-    pub max_quiesce_rounds: usize,
-    /// Mutable-tracing options.
-    pub trace: TraceOptions,
     /// Recreate counterparts for old processes that the new version's
     /// startup did not spawn (per-connection worker processes, i.e. volatile
     /// quiescent points). Requires the corresponding annotations in real
-    /// deployments; disable to model an annotation-free deployment.
+    /// deployments; `false` is the paper's annotation-free ablation, which
+    /// rolls back for per-connection servers (`tests/live_update_integration.rs`,
+    /// `annotation_free_deployment_rolls_back_for_per_connection_servers`,
+    /// reproduces that claim).
     pub recreate_unmatched_processes: bool,
     /// Modelled workers of the trace/transfer phase — an input of the cost
     /// model only. The pairs always run one after the other on the calling
@@ -171,9 +180,6 @@ impl UpdateOptions {
 impl Default for UpdateOptions {
     fn default() -> Self {
         UpdateOptions {
-            layout_slide: 0x1_0000_0000,
-            max_quiesce_rounds: 1_000,
-            trace: TraceOptions::default(),
             recreate_unmatched_processes: true,
             transfer_workers: 0,
             intra_pair_shards: 1,
@@ -420,18 +426,19 @@ mod tests {
     fn repeated_updates_chain_through_replayed_logs() {
         let mut kernel = Kernel::new();
         let mut instance = booted_v1(&mut kernel);
+        let slide = |k: &Kernel, i: &McrInstance| k.process(i.init_pid().unwrap()).unwrap().layout().slide();
         for generation in 2..=4u32 {
             serve_clients(&mut kernel, &mut instance, 1);
-            let opts =
-                UpdateOptions { layout_slide: 0x1_0000_0000 * u64::from(generation), ..Default::default() };
+            let before = slide(&kernel, &instance);
             let (next, outcome) = live_update(
                 &mut kernel,
                 instance,
                 Box::new(TinyServer::new(generation)),
                 InstrumentationConfig::full(),
-                &opts,
+                &UpdateOptions::default(),
             );
             assert!(outcome.is_committed(), "gen {generation}: {:?}", outcome.conflicts());
+            assert_eq!(slide(&kernel, &next), before + 0x1_0000_0000, "gen {generation} slides 2^32 on");
             instance = next;
         }
         assert_eq!(instance.state.version, "4.0");
@@ -448,8 +455,8 @@ mod tests {
         let mut v1 = booted_v1(&mut kernel);
         serve_clients(&mut kernel, &mut v1, 2);
 
-        let pipeline =
-            UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(PhaseName::Commit).plan());
+        let pipeline = UpdatePipeline::for_options(&UpdateOptions::default())
+            .with_fault_plan(FaultSite::Boundary(PhaseName::Commit).plan());
         let (mut still_v1, outcome) = pipeline.run(
             &mut kernel,
             v1,

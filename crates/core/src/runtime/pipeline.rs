@@ -8,8 +8,9 @@
 //! 1. [`PhaseName::Quiesce`] — park every old-version thread at its
 //!    quiescent point (the barrier).
 //! 2. [`PhaseName::ReinitReplay`] — boot the new version under mutable
-//!    reinitialization: replay the recorded startup log, inherit descriptors
-//!    and virtualized pids, and park the new version's threads.
+//!    reinitialization, its private regions slid 2^32 past the old
+//!    instance's: replay the recorded startup log, inherit descriptors and
+//!    virtualized pids, and park the new version's threads.
 //! 3. [`PhaseName::MatchProcesses`] — pair old processes with new-version
 //!    counterparts by creation-time call-stack ID, optionally recreating
 //!    counterparts for volatile quiescent points.
@@ -218,7 +219,8 @@
 //! attaches one sim-clock watchdog budget: a phase that overruns it aborts
 //! the update with [`Conflict::WatchdogExpired`] and rolls back. `Commit`
 //! and `PostcopyDrain` are exempt — both end past the point of no return,
-//! where there is no rollback left to promise.
+//! where there is no rollback left to promise. The budget is the pipeline
+//! caller's to set; the supervisor's retry ladder runs without one.
 //!
 //! Every failure, injected or organic, funnels through the same rollback
 //! guard, which is what the chaos engine verifies at scale:
@@ -362,6 +364,14 @@ pub type PrecopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
 /// the argument is the 1-based drain round that just served.
 pub(crate) type PostcopyHook = Box<dyn FnMut(&mut Kernel, &mut McrInstance, usize)>;
 
+/// How far each update slides the new version's private regions past the
+/// old instance's: 4 GiB keeps old and new heaps disjoint.
+const SLIDE_STEP: u64 = 0x1_0000_0000;
+
+/// Scheduling rounds the barrier protocol may take, for the old version in
+/// `Quiesce` and for the new one at the end of `ReinitReplay`.
+const MAX_QUIESCE_ROUNDS: usize = 1_000;
+
 /// Simulated cost of one access-trap round trip (the userfaultfd-style
 /// kernel bounce), charged to
 /// [`UpdateTimings::trap_service`](crate::runtime::report::UpdateTimings)
@@ -455,6 +465,11 @@ const POSTCOPY_ALL: [PhaseName; 6] = [
 /// An ordered list of phases plus what one run of them takes besides the
 /// instances: a [`ChaosPlan`], a watchdog budget, the durable checkpoint's
 /// store and the between-rounds hooks. [`UpdatePipeline::run`] consumes it.
+///
+/// The new version boots 2^32 past the old instance's layout slide, so a
+/// chain of updates (restored instances included) never revisits a layout:
+/// an object pinned at an earlier generation's address lives on in an
+/// `inherited:` region no later generation may overlap.
 pub struct UpdatePipeline {
     phases: Vec<PhaseName>,
     fault_plan: ChaosPlan,
@@ -495,12 +510,6 @@ impl UpdatePipeline {
         }
     }
 
-    /// The paper's standard pipeline ([`PhaseName::ALL`]): quiesce →
-    /// reinit/replay → match → trace/transfer → commit.
-    pub fn standard() -> Self {
-        Self::new(&PhaseName::ALL)
-    }
-
     /// The pipeline the options call for. In `Postcopy` mode: pre-copy's
     /// first four phases, then [`PhaseName::PostcopyCommit`] and
     /// [`PhaseName::PostcopyDrain`] — quiesce only long enough to commit
@@ -510,11 +519,11 @@ impl UpdatePipeline {
     /// [`PhaseName::PRECOPY_ALL`] when pre-copy rounds are enabled (boot and
     /// match the new version while the old one serves, copy the bulk of the
     /// state concurrently, quiesce only for the residual dirty delta), and
-    /// [`UpdatePipeline::standard`] as the classic default.
+    /// [`PhaseName::ALL`] as the classic default.
     pub fn for_options(opts: &UpdateOptions) -> Self {
         match opts.mode {
             TransferMode::Postcopy => Self::new(&POSTCOPY_ALL),
-            TransferMode::StopTheWorld if !opts.precopy.is_enabled() => Self::standard(),
+            TransferMode::StopTheWorld if !opts.precopy.is_enabled() => Self::new(&PhaseName::ALL),
             TransferMode::StopTheWorld | TransferMode::Precopy => Self::new(&PhaseName::PRECOPY_ALL),
         }
     }
@@ -677,21 +686,20 @@ impl UpdatePipeline {
                 break;
             }
             // Watchdog: a completed phase that overran its sim-time budget
-            // aborts the attempt. Commit and the drain are exempt — both
-            // already happened, and nothing past commit is reversible.
-            if let Some(budget) = deadline {
-                if duration > budget && !matches!(name, PhaseName::Commit | PhaseName::PostcopyDrain) {
-                    failure = Some(
-                        Conflict::WatchdogExpired {
-                            phase: name.label().into(),
-                            budget_ns: budget.0,
-                            spent_ns: duration.0,
-                        }
-                        .into(),
-                    );
-                    failing_phase = Some(name);
-                    break;
-                }
+            // aborts the attempt. A phase that committed (`Commit`, or the
+            // drain, whose last act commits) is past the point of no return:
+            // the committed outcome below takes precedence over this failure.
+            if let Some(budget) = deadline.filter(|&budget| duration > budget) {
+                failure = Some(
+                    Conflict::WatchdogExpired {
+                        phase: name.label().into(),
+                        budget_ns: budget.0,
+                        spent_ns: duration.0,
+                    }
+                    .into(),
+                );
+                failing_phase = Some(name);
+                break;
             }
         }
         ctx.kernel.disarm_syscall_fault();
@@ -715,7 +723,8 @@ impl UpdatePipeline {
         };
         if ctx.committed {
             // Commit is the point of no return: the old version's processes
-            // are gone, so the new version is the one running.
+            // are gone, so the new version is the one running — even when the
+            // watchdog found the committing phase over its budget.
             let new_instance =
                 ctx.new_instance.take().expect("a committed pipeline leaves the new instance in the context");
             return (new_instance, UpdateOutcome::Committed(ctx.report));
@@ -769,7 +778,7 @@ impl UpdatePipeline {
 /// Phase 1 — the barrier: drive the barrier protocol until every
 /// old-version thread is parked at its quiescent point.
 fn quiesce(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
-    wait_quiescence(ctx.kernel, &mut ctx.old, ctx.opts.max_quiesce_rounds)?;
+    wait_quiescence(ctx.kernel, &mut ctx.old, MAX_QUIESCE_ROUNDS)?;
     ctx.report.open_connections = ctx.kernel.open_connection_count();
     Ok(())
 }
@@ -818,8 +827,9 @@ fn reinit_replay(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         .new_program
         .take()
         .ok_or_else(|| McrError::InvalidState("pipeline has no program to boot".into()))?;
-    let boot_opts =
-        BootOptions { config: ctx.config, layout_slide: ctx.opts.layout_slide, start_quiesced: true };
+    let old_init = ctx.old.init_pid()?;
+    let layout_slide = ctx.kernel.process(old_init).map_err(McrError::Sim)?.layout().slide() + SLIDE_STEP;
+    let boot_opts = BootOptions { config: ctx.config, layout_slide, start_quiesced: true };
     let interposer = Interposer::replayer(ctx.old.state.interpose.recorded_log());
     let new_instance = create_instance(ctx.kernel, new_program, interposer, &boot_opts)?;
     let new_init = new_instance.init_pid()?;
@@ -842,9 +852,8 @@ fn reinit_replay(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
     }
     // Pid virtualization: the new initial process observes the old
     // initial process's pid.
-    let old_init = old_pids[0];
     let old_virt = ctx.old.state.interpose.virtual_pid(old_init);
-    let UpdateCtx { kernel, new_instance, opts, report, .. } = ctx;
+    let UpdateCtx { kernel, new_instance, report, .. } = ctx;
     let new_instance = new_instance.as_mut().expect("created above");
     new_instance.state.interpose.map_pid(old_virt, new_init);
 
@@ -860,7 +869,7 @@ fn reinit_replay(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         return Err(McrError::Conflicts(omission_conflicts));
     }
     // Park every new-version thread at its quiescent point.
-    wait_quiescence(kernel, new_instance, opts.max_quiesce_rounds)?;
+    wait_quiescence(kernel, new_instance, MAX_QUIESCE_ROUNDS)?;
     report.replay = new_instance.state.interpose.stats();
     Ok(())
 }
@@ -903,14 +912,14 @@ fn trace_and_transfer_pair<R>(
         &TraceResult,
     ) -> McrResult<R>,
 ) -> McrResult<(TracingStats, R)> {
-    let UpdateCtx { kernel, old, new_instance, opts, pairs, plan, pair_precopy, .. } = ctx;
+    let UpdateCtx { kernel, old, new_instance, pairs, plan, pair_precopy, .. } = ctx;
     let new_state = &new_instance.as_ref().expect("matched pairs imply an instance").state;
     let plan = plan.as_ref().expect("the calling phase ensured the plan");
     let mut split = kernel.split_pairs(&pairs[index..=index]).map_err(McrError::Sim)?;
     let (old_proc, new_proc) = split.pop().expect("one pair requested");
     let mut standalone = PairPrecopyState { delta: DeltaPlan::new(), trace: None };
     let PairPrecopyState { delta, trace } = pair_precopy.get_mut(index).unwrap_or(&mut standalone);
-    let tracer = Tracer::for_process(old_proc, &old.state, opts.trace);
+    let tracer = Tracer::for_process(old_proc, &old.state);
     let trace = match trace {
         None => trace.insert(tracer.trace()),
         Some(trace) => {

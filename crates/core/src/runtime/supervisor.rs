@@ -5,13 +5,13 @@
 //! MCR's safety claim is that a failed update is never fatal — it rolls
 //! back. The supervisor turns that into a *liveness* property: a rolled-back
 //! update is retried with exponential backoff on the virtual clock (the old
-//! instance keeps serving between attempts), the configuration degrades on
-//! failure (pre-copy or post-copy → stop-the-world), every phase before the
-//! point of no return runs under one sim-time watchdog budget
-//! ([`UpdatePipeline::with_uniform_phase_deadline`]), and after
-//! [`SupervisorPolicy::max_attempts`] the supervisor gives up cleanly with
-//! the full attempt history embedded in the final
-//! [`UpdateReport::attempts`].
+//! instance keeps serving `SERVE_ROUNDS_BETWEEN_ATTEMPTS` scheduler rounds
+//! between attempts), the configuration degrades on failure (pre-copy or
+//! post-copy → stop-the-world), and after [`SupervisorPolicy::max_attempts`]
+//! the supervisor gives up cleanly with the full attempt history embedded in
+//! the final [`UpdateReport::attempts`]. The ladder sets no watchdog budget:
+//! a caller that wants one runs the pipeline itself with
+//! [`UpdatePipeline::with_uniform_phase_deadline`].
 //!
 //! Everything is driven by the simulated clock, so a supervised update is
 //! exactly as deterministic as a bare pipeline run: same kernel, same
@@ -111,45 +111,39 @@ pub struct AttemptSummary {
     pub recovered: bool,
 }
 
+/// The backoff slept after the first failed attempt: one simulated
+/// millisecond. Each later one doubles it.
+const BASE_BACKOFF: SimDuration = SimDuration(1_000_000);
+
 /// Ceiling on a single inter-attempt backoff: one simulated minute. Deep
 /// retry ladders plateau here instead of overflowing the `<<` doubling (a
 /// shift past 63 panics in debug, and value bits wrap long before that) or
 /// stalling the virtual clock for geological spans.
 pub(crate) const MAX_BACKOFF: SimDuration = SimDuration(60_000_000_000);
 
+/// Scheduler rounds the old instance serves between attempts, so clients
+/// keep getting answers while the supervisor waits.
+const SERVE_ROUNDS_BETWEEN_ATTEMPTS: usize = 2;
+
 /// Exponential backoff slept after the 1-based `attempt`:
-/// `base << (attempt - 1)`, saturating and clamped to [`MAX_BACKOFF`] so
-/// the ladder stays monotone for arbitrarily large attempt counts.
-fn backoff_for_attempt(base: SimDuration, attempt: usize) -> SimDuration {
+/// `BASE_BACKOFF << (attempt - 1)` on the virtual clock — deterministic, no
+/// host time involved — saturating and clamped to [`MAX_BACKOFF`] so the
+/// ladder stays monotone for arbitrarily large attempt counts.
+fn backoff_for_attempt(attempt: usize) -> SimDuration {
     let exp = attempt.saturating_sub(1).min(63) as u32;
-    SimDuration(base.0.saturating_mul(1u64 << exp).min(MAX_BACKOFF.0))
+    SimDuration(BASE_BACKOFF.0.saturating_mul(1u64 << exp).min(MAX_BACKOFF.0))
 }
 
-/// Retry/backoff/degradation policy of [`supervised_update`].
+/// Retry policy of [`supervised_update`].
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorPolicy {
     /// Give up (returning the last rollback) after this many attempts.
     pub max_attempts: usize,
-    /// Backoff before retry `k+1` is `base_backoff << (k-1)` on the virtual
-    /// clock — deterministic, no host time involved — capped at
-    /// `MAX_BACKOFF`.
-    pub base_backoff: SimDuration,
-    /// Scheduler rounds the old instance serves between attempts, so
-    /// clients keep getting answers while the supervisor waits.
-    pub serve_rounds_between_attempts: usize,
-    /// Optional per-phase watchdog budget applied to every attempt (see
-    /// [`UpdatePipeline::with_uniform_phase_deadline`]).
-    pub phase_deadline: Option<SimDuration>,
 }
 
 impl Default for SupervisorPolicy {
     fn default() -> Self {
-        SupervisorPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration(1_000_000), // 1 simulated millisecond
-            serve_rounds_between_attempts: 2,
-            phase_deadline: None,
-        }
+        SupervisorPolicy { max_attempts: 3 }
     }
 }
 
@@ -166,9 +160,8 @@ impl Default for SupervisorPolicy {
 ///
 /// The returned outcome is the last attempt's, with
 /// [`UpdateReport::attempts`] rewritten to the full ladder history. Between
-/// attempts the old instance serves
-/// [`SupervisorPolicy::serve_rounds_between_attempts`] scheduler rounds, so
-/// traffic keeps flowing across failures.
+/// attempts the old instance serves two scheduler rounds, so traffic keeps
+/// flowing across failures.
 pub fn supervised_update(
     kernel: &mut Kernel,
     old: McrInstance,
@@ -269,9 +262,6 @@ fn run_ladder(
         if let Some(Durable { store, ckpt_opts, .. }) = &durable {
             pipeline = pipeline.with_checkpoint(Rc::clone(store), *ckpt_opts);
         }
-        if let Some(budget) = policy.phase_deadline {
-            pipeline = pipeline.with_uniform_phase_deadline(budget);
-        }
         let started_at = kernel.now();
         let (next_instance, outcome) = pipeline.run(kernel, instance, new_program(), config, &tier_opts);
         instance = next_instance;
@@ -309,8 +299,7 @@ fn run_ladder(
             }
         }
         let giving_up = attempt == max_attempts || unrecoverable;
-        let backoff =
-            if giving_up { SimDuration(0) } else { backoff_for_attempt(policy.base_backoff, attempt) };
+        let backoff = if giving_up { SimDuration(0) } else { backoff_for_attempt(attempt) };
         attempts.push(AttemptSummary {
             tier,
             committed: false,
@@ -328,7 +317,7 @@ fn run_ladder(
         // serving: rollback (or the revival) restored it, so clients see
         // answers (from the old version) across the whole ladder.
         kernel.advance_clock(backoff);
-        let _ = run_rounds(kernel, &mut instance, policy.serve_rounds_between_attempts);
+        let _ = run_rounds(kernel, &mut instance, SERVE_ROUNDS_BETWEEN_ATTEMPTS);
     }
     unreachable!("loop returns on the final attempt");
 }
@@ -394,17 +383,14 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_saturates_at_the_cap_without_overflow() {
-        let base = SimDuration(1_000_000); // the default 1 ms
-        assert_eq!(backoff_for_attempt(base, 1), base);
-        assert_eq!(backoff_for_attempt(base, 2), SimDuration(2_000_000));
-        assert_eq!(backoff_for_attempt(base, 5), SimDuration(16_000_000));
+        assert_eq!(backoff_for_attempt(1), BASE_BACKOFF);
+        assert_eq!(backoff_for_attempt(2), SimDuration(2_000_000));
+        assert_eq!(backoff_for_attempt(5), SimDuration(16_000_000));
         // Deep ladders plateau at the cap instead of wrapping (~attempt 45
-        // with a 1 ms base) or panicking on a >= 64-bit shift (attempt 65+).
-        assert_eq!(backoff_for_attempt(base, 45), MAX_BACKOFF);
-        assert_eq!(backoff_for_attempt(base, 65), MAX_BACKOFF);
-        assert_eq!(backoff_for_attempt(base, usize::MAX), MAX_BACKOFF);
-        assert_eq!(backoff_for_attempt(SimDuration(u64::MAX), 2), MAX_BACKOFF);
-        assert_eq!(backoff_for_attempt(SimDuration(0), 100), SimDuration(0));
+        // with the 1 ms base) or panicking on a >= 64-bit shift (attempt 65+).
+        assert_eq!(backoff_for_attempt(45), MAX_BACKOFF);
+        assert_eq!(backoff_for_attempt(65), MAX_BACKOFF);
+        assert_eq!(backoff_for_attempt(usize::MAX), MAX_BACKOFF);
     }
 
     #[test]
@@ -472,7 +458,7 @@ mod tests {
         let mut kernel = Kernel::new();
         let mut instance = booted(&mut kernel);
         drive_traffic(&mut kernel, &mut instance, 2);
-        let policy = SupervisorPolicy { max_attempts: 2, ..SupervisorPolicy::default() };
+        let policy = SupervisorPolicy { max_attempts: 2 };
         let (mut instance, outcome) = supervised_update(
             &mut kernel,
             instance,
@@ -674,36 +660,38 @@ mod tests {
             vec![ReinitReplay, MatchProcesses, Precopy, Quiesce, Checkpoint, TraceAndTransfer, Commit],
             vec![ReinitReplay, MatchProcesses, Precopy, Quiesce, Checkpoint, PostcopyCommit, PostcopyDrain],
         ];
-        let run = |opts: &UpdateOptions, phase_deadline: Option<SimDuration>| {
+        let setup = || {
             let mut kernel = Kernel::new();
             let mut instance = booted(&mut kernel);
             drive_traffic(&mut kernel, &mut instance, 3);
-            let store: Rc<RefCell<MemStore>> = Rc::new(RefCell::new(MemStore::new()));
-            let (_instance, outcome) = supervised_update_durable(
+            let store: Rc<RefCell<dyn Store>> = Rc::new(RefCell::new(MemStore::new()));
+            (kernel, instance, store)
+        };
+        for ((mode, precopy), expected) in modes.into_iter().zip(expected_orders) {
+            let opts = UpdateOptions { mode, precopy, ..UpdateOptions::default() };
+            let (mut kernel, instance, store) = setup();
+            let (_instance, clean) = supervised_update_durable(
                 &mut kernel,
                 instance,
                 || Box::new(TinyServer::new(1)),
                 || Box::new(TinyServer::new(2)),
                 InstrumentationConfig::full(),
-                opts,
-                &SupervisorPolicy { phase_deadline, ..SupervisorPolicy::default() },
-                store as Rc<RefCell<dyn Store>>,
+                &opts,
+                &SupervisorPolicy::default(),
+                store,
                 CheckpointOptions::default(),
                 |_| ChaosPlan::none(),
             );
-            outcome
-        };
-        for ((mode, precopy), expected) in modes.into_iter().zip(expected_orders) {
-            let opts = UpdateOptions { mode, precopy, ..UpdateOptions::default() };
-            let clean = run(&opts, None);
             assert!(clean.is_committed(), "{mode:?}: {:?}", clean.conflicts());
             let report = clean.report();
             assert_eq!(report.attempts.len(), 1, "{mode:?}: the clean run commits first try");
             let executed: Vec<PhaseName> = report.phases.records().iter().map(|r| r.name).collect();
             assert_eq!(executed, expected, "{mode:?}: the checkpoint lands right after the barrier");
 
-            // A budget equal to the longest watched phase is met by every
-            // phase; the drain and the commit are never watched.
+            // The same checkpointing pipeline under a budget equal to the
+            // longest watched phase: every phase meets it, and the commit and
+            // the drain are never watched — not even a drain that a post-copy
+            // hook stalls past the budget on its first round.
             let longest = report
                 .phases
                 .records()
@@ -712,37 +700,28 @@ mod tests {
                 .map(|r| r.duration)
                 .max()
                 .expect("watched phases ran");
-            let watched = run(&opts, Some(longest));
+            let stall = SimDuration(2 * longest.0);
+            let (mut kernel, instance, store) = setup();
+            let (_instance, watched) = UpdatePipeline::for_options(&opts)
+                .with_checkpoint(store, CheckpointOptions::default())
+                .with_uniform_phase_deadline(longest)
+                .with_postcopy_hook(Box::new(move |kernel: &mut Kernel, _: &mut McrInstance, round| {
+                    if round == 1 {
+                        kernel.advance_clock(stall);
+                    }
+                }))
+                .run(
+                    &mut kernel,
+                    instance,
+                    Box::new(TinyServer::new(2)),
+                    InstrumentationConfig::full(),
+                    &opts,
+                );
             assert!(watched.is_committed(), "{mode:?} under a {longest:?} budget: {:?}", watched.conflicts());
-            assert_eq!(watched.report().attempts.len(), 1, "{mode:?}: no watchdog retry");
+            if mode == TransferMode::Postcopy {
+                let drain = watched.report().phases.duration_of(PostcopyDrain).expect("the drain ran");
+                assert!(drain > longest, "the stalled drain ({drain:?}) outlasts the budget");
+            }
         }
-    }
-
-    #[test]
-    fn watchdog_budget_aborts_and_rolls_back() {
-        let mut kernel = Kernel::new();
-        let mut instance = booted(&mut kernel);
-        drive_traffic(&mut kernel, &mut instance, 2);
-        let policy = SupervisorPolicy {
-            max_attempts: 1,
-            phase_deadline: Some(SimDuration(1)), // nothing fits in 1ns
-            ..SupervisorPolicy::default()
-        };
-        let (instance, outcome) = supervised_update(
-            &mut kernel,
-            instance,
-            || Box::new(TinyServer::new(2)),
-            InstrumentationConfig::full(),
-            &UpdateOptions::default(),
-            &policy,
-            |_| ChaosPlan::none(),
-        );
-        assert!(!outcome.is_committed());
-        assert!(
-            outcome.conflicts().iter().any(|c| matches!(c, Conflict::WatchdogExpired { .. })),
-            "watchdog conflict reported: {:?}",
-            outcome.conflicts()
-        );
-        assert_eq!(instance.state.version, "1.0");
     }
 }

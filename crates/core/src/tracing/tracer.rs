@@ -81,13 +81,14 @@ use crate::tracing::stats::{RegionClass, TracingStats};
 #[cfg(test)]
 mod reference;
 
-/// Options controlling a tracing run.
+/// Options of a tracing run. It has no fields: as in the paper, a trace
+/// counts pointers into shared-library state but never follows them (the
+/// transfer engine skips library objects anyway), and nothing else is left
+/// to choose. It survives, like the `Adaptive` alias of
+/// [`TransferMode`](crate::runtime::TransferMode), because the `benchmark/`
+/// package still passes it to [`Tracer::new`] and [`trace_process`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceOptions {
-    /// Follow (and transfer) shared-library state instead of only counting
-    /// pointers into it. Off by default, as in the paper.
-    pub trace_libraries: bool,
-}
+pub struct TraceOptions;
 
 /// The result of tracing one process.
 #[derive(Debug, Clone)]
@@ -172,7 +173,6 @@ struct ScanScratch {
 pub struct Tracer<'a> {
     process: &'a Process,
     state: &'a InstanceState,
-    options: TraceOptions,
 }
 
 impl<'a> Tracer<'a> {
@@ -185,18 +185,18 @@ impl<'a> Tracer<'a> {
         kernel: &'a Kernel,
         state: &'a InstanceState,
         pid: Pid,
-        options: TraceOptions,
+        _options: TraceOptions,
     ) -> McrResult<Self> {
         let process = kernel.process(pid).map_err(McrError::Sim)?;
-        Ok(Tracer::for_process(process, state, options))
+        Ok(Tracer::for_process(process, state))
     }
 
     /// Creates a tracer over an already-borrowed process: the trace/transfer
     /// phases hold their pair's processes through
     /// [`Kernel::split_pairs`](mcr_procsim::Kernel::split_pairs), and going
     /// through `&Kernel` would alias the exclusive borrow of the new one.
-    pub(crate) fn for_process(process: &'a Process, state: &'a InstanceState, options: TraceOptions) -> Self {
-        Tracer { process, state, options }
+    pub(crate) fn for_process(process: &'a Process, state: &'a InstanceState) -> Self {
+        Tracer { process, state }
     }
 
     /// Runs the traversal from the root set.
@@ -314,15 +314,13 @@ impl<'a> Tracer<'a> {
         stale
     }
 
-    /// The targets of `obj` the traversal follows: every likely pointer and
-    /// every precise pointer, except those into library state it does not
-    /// trace.
+    /// The targets of `obj` the traversal follows: every pointer, precise or
+    /// likely, except those into library state, which it does not trace.
     fn followed<'o>(&self, obj: &'o TracedObject) -> impl Iterator<Item = Addr> + 'o {
-        let libraries = self.options.trace_libraries;
         obj.precise_pointers
             .iter()
-            .filter(move |e| libraries || e.target_class != RegionClass::Lib)
-            .chain(obj.likely_pointers.iter().filter(|e| e.target_class != RegionClass::Lib))
+            .chain(&obj.likely_pointers)
+            .filter(|e| e.target_class != RegionClass::Lib)
             .map(|e| e.target_base)
     }
 
@@ -670,7 +668,7 @@ impl<'a> Tracer<'a> {
         let target_class = RegionClass::from_kind(region.kind());
         traced.precise_pointers.push(PointerEdge { offset, target, target_base, target_class, masked_bits });
         if let Some(resolved) = resolved {
-            if target_class != RegionClass::Lib || self.options.trace_libraries {
+            if target_class != RegionClass::Lib {
                 // An interior pointer says nothing about the type at the base.
                 // Nor does a pointee that does not tile the object: a typed
                 // object is scanned and transferred in whole elements, so its
@@ -873,7 +871,7 @@ impl<'a> Tracer<'a> {
     }
 }
 
-/// Convenience wrapper: traces one process with the given options.
+/// Convenience wrapper: traces one process.
 ///
 /// # Errors
 ///
@@ -973,7 +971,7 @@ mod tests {
             env.write_u32(node1, 6).unwrap();
         }
 
-        let result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let graph = &result.graph;
 
         // conf -> heap conf_s followed precisely.
@@ -1025,7 +1023,7 @@ mod tests {
         }
         kernel.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
 
-        let mut result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let mut result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         assert!(result.graph.get(node2).is_none(), "unlinked node is unreachable");
         let since = kernel.process_mut(pid).unwrap().space_mut().advance_write_epoch();
 
@@ -1036,9 +1034,9 @@ mod tests {
             space.write_u64(node1.offset(8), node2.0).unwrap();
         }
 
-        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions).unwrap();
         result.stats = result.graph.retrace_dirty(&tracer, since);
-        let fresh = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let fresh = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
 
         assert_eq!(result.stats, fresh.stats, "retraced statistics diverged from a fresh trace");
         let incremental: Vec<_> = result.graph.iter().collect();
@@ -1050,10 +1048,10 @@ mod tests {
         // Unlink node2 again: the next retrace sweeps it.
         let since2 = kernel.process_mut(pid).unwrap().space_mut().advance_write_epoch();
         kernel.process_mut(pid).unwrap().space_mut().write_u64(node1.offset(8), 0).unwrap();
-        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions).unwrap();
         result.stats = result.graph.retrace_dirty(&tracer, since2);
         assert!(result.graph.get(node2).is_none(), "unreachable node was swept");
-        let fresh = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let fresh = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         assert_eq!(result.stats, fresh.stats);
     }
 
@@ -1070,7 +1068,7 @@ mod tests {
             env.write_ptr(b_global, hidden).unwrap();
             env.add_obj_handler("b", ObjTreatment::PointerSlots(vec![0]), 2);
         }
-        let result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let b_obj = result.graph.get(b_global).unwrap();
         assert_eq!(b_obj.precise_pointers.len(), 1);
         assert!(b_obj.likely_pointers.is_empty());
@@ -1092,7 +1090,7 @@ mod tests {
             env.write_u64(tagged_global, target.0 | 0b11).unwrap();
             env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 }, 22);
         }
-        let result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let obj = result.graph.get(tagged_global).unwrap();
         assert_eq!(obj.precise_pointers.len(), 1);
         assert_eq!(obj.precise_pointers[0].target_base, target);
@@ -1112,12 +1110,9 @@ mod tests {
             lib_obj = env.lib_alloc(64, "libssl:ctx").unwrap();
             env.write_ptr(g, lib_obj).unwrap();
         }
-        let result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         assert_eq!(result.stats.precise.targ_lib, 1);
-        assert!(result.graph.get(lib_obj).is_none(), "library state is not traced by default");
-        let traced_libs =
-            trace_process(&kernel, &state, pid, TraceOptions { trace_libraries: true }).unwrap();
-        assert!(traced_libs.graph.get(lib_obj).is_some());
+        assert!(result.graph.get(lib_obj).is_none(), "library state is not traced");
     }
 
     /// Pins the documented `retrace_dirty` caveat as an asserted known
@@ -1149,7 +1144,7 @@ mod tests {
         }
         kernel.process_mut(pid).unwrap().space_mut().clear_soft_dirty();
 
-        let mut result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let mut result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let traced = result.graph.get(victim).expect("victim traced through the pool record");
         assert!(matches!(traced.origin, crate::tracing::graph::ObjectOrigin::Pool { .. }));
         let since = kernel.process_mut(pid).unwrap().space_mut().advance_write_epoch();
@@ -1162,9 +1157,9 @@ mod tests {
             env.destroy_pool(pool).unwrap();
         }
 
-        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions).unwrap();
         result.stats = result.graph.retrace_dirty(&tracer, since);
-        let fresh = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let fresh = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
 
         // The caveat: the stale pool object survives the retrace...
         assert!(
@@ -1367,8 +1362,8 @@ mod tests {
             true
         }
 
-        fn tracer(&self, options: TraceOptions) -> Tracer<'_> {
-            Tracer::new(&self.kernel, &self.state, self.pid, options).unwrap()
+        fn tracer(&self) -> Tracer<'_> {
+            Tracer::new(&self.kernel, &self.state, self.pid, TraceOptions).unwrap()
         }
 
         /// Retraces `result` and holds it to a fresh trace of the same
@@ -1378,17 +1373,11 @@ mod tests {
         /// in a range the graph recorded as changed: the completing transfer
         /// pass rewrites a clean object only when such a range covers it or
         /// one of its targets.
-        fn retrace_and_check(
-            &self,
-            result: &mut TraceResult,
-            since: u64,
-            options: TraceOptions,
-            step: &str,
-        ) -> SweepWork {
+        fn retrace_and_check(&self, result: &mut TraceResult, since: u64, step: &str) -> SweepWork {
             let before = result.graph.clone();
-            let (stats, work) = self.tracer(options).retrace(&mut result.graph, since);
+            let (stats, work) = self.tracer().retrace(&mut result.graph, since);
             result.stats = stats;
-            let fresh = self.tracer(options).trace();
+            let fresh = self.tracer().trace();
             let retraced: Vec<_> = result.graph.iter().collect();
             let scratch: Vec<_> = fresh.graph.iter().collect();
             assert_eq!(retraced, scratch, "{step}: retraced graph diverged from a fresh trace");
@@ -1415,14 +1404,13 @@ mod tests {
     /// a root slot; freeing a node and reallocating its address with a
     /// smaller and a larger object; freeing a node outright; a hidden pointer
     /// that pins a node and
-    /// keeps it alive; a library object holding a pointer, traced or not —
+    /// keeps it alive; a library object holding a pointer, never traced —
     /// and after every retrace the graph, the pins and the statistics equal
     /// both the whole-graph mark and a fresh trace.
     #[test]
     fn retrace_matches_full_mark_and_fresh_trace_under_seeded_mutations() {
         use crate::runtime::chaos::ChaosRng;
-        for (seed, trace_libraries) in [(1u64, false), (2, true), (3, false), (4, true), (5, false)] {
-            let options = TraceOptions { trace_libraries };
+        for seed in 1..=5u64 {
             let mut chains = Chains::new(8, 4, false);
             let (hidden, lib_root, lib_obj, big);
             {
@@ -1441,7 +1429,7 @@ mod tests {
             let hidden_slots = [hidden.offset(8), lib_obj, big.offset(2 * page + 64), big.offset(page - 64)];
             chains.kernel.process_mut(chains.pid).unwrap().space_mut().clear_soft_dirty();
             let mut rng = ChaosRng::new(seed);
-            let mut result = chains.tracer(options).trace();
+            let mut result = chains.tracer().trace();
             // Nodes some retrace saw leave the graph, still allocated.
             let mut lost: Vec<Addr> = Vec::new();
             let mut swept_something = false;
@@ -1506,7 +1494,7 @@ mod tests {
                 }
                 let before: Vec<Addr> = result.graph.iter().map(|o| o.addr).collect();
                 let label = format!("seed {seed}, step {step}, ops {applied:?}");
-                chains.retrace_and_check(&mut result, since, options, &label);
+                chains.retrace_and_check(&mut result, since, &label);
                 for addr in before.into_iter().filter(|&a| !result.graph.contains(a)) {
                     swept_something = true;
                     if chains.nodes.contains(&addr) && !lost.contains(&addr) {
@@ -1525,10 +1513,9 @@ mod tests {
     /// a head insert is decided by the certainly-live walk alone.
     #[test]
     fn sweep_work_is_bounded_by_what_the_retrace_disconnected() {
-        let options = TraceOptions::default();
         // The cache's shape: 64 buckets x 32 entries, one value blob each.
         let mut chains = Chains::new(64, 32, true);
-        let mut result = chains.tracer(options).trace();
+        let mut result = chains.tracer().trace();
         let objects = result.graph.len();
         assert!(objects >= 2 * 64 * 32, "{objects} objects traced");
 
@@ -1537,13 +1524,13 @@ mod tests {
         for node in chains.nodes.clone().into_iter().step_by(50) {
             chains.store(node, 0xd1d1);
         }
-        let work = chains.retrace_and_check(&mut result, since, options, "touch");
+        let work = chains.retrace_and_check(&mut result, since, "touch");
         assert_eq!(work, SweepWork::default(), "no edge lost, nothing to sweep");
 
         // A head insert: `table → new → old head` keeps the old head live.
         let since = chains.advance_epoch();
         let inserted = chains.insert_head(63);
-        let work = chains.retrace_and_check(&mut result, since, options, "insert");
+        let work = chains.retrace_and_check(&mut result, since, "insert");
         assert_eq!(work.doubt, 0, "{work:?}");
         assert!(work.visited < 16, "the table and the new node: {work:?}");
         assert!(result.graph.contains(inserted));
@@ -1556,7 +1543,7 @@ mod tests {
                 chains.unlink(bucket, 0, 1);
             }
             let before = result.graph.len();
-            let work = chains.retrace_and_check(&mut result, since, options, "evict");
+            let work = chains.retrace_and_check(&mut result, since, "evict");
             assert!(work.doubt <= 2 * k, "{k} evictions: {work:?}");
             assert_eq!(before - result.graph.len(), 2 * k, "{k} heads and their values swept");
             // One pass over the other objects' edges decides the doubt set.
@@ -1667,7 +1654,7 @@ mod tests {
         }
         assert!(space.resident_pages() < 40, "the middle of `sparse` is demand-zero");
 
-        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let tracer = Tracer::new(&kernel, &state, pid, TraceOptions).unwrap();
 
         // Recorded size runs past the end of the region, nothing mapped behind.
         let overrun = untyped_object(lone.offset(PAGE_SIZE - 32), 96);
@@ -1709,7 +1696,7 @@ mod tests {
             env.write_ptr(pool_obj, victim).unwrap();
             env.write_ptr(g, pool_obj).unwrap();
         }
-        let result = trace_process(&kernel, &state, pid, TraceOptions::default()).unwrap();
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         // The pool storage chunk is untyped, so the pointer inside it is a
         // likely pointer and its target is pinned.
         assert!(result.stats.likely.total >= 1);
@@ -1793,33 +1780,27 @@ mod tests {
             v = env.alloc_bytes(16, "shape:v").unwrap();
             env.write_ptr(seam.offset(8), v).unwrap();
         }
-        for trace_libraries in [false, true] {
-            let options = TraceOptions { trace_libraries };
-            let result = trace_process(&kernel, &state, pid, options).unwrap();
-            let graph = &result.graph;
-            let edge_to = |from: Addr| graph.get(from).unwrap().precise_pointers[0].target_base;
-            assert_eq!((edge_to(inner), edge_to(base)), (x, x));
-            assert!(graph.get(x).is_some() && graph.get(x.offset(8)).is_none());
-            // The pointee an interior pointer declares does not type the
-            // untyped chunk it points into.
-            assert_eq!(graph.get(x).unwrap().type_id, None);
-            let y_obj = graph.get(y).unwrap();
-            assert_eq!(graph.get(both).unwrap().likely_pointers[0].target_base, y);
-            assert!(y_obj.immutable && y_obj.type_id == state.types.lookup("conf_s"));
-            let anonymous = graph.get(unregistered_static).unwrap();
-            assert!(
-                matches!(&anonymous.origin, ObjectOrigin::Static { symbol } if symbol.starts_with("static@"))
-            );
-            assert_eq!(
-                (graph.get(lib_obj).is_some(), graph.get(w).is_some()),
-                (trace_libraries, trace_libraries)
-            );
-            assert!(matches!(graph.get(pooled).unwrap().origin, ObjectOrigin::Pool { .. }));
-            assert_eq!(graph.get(blob).unwrap().type_id, state.types.lookup("blob_fwd"));
-            assert_eq!(graph.get(ragged).unwrap().type_id, None, "a pointee that does not tile the chunk");
-            assert_eq!(graph.get(z).unwrap().type_id, None, "the likely pointer before `p` discovered it");
-            assert!(graph.get(v).is_none(), "the word across the unaligned seam is not scanned");
-        }
+        let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
+        let graph = &result.graph;
+        let edge_to = |from: Addr| graph.get(from).unwrap().precise_pointers[0].target_base;
+        assert_eq!((edge_to(inner), edge_to(base)), (x, x));
+        assert!(graph.get(x).is_some() && graph.get(x.offset(8)).is_none());
+        // The pointee an interior pointer declares does not type the
+        // untyped chunk it points into.
+        assert_eq!(graph.get(x).unwrap().type_id, None);
+        let y_obj = graph.get(y).unwrap();
+        assert_eq!(graph.get(both).unwrap().likely_pointers[0].target_base, y);
+        assert!(y_obj.immutable && y_obj.type_id == state.types.lookup("conf_s"));
+        let anonymous = graph.get(unregistered_static).unwrap();
+        assert!(
+            matches!(&anonymous.origin, ObjectOrigin::Static { symbol } if symbol.starts_with("static@"))
+        );
+        assert!(graph.get(lib_obj).is_none() && graph.get(w).is_none(), "library state is not followed");
+        assert!(matches!(graph.get(pooled).unwrap().origin, ObjectOrigin::Pool { .. }));
+        assert_eq!(graph.get(blob).unwrap().type_id, state.types.lookup("blob_fwd"));
+        assert_eq!(graph.get(ragged).unwrap().type_id, None, "a pointee that does not tile the chunk");
+        assert_eq!(graph.get(z).unwrap().type_id, None, "the likely pointer before `p` discovered it");
+        assert!(graph.get(v).is_none(), "the word across the unaligned seam is not scanned");
     }
 
     /// The traversal's work as counts, not timings: on a cache-shaped table
@@ -1865,7 +1846,7 @@ mod tests {
                     env.write_ptr(bucket, entry).unwrap();
                 }
             }
-            let tracer = Tracer::new(&kernel, &state, pid, TraceOptions::default()).unwrap();
+            let tracer = Tracer::new(&kernel, &state, pid, TraceOptions).unwrap();
             assert_eq!(tracer.trace().graph.len() as u64, 2 + 2 * n, "two roots, n entries, n values");
             // The fresh trace's traversal, driven directly for its counts.
             let mut work = Worklist::default();

@@ -124,10 +124,8 @@ pub(super) fn full_mark(tracer: &Tracer<'_>, graph: &ObjectGraph) -> BTreeSet<u6
         if !reached.insert(base.0) {
             continue;
         }
-        let precise =
-            obj.precise_pointers.iter().filter(|e| tracer.options.trace_libraries || outside_libraries(e));
-        let likely = obj.likely_pointers.iter().filter(outside_libraries);
-        stack.extend(precise.chain(likely).map(|e| e.target_base));
+        let edges = obj.precise_pointers.iter().chain(&obj.likely_pointers).filter(outside_libraries);
+        stack.extend(edges.map(|e| e.target_base));
     }
     reached
 }

@@ -241,6 +241,11 @@ impl RestoreError {
 // Options / summaries
 // ---------------------------------------------------------------------------
 
+/// How many checkpoint versions a store keeps: a successful write deletes
+/// the ones older than the newest two, so a torn newest version still has
+/// an intact predecessor to fall back to.
+const RETAINED_VERSIONS: usize = 2;
+
 /// Tuning knobs for checkpoint writing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointOptions {
@@ -248,14 +253,11 @@ pub struct CheckpointOptions {
     /// writeback is charged on (one per shard; the blobs themselves are
     /// assembled one after the other).
     pub shard_writers: usize,
-    /// How many checkpoint versions to retain; older ones are deleted after
-    /// a successful write.
-    pub retain: usize,
 }
 
 impl Default for CheckpointOptions {
     fn default() -> Self {
-        CheckpointOptions { shard_writers: 4, retain: 2 }
+        CheckpointOptions { shard_writers: 4 }
     }
 }
 
@@ -839,7 +841,7 @@ fn encode_live_state(kernel: &Kernel, instance: &McrInstance, procs: &[(Pid, &Pr
     e.str(&instance.state.version);
     e.u8(level_to_u8(instance.state.config.level));
     e.u8(u8::from(instance.state.config.instrument_region_allocator));
-    e.u64(procs[0].1.layout().static_base.0.wrapping_sub(0x0040_0000));
+    e.u64(procs[0].1.layout().slide());
     e.u8(0); // reserved (see `StateImage::decode`)
     e.u64(kernel.now().0);
     e.u64(kernel.next_conn_id());
@@ -959,8 +961,8 @@ pub fn list_versions<S: Store + ?Sized>(store: &S) -> Vec<u64> {
 
 /// Writes a durable checkpoint of the (quiesced) instance. Shards first,
 /// fsync, then the manifest, fsync — so the manifest never names data that
-/// could be lost. Returns the new version's summary; on success, versions
-/// older than `opts.retain` are deleted.
+/// could be lost. Returns the new version's summary; on success, all but
+/// the newest two versions are deleted.
 ///
 /// # Errors
 ///
@@ -1046,10 +1048,10 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     store.sync()?;
     let blocks = store.blocks_written() - blocks_before;
 
-    // Retention: drop everything older than the last `retain` versions.
+    // Retention: drop everything older than the last `RETAINED_VERSIONS`.
     let versions = list_versions(store);
-    if versions.len() > opts.retain.max(1) {
-        for &old in &versions[..versions.len() - opts.retain.max(1)] {
+    if versions.len() > RETAINED_VERSIONS {
+        for &old in &versions[..versions.len() - RETAINED_VERSIONS] {
             let prefix = format!("{}/", version_dir(old));
             for blob in store.list() {
                 if blob.starts_with(&prefix) {

@@ -98,7 +98,7 @@ fn checkpoint_requires_quiescence() {
 fn retention_keeps_last_n_versions() {
     let (mut kernel, mut instance) = booted();
     let mut store = MemStore::new();
-    let opts = CheckpointOptions { retain: 2, ..Default::default() };
+    let opts = CheckpointOptions::default();
     for i in 0..4 {
         drive_traffic(&mut kernel, &mut instance, 1);
         let s = checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
@@ -245,6 +245,37 @@ fn crash_during_checkpoint_falls_back_cleanly() {
     drive_traffic(&mut kernel, &mut instance, 1);
 }
 
+/// An update of a restored instance lands 2^32 past the slide it was
+/// restored at: an instance booted (and checkpointed) at 3 * 2^32 comes
+/// back at 3 * 2^32, and its update lands at 4 * 2^32.
+#[test]
+fn update_after_restore_slides_past_the_restored_layout() {
+    use crate::runtime::controller::{live_update, UpdateOptions};
+    let slide = |k: &Kernel, i: &McrInstance| k.process(i.init_pid().unwrap()).unwrap().layout().slide();
+    let mut kernel = Kernel::new();
+    kernel.add_file("/etc/tiny.conf", b"workers=2\n".to_vec());
+    let opts = BootOptions { layout_slide: 0x3_0000_0000, ..BootOptions::default() };
+    let mut instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &opts).unwrap();
+    drive_traffic(&mut kernel, &mut instance, 2);
+    let mut store = MemStore::new();
+    checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
+
+    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    let (mut kernel, mut instance) = (restored.kernel, restored.instance);
+    assert_eq!(slide(&kernel, &instance), 0x3_0000_0000, "restored at the checkpointed slide");
+    resume(&mut kernel, &mut instance);
+    drive_traffic(&mut kernel, &mut instance, 1);
+    let (updated, outcome) = live_update(
+        &mut kernel,
+        instance,
+        Box::new(TinyServer::new(2)),
+        InstrumentationConfig::full(),
+        &UpdateOptions::default(),
+    );
+    assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+    assert_eq!(slide(&kernel, &updated), 0x4_0000_0000);
+}
+
 // ---------------------------------------------------------------------------
 // Checksum coverage at blob level
 // ---------------------------------------------------------------------------
@@ -253,7 +284,7 @@ fn crash_during_checkpoint_falls_back_cleanly() {
 fn every_single_byte_flip_of_manifest_and_shards_is_rejected() {
     let (mut kernel, instance) = quiesced(2);
     let mut store = MemStore::new();
-    let opts = CheckpointOptions { shard_writers: 2, ..Default::default() };
+    let opts = CheckpointOptions { shard_writers: 2 };
     let summary = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
     let (_, _, shard_meta) = read_manifest(&store, 1).unwrap();
     assert_eq!(shard_meta.len(), summary.shards);
@@ -289,7 +320,7 @@ fn every_single_byte_flip_of_manifest_and_shards_is_rejected() {
 
 #[test]
 fn torn_write_at_every_block_of_a_checkpoint_is_rejected() {
-    let opts = CheckpointOptions { shard_writers: 2, ..Default::default() };
+    let opts = CheckpointOptions { shard_writers: 2 };
     let mut block = 1;
     loop {
         let (mut kernel, mut instance) = booted();
@@ -326,7 +357,7 @@ fn digest_is_independent_of_the_shard_split() {
             let (mut kernel, instance) = quiesced(4);
             scribble(&mut kernel, &instance);
             let mut store = MemStore::new();
-            let opts = CheckpointOptions { shard_writers, ..Default::default() };
+            let opts = CheckpointOptions { shard_writers };
             let summary = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
             assert_eq!(summary.shards, shard_writers);
             read_manifest(&store, 1).unwrap().1
@@ -361,7 +392,7 @@ mod reference {
         let first = kernel
             .process(pids[0])
             .map_err(|e| CheckpointError::Unsupported(format!("missing process: {e}")))?;
-        let layout_slide = first.layout().static_base.0.wrapping_sub(0x0040_0000);
+        let layout_slide = first.layout().slide();
 
         let mut processes = Vec::with_capacity(pids.len());
         let mut deltas = Vec::new();
@@ -664,7 +695,7 @@ fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
     assert_eq!(image.config, instance.state.config);
     assert_eq!(image.clock_ns, kernel.now().0);
     assert_eq!(image.next_conn, kernel.next_conn_id());
-    assert_eq!(image.layout_slide, procs[0].1.layout().static_base.0.wrapping_sub(0x0040_0000));
+    assert_eq!(image.layout_slide, procs[0].1.layout().slide());
     let files: Vec<(String, Vec<u8>)> = kernel.files().map(|(p, c)| (p.to_string(), c.to_vec())).collect();
     assert_eq!(image.files, files);
     assert_eq!(image.clients.len(), kernel.clients().len());
@@ -762,7 +793,7 @@ fn restoring_twice_from_one_store_gives_identical_kernels() {
 fn delta_stream_out_of_pid_order_is_a_typed_reconcile_error() {
     let (mut kernel, instance) = quiesced(2);
     let mut store = MemStore::new();
-    let opts = CheckpointOptions { shard_writers: 1, ..Default::default() };
+    let opts = CheckpointOptions { shard_writers: 1 };
     write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
     // Forge a last record owned by a pid below the manifest's only process,
     // then re-seal the shard sum in the manifest's shard table and the
@@ -795,7 +826,7 @@ fn resealed_payload_change_is_caught_by_the_digest_check() {
     let (mut kernel, instance) = quiesced(2);
     scribble(&mut kernel, &instance);
     let mut store = MemStore::new();
-    let opts = CheckpointOptions { shard_writers: 1, ..Default::default() };
+    let opts = CheckpointOptions { shard_writers: 1 };
     write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
     // Change one byte [`scribble`] stored, in a delta payload, and re-seal:
     // only the state digest, recomputed from the revived kernel, can tell.

@@ -1563,7 +1563,7 @@ mod tests {
         }
 
         // Trace the old version and transfer.
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "unexpected conflicts: {:?}", report.conflicts);
         assert!(report.objects_transferred >= 3, "list head and both nodes move");
@@ -1613,7 +1613,7 @@ mod tests {
             env.define_global_opaque("b", 16).unwrap();
         }
 
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
         assert!(report.objects_pinned >= 1);
@@ -1651,7 +1651,7 @@ mod tests {
             // a type change on an opaque object.
             env.define_global_opaque("hidden_buf", 32).unwrap();
         }
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.iter().any(|c| matches!(c, Conflict::NonUpdatableObjectChanged { .. })));
     }
@@ -1687,7 +1687,7 @@ mod tests {
                 }),
             );
         }
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty());
         let new_addr = new_state.statics.lookup("conf_inline").unwrap().addr;
@@ -1738,7 +1738,7 @@ mod tests {
         let mut delta = DeltaPlan::new();
 
         // Round 1: everything is stale, everything gets copied.
-        let mut trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let mut trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let since = kernel.advance_write_epoch(old_pid).unwrap();
         let round = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
@@ -1756,7 +1756,7 @@ mod tests {
         let (report, residual) = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
-            let tracer = Tracer::for_process(old_proc, &old_state, TraceOptions::default());
+            let tracer = Tracer::for_process(old_proc, &old_state);
             trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
             transfer_residual(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace).unwrap()
         };
@@ -1796,7 +1796,7 @@ mod tests {
             let mut env = ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main");
             env.define_global("list", "l_t").unwrap();
         }
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let plan = TransferContext::new(&old_state, &new_state).with_object_fault(Some(1));
         let mut delta = DeltaPlan::new();
         let err = {
@@ -1956,7 +1956,7 @@ mod tests {
             }
             kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
 
-            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
             let plan = TransferContext::new(&old_state, &new_state).with_intra_pair_shards(shards);
             let mut delta = DeltaPlan::new();
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
@@ -2059,7 +2059,7 @@ mod tests {
             .unwrap();
         kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
 
-        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+        let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
         assert_eq!(report.objects_allocated, 2, "the array and the node behind it");
@@ -2139,7 +2139,7 @@ mod tests {
             }
             kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
 
-            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions::default()).unwrap();
+            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
             let plan = TransferContext::new(&old_state, &new_state);
             let mut delta = DeltaPlan::new();
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
@@ -2348,7 +2348,7 @@ mod tests {
             {
                 let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
                 let (old_proc, new_proc) = split.pop().unwrap();
-                let tracer = Tracer::for_process(old_proc, &old_state, TraceOptions::default());
+                let tracer = Tracer::for_process(old_proc, &old_state);
                 match trace.as_mut() {
                     None => trace = Some(tracer.trace()),
                     Some(trace) => trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto),
@@ -2402,7 +2402,7 @@ mod tests {
         let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
         let (old_proc, new_proc) = split.pop().unwrap();
         let mut trace = trace.unwrap();
-        let tracer = Tracer::for_process(old_proc, &old_state, TraceOptions::default());
+        let tracer = Tracer::for_process(old_proc, &old_state);
         trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
         let graph = &trace.graph;
         assert!(graph.get(pinned).unwrap().immutable && graph.get(freed).is_none());

@@ -148,6 +148,9 @@ impl Thread {
     }
 }
 
+/// Where the static data region of an unslid layout starts.
+const STATIC_BASE: u64 = 0x0040_0000;
+
 /// Standard virtual-memory layout constants for simulated programs.
 ///
 /// Address-space layout differs between program versions by an ASLR-like
@@ -181,7 +184,7 @@ impl MemoryLayout {
     /// global reallocation).
     pub fn with_slide(slide: u64) -> Self {
         MemoryLayout {
-            static_base: Addr(0x0040_0000 + slide),
+            static_base: Addr(STATIC_BASE + slide),
             static_size: 1024 * 1024,
             heap_base: Addr(0x0800_0000 + slide),
             heap_size: 16 * 1024 * 1024,
@@ -190,6 +193,12 @@ impl MemoryLayout {
             stack_base: Addr(0x7ffc_0000_0000 + slide),
             stack_size: 1024 * 1024,
         }
+    }
+
+    /// The slide this layout was built with: [`MemoryLayout::with_slide`]
+    /// inverted.
+    pub fn slide(&self) -> u64 {
+        self.static_base.0.wrapping_sub(STATIC_BASE)
     }
 }
 
@@ -601,5 +610,6 @@ mod tests {
         assert_ne!(a.static_base, b.static_base);
         assert_ne!(a.heap_base, b.heap_base);
         assert_eq!(a.lib_base, b.lib_base, "libraries are prelinked at a fixed address");
+        assert_eq!((a.slide(), b.slide()), (0, 0x10_0000));
     }
 }

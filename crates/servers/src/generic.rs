@@ -651,25 +651,27 @@ mod tests {
         assert_eq!(readable, [true, false, true], "only the serving worker's `cycle` dangles");
     }
 
+    /// Each update of the chain lands 2^32 past the layout it replaced.
     #[test]
     fn nginx_chain_of_updates() {
         let mut kernel = kernel_with_files();
         let mut instance = boot(&mut kernel, Box::new(nginx(1)), &BootOptions::default()).unwrap();
+        let static_base = |k: &Kernel, pid| k.process(pid).unwrap().layout().static_base;
         for generation in 2..=5u32 {
             let c = kernel.client_connect(8080).unwrap();
             kernel.client_send(c, b"GET /".to_vec()).unwrap();
             run_round(&mut kernel, &mut instance).unwrap();
-            let opts =
-                UpdateOptions { layout_slide: 0x1_0000_0000 * u64::from(generation), ..Default::default() };
             let before = instance.audit(&kernel).expect("nginx audit");
+            let base = static_base(&kernel, instance.state.processes[0]);
             let (next, outcome) = live_update(
                 &mut kernel,
                 instance,
                 Box::new(nginx(generation)),
                 InstrumentationConfig::full_with_region_instrumentation(),
-                &opts,
+                &UpdateOptions::default(),
             );
             assert!(outcome.is_committed(), "gen {generation}: {:?}", outcome.conflicts());
+            assert_eq!(static_base(&kernel, next.state.processes[0]), base.offset(0x1_0000_0000));
             assert_audit_carried(&before, &next.audit(&kernel).expect("nginx audit"));
             instance = next;
         }

@@ -1,7 +1,8 @@
 //! Applies a long chain of consecutive live updates to the event-driven
 //! nginx model (the paper evaluates 25 nginx releases), checking after each
-//! update that pending client connections are still served and no request is
-//! ever refused.
+//! update that pending client connections are still served, no request is
+//! ever refused, and each generation's layout lies 2^32 past the previous
+//! one's (the runtime derives it; the caller sets nothing).
 //!
 //! Run with: `cargo run --example nginx_zero_downtime`
 
@@ -22,14 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pending = kernel.client_connect(8080)?;
         kernel.client_send(pending, b"GET / HTTP/1.0".to_vec())?;
 
-        let opts =
-            UpdateOptions { layout_slide: 0x1_0000_0000 * u64::from(generation), ..Default::default() };
+        let static_base = kernel.process(instance.state.processes[0])?.layout().static_base;
         let (next, outcome) = live_update(
             &mut kernel,
             instance,
             Box::new(programs::nginx(generation)),
             InstrumentationConfig::full_with_region_instrumentation(),
-            &opts,
+            &UpdateOptions::default(),
         );
         assert!(
             outcome.is_committed(),
@@ -38,6 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         total_transfer_ms += outcome.report().timings.state_transfer.as_millis_f64();
         instance = next;
+        let new_base = kernel.process(instance.state.processes[0])?.layout().static_base;
+        assert_eq!(new_base, static_base.offset(0x1_0000_0000), "generation {generation}'s layout");
 
         run_rounds(&mut kernel, &mut instance, 3)?;
         let reply = kernel.client_recv(pending).expect("pending request served after the update");

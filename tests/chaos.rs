@@ -6,13 +6,13 @@
 //! convergence) checks are `tests/tracked_reports.rs`, which rebuilds
 //! `BENCH_chaos.json`.
 
-use mcr_bench::{enumerate_sites, verify_rollback, ChaosMode, ChaosSpec};
-use mcr_core::runtime::{shrink_schedule, ChaosPlan, FaultSite};
+use mcr_bench::{enumerate_sites, verify_rollback, ChaosSpec};
+use mcr_core::runtime::{shrink_schedule, ChaosPlan, FaultSite, TransferMode};
 
 #[test]
 fn fault_site_enumeration_covers_all_three_dimensions() {
     let spec = ChaosSpec::smoke();
-    let catalog = enumerate_sites(&spec, ChaosMode::StopTheWorld);
+    let catalog = enumerate_sites(&spec, TransferMode::StopTheWorld);
     let labels: Vec<&str> = catalog.boundaries.iter().map(|b| b.label()).collect();
     assert_eq!(
         labels,
@@ -27,7 +27,7 @@ fn fault_site_enumeration_covers_all_three_dimensions() {
         catalog.boundaries.len() as u64 + catalog.transfer_objects + catalog.syscalls
     );
 
-    let precopy_catalog = enumerate_sites(&spec, ChaosMode::Precopy);
+    let precopy_catalog = enumerate_sites(&spec, TransferMode::Precopy);
     assert!(precopy_catalog.precopy_copies > 0, "precopy run enumerates round copies");
     assert!(
         precopy_catalog.precopy_copies <= precopy_catalog.transfer_objects,
@@ -42,7 +42,7 @@ fn shrinker_reduces_a_noisy_schedule_against_the_real_pipeline() {
     // syscall fault. The boundary and object arms are noise the shrinker
     // must discard, and the syscall index must come down to 1.
     let syscall_blamed = |plan: &ChaosPlan| {
-        let r = verify_rollback(&spec, ChaosMode::StopTheWorld, plan);
+        let r = verify_rollback(&spec, TransferMode::StopTheWorld, plan);
         r.fired && r.conflicts.iter().any(|c| c.contains("syscall#"))
     };
     let noisy = FaultSite::Syscall(7).plan().with(FaultSite::TransferObject(50));

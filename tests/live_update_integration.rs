@@ -125,6 +125,7 @@ fn quiescence_profile_recorded_by_the_scheduler_is_pinned() {
 
 #[test]
 fn chained_updates_across_three_generations_keep_state() {
+    let static_base = |k: &Kernel, pid| k.process(pid).unwrap().layout().static_base;
     let (mut kernel, mut instance) = booted("nginx");
     let mut served = 0u64;
     for generation in 2..=4u32 {
@@ -133,16 +134,20 @@ fn chained_updates_across_three_generations_keep_state() {
         // Each workload run opens `idle_connections` long-lived connections
         // plus the measured requests; the server records all of them.
         served += 2 + workload_for("nginx", 1).idle_connections as u64;
-        let opts =
-            UpdateOptions { layout_slide: 0x1_0000_0000 * u64::from(generation), ..Default::default() };
+        let base = static_base(&kernel, instance.state.processes[0]);
         let (next, outcome) = live_update(
             &mut kernel,
             instance,
             Box::new(programs::nginx(generation)),
             InstrumentationConfig::full(),
-            &opts,
+            &UpdateOptions::default(),
         );
         assert!(outcome.is_committed(), "generation {generation}: {:?}", outcome.conflicts());
+        assert_eq!(
+            static_base(&kernel, next.state.processes[0]),
+            base.offset(0x1_0000_0000),
+            "slides 2^32 on"
+        );
         instance = next;
     }
     // The `stats` global accumulated requests across all generations; the
@@ -329,7 +334,7 @@ fn fault_at_nth_object_in_stop_the_world_window_rolls_back() {
     let (mut kernel, mut v1) = booted("nginx");
     run_workload(&mut kernel, &mut v1, &workload_for("nginx", 4)).unwrap();
     let opts = UpdateOptions { transfer_workers: 1, ..Default::default() };
-    let pipeline = UpdatePipeline::standard().with_fault_plan(FaultSite::TransferObject(1).plan());
+    let pipeline = UpdatePipeline::for_options(&opts).with_fault_plan(FaultSite::TransferObject(1).plan());
     let (mut survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(programs::nginx(2)), InstrumentationConfig::full(), &opts);
     assert!(!outcome.is_committed());
@@ -387,7 +392,8 @@ fn injected_fault_at_every_phase_boundary_rolls_back_cleanly() {
         let old_pids = v1.state.processes.clone();
         let connections_before = kernel.open_connection_count();
 
-        let pipeline = UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(boundary).plan());
+        let pipeline = UpdatePipeline::for_options(&UpdateOptions::default())
+            .with_fault_plan(FaultSite::Boundary(boundary).plan());
         let (mut survivor, outcome) = pipeline.run(
             &mut kernel,
             v1,
@@ -450,8 +456,8 @@ fn injected_fault_at_every_phase_boundary_rolls_back_cleanly() {
 #[test]
 fn rolled_back_report_traces_executed_prefix() {
     let (mut kernel, v1) = booted("vsftpd");
-    let pipeline =
-        UpdatePipeline::standard().with_fault_plan(FaultSite::Boundary(PhaseName::TraceAndTransfer).plan());
+    let pipeline = UpdatePipeline::for_options(&UpdateOptions::default())
+        .with_fault_plan(FaultSite::Boundary(PhaseName::TraceAndTransfer).plan());
     let (_survivor, outcome) = pipeline.run(
         &mut kernel,
         v1,

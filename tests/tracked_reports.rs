@@ -17,7 +17,7 @@ use std::path::Path;
 
 use mcr_bench::{
     adaptive_update, chaos_json, checkpoint_json, paper_json, precopy_update, run_campaign,
-    run_checkpoint_campaign, ChaosMode, ChaosSpec, CheckpointSpec, Json, CONFIGS,
+    run_checkpoint_campaign, ChaosSpec, CheckpointSpec, Json, CONFIGS,
 };
 use mcr_core::runtime::{PhaseName, TransferMode, UpdateOutcome, UpdateReport};
 use mcr_servers::precopy_scenarios;
@@ -157,18 +157,16 @@ fn adaptive_row(
 /// `mcr_bench::adaptive_update`).
 #[test]
 fn transfer_modes_converge_and_match_bench_adaptive_json() {
-    const MODES: [(TransferMode, &str); 3] = [
-        (TransferMode::StopTheWorld, "stop-the-world"),
-        (TransferMode::Precopy, "precopy"),
-        (TransferMode::Postcopy, "postcopy"),
-    ];
+    const MODES: [TransferMode; 3] =
+        [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy];
+    let labels = MODES.map(|mode| mode.label());
     let mut rows = Vec::new();
     for scenario in precopy_scenarios() {
         for size in SIZE_FACTORS {
             let label = format!("{} size {size}", scenario.name);
             let runs: Vec<(u64, UpdateOutcome)> =
-                MODES.iter().map(|&(mode, _)| adaptive_update(&scenario, size, mode)).collect();
-            for (run, (_, mode)) in runs.iter().zip(MODES) {
+                MODES.iter().map(|&mode| adaptive_update(&scenario, size, mode)).collect();
+            for (run, mode) in runs.iter().zip(labels) {
                 committed(&format!("{label} {mode}"), &run.1);
             }
             let [stw, _, postcopy] = &runs[..] else { unreachable!() };
@@ -181,7 +179,7 @@ fn transfer_modes_converge_and_match_bench_adaptive_json() {
 
             // Equivalence: every mode converges to the same final kernel
             // state and the same logical transfer.
-            for (run, (_, mode)) in runs.iter().zip(MODES) {
+            for (run, mode) in runs.iter().zip(labels) {
                 assert_eq!(run.0, stw.0, "{label}: {mode} diverged from stop-the-world");
                 assert_eq!(
                     run.1.report().transfer.per_process,
@@ -206,7 +204,7 @@ fn transfer_modes_converge_and_match_bench_adaptive_json() {
                     down(stw)
                 );
             }
-            for (run, (_, mode)) in runs.iter().zip(MODES) {
+            for (run, mode) in runs.iter().zip(labels) {
                 rows.push(adaptive_row(scenario.name, size, mode, run));
             }
         }
@@ -224,7 +222,7 @@ fn transfer_modes_converge_and_match_bench_adaptive_json() {
 fn chaos_report_rolls_back_byte_identical_and_matches_bench_chaos_json() {
     let spec = ChaosSpec::smoke();
     let rows = run_campaign(&spec);
-    let modes: Vec<ChaosMode> = rows.iter().map(|r| r.mode).collect();
+    let modes: Vec<TransferMode> = rows.iter().map(|r| r.mode).collect();
     assert_eq!(modes, CONFIGS, "one row per transfer mode, stop-the-world, precopy, postcopy");
     for r in &rows {
         let label = r.mode.label();
@@ -251,8 +249,8 @@ fn chaos_report_rolls_back_byte_identical_and_matches_bench_chaos_json() {
             "{label}: catalog sums"
         );
         assert!(c.precopy_copies <= c.transfer_objects, "{label}: precopy copies exceed object writes");
-        assert_eq!(c.precopy_copies > 0, r.mode == ChaosMode::Precopy, "{label}: precopy copy sites");
-        if r.mode == ChaosMode::Postcopy {
+        assert_eq!(c.precopy_copies > 0, r.mode == TransferMode::Precopy, "{label}: precopy copy sites");
+        if r.mode == TransferMode::Postcopy {
             assert!(c.fault_ins > 0 && c.drain_steps > 0, "{label}: post-copy fault windows missing");
         }
         assert!(r.sites_injected > 0, "{label}: nothing injected");
