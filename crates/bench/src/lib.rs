@@ -755,7 +755,7 @@ mod tests {
         // either, so its trailing 4 bytes are folded zero-padded.
         let (a, b) = (Addr(0x10000), Addr(0x40000));
         let mut kernel = Kernel::new();
-        let pid = kernel.create_process("sparse").unwrap();
+        let pid = kernel.create_process("sparse");
         let space = kernel.process_mut(pid).unwrap().space_mut();
         space.map_region(a, 5 * PAGE_SIZE + 96, RegionKind::Heap, "a").unwrap();
         space.map_region(b, 2 * PAGE_SIZE + 100, RegionKind::Mmap, "b").unwrap();

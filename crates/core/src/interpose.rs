@@ -453,7 +453,7 @@ mod tests {
 
     fn booted_kernel(name: &str) -> (Kernel, Pid, Tid) {
         let mut k = Kernel::new();
-        let pid = k.create_process(name).unwrap();
+        let pid = k.create_process(name);
         let tid = k.process(pid).unwrap().main_tid();
         k.process_mut(pid).unwrap().setup_memory(MemoryLayout::default(), false).unwrap();
         (k, pid, tid)
@@ -493,7 +493,7 @@ mod tests {
     fn replay_returns_logged_results_without_kernel_effects() {
         let (mut k, old_pid, _, log) = record_v1();
         // New version process in the same kernel (old listener still bound).
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x100000), false).unwrap();
         // Inherit fd 0 (the listener) at the same number.
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn argument_mismatch_is_a_conflict_unless_handled() {
         let (mut k, old_pid, _, log) = record_v1();
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x100000), false).unwrap();
         let ann = AnnotationRegistry::new();
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn omitted_entries_flagged_at_finish() {
         let (mut k, old_pid, _, log) = record_v1();
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x100000), false).unwrap();
         let ann = AnnotationRegistry::new();
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn new_calls_execute_live_in_reserved_range() {
         let (mut k, old_pid, _, log) = record_v1();
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x100000), false).unwrap();
         k.add_file("/etc/new-feature.conf", b"on".to_vec());
@@ -637,7 +637,7 @@ mod tests {
         let log = rec.recorded_log().clone();
 
         // Replay in a new version.
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x200000), false).unwrap();
         let mut rep = Interposer::replayer(&log);
@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn post_startup_calls_pass_through() {
         let (mut k, old_pid, _, log) = record_v1();
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x100000), false).unwrap();
         let ann = AnnotationRegistry::new();
@@ -798,7 +798,7 @@ mod tests {
         let mut rep = Interposer::replayer(log);
         let mut procs = Vec::new();
         for (i, virt) in VIRT_PIDS.iter().enumerate() {
-            let pid = k.create_process(format!("p{i}")).unwrap();
+            let pid = k.create_process(format!("p{i}"));
             let slide = 0x100000 * (i as u64 + 1);
             k.process_mut(pid).unwrap().setup_memory(MemoryLayout::with_slide(slide), false).unwrap();
             rep.map_pid(*virt, pid);
@@ -884,7 +884,7 @@ mod tests {
         let log = rec.recorded_log().clone();
         assert_eq!(log.entries()[1].pid, child_v1);
 
-        let new_pid = k.create_process("v2").unwrap();
+        let new_pid = k.create_process("v2");
         let new_tid = k.process(new_pid).unwrap().main_tid();
         k.process_mut(new_pid).unwrap().setup_memory(MemoryLayout::with_slide(0x200000), false).unwrap();
         let mut rep = Interposer::replayer(&log);

@@ -843,7 +843,7 @@ mod tests {
 
     fn setup() -> (Kernel, InstanceState, Pid, Tid) {
         let mut kernel = Kernel::new();
-        let pid = kernel.create_process("tiny").unwrap();
+        let pid = kernel.create_process("tiny");
         let tid = kernel.process(pid).unwrap().main_tid();
         kernel.process_mut(pid).unwrap().setup_memory(MemoryLayout::default(), true).unwrap();
         let mut state =

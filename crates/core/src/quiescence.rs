@@ -180,7 +180,7 @@ mod tests {
 
     fn build_state_with_threads() -> (Kernel, InstanceState) {
         let mut kernel = Kernel::new();
-        let pid = kernel.create_process("httpd").unwrap();
+        let pid = kernel.create_process("httpd");
         let main_tid = kernel.process(pid).unwrap().main_tid();
         kernel.process_mut(pid).unwrap().setup_memory(MemoryLayout::default(), false).unwrap();
         let mut state =

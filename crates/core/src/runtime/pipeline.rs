@@ -171,7 +171,7 @@
 //! checkpoint with
 //! [`restore_latest`](crate::transfer::checkpoint::restore_latest) — a
 //! fresh kernel, a re-boot of the checkpointed generation, and a typed
-//! 15-step reconcile ending in a digest self-check — then retry the update
+//! 13-step reconcile ending in a digest self-check — then retry the update
 //! on the revived instance. Corrupt or torn versions are rejected by
 //! checksum and fall back to the next older one; `BENCH_checkpoint.json`
 //! (rebuilt by the root `tests/tracked_reports.rs`) sweeps every

@@ -343,7 +343,7 @@ impl Default for BootOptions {
 ///
 /// # Errors
 ///
-/// Fails if the process cannot be created or its memory cannot be mapped.
+/// Fails if the process's memory cannot be mapped.
 pub(crate) fn create_instance(
     kernel: &mut Kernel,
     mut program: Box<dyn Program>,
@@ -352,7 +352,7 @@ pub(crate) fn create_instance(
 ) -> McrResult<McrInstance> {
     let name = program.name().to_string();
     let version = program.version().to_string();
-    let pid = kernel.create_process(&name).map_err(McrError::Sim)?;
+    let pid = kernel.create_process(&name);
     let layout = mcr_procsim::MemoryLayout::with_slide(opts.layout_slide);
     {
         let proc = kernel.process_mut(pid).map_err(McrError::Sim)?;
@@ -792,7 +792,7 @@ mod tests {
         let pid = instance.init_pid().unwrap();
         let tids: Vec<Tid> =
             (0..3).map(|i| kernel.spawn_thread(pid, &format!("w{i}"), Vec::new()).unwrap()).collect();
-        let stranger = kernel.create_process("stranger").unwrap();
+        let stranger = kernel.create_process("stranger");
         let stranger_tid = kernel.process(stranger).unwrap().main_tid();
         let now = kernel.now();
         // A deadline that already passed wakes at once, in call order.

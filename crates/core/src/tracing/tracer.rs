@@ -899,7 +899,7 @@ mod tests {
     /// `b` (char buffer hiding a pointer to a heap array).
     fn listing1() -> (Kernel, InstanceState, Pid) {
         let mut kernel = Kernel::new();
-        let pid = kernel.create_process("listing1").unwrap();
+        let pid = kernel.create_process("listing1");
         let tid = kernel.process(pid).unwrap().main_tid();
         kernel.process_mut(pid).unwrap().setup_memory(MemoryLayout::default(), true).unwrap();
         let mut state =

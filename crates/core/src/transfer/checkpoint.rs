@@ -38,30 +38,32 @@
 //! `StateImage` and `DeltaRecord` are the *decoded* form only.
 //!
 //! Restore does **not** deserialize a kernel wholesale. It re-boots the same
-//! program deterministically in a *scratch* kernel (reproducing pids, tids,
-//! object ids and all startup-time memory exactly), then overlays the
-//! recorded post-startup state: page deltas, heap-chunk reconcile, descriptor
-//! and kernel-object reconcile, client endpoints and the virtual clock —
-//! moving files, kernel objects and client endpoints out of the decoded image
-//! rather than copying them — and finally proves fidelity by re-encoding the
-//! scratch kernel's state and comparing digests.
+//! program deterministically in a *scratch* kernel that numbers processes
+//! and threads from the manifest's lowest pid and tid, which reproduces the
+//! topology and all startup-time memory of an instance however many live
+//! updates it went through. It then overlays the recorded post-startup
+//! state: page deltas and a heap-chunk reconcile, the manifest's descriptor
+//! and kernel-object tables in place of the re-boot's, client endpoints and
+//! the virtual clock — moving files, kernel objects and client endpoints out
+//! of the decoded image rather than copying them — and finally proves
+//! fidelity by re-encoding the scratch kernel's state and comparing digests.
 //! The serving kernel is never touched: a restore either returns a complete
 //! new kernel or a typed [`RestoreError`], so no partial restore can ever be
 //! observed (the "no partial restore" guarantee is structural).
 //!
-//! Known residue (documented, checked where possible): instances that have
-//! already been live-updated (generation ≥ 2) do not re-boot into their
-//! checkpointed memory image and are rejected by the digest check; Rust-side
-//! program-struct fields and instance counters reset to their post-startup
-//! values; post-checkpoint client connections are lost (honest crash
-//! semantics).
+//! Known residue (documented, checked where possible): a process forked
+//! after startup (vsftpd's and sshd's session processes) is not reproduced
+//! by the re-boot and is rejected with [`RestoreError::TopologyMismatch`];
+//! Rust-side program-struct fields and instance counters reset to their
+//! post-startup values; post-checkpoint client connections are lost (honest
+//! crash semantics).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mcr_procsim::{
-    checksum64, Addr, AllocSite, ChunkInfo, ClientSnapshot, Fd, Kernel, KernelObject, ObjId, Pid, Process,
-    RegionKind, SimDuration, Store, StoreError, ThreadState, TypeTag, UnixMessage, PAGE_SIZE,
+    checksum64, Addr, AllocSite, ChunkInfo, ClientSnapshot, Fd, FdTable, Kernel, KernelObject, ObjId, Pid,
+    Process, RegionKind, SimDuration, Store, StoreError, ThreadState, Tid, TypeTag, UnixMessage, PAGE_SIZE,
 };
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 
@@ -89,7 +91,7 @@ const QUIESCE_ROUNDS: usize = 64;
 /// Labels of the enumerable restore steps, in execution order. The
 /// crash-consistency campaign injects a failure at each index (1-based) via
 /// the `fault_at_step` argument of [`restore_latest`].
-pub const RESTORE_STEPS: [&str; 15] = [
+pub const RESTORE_STEPS: [&str; 13] = [
     "read-manifest",
     "read-shards",
     "preinstall-files",
@@ -99,9 +101,7 @@ pub const RESTORE_STEPS: [&str; 15] = [
     "files-reconcile",
     "heap-reconcile",
     "memory-overlay",
-    "fd-prune",
-    "objects-restore",
-    "fd-install",
+    "tables-restore",
     "clients-restore",
     "clock-advance",
     "digest-check",
@@ -166,8 +166,10 @@ pub enum RestoreError {
         /// What the manifest / booted program actually carries.
         found: String,
     },
-    /// The deterministic re-boot produced a different process/thread
-    /// topology than the manifest records.
+    /// The re-boot, numbered from the manifest's lowest pid and tid,
+    /// produced a different process/thread topology than the manifest
+    /// records: a process forked after startup, such as a session process,
+    /// is not re-booted.
     TopologyMismatch(String),
     /// The scratch kernel's clock passed the manifest's checkpoint time.
     ClockSkew {
@@ -296,25 +298,12 @@ impl CheckpointSummary {
 }
 
 /// What one restore produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Manifest version that was revived.
     pub version: u64,
     /// Restore steps completed (== [`RESTORE_STEPS`] length on success).
     pub steps_completed: u64,
-    /// Page-delta records applied.
-    pub deltas_applied: usize,
-    /// Scratch heap chunks freed (allocated at startup, freed before the
-    /// checkpoint).
-    pub freed_chunks: usize,
-    /// Heap chunks re-placed from the manifest (allocated after startup).
-    pub reallocated_chunks: usize,
-    /// Scratch descriptors pruned.
-    pub fds_pruned: usize,
-    /// Manifest descriptors installed.
-    pub fds_installed: usize,
-    /// Kernel objects re-created at forced ids.
-    pub objects_inserted: usize,
     /// Manifest versions that failed validation before this one succeeded.
     pub versions_rejected: usize,
 }
@@ -1263,8 +1252,6 @@ fn restore_version<S: Store + ?Sized>(
     program: Box<dyn Program>,
     ctx: &mut StepCtx,
 ) -> Result<RestoredInstance, RestoreError> {
-    let mut report = RestoreReport { version, ..Default::default() };
-
     ctx.step("read-manifest")?;
     let (mut image, digest, shard_meta) = read_manifest(store, version)?;
 
@@ -1285,6 +1272,14 @@ fn restore_version<S: Store + ?Sized>(
             expected: format!("{} {}", image.program_name, image.program_version),
             found: format!("{} {}", program.name(), program.version()),
         });
+    }
+    // A live-updated instance's processes and threads are numbered above
+    // the boot defaults; the re-boot starts where they do.
+    if let (Some(pid), Some(tid)) = (
+        image.processes.iter().map(|p| p.pid).min(),
+        image.processes.iter().flat_map(|p| &p.threads).map(|&(tid, _, _)| tid).min(),
+    ) {
+        kernel.number_from(Pid(pid), Tid(tid));
     }
     let boot_opts =
         BootOptions { config: image.config, layout_slide: image.layout_slide, start_quiesced: false };
@@ -1323,19 +1318,13 @@ fn restore_version<S: Store + ?Sized>(
     }
 
     ctx.step("heap-reconcile")?;
-    reconcile_heaps(&mut kernel, &image, &mut report)?;
+    reconcile_heaps(&mut kernel, &image)?;
 
     ctx.step("memory-overlay")?;
     overlay_memory(&mut kernel, &image, &deltas)?;
 
-    ctx.step("fd-prune")?;
-    prune_fds(&mut kernel, &image, &mut report)?;
-
-    ctx.step("objects-restore")?;
-    restore_objects(&mut kernel, std::mem::take(&mut image.objects), &mut report)?;
-
-    ctx.step("fd-install")?;
-    install_fds(&mut kernel, &image, &mut report)?;
+    ctx.step("tables-restore")?;
+    restore_tables(&mut kernel, &mut image)?;
 
     ctx.step("clients-restore")?;
     kernel.restore_clients(std::mem::take(&mut image.clients));
@@ -1355,8 +1344,7 @@ fn restore_version<S: Store + ?Sized>(
         return Err(RestoreError::DigestMismatch { expected: digest, found });
     }
 
-    report.steps_completed = ctx.counter;
-    report.deltas_applied = deltas.len();
+    let report = RestoreReport { version, steps_completed: ctx.counter, versions_rejected: 0 };
     Ok(RestoredInstance { kernel, instance, report })
 }
 
@@ -1401,11 +1389,7 @@ fn validate_topology(
     Ok(())
 }
 
-fn reconcile_heaps(
-    kernel: &mut Kernel,
-    image: &StateImage,
-    report: &mut RestoreReport,
-) -> Result<(), RestoreError> {
+fn reconcile_heaps(kernel: &mut Kernel, image: &StateImage) -> Result<(), RestoreError> {
     for img in &image.processes {
         let pid = Pid(img.pid);
         let have: BTreeMap<u64, (u64, u64, u64, bool)> = {
@@ -1451,13 +1435,11 @@ fn reconcile_heaps(
         for payload in to_free {
             heap.free(space, Addr(payload))
                 .map_err(|e| RestoreError::Reconcile(format!("pid {} free {payload:#x}: {e}", img.pid)))?;
-            report.freed_chunks += 1;
         }
         for c in to_alloc {
             heap.malloc_at(space, Addr(c.payload), c.size, AllocSite(c.site), TypeTag(c.tag)).map_err(
                 |e| RestoreError::Reconcile(format!("pid {} malloc_at {:#x}: {e}", img.pid, c.payload)),
             )?;
-            report.reallocated_chunks += 1;
         }
     }
     Ok(())
@@ -1549,106 +1531,25 @@ fn overlay_memory(
     Ok(())
 }
 
-fn prune_fds(
-    kernel: &mut Kernel,
-    image: &StateImage,
-    report: &mut RestoreReport,
-) -> Result<(), RestoreError> {
-    for img in &image.processes {
-        let pid = Pid(img.pid);
-        let want: BTreeMap<i32, &FdImage> = img.fds.iter().map(|f| (f.fd, f)).collect();
-        let to_remove: Vec<(Fd, ObjId)> = {
-            let proc = kernel.process(pid).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-            proc.fds()
-                .iter()
-                .filter(|(fd, entry)| {
-                    !want.get(&fd.0).is_some_and(|f| {
-                        f.obj == entry.object.0
-                            && f.cloexec == entry.cloexec
-                            && f.inherited == entry.inherited
-                    })
-                })
-                .map(|(fd, entry)| (fd, entry.object))
-                .collect()
-        };
-        for (fd, obj) in to_remove {
-            kernel
-                .process_mut(pid)
-                .map_err(|e| RestoreError::Reconcile(e.to_string()))?
-                .fds_mut()
-                .remove(fd)
-                .map_err(|e| RestoreError::Reconcile(format!("pid {} remove fd {fd}: {e}", img.pid)))?;
-            kernel.objects_mut().decref(obj);
-            report.fds_pruned += 1;
-        }
-    }
-    Ok(())
-}
-
-fn restore_objects(
-    kernel: &mut Kernel,
-    images: Vec<ObjImage>,
-    report: &mut RestoreReport,
-) -> Result<(), RestoreError> {
+/// Replaces the scratch kernel's object table and every process's
+/// descriptor table with the manifest's. The object table keeps its id
+/// counter, so an id issued after the restore is the one the re-boot would
+/// have issued.
+fn restore_tables(kernel: &mut Kernel, image: &mut StateImage) -> Result<(), RestoreError> {
     let objects = kernel.objects_mut();
-    let mut ids = Vec::with_capacity(images.len());
-    for img in images {
-        // The writer emits ids in strictly ascending order; holding the
-        // reader to it lets the count alone prove the id sets equal below.
-        if let Some(&last) = ids.last().filter(|&&last| img.id <= last) {
-            return Err(RestoreError::Reconcile(format!(
-                "kernel object {} follows {last}: ids out of ascending order",
-                img.id
-            )));
-        }
-        ids.push(img.id);
-        let id = ObjId(img.id);
-        if objects.get(id).is_some() {
-            objects.restore_payload(id, img.obj).map_err(RestoreError::Reconcile)?;
-            objects.set_refcount(id, img.rc).map_err(RestoreError::Reconcile)?;
-        } else {
-            objects.restore_insert(id, img.obj, img.rc).map_err(RestoreError::Reconcile)?;
-            report.objects_inserted += 1;
-        }
+    objects.clear();
+    for img in std::mem::take(&mut image.objects) {
+        objects.restore_insert(ObjId(img.id), img.obj, img.rc).map_err(RestoreError::Reconcile)?;
     }
-    // After pruning every descriptor the manifest disowns, any survivor
-    // outside the manifest means the reconcile did not converge. Every
-    // manifest id is live now, so a larger table holds a survivor.
-    if objects.len() != ids.len() {
-        let extra: Vec<u64> =
-            objects.iter().map(|(id, _)| id.0).filter(|id| ids.binary_search(id).is_err()).collect();
-        return Err(RestoreError::Reconcile(format!("unreconciled kernel objects {extra:?}")));
-    }
-    Ok(())
-}
-
-fn install_fds(
-    kernel: &mut Kernel,
-    image: &StateImage,
-    report: &mut RestoreReport,
-) -> Result<(), RestoreError> {
     for img in &image.processes {
-        let pid = Pid(img.pid);
-        let existing: BTreeSet<i32> = {
-            let proc = kernel.process(pid).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-            proc.fds().iter().map(|(fd, _)| fd.0).collect()
-        };
+        let proc = kernel.process_mut(Pid(img.pid)).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
+        let fds = proc.fds_mut();
+        *fds = FdTable::new();
         for f in &img.fds {
-            if existing.contains(&f.fd) {
-                continue;
-            }
-            let proc = kernel.process_mut(pid).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-            let fds = proc.fds_mut();
-            // No incref: every manifest refcount was forced during
-            // objects-restore, and it already accounts for this descriptor.
+            // No incref: the manifest's refcounts count every descriptor.
             fds.install_at(Fd(f.fd), ObjId(f.obj), f.inherited)
+                .and_then(|()| fds.set_cloexec(Fd(f.fd), f.cloexec))
                 .map_err(|e| RestoreError::Reconcile(format!("pid {} install fd {}: {e}", img.pid, f.fd)))?;
-            if f.cloexec {
-                fds.set_cloexec(Fd(f.fd), true).map_err(|e| {
-                    RestoreError::Reconcile(format!("pid {} cloexec fd {}: {e}", img.pid, f.fd))
-                })?;
-            }
-            report.fds_installed += 1;
         }
     }
     Ok(())

@@ -245,35 +245,35 @@ fn crash_during_checkpoint_falls_back_cleanly() {
     drive_traffic(&mut kernel, &mut instance, 1);
 }
 
-/// An update of a restored instance lands 2^32 past the slide it was
-/// restored at: an instance booted (and checkpointed) at 3 * 2^32 comes
-/// back at 3 * 2^32, and its update lands at 4 * 2^32.
+/// A live-updated instance restores at its updated slide, and its next
+/// update lands 2^32 past it.
 #[test]
 fn update_after_restore_slides_past_the_restored_layout() {
     use crate::runtime::controller::{live_update, UpdateOptions};
     let slide = |k: &Kernel, i: &McrInstance| k.process(i.init_pid().unwrap()).unwrap().layout().slide();
-    let mut kernel = Kernel::new();
-    kernel.add_file("/etc/tiny.conf", b"workers=2\n".to_vec());
-    let opts = BootOptions { layout_slide: 0x3_0000_0000, ..BootOptions::default() };
-    let mut instance = boot(&mut kernel, Box::new(TinyServer::new(1)), &opts).unwrap();
+    let update = |kernel: &mut Kernel, instance, version| {
+        let new = Box::new(TinyServer::new(version));
+        let (updated, outcome) =
+            live_update(kernel, instance, new, InstrumentationConfig::full(), &UpdateOptions::default());
+        assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+        updated
+    };
+    let (mut kernel, mut instance) = booted();
     drive_traffic(&mut kernel, &mut instance, 2);
+    let mut instance = update(&mut kernel, instance, 2);
+    let updated_slide = slide(&kernel, &instance);
+    drive_traffic(&mut kernel, &mut instance, 1);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
 
-    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    let mut make = || Box::new(TinyServer::new(2)) as Box<dyn Program>;
+    let restored = restore_latest(&store, &mut make, None).unwrap();
     let (mut kernel, mut instance) = (restored.kernel, restored.instance);
-    assert_eq!(slide(&kernel, &instance), 0x3_0000_0000, "restored at the checkpointed slide");
+    assert_eq!(slide(&kernel, &instance), updated_slide, "restored at the updated slide");
     resume(&mut kernel, &mut instance);
     drive_traffic(&mut kernel, &mut instance, 1);
-    let (updated, outcome) = live_update(
-        &mut kernel,
-        instance,
-        Box::new(TinyServer::new(2)),
-        InstrumentationConfig::full(),
-        &UpdateOptions::default(),
-    );
-    assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
-    assert_eq!(slide(&kernel, &updated), 0x4_0000_0000);
+    let updated = update(&mut kernel, instance, 3);
+    assert_eq!(slide(&kernel, &updated), updated_slide + 0x1_0000_0000);
 }
 
 // ---------------------------------------------------------------------------

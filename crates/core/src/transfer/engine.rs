@@ -1432,7 +1432,7 @@ mod tests {
     }
 
     fn make_instance_in(kernel: &mut Kernel, name: &str, layout: MemoryLayout) -> (InstanceState, Pid) {
-        let pid = kernel.create_process(name).unwrap();
+        let pid = kernel.create_process(name);
         kernel.process_mut(pid).unwrap().setup_memory(layout, true).unwrap();
         let mut state =
             InstanceState::new(name, "1.0", InstrumentationConfig::full(), Interposer::recorder());

@@ -42,8 +42,6 @@ pub enum SimError {
     PortInUse(u16),
     /// accept()/read() found nothing and the call would block.
     WouldBlock,
-    /// The requested pid could not be assigned (namespace clash).
-    PidUnavailable(Pid),
     /// The path does not exist in the simulated file system.
     NoSuchFile(String),
     /// Catch-all for invalid arguments to a syscall.
@@ -80,7 +78,6 @@ impl fmt::Display for SimError {
             SimError::StaleObject(id) => write!(f, "kernel object {id} no longer exists"),
             SimError::PortInUse(p) => write!(f, "port {p} already in use"),
             SimError::WouldBlock => write!(f, "operation would block"),
-            SimError::PidUnavailable(p) => write!(f, "pid {p} unavailable in namespace"),
             SimError::NoSuchFile(p) => write!(f, "no such file: {p}"),
             SimError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             SimError::Aborted(m) => write!(f, "program aborted: {m}"),

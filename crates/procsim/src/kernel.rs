@@ -420,7 +420,6 @@ pub struct Kernel {
     files: BTreeMap<String, Vec<u8>>,
     next_pid: u32,
     next_tid: u32,
-    forced_next_pid: Option<u32>,
     next_conn: u64,
     clients: BTreeMap<u64, ClientConn>,
     /// Client request bytes sent before the connection was accepted.
@@ -447,7 +446,6 @@ impl Kernel {
             files: BTreeMap::new(),
             next_pid: 100,
             next_tid: TID_BASE,
-            forced_next_pid: None,
             next_conn: 1,
             clients: BTreeMap::new(),
             pending_client_data: BTreeMap::new(),
@@ -601,16 +599,10 @@ impl Kernel {
     // Process management
     // ------------------------------------------------------------------
 
-    fn alloc_pid(&mut self) -> SimResult<Pid> {
-        if let Some(p) = self.forced_next_pid.take() {
-            if self.proc_slot(Pid(p)).is_some() {
-                return Err(SimError::PidUnavailable(Pid(p)));
-            }
-            return Ok(Pid(p));
-        }
+    fn alloc_pid(&mut self) -> Pid {
         let p = self.next_pid;
         self.next_pid += 1;
-        Ok(Pid(p))
+        Pid(p)
     }
 
     fn alloc_tid(&mut self) -> Tid {
@@ -620,16 +612,20 @@ impl Kernel {
     }
 
     /// Creates a fresh process running program `name`, returning its pid.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a forced pid is already in use.
-    pub fn create_process(&mut self, name: impl Into<String>) -> SimResult<Pid> {
-        let pid = self.alloc_pid()?;
+    pub fn create_process(&mut self, name: impl Into<String>) -> Pid {
+        let pid = self.alloc_pid();
         let tid = self.alloc_tid();
         let proc = Process::new(pid, name, tid);
         self.insert_proc(pid, proc);
-        Ok(pid)
+        pid
+    }
+
+    /// Starts pid and tid numbering at `pid` and `tid`, never lowering
+    /// either counter (restore path: the scratch kernel numbers a re-booted
+    /// program's processes and threads as the checkpointed kernel did).
+    pub fn number_from(&mut self, pid: Pid, tid: Tid) {
+        self.next_pid = self.next_pid.max(pid.0);
+        self.next_tid = self.next_tid.max(tid.0);
     }
 
     /// Shared access to a process.
@@ -1029,7 +1025,7 @@ impl Kernel {
 
     /// Exclusive access to the kernel object table (checkpoint restore —
     /// programs go through descriptors, and the restore path is the only
-    /// caller that may force ids and refcounts).
+    /// caller that replaces the table).
     pub fn objects_mut(&mut self) -> &mut ObjectTable {
         &mut self.objects
     }
@@ -1196,7 +1192,7 @@ impl Kernel {
                 Ok(SyscallRet::Unit)
             }
             Syscall::Fork => {
-                let child_pid = self.alloc_pid()?;
+                let child_pid = self.alloc_pid();
                 let child_tid = self.alloc_tid();
                 let parent = self.process(pid)?;
                 let child = parent.fork_into(child_pid, child_tid, tid);
@@ -1384,7 +1380,7 @@ mod tests {
 
     fn booted() -> (Kernel, Pid, Tid) {
         let mut k = Kernel::new();
-        let pid = k.create_process("testd").unwrap();
+        let pid = k.create_process("testd");
         let tid = k.process(pid).unwrap().main_tid();
         k.process_mut(pid).unwrap().setup_memory(MemoryLayout::default(), false).unwrap();
         (k, pid, tid)
@@ -1501,14 +1497,15 @@ mod tests {
     }
 
     #[test]
-    fn forced_pid_assignment() {
-        let (mut k, pid, tid) = booted();
-        k.forced_next_pid = Some(4242);
-        let child = k.syscall(pid, tid, Syscall::Fork).unwrap().as_pid().unwrap();
-        assert_eq!(child, Pid(4242));
-        // Forcing an already-used pid fails.
-        k.forced_next_pid = Some(pid.0);
-        assert!(matches!(k.syscall(pid, tid, Syscall::Fork), Err(SimError::PidUnavailable(_))));
+    fn numbering_starts_where_asked_and_never_goes_back() {
+        let mut k = Kernel::new();
+        k.number_from(Pid(4242), Tid(5000));
+        let pid = k.create_process("testd");
+        assert_eq!((pid, k.process(pid).unwrap().main_tid()), (Pid(4242), Tid(5000)));
+        // Asking for numbers below the ones already issued changes nothing.
+        k.number_from(Pid(100), Tid(TID_BASE));
+        let next = k.create_process("peer");
+        assert_eq!((next, k.process(next).unwrap().main_tid()), (Pid(4243), Tid(5001)));
     }
 
     #[test]
@@ -1517,7 +1514,7 @@ mod tests {
         let listener_fd = k.syscall(pid, tid, Syscall::Socket).unwrap().as_fd().unwrap();
         let chan = k.syscall(pid, tid, Syscall::UnixBind { name: "mcr".into() }).unwrap().as_fd().unwrap();
         // A second process connects and receives the passed descriptor.
-        let other = k.create_process("peer").unwrap();
+        let other = k.create_process("peer");
         let other_tid = k.process(other).unwrap().main_tid();
         let conn = k
             .syscall(other, other_tid, Syscall::UnixConnect { name: "mcr".into() })
@@ -1546,7 +1543,7 @@ mod tests {
     fn transfer_fd_placements() {
         let (mut k, pid, tid) = booted();
         let fd = k.syscall(pid, tid, Syscall::Socket).unwrap().as_fd().unwrap();
-        let other = k.create_process("new-version").unwrap();
+        let other = k.create_process("new-version");
         let reserved = k.transfer_fd(pid, fd, other, FdPlacement::Reserved).unwrap();
         assert!(reserved.is_reserved());
         let exact = k.transfer_fd(pid, fd, other, FdPlacement::Exact(Fd(7))).unwrap();
@@ -1619,8 +1616,8 @@ mod tests {
     fn split_pairs_gives_shared_old_and_exclusive_new() {
         let (mut k, pid, tid) = booted();
         let old_b = k.syscall(pid, tid, Syscall::Fork).unwrap().as_pid().unwrap();
-        let new_a = k.create_process("new").unwrap();
-        let new_b = k.create_process("new").unwrap();
+        let new_a = k.create_process("new");
+        let new_b = k.create_process("new");
         k.process_mut(new_a).unwrap().setup_memory(MemoryLayout::with_slide(0x1000_0000), false).unwrap();
         k.process_mut(new_b).unwrap().setup_memory(MemoryLayout::with_slide(0x2000_0000), false).unwrap();
         let pairs = [(pid, new_a), (old_b, new_b)];
@@ -1719,7 +1716,7 @@ mod tests {
     #[test]
     fn filtered_timer_deadline_lookup_sees_only_matching_pids() {
         let (mut k, pid, tid) = booted();
-        let other = k.create_process("peer").unwrap();
+        let other = k.create_process("peer");
         let other_tid = k.process(other).unwrap().main_tid();
         let near = SimInstant(k.now().0 + 1_000);
         let far = SimInstant(k.now().0 + 9_000);
@@ -1767,7 +1764,7 @@ mod tests {
         k.wait_on_fd(pid, tid, fd).unwrap();
         k.syscall(pid, tid, Syscall::Exit { code: 0 }).unwrap();
         assert_eq!(k.waiting_thread_count(), 0, "exit purged the registration");
-        let other = k.create_process("peer").unwrap();
+        let other = k.create_process("peer");
         let other_tid = k.process(other).unwrap().main_tid();
         k.wait_until(other, other_tid, SimInstant(k.now().0 + 1_000));
         k.remove_process(other).unwrap();
@@ -1787,7 +1784,7 @@ mod tests {
             k.wait_on_fd(pid, w, fd).unwrap();
         }
         // A second process whose wakeups must survive a foreign drain.
-        let other = k.create_process("peer").unwrap();
+        let other = k.create_process("peer");
         let other_tid = k.process(other).unwrap().main_tid();
         let o2 = k.spawn_thread(other, "o2", Vec::new()).unwrap();
         k.wait_until(other, other_tid, SimInstant(0));
@@ -1822,7 +1819,7 @@ mod tests {
         k.syscall(pid, tid, Syscall::Listen { fd }).unwrap();
         let survivors: Vec<Tid> =
             (0..2).map(|i| k.spawn_thread(pid, &format!("s{i}"), Vec::new()).unwrap()).collect();
-        let doomed = k.create_process("doomed").unwrap();
+        let doomed = k.create_process("doomed");
         let doomed_tid = k.process(doomed).unwrap().main_tid();
         let doomed_queued = k.spawn_thread(doomed, "dq", Vec::new()).unwrap();
         let dfd = k.transfer_fd(pid, fd, doomed, FdPlacement::Lowest).unwrap();

@@ -47,7 +47,7 @@
 //!
 //! # fn main() -> Result<(), mcr_procsim::SimError> {
 //! let mut kernel = Kernel::new();
-//! let pid = kernel.create_process("demo")?;
+//! let pid = kernel.create_process("demo");
 //! let tid = kernel.process(pid)?.main_tid();
 //! kernel.process_mut(pid)?.setup_memory(MemoryLayout::default(), true)?;
 //!

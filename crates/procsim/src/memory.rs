@@ -1330,7 +1330,7 @@ mod tests {
         use crate::syscall::{Syscall, SyscallPort};
 
         let mut kernel = Kernel::new();
-        let parent = kernel.create_process("srv").unwrap();
+        let parent = kernel.create_process("srv");
         kernel.process_mut(parent).unwrap().setup_memory(MemoryLayout::default(), true).unwrap();
         let heap = kernel.process(parent).unwrap().layout().heap_base;
         let space = kernel.process_mut(parent).unwrap().space_mut();

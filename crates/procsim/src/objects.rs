@@ -382,22 +382,26 @@ impl ObjectTable {
         }
     }
 
+    /// Drops every object but keeps the id counter, so ids issued later
+    /// still never repeat one issued before (restore path: the table is
+    /// refilled with [`ObjectTable::restore_insert`]).
+    pub fn clear(&mut self) {
+        *self = ObjectTable { next_id: self.next_id, ..ObjectTable::new() };
+    }
+
     /// Re-creates an object at a *specific* id with a *specific* reference
     /// count — the checkpoint-restore path, which must reproduce the
     /// checkpointed table exactly (ids are embedded in descriptor tables and
-    /// in the kernel fingerprint). Fails if the id is already live or zero.
+    /// in the kernel fingerprint). Fails unless `id` is above every live id,
+    /// so a zero or repeated id fails and [`ObjectTable::iter`] stays in
+    /// ascending-id order.
     ///
     /// The slot position in the slab may differ from the original table;
-    /// only ids, payloads and refcounts are part of the restored contract
-    /// (no public API exposes slot indices or insertion order besides
-    /// ascending-id iteration of [`ObjectTable::iter`], which stays correct
-    /// because restore inserts in ascending-id order).
+    /// only ids, payloads and refcounts are part of the restored contract.
     pub fn restore_insert(&mut self, id: ObjId, obj: KernelObject, rc: u32) -> Result<(), String> {
-        if id.0 == 0 {
-            return Err("object id 0 is reserved".into());
-        }
-        if self.slot_of(id).is_some() {
-            return Err(format!("object id {} already live", id.0));
+        let last = if self.order_tail == NIL { 0 } else { self.slots[self.order_tail as usize].id };
+        if id.0 <= last {
+            return Err(format!("object id {} does not follow id {last}", id.0));
         }
         self.index_payload(id, &obj);
         let old_tail = self.order_tail;
@@ -425,32 +429,6 @@ impl ObjectTable {
         self.id_to_slot[idx] = slot;
         self.live += 1;
         self.next_id = self.next_id.max(id.0 + 1);
-        Ok(())
-    }
-
-    /// Replaces a live object's payload wholesale, keeping id and refcount
-    /// and re-synchronizing the kind indexes (restore path).
-    pub fn restore_payload(&mut self, id: ObjId, obj: KernelObject) -> Result<(), String> {
-        let Some(s) = self.slot_of(id) else {
-            return Err(format!("object id {} not live", id.0));
-        };
-        self.unindex_slot(id, s);
-        self.index_payload(id, &obj);
-        self.slots[s as usize].obj = obj;
-        Ok(())
-    }
-
-    /// Forces a live object's reference count (restore path: descriptor
-    /// tables are rebuilt without increfs, then counts are set from the
-    /// manifest).
-    pub fn set_refcount(&mut self, id: ObjId, rc: u32) -> Result<(), String> {
-        if rc == 0 {
-            return Err("refcount 0 would leak a live slot; use decref".into());
-        }
-        let Some(s) = self.slot_of(id) else {
-            return Err(format!("object id {} not live", id.0));
-        };
-        self.slots[s as usize].rc = rc;
         Ok(())
     }
 
@@ -626,7 +604,7 @@ mod tests {
         };
         check(&t, 0, "new");
         let a = t.insert(connection(1, false));
-        let b = t.insert(connection(2, false));
+        t.insert(connection(2, false));
         let closed = t.insert(connection(3, true));
         let pipe = t.insert(KernelObject::Pipe { buffer: VecDeque::new() });
         check(&t, 2, "inserting two open connections and a closed one");
@@ -637,27 +615,26 @@ mod tests {
         t.close_peer(pipe);
         t.close_peer(ObjId(99));
         check(&t, 1, "closing a pipe and a dead id");
-        t.restore_payload(closed, connection(3, false)).unwrap();
-        check(&t, 2, "restoring a closed connection open");
-        t.restore_payload(b, connection(2, true)).unwrap();
-        check(&t, 1, "restoring an open connection closed");
-        t.restore_payload(pipe, connection(4, false)).unwrap();
-        check(&t, 2, "restoring a pipe as an open connection");
-        t.restore_payload(pipe, KernelObject::Pipe { buffer: VecDeque::new() }).unwrap();
-        check(&t, 1, "restoring it back to a pipe");
         t.restore_insert(ObjId(10), connection(5, false), 2).unwrap();
         t.restore_insert(ObjId(11), connection(6, true), 1).unwrap();
         check(&t, 2, "inserting at an id");
+        assert!(t.restore_insert(ObjId(11), connection(7, false), 1).is_err(), "a repeated id");
+        assert!(t.restore_insert(ObjId(0), connection(7, false), 1).is_err(), "id 0");
+        check(&t, 2, "rejected inserts");
         assert!(!t.decref(ObjId(10)));
         check(&t, 2, "a decref that leaves a reference");
         assert!(t.decref(ObjId(10)));
         check(&t, 1, "a decref to zero of an open connection");
-        for id in [a, b, ObjId(11)] {
+        for id in [a, closed, ObjId(11)] {
             assert!(t.decref(id));
         }
         check(&t, 1, "decrefs to zero of closed connections");
-        assert!(t.decref(closed));
-        check(&t, 0, "the last open connection dropped");
+        t.clear();
+        check(&t, 0, "clearing the table");
+        t.restore_insert(ObjId(5), connection(7, false), 1).unwrap();
+        check(&t, 1, "refilling it below the id counter");
+        assert_eq!(t.insert(connection(8, false)), ObjId(12), "clear keeps the id counter");
+        check(&t, 2, "inserting after the refill");
     }
 
     #[test]
