@@ -584,6 +584,33 @@ mod tests {
         assert_eq!(snapshot(&restored.kernel, &restored.instance), checkpointed);
     }
 
+    /// A flipped byte in the newest version's largest file blob
+    /// (`/var/ftp/large.bin`) rejects that version; the older one restores
+    /// with its fingerprint and audit.
+    #[test]
+    fn flipped_file_blob_restores_the_previous_version() {
+        let spec = quick();
+        let (mut kernel, mut instance) = setup(&spec);
+        let mut store = MemStore::new();
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v1 checkpoint");
+        let v1 = snapshot(&kernel, &instance);
+        run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
+            .expect("extra traffic");
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v2 checkpoint");
+        assert_ne!(snapshot(&kernel, &instance), v1, "v2 differs from v1");
+
+        let largest = store
+            .list()
+            .into_iter()
+            .filter(|n| n.starts_with("ckpt/v00000002/file-"))
+            .max_by_key(|n| store.read_blob(n).expect("file blob readable").len())
+            .expect("v2 file blobs");
+        store.corrupt_byte(&largest, 512 * 1024).expect("corrupt file blob");
+        let restored = restore_latest(&store, &mut gen1(&spec), None).expect("v1 restores");
+        assert_eq!((restored.report.version, restored.report.versions_rejected), (1, 1));
+        assert_eq!(snapshot(&restored.kernel, &restored.instance), v1);
+    }
+
     #[test]
     fn every_server_program_checkpoints_and_restores_or_is_rejected_typed() {
         for updates in 0..=2 {

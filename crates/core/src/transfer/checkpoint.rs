@@ -1,41 +1,53 @@
 //! Durable checkpoints: versioned, checksummed manifests plus crash-consistent
 //! restore.
 //!
-//! A checkpoint captures a quiesced instance as two kinds of blobs in a
+//! A checkpoint captures a quiesced instance as three kinds of blobs in a
 //! [`Store`]:
 //!
-//! * **shards** — the page *deltas* (every page whose soft-dirty stamp is
-//!   nonzero, i.e. written after startup), partitioned into contiguous,
-//!   cost-balanced ranges by the same partitioner the intra-pair transfer
-//!   engine uses, one blob per modelled writer, assembled one after the
-//!   other and charged at the slowest writer's cost;
-//! * **a manifest** — program identity, instrumentation config, memory
-//!   layout, file system, client endpoints, per-process topology (threads,
-//!   regions, live heap chunks, descriptor tables), the kernel object table,
-//!   the shard table (per-shard length + checksum), a whole-state digest and
-//!   a trailing self-checksum. It records live endpoints only: the kernel
+//! * **shards** (`shard-NNNN`) — the page *deltas* (every page whose
+//!   soft-dirty stamp is nonzero, i.e. written after startup), partitioned
+//!   into contiguous, cost-balanced ranges by the same partitioner the
+//!   intra-pair transfer engine uses, one blob per modelled writer,
+//!   assembled one after the other and charged at the slowest writer's
+//!   cost;
+//! * **files** (`file-NNNN`) — the bytes of each simulated file, one blob
+//!   per file in path order, written as they are and not charged in
+//!   simulated time;
+//! * **a manifest** (`MANIFEST`) — program identity, instrumentation
+//!   config, memory layout, the file table (per-file path, length and
+//!   checksum), client endpoints, per-process topology (threads, regions,
+//!   live heap chunks, descriptor tables), the kernel object table, the
+//!   shard table (per-shard length + checksum), a whole-state digest and a
+//!   trailing self-checksum. It records live endpoints only: the kernel
 //!   forgets an accepted endpoint when its client closes it, and an
 //!   endpoint carries replies only once its server has released the
 //!   connection with them unread.
 //!
-//! Format v3: every checksum — manifest trailer, shard sums, state digest —
-//! is [`checksum64`], which hashes whole 32-byte blocks as four independent
-//! lanes of 8-byte words, always detects a change confined to one aligned
-//! word and folds the length in. v2 used the same step as one serial chain
-//! and v1 hashed byte-wise FNV-1a; a v1 or v2 blob fails the trailer check
-//! first and is skipped like any corrupt version. The digest chains
-//! `checksum64` over the state section and then over each delta record's
-//! header and payload, so it does not depend on the shard split.
+//! Format v4: every checksum — manifest trailer, shard sums, file sums,
+//! state digest — is [`checksum64`], which hashes whole 32-byte blocks as
+//! four independent lanes of 8-byte words, always detects a change confined
+//! to one aligned word and folds the length in. v3 carried each file's
+//! bytes inside the manifest and is refused as [`RestoreError::VersionSkew`];
+//! v2 used the same step as one serial chain and v1 hashed byte-wise
+//! FNV-1a, so a v1 or v2 blob fails the trailer check first and is skipped
+//! like any corrupt version. The digest chains `checksum64` over the state
+//! section, whose file table holds each file's checksum, and then over each
+//! delta record's header and payload, so it does not depend on the shard
+//! split. The kernel keeps each file's checksum until the file next
+//! changes, so a file nothing writes is hashed once per kernel, not once
+//! per checkpoint or digest.
 //!
-//! The commit protocol is shards → fsync → manifest → fsync: a manifest is
-//! only durable once everything it names is, so any crash mid-checkpoint
-//! leaves either a fully valid new version or a truncated/torn one that
-//! validation rejects, falling back to the previous retained version.
+//! The commit protocol is shards + files → fsync → manifest → fsync: a
+//! manifest is only durable once everything it names is, so any crash
+//! mid-checkpoint leaves either a fully valid new version or a
+//! truncated/torn one that validation rejects, falling back to the previous
+//! retained version.
 //!
 //! The writer never materialises the state: `encode_live_state` streams
-//! the wire form straight from the quiesced kernel into the manifest buffer
-//! and page deltas are borrowed views of the kernel's page table.
-//! `StateImage` and `DeltaRecord` are the *decoded* form only.
+//! the wire form straight from the quiesced kernel into the manifest buffer,
+//! and page deltas and file contents are borrowed views of the kernel's
+//! page table and file system. `StateImage` and `DeltaRecord` are the
+//! *decoded* form only.
 //!
 //! Restore does **not** deserialize a kernel wholesale. It re-boots the same
 //! program deterministically in a *scratch* kernel that numbers processes
@@ -44,9 +56,12 @@
 //! updates it went through. It then overlays the recorded post-startup
 //! state: page deltas and a heap-chunk reconcile, the manifest's descriptor
 //! and kernel-object tables in place of the re-boot's, client endpoints and
-//! the virtual clock — moving files, kernel objects and client endpoints out
-//! of the decoded image rather than copying them — and finally proves
-//! fidelity by re-encoding the scratch kernel's state and comparing digests.
+//! the virtual clock — moving file contents out of their blobs and kernel
+//! objects and client endpoints out of the decoded image rather than
+//! copying them — and finally proves fidelity by re-encoding the scratch
+//! kernel's state and comparing digests. File contents are read and hashed
+//! once, before the re-boot that reads them; every later file check
+//! compares the kernel's cached checksums.
 //! The serving kernel is never touched: a restore either returns a complete
 //! new kernel or a typed [`RestoreError`], so no partial restore can ever be
 //! observed (the "no partial restore" guarantee is structural).
@@ -78,8 +93,11 @@ const MAGIC: &[u8; 8] = b"MCRCKPT1";
 
 /// On-disk format version; bumping it makes old manifests version-skewed.
 /// Version 2 replaced the byte-wise FNV-1a sums with [`checksum64`];
-/// version 3 runs its whole 32-byte blocks as four lanes.
-pub(crate) const FORMAT_VERSION: u32 = 3;
+/// version 3 runs its whole 32-byte blocks as four lanes; version 4 moves
+/// each file's bytes out of the manifest into a `file-NNNN` blob written
+/// with the shards, before the barrier that precedes the manifest, and
+/// keeps only each file's path, length and checksum in the manifest.
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// Simulated cost charged per page-delta record written to a shard, plus one
 /// nanosecond per payload byte (models serialization + device bandwidth).
@@ -276,9 +294,9 @@ pub struct CheckpointSummary {
     pub shards: usize,
     /// Manifest blob size in bytes.
     pub manifest_bytes: u64,
-    /// Store blocks this checkpoint wrote (shards + manifest) — the size of
-    /// the torn-write/crash fault-site space a chaos campaign can inject
-    /// into.
+    /// Store blocks this checkpoint wrote (shards + files + manifest) — the
+    /// size of the torn-write/crash fault-site space a chaos campaign can
+    /// inject into.
     pub blocks: u64,
     /// Simulated cost of writing the shards serially.
     pub(crate) serial_cost: SimDuration,
@@ -652,9 +670,17 @@ struct ObjImage {
     obj: KernelObject,
 }
 
+/// One row of the manifest's file table; the contents are the version's
+/// `file-NNNN` blob, numbered by the row's position.
+struct FileImage {
+    path: String,
+    len: u64,
+    checksum: u64,
+}
+
 /// Everything the manifest's state section captures, decoded. Restore owns
-/// it and moves the bulky parts (files, clients, objects) into the scratch
-/// kernel; the writer never builds one (see [`encode_live_state`]).
+/// it and moves the bulky parts (clients, objects) into the scratch kernel;
+/// the writer never builds one (see [`encode_live_state`]).
 struct StateImage {
     program_name: String,
     program_version: String,
@@ -662,7 +688,7 @@ struct StateImage {
     layout_slide: u64,
     clock_ns: u64,
     next_conn: u64,
-    files: Vec<(String, Vec<u8>)>,
+    files: Vec<FileImage>,
     clients: Vec<ClientSnapshot>,
     processes: Vec<ProcImage>,
     objects: Vec<ObjImage>,
@@ -683,9 +709,15 @@ impl StateImage {
         let clock_ns = d.u64()?;
         let next_conn = d.u64()?;
         let n = d.u32()? as usize;
-        let mut files = Vec::with_capacity(n.min(4096));
+        let mut files: Vec<FileImage> = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            files.push((d.str()?, d.bytes()?));
+            let file = FileImage { path: d.str()?, len: d.u64()?, checksum: d.u64()? };
+            // Strictly ascending paths: the rows name distinct files, in the
+            // order the kernel lists them.
+            if files.last().is_some_and(|prev| prev.path >= file.path) {
+                return Err(());
+            }
+            files.push(file);
         }
         let n = d.u32()? as usize;
         let mut clients = Vec::with_capacity(n.min(65536));
@@ -834,9 +866,10 @@ fn encode_live_state(kernel: &Kernel, instance: &McrInstance, procs: &[(Pid, &Pr
     e.u8(0); // reserved (see `StateImage::decode`)
     e.u64(kernel.now().0);
     e.u64(kernel.next_conn_id());
-    e.seq(kernel.files(), |e, (path, contents)| {
+    e.seq(kernel.files(), |e, (path, contents, checksum)| {
         e.str(path);
-        e.bytes(contents);
+        e.u64(contents.len() as u64);
+        e.u64(checksum);
     });
     e.seq(kernel.clients(), |e, c| {
         e.u64(c.conn);
@@ -927,6 +960,10 @@ fn shard_blob(version: u64, shard: usize) -> String {
     format!("{}/shard-{shard:04}", version_dir(version))
 }
 
+fn file_blob(version: u64, file: usize) -> String {
+    format!("{}/file-{file:04}", version_dir(version))
+}
+
 /// All version numbers present in the store (any blob under the version's
 /// directory counts — a torn checkpoint with shards but no manifest still
 /// claims its number), ascending.
@@ -948,10 +985,10 @@ pub fn list_versions<S: Store + ?Sized>(store: &S) -> Vec<u64> {
 // Checkpoint write
 // ---------------------------------------------------------------------------
 
-/// Writes a durable checkpoint of the (quiesced) instance. Shards first,
-/// fsync, then the manifest, fsync — so the manifest never names data that
-/// could be lost. Returns the new version's summary; on success, all but
-/// the newest two versions are deleted.
+/// Writes a durable checkpoint of the (quiesced) instance. Shards and file
+/// blobs first, fsync, then the manifest, fsync — so the manifest never
+/// names data that could be lost. Returns the new version's summary; on
+/// success, all but the newest two versions are deleted.
 ///
 /// # Errors
 ///
@@ -1006,7 +1043,10 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     for (i, (buf, _, _)) in shard_bufs.iter().enumerate() {
         store.write_blob(&shard_blob(version, i), buf)?;
     }
-    // Barrier: every shard is durable before the manifest names it.
+    for (i, (_, contents, _)) in kernel.files().enumerate() {
+        store.write_blob(&file_blob(version, i), contents)?;
+    }
+    // Barrier: every shard and file is durable before the manifest names it.
     store.sync()?;
 
     // Header first, with the digest and state-length slots patched once the
@@ -1111,13 +1151,18 @@ impl StepCtx {
 /// per-shard (length, checksum) pairs the shard reads are validated with.
 type ManifestContents = (StateImage, u64, Vec<(u64, u64)>);
 
+/// Reads one blob in full; a missing blob is a truncated version.
+fn read_named<S: Store + ?Sized>(store: &S, name: &str) -> Result<Vec<u8>, RestoreError> {
+    match store.read_blob(name) {
+        Ok(b) => Ok(b),
+        Err(StoreError::NotFound(_)) => Err(RestoreError::Truncated { blob: name.to_string() }),
+        Err(e) => Err(RestoreError::Store(e)),
+    }
+}
+
 fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestContents, RestoreError> {
     let name = manifest_blob(version);
-    let blob = match store.read_blob(&name) {
-        Ok(b) => b,
-        Err(StoreError::NotFound(_)) => return Err(RestoreError::Truncated { blob: name }),
-        Err(e) => return Err(RestoreError::Store(e)),
-    };
+    let blob = read_named(store, &name)?;
     if blob.len() < MAGIC.len() + 8 {
         return Err(RestoreError::Truncated { blob: name });
     }
@@ -1183,11 +1228,7 @@ fn read_shards<S: Store + ?Sized>(
     let mut deltas = Vec::new();
     for (i, &(len, checksum)) in shard_meta.iter().enumerate() {
         let name = shard_blob(version, i);
-        let blob = match store.read_blob(&name) {
-            Ok(b) => b,
-            Err(StoreError::NotFound(_)) => return Err(RestoreError::Truncated { blob: name }),
-            Err(e) => return Err(RestoreError::Store(e)),
-        };
+        let blob = read_named(store, &name)?;
         if blob.len() as u64 != len {
             return Err(RestoreError::Truncated { blob: name });
         }
@@ -1202,6 +1243,28 @@ fn read_shards<S: Store + ?Sized>(
         }
     }
     Ok(deltas)
+}
+
+/// Reads the file blobs the manifest's file table names and checks their
+/// lengths. Their checksums are checked once the scratch kernel holds them,
+/// where the kernel computes and keeps each one.
+fn read_files<S: Store + ?Sized>(
+    store: &S,
+    version: u64,
+    files: &[FileImage],
+) -> Result<Vec<Vec<u8>>, RestoreError> {
+    files
+        .iter()
+        .enumerate()
+        .map(|(i, file)| {
+            let name = file_blob(version, i);
+            let blob = read_named(store, &name)?;
+            if blob.len() as u64 != file.len {
+                return Err(RestoreError::Truncated { blob: name });
+            }
+            Ok(blob)
+        })
+        .collect()
 }
 
 /// Restores the newest fully valid checkpoint from `store` into a fresh
@@ -1257,13 +1320,19 @@ fn restore_version<S: Store + ?Sized>(
 
     ctx.step("read-shards")?;
     let deltas = read_shards(store, version, &shard_meta)?;
+    let contents = read_files(store, version, &image.files)?;
 
     // ---- From here on everything happens in a scratch kernel; the serving
     // kernel is not involved at all.
     ctx.step("preinstall-files")?;
     let mut kernel = Kernel::new();
-    for (path, contents) in &image.files {
-        kernel.add_file(path.clone(), contents.clone());
+    for (file, bytes) in image.files.iter().zip(contents) {
+        kernel.add_file(file.path.clone(), bytes);
+    }
+    // The kernel lists exactly the manifest's files, in the same (path)
+    // order, and hashes each one here for the first and only time.
+    if let Some(i) = kernel.files().zip(&image.files).position(|((_, _, sum), file)| sum != file.checksum) {
+        return Err(RestoreError::ChecksumMismatch { blob: file_blob(version, i) });
     }
 
     ctx.step("boot")?;
@@ -1306,15 +1375,21 @@ fn restore_version<S: Store + ?Sized>(
     ctx.step("validate-topology")?;
     validate_topology(&kernel, &instance, &image)?;
 
+    // The re-boot may create files the manifest does not record; those go.
+    // It cannot delete one, and a file it wrote fails the cached-checksum
+    // comparison: like a missing startup chunk, that breaks the premise
+    // that the re-boot is deterministic.
     ctx.step("files-reconcile")?;
-    let wanted: BTreeSet<&str> = image.files.iter().map(|(p, _)| p.as_str()).collect();
+    let wanted: BTreeSet<&str> = image.files.iter().map(|f| f.path.as_str()).collect();
     let stale: Vec<String> =
-        kernel.files().map(|(p, _)| p).filter(|p| !wanted.contains(p)).map(str::to_string).collect();
+        kernel.files().map(|(p, _, _)| p).filter(|p| !wanted.contains(p)).map(str::to_string).collect();
     for path in stale {
         kernel.remove_file(&path);
     }
-    for (path, contents) in std::mem::take(&mut image.files) {
-        kernel.add_file(path, contents);
+    for ((path, _, sum), file) in kernel.files().zip(&image.files) {
+        if sum != file.checksum {
+            return Err(RestoreError::Reconcile(format!("file {path} changed by the re-boot")));
+        }
     }
 
     ctx.step("heap-reconcile")?;

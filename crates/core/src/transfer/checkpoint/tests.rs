@@ -151,15 +151,19 @@ fn format_version_skew_is_typed() {
     let mut store = MemStore::new();
     drive_traffic(&mut kernel, &mut instance, 1);
     checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
+    let pristine = store.read_blob(&manifest_blob(1)).unwrap();
     // Patch the format field and re-seal the trailing checksum, so only
-    // the version number is wrong.
-    let mut blob = store.read_blob(&manifest_blob(1)).unwrap();
-    blob[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    reseal(&mut blob);
-    store.write_blob(&manifest_blob(1), &blob).unwrap();
-    store.sync().unwrap();
-    let err = restore_latest(&store, &mut factory(), None).unwrap_err();
-    assert!(matches!(err, RestoreError::VersionSkew { .. }), "got {err:?}");
+    // the version number is wrong: an older format (v3 kept file bytes in
+    // the manifest) is refused like a newer one.
+    for format in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+        let mut blob = pristine.clone();
+        blob[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&format.to_le_bytes());
+        reseal(&mut blob);
+        store.write_blob(&manifest_blob(1), &blob).unwrap();
+        store.sync().unwrap();
+        let err = restore_latest(&store, &mut factory(), None).unwrap_err();
+        assert!(matches!(err, RestoreError::VersionSkew { .. }), "format {format}: got {err:?}");
+    }
 }
 
 #[test]
@@ -316,6 +320,133 @@ fn every_single_byte_flip_of_manifest_and_shards_is_rejected() {
     }
     // Every flip was undone: the checkpoint is intact.
     assert_eq!(restore_latest(&store, &mut factory(), None).unwrap().report.version, 1);
+}
+
+// ---------------------------------------------------------------------------
+// File blobs
+// ---------------------------------------------------------------------------
+
+/// The one file [`booted`] installs is the version's `file-0000` blob.
+const CONF: &str = "/etc/tiny.conf";
+
+/// Ways to damage a stored file blob.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    Flip,
+    Delete,
+    Truncate,
+}
+
+impl Damage {
+    const ALL: [Damage; 3] = [Damage::Flip, Damage::Delete, Damage::Truncate];
+
+    fn apply(self, store: &mut MemStore, blob: &str) {
+        match self {
+            Damage::Flip => store.corrupt_byte(blob, 4).unwrap(),
+            Damage::Delete => store.delete_blob(blob).unwrap(),
+            Damage::Truncate => store.truncate_blob(blob, 3).unwrap(),
+        }
+    }
+
+    /// The typed error the damaged version is rejected with.
+    fn error(self, blob: &str) -> RestoreError {
+        match self {
+            Damage::Flip => RestoreError::ChecksumMismatch { blob: blob.into() },
+            Damage::Delete | Damage::Truncate => RestoreError::Truncated { blob: blob.into() },
+        }
+    }
+}
+
+#[test]
+fn file_contents_travel_as_blobs_the_manifest_only_names() {
+    let (mut kernel, instance) = quiesced(1);
+    let mut store = MemStore::new();
+    write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
+    assert_eq!(store.read_blob(&file_blob(1, 0)).unwrap(), b"workers=2\n");
+    let (image, _, _) = read_manifest(&store, 1).unwrap();
+    let [file] = &image.files[..] else { panic!("one file") };
+    assert_eq!((file.path.as_str(), file.len, file.checksum), (CONF, 10, checksum64(b"workers=2\n", 0)));
+}
+
+#[test]
+fn damaged_file_blob_falls_back_to_the_previous_version() {
+    for damage in Damage::ALL {
+        let (mut kernel, mut instance) = booted();
+        let mut store = MemStore::new();
+        let opts = CheckpointOptions::default();
+        drive_traffic(&mut kernel, &mut instance, 2);
+        wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).unwrap();
+        let v1 = kernel.fingerprint();
+        write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
+        resume(&mut kernel, &mut instance);
+        drive_traffic(&mut kernel, &mut instance, 2);
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+        assert_ne!(kernel.fingerprint(), v1, "v2 differs from v1");
+
+        let blob = file_blob(2, 0);
+        damage.apply(&mut store, &blob);
+        let err =
+            restore_version(&store, 2, factory()(), &mut StepCtx { counter: 0, fault: None }).unwrap_err();
+        assert_eq!(err, damage.error(&blob), "{damage:?}");
+        let restored = restore_latest(&store, &mut factory(), None).unwrap();
+        assert_eq!((restored.report.version, restored.report.versions_rejected), (1, 1), "{damage:?}");
+        assert_eq!(restored.kernel.fingerprint(), v1, "{damage:?}");
+        let recorded = read_manifest(&store, 1).unwrap().1;
+        assert_eq!(live_digest(&restored.kernel, &restored.instance), Ok(recorded), "{damage:?}");
+    }
+}
+
+#[test]
+fn damaged_file_blob_of_the_only_version_is_a_typed_error() {
+    for damage in Damage::ALL {
+        let (mut kernel, instance) = quiesced(1);
+        let mut store = MemStore::new();
+        write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
+        let blob = file_blob(1, 0);
+        damage.apply(&mut store, &blob);
+        assert_eq!(restore_latest(&store, &mut factory(), None).err(), Some(damage.error(&blob)));
+    }
+    // Every single flipped byte of a file blob is caught.
+    let (mut kernel, instance) = quiesced(1);
+    let mut store = MemStore::new();
+    write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
+    let blob = file_blob(1, 0);
+    for offset in 0..store.read_blob(&blob).unwrap().len() {
+        store.corrupt_byte(&blob, offset).unwrap();
+        let err = restore_latest(&store, &mut factory(), None).err();
+        assert_eq!(err, Some(RestoreError::ChecksumMismatch { blob: blob.clone() }), "offset {offset}");
+        store.corrupt_byte(&blob, offset).unwrap();
+    }
+    assert_eq!(restore_latest(&store, &mut factory(), None).unwrap().report.version, 1);
+}
+
+/// A file written after one checkpoint restores from the next with its new
+/// bytes: the write dropped the checksum the first checkpoint had the
+/// kernel compute, so the second one records the new contents' checksum.
+#[test]
+fn file_written_between_checkpoints_restores_with_its_new_bytes() {
+    let (mut kernel, mut instance) = booted();
+    let mut store = MemStore::new();
+    let opts = CheckpointOptions::default();
+    drive_traffic(&mut kernel, &mut instance, 1);
+    checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+    let pid = instance.state.processes[0];
+    let tid = kernel.process(pid).unwrap().main_tid();
+    let fd = kernel
+        .syscall(pid, tid, Syscall::Open { path: CONF.into(), create: false })
+        .unwrap()
+        .as_fd()
+        .unwrap();
+    kernel.syscall(pid, tid, Syscall::Write { fd, data: b"workers=3".to_vec() }).unwrap();
+    kernel.syscall(pid, tid, Syscall::Close { fd }).unwrap();
+    checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+
+    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    assert_eq!((restored.report.version, restored.report.versions_rejected), (2, 0));
+    let files: Vec<_> = restored.kernel.files().collect();
+    assert_eq!(files, [(CONF, &b"workers=3\n"[..], checksum64(b"workers=3\n", 0))]);
+    let recorded = read_manifest(&store, 2).unwrap().1;
+    assert_eq!(live_digest(&restored.kernel, &restored.instance), Ok(recorded));
 }
 
 #[test]
@@ -483,7 +614,15 @@ mod reference {
             layout_slide,
             clock_ns: kernel.now().0,
             next_conn: kernel.next_conn_id(),
-            files: kernel.files().map(|(path, contents)| (path.to_string(), contents.to_vec())).collect(),
+            // Hashed here, not taken from the kernel's cache.
+            files: kernel
+                .files()
+                .map(|(path, contents, _)| FileImage {
+                    path: path.to_string(),
+                    len: contents.len() as u64,
+                    checksum: checksum64(contents, 0),
+                })
+                .collect(),
             clients: kernel
                 .clients()
                 .map(|c| ClientSnapshot {
@@ -512,9 +651,10 @@ mod reference {
         e.u64(image.clock_ns);
         e.u64(image.next_conn);
         e.u32(image.files.len() as u32);
-        for (path, contents) in &image.files {
-            e.str(path);
-            e.bytes(contents);
+        for f in &image.files {
+            e.str(&f.path);
+            e.u64(f.len);
+            e.u64(f.checksum);
         }
         e.u32(image.clients.len() as u32);
         for c in &image.clients {
@@ -696,8 +836,10 @@ fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
     assert_eq!(image.clock_ns, kernel.now().0);
     assert_eq!(image.next_conn, kernel.next_conn_id());
     assert_eq!(image.layout_slide, procs[0].1.layout().slide());
-    let files: Vec<(String, Vec<u8>)> = kernel.files().map(|(p, c)| (p.to_string(), c.to_vec())).collect();
-    assert_eq!(image.files, files);
+    assert_eq!(image.files.len(), kernel.files().len());
+    for (f, (path, contents, checksum)) in image.files.iter().zip(kernel.files()) {
+        assert_eq!((f.path.as_str(), f.len, f.checksum), (path, contents.len() as u64, checksum));
+    }
     assert_eq!(image.clients.len(), kernel.clients().len());
     assert!(image.clients.iter().all(|c| c.conn != closed.0), "a closed endpoint is not recorded");
     assert!(image.clients.iter().any(|c| c.from_server == [b"200 unread\n".to_vec()]));

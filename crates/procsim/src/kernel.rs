@@ -38,6 +38,7 @@
 //! the property suite proves fingerprints are byte-identical to the old
 //! ordered-map substrate.
 
+use std::cell::OnceCell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -48,6 +49,7 @@ use crate::ids::{ConnId, Fd, ObjId, Pid, Tid};
 use crate::memory::{Addr, MemoryRegion, RegionKind, PAGE_SIZE};
 use crate::objects::{KernelObject, ObjectTable, UnixMessage};
 use crate::process::{Process, Thread};
+use crate::store::checksum64;
 use crate::syscall::{Syscall, SyscallPort, SyscallRet};
 
 /// Where to place a descriptor transferred into another process.
@@ -407,6 +409,24 @@ impl WaitState {
     }
 }
 
+/// A file of the simulated file system: its bytes and their [`checksum64`]
+/// (seed 0), computed on first demand and reset by every mutation.
+#[derive(Debug, Clone, Default)]
+struct SimFile {
+    bytes: Vec<u8>,
+    checksum: OnceCell<u64>,
+}
+
+impl SimFile {
+    fn new(bytes: Vec<u8>) -> Self {
+        SimFile { bytes, checksum: OnceCell::new() }
+    }
+
+    fn checksum(&self) -> u64 {
+        *self.checksum.get_or_init(|| checksum64(&self.bytes, 0))
+    }
+}
+
 /// The simulated kernel.
 #[derive(Debug, Clone, Default)]
 pub struct Kernel {
@@ -417,7 +437,7 @@ pub struct Kernel {
     pid_to_slot: Vec<u32>,
     objects: ObjectTable,
     clock: VirtualClock,
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, SimFile>,
     next_pid: u32,
     next_tid: u32,
     next_conn: u64,
@@ -568,7 +588,7 @@ impl Kernel {
     /// Installs a file in the simulated file system (configuration files,
     /// documents served by the web servers, ...).
     pub fn add_file(&mut self, path: impl Into<String>, contents: Vec<u8>) {
-        self.files.insert(path.into(), contents);
+        self.files.insert(path.into(), SimFile::new(contents));
     }
 
     /// Number of syscalls executed so far.
@@ -1010,10 +1030,13 @@ impl Kernel {
         self.next_conn = self.next_conn.max(next);
     }
 
-    /// Every file of the simulated file system as `(path, contents)`, sorted
-    /// by path.
-    pub fn files(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
-        self.files.iter().map(|(path, contents)| (path.as_str(), contents.as_slice()))
+    /// Every file of the simulated file system as `(path, contents,
+    /// checksum)`, sorted by path. The checksum is [`checksum64`] of the
+    /// contents with seed 0; the kernel caches it per file until the file
+    /// next changes, so a file nothing writes is hashed once however often
+    /// it is listed.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = (&str, &[u8], u64)> {
+        self.files.iter().map(|(path, file)| (path.as_str(), file.bytes.as_slice(), file.checksum()))
     }
 
     /// Removes a simulated file; returns whether it existed (restore path:
@@ -1111,7 +1134,7 @@ impl Kernel {
             Syscall::Open { path, create } => {
                 if !self.files.contains_key(&path) {
                     if create {
-                        self.files.insert(path.clone(), Vec::new());
+                        self.files.insert(path.clone(), SimFile::default());
                     } else {
                         return Err(SimError::NoSuchFile(path));
                     }
@@ -1124,7 +1147,7 @@ impl Kernel {
                 let obj = self.process(pid)?.fds().get(fd)?.object;
                 match self.objects.get_mut(obj) {
                     Some(KernelObject::File { path, offset }) => {
-                        let contents = self.files.get(path.as_str()).cloned().unwrap_or_default();
+                        let contents = self.files.get(path.as_str()).map_or(&[][..], |f| f.bytes.as_slice());
                         let start = (*offset as usize).min(contents.len());
                         let end = (start + len).min(contents.len());
                         *offset = end as u64;
@@ -1153,11 +1176,12 @@ impl Kernel {
                 match self.objects.get_mut(obj) {
                     Some(KernelObject::File { path, offset }) => {
                         let file = self.files.entry(path.clone()).or_default();
+                        file.checksum.take();
                         let off = *offset as usize;
-                        if file.len() < off + len {
-                            file.resize(off + len, 0);
+                        if file.bytes.len() < off + len {
+                            file.bytes.resize(off + len, 0);
                         }
-                        file[off..off + len].copy_from_slice(&data);
+                        file.bytes[off..off + len].copy_from_slice(&data);
                         *offset += len as u64;
                         Ok(SyscallRet::Written(len))
                     }
@@ -1481,6 +1505,77 @@ mod tests {
         };
         assert_eq!(data, b"workers=4\n".to_vec());
         assert!(k.syscall(pid, tid, Syscall::Open { path: "/missing".into(), create: false }).is_err());
+    }
+
+    #[test]
+    fn reading_a_large_file_in_pages_returns_its_bytes_then_eof() {
+        let (mut k, pid, tid) = booted();
+        let contents: Vec<u8> = (0..1024 * 1024u32).map(|i| (i * 7 % 251) as u8).collect();
+        k.add_file("/var/big.bin", contents.clone());
+        let fd = k
+            .syscall(pid, tid, Syscall::Open { path: "/var/big.bin".into(), create: false })
+            .unwrap()
+            .as_fd()
+            .unwrap();
+        let offset = |k: &Kernel| {
+            let obj = k.process(pid).unwrap().fds().get(fd).unwrap().object;
+            match k.objects().get(obj) {
+                Some(KernelObject::File { offset, .. }) => *offset,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let mut read = Vec::new();
+        loop {
+            let data = match k.syscall(pid, tid, Syscall::Read { fd, len: 4096 }).unwrap() {
+                SyscallRet::Data(d) => d,
+                other => panic!("unexpected {other:?}"),
+            };
+            if data.is_empty() {
+                break;
+            }
+            assert_eq!(data.len(), 4096);
+            read.extend_from_slice(&data);
+            assert_eq!(offset(&k), read.len() as u64);
+        }
+        assert!(read == contents, "the pages read back are the file");
+        assert_eq!(offset(&k), contents.len() as u64);
+    }
+
+    /// Asserts every file's reported checksum is that of its current bytes.
+    fn assert_checksums_current(k: &Kernel) {
+        for (path, bytes, sum) in k.files() {
+            assert_eq!(sum, checksum64(bytes, 0), "{path}");
+        }
+    }
+
+    #[test]
+    fn every_file_mutation_resets_the_cached_checksum() {
+        let (mut k, pid, tid) = booted();
+        k.add_file("/etc/a.conf", b"workers=4\n".to_vec());
+        assert_checksums_current(&k);
+        // Replacing an installed (and already hashed) file.
+        k.add_file("/etc/a.conf", b"workers=8\n".to_vec());
+        assert_checksums_current(&k);
+        let open = |k: &mut Kernel, path: &str, create| {
+            k.syscall(pid, tid, Syscall::Open { path: path.into(), create }).unwrap().as_fd().unwrap()
+        };
+        // An in-place write at an offset, then one that extends the file.
+        let fd = open(&mut k, "/etc/a.conf", false);
+        k.syscall(pid, tid, Syscall::Read { fd, len: 8 }).unwrap();
+        k.syscall(pid, tid, Syscall::Write { fd, data: b"9".to_vec() }).unwrap();
+        assert_checksums_current(&k);
+        assert!(k.files().any(|(_, bytes, _)| bytes == b"workers=9\n"));
+        k.syscall(pid, tid, Syscall::Write { fd, data: b"\nlog=on\n".to_vec() }).unwrap();
+        assert_checksums_current(&k);
+        assert!(k.files().any(|(_, bytes, _)| bytes == b"workers=9\nlog=on\n"));
+        // A created file, then creating an existing one (which keeps it).
+        let fd = open(&mut k, "/var/log/new", true);
+        assert_checksums_current(&k);
+        k.syscall(pid, tid, Syscall::Write { fd, data: b"started\n".to_vec() }).unwrap();
+        assert_checksums_current(&k);
+        open(&mut k, "/var/log/new", true);
+        assert_checksums_current(&k);
+        assert_eq!(k.files().len(), 2);
     }
 
     #[test]
