@@ -376,7 +376,6 @@ fn table1_rows(profile_requests: u64) -> Vec<Table1Row> {
             run_standard_workload(&mut kernel, &mut instance, program, profile_requests);
             let p = QuiescenceProfiler::analyze(&kernel, &instance.state);
             let e = catalog.iter().find(|e| e.program == program).expect("catalogued program");
-            let annotation_loc = instance.state.annotations.annotation_loc().max(u64::from(e.annotation_loc));
             let n = |count: usize| count as u64;
             let counts = [
                 n(p.short_lived_classes()),
@@ -389,7 +388,7 @@ fn table1_rows(profile_requests: u64) -> Vec<Table1Row> {
                 e.changed_functions.into(),
                 e.changed_variables.into(),
                 e.changed_types.into(),
-                annotation_loc,
+                e.annotation_loc.into(),
                 e.state_transfer_loc.into(),
             ];
             Table1Row { program, counts }

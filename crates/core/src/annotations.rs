@@ -80,11 +80,10 @@ pub type TransformHandler = Box<dyn Fn(&[u8]) -> Vec<u8>>;
 
 /// Registry of every annotation of one MCR-enabled program version.
 #[derive(Default)]
-pub struct AnnotationRegistry {
+pub(crate) struct AnnotationRegistry {
     state: Vec<StateAnnotation>,
     reinit: Vec<(String, ReinitHandler)>,
     transforms: BTreeMap<String, TransformHandler>,
-    annotation_loc: u64,
 }
 
 impl fmt::Debug for AnnotationRegistry {
@@ -93,7 +92,6 @@ impl fmt::Debug for AnnotationRegistry {
             .field("state", &self.state)
             .field("reinit_handlers", &self.reinit.iter().map(|(n, _)| n).collect::<Vec<_>>())
             .field("transforms", &self.transforms.keys().collect::<Vec<_>>())
-            .field("annotation_loc", &self.annotation_loc)
             .finish()
     }
 }
@@ -104,37 +102,28 @@ impl AnnotationRegistry {
         Self::default()
     }
 
-    /// Registers a state annotation (`MCR_ADD_OBJ_HANDLER`), accounting
-    /// `loc` lines of annotation code.
+    /// Registers a state annotation (`MCR_ADD_OBJ_HANDLER`).
     ///
     /// # Panics
     ///
     /// Panics on [`ObjTreatment::EncodedPointers`] with `mask_bits >= 64`: a
     /// 64-bit pointer has no address bits left under such a mask.
-    pub(crate) fn add_obj_handler(&mut self, symbol: impl Into<String>, treatment: ObjTreatment, loc: u64) {
+    pub(crate) fn add_obj_handler(&mut self, symbol: impl Into<String>, treatment: ObjTreatment) {
         if let ObjTreatment::EncodedPointers { mask_bits } = treatment {
             assert!(mask_bits < 64, "EncodedPointers: mask_bits must be below 64, got {mask_bits}");
         }
         self.state.push(StateAnnotation { symbol: symbol.into(), treatment });
-        self.annotation_loc += loc;
     }
 
     /// Registers a reinitialization handler (`MCR_ADD_REINIT_HANDLER`).
-    pub(crate) fn add_reinit_handler(&mut self, name: impl Into<String>, handler: ReinitHandler, loc: u64) {
+    pub(crate) fn add_reinit_handler(&mut self, name: impl Into<String>, handler: ReinitHandler) {
         self.reinit.push((name.into(), handler));
-        self.annotation_loc += loc;
     }
 
     /// Registers a semantic state-transfer transform for a type or symbol
     /// name.
     pub(crate) fn add_transform(&mut self, name: impl Into<String>, handler: TransformHandler) {
         self.transforms.insert(name.into(), handler);
-    }
-
-    /// Accounts additional annotation lines that are not tied to a handler
-    /// (e.g. source tweaks needed to keep startup deterministic).
-    pub(crate) fn add_annotation_loc(&mut self, loc: u64) {
-        self.annotation_loc += loc;
     }
 
     /// The state annotation for `symbol`, if any.
@@ -158,11 +147,6 @@ impl AnnotationRegistry {
     pub(crate) fn transform(&self, name: &str) -> Option<&TransformHandler> {
         self.transforms.get(name)
     }
-
-    /// Total annotation LOC accounted so far (Table 1 "Ann LOC").
-    pub fn annotation_loc(&self) -> u64 {
-        self.annotation_loc
-    }
 }
 
 #[cfg(test)]
@@ -173,11 +157,10 @@ mod tests {
     #[test]
     fn obj_handlers_latest_wins() {
         let mut reg = AnnotationRegistry::new();
-        reg.add_obj_handler("b", ObjTreatment::ForceConservative, 1);
-        reg.add_obj_handler("b", ObjTreatment::PointerSlots(vec![0]), 2);
+        reg.add_obj_handler("b", ObjTreatment::ForceConservative);
+        reg.add_obj_handler("b", ObjTreatment::PointerSlots(vec![0]));
         assert_eq!(reg.obj_treatment("b"), Some(&ObjTreatment::PointerSlots(vec![0])));
         assert_eq!(reg.obj_treatment("other"), None);
-        assert_eq!(reg.annotation_loc(), 3);
         assert_eq!(reg.state.len(), 2);
     }
 
@@ -188,7 +171,7 @@ mod tests {
         assert_eq!(pointer_mask(63), u64::MAX >> 1);
         let mut reg = AnnotationRegistry::new();
         for mask_bits in [0, 2, 63] {
-            reg.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits }, 1);
+            reg.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits });
         }
         assert_eq!(reg.obj_treatment("tagged"), Some(&ObjTreatment::EncodedPointers { mask_bits: 63 }));
     }
@@ -196,11 +179,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "mask_bits must be below 64")]
     fn encoded_pointer_mask_of_64_bits_is_rejected() {
-        AnnotationRegistry::new().add_obj_handler(
-            "tagged",
-            ObjTreatment::EncodedPointers { mask_bits: 64 },
-            1,
-        );
+        AnnotationRegistry::new().add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 64 });
     }
 
     #[test]
@@ -212,7 +191,6 @@ mod tests {
                 Syscall::Nanosleep { .. } => ReinitDecision::Skip,
                 _ => ReinitDecision::NotHandled,
             }),
-            4,
         );
         reg.add_reinit_handler(
             "port-change",
@@ -220,7 +198,6 @@ mod tests {
                 Syscall::Bind { port: 8080, .. } => ReinitDecision::ExecuteLive,
                 _ => ReinitDecision::NotHandled,
             }),
-            6,
         );
         assert_eq!(reg.resolve_reinit(&Syscall::Nanosleep { ns: 1 }, None), ReinitDecision::Skip);
         assert_eq!(
@@ -228,7 +205,6 @@ mod tests {
             ReinitDecision::ExecuteLive
         );
         assert_eq!(reg.resolve_reinit(&Syscall::Socket, None), ReinitDecision::NotHandled);
-        assert_eq!(reg.annotation_loc(), 10);
     }
 
     #[test]
@@ -245,13 +221,5 @@ mod tests {
         let out = reg.transform("conf_s").unwrap()(&[1, 2, 3]);
         assert_eq!(out.len(), 11);
         assert!(reg.transform("missing").is_none());
-    }
-
-    #[test]
-    fn loc_accounting_accumulates() {
-        let mut reg = AnnotationRegistry::new();
-        reg.add_annotation_loc(8);
-        reg.add_annotation_loc(10);
-        assert_eq!(reg.annotation_loc(), 18);
     }
 }

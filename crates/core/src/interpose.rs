@@ -563,7 +563,6 @@ mod tests {
                 Syscall::Bind { .. } => ReinitDecision::ReplayRecorded,
                 _ => ReinitDecision::NotHandled,
             }),
-            3,
         );
         let mut rep2 = Interposer::replayer(&log);
         rep2.map_pid(old_pid, new_pid);
@@ -783,7 +782,6 @@ mod tests {
                 Syscall::Listen { .. } => ReinitDecision::Skip,
                 _ => ReinitDecision::NotHandled,
             }),
-            1,
         );
         ann
     }

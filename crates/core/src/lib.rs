@@ -79,7 +79,7 @@ pub mod runtime;
 pub mod tracing;
 pub mod transfer;
 
-pub use annotations::{AnnotationRegistry, ObjTreatment, ReinitDecision, ReinitHandler, TransformHandler};
+pub use annotations::{ObjTreatment, ReinitDecision, ReinitHandler, TransformHandler};
 pub use error::{Conflict, McrError, McrResult};
 pub use interpose::{InterposeStats, Interposer};
 pub use log::{LogEntry, StartupLog};

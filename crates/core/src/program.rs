@@ -177,7 +177,7 @@ pub struct InstanceState {
     /// Per-version allocation-site registry.
     pub(crate) sites: CallSiteRegistry,
     /// User annotations.
-    pub annotations: AnnotationRegistry,
+    pub(crate) annotations: AnnotationRegistry,
     /// Record/replay engine.
     pub interpose: Interposer,
     /// Whether the program is still executing startup code.
@@ -743,23 +743,18 @@ impl<'a> ProgramEnv<'a> {
     // ------------------------------------------------------------------
 
     /// Registers a state annotation (`MCR_ADD_OBJ_HANDLER`).
-    pub fn add_obj_handler(&mut self, symbol: &str, treatment: ObjTreatment, loc: u64) {
-        self.state.annotations.add_obj_handler(symbol, treatment, loc);
+    pub fn add_obj_handler(&mut self, symbol: &str, treatment: ObjTreatment) {
+        self.state.annotations.add_obj_handler(symbol, treatment);
     }
 
     /// Registers a reinitialization handler (`MCR_ADD_REINIT_HANDLER`).
-    pub fn add_reinit_handler(&mut self, name: &str, handler: ReinitHandler, loc: u64) {
-        self.state.annotations.add_reinit_handler(name, handler, loc);
+    pub fn add_reinit_handler(&mut self, name: &str, handler: ReinitHandler) {
+        self.state.annotations.add_reinit_handler(name, handler);
     }
 
     /// Registers a semantic state-transfer transform.
     pub fn add_transform(&mut self, name: &str, handler: TransformHandler) {
         self.state.annotations.add_transform(name, handler);
-    }
-
-    /// Accounts annotation lines that are plain source tweaks.
-    pub fn note_annotation_loc(&mut self, loc: u64) {
-        self.state.annotations.add_annotation_loc(loc);
     }
 }
 

@@ -1066,7 +1066,7 @@ mod tests {
             b_global = env.define_global_opaque("b", 8).unwrap();
             hidden = env.alloc("conf_s", "init:hidden").unwrap();
             env.write_ptr(b_global, hidden).unwrap();
-            env.add_obj_handler("b", ObjTreatment::PointerSlots(vec![0]), 2);
+            env.add_obj_handler("b", ObjTreatment::PointerSlots(vec![0]));
         }
         let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let b_obj = result.graph.get(b_global).unwrap();
@@ -1088,7 +1088,7 @@ mod tests {
             target = env.alloc("conf_s", "init:enc").unwrap();
             // Store the pointer with metadata in the low 2 bits, nginx-style.
             env.write_u64(tagged_global, target.0 | 0b11).unwrap();
-            env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 }, 22);
+            env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 });
         }
         let result = trace_process(&kernel, &state, pid, TraceOptions).unwrap();
         let obj = result.graph.get(tagged_global).unwrap();

@@ -16,18 +16,19 @@
 //! * **a manifest** (`MANIFEST`) — program identity, instrumentation
 //!   config, memory layout, the file table (per-file path, length and
 //!   checksum), client endpoints, per-process topology (threads, regions,
-//!   live heap chunks, descriptor tables), the kernel object table, the
-//!   shard table (per-shard length + checksum), a whole-state digest and a
-//!   trailing self-checksum. It records live endpoints only: the kernel
-//!   forgets an accepted endpoint when its client closes it, and an
-//!   endpoint carries replies only once its server has released the
-//!   connection with them unread.
+//!   live heap chunks, allocator tables, descriptor tables), the kernel
+//!   object table, the shard table (per-shard length + checksum), a
+//!   whole-state digest and a trailing self-checksum. It records live
+//!   endpoints only: the kernel forgets an accepted endpoint when its
+//!   client closes it, and an endpoint carries replies only once its server
+//!   has released the connection with them unread.
 //!
-//! Format v4: every checksum — manifest trailer, shard sums, file sums,
+//! Format v5: every checksum — manifest trailer, shard sums, file sums,
 //! state digest — is [`checksum64`], which hashes whole 32-byte blocks as
 //! four independent lanes of 8-byte words, always detects a change confined
-//! to one aligned word and folds the length in. v3 carried each file's
-//! bytes inside the manifest and is refused as [`RestoreError::VersionSkew`];
+//! to one aligned word and folds the length in. v4 lacked the allocator
+//! tables and v3 carried each file's bytes inside the manifest; both are
+//! refused as [`RestoreError::VersionSkew`];
 //! v2 used the same step as one serial chain and v1 hashed byte-wise
 //! FNV-1a, so a v1 or v2 blob fails the trailer check first and is skipped
 //! like any corrupt version. The digest chains `checksum64` over the state
@@ -53,15 +54,18 @@
 //! program deterministically in a *scratch* kernel that numbers processes
 //! and threads from the manifest's lowest pid and tid, which reproduces the
 //! topology and all startup-time memory of an instance however many live
-//! updates it went through. It then overlays the recorded post-startup
-//! state: page deltas and a heap-chunk reconcile, the manifest's descriptor
-//! and kernel-object tables in place of the re-boot's, client endpoints and
-//! the virtual clock — moving file contents out of their blobs and kernel
-//! objects and client endpoints out of the decoded image rather than
-//! copying them — and finally proves fidelity by re-encoding the scratch
-//! kernel's state and comparing digests. File contents are read and hashed
-//! once, before the re-boot that reads them; every later file check
-//! compares the kernel's cached checksums.
+//! updates it went through. The re-boot supplies only that memory and the
+//! program's own state: every host-side table comes from the manifest. So
+//! restore installs each process's allocator tables (the heap's frontier,
+//! free list and live chunks; the pool table), overlays the page deltas,
+//! puts the manifest's descriptor and kernel-object tables in place of the
+//! re-boot's and restores client endpoints and the virtual clock — moving
+//! file contents out of their blobs and kernel objects and client endpoints
+//! out of the decoded image rather than copying them — and finally proves
+//! fidelity by re-encoding the scratch kernel's state and comparing
+//! digests. File contents are read and hashed once, before the re-boot that
+//! reads them; every later file check compares the kernel's cached
+//! checksums.
 //! The serving kernel is never touched: a restore either returns a complete
 //! new kernel or a typed [`RestoreError`], so no partial restore can ever be
 //! observed (the "no partial restore" guarantee is structural).
@@ -78,7 +82,8 @@ use std::fmt;
 
 use mcr_procsim::{
     checksum64, Addr, AllocSite, ChunkInfo, ClientSnapshot, Fd, FdTable, Kernel, KernelObject, ObjId, Pid,
-    Process, RegionKind, SimDuration, Store, StoreError, ThreadState, Tid, TypeTag, UnixMessage, PAGE_SIZE,
+    PoolId, Process, PtMalloc, RegionKind, SimDuration, SimError, Store, StoreError, ThreadState, Tid,
+    TypeTag, UnixMessage, PAGE_SIZE,
 };
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 
@@ -96,8 +101,10 @@ const MAGIC: &[u8; 8] = b"MCRCKPT1";
 /// version 3 runs its whole 32-byte blocks as four lanes; version 4 moves
 /// each file's bytes out of the manifest into a `file-NNNN` blob written
 /// with the shards, before the barrier that precedes the manifest, and
-/// keeps only each file's path, length and checksum in the manifest.
-pub(crate) const FORMAT_VERSION: u32 = 4;
+/// keeps only each file's path, length and checksum in the manifest;
+/// version 5 adds each process's allocator tables (heap frontier and free
+/// list, pool table), so a v4 manifest is version-skewed.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Simulated cost charged per page-delta record written to a shard, plus one
 /// nanosecond per payload byte (models serialization + device bandwidth).
@@ -117,7 +124,7 @@ pub const RESTORE_STEPS: [&str; 13] = [
     "quiesce",
     "validate-topology",
     "files-reconcile",
-    "heap-reconcile",
+    "allocators-restore",
     "memory-overlay",
     "tables-restore",
     "clients-restore",
@@ -320,8 +327,6 @@ impl CheckpointSummary {
 pub struct RestoreReport {
     /// Manifest version that was revived.
     pub version: u64,
-    /// Restore steps completed (== [`RESTORE_STEPS`] length on success).
-    pub steps_completed: u64,
     /// Manifest versions that failed validation before this one succeeded.
     pub versions_rejected: usize,
 }
@@ -653,6 +658,17 @@ struct FdImage {
     inherited: bool,
 }
 
+/// One pool of a process's [`mcr_procsim::RegionAllocator`].
+struct PoolImage {
+    id: PoolId,
+    storage: Addr,
+    size: u64,
+    used: u64,
+    parent: Option<PoolId>,
+    /// `(payload, size, site, tag)` per instrumented object, ascending.
+    objects: Vec<(Addr, u64, AllocSite, TypeTag)>,
+}
+
 struct ProcImage {
     pid: u32,
     name: String,
@@ -661,6 +677,13 @@ struct ProcImage {
     write_epoch: u64,
     regions: Vec<RegionImage>,
     chunks: Vec<ChunkImage>,
+    /// The heap's bump frontier.
+    frontier: u64,
+    /// The heap's free list: chunk offset → chunk size.
+    free_chunks: BTreeMap<u64, u64>,
+    /// The id the region allocator gives its next pool.
+    next_pool: u64,
+    pools: Vec<PoolImage>,
     fds: Vec<FdImage>,
 }
 
@@ -771,6 +794,26 @@ impl StateImage {
                     startup: d.u8()? != 0,
                 });
             }
+            let frontier = d.u64()?;
+            let k = d.u32()? as usize;
+            let mut free_chunks = BTreeMap::new();
+            for _ in 0..k {
+                free_chunks.insert(d.u64()?, d.u64()?);
+            }
+            let next_pool = d.u64()?;
+            let k = d.u32()? as usize;
+            let mut pools = Vec::with_capacity(k.min(4096));
+            for _ in 0..k {
+                let (id, storage, size, used) = (PoolId(d.u64()?), Addr(d.u64()?), d.u64()?, d.u64()?);
+                // Pool ids start at 1: `0` is "no parent".
+                let parent = Some(d.u64()?).filter(|&p| p != 0).map(PoolId);
+                let n = d.u32()? as usize;
+                let mut objects = Vec::with_capacity(n.min(1 << 20));
+                for _ in 0..n {
+                    objects.push((Addr(d.u64()?), d.u64()?, AllocSite(d.u64()?), TypeTag(d.u64()?)));
+                }
+                pools.push(PoolImage { id, storage, size, used, parent, objects });
+            }
             let k = d.u32()? as usize;
             let mut fds = Vec::with_capacity(k.min(65536));
             for _ in 0..k {
@@ -781,7 +824,19 @@ impl StateImage {
                     inherited: d.u8()? != 0,
                 });
             }
-            processes.push(ProcImage { pid, name, threads, write_epoch, regions, chunks, fds });
+            processes.push(ProcImage {
+                pid,
+                name,
+                threads,
+                write_epoch,
+                regions,
+                chunks,
+                frontier,
+                free_chunks,
+                next_pool,
+                pools,
+                fds,
+            });
         }
         let n = d.u32()? as usize;
         let mut objects = Vec::with_capacity(n.min(1 << 20));
@@ -908,6 +963,28 @@ fn encode_live_state(kernel: &Kernel, instance: &McrInstance, procs: &[(Pid, &Pr
             e.u64(c.site.0);
             e.u64(c.type_tag.0);
             e.u8(u8::from(c.startup));
+        });
+        let no_heap = BTreeMap::new();
+        let (frontier, free_chunks) = proc.heap().map_or((0, &no_heap), PtMalloc::free_space);
+        e.u64(frontier);
+        e.seq(free_chunks, |e, (&offset, &size)| {
+            e.u64(offset);
+            e.u64(size);
+        });
+        let (next_pool, pools) = proc.regions().pools();
+        e.u64(next_pool);
+        e.seq(pools, |e, (id, storage, size, used, parent, objects)| {
+            e.u64(id.0);
+            e.u64(storage.0);
+            e.u64(size);
+            e.u64(used);
+            e.u64(parent.map_or(0, |p| p.0));
+            e.seq(objects, |e, &(obj, size, site, tag)| {
+                e.u64(obj.0);
+                e.u64(size);
+                e.u64(site.0);
+                e.u64(tag.0);
+            });
         });
         let mut fds: Vec<_> = proc.fds().iter().collect();
         fds.sort_by_key(|(fd, _)| fd.0);
@@ -1392,8 +1469,8 @@ fn restore_version<S: Store + ?Sized>(
         }
     }
 
-    ctx.step("heap-reconcile")?;
-    reconcile_heaps(&mut kernel, &image)?;
+    ctx.step("allocators-restore")?;
+    restore_allocators(&mut kernel, &mut image)?;
 
     ctx.step("memory-overlay")?;
     overlay_memory(&mut kernel, &image, &deltas)?;
@@ -1419,7 +1496,7 @@ fn restore_version<S: Store + ?Sized>(
         return Err(RestoreError::DigestMismatch { expected: digest, found });
     }
 
-    let report = RestoreReport { version, steps_completed: ctx.counter, versions_rejected: 0 };
+    let report = RestoreReport { version, versions_rejected: 0 };
     Ok(RestoredInstance { kernel, instance, report })
 }
 
@@ -1464,58 +1541,32 @@ fn validate_topology(
     Ok(())
 }
 
-fn reconcile_heaps(kernel: &mut Kernel, image: &StateImage) -> Result<(), RestoreError> {
-    for img in &image.processes {
-        let pid = Pid(img.pid);
-        let have: BTreeMap<u64, (u64, u64, u64, bool)> = {
-            let proc = kernel.process(pid).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-            match proc.heap() {
-                Some(heap) => heap
-                    .live_chunks(proc.space())
-                    .map(|c| (c.payload.0, (c.size, c.site.0, c.type_tag.0, c.startup)))
-                    .collect(),
-                None => BTreeMap::new(),
-            }
-        };
-        let want: BTreeMap<u64, &ChunkImage> = img.chunks.iter().map(|c| (c.payload, c)).collect();
-        let mut to_free = Vec::new();
-        let mut to_alloc = Vec::new();
-        for (&payload, &(size, site, tag, _)) in &have {
-            match want.get(&payload) {
-                Some(c) if c.size == size && c.site == site && c.tag == tag => {}
-                _ => to_free.push(payload),
-            }
-        }
-        for (&payload, c) in &want {
-            let matches = have
-                .get(&payload)
-                .is_some_and(|&(size, site, tag, _)| c.size == size && c.site == site && c.tag == tag);
-            if !matches {
-                if c.startup {
-                    // A startup-time chunk the deterministic re-boot failed
-                    // to reproduce: the determinism premise is broken.
-                    return Err(RestoreError::Reconcile(format!(
-                        "pid {} startup chunk at {:#x} missing after re-boot",
-                        img.pid, payload
-                    )));
-                }
-                to_alloc.push(*c);
+/// Installs every process's allocator tables from the manifest. The
+/// re-boot must have reproduced each startup chunk the manifest lists with
+/// its size, site and tag, or the determinism premise is broken. No chunk
+/// header is written: the startup ones are the re-boot's, and the later ones
+/// arrive with the page deltas.
+fn restore_allocators(kernel: &mut Kernel, image: &mut StateImage) -> Result<(), RestoreError> {
+    for img in &mut image.processes {
+        let pid = img.pid;
+        let reconcile = |e: SimError| RestoreError::Reconcile(format!("pid {pid}: {e}"));
+        let proc = kernel.process_mut(Pid(pid)).map_err(reconcile)?;
+        let (space, heap, regions) = proc.space_heap_regions_mut().map_err(reconcile)?;
+        for c in img.chunks.iter().filter(|c| c.startup) {
+            let booted = heap.chunk_containing(space, Addr(c.payload));
+            if booted.map(|b| (b.payload.0, b.size, b.site.0, b.type_tag.0))
+                != Some((c.payload, c.size, c.site, c.tag))
+            {
+                return Err(RestoreError::Reconcile(format!(
+                    "pid {pid} startup chunk at {:#x} missing after re-boot",
+                    c.payload
+                )));
             }
         }
-        if to_free.is_empty() && to_alloc.is_empty() {
-            continue;
-        }
-        let proc = kernel.process_mut(pid).map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-        let (space, heap) = proc.space_and_heap_mut().map_err(|e| RestoreError::Reconcile(e.to_string()))?;
-        for payload in to_free {
-            heap.free(space, Addr(payload))
-                .map_err(|e| RestoreError::Reconcile(format!("pid {} free {payload:#x}: {e}", img.pid)))?;
-        }
-        for c in to_alloc {
-            heap.malloc_at(space, Addr(c.payload), c.size, AllocSite(c.site), TypeTag(c.tag)).map_err(
-                |e| RestoreError::Reconcile(format!("pid {} malloc_at {:#x}: {e}", img.pid, c.payload)),
-            )?;
-        }
+        let live = img.chunks.iter().map(|c| (Addr(c.payload), c.size));
+        heap.install_tables(img.frontier, std::mem::take(&mut img.free_chunks), live).map_err(reconcile)?;
+        let pools = img.pools.iter().map(|p| (p.id, p.storage, p.size, p.used, p.parent, &p.objects[..]));
+        regions.install_pools(img.next_pool, pools);
     }
     Ok(())
 }
@@ -1565,10 +1616,9 @@ fn overlay_memory(
                     .map_err(|e| RestoreError::Reconcile(format!("pid {} map {base:#x}: {e}", img.pid)))?;
             }
         }
-        // Page-delta overlay, then exact soft-dirty stamps: the reconcile
-        // writes above (heap headers, fresh mappings) transiently dirtied
-        // pages the checkpointed instance never did, so stamps are rebuilt
-        // from the recorded (page, epoch) pairs alone.
+        // Page-delta overlay, then exact soft-dirty stamps: the fresh
+        // mappings above dirtied pages the checkpointed instance never did,
+        // so stamps are rebuilt from the recorded (page, epoch) pairs alone.
         let mut stamps: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
         for rec in mine {
             space.write_bytes_through(Addr(rec.addr), &rec.bytes).map_err(|e| {

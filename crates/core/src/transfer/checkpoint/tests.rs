@@ -70,7 +70,6 @@ fn roundtrip_restores_fingerprint_identical_kernel() {
     let mut make = factory();
     let restored = restore_latest(&store, &mut make, None).unwrap();
     assert_eq!(restored.report.version, 1);
-    assert_eq!(restored.report.steps_completed, RESTORE_STEPS.len() as u64);
     assert_eq!(restored.kernel.fingerprint(), fp, "restore must be byte-identical");
     assert_eq!(restored.kernel.now().0 + summary.parallel_cost.0, kernel.now().0);
 
@@ -153,8 +152,8 @@ fn format_version_skew_is_typed() {
     checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
     let pristine = store.read_blob(&manifest_blob(1)).unwrap();
     // Patch the format field and re-seal the trailing checksum, so only
-    // the version number is wrong: an older format (v3 kept file bytes in
-    // the manifest) is refused like a newer one.
+    // the version number is wrong: an older format (v4 had no allocator
+    // tables) is refused like a newer one.
     for format in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
         let mut blob = pristine.clone();
         blob[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&format.to_le_bytes());
@@ -278,6 +277,27 @@ fn update_after_restore_slides_past_the_restored_layout() {
     drive_traffic(&mut kernel, &mut instance, 1);
     let updated = update(&mut kernel, instance, 3);
     assert_eq!(slide(&kernel, &updated), updated_slide + 0x1_0000_0000);
+}
+
+/// A chunk freed before the checkpoint leaves a hole below the heap's
+/// frontier; the restored heap hands it out next, like the original.
+#[test]
+fn restored_heap_reuses_the_hole_a_free_left() {
+    let (mut kernel, instance) = quiesced(2);
+    let pid = instance.state.processes[0];
+    let malloc = |kernel: &mut Kernel| {
+        let (space, heap) = kernel.process_mut(pid).unwrap().space_and_heap_mut().unwrap();
+        heap.malloc(space, 64, AllocSite(0), TypeTag(0)).unwrap()
+    };
+    let hole = malloc(&mut kernel);
+    malloc(&mut kernel);
+    let (space, heap) = kernel.process_mut(pid).unwrap().space_and_heap_mut().unwrap();
+    heap.free(space, hole).unwrap();
+    let mut store = MemStore::new();
+    write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
+    let mut restored = restore_latest(&store, &mut factory(), None).unwrap();
+    assert_eq!(malloc(&mut kernel), hole);
+    assert_eq!(malloc(&mut restored.kernel), hole);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,6 +609,18 @@ mod reference {
                 })
                 .collect();
             fds.sort_by_key(|f| f.fd);
+            let heap = proc.heap().expect("every instance process has a heap");
+            let (next_pool, pools) = proc.regions().pools();
+            let pools = pools
+                .map(|(id, storage, size, used, parent, objects)| PoolImage {
+                    id,
+                    storage,
+                    size,
+                    used,
+                    parent,
+                    objects: objects.to_vec(),
+                })
+                .collect();
             processes.push(ProcImage {
                 pid: pid.0,
                 name: proc.name().to_string(),
@@ -596,6 +628,10 @@ mod reference {
                 write_epoch: space.write_epoch(),
                 regions,
                 chunks,
+                frontier: heap.free_space().0,
+                free_chunks: heap.free_space().1.clone(),
+                next_pool,
+                pools,
                 fds,
             });
         }
@@ -698,6 +734,28 @@ mod reference {
                 e.u64(c.tag);
                 e.u8(u8::from(c.startup));
             }
+            e.u64(p.frontier);
+            e.u32(p.free_chunks.len() as u32);
+            for (&offset, &size) in &p.free_chunks {
+                e.u64(offset);
+                e.u64(size);
+            }
+            e.u64(p.next_pool);
+            e.u32(p.pools.len() as u32);
+            for pool in &p.pools {
+                e.u64(pool.id.0);
+                e.u64(pool.storage.0);
+                e.u64(pool.size);
+                e.u64(pool.used);
+                e.u64(pool.parent.map_or(0, |parent| parent.0));
+                e.u32(pool.objects.len() as u32);
+                for &(obj, size, site, tag) in &pool.objects {
+                    e.u64(obj.0);
+                    e.u64(size);
+                    e.u64(site.0);
+                    e.u64(tag.0);
+                }
+            }
             e.u32(p.fds.len() as u32);
             for f in &p.fds {
                 e.u32(f.fd as u32);
@@ -765,7 +823,8 @@ fn wrapped_pipe(len: usize) -> VecDeque<u8> {
 /// client has closed (its endpoint gone), an endpoint whose server closed
 /// with one reply unread, a connected-but-unaccepted client with queued
 /// request bytes, a non-empty pipe, a Unix channel with an in-flight
-/// descriptor, and the [`scribble`] region. Returns the closed client's
+/// descriptor, a freed heap chunk, an instrumented pool with a child and a
+/// carved object, and the [`scribble`] region. Returns the closed client's
 /// connection id.
 fn enrich(kernel: &mut Kernel, instance: &McrInstance) -> ConnId {
     let pid = instance.state.processes[0];
@@ -800,6 +859,14 @@ fn enrich(kernel: &mut Kernel, instance: &McrInstance) -> ConnId {
         name: "ctl".into(),
         inbox: VecDeque::from([UnixMessage { data: b"take this".to_vec(), objects: vec![file] }]),
     });
+    let proc = kernel.process_mut(pid).unwrap();
+    proc.set_region_allocator(mcr_procsim::RegionAllocator::new(true));
+    let (space, heap, regions) = proc.space_heap_regions_mut().unwrap();
+    let freed = heap.malloc(space, 40, AllocSite(0), TypeTag(0)).unwrap();
+    let pool = regions.create_pool(space, heap, 512, None).unwrap();
+    regions.create_pool(space, heap, 256, Some(pool)).unwrap();
+    regions.palloc(space, pool, 24, AllocSite(7), TypeTag(3)).unwrap();
+    heap.free(space, freed).unwrap();
     scribble(kernel, instance);
     closed
 }
@@ -875,6 +942,15 @@ fn decoding_the_streamed_state_reproduces_what_the_kernel_reports() {
                 (live.payload.0, live.size, live.site.0, live.type_tag.0, live.startup)
             );
         }
+        let (frontier, free_chunks) = proc.heap().unwrap().free_space();
+        assert_eq!((img.frontier, &img.free_chunks), (frontier, free_chunks));
+        let (next_pool, pools) = proc.regions().pools();
+        assert_eq!(img.next_pool, next_pool);
+        assert!(img
+            .pools
+            .iter()
+            .map(|p| (p.id, p.storage, p.size, p.used, p.parent, &p.objects[..]))
+            .eq(pools));
         assert_eq!(img.fds.len(), proc.fds().len());
         for (f, (fd, entry)) in img.fds.iter().zip(proc.fds().iter()) {
             assert_eq!(

@@ -1921,7 +1921,7 @@ mod tests {
                 let list = env.define_global("list", "l_t").unwrap();
                 let tagged = env.define_global("tagged", "l_t*").unwrap();
                 let table = env.define_global("table", "l_t*").unwrap();
-                env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 }, 1);
+                env.add_obj_handler("tagged", ObjTreatment::EncodedPointers { mask_bits: 2 });
                 let mut prev_slot = list.offset(8);
                 for i in 0..8u32 {
                     let node = env.alloc("l_t", "handle_event:node").unwrap();
@@ -2295,7 +2295,7 @@ mod tests {
         {
             let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
             let unfollowed = env.define_global("unfollowed", "l_t*").unwrap();
-            env.add_obj_handler("unfollowed", ObjTreatment::PointerSlots(Vec::new()), 1);
+            env.add_obj_handler("unfollowed", ObjTreatment::PointerSlots(Vec::new()));
             env.write_ptr(unfollowed, freed).unwrap();
             env.define_global_opaque("static_pad", 2 * mcr_procsim::PAGE_SIZE).unwrap();
             list = env.define_global("list", "l_t").unwrap();

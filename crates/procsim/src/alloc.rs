@@ -71,6 +71,9 @@ pub(crate) const CHUNK_ALIGN: u64 = 16;
 pub(crate) const HEADER_BASE: u64 = 16;
 /// Header size with MCR instrumentation (adds site + type tag words).
 pub(crate) const HEADER_INSTR: u64 = 32;
+/// Size of the in-band `[site, type_tag]` record in front of each object an
+/// instrumented [`RegionAllocator`] carves.
+const POOL_RECORD: u64 = 16;
 
 /// Description of a live or freed chunk as read back from in-band metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,10 +294,9 @@ impl PtMalloc {
 
     /// Allocates a chunk so that its payload lands exactly at `payload`.
     ///
-    /// This is the *global reallocation* primitive of mutable
-    /// reinitialization: immutable dynamic memory objects inherited from the
-    /// old version must reappear at the same virtual address in the new
-    /// version's fresh heap.
+    /// Only tests place chunks this way, to build a heap of a given shape:
+    /// an update maps pinned objects as an `inherited:` region instead, and
+    /// a restore installs the recorded tables ([`PtMalloc::install_tables`]).
     ///
     /// # Errors
     ///
@@ -436,6 +438,68 @@ impl PtMalloc {
     /// The granule of an in-heap, aligned address.
     fn granule(&self, addr: Addr) -> u64 {
         (addr.0 - self.heap_base.0) / CHUNK_ALIGN
+    }
+
+    /// The bump frontier and the free list (chunk offset → chunk size,
+    /// header included). With the live chunks, this is all the allocator
+    /// keeps outside simulated memory.
+    pub fn free_space(&self) -> (u64, &BTreeMap<u64, u64>) {
+        (self.frontier, &self.free_chunks)
+    }
+
+    /// Replaces the frontier, the free list and the live chunks, given as
+    /// ascending `(payload, size)` pairs, with recorded ones. Nothing is
+    /// written: the chunk headers must already be in memory. The live and
+    /// metadata byte counts follow the new live chunks; the event counters
+    /// stay as they are.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidArgument`] if the frontier lies beyond the heap,
+    /// a free chunk is unaligned or ends past the frontier, or a live chunk
+    /// is unaligned, ends past the frontier or overlaps its predecessor;
+    /// the allocator is then left unchanged.
+    pub fn install_tables(
+        &mut self,
+        frontier: u64,
+        free_chunks: BTreeMap<u64, u64>,
+        live: impl IntoIterator<Item = (Addr, u64)>,
+    ) -> SimResult<()> {
+        if frontier > self.heap_size {
+            return Err(SimError::InvalidArgument(format!("frontier {frontier:#x} beyond the heap")));
+        }
+        let inside = |off: u64, size: u64| {
+            off.is_multiple_of(CHUNK_ALIGN) && off.checked_add(size).is_some_and(|end| end <= frontier)
+        };
+        if let Some((off, size)) = free_chunks.iter().find(|&(&off, &size)| !inside(off, size)) {
+            return Err(SimError::InvalidArgument(format!(
+                "free chunk at {off:#x} of {size} bytes misplaced"
+            )));
+        }
+        let mut index = GranuleIndex::default();
+        // Offset of the first byte past the previous chunk.
+        let mut next_free = 0;
+        let mut live_bytes = 0;
+        for (payload, size) in live {
+            let off = payload.0.wrapping_sub(self.heap_base.0);
+            if payload.0 < self.heap_base.0 + next_free + self.header_size()
+                || size == 0
+                || !size.is_multiple_of(CHUNK_ALIGN)
+                || !inside(off, size)
+            {
+                return Err(SimError::InvalidArgument(format!("chunk {payload} of {size} bytes misplaced")));
+            }
+            next_free = off + size;
+            index.insert(off / CHUNK_ALIGN, size / CHUNK_ALIGN);
+            live_bytes += size;
+        }
+        self.frontier = frontier;
+        self.free_chunks = free_chunks;
+        self.stats.live_bytes = live_bytes;
+        self.stats.peak_bytes = self.stats.peak_bytes.max(live_bytes);
+        self.stats.metadata_bytes = index.len as u64 * self.header_size();
+        self.live = index;
+        Ok(())
     }
 }
 
@@ -645,7 +709,7 @@ impl RegionAllocator {
         let p =
             self.pools.get_mut(&pool.0).ok_or(SimError::InvalidArgument(format!("unknown pool {pool:?}")))?;
         let aligned = size.max(1).div_ceil(8) * 8;
-        let extra = if instrumented { 16 } else { 0 };
+        let extra = if instrumented { POOL_RECORD } else { 0 };
         if p.used + aligned + extra > p.size {
             return Err(SimError::OutOfMemory { requested: size });
         }
@@ -656,9 +720,9 @@ impl RegionAllocator {
             // object.
             space.write_u64(obj, site.0)?;
             space.write_u64(obj.offset(8), type_tag.0)?;
-            obj = obj.offset(16);
+            obj = obj.offset(POOL_RECORD);
             self.stats.instr_writes += 2;
-            self.stats.metadata_bytes += 16;
+            self.stats.metadata_bytes += POOL_RECORD;
         }
         p.used += aligned + extra;
         if instrumented {
@@ -707,7 +771,44 @@ impl RegionAllocator {
         let &(obj, size, site, tag) = pool.objects.get(below.checked_sub(1)?)?;
         (addr.0 < obj.0 + size).then_some((obj, size, site, tag))
     }
+
+    /// The id the next pool gets, and the pool table in id order: all the
+    /// allocator keeps outside simulated memory.
+    pub fn pools(&self) -> (u64, impl Iterator<Item = PoolRow<'_>>) {
+        let rows = self
+            .pools
+            .iter()
+            .map(|(&id, p)| (PoolId(id), p.storage, p.size, p.used, p.parent, &p.objects[..]));
+        (self.next_pool, rows)
+    }
+
+    /// Replaces the pool table and the next pool id with recorded ones, as
+    /// [`RegionAllocator::pools`] lists them. Nothing is written: pool
+    /// storage and in-band object records are already in memory. The live
+    /// and metadata byte counts follow the new table; the event counters
+    /// stay as they are.
+    pub fn install_pools<'a>(&mut self, next_pool: u64, pools: impl IntoIterator<Item = PoolRow<'a>>) {
+        self.pools.clear();
+        self.by_storage.clear();
+        self.stats.live_bytes = 0;
+        self.stats.metadata_bytes = 0;
+        for (id, storage, size, used, parent, objects) in pools {
+            if self.instrumented {
+                self.stats.live_bytes += objects.iter().map(|&(_, size, ..)| size).sum::<u64>();
+                self.stats.metadata_bytes += POOL_RECORD * objects.len() as u64;
+            } else {
+                self.stats.live_bytes += used;
+            }
+            self.pools.insert(id.0, Pool { storage, size, used, parent, objects: objects.to_vec() });
+            self.by_storage.insert(storage.0, id.0);
+        }
+        self.next_pool = next_pool;
+    }
 }
+
+/// One pool as [`RegionAllocator::pools`] lists it: id, storage, size, bump
+/// offset, parent and the instrumented object registry.
+type PoolRow<'a> = (PoolId, Addr, u64, u64, Option<PoolId>, &'a [(Addr, u64, AllocSite, TypeTag)]);
 
 #[cfg(test)]
 mod tests {
@@ -869,6 +970,49 @@ mod tests {
         assert!(next.0 > target.0);
         // Overlapping placement is rejected.
         assert!(heap.malloc_at(&mut space, target.offset(16), 64, AllocSite(5), TypeTag(0)).is_err());
+    }
+
+    /// A fresh allocator given a heap's recorded tables over a copy of its
+    /// memory hands out what the heap would; misplaced tables are refused.
+    #[test]
+    fn installed_tables_reproduce_the_recorded_heap() {
+        let (mut space, mut heap) = setup(true);
+        heap.end_startup();
+        let hole = heap.malloc(&mut space, 64, AllocSite(1), TypeTag(1)).unwrap();
+        let kept = heap.malloc(&mut space, 200, AllocSite(2), TypeTag(2)).unwrap();
+        heap.free(&mut space, hole).unwrap();
+        let live: Vec<(Addr, u64)> = heap.live_chunks(&space).map(|c| (c.payload, c.size)).collect();
+        let (frontier, free) = (heap.free_space().0, heap.free_space().1.clone());
+
+        let mut copy = PtMalloc::new(Addr(HEAP_BASE), HEAP_SIZE, true);
+        let refused = [
+            (HEAP_SIZE + CHUNK_ALIGN, BTreeMap::new(), live.clone()),
+            (frontier, BTreeMap::from([(frontier, CHUNK_ALIGN)]), live.clone()),
+            (frontier, free.clone(), vec![(kept, 200)]),
+            (frontier, free.clone(), vec![(kept, 208), (kept, 208)]),
+            (frontier, free.clone(), vec![(Addr(HEAP_BASE), 16)]),
+        ];
+        for (frontier, free, live) in refused {
+            assert!(copy.install_tables(frontier, free, live).is_err());
+            assert_eq!((copy.live_count(), copy.free_space().0), (0, 0), "left unchanged");
+        }
+        copy.install_tables(frontier, free, live).unwrap();
+        assert_eq!(copy.stats().live_bytes, heap.stats().live_bytes);
+        assert_eq!(copy.stats().metadata_bytes, heap.stats().metadata_bytes);
+        let mut copied = space.clone();
+        assert_eq!(
+            copy.chunk_containing(&copied, kept.offset(8)),
+            heap.chunk_containing(&space, kept.offset(8))
+        );
+        let mut next = Vec::new();
+        for size in [64, 64, 500] {
+            next.push(heap.malloc(&mut space, size, AllocSite(3), TypeTag(3)).unwrap());
+            assert_eq!(
+                copy.malloc(&mut copied, size, AllocSite(3), TypeTag(3)).unwrap(),
+                next[next.len() - 1]
+            );
+        }
+        assert_eq!(next[0], hole, "the first fit reuses the hole");
     }
 
     #[test]

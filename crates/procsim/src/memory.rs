@@ -60,8 +60,9 @@
 //!   share every resident page. A store goes through [`Arc::make_mut`]: the
 //!   writer gets a private copy of exactly the page it touches, the other
 //!   side keeps the original, and an unshared page is written in place.
-//!   Pages are `Arc`, not `Rc`, because the sharded tracer and the transfer
-//!   prepare workers read address spaces from scoped threads.
+//!   Pages are `Arc`, not `Rc`, which keeps an address space `Send`; no
+//!   library crate starts a thread, so nothing shares a page across threads
+//!   today.
 //!
 //! Only the host-side cost changes. Bytes read, bounds checks (against the
 //! region's `size`, not its page-rounded size), the per-page dirty and

@@ -246,9 +246,6 @@ impl Program for CacheServer {
             let _stats = env.define_global("cache_stats", "cache_stats_s")?;
             let listen_fd_g = env.define_global("listen_fd_g", "int")?;
             env.write_u32(listen_fd_g, fd.0 as u32)?;
-            // Annotation effort: the slab-cache wrappers and the eviction
-            // quiescence tweak.
-            env.note_annotation_loc(14);
             Ok(())
         })
     }

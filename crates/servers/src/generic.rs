@@ -334,7 +334,7 @@ impl Program for GenericServer {
                 let cycle_global = env.define_global("cycle", "uintptr_t")?;
                 let cycle = env.alloc("conf_s", "ngx_init:cycle")?;
                 env.write_u64(cycle_global, cycle.0 | 0b01)?;
-                env.add_obj_handler("cycle", ObjTreatment::EncodedPointers { mask_bits: 2 }, 22);
+                env.add_obj_handler("cycle", ObjTreatment::EncodedPointers { mask_bits: 2 });
             }
 
             // Custom allocators.
@@ -348,16 +348,6 @@ impl Program for GenericServer {
                     self.main_pool = Some(main);
                     self.request_pool = Some(env.create_pool(128 * 1024, Some(main))?);
                 }
-            }
-
-            // Annotation effort accounting (Table 1 "Ann LOC"): source tweaks
-            // and handlers the real programs required.
-            match spec.name.as_str() {
-                "httpd" => env.note_annotation_loc(8 + 10 + 163),
-                "nginx" => { /* the 22 LOC were accounted with the pointer-encoding handler */ }
-                "vsftpd" => env.note_annotation_loc(82),
-                "sshd" => env.note_annotation_loc(49),
-                _ => {}
             }
 
             // Worker processes.
@@ -433,18 +423,25 @@ impl Program for GenericServer {
         let next_off = types.field_offset(conn_ty, "next")?;
         let (conf, list, stats) = (global("conf")?, global("conn_list")?, global("stats")?);
         let head_off = types.field_offset(list.ty, "head")?;
+        let count_off = types.field_offset(list.ty, "count")?;
         let mut facts = Vec::new();
         for (i, &pid) in state.processes.iter().enumerate() {
             let space = kernel.process(pid).ok()?.space();
             let conf_at = Addr(space.read_u64(conf.addr).ok()?);
             audit_fields(space, types, conf_ty, conf_at, &format!("p{i}.conf"), &mut facts)?;
             audit_fields(space, types, list.ty, list.addr, &format!("p{i}.conn_list"), &mut facts)?;
+            // The list holds exactly `count` records; one that runs past
+            // them (a cycle, say) is not auditable.
             let mut node = Addr(space.read_u64(list.addr.offset(head_off)).ok()?);
-            let mut j = 0;
-            while !node.is_null() {
+            for j in 0..space.read_u32(list.addr.offset(count_off)).ok()? {
+                if node.is_null() {
+                    return None;
+                }
                 audit_fields(space, types, conn_ty, node, &format!("p{i}.conn{j:04}"), &mut facts)?;
                 node = Addr(space.read_u64(node.offset(next_off)).ok()?);
-                j += 1;
+            }
+            if !node.is_null() {
+                return None;
             }
             audit_fields(space, types, stats.ty, stats.addr, &format!("p{i}.stats"), &mut facts)?;
         }
@@ -484,7 +481,7 @@ mod tests {
     use super::programs::*;
     use mcr_core::runtime::{boot, live_update, run_round, run_rounds, BootOptions, UpdateOptions};
     use mcr_core::QuiescenceProfiler;
-    use mcr_procsim::Kernel;
+    use mcr_procsim::{Addr, Kernel};
     use mcr_typemeta::InstrumentationConfig;
 
     fn kernel_with_files() -> Kernel {
@@ -528,11 +525,33 @@ mod tests {
         let report = QuiescenceProfiler::analyze(&kernel, &instance.state);
         let worker_point = report.point_for("worker-main").or_else(|| report.point_for("worker"));
         assert!(worker_point.is_some());
-        assert_eq!(
-            instance.state.annotations.annotation_loc(),
-            22,
-            "nginx needs only the pointer-encoding annotation"
-        );
+    }
+
+    /// A connection list whose records link into a cycle reads `None`: the
+    /// audit walks at most the list's `count` records.
+    #[test]
+    fn audit_of_a_cyclic_connection_list_is_none() {
+        let mut kernel = kernel_with_files();
+        let mut instance = boot(&mut kernel, Box::new(httpd(1)), &BootOptions::default()).unwrap();
+        drive_requests(&mut kernel, &mut instance, 80, 4);
+        assert!(instance.audit(&kernel).is_some());
+        let types = &instance.state.types;
+        let list = instance.state.statics.lookup("conn_list").unwrap();
+        let head_off = types.field_offset(list.ty, "head").unwrap();
+        let next_off = types.field_offset(types.lookup("conn_s").unwrap(), "next").unwrap();
+        // A process that recorded two connections: its second record's
+        // `next` goes back to the first.
+        let &pid = instance
+            .state
+            .processes
+            .iter()
+            .find(|&&pid| kernel.process(pid).unwrap().space().read_u32(list.addr).unwrap() >= 2)
+            .expect("a worker recorded two connections");
+        let space = kernel.process_mut(pid).unwrap().space_mut();
+        let first = space.read_u64(list.addr.offset(head_off)).unwrap();
+        let second = Addr(space.read_u64(Addr(first).offset(next_off)).unwrap());
+        space.write_u64(second.offset(next_off), first).unwrap();
+        assert_eq!(instance.audit(&kernel), None);
     }
 
     #[test]

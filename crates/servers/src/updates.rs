@@ -7,8 +7,8 @@
 //! LOC). Those quantities describe the *source releases*, which this
 //! reproduction cannot re-diff; the catalogue therefore records the paper's
 //! per-program figures as reference data and exposes the same aggregation
-//! the Table 1 harness prints, alongside the live numbers measured from the
-//! simulated programs (quiescence profile and annotation registries).
+//! the Table 1 harness prints, alongside the quiescence profile measured
+//! from the simulated programs.
 
 /// Engineering-effort record for one evaluated program (one row of Table 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
