@@ -88,13 +88,13 @@
 //!    dirtied since the previous round
 //!    ([`ObjectGraph::retrace_dirty`](crate::tracing::graph::ObjectGraph)),
 //!    copies the stale delta into the already-placed new-version objects
-//!    ([`precopy_transfer_round`]), and then lets the old instance serve
+//!    (a [`CopyMode::Round`] pass), and then lets the old instance serve
 //!    pending traffic (plus an optional mutator/workload hook). Iteration
 //!    stops after `precopy.rounds` rounds or as soon as a round ends with at
 //!    most `precopy.convergence_bytes` freshly dirtied bytes.
 //! 4. [`PhaseName::Quiesce`] — only now does the world stop.
-//! 5. [`PhaseName::TraceAndTransfer`] — a final delta retrace plus
-//!    [`transfer_residual`]: every transferable object is planned and
+//! 5. [`PhaseName::TraceAndTransfer`] — a final delta retrace plus a
+//!    [`CopyMode::Final`] pass: every transferable object is planned and
 //!    counted (reports and conflicts are those of a pass that re-emits
 //!    everything, and so is the memory), but only objects whose new-heap
 //!    bytes would change are written, and the clock is charged only for the
@@ -121,19 +121,22 @@
 //!    3. [`PhaseName::Precopy`] — exactly as above (pre-copy rounds are
 //!    optional and compose with post-copy).
 //! 4. [`PhaseName::Quiesce`] — the world stops.
-//! 5. [`PhaseName::PostcopyCommit`] — the final delta retrace runs and the
-//!    transfer *plan* is computed, but for deferred pairs the prepared
-//!    writes are **parked** instead of applied: their target pages are
-//!    write-protected in the new process
+//! 5. [`PhaseName::PostcopyCommit`] — the final delta retrace runs and a
+//!    [`CopyMode::Deferred`] pass prepares the same writes and counts the
+//!    same residual as the stop-the-world pass, but the stale writes are
+//!    **parked** instead of landed: their target pages are write-protected
+//!    in the new process
 //!    ([`AddressSpace::protect_range`](mcr_procsim::AddressSpace)) and the
-//!    new version resumes immediately. The window pays for trace + planning
-//!    only, not for the copy.
+//!    new version resumes immediately. The pass's residual is the parked
+//!    set the report counts as deferred. The window pays for trace +
+//!    planning only, not for the copy.
 //! 6. [`PhaseName::PostcopyDrain`] — concurrent with the resumed new
 //!    version, which holds a [`PostcopyLoan`] of the transfer context and
 //!    the parked residuals for the whole drain. A program thread's load or
 //!    store that touches a still-parked page is serviced *before* the
 //!    access, as a `userfaultfd` handler blocks the faulting thread: every
-//!    parked object on the touched pages is faulted in via [`fault_in_at`]
+//!    parked write on the touched pages lands via [`fault_in_at`], through
+//!    the same landing function as the window's writes
 //!    (a `fork` first completes its process's residual, and a store an
 //!    allocator parks inside a thread's call is serviced before the call
 //!    returns). A store issued outside a thread step — the post-copy hook, a
@@ -259,7 +262,7 @@ use mcr_typemeta::InstrumentationConfig;
 use crate::callstack::CallStackId;
 use crate::error::{Conflict, McrError, McrResult};
 use crate::interpose::Interposer;
-use crate::program::{InstanceState, Program, ThreadRosterEntry};
+use crate::program::{Program, ThreadRosterEntry};
 use crate::runtime::chaos::{ChaosPlan, FaultSite};
 use crate::runtime::controller::{TransferMode, UpdateOptions, UpdateOutcome};
 use crate::runtime::report::{PostcopySummary, UpdateReport};
@@ -270,8 +273,8 @@ use crate::tracing::stats::TracingStats;
 use crate::tracing::tracer::{TraceResult, Tracer};
 use crate::transfer::checkpoint::{write_checkpoint, CheckpointOptions};
 use crate::transfer::engine::{
-    self, drain_step, fault_in_at, list_schedule_makespan, precopy_transfer_round, transfer_residual,
-    DeltaPlan, PostcopyResidual, ProcessTransferReport, ResidualStats, TransferContext,
+    drain_step, fault_in_at, list_schedule_makespan, run_transfer, CopyMode, DeltaPlan, PostcopyResidual,
+    ProcessTransferReport, ResidualStats, TransferContext,
 };
 
 /// Identifies one stage of the live-update pipeline.
@@ -889,29 +892,21 @@ fn trace_and_transfer(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         ctx.report.timings.state_transfer = SimDuration(0);
         return Ok(());
     }
-    transfer_pairs(ctx, transfer_residual)
+    transfer_pairs(ctx, CopyMode::Final)
 }
 
-/// Runs `transfer` — an engine entry point, or a closure around one — on the
-/// matched pair at `index`, with the pair's trace brought up to date first:
+/// Runs the engine's transfer in `mode` on the matched pair at `index`, with
+/// the pair's trace brought up to date first:
 /// a fresh trace the first time the pair is traced, a delta retrace from
 /// [`DeltaPlan::traced_upto`] after. The pair is borrowed out of the process
 /// table on its own ([`Kernel::split_pairs`]: the old process shared, the
 /// new one exclusive); its plan and trace are its pre-copy state's, or live
 /// for this call when no pre-copy round ran.
-fn trace_and_transfer_pair<R>(
+fn trace_and_transfer_pair(
     ctx: &mut UpdateCtx<'_>,
     index: usize,
-    transfer: impl FnOnce(
-        &TransferContext,
-        &mut DeltaPlan,
-        &Process,
-        &InstanceState,
-        &mut Process,
-        &InstanceState,
-        &TraceResult,
-    ) -> McrResult<R>,
-) -> McrResult<(TracingStats, R)> {
+    mode: CopyMode,
+) -> McrResult<(TracingStats, ProcessTransferReport, ResidualStats, PostcopyResidual)> {
     let UpdateCtx { kernel, old, new_instance, pairs, plan, pair_precopy, .. } = ctx;
     let new_state = &new_instance.as_ref().expect("matched pairs imply an instance").state;
     let plan = plan.as_ref().expect("the calling phase ensured the plan");
@@ -927,33 +922,23 @@ fn trace_and_transfer_pair<R>(
             trace
         }
     };
-    let out = transfer(plan, delta, old_proc, &old.state, new_proc, new_state, trace)?;
-    Ok((trace.stats, out))
+    let (report, residual, parked) =
+        run_transfer(plan, delta, mode, old_proc, &old.state, new_proc, new_state, trace)?;
+    Ok((trace.stats, report, residual, parked))
 }
 
 /// The stop-the-world pair loop of [`trace_and_transfer`] and
-/// [`postcopy_commit`]: for each pair, in pair order, trace it, run
-/// `transfer` on it and merge what it produced — tracing statistics, the
-/// clock charge, the per-process report (which keeps its conflicts, so
-/// per-process attribution survives into a rolled-back report) and
-/// descriptor inheritance — stopping at the first error. The clock is
-/// charged the *residual* cost: without pre-copy that is the pair's full transfer, with
-/// pre-copy the stop-the-world share left after the concurrent rounds, for a
-/// deferred post-copy pair nothing. The phase's
-/// [`state_transfer`](crate::runtime::report::UpdateTimings) time is the
-/// list-schedule makespan of those costs on the modelled workers.
-fn transfer_pairs(
-    ctx: &mut UpdateCtx<'_>,
-    mut transfer: impl FnMut(
-        &TransferContext,
-        &mut DeltaPlan,
-        &Process,
-        &InstanceState,
-        &mut Process,
-        &InstanceState,
-        &TraceResult,
-    ) -> McrResult<(ProcessTransferReport, ResidualStats)>,
-) -> McrResult<()> {
+/// [`postcopy_commit`]: for each pair, in pair order, trace it, transfer it
+/// in `mode` and merge what it produced — tracing statistics, the clock
+/// charge, the residual, the per-process report (which keeps its conflicts,
+/// so per-process attribution survives into a rolled-back report), a
+/// deferred pair's parked set and descriptor inheritance — stopping at the
+/// first error. The clock is charged the *residual* cost: without pre-copy
+/// that is the pair's full transfer, with pre-copy the stop-the-world share
+/// left after the concurrent rounds, for a deferred post-copy pair nothing.
+/// The phase's [`state_transfer`](crate::runtime::report::UpdateTimings) time
+/// is the list-schedule makespan of those costs on the modelled workers.
+fn transfer_pairs(ctx: &mut UpdateCtx<'_>, mode: CopyMode) -> McrResult<()> {
     let workers = ctx.opts.effective_transfer_workers(ctx.pairs.len());
     ctx.ensure_plan()?;
     let mut host_wall = Duration::ZERO;
@@ -961,20 +946,31 @@ fn transfer_pairs(
     let mut pair_costs: Vec<SimDuration> = Vec::with_capacity(ctx.pairs.len());
     for index in 0..ctx.pairs.len() {
         let wall = Instant::now();
-        let outcome = trace_and_transfer_pair(ctx, index, &mut transfer);
+        let outcome = trace_and_transfer_pair(ctx, index, mode);
         host_wall += wall.elapsed();
         match outcome {
             Err(e) => {
                 failure = Some(e);
                 break;
             }
-            Ok((stats, (report, residual))) => {
+            Ok((stats, report, residual, parked)) => {
                 let (old_pid, new_pid) = ctx.pairs[index];
                 ctx.report.tracing.merge(&stats);
                 ctx.kernel.advance_clock(residual.cost);
                 pair_costs.push(residual.cost);
-                ctx.report.precopy.absorb_residual(&residual);
+                ctx.report.precopy.residual.absorb(&residual);
                 ctx.report.transfer.per_process.push(report);
+                if mode == CopyMode::Deferred {
+                    let postcopy = &mut ctx.report.postcopy;
+                    if residual.objects == 0 {
+                        postcopy.synced_pairs += 1;
+                    } else {
+                        postcopy.deferred_pairs += 1;
+                        postcopy.deferred_objects += residual.objects;
+                        postcopy.deferred_bytes += residual.bytes;
+                    }
+                    ctx.pair_postcopy.push(parked);
+                }
                 inherit_connection_fds(ctx.kernel, old_pid, new_pid);
             }
         }
@@ -1060,10 +1056,14 @@ fn precopy(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         // nothing).
         let mut round_costs = Vec::with_capacity(ctx.pairs.len());
         for (index, &upto) in uptos.iter().enumerate() {
-            let (_, round_report) = trace_and_transfer_pair(ctx, index, precopy_transfer_round)?;
+            let (_, _, copied, _) = trace_and_transfer_pair(ctx, index, CopyMode::Round)?;
             ctx.pair_precopy[index].delta.traced_upto = upto;
-            ctx.report.precopy.absorb_round(round, &round_report);
-            round_costs.push(round_report.cost);
+            let rounds = &mut ctx.report.precopy.rounds;
+            if rounds.len() < round {
+                rounds.push(ResidualStats::default());
+            }
+            rounds[round - 1].absorb(&copied);
+            round_costs.push(copied.cost);
         }
         // The round ran concurrently with the old version; charge its
         // makespan to the shared clock (this is pre-copy time, not
@@ -1133,27 +1133,10 @@ fn postcopy_commit(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
         return Ok(());
     }
     // A deferred pair contributes nothing to the window: its applies are
-    // charged when they happen, after resume.
-    let mut states: Vec<PostcopyResidual> = Vec::with_capacity(ctx.pairs.len());
-    let transferred = transfer_pairs(ctx, |plan, delta, old_proc, old_state, new_proc, new_state, trace| {
-        let (report, residual, parked) =
-            engine::postcopy_commit(plan, delta, old_proc, old_state, new_proc, new_state, trace)?;
-        states.push(parked);
-        Ok((report, residual))
-    });
-    // Counted before the result is looked at: a rolled-back report still
-    // says what the pairs ahead of the failing one did.
-    for residual in &states {
-        if residual.is_drained() {
-            ctx.report.postcopy.synced_pairs += 1;
-        } else {
-            ctx.report.postcopy.deferred_pairs += 1;
-            ctx.report.postcopy.deferred_objects += residual.remaining();
-            ctx.report.postcopy.deferred_bytes += residual.remaining_bytes();
-        }
-    }
-    ctx.pair_postcopy = states;
-    transferred?;
+    // charged when they happen, after resume. A rolled-back report still
+    // counts what the pairs ahead of the failing one parked.
+    ctx.pair_postcopy.clear();
+    transfer_pairs(ctx, CopyMode::Deferred)?;
 
     // Arm the access traps over every parked range, then resume the new
     // version immediately — from here on the residual retires in the

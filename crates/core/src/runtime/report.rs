@@ -6,7 +6,7 @@ use crate::interpose::InterposeStats;
 use crate::runtime::pipeline::PhaseName;
 use crate::runtime::scheduler::McrInstance;
 use crate::tracing::stats::TracingStats;
-use crate::transfer::engine::{PrecopyRoundReport, ResidualStats, TransferSummary};
+use crate::transfer::engine::{ResidualStats, TransferSummary};
 
 /// Duration and outcome of one executed pipeline phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,35 +95,19 @@ pub struct UpdateTimings {
 pub struct PrecopySummary {
     /// Whether a pre-copy phase ran at all.
     pub enabled: bool,
-    /// Per-round copy work, merged across the process pairs in pair order.
-    pub rounds: Vec<PrecopyRoundReport>,
+    /// The stale objects each round copied, summed across the process
+    /// pairs.
+    pub rounds: Vec<ResidualStats>,
     /// The residual work the stop-the-world window still had to do, summed
-    /// across pairs (equals the full transfer when pre-copy is disabled).
+    /// across pairs (equals the full transfer when pre-copy is disabled; the
+    /// parked set under post-copy).
     pub residual: ResidualStats,
 }
 
 impl PrecopySummary {
     /// Total objects copied by the concurrent rounds.
     pub fn precopied_objects(&self) -> u64 {
-        self.rounds.iter().map(|r| r.objects_copied).sum()
-    }
-
-    /// Merges one pair's round report into the summary (round is 1-based).
-    pub(crate) fn absorb_round(&mut self, round: usize, report: &PrecopyRoundReport) {
-        if self.rounds.len() < round {
-            self.rounds.resize(round, PrecopyRoundReport::default());
-        }
-        let slot = &mut self.rounds[round - 1];
-        slot.objects_copied += report.objects_copied;
-        slot.bytes_copied += report.bytes_copied;
-        slot.cost = slot.cost.saturating_add(report.cost);
-    }
-
-    /// Merges one pair's residual statistics into the summary.
-    pub(crate) fn absorb_residual(&mut self, residual: &ResidualStats) {
-        self.residual.objects += residual.objects;
-        self.residual.bytes += residual.bytes;
-        self.residual.cost = self.residual.cost.saturating_add(residual.cost);
+        self.rounds.iter().map(|r| r.objects).sum()
     }
 }
 

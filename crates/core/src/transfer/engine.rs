@@ -37,6 +37,13 @@
 //! their order, the fault counter, the conflicts and every charged duration
 //! are those of the per-object derivation.
 //!
+//! Every mode writes an object one way: pass 4 builds one `Write` per
+//! object (its target, its length cut at the target region, and its
+//! transformed bytes, or none for a verbatim space-to-space copy) and
+//! `Write::land` puts it into the new version — inside the window, during a
+//! pre-copy round, or on a post-copy trap or drain step. Every mode counts
+//! the stale objects it writes one way too, in one [`ResidualStats`].
+//!
 //! # Pre-copy delta transfer
 //!
 //! The engine is *resumable*: a `DeltaPlan` records, per matched pair, the
@@ -44,10 +51,10 @@
 //! matched, which fresh allocation it received, whether it is pinned) plus
 //! the dirty-epoch stamp and length of the contents last copied — one record
 //! per object, in one address-ordered table walked in step with the graph.
-//! The iterative pre-copy phase calls `precopy_transfer_round` once per
+//! The iterative pre-copy phase runs a `CopyMode::Round` pass once per
 //! round while the old version keeps serving: only objects whose dirty epoch
 //! exceeds their copied-at stamp are (re-)copied, and placements are made at
-//! most once. After quiescence `transfer_residual` runs the same passes a
+//! most once. After quiescence a `CopyMode::Final` pass runs the same passes a
 //! plain stop-the-world transfer would run and produces the full
 //! logical report — but it *writes* an object only if its new-heap bytes
 //! would change (it is stale, or its pointer translation can differ from its
@@ -61,21 +68,21 @@
 //!
 //! When the write rate outruns the copy rate the residual never converges
 //! and pre-copy degenerates to stop-the-world. The complementary mode
-//! commits *first* and moves the residual afterwards:
-//! `postcopy_commit` runs the same passes as `transfer_residual` —
-//! identical placements, conflicts and logical report — but instead of
-//! applying the stale writes inside the stop-the-world window it snapshots
-//! and transforms them (against the now-frozen old space) and parks them in
-//! a `PostcopyResidual`. The new version resumes immediately with access
-//! traps armed over the parked ranges (`PostcopyResidual::arm`); a load or
-//! store that touches a not-yet-transferred page is serviced by
-//! `fault_in_at`, which applies every parked object on the touched pages
-//! before the access lands (a store from outside a program thread parks in
-//! the kernel's trap queue and replays after the fault-in), and
-//! `drain_step` retires the remainder in deterministic address order
-//! between scheduler rounds. Because the prepared bytes were computed at
-//! quiesce time and program accesses happen after fault-in, the final
-//! memory is byte-identical to a stop-the-world transfer of the same
+//! commits *first* and moves the residual afterwards: a `CopyMode::Deferred`
+//! pass runs the same passes as the stop-the-world one — identical
+//! placements, conflicts, logical report and residual count — but parks its
+//! stale `Write`s, prepared against the now-frozen old space, in a
+//! `PostcopyResidual` instead of landing them. The new version resumes
+//! immediately with access traps armed over the parked ranges
+//! (`PostcopyResidual::arm`); a load or store that touches a
+//! not-yet-transferred page is serviced by `fault_in_at`, which lands every
+//! parked write on the touched pages before the access lands (a store from
+//! outside a program thread parks in the kernel's trap queue and replays
+//! after the fault-in), and `drain_step` lands the remainder in
+//! deterministic address order between scheduler rounds — both with the
+//! same `Write::land` the window uses. Because the prepared bytes were
+//! computed at quiesce time and program accesses happen after fault-in, the
+//! final memory is byte-identical to a stop-the-world transfer of the same
 //! graph.
 
 use std::cell::Cell;
@@ -266,31 +273,31 @@ enum Placement {
     Pinned(Addr),
 }
 
-/// One pre-copy round's work, per process pair.
+/// The stale objects one transfer step wrote: objects never copied or
+/// dirtied since their last copy, their bytes and the simulated cost charged
+/// for landing them. One count serves every step — a pre-copy round's copies,
+/// the residual the stop-the-world window still had to write, the set a
+/// post-copy commit parked (charged nothing: it lands after resume) and what
+/// a trap or drain batch landed of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrecopyRoundReport {
-    /// Objects copied (or re-copied) this round.
-    pub objects_copied: u64,
-    /// Bytes written into the new version this round.
-    pub(crate) bytes_copied: u64,
-    /// Simulated cost of this round's copies (charged concurrently, while
-    /// the old version keeps serving).
+pub struct ResidualStats {
+    /// Stale objects written (or parked).
+    pub objects: u64,
+    /// Their bytes.
+    pub bytes: u64,
+    /// Simulated cost of the writes. For the window it is the part of state
+    /// transfer that counts toward downtime; without pre-copy it equals the
+    /// full per-pair transfer duration.
     pub(crate) cost: SimDuration,
 }
 
-/// Residual work left for the stop-the-world window after pre-copy: the
-/// objects that were still stale (dirtied after their last copy, or never
-/// copied) when the world stopped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResidualStats {
-    /// Stale objects the window had to copy.
-    pub objects: u64,
-    /// Stale bytes the window had to copy.
-    pub bytes: u64,
-    /// Simulated cost of the residual copies — the part of state transfer
-    /// that counts toward downtime. Without pre-copy this equals the full
-    /// per-pair transfer duration.
-    pub(crate) cost: SimDuration,
+impl ResidualStats {
+    /// Adds `other`'s objects, bytes and cost to these.
+    pub(crate) fn absorb(&mut self, other: &ResidualStats) {
+        self.objects += other.objects;
+        self.bytes += other.bytes;
+        self.cost = self.cost.saturating_add(other.cost);
+    }
 }
 
 /// What a [`DeltaPlan`] remembers about one old object.
@@ -333,7 +340,7 @@ impl PlanEntry {
 /// previous copy and the final pass knows what every earlier copy wrote. The
 /// table is walked in step with the (address-ordered) object graph, so
 /// finding an object's record costs no lookup. A fresh plan run straight
-/// through [`transfer_residual`] reproduces the classic stop-the-world
+/// through a [`CopyMode::Final`] pass reproduces the classic stop-the-world
 /// transfer bit for bit.
 ///
 /// A plan must be driven with *one* graph: the first trace of the pair, kept
@@ -360,20 +367,48 @@ impl DeltaPlan {
     }
 }
 
-/// One stale object whose contents were prepared at post-copy commit time
-/// (snapshot + transform + pointer rewrite against the frozen old space) but
-/// not yet applied to the new version.
-#[derive(Debug)]
-struct PendingObject {
+/// One object write as pass 4 prepares it: the contents are fixed when it is
+/// built (snapshot, transform and pointer rewrite against the old space), and
+/// [`land`](Write::land) puts them into the new version — inside the window,
+/// during a pre-copy round, or after resume when a post-copy trap or the
+/// drainer reaches it (the old space is frozen until then).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Write {
     old_base: Addr,
     new_base: Addr,
-    /// Clamped apply length (what the stop-the-world pass would have
-    /// written).
+    /// Bytes written, cut at the end of the target's region.
     len: usize,
-    /// Transformed contents, or `None` for the verbatim space-to-space copy
-    /// fast path.
+    /// The transformed contents, `len` bytes; `None` for a verbatim object,
+    /// copied space to space with
+    /// [`AddressSpace::copy_range`](mcr_procsim::AddressSpace::copy_range) and no
+    /// intermediate buffer.
     bytes: Option<Vec<u8>>,
-    applied: bool,
+}
+
+impl Write {
+    /// The write cut at the end of the new-version region it lands in;
+    /// `None` when its target is not mapped.
+    fn clamped(mut self, new_proc: &Process) -> Option<Write> {
+        let region = new_proc.space().region_containing(self.new_base)?;
+        self.len = self.len.min((region.end().0 - self.new_base.0) as usize);
+        if let Some(bytes) = &mut self.bytes {
+            bytes.truncate(self.len);
+        }
+        Some(self)
+    }
+
+    /// Lands the write; callers count the n-th-object-write fault first. The
+    /// byte store bypasses post-copy protection: before resume no page is
+    /// protected, and after it the trap handler must land quiesce-time
+    /// content on pages that still are.
+    fn land(&self, old_proc: &Process, new_proc: &mut Process) -> McrResult<()> {
+        let space = new_proc.space_mut();
+        match &self.bytes {
+            None => space.copy_range(self.new_base, old_proc.space(), self.old_base, self.len),
+            Some(bytes) => space.write_bytes_through(self.new_base, bytes),
+        }
+        .map_err(McrError::Sim)
+    }
 }
 
 /// The parked residual of one pair's post-copy transfer: every stale object,
@@ -381,7 +416,8 @@ struct PendingObject {
 /// when a page's access trap can be disarmed.
 #[derive(Debug, Default)]
 pub(crate) struct PostcopyResidual {
-    pending: Vec<PendingObject>,
+    /// The parked writes; `None` once applied.
+    pending: Vec<Option<Write>>,
     /// Drain cursor into `pending`.
     next: usize,
     /// Unapplied objects still alive.
@@ -403,16 +439,17 @@ fn pages_of(base: Addr, len: usize) -> impl Iterator<Item = u64> {
 }
 
 impl PostcopyResidual {
-    fn build(pending: Vec<PendingObject>) -> Self {
+    fn build(pending: Vec<Write>) -> Self {
         let mut page_refs: BTreeMap<u64, u32> = BTreeMap::new();
         let mut page_index: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (idx, p) in pending.iter().enumerate() {
-            for page in pages_of(p.new_base, p.len) {
+        for (idx, w) in pending.iter().enumerate() {
+            for page in pages_of(w.new_base, w.len) {
                 *page_refs.entry(page).or_insert(0) += 1;
                 page_index.entry(page).or_default().push(idx);
             }
         }
         let live = pending.len();
+        let pending = pending.into_iter().map(Some).collect();
         PostcopyResidual { pending, next: 0, live, page_refs, page_index, faulted_in: 0 }
     }
 
@@ -424,20 +461,10 @@ impl PostcopyResidual {
     /// Propagates mapping errors (a parked range must be mapped — it was
     /// placed by the commit pass).
     pub(crate) fn arm(&self, new_proc: &mut Process) -> McrResult<()> {
-        for p in self.pending.iter().filter(|p| !p.applied) {
-            new_proc.space_mut().protect_range(p.new_base, p.len.max(1) as u64).map_err(McrError::Sim)?;
+        for w in self.pending.iter().flatten() {
+            new_proc.space_mut().protect_range(w.new_base, w.len.max(1) as u64).map_err(McrError::Sim)?;
         }
         Ok(())
-    }
-
-    /// Unapplied objects still parked.
-    pub(crate) fn remaining(&self) -> u64 {
-        self.live as u64
-    }
-
-    /// Bytes still parked.
-    pub(crate) fn remaining_bytes(&self) -> u64 {
-        self.pending.iter().filter(|p| !p.applied).map(|p| p.len as u64).sum()
     }
 
     /// True once every parked object has been applied.
@@ -462,7 +489,7 @@ fn apply_pending(
     fault_at: Option<u64>,
     stats: &mut ResidualStats,
 ) -> McrResult<()> {
-    if residual.pending[idx].applied {
+    if residual.pending[idx].is_none() {
         return Ok(());
     }
     if plan.object_write_fires_fault() {
@@ -471,25 +498,13 @@ fn apply_pending(
     if fault_at == Some(residual.faulted_in + 1) {
         return Err(Conflict::FaultInjected { phase: "fault-in".into() }.into());
     }
-    let bytes = residual.pending[idx].bytes.take();
-    let (old_base, new_base, len) = {
-        let p = &residual.pending[idx];
-        (p.old_base, p.new_base, p.len)
-    };
-    match bytes {
-        None => new_proc
-            .space_mut()
-            .copy_range(new_base, old_proc.space(), old_base, len)
-            .map_err(McrError::Sim)?,
-        Some(b) => new_proc.space_mut().write_bytes_through(new_base, &b[..len]).map_err(McrError::Sim)?,
-    }
-    residual.pending[idx].applied = true;
+    let write = residual.pending[idx].take().expect("checked above");
+    write.land(old_proc, new_proc)?;
     residual.live -= 1;
     residual.faulted_in += 1;
-    stats.objects += 1;
-    stats.bytes += len as u64;
-    stats.cost = stats.cost.saturating_add(write_cost(1, len as u64));
-    for page in pages_of(new_base, len) {
+    let len = write.len as u64;
+    stats.absorb(&ResidualStats { objects: 1, bytes: len, cost: write_cost(1, len) });
+    for page in pages_of(write.new_base, write.len) {
         if let Some(refs) = residual.page_refs.get_mut(&page) {
             *refs -= 1;
             if *refs == 0 {
@@ -553,7 +568,7 @@ pub(crate) fn drain_step(
     let mut applied = 0usize;
     while applied < batch.max(1) && residual.next < residual.pending.len() {
         let idx = residual.next;
-        if residual.pending[idx].applied {
+        if residual.pending[idx].is_none() {
             residual.next += 1;
             continue;
         }
@@ -564,8 +579,19 @@ pub(crate) fn drain_step(
     Ok(stats)
 }
 
-/// Whether a core run is a concurrent pre-copy round or the pass that
-/// completes the transfer inside the stop-the-world window.
+/// Which step of an update a [`run_transfer`] pass is: a concurrent pre-copy
+/// round, or one of the two passes that complete the transfer over the
+/// quiescent graph.
+///
+/// The three run the same passes — placement, allocation, prepare — build
+/// the same [`Write`] per object, land it with the same [`Write::land`],
+/// report the same way and count the stale objects they write in one
+/// [`ResidualStats`]. They differ in two places only: a round's logical
+/// write set is the stale delta, a completing pass's is every transferable
+/// object; and a `Deferred` pass parks its stale writes instead of landing
+/// them. A round's report and conflicts are discarded: the completing pass
+/// re-detects them, so a pre-copied update aborts with exactly the
+/// conflicts of a stop-the-world one.
 ///
 /// # What the completing passes write
 ///
@@ -595,18 +621,20 @@ pub(crate) fn drain_step(
 /// one to, is the same pass over a graph recorded as changed over the whole
 /// address space: every object then may differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CopyMode {
-    /// Concurrent round: copy stale objects only; conflicts are *not*
-    /// recorded (the final pass re-detects and reports them), failed
-    /// placements are simply left for the window.
+pub(crate) enum CopyMode {
+    /// Concurrent round, while the old version keeps serving: place and
+    /// copy the stale objects; a failed placement is left for the window.
     Round,
     /// Stop-the-world: leave memory and reports byte-identical to a
-    /// no-pre-copy run, write what can have changed, charge the residual.
+    /// no-pre-copy run, reusing every placement the plan recorded; write
+    /// what can have changed and charge only the stale residual (with a
+    /// fresh plan everything is stale: a plain stop-the-world transfer).
     Final,
     /// Post-copy commit: identical placements, conflicts and logical report
-    /// to `Final`, but the stale writes are prepared and *parked* in a
-    /// [`PostcopyResidual`] instead of applied — the new version resumes and
-    /// the drainer/fault handler lands them afterwards.
+    /// to `Final`, but the stale writes are *parked* in the returned
+    /// [`PostcopyResidual`] instead of landed, and charged nothing — the new
+    /// version resumes and [`fault_in_at`] / [`drain_step`] land them.
+    /// Conflicts mean the caller rolls back before resuming.
     Deferred,
 }
 
@@ -684,14 +712,6 @@ impl TransferSummary {
     }
 }
 
-/// What one core run produced (the relevant part depends on the mode).
-struct TransferOutcome {
-    report: ProcessTransferReport,
-    residual: ResidualStats,
-    round: PrecopyRoundReport,
-    pending: PostcopyResidual,
-}
-
 /// The makespan of `costs` list-scheduled on `workers` modelled workers: each
 /// job cost, in submission order, goes to the least-loaded worker (lowest
 /// index on ties). One worker yields the serial sum; one worker per job
@@ -736,114 +756,20 @@ pub(crate) fn partition_contiguous(costs: &[u64], shards: usize) -> Vec<usize> {
         .collect()
 }
 
-/// How one object's contents reach the new version: what pass 4 prepares
-/// for an object right before it applies it.
-enum Prepared {
-    /// Verbatim copy (untyped or non-updatable object, no transform): applied
-    /// with the [`AddressSpace::copy_range`] fast path straight from the old
-    /// space, with no intermediate buffer at all.
-    Direct,
-    /// Transformed contents (semantic handler or structural field map with
-    /// pointer rewriting).
-    Bytes(Vec<u8>),
-}
-
-impl Prepared {
-    /// Whether the verbatim fast path applies: nothing rewrites the bytes,
-    /// so they can be copied space-to-space without materializing.
-    fn is_verbatim(
-        transform_key: &Option<Arc<str>>,
-        raw_copy: bool,
-        old_ty: Option<TypeId>,
-        new_ty: Option<TypeId>,
-    ) -> bool {
-        transform_key.is_none() && (raw_copy || old_ty.is_none() || new_ty.is_none())
-    }
-}
-
-/// One concurrent pre-copy round over a matched pair: places and copies only
-/// the objects that are stale with respect to `delta` (never copied, or
-/// dirtied since their last copy). Conflicts are not reported here — the
-/// stop-the-world pass re-detects them so a pre-copied update aborts with
-/// exactly the conflicts a stop-the-world update would report.
+/// Transfers one matched pair in `mode` (see [`CopyMode`]): plans every
+/// object of the traced graph, reusing the placements `delta` recorded, and
+/// writes the ones the mode's write set holds. Returns the logical
+/// [`ProcessTransferReport`] (which counts every transferable object, and
+/// whose conflicts mean the update must roll back), the stale objects
+/// written or parked with their charged cost, and the parked set of a
+/// `Deferred` pass (empty otherwise).
 ///
 /// # Errors
 ///
 /// Returns simulator errors for unexpected memory failures and the armed
-/// [`TransferContext::with_object_fault`] fault.
-pub(crate) fn precopy_transfer_round(
-    plan: &TransferContext,
-    delta: &mut DeltaPlan,
-    old_proc: &Process,
-    old_state: &InstanceState,
-    new_proc: &mut Process,
-    new_state: &InstanceState,
-    trace: &TraceResult,
-) -> McrResult<PrecopyRoundReport> {
-    let outcome =
-        run_transfer(plan, delta, CopyMode::Round, old_proc, old_state, new_proc, new_state, trace)?;
-    Ok(outcome.round)
-}
-
-/// The stop-the-world pass of a pre-copied transfer: plans the full transfer
-/// over the final (quiescent) object graph, reusing every placement `delta`
-/// recorded, and writes each object whose new-heap bytes would change — the
-/// stale ones, and clean ones whose pointer translation can differ from
-/// their last copy's — so the resulting memory, the
-/// [`ProcessTransferReport`] (which counts every transferable object) and
-/// its conflicts are those of re-emitting every write. With a fresh `delta`
-/// everything is stale and this is a plain stop-the-world transfer. The
-/// returned [`ResidualStats`] cover only the objects that were still stale
-/// when the world stopped; their cost is what the caller charges as
-/// downtime.
-///
-/// # Errors
-///
-/// Returns simulator errors for unexpected memory failures; conflicts land
-/// in the report.
-pub(crate) fn transfer_residual(
-    plan: &TransferContext,
-    delta: &mut DeltaPlan,
-    old_proc: &Process,
-    old_state: &InstanceState,
-    new_proc: &mut Process,
-    new_state: &InstanceState,
-    trace: &TraceResult,
-) -> McrResult<(ProcessTransferReport, ResidualStats)> {
-    let outcome =
-        run_transfer(plan, delta, CopyMode::Final, old_proc, old_state, new_proc, new_state, trace)?;
-    Ok((outcome.report, outcome.residual))
-}
-
-/// The commit pass of a post-copy transfer: runs the same passes over the
-/// final (quiescent) object graph as [`transfer_residual`] — identical
-/// placements, conflicts and logical [`ProcessTransferReport`] — but parks
-/// the stale writes in the returned [`PostcopyResidual`] instead of applying
-/// them, so the new version can resume immediately. The [`ResidualStats`]
-/// describe the parked set; its cost is retired later by [`drain_step`] /
-/// [`fault_in_at`] while the new version serves.
-///
-/// # Errors
-///
-/// Returns simulator errors for unexpected memory failures; conflicts land
-/// in the report (and, non-empty, mean the caller must roll back *before*
-/// resuming the new version).
-pub(crate) fn postcopy_commit(
-    plan: &TransferContext,
-    delta: &mut DeltaPlan,
-    old_proc: &Process,
-    old_state: &InstanceState,
-    new_proc: &mut Process,
-    new_state: &InstanceState,
-    trace: &TraceResult,
-) -> McrResult<(ProcessTransferReport, ResidualStats, PostcopyResidual)> {
-    let outcome =
-        run_transfer(plan, delta, CopyMode::Deferred, old_proc, old_state, new_proc, new_state, trace)?;
-    Ok((outcome.report, outcome.residual, outcome.pending))
-}
-
+/// [`TransferContext::with_object_fault`] fault; conflicts land in the report.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn run_transfer(
+pub(crate) fn run_transfer(
     plan: &TransferContext,
     delta: &mut DeltaPlan,
     mode: CopyMode,
@@ -852,14 +778,12 @@ fn run_transfer(
     new_proc: &mut Process,
     new_state: &InstanceState,
     trace: &TraceResult,
-) -> McrResult<TransferOutcome> {
+) -> McrResult<(ProcessTransferReport, ResidualStats, PostcopyResidual)> {
     let mut report = ProcessTransferReport::default();
     let mut residual = ResidualStats::default();
-    let mut round = PrecopyRoundReport::default();
-    let mut pending: Vec<PendingObject> = Vec::new();
-    // The deferred (post-copy commit) pass behaves like the stop-the-world
-    // pass everywhere except pass 4's apply step, where stale writes park
-    // instead of landing.
+    let mut pending: Vec<Write> = Vec::new();
+    // A completing pass's logical write set is every transferable object, a
+    // round's the stale delta; a deferred pass parks its stale writes.
     let final_mode = mode != CopyMode::Round;
     let deferred = mode == CopyMode::Deferred;
     let graph = &trace.graph;
@@ -966,18 +890,14 @@ fn run_transfer(
             let new_ty = bridge.and_then(|b| b.new_ty);
             let type_changed = old_ty.is_some() && !bridge.map(|b| b.layout_compatible).unwrap_or(false);
             if type_changed && obj.non_updatable && obj.is_dirty() {
-                if final_mode {
-                    report.conflicts.push(Conflict::NonUpdatableObjectChanged {
-                        object: obj.origin.describe(),
-                        old_type: bridge
-                            .map(|b| b.old_name.to_string())
-                            .unwrap_or_else(|| "<untyped>".into()),
-                        new_type: new_ty
-                            .and_then(|t| new_state.types.get(t))
-                            .map(|d| d.name.to_string())
-                            .unwrap_or_else(|| "<missing>".into()),
-                    });
-                }
+                report.conflicts.push(Conflict::NonUpdatableObjectChanged {
+                    object: obj.origin.describe(),
+                    old_type: bridge.map(|b| b.old_name.to_string()).unwrap_or_else(|| "<untyped>".into()),
+                    new_type: new_ty
+                        .and_then(|t| new_state.types.get(t))
+                        .map(|d| d.name.to_string())
+                        .unwrap_or_else(|| "<missing>".into()),
+                });
                 continue;
             }
 
@@ -995,7 +915,7 @@ fn run_transfer(
                         ObjectOrigin::Static { symbol } => match new_state.statics.lookup(symbol) {
                             Some(new_obj) => Placement::Existing(new_obj.addr),
                             None => {
-                                if final_mode && obj.is_dirty() {
+                                if obj.is_dirty() {
                                     report
                                         .conflicts
                                         .push(Conflict::MissingCounterpart { object: obj.origin.describe() });
@@ -1039,16 +959,14 @@ fn run_transfer(
                             ));
                         }
                     }
-                    if final_mode {
-                        report.objects_pinned += 1;
-                    }
+                    report.objects_pinned += 1;
                     addr
                 }
                 Placement::Fresh(addr) => {
                     if addr.is_null() {
                         // Allocated by pass 3, which also counts it.
                         entry.alloc = fresh_size.max(1);
-                    } else if final_mode {
+                    } else {
                         // Allocated by an earlier pre-copy round.
                         report.objects_allocated += 1;
                     }
@@ -1058,7 +976,7 @@ fn run_transfer(
 
             let write_contents =
                 obj.is_dirty() || obj.immutable || matches!(entry.placement, Placement::Fresh(_));
-            if final_mode && !write_contents {
+            if !write_contents {
                 report.objects_skipped_clean += 1;
             }
             let stale = match entry.copied_at {
@@ -1125,12 +1043,10 @@ fn run_transfer(
             }
             let kind = mcr_procsim::RegionKind::Heap;
             if let Err(e) = new_proc.space_mut().map_region(base, size, kind, name) {
-                if final_mode {
-                    report.conflicts.push(Conflict::ImmutablePlacementFailed {
-                        object: format!("region {base}"),
-                        detail: e.to_string(),
-                    });
-                }
+                report.conflicts.push(Conflict::ImmutablePlacementFailed {
+                    object: format!("region {base}"),
+                    detail: e.to_string(),
+                });
             }
             mapped.insert(base.0);
         }
@@ -1143,20 +1059,16 @@ fn run_transfer(
         let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
         match heap.malloc(space, delta.table[p.entry].alloc, site, tag) {
             Ok(addr) => {
-                if final_mode {
-                    report.objects_allocated += 1;
-                }
+                report.objects_allocated += 1;
                 p.new_base = addr;
                 delta.table[p.entry].placement = Placement::Fresh(addr);
                 addr_map[p.mapped].1 = addr.0;
             }
             Err(e) => {
-                if final_mode {
-                    report.conflicts.push(Conflict::ImmutablePlacementFailed {
-                        object: format!("heap object at {}", p.old_base),
-                        detail: e.to_string(),
-                    });
-                }
+                report.conflicts.push(Conflict::ImmutablePlacementFailed {
+                    object: format!("heap object at {}", p.old_base),
+                    detail: e.to_string(),
+                });
                 unplaced.push(k);
             }
         }
@@ -1180,10 +1092,12 @@ fn run_transfer(
     );
 
     // ------------------------------------------------------------------
-    // Pass 4: for every object this run writes, in address order, snapshot
-    // and transform its bytes, then apply them — fault counting, conflict
-    // detection, stamping the plan's records and the report. Each applied
-    // write is charged to the shard its position in the cost-balanced
+    // Pass 4: for every object this run writes, in address order, prepare
+    // its [`Write`] — snapshot and transform its bytes — then count the
+    // n-th-object-write fault, cut the write at its target region and land
+    // it (a deferred pass parks a stale write instead: it counts the fault
+    // when it lands), stamping the plan's record and counting it. Each
+    // stale write is charged to the shard its position in the cost-balanced
     // partition of the run's *logical* write set falls in, so it is charged
     // to the same shard however much of that set was pre-copied; the
     // per-shard charges feed the list-schedule makespan below. One scratch
@@ -1208,14 +1122,16 @@ fn run_transfer(
     let mut scratch: Vec<u8> = Vec::new();
     // `None`: the old bytes cannot be read, and the object drops out of the
     // write set without touching any counter.
-    let mut prepare = |p: &Planned| -> Option<Prepared> {
-        if Prepared::is_verbatim(&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
-            return old_proc
-                .space()
-                .is_valid_range(p.old_base, p.size.max(1) as usize)
-                .then_some(Prepared::Direct);
-        }
+    let mut prepare = |p: &Planned| -> Option<Write> {
         let len = p.size.max(1) as usize;
+        let write = |bytes: Option<Vec<u8>>| {
+            let len = bytes.as_ref().map_or(len, Vec::len);
+            Write { old_base: p.old_base, new_base: p.new_base, len, bytes }
+        };
+        // Nothing rewrites a verbatim object's bytes.
+        if p.transform_key.is_none() && (p.raw_copy || p.old_ty.is_none() || p.new_ty.is_none()) {
+            return old_proc.space().is_valid_range(p.old_base, len).then(|| write(None));
+        }
         if scratch.len() < len {
             scratch.resize(len, 0);
         }
@@ -1223,7 +1139,7 @@ fn run_transfer(
         let old_bytes = &scratch[..len];
         if let Some(key) = &p.transform_key {
             let handler = new_state.annotations.transform(key).expect("transform key resolved earlier");
-            return Some(Prepared::Bytes(handler(old_bytes)));
+            return Some(write(Some(handler(old_bytes))));
         }
         let map = &field_maps[&typed_pair(p).expect("neither verbatim nor handled by a transform")];
         // Objects larger than one element (arrays of the element type) are
@@ -1237,114 +1153,57 @@ fn run_transfer(
             apply_field_map(map, old_elem, elem);
             rewrite_pointers(elem, &map.pointers, old_elem, trace, &addr_map, p.mask_bits);
         }
-        Some(Prepared::Bytes(out))
+        Some(write(Some(out)))
     };
     let mut shard_residual = vec![SimDuration(0); shards];
-    let mut shard_round = vec![SimDuration(0); shards];
     for p in &planned {
-        let new_base = p.new_base;
-        let Some(outcome) = prepare(p) else { continue };
-        if deferred && p.stale {
-            // Post-copy commit: park the stale write — count it exactly as
-            // the stop-the-world pass would (the logical report stays
-            // byte-identical), but do not land the bytes and do not tick the
-            // fault counter: both happen when the drainer/fault handler
-            // applies the object.
-            let writable = new_proc
-                .space()
-                .region_containing(new_base)
-                .map(|r| (r.end().0 - new_base.0) as usize)
-                .unwrap_or(0);
-            if writable == 0 {
-                report.conflicts.push(Conflict::ImmutablePlacementFailed {
-                    object: format!("object at {}", p.old_base),
-                    detail: format!("target address {new_base} not mapped in the new version"),
-                });
-                continue;
-            }
-            let (len, bytes) = match outcome {
-                Prepared::Direct => ((p.size.max(1) as usize).min(writable), None),
-                Prepared::Bytes(mut out) => {
-                    out.truncate(writable);
-                    (out.len(), Some(out))
-                }
-            };
-            report.objects_transferred += 1;
-            report.bytes_transferred += len as u64;
-            residual.objects += 1;
-            residual.bytes += len as u64;
-            // No cost lands in `shard_residual`: the apply cost is charged
-            // when the object is faulted in or drained, after the new
-            // version has resumed — moving that work off the downtime
-            // window is the point of post-copy.
-            pending.push(PendingObject { old_base: p.old_base, new_base, len, bytes, applied: false });
-            continue;
-        }
-        if plan.object_write_fires_fault() {
+        let Some(write) = prepare(p) else { continue };
+        let parks = deferred && p.stale;
+        if !parks && plan.object_write_fires_fault() {
             return Err(Conflict::FaultInjected { phase: "transfer-object".into() }.into());
         }
-        let writable = new_proc
-            .space()
-            .region_containing(new_base)
-            .map(|r| (r.end().0 - new_base.0) as usize)
-            .unwrap_or(0);
-        if writable == 0 {
-            if final_mode {
-                report.conflicts.push(Conflict::ImmutablePlacementFailed {
-                    object: format!("object at {}", p.old_base),
-                    detail: format!("target address {new_base} not mapped in the new version"),
-                });
-            }
+        let Some(write) = write.clamped(new_proc) else {
+            report.conflicts.push(Conflict::ImmutablePlacementFailed {
+                object: format!("object at {}", p.old_base),
+                detail: format!("target address {} not mapped in the new version", p.new_base),
+            });
+            continue;
+        };
+        let len = write.len as u64;
+        report.objects_transferred += 1;
+        report.bytes_transferred += len;
+        if p.stale {
+            residual.objects += 1;
+            residual.bytes += len;
+        }
+        if parks {
+            // Charged when it lands, after the new version has resumed:
+            // moving that work off the downtime window is the point of
+            // post-copy.
+            pending.push(write);
             continue;
         }
-        let len = match outcome {
-            Prepared::Direct => {
-                let len = (p.size.max(1) as usize).min(writable);
-                new_proc
-                    .space_mut()
-                    .copy_range(new_base, old_proc.space(), p.old_base, len)
-                    .map_err(McrError::Sim)?;
-                len
-            }
-            Prepared::Bytes(out_bytes) => {
-                let len = out_bytes.len().min(writable);
-                new_proc.space_mut().write_bytes(new_base, &out_bytes[..len]).map_err(McrError::Sim)?;
-                len
-            }
-        };
+        write.land(old_proc, new_proc)?;
         let record = &mut delta.table[p.entry];
         record.copied_at = Some(p.dirty_epoch);
-        record.len = len as u64;
-        let cost = write_cost(1, len as u64);
-        if final_mode {
-            report.objects_transferred += 1;
-            report.bytes_transferred += len as u64;
-            if p.stale {
-                residual.objects += 1;
-                residual.bytes += len as u64;
-                let shard = shard_of(p);
-                shard_residual[shard] = shard_residual[shard].saturating_add(cost);
-            }
-        } else {
-            round.objects_copied += 1;
-            round.bytes_copied += len as u64;
+        record.len = len;
+        if p.stale {
             let shard = shard_of(p);
-            shard_round[shard] = shard_round[shard].saturating_add(cost);
+            shard_residual[shard] = shard_residual[shard].saturating_add(write_cost(1, len));
         }
     }
 
     // Account the simulated cost of the transfer: per-object bookkeeping
     // plus a per-byte copy cost. The caller charges the residual cost to the
-    // kernel clock inside the stop-the-world window and the round cost while
-    // the old version is still serving; `report.duration` stays the logical
-    // full-transfer cost so reports are identical with and without pre-copy
-    // and across shard counts. The *charged* cost is the list-schedule
-    // makespan over the per-shard costs — with one shard the serial sum,
-    // with `n` shards what `n` modelled workers, one per shard, would take.
+    // kernel clock — inside the stop-the-world window, or concurrently for a
+    // pre-copy round; `report.duration` stays the logical full-transfer cost
+    // so reports are identical with and without pre-copy and across shard
+    // counts. The *charged* cost is the list-schedule makespan over the
+    // per-shard costs — with one shard the serial sum, with `n` shards what
+    // `n` modelled workers, one per shard, would take.
     report.duration = write_cost(report.objects_transferred, report.bytes_transferred);
     residual.cost = list_schedule_makespan(&shard_residual, shards);
-    round.cost = list_schedule_makespan(&shard_round, shards);
-    Ok(TransferOutcome { report, residual, round, pending: PostcopyResidual::build(pending) })
+    Ok((report, residual, PostcopyResidual::build(pending)))
 }
 
 /// The new base an old base address was placed at. `addr_map` is pass 3's
@@ -1421,7 +1280,8 @@ mod tests {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).map_err(McrError::Sim)?;
             let (old_proc, new_proc) = split.pop().expect("one pair requested");
             let mut delta = DeltaPlan::new();
-            transfer_residual(&plan, &mut delta, old_proc, old_state, new_proc, new_state, trace)?.0
+            run_transfer(&plan, &mut delta, CopyMode::Final, old_proc, old_state, new_proc, new_state, trace)?
+                .0
         };
         kernel.advance_clock(report.duration);
         Ok(report)
@@ -1740,28 +1600,47 @@ mod tests {
         // Round 1: everything is stale, everything gets copied.
         let mut trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let since = kernel.advance_write_epoch(old_pid).unwrap();
-        let round = {
+        let (_, round, _) = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
-            precopy_transfer_round(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace)
-                .unwrap()
+            run_transfer(
+                &plan,
+                &mut delta,
+                CopyMode::Round,
+                old_proc,
+                &old_state,
+                new_proc,
+                &new_state,
+                &trace,
+            )
+            .unwrap()
         };
-        assert!(round.objects_copied >= 3, "round 1 copies the whole graph");
+        assert!(round.objects >= 3, "round 1 copies the whole graph");
         delta.traced_upto = since;
 
         // The old version keeps running: it touches one node.
         kernel.process_mut(old_pid).unwrap().space_mut().write_u32(node_a, 21).unwrap();
 
         // Stop the world: retrace the delta, transfer the residual.
-        let (report, residual) = {
+        let (report, residual, _) = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
             let tracer = Tracer::for_process(old_proc, &old_state);
             trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
-            transfer_residual(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace).unwrap()
+            run_transfer(
+                &plan,
+                &mut delta,
+                CopyMode::Final,
+                old_proc,
+                &old_state,
+                new_proc,
+                &new_state,
+                &trace,
+            )
+            .unwrap()
         };
         assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
-        assert_eq!(report.objects_transferred, round.objects_copied, "logical report covers everything");
+        assert_eq!(report.objects_transferred, round.objects, "logical report covers everything");
         // Dirtiness is page-granular: the touched node plus its page
         // neighbour are stale, the page-padded list head is not.
         assert!(residual.objects >= 1 && residual.objects < report.objects_transferred);
@@ -1802,8 +1681,17 @@ mod tests {
         let err = {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
-            precopy_transfer_round(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace)
-                .unwrap_err()
+            run_transfer(
+                &plan,
+                &mut delta,
+                CopyMode::Round,
+                old_proc,
+                &old_state,
+                new_proc,
+                &new_state,
+                &trace,
+            )
+            .unwrap_err()
         };
         let conflicts = match err {
             McrError::Conflicts(cs) => cs,
@@ -1961,9 +1849,17 @@ mod tests {
             let mut delta = DeltaPlan::new();
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
-            let (report, _) =
-                transfer_residual(&plan, &mut delta, old_proc, &old_state, new_proc, &new_state, &trace)
-                    .unwrap();
+            let (report, _, _) = run_transfer(
+                &plan,
+                &mut delta,
+                CopyMode::Final,
+                old_proc,
+                &old_state,
+                new_proc,
+                &new_state,
+                &trace,
+            )
+            .unwrap();
             assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
 
             let mut landed = Vec::new();
@@ -2087,9 +1983,10 @@ mod tests {
     /// plan in strictly increasing old-base order — which the `debug_assert`
     /// there checks on every push. This drives it in all three copy modes
     /// over a heap too small for one object in the middle of the address
-    /// order: its failed `malloc` is skipped, the objects behind it are still
-    /// appended in order, pointers to them are translated, and the pointer
-    /// to the skipped object keeps its old value.
+    /// order: its failed `malloc` is skipped (and reported, a round's report
+    /// included), the objects behind it are still appended in order,
+    /// pointers to them are translated, and the pointer to the skipped
+    /// object keeps its old value.
     #[test]
     fn address_map_stays_sorted_in_every_mode_and_past_a_failed_malloc() {
         for mode in [CopyMode::Round, CopyMode::Final, CopyMode::Deferred] {
@@ -2144,27 +2041,19 @@ mod tests {
             let mut delta = DeltaPlan::new();
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
-            let mut outcome =
+            let (report, _, mut parked) =
                 run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
                     .unwrap();
-            let refused = outcome
-                .report
+            let refused = report
                 .conflicts
                 .iter()
                 .filter(|c| matches!(c, Conflict::ImmutablePlacementFailed { .. }))
                 .count();
-            assert_eq!(
-                refused,
-                usize::from(mode != CopyMode::Round),
-                "{mode:?}: {:?}",
-                outcome.report.conflicts
-            );
+            assert_eq!(refused, 1, "{mode:?}: {:?}", report.conflicts);
             assert!(placement_of(&delta, big).is_none(), "{mode:?}: the blob was never placed");
-            if mode == CopyMode::Deferred {
-                // Land the parked writes the way the drainer would.
-                while !outcome.pending.is_drained() {
-                    drain_step(&plan, &mut outcome.pending, old_proc, new_proc, 4, None).unwrap();
-                }
+            // Land the parked writes the way the drainer would.
+            while !parked.is_drained() {
+                drain_step(&plan, &mut parked, old_proc, new_proc, 4, None).unwrap();
             }
 
             let space = new_proc.space();
@@ -2188,12 +2077,11 @@ mod tests {
     /// could tell apart.
     #[derive(Debug, PartialEq)]
     struct Transferred {
-        rounds: Vec<PrecopyRoundReport>,
+        rounds: Vec<ResidualStats>,
         report: ProcessTransferReport,
         residual: ResidualStats,
-        /// The parked set of a deferred commit: old base, new base, length
-        /// and prepared bytes, in drain order.
-        parked: Vec<(Addr, Addr, usize, Option<Vec<u8>>)>,
+        /// The parked set of a deferred commit, in drain order.
+        parked: Vec<Write>,
         /// Checksum of every non-zero page of the new process.
         memory: Vec<(Addr, u64)>,
         /// Writes the completing pass performed, and the objects it found
@@ -2355,10 +2243,18 @@ mod tests {
                 }
                 let trace = trace.as_ref().unwrap();
                 rounds.push(
-                    precopy_transfer_round(
-                        &plan, &mut delta, old_proc, &old_state, new_proc, &new_state, trace,
+                    run_transfer(
+                        &plan,
+                        &mut delta,
+                        CopyMode::Round,
+                        old_proc,
+                        &old_state,
+                        new_proc,
+                        &new_state,
+                        trace,
                     )
-                    .unwrap(),
+                    .unwrap()
+                    .1,
                 );
             }
             delta.traced_upto = since;
@@ -2421,23 +2317,18 @@ mod tests {
             trace.graph.seal_changed();
         }
         let writes_before = plan.writes_performed();
-        let mut outcome =
+        let (report, residual, mut pending) =
             run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
                 .unwrap();
         let final_writes = plan.writes_performed() - writes_before;
-        let parked: Vec<_> = outcome
-            .pending
-            .pending
-            .iter()
-            .map(|p| (p.old_base, p.new_base, p.len, p.bytes.clone()))
-            .collect();
-        while !outcome.pending.is_drained() {
-            drain_step(&plan, &mut outcome.pending, old_proc, new_proc, 3, None).unwrap();
+        let parked = pending.pending.iter().flatten().cloned().collect();
+        while !pending.is_drained() {
+            drain_step(&plan, &mut pending, old_proc, new_proc, 3, None).unwrap();
         }
         Transferred {
             rounds,
-            report: outcome.report,
-            residual: outcome.residual,
+            report,
+            residual,
             parked,
             memory: memory_of(new_proc),
             final_writes,

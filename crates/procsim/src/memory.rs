@@ -949,17 +949,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Drops every protection stamp in the address space (post-copy drain
-    /// finished, or the update rolled back).
-    pub fn clear_protection(&mut self) {
-        for region in self.regions.values_mut() {
-            for page in &mut region.protected {
-                *page = false;
-            }
-        }
-        self.protected_pages = 0;
-    }
-
     /// Total number of protected pages across all regions.
     pub fn protected_page_count(&self) -> usize {
         self.protected_pages
@@ -1161,7 +1150,7 @@ mod tests {
         space.protect_range(Addr(0x10000), PAGE_SIZE).unwrap();
         space.protect_range(Addr(0x10000), PAGE_SIZE).unwrap();
         assert_eq!(space.protected_page_count(), 1);
-        space.clear_protection();
+        space.unprotect_range(Addr(0x10000), PAGE_SIZE).unwrap();
         assert_eq!(space.protected_page_count(), 0);
     }
 

@@ -1105,9 +1105,8 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
             // traffic dirtied (re-copied by a later round or the window) and
             // the s statics, a few times each.
             let rounds = &base.precopy.rounds;
-            let n = rounds[0].objects_copied;
-            let d: u64 =
-                rounds[1..].iter().map(|r| r.objects_copied).sum::<u64>() + base.precopy.residual.objects;
+            let n = rounds[0].objects;
+            let d: u64 = rounds[1..].iter().map(|r| r.objects).sum::<u64>() + base.precopy.residual.objects;
             let s = 3;
             assert!(n >= 3200 && d >= 3 && d < n / 4, "{mode:?}/{seed}: n {n}, d {d}");
             assert!(
@@ -1117,6 +1116,52 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
             );
         }
     }
+}
+
+/// A gen-1 → gen-2 cache update of a 64-entry cache after one more
+/// `request`: stop-the-world with the request served before the update, or
+/// under one pre-copy round with the request served after the round copied
+/// the cache. Returns the kernel fingerprint and the live heap chunks of the
+/// new cache process.
+fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, usize) {
+    let mut kernel = Kernel::new();
+    let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
+    cache_request(&mut kernel, &mut v1, "fill 64 96");
+    let rounds = PrecopyOptions { rounds: 1, convergence_bytes: 0, serve_rounds: 1 };
+    let opts = UpdateOptions {
+        precopy: if precopy { rounds } else { PrecopyOptions::disabled() },
+        ..Default::default()
+    };
+    let pipeline = if precopy {
+        UpdatePipeline::for_options(&opts)
+            .with_precopy_hook(Box::new(move |kernel, old, _| cache_request(kernel, old, request)))
+    } else {
+        cache_request(&mut kernel, &mut v1, request);
+        UpdatePipeline::for_options(&opts)
+    };
+    let (survivor, outcome) =
+        pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
+    assert!(outcome.is_committed(), "precopy {precopy}, {request}: {:?}", outcome.conflicts());
+    let process = kernel.process(survivor.state.processes[0]).unwrap();
+    (kernel_fingerprint(&kernel), process.heap().unwrap().live_count())
+}
+
+/// Caveat, the evict-after-copy leak (ROADMAP, "The known wrong answers"):
+/// an entry a pre-copy round copied and the old version then evicted stays
+/// in the new heap as an unreachable chunk, which a stop-the-world update of
+/// the same final state never allocates. With a `get` in its place the two
+/// updates are byte-identical; with the `evict` the fingerprints differ and
+/// the pre-copied heap holds more live chunks. Its fix — the completing pass
+/// frees the new-heap chunk of every object that left the graph — flips the
+/// second half to equality.
+#[test]
+fn caveat_precopy_keeps_an_entry_evicted_after_a_round_copied_it() {
+    let (stw_fp, stw_live) = cache_update_after_round_one(false, "get");
+    assert_eq!(cache_update_after_round_one(true, "get"), (stw_fp, stw_live), "no eviction, no divergence");
+    let (stw_fp, stw_live) = cache_update_after_round_one(false, "evict");
+    let (pre_fp, pre_live) = cache_update_after_round_one(true, "evict");
+    assert_ne!(pre_fp, stw_fp, "the evicted entry's chunk survives in the pre-copied heap");
+    assert!(pre_live > stw_live, "pre-copied {pre_live} live chunks, stop-the-world {stw_live}");
 }
 
 /// The slab-backed object table behaves exactly like the ordered map it
@@ -1524,12 +1569,14 @@ fn paged_address_space_matches_the_dense_model() {
                     assert_eq!(got, dense.set_protection(addr, len as u64, false), "{ctx}");
                 }
                 12 => {
-                    // The fault handler: lift protection, replay parked stores.
+                    // The fault handler: lift each parked store's protection,
+                    // then replay it.
                     let traps = paged.take_pending_traps();
                     assert_eq!(traps, std::mem::take(&mut dense.parked), "{ctx}");
-                    paged.clear_protection();
-                    dense.protected.fill(false);
                     for trap in traps {
+                        let len = trap.bytes.len().max(1) as u64;
+                        let got = fault_of(paged.unprotect_range(trap.addr, len));
+                        assert_eq!(got, dense.set_protection(trap.addr.0, len, false), "{ctx}");
                         paged.write_bytes(trap.addr, &trap.bytes).unwrap();
                         dense.write(trap.addr.0, &trap.bytes).unwrap();
                     }
