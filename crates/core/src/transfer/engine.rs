@@ -28,12 +28,11 @@
 //! (old type, new type) pair alone, so one map is computed for each distinct
 //! pair of the write set before the first object is written; each element is
 //! transformed directly into its slice of the object's output buffer. The
-//! old→new address map is a `Vec` appended by pass 3 in the graph's
-//! (strictly increasing) address order and binary-searched by pass 4 — a
-//! pointer to an object's base is translated by that one search, only an
-//! interior pointer asks the graph which object holds it — and it lives
-//! for one call, so there is nothing to invalidate. New-version object
-//! sizes come from the type registry's per-type memo. The bytes written,
+//! old→new address map is the plan's table of placements, one record per
+//! placed object in the graph's (strictly increasing) address order,
+//! binary-searched by pass 4 — a pointer to an object's base is translated
+//! by that one search, only an interior pointer asks the graph which object
+//! holds it. New-version object sizes come from the type registry's per-type memo. The bytes written,
 //! their order, the fault counter, the conflicts and every charged duration
 //! are those of the per-object derivation.
 //!
@@ -53,10 +52,11 @@
 //! per object, in one address-ordered table walked in step with the graph.
 //! The iterative pre-copy phase runs a `CopyMode::Round` pass once per
 //! round while the old version keeps serving: only objects whose dirty epoch
-//! exceeds their copied-at stamp are (re-)copied, and placements are made at
-//! most once. After quiescence a `CopyMode::Final` pass runs the same passes a
-//! plain stop-the-world transfer would run and produces the full
-//! logical report — but it *writes* an object only if its new-heap bytes
+//! exceeds their copied-at stamp are (re-)copied; an object keeps its
+//! placement while it stays, and a pass frees the fresh chunk of one that
+//! left or outgrew it. After quiescence a `CopyMode::Final` pass runs the
+//! same passes a plain stop-the-world transfer would run and produces the
+//! full logical report — but it *writes* an object only if its new-heap bytes
 //! would change (it is stale, or its pointer translation can differ from its
 //! last copy's; `CopyMode` states the rule and why it is exact), and it
 //! *charges* only the residual set that was still stale when the world
@@ -262,7 +262,7 @@ impl TransferContext {
 }
 
 /// Where an old object lands in the new version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Placement {
     /// An object the new version already created (matched static or
     /// startup-time heap object); contents are transferred only if dirty.
@@ -318,15 +318,15 @@ struct PlanEntry {
 }
 
 impl PlanEntry {
-    /// The entry as a recorded placement for an object that now needs `need`
-    /// bytes if freshly allocated: none while unallocated, and none once the
-    /// object (its address reused by a larger one) outgrew its chunk — it is
-    /// then placed and copied anew rather than written over its neighbours.
-    fn recorded(self, need: u64) -> Option<PlanEntry> {
-        match self.placement {
-            Placement::Fresh(addr) if addr.is_null() || self.alloc < need => None,
-            _ => Some(self),
-        }
+    /// Where the object lands; `None` while its fresh chunk is unallocated.
+    fn new_base(&self) -> Option<Addr> {
+        let (Placement::Existing(addr) | Placement::Fresh(addr) | Placement::Pinned(addr)) = self.placement;
+        Some(addr).filter(|addr| !addr.is_null())
+    }
+
+    /// The fresh chunk allocated for the object, freed once it is released.
+    fn chunk(&self) -> Option<Addr> {
+        self.new_base().filter(|_| matches!(self.placement, Placement::Fresh(_)))
     }
 }
 
@@ -334,8 +334,8 @@ impl PlanEntry {
 ///
 /// The plan makes the engine idempotent across rounds: one address-ordered
 /// table holds, per old object, its placement (matched startup chunk, fresh
-/// allocation, pinned address) — decided at most once and reused verbatim
-/// afterwards — plus the dirty-epoch stamp and length of the contents last
+/// allocation, pinned address) — decided once and reused verbatim while the
+/// object stays — plus the dirty-epoch stamp and length of the contents last
 /// written, so a round copies exactly the objects dirtied since their
 /// previous copy and the final pass knows what every earlier copy wrote. The
 /// table is walked in step with the (address-ordered) object graph, so
@@ -351,9 +351,9 @@ pub(crate) struct DeltaPlan {
     /// Epoch through which the pair's object graph has been retraced (the
     /// `since` argument of the next delta retrace).
     pub(crate) traced_upto: u64,
-    /// One record per old object ever placed, sorted by old base address.
-    /// Records of objects that left the graph stay: an address that comes
-    /// back gets its placement back.
+    /// One record per placed object of the last pass's graph, sorted by old
+    /// base address: the old→new address map. The next pass releases the
+    /// records whose object left (an address that comes back is placed anew).
     table: Vec<PlanEntry>,
     /// Unconsumed startup-time chunks of the new version, by interned
     /// allocation site (consumed exactly once across all rounds).
@@ -822,9 +822,9 @@ pub(crate) fn run_transfer(
     // report, one step per object of the graph with the plan's table walked
     // alongside (both are in address order). An object placed by an earlier
     // round keeps its slot, so pre-copied contents stay valid and pointer
-    // rewriting is stable across rounds. Only the objects this run writes
-    // are carried into the later passes; a clean object a completing pass
-    // leaves alone is counted here, at the length its last copy recorded.
+    // rewriting is stable across rounds; a record not carried over is
+    // released. Only the objects this run writes reach the later passes; a
+    // clean object a completing pass leaves alone is counted here.
     // ------------------------------------------------------------------
     struct Planned {
         old_base: Addr,
@@ -832,8 +832,6 @@ pub(crate) fn run_transfer(
         new_base: Addr,
         /// The object's record in the plan's table.
         entry: usize,
-        /// Its slot in the address map.
-        mapped: usize,
         stale: bool,
         old_ty: Option<TypeId>,
         new_ty: Option<TypeId>,
@@ -848,21 +846,20 @@ pub(crate) fn run_transfer(
     }
     let est_cost = |size: u64| write_cost(1, size.max(1)).0;
     let mut planned: Vec<Planned> = Vec::new();
-    // Old base → new base of every object placed in this run, appended in
-    // the graph's (strictly increasing) address order.
-    let mut addr_map: Vec<(u64, u64)> = Vec::with_capacity(graph.len());
+    // The fresh chunks of released records, freed by pass 3.
+    let mut released: Vec<Addr> = Vec::new();
     // Estimated cost of the run's whole logical write set.
     let mut logical_cost = 0u64;
     // Regions that must exist in the new process to host pinned objects.
     let mut needed_regions: Vec<(Addr, u64, String)> = Vec::new();
     {
         let site_index = delta.site_index.as_mut().expect("built above");
-        let mut table: Vec<PlanEntry> = Vec::with_capacity(delta.table.len().max(graph.len()));
+        let mut table: Vec<PlanEntry> = Vec::with_capacity(graph.len());
         let mut records = std::mem::take(&mut delta.table).into_iter().peekable();
         for obj in graph.iter() {
-            // Records of objects no longer in the graph are kept.
-            while let Some(record) = records.next_if(|r| r.old_base < obj.addr.0) {
-                table.push(record);
+            // Objects no longer in the graph, or no longer transferred.
+            while let Some(gone) = records.next_if(|r| r.old_base < obj.addr.0) {
+                released.extend(gone.chunk());
             }
             // Library state is not transferred by default.
             if matches!(obj.origin, ObjectOrigin::Lib { .. }) {
@@ -907,8 +904,12 @@ pub(crate) fn run_transfer(
                 .filter(|b| b.new_size > 0)
                 .map(|b| b.new_size * (obj.size / b.old_size.max(1)).max(1))
                 .unwrap_or(obj.size);
-            let recorded = records.next_if(|r| r.old_base == obj.addr.0).and_then(|r| r.recorded(fresh_size));
-            let mut entry = match recorded {
+            // A placement is reused unless unallocated or outgrown (its address
+            // reused by a larger object, which is placed and copied anew).
+            let recorded = records.next_if(|r| r.old_base == obj.addr.0);
+            let outgrown = recorded.filter(|r| r.alloc < fresh_size).and_then(|r| r.chunk());
+            released.extend(outgrown);
+            let mut entry = match recorded.filter(|r| r.new_base().is_some() && outgrown.is_none()) {
                 Some(entry) => entry,
                 None => {
                     let placement = match &obj.origin {
@@ -1005,7 +1006,6 @@ pub(crate) fn run_transfer(
                     old_base: obj.addr,
                     new_base,
                     entry: table.len(),
-                    mapped: addr_map.len(),
                     stale,
                     old_ty,
                     new_ty,
@@ -1024,16 +1024,15 @@ pub(crate) fn run_transfer(
                 logical_cost += est_cost(obj.size);
             }
             table.push(entry);
-            addr_map.push((obj.addr.0, new_base.0));
         }
-        table.extend(records);
+        released.extend(records.filter_map(|gone| gone.chunk()));
         delta.table = table;
     }
 
     // ------------------------------------------------------------------
     // Pass 3 (mutating the new process): map inherited regions for pinned
-    // objects and perform fresh allocations, in address order; complete the
-    // address map.
+    // objects, free the chunks of released records and perform fresh
+    // allocations, in address order, recording each in the plan's table.
     // ------------------------------------------------------------------
     {
         let mut mapped: BTreeSet<u64> = BTreeSet::new();
@@ -1051,6 +1050,10 @@ pub(crate) fn run_transfer(
             mapped.insert(base.0);
         }
     }
+    for chunk in released {
+        let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
+        heap.free(space, chunk).map_err(McrError::Sim)?;
+    }
     let mut unplaced: Vec<usize> = Vec::new();
     for (k, p) in planned.iter_mut().enumerate().filter(|(_, p)| p.new_base.is_null()) {
         // Allocate in the new version's heap with the new type tag.
@@ -1062,7 +1065,6 @@ pub(crate) fn run_transfer(
                 report.objects_allocated += 1;
                 p.new_base = addr;
                 delta.table[p.entry].placement = Placement::Fresh(addr);
-                addr_map[p.mapped].1 = addr.0;
             }
             Err(e) => {
                 report.conflicts.push(Conflict::ImmutablePlacementFailed {
@@ -1073,8 +1075,8 @@ pub(crate) fn run_transfer(
             }
         }
     }
-    // An object whose allocation failed is neither written nor a target of
-    // pointer translation, and it leaves the logical write set.
+    // An object whose allocation failed is not written, its record stays
+    // unallocated, and it leaves the logical write set.
     for &k in unplaced.iter().rev() {
         let gone = planned.remove(k);
         let cost = est_cost(gone.size);
@@ -1083,13 +1085,6 @@ pub(crate) fn run_transfer(
             later.cost_before -= cost;
         }
     }
-    if !unplaced.is_empty() {
-        addr_map.retain(|&(_, new_base)| new_base != 0);
-    }
-    debug_assert!(
-        addr_map.windows(2).all(|w| w[0].0 < w[1].0),
-        "the graph iterates in address order, so the map is appended sorted"
-    );
 
     // ------------------------------------------------------------------
     // Pass 4: for every object this run writes, in address order, prepare
@@ -1122,7 +1117,7 @@ pub(crate) fn run_transfer(
     let mut scratch: Vec<u8> = Vec::new();
     // `None`: the old bytes cannot be read, and the object drops out of the
     // write set without touching any counter.
-    let mut prepare = |p: &Planned| -> Option<Write> {
+    let mut prepare = |p: &Planned, table: &[PlanEntry]| -> Option<Write> {
         let len = p.size.max(1) as usize;
         let write = |bytes: Option<Vec<u8>>| {
             let len = bytes.as_ref().map_or(len, Vec::len);
@@ -1151,13 +1146,13 @@ pub(crate) fn run_transfer(
         for (k, elem) in out.chunks_exact_mut(new_stride).enumerate() {
             let old_elem = &old_bytes[k * old_stride..((k + 1) * old_stride).min(old_bytes.len())];
             apply_field_map(map, old_elem, elem);
-            rewrite_pointers(elem, &map.pointers, old_elem, trace, &addr_map, p.mask_bits);
+            rewrite_pointers(elem, &map.pointers, old_elem, trace, table, p.mask_bits);
         }
         Some(write(Some(out)))
     };
     let mut shard_residual = vec![SimDuration(0); shards];
     for p in &planned {
-        let Some(write) = prepare(p) else { continue };
+        let Some(write) = prepare(p, &delta.table) else { continue };
         let parks = deferred && p.stale;
         if !parks && plan.object_write_fires_fault() {
             return Err(Conflict::FaultInjected { phase: "transfer-object".into() }.into());
@@ -1206,24 +1201,25 @@ pub(crate) fn run_transfer(
     Ok((report, residual, PostcopyResidual::build(pending)))
 }
 
-/// The new base an old base address was placed at. `addr_map` is pass 3's
-/// old→new table, appended in strictly increasing old-base order.
-fn new_base_of(addr_map: &[(u64, u64)], old_base: u64) -> Option<u64> {
-    addr_map.binary_search_by_key(&old_base, |&(old, _)| old).ok().map(|i| addr_map[i].1)
+/// The new base an old base address was placed at, searched in the plan's
+/// table (strictly increasing old bases).
+fn new_base_of(table: &[PlanEntry], old_base: u64) -> Option<u64> {
+    let at = table.binary_search_by_key(&old_base, |r| r.old_base).ok()?;
+    table[at].new_base().map(|addr| addr.0)
 }
 
 /// Rewrites the pointer slots of a transformed element: each old pointer
-/// value is translated through the address map (preserving interior offsets
-/// and encoded low bits). A pointer to an object's base — the common case —
-/// is one address-map search: the map's keys are graph bases, so the graph
-/// would name that very object at offset 0. Only the rest ask the graph
-/// which object contains them.
+/// value is translated through the plan's table (preserving interior
+/// offsets and encoded low bits). A pointer to an object's base — the
+/// common case — is one table search: the table's keys are graph bases, so
+/// the graph would name that very object at offset 0. Only the rest ask the
+/// graph which object contains them.
 fn rewrite_pointers(
     out: &mut [u8],
     pointer_pairs: &[(u64, u64)],
     old_elem: &[u8],
     trace: &TraceResult,
-    addr_map: &[(u64, u64)],
+    table: &[PlanEntry],
     mask_bits: u32,
 ) {
     let mask = pointer_mask(mask_bits);
@@ -1239,7 +1235,7 @@ fn rewrite_pointers(
         }
         let bits = raw & mask;
         let target = raw & !mask;
-        let new_raw = match new_base_of(addr_map, target) {
+        let new_raw = match new_base_of(table, target) {
             Some(new_base) => new_base | bits,
             // An interior pointer moves with its object. A target outside the
             // graph, or not transferred (e.g. library state pinned at the
@@ -1247,7 +1243,7 @@ fn rewrite_pointers(
             None => trace
                 .graph
                 .object_containing(Addr(target))
-                .and_then(|obj| Some(new_base_of(addr_map, obj.addr.0)? + (target - obj.addr.0)))
+                .and_then(|obj| Some(new_base_of(table, obj.addr.0)? + (target - obj.addr.0)))
                 .map_or(raw, |moved| moved | bits),
         };
         out[new_off..new_off + 8].copy_from_slice(&new_raw.to_le_bytes());
@@ -1700,16 +1696,9 @@ mod tests {
         assert!(conflicts.iter().any(|c| matches!(c, Conflict::FaultInjected { .. })));
     }
 
-    /// The recorded placement of the old object at `old_base`.
-    fn placement_of(delta: &DeltaPlan, old_base: Addr) -> Option<Placement> {
-        let at = delta.table.binary_search_by_key(&old_base.0, |e| e.old_base).ok()?;
-        Some(delta.table[at].placement).filter(|p| *p != Placement::Fresh(Addr::NULL))
-    }
-
-    fn placed_at(placement: Placement) -> Addr {
-        match placement {
-            Placement::Existing(addr) | Placement::Fresh(addr) | Placement::Pinned(addr) => addr,
-        }
+    /// Where the plan placed the old object at `old_base`.
+    fn placed(delta: &DeltaPlan, old_base: Addr) -> Option<Addr> {
+        new_base_of(&delta.table, old_base.0).map(Addr)
     }
 
     /// v2 of the Listing 1 types with *two* changed structs: `conf_s` is
@@ -1767,10 +1756,11 @@ mod tests {
                 let (old_off, new_off) = (old_off as usize, new_off as usize);
                 let raw = u64::from_le_bytes(old_elem[old_off..old_off + 8].try_into().unwrap());
                 let target = raw & !mask;
-                let moved =
-                    trace.graph.object_containing(Addr(target)).filter(|_| raw != 0).and_then(|t| {
-                        placement_of(delta, t.addr).map(|p| placed_at(p).0 + (target - t.addr.0))
-                    });
+                let moved = trace
+                    .graph
+                    .object_containing(Addr(target))
+                    .filter(|_| raw != 0)
+                    .and_then(|t| placed(delta, t.addr).map(|at| at.0 + (target - t.addr.0)));
                 if let Some(new_target) = moved {
                     elem[new_off..new_off + 8].copy_from_slice(&(new_target | (raw & mask)).to_le_bytes());
                 }
@@ -1869,7 +1859,7 @@ mod tests {
                     continue;
                 };
                 assert!(!obj.non_updatable, "every typed object of the scenario takes the field-map path");
-                let new_base = placed_at(placement_of(&delta, obj.addr).unwrap());
+                let new_base = placed(&delta, obj.addr).unwrap();
                 let old_bytes = old_proc.space().read_bytes(obj.addr, obj.size as usize).unwrap();
                 let tagged = matches!(&obj.origin, ObjectOrigin::Static { symbol } if &**symbol == "tagged");
                 let mask = if tagged { 0b11 } else { 0 };
@@ -1900,21 +1890,11 @@ mod tests {
             for k in 0..3u64 {
                 assert_eq!(space.read_u32(new_arr.offset(24 * k)).unwrap(), 900 + k as u32);
             }
-            assert_eq!(
-                space.read_u64(new_arr.offset(8)).unwrap(),
-                placed_at(placement_of(&delta, nodes[3]).unwrap()).0
-            );
+            assert_eq!(space.read_u64(new_arr.offset(8)).unwrap(), placed(&delta, nodes[3]).unwrap().0);
             assert_eq!(space.read_u64(new_arr.offset(24 + 8)).unwrap(), new_arr.0 + 32);
-            assert_eq!(
-                space.read_u64(global("tagged")).unwrap(),
-                placed_at(placement_of(&delta, nodes[5]).unwrap()).0 | 0b10
-            );
+            assert_eq!(space.read_u64(global("tagged")).unwrap(), placed(&delta, nodes[5]).unwrap().0 | 0b10);
             let new_conf = Addr(space.read_u64(global("conf")).unwrap());
-            assert_eq!(
-                new_conf,
-                placed_at(placement_of(&delta, conf).unwrap()),
-                "startup conf matched by site"
-            );
+            assert_eq!(new_conf, placed(&delta, conf).unwrap(), "startup conf matched by site");
             assert_eq!(
                 (space.read_u32(new_conf).unwrap(), space.read_u32(new_conf.offset(4)).unwrap()),
                 (8080, 4)
@@ -1979,16 +1959,15 @@ mod tests {
         assert_eq!(space.read_u64(new_behind.offset(8)).unwrap(), 0);
     }
 
-    /// The binary-searched address map is valid only if pass 3 sees the
-    /// plan in strictly increasing old-base order — which the `debug_assert`
-    /// there checks on every push. This drives it in all three copy modes
-    /// over a heap too small for one object in the middle of the address
-    /// order: its failed `malloc` is skipped (and reported, a round's report
-    /// included), the objects behind it are still appended in order,
-    /// pointers to them are translated, and the pointer to the skipped
-    /// object keeps its old value.
+    /// Pointers are translated by a binary search of the plan's table, which
+    /// pass 2 builds in the graph's address order. This drives it in all
+    /// three copy modes over a heap too small for one object in the middle
+    /// of the address order: its failed `malloc` is skipped (and reported, a
+    /// round's report included) and its record stays unallocated, pointers
+    /// to the objects behind it are translated, and the pointer to the
+    /// skipped object keeps its old value.
     #[test]
-    fn address_map_stays_sorted_in_every_mode_and_past_a_failed_malloc() {
+    fn plan_table_translates_in_every_mode_and_past_a_failed_malloc() {
         for mode in [CopyMode::Round, CopyMode::Final, CopyMode::Deferred] {
             let mut kernel = Kernel::new();
             let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
@@ -2050,7 +2029,7 @@ mod tests {
                 .filter(|c| matches!(c, Conflict::ImmutablePlacementFailed { .. }))
                 .count();
             assert_eq!(refused, 1, "{mode:?}: {:?}", report.conflicts);
-            assert!(placement_of(&delta, big).is_none(), "{mode:?}: the blob was never placed");
+            assert!(placed(&delta, big).is_none(), "{mode:?}: the blob was never placed");
             // Land the parked writes the way the drainer would.
             while !parked.is_drained() {
                 drain_step(&plan, &mut parked, old_proc, new_proc, 4, None).unwrap();
@@ -2060,16 +2039,160 @@ mod tests {
             let global = |symbol: &str| new_state.statics.lookup(symbol).unwrap().addr;
             let mut node = Addr(space.read_u64(global("list").offset(8)).unwrap());
             for (i, old_node) in nodes.iter().enumerate() {
-                assert_eq!(
-                    node,
-                    placed_at(placement_of(&delta, *old_node).unwrap()),
-                    "{mode:?}: node {i} translated"
-                );
+                assert_eq!(node, placed(&delta, *old_node).unwrap(), "{mode:?}: node {i} translated");
                 assert_eq!(space.read_u32(node).unwrap(), 10 + i as u32, "{mode:?}");
                 node = Addr(space.read_u64(node.offset(8)).unwrap());
             }
             assert!(node.is_null());
             assert_eq!(space.read_u64(global("legacy_ref")).unwrap(), big.0, "{mode:?}: untranslated");
+        }
+    }
+
+    /// How the old heap changes between a pre-copy round and the window.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Departure {
+        /// A node is unlinked and freed.
+        Freed,
+        /// A node's address is reused by a three-element array, which
+        /// outgrows the node's fresh chunk.
+        Outgrown,
+        /// A node is unlinked and freed before a second round, then
+        /// allocated and linked again at its address before the window.
+        ComesBack,
+    }
+
+    /// A record whose object left the graph, or outgrew its chunk, releases
+    /// the chunk: after pre-copy rounds and a change to the old heap, the
+    /// `Final` pass frees no chunk twice and leaves the new heap with the
+    /// live chunks and the list of a fresh plan's stop-the-world pass over
+    /// the same old state.
+    #[test]
+    fn released_records_free_their_chunks() {
+        for change in [Departure::Freed, Departure::Outgrown, Departure::ComesBack] {
+            let mut kernel = Kernel::new();
+            let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+            register_v1_types(&mut old_state);
+            let old_tid = kernel.process(old_pid).unwrap().main_tid();
+            kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+            let new_version = |kernel: &mut Kernel| {
+                let (mut state, pid) = make_instance(kernel, "v2", 0x1_0000_0000);
+                register_v2_types(&mut state);
+                let tid = kernel.process(pid).unwrap().main_tid();
+                ProgramEnv::new(kernel, &mut state, pid, tid, "main").define_global("list", "l_t").unwrap();
+                kernel.process_mut(pid).unwrap().heap_mut().unwrap().end_startup();
+                (state, pid)
+            };
+            let (new_state, new_pid) = new_version(&mut kernel);
+            // Four linked nodes, each followed by an unreachable spacer chunk
+            // it can grow into.
+            let nodes: Vec<Addr> = {
+                let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+                let list = env.define_global("list", "l_t").unwrap();
+                let mut prev_slot = list.offset(8);
+                (0..4u32)
+                    .map(|i| {
+                        let node = env.alloc("l_t", "handle_event:node").unwrap();
+                        assert_eq!(env.alloc_bytes(96, "spacer").unwrap(), node.offset(16 + 32));
+                        env.write_u32(node, 10 + i).unwrap();
+                        env.write_ptr(prev_slot, node).unwrap();
+                        prev_slot = node.offset(8);
+                        node
+                    })
+                    .collect()
+            };
+            let l_t = old_state.types.lookup("l_t").unwrap();
+            let site = old_state.sites.register("handle_event:node", Some(l_t));
+
+            let plan = TransferContext::new(&old_state, &new_state);
+            let mut delta = DeltaPlan::new();
+            let mut trace: Option<TraceResult> = None;
+            let rounds = if change == Departure::ComesBack { 2 } else { 1 };
+            for round in 0..rounds {
+                let since = kernel.advance_write_epoch(old_pid).unwrap();
+                {
+                    let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+                    let (old_proc, new_proc) = split.pop().unwrap();
+                    let tracer = Tracer::for_process(old_proc, &old_state);
+                    match trace.as_mut() {
+                        None => trace = Some(tracer.trace()),
+                        Some(trace) => trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto),
+                    }
+                    let trace = trace.as_ref().unwrap();
+                    run_transfer(
+                        &plan,
+                        &mut delta,
+                        CopyMode::Round,
+                        old_proc,
+                        &old_state,
+                        new_proc,
+                        &new_state,
+                        trace,
+                    )
+                    .unwrap();
+                }
+                delta.traced_upto = since;
+                let (space, heap) = kernel.process_mut(old_pid).unwrap().space_and_heap_mut().unwrap();
+                let (before, gone, after) = (nodes[0].offset(8), nodes[1], nodes[2]);
+                match (change, round) {
+                    (Departure::Freed | Departure::ComesBack, 0) => {
+                        space.write_u64(before, after.0).unwrap();
+                        heap.free(space, gone).unwrap();
+                    }
+                    (Departure::Outgrown, _) => {
+                        heap.free(space, gone.offset(16 + 32)).unwrap();
+                        heap.free(space, gone).unwrap();
+                        heap.malloc_at(space, gone, 48, site, TypeTag(l_t.0)).unwrap();
+                        space.fill(gone, 48, 0).unwrap();
+                        space.write_u32(gone, 20).unwrap();
+                        space.write_u64(gone.offset(8), after.0).unwrap();
+                    }
+                    _ => {
+                        assert_eq!(heap.malloc(space, 16, site, TypeTag(l_t.0)).unwrap(), gone);
+                        space.write_u32(gone, 20).unwrap();
+                        space.write_u64(gone.offset(8), after.0).unwrap();
+                        space.write_u64(before, gone.0).unwrap();
+                    }
+                }
+            }
+            let report = {
+                let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+                let (old_proc, new_proc) = split.pop().unwrap();
+                let mut trace = trace.unwrap();
+                trace.stats =
+                    trace.graph.retrace_dirty(&Tracer::for_process(old_proc, &old_state), delta.traced_upto);
+                run_transfer(
+                    &plan,
+                    &mut delta,
+                    CopyMode::Final,
+                    old_proc,
+                    &old_state,
+                    new_proc,
+                    &new_state,
+                    &trace,
+                )
+                .expect("no chunk is freed twice")
+                .0
+            };
+            assert!(report.conflicts.is_empty(), "{change:?}: {:?}", report.conflicts);
+
+            let (ref_state, ref_pid) = new_version(&mut kernel);
+            let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
+            let reference =
+                transfer_process(&mut kernel, &old_state, old_pid, &ref_state, ref_pid, &trace).unwrap();
+            assert!(reference.conflicts.is_empty(), "{change:?}: {:?}", reference.conflicts);
+            let outcome = |state: &InstanceState, pid: Pid| {
+                let process = kernel.process(pid).unwrap();
+                let space = process.space();
+                let mut node =
+                    Addr(space.read_u64(state.statics.lookup("list").unwrap().addr.offset(8)).unwrap());
+                let mut values = Vec::new();
+                while !node.is_null() {
+                    values.push(space.read_u32(node).unwrap());
+                    node = Addr(space.read_u64(node.offset(8)).unwrap());
+                }
+                (process.heap().unwrap().live_count(), values)
+            };
+            assert_eq!(outcome(&new_state, new_pid), outcome(&ref_state, ref_pid), "{change:?}");
         }
     }
 
@@ -2408,7 +2531,7 @@ mod tests {
         pointer_pairs: &[(u64, u64)],
         old_elem: &[u8],
         trace: &TraceResult,
-        addr_map: &[(u64, u64)],
+        table: &[PlanEntry],
         mask_bits: u32,
     ) {
         let mask = pointer_mask(mask_bits);
@@ -2420,7 +2543,7 @@ mod tests {
             }
             let (bits, target) = (raw & mask, raw & !mask);
             let new_raw = match trace.graph.object_containing(Addr(target)) {
-                Some(obj) => new_base_of(addr_map, obj.addr.0)
+                Some(obj) => new_base_of(table, obj.addr.0)
                     .map_or(raw, |new_base| (new_base + (target - obj.addr.0)) | bits),
                 None => raw,
             };
@@ -2430,8 +2553,9 @@ mod tests {
 
     /// Pass 4's pointer translation against the graph lookup, one pointer
     /// per shape: base, interior, one past the end (onto an adjacent object
-    /// and onto nothing), an object the plan did not place, an address
-    /// outside the graph, `EncodedPointers` values and null.
+    /// and onto nothing), an object the plan did not place (its fresh chunk
+    /// unallocated), an address outside the graph, `EncodedPointers` values
+    /// and null.
     #[test]
     fn base_pointer_translation_matches_the_graph_lookup() {
         use crate::tracing::graph::ObjectGraph;
@@ -2455,7 +2579,14 @@ mod tests {
             });
         }
         let trace = TraceResult { graph, stats: TracingStats::default() };
-        let addr_map = [(a, 0x9000), (b, 0x9100), (lone, 0xa000)];
+        let record =
+            |old_base, placement| PlanEntry { old_base, placement, alloc: 0, copied_at: None, len: 0 };
+        let table = [
+            record(a, Placement::Fresh(Addr(0x9000))),
+            record(b, Placement::Existing(Addr(0x9100))),
+            record(unplaced, Placement::Fresh(Addr::NULL)),
+            record(lone, Placement::Existing(Addr(0xa000))),
+        ];
         let untouched = u64::from_le_bytes([0xee; 8]);
         // (old value, mask bits, translated value)
         let cases = [
@@ -2473,8 +2604,8 @@ mod tests {
         ];
         for (raw, mask_bits, translated) in cases {
             let (mut out, mut reference) = ([0xee; 16], [0xee; 16]);
-            rewrite_pointers(&mut out, &[(0, 8)], &raw.to_le_bytes(), &trace, &addr_map, mask_bits);
-            rewrite_by_lookup(&mut reference, &[(0, 8)], &raw.to_le_bytes(), &trace, &addr_map, mask_bits);
+            rewrite_pointers(&mut out, &[(0, 8)], &raw.to_le_bytes(), &trace, &table, mask_bits);
+            rewrite_by_lookup(&mut reference, &[(0, 8)], &raw.to_le_bytes(), &trace, &table, mask_bits);
             assert_eq!(out, reference, "{raw:#x} with {mask_bits} mask bits");
             assert_eq!(u64::from_le_bytes(out[8..].try_into().unwrap()), translated, "{raw:#x}");
         }

@@ -25,7 +25,6 @@ pub struct GenericServer {
     listen_fd: Option<Fd>,
     main_pool: Option<PoolId>,
     request_pool: Option<PoolId>,
-    handled: u64,
 }
 
 impl GenericServer {
@@ -33,15 +32,7 @@ impl GenericServer {
     /// `spec`.
     pub fn new(spec: ServerSpec, generation: u32) -> Self {
         let version = spec.version_string(generation);
-        GenericServer {
-            spec,
-            generation,
-            version,
-            listen_fd: None,
-            main_pool: None,
-            request_pool: None,
-            handled: 0,
-        }
+        GenericServer { spec, generation, version, listen_fd: None, main_pool: None, request_pool: None }
     }
 
     fn blocking_call(&self) -> &'static str {
@@ -100,7 +91,6 @@ impl GenericServer {
             let buf = env.global_addr("request_buf")?;
             env.write_u64(buf, node.0)?;
         }
-        self.handled += 1;
         env.note_event_handled();
         Ok(())
     }

@@ -15,8 +15,6 @@
 pub struct UpdateCatalogEntry {
     /// Program name.
     pub program: String,
-    /// Version range covered by the updates.
-    pub(crate) version_range: String,
     /// Number of releases (updates) considered.
     pub updates: u32,
     /// Lines of code changed across the updates.
@@ -38,7 +36,6 @@ pub fn paper_catalog() -> Vec<UpdateCatalogEntry> {
     vec![
         UpdateCatalogEntry {
             program: "httpd".into(),
-            version_range: "2.2.23-2.3.8".into(),
             updates: 5,
             changed_loc: 10_844,
             changed_functions: 829,
@@ -49,7 +46,6 @@ pub fn paper_catalog() -> Vec<UpdateCatalogEntry> {
         },
         UpdateCatalogEntry {
             program: "nginx".into(),
-            version_range: "0.8.54-1.0.15".into(),
             updates: 25,
             changed_loc: 9_681,
             changed_functions: 711,
@@ -60,7 +56,6 @@ pub fn paper_catalog() -> Vec<UpdateCatalogEntry> {
         },
         UpdateCatalogEntry {
             program: "vsftpd".into(),
-            version_range: "1.1.0-2.0.2".into(),
             updates: 5,
             changed_loc: 5_830,
             changed_functions: 305,
@@ -71,7 +66,6 @@ pub fn paper_catalog() -> Vec<UpdateCatalogEntry> {
         },
         UpdateCatalogEntry {
             program: "sshd".into(),
-            version_range: "3.5-3.8".into(),
             updates: 5,
             changed_loc: 14_370,
             changed_functions: 894,

@@ -1118,12 +1118,15 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
     }
 }
 
+/// A program's audit ([`McrInstance::audit`]).
+type Audit = Option<Vec<(String, u64)>>;
+
 /// A gen-1 → gen-2 cache update of a 64-entry cache after one more
 /// `request`: stop-the-world with the request served before the update, or
 /// under one pre-copy round with the request served after the round copied
-/// the cache. Returns the kernel fingerprint and the live heap chunks of the
-/// new cache process.
-fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, usize) {
+/// the cache. Returns the kernel fingerprint, the live heap chunks and live
+/// bytes of the new cache process, and the new version's audit.
+fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, (usize, u64), Audit) {
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     cache_request(&mut kernel, &mut v1, "fill 64 96");
@@ -1143,25 +1146,29 @@ fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, u
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
     assert!(outcome.is_committed(), "precopy {precopy}, {request}: {:?}", outcome.conflicts());
     let process = kernel.process(survivor.state.processes[0]).unwrap();
-    (kernel_fingerprint(&kernel), process.heap().unwrap().live_count())
+    let (space, heap) = (process.space(), process.heap().unwrap());
+    let live = (heap.live_count(), heap.live_chunks(space).map(|c| c.size).sum());
+    (kernel_fingerprint(&kernel), live, survivor.audit(&kernel))
 }
 
-/// Caveat, the evict-after-copy leak (ROADMAP, "The known wrong answers"):
-/// an entry a pre-copy round copied and the old version then evicted stays
-/// in the new heap as an unreachable chunk, which a stop-the-world update of
-/// the same final state never allocates. With a `get` in its place the two
-/// updates are byte-identical; with the `evict` the fingerprints differ and
-/// the pre-copied heap holds more live chunks. Its fix — the completing pass
-/// frees the new-heap chunk of every object that left the graph — flips the
-/// second half to equality.
+/// An entry a pre-copy round copied and the old version then evicted
+/// leaves the new heap with it: the completing pass frees the chunk of
+/// every object that left the graph, so the pre-copied update ends with the
+/// live chunks, live bytes and cache audit of a stop-the-world update of the
+/// same final state. With a `get` in its place the two are byte-identical.
+/// With the `evict` the kernel fingerprints still differ, by placement
+/// alone: the freed chunk is a hole the later allocations do not fill the
+/// way a stop-the-world transfer packs them.
 #[test]
-fn caveat_precopy_keeps_an_entry_evicted_after_a_round_copied_it() {
-    let (stw_fp, stw_live) = cache_update_after_round_one(false, "get");
-    assert_eq!(cache_update_after_round_one(true, "get"), (stw_fp, stw_live), "no eviction, no divergence");
-    let (stw_fp, stw_live) = cache_update_after_round_one(false, "evict");
-    let (pre_fp, pre_live) = cache_update_after_round_one(true, "evict");
-    assert_ne!(pre_fp, stw_fp, "the evicted entry's chunk survives in the pre-copied heap");
-    assert!(pre_live > stw_live, "pre-copied {pre_live} live chunks, stop-the-world {stw_live}");
+fn precopy_frees_an_entry_evicted_after_a_round_copied_it() {
+    let stw = cache_update_after_round_one(false, "get");
+    assert_eq!(cache_update_after_round_one(true, "get"), stw, "no eviction, no divergence");
+    let (stw_fp, stw_live, stw_audit) = cache_update_after_round_one(false, "evict");
+    let (pre_fp, pre_live, pre_audit) = cache_update_after_round_one(true, "evict");
+    assert_eq!(pre_live, stw_live, "live chunks and bytes, pre-copied against stop-the-world");
+    assert!(stw_audit.is_some(), "the cache audits its entries");
+    assert_eq!(pre_audit, stw_audit, "the same cache entries survive");
+    assert_ne!(pre_fp, stw_fp, "the evicted entry's freed chunk is a hole: placement differs, nothing leaks");
 }
 
 /// The slab-backed object table behaves exactly like the ordered map it
