@@ -1390,6 +1390,7 @@ fn postcopy_drain(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
 /// Phase 3 — pair old-version processes with new-version processes by
 /// creation-time call-stack ID (and creation order), optionally recreating
 /// counterparts for unmatched old processes (volatile quiescent points).
+/// An old process with no live thread left gets no counterpart.
 fn match_processes(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
     let UpdateCtx { kernel, old, new_instance, opts, report, .. } = ctx;
     let new_instance =
@@ -1397,7 +1398,10 @@ fn match_processes(ctx: &mut UpdateCtx<'_>) -> McrResult<()> {
     let new_init = new_instance.init_pid()?;
     let mut pairs = Vec::new();
     let mut used: BTreeSet<u32> = BTreeSet::new();
-    for &old_pid in &old.state.processes {
+    // A process whose threads have all exited (a finished session) ends
+    // with the old version.
+    let live: BTreeSet<Pid> = old.state.live_threads().map(|t| t.pid).collect();
+    for &old_pid in old.state.processes.iter().filter(|pid| live.contains(pid)) {
         let old_proc = kernel.process(old_pid).map_err(McrError::Sim)?;
         let old_cs = CallStackId::from_frames(old_proc.creation_stack());
         let old_stack = old_proc.creation_stack().to_vec();

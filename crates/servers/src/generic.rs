@@ -47,6 +47,18 @@ impl GenericServer {
     // Request handling
     // ------------------------------------------------------------------
 
+    /// Counts one answered request of `bytes` in the `stats` global and
+    /// returns how many it counted before.
+    fn count_request(env: &mut ProgramEnv<'_>, bytes: u64) -> McrResult<u64> {
+        let stats = env.global_addr("stats")?;
+        let requests = env.read_u64(stats)?;
+        env.write_u64(stats, requests + 1)?;
+        let total = env.read_u64(stats.offset(8))?;
+        env.write_u64(stats.offset(8), total + bytes)?;
+        env.note_event_handled();
+        Ok(requests)
+    }
+
     fn record_connection(&mut self, env: &mut ProgramEnv<'_>, conn_fd: Fd, bytes: u64) -> McrResult<()> {
         let conn_ty = env.type_id("conn_s")?;
         let next_off = env
@@ -78,12 +90,7 @@ impl GenericServer {
         env.write_ptr(list.offset(8), node)?;
         let count = env.read_u32(list)?;
         env.write_u32(list, count + 1)?;
-        // Update the global statistics record.
-        let stats = env.global_addr("stats")?;
-        let requests = env.read_u64(stats)?;
-        env.write_u64(stats, requests + 1)?;
-        let total = env.read_u64(stats.offset(8))?;
-        env.write_u64(stats.offset(8), total + bytes)?;
+        let requests = Self::count_request(env, bytes)?;
         // Type-unsafe idiom: occasionally stash the node pointer in an
         // untyped scratch buffer (a likely pointer even with full allocator
         // instrumentation, as the paper observes for vsftpd and OpenSSH).
@@ -91,17 +98,24 @@ impl GenericServer {
             let buf = env.global_addr("request_buf")?;
             env.write_u64(buf, node.0)?;
         }
-        env.note_event_handled();
         Ok(())
     }
 
-    fn respond(&self, env: &mut ProgramEnv<'_>, conn_fd: Fd) -> McrResult<u64> {
-        // Read whatever request bytes arrived (they may not have yet).
-        let request = env.syscall(Syscall::Read { fd: conn_fd, len: 4096 }).ok();
-        let request_len = match request {
-            Some(mcr_procsim::SyscallRet::Data(d)) => d.len(),
-            _ => 0,
+    /// Answers whatever request bytes arrived on `conn_fd` (they may not
+    /// have yet). Returns the reply's length and whether the request is a
+    /// one-shot HTTP/1.0 request, one that names `HTTP/1.0` and asks for no
+    /// `keep-alive`: httpd and nginx close such a connection after the reply.
+    /// vsftpd and sshd speak no HTTP, so no request of theirs is one-shot.
+    fn respond(&self, env: &mut ProgramEnv<'_>, conn_fd: Fd) -> McrResult<(u64, bool)> {
+        let request = match env.syscall(Syscall::Read { fd: conn_fd, len: 4096 }) {
+            Ok(mcr_procsim::SyscallRet::Data(d)) => d,
+            _ => Vec::new(),
         };
+        let names = |word: &[u8]| request.windows(word.len()).any(|w| w.eq_ignore_ascii_case(word));
+        let one_shot = matches!(self.spec.process_model, ProcessModel::MasterWorker { .. })
+            && names(b"HTTP/1.0")
+            && !names(b"keep-alive");
+        let request_len = request.len();
         let body = format!(
             "{} {} gen{} OK ({request_len} byte request)",
             self.spec.name, self.version, self.generation
@@ -109,55 +123,38 @@ impl GenericServer {
         let len = body.len() as u64;
         env.syscall(Syscall::Write { fd: conn_fd, data: body.into_bytes() })?;
         env.charge_work(2_000 + request_len as u64 * 4);
-        Ok(len)
+        Ok((len, one_shot))
     }
 
-    fn accept_and_handle(
-        &mut self,
-        env: &mut ProgramEnv<'_>,
-        loop_name: &'static str,
-    ) -> McrResult<StepOutcome> {
+    /// Accepts one connection and answers it. A one-shot request is counted
+    /// and its descriptor closed; any other connection is recorded in
+    /// `conn_list` and, under process-per-connection, handed to a forked
+    /// session process.
+    fn accept(&mut self, env: &mut ProgramEnv<'_>, loop_name: &'static str) -> McrResult<StepOutcome> {
         let fd = self.listen_fd.ok_or_else(|| McrError::InvalidState("server not started".into()))?;
-        match env.syscall(Syscall::Accept { fd }) {
-            Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: self.blocking_call(),
-                loop_name,
-                wait: WaitInterest::Fd(fd),
-            }),
-            Err(e) => Err(e),
-            Ok(ret) => {
-                let conn_fd =
-                    ret.as_fd().ok_or_else(|| McrError::InvalidState("accept returned no fd".into()))?;
-                let bytes = self.respond(env, conn_fd)?;
-                self.record_connection(env, conn_fd, bytes)?;
-                Ok(StepOutcome::Progress)
+        let conn_fd = match env.syscall(Syscall::Accept { fd }) {
+            Err(McrError::Sim(SimError::WouldBlock)) => {
+                let call = self.blocking_call();
+                return Ok(StepOutcome::WouldBlock { call, loop_name, wait: WaitInterest::Fd(fd) });
             }
+            ret => ret?.as_fd().ok_or_else(|| McrError::InvalidState("accept returned no fd".into()))?,
+        };
+        let (bytes, one_shot) = self.respond(env, conn_fd)?;
+        if one_shot {
+            Self::count_request(env, bytes)?;
+            env.syscall(Syscall::Close { fd: conn_fd })?;
+            return Ok(StepOutcome::Progress);
         }
-    }
-
-    fn master_accept_and_fork_session(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
-        let fd = self.listen_fd.ok_or_else(|| McrError::InvalidState("server not started".into()))?;
-        match env.syscall(Syscall::Accept { fd }) {
-            Err(McrError::Sim(SimError::WouldBlock)) => Ok(StepOutcome::WouldBlock {
-                call: "accept",
-                loop_name: "accept_loop",
-                wait: WaitInterest::Fd(fd),
-            }),
-            Err(e) => Err(e),
-            Ok(ret) => {
-                let conn_fd =
-                    ret.as_fd().ok_or_else(|| McrError::InvalidState("accept returned no fd".into()))?;
-                let bytes = self.respond(env, conn_fd)?;
-                self.record_connection(env, conn_fd, bytes)?;
-                // Hand the connection to a dedicated session process; the
-                // forked child inherits the descriptor and finds its number
-                // in the `session_fd` global (its private copy).
-                let session_fd_g = env.global_addr("session_fd")?;
-                env.write_u32(session_fd_g, conn_fd.0 as u32)?;
-                env.scoped("spawn_session", |env| env.fork("session"))?;
-                Ok(StepOutcome::Progress)
-            }
+        self.record_connection(env, conn_fd, bytes)?;
+        if self.spec.process_model == ProcessModel::ProcessPerConnection {
+            // Hand the connection to a dedicated session process; the forked
+            // child inherits the descriptor and finds its number in the
+            // `session_fd` global (its private copy).
+            let session_fd_g = env.global_addr("session_fd")?;
+            env.write_u32(session_fd_g, conn_fd.0 as u32)?;
+            env.scoped("spawn_session", |env| env.fork("session"))?;
         }
+        Ok(StepOutcome::Progress)
     }
 
     fn session_step(&mut self, env: &mut ProgramEnv<'_>) -> McrResult<StepOutcome> {
@@ -378,19 +375,17 @@ impl Program for GenericServer {
                     loop_name: "master_loop",
                     wait: WaitInterest::External,
                 }),
-                ProcessModel::ProcessPerConnection => self.master_accept_and_fork_session(env),
+                ProcessModel::ProcessPerConnection => self.accept(env, "accept_loop"),
             },
             "worker-main" => match self.spec.process_model {
-                ProcessModel::MasterWorker { threads_per_worker: 0, .. } => {
-                    self.accept_and_handle(env, "worker_loop")
-                }
+                ProcessModel::MasterWorker { threads_per_worker: 0, .. } => self.accept(env, "worker_loop"),
                 _ => Ok(StepOutcome::WouldBlock {
                     call: "poll",
                     loop_name: "listener_loop",
                     wait: WaitInterest::External,
                 }),
             },
-            name if name.starts_with("worker-") => self.accept_and_handle(env, "worker_loop"),
+            name if name.starts_with("worker-") => self.accept(env, "worker_loop"),
             _ => Ok(StepOutcome::WouldBlock {
                 call: "poll",
                 loop_name: "idle_loop",
@@ -470,8 +465,8 @@ pub mod programs {
 mod tests {
     use super::programs::*;
     use mcr_core::runtime::{boot, live_update, run_round, run_rounds, BootOptions, UpdateOptions};
-    use mcr_core::QuiescenceProfiler;
-    use mcr_procsim::{Addr, Kernel};
+    use mcr_core::{McrInstance, QuiescenceProfiler};
+    use mcr_procsim::{Addr, ConnId, Kernel};
     use mcr_typemeta::InstrumentationConfig;
 
     fn kernel_with_files() -> Kernel {
@@ -482,10 +477,13 @@ mod tests {
         kernel
     }
 
-    fn drive_requests(kernel: &mut Kernel, instance: &mut mcr_core::McrInstance, port: u16, n: usize) {
+    /// Serves `n` keep-alive requests on `port` from clients that stay open.
+    fn drive_requests(kernel: &mut Kernel, instance: &mut McrInstance, port: u16, n: usize) {
         for _ in 0..n {
             let c = kernel.client_connect(port).unwrap();
-            kernel.client_send(c, b"GET /index.html HTTP/1.0".to_vec()).unwrap();
+            kernel
+                .client_send(c, b"GET /index.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec())
+                .unwrap();
             run_rounds(kernel, instance, 2).unwrap();
             assert!(kernel.client_recv(c).is_some(), "server answered");
         }
@@ -542,6 +540,136 @@ mod tests {
         let second = Addr(space.read_u64(Addr(first).offset(next_off)).unwrap());
         space.write_u64(second.offset(next_off), first).unwrap();
         assert_eq!(instance.audit(&kernel), None);
+    }
+
+    /// `WorkloadSpec::apache_bench`'s request: HTTP/1.0 without keep-alive.
+    const AB_REQUEST: &[u8] = b"GET /index.html HTTP/1.0\r\nHost: localhost\r\n\r\n";
+
+    /// Serves `n` requests of `request` on `port`, each from a client that
+    /// closes once answered.
+    fn serve_and_close(kernel: &mut Kernel, instance: &mut McrInstance, port: u16, request: &[u8], n: usize) {
+        for _ in 0..n {
+            let c = kernel.client_connect(port).unwrap();
+            kernel.client_send(c, request.to_vec()).unwrap();
+            run_rounds(kernel, instance, 2).unwrap();
+            assert!(kernel.client_recv(c).is_some(), "server answered");
+            kernel.client_close(c).unwrap();
+            run_rounds(kernel, instance, 2).unwrap();
+        }
+    }
+
+    /// Opens `n` connections that stay open, each sending a request that is
+    /// not one-shot, and returns them.
+    fn open_idle(kernel: &mut Kernel, instance: &mut McrInstance, port: u16, n: usize) -> Vec<ConnId> {
+        let conns: Vec<_> = (0..n).map(|_| kernel.client_connect(port).unwrap()).collect();
+        for &c in &conns {
+            kernel.client_send(c, b"KEEPALIVE".to_vec()).unwrap();
+        }
+        run_rounds(kernel, instance, 2).unwrap();
+        conns
+    }
+
+    /// Each process's descriptor count and `conn_list` length, and the
+    /// kernel's object count.
+    fn footprint(kernel: &Kernel, instance: &McrInstance) -> (Vec<(usize, u32)>, usize) {
+        let list = instance.state.statics.lookup("conn_list").unwrap().addr;
+        let per_process = instance
+            .state
+            .processes
+            .iter()
+            .map(|&pid| {
+                let proc = kernel.process(pid).unwrap();
+                (proc.fds().len(), proc.space().read_u32(list).unwrap())
+            })
+            .collect();
+        (per_process, kernel.objects().len())
+    }
+
+    /// httpd and nginx close a one-shot HTTP/1.0 connection after the reply:
+    /// 20 `ab` requests from clients that close leave every process's
+    /// descriptors and connection records, and the kernel's objects, where
+    /// boot plus the idle connections left them, and the update carries the
+    /// audit.
+    #[test]
+    fn one_shot_requests_leave_no_descriptor_object_or_record() {
+        for (program, next, port) in [(httpd(1), httpd(2), 80), (nginx(1), nginx(2), 8080)] {
+            let mut kernel = kernel_with_files();
+            let mut v1 = boot(&mut kernel, Box::new(program), &BootOptions::default()).unwrap();
+            let (booted, booted_objects) = footprint(&kernel, &v1);
+            let _idle = open_idle(&mut kernel, &mut v1, port, 4);
+            let baseline = footprint(&kernel, &v1);
+            let sum = |fp: &[(usize, u32)]| fp.iter().fold((0, 0), |(f, c), &(fd, n)| (f + fd, c + n));
+            let ((fds, records), (booted_fds, booted_records)) = (sum(&baseline.0), sum(&booted));
+            assert_eq!((fds, records, baseline.1), (booted_fds + 4, booted_records + 4, booted_objects + 4));
+            serve_and_close(&mut kernel, &mut v1, port, AB_REQUEST, 20);
+            assert_eq!(footprint(&kernel, &v1), baseline);
+            let before = v1.audit(&kernel).expect("audit");
+            let (v2, outcome) = live_update(
+                &mut kernel,
+                v1,
+                Box::new(next),
+                InstrumentationConfig::full(),
+                &UpdateOptions::default(),
+            );
+            assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+            assert_audit_carried(&before, &v2.audit(&kernel).expect("audit"));
+        }
+    }
+
+    /// Known leak, pinned until it is fixed: a keep-alive connection whose
+    /// client later closes keeps its descriptor, its peer-closed kernel
+    /// object and its record. Nothing wakes the worker that holds it: it
+    /// waits on its listener only.
+    #[test]
+    fn a_closed_keep_alive_connection_keeps_its_descriptor_and_record() {
+        let mut kernel = kernel_with_files();
+        let mut instance = boot(&mut kernel, Box::new(nginx(1)), &BootOptions::default()).unwrap();
+        let conns = open_idle(&mut kernel, &mut instance, 8080, 2);
+        let held = footprint(&kernel, &instance);
+        for c in conns {
+            kernel.client_close(c).unwrap();
+        }
+        run_rounds(&mut kernel, &mut instance, 4).unwrap();
+        assert_eq!(kernel.open_connection_count(), 0, "both clients closed");
+        assert_eq!(footprint(&kernel, &instance), held);
+    }
+
+    /// Known leak, pinned until it is fixed: a process-per-connection master
+    /// never closes its copy of a session's descriptor, so it holds one per
+    /// finished session and session k inherits the k - 1 before it.
+    #[test]
+    fn a_per_connection_master_keeps_every_session_descriptor() {
+        let mut kernel = kernel_with_files();
+        let mut instance = boot(&mut kernel, Box::new(vsftpd(1)), &BootOptions::default()).unwrap();
+        serve_and_close(&mut kernel, &mut instance, 21, b"USER anonymous\r\n", 5);
+        let fds: Vec<usize> =
+            instance.state.processes.iter().map(|&pid| kernel.process(pid).unwrap().fds().len()).collect();
+        // The master: its listener and all five connections. Session k: the
+        // listener and the k - 1 connections accepted before its own.
+        assert_eq!(fds, [6, 1, 2, 3, 4, 5]);
+        assert_eq!(kernel.objects().len(), 6, "the listener and five peer-closed connections");
+    }
+
+    /// A session whose client closed has exited; the update does not bring
+    /// it back: only the master has a counterpart.
+    #[test]
+    fn finished_sessions_stay_finished_across_an_update() {
+        for (program, next, port) in [(vsftpd(1), vsftpd(2), 21), (sshd(1), sshd(2), 22)] {
+            let mut kernel = kernel_with_files();
+            let mut v1 = boot(&mut kernel, Box::new(program), &BootOptions::default()).unwrap();
+            serve_and_close(&mut kernel, &mut v1, port, b"USER anonymous\r\n", 5);
+            assert_eq!(v1.state.processes.len(), 6);
+            let (v2, outcome) = live_update(
+                &mut kernel,
+                v1,
+                Box::new(next),
+                InstrumentationConfig::full(),
+                &UpdateOptions::default(),
+            );
+            assert!(outcome.is_committed(), "{:?}", outcome.conflicts());
+            assert_eq!(outcome.report().processes_recreated, 0);
+            assert_eq!(v2.state.processes.len(), 1);
+        }
     }
 
     #[test]

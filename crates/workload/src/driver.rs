@@ -256,6 +256,7 @@ mod tests {
         install_standard_files(&mut kernel);
         let mut instance = boot(&mut kernel, Box::new(programs::nginx(1)), &BootOptions::default()).unwrap();
         let spec = WorkloadSpec::apache_bench(8080, 20);
+        let booted_objects = kernel.objects().len();
         let result = run_workload(&mut kernel, &mut instance, &spec).unwrap();
         assert_eq!(result.completed, 20);
         assert_eq!(result.unanswered, 0);
@@ -264,8 +265,10 @@ mod tests {
         assert!(result.sched.woken > 0, "requests were served via event wakeups");
         // AB closes its measured connections; the idle ones stay open.
         assert_eq!(result.open_connections.len(), spec.idle_connections);
-        // A closed connection leaves no client endpoint behind.
+        // A closed connection leaves no client endpoint behind, and nginx
+        // closed its side: only the idle connections hold a kernel object.
         assert_eq!(kernel.clients().len(), result.open_connections.len());
+        assert_eq!(kernel.objects().len(), booted_objects + spec.idle_connections);
     }
 
     #[test]
