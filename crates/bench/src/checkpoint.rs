@@ -314,6 +314,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
     let v1 = snapshot(&kernel, &instance);
+    let v1_blobs = store.list();
     run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
         .expect("extra traffic");
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v2 checkpoint");
@@ -321,11 +322,16 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let manifests: Vec<String> = store.list().into_iter().filter(|n| n.ends_with("/MANIFEST")).collect();
     assert_eq!(manifests.len(), 2, "two versions retained");
     let (m1, m2) = (manifests[0].clone(), manifests[1].clone());
-    let v2_dir = m2.trim_end_matches("MANIFEST").to_string();
+    // Blobs are named by content and shared between versions: a shard blob
+    // v2 alone names is one v2 wrote (absent after v1) that holds no file.
     let s2 = store
         .list()
         .into_iter()
-        .find(|n| n.starts_with(&v2_dir) && n.contains("shard-"))
+        .filter(|n| !n.ends_with("/MANIFEST") && !v1_blobs.contains(n))
+        .find(|n| {
+            let bytes = store.read_blob(n).expect("blob readable");
+            kernel.files().all(|(_, contents, _)| contents != bytes)
+        })
         .expect("v2 shard blob");
     let pristine_m2 = store.read_blob(&m2).expect("v2 manifest readable");
 
@@ -554,7 +560,7 @@ mod tests {
     use mcr_core::tracing::trace_process;
     use mcr_core::transfer::checkpoint::RestoreReport;
     use mcr_core::{TraceOptions, TracingStats};
-    use mcr_procsim::SimDuration;
+    use mcr_procsim::{SimDuration, Syscall, SyscallPort};
 
     /// A bounded campaign sized for debug-build test runs.
     fn quick() -> CheckpointSpec {
@@ -622,28 +628,38 @@ mod tests {
         assert_eq!(snapshot(&restored.kernel, &restored.instance), checkpointed);
     }
 
-    /// A flipped byte in the newest version's largest file blob
-    /// (`/var/ftp/large.bin`) rejects that version; the older one restores
-    /// with its fingerprint and audit.
+    /// A flipped byte in the newest version's own blob of
+    /// `/var/ftp/large.bin` — written through the kernel between the two
+    /// checkpoints, so v1 names other bytes — rejects that version; the
+    /// older one restores with its fingerprint and audit.
     #[test]
     fn flipped_file_blob_restores_the_previous_version() {
+        const LARGE: &str = "/var/ftp/large.bin";
         let spec = quick();
         let (mut kernel, mut instance) = setup(&spec);
         let mut store = MemStore::new();
         checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v1 checkpoint");
         let v1 = snapshot(&kernel, &instance);
+        let v1_blobs = store.list();
         run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
             .expect("extra traffic");
+        let pid = instance.state.processes[0];
+        let tid = kernel.process(pid).expect("master").main_tid();
+        let mut call = |syscall| kernel.syscall(pid, tid, syscall).expect("file syscall");
+        let fd = call(Syscall::Open { path: LARGE.into(), create: false }).as_fd().expect("a descriptor");
+        call(Syscall::Write { fd, data: b"rewritten".to_vec() });
+        call(Syscall::Close { fd });
         checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v2 checkpoint");
         assert_ne!(snapshot(&kernel, &instance), v1, "v2 differs from v1");
 
-        let largest = store
+        let (_, large, _) = kernel.files().find(|&(path, _, _)| path == LARGE).expect("large.bin");
+        let blob = store
             .list()
             .into_iter()
-            .filter(|n| n.starts_with("ckpt/v00000002/file-"))
-            .max_by_key(|n| store.read_blob(n).expect("file blob readable").len())
-            .expect("v2 file blobs");
-        store.corrupt_byte(&largest, 512 * 1024).expect("corrupt file blob");
+            .filter(|n| !v1_blobs.contains(n))
+            .find(|n| store.read_blob(n).expect("blob readable") == large)
+            .expect("v2's own large.bin blob");
+        store.corrupt_byte(&blob, 512 * 1024).expect("corrupt file blob");
         let restored = restore_latest(&store, &mut gen1(&spec), None).expect("v1 restores");
         assert_eq!((restored.report.version, restored.report.versions_rejected), (1, 1));
         assert_eq!(snapshot(&restored.kernel, &restored.instance), v1);

@@ -619,7 +619,9 @@ mod tests {
         // Attempt 1's checkpoint write dies mid-block (torn write): the
         // attempt aborts with CheckpointFailed and rolls back — the old
         // instance never stopped existing — and attempt 2 remounts the
-        // store, checkpoints cleanly, and commits.
+        // store, checkpoints cleanly, and commits. The up-front checkpoint
+        // already holds every shard and file blob of the unchanged state,
+        // so attempt 1 writes its manifest alone and block 1 is the one torn.
         let (instance, outcome) = supervised_update_durable(
             &mut kernel,
             instance,
@@ -631,7 +633,7 @@ mod tests {
             store.clone() as Rc<RefCell<dyn Store>>,
             CheckpointOptions::default(),
             |attempt| match attempt {
-                1 => FaultSite::TornWrite(2).plan(),
+                1 => FaultSite::TornWrite(1).plan(),
                 _ => ChaosPlan::none(),
             },
         );

@@ -4,31 +4,53 @@
 //! A checkpoint captures a quiesced instance as three kinds of blobs in a
 //! [`Store`]:
 //!
-//! * **shards** (`shard-NNNN`) — the page *deltas* (every page whose
-//!   soft-dirty stamp is nonzero, i.e. written after startup), partitioned
-//!   into contiguous, cost-balanced ranges by the same partitioner the
-//!   intra-pair transfer engine uses, one blob per modelled writer,
-//!   assembled one after the other and charged at the slowest writer's
-//!   cost;
-//! * **files** (`file-NNNN`) — the bytes of each simulated file, one blob
-//!   per file in path order, written as they are and not charged in
-//!   simulated time;
-//! * **a manifest** (`MANIFEST`) — program identity, instrumentation
-//!   config, memory layout, the file table (per-file path, length and
-//!   checksum), client endpoints, per-process topology (threads, regions,
-//!   live heap chunks, allocator tables, descriptor tables), the kernel
-//!   object table, the shard table (per-shard length + checksum), a
+//! * **shards** — the page *deltas* (every page whose soft-dirty stamp is
+//!   nonzero, i.e. written after startup), partitioned into contiguous,
+//!   cost-balanced ranges by the same partitioner the intra-pair transfer
+//!   engine uses, one blob per modelled writer, assembled one after the
+//!   other and charged at the slowest writer's cost;
+//! * **files** — the bytes of each simulated file, one blob per file in
+//!   path order, written as they are and not charged in simulated time;
+//! * **a manifest** (`ckpt/vNNNNNNNN/MANIFEST`) — program identity,
+//!   instrumentation config, memory layout, the file table (per-file path,
+//!   length and checksum), client endpoints, per-process topology (threads,
+//!   regions, live heap chunks, allocator tables, descriptor tables), the
+//!   kernel object table, the shard table (per-shard length + checksum), a
 //!   whole-state digest and a trailing self-checksum. It records live
 //!   endpoints only: the kernel forgets an accepted endpoint when its
 //!   client closes it, and an endpoint carries replies only once its server
 //!   has released the connection with them unread.
 //!
-//! Format v5: every checksum — manifest trailer, shard sums, file sums,
-//! state digest — is [`checksum64`], which hashes whole 32-byte blocks as
-//! four independent lanes of 8-byte words, always detects a change confined
-//! to one aligned word and folds the length in. v4 lacked the allocator
-//! tables and v3 carried each file's bytes inside the manifest; both are
-//! refused as [`RestoreError::VersionSkew`];
+//! Shards and files are named by content, not by version:
+//! `ckpt/blob/<checksum64 as 16 hex digits>-<length in hex>`, the
+//! `(length, checksum)` pair the manifest's shard and file rows already
+//! record. Only the manifest is per version. The writer lists the store
+//! once and skips every blob that is present *and* named by a manifest
+//! whose trailer validates, so an unchanged file or shard is written once
+//! and referenced by every later version; a blob that is merely present —
+//! the leftover of a checkpoint that crashed before its manifest, possibly
+//! torn — is written again. Retention is mark and sweep: the newest two
+//! manifests stay, and every `ckpt/blob/` name neither of them lists goes.
+//!
+//! A blob two versions share has no intact predecessor: damage to it
+//! condemns every version that names it, and restore reports the typed
+//! [`RestoreError::ChecksumMismatch`] (or [`RestoreError::Truncated`]) of
+//! the oldest one, never a wrong image. The writer does not read a blob
+//! back before reusing it, so such damage also reaches every later version
+//! that names the same bytes. Damage to a blob only the newest version
+//! names still falls back to the version before. A content name
+//! trusts [`checksum64`] exactly as far as the integrity check always has:
+//! it is not cryptographic, so two different blobs of one length with one
+//! sum would be taken for each other, as a forged blob would pass the check.
+//!
+//! Format v6: the wire form of v5, whose blobs were named by version and
+//! position (`ckpt/vN/shard-NNNN`, `ckpt/vN/file-NNNN`); a v5 manifest is
+//! refused as [`RestoreError::VersionSkew`]. Every checksum — manifest
+//! trailer, shard sums, file sums, state digest — is [`checksum64`], which
+//! hashes whole 32-byte blocks as four independent lanes of 8-byte words,
+//! always detects a change confined to one aligned word and folds the
+//! length in. v4 lacked the allocator tables and v3 carried each file's
+//! bytes inside the manifest; both are refused as version skew too;
 //! v2 used the same step as one serial chain and v1 hashed byte-wise
 //! FNV-1a, so a v1 or v2 blob fails the trailer check first and is skipped
 //! like any corrupt version. The digest chains `checksum64` over the state
@@ -38,11 +60,10 @@
 //! changes, so a file nothing writes is hashed once per kernel, not once
 //! per checkpoint or digest.
 //!
-//! The commit protocol is shards + files → fsync → manifest → fsync: a
-//! manifest is only durable once everything it names is, so any crash
-//! mid-checkpoint leaves either a fully valid new version or a
-//! truncated/torn one that validation rejects, falling back to the previous
-//! retained version.
+//! The commit protocol is blobs → fsync → manifest → fsync: a manifest is
+//! only durable once everything it names is, so any crash mid-checkpoint
+//! leaves either a fully valid new version or a truncated/torn one that
+//! validation rejects, falling back to the previous retained version.
 //!
 //! The writer never materialises the state: `encode_live_state` streams
 //! the wire form straight from the quiesced kernel into the manifest buffer,
@@ -103,8 +124,11 @@ const MAGIC: &[u8; 8] = b"MCRCKPT1";
 /// with the shards, before the barrier that precedes the manifest, and
 /// keeps only each file's path, length and checksum in the manifest;
 /// version 5 adds each process's allocator tables (heap frontier and free
-/// list, pool table), so a v4 manifest is version-skewed.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// list, pool table), so a v4 manifest is version-skewed; version 6 keeps
+/// v5's bytes but names every shard and file blob by its checksum and
+/// length ([`blob_name`]) instead of by version and position, so the blobs
+/// a v5 manifest names are not where a v6 reader looks.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Simulated cost charged per page-delta record written to a shard, plus one
 /// nanosecond per payload byte (models serialization + device bandwidth).
@@ -269,8 +293,9 @@ impl RestoreError {
 // ---------------------------------------------------------------------------
 
 /// How many checkpoint versions a store keeps: a successful write deletes
-/// the ones older than the newest two, so a torn newest version still has
-/// an intact predecessor to fall back to.
+/// the manifests older than the newest two and every blob neither of them
+/// names, so damage to a blob only the newest version names still has an
+/// intact predecessor to fall back to.
 const RETAINED_VERSIONS: usize = 2;
 
 /// Tuning knobs for checkpoint writing.
@@ -301,9 +326,9 @@ pub struct CheckpointSummary {
     pub shards: usize,
     /// Manifest blob size in bytes.
     pub manifest_bytes: u64,
-    /// Store blocks this checkpoint wrote (shards + files + manifest) — the
-    /// size of the torn-write/crash fault-site space a chaos campaign can
-    /// inject into.
+    /// Store blocks this checkpoint wrote (the shard and file blobs the
+    /// store did not already hold, then the manifest) — the size of the
+    /// torn-write/crash fault-site space a chaos campaign can inject into.
     pub blocks: u64,
     /// Simulated cost of writing the shards serially.
     pub(crate) serial_cost: SimDuration,
@@ -693,8 +718,8 @@ struct ObjImage {
     obj: KernelObject,
 }
 
-/// One row of the manifest's file table; the contents are the version's
-/// `file-NNNN` blob, numbered by the row's position.
+/// One row of the manifest's file table; the contents are the blob the
+/// row's length and checksum name ([`blob_name`]).
 struct FileImage {
     path: String,
     len: u64,
@@ -718,8 +743,9 @@ struct StateImage {
 }
 
 impl StateImage {
-    fn decode(buf: &[u8]) -> Result<StateImage, ()> {
-        let mut d = Dec::new(buf);
+    /// Decodes the state section up to and including the file table; the
+    /// clients, processes and objects stay empty.
+    fn decode_head(d: &mut Dec<'_>) -> Result<StateImage, ()> {
         let program_name = d.str()?;
         let program_version = d.str()?;
         let level = level_from_u8(d.u8()?)?;
@@ -742,6 +768,23 @@ impl StateImage {
             }
             files.push(file);
         }
+        Ok(StateImage {
+            program_name,
+            program_version,
+            config: InstrumentationConfig { level, instrument_region_allocator },
+            layout_slide,
+            clock_ns,
+            next_conn,
+            files,
+            clients: Vec::new(),
+            processes: Vec::new(),
+            objects: Vec::new(),
+        })
+    }
+
+    fn decode(buf: &[u8]) -> Result<StateImage, ()> {
+        let mut d = Dec::new(buf);
+        let mut image = StateImage::decode_head(&mut d)?;
         let n = d.u32()? as usize;
         let mut clients = Vec::with_capacity(n.min(65536));
         for _ in 0..n {
@@ -846,18 +889,8 @@ impl StateImage {
         if !d.done() {
             return Err(());
         }
-        Ok(StateImage {
-            program_name,
-            program_version,
-            config: InstrumentationConfig { level, instrument_region_allocator },
-            layout_slide,
-            clock_ns,
-            next_conn,
-            files,
-            clients,
-            processes,
-            objects,
-        })
+        (image.clients, image.processes, image.objects) = (clients, processes, objects);
+        Ok(image)
     }
 }
 
@@ -1025,36 +1058,31 @@ fn live_digest(kernel: &Kernel, instance: &McrInstance) -> Result<u64, Checkpoin
 // Blob naming / versions
 // ---------------------------------------------------------------------------
 
-fn version_dir(version: u64) -> String {
-    format!("ckpt/v{version:08}")
-}
+/// Directory of the content-addressed shard and file blobs.
+const BLOB_DIR: &str = "ckpt/blob/";
 
 fn manifest_blob(version: u64) -> String {
-    format!("{}/MANIFEST", version_dir(version))
+    format!("ckpt/v{version:08}/MANIFEST")
 }
 
-fn shard_blob(version: u64, shard: usize) -> String {
-    format!("{}/shard-{shard:04}", version_dir(version))
+/// Name of the blob holding `len` bytes whose [`checksum64`] is `checksum`:
+/// the `(length, checksum)` pair a manifest's shard or file row records.
+fn blob_name(len: u64, checksum: u64) -> String {
+    format!("{BLOB_DIR}{checksum:016x}-{len:x}")
 }
 
-fn file_blob(version: u64, file: usize) -> String {
-    format!("{}/file-{file:04}", version_dir(version))
+/// The version whose directory holds blob `name`, if any.
+fn version_of(name: &str) -> Option<u64> {
+    let (num, _) = name.strip_prefix("ckpt/v")?.split_once('/')?;
+    num.parse().ok()
 }
 
-/// All version numbers present in the store (any blob under the version's
-/// directory counts — a torn checkpoint with shards but no manifest still
-/// claims its number), ascending.
+/// All version numbers present in the store, ascending. A version is
+/// present while its manifest is, valid or not: shards and files sit under
+/// `ckpt/blob/`, not under the version's directory, so a checkpoint that
+/// crashed before its manifest claims no number and the next one reuses it.
 pub fn list_versions<S: Store + ?Sized>(store: &S) -> Vec<u64> {
-    let mut versions = BTreeSet::new();
-    for name in store.list() {
-        if let Some(rest) = name.strip_prefix("ckpt/v") {
-            if let Some((num, _)) = rest.split_once('/') {
-                if let Ok(v) = num.parse::<u64>() {
-                    versions.insert(v);
-                }
-            }
-        }
-    }
+    let versions: BTreeSet<u64> = store.list().iter().filter_map(|name| version_of(name)).collect();
     versions.into_iter().collect()
 }
 
@@ -1062,10 +1090,11 @@ pub fn list_versions<S: Store + ?Sized>(store: &S) -> Vec<u64> {
 // Checkpoint write
 // ---------------------------------------------------------------------------
 
-/// Writes a durable checkpoint of the (quiesced) instance. Shards and file
-/// blobs first, fsync, then the manifest, fsync — so the manifest never
-/// names data that could be lost. Returns the new version's summary; on
-/// success, all but the newest two versions are deleted.
+/// Writes a durable checkpoint of the (quiesced) instance. The shard and
+/// file blobs the store does not already hold first, fsync, then the
+/// manifest, fsync — so the manifest never names data that could be lost.
+/// Returns the new version's summary; on success, all but the newest two
+/// manifests are deleted, and so is every blob neither of them names.
 ///
 /// # Errors
 ///
@@ -1115,13 +1144,27 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     let serial_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| c).sum());
     let parallel_cost = SimDuration(shard_bufs.iter().map(|(_, _, c)| *c).max().unwrap_or(0));
 
-    let version = list_versions(store).last().copied().unwrap_or(0) + 1;
+    // One listing gives the version number, the blobs a sealed manifest
+    // already names, and what retention may sweep. A store holds a few
+    // dozen names, so plain vectors serve as the sets below.
+    let listed = store.list();
+    let versions: BTreeSet<u64> = listed.iter().filter_map(|name| version_of(name)).collect();
+    let version = versions.last().map_or(1, |v| v + 1);
+    let named: Vec<(u64, Vec<String>)> =
+        versions.iter().filter_map(|&v| Some((v, manifest_blobs(store, v)?))).collect();
+    // A blob is reused only if it is present and a sealed manifest names it:
+    // one that is merely present may be the torn leftover of a crash.
+    let held: Vec<&String> =
+        named.iter().flat_map(|(_, names)| names).filter(|name| listed.binary_search(name).is_ok()).collect();
     let blocks_before = store.blocks_written();
-    for (i, (buf, _, _)) in shard_bufs.iter().enumerate() {
-        store.write_blob(&shard_blob(version, i), buf)?;
-    }
-    for (i, (_, contents, _)) in kernel.files().enumerate() {
-        store.write_blob(&file_blob(version, i), contents)?;
+    let shards = shard_bufs.iter().map(|(buf, checksum, _)| (&buf[..], *checksum));
+    let mut names: Vec<String> = Vec::with_capacity(shard_bufs.len() + kernel.files().len());
+    for (bytes, checksum) in shards.chain(kernel.files().map(|(_, bytes, checksum)| (bytes, checksum))) {
+        let name = blob_name(bytes.len() as u64, checksum);
+        if !held.contains(&&name) && !names.contains(&name) {
+            store.write_blob(&name, bytes)?;
+        }
+        names.push(name);
     }
     // Barrier: every shard and file is durable before the manifest names it.
     store.sync()?;
@@ -1154,17 +1197,17 @@ pub fn write_checkpoint<S: Store + ?Sized>(
     store.sync()?;
     let blocks = store.blocks_written() - blocks_before;
 
-    // Retention: drop everything older than the last `RETAINED_VERSIONS`.
-    let versions = list_versions(store);
-    if versions.len() > RETAINED_VERSIONS {
-        for &old in &versions[..versions.len() - RETAINED_VERSIONS] {
-            let prefix = format!("{}/", version_dir(old));
-            for blob in store.list() {
-                if blob.starts_with(&prefix) {
-                    let _ = store.delete_blob(&blob);
-                }
-            }
-        }
+    // Retention, mark and sweep: the newest `RETAINED_VERSIONS` manifests
+    // stay, and so does every blob one of them names. Manifests go first, so
+    // an interrupted sweep never leaves a sealed manifest without its blobs.
+    let kept: Vec<u64> = versions.iter().rev().take(RETAINED_VERSIONS - 1).copied().collect();
+    let kept_names = named.iter().filter(|(v, _)| kept.contains(v)).flat_map(|(_, names)| names);
+    let live: Vec<&str> = names.iter().chain(kept_names).map(String::as_str).collect();
+    let stale_manifests = listed.iter().filter(|name| version_of(name).is_some_and(|v| !kept.contains(&v)));
+    let stale_blobs =
+        listed.iter().filter(|name| name.starts_with(BLOB_DIR) && !live.contains(&name.as_str()));
+    for name in stale_manifests.chain(stale_blobs) {
+        let _ = store.delete_blob(name);
     }
 
     let page_deltas = deltas.len();
@@ -1237,60 +1280,79 @@ fn read_named<S: Store + ?Sized>(store: &S, name: &str) -> Result<Vec<u8>, Resto
     }
 }
 
-fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestContents, RestoreError> {
+/// Reads `version`'s manifest and checks its trailing self-checksum;
+/// returns the body the trailer covers.
+fn read_sealed<S: Store + ?Sized>(store: &S, version: u64) -> Result<Vec<u8>, RestoreError> {
     let name = manifest_blob(version);
-    let blob = read_named(store, &name)?;
+    let mut blob = read_named(store, &name)?;
     if blob.len() < MAGIC.len() + 8 {
         return Err(RestoreError::Truncated { blob: name });
     }
-    let (body, trailer) = blob.split_at(blob.len() - 8);
-    let recorded = u64::from_le_bytes(trailer.try_into().unwrap());
-    if checksum64(body, 0) != recorded {
+    let body_len = blob.len() - 8;
+    let recorded = u64::from_le_bytes(blob[body_len..].try_into().unwrap());
+    if checksum64(&blob[..body_len], 0) != recorded {
         return Err(RestoreError::ChecksumMismatch { blob: name });
     }
+    blob.truncate(body_len);
+    Ok(blob)
+}
+
+/// A sealed manifest body, split at its state section.
+struct Header<'b> {
+    digest: u64,
+    /// `(length, checksum)` per shard blob.
+    shards: Vec<(u64, u64)>,
+    state: &'b [u8],
+}
+
+/// Splits a sealed manifest body of this format and `version` into its
+/// digest, its shard table and the state section.
+fn parse_header(body: &[u8], version: u64) -> Result<Header<'_>, ()> {
     let mut d = Dec::new(body);
-    let mut parse = || -> Result<ManifestContents, ()> {
-        if d.take(MAGIC.len())? != MAGIC {
-            return Err(());
-        }
-        let format = d.u32()?;
-        if format != FORMAT_VERSION {
-            // Surfaced as VersionSkew below via the sentinel.
-            return Err(());
-        }
-        let v = d.u64()?;
-        if v != version {
-            return Err(());
-        }
-        let digest = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut shards = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            shards.push((d.u64()?, d.u64()?));
-        }
-        let state_len = d.u64()? as usize;
-        let state_bytes = d.take(state_len)?;
-        if !d.done() {
-            return Err(());
-        }
-        let image = StateImage::decode(state_bytes)?;
-        Ok((image, digest, shards))
-    };
+    if d.take(MAGIC.len())? != MAGIC || d.u32()? != FORMAT_VERSION || d.u64()? != version {
+        return Err(());
+    }
+    let digest = d.u64()?;
+    let n = d.u32()? as usize;
+    let mut shards = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        shards.push((d.u64()?, d.u64()?));
+    }
+    let state_len = d.u64()? as usize;
+    let state = d.take(state_len)?;
+    if !d.done() {
+        return Err(());
+    }
+    Ok(Header { digest, shards, state })
+}
+
+/// The shard and file blobs `version`'s manifest names, or `None` if it is
+/// not a sealed manifest of this format.
+fn manifest_blobs<S: Store + ?Sized>(store: &S, version: u64) -> Option<Vec<String>> {
+    let body = read_sealed(store, version).ok()?;
+    let Header { shards, state, .. } = parse_header(&body, version).ok()?;
+    let files = StateImage::decode_head(&mut Dec::new(state)).ok()?.files;
+    let rows = shards.into_iter().chain(files.iter().map(|f| (f.len, f.checksum)));
+    Some(rows.map(|(len, checksum)| blob_name(len, checksum)).collect())
+}
+
+fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestContents, RestoreError> {
+    let body = read_sealed(store, version)?;
+    let parsed = parse_header(&body, version)
+        .and_then(|Header { digest, shards, state }| Ok((StateImage::decode(state)?, digest, shards)));
     // Distinguish format skew (checksum valid, format field different) from
     // plain corruption: the checksum already passed, so a bad format field
     // is a genuine version skew, everything else is framing damage.
-    let format_probe = {
-        let start = MAGIC.len();
-        blob.get(start..start + 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    };
-    match parse() {
+    let format_probe =
+        body.get(MAGIC.len()..MAGIC.len() + 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+    match parsed {
         Ok(out) => Ok(out),
         Err(()) => match format_probe {
             Some(fv) if fv != FORMAT_VERSION => Err(RestoreError::VersionSkew {
                 expected: format!("format {FORMAT_VERSION}"),
                 found: format!("format {fv}"),
             }),
-            _ => Err(RestoreError::Truncated { blob: name }),
+            _ => Err(RestoreError::Truncated { blob: manifest_blob(version) }),
         },
     }
 }
@@ -1299,12 +1361,11 @@ fn read_manifest<S: Store + ?Sized>(store: &S, version: u64) -> Result<ManifestC
 /// manifest names, concatenating their records in shard order.
 fn read_shards<S: Store + ?Sized>(
     store: &S,
-    version: u64,
     shard_meta: &[(u64, u64)],
 ) -> Result<Vec<DeltaRecord>, RestoreError> {
     let mut deltas = Vec::new();
-    for (i, &(len, checksum)) in shard_meta.iter().enumerate() {
-        let name = shard_blob(version, i);
+    for &(len, checksum) in shard_meta {
+        let name = blob_name(len, checksum);
         let blob = read_named(store, &name)?;
         if blob.len() as u64 != len {
             return Err(RestoreError::Truncated { blob: name });
@@ -1325,16 +1386,11 @@ fn read_shards<S: Store + ?Sized>(
 /// Reads the file blobs the manifest's file table names and checks their
 /// lengths. Their checksums are checked once the scratch kernel holds them,
 /// where the kernel computes and keeps each one.
-fn read_files<S: Store + ?Sized>(
-    store: &S,
-    version: u64,
-    files: &[FileImage],
-) -> Result<Vec<Vec<u8>>, RestoreError> {
+fn read_files<S: Store + ?Sized>(store: &S, files: &[FileImage]) -> Result<Vec<Vec<u8>>, RestoreError> {
     files
         .iter()
-        .enumerate()
-        .map(|(i, file)| {
-            let name = file_blob(version, i);
+        .map(|file| {
+            let name = blob_name(file.len, file.checksum);
             let blob = read_named(store, &name)?;
             if blob.len() as u64 != file.len {
                 return Err(RestoreError::Truncated { blob: name });
@@ -1396,8 +1452,8 @@ fn restore_version<S: Store + ?Sized>(
     let (mut image, digest, shard_meta) = read_manifest(store, version)?;
 
     ctx.step("read-shards")?;
-    let deltas = read_shards(store, version, &shard_meta)?;
-    let contents = read_files(store, version, &image.files)?;
+    let deltas = read_shards(store, &shard_meta)?;
+    let contents = read_files(store, &image.files)?;
 
     // ---- From here on everything happens in a scratch kernel; the serving
     // kernel is not involved at all.
@@ -1408,8 +1464,12 @@ fn restore_version<S: Store + ?Sized>(
     }
     // The kernel lists exactly the manifest's files, in the same (path)
     // order, and hashes each one here for the first and only time.
-    if let Some(i) = kernel.files().zip(&image.files).position(|((_, _, sum), file)| sum != file.checksum) {
-        return Err(RestoreError::ChecksumMismatch { blob: file_blob(version, i) });
+    if let Some(file) = kernel
+        .files()
+        .zip(&image.files)
+        .find_map(|((_, _, sum), file)| (sum != file.checksum).then_some(file))
+    {
+        return Err(RestoreError::ChecksumMismatch { blob: blob_name(file.len, file.checksum) });
     }
 
     ctx.step("boot")?;

@@ -32,6 +32,12 @@ fn reseal(manifest: &mut [u8]) {
     manifest[body_len..].copy_from_slice(&trailer.to_le_bytes());
 }
 
+/// The name of `version`'s `i`-th shard blob.
+fn shard_name(store: &MemStore, version: u64, i: usize) -> String {
+    let (len, checksum) = read_manifest(store, version).unwrap().2[i];
+    blob_name(len, checksum)
+}
+
 /// Base of the region [`scribble`] maps.
 const SCRATCH_BASE: Addr = Addr(0x5000_0000);
 
@@ -93,17 +99,29 @@ fn checkpoint_requires_quiescence() {
     assert!(matches!(err, CheckpointError::Quiescence(_)));
 }
 
+/// Retention is mark and sweep: after four checkpoints that each see new
+/// file contents, the store holds the newest two manifests and exactly the
+/// blobs they name.
 #[test]
 fn retention_keeps_last_n_versions() {
     let (mut kernel, mut instance) = booted();
     let mut store = MemStore::new();
     let opts = CheckpointOptions::default();
-    for i in 0..4 {
+    for i in 1..=4 {
         drive_traffic(&mut kernel, &mut instance, 1);
+        rewrite_conf(&mut kernel, &instance, format!("workers={i}").as_bytes());
         let s = checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-        assert_eq!(s.version, i + 1);
+        assert_eq!(s.version, i);
     }
     assert_eq!(list_versions(&store), vec![3, 4]);
+    let mut expected: BTreeSet<String> = [manifest_blob(3), manifest_blob(4)].into();
+    for version in [3, 4] {
+        expected.extend(manifest_blobs(&store, version).unwrap());
+    }
+    assert_eq!(store.list().into_iter().collect::<BTreeSet<_>>(), expected);
+    for swept in [b"workers=1\n", b"workers=2\n"] {
+        assert!(expected.iter().all(|name| *name != content_name(swept)), "v1's and v2's file blobs go");
+    }
 }
 
 #[test]
@@ -139,7 +157,7 @@ fn flipped_shard_byte_is_rejected_with_checksum_mismatch() {
     let mut store = MemStore::new();
     drive_traffic(&mut kernel, &mut instance, 2);
     checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
-    store.corrupt_byte(&shard_blob(1, 0), 12).unwrap();
+    store.corrupt_byte(&shard_name(&store, 1, 0), 12).unwrap();
     let err = restore_latest(&store, &mut factory(), None).unwrap_err();
     assert!(matches!(err, RestoreError::ChecksumMismatch { .. }), "got {err:?}");
 }
@@ -152,8 +170,8 @@ fn format_version_skew_is_typed() {
     checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default()).unwrap();
     let pristine = store.read_blob(&manifest_blob(1)).unwrap();
     // Patch the format field and re-seal the trailing checksum, so only
-    // the version number is wrong: an older format (v4 had no allocator
-    // tables) is refused like a newer one.
+    // the version number is wrong: an older format (v5 named its blobs by
+    // version and position) is refused like a newer one.
     for format in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
         let mut blob = pristine.clone();
         blob[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&format.to_le_bytes());
@@ -324,12 +342,12 @@ fn every_single_byte_flip_of_manifest_and_shards_is_rejected() {
         );
         store.corrupt_byte(&name, offset).unwrap();
     }
-    for (i, &(len, _)) in shard_meta.iter().enumerate() {
-        let name = shard_blob(1, i);
+    for (i, &(len, checksum)) in shard_meta.iter().enumerate() {
+        let name = blob_name(len, checksum);
         assert!(len > 0, "shard {i} holds records");
         for offset in 0..len as usize {
             store.corrupt_byte(&name, offset).unwrap();
-            let err = read_shards(&store, 1, &shard_meta).err();
+            let err = read_shards(&store, &shard_meta).err();
             assert_eq!(
                 err,
                 Some(RestoreError::ChecksumMismatch { blob: name.clone() }),
@@ -346,8 +364,23 @@ fn every_single_byte_flip_of_manifest_and_shards_is_rejected() {
 // File blobs
 // ---------------------------------------------------------------------------
 
-/// The one file [`booted`] installs is the version's `file-0000` blob.
+/// The one file [`booted`] installs.
 const CONF: &str = "/etc/tiny.conf";
+
+/// The name of the blob that holds `contents`.
+fn content_name(contents: &[u8]) -> String {
+    blob_name(contents.len() as u64, checksum64(contents, 0))
+}
+
+/// Replaces [`CONF`]'s contents through the kernel, as the first process.
+fn rewrite_conf(kernel: &mut Kernel, instance: &McrInstance, contents: &[u8]) {
+    let pid = instance.state.processes[0];
+    let tid = kernel.process(pid).unwrap().main_tid();
+    let open = Syscall::Open { path: CONF.into(), create: false };
+    let fd = kernel.syscall(pid, tid, open).unwrap().as_fd().unwrap();
+    kernel.syscall(pid, tid, Syscall::Write { fd, data: contents.to_vec() }).unwrap();
+    kernel.syscall(pid, tid, Syscall::Close { fd }).unwrap();
+}
 
 /// Ways to damage a stored file blob.
 #[derive(Debug, Clone, Copy)]
@@ -382,12 +415,13 @@ fn file_contents_travel_as_blobs_the_manifest_only_names() {
     let (mut kernel, instance) = quiesced(1);
     let mut store = MemStore::new();
     write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
-    assert_eq!(store.read_blob(&file_blob(1, 0)).unwrap(), b"workers=2\n");
+    assert_eq!(store.read_blob(&content_name(b"workers=2\n")).unwrap(), b"workers=2\n");
     let (image, _, _) = read_manifest(&store, 1).unwrap();
     let [file] = &image.files[..] else { panic!("one file") };
     assert_eq!((file.path.as_str(), file.len, file.checksum), (CONF, 10, checksum64(b"workers=2\n", 0)));
 }
 
+/// v2 rewrites the file, so its blob is v2's alone.
 #[test]
 fn damaged_file_blob_falls_back_to_the_previous_version() {
     for damage in Damage::ALL {
@@ -400,10 +434,12 @@ fn damaged_file_blob_falls_back_to_the_previous_version() {
         write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
         resume(&mut kernel, &mut instance);
         drive_traffic(&mut kernel, &mut instance, 2);
+        rewrite_conf(&mut kernel, &instance, b"workers=3");
         checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
         assert_ne!(kernel.fingerprint(), v1, "v2 differs from v1");
 
-        let blob = file_blob(2, 0);
+        let blob = content_name(b"workers=3\n");
+        assert!(!manifest_blobs(&store, 1).unwrap().contains(&blob), "v1 does not name v2's file blob");
         damage.apply(&mut store, &blob);
         let err =
             restore_version(&store, 2, factory()(), &mut StepCtx { counter: 0, fault: None }).unwrap_err();
@@ -422,7 +458,7 @@ fn damaged_file_blob_of_the_only_version_is_a_typed_error() {
         let (mut kernel, instance) = quiesced(1);
         let mut store = MemStore::new();
         write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
-        let blob = file_blob(1, 0);
+        let blob = content_name(b"workers=2\n");
         damage.apply(&mut store, &blob);
         assert_eq!(restore_latest(&store, &mut factory(), None).err(), Some(damage.error(&blob)));
     }
@@ -430,7 +466,7 @@ fn damaged_file_blob_of_the_only_version_is_a_typed_error() {
     let (mut kernel, instance) = quiesced(1);
     let mut store = MemStore::new();
     write_checkpoint(&mut kernel, &instance, &mut store, &CheckpointOptions::default()).unwrap();
-    let blob = file_blob(1, 0);
+    let blob = content_name(b"workers=2\n");
     for offset in 0..store.read_blob(&blob).unwrap().len() {
         store.corrupt_byte(&blob, offset).unwrap();
         let err = restore_latest(&store, &mut factory(), None).err();
@@ -438,6 +474,87 @@ fn damaged_file_blob_of_the_only_version_is_a_typed_error() {
         store.corrupt_byte(&blob, offset).unwrap();
     }
     assert_eq!(restore_latest(&store, &mut factory(), None).unwrap().report.version, 1);
+}
+
+/// A blob two versions share has no intact predecessor: damaging it fails
+/// both versions with the typed error, and restore returns that error rather
+/// than any image.
+#[test]
+fn damaged_shared_blob_is_a_typed_error_for_every_version_naming_it() {
+    for damage in Damage::ALL {
+        let (mut kernel, mut instance) = booted();
+        let mut store = MemStore::new();
+        let opts = CheckpointOptions::default();
+        drive_traffic(&mut kernel, &mut instance, 2);
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+        drive_traffic(&mut kernel, &mut instance, 2);
+        checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
+        let blob = content_name(b"workers=2\n");
+        for version in [1, 2] {
+            assert!(manifest_blobs(&store, version).unwrap().contains(&blob), "v{version} names the file");
+        }
+
+        damage.apply(&mut store, &blob);
+        for version in [1, 2] {
+            let mut ctx = StepCtx { counter: 0, fault: None };
+            let err = restore_version(&store, version, factory()(), &mut ctx).unwrap_err();
+            assert_eq!(err, damage.error(&blob), "{damage:?}, v{version}");
+        }
+        assert_eq!(
+            restore_latest(&store, &mut factory(), None).err(),
+            Some(damage.error(&blob)),
+            "{damage:?}"
+        );
+    }
+}
+
+/// A second checkpoint of an unchanged instance finds every shard and file
+/// blob held by the first: it writes its manifest alone.
+#[test]
+fn a_checkpoint_of_an_unchanged_instance_writes_only_its_manifest() {
+    let (mut kernel, instance) = quiesced(3);
+    scribble(&mut kernel, &instance);
+    let mut store = MemStore::new();
+    let opts = CheckpointOptions { shard_writers: 2 };
+    let first = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
+    let fp = kernel.fingerprint();
+    let second = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
+    assert!(first.blocks > second.blocks);
+    assert_eq!(second.blocks, second.manifest_bytes.div_ceil(4096), "only the manifest's blocks");
+    assert_eq!(manifest_blobs(&store, 1), manifest_blobs(&store, 2));
+    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    assert_eq!((restored.report.version, restored.kernel.fingerprint()), (2, fp));
+}
+
+/// A blob torn by a crash is present but named by no sealed manifest, so the
+/// next checkpoint writes it again rather than reusing it.
+#[test]
+fn a_torn_file_blob_is_rewritten_by_the_next_checkpoint() {
+    let (mut kernel, instance) = quiesced(2);
+    let conf = content_name(b"workers=2\n");
+    let fp = kernel.fingerprint();
+    let mut store = MemStore::new();
+    let opts = CheckpointOptions::default();
+    // Tear each block in turn until the torn one is the file blob's.
+    let mut block = 1;
+    loop {
+        store.arm_write_fault(WriteFault::TornAt(store.blocks_written() + block));
+        let err = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap_err();
+        store.recover();
+        match err {
+            CheckpointError::Store(StoreError::Crashed { blob, .. }) if blob == conf => break,
+            CheckpointError::Store(StoreError::Crashed { .. }) => block += 1,
+            other => panic!("block {block}: {other:?}"),
+        }
+    }
+    assert_ne!(store.read_blob(&conf).unwrap(), b"workers=2\n", "the file blob is torn");
+    assert!(list_versions(&store).is_empty(), "no manifest went down");
+
+    let summary = write_checkpoint(&mut kernel, &instance, &mut store, &opts).unwrap();
+    assert_eq!(summary.version, 1);
+    assert_eq!(store.read_blob(&conf).unwrap(), b"workers=2\n", "the file blob is written again");
+    let restored = restore_latest(&store, &mut factory(), None).unwrap();
+    assert_eq!((restored.report.version, restored.kernel.fingerprint()), (1, fp));
 }
 
 /// A file written after one checkpoint restores from the next with its new
@@ -450,15 +567,7 @@ fn file_written_between_checkpoints_restores_with_its_new_bytes() {
     let opts = CheckpointOptions::default();
     drive_traffic(&mut kernel, &mut instance, 1);
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
-    let pid = instance.state.processes[0];
-    let tid = kernel.process(pid).unwrap().main_tid();
-    let fd = kernel
-        .syscall(pid, tid, Syscall::Open { path: CONF.into(), create: false })
-        .unwrap()
-        .as_fd()
-        .unwrap();
-    kernel.syscall(pid, tid, Syscall::Write { fd, data: b"workers=3".to_vec() }).unwrap();
-    kernel.syscall(pid, tid, Syscall::Close { fd }).unwrap();
+    rewrite_conf(&mut kernel, &instance, b"workers=3");
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).unwrap();
 
     let restored = restore_latest(&store, &mut factory(), None).unwrap();
@@ -481,19 +590,24 @@ fn torn_write_at_every_block_of_a_checkpoint_is_rejected() {
         let v1_blocks = store.blocks_written();
         drive_traffic(&mut kernel, &mut instance, 2);
         store.arm_write_fault(WriteFault::TornAt(v1_blocks + block));
-        match checkpoint_now(&mut kernel, &mut instance, &mut store, &opts) {
+        let torn = match checkpoint_now(&mut kernel, &mut instance, &mut store, &opts) {
             // The fault site lies past v2's last block: every block was swept.
             Ok(summary) => {
                 assert_eq!(summary.blocks, block - 1);
                 assert!(block > 3, "v2 spans shards and a manifest");
                 break;
             }
-            Err(e) => assert!(matches!(e, CheckpointError::Store(StoreError::Crashed { .. })), "got {e:?}"),
-        }
+            Err(CheckpointError::Store(StoreError::Crashed { blob, .. })) => blob,
+            Err(e) => panic!("got {e:?}"),
+        };
         store.recover();
         let restored = restore_latest(&store, &mut factory(), None).unwrap();
         assert_eq!(restored.report.version, 1, "torn block {block} of v2 must not restore");
-        assert_eq!(restored.report.versions_rejected, 1, "torn block {block}");
+        // A torn blob claims no version; a torn manifest claims v2, which
+        // restore rejects.
+        let claimed = torn == manifest_blob(2);
+        assert_eq!(list_versions(&store).contains(&2), claimed, "torn block {block} of {torn}");
+        assert_eq!(restored.report.versions_rejected, usize::from(claimed), "torn block {block}");
         block += 1;
     }
 }
@@ -1016,9 +1130,9 @@ fn delta_stream_out_of_pid_order_is_a_typed_reconcile_error() {
     // Forge a last record owned by a pid below the manifest's only process,
     // then re-seal the shard sum in the manifest's shard table and the
     // manifest trailer: every checksum passes, only the order is wrong.
-    let mut shard = store.read_blob(&shard_blob(1, 0)).unwrap();
+    let mut shard = store.read_blob(&shard_name(&store, 1, 0)).unwrap();
     let (_, _, shard_meta) = read_manifest(&store, 1).unwrap();
-    let deltas = read_shards(&store, 1, &shard_meta).unwrap();
+    let deltas = read_shards(&store, &shard_meta).unwrap();
     let last = shard.len() - (DELTA_HEADER_LEN + deltas.last().unwrap().bytes.len());
     shard[last..last + 4].copy_from_slice(&1u32.to_le_bytes());
     replace_sole_shard(&mut store, &shard);
@@ -1027,11 +1141,11 @@ fn delta_stream_out_of_pid_order_is_a_typed_reconcile_error() {
     assert!(matches!(&err, RestoreError::Reconcile(why) if why.contains("pid order")), "got {err:?}");
 }
 
-/// Overwrites version 1's only shard with `shard`, then re-seals its sum in
-/// the manifest's shard table and the manifest trailer, so every checksum
+/// Stores `shard` as version 1's only shard, then re-seals its sum in the
+/// manifest's shard table and the manifest trailer, so every checksum
 /// passes.
 fn replace_sole_shard(store: &mut MemStore, shard: &[u8]) {
-    store.write_blob(&shard_blob(1, 0), shard).unwrap();
+    store.write_blob(&content_name(shard), shard).unwrap();
     let mut manifest = store.read_blob(&manifest_blob(1)).unwrap();
     let sum_slot = MAGIC.len() + 4 + 8 + 8 + 4 + 8;
     manifest[sum_slot..sum_slot + 8].copy_from_slice(&checksum64(shard, 0).to_le_bytes());
@@ -1049,10 +1163,10 @@ fn resealed_payload_change_is_caught_by_the_digest_check() {
     // Change one byte [`scribble`] stored, in a delta payload, and re-seal:
     // only the state digest, recomputed from the revived kernel, can tell.
     let (_, recorded, shard_meta) = read_manifest(&store, 1).unwrap();
-    let deltas = read_shards(&store, 1, &shard_meta).unwrap();
+    let deltas = read_shards(&store, &shard_meta).unwrap();
     let at = deltas.iter().position(|d| d.addr == SCRATCH_BASE.0).unwrap();
     let record: usize = deltas[..at].iter().map(|d| DELTA_HEADER_LEN + d.bytes.len()).sum();
-    let mut shard = store.read_blob(&shard_blob(1, 0)).unwrap();
+    let mut shard = store.read_blob(&shard_name(&store, 1, 0)).unwrap();
     shard[record + DELTA_HEADER_LEN + 8] ^= 0x80;
     replace_sole_shard(&mut store, &shard);
 

@@ -19,8 +19,9 @@
 //! crash-consistency chaos campaign enumerates.
 //!
 //! [`checksum64`] is the one checksum every stored checkpoint byte is covered
-//! by (manifest trailer, shard sums, state digest); it lives here so the
-//! writer, the reader and the campaign that forges blobs cannot drift apart.
+//! by (manifest trailer, shard and file sums, state digest) and the one that
+//! names the shard and file blobs; it lives here so the writer, the reader
+//! and the campaign that forges blobs cannot drift apart.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -302,6 +303,8 @@ impl Store for MemStore {
 #[derive(Debug)]
 pub struct FsStore {
     root: std::path::PathBuf,
+    /// Files written since the last [`Store::sync`].
+    unsynced: BTreeSet<std::path::PathBuf>,
     blocks_written: u64,
     syncs: u64,
 }
@@ -311,7 +314,7 @@ impl FsStore {
     pub fn open(root: impl Into<std::path::PathBuf>) -> Result<Self, StoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| StoreError::Io(e.to_string()))?;
-        Ok(FsStore { root, blocks_written: 0, syncs: 0 })
+        Ok(FsStore { root, unsynced: BTreeSet::new(), blocks_written: 0, syncs: 0 })
     }
 
     fn path_for(&self, name: &str) -> Result<std::path::PathBuf, StoreError> {
@@ -346,14 +349,30 @@ impl Store for FsStore {
             std::fs::create_dir_all(parent).map_err(|e| StoreError::Io(e.to_string()))?;
         }
         std::fs::write(&path, data).map_err(|e| StoreError::Io(e.to_string()))?;
+        self.unsynced.insert(path);
         self.blocks_written += (data.len().max(1) as u64).div_ceil(BLOCK_SIZE as u64);
         Ok(())
     }
 
+    /// Fsyncs every file written since the last barrier, then every
+    /// directory from each one's parent up to the root, so both the bytes
+    /// and the entries that name them (a freshly created subdirectory's
+    /// included) persist.
     fn sync(&mut self) -> Result<(), StoreError> {
-        // Directory-level barrier: fsync the root so renames/creates persist.
-        let dir = std::fs::File::open(&self.root).map_err(|e| StoreError::Io(e.to_string()))?;
-        dir.sync_all().map_err(|e| StoreError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| StoreError::Io(e.to_string());
+        let mut dirs = BTreeSet::from([self.root.clone()]);
+        for path in &self.unsynced {
+            std::fs::File::open(path).and_then(|f| f.sync_all()).map_err(io)?;
+            let mut dir = path.parent();
+            while let Some(d) = dir.filter(|d| d.starts_with(&self.root)) {
+                dirs.insert(d.to_path_buf());
+                dir = d.parent();
+            }
+        }
+        for dir in &dirs {
+            std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)?;
+        }
+        self.unsynced.clear();
         self.syncs += 1;
         Ok(())
     }
@@ -376,6 +395,7 @@ impl Store for FsStore {
 
     fn delete_blob(&mut self, name: &str) -> Result<(), StoreError> {
         let path = self.path_for(name)?;
+        self.unsynced.remove(&path);
         match std::fs::remove_file(&path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::NotFound(name.into())),
@@ -555,18 +575,38 @@ mod tests {
         assert!(s.corrupt_byte("missing", 0).is_err());
     }
 
+    /// The barrier's fsyncs run against a real directory tree; whether they
+    /// make the bytes survive a power cut cannot be observed from a test.
     #[test]
     fn fs_store_roundtrip() {
         let dir = std::env::temp_dir().join(format!("mcr-fsstore-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = FsStore::open(&dir).unwrap();
-        s.write_blob("v1/MANIFEST", b"hello").unwrap();
+        let blobs: [(&str, &[u8]); 3] = [
+            ("ckpt/blob/0123456789abcdef-5", b"hello"),
+            ("ckpt/blob/fedcba9876543210-3", b"abc"),
+            ("ckpt/v00000001/MANIFEST", b"manifest"),
+        ];
+        for (name, data) in blobs {
+            s.write_blob(name, data).unwrap();
+        }
+        assert_eq!(s.unsynced.len(), 3);
         s.sync().unwrap();
-        assert_eq!(s.read_blob("v1/MANIFEST").unwrap(), b"hello");
-        assert_eq!(s.list(), vec!["v1/MANIFEST".to_string()]);
-        assert!(matches!(s.read_blob("v1/none"), Err(StoreError::NotFound(_))));
+        assert!(s.unsynced.is_empty());
+        assert_eq!(s.sync_count(), 1);
+        assert_eq!(s.list(), blobs.map(|(name, _)| name.to_string()));
+        for (name, data) in blobs {
+            assert_eq!(s.read_blob(name).unwrap(), data);
+        }
+        assert!(matches!(s.read_blob("ckpt/v00000001/none"), Err(StoreError::NotFound(_))));
         assert!(s.path_for("../escape").is_err());
-        s.delete_blob("v1/MANIFEST").unwrap();
+        // A blob deleted before the barrier is not synced.
+        s.write_blob("ckpt/blob/0000000000000000-0", b"").unwrap();
+        s.delete_blob("ckpt/blob/0000000000000000-0").unwrap();
+        s.sync().unwrap();
+        for (name, _) in blobs {
+            s.delete_blob(name).unwrap();
+        }
         assert!(s.list().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
