@@ -12,10 +12,10 @@
 //!    caps its sweeps (evenly spread picks, each cap logged); a unit test
 //!    sweeps the same scenario uncapped;
 //! 3. for each schedule asserts the *safety* property: the injected fault
-//!    rolls the update back to a kernel whose [`kernel_fingerprint`] is
-//!    byte-identical to the pre-update one, with the old version's audit
-//!    (`McrInstance::audit`) unchanged (a subsample is re-run to check
-//!    the rollback is also deterministic: same conflicts, same fingerprint);
+//!    rolls the update back to a kernel the [`Observed`] oracle finds
+//!    identical to the pre-update one, byte for byte and with the old
+//!    version's audit unchanged (a subsample is re-run to check the rollback
+//!    is also deterministic: same conflicts, same divergences);
 //! 4. for each schedule asserts the *liveness* property: a supervised update
 //!    with the fault injected into the early attempt(s) converges to a
 //!    committed update on the [`DegradationTier`] ladder;
@@ -31,16 +31,15 @@ use std::collections::BTreeSet;
 
 use mcr_core::runtime::{
     random_plan, shrink_schedule, supervised_update, time_to_recovery, ChaosPlan, ChaosRng, DegradationTier,
-    FaultCatalog, FaultSite, PrecopyOptions, SupervisorPolicy, TransferMode, UpdateOptions, UpdateOutcome,
-    UpdatePipeline,
+    FaultCatalog, FaultSite, PrecopyOptions, SupervisorPolicy, TransferMode, UpdateOptions, UpdatePipeline,
 };
 use mcr_core::{Conflict, McrInstance, PhaseName};
 use mcr_procsim::{Kernel, SimDuration};
 use mcr_servers::program_by_name;
 use mcr_typemeta::InstrumentationConfig;
-use mcr_workload::{open_idle_connections, workload_for};
+use mcr_workload::workload_for;
 
-use crate::{boot_program, kernel_fingerprint, run_standard_workload, Json};
+use crate::{served, Json, Observed};
 
 /// Every transfer mode the campaign sweeps, in row order (a mode's index
 /// seeds its random schedules). Post-copy exercises the fault-in and
@@ -111,10 +110,10 @@ pub struct ConfigOutcome {
     pub fired: usize,
     /// Schedules that unexpectedly committed (armed site never reached).
     pub unexpected_commits: usize,
-    /// Rollbacks whose post-rollback fingerprint diverged from the
-    /// pre-update one. The campaign's safety assertion is that this is 0.
+    /// Rollbacks the oracle found different from the pre-update state. The
+    /// campaign's safety assertion is that this is 0.
     pub divergences: usize,
-    /// Re-run subsample disagreements (conflicts or fingerprint) — rollback
+    /// Re-run subsample disagreements (conflicts or divergences) — rollback
     /// nondeterminism.
     pub rerun_mismatches: usize,
     /// Minimal reproducers (shrunk schedules) for any divergence.
@@ -134,8 +133,8 @@ pub struct ConfigOutcome {
     /// The persistent-fault give-up drill ended with the old version still
     /// accepting connections.
     pub give_up_clean: bool,
-    /// The 1 ns phase-budget drill rolled back with a watchdog conflict and
-    /// an identical fingerprint.
+    /// The 1 ns phase-budget drill rolled back with a watchdog conflict to
+    /// the pre-update state.
     pub watchdog_clean: bool,
 }
 
@@ -168,14 +167,10 @@ fn options_for(mode: TransferMode) -> UpdateOptions {
     UpdateOptions { transfer_workers: 1, precopy, mode, ..Default::default() }
 }
 
-/// Boots the scenario to the exact pre-update state every campaign run
-/// starts from (same seed state — the virtual kernel is deterministic).
+/// [`served`] at the scenario's sizes: the exact pre-update state every
+/// campaign run starts from (the virtual kernel is deterministic).
 fn setup(spec: &ChaosSpec) -> (Kernel, McrInstance) {
-    let (mut kernel, mut v1) = boot_program(spec.program, 1, InstrumentationConfig::full());
-    run_standard_workload(&mut kernel, &mut v1, spec.program, spec.requests);
-    let port = workload_for(spec.program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, spec.open_connections).expect("idle connections");
-    (kernel, v1)
+    served(spec.program, spec.requests, spec.open_connections, InstrumentationConfig::full())
 }
 
 /// Clean dry run: commits and yields the mode's [`FaultCatalog`].
@@ -197,10 +192,10 @@ pub fn enumerate_sites(spec: &ChaosSpec, mode: TransferMode) -> FaultCatalog {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyResult {
     /// The armed fault fired and the update rolled back.
-    pub fired: bool,
-    /// Post-rollback kernel fingerprint or program audit differed from the
-    /// pre-update one.
-    pub(crate) diverged: bool,
+    pub(crate) fired: bool,
+    /// What the oracle found different between the rolled-back kernel and
+    /// the pre-update one (empty when the rollback was byte-identical).
+    pub(crate) diverged: Vec<String>,
     /// Rollback conflicts (debug-rendered, stable across identical runs).
     pub conflicts: Vec<String>,
 }
@@ -209,9 +204,8 @@ pub struct VerifyResult {
 pub fn verify_rollback(spec: &ChaosSpec, mode: TransferMode, plan: &ChaosPlan) -> VerifyResult {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
-    let before = kernel_fingerprint(&kernel);
-    let audit = v1.audit(&kernel);
-    assert!(audit.is_some(), "{}: the chaos scenario's program audits its state", spec.program);
+    let before = Observed::of(&kernel, &v1, None);
+    assert!(before.audit.is_some(), "{}: the chaos scenario's program audits its state", spec.program);
     let (survivor, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(plan.clone()).run(
         &mut kernel,
         v1,
@@ -219,13 +213,14 @@ pub fn verify_rollback(spec: &ChaosSpec, mode: TransferMode, plan: &ChaosPlan) -
         InstrumentationConfig::full(),
         &opts,
     );
-    match outcome {
-        UpdateOutcome::Committed(_) => VerifyResult { fired: false, diverged: false, conflicts: Vec::new() },
-        UpdateOutcome::RolledBack { conflicts, .. } => VerifyResult {
-            fired: true,
-            diverged: kernel_fingerprint(&kernel) != before || survivor.audit(&kernel) != audit,
-            conflicts: conflicts.iter().map(|c| format!("{c:?}")).collect(),
+    VerifyResult {
+        fired: !outcome.is_committed(),
+        diverged: if outcome.is_committed() {
+            Vec::new()
+        } else {
+            Observed::of(&kernel, &survivor, None).divergences(&before)
         },
+        conflicts: outcome.conflicts().iter().map(|c| format!("{c:?}")).collect(),
     }
 }
 
@@ -272,13 +267,13 @@ pub(crate) fn supervised_run(
 
 /// Persistent-fault drill: every attempt dies at the commit boundary with a
 /// bounded ladder; the supervisor must give up and leave the old version,
-/// its audit unchanged, accepting connections. Post-copy pipelines commit
+/// byte-identical and with its audit unchanged, accepting connections. Post-copy pipelines commit
 /// at `PostcopyCommit` (there is no `Commit` phase to fault), so the drill
 /// targets both.
 fn give_up_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
-    let audit = v1.audit(&kernel);
+    let before = Observed::of(&kernel, &v1, None);
     let program = spec.program;
     let policy = SupervisorPolicy { max_attempts: 2 };
     let (mut survivor, outcome) = supervised_update(
@@ -292,7 +287,8 @@ fn give_up_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
             FaultSite::Boundary(PhaseName::Commit).plan().with(FaultSite::Boundary(PhaseName::PostcopyCommit))
         },
     );
-    if outcome.is_committed() || outcome.report().attempts.len() != 2 || survivor.audit(&kernel) != audit {
+    let rolled_back = Observed::of(&kernel, &survivor, None);
+    if outcome.is_committed() || outcome.report().attempts.len() != 2 || rolled_back != before {
         return false;
     }
     let port = workload_for(spec.program, 1).port;
@@ -302,13 +298,12 @@ fn give_up_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
 }
 
 /// Watchdog drill: 1 ns phase budgets make the very first phase overrun;
-/// the pipeline must roll back with a watchdog conflict, an identical
-/// fingerprint and an unchanged audit.
+/// the pipeline must roll back with a watchdog conflict to a byte-identical
+/// kernel with an unchanged audit.
 fn watchdog_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
     let opts = options_for(mode);
     let (mut kernel, v1) = setup(spec);
-    let before = kernel_fingerprint(&kernel);
-    let audit = v1.audit(&kernel);
+    let before = Observed::of(&kernel, &v1, None);
     let (survivor, outcome) =
         UpdatePipeline::for_options(&opts).with_uniform_phase_deadline(SimDuration(1)).run(
             &mut kernel,
@@ -319,8 +314,7 @@ fn watchdog_drill(spec: &ChaosSpec, mode: TransferMode) -> bool {
         );
     !outcome.is_committed()
         && outcome.conflicts().iter().any(|c| matches!(c, Conflict::WatchdogExpired { .. }))
-        && kernel_fingerprint(&kernel) == before
-        && survivor.audit(&kernel) == audit
+        && Observed::of(&kernel, &survivor, None) == before
 }
 
 /// Evenly spread 1-based indices over `[1, total]`, at most `max` of them.
@@ -406,10 +400,13 @@ pub(crate) fn run_config(spec: &ChaosSpec, mode: TransferMode, config_index: u64
         for site in plan.sites() {
             injected.insert(site.to_string());
         }
-        if result.diverged {
+        if !result.diverged.is_empty() {
             divergences += 1;
-            let minimal = shrink_schedule(plan, |candidate| verify_rollback(spec, mode, candidate).diverged);
-            repros.push(format!("divergence: {minimal:?} (seed {:#x})", spec.seed));
+            let diverges =
+                |candidate: &ChaosPlan| !verify_rollback(spec, mode, candidate).diverged.is_empty();
+            let minimal = shrink_schedule(plan, diverges);
+            let fields = verify_rollback(spec, mode, &minimal).diverged;
+            repros.push(format!("divergence: {minimal:?} (seed {:#x}): {fields:?}", spec.seed));
         }
         if spec.rerun_every > 0 && i % spec.rerun_every == 0 {
             let again = verify_rollback(spec, mode, plan);

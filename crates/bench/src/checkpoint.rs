@@ -7,10 +7,10 @@
 //! proves, end to end:
 //!
 //! 1. **Roundtrip fidelity** — a checkpoint of the live server restores
-//!    into a scratch kernel whose [`kernel_fingerprint`] is byte-identical
-//!    to the checkpointed one, with the same program audit, and the
-//!    restored instance serves a request like the original does. Every
-//!    restore below is held to the same fingerprint-and-audit match.
+//!    into a scratch kernel the [`Observed`] oracle finds identical to the
+//!    checkpointed one, byte for byte and with the same program audit, and
+//!    the restored instance serves a request like the original does. Every
+//!    restore below is held to the same oracle.
 //! 2. **Crash consistency** — for *every* store block a checkpoint writes,
 //!    crashing at that block ([`WriteFault::CrashAt`]) or tearing it
 //!    ([`WriteFault::TornAt`]) leaves the store in a state from which
@@ -48,9 +48,9 @@ use mcr_core::{PhaseName, Program};
 use mcr_procsim::{checksum64, Kernel, MemStore, Store, WriteFault};
 use mcr_servers::program_by_name;
 use mcr_typemeta::InstrumentationConfig;
-use mcr_workload::{open_idle_connections, run_workload, workload_for};
+use mcr_workload::{run_workload, workload_for};
 
-use crate::{boot_program, kernel_fingerprint, Json};
+use crate::{served, Json, Observed};
 
 /// Quiescence budget (barrier passes) for the campaign's own barriers.
 const QUIESCE_ROUNDS: usize = 64;
@@ -157,20 +157,10 @@ impl CheckpointOutcome {
     }
 }
 
-/// Boots the server, runs the standard workload and opens idle connections
-/// — the deterministic pre-checkpoint state every drill starts from.
+/// [`served`] at the campaign's sizes: the deterministic pre-checkpoint
+/// state every drill starts from.
 fn setup(spec: &CheckpointSpec) -> (Kernel, McrInstance) {
-    setup_under(spec, InstrumentationConfig::full())
-}
-
-/// [`setup`] under `config`.
-fn setup_under(spec: &CheckpointSpec, config: InstrumentationConfig) -> (Kernel, McrInstance) {
-    let (mut kernel, mut v1) = boot_program(spec.program, 1, config);
-    let wl = workload_for(spec.program, spec.requests);
-    run_workload(&mut kernel, &mut v1, &wl).expect("standard workload runs");
-    open_idle_connections(&mut kernel, &mut v1, wl.port, spec.open_connections)
-        .expect("idle connections open");
-    (kernel, v1)
+    served(spec.program, spec.requests, spec.open_connections, InstrumentationConfig::full())
 }
 
 /// Whether the instance still answers the standard workload.
@@ -181,8 +171,8 @@ fn serves(kernel: &mut Kernel, instance: &mut McrInstance, program: &str) -> boo
 /// Whether a restored instance of [`setup`]'s first checkpoint serves like
 /// the instance it was taken from. The original's main line goes on to
 /// more traffic, so a fresh [`setup`], checkpointed the same way, stands in
-/// for it: both serve one more request, and their kernel fingerprints and
-/// program audits must then agree.
+/// for it: both serve one more request, and the oracle must then find them
+/// identical.
 fn serves_like_the_original(spec: &CheckpointSpec, restored: RestoredInstance) -> bool {
     let (mut kernel, mut instance) = setup(spec);
     checkpoint_now(&mut kernel, &mut instance, &mut MemStore::new(), &spec.options()).expect("checkpoint");
@@ -190,18 +180,7 @@ fn serves_like_the_original(spec: &CheckpointSpec, restored: RestoredInstance) -
     resume(&mut rk, &mut ri);
     serves(&mut kernel, &mut instance, spec.program)
         && serves(&mut rk, &mut ri, spec.program)
-        && (kernel_fingerprint(&rk), ri.audit(&rk)) == (kernel_fingerprint(&kernel), instance.audit(&kernel))
-}
-
-/// A kernel's fingerprint and its program's audit (`McrInstance::audit`).
-type Snapshot = (u64, Option<Vec<(String, u64)>>);
-
-/// What a restore must reproduce of a checkpointed instance: the kernel's
-/// fingerprint and the program's audit.
-fn snapshot(kernel: &Kernel, instance: &McrInstance) -> Snapshot {
-    let audit = instance.audit(kernel);
-    assert!(audit.is_some(), "the checkpointed program audits its state");
-    (kernel_fingerprint(kernel), audit)
+        && Observed::of(&rk, &ri, None) == Observed::of(&kernel, &instance, None)
 }
 
 /// Program factory for restore (same generation that was checkpointed).
@@ -219,13 +198,13 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let v1 = snapshot(&kernel, &instance);
+    let v1 = Observed::of(&kernel, &instance, None);
     run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
         .expect("extra traffic");
     // Quiesce by hand so the fingerprint of the interrupted version is
     // captured at its exact snapshot point.
     wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).expect("quiesce for v2");
-    let v2 = snapshot(&kernel, &instance);
+    let v2 = Observed::of(&kernel, &instance, None);
     let at = store.blocks_written() + n;
     store.arm_write_fault(if torn { WriteFault::TornAt(at) } else { WriteFault::CrashAt(at) });
     let result = write_checkpoint(&mut kernel, &instance, &mut store, &opts);
@@ -250,7 +229,7 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
     store.recover();
     match restore_latest(&store, &mut gen1(spec), None) {
         Ok(restored) => {
-            let image = snapshot(&restored.kernel, &restored.instance);
+            let image = Observed::of(&restored.kernel, &restored.instance, None);
             if image == v2 {
                 out.recovered_durable += 1;
             } else if image == v1 {
@@ -258,8 +237,9 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
             } else {
                 out.divergences += 1;
                 out.repros.push(format!(
-                    "{what}:{n}: restored v{} (fingerprint {:#x}) matches neither snapshot",
-                    restored.report.version, image.0
+                    "{what}:{n}: restored v{} matches neither snapshot; against v2: {:?}",
+                    restored.report.version,
+                    image.divergences(&v2)
                 ));
             }
         }
@@ -277,7 +257,7 @@ fn restore_step_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let v1 = snapshot(&kernel, &instance);
+    let v1 = Observed::of(&kernel, &instance, None);
     for step in 1..=RESTORE_STEPS.len() as u64 {
         out.restore_step_drills += 1;
         match restore_latest(&store, &mut gen1(spec), Some(step)) {
@@ -291,7 +271,7 @@ fn restore_step_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     // The drills were read-only: a clean restore still revives v1 exactly,
     // and the serving side never noticed.
     match restore_latest(&store, &mut gen1(spec), None) {
-        Ok(restored) if snapshot(&restored.kernel, &restored.instance) == v1 => {}
+        Ok(restored) if Observed::of(&restored.kernel, &restored.instance, None) == v1 => {}
         Ok(_) => {
             out.divergences += 1;
             out.repros.push("restore-step: post-drill restore diverged from v1".into());
@@ -313,7 +293,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let v1 = snapshot(&kernel, &instance);
+    let v1 = Observed::of(&kernel, &instance, None);
     let v1_blobs = store.list();
     run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
         .expect("extra traffic");
@@ -342,7 +322,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
             Ok(restored)
                 if restored.report.version == 1
                     && restored.report.versions_rejected >= 1
-                    && snapshot(&restored.kernel, &restored.instance) == v1 =>
+                    && Observed::of(&restored.kernel, &restored.instance, None) == v1 =>
             {
                 out.corruption_fallbacks += 1;
             }
@@ -477,10 +457,11 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
     checkpoint_now(&mut kernel, &mut instance, &mut store, &opts).expect("v1 checkpoint");
-    let v1 = snapshot(&kernel, &instance);
+    let v1 = Observed::of(&kernel, &instance, None);
+    assert!(v1.audit.is_some(), "{}: the checkpointed program audits its state", spec.program);
     match restore_latest(&store, &mut gen1(spec), None) {
         Ok(restored) => {
-            out.fingerprint_identical = snapshot(&restored.kernel, &restored.instance) == v1;
+            out.fingerprint_identical = Observed::of(&restored.kernel, &restored.instance, None) == v1;
             out.restored_serves = serves_like_the_original(spec, restored);
         }
         Err(e) => out.repros.push(format!("baseline: restore failed: {e}")),
@@ -562,6 +543,9 @@ mod tests {
     use mcr_core::{TraceOptions, TracingStats};
     use mcr_procsim::{SimDuration, Syscall, SyscallPort};
 
+    /// No divergence.
+    const NONE: [&str; 0] = [];
+
     /// A bounded campaign sized for debug-build test runs.
     fn quick() -> CheckpointSpec {
         CheckpointSpec {
@@ -582,7 +566,7 @@ mod tests {
         config: InstrumentationConfig,
     ) -> (Kernel, McrInstance, MemStore) {
         let spec = CheckpointSpec { program, ..quick() };
-        let (mut kernel, mut instance) = setup_under(&spec, config);
+        let (mut kernel, mut instance) = served(program, spec.requests, spec.open_connections, config);
         for g in 2..=updates + 1 {
             let (updated, outcome) = live_update(
                 &mut kernel,
@@ -610,11 +594,11 @@ mod tests {
     }
 
     /// Checkpoints `program` after its standard workload and `updates` live
-    /// updates and restores it; returns the checkpointed kernel's
-    /// fingerprint and the program's audit too.
-    fn roundtrip(program: &'static str, updates: u32) -> (Snapshot, Result<RestoredInstance, RestoreError>) {
+    /// updates and restores it; returns what the checkpointed run observed
+    /// too.
+    fn roundtrip(program: &'static str, updates: u32) -> (Observed, Result<RestoredInstance, RestoreError>) {
         let (kernel, instance, store) = checkpointed(program, updates, InstrumentationConfig::full());
-        ((kernel_fingerprint(&kernel), instance.audit(&kernel)), restore(&store, program, updates))
+        (Observed::of(&kernel, &instance, None), restore(&store, program, updates))
     }
 
     #[test]
@@ -625,7 +609,7 @@ mod tests {
         let restored = restored.expect("nginx restores");
         assert_eq!(restored.instance.state.processes.len(), 3);
         assert_eq!(restored.report, RestoreReport { version: 1, versions_rejected: 0 });
-        assert_eq!(snapshot(&restored.kernel, &restored.instance), checkpointed);
+        assert_eq!(Observed::of(&restored.kernel, &restored.instance, None).divergences(&checkpointed), NONE);
     }
 
     /// A flipped byte in the newest version's own blob of
@@ -639,7 +623,7 @@ mod tests {
         let (mut kernel, mut instance) = setup(&spec);
         let mut store = MemStore::new();
         checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v1 checkpoint");
-        let v1 = snapshot(&kernel, &instance);
+        let v1 = Observed::of(&kernel, &instance, None);
         let v1_blobs = store.list();
         run_workload(&mut kernel, &mut instance, &workload_for(spec.program, spec.extra_requests))
             .expect("extra traffic");
@@ -650,7 +634,7 @@ mod tests {
         call(Syscall::Write { fd, data: b"rewritten".to_vec() });
         call(Syscall::Close { fd });
         checkpoint_now(&mut kernel, &mut instance, &mut store, &spec.options()).expect("v2 checkpoint");
-        assert_ne!(snapshot(&kernel, &instance), v1, "v2 differs from v1");
+        assert_ne!(Observed::of(&kernel, &instance, None).divergences(&v1), NONE, "v2 differs from v1");
 
         let (_, large, _) = kernel.files().find(|&(path, _, _)| path == LARGE).expect("large.bin");
         let blob = store
@@ -662,7 +646,7 @@ mod tests {
         store.corrupt_byte(&blob, 512 * 1024).expect("corrupt file blob");
         let restored = restore_latest(&store, &mut gen1(&spec), None).expect("v1 restores");
         assert_eq!((restored.report.version, restored.report.versions_rejected), (1, 1));
-        assert_eq!(snapshot(&restored.kernel, &restored.instance), v1);
+        assert_eq!(Observed::of(&restored.kernel, &restored.instance, None).divergences(&v1), NONE);
     }
 
     #[test]
@@ -683,10 +667,10 @@ mod tests {
                 // 1's untyped `conn_s` layout, which generation 3 extends: an
                 // untyped object is neither transformed nor reported as a
                 // conflict, so the audit still reads `None`.
-                assert_eq!(checkpointed.1.is_some(), updates < 2, "{what}: audit");
+                assert_eq!(checkpointed.audit.is_some(), updates < 2, "{what}: audit");
                 let mut restored = restored.unwrap_or_else(|e| panic!("{what}: {e}"));
-                let (kernel, instance) = (&restored.kernel, &restored.instance);
-                assert_eq!((kernel_fingerprint(kernel), instance.audit(kernel)), checkpointed, "{what}");
+                let image = Observed::of(&restored.kernel, &restored.instance, None);
+                assert_eq!(image.divergences(&checkpointed), NONE, "{what}");
                 resume(&mut restored.kernel, &mut restored.instance);
                 assert!(serves(&mut restored.kernel, &mut restored.instance, program), "{what}");
             }
@@ -705,9 +689,9 @@ mod tests {
 
     /// A restored instance behaves like the original once it serves: after
     /// 0, 1 and 2 live updates, the checkpointed httpd or nginx and its
-    /// restored copy serve the same three extra requests, with equal
-    /// fingerprints after each, and equal audits wherever the checkpointed
-    /// audit reads (after two updates it reads `None`; see
+    /// restored copy serve the same three extra requests, and the oracle
+    /// finds them identical after each (after two updates both audits read
+    /// `None`; see
     /// `every_server_program_checkpoints_and_restores_or_is_rejected_typed`).
     #[test]
     fn restored_instance_serves_like_the_original() {
@@ -716,7 +700,6 @@ mod tests {
                 let what = format!("{program} after {updates} updates");
                 let (mut kernel, mut instance, store) =
                     checkpointed(program, updates, InstrumentationConfig::full());
-                let audited = instance.audit(&kernel).is_some();
                 let restored = restore(&store, program, updates).unwrap_or_else(|e| panic!("{what}: {e}"));
                 let (mut rk, mut ri) = (restored.kernel, restored.instance);
                 resume(&mut rk, &mut ri);
@@ -732,14 +715,12 @@ mod tests {
                         "{what}: original, request {request}"
                     );
                     assert!(serves(&mut rk, &mut ri, program), "{what}: restored, request {request}");
+                    let original = Observed::of(&kernel, &instance, None);
                     assert_eq!(
-                        kernel_fingerprint(&rk),
-                        kernel_fingerprint(&kernel),
+                        Observed::of(&rk, &ri, None).divergences(&original),
+                        NONE,
                         "{what}, request {request}"
                     );
-                    if audited {
-                        assert_eq!(ri.audit(&rk), instance.audit(&kernel), "{what}, request {request}");
-                    }
                 }
             }
         }

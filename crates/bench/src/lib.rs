@@ -31,13 +31,14 @@ use mcr_servers::{
     PrecopyScenario,
 };
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
-use mcr_workload::{open_idle_connections, run_alloc_bench, run_workload, workload_for, AllocBenchSpec};
+use mcr_workload::{run_alloc_bench, run_workload, workload_for, AllocBenchSpec};
 
 pub(crate) mod chaos;
 pub(crate) mod checkpoint;
 pub(crate) mod fleet;
 pub(crate) mod json;
 pub(crate) mod microbench;
+pub(crate) mod oracle;
 
 pub use chaos::{
     chaos_json, enumerate_sites, run_campaign, verify_rollback, ChaosSpec, ConfigOutcome, VerifyResult,
@@ -47,75 +48,52 @@ pub use checkpoint::{checkpoint_json, run_checkpoint_campaign, CheckpointOutcome
 pub use fleet::{FleetServer, FLEET_PORT};
 pub use json::Json;
 pub use microbench::percentile_of;
+pub use oracle::{served, Observed};
 
 /// The four evaluated program names, in the paper's order.
 const PROGRAMS: [&str; 4] = ["httpd", "nginx", "vsftpd", "sshd"];
 
-/// Boots generation `generation` of `program` on a fresh kernel with the
-/// given instrumentation configuration.
+/// Boots generation 1 of `program` on a fresh kernel under `config` and
+/// runs `requests` of its standard workload. Also returns the simulated
+/// time the workload took (the quantity normalized in Table 3).
 ///
 /// # Panics
 ///
-/// Panics if the simulated server fails to boot (a bug in the harness).
-pub(crate) fn boot_program(
+/// Panics if the simulated server fails to boot or the workload cannot run.
+pub(crate) fn boot_and_serve(
     program: &str,
-    generation: u32,
+    requests: u64,
     config: InstrumentationConfig,
-) -> (Kernel, McrInstance) {
+) -> (Kernel, McrInstance, SimDuration) {
     let mut kernel = Kernel::new();
     install_standard_files(&mut kernel);
     let opts = BootOptions { config, layout_slide: 0, start_quiesced: false };
-    let instance = boot(&mut kernel, Box::new(program_by_name(program, generation)), &opts)
+    let mut instance = boot(&mut kernel, Box::new(program_by_name(program, 1)), &opts)
         .unwrap_or_else(|e| panic!("{program} failed to boot: {e}"));
-    (kernel, instance)
+    let workload = run_workload(&mut kernel, &mut instance, &workload_for(program, requests));
+    (kernel, instance, workload.expect("workload runs").sim_time)
 }
 
-/// Runs the program's standard workload and returns the simulated time it
-/// took (the quantity normalized in Table 3).
-///
-/// # Panics
-///
-/// Panics if the workload cannot run.
-pub(crate) fn run_standard_workload(
-    kernel: &mut Kernel,
-    instance: &mut McrInstance,
-    program: &str,
-    requests: u64,
-) -> SimDuration {
-    run_workload(kernel, instance, &workload_for(program, requests)).expect("workload runs").sim_time
-}
-
-/// Performs a live update from `generation` to `generation + 1` with `open`
-/// extra idle connections established first, returning the outcome.
+/// Performs a live update of generation 1 to 2 of `program` from
+/// [`served`]`(program, requests, open, config)`, returning the outcome.
 ///
 /// # Panics
 ///
 /// Panics if the server fails to boot or the workload cannot run.
 fn update_with_connections(
     program: &str,
-    generation: u32,
     requests: u64,
     open: usize,
     config: InstrumentationConfig,
 ) -> UpdateOutcome {
-    let (mut kernel, mut v1) = boot_program(program, generation, config);
-    run_standard_workload(&mut kernel, &mut v1, program, requests);
-    let port = workload_for(program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, open).expect("idle connections");
-    let (_v2, outcome) = live_update(
-        &mut kernel,
-        v1,
-        Box::new(program_by_name(program, generation + 1)),
-        config,
-        &UpdateOptions::default(),
-    );
-    outcome
+    let (mut kernel, v1) = served(program, requests, open, config);
+    let new = Box::new(program_by_name(program, 2));
+    live_update(&mut kernel, v1, new, config, &UpdateOptions::default()).1
 }
 
-/// Deterministic digest of everything live-update-visible in the kernel
-/// (see [`Kernel::fingerprint`]). The property tests and the tracked
-/// reports' sweeps use it to prove that two update configurations
-/// converged to byte-identical kernel state.
+/// [`Kernel::fingerprint`]. The tests and campaigns compare runs through
+/// [`Observed`]; this wrapper exists only because `benchmark/`'s contract
+/// names it.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
     kernel.fingerprint()
 }
@@ -135,24 +113,11 @@ fn sweep_point(
     mutate_rounds: usize,
     batch: fn(&mut Kernel, &McrInstance, &PrecopyScenario, usize),
 ) -> (Kernel, McrInstance, UpdateOptions, UpdatePipeline) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(scenario.program, 1)), &BootOptions::default())
-        .expect("scenario server boots");
-    run_workload(&mut kernel, &mut v1, &workload_for(scenario.program, scenario.requests * size_factor))
-        .expect("workload runs");
-    let port = workload_for(scenario.program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, scenario.open_connections * size_factor as usize)
-        .expect("idle connections");
-    let opts = UpdateOptions {
-        mode,
-        precopy: if precopy_rounds > 0 {
-            PrecopyOptions { rounds: precopy_rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
-        },
-        ..Default::default()
-    };
+    let open = scenario.open_connections * size_factor as usize;
+    let (mut kernel, v1) =
+        served(scenario.program, scenario.requests * size_factor, open, InstrumentationConfig::full());
+    let precopy = PrecopyOptions { rounds: precopy_rounds, ..PrecopyOptions::disabled() };
+    let opts = UpdateOptions { mode, precopy, ..Default::default() };
     let mut pipeline = UpdatePipeline::for_options(&opts);
     if precopy_rounds > 0 {
         let scenario = *scenario;
@@ -207,7 +172,7 @@ pub fn precopy_update(
         InstrumentationConfig::full(),
         &opts,
     );
-    (kernel_fingerprint(&kernel), outcome)
+    (kernel.fingerprint(), outcome)
 }
 
 /// `request_buf` u32 slots stamped per process by the adaptive-transfer
@@ -290,7 +255,7 @@ pub fn adaptive_update(
             stamp_request_scratch(&mut kernel, &survivor, SCRATCH_WORDS, post_stamp(round));
         }
     }
-    (kernel_fingerprint(&kernel), outcome)
+    (kernel.fingerprint(), outcome)
 }
 
 /// Traces every process of an instance and merges the per-process statistics.
@@ -372,8 +337,8 @@ fn table1_rows(profile_requests: u64) -> Vec<Table1Row> {
     let mut rows: Vec<Table1Row> = PROGRAMS
         .iter()
         .map(|&program| {
-            let (mut kernel, mut instance) = boot_program(program, 1, InstrumentationConfig::full());
-            run_standard_workload(&mut kernel, &mut instance, program, profile_requests);
+            let (kernel, instance, _) =
+                boot_and_serve(program, profile_requests, InstrumentationConfig::full());
             let p = QuiescenceProfiler::analyze(&kernel, &instance.state);
             let e = catalog.iter().find(|e| e.program == program).expect("catalogued program");
             let n = |count: usize| count as u64;
@@ -438,8 +403,7 @@ fn table2_rows(requests: u64) -> Vec<(&'static str, TracingStats)> {
         .iter()
         .map(|&(label, program, region_instr)| {
             let config = config_at(InstrumentationLevel::QuiescenceDetection, region_instr);
-            let (mut kernel, mut instance) = boot_program(program, 1, config);
-            run_standard_workload(&mut kernel, &mut instance, program, requests);
+            let (kernel, instance, _) = boot_and_serve(program, requests, config);
             (label, trace_instance(&kernel, &instance))
         })
         .collect()
@@ -473,10 +437,8 @@ fn table3_rows(requests: u64) -> Vec<(&'static str, [f64; 4])> {
     TABLE_CONFIGS
         .iter()
         .map(|&(label, program, region_instr)| {
-            let times = InstrumentationLevel::ALL.map(|level| {
-                let (mut kernel, mut instance) = boot_program(program, 1, config_at(level, region_instr));
-                run_standard_workload(&mut kernel, &mut instance, program, requests).0 as f64
-            });
+            let times = InstrumentationLevel::ALL
+                .map(|level| boot_and_serve(program, requests, config_at(level, region_instr)).2 .0 as f64);
             (label, std::array::from_fn(|i| times[i + 1] / times[0]))
         })
         .collect()
@@ -549,11 +511,9 @@ fn spec_alloc_json(rows: &[SpecAllocRow]) -> Json {
 fn update_time_rows(requests: u64) -> Vec<(&'static str, UpdateReport)> {
     PROGRAMS
         .iter()
-        .map(|&program| {
-            match update_with_connections(program, 1, requests, 10, InstrumentationConfig::full()) {
-                UpdateOutcome::Committed(report) => (program, report),
-                rolled_back => panic!("{program}: {:?}", rolled_back.conflicts()),
-            }
+        .map(|&program| match update_with_connections(program, requests, 10, InstrumentationConfig::full()) {
+            UpdateOutcome::Committed(report) => (program, report),
+            rolled_back => panic!("{program}: {:?}", rolled_back.conflicts()),
         })
         .collect()
 }
@@ -587,7 +547,7 @@ fn figure3_series(program: &str, connections: &[usize], requests: u64) -> Vec<(u
     connections
         .iter()
         .map(|&n| {
-            let outcome = update_with_connections(program, 1, requests, n, InstrumentationConfig::full());
+            let outcome = update_with_connections(program, requests, n, InstrumentationConfig::full());
             (n, outcome.report().clone())
         })
         .collect()
@@ -639,8 +599,7 @@ impl MemoryRow {
 /// Runs the memory-usage experiment for every program.
 fn memory_rows(requests: u64) -> Vec<MemoryRow> {
     let measure = |program: &str, config| {
-        let (mut kernel, mut instance) = boot_program(program, 1, config);
-        run_standard_workload(&mut kernel, &mut instance, program, requests);
+        let (kernel, instance, _) = boot_and_serve(program, requests, config);
         MemoryReport::measure(&kernel, &instance)
     };
     PROGRAMS
@@ -721,7 +680,7 @@ mod tests {
     #[test]
     fn update_time_report_commits_every_program() {
         for program in PROGRAMS {
-            let outcome = update_with_connections(program, 1, 3, 5, InstrumentationConfig::full());
+            let outcome = update_with_connections(program, 3, 5, InstrumentationConfig::full());
             assert!(outcome.is_committed(), "{program}: {:?}", outcome.conflicts());
         }
     }
@@ -786,7 +745,7 @@ mod tests {
                 fold(&mut dense, u64::from_le_bytes(word.try_into().unwrap()));
             }
         }
-        assert_eq!(kernel_fingerprint(&kernel), dense);
+        assert_eq!(kernel.fingerprint(), dense);
     }
 
     #[test]

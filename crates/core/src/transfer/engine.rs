@@ -2001,8 +2001,8 @@ mod tests {
 
             // The new heap is one page: six 48-byte node chunks fit, the
             // 3960-byte blob (whose type the new version dropped) does not.
-            let small =
-                MemoryLayout { heap_size: mcr_procsim::PAGE_SIZE, ..MemoryLayout::with_slide(0x1_0000_0000) };
+            let mut small = MemoryLayout::with_slide(0x1_0000_0000);
+            small.heap_size = mcr_procsim::PAGE_SIZE;
             let (mut new_state, new_pid) = make_instance_in(&mut kernel, "v2", small);
             register_v2_types(&mut new_state);
             let fwd = new_state.types.opaque("legacy_fwd", 8);

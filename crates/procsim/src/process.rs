@@ -171,9 +171,9 @@ pub struct MemoryLayout {
     /// Size of the library data region.
     pub lib_size: u64,
     /// Base of the stack region.
-    pub stack_base: Addr,
+    pub(crate) stack_base: Addr,
     /// Size of the stack region.
-    pub stack_size: u64,
+    pub(crate) stack_size: u64,
 }
 
 impl MemoryLayout {

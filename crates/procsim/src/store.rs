@@ -16,7 +16,10 @@
 //! *persist* (truncated or torn blobs remain visible after [`Store::recover`]),
 //! so a reader can never rely on "crash means the blob vanished" — it must
 //! validate lengths and checksums. This is exactly the failure surface the
-//! crash-consistency chaos campaign enumerates.
+//! crash-consistency chaos campaign enumerates. The same model is lenient in
+//! one way: under `MemStore` every completed block survives a crash whether
+//! or not a [`Store::sync`] followed it, so no `MemStore` drill can catch a
+//! writer that names a blob in a manifest before syncing it.
 //!
 //! [`checksum64`] is the one checksum every stored checkpoint byte is covered
 //! by (manifest trailer, shard and file sums, state digest) and the one that
@@ -139,7 +142,8 @@ pub trait Store {
 
     /// Durability barrier: everything written before this call survives any
     /// later crash. The checkpoint commit protocol syncs shards *before*
-    /// writing the manifest that names them.
+    /// writing the manifest that names them. `MemStore` only counts the
+    /// barrier: its completed blocks survive a crash without one.
     fn sync(&mut self) -> Result<(), StoreError>;
 
     /// Reads the named blob in full.
@@ -178,7 +182,6 @@ pub trait Store {
 #[derive(Debug, Default)]
 pub struct MemStore {
     blobs: BTreeMap<String, Vec<u8>>,
-    unsynced: BTreeSet<String>,
     armed: Option<WriteFault>,
     blocks_written: u64,
     syncs: u64,
@@ -217,7 +220,6 @@ impl Store for MemStore {
         }
         // Overwrite semantics: the blob is rebuilt block by block, so a crash
         // mid-write leaves a short (truncated) blob behind.
-        self.unsynced.insert(name.to_string());
         let blob = self.blobs.entry(name.to_string()).or_default();
         blob.clear();
         blob.reserve(data.len());
@@ -253,7 +255,6 @@ impl Store for MemStore {
         if self.crashed {
             return Err(StoreError::Crashed { blob: String::new(), block: self.blocks_written });
         }
-        self.unsynced.clear();
         self.syncs += 1;
         Ok(())
     }
@@ -270,7 +271,6 @@ impl Store for MemStore {
         if self.crashed {
             return Err(StoreError::Crashed { blob: String::new(), block: self.blocks_written });
         }
-        self.unsynced.remove(name);
         self.blobs.remove(name).map(|_| ()).ok_or_else(|| StoreError::NotFound(name.into()))
     }
 
@@ -293,7 +293,6 @@ impl Store for MemStore {
     fn recover(&mut self) {
         self.crashed = false;
         self.armed = None;
-        self.unsynced.clear();
     }
 }
 

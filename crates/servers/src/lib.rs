@@ -37,7 +37,7 @@ pub use scenarios::{
     apply_scenario_writes, dirty_connection_nodes, precopy_scenarios, stamp_request_scratch, PrecopyScenario,
 };
 pub use spec::ServerSpec;
-pub use updates::{paper_catalog, totals, CatalogTotals, UpdateCatalogEntry};
+pub use updates::{paper_catalog, UpdateCatalogEntry};
 
 use mcr_procsim::{Addr, AddressSpace};
 use mcr_typemeta::{TypeId, TypeKind, TypeRegistry};

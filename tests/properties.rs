@@ -8,12 +8,12 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mcr_bench::{kernel_fingerprint, FleetServer, FLEET_PORT};
+use mcr_bench::{served, FleetServer, Observed, FLEET_PORT};
 use mcr_core::callstack::CallStackId;
 use mcr_core::runtime::{
     all_quiesced, boot, live_update, request_quiescence, run_round, run_round_full_scan, wait_quiescence,
     BootOptions, ChaosPlan, ChaosRng, FaultSite, McrInstance, PhaseName, PrecopyOptions, RoundStats,
-    TransferMode, UpdateOptions, UpdatePipeline, UpdateReport,
+    TransferMode, UpdateOptions, UpdateOutcome, UpdatePipeline, UpdateReport,
 };
 use mcr_core::transfer::engine::list_schedule_makespan;
 use mcr_core::transfer::{apply_field_map, compute_field_map};
@@ -23,11 +23,11 @@ use mcr_procsim::{
     ObjectTable, PendingTrap, PtMalloc, RegionKind, SimError, TypeTag, PAGE_SIZE, RESERVED_FD_BASE,
 };
 use mcr_servers::{
-    dirty_cache_records, dirty_connection_nodes, install_standard_files, program_by_name,
-    stamp_request_scratch, CacheServer, CACHE_PORT,
+    dirty_cache_records, dirty_connection_nodes, program_by_name, stamp_request_scratch, CacheServer,
+    CACHE_PORT,
 };
 use mcr_typemeta::{Field, InstrumentationConfig, TypeRegistry};
-use mcr_workload::{open_idle_connections, run_workload, workload_for};
+use mcr_workload::workload_for;
 
 const HEAP_BASE: u64 = 0x0800_0000;
 const HEAP_SIZE: u64 = 512 * PAGE_SIZE;
@@ -339,32 +339,26 @@ fn field_map_preserves_common_fields() {
     }
 }
 
-/// Boots `program`, serves a workload, opens idle connections and updates to
-/// the next generation with the given trace/transfer worker count.
-fn committed_update(program: &str, requests: u64, open: usize, workers: usize) -> (u64, UpdateReport) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
-    run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
-    let port = workload_for(program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-    let opts = UpdateOptions { transfer_workers: workers, ..Default::default() };
-    let (_v2, outcome) = live_update(
-        &mut kernel,
-        v1,
-        Box::new(program_by_name(program, 2)),
-        InstrumentationConfig::full(),
-        &opts,
-    );
-    assert!(outcome.is_committed(), "{program} workers={workers}: {:?}", outcome.conflicts());
-    let report = outcome.report().clone();
-    (kernel_fingerprint(&kernel), report)
+/// No divergence.
+const NONE: [&str; 0] = [];
+
+/// [`served`] `program`, then updated to generation 2 under `opts`: what the
+/// run observed, and the outcome.
+fn update_served(
+    program: &str,
+    requests: u64,
+    open: usize,
+    opts: &UpdateOptions,
+) -> (Observed, UpdateOutcome) {
+    let (mut kernel, v1) = served(program, requests, open, InstrumentationConfig::full());
+    let new = Box::new(program_by_name(program, 2));
+    let (v2, outcome) = live_update(&mut kernel, v1, new, InstrumentationConfig::full(), opts);
+    (Observed::of(&kernel, &v2, Some(&outcome)), outcome)
 }
 
 /// `transfer_workers` moves simulated time and nothing else: for fault-free
-/// updates, one modelled worker and a random worker count produce identical
-/// post-commit kernel state, identical phase traces, tracing statistics,
-/// per-process transfer reports and conflict lists, and the charged
+/// updates, one modelled worker and a random worker count produce updates
+/// the oracle finds identical, with identical phase traces, and the charged
 /// state-transfer time is exactly the list-schedule makespan of the pairs'
 /// durations on that many workers.
 #[test]
@@ -376,37 +370,15 @@ fn parallel_and_serial_transfer_produce_identical_updates() {
         let requests = rng.range(1, 4);
         let open = rng.range(0, 5) as usize;
         let workers = rng.range(2, 9) as usize;
+        let ctx = format!("seed {seed} ({program})");
 
-        let (serial_fp, serial) = committed_update(program, requests, open, 1);
-        let (parallel_fp, parallel) = committed_update(program, requests, open, workers);
-
-        assert_eq!(serial_fp, parallel_fp, "seed {seed} ({program}): post-commit kernel state diverged");
-        assert_eq!(
-            serial.phases.records(),
-            parallel.phases.records(),
-            "seed {seed} ({program}): phase traces diverged"
-        );
-        assert_eq!(serial.tracing, parallel.tracing, "seed {seed} ({program}): tracing stats diverged");
-        assert_eq!(
-            serial.transfer.per_process, parallel.transfer.per_process,
-            "seed {seed} ({program}): per-process transfer reports diverged"
-        );
-        assert_eq!(serial.transfer.serial_duration(), parallel.transfer.serial_duration());
-        assert_eq!(serial.transfer.parallel_duration(), parallel.transfer.parallel_duration());
-        assert_eq!(
-            serial.processes_matched + serial.processes_recreated,
-            parallel.processes_matched + parallel.processes_recreated,
-            "seed {seed} ({program}): pair counts diverged"
-        );
-        assert!(
-            serial
-                .transfer
-                .per_process
-                .iter()
-                .zip(parallel.transfer.per_process.iter())
-                .all(|(a, b)| a.conflicts == b.conflicts),
-            "seed {seed} ({program}): conflict lists diverged"
-        );
+        let with_workers = |transfer_workers| UpdateOptions { transfer_workers, ..Default::default() };
+        let (serial_seen, serial) = update_served(program, requests, open, &with_workers(1));
+        let (parallel_seen, parallel) = update_served(program, requests, open, &with_workers(workers));
+        assert!(serial.is_committed(), "{ctx}: {:?}", serial.conflicts());
+        assert_eq!(parallel_seen.divergences(&serial_seen), NONE, "{ctx}");
+        let (serial, parallel) = (serial.report(), parallel.report());
+        assert_eq!(serial.phases.records(), parallel.phases.records(), "{ctx}: phase traces diverged");
         // Shared-work timings agree (the per-phase ones with the phase
         // traces above); the makespan on more workers can only improve on
         // the serial sum.
@@ -421,66 +393,58 @@ fn parallel_and_serial_transfer_produce_identical_updates() {
         assert_eq!(
             parallel.timings.state_transfer,
             list_schedule_makespan(&durations, parallel.transfer.workers),
-            "seed {seed} ({program}): the charged time is the modelled schedule of the pairs"
+            "{ctx}: the charged time is the modelled schedule of the pairs"
         );
         assert_eq!(serial.transfer.workers, 1);
         assert_eq!(parallel.transfer.workers, workers.min(serial.transfer.per_process.len()));
     }
 }
 
-/// Aborted updates roll back identically too: the aborting conflict list,
-/// the per-process attribution in the transfer report, the object-write
-/// count and the post-rollback kernel state do not depend on the modelled
-/// worker or shard count — whether the abort is a conflict set found during
-/// state transfer or a fault injected at a mid-phase object write.
+/// Aborted updates roll back identically too: the oracle finds the aborted
+/// runs identical, conflicts, per-process attribution and post-rollback
+/// kernel state included, and the object-write count does not depend on the
+/// modelled worker or shard count either — whether the abort is a conflict
+/// set found during state transfer or a fault injected at a mid-phase object
+/// write.
 #[test]
 fn parallel_and_serial_rollbacks_report_identical_conflicts() {
     let attempt = |generation: u32, open: usize, fault: ChaosPlan, workers: usize, shards: usize| {
-        let mut kernel = Kernel::new();
-        install_standard_files(&mut kernel);
-        let mut v1 =
-            boot(&mut kernel, Box::new(program_by_name("vsftpd", 1)), &BootOptions::default()).unwrap();
-        run_workload(&mut kernel, &mut v1, &workload_for("vsftpd", 6)).unwrap();
-        open_idle_connections(&mut kernel, &mut v1, workload_for("vsftpd", 1).port, open).unwrap();
+        let (mut kernel, v1) = served("vsftpd", 6, open, InstrumentationConfig::full());
         let opts =
             UpdateOptions { transfer_workers: workers, intra_pair_shards: shards, ..Default::default() };
-        let (_running, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(fault).run(
+        let (survivor, outcome) = UpdatePipeline::for_options(&opts).with_fault_plan(fault).run(
             &mut kernel,
             v1,
             Box::new(program_by_name("vsftpd", generation)),
             InstrumentationConfig::full(),
             &opts,
         );
-        (
-            outcome.is_committed(),
-            outcome.conflicts().to_vec(),
-            outcome.report().clone(),
-            kernel_fingerprint(&kernel),
-        )
+        (Observed::of(&kernel, &survivor, Some(&outcome)), outcome)
     };
 
     // A clean generation 1 -> 2 update of five sessions sizes the second
     // scenario: its fault lands halfway through the phase's object writes.
-    let (committed, _, clean, _) = attempt(2, 5, ChaosPlan::none(), 1, 1);
-    assert!(committed, "the fault-free update commits");
-    let pairs = clean.transfer.per_process.len();
+    let (_, clean) = attempt(2, 5, ChaosPlan::none(), 1, 1);
+    assert!(clean.is_committed(), "the fault-free update commits");
+    let pairs = clean.report().transfer.per_process.len();
     assert!(pairs >= 4, "{pairs} pairs");
-    let mid_phase = FaultSite::TransferObject(clean.object_writes / 2).plan();
+    let mid_phase = FaultSite::TransferObject(clean.report().object_writes / 2).plan();
 
     // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
     // references, which aborts the update during state transfer.
     let conflicting = (3, 0, ChaosPlan::none(), &[1usize, 2, 5][..], &[1usize][..]);
     let faulted = (2, 5, mid_phase, &[1usize, 2, 5, 0][..], &[1usize, 4][..]);
     for (generation, open, fault, worker_counts, shard_counts) in [conflicting, faulted] {
-        let (_, serial_conflicts, serial_report, serial_fp) = attempt(generation, open, fault.clone(), 1, 1);
-        assert!(!serial_conflicts.is_empty(), "the scenario must abort");
+        let (serial_seen, serial) = attempt(generation, open, fault.clone(), 1, 1);
+        assert!(!serial.conflicts().is_empty(), "the scenario must abort");
+        let serial = serial.report();
         if fault.is_empty() {
             assert!(
-                serial_report.transfer.per_process.iter().any(|r| !r.conflicts.is_empty()),
+                serial.transfer.per_process.iter().any(|r| !r.conflicts.is_empty()),
                 "per-process conflict attribution survives into the rolled-back report"
             );
         } else {
-            let reached = serial_report.transfer.per_process.len();
+            let reached = serial.transfer.per_process.len();
             assert!(
                 0 < reached && reached < pairs,
                 "the fault fires mid-phase: after {reached} of {pairs} pairs"
@@ -489,32 +453,16 @@ fn parallel_and_serial_rollbacks_report_identical_conflicts() {
         for &workers in worker_counts {
             for &shards in shard_counts {
                 let ctx = format!("generation {generation}, workers={workers}, shards={shards}");
-                let (committed, conflicts, report, fp) =
-                    attempt(generation, open, fault.clone(), workers, shards);
-                assert!(!committed, "{ctx}: expected a rollback");
-                assert_eq!(serial_conflicts, conflicts, "{ctx}: conflict lists diverged");
+                let (seen, outcome) = attempt(generation, open, fault.clone(), workers, shards);
+                assert_eq!(seen.divergences(&serial_seen), NONE, "{ctx}");
                 assert_eq!(
-                    serial_report.transfer.per_process, report.transfer.per_process,
-                    "{ctx}: per-process reports diverged"
+                    serial.object_writes,
+                    outcome.report().object_writes,
+                    "{ctx}: write counts diverged"
                 );
-                assert_eq!(serial_report.object_writes, report.object_writes, "{ctx}: write counts diverged");
-                assert_eq!(serial_fp, fp, "{ctx}: post-rollback kernel state diverged");
             }
         }
     }
-}
-
-/// Boots `program` and serves a workload plus `open` idle connections on
-/// the event-driven core: the state both copies of the scheduler
-/// equivalence test start from.
-fn served(program: &str, requests: u64, open: usize) -> (Kernel, McrInstance) {
-    let mut kernel = Kernel::new();
-    install_standard_files(&mut kernel);
-    let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &BootOptions::default()).unwrap();
-    run_workload(&mut kernel, &mut v1, &workload_for(program, requests)).unwrap();
-    let port = workload_for(program, 1).port;
-    open_idle_connections(&mut kernel, &mut v1, port, open).unwrap();
-    (kernel, v1)
 }
 
 /// One scheduling round: [`run_round`] or the reference [`run_round_full_scan`].
@@ -527,8 +475,8 @@ type Round = fn(&mut Kernel, &mut McrInstance) -> McrResult<RoundStats>;
 /// the setup: until the acceptor assigns their slots, those readers retry
 /// on a timer, which the event-driven round fires by moving the idle clock
 /// to its deadline. Returns the replies in send order, the events handled
-/// and the kernel fingerprint.
-fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
+/// and what the run observed.
+fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, Observed) {
     let mut kernel = Kernel::new();
     let mut cache = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     let mut fleet = boot(&mut kernel, Box::new(FleetServer::new(64)), &BootOptions::default()).unwrap();
@@ -561,20 +509,19 @@ fn serve_fleet(round: Round) -> (Vec<Option<Vec<u8>>>, u64, u64) {
         both(&mut kernel);
         replies.extend(pinged.iter().map(|&conn| kernel.client_recv(conn)));
     }
-    (replies, fleet.state.counters.events_handled, kernel_fingerprint(&kernel))
+    (replies, fleet.state.counters.events_handled, Observed::of(&kernel, &fleet, None))
 }
 
-/// The equivalence check behind the scheduler tests: a served instance
+/// The equivalence check behind the scheduler tests: a [`served`] instance
 /// quiesced by [`wait_quiescence`] and its copy quiesced by
 /// [`request_quiescence`] plus rounds of the reference scan,
-/// [`run_round_full_scan`], reach the same kernel state on the same clock, and
-/// the default gen-1 → `generation` update that follows is identical:
-/// fingerprint, phase trace, timings, tracing statistics, per-process transfer
-/// reports, replay statistics and conflicts. Generation 2 must commit; any
-/// other must roll back.
+/// [`run_round_full_scan`], reach the same state on the same clock, and the
+/// default gen-1 → `generation` updates that follow are identical to the
+/// oracle, with the same phase trace and timings. Generation 2 must commit;
+/// any other must roll back.
 fn assert_barrier_and_update_match(ctx: &str, program: &str, requests: u64, open: usize, generation: u32) {
-    let (mut event_kernel, mut event) = served(program, requests, open);
-    let (mut scan_kernel, mut scan) = served(program, requests, open);
+    let (mut event_kernel, mut event) = served(program, requests, open, InstrumentationConfig::full());
+    let (mut scan_kernel, mut scan) = served(program, requests, open, InstrumentationConfig::full());
     wait_quiescence(&mut event_kernel, &mut event, 1_000).unwrap();
     request_quiescence(&mut scan);
     for _ in 0..1_000 {
@@ -585,38 +532,23 @@ fn assert_barrier_and_update_match(ctx: &str, program: &str, requests: u64, open
     }
     assert!(all_quiesced(&scan_kernel, &scan), "{ctx}: the scan barrier did not converge");
     assert_eq!(event_kernel.now(), scan_kernel.now(), "{ctx}: barrier clocks diverged");
-    assert_eq!(
-        kernel_fingerprint(&event_kernel),
-        kernel_fingerprint(&scan_kernel),
-        "{ctx}: quiesced kernel state diverged"
-    );
+    let quiesced =
+        Observed::of(&event_kernel, &event, None).divergences(&Observed::of(&scan_kernel, &scan, None));
+    assert_eq!(quiesced, NONE, "{ctx}: quiesced state diverged");
 
     let update = |kernel: &mut Kernel, old: McrInstance| {
         let new = Box::new(program_by_name(program, generation));
-        let opts = UpdateOptions::default();
-        let (_survivor, outcome) = live_update(kernel, old, new, InstrumentationConfig::full(), &opts);
-        (outcome.conflicts().to_vec(), outcome.report().clone())
+        let (survivor, outcome) =
+            live_update(kernel, old, new, InstrumentationConfig::full(), &UpdateOptions::default());
+        (Observed::of(kernel, &survivor, Some(&outcome)), outcome)
     };
-    let (event_conflicts, event) = update(&mut event_kernel, event);
-    let (scan_conflicts, scan) = update(&mut scan_kernel, scan);
-    assert_eq!(event_conflicts.is_empty(), generation == 2, "{ctx}: {event_conflicts:?}");
-    assert_eq!(event_conflicts, scan_conflicts, "{ctx}: conflict lists diverged");
-    assert_eq!(
-        kernel_fingerprint(&event_kernel),
-        kernel_fingerprint(&scan_kernel),
-        "{ctx}: post-update kernel state diverged"
-    );
+    let (event_seen, event) = update(&mut event_kernel, event);
+    let (scan_seen, scan) = update(&mut scan_kernel, scan);
+    assert_eq!(event.conflicts().is_empty(), generation == 2, "{ctx}: {:?}", event.conflicts());
+    assert_eq!(event_seen.divergences(&scan_seen), NONE, "{ctx}: post-update");
+    let (event, scan) = (event.report(), scan.report());
     assert_eq!(event.phases.records(), scan.phases.records(), "{ctx}: phase traces diverged");
     assert_eq!(event.timings, scan.timings, "{ctx}: timings diverged");
-    assert_eq!(event.tracing, scan.tracing, "{ctx}: tracing stats diverged");
-    assert_eq!(event.transfer.per_process, scan.transfer.per_process, "{ctx}: per-process reports");
-    assert_eq!(event.replay, scan.replay, "{ctx}: replay stats diverged");
-    assert_eq!(event.open_connections, scan.open_connections, "{ctx}");
-    assert_eq!(
-        event.processes_matched + event.processes_recreated,
-        scan.processes_matched + scan.processes_recreated,
-        "{ctx}: pair counts diverged"
-    );
 }
 
 /// The event-driven scheduler agrees with the reference scan on four seeded
@@ -647,13 +579,13 @@ fn event_driven_and_full_scan_rollbacks_are_identical() {
 /// handle the same events and end in the same kernel state.
 #[test]
 fn event_driven_and_full_scan_serve_identically() {
-    let (event_replies, event_events, event_fp) = serve_fleet(run_round);
-    let (scan_replies, scan_events, scan_fp) = serve_fleet(run_round_full_scan);
+    let (event_replies, event_events, event_seen) = serve_fleet(run_round);
+    let (scan_replies, scan_events, scan_seen) = serve_fleet(run_round_full_scan);
     assert!(event_replies.iter().all(Option::is_some), "every ping was answered");
     assert_eq!(event_replies, scan_replies, "the cores answered differently");
     assert_eq!(event_events, 32, "one event per ping");
     assert_eq!(event_events, scan_events, "the cores handled different events");
-    assert_eq!(event_fp, scan_fp, "served fleet state diverged");
+    assert_eq!(event_seen.divergences(&scan_seen), NONE, "served fleet state diverged");
 }
 
 /// Boots a [`FleetServer`] of `threads` sessions and sends `rounds` rounds of
@@ -742,16 +674,13 @@ fn precopied_or_stw_update(
     precopy: bool,
     fault: Option<ChaosPlan>,
     seed: u64,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
-    let (mut kernel, v1) = served(program, requests, open);
+) -> (Observed, UpdateOutcome) {
+    let (mut kernel, v1) = served(program, requests, open, InstrumentationConfig::full());
     let mut rng = ChaosRng::new(seed ^ 0x9d0f_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
+    let rounds = if precopy { rounds } else { 0 };
     let opts = UpdateOptions {
-        precopy: if precopy {
-            PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
-        },
+        precopy: PrecopyOptions { rounds, ..PrecopyOptions::disabled() },
         ..Default::default()
     };
     let mut pipeline = if precopy {
@@ -768,24 +697,18 @@ fn precopied_or_stw_update(
     if let Some(fault) = fault {
         pipeline = pipeline.with_fault_plan(fault);
     }
-    let (_survivor, outcome) = pipeline.run(
-        &mut kernel,
-        v1,
-        Box::new(program_by_name(program, 2)),
-        InstrumentationConfig::full(),
-        &opts,
-    );
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+    let new = Box::new(program_by_name(program, 2));
+    let (survivor, outcome) = pipeline.run(&mut kernel, v1, new, InstrumentationConfig::full(), &opts);
+    (Observed::of(&kernel, &survivor, Some(&outcome)), outcome)
 }
 
 /// Pre-copy + delta commit is byte-identical to a pure stop-the-world
 /// update: with a seeded mutator dirtying connection records between the
-/// concurrent rounds, the committed kernel fingerprint, tracing statistics,
-/// per-process transfer reports and conflict sets match the baseline that
-/// applied the same writes up front. Only the downtime split may (and must)
-/// differ. The second group of cases is the matrix the slab-indexed kernel
-/// substrate was checked against: identical fingerprints there prove the
-/// slab rework changed no observable order.
+/// concurrent rounds, the oracle finds the committed update identical to the
+/// baseline that applied the same writes up front. Only the downtime split
+/// may (and must) differ. The second group of cases is the matrix the
+/// slab-indexed kernel substrate was checked against: identical fingerprints
+/// there prove the slab rework changed no observable order.
 #[test]
 fn precopy_and_stop_the_world_updates_are_identical() {
     let programs = ["httpd", "nginx", "vsftpd", "sshd"];
@@ -802,27 +725,15 @@ fn precopy_and_stop_the_world_updates_are_identical() {
         let program = programs[seed as usize % programs.len()];
         let ctx = format!("case {case}, seed {seed} ({program})");
         let (open, rounds, writes) = (open as usize, rounds as usize, writes as usize);
-        let (stw_fp, stw_conflicts, stw) =
+        let (stw_seen, stw) =
             precopied_or_stw_update(program, requests, open, rounds, writes, false, None, seed);
-        let (pre_fp, pre_conflicts, pre) =
+        let (pre_seen, pre) =
             precopied_or_stw_update(program, requests, open, rounds, writes, true, None, seed);
-        assert!(stw_conflicts.is_empty(), "{ctx}: {stw_conflicts:?}");
-        assert!(pre_conflicts.is_empty(), "{ctx}: {pre_conflicts:?}");
-        assert_eq!(stw_fp, pre_fp, "{ctx}: kernel state diverged");
-        assert_eq!(
-            stw.transfer.per_process, pre.transfer.per_process,
-            "{ctx}: per-process transfer reports diverged"
-        );
-        assert_eq!(stw.tracing, pre.tracing, "{ctx}: tracing diverged");
-        assert_eq!(stw.transfer.serial_duration(), pre.transfer.serial_duration(), "{ctx}");
-        assert_eq!(stw.open_connections, pre.open_connections, "{ctx}");
-        assert_eq!(
-            stw.processes_matched + stw.processes_recreated,
-            pre.processes_matched + pre.processes_recreated,
-            "{ctx}: pair counts diverged"
-        );
+        assert!(stw.is_committed(), "{ctx}: {:?}", stw.conflicts());
+        assert_eq!(pre_seen.divergences(&stw_seen), NONE, "{ctx}");
         // The pre-copy run really ran concurrent rounds and the window only
         // paid for the residual.
+        let (stw, pre) = (stw.report(), pre.report());
         assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty(), "{ctx}: no rounds ran");
         assert!(!stw.precopy.enabled);
         assert!(
@@ -831,27 +742,24 @@ fn precopy_and_stop_the_world_updates_are_identical() {
         );
         assert!(pre.timings.downtime <= stw.timings.downtime, "{ctx}: pre-copy increased downtime");
         let precopy_time = |r: &UpdateReport| r.phases.duration_of(PhaseName::Precopy).unwrap_or_default();
-        assert!(precopy_time(&pre).0 > 0 && precopy_time(&stw).0 == 0, "{ctx}");
+        assert!(precopy_time(pre).0 > 0 && precopy_time(stw).0 == 0, "{ctx}");
     }
 }
 
 /// Rollbacks too: a fault injected right before commit aborts a pre-copied
-/// update exactly like it aborts a stop-the-world one — same conflicts,
-/// same per-process reports, byte-identical post-rollback kernel state.
+/// update exactly like it aborts a stop-the-world one, to the oracle.
 #[test]
 fn precopy_and_stop_the_world_rollbacks_are_identical() {
     let fault = || Some(FaultSite::Boundary(PhaseName::Commit).plan());
-    let (stw_fp, stw_conflicts, stw) = precopied_or_stw_update("nginx", 3, 2, 3, 2, false, fault(), 0x0ff);
-    let (pre_fp, pre_conflicts, pre) = precopied_or_stw_update("nginx", 3, 2, 3, 2, true, fault(), 0x0ff);
+    let (stw_seen, stw) = precopied_or_stw_update("nginx", 3, 2, 3, 2, false, fault(), 0x0ff);
+    let (pre_seen, pre) = precopied_or_stw_update("nginx", 3, 2, 3, 2, true, fault(), 0x0ff);
     assert!(
-        stw_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
+        stw.conflicts().iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
         "baseline did not abort"
     );
-    assert_eq!(stw_conflicts, pre_conflicts, "conflict lists diverged");
-    assert_eq!(stw_fp, pre_fp, "post-rollback kernel state diverged");
-    assert_eq!(stw.transfer.per_process, pre.transfer.per_process, "per-process reports diverged");
+    assert_eq!(pre_seen.divergences(&stw_seen), NONE);
     // The pre-copied attempt aborted after its concurrent rounds ran.
-    assert!(pre.precopy.enabled && !pre.precopy.rounds.is_empty());
+    assert!(pre.report().precopy.enabled && !pre.report().precopy.rounds.is_empty());
 }
 
 /// Boots the single-process cache archetype, bulk-fills its heap with
@@ -870,40 +778,30 @@ fn sharded_cache_update(
     mode: TransferMode,
     fault: Option<ChaosPlan>,
     seed: u64,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+) -> (Observed, UpdateOutcome) {
     let precopy = mode == TransferMode::Precopy;
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
-    let conn = kernel.client_connect(CACHE_PORT).unwrap();
-    kernel.client_send(conn, format!("fill {entries} 192").into_bytes()).unwrap();
-    let _ = mcr_core::runtime::run_rounds(&mut kernel, &mut v1, 2).unwrap();
-    assert!(kernel.client_recv(conn).is_some(), "cache answered the fill");
-    kernel.client_close(conn).unwrap();
+    cache_request(&mut kernel, &mut v1, &format!("fill {entries} 192"));
     let mut rng = ChaosRng::new(seed ^ 0x517a_11e5);
     let stamps: Vec<u32> = (0..rounds).map(|_| rng.next() as u32).collect();
-    let opts = UpdateOptions {
-        mode,
-        intra_pair_shards: shards,
-        precopy: if precopy {
-            PrecopyOptions { rounds, convergence_bytes: 0, serve_rounds: 1 }
-        } else {
-            PrecopyOptions::disabled()
-        },
-        ..Default::default()
-    };
-    let quiesced_audit = Rc::new(RefCell::new(v1.audit(&kernel)));
+    let precopy_options =
+        PrecopyOptions { rounds: if precopy { rounds } else { 0 }, ..PrecopyOptions::disabled() };
+    let opts =
+        UpdateOptions { mode, intra_pair_shards: shards, precopy: precopy_options, ..Default::default() };
+    let quiesced = Rc::new(RefCell::new(Observed::of(&kernel, &v1, None)));
     let mut pipeline = if precopy {
         let stamps = stamps.clone();
-        let quiesced_audit = Rc::clone(&quiesced_audit);
+        let quiesced = Rc::clone(&quiesced);
         UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(move |kernel, old, round| {
             dirty_cache_records(kernel, old, 3, stamps[round - 1]);
-            *quiesced_audit.borrow_mut() = old.audit(kernel);
+            *quiesced.borrow_mut() = Observed::of(kernel, old, None);
         }))
     } else {
         for &stamp in &stamps {
             dirty_cache_records(&mut kernel, &v1, 3, stamp);
         }
-        *quiesced_audit.borrow_mut() = v1.audit(&kernel);
+        *quiesced.borrow_mut() = Observed::of(&kernel, &v1, None);
         UpdatePipeline::for_options(&opts)
     };
     if let Some(fault) = fault {
@@ -911,63 +809,45 @@ fn sharded_cache_update(
     }
     let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
-    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &format!("{mode:?}/{shards} shards"));
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+    assert_audit_carried(&quiesced.borrow(), &kernel, &survivor, &format!("{mode:?}/{shards} shards"));
+    (Observed::of(&kernel, &survivor, Some(&outcome)), outcome)
 }
 
-/// The cache's abstract state is the old version's at quiescence, whether
-/// `survivor` is the new version after commit or the old one after a
-/// rollback: every key with its value's checksum and size, and the counters.
-/// The gen-1 → gen-2 transform adds only `entry_s.hits`, which the audit
-/// does not read.
-fn assert_audit_survives(
-    kernel: &Kernel,
-    survivor: &McrInstance,
-    quiesced: &Option<Vec<(String, u64)>>,
-    ctx: &str,
-) {
-    let (Some(old), Some(new)) = (quiesced, survivor.audit(kernel)) else {
-        panic!("{ctx}: both versions audit");
-    };
-    assert!(old.len() > 4, "{ctx}: the old version holds entries");
-    if *old != new {
-        let gone: Vec<_> = old.iter().filter(|f| !new.contains(f)).collect();
-        let came: Vec<_> = new.iter().filter(|f| !old.contains(f)).collect();
-        panic!("{ctx}: the cache audit lost {gone:?} and gained {came:?}");
-    }
+/// The cache's abstract state is the old version's at quiescence,
+/// `quiesced`, whether `survivor` is the new version after commit or the old
+/// one after a rollback: every key with its value's checksum and size, and
+/// the counters. Only the kernel image may differ; the gen-1 → gen-2
+/// transform adds only `entry_s.hits`, which the audit does not read.
+fn assert_audit_carried(quiesced: &Observed, kernel: &Kernel, survivor: &McrInstance, ctx: &str) {
+    let carried = quiesced.divergences(&Observed::of(kernel, survivor, None));
+    assert!(carried.iter().all(|d| d.starts_with("fingerprint ")), "{ctx}: {carried:?}");
+    assert!(
+        survivor.audit(kernel).is_some_and(|entries| entries.len() > 4),
+        "{ctx}: the cache holds entries"
+    );
 }
 
 /// The intra-pair sharded engine is deterministic end to end: on the
-/// single-process big-heap archetype, committed updates are byte-identical —
-/// kernel fingerprint, per-process transfer reports, conflicts and Table 2
-/// tracing stats — across `intra_pair_shards ∈ {1, 2, 7}`, stop-the-world,
+/// single-process big-heap archetype, the oracle finds committed updates
+/// identical across `intra_pair_shards ∈ {1, 2, 7}`, stop-the-world,
 /// pre-copied (the seeded xorshift mutator dirtying entries between rounds)
 /// and post-copied. Only the charged makespan may shrink.
 #[test]
 fn intra_pair_sharded_commits_are_byte_identical() {
     let mut runs = Vec::new();
     for mode in [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy] {
-        let (base_fp, base_conflicts, base) = sharded_cache_update(300, 1, 3, mode, None, 0xCAC4E);
-        assert!(base_conflicts.is_empty(), "{mode:?}: {base_conflicts:?}");
+        let (base_seen, base) = sharded_cache_update(300, 1, 3, mode, None, 0xCAC4E);
+        assert!(base.is_committed(), "{mode:?}: {:?}", base.conflicts());
+        let base = base.report();
         assert!(base.transfer.objects_transferred() >= 600, "entries and values moved");
         assert_eq!(base.precopy.enabled, mode == TransferMode::Precopy);
         for shards in [2usize, 7] {
-            let (fp, conflicts, report) = sharded_cache_update(300, shards, 3, mode, None, 0xCAC4E);
-            assert!(conflicts.is_empty(), "{mode:?}/{shards}: {conflicts:?}");
-            assert_eq!(base_fp, fp, "{mode:?}/{shards} shards: kernel state diverged");
-            assert_eq!(base.tracing, report.tracing, "{mode:?}/{shards} shards: tracing stats diverged");
-            assert_eq!(
-                base.transfer.per_process, report.transfer.per_process,
-                "{mode:?}/{shards} shards: per-process transfer reports diverged"
-            );
-            assert_eq!(base.transfer.serial_duration(), report.transfer.serial_duration());
-            assert_eq!(
-                base.processes_matched + base.processes_recreated,
-                report.processes_matched + report.processes_recreated
-            );
+            let (seen, outcome) = sharded_cache_update(300, shards, 3, mode, None, 0xCAC4E);
+            assert_eq!(seen.divergences(&base_seen), NONE, "{mode:?}/{shards} shards");
             // The whole point: the charged trace+transfer makespan strictly
             // improves on the single pair. (Post-copy charges its copying
             // to the commit and drain phases instead.)
+            let report = outcome.report();
             assert!(
                 mode == TransferMode::Postcopy || report.timings.state_transfer < base.timings.state_transfer,
                 "{mode:?}/{shards} shards: no makespan speedup ({:?} vs {:?})",
@@ -975,17 +855,16 @@ fn intra_pair_sharded_commits_are_byte_identical() {
                 base.timings.state_transfer
             );
         }
-        runs.push((base_fp, base.transfer.per_process));
+        runs.push(base_seen);
     }
-    // ... and the committed state and per-process reports are also identical
-    // across the modes (same seed → same final memory image).
-    assert_eq!(runs[0], runs[1], "pre-copy diverged");
-    assert_eq!(runs[0], runs[2], "post-copy diverged");
+    // ... and the updates are also identical across the modes (same seed →
+    // same final memory image).
+    assert_eq!(runs[1].divergences(&runs[0]), NONE, "pre-copy diverged");
+    assert_eq!(runs[2].divergences(&runs[0]), NONE, "post-copy diverged");
 }
 
 /// Rollbacks too: a mid-phase fault at the n-th transferred object aborts
-/// the sharded update exactly like the serial one — same conflict list, same
-/// per-process reports, byte-identical post-rollback kernel state — whether
+/// the sharded update exactly like the serial one, to the oracle, whether
 /// the fault lands in the stop-the-world window or inside a concurrent
 /// pre-copy round.
 #[test]
@@ -996,20 +875,17 @@ fn intra_pair_sharded_rollbacks_are_byte_identical() {
         // n-th-object counter deterministic, so the fault lands on the same
         // object for every shard count.
         let fault = || Some(FaultSite::TransferObject(25).plan());
-        let (base_fp, base_conflicts, base) = sharded_cache_update(200, 1, 2, mode, fault(), 0xB0B0);
+        let (base_seen, base) = sharded_cache_update(200, 1, 2, mode, fault(), 0xB0B0);
         assert!(
-            base_conflicts.iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
-            "precopy={precopy}: the armed fault did not fire: {base_conflicts:?}"
+            base.conflicts().iter().any(|c| matches!(c, mcr_core::Conflict::FaultInjected { .. })),
+            "precopy={precopy}: the armed fault did not fire: {:?}",
+            base.conflicts()
         );
+        let base = base.report();
         for shards in [2usize, 7] {
-            let (fp, conflicts, report) = sharded_cache_update(200, shards, 2, mode, fault(), 0xB0B0);
-            assert_eq!(base_conflicts, conflicts, "precopy={precopy}/{shards}: conflict lists diverged");
-            assert_eq!(base_fp, fp, "precopy={precopy}/{shards}: post-rollback kernel state diverged");
-            assert_eq!(
-                base.transfer.per_process, report.transfer.per_process,
-                "precopy={precopy}/{shards}: per-process reports diverged"
-            );
-            assert_eq!(base.phases.records().len(), report.phases.records().len());
+            let (seen, outcome) = sharded_cache_update(200, shards, 2, mode, fault(), 0xB0B0);
+            assert_eq!(seen.divergences(&base_seen), NONE, "precopy={precopy}/{shards}");
+            assert_eq!(base.phases.records().len(), outcome.report().phases.records().len());
         }
         // With pre-copy the abort happened inside a concurrent round: the
         // old instance was still live, so no downtime was charged.
@@ -1039,7 +915,7 @@ fn cache_update_under_traffic(
     shards: usize,
     workers: usize,
     seed: u64,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport) {
+) -> (Observed, UpdateOutcome) {
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     cache_request(&mut kernel, &mut v1, "fill 1600 96");
@@ -1061,42 +937,41 @@ fn cache_update_under_traffic(
         precopy: PrecopyOptions { rounds: 3, convergence_bytes: 0, serve_rounds: 1 },
         ..Default::default()
     };
-    let quiesced_audit = Rc::new(RefCell::new(None));
-    let audit_slot = Rc::clone(&quiesced_audit);
+    let quiesced = Rc::new(RefCell::new(Observed::of(&kernel, &v1, None)));
+    let slot = Rc::clone(&quiesced);
     let pipeline =
         UpdatePipeline::for_options(&opts).with_precopy_hook(Box::new(move |kernel, old, round| {
             for request in &batches[round - 1] {
                 cache_request(kernel, old, request);
             }
-            *audit_slot.borrow_mut() = old.audit(kernel);
+            *slot.borrow_mut() = Observed::of(kernel, old, None);
         }));
     let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
     let ctx = format!("{mode:?}/{shards} shards/{workers} workers");
-    assert_audit_survives(&kernel, &survivor, &quiesced_audit.borrow(), &ctx);
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone())
+    assert_audit_carried(&quiesced.borrow(), &kernel, &survivor, &ctx);
+    (Observed::of(&kernel, &survivor, Some(&outcome)), outcome)
 }
 
 /// A pre-copied update whose completing pass writes only what changed is
 /// still one deterministic update: with get/set/evict traffic between the
 /// rounds, `Precopy` and `Postcopy` each commit with the same kernel
-/// fingerprint, reports and (no) conflicts with 1 and 4 intra-pair shards
-/// and 1 and 2 transfer workers — and perform one
+/// outcome to the oracle, and the same residual and object writes, with 1
+/// and 4 intra-pair shards and 1 and 2 transfer workers — and perform one
 /// write per object plus a few per object the traffic touched, not two per
 /// object.
 #[test]
 fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_once() {
     for mode in [TransferMode::Precopy, TransferMode::Postcopy] {
         for seed in [11u64, 12] {
-            let (base_fp, base_conflicts, base) = cache_update_under_traffic(mode, 1, 1, seed);
-            assert!(base_conflicts.is_empty(), "{mode:?}/{seed}: {base_conflicts:?}");
+            let (base_seen, base) = cache_update_under_traffic(mode, 1, 1, seed);
+            assert!(base.is_committed(), "{mode:?}/{seed}: {:?}", base.conflicts());
+            let base = base.report();
             for (shards, workers) in [(1usize, 2usize), (4, 1), (4, 2)] {
-                let (fp, conflicts, report) = cache_update_under_traffic(mode, shards, workers, seed);
+                let (seen, outcome) = cache_update_under_traffic(mode, shards, workers, seed);
                 let label = format!("{mode:?}/seed {seed}/{shards}/{workers}");
-                assert!(conflicts.is_empty(), "{label}: {conflicts:?}");
-                assert_eq!(base_fp, fp, "{label}: kernel state diverged");
-                assert_eq!(base.tracing, report.tracing, "{label}: tracing stats diverged");
-                assert_eq!(base.transfer.per_process, report.transfer.per_process, "{label}");
+                assert_eq!(seen.divergences(&base_seen), NONE, "{label}");
+                let report = outcome.report();
                 assert_eq!(base.precopy.residual.objects, report.precopy.residual.objects, "{label}");
                 assert_eq!(base.precopy.residual.bytes, report.precopy.residual.bytes, "{label}");
                 assert_eq!(base.object_writes, report.object_writes, "{label}: writes diverged");
@@ -1118,23 +993,17 @@ fn precopied_cache_updates_under_traffic_are_identical_and_write_each_object_onc
     }
 }
 
-/// A program's audit ([`McrInstance::audit`]).
-type Audit = Option<Vec<(String, u64)>>;
-
 /// A gen-1 → gen-2 cache update of a 64-entry cache after one more
 /// `request`: stop-the-world with the request served before the update, or
 /// under one pre-copy round with the request served after the round copied
-/// the cache. Returns the kernel fingerprint, the live heap chunks and live
-/// bytes of the new cache process, and the new version's audit.
-fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, (usize, u64), Audit) {
+/// the cache. Returns what the run observed, and the live heap chunks and
+/// live bytes of the new cache process.
+fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (Observed, (usize, u64)) {
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(CacheServer::new(1)), &BootOptions::default()).unwrap();
     cache_request(&mut kernel, &mut v1, "fill 64 96");
-    let rounds = PrecopyOptions { rounds: 1, convergence_bytes: 0, serve_rounds: 1 };
-    let opts = UpdateOptions {
-        precopy: if precopy { rounds } else { PrecopyOptions::disabled() },
-        ..Default::default()
-    };
+    let precopy_options = PrecopyOptions { rounds: usize::from(precopy), ..PrecopyOptions::disabled() };
+    let opts = UpdateOptions { precopy: precopy_options, ..Default::default() };
     let pipeline = if precopy {
         UpdatePipeline::for_options(&opts)
             .with_precopy_hook(Box::new(move |kernel, old, _| cache_request(kernel, old, request)))
@@ -1145,30 +1014,36 @@ fn cache_update_after_round_one(precopy: bool, request: &'static str) -> (u64, (
     let (survivor, outcome) =
         pipeline.run(&mut kernel, v1, Box::new(CacheServer::new(2)), InstrumentationConfig::full(), &opts);
     assert!(outcome.is_committed(), "precopy {precopy}, {request}: {:?}", outcome.conflicts());
+    assert!(survivor.audit(&kernel).is_some(), "the cache audits its entries");
     let process = kernel.process(survivor.state.processes[0]).unwrap();
     let (space, heap) = (process.space(), process.heap().unwrap());
     let live = (heap.live_count(), heap.live_chunks(space).map(|c| c.size).sum());
-    (kernel_fingerprint(&kernel), live, survivor.audit(&kernel))
+    (Observed::of(&kernel, &survivor, Some(&outcome)), live)
 }
 
 /// An entry a pre-copy round copied and the old version then evicted
 /// leaves the new heap with it: the completing pass frees the chunk of
 /// every object that left the graph, so the pre-copied update ends with the
-/// live chunks, live bytes and cache audit of a stop-the-world update of the
-/// same final state. With a `get` in its place the two are byte-identical.
-/// With the `evict` the kernel fingerprints still differ, by placement
-/// alone: the freed chunk is a hole the later allocations do not fill the
-/// way a stop-the-world transfer packs them.
+/// live chunks and live bytes of a stop-the-world update of the same final
+/// state. With a `get` in its place the oracle finds the two identical.
+/// With the `evict` it names one field, the kernel fingerprint, which
+/// differs by placement alone: the freed chunk is a hole the later
+/// allocations do not fill the way a stop-the-world transfer packs them.
 #[test]
 fn precopy_frees_an_entry_evicted_after_a_round_copied_it() {
-    let stw = cache_update_after_round_one(false, "get");
-    assert_eq!(cache_update_after_round_one(true, "get"), stw, "no eviction, no divergence");
-    let (stw_fp, stw_live, stw_audit) = cache_update_after_round_one(false, "evict");
-    let (pre_fp, pre_live, pre_audit) = cache_update_after_round_one(true, "evict");
-    assert_eq!(pre_live, stw_live, "live chunks and bytes, pre-copied against stop-the-world");
-    assert!(stw_audit.is_some(), "the cache audits its entries");
-    assert_eq!(pre_audit, stw_audit, "the same cache entries survive");
-    assert_ne!(pre_fp, stw_fp, "the evicted entry's freed chunk is a hole: placement differs, nothing leaks");
+    let diverging_fields = |request| {
+        let (stw, stw_live) = cache_update_after_round_one(false, request);
+        let (pre, pre_live) = cache_update_after_round_one(true, request);
+        assert_eq!(pre_live, stw_live, "{request}: live chunks and bytes, pre-copied against stop-the-world");
+        let fields = pre.divergences(&stw).into_iter().map(|d| d.split(' ').next().unwrap().to_string());
+        fields.collect::<Vec<_>>()
+    };
+    assert_eq!(diverging_fields("get"), NONE, "no eviction, no divergence");
+    assert_eq!(
+        diverging_fields("evict"),
+        ["fingerprint"],
+        "the evicted entry's freed chunk is a hole: placement differs, nothing leaks"
+    );
 }
 
 /// The slab-backed object table behaves exactly like the ordered map it
@@ -1639,8 +1514,8 @@ const POST_STAMP_ROUNDS: usize = 3;
 /// pipeline otherwise: the targets are precomputed from the statics table
 /// and the final value wins, so stores that land directly and stores that
 /// trap on a parked page and get replayed by the fault handler converge to
-/// the same bytes by design. Also returns how many stamps the drain hook
-/// delivered.
+/// the same bytes by design. Returns what the run observed, the outcome
+/// and how many stamps the drain hook delivered.
 #[allow(clippy::too_many_arguments)]
 fn postcopy_or_stw_update(
     program: &str,
@@ -1651,19 +1526,14 @@ fn postcopy_or_stw_update(
     shards: usize,
     fault: Option<ChaosPlan>,
     seed: u64,
-) -> (u64, Vec<mcr_core::Conflict>, UpdateReport, usize) {
-    let (mut kernel, v1) = served(program, requests, open);
+) -> (Observed, UpdateOutcome, usize) {
+    let (mut kernel, v1) = served(program, requests, open, InstrumentationConfig::full());
     let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
     for _ in 0..3 {
         dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
     }
     let post_stamps: Vec<u32> = (0..POST_STAMP_ROUNDS).map(|_| rng.next() as u32).collect();
-    let opts = UpdateOptions {
-        mode,
-        intra_pair_shards: shards,
-        precopy: PrecopyOptions::disabled(),
-        ..Default::default()
-    };
+    let opts = UpdateOptions { mode, intra_pair_shards: shards, ..Default::default() };
     let mut pipeline = UpdatePipeline::for_options(&opts);
     let delivered = Rc::new(Cell::new(0usize));
     if mode != TransferMode::StopTheWorld {
@@ -1680,27 +1550,21 @@ fn postcopy_or_stw_update(
     if let Some(fault) = fault {
         pipeline = pipeline.with_fault_plan(fault);
     }
-    let (survivor, outcome) = pipeline.run(
-        &mut kernel,
-        v1,
-        Box::new(program_by_name(program, 2)),
-        InstrumentationConfig::full(),
-        &opts,
-    );
+    let new = Box::new(program_by_name(program, 2));
+    let (survivor, outcome) = pipeline.run(&mut kernel, v1, new, InstrumentationConfig::full(), &opts);
     if outcome.is_committed() {
         for stamp in post_stamps.into_iter().skip(delivered.get()) {
             stamp_request_scratch(&mut kernel, &survivor, 8, stamp);
         }
     }
-    (kernel_fingerprint(&kernel), outcome.conflicts().to_vec(), outcome.report().clone(), delivered.get())
+    (Observed::of(&kernel, &survivor, Some(&outcome)), outcome, delivered.get())
 }
 
 /// Post-copy commit is byte-identical to stop-the-world: with the same
-/// seeded pre-update writes and the same post-resume scratch stamps,
-/// post-copy converges to the stop-the-world kernel fingerprint, tracing
-/// statistics and per-process transfer reports across intra-pair shard
-/// counts ∈ {1, 2}. The post-copy run must actually defer work and retire
-/// every deferred object before declaring the update done.
+/// seeded pre-update writes and the same post-resume scratch stamps, the
+/// oracle finds post-copy identical to stop-the-world across intra-pair
+/// shard counts ∈ {1, 2}. The post-copy run must actually defer work and
+/// retire every deferred object before declaring the update done.
 #[test]
 fn postcopy_commits_are_byte_identical_to_stop_the_world() {
     let programs = ["vsftpd", "nginx", "httpd"];
@@ -1710,59 +1574,37 @@ fn postcopy_commits_are_byte_identical_to_stop_the_world() {
         let requests = rng.range(2, 5);
         let open = rng.range(1, 4) as usize;
         let writes = rng.range(1, 3) as usize;
-        let mut fingerprints = Vec::new();
+        let mut stw_runs = Vec::new();
         for shards in [1usize, 2] {
-            let ctx = |label: &str| format!("seed {seed} ({program}, {shards} shards, {label})");
-            let (stw_fp, stw_conflicts, stw, _) = postcopy_or_stw_update(
-                program,
-                requests,
-                open,
-                writes,
-                TransferMode::StopTheWorld,
-                shards,
-                None,
-                seed,
-            );
-            assert!(stw_conflicts.is_empty(), "{}: {stw_conflicts:?}", ctx("stop-the-world"));
-            let (fp, conflicts, report, _) = postcopy_or_stw_update(
-                program,
-                requests,
-                open,
-                writes,
-                TransferMode::Postcopy,
-                shards,
-                None,
-                seed,
-            );
-            let ctx = ctx("post-copy");
-            assert!(conflicts.is_empty(), "{ctx}: {conflicts:?}");
-            assert_eq!(fp, stw_fp, "{ctx}: post-commit kernel state diverged");
-            assert_eq!(report.tracing, stw.tracing, "{ctx}: tracing stats diverged");
-            assert_eq!(
-                report.transfer.per_process, stw.transfer.per_process,
-                "{ctx}: per-process transfer reports diverged"
-            );
+            let ctx = format!("seed {seed} ({program}, {shards} shards)");
+            let run =
+                |mode| postcopy_or_stw_update(program, requests, open, writes, mode, shards, None, seed);
+            let (stw_seen, stw, _) = run(TransferMode::StopTheWorld);
+            assert!(stw.is_committed(), "{ctx}, stop-the-world: {:?}", stw.conflicts());
+            let (seen, outcome, _) = run(TransferMode::Postcopy);
+            assert_eq!(seen.divergences(&stw_seen), NONE, "{ctx}, post-copy");
             // The run really took the deferred path and fully drained it.
-            assert!(report.postcopy.deferred_pairs >= 1, "{ctx}: nothing deferred");
+            let post = &outcome.report().postcopy;
+            assert!(post.deferred_pairs >= 1, "{ctx}: nothing deferred");
             assert_eq!(
-                report.postcopy.trap_objects + report.postcopy.drained_objects,
-                report.postcopy.deferred_objects,
+                post.trap_objects + post.drained_objects,
+                post.deferred_objects,
                 "{ctx}: deferred-object accounting does not add up"
             );
-            fingerprints.push(stw_fp);
+            stw_runs.push(stw_seen);
         }
-        assert_eq!(fingerprints[0], fingerprints[1], "seed {seed} ({program}): shard counts diverged");
+        assert_eq!(stw_runs[1].divergences(&stw_runs[0]), NONE, "seed {seed} ({program}): shard counts");
     }
 }
 
 /// A fault injected mid-drain rolls the update back to the old version
-/// byte-identically: the post-rollback kernel fingerprint equals the
-/// no-update baseline that applied the same pre-update writes and never
-/// entered the pipeline, and the conflict list and per-process reports agree
-/// across shard counts. The faults: the first background drain batch; the
-/// first fault-in, which a resumed session's load of its parked
-/// `session_fd` global takes inside drain round 1's serving, before the
-/// drain hook delivers a stamp; and the last fault-in of a clean run.
+/// byte-identically: the oracle finds the rolled-back kernel identical to
+/// the no-update baseline that applied the same pre-update writes and never
+/// entered the pipeline, and the rolled-back runs identical across shard
+/// counts. The faults: the first background drain batch; the first
+/// fault-in, which a resumed session's load of its parked `session_fd`
+/// global takes inside drain round 1's serving, before the drain hook
+/// delivers a stamp; and the last fault-in of a clean run.
 #[test]
 fn mid_drain_faults_roll_back_byte_identically() {
     let (program, requests, open, writes, seed) = ("vsftpd", 3u64, 2usize, 2usize, 0x0d1eu64);
@@ -1770,19 +1612,22 @@ fn mid_drain_faults_roll_back_byte_identically() {
     // The no-update baseline: identical boot, traffic and seeded pre-update
     // writes, no pipeline. (The post-resume stamps only ever touch the new
     // version, which the rollback tears down.)
-    let baseline_fp = {
-        let (mut kernel, v1) = served(program, requests, open);
+    let baseline = {
+        let (mut kernel, v1) = served(program, requests, open, InstrumentationConfig::full());
         let mut rng = ChaosRng::new(seed ^ 0x9057_c09e);
         for _ in 0..3 {
             dirty_connection_nodes(&mut kernel, &v1, writes, rng.next() as u32);
         }
-        kernel_fingerprint(&kernel)
+        Observed::of(&kernel, &v1, None)
     };
-    let (_, clean_conflicts, clean, _) =
-        postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, 1, None, seed);
-    assert!(clean_conflicts.is_empty(), "{clean_conflicts:?}");
-    let last_fault_in = clean.postcopy.deferred_objects;
-    assert_eq!(clean.postcopy.trap_objects + clean.postcopy.drained_objects, last_fault_in);
+    let run = |shards, fault| {
+        postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, shards, fault, seed)
+    };
+    let (_, clean, _) = run(1, None);
+    assert!(clean.is_committed(), "{:?}", clean.conflicts());
+    let clean = &clean.report().postcopy;
+    let last_fault_in = clean.deferred_objects;
+    assert_eq!(clean.trap_objects + clean.drained_objects, last_fault_in);
 
     // (fault, conflict phase, whether it fires before the hook's first stamp)
     let cases = [
@@ -1793,56 +1638,45 @@ fn mid_drain_faults_roll_back_byte_identically() {
     for (fault, kind, from_thread_load) in cases {
         let mut runs = Vec::new();
         for shards in [1usize, 2] {
-            let (fp, conflicts, report, delivered) = postcopy_or_stw_update(
-                program,
-                requests,
-                open,
-                writes,
-                TransferMode::Postcopy,
-                shards,
-                Some(fault.clone()),
-                seed,
-            );
+            let (seen, outcome, delivered) = run(shards, Some(fault.clone()));
             let ctx = format!("{fault:?} ({shards} shards)");
             assert!(
-                conflicts
+                outcome
+                    .conflicts()
                     .iter()
                     .any(|c| matches!(c, mcr_core::Conflict::FaultInjected { phase, .. } if phase == kind)),
-                "{ctx}: the armed fault did not fire: {conflicts:?}"
+                "{ctx}: the armed fault did not fire: {:?}",
+                outcome.conflicts()
             );
-            assert_eq!(fp, baseline_fp, "{ctx}: rollback did not restore the pre-update kernel state");
+            assert_eq!(
+                seen.divergences(&baseline),
+                NONE,
+                "{ctx}: rollback did not restore the pre-update state"
+            );
             assert_eq!(
                 delivered == 0,
                 from_thread_load,
                 "{ctx}: fired after {delivered} hook stamps; a thread's load must fault before the hook runs"
             );
-            runs.push((conflicts, report));
+            runs.push(seen);
         }
-        let (base_conflicts, base_report) = &runs[0];
-        for (conflicts, report) in &runs {
-            assert_eq!(conflicts, base_conflicts, "{kind}: conflict lists diverged across configurations");
-            assert_eq!(
-                report.transfer.per_process, base_report.transfer.per_process,
-                "{kind}: per-process reports diverged across configurations"
-            );
-        }
+        assert_eq!(runs[1].divergences(&runs[0]), NONE, "{kind}: the configurations diverged");
     }
 }
 
 /// Regression: a store that traps on a parked page mid-drain services
 /// exactly the touched objects through the fault handler and never
 /// double-applies — every deferred object is retired exactly once, either
-/// by a trap or by a drain batch, and the final bytes equal the
-/// stop-the-world run's (which applied the same stamps directly).
+/// by a trap or by a drain batch, and the oracle finds the update identical
+/// to the stop-the-world run (which applied the same stamps directly).
 #[test]
 fn drain_traps_service_each_deferred_object_exactly_once() {
     let (program, requests, open, writes, seed) = ("vsftpd", 4u64, 3usize, 2usize, 0x7a9u64);
-    let (stw_fp, stw_conflicts, _, _) =
-        postcopy_or_stw_update(program, requests, open, writes, TransferMode::StopTheWorld, 1, None, seed);
-    assert!(stw_conflicts.is_empty(), "{stw_conflicts:?}");
-    let (fp, conflicts, report, _) =
-        postcopy_or_stw_update(program, requests, open, writes, TransferMode::Postcopy, 1, None, seed);
-    assert!(conflicts.is_empty(), "{conflicts:?}");
+    let run = |mode| postcopy_or_stw_update(program, requests, open, writes, mode, 1, None, seed);
+    let (stw_seen, stw, _) = run(TransferMode::StopTheWorld);
+    assert!(stw.is_committed(), "{:?}", stw.conflicts());
+    let (seen, outcome, _) = run(TransferMode::Postcopy);
+    let report = outcome.report();
     assert!(report.postcopy.traps >= 1, "the post-resume stamps never trapped");
     assert!(report.postcopy.trap_objects >= 1);
     assert_eq!(
@@ -1851,13 +1685,13 @@ fn drain_traps_service_each_deferred_object_exactly_once() {
         "every deferred object must be applied exactly once (trap xor drain)"
     );
     assert!(report.timings.trap_service.0 > 0, "trap service time must be charged");
-    assert_eq!(fp, stw_fp, "trap replay double-applied or dropped a store");
+    assert_eq!(seen.divergences(&stw_seen), NONE, "trap replay double-applied or dropped a store");
 }
 
 /// Updates `old` to `new_program` under `mode` while one client sends
 /// `request` to `port`: from the post-copy hook of drain round 1 under
 /// `Postcopy`, right after commit otherwise. Two more rounds are served
-/// either way. Returns the kernel fingerprint, the reply and the report.
+/// either way. Returns what the run observed, the reply and the outcome.
 fn update_with_one_request(
     mut kernel: Kernel,
     old: McrInstance,
@@ -1865,7 +1699,7 @@ fn update_with_one_request(
     mode: TransferMode,
     port: u16,
     request: &'static [u8],
-) -> (u64, String, UpdateReport) {
+) -> (Observed, String, UpdateOutcome) {
     let opts = UpdateOptions { mode, ..Default::default() };
     let sent: Rc<Cell<Option<ConnId>>> = Rc::default();
     let mut pipeline = UpdatePipeline::for_options(&opts);
@@ -1889,13 +1723,14 @@ fn update_with_one_request(
     });
     mcr_core::runtime::run_rounds(&mut kernel, &mut survivor, 2).unwrap();
     let reply = kernel.client_recv(conn).expect("the request was answered");
-    (kernel_fingerprint(&kernel), String::from_utf8_lossy(&reply).into_owned(), outcome.report().clone())
+    let seen = Observed::of(&kernel, &survivor, Some(&outcome));
+    (seen, String::from_utf8_lossy(&reply).into_owned(), outcome)
 }
 
 /// A cache update whose `get` is sent from the post-copy hook of drain
 /// round 1 and answered by the resumed new version in round 2, with objects
 /// still parked: the reply equals the one stop-the-world's post-commit `get`
-/// gets, and the update ends at stop-the-world's kernel fingerprint — the
+/// gets, and the oracle finds the update identical to stop-the-world's — the
 /// `cache_stats` read-modify-write and the bucket walk read transferred
 /// bytes, never unapplied ones.
 #[test]
@@ -1909,13 +1744,13 @@ fn postcopy_get_served_mid_drain_matches_stop_the_world() {
         }
         update_with_one_request(kernel, v1, Box::new(CacheServer::new(2)), mode, CACHE_PORT, b"get")
     };
-    let (stw_fp, stw_reply, _) = run(TransferMode::StopTheWorld);
+    let (stw_seen, stw_reply, _) = run(TransferMode::StopTheWorld);
     assert_eq!(stw_reply, "VALUE 5 gen2");
-    let (fp, reply, report) = run(TransferMode::Postcopy);
-    let post = &report.postcopy;
+    let (seen, reply, outcome) = run(TransferMode::Postcopy);
+    let post = &outcome.report().postcopy;
     assert!(post.drain_rounds >= 2, "the drain ended before round 2 served the get: {post:?}");
     assert_eq!(reply, stw_reply, "the mid-drain get read unapplied bytes");
-    assert_eq!(fp, stw_fp, "post-copy with a mid-drain get diverged from stop-the-world");
+    assert_eq!(seen.divergences(&stw_seen), NONE, "post-copy with a mid-drain get");
     assert!(post.traps >= 1, "the get never faulted on a parked page");
     assert_eq!(post.trap_objects + post.drained_objects, post.deferred_objects);
 }
@@ -1931,7 +1766,7 @@ fn postcopy_get_served_mid_drain_matches_stop_the_world() {
 fn postcopy_session_forked_mid_drain_matches_stop_the_world() {
     let port = workload_for("vsftpd", 1).port;
     let run = |mode| {
-        let (kernel, v1) = served("vsftpd", 40, 2);
+        let (kernel, v1) = served("vsftpd", 40, 2, InstrumentationConfig::full());
         update_with_one_request(
             kernel,
             v1,
@@ -1941,13 +1776,13 @@ fn postcopy_session_forked_mid_drain_matches_stop_the_world() {
             b"USER anonymous",
         )
     };
-    let (stw_fp, stw_reply, _) = run(TransferMode::StopTheWorld);
-    let (fp, reply, report) = run(TransferMode::Postcopy);
-    let post = &report.postcopy;
+    let (stw_seen, stw_reply, _) = run(TransferMode::StopTheWorld);
+    let (seen, reply, outcome) = run(TransferMode::Postcopy);
+    let post = &outcome.report().postcopy;
     assert!(post.drain_rounds >= 2, "the drain ended before round 2 forked the session: {post:?}");
     assert_eq!(post.trap_objects + post.drained_objects, post.deferred_objects);
     assert_eq!(reply, stw_reply);
-    assert_eq!(fp, stw_fp, "a session forked mid-drain diverged from stop-the-world");
+    assert_eq!(seen.divergences(&stw_seen), NONE, "a session forked mid-drain");
 }
 
 /// Identity transformations round-trip arbitrary byte patterns.

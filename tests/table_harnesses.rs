@@ -1,18 +1,17 @@
 //! Checks on the paper's tables through the public surface: the
 //! `BENCH_paper.json` document that [`paper_json`] builds, and a live update
-//! driven through the runtime API with idle connections open.
+//! driven through the runtime API from [`served`] state with idle
+//! connections open.
 //!
 //! The same properties at small sizes are `mcr-bench` unit tests on the
 //! crate-private rows; `tests/tracked_reports.rs` pins the document's values.
 
 use std::sync::OnceLock;
 
-use mcr_bench::{paper_json, Json};
-use mcr_core::runtime::{boot, live_update, BootOptions, UpdateOptions};
-use mcr_procsim::Kernel;
-use mcr_servers::{install_standard_files, program_by_name};
+use mcr_bench::{paper_json, served, Json};
+use mcr_core::runtime::{live_update, UpdateOptions};
+use mcr_servers::program_by_name;
 use mcr_typemeta::InstrumentationConfig;
-use mcr_workload::{open_idle_connections, run_workload, workload_for};
 
 /// `paper_json()`, built once for every test in this binary.
 fn paper() -> &'static Json {
@@ -90,20 +89,9 @@ fn memory_overhead_is_positive_for_every_program() {
 fn update_with_connections_commits_for_every_program() {
     let config = InstrumentationConfig::full();
     for program in ["httpd", "nginx", "vsftpd", "sshd"] {
-        let mut kernel = Kernel::new();
-        install_standard_files(&mut kernel);
-        let opts = BootOptions { config, ..BootOptions::default() };
-        let mut v1 = boot(&mut kernel, Box::new(program_by_name(program, 1)), &opts).unwrap();
-        let workload = workload_for(program, 3);
-        run_workload(&mut kernel, &mut v1, &workload).unwrap();
-        open_idle_connections(&mut kernel, &mut v1, workload.port, 5).unwrap();
-        let (_v2, outcome) = live_update(
-            &mut kernel,
-            v1,
-            Box::new(program_by_name(program, 2)),
-            config,
-            &UpdateOptions::default(),
-        );
+        let (mut kernel, v1) = served(program, 3, 5, config);
+        let new = Box::new(program_by_name(program, 2));
+        let (_v2, outcome) = live_update(&mut kernel, v1, new, config, &UpdateOptions::default());
         assert!(outcome.is_committed(), "{program}: {:?}", outcome.conflicts());
     }
 }
