@@ -663,10 +663,8 @@ mod tests {
                 // only through the process's allocator, whose arena excludes
                 // that region, so the second update's trace loses the head's
                 // target and never inherits the region. Mapping it as mmap
-                // carries it forward, but the pinned records keep generation
-                // 1's untyped `conn_s` layout, which generation 3 extends: an
-                // untyped object is neither transformed nor reported as a
-                // conflict, so the audit still reads `None`.
+                // carries it forward, but the whole region at every update:
+                // the pinned chunks need a chunk table of their own.
                 assert_eq!(checkpointed.audit.is_some(), updates < 2, "{what}: audit");
                 let mut restored = restored.unwrap_or_else(|e| panic!("{what}: {e}"));
                 let image = Observed::of(&restored.kernel, &restored.instance, None);

@@ -36,8 +36,8 @@ pub enum Conflict {
         /// The underlying simulator error.
         error: String,
     },
-    /// A conservatively-traced (type-ambiguous) object was changed by the
-    /// update and cannot be type-transformed.
+    /// The update changed the type of a pinned object, or of a dirty object
+    /// that holds likely pointers: neither can be type-transformed.
     NonUpdatableObjectChanged {
         /// Description of the object (symbol or allocation site).
         object: String,

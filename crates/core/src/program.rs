@@ -154,9 +154,6 @@ pub struct RuntimeCounters {
     pub(crate) dyn_tracked_allocs: u64,
     /// Library-region allocations performed by the program.
     pub(crate) lib_allocs: u64,
-    /// Simulated nanoseconds of application work charged via
-    /// [`ProgramEnv::charge_work`].
-    pub(crate) charged_work_ns: u64,
     /// Events handled by the program (used by workload harnesses).
     pub events_handled: u64,
 }
@@ -332,7 +329,6 @@ impl<'a> ProgramEnv<'a> {
     /// Charges `ns` nanoseconds of application work to the simulated clock.
     pub fn charge_work(&mut self, ns: u64) {
         self.kernel.advance_clock(mcr_procsim::SimDuration(ns));
-        self.state.counters.charged_work_ns += ns;
     }
 
     /// Records that the program handled one external event.

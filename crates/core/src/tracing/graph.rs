@@ -101,9 +101,6 @@ pub struct TracedObject {
     /// Whether the object must keep its address in the new version
     /// (conservatively referenced).
     pub(crate) immutable: bool,
-    /// Whether the object may not be type-transformed (it is referenced by,
-    /// or contains, likely pointers).
-    pub(crate) non_updatable: bool,
     /// Pointers located with precise type information.
     pub(crate) precise_pointers: Vec<PointerEdge>,
     /// Likely pointers located by conservative scanning.
@@ -327,7 +324,6 @@ mod tests {
             dirty_epoch: u64::from(dirty),
             startup: true,
             immutable: false,
-            non_updatable: false,
             precise_pointers: Vec::new(),
             likely_pointers: Vec::new(),
         }
@@ -354,12 +350,8 @@ mod tests {
         assert_eq!(dirty_objects(&g).count(), 1);
         assert_eq!(bytes(dirty_objects(&g)), 64);
         assert_eq!(bytes(g.objects.values()), 96);
-        let pinned = g.objects.get_mut(&0x2000).unwrap();
-        (pinned.immutable, pinned.non_updatable) = (true, true);
-        g.objects.get_mut(&0x1000).unwrap().non_updatable = true;
+        g.objects.get_mut(&0x2000).unwrap().immutable = true;
         assert_eq!(g.objects.values().filter(|o| o.immutable).count(), 1);
-        assert!(g.get(Addr(0x2000)).unwrap().non_updatable);
-        assert!(g.get(Addr(0x1000)).unwrap().non_updatable);
         assert!(!g.get(Addr(0x1000)).unwrap().immutable);
     }
 

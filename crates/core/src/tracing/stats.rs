@@ -83,8 +83,6 @@ pub struct TracingStats {
     pub objects_traced: u64,
     /// Objects marked immutable (pinned at their old address).
     pub immutable_objects: u64,
-    /// Objects marked non-updatable.
-    pub(crate) non_updatable_objects: u64,
     /// Objects found dirty (modified after startup).
     pub dirty_objects: u64,
     /// Total traced bytes.
@@ -120,7 +118,6 @@ impl TracingStats {
         self.likely.merge(&other.likely);
         self.objects_traced += other.objects_traced;
         self.immutable_objects += other.immutable_objects;
-        self.non_updatable_objects += other.non_updatable_objects;
         self.dirty_objects += other.dirty_objects;
         self.traced_bytes += other.traced_bytes;
         self.dirty_bytes += other.dirty_bytes;

@@ -6,8 +6,8 @@
 //! available it locates pointers *precisely*; where the layout is opaque
 //! (char buffers, unions, pointer-sized integers, objects from
 //! uninstrumented allocators, library state) it falls back to *conservative*
-//! scanning for likely pointers, deriving the `immutable` / `non-updatable`
-//! invariants that constrain state transfer (paper §6).
+//! scanning for likely pointers, whose targets are pinned (`immutable`):
+//! the invariant that constrains state transfer (paper §6).
 //!
 //! # Delta tracing (pre-copy)
 //!
@@ -275,8 +275,8 @@ impl<'a> Tracer<'a> {
                     let (size, opaque) = (traced.size, traced.likely_pointers.is_empty());
                     let prev = graph.insert(traced).expect("the stale set comes from the graph");
                     lost.extend(self.followed(&prev).filter(|t| kept.binary_search(t).is_err()));
-                    // Its own likely pointers make an object non-updatable:
-                    // gaining or losing them is a pin-status change.
+                    // Its own likely pointers make an object a verbatim
+                    // copy: gaining or losing them changes how it is written.
                     if prev.size != size || prev.likely_pointers.is_empty() != opaque {
                         graph.note_changed(addr, prev.size.max(size));
                     }
@@ -395,7 +395,6 @@ impl<'a> Tracer<'a> {
             dirty_epoch: self.object_dirty_epoch(resolved.base, resolved.size),
             startup: resolved.startup,
             immutable: false,
-            non_updatable: false,
             precise_pointers: Vec::new(),
             likely_pointers: Vec::new(),
         };
@@ -510,12 +509,12 @@ impl<'a> Tracer<'a> {
     }
 
     /// Recomputes everything derived from the graph's edges — conservative
-    /// pins, non-updatability, and the Table 2 statistics — in one pass over
-    /// the objects; region classes were recorded by the scans, so nothing is
-    /// looked up. Both the full trace and delta retraces end here, which is
-    /// what guarantees that an incrementally maintained graph reports exactly
-    /// like a fresh one. A retrace (`resumed`) also records which objects'
-    /// pin status this changed.
+    /// pins and the Table 2 statistics — in one pass over the objects; region
+    /// classes were recorded by the scans, so nothing is looked up. Both the
+    /// full trace and delta retraces end here, which is what guarantees that
+    /// an incrementally maintained graph reports exactly like a fresh one. A
+    /// retrace (`resumed`) also records which objects' pin status this
+    /// changed.
     fn finalize(&self, graph: &mut ObjectGraph, resumed: bool) -> TracingStats {
         let mut stats = TracingStats::default();
         let mut pins: Vec<Addr> = Vec::new();
@@ -525,9 +524,6 @@ impl<'a> Tracer<'a> {
                 was_pinned.push(obj.addr);
             }
             obj.immutable = false;
-            // An object containing likely pointers cannot be safely
-            // type-transformed (its layout interpretation is ambiguous).
-            obj.non_updatable = !obj.likely_pointers.is_empty();
             for edge in obj.precise_pointers.iter() {
                 stats.precise.record(obj.class, edge.target_class);
             }
@@ -535,12 +531,11 @@ impl<'a> Tracer<'a> {
                 stats.likely.record(obj.class, edge.target_class);
                 if edge.target_class != RegionClass::Lib {
                     // The conservatively-referenced target can no longer be
-                    // relocated or type-transformed.
+                    // relocated.
                     pins.push(edge.target_base);
                 }
             }
             stats.objects_traced += 1;
-            stats.non_updatable_objects += u64::from(obj.non_updatable);
             stats.traced_bytes += obj.size;
             if obj.is_dirty() {
                 stats.dirty_objects += 1;
@@ -552,7 +547,6 @@ impl<'a> Tracer<'a> {
         pins.retain(|&addr| {
             let Some(obj) = graph.get_mut(addr) else { return false };
             obj.immutable = true;
-            stats.non_updatable_objects += u64::from(!std::mem::replace(&mut obj.non_updatable, true));
             true
         });
         stats.immutable_objects = pins.len() as u64;
@@ -721,9 +715,9 @@ impl<'a> Tracer<'a> {
                         target_class: targ_class,
                         masked_bits: 0,
                     });
-                    // Pinning (and the non-updatable flag) is derived from
-                    // these edges by the finalize pass; the traversal only
-                    // needs to keep following reachable targets.
+                    // Pinning is derived from these edges by the finalize
+                    // pass; the traversal only needs to keep following
+                    // reachable targets.
                     if targ_class != RegionClass::Lib {
                         discovered.push((resolved, None));
                     }
@@ -991,9 +985,8 @@ mod tests {
         // b scanned conservatively: hidden array pinned immutable.
         let b_obj = graph.get(b_global).expect("b traced");
         assert_eq!(b_obj.likely_pointers.len(), 1);
-        assert!(b_obj.non_updatable);
         let hidden = graph.get(hidden_arr).expect("hidden array traced");
-        assert!(hidden.immutable && hidden.non_updatable);
+        assert!(hidden.immutable);
 
         // Statistics.
         assert_eq!(result.stats.precise.total, 2);
@@ -1382,7 +1375,7 @@ mod tests {
             let scratch: Vec<_> = fresh.graph.iter().collect();
             assert_eq!(retraced, scratch, "{step}: retraced graph diverged from a fresh trace");
             assert_eq!(result.stats, fresh.stats, "{step}: retraced statistics diverged from a fresh trace");
-            let shape = |o: &TracedObject| (o.size, o.immutable, o.non_updatable);
+            let shape = |o: &TracedObject| (o.size, o.immutable, o.likely_pointers.is_empty());
             for addr in before.iter().chain(result.graph.iter()).map(|o| o.addr) {
                 let (was, now) = (before.get(addr).map(shape), result.graph.get(addr).map(shape));
                 assert!(
@@ -1566,7 +1559,6 @@ mod tests {
             dirty_epoch: 0,
             startup: true,
             immutable: false,
-            non_updatable: false,
             precise_pointers: Vec::new(),
             likely_pointers: Vec::new(),
         }

@@ -37,7 +37,6 @@ pub(super) fn check_trace(tracer: &Tracer<'_>, graph: &ObjectGraph, stats: &Trac
             dirty_epoch: tracer.object_dirty_epoch(resolved.base, resolved.size),
             startup: resolved.startup,
             immutable: false,
-            non_updatable: false,
             precise_pointers: Vec::new(),
             likely_pointers: Vec::new(),
         };

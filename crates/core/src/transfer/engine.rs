@@ -6,8 +6,9 @@
 //! site, a freshly allocated chunk, or the very same address for pinned
 //! immutable objects), then copies and type-transforms the contents of dirty
 //! objects, rewriting precise pointers through the old→new address map.
-//! Conservatively-traced objects are copied verbatim at their original
-//! address, which keeps their (unrewritable) likely pointers valid.
+//! A pinned object is transformed like any other, at its old address; a
+//! change to its type is a conflict. An object holding likely pointers is
+//! copied verbatim: their targets are pinned, so they stay valid.
 //!
 //! Cross-version name resolution (type pairing, layout compatibility,
 //! allocation-site matching, transform-handler keys) is hoisted out of the
@@ -833,11 +834,12 @@ pub(crate) fn run_transfer(
         /// The object's record in the plan's table.
         entry: usize,
         stale: bool,
-        old_ty: Option<TypeId>,
         new_ty: Option<TypeId>,
         transform_key: Option<Arc<str>>,
+        /// The (old, new) type pair of an object that takes the structural
+        /// field-map path: typed, with no likely pointers and no transform.
+        typed: Option<(TypeId, TypeId)>,
         mask_bits: u32,
-        raw_copy: bool,
         size: u64,
         dirty_epoch: u64,
         /// Estimated cost of the logical writes before this one: its
@@ -886,7 +888,7 @@ pub(crate) fn run_transfer(
             let bridge = old_ty.and_then(|t| plan.bridge(t));
             let new_ty = bridge.and_then(|b| b.new_ty);
             let type_changed = old_ty.is_some() && !bridge.map(|b| b.layout_compatible).unwrap_or(false);
-            if type_changed && obj.non_updatable && obj.is_dirty() {
+            if type_changed && (obj.immutable || (!obj.likely_pointers.is_empty() && obj.is_dirty())) {
                 report.conflicts.push(Conflict::NonUpdatableObjectChanged {
                     object: obj.origin.describe(),
                     old_type: bridge.map(|b| b.old_name.to_string()).unwrap_or_else(|| "<untyped>".into()),
@@ -1007,11 +1009,12 @@ pub(crate) fn run_transfer(
                     new_base,
                     entry: table.len(),
                     stale,
-                    old_ty,
                     new_ty,
+                    typed: old_ty
+                        .zip(new_ty)
+                        .filter(|_| transform_key.is_none() && obj.likely_pointers.is_empty()),
                     transform_key,
                     mask_bits,
-                    raw_copy: obj.non_updatable || old_ty.is_none(),
                     size: obj.size,
                     dirty_epoch: obj.dirty_epoch,
                     cost_before: logical_cost,
@@ -1099,15 +1102,10 @@ pub(crate) fn run_transfer(
     // buffer (`AddressSpace::read_into`) serves every snapshot, and verbatim
     // objects skip the snapshot entirely (they are copied space-to-space).
     // ------------------------------------------------------------------
-    // The type pair of an object that takes the structural field-map path.
-    let typed_pair = |p: &Planned| match (&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
-        (None, false, Some(old_ty), Some(new_ty)) => Some((old_ty, new_ty)),
-        _ => None,
-    };
     // A field map depends only on its type pair: derive one per distinct
     // pair of the write set.
     let mut field_maps: BTreeMap<(TypeId, TypeId), FieldMap> = BTreeMap::new();
-    for (old_ty, new_ty) in planned.iter().filter_map(typed_pair) {
+    for (old_ty, new_ty) in planned.iter().filter_map(|p| p.typed) {
         field_maps
             .entry((old_ty, new_ty))
             .or_insert_with(|| compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty));
@@ -1124,7 +1122,7 @@ pub(crate) fn run_transfer(
             Write { old_base: p.old_base, new_base: p.new_base, len, bytes }
         };
         // Nothing rewrites a verbatim object's bytes.
-        if p.transform_key.is_none() && (p.raw_copy || p.old_ty.is_none() || p.new_ty.is_none()) {
+        if p.transform_key.is_none() && p.typed.is_none() {
             return old_proc.space().is_valid_range(p.old_base, len).then(|| write(None));
         }
         if scratch.len() < len {
@@ -1136,7 +1134,7 @@ pub(crate) fn run_transfer(
             let handler = new_state.annotations.transform(key).expect("transform key resolved earlier");
             return Some(write(Some(handler(old_bytes))));
         }
-        let map = &field_maps[&typed_pair(p).expect("neither verbatim nor handled by a transform")];
+        let map = &field_maps[&p.typed.expect("neither verbatim nor handled by a transform")];
         // Objects larger than one element (arrays of the element type) are
         // transformed element-wise, each into its slice of the output.
         let old_stride = map.old_size.max(1) as usize;
@@ -1446,19 +1444,23 @@ mod tests {
     }
 
     /// A dirty buffer containing a hidden pointer forces its target to be
-    /// pinned at the same address in the new version.
+    /// pinned at the same address in the new version. A pin fixes the
+    /// address, not the layout: the pinned target's precise pointer to a
+    /// config that moves is rewritten.
     #[test]
     fn conservative_targets_are_pinned_at_the_same_address() {
         let mut kernel = Kernel::new();
         let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
         register_v1_types(&mut old_state);
         let old_tid = kernel.process(old_pid).unwrap().main_tid();
-        let (b_global, hidden);
+        let (b_global, hidden, conf);
         {
             let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
             b_global = env.define_global_opaque("b", 16).unwrap();
-            hidden = env.alloc_bytes(64, "mystery").unwrap();
-            env.write_u64(hidden, 0x1122_3344).unwrap();
+            hidden = env.alloc("conf_s*", "mystery").unwrap();
+            conf = env.alloc("conf_s", "init:conf").unwrap();
+            env.write_u32(conf, 4).unwrap();
+            env.write_ptr(hidden, conf).unwrap();
             env.write_ptr(b_global, hidden).unwrap();
         }
         let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
@@ -1478,26 +1480,33 @@ mod tests {
         let new_space = kernel.process(new_pid).unwrap().space();
         let new_b = new_state.statics.lookup("b").unwrap().addr;
         assert_eq!(Addr(new_space.read_u64(new_b).unwrap()), hidden);
-        assert_eq!(new_space.read_u64(hidden).unwrap(), 0x1122_3344);
+        let moved = Addr(new_space.read_u64(hidden).unwrap());
+        assert_ne!(moved, conf, "the config moved into the new heap");
+        assert_eq!(new_space.read_u32(moved).unwrap(), 4);
     }
 
-    /// Changing the type of an object that mutable tracing marked
-    /// non-updatable must produce a conflict.
+    /// Changing the type of an object the update cannot type-transform
+    /// produces a conflict: a dirty buffer that hides a pointer, and the
+    /// pinned object it points to, even a clean one.
     #[test]
-    fn type_change_on_non_updatable_object_conflicts() {
+    fn type_change_on_a_pinned_or_likely_pointer_holding_object_conflicts() {
         let mut kernel = Kernel::new();
         let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
         register_v1_types(&mut old_state);
-        // The old buffer type is a char array that hides a pointer.
+        // The old buffer type is a char array that hides a pointer to an
+        // `l_t` node, whose type the update changes.
         let old_tid = kernel.process(old_pid).unwrap().main_tid();
+        let (b, node);
         {
             let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
-            let c8 = env.types().lookup("int").unwrap();
-            let _ = c8;
-            let b = env.define_global_opaque("hidden_buf", 8).unwrap();
-            let target = env.alloc("conf_s", "init:target").unwrap();
-            env.write_ptr(b, target).unwrap();
+            b = env.define_global_opaque("hidden_buf", 8).unwrap();
+            node = env.alloc("l_t", "init:node").unwrap();
         }
+        // The node is clean after startup; the buffer is written after it.
+        let p = kernel.process_mut(old_pid).unwrap();
+        p.heap_mut().unwrap().end_startup();
+        p.space_mut().clear_soft_dirty();
+        p.space_mut().write_u64(b, node.0).unwrap();
         let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
         register_v2_types(&mut new_state);
         let new_tid = kernel.process(new_pid).unwrap().main_tid();
@@ -1509,7 +1518,10 @@ mod tests {
         }
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
         let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
-        assert!(report.conflicts.iter().any(|c| matches!(c, Conflict::NonUpdatableObjectChanged { .. })));
+        let conflicts: Vec<_> = report.conflicts.iter().map(ToString::to_string).collect();
+        let buffer = "non-updatable object static `hidden_buf` changed type (opaque[8] -> <missing>)";
+        let pinned = "non-updatable object heap object from `init:node` changed type (l_t -> l_t)";
+        assert_eq!(conflicts, [buffer, pinned]);
     }
 
     /// A user transform handler overrides the structural transformation.
@@ -1858,7 +1870,7 @@ mod tests {
                 let Some(new_ty) = obj.type_id.and_then(|t| plan.bridge(t)).and_then(|b| b.new_ty) else {
                     continue;
                 };
-                assert!(!obj.non_updatable, "every typed object of the scenario takes the field-map path");
+                assert!(obj.likely_pointers.is_empty(), "every typed object takes the field-map path");
                 let new_base = placed(&delta, obj.addr).unwrap();
                 let old_bytes = old_proc.space().read_bytes(obj.addr, obj.size as usize).unwrap();
                 let tagged = matches!(&obj.origin, ObjectOrigin::Static { symbol } if &**symbol == "tagged");
@@ -2232,10 +2244,10 @@ mod tests {
     /// reused by a larger object (it outgrows its chunk) and by a smaller
     /// one (an interior pointer into it, held by a clean object, now lands
     /// nowhere); a new node; a hidden pointer that pins a clean, already
-    /// copied object, turning its copy verbatim. Then the completing pass in
-    /// `mode`; with `everywhere`, over the graph recorded as changed over the
-    /// whole address space, which re-emits every transferable object: the
-    /// reference "write iff changed" is held to.
+    /// copied object. Then the completing pass in `mode`; with `everywhere`,
+    /// over the graph recorded as changed over the whole address space, which
+    /// re-emits every transferable object: the reference "write iff changed"
+    /// is held to.
     fn precopied_transfer(mode: CopyMode, shards: usize, everywhere: bool) -> Transferred {
         let mut kernel = Kernel::new();
         let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
@@ -2425,7 +2437,8 @@ mod tests {
         trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
         let graph = &trace.graph;
         assert!(graph.get(pinned).unwrap().immutable && graph.get(freed).is_none());
-        assert!(!graph.get(pinned_by_blob).unwrap().immutable && !graph.get(blob).unwrap().non_updatable);
+        assert!(!graph.get(pinned_by_blob).unwrap().immutable);
+        assert!(graph.get(blob).unwrap().likely_pointers.is_empty());
         assert_eq!((graph.get(nodes[2]).unwrap().size, graph.get(nodes[8]).unwrap().size), (48, 16));
         let retranslatable = graph
             .iter()
@@ -2573,7 +2586,6 @@ mod tests {
                 dirty_epoch: 1,
                 startup: false,
                 immutable: false,
-                non_updatable: false,
                 precise_pointers: Vec::new(),
                 likely_pointers: Vec::new(),
             });

@@ -632,7 +632,7 @@ impl AddressSpace {
     /// address space at `dst`: one region-to-region copy that stamps
     /// write-epochs once per touched page instead of routing every object
     /// through an intermediate `Vec`. This is the range-copy fast path the
-    /// transfer engine uses for verbatim (untyped / non-updatable) objects.
+    /// transfer engine uses for verbatim (untyped / likely-pointer-holding) objects.
     ///
     /// Like [`AddressSpace::write_bytes_through`], this is a transfer-engine
     /// store path and bypasses post-copy access traps.

@@ -1,5 +1,5 @@
 //! Demonstrates MCR's atomic, reversible updates: a new version whose type
-//! change touches a conservatively-traced (non-updatable) object causes a
+//! change touches a pinned (conservatively referenced) object causes a
 //! conflict, the update rolls back, and the old version keeps serving.
 //!
 //! Run with: `cargo run --example rollback_on_conflict`
@@ -12,7 +12,7 @@ use mcr_typemeta::InstrumentationConfig;
 
 /// vsftpd generation 3 changes the layout of `conn_s` (adds `started_at`);
 /// the connection records referenced from the untyped `request_buf` buffer
-/// are non-updatable, so jumping straight from generation 1 to 3 conflicts.
+/// are pinned, so jumping straight from generation 1 to 3 conflicts.
 fn incompatible_new_version() -> GenericServer {
     GenericServer::new(ServerSpec::vsftpd(), 3)
 }

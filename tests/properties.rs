@@ -430,8 +430,7 @@ fn parallel_and_serial_rollbacks_report_identical_conflicts() {
     assert!(pairs >= 4, "{pairs} pairs");
     let mid_phase = FaultSite::TransferObject(clean.report().object_writes / 2).plan();
 
-    // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
-    // references, which aborts the update during state transfer.
+    // vsftpd 1 -> 3 changes the type of pinned `conn_s` records: the transfer aborts.
     let conflicting = (3, 0, ChaosPlan::none(), &[1usize, 2, 5][..], &[1usize][..]);
     let faulted = (2, 5, mid_phase, &[1usize, 2, 5, 0][..], &[1usize, 4][..]);
     for (generation, open, fault, worker_counts, shard_counts) in [conflicting, faulted] {
@@ -569,8 +568,7 @@ fn event_driven_and_full_scan_updates_are_identical() {
 /// same conflict list, per-process attribution and post-rollback kernel state.
 #[test]
 fn event_driven_and_full_scan_rollbacks_are_identical() {
-    // vsftpd generation 1 -> 3 changes `conn_s` under non-updatable
-    // references, which aborts the update during state transfer.
+    // vsftpd 1 -> 3 changes the type of pinned `conn_s` records: the transfer aborts.
     assert_barrier_and_update_match("vsftpd 1 -> 3", "vsftpd", 6, 0, 3);
 }
 
