@@ -472,7 +472,8 @@ const POSTCOPY_ALL: [PhaseName; 6] = [
 /// The new version boots 2^32 past the old instance's layout slide, so a
 /// chain of updates (restored instances included) never revisits a layout:
 /// an object pinned at an earlier generation's address lives on in an
-/// `inherited:` region no later generation may overlap.
+/// `inherited:` region no later generation may overlap, recorded in a pool
+/// of the region allocator that the next update traces.
 pub struct UpdatePipeline {
     phases: Vec<PhaseName>,
     fault_plan: ChaosPlan,
@@ -908,7 +909,7 @@ fn trace_and_transfer_pair(
     mode: CopyMode,
 ) -> McrResult<(TracingStats, ProcessTransferReport, ResidualStats, PostcopyResidual)> {
     let UpdateCtx { kernel, old, new_instance, pairs, plan, pair_precopy, .. } = ctx;
-    let new_state = &new_instance.as_ref().expect("matched pairs imply an instance").state;
+    let new_state = &mut new_instance.as_mut().expect("matched pairs imply an instance").state;
     let plan = plan.as_ref().expect("the calling phase ensured the plan");
     let mut split = kernel.split_pairs(&pairs[index..=index]).map_err(McrError::Sim)?;
     let (old_proc, new_proc) = split.pop().expect("one pair requested");

@@ -8,7 +8,11 @@
 //! objects, rewriting precise pointers through the old→new address map.
 //! A pinned object is transformed like any other, at its old address; a
 //! change to its type is a conflict. An object holding likely pointers is
-//! copied verbatim: their targets are pinned, so they stay valid.
+//! copied verbatim: their targets are pinned, so they stay valid. The new
+//! process maps a pinned object's old region as an `inherited:` region and
+//! records the pinned heap and pool objects in its region allocator, one
+//! pool per region, so the next update traces and carries them like any
+//! pool object.
 //!
 //! Cross-version name resolution (type pairing, layout compatibility,
 //! allocation-site matching, transform-handler keys) is hoisted out of the
@@ -90,7 +94,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use mcr_procsim::{Addr, AllocSite, Process, SimDuration, TypeTag};
+use mcr_procsim::{Addr, AllocSite, PoolId, Process, SimDuration, TypeTag};
 use mcr_typemeta::TypeId;
 
 use crate::annotations::{pointer_mask, ObjTreatment};
@@ -777,7 +781,7 @@ pub(crate) fn run_transfer(
     old_proc: &Process,
     old_state: &InstanceState,
     new_proc: &mut Process,
-    new_state: &InstanceState,
+    new_state: &mut InstanceState,
     trace: &TraceResult,
 ) -> McrResult<(ProcessTransferReport, ResidualStats, PostcopyResidual)> {
     let mut report = ProcessTransferReport::default();
@@ -854,6 +858,8 @@ pub(crate) fn run_transfer(
     let mut logical_cost = 0u64;
     // Regions that must exist in the new process to host pinned objects.
     let mut needed_regions: Vec<(Addr, u64, String)> = Vec::new();
+    // The pinned heap and pool objects: address, size, site name and new type.
+    let mut pinned = Vec::new();
     {
         let site_index = delta.site_index.as_mut().expect("built above");
         let mut table: Vec<PlanEntry> = Vec::with_capacity(graph.len());
@@ -955,12 +961,13 @@ pub(crate) fn run_transfer(
                 Placement::Pinned(addr) => {
                     if !new_proc.space().is_valid_range(addr, obj.size.max(1) as usize) {
                         if let Some(region) = old_proc.space().region_containing(addr) {
-                            needed_regions.push((
-                                region.base(),
-                                region.size(),
-                                format!("inherited:{}", region.name()),
-                            ));
+                            let name =
+                                format!("inherited:{}", region.name().trim_start_matches("inherited:"));
+                            needed_regions.push((region.base(), region.size(), name));
                         }
+                    }
+                    if let ObjectOrigin::Heap { site } | ObjectOrigin::Pool { site } = &obj.origin {
+                        pinned.push((addr, obj.size, site.clone(), new_ty));
                     }
                     report.objects_pinned += 1;
                     addr
@@ -1034,8 +1041,9 @@ pub(crate) fn run_transfer(
 
     // ------------------------------------------------------------------
     // Pass 3 (mutating the new process): map inherited regions for pinned
-    // objects, free the chunks of released records and perform fresh
-    // allocations, in address order, recording each in the plan's table.
+    // objects and record those objects in the region allocator, free the
+    // chunks of released records and perform fresh allocations, in address
+    // order, recording each in the plan's table.
     // ------------------------------------------------------------------
     {
         let mut mapped: BTreeSet<u64> = BTreeSet::new();
@@ -1052,6 +1060,29 @@ pub(crate) fn run_transfer(
             }
             mapped.insert(base.0);
         }
+    }
+    // One full pool per inherited region holds its pinned objects, with the
+    // new version's site ids and type tags; the table is reinstalled as a
+    // restore installs a recorded one, and nothing destroys the pool.
+    if !pinned.is_empty() {
+        let (mut next_pool, pools) = new_proc.regions().pools();
+        let mut rows: Vec<_> = pools.map(|r| (r.0, r.1, r.2, r.3, r.4, r.5.to_vec())).collect();
+        for (addr, size, site, new_ty) in pinned {
+            let Some(region) = new_proc.space().region_containing(addr) else { continue };
+            let row = rows.iter().position(|row| row.1 == region.base()).unwrap_or_else(|| {
+                rows.push((PoolId(next_pool), region.base(), region.size(), region.size(), None, Vec::new()));
+                next_pool += 1;
+                rows.len() - 1
+            });
+            let objects = &mut rows[row].5;
+            let at = objects.partition_point(|&(obj, ..)| obj < addr);
+            if objects.get(at).is_none_or(|&(obj, ..)| obj != addr) {
+                let site = site.map_or(AllocSite(0), |name| new_state.sites.register(name, new_ty));
+                objects.insert(at, (addr, size, site, TypeTag(new_ty.map_or(0, |t| t.0))));
+            }
+        }
+        let (_, _, regions) = new_proc.space_heap_regions_mut().map_err(McrError::Sim)?;
+        regions.install_pools(next_pool, rows.iter().map(|r| (r.0, r.1, r.2, r.3, r.4, &r.5[..])));
     }
     for chunk in released {
         let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
@@ -1265,7 +1296,7 @@ mod tests {
         kernel: &mut Kernel,
         old_state: &InstanceState,
         old_pid: Pid,
-        new_state: &InstanceState,
+        new_state: &mut InstanceState,
         new_pid: Pid,
         trace: &TraceResult,
     ) -> McrResult<ProcessTransferReport> {
@@ -1418,7 +1449,8 @@ mod tests {
 
         // Trace the old version and transfer.
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
-        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        let report =
+            transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "unexpected conflicts: {:?}", report.conflicts);
         assert!(report.objects_transferred >= 3, "list head and both nodes move");
         assert!(report.objects_allocated >= 2, "post-startup nodes get fresh chunks");
@@ -1472,7 +1504,8 @@ mod tests {
         }
 
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
-        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        let report =
+            transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
         assert!(report.objects_pinned >= 1);
         // The hidden object is available at its *old* address in the new
@@ -1483,6 +1516,15 @@ mod tests {
         let moved = Addr(new_space.read_u64(hidden).unwrap());
         assert_ne!(moved, conf, "the config moved into the new heap");
         assert_eq!(new_space.read_u32(moved).unwrap(), 4);
+        // The new process records the pinned object in its pool table, with
+        // the new version's site and type, once however often it is pinned.
+        transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
+        let regions = kernel.process(new_pid).unwrap().regions();
+        let rows: Vec<usize> = regions.pools().1.map(|(.., objects)| objects.len()).collect();
+        assert_eq!(rows, [1]);
+        let (base, _, site, tag) = regions.object_containing(hidden.offset(4)).expect("recorded");
+        let conf_ptr = new_state.types.lookup("conf_s*").unwrap();
+        assert_eq!((base, &*new_state.sites.get(site).unwrap().name, tag.0), (hidden, "mystery", conf_ptr.0));
     }
 
     /// Changing the type of an object the update cannot type-transform
@@ -1517,7 +1559,8 @@ mod tests {
             env.define_global_opaque("hidden_buf", 32).unwrap();
         }
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
-        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        let report =
+            transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
         let conflicts: Vec<_> = report.conflicts.iter().map(ToString::to_string).collect();
         let buffer = "non-updatable object static `hidden_buf` changed type (opaque[8] -> <missing>)";
         let pinned = "non-updatable object heap object from `init:node` changed type (l_t -> l_t)";
@@ -1556,7 +1599,8 @@ mod tests {
             );
         }
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
-        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        let report =
+            transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty());
         let new_addr = new_state.statics.lookup("conf_inline").unwrap().addr;
         let space = kernel.process(new_pid).unwrap().space();
@@ -1618,7 +1662,7 @@ mod tests {
                 old_proc,
                 &old_state,
                 new_proc,
-                &new_state,
+                &mut new_state,
                 &trace,
             )
             .unwrap()
@@ -1642,7 +1686,7 @@ mod tests {
                 old_proc,
                 &old_state,
                 new_proc,
-                &new_state,
+                &mut new_state,
                 &trace,
             )
             .unwrap()
@@ -1659,6 +1703,61 @@ mod tests {
         let new_list = new_state.statics.lookup("list").unwrap().addr;
         let new_node_a = Addr(new_space.read_u64(new_list.offset(8)).unwrap());
         assert_eq!(new_space.read_u32(new_node_a).unwrap(), 21, "residual re-copy carried the last write");
+    }
+
+    /// Caveat: an object that a likely pointer pins only after a pre-copy
+    /// round placed it keeps its fresh placement. The completing pass
+    /// neither pins nor counts it, and the verbatim-copied likely pointer
+    /// names an address the new version does not map; stop-the-world would
+    /// pin the object there.
+    #[test]
+    fn an_object_pinned_after_a_round_placed_it_keeps_its_fresh_placement() {
+        let mut kernel = Kernel::new();
+        let (mut old_state, old_pid) = make_instance(&mut kernel, "v1", 0);
+        register_v1_types(&mut old_state);
+        kernel.process_mut(old_pid).unwrap().heap_mut().unwrap().end_startup();
+        let old_tid = kernel.process(old_pid).unwrap().main_tid();
+        let (conf, hidden);
+        {
+            let mut env = ProgramEnv::new(&mut kernel, &mut old_state, old_pid, old_tid, "main");
+            let conf_global = env.define_global("conf", "conf_s*").unwrap();
+            hidden = env.define_global_opaque("hidden", 8).unwrap();
+            conf = env.alloc("conf_s", "handle:conf").unwrap();
+            env.write_u32(conf, 4).unwrap();
+            env.write_ptr(conf_global, conf).unwrap();
+        }
+        let (mut new_state, new_pid) = make_instance(&mut kernel, "v2", 0x1_0000_0000);
+        register_v1_types(&mut new_state);
+        let new_tid = kernel.process(new_pid).unwrap().main_tid();
+        let new_hidden;
+        {
+            let mut env = ProgramEnv::new(&mut kernel, &mut new_state, new_pid, new_tid, "main");
+            env.define_global("conf", "conf_s*").unwrap();
+            new_hidden = env.define_global_opaque("hidden", 8).unwrap();
+        }
+        let plan = TransferContext::new(&old_state, &new_state);
+        let mut delta = DeltaPlan::new();
+        let mut trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
+        delta.traced_upto = kernel.advance_write_epoch(old_pid).unwrap();
+        let mut run = |kernel: &mut Kernel, mode, trace: &mut TraceResult| {
+            let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
+            let (old_proc, new_proc) = split.pop().unwrap();
+            let tracer = Tracer::for_process(old_proc, &old_state);
+            trace.stats = trace.graph.retrace_dirty(&tracer, delta.traced_upto);
+            run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &mut new_state, trace)
+                .unwrap()
+                .0
+        };
+        run(&mut kernel, CopyMode::Round, &mut trace);
+        // The old version hides the config's address after the round.
+        kernel.process_mut(old_pid).unwrap().space_mut().write_u64(hidden, conf.0).unwrap();
+        let report = run(&mut kernel, CopyMode::Final, &mut trace);
+        assert!(trace.graph.iter().any(|obj| obj.addr == conf && obj.immutable), "the retrace pins it");
+        assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
+        assert_eq!(report.objects_pinned, 0);
+        let new_space = kernel.process(new_pid).unwrap().space();
+        assert_eq!(new_space.read_u64(new_hidden).unwrap(), conf.0, "copied verbatim");
+        assert!(!new_space.is_valid_range(conf, 8), "the copied likely pointer dangles");
     }
 
     /// The armed object fault fires instead of the n-th write, during a
@@ -1696,7 +1795,7 @@ mod tests {
                 old_proc,
                 &old_state,
                 new_proc,
-                &new_state,
+                &mut new_state,
                 &trace,
             )
             .unwrap_err()
@@ -1858,7 +1957,7 @@ mod tests {
                 old_proc,
                 &old_state,
                 new_proc,
-                &new_state,
+                &mut new_state,
                 &trace,
             )
             .unwrap();
@@ -1948,7 +2047,8 @@ mod tests {
         kernel.process_mut(new_pid).unwrap().heap_mut().unwrap().end_startup();
 
         let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
-        let report = transfer_process(&mut kernel, &old_state, old_pid, &new_state, new_pid, &trace).unwrap();
+        let report =
+            transfer_process(&mut kernel, &old_state, old_pid, &mut new_state, new_pid, &trace).unwrap();
         assert!(report.conflicts.is_empty(), "{:?}", report.conflicts);
         assert_eq!(report.objects_allocated, 2, "the array and the node behind it");
 
@@ -2033,7 +2133,7 @@ mod tests {
             let mut split = kernel.split_pairs(&[(old_pid, new_pid)]).unwrap();
             let (old_proc, new_proc) = split.pop().unwrap();
             let (report, _, mut parked) =
-                run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
+                run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &mut new_state, &trace)
                     .unwrap();
             let refused = report
                 .conflicts
@@ -2094,7 +2194,7 @@ mod tests {
                 kernel.process_mut(pid).unwrap().heap_mut().unwrap().end_startup();
                 (state, pid)
             };
-            let (new_state, new_pid) = new_version(&mut kernel);
+            let (mut new_state, new_pid) = new_version(&mut kernel);
             // Four linked nodes, each followed by an unreachable spacer chunk
             // it can grow into.
             let nodes: Vec<Addr> = {
@@ -2137,7 +2237,7 @@ mod tests {
                         old_proc,
                         &old_state,
                         new_proc,
-                        &new_state,
+                        &mut new_state,
                         trace,
                     )
                     .unwrap();
@@ -2179,7 +2279,7 @@ mod tests {
                     old_proc,
                     &old_state,
                     new_proc,
-                    &new_state,
+                    &mut new_state,
                     &trace,
                 )
                 .expect("no chunk is freed twice")
@@ -2187,10 +2287,10 @@ mod tests {
             };
             assert!(report.conflicts.is_empty(), "{change:?}: {:?}", report.conflicts);
 
-            let (ref_state, ref_pid) = new_version(&mut kernel);
+            let (mut ref_state, ref_pid) = new_version(&mut kernel);
             let trace = trace_process(&kernel, &old_state, old_pid, TraceOptions).unwrap();
             let reference =
-                transfer_process(&mut kernel, &old_state, old_pid, &ref_state, ref_pid, &trace).unwrap();
+                transfer_process(&mut kernel, &old_state, old_pid, &mut ref_state, ref_pid, &trace).unwrap();
             assert!(reference.conflicts.is_empty(), "{change:?}: {:?}", reference.conflicts);
             let outcome = |state: &InstanceState, pid: Pid| {
                 let process = kernel.process(pid).unwrap();
@@ -2385,7 +2485,7 @@ mod tests {
                         old_proc,
                         &old_state,
                         new_proc,
-                        &new_state,
+                        &mut new_state,
                         trace,
                     )
                     .unwrap()
@@ -2454,7 +2554,7 @@ mod tests {
         }
         let writes_before = plan.writes_performed();
         let (report, residual, mut pending) =
-            run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &new_state, &trace)
+            run_transfer(&plan, &mut delta, mode, old_proc, &old_state, new_proc, &mut new_state, &trace)
                 .unwrap();
         let final_writes = plan.writes_performed() - writes_before;
         let parked = pending.pending.iter().flatten().cloned().collect();

@@ -295,8 +295,9 @@ impl PtMalloc {
     /// Allocates a chunk so that its payload lands exactly at `payload`.
     ///
     /// Only tests place chunks this way, to build a heap of a given shape:
-    /// an update maps pinned objects as an `inherited:` region instead, and
-    /// a restore installs the recorded tables ([`PtMalloc::install_tables`]).
+    /// an update maps pinned objects as an `inherited:` region and records
+    /// them in a [`RegionAllocator`] pool instead, and a restore installs the
+    /// recorded tables ([`PtMalloc::install_tables`]).
     ///
     /// # Errors
     ///
@@ -646,6 +647,9 @@ struct Pool {
 /// situation that forces MCR's conservative tracing. With instrumentation
 /// (the `nginxreg` configuration of the paper) every carved object is
 /// registered with its allocation site and type tag, at a measurable cost.
+/// A pool's storage may also be an `inherited:` region, where a live update
+/// records the objects it pinned; no program holds that pool's id, so it is
+/// never destroyed.
 #[derive(Debug, Clone)]
 pub struct RegionAllocator {
     pools: BTreeMap<u64, Pool>,

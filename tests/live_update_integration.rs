@@ -6,7 +6,7 @@ use mcr_core::runtime::{
     boot, live_update, run_rounds, BootOptions, FaultSite, PhaseName, PrecopyOptions, UpdateOptions,
     UpdatePipeline, UpdateReport,
 };
-use mcr_core::{Conflict, QuiescenceProfiler};
+use mcr_core::{Conflict, McrInstance, QuiescenceProfiler};
 use mcr_procsim::Kernel;
 use mcr_servers::{install_standard_files, program_by_name, programs, ServerSpec};
 use mcr_typemeta::InstrumentationConfig;
@@ -123,35 +123,86 @@ fn quiescence_profile_recorded_by_the_scheduler_is_pinned() {
     );
 }
 
+/// The type tags of the objects that `instance`'s processes hold in pools
+/// whose storage is an `inherited:` region: the objects an update pinned.
+fn pinned_tags(kernel: &Kernel, instance: &McrInstance) -> Vec<u64> {
+    let mut tags = Vec::new();
+    for &pid in &instance.state.processes {
+        let process = kernel.process(pid).unwrap();
+        for (_, storage, _, _, _, objects) in process.regions().pools().1 {
+            let region = process.space().region_containing(storage).unwrap();
+            if region.name().starts_with("inherited:") {
+                tags.extend(objects.iter().map(|&(_, _, _, tag)| tag.0));
+            }
+        }
+    }
+    tags
+}
+
 /// Every served cell (four servers × both instrumentation configurations ×
-/// requests {0, 1, 3} × open {0, 2}) commits one update and keeps every
-/// fact of its audit: a pinned record keeps its address and has its
-/// pointers rewritten. Caveat: a second update loses the audit wherever the
-/// first pinned an object, which lives in an `inherited:` region that no
-/// allocator of the new version resolves.
+/// requests {0, 1, 3} × open {0, 2}) goes 1 → 2 → 2 → 3. Both updates to
+/// generation 2 commit and keep every fact of the audit: a pinned record
+/// keeps its address, has its pointers rewritten and stays in a pool of the
+/// new process's region allocator, so the next trace types and follows it.
+/// An inherited region keeps one `inherited:` prefix however many updates
+/// carry it. Generation 3 adds `conn_s.started_at`: the update commits with
+/// the audit, or rolls back naming the pinned record by its site while
+/// generation 2 still audits. Caveat: httpd and nginx under `full()` pin
+/// their untyped pool chunk, which holds the records; `conn_s*` points to
+/// the opaque `conn_fwd`, so no type reaches them, and generation 3 commits
+/// with the audit `None`.
 #[test]
-fn a_served_server_keeps_its_audit_through_one_update_but_not_past_a_pin() {
+fn a_served_server_keeps_its_audit_through_two_updates_and_names_its_pins_at_the_third() {
     let configs = [InstrumentationConfig::full(), InstrumentationConfig::full_with_region_instrumentation()];
     for program in ["vsftpd", "sshd", "httpd", "nginx"] {
         for config in configs {
             for (requests, open) in [0, 1, 3].into_iter().flat_map(|r| [(r, 0), (r, 2)]) {
                 let cell = format!("{program} {requests} requests {open} open {config:?}");
-                let (mut kernel, v1) = served(program, requests, open, config);
-                let old = v1.audit(&kernel).unwrap_or_else(|| panic!("{cell}: the old version audits"));
+                let (mut kernel, mut instance) = served(program, requests, open, config);
                 let update = |kernel: &mut Kernel, from, generation| {
                     let new = Box::new(program_by_name(program, generation));
-                    let (next, outcome) = live_update(kernel, from, new, config, &UpdateOptions::default());
-                    assert!(outcome.is_committed(), "{cell} -> {generation}: {:?}", outcome.conflicts());
-                    (next, outcome)
+                    live_update(kernel, from, new, config, &UpdateOptions::default())
                 };
-                let (v2, outcome) = update(&mut kernel, v1, 2);
-                let pinned: u64 =
-                    outcome.report().transfer.per_process.iter().map(|p| p.objects_pinned).sum();
-                let new = v2.audit(&kernel).unwrap_or_else(|| panic!("{cell}: generation 2 audits"));
-                let lost: Vec<_> = old.iter().filter(|fact| new.binary_search(fact).is_err()).collect();
-                assert!(lost.is_empty(), "{cell}: the update lost {lost:?}");
-                let (v3, _) = update(&mut kernel, v2, 3);
-                assert_eq!(v3.audit(&kernel).is_some(), pinned == 0, "{cell}: {pinned} pinned, generation 3");
+                let mut audit =
+                    instance.audit(&kernel).unwrap_or_else(|| panic!("{cell}: generation 1 audits"));
+                for generation in [2, 2] {
+                    let (next, outcome) = update(&mut kernel, instance, generation);
+                    assert!(outcome.is_committed(), "{cell} -> {generation}: {:?}", outcome.conflicts());
+                    let new = next.audit(&kernel).unwrap_or_else(|| panic!("{cell}: generation 2 audits"));
+                    let lost: Vec<_> = audit.iter().filter(|fact| new.binary_search(fact).is_err()).collect();
+                    assert!(lost.is_empty(), "{cell} -> {generation}: the update lost {lost:?}");
+                    (instance, audit) = (next, new);
+                }
+                let regions = instance
+                    .state
+                    .processes
+                    .iter()
+                    .flat_map(|&pid| kernel.process(pid).unwrap().space().regions());
+                let nested = regions.filter(|r| r.name().starts_with("inherited:inherited:")).count();
+                assert_eq!(nested, 0, "{cell}: an inherited region keeps one prefix");
+                let (v3, outcome) = update(&mut kernel, instance, 3);
+                if matches!(program, "httpd" | "nginx") && !config.instrument_region_allocator {
+                    assert!(outcome.is_committed(), "{cell} -> 3: {:?}", outcome.conflicts());
+                    assert_eq!(v3.audit(&kernel), None, "{cell}: the caveat reads no audit");
+                    assert!(pinned_tags(&kernel, &v3).contains(&0), "{cell}: an untyped object is pinned");
+                } else if outcome.is_committed() {
+                    let new = v3.audit(&kernel).unwrap_or_else(|| panic!("{cell}: generation 3 audits"));
+                    let lost: Vec<_> = audit.iter().filter(|fact| new.binary_search(fact).is_err()).collect();
+                    assert!(lost.is_empty(), "{cell} -> 3: the update lost {lost:?}");
+                } else {
+                    let site = if program == "httpd" { "pool_alloc:conn" } else { "handle_conn:conn" };
+                    let record = Conflict::NonUpdatableObjectChanged {
+                        object: format!("pool object from `{site}`"),
+                        old_type: "conn_s".into(),
+                        new_type: "conn_s".into(),
+                    };
+                    let conflicts = outcome.conflicts();
+                    assert!(
+                        !conflicts.is_empty() && conflicts.iter().all(|c| *c == record),
+                        "{cell}: {conflicts:?}"
+                    );
+                    assert_eq!(v3.audit(&kernel), Some(audit), "{cell}: generation 2 still audits");
+                }
             }
         }
     }

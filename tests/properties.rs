@@ -825,13 +825,40 @@ fn assert_audit_carried(quiesced: &Observed, kernel: &Kernel, survivor: &McrInst
     );
 }
 
+/// A served vsftpd (one request, two idle sessions) updated 1 → 2 → 2 in
+/// `mode`: the first update pins connection records and the second carries
+/// them through the pool the new process recorded them in. Returns what the
+/// second update observed.
+fn pinned_chain(mode: TransferMode) -> Observed {
+    let (mut kernel, mut instance) = served("vsftpd", 1, 2, InstrumentationConfig::full());
+    let rounds = if mode == TransferMode::Precopy { 2 } else { 0 };
+    let precopy = PrecopyOptions { rounds, ..PrecopyOptions::disabled() };
+    let opts = UpdateOptions { mode, precopy, ..Default::default() };
+    let mut seen = None;
+    for update in 1..=2 {
+        let new = Box::new(program_by_name("vsftpd", 2));
+        let (next, outcome) = live_update(&mut kernel, instance, new, InstrumentationConfig::full(), &opts);
+        let pinned: u64 = outcome.report().transfer.per_process.iter().map(|p| p.objects_pinned).sum();
+        assert!(outcome.is_committed() && pinned > 0, "{mode:?}, update {update}: {:?}", outcome.conflicts());
+        assert!(next.audit(&kernel).is_some(), "{mode:?}, update {update}: the audit is kept");
+        seen = Some(Observed::of(&kernel, &next, Some(&outcome)));
+        instance = next;
+    }
+    seen.expect("two updates ran")
+}
+
 /// The intra-pair sharded engine is deterministic end to end: on the
 /// single-process big-heap archetype, the oracle finds committed updates
 /// identical across `intra_pair_shards ∈ {1, 2, 7}`, stop-the-world,
 /// pre-copied (the seeded xorshift mutator dirtying entries between rounds)
-/// and post-copied. Only the charged makespan may shrink.
+/// and post-copied. Only the charged makespan may shrink. A pinned server's
+/// second update is identical across the three modes too.
 #[test]
 fn intra_pair_sharded_commits_are_byte_identical() {
+    let chains: Vec<Observed> =
+        [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy].map(pinned_chain).into();
+    assert_eq!(chains[1].divergences(&chains[0]), NONE, "pinned chain: pre-copy diverged");
+    assert_eq!(chains[2].divergences(&chains[0]), NONE, "pinned chain: post-copy diverged");
     let mut runs = Vec::new();
     for mode in [TransferMode::StopTheWorld, TransferMode::Precopy, TransferMode::Postcopy] {
         let (base_seen, base) = sharded_cache_update(300, 1, 3, mode, None, 0xCAC4E);
